@@ -13,8 +13,8 @@
 //   - the full protocol stack — signed Discovery, the Sink algorithm (known
 //     fault threshold), the Core algorithm (unknown fault threshold) and a
 //     PBFT committee phase with the generalized quorum ⌈(|S|+f+1)/2⌉ —
-//     runnable live on goroutines (System) or on a deterministic
-//     discrete-event simulator (Simulate);
+//     runnable live over in-process netrt pipes (System) or on a
+//     deterministic discrete-event simulator (Simulate);
 //   - the paper's figure topologies and random topology generators;
 //   - chained (multi-block) consensus over a bootstrapped committee.
 //

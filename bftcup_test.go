@@ -129,6 +129,37 @@ func TestLiveSystemChained(t *testing.T) {
 	}
 }
 
+// TestSystemStopAnyTime pins the Stop contract: a no-op before Start (which
+// still works afterwards), idempotent after. The run injects link latency so
+// the netrt delay adapter is exercised too.
+func TestSystemStopAnyTime(t *testing.T) {
+	sys, err := NewSystem(SystemConfig{
+		Topology: Figure1b(),
+		Protocol: ProtocolBFTCUP,
+		F:        1,
+		Exclude:  []ID{4},
+		Latency:  func(from, to ID) time.Duration { return time.Millisecond },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sys.Stop()
+	if sys.Messages() != 0 || sys.Bytes() != 0 {
+		t.Fatal("traffic counted before Start")
+	}
+	sys.Start()
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	if err := sys.WaitAll(ctx); err != nil {
+		t.Fatal(err)
+	}
+	sys.Stop()
+	sys.Stop()
+	if sys.Messages() == 0 {
+		t.Fatal("metrics lost after Stop")
+	}
+}
+
 func TestSimulatePossibility(t *testing.T) {
 	rep, err := Simulate(SimOptions{
 		Topology:  Figure4a(),

@@ -34,16 +34,11 @@ import (
 	"net"
 	"os"
 	"os/signal"
-	"sort"
 	"strconv"
 	"strings"
 	"syscall"
 	"time"
 
-	"github.com/bftcup/bftcup/internal/core"
-	"github.com/bftcup/bftcup/internal/cryptox"
-	"github.com/bftcup/bftcup/internal/graph"
-	"github.com/bftcup/bftcup/internal/kosr"
 	"github.com/bftcup/bftcup/internal/model"
 	"github.com/bftcup/bftcup/internal/netrt"
 	"github.com/bftcup/bftcup/internal/rt"
@@ -53,16 +48,8 @@ import (
 
 func main() {
 	var (
-		graphName = flag.String("graph", "fig1b", "graph def: a figure (fig1a…fig4b), complete:N, kosr:sink=S,nonsink=T,k=K[,extra=P], extended:core=S,noncore=T[,extra=P]")
-		modeName  = flag.String("mode", "bft-cup", "protocol: bft-cup|bft-cupft|naive|permissioned")
-		f         = flag.Int("f", -1, "fault threshold handed to processes; -1 = the graph family's natural threshold")
-		byzFlag   = flag.String("byz", "", "cluster mode: byzantine processes, e.g. 4:silent,7:fake-pd (kinds as in cupsim)")
-		netName   = flag.String("net", "sync", "emulated network: sync|partial|async (cluster mode; single nodes use the real network)")
-		gst       = flag.Duration("gst", 2*time.Second, "GST for -net partial (virtual)")
-		horizon   = flag.Duration("horizon", 60*time.Second, "virtual-time horizon")
-		seed      = flag.Int64("seed", 1, "deployment seed: keyring derivation, random graph families, reactor RNGs")
-		scale     = flag.Int64("scale", 10, "virtual-to-real time divisor: protocol timeouts and the horizon run scale× faster than their virtual values")
-		insecure  = flag.Bool("insecure", false, "swap Ed25519 for the insecure crypto suite (see ARCHITECTURE.md for the narrowed use case)")
+		params = scenario.BindFlags(flag.CommandLine)
+		scale  = flag.Int64("scale", 10, "virtual-to-real time divisor: protocol timeouts and the horizon run scale× faster than their virtual values")
 
 		cluster   = flag.Bool("cluster", false, "boot the whole graph as an in-process localhost cluster and grade the run")
 		transport = flag.String("transport", "tcp", "cluster links: tcp|pipe")
@@ -74,18 +61,19 @@ func main() {
 	)
 	flag.Parse()
 
-	params, err := buildParams(*graphName, *modeName, *f, *byzFlag, *netName, *gst, *horizon)
+	p, err := params()
 	if err != nil {
 		fail(err)
 	}
-	params.Seed = *seed
-	params.Insecure = *insecure
-
+	c, err := p.Compile()
+	if err != nil {
+		fail(err)
+	}
 	if *cluster {
-		runCluster(params, *graphName, *transport, *scale)
+		runCluster(c, p.Seed, *transport, *scale)
 		return
 	}
-	runNode(params, model.ID(*id), *listen, *peers, *scale, *deadline)
+	runNode(c, p.Seed, model.ID(*id), *listen, *peers, *scale, *deadline)
 }
 
 func fail(err error) {
@@ -93,188 +81,46 @@ func fail(err error) {
 	os.Exit(2)
 }
 
-func buildParams(graphName, modeName string, f int, byzFlag, netName string, gst, horizon time.Duration) (scenario.Params, error) {
-	def, err := graph.ParseDef(graphName)
-	if err != nil {
-		return scenario.Params{}, err
-	}
-	mode, err := parseMode(modeName)
-	if err != nil {
-		return scenario.Params{}, err
-	}
-	kind, err := scenario.ParseNetKind(netName)
-	if err != nil {
-		return scenario.Params{}, err
-	}
-	byz, err := parseByz(byzFlag)
-	if err != nil {
-		return scenario.Params{}, err
-	}
-	return scenario.Params{
-		Name:    graphName,
-		Graph:   def,
-		Mode:    mode,
-		F:       f,
-		Byz:     byz,
-		Net:     scenario.NetParams{Kind: kind, GST: sim.Time(gst)},
-		Horizon: sim.Time(horizon),
-	}, nil
-}
-
-func parseMode(name string) (core.Mode, error) {
-	switch name {
-	case "bft-cup":
-		return core.ModeKnownF, nil
-	case "bft-cupft":
-		return core.ModeUnknownF, nil
-	case "naive":
-		return core.ModeNaive, nil
-	case "permissioned":
-		return core.ModePermissioned, nil
-	default:
-		return 0, fmt.Errorf("unknown mode %q", name)
-	}
-}
-
-func parseByz(s string) (map[model.ID]scenario.ByzParams, error) {
-	out := make(map[model.ID]scenario.ByzParams)
-	if s == "" {
-		return out, nil
-	}
-	for _, item := range strings.Split(s, ",") {
-		kv := strings.SplitN(item, ":", 2)
-		raw, err := strconv.ParseUint(kv[0], 10, 64)
-		if err != nil {
-			return nil, fmt.Errorf("bad byzantine spec %q", item)
-		}
-		kind := "silent"
-		if len(kv) == 2 {
-			kind = kv[1]
-		}
-		var bp scenario.ByzParams
-		bp.Kind, err = scenario.ParseByzKind(kind)
-		if err != nil {
-			return nil, err
-		}
-		out[model.ID(raw)] = bp
-	}
-	return out, nil
-}
-
 // runCluster boots the whole compiled scenario as an in-process cluster over
 // real connections and prints the cupsim-compatible verdict report.
-func runCluster(params scenario.Params, graphName, transport string, scale int64) {
-	c, err := params.Compile()
-	if err != nil {
-		fail(err)
-	}
+func runCluster(c *scenario.Compiled, seed int64, transport string, scale int64) {
 	begin := time.Now()
-	res, err := c.RunLive(params.Seed, scenario.LiveOptions{Transport: transport, Scale: scale})
+	res, err := c.RunLive(seed, scenario.LiveOptions{Transport: transport, Scale: scale})
 	if err != nil {
 		fail(err)
 	}
-	fmt.Printf("scenario  : %s (mode=%s, %d processes)\n", graphName, params.Mode, c.Graph.NumNodes())
-	fmt.Printf("runtime   : live/%s, scale=%d, %v wall\n", transport, scale, time.Since(begin).Round(time.Millisecond))
-	fmt.Printf("verdict   : %s", res.Verdict())
-	if fm := res.FailureMode(); fm != "" {
-		fmt.Printf("  (%s)", fm)
-	}
-	fmt.Println()
-	fmt.Printf("elapsed   : %v virtual, %d messages, %d bytes\n\n", time.Duration(res.Elapsed), res.Messages, res.Bytes)
-	ids := make([]uint64, 0, len(res.PerProcess))
-	for id := range res.PerProcess {
-		ids = append(ids, uint64(id))
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	fmt.Println("process  role       decision          committee")
-	for _, raw := range ids {
-		pr := res.PerProcess[model.ID(raw)]
-		role := "correct"
-		if pr.Byzantine {
-			role = "byzantine"
-		}
-		dec := "⊥"
-		if pr.Decided {
-			dec = fmt.Sprintf("%q @ %v", pr.Value, time.Duration(pr.DecidedAt).Round(time.Millisecond))
-		}
-		fmt.Printf("p%-7d %-10s %-17s %v (g=%d)\n", raw, role, dec, pr.Committee, pr.G)
-	}
-	if res.Verdict() == "✗" {
+	res.WriteText(os.Stdout, c.Mode,
+		fmt.Sprintf("live/%s, scale=%d, %v wall", transport, scale, time.Since(begin).Round(time.Millisecond)))
+	if !res.Consensus() {
 		os.Exit(1)
 	}
 }
 
 // runNode boots one process of the deployment and drives it against live
 // peers until it decides, the deadline passes, or a signal arrives.
-func runNode(params scenario.Params, id model.ID, listen, peersFlag string, scale int64, deadline time.Duration) {
+func runNode(c *scenario.Compiled, seed int64, id model.ID, listen, peersFlag string, scale int64, deadline time.Duration) {
 	if id == 0 {
 		fail(fmt.Errorf("single-node mode needs -id (or use -cluster)"))
 	}
 	if listen == "" {
 		fail(fmt.Errorf("single-node mode needs -listen"))
 	}
-	c, err := params.Compile()
-	if err != nil {
-		fail(err)
-	}
-	ids := c.Graph.Nodes()
-	found := false
-	for _, nid := range ids {
-		if nid == id {
-			found = true
-			break
-		}
-	}
-	if !found {
-		fail(fmt.Errorf("-id %d is not a node of graph %q", uint64(id), params.Name))
-	}
-	if _, isByz := c.Byz[id]; isByz {
-		fail(fmt.Errorf("-id %d is marked byzantine; the daemon only runs correct nodes", uint64(id)))
-	}
-
 	addrs, err := parsePeers(peersFlag)
 	if err != nil {
 		fail(err)
 	}
 
-	var signers map[model.ID]cryptox.Signer
-	var reg cryptox.Verifier
-	if c.Insecure {
-		signers, reg = cryptox.InsecureSuite(ids)
-	} else {
-		signers, reg, err = cryptox.Keyring(params.Seed+1, ids)
-		if err != nil {
-			fail(err)
-		}
-	}
-
-	disc, pbftTimeout, pollPeriod := c.LiveDurations(scale)
-	value := model.Value(fmt.Sprintf("v%d", uint64(id)))
-	if v, ok := c.Values[id]; ok {
-		value = v
-	}
-	cfg := core.Config{
-		Mode:        c.Mode,
-		F:           c.F,
-		PD:          c.Graph.OutSet(id).Clone(),
-		Proposal:    value,
-		Discovery:   disc,
-		PBFTTimeout: pbftTimeout,
-		PollPeriod:  pollPeriod,
-		Hardened:    c.Hardened,
-	}
-	if c.Mode != core.ModePermissioned {
-		cfg.Searcher = kosr.NewSearcher()
-	}
-
 	begin := time.Now()
 	decided := make(chan model.Value, 1)
-	node := core.NewNode(signers[id], reg, cfg, func(v model.Value) {
+	node, err := c.LiveNode(seed, id, scale, func(v model.Value) {
 		select {
 		case decided <- v:
 		default:
 		}
 	})
+	if err != nil {
+		fail(err)
+	}
 
 	ln, err := net.Listen("tcp", listen)
 	if err != nil {
@@ -285,8 +131,8 @@ func runNode(params scenario.Params, id model.ID, listen, peersFlag string, scal
 
 	rn := netrt.NewNode(netrt.Config{
 		ID:    id,
-		Peers: ids,
-		Seed:  params.Seed + int64(id) + 1,
+		Peers: c.Graph.Nodes(),
+		Seed:  seed + int64(id) + 1,
 		Dial: func(dctx context.Context, peer model.ID) (net.Conn, error) {
 			addr, ok := addrs[peer]
 			if !ok {
@@ -299,7 +145,7 @@ func runNode(params scenario.Params, id model.ID, listen, peersFlag string, scal
 	rn.Start(ctx)
 	rn.Serve(ln)
 	fmt.Printf("cupd: node %d up on %s (%s, mode=%s, %d peers, scale=%d)\n",
-		uint64(id), ln.Addr(), params.Name, params.Mode, len(addrs), scale)
+		uint64(id), ln.Addr(), c.Name, c.Mode, len(addrs), scale)
 
 	if deadline <= 0 {
 		deadline = time.Duration(int64(c.Horizon) / scale)

@@ -19,13 +19,10 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"sort"
 	"strconv"
 	"strings"
 	"time"
 
-	"github.com/bftcup/bftcup/internal/core"
-	"github.com/bftcup/bftcup/internal/graph"
 	"github.com/bftcup/bftcup/internal/matrix"
 	"github.com/bftcup/bftcup/internal/model"
 	"github.com/bftcup/bftcup/internal/scenario"
@@ -34,17 +31,10 @@ import (
 
 func main() {
 	var (
-		graphName = flag.String("graph", "fig1b", "graph def: a figure (fig1a…fig4b), complete:N, kosr:sink=S,nonsink=T,k=K[,extra=P], extended:core=S,noncore=T[,extra=P]")
-		modeName  = flag.String("mode", "bft-cup", "protocol: bft-cup|bft-cupft|naive|permissioned")
-		f         = flag.Int("f", -1, "fault threshold handed to processes; -1 = the graph family's natural threshold")
-		byzFlag   = flag.String("byz", "", "byzantine processes, e.g. 4:silent,7:fake-pd,3:delay,5:collude (kinds: silent|fake-pd|equiv-pd|as-correct|delay|selective-silent|collude)")
+		params    = scenario.BindFlags(flag.CommandLine)
 		autoFlag  = flag.String("autobyz", "", "automatic byzantine placement, kind×count[@place] (place: figure|tail|sink|worst), e.g. silent×2@worst or 'silentx2@worst'")
-		netName   = flag.String("net", "sync", "network: sync|partial|async")
-		gst       = flag.Duration("gst", 2*time.Second, "GST for -net partial")
 		slowFlag  = flag.String("slow", "", "pre-GST fast groups, e.g. 1,2,3/6,7,8 (everything else slow)")
-		horizon   = flag.Duration("horizon", 60*time.Second, "virtual-time horizon")
-		seed      = flag.Int64("seed", 1, "simulation seed (single run)")
-		seedsStr  = flag.String("seeds", "", "seed sweep, FROM:TO or a count N (= 1:N) — run the scenario once per seed through the matrix engine")
+		seedsStr  = flag.String("seeds", "", "seed sweep, FROM:TO or a count N (= 1:N) — run the scenario once per seed through the matrix engine (overrides -seed)")
 		parallel  = flag.Int("parallel", 0, "sweep worker count: 0 = GOMAXPROCS, 1 = serial")
 		jsonOut   = flag.Bool("json", false, "emit the sweep report as JSON")
 		shardStr  = flag.String("shard", "", "with -seeds: run only span i/n[@t] of the sweep (deterministic partition)")
@@ -52,7 +42,6 @@ func main() {
 		jsonlPath = flag.String("jsonl", "", "with -seeds: stream per-cell outcomes as JSONL to this file ('-' = stdout)")
 		resume    = flag.Bool("resume", false, "with -seeds -jsonl FILE: resume an interrupted stream, running only the cells the file is missing")
 		doMerge   = flag.Bool("merge", false, "merge shard JSONL files (positional arguments) into the aggregate report")
-		insecure  = flag.Bool("insecure", false, "swap Ed25519 for the insecure crypto suite (faster runs; sweep fingerprints NOT comparable with secure ones)")
 
 		loss       = flag.Float64("loss", 0, "per-message delivery loss probability in [0,1)")
 		dup        = flag.Float64("dup", 0, "per-message duplication probability in [0,1)")
@@ -68,24 +57,25 @@ func main() {
 		return
 	}
 
-	params, err := buildParams(*graphName, *modeName, *f, *byzFlag, *netName, *gst, *slowFlag, *horizon)
+	p, err := params()
 	if err != nil {
 		fail(err)
 	}
-	if params.Auto, err = scenario.ParseAutoByz(*autoFlag); err != nil {
+	if p.Net.FastGroups, err = parseGroups(*slowFlag); err != nil {
 		fail(err)
 	}
-	params.Insecure = *insecure
-	if params.Faults, err = buildFaults(*loss, *dup, *reorder, *partitions, *churnFlag, *unhardened); err != nil {
+	if p.Auto, err = scenario.ParseAutoByz(*autoFlag); err != nil {
+		fail(err)
+	}
+	if p.Faults, err = buildFaults(*loss, *dup, *reorder, *partitions, *churnFlag, *unhardened); err != nil {
 		fail(err)
 	}
 
 	if *seedsStr != "" {
-		runSweep(params, *seedsStr, *parallel, *jsonOut, *shardStr, *onlyStr, *jsonlPath, *resume)
+		runSweep(p, *seedsStr, *parallel, *jsonOut, *shardStr, *onlyStr, *jsonlPath, *resume)
 		return
 	}
-	params.Seed = *seed
-	runSingle(params, *graphName)
+	runSingle(p)
 }
 
 // runMerge reconstructs the aggregate sweep report from shard JSONL files.
@@ -108,34 +98,6 @@ func runMerge(paths []string, jsonOut bool) {
 func fail(err error) {
 	fmt.Fprintln(os.Stderr, "cupsim:", err)
 	os.Exit(2)
-}
-
-func buildParams(graphName, modeName string, f int, byzFlag, netName string, gst time.Duration, slowFlag string, horizon time.Duration) (scenario.Params, error) {
-	def, err := graph.ParseDef(graphName)
-	if err != nil {
-		return scenario.Params{}, err
-	}
-	mode, err := parseMode(modeName)
-	if err != nil {
-		return scenario.Params{}, err
-	}
-	byz, err := parseByz(byzFlag)
-	if err != nil {
-		return scenario.Params{}, err
-	}
-	net, err := buildNet(netName, gst, slowFlag)
-	if err != nil {
-		return scenario.Params{}, err
-	}
-	return scenario.Params{
-		Name:    graphName,
-		Graph:   def,
-		Mode:    mode,
-		F:       f,
-		Byz:     byz,
-		Net:     net,
-		Horizon: sim.Time(horizon),
-	}, nil
 }
 
 // buildFaults assembles the chaos-injection axis from its flags; validation
@@ -247,103 +209,37 @@ func emitSweep(rep *matrix.Report, jsonOut bool) {
 	}
 }
 
-func runSingle(params scenario.Params, graphName string) {
-	spec, err := params.Spec()
+func runSingle(params scenario.Params) {
+	c, err := params.Compile()
 	if err != nil {
 		fail(err)
 	}
-	res, err := scenario.Run(spec)
+	res, err := c.Run(params.Seed, false)
 	if err != nil {
 		fail(err)
 	}
-	fmt.Printf("scenario  : %s (mode=%s, %d processes)\n", graphName, params.Mode, spec.Graph.NumNodes())
-	fmt.Printf("verdict   : %s", res.Verdict())
-	if fm := res.FailureMode(); fm != "" {
-		fmt.Printf("  (%s)", fm)
-	}
-	fmt.Println()
-	fmt.Printf("elapsed   : %v virtual, %d messages, %d bytes\n\n", time.Duration(res.Elapsed), res.Messages, res.Bytes)
-	ids := make([]uint64, 0, len(res.PerProcess))
-	for id := range res.PerProcess {
-		ids = append(ids, uint64(id))
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	fmt.Println("process  role       decision          committee")
-	for _, raw := range ids {
-		pr := res.PerProcess[model.ID(raw)]
-		role := "correct"
-		if pr.Byzantine {
-			role = "byzantine"
-		}
-		dec := "⊥"
-		if pr.Decided {
-			dec = fmt.Sprintf("%q @ %v", pr.Value, time.Duration(pr.DecidedAt).Round(time.Millisecond))
-		}
-		fmt.Printf("p%-7d %-10s %-17s %v (g=%d)\n", raw, role, dec, pr.Committee, pr.G)
-	}
-	if res.Verdict() == "✗" {
+	res.WriteText(os.Stdout, params.Mode, "")
+	if !res.Consensus() {
 		os.Exit(1)
 	}
 }
 
-func parseMode(name string) (core.Mode, error) {
-	switch name {
-	case "bft-cup":
-		return core.ModeKnownF, nil
-	case "bft-cupft":
-		return core.ModeUnknownF, nil
-	case "naive":
-		return core.ModeNaive, nil
-	case "permissioned":
-		return core.ModePermissioned, nil
-	default:
-		return 0, fmt.Errorf("unknown mode %q", name)
+// parseGroups parses -slow: '/'-separated groups of comma-separated IDs.
+func parseGroups(slow string) ([]model.IDSet, error) {
+	if slow == "" {
+		return nil, nil
 	}
-}
-
-func parseByz(s string) (map[model.ID]scenario.ByzParams, error) {
-	out := make(map[model.ID]scenario.ByzParams)
-	if s == "" {
-		return out, nil
-	}
-	for _, item := range strings.Split(s, ",") {
-		kv := strings.SplitN(item, ":", 2)
-		raw, err := strconv.ParseUint(kv[0], 10, 64)
-		if err != nil {
-			return nil, fmt.Errorf("bad byzantine spec %q", item)
-		}
-		kind := "silent"
-		if len(kv) == 2 {
-			kind = kv[1]
-		}
-		var bp scenario.ByzParams
-		bp.Kind, err = scenario.ParseByzKind(kind)
-		if err != nil {
-			return nil, err
-		}
-		out[model.ID(raw)] = bp
-	}
-	return out, nil
-}
-
-func buildNet(name string, gst time.Duration, slow string) (scenario.NetParams, error) {
-	kind, err := scenario.ParseNetKind(name)
-	if err != nil {
-		return scenario.NetParams{}, err
-	}
-	np := scenario.NetParams{Kind: kind, GST: sim.Time(gst)}
-	if slow != "" {
-		for _, grp := range strings.Split(slow, "/") {
-			set := model.NewIDSet()
-			for _, idStr := range strings.Split(grp, ",") {
-				raw, err := strconv.ParseUint(strings.TrimSpace(idStr), 10, 64)
-				if err != nil {
-					return scenario.NetParams{}, fmt.Errorf("bad group member %q", idStr)
-				}
-				set.Add(model.ID(raw))
+	var groups []model.IDSet
+	for _, grp := range strings.Split(slow, "/") {
+		set := model.NewIDSet()
+		for _, idStr := range strings.Split(grp, ",") {
+			raw, err := strconv.ParseUint(strings.TrimSpace(idStr), 10, 64)
+			if err != nil {
+				return nil, fmt.Errorf("bad group member %q", idStr)
 			}
-			np.FastGroups = append(np.FastGroups, set)
+			set.Add(model.ID(raw))
 		}
+		groups = append(groups, set)
 	}
-	return np, nil
+	return groups, nil
 }

@@ -2,8 +2,8 @@
 // every table and figure of the paper (paper-expected vs measured outcomes
 // as Markdown, the source of EXPERIMENTS.md), runs free parameter sweeps far
 // beyond the paper's grid — monolithic or split into deterministic shards
-// whose JSONL streams merge back into the identical aggregate report — and
-// maintains the repository's performance trajectory file.
+// whose JSONL streams merge back into the identical aggregate report.
+// (Performance is measured by `go run ./bench`, not here.)
 //
 // Usage:
 //
@@ -16,8 +16,6 @@
 //	experiments -matrix -only 4,17,23 -jsonl gaps.jsonl          run explicit cells (the fabric's gap back-fill)
 //	experiments -merge part1.jsonl part2.jsonl part3.jsonl       reconstruct the aggregate report from shards
 //	experiments -merge -summary part*.jsonl                      constant-memory merge (aggregates only)
-//	experiments -bench-json [-bench-out BENCH_matrix.json]       append engine+matrix numbers to the trajectory
-//	experiments -bench-json -bench-gate 0.15                     …and fail on >15% events/sec regression
 //
 // Flags common to the report-producing modes:
 //
@@ -63,10 +61,6 @@ func main() {
 		insecure   = flag.Bool("insecure", false, "with -matrix: swap Ed25519 for the insecure crypto suite (faster cells; fingerprints NOT comparable with secure sweeps)")
 		doMerge    = flag.Bool("merge", false, "merge shard JSONL files (positional arguments) into the aggregate report")
 		summary    = flag.Bool("summary", false, "with -merge: aggregate in constant memory, dropping per-cell outcomes from the report")
-		benchJSON  = flag.Bool("bench-json", false, "run the engine and matrix hot-path benchmarks and append an entry to the trajectory file")
-		benchOut   = flag.String("bench-out", "BENCH_matrix.json", "trajectory file for -bench-json")
-		benchLabel = flag.String("bench-label", "", "label recorded with the -bench-json entry")
-		benchGate  = flag.Float64("bench-gate", 0, "with -bench-json: fail when events/sec or cells/sec regress by more than this fraction vs the previous trajectory entry (0 = off)")
 		cpuProfile = flag.String("cpuprofile", "", "write a pprof CPU profile of the selected mode to this file (hot-path work starts from a profile artifact)")
 	)
 	flag.Parse()
@@ -94,8 +88,6 @@ func main() {
 	switch {
 	case *doMerge:
 		runMerge(flag.Args(), *jsonOut, *cellRows, *summary)
-	case *benchJSON:
-		runBenchJSON(*benchOut, *benchLabel, *benchGate)
 	case *doMatrix:
 		runMatrix(*seedsStr, *adversary, *probSweep, *chaosSweep, *parallel, *jsonOut, *trace, *cellRows, *compare, *shardStr, *onlyStr, *jsonlPath, *resume, *insecure)
 	default:

@@ -1,6 +1,7 @@
 package kosr
 
 import (
+	"fmt"
 	"math/bits"
 	"math/rand"
 	"testing"
@@ -200,5 +201,29 @@ func TestSearcherMatchesViewOnProbabilisticFamilies(t *testing.T) {
 			}
 			assertSearcherMatches(t, se, v, s)
 		}
+	}
+}
+
+// enumerateSubsets is the brute-force oracle the pool enumeration is pinned
+// against: it yields every subset of ids with size ≥ minSize. Callers are
+// guarded by ExactLimit; sets past the bit-mask capacity are a
+// programming error, and a silent empty enumeration would masquerade as "no
+// sink found", so the guard is loud.
+func enumerateSubsets(ids []model.ID, minSize int, yield func(model.IDSet)) {
+	n := len(ids)
+	if n > 30 {
+		panic(fmt.Sprintf("kosr: enumerateSubsets over %d ids (callers must respect ExactLimit=%d; the mask enumeration caps at 30)", n, ExactLimit))
+	}
+	for mask := 1; mask < (1 << n); mask++ {
+		if bits.OnesCount(uint(mask)) < minSize {
+			continue
+		}
+		s := model.NewIDSet()
+		for i := 0; i < n; i++ {
+			if mask&(1<<i) != 0 {
+				s.Add(ids[i])
+			}
+		}
+		yield(s)
 	}
 }

@@ -1,7 +1,6 @@
 package kosr
 
 import (
-	"fmt"
 	"math/bits"
 	"sort"
 
@@ -103,9 +102,9 @@ func (v *View) sinksAtG(g int, exact *bool) []Candidate {
 		if pool.Len() <= ExactLimit {
 			// Pruned bitset enumeration: poolEnum's cuts are sound (it yields
 			// a superset of the passing S1 sets) and tryS1 re-checks every
-			// isSink property exactly, so the result matches the plain
-			// enumerateSubsets walk — the equivalence tests pin that up to
-			// brute-force sizes.
+			// isSink property exactly, so the result matches a plain 2^n
+			// subset walk — the equivalence tests pin that up to brute-force
+			// sizes.
 			sorted := pool.Sorted()
 			pe.init(sorted, g, func(u model.ID, yield func(model.ID)) {
 				for tgt := range v.PD[u] {
@@ -141,38 +140,6 @@ func (v *View) sinksAtG(g int, exact *bool) []Candidate {
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].S1.Key() < out[j].S1.Key() })
 	return out
-}
-
-// enumerateSubsets yields every subset of ids with size ≥ minSize. Callers
-// are guarded by ExactLimit; sets past the bit-mask capacity are a
-// programming error, and a silent empty enumeration would masquerade as "no
-// sink found", so the guard is loud.
-func enumerateSubsets(ids []model.ID, minSize int, yield func(model.IDSet)) {
-	n := len(ids)
-	if n > 30 {
-		panic(fmt.Sprintf("kosr: enumerateSubsets over %d ids (callers must respect ExactLimit=%d; the mask enumeration caps at 30)", n, ExactLimit))
-	}
-	for mask := 1; mask < (1 << n); mask++ {
-		if popcount(mask) < minSize {
-			continue
-		}
-		s := model.NewIDSet()
-		for i := 0; i < n; i++ {
-			if mask&(1<<i) != 0 {
-				s.Add(ids[i])
-			}
-		}
-		yield(s)
-	}
-}
-
-func popcount(x int) int {
-	n := 0
-	for x != 0 {
-		x &= x - 1
-		n++
-	}
-	return n
 }
 
 // MaxG returns the largest g at which any sink exists in the view, bounded by

@@ -1,6 +1,7 @@
 package kosr
 
 import (
+	"math/bits"
 	"math/rand"
 	"strings"
 	"testing"
@@ -209,7 +210,7 @@ func TestForEachSubsetUpToNoAliasing(t *testing.T) {
 		})
 		want := make(map[string]int)
 		for mask := 0; mask < 1<<len(ids); mask++ {
-			if popcount(mask) > maxSize {
+			if bits.OnesCount(uint(mask)) > maxSize {
 				continue
 			}
 			s := model.NewIDSet()

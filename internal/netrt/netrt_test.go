@@ -6,6 +6,8 @@ import (
 	"context"
 	"encoding/binary"
 	"net"
+	"runtime"
+	"sync"
 	"testing"
 	"time"
 
@@ -266,5 +268,131 @@ func TestSenderReconnects(t *testing.T) {
 		case <-deadline:
 			t.Fatal("message never arrived after reconnect")
 		}
+	}
+}
+
+// chatterReactor generates continuous traffic and re-arming timers, to keep
+// every goroutine of a node busy while Stop runs; the first message received
+// closes ready.
+type chatterReactor struct {
+	peer  model.ID
+	ready chan struct{}
+	seen  bool
+}
+
+func (c *chatterReactor) Init(ctx rt.Context) {
+	ctx.Send(c.peer, []byte("ping"))
+	ctx.SetTimer(rt.Millisecond, 1)
+}
+
+func (c *chatterReactor) Receive(ctx rt.Context, from model.ID, _ []byte) {
+	if !c.seen {
+		c.seen = true
+		close(c.ready)
+	}
+	ctx.Send(from, []byte("ping"))
+}
+
+func (c *chatterReactor) Timer(ctx rt.Context, tag uint64) {
+	ctx.Send(c.peer, []byte("tick"))
+	ctx.SetTimer(rt.Millisecond, tag)
+}
+
+// TestStopIsIdempotentAndJoins stops a busy cluster twice (and its nodes
+// once more): no panic, no hang, late sends drop silently, and every
+// goroutine the cluster started has exited.
+func TestStopIsIdempotentAndJoins(t *testing.T) {
+	for _, transport := range []string{"pipe", "tcp"} {
+		baseline := runtime.NumGoroutine()
+		r1 := &chatterReactor{peer: 2, ready: make(chan struct{})}
+		r2 := &chatterReactor{peer: 1, ready: make(chan struct{})}
+		reactors := map[model.ID]rt.Reactor{1: r1, 2: r2}
+		c, err := NewCluster(context.Background(), []model.ID{1, 2},
+			func(id model.ID) rt.Reactor { return reactors[id] },
+			ClusterConfig{Transport: transport})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, r := range []*chatterReactor{r1, r2} {
+			select {
+			case <-r.ready:
+			case <-time.After(10 * time.Second):
+				t.Fatalf("%s: traffic never started", transport)
+			}
+		}
+		c.Stop()
+		c.Stop()
+		for _, n := range c.Nodes {
+			n.Stop()
+		}
+		(&nodeCtx{n: c.Nodes[1]}).Send(2, []byte("late"))
+
+		// Stop joins every goroutine it counts; the context watchers it does
+		// not count exit right behind it.
+		deadline := time.Now().Add(10 * time.Second)
+		for runtime.NumGoroutine() > baseline {
+			if time.Now().After(deadline) {
+				t.Fatalf("%s: %d goroutines after Stop, %d before the cluster", transport, runtime.NumGoroutine(), baseline)
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+}
+
+func TestMailbox(t *testing.T) {
+	// FIFO from one producer.
+	m := newMailbox()
+	const n = 100
+	for i := 0; i < n; i++ {
+		m.push(envelope{tag: uint64(i)})
+	}
+	for i := 0; i < n; i++ {
+		if e, ok := m.pop(); !ok || e.tag != uint64(i) {
+			t.Fatalf("pop %d = (tag %d, %t), want FIFO order", i, e.tag, ok)
+		}
+	}
+
+	// Concurrent producers against a blocking consumer: nothing is lost.
+	var wg sync.WaitGroup
+	for i := 0; i < n; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			m.push(envelope{tag: uint64(i)})
+		}(i)
+	}
+	popped := make(chan int, 1)
+	go func() {
+		got := 0
+		for got < n {
+			if _, ok := m.pop(); !ok {
+				break
+			}
+			got++
+		}
+		popped <- got
+	}()
+	wg.Wait()
+	select {
+	case got := <-popped:
+		if got != n {
+			t.Fatalf("consumer saw %d of %d envelopes", got, n)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("mailbox stalled")
+	}
+
+	// Close drains what is queued, then reports closed; later pushes drop.
+	m.push(envelope{tag: 7})
+	m.close()
+	if e, ok := m.pop(); !ok || e.tag != 7 {
+		t.Fatalf("pop after close = (tag %d, %t), want the queued envelope", e.tag, ok)
+	}
+	if _, ok := m.pop(); ok {
+		t.Fatal("pop on a closed, empty mailbox should report closed")
+	}
+	m.push(envelope{})
+	if _, ok := m.pop(); ok {
+		t.Fatal("push after close was queued")
 	}
 }

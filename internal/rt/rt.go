@@ -6,11 +6,11 @@
 //
 //   - internal/sim implements it as a deterministic discrete-event engine
 //     over a virtual clock (identical seeds ⇒ byte-identical traces), and
-//   - internal/netrt (and internal/live) implement it over real transports —
-//     length-prefixed frames on TCP, goroutines, monotonic wall clocks.
+//   - internal/netrt implements it over real transports — length-prefixed
+//     frames on TCP or net.Pipe, goroutines, monotonic wall clocks.
 //
 // The same core.Node therefore runs unchanged under the simulator, an
-// in-memory goroutine network, or a cmd/cupd daemon on a real socket, which
+// in-process pipe cluster, or a cmd/cupd daemon on a real socket, which
 // makes the simulator a deterministic twin of the deployable system: any
 // divergence in verdicts between the two runtimes on one scenario is a bug in
 // one of the twins, and the twin tests in internal/scenario assert exactly

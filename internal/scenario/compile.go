@@ -5,9 +5,7 @@ import (
 	"slices"
 	"strings"
 
-	"github.com/bftcup/bftcup/internal/byz"
 	"github.com/bftcup/bftcup/internal/core"
-	"github.com/bftcup/bftcup/internal/cryptox"
 	"github.com/bftcup/bftcup/internal/discovery"
 	"github.com/bftcup/bftcup/internal/graph"
 	"github.com/bftcup/bftcup/internal/kosr"
@@ -106,6 +104,9 @@ func (p Params) Compile() (*Compiled, error) {
 	if f < 0 {
 		f = built.F
 	}
+	if err := checkProcessIDs(built.G, p.Byz, p.Values); err != nil {
+		return nil, fmt.Errorf("params %q: %w", p.nameOrID(), err)
+	}
 	byzMap := make(map[model.ID]ByzSpec)
 	placed, err := p.autoByzIDs(built)
 	if err != nil {
@@ -164,6 +165,23 @@ func (p Params) Compile() (*Compiled, error) {
 	return c, nil
 }
 
+// checkProcessIDs rejects an explicit Byzantine assignment or proposal for a
+// process the graph does not have: a typo'd ID must not compile into a run
+// that reads as adversarial (or as carrying a proposal) while placing nothing.
+func checkProcessIDs[B any](g *graph.Digraph, byz map[model.ID]B, values map[model.ID]model.Value) error {
+	for _, id := range sortedIDs(byz) {
+		if !g.HasNode(id) {
+			return fmt.Errorf("byzantine process %v not in graph", id)
+		}
+	}
+	for _, id := range sortedIDs(values) {
+		if !g.HasNode(id) {
+			return fmt.Errorf("proposal of process %v not in graph", id)
+		}
+	}
+	return nil
+}
+
 // applyFaults validates an active fault axis against the built graph and
 // Byzantine assignment and wraps the network model in the corresponding
 // injector. A disabled axis returns the model untouched (and skips every
@@ -203,6 +221,9 @@ func applyFaults(f FaultParams, net sim.NetworkModel, g *graph.Digraph, byzMap m
 func (s Spec) Compile() (*Compiled, error) {
 	if s.Graph == nil || s.Graph.NumNodes() == 0 {
 		return nil, fmt.Errorf("scenario %q: empty graph", s.Name)
+	}
+	if err := checkProcessIDs(s.Graph, s.Byz, s.Values); err != nil {
+		return nil, fmt.Errorf("scenario %q: %w", s.Name, err)
 	}
 	net, horizon := applyDefaults(s.Net, s.Horizon)
 	net, err := applyFaults(s.Faults, net, s.Graph, s.Byz)
@@ -353,15 +374,10 @@ func (c *Compiled) Run(seed int64, trace bool) (*Result, error) {
 // owned by the Runner and valid only until its next Run — callers that
 // retain results across cells must copy what they keep.
 type Runner struct {
-	engine        *sim.Engine
-	proposals     map[model.ID]model.Value
-	nodes         map[model.ID]*core.Node
-	correct       model.IDSet
-	decisions     map[model.ID]model.Value
-	decidedAt     map[model.ID]sim.Time
-	doubleDecided model.IDSet
-	perProcess    map[model.ID]ProcessResult
-	res           Result
+	engine     *sim.Engine
+	log        runLog
+	perProcess map[model.ID]ProcessResult
+	res        Result
 	// searchers is the pool of per-node incremental sink/core search
 	// engines, handed out in node-creation order each run so the knowledge
 	// layer's scratch (Tarjan stacks, max-flow arrays, verdict memos) is
@@ -380,7 +396,7 @@ type Runner struct {
 
 // nextSearcher hands out the next pooled searcher, growing the pool on first
 // use.
-func (r *Runner) nextSearcher() *kosr.Searcher {
+func (r *Runner) nextSearcher() kosr.Search {
 	if r.searcherNext == len(r.searchers) {
 		r.searchers = append(r.searchers, kosr.NewSearcher())
 	}
@@ -393,171 +409,44 @@ func (r *Runner) nextSearcher() *kosr.Searcher {
 func (r *Runner) reset(net sim.NetworkModel, seed int64) {
 	if r.engine == nil {
 		r.engine = sim.NewEngine(net, seed)
-		r.proposals = make(map[model.ID]model.Value)
-		r.nodes = make(map[model.ID]*core.Node)
-		r.correct = model.NewIDSet()
-		r.decisions = make(map[model.ID]model.Value)
-		r.decidedAt = make(map[model.ID]sim.Time)
-		r.doubleDecided = model.NewIDSet()
 		r.perProcess = make(map[model.ID]ProcessResult)
-		return
+	} else {
+		r.engine.Reset(net, seed)
+		clear(r.perProcess)
 	}
-	r.engine.Reset(net, seed)
-	clear(r.proposals)
-	clear(r.nodes)
-	clear(r.correct)
-	clear(r.decisions)
-	clear(r.decidedAt)
-	clear(r.doubleDecided)
-	clear(r.perProcess)
+	r.log.reset()
 	r.searcherNext = 0
 }
 
-// Run executes the compiled scenario under one seed: generate (or fetch from
-// the keyring cache) the key material, wire up the reactors, drive the
-// engine to decision or horizon, and grade the outcome — exactly the
-// execution scenario.Run has always performed, minus everything Compile
-// already did.
+// Run executes the compiled scenario under one seed on the simulator:
+// assemble the reactors onto the engine (key material comes from the keyring
+// cache), schedule the churn, drive the engine to decision or horizon, and
+// grade the outcome.
 func (r *Runner) Run(c *Compiled, seed int64, trace bool) (*Result, error) {
-	name := c.Name
-	if c.deriveName {
-		name = c.Labels.IDFor(seed)
-	}
+	name := c.runName(seed)
 	r.reset(c.Net, seed)
-	engine := r.engine
+	engine, log := r.engine, &r.log
 
-	var signers map[model.ID]cryptox.Signer
-	var reg cryptox.Verifier
-	if c.Insecure {
-		signers, reg = cryptox.InsecureSuite(c.ids)
-	} else {
-		var err error
-		signers, reg, err = cryptox.Keyring(seed+1, c.ids)
-		if err != nil {
-			return nil, fmt.Errorf("scenario %q: %w", name, err)
-		}
+	st, err := c.newStack(seed, c.Discovery, c.PBFTTimeout, c.PollPeriod)
+	if err != nil {
+		return nil, fmt.Errorf("scenario %q: %w", name, err)
 	}
-
 	var tr *sim.Trace
 	if trace {
 		tr = sim.NewTrace()
 		engine.SetTrace(tr)
 	}
-	r.res = Result{Name: name, PerProcess: r.perProcess}
-	res := &r.res
-	proposals, nodes, correct := r.proposals, r.nodes, r.correct
-	decisions, decidedAt, doubleDecided := r.decisions, r.decidedAt, r.doubleDecided
-	// decidedCorrect counts first decisions by correct processes, so the
-	// per-event termination check is one comparison instead of a set scan.
-	decidedCorrect := 0
-
-	// Colluding-group state is mutable run state, so it is built here per
-	// run, never stored in the (goroutine-shared, immutable) Compiled.
-	// Members join in sorted ID order before the engine starts — the group
-	// record list is part of every member's replies from the first round.
-	var collusion *byz.Collusion
-	var colluders map[model.ID]*byz.Colluder
-	for _, id := range c.ids {
-		if bspec, ok := c.Byz[id]; ok && bspec.Kind == ByzCollude {
-			if collusion == nil {
-				collusion = byz.NewCollusion(reg, c.Discovery)
-				colluders = make(map[model.ID]*byz.Colluder)
-			}
-			colluders[id] = collusion.AddMember(signers[id], resolveClaim(c, id, bspec), bspec.Withhold)
+	st.searcher = r.SearchFactory
+	if st.searcher == nil {
+		st.searcher = r.nextSearcher
+	}
+	st.decide = func(id model.ID, v model.Value) {
+		if log.record(id, v, engine.Now()) && tr != nil {
+			tr.RecordDecision(id, engine.Now(), []byte(v))
 		}
 	}
-
-	// makeNode builds a correct node for one process. It is also how wiped
-	// churn restarts get their replacement reactor: the replacement is built
-	// here, before the engine starts, so searcher handout order (node loop
-	// order, then churn order) stays deterministic.
-	makeNode := func(id model.ID, value model.Value) *core.Node {
-		cfg := core.Config{
-			Mode:        c.Mode,
-			F:           c.F,
-			PD:          c.Graph.OutSet(id).Clone(),
-			Proposal:    value,
-			Discovery:   c.Discovery,
-			PBFTTimeout: c.PBFTTimeout,
-			PollPeriod:  c.PollPeriod,
-			Hardened:    c.Hardened,
-		}
-		if c.Mode != core.ModePermissioned {
-			if r.SearchFactory != nil {
-				cfg.Searcher = r.SearchFactory()
-			} else {
-				cfg.Searcher = r.nextSearcher()
-			}
-		}
-		return core.NewNode(signers[id], reg, cfg, func(v model.Value) {
-			if prev, dup := decisions[id]; dup {
-				// A wiped restart legitimately re-runs agreement; only a
-				// *conflicting* second decision is an integrity violation.
-				if !prev.Equal(v) {
-					doubleDecided.Add(id)
-				}
-				return
-			}
-			decisions[id] = v
-			decidedAt[id] = engine.Now()
-			if correct.Has(id) {
-				decidedCorrect++
-			}
-			if tr != nil {
-				tr.RecordDecision(id, engine.Now(), []byte(v))
-			}
-		})
-	}
-
-	for _, id := range c.ids {
-		id := id
-		value := model.Value(fmt.Sprintf("v%d", id))
-		if v, ok := c.Values[id]; ok {
-			value = v
-		}
-		proposals[id] = value
-
-		bspec, isByz := c.Byz[id]
-		if !isByz || bspec.Kind == ByzAsCorrect {
-			n := makeNode(id, value)
-			nodes[id] = n
-			if err := engine.AddProcess(id, n); err != nil {
-				return nil, err
-			}
-			if !isByz {
-				correct.Add(id)
-			}
-			continue
-		}
-		var reactor sim.Reactor
-		switch bspec.Kind {
-		case ByzSilent:
-			reactor = byz.Silent{}
-		case ByzFakePD:
-			reactor = byz.NewFakePD(signers[id], reg, resolveClaim(c, id, bspec), c.Discovery)
-		case ByzEquivPD:
-			alt := bspec.AltPD
-			if alt == nil {
-				alt = model.NewIDSet()
-			}
-			choose := bspec.ChooseAlt
-			if bspec.AltRecipients != nil {
-				recipients := bspec.AltRecipients
-				choose = func(id model.ID) bool { return recipients.Has(id) }
-			}
-			reactor = byz.NewPDEquivocator(signers[id], reg, resolveClaim(c, id, bspec), alt, choose, c.Discovery)
-		case ByzDelay:
-			reactor = byz.NewDelayer(signers[id], reg, resolveClaim(c, id, bspec), c.Discovery, bspec.HoldRounds)
-		case ByzSelectiveSilent:
-			reactor = byz.NewSelectiveSilent(signers[id], reg, resolveClaim(c, id, bspec), bspec.AnswerTo, c.Discovery)
-		case ByzCollude:
-			reactor = colluders[id]
-		default:
-			return nil, fmt.Errorf("scenario %q: unknown byz kind %v", name, bspec.Kind)
-		}
-		if err := engine.AddProcess(id, reactor); err != nil {
-			return nil, err
-		}
+	if err := st.assemble(log, engine.AddProcess); err != nil {
+		return nil, fmt.Errorf("scenario %q: %w", name, err)
 	}
 
 	for _, ch := range c.Faults.Churn {
@@ -566,75 +455,31 @@ func (r *Runner) Run(c *Compiled, seed int64, trace bool) (*Result, error) {
 		case ch.RestartAt == 0:
 			// Down for the rest of the run: graded as crash-faulty (excluded
 			// from the correct set), not as a termination failure.
-			correct.Remove(ch.ID)
+			log.correct.Remove(ch.ID)
 		case ch.Wipe:
 			// Compile rejected Wipe on Byzantine IDs, so this process has a
-			// correct node whose discovery state the restart discards.
-			repl := makeNode(ch.ID, proposals[ch.ID])
-			nodes[ch.ID] = repl
+			// correct node whose discovery state the restart discards. The
+			// replacement is built here, before the engine starts, so
+			// searcher handout order (node order, then churn order) stays
+			// deterministic.
+			repl := st.node(ch.ID, log.proposals[ch.ID])
+			log.nodes[ch.ID] = repl
 			engine.ScheduleRestart(ch.ID, ch.RestartAt, repl)
 		default:
 			engine.ScheduleRestart(ch.ID, ch.RestartAt, nil)
 		}
 	}
 
-	allCorrectDecided := func() bool { return decidedCorrect == correct.Len() }
-	res.Termination = engine.RunUntil(allCorrectDecided, c.Horizon)
+	terminated := engine.RunUntil(log.allCorrectDecided, c.Horizon)
 	// Let in-flight decisions propagate a little further for reporting, but
 	// never past the horizon.
-	if res.Termination {
-		engine.RunUntil(func() bool { return false }, minTime(engine.Now()+sim.Second, c.Horizon))
+	if terminated {
+		engine.RunUntil(func() bool { return false }, min(engine.Now()+sim.Second, c.Horizon))
 	}
 
-	res.Agreement, res.Validity, res.Integrity = true, true, true
-	for id := range doubleDecided {
-		if correct.Has(id) {
-			res.Integrity = false
-		}
-	}
-	var last sim.Time
-	var agreed model.Value
-	first := true
-	for _, id := range c.ids {
-		pr := ProcessResult{Byzantine: hasByz(c.Byz, id)}
-		if n, ok := nodes[id]; ok {
-			if cand, ok := n.Committee(); ok {
-				pr.Committee = cand.Members()
-				pr.G = cand.G
-			}
-		}
-		if v, ok := decisions[id]; ok {
-			pr.Decided, pr.Value, pr.DecidedAt = true, v, decidedAt[id]
-		}
-		res.PerProcess[id] = pr
-
-		if !correct.Has(id) || !pr.Decided {
-			continue
-		}
-		if pr.DecidedAt > last {
-			last = pr.DecidedAt
-		}
-		if first {
-			agreed, first = pr.Value, false
-		} else if !agreed.Equal(pr.Value) {
-			res.Agreement = false
-		}
-		proposed := false
-		for _, p := range proposals {
-			if p.Equal(pr.Value) {
-				proposed = true
-				break
-			}
-		}
-		if !proposed {
-			res.Validity = false
-		}
-	}
-	if res.Termination {
-		res.Elapsed = last
-	} else {
-		res.Elapsed = c.Horizon
-	}
+	r.res = Result{Name: name, PerProcess: r.perProcess}
+	res := &r.res
+	log.grade(c, res, terminated)
 	if tr != nil {
 		res.TraceDigest, res.TraceEvents = tr.Digest(), tr.Events()
 	}
@@ -642,4 +487,13 @@ func (r *Runner) Run(c *Compiled, seed int64, trace bool) (*Result, error) {
 	res.Messages, res.Bytes = m.Messages, m.Bytes
 	res.ByKind = m.ByKind()
 	return res, nil
+}
+
+// runName is the name a run's Result and errors carry: the fixed one, or the
+// per-seed cell ID when the source Params had none.
+func (c *Compiled) runName(seed int64) string {
+	if c.deriveName {
+		return c.Labels.IDFor(seed)
+	}
+	return c.Name
 }

@@ -1,6 +1,7 @@
 package scenario
 
 import (
+	"strings"
 	"testing"
 
 	"github.com/bftcup/bftcup/internal/core"
@@ -164,5 +165,43 @@ func TestCompiledRunAllocsSteadyState(t *testing.T) {
 	}
 	if cached > uncached {
 		t.Fatalf("compiled run allocates more (%.0f) than the uncached path (%.0f)", cached, uncached)
+	}
+}
+
+// TestCompileRejectsStrayProcessIDs pins that an explicit Byzantine
+// assignment or proposal for a process the built graph does not have fails
+// to compile — a typo'd ID used to yield a fault-free run that read as an
+// adversarial one — while the same keys on real nodes compile.
+func TestCompileRejectsStrayProcessIDs(t *testing.T) {
+	base := Params{Graph: graph.Def{Kind: graph.DefFigure, Figure: "fig1b"}, Mode: core.ModeKnownF, F: -1} // processes 1–8
+	for _, tc := range []struct {
+		name   string
+		byz    map[model.ID]ByzParams
+		values map[model.ID]model.Value
+		want   string // "" = compiles
+	}{
+		{name: "node byz and value", byz: map[model.ID]ByzParams{4: {Kind: ByzSilent}}, values: map[model.ID]model.Value{8: model.Value("x")}},
+		{name: "stray silent", byz: map[model.ID]ByzParams{99: {Kind: ByzSilent}}, want: "byzantine process p99 not in graph"},
+		{name: "stray among nodes", byz: map[model.ID]ByzParams{4: {Kind: ByzSilent}, 9: {Kind: ByzFakePD}}, want: "byzantine process p9 not in graph"},
+		{name: "stray owner of behaviour fields", byz: map[model.ID]ByzParams{
+			12: {Kind: ByzSelectiveSilent, AnswerTo: []model.ID{1, 2}, Withhold: []model.ID{3}, AltRecipients: []model.ID{4}, ClaimedPD: []model.ID{1}},
+		}, want: "byzantine process p12 not in graph"},
+		{name: "stray as-correct", byz: map[model.ID]ByzParams{0: {Kind: ByzAsCorrect}}, want: "byzantine process p0 not in graph"},
+		{name: "stray value", values: map[model.ID]model.Value{99: model.Value("x")}, want: "proposal of process p99 not in graph"},
+	} {
+		p := base
+		p.Byz, p.Values = tc.byz, tc.values
+		_, err := p.Compile()
+		switch {
+		case tc.want == "" && err != nil:
+			t.Errorf("%s: %v", tc.name, err)
+		case tc.want != "" && (err == nil || !strings.Contains(err.Error(), tc.want)):
+			t.Errorf("%s: error %v, want one containing %q", tc.name, err, tc.want)
+		}
+	}
+	// Hand-written Specs go through the same check.
+	spec := Spec{Name: "stray", Graph: graph.Fig1b().G, Byz: map[model.ID]ByzSpec{99: {Kind: ByzSilent}}}
+	if _, err := spec.Compile(); err == nil || !strings.Contains(err.Error(), "byzantine process p99 not in graph") {
+		t.Errorf("Spec.Compile: error %v, want the stray Byzantine process named", err)
 	}
 }

@@ -7,9 +7,7 @@ import (
 	"sync"
 	"time"
 
-	"github.com/bftcup/bftcup/internal/byz"
 	"github.com/bftcup/bftcup/internal/core"
-	"github.com/bftcup/bftcup/internal/cryptox"
 	"github.com/bftcup/bftcup/internal/discovery"
 	"github.com/bftcup/bftcup/internal/kosr"
 	"github.com/bftcup/bftcup/internal/model"
@@ -101,15 +99,16 @@ func (l *liveNet) delay(from, to model.ID, now rt.Time) rt.Time {
 	return d / rt.Time(l.scale)
 }
 
+// newSearcher gives every live node a searcher of its own (nodes run
+// concurrently; there is no Runner pool to share).
+func newSearcher() kosr.Search { return kosr.NewSearcher() }
+
 // RunLive executes the compiled scenario under one seed on the live runtime.
 // The seed drives key material and reactor RNGs exactly as in Runner.Run;
 // scheduling, however, is the operating system's, so traces are not
 // reproducible — only verdicts are the contract.
 func (c *Compiled) RunLive(seed int64, opts LiveOptions) (*Result, error) {
-	name := c.Name
-	if c.deriveName {
-		name = c.Labels.IDFor(seed)
-	}
+	name := c.runName(seed)
 	if c.Faults.Enabled() {
 		return nil, fmt.Errorf("scenario %q: live runtime does not support fault injection", name)
 	}
@@ -122,130 +121,41 @@ func (c *Compiled) RunLive(seed int64, opts LiveOptions) (*Result, error) {
 		transport = "pipe"
 	}
 
-	var signers map[model.ID]cryptox.Signer
-	var reg cryptox.Verifier
-	if c.Insecure {
-		signers, reg = cryptox.InsecureSuite(c.ids)
-	} else {
-		var err error
-		signers, reg, err = cryptox.Keyring(seed+1, c.ids)
-		if err != nil {
-			return nil, fmt.Errorf("scenario %q: %w", name, err)
-		}
-	}
-
-	// The protocol stack's virtual durations, scaled once for every reactor.
 	disc, pbftTimeout, pollPeriod := c.LiveDurations(scale)
-
-	// Grading state; decision callbacks arrive on node event-loop
-	// goroutines, so unlike Runner.Run this is mutex-guarded.
+	st, err := c.newStack(seed, disc, pbftTimeout, pollPeriod)
+	if err != nil {
+		return nil, fmt.Errorf("scenario %q: %w", name, err)
+	}
+	// Decide callbacks arrive on node event-loop goroutines, so unlike
+	// Runner.Run the log is mutex-guarded.
 	var (
-		mu             sync.Mutex
-		start          time.Time
-		proposals      = make(map[model.ID]model.Value)
-		nodes          = make(map[model.ID]*core.Node)
-		correct        = model.NewIDSet()
-		decisions      = make(map[model.ID]model.Value)
-		decidedAt      = make(map[model.ID]rt.Time)
-		doubleDecided  = model.NewIDSet()
-		decidedCorrect = 0
-		done           = make(chan struct{})
-		doneOnce       sync.Once
+		mu       sync.Mutex
+		log      runLog
+		start    time.Time
+		done     = make(chan struct{})
+		doneOnce sync.Once
 	)
-
-	var collusion *byz.Collusion
-	colluders := map[model.ID]*byz.Colluder{}
-	for _, id := range c.ids {
-		if bspec, ok := c.Byz[id]; ok && bspec.Kind == ByzCollude {
-			if collusion == nil {
-				collusion = byz.NewCollusion(reg, disc)
-			}
-			colluders[id] = collusion.AddMember(signers[id], resolveClaim(c, id, bspec), bspec.Withhold)
+	log.reset()
+	st.searcher = newSearcher
+	st.decide = func(id model.ID, v model.Value) {
+		mu.Lock()
+		defer mu.Unlock()
+		// Reported in virtual units, like every simulator result.
+		if log.record(id, v, rt.Time(time.Since(start))*rt.Time(scale)) && log.allCorrectDecided() {
+			doneOnce.Do(func() { close(done) })
 		}
 	}
-
-	makeNode := func(id model.ID, value model.Value) *core.Node {
-		cfg := core.Config{
-			Mode:        c.Mode,
-			F:           c.F,
-			PD:          c.Graph.OutSet(id).Clone(),
-			Proposal:    value,
-			Discovery:   disc,
-			PBFTTimeout: pbftTimeout,
-			PollPeriod:  pollPeriod,
-			Hardened:    c.Hardened,
-		}
-		if c.Mode != core.ModePermissioned {
-			cfg.Searcher = kosr.NewSearcher()
-		}
-		return core.NewNode(signers[id], reg, cfg, func(v model.Value) {
-			mu.Lock()
-			defer mu.Unlock()
-			if prev, dup := decisions[id]; dup {
-				if !prev.Equal(v) {
-					doubleDecided.Add(id)
-				}
-				return
-			}
-			decisions[id] = v
-			// Reported in virtual units, like every simulator result.
-			decidedAt[id] = rt.Time(time.Since(start)) * rt.Time(scale)
-			if correct.Has(id) {
-				decidedCorrect++
-				if decidedCorrect == correct.Len() {
-					doneOnce.Do(func() { close(done) })
-				}
-			}
-		})
-	}
-
 	reactors := make(map[model.ID]rt.Reactor, len(c.ids))
-	for _, id := range c.ids {
-		value := model.Value(fmt.Sprintf("v%d", id))
-		if v, ok := c.Values[id]; ok {
-			value = v
-		}
-		proposals[id] = value
-
-		bspec, isByz := c.Byz[id]
-		if !isByz || bspec.Kind == ByzAsCorrect {
-			n := makeNode(id, value)
-			nodes[id] = n
-			reactors[id] = n
-			if !isByz {
-				correct.Add(id)
-			}
-			continue
-		}
-		switch bspec.Kind {
-		case ByzSilent:
-			reactors[id] = byz.Silent{}
-		case ByzFakePD:
-			reactors[id] = byz.NewFakePD(signers[id], reg, resolveClaim(c, id, bspec), disc)
-		case ByzEquivPD:
-			alt := bspec.AltPD
-			if alt == nil {
-				alt = model.NewIDSet()
-			}
-			choose := bspec.ChooseAlt
-			if bspec.AltRecipients != nil {
-				recipients := bspec.AltRecipients
-				choose = func(id model.ID) bool { return recipients.Has(id) }
-			}
-			reactors[id] = byz.NewPDEquivocator(signers[id], reg, resolveClaim(c, id, bspec), alt, choose, disc)
-		case ByzDelay:
-			reactors[id] = byz.NewDelayer(signers[id], reg, resolveClaim(c, id, bspec), disc, bspec.HoldRounds)
-		case ByzSelectiveSilent:
-			reactors[id] = byz.NewSelectiveSilent(signers[id], reg, resolveClaim(c, id, bspec), bspec.AnswerTo, disc)
-		case ByzCollude:
-			reactors[id] = colluders[id]
-		default:
-			return nil, fmt.Errorf("scenario %q: unknown byz kind %v", name, bspec.Kind)
-		}
+	err = st.assemble(&log, func(id model.ID, r rt.Reactor) error {
+		reactors[id] = r
+		return nil
+	})
+	if err != nil {
+		return nil, fmt.Errorf("scenario %q: %w", name, err)
 	}
-
-	if correct.Len() == 0 {
-		// Vacuous termination, as in Runner.Run's immediate cond check.
+	if log.allCorrectDecided() {
+		// No correct process: vacuous termination, as in Runner.Run's
+		// immediate cond check.
 		doneOnce.Do(func() { close(done) })
 	}
 
@@ -265,72 +175,41 @@ func (c *Compiled) RunLive(seed int64, opts LiveOptions) (*Result, error) {
 	start = time.Now()
 	mu.Unlock()
 
-	horizon := time.Duration(int64(c.Horizon) / scale)
-	termination := false
 	select {
 	case <-done:
-		termination = true
 		// Let in-flight decisions propagate a little further for reporting —
 		// the Runner's one extra virtual second, scaled.
 		time.Sleep(time.Duration(int64(sim.Second) / scale))
-	case <-time.After(horizon):
+	case <-time.After(time.Duration(int64(c.Horizon) / scale)):
 	}
 	cluster.Stop()
 
 	res := &Result{Name: name, PerProcess: make(map[model.ID]ProcessResult)}
 	mu.Lock()
 	defer mu.Unlock()
-	res.Termination = termination || decidedCorrect == correct.Len()
-
-	res.Agreement, res.Validity, res.Integrity = true, true, true
-	for id := range doubleDecided {
-		if correct.Has(id) {
-			res.Integrity = false
-		}
-	}
-	var last rt.Time
-	var agreed model.Value
-	first := true
-	for _, id := range c.ids {
-		pr := ProcessResult{Byzantine: hasByz(c.Byz, id)}
-		if n, ok := nodes[id]; ok {
-			if cand, ok := n.Committee(); ok {
-				pr.Committee = cand.Members()
-				pr.G = cand.G
-			}
-		}
-		if v, ok := decisions[id]; ok {
-			pr.Decided, pr.Value, pr.DecidedAt = true, v, decidedAt[id]
-		}
-		res.PerProcess[id] = pr
-
-		if !correct.Has(id) || !pr.Decided {
-			continue
-		}
-		if pr.DecidedAt > last {
-			last = pr.DecidedAt
-		}
-		if first {
-			agreed, first = pr.Value, false
-		} else if !agreed.Equal(pr.Value) {
-			res.Agreement = false
-		}
-		proposed := false
-		for _, p := range proposals {
-			if p.Equal(pr.Value) {
-				proposed = true
-				break
-			}
-		}
-		if !proposed {
-			res.Validity = false
-		}
-	}
-	if res.Termination {
-		res.Elapsed = last
-	} else {
-		res.Elapsed = c.Horizon
-	}
+	log.grade(c, res, log.allCorrectDecided())
 	res.Messages, res.Bytes = cluster.Messages(), cluster.Bytes()
 	return res, nil
+}
+
+// LiveNode assembles the one correct node a cupd daemon runs: process id of
+// the compiled cell, with the key material and scaled durations a RunLive
+// cluster of the same seed and scale would give it. decide receives the
+// node's decision on its event-loop goroutine.
+func (c *Compiled) LiveNode(seed int64, id model.ID, scale int64, decide func(model.Value)) (*core.Node, error) {
+	name := c.runName(seed)
+	if !c.Graph.HasNode(id) {
+		return nil, fmt.Errorf("scenario %q: process %v is not in the graph", name, id)
+	}
+	if _, isByz := c.Byz[id]; isByz {
+		return nil, fmt.Errorf("scenario %q: process %v is Byzantine; a daemon only runs correct nodes", name, id)
+	}
+	disc, pbftTimeout, pollPeriod := c.LiveDurations(scale)
+	st, err := c.newStack(seed, disc, pbftTimeout, pollPeriod)
+	if err != nil {
+		return nil, fmt.Errorf("scenario %q: %w", name, err)
+	}
+	st.searcher = newSearcher
+	st.decide = func(_ model.ID, v model.Value) { decide(v) }
+	return st.node(id, st.proposal(id)), nil
 }

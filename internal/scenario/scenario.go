@@ -1,8 +1,10 @@
 // Package scenario assembles full systems — a knowledge connectivity graph,
 // a fault assignment, a network model, a protocol mode — runs them on the
-// deterministic simulator and grades the outcome against the consensus
-// properties (Agreement, Validity, Integrity, Termination). Every table and
-// figure of the paper is expressed as one or more Specs (see experiments.go).
+// deterministic simulator (Runner.Run) or the real runtime (RunLive) and
+// grades the outcome against the consensus properties (Agreement, Validity,
+// Integrity, Termination); assemble.go is the one assembly and grading path
+// both share. Every table and figure of the paper is expressed as one or
+// more Specs (see experiments.go).
 package scenario
 
 import (
@@ -216,16 +218,4 @@ func Run(spec Spec) (*Result, error) {
 		return nil, err
 	}
 	return c.Run(spec.Seed, spec.Trace)
-}
-
-func hasByz(m map[model.ID]ByzSpec, id model.ID) bool {
-	_, ok := m[id]
-	return ok
-}
-
-func minTime(a, b sim.Time) sim.Time {
-	if a < b {
-		return a
-	}
-	return b
 }

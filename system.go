@@ -9,14 +9,15 @@ import (
 
 	"github.com/bftcup/bftcup/internal/core"
 	"github.com/bftcup/bftcup/internal/cryptox"
-	"github.com/bftcup/bftcup/internal/live"
 	"github.com/bftcup/bftcup/internal/model"
-	"github.com/bftcup/bftcup/internal/sim"
+	"github.com/bftcup/bftcup/internal/netrt"
+	"github.com/bftcup/bftcup/internal/rt"
 )
 
 func newRand(seed int64) *rand.Rand { return rand.New(rand.NewSource(seed)) }
 
-// SystemConfig assembles a live (goroutine-based) run of the protocol stack.
+// SystemConfig assembles a live run of the protocol stack: one goroutine-driven
+// node per process over an in-process netrt cluster of net.Pipe links.
 type SystemConfig struct {
 	// Topology is the knowledge connectivity graph; each started process
 	// uses its out-list as its participant detector.
@@ -60,11 +61,13 @@ type Decision struct {
 
 // System is a running live network of BFT-CUP/BFT-CUPFT processes.
 type System struct {
-	net     *live.Network
-	blocks  int
-	started []ID
+	blocks   int
+	started  []ID
+	reactors map[ID]rt.Reactor
+	latency  func(from, to ID) time.Duration
 
 	mu         sync.Mutex
+	cluster    *netrt.Cluster // nil until Start
 	decisions  map[ID]map[int]Value
 	committees map[ID][]ID
 	remaining  int
@@ -111,8 +114,9 @@ func NewSystem(cfg SystemConfig) (*System, error) {
 	}
 
 	s := &System{
-		net:        live.NewNetwork(wrapLatency(cfg.Latency)),
 		blocks:     cfg.Blocks,
+		reactors:   make(map[ID]rt.Reactor),
+		latency:    cfg.Latency,
 		decisions:  make(map[ID]map[int]Value),
 		committees: make(map[ID][]ID),
 		done:       make(chan struct{}),
@@ -132,11 +136,11 @@ func NewSystem(cfg SystemConfig) (*System, error) {
 			F:           cfg.F,
 			PD:          g.OutSet(id).Clone(),
 			Proposal:    proposal,
-			PBFTTimeout: sim.Time(cfg.ConsensusTimeout),
-			PollPeriod:  sim.Time(cfg.PollPeriod),
+			PBFTTimeout: rt.Time(cfg.ConsensusTimeout),
+			PollPeriod:  rt.Time(cfg.PollPeriod),
 			Slots:       uint64(cfg.Blocks),
 		}
-		nodeCfg.Discovery.Period = sim.Time(cfg.DiscoveryPeriod)
+		nodeCfg.Discovery.Period = rt.Time(cfg.DiscoveryPeriod)
 		if cfg.ProposalFor != nil {
 			nodeCfg.ProposalFor = func(slot uint64) Value { return cfg.ProposalFor(id, int(slot)) }
 		}
@@ -145,9 +149,7 @@ func NewSystem(cfg SystemConfig) (*System, error) {
 			s.recordDecision(node, id, int(slot), v)
 		}
 		node = core.NewNode(signers[id], registry, nodeCfg, nil)
-		if err := s.net.AddNode(id, node); err != nil {
-			return nil, fmt.Errorf("bftcup: %w", err)
-		}
+		s.reactors[id] = node
 		s.started = append(s.started, id)
 		s.decisions[id] = make(map[int]Value)
 	}
@@ -157,13 +159,6 @@ func NewSystem(cfg SystemConfig) (*System, error) {
 	sortIDs(s.started)
 	s.remaining = len(s.started) * cfg.Blocks
 	return s, nil
-}
-
-func wrapLatency(f func(from, to ID) time.Duration) func(model.ID, model.ID) time.Duration {
-	if f == nil {
-		return nil
-	}
-	return func(a, b model.ID) time.Duration { return f(a, b) }
 }
 
 // recordDecision runs on the deciding node's goroutine.
@@ -189,11 +184,41 @@ func (s *System) recordDecision(node *core.Node, id ID, block int, v Value) {
 	}
 }
 
-// Start launches the network.
-func (s *System) Start() { s.net.Start() }
+// Start launches the network: every started process becomes a node of a
+// netrt pipe cluster (excluded processes are simply not in it, so sends to
+// them drop). Calling Start again is a no-op.
+func (s *System) Start() {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.cluster != nil {
+		return
+	}
+	cc := netrt.ClusterConfig{Transport: "pipe"}
+	if s.latency != nil {
+		cc.Delay = func(from, to model.ID, _ rt.Time) rt.Time { return rt.Time(s.latency(from, to)) }
+	}
+	cluster, err := netrt.NewCluster(context.Background(), s.started, func(id model.ID) rt.Reactor { return s.reactors[id] }, cc)
+	if err != nil {
+		// Only the TCP transport can fail (it opens listeners).
+		panic(fmt.Sprintf("bftcup: pipe cluster: %v", err))
+	}
+	s.cluster = cluster
+}
 
-// Stop shuts the network down and joins every goroutine. Idempotent.
-func (s *System) Stop() { s.net.Stop() }
+// running returns the cluster, nil before Start.
+func (s *System) running() *netrt.Cluster {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.cluster
+}
+
+// Stop shuts the network down and joins every goroutine. Idempotent, and a
+// no-op before Start.
+func (s *System) Stop() {
+	if c := s.running(); c != nil {
+		c.Stop()
+	}
+}
 
 // Events returns a stream of decisions (best-effort: if the consumer lags,
 // events are dropped from the stream but still recorded in Decisions).
@@ -247,7 +272,17 @@ func (s *System) CommitteeOf(id ID) ([]ID, bool) {
 func (s *System) Started() []ID { return append([]ID(nil), s.started...) }
 
 // Messages returns the total messages sent so far.
-func (s *System) Messages() int64 { return s.net.Messages() }
+func (s *System) Messages() int64 {
+	if c := s.running(); c != nil {
+		return c.Messages()
+	}
+	return 0
+}
 
 // Bytes returns the total payload bytes sent so far.
-func (s *System) Bytes() int64 { return s.net.Bytes() }
+func (s *System) Bytes() int64 {
+	if c := s.running(); c != nil {
+		return c.Bytes()
+	}
+	return 0
+}
