@@ -1,6 +1,7 @@
 package discovery
 
 import (
+	"bytes"
 	"fmt"
 	"sort"
 
@@ -94,6 +95,11 @@ func DefaultConfig() Config {
 // when the underlying state changes, not per message. The wire format and
 // message sequence are untouched (trace digests are byte-identical to the
 // uncached implementation).
+//
+// The receive side has the mirror-image cache: lastSetPDs remembers, per
+// sender, the last SETPDS payload merged, and a byte-identical replay — once
+// gossip converges, nearly every SETPDS received — costs one comparison
+// instead of a parse (see receiveRecords for why that is exact).
 type Module struct {
 	self     model.ID
 	verifier cryptox.Verifier
@@ -111,6 +117,11 @@ type Module struct {
 	owners     []model.ID
 	encoded    []byte
 	recipients []model.ID
+
+	// lastSetPDs is the replay memo: a private copy of the last SETPDS
+	// payload handled from each sender in S_known — at most one payload per
+	// known sender, each no larger than that sender's last SETPDS.
+	lastSetPDs map[model.ID][]byte
 
 	// Hardened-mode retransmission state: rounds since the view last grew
 	// (drives the backoff), the view size last observed, the round counter
@@ -149,6 +160,8 @@ func New(ownRecord SignedPD, verifier cryptox.Verifier, cfg Config, onUpdate fun
 		sentTo:   make(map[model.ID]model.IDSet),
 		onUpdate: onUpdate,
 		owners:   []model.ID{ownRecord.Owner},
+
+		lastSetPDs: make(map[model.ID][]byte),
 	}
 	return m
 }
@@ -349,16 +362,46 @@ func (m *Module) insertOwner(owner model.ID) {
 	m.encoded = nil
 }
 
-// receiveRecords merges a SETPDS message (lines 4-6). Records that fail
-// signature verification are dropped; for equivocating owners the first
-// verified record wins (correct processes only ever sign one). Records whose
-// owner is already in S_PD — the overwhelming majority once gossip converges
-// — are skipped in place, without materializing their set or signature. The
-// fresh records are verified as one batch (cryptox.VerifyBatch) so the
-// registry's memo is consulted once for the whole payload, then merged in
-// payload order — verdicts and merge outcome are exactly those of verifying
-// record by record.
+// receiveRecords handles a SETPDS message (lines 4-6). Algorithm 1 has every
+// process re-send its whole S_PD every period, so in steady state the payload
+// is byte-for-byte the one this sender sent last round; such a replay returns
+// after one comparison against the memo, any other payload is merged and then
+// replaces the sender's memo entry.
+//
+// Skipping a replay is exact because merging a payload is idempotent. After
+// mergeRecords has run over it once, every record in it is either held (and
+// records are never dropped or replaced: a second pass skips it), or failed
+// signature verification (deterministic against a fixed registry: it fails
+// again), or lies behind a parse error or the record-count cap (both depend
+// on the bytes alone, and the whole payload is discarded: nothing to merge
+// the second time either). What other senders deliver in between can only
+// turn an owner whose record here failed into one that is held — skipped
+// either way. The comparison is on the full bytes — a digest is something a
+// Byzantine sender could collide — and the copy, needed because the runtime
+// lends payload for the callback only, is made only when the bytes differ.
 func (m *Module) receiveRecords(from model.ID, payload []byte) {
+	last := m.lastSetPDs[from]
+	if bytes.Equal(last, payload) {
+		return
+	}
+	m.mergeRecords(payload)
+	// Only senders in S_known get an entry: GETPDS goes to S_known alone, so
+	// any other sender is unsolicited, and remembering those would let forged
+	// sender IDs grow the memo without bound.
+	if m.view.Known.Has(from) {
+		m.lastSetPDs[from] = append(last[:0], payload...)
+	}
+}
+
+// mergeRecords parses a SETPDS payload and merges what it carries. Records
+// that fail signature verification are dropped; for equivocating owners the
+// first verified record wins (correct processes only ever sign one). Records
+// whose owner is already in S_PD are skipped in place, without materializing
+// their set or signature. The fresh records are verified as one batch
+// (cryptox.VerifyBatch) so the registry's memo is consulted once for the
+// whole payload, then merged in payload order — verdicts and merge outcome
+// are exactly those of verifying record by record.
+func (m *Module) mergeRecords(payload []byte) {
 	rd := wire.NewReader(payload[1:])
 	n := rd.Uvarint()
 	if rd.Err() != nil || n > 4096 {
@@ -413,7 +456,6 @@ func (m *Module) receiveRecords(from model.ID, payload []byte) {
 			}
 		}
 	}
-	_ = from
 	if changed && m.onUpdate != nil {
 		m.onUpdate()
 	}

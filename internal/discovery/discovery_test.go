@@ -1,6 +1,11 @@
 package discovery
 
 import (
+	"bytes"
+	"fmt"
+	"math/rand"
+	"reflect"
+	"slices"
 	"testing"
 
 	"github.com/bftcup/bftcup/internal/cryptox"
@@ -116,7 +121,11 @@ func TestForgedRecordRejected(t *testing.T) {
 	good.marshal(w)
 	forged.marshal(w)
 	tampered.marshal(w)
-	mod.receiveRecords(9, w.Bytes())
+	// Twice from one sender (the second is a memo replay), then from another:
+	// a rejected record stays rejected however often the payload comes back.
+	for _, from := range []model.ID{2, 2, 3} {
+		mod.receiveRecords(from, w.Bytes())
+	}
 
 	v := mod.View()
 	if _, ok := v.PD[3]; !ok {
@@ -144,7 +153,11 @@ func TestEquivocationKeepsFirst(t *testing.T) {
 		w.Byte(wire.KindSetPDs)
 		w.Uvarint(1)
 		rec.marshal(w)
-		mod.receiveRecords(2, w.Bytes())
+		// Twice from the equivocator (the second is a memo replay), then
+		// relayed by another sender.
+		for _, from := range []model.ID{2, 2, 1} {
+			mod.receiveRecords(from, w.Bytes())
+		}
 	}
 	if got := mod.View().PD[2]; !got.Equal(model.NewIDSet(1)) {
 		t.Fatalf("expected first record to win, got %v", got)
@@ -179,8 +192,16 @@ func TestMalformedPayloadIgnored(t *testing.T) {
 		t.Fatal(err)
 	}
 	mod := New(NewSignedPD(signers[1], model.NewIDSet()), reg, DefaultConfig(), nil)
-	mod.receiveRecords(9, []byte{wire.KindSetPDs, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x01})
-	mod.receiveRecords(9, []byte{wire.KindSetPDs})
+	for _, payload := range [][]byte{
+		{wire.KindSetPDs, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x01},
+		{wire.KindSetPDs},
+	} {
+		// Twice from one sender (the second is a memo replay), then from
+		// another.
+		for _, from := range []model.ID{1, 1, 9} {
+			mod.receiveRecords(from, payload)
+		}
+	}
 	if len(mod.View().PD) != 1 {
 		t.Fatal("malformed payload changed state")
 	}
@@ -236,5 +257,225 @@ func TestRecordsReturnsCopy(t *testing.T) {
 	}
 	if got := mod.View().PD[2]; !got.Equal(model.NewIDSet(1)) {
 		t.Fatalf("view PD(2) = %v after snapshot mutation, want {1}", got)
+	}
+}
+
+// TestReplayMemoDifferential is the exactness test for the replay memo:
+// seeded random sequences of SETPDS payloads go to two modules, one of which
+// has its memo cleared before every message and so always parses. They must
+// agree on everything observable after every message. The sequences mix
+// what the memo must see through: byte-identical replays, grown sets, delta
+// fragments, truncations, oversized counts, equivocating owners, and — the
+// case that defeats a memo keyed on anything weaker than the exact bytes — a
+// forged record swapped for the valid one of the same owner, PD and length.
+func TestReplayMemoDifferential(t *testing.T) {
+	ids := []model.ID{1, 2, 3, 4, 5, 6, 7, 8, 9}
+	signers, reg, err := cryptox.GenerateKeys(1, ids)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(7))
+	owners := ids[1:]
+	// Per owner: the record it signed, a second one it also signed
+	// (equivocation), and a forgery of the first with another key's signature
+	// — same owner, same PD, same encoded length.
+	valid := make(map[model.ID]SignedPD)
+	equiv := make(map[model.ID]SignedPD)
+	forged := make(map[model.ID]SignedPD)
+	for i, o := range owners {
+		pd := model.NewIDSet(owners[(i+1)%len(owners)], owners[(i+3)%len(owners)])
+		valid[o] = NewSignedPD(signers[o], pd)
+		equiv[o] = NewSignedPD(signers[o], model.NewIDSet(owners[(i+2)%len(owners)]))
+		other := signers[owners[(i+1)%len(owners)]]
+		forged[o] = SignedPD{Owner: o, PD: pd.Clone(), Sig: other.Sign(Canonical(o, pd))}
+	}
+	// An owner the registry has never heard of.
+	stranger := SignedPD{Owner: 42, PD: model.NewIDSet(1), Sig: signers[2].Sign(Canonical(42, model.NewIDSet(1)))}
+
+	// Forgeries drawn twice as often: an owner stays missing for longer, and
+	// only a missing owner's record can tell the two modules apart.
+	variants := []map[model.ID]SignedPD{forged, valid, forged, equiv}
+
+	type probe struct {
+		mod     *Module
+		updates int
+	}
+	newProbe := func() *probe {
+		p := &probe{}
+		p.mod = New(NewSignedPD(signers[1], model.NewIDSet(2, 3)), reg, DefaultConfig(), func() { p.updates++ })
+		return p
+	}
+
+	// Many short trials rather than one long one: the two modules can only
+	// part ways while some owner's record is still missing, which is the
+	// first few dozen messages of a trial.
+	const trials, steps = 200, 40
+	senders := []model.ID{2, 3, 77} // 77 is never in S_known: no memo entry
+	hits, merged := 0, 0
+	for trial := 0; trial < trials; trial++ {
+		memo, plain := newProbe(), newProbe()
+		// Each sender keeps the record list behind its last payload, so the
+		// next one can be that list replayed, grown or altered in place.
+		lists := make(map[model.ID][]SignedPD)
+		last := make(map[model.ID][]byte)
+		for step := 0; step < steps; step++ {
+			from := senders[step%2]
+			if rng.Intn(10) == 0 {
+				from = senders[2]
+			}
+			list := append([]SignedPD(nil), lists[from]...)
+			var payload []byte
+			switch op := rng.Intn(20); {
+			case op < 5 && last[from] != nil: // replay, byte for byte
+				payload = last[from]
+			case op < 9: // grow by one record
+				rec := variants[rng.Intn(len(variants))][owners[rng.Intn(len(owners))]]
+				if rng.Intn(12) == 0 {
+					rec = stranger
+				}
+				list = append(list, rec)
+			case op < 14 && len(list) > 0: // swap one record for its same-owner twin
+				i := rng.Intn(len(list))
+				if o := list[i].Owner; o != stranger.Owner {
+					list[i] = variants[rng.Intn(len(variants))][o]
+				}
+			case op < 16 && len(list) > 1: // delta fragment: a few of the records
+				rng.Shuffle(len(list), func(i, j int) { list[i], list[j] = list[j], list[i] })
+				list = list[:1+rng.Intn(len(list)-1)]
+			case op < 17 && len(list) > 0: // truncated in transit
+				full := EncodeSetPDs(list)
+				payload = full[:1+rng.Intn(len(full)-1)]
+			case op < 18: // a count over the cap, in front of real records
+				w := wire.NewWriter()
+				w.Byte(wire.KindSetPDs)
+				w.Uvarint(4097 + uint64(rng.Intn(100)))
+				for _, rec := range list {
+					rec.marshal(w)
+				}
+				payload = w.Bytes()
+			default: // start over with one record
+				list = []SignedPD{variants[rng.Intn(len(variants))][owners[rng.Intn(len(owners))]]}
+			}
+			if payload == nil {
+				payload = EncodeSetPDs(list)
+			}
+			lists[from], last[from] = list, payload
+
+			if bytes.Equal(memo.mod.lastSetPDs[from], payload) {
+				hits++
+			}
+			clear(plain.mod.lastSetPDs)
+			// SETPDS handling never touches the context.
+			if !memo.mod.Handle(nil, from, payload) || !plain.mod.Handle(nil, from, payload) {
+				t.Fatalf("trial %d step %d: SETPDS not recognized", trial, step)
+			}
+			at := fmt.Sprintf("trial %d step %d (from %v)", trial, step, from)
+			if !reflect.DeepEqual(memo.mod.Records(), plain.mod.Records()) {
+				t.Fatalf("%s: records diverge: owners %v with the memo, %v without", at, memo.mod.owners, plain.mod.owners)
+			}
+			if a, b := memo.mod.View().Rev(), plain.mod.View().Rev(); a != b {
+				t.Fatalf("%s: view revision %d with the memo, %d without", at, a, b)
+			}
+			if a, b := memo.mod.View().Known, plain.mod.View().Known; !a.Equal(b) {
+				t.Fatalf("%s: S_known %v with the memo, %v without", at, a, b)
+			}
+			if memo.updates != plain.updates {
+				t.Fatalf("%s: %d onUpdate calls with the memo, %d without", at, memo.updates, plain.updates)
+			}
+		}
+		merged += len(plain.mod.Records()) - 1
+		if _, kept := memo.mod.lastSetPDs[77]; kept {
+			t.Fatal("memo kept a payload from a sender outside S_known")
+		}
+	}
+	// The sequences must have exercised both sides of the memo.
+	if hits < trials*steps/10 || merged < trials*len(owners)/2 {
+		t.Fatalf("%d memo hits and %d merged records in %d messages: sequence too tame", hits, merged, trials*steps)
+	}
+}
+
+// TestReplayMemoOwnsItsCopy pins the rt contract on the memo: the delivered
+// slice is the runtime's again once Handle returns, so whatever the runtime
+// writes into it next must not read as "already merged".
+func TestReplayMemoOwnsItsCopy(t *testing.T) {
+	signers, reg, err := cryptox.GenerateKeys(1, []model.ID{1, 2, 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	mod := New(NewSignedPD(signers[1], model.NewIDSet(2)), reg, DefaultConfig(), nil)
+	pd := model.NewIDSet(1)
+	forged := EncodeSetPDs([]SignedPD{{Owner: 3, PD: pd, Sig: signers[2].Sign(Canonical(3, pd))}})
+	valid := EncodeSetPDs([]SignedPD{NewSignedPD(signers[3], pd)})
+	buf := append([]byte(nil), forged...)
+	mod.Handle(nil, 2, buf)
+	copy(buf, valid) // the runtime recycles the buffer for some other delivery
+	mod.Handle(nil, 2, valid)
+	if _, ok := mod.View().PD[3]; !ok {
+		t.Fatal("valid record skipped: the memo aliased the delivered buffer")
+	}
+}
+
+// replayFixture returns a module that knows sender 2 and two different
+// SETPDS payloads of the same 16 records (ascending and descending owner
+// order), both already merged.
+func replayFixture(tb testing.TB) (mod *Module, asc, desc []byte) {
+	tb.Helper()
+	ids := make([]model.ID, 17)
+	for i := range ids {
+		ids[i] = model.ID(i + 1)
+	}
+	signers, reg, err := cryptox.GenerateKeys(1, ids)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	recs := make([]SignedPD, 0, 16)
+	for _, id := range ids[1:] {
+		recs = append(recs, NewSignedPD(signers[id], model.NewIDSet(1, id%17+1, (id+4)%17+1)))
+	}
+	asc = EncodeSetPDs(recs)
+	slices.Reverse(recs)
+	desc = EncodeSetPDs(recs)
+	mod = New(NewSignedPD(signers[1], model.NewIDSet(2)), reg, DefaultConfig(), nil)
+	mod.Handle(nil, 2, desc)
+	mod.Handle(nil, 2, asc)
+	if len(mod.records) != 17 {
+		tb.Fatalf("fixture holds %d records, want 17", len(mod.records))
+	}
+	return mod, asc, desc
+}
+
+// TestReceiveReplayAllocs is the allocation gate for the steady state of
+// gossip: a SETPDS identical to the sender's last one is dropped without
+// allocating. (A differing payload may allocate: it is parsed and copied.)
+func TestReceiveReplayAllocs(t *testing.T) {
+	mod, asc, _ := replayFixture(t)
+	if avg := testing.AllocsPerRun(200, func() { mod.Handle(nil, 2, asc) }); avg != 0 {
+		t.Fatalf("replayed SETPDS allocates %.1f times per message, want 0", avg)
+	}
+}
+
+// BenchmarkReceiveReplay is the memo hit: the 16-record payload the sender
+// sent last time.
+func BenchmarkReceiveReplay(b *testing.B) {
+	mod, asc, _ := replayFixture(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		mod.Handle(nil, 2, asc)
+	}
+}
+
+// BenchmarkReceiveFresh is the memo miss over the same 16 held records: the
+// sender alternates two encodings, so every message is walked and copied.
+func BenchmarkReceiveFresh(b *testing.B) {
+	mod, asc, desc := replayFixture(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if i%2 == 0 {
+			mod.Handle(nil, 2, desc)
+		} else {
+			mod.Handle(nil, 2, asc)
+		}
 	}
 }

@@ -162,6 +162,69 @@ func TestReportJSONRoundTrip(t *testing.T) {
 	}
 }
 
+// TestSweepAnchors pins the two fingerprints bench/ hard-codes as its anchors
+// (and counts a mismatch against as a failed operation), so an edit that
+// changes a trace, a message count or a verdict fails here, under the tier-1
+// command, before it fails the benchmark.
+func TestSweepAnchors(t *testing.T) {
+	anchors := []struct {
+		name  string
+		sweep func([]int64) (CellSource, error)
+		seeds []int64
+		want  string
+		slow  bool
+	}{
+		{"standard", StandardSweep, Seeds(1, 10), "4b072439c652d9f4eeb39ecf603b390fd7386fbc746bfcfe6ba2065620e8b0b8", false},
+		{"probabilistic", ProbabilisticSweep, Seeds(1, 1), "a7e7a889fe264e59265bd7813649bcad1a1e5c91a2f376b4bd5f1bc5181d747b", true},
+	}
+	for _, a := range anchors {
+		t.Run(a.name, func(t *testing.T) {
+			if a.slow && testing.Short() {
+				t.Skip("skipping the slow sweep in -short mode")
+			}
+			src, err := a.sweep(a.seeds)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rep, err := Run(src, Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := rep.Fingerprint(); got != a.want {
+				t.Fatalf("%s sweep fingerprint\n  got  %s\n  want %s", a.name, got, a.want)
+			}
+		})
+	}
+}
+
+// TestOutcomeWallNS is the regression test for per-cell wall time reading 0:
+// every run cell reports how long it took, and since a worker runs its cells
+// back to back inside Run, the cells' times sum to at most the report's wall
+// time on each worker.
+func TestOutcomeWallNS(t *testing.T) {
+	src, err := StandardSweep(Seeds(1, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, par := range []int{1, 3} {
+		rep, err := Run(src, Options{Parallelism: par})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var sum int64
+		for i := range rep.Outcomes {
+			o := &rep.Outcomes[i]
+			if o.WallNS <= 0 {
+				t.Fatalf("parallelism %d: cell %s reports WallNS %d", par, o.ID, o.WallNS)
+			}
+			sum += o.WallNS
+		}
+		if limit := rep.WallNS * int64(rep.Parallelism); sum > limit {
+			t.Fatalf("parallelism %d: cells sum to %dns, more than %d workers × %dns", par, sum, rep.Parallelism, rep.WallNS)
+		}
+	}
+}
+
 func TestProgressCallback(t *testing.T) {
 	src, err := StandardSweep(Seeds(1, 1))
 	if err != nil {

@@ -127,10 +127,11 @@ func (w *cellRunner) compiled(p scenario.Params) (compiledEntry, error) {
 // runCell executes one cell on the worker's deterministic simulation
 // scratch. Axis labels come from the compiled entry (or, on a compile error,
 // are rendered once after the error is known), so the hot loop never renders
-// a label twice.
-func (w *cellRunner) runCell(c Cell) Outcome {
+// a label twice. The result is named so the deferred WallNS assignment lands
+// in the value the caller receives.
+func (w *cellRunner) runCell(c Cell) (out Outcome) {
 	p := c.Params
-	out := Outcome{Index: c.Index, F: p.F, Seed: p.Seed}
+	out = Outcome{Index: c.Index, F: p.F, Seed: p.Seed}
 	start := time.Now()
 	defer func() { out.WallNS = time.Since(start).Nanoseconds() }()
 	ent, err := w.compiled(p)
