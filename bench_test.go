@@ -161,9 +161,8 @@ func BenchmarkSweepCells(b *testing.B) {
 }
 
 // searchReplay measures kosr.SearchReplay's discovery schedule (one search
-// per record insertion; `experiments -bench-json` measures the same
-// workload through the same type). From-scratch variants ignore the
-// searcher argument.
+// per record insertion; `go run ./bench` measures the same workload through
+// the same type).
 func searchReplay(b *testing.B, g *graph.Digraph, search func(se *kosr.Searcher, v *kosr.View) bool) {
 	b.Helper()
 	r := kosr.NewSearchReplay(g)
@@ -176,17 +175,15 @@ func searchReplay(b *testing.B, g *graph.Digraph, search func(se *kosr.Searcher,
 }
 
 // BenchmarkSinkSearch measures the Algorithm 2 decision procedure: the
-// single-shot from-scratch search on full knowledge views, and the
-// discovery replay (a search per record insertion) through the from-scratch
-// View methods vs the incremental Searcher the protocol stack uses. The
-// replay pair is the engine's headline number: same schedule, same results,
-// less work per invocation.
+// single-shot search of a full knowledge view on a fresh Searcher (nothing
+// memoized), and the discovery replay (a search per record insertion) on the
+// one warm Searcher a node keeps — the schedule the protocol stack runs.
 func BenchmarkSinkSearch(b *testing.B) {
 	fig := graph.Fig1b()
 	v := kosr.FullView(fig.G)
 	b.Run("fig1b", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, ok := v.FindSinkKnownF(fig.F); !ok {
+			if _, ok := kosr.NewSearcher().FindSinkKnownF(v, fig.F); !ok {
 				b.Fatal("sink not found")
 			}
 		}
@@ -200,16 +197,10 @@ func BenchmarkSinkSearch(b *testing.B) {
 		vv := kosr.FullView(g)
 		b.Run(fmt.Sprintf("random-sink-%d", size), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, ok := vv.FindSinkKnownF(2); !ok {
+				if _, ok := kosr.NewSearcher().FindSinkKnownF(vv, 2); !ok {
 					b.Fatal("sink not found")
 				}
 			}
-		})
-		b.Run(fmt.Sprintf("replay-scratch-%d", size), func(b *testing.B) {
-			searchReplay(b, g, func(_ *kosr.Searcher, v *kosr.View) bool {
-				_, ok := v.FindSinkKnownF(2)
-				return ok
-			})
 		})
 		b.Run(fmt.Sprintf("replay-incremental-%d", size), func(b *testing.B) {
 			searchReplay(b, g, func(se *kosr.Searcher, v *kosr.View) bool {
@@ -228,7 +219,7 @@ func BenchmarkCoreSearch(b *testing.B) {
 		v := kosr.FullView(fig.G)
 		b.Run(fig.Name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, ok := v.FindCore(); !ok {
+				if _, ok := kosr.NewSearcher().FindCore(v); !ok {
 					b.Fatal("core not found")
 				}
 			}
@@ -243,7 +234,7 @@ func BenchmarkCoreSearch(b *testing.B) {
 		v := kosr.FullView(g)
 		b.Run(fmt.Sprintf("random-core-%d", size), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, ok := v.FindCore(); !ok {
+				if _, ok := kosr.NewSearcher().FindCore(v); !ok {
 					b.Fatal("core not found")
 				}
 			}

@@ -61,11 +61,11 @@ type Config struct {
 	Discovery discovery.Config
 	// Searcher, when non-nil, is the sink/core search engine the node runs
 	// its committee-identification rule on. Sweep workers inject a per-node
-	// incremental kosr.Searcher from their reusable scratch; nil makes the
-	// node own a fresh one. A search engine only changes how much work each
-	// search does — results, and therefore the per-event search schedule
-	// visible in traces, are identical to the from-scratch View methods
-	// (tests inject kosr.FromScratch here to prove it).
+	// kosr.Searcher from their reusable scratch; nil makes the node own a
+	// fresh one. A warm searcher only changes how much work each search
+	// does — results, and therefore the per-event search schedule visible in
+	// traces, are those of a fresh searcher (tests inject one per call here
+	// to prove it).
 	Searcher kosr.Search
 	// PBFTTimeout is the committee protocol's base view timeout.
 	PBFTTimeout rt.Time

@@ -1,7 +1,6 @@
 package graph
 
 import (
-	"math/bits"
 	"slices"
 
 	"github.com/bftcup/bftcup/internal/model"
@@ -10,9 +9,8 @@ import (
 // BitAdjacency is a word-packed adjacency matrix over an indexed snapshot of
 // a digraph's nodes: row i is a []uint64 bitset of the out-neighbors of the
 // i-th node in sorted-ID order. It is the representation behind the bitset
-// flow engine (FlowScratch, FlowProber): reachability closures run as word
-// ops over rows, and the vertex-split residual graph of the max-flow probes
-// is derived from the rows once per load instead of per pair.
+// flow engine (FlowScratch): the vertex-split residual graph of the max-flow
+// probes is derived from the rows once per load instead of per pair.
 //
 // A BitAdjacency is a snapshot — it does not track later mutations of the
 // source graph. Load reuses the backing buffers, so a long-lived value warms
@@ -82,61 +80,4 @@ func (b *BitAdjacency) Row(i int) []uint64 {
 // never recorded (AddEdge ignores them at the Digraph layer too).
 func (b *BitAdjacency) HasEdge(i, j int) bool {
 	return b.rows[i*b.words+(j>>6)]&(1<<(j&63)) != 0
-}
-
-// Reachable computes the forward closure from node index i as a bitset
-// (including i itself) into dst, which must hold words entries; it returns
-// dst. The BFS runs frontier-at-a-time with word ops.
-func (b *BitAdjacency) Reachable(i int, dst, frontier []uint64) []uint64 {
-	for w := range dst {
-		dst[w] = 0
-		frontier[w] = 0
-	}
-	dst[i>>6] |= 1 << (i & 63)
-	frontier[i>>6] |= 1 << (i & 63)
-	for {
-		advanced := false
-		for w := 0; w < b.words; w++ {
-			f := frontier[w]
-			frontier[w] = 0
-			for f != 0 {
-				u := w<<6 + bits.TrailingZeros64(f)
-				f &= f - 1
-				row := b.rows[u*b.words : (u+1)*b.words]
-				for x := 0; x < b.words; x++ {
-					fresh := row[x] &^ dst[x]
-					if fresh != 0 {
-						dst[x] |= fresh
-						frontier[x] |= fresh
-						advanced = true
-					}
-				}
-			}
-		}
-		if !advanced {
-			return dst
-		}
-	}
-}
-
-// ReachableSet is Reachable materialized as a model.IDSet — the equivalence
-// tests compare it against Digraph.Reachable.
-func (b *BitAdjacency) ReachableSet(id model.ID) model.IDSet {
-	out := model.NewIDSet()
-	i, ok := b.idx[id]
-	if !ok {
-		return out
-	}
-	dst := make([]uint64, b.words)
-	frontier := make([]uint64, b.words)
-	b.Reachable(i, dst, frontier)
-	for w := 0; w < b.words; w++ {
-		f := dst[w]
-		for f != 0 {
-			j := w<<6 + bits.TrailingZeros64(f)
-			f &= f - 1
-			out.Add(b.ids[j])
-		}
-	}
-	return out
 }

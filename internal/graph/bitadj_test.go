@@ -36,45 +36,17 @@ func propertyDefs(t *testing.T) []Def {
 	return defs
 }
 
-// TestBitAdjacencyReachableMatchesDigraph asserts BitAdjacency.ReachableSet
-// equals the map-based Digraph.Reachable for every node of every family over
-// randomized seeds. Reachability closure is the backbone of the sink
-// properties (S1 mutual reach, S2 reach-into-sink), so any divergence here
-// would silently corrupt search verdicts.
-func TestBitAdjacencyReachableMatchesDigraph(t *testing.T) {
-	for _, d := range propertyDefs(t) {
-		for seed := int64(1); seed <= 3; seed++ {
-			b, err := d.Build(seed)
-			if err != nil {
-				t.Fatalf("%s seed %d: %v", d, seed, err)
-			}
-			var ba BitAdjacency
-			ba.Load(b.G)
-			if ba.NumNodes() != b.G.NumNodes() {
-				t.Fatalf("%s seed %d: BitAdjacency has %d nodes, Digraph has %d",
-					d, seed, ba.NumNodes(), b.G.NumNodes())
-			}
-			for _, u := range b.G.Nodes() {
-				want := b.G.Reachable(u)
-				got := ba.ReachableSet(u)
-				if !got.Equal(want) {
-					t.Fatalf("%s seed %d: Reachable(%d) bitset %v != digraph %v",
-						d, seed, u, got, want)
-				}
-			}
-			if !d.UsesSeed() {
-				break
-			}
-		}
-	}
-}
-
-// TestFlowProberMatchesDigraphMaxFlow asserts the reusable FlowProber (one
-// Load, many pair probes on shared scratch) returns exactly the per-call
-// Digraph.MaxNodeDisjointPaths value on every ordered pair, across families
-// and seeds, for both bounded and unbounded limits.
-func TestFlowProberMatchesDigraphMaxFlow(t *testing.T) {
+// TestFlowScratchLoadedOnceMatchesLoadPerCall asserts that one FlowScratch
+// loaded once and probed for many pairs returns exactly what the load-per-call
+// Digraph one-shot returns on every ordered pair, across families and seeds,
+// for both bounded and unbounded limits — a probe leaves nothing behind in the
+// residual template that the next probe could see.
+func TestFlowScratchLoadedOnceMatchesLoadPerCall(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
+	var loaded FlowScratch
+	if got := loaded.MaxNodeDisjointPaths(1, 2, 0); got != 0 {
+		t.Fatalf("probe before the first Load = %d, want 0", got)
+	}
 	for _, d := range propertyDefs(t) {
 		for seed := int64(1); seed <= 2; seed++ {
 			b, err := d.Build(seed)
@@ -82,8 +54,7 @@ func TestFlowProberMatchesDigraphMaxFlow(t *testing.T) {
 				t.Fatalf("%s seed %d: %v", d, seed, err)
 			}
 			nodes := b.G.Nodes()
-			var prober FlowProber
-			prober.Load(b.G)
+			loaded.Load(b.G)
 			pairs := 0
 			for _, s := range nodes {
 				for _, u := range nodes {
@@ -96,9 +67,9 @@ func TestFlowProberMatchesDigraphMaxFlow(t *testing.T) {
 					}
 					limit := rng.Intn(len(nodes) + 2) // 0 = unbounded
 					want := b.G.MaxNodeDisjointPaths(s, u, limit)
-					got := prober.MaxNodeDisjointPaths(s, u, limit)
+					got := loaded.MaxNodeDisjointPaths(s, u, limit)
 					if got != want {
-						t.Fatalf("%s seed %d: MaxNodeDisjointPaths(%d,%d,limit=%d) prober %d != digraph %d",
+						t.Fatalf("%s seed %d: MaxNodeDisjointPaths(%d,%d,limit=%d) loaded once %d != load per call %d",
 							d, seed, s, u, limit, got, want)
 					}
 					pairs++
@@ -106,6 +77,9 @@ func TestFlowProberMatchesDigraphMaxFlow(t *testing.T) {
 			}
 			if pairs == 0 && len(nodes) > 1 {
 				t.Fatalf("%s seed %d: no pairs probed", d, seed)
+			}
+			if got := loaded.MaxNodeDisjointPaths(nodes[0], model.ID(1<<40), 0); got != 0 {
+				t.Fatalf("%s seed %d: probe to a node outside the snapshot = %d, want 0", d, seed, got)
 			}
 			if !d.UsesSeed() {
 				break

@@ -188,22 +188,6 @@ func (g *Digraph) UndirectedConnected() bool {
 	return seen.Len() == len(nodes)
 }
 
-// Reachable returns the set of nodes reachable from u (including u).
-func (g *Digraph) Reachable(u model.ID) model.IDSet {
-	seen := model.NewIDSet(u)
-	stack := []model.ID{u}
-	for len(stack) > 0 {
-		x := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		for v := range g.adj[x] {
-			if seen.Add(v) {
-				stack = append(stack, v)
-			}
-		}
-	}
-	return seen
-}
-
 // String renders the adjacency list, one node per line, deterministically.
 func (g *Digraph) String() string {
 	var b strings.Builder
@@ -219,76 +203,26 @@ func (g *Digraph) String() string {
 // a component is emitted before any component that can reach it). Use
 // Condensation for explicit DAG structure.
 func (g *Digraph) SCCs() []model.IDSet {
-	// Iterative Tarjan to keep stack usage bounded.
 	nodes := g.Nodes()
-	index := make(map[model.ID]int, len(nodes))
-	low := make(map[model.ID]int, len(nodes))
-	onStack := make(map[model.ID]bool, len(nodes))
-	var stack []model.ID
-	var comps []model.IDSet
-	counter := 0
-
-	type frame struct {
-		u     model.ID
-		outs  []model.ID
-		child int
+	idx := make(map[model.ID]int32, len(nodes))
+	for i, u := range nodes {
+		idx[u] = int32(i)
 	}
-	for _, root := range nodes {
-		if _, ok := index[root]; ok {
-			continue
+	// CSR in sorted-ID index space: roots and children ascend by ID.
+	start := make([]int32, 1, len(nodes)+1)
+	var adj []int32
+	for _, u := range nodes {
+		for _, v := range g.Out(u) {
+			adj = append(adj, idx[v])
 		}
-		frames := []frame{{u: root, outs: g.Out(root)}}
-		index[root] = counter
-		low[root] = counter
-		counter++
-		stack = append(stack, root)
-		onStack[root] = true
-		for len(frames) > 0 {
-			f := &frames[len(frames)-1]
-			advanced := false
-			for f.child < len(f.outs) {
-				v := f.outs[f.child]
-				f.child++
-				if _, ok := index[v]; !ok {
-					index[v] = counter
-					low[v] = counter
-					counter++
-					stack = append(stack, v)
-					onStack[v] = true
-					frames = append(frames, frame{u: v, outs: g.Out(v)})
-					advanced = true
-					break
-				} else if onStack[v] {
-					if index[v] < low[f.u] {
-						low[f.u] = index[v]
-					}
-				}
-			}
-			if advanced {
-				continue
-			}
-			// Post-visit of f.u.
-			u := f.u
-			frames = frames[:len(frames)-1]
-			if len(frames) > 0 {
-				p := &frames[len(frames)-1]
-				if low[u] < low[p.u] {
-					low[p.u] = low[u]
-				}
-			}
-			if low[u] == index[u] {
-				comp := model.NewIDSet()
-				for {
-					w := stack[len(stack)-1]
-					stack = stack[:len(stack)-1]
-					onStack[w] = false
-					comp.Add(w)
-					if w == u {
-						break
-					}
-				}
-				comps = append(comps, comp)
-			}
+		start = append(start, int32(len(adj)))
+	}
+	var t Tarjan
+	comps := make([]model.IDSet, t.Run(start, adj))
+	for c := range comps {
+		comps[c] = model.NewIDSet()
+		for _, i := range t.Comp(c) {
+			comps[c].Add(nodes[i])
 		}
 	}
 	return comps
@@ -354,49 +288,44 @@ func (g *Digraph) UniqueSink() (model.IDSet, bool) {
 // bounded by minimum degree; this makes peeling a sound pruning step for the
 // sink search.
 func (g *Digraph) DirectedCore(k int) model.IDSet {
-	if k <= 0 {
-		return g.NodeSet()
-	}
 	alive := g.NodeSet()
-	indeg := make(map[model.ID]int, alive.Len())
-	outdeg := make(map[model.ID]int, alive.Len())
-	for u := range alive {
-		for v := range g.adj[u] {
-			if alive.Has(v) {
-				outdeg[u]++
-				indeg[v]++
-			}
+	if k <= 0 {
+		return alive
+	}
+	// Reverse adjacency, built once: peeling u must find the vertices that
+	// point at u without scanning the whole node set per peeled vertex.
+	in := make(map[model.ID][]model.ID, len(alive))
+	indeg := make(map[model.ID]int, len(alive))
+	outdeg := make(map[model.ID]int, len(alive))
+	for u, outs := range g.adj {
+		outdeg[u] = len(outs)
+		for v := range outs {
+			in[v] = append(in[v], u)
+			indeg[v]++
 		}
 	}
-	queue := make([]model.ID, 0, alive.Len())
-	for _, u := range alive.Sorted() {
+	var queue []model.ID
+	for u := range alive {
 		if indeg[u] < k || outdeg[u] < k {
 			queue = append(queue, u)
 		}
 	}
-	dead := model.NewIDSet()
+	// The k-core is the unique maximal fixed point, so peel order is free.
 	for len(queue) > 0 {
-		u := queue[0]
-		queue = queue[1:]
+		u := queue[len(queue)-1]
+		queue = queue[:len(queue)-1]
 		if !alive.Has(u) {
 			continue
 		}
 		alive.Remove(u)
-		dead.Add(u)
 		for v := range g.adj[u] {
-			if alive.Has(v) {
-				indeg[v]--
-				if indeg[v] < k && !dead.Has(v) {
-					queue = append(queue, v)
-				}
+			if indeg[v]--; indeg[v] < k && alive.Has(v) {
+				queue = append(queue, v)
 			}
 		}
-		for _, w := range g.Nodes() {
-			if alive.Has(w) && g.adj[w].Has(u) {
-				outdeg[w]--
-				if outdeg[w] < k && !dead.Has(w) {
-					queue = append(queue, w)
-				}
+		for _, w := range in[u] {
+			if outdeg[w]--; outdeg[w] < k && alive.Has(w) {
+				queue = append(queue, w)
 			}
 		}
 	}

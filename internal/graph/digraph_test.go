@@ -91,11 +91,28 @@ func TestUndirectedConnected(t *testing.T) {
 	}
 }
 
+// reachable returns the set of nodes reachable from u (including u): the
+// definitional oracle bruteSCC pairs nodes with.
+func reachable(g *Digraph, u model.ID) model.IDSet {
+	seen := model.NewIDSet(u)
+	stack := []model.ID{u}
+	for len(stack) > 0 {
+		x := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		for v := range g.adj[x] {
+			if seen.Add(v) {
+				stack = append(stack, v)
+			}
+		}
+	}
+	return seen
+}
+
 func TestReachable(t *testing.T) {
 	g := edgeList([2]model.ID{1, 2}, [2]model.ID{2, 3}, [2]model.ID{4, 1})
-	r := g.Reachable(1)
+	r := reachable(g, 1)
 	if !r.Equal(model.NewIDSet(1, 2, 3)) {
-		t.Fatalf("Reachable(1) = %v", r)
+		t.Fatalf("reachable(1) = %v", r)
 	}
 }
 
@@ -103,7 +120,7 @@ func TestReachable(t *testing.T) {
 func bruteSCC(g *Digraph) map[model.ID]string {
 	reach := make(map[model.ID]model.IDSet)
 	for _, u := range g.Nodes() {
-		reach[u] = g.Reachable(u)
+		reach[u] = reachable(g, u)
 	}
 	label := make(map[model.ID]string)
 	for _, u := range g.Nodes() {
@@ -225,6 +242,58 @@ func TestDirectedCoreContainsDenseSubgraphs(t *testing.T) {
 		}
 		if !g.Induced(core).DirectedCore(k).Equal(core) {
 			t.Fatalf("trial %d: k-core is not a fixpoint", trial)
+		}
+	}
+}
+
+// definitionalCore is the directed k-core by its definition: repeat "drop
+// every vertex whose in- or out-degree among the survivors is below k" until
+// nothing changes.
+func definitionalCore(g *Digraph, k int) model.IDSet {
+	alive := g.NodeSet()
+	for changed := true; changed; {
+		changed = false
+		sub := g.Induced(alive)
+		for _, u := range sub.Nodes() {
+			if sub.OutDegree(u) < k || len(sub.In(u)) < k {
+				alive.Remove(u)
+				changed = true
+			}
+		}
+	}
+	return alive
+}
+
+// TestDirectedCoreMatchesDefinition pins the reverse-adjacency peel against
+// the definitional fixed point on the planted and the probabilistic families
+// (the graphs the sink search actually peels), at every k that can leave a
+// non-empty core and one past it.
+func TestDirectedCoreMatchesDefinition(t *testing.T) {
+	for _, s := range []string{
+		"kosr:sink=7,nonsink=4,k=3,extra=0.3", "kosr:sink=24,nonsink=4,k=3",
+		"extended:core=5,noncore=3,extra=0.2", "extended:core=10,noncore=5,extra=0.1",
+		"er:n=12,p=0.15", "er:n=20,p=0.3", "er:n=70,p=0.1",
+		"geo:n=12,r=0.3", "geo:n=16,r=0.5",
+		"sf:n=12,m=1", "sf:n=16,m=3",
+	} {
+		d, err := ParseDef(s)
+		if err != nil {
+			t.Fatalf("ParseDef(%q): %v", s, err)
+		}
+		for seed := int64(1); seed <= 3; seed++ {
+			b, err := d.Build(seed)
+			if err != nil {
+				t.Fatalf("%s seed %d: %v", s, seed, err)
+			}
+			for k := 0; ; k++ {
+				got, want := b.G.DirectedCore(k), definitionalCore(b.G, k)
+				if !got.Equal(want) {
+					t.Fatalf("%s seed %d: DirectedCore(%d) = %v, definition gives %v", s, seed, k, got, want)
+				}
+				if want.Len() == 0 {
+					break
+				}
+			}
 		}
 	}
 }

@@ -12,13 +12,22 @@ import (
 // of isSink* where a lone process with no outgoing knowledge is a sink.
 const InfiniteConnectivity = math.MaxInt32
 
-// FlowScratch owns the reusable state of the max-flow computations, built on
-// bitsets: the adjacency snapshot (BitAdjacency), the base residual rows of
-// the vertex-split graph, the per-probe residual copy, and the BFS arrays. A
-// zero FlowScratch is ready to use; buffers grow to the largest graph seen
-// and are reused afterwards, so repeated connectivity checks (the sink search
-// probes κ for every candidate subset) stop allocating once warm. A
-// FlowScratch is for one goroutine; load snapshots one graph at a time.
+// FlowScratch is the vertex-split max-flow engine behind every node-disjoint
+// path count on a whole graph: Load snapshots a graph once, then each probe
+// (MaxNodeDisjointPaths, HasKDisjointPaths, IsKStronglyConnected) costs one
+// residual copy plus word-parallel BFS augments. It owns, on bitsets, the
+// adjacency snapshot (BitAdjacency), the pair-independent residual rows of
+// the split graph, the per-probe residual copy and the BFS arrays; buffers
+// grow to the largest graph seen and are reused, so a long-lived value stops
+// allocating once warm. The Digraph methods of the same names are
+// load-then-probe one-shots; callers that probe many pairs of one graph
+// (CheckKOSR's fan-in condition, CheckExtendedKOSR's C2) or many graphs in a
+// row hold a FlowScratch instead. The zero value is ready and answers 0
+// before the first Load. One goroutine per value.
+//
+// PoolFlow is the other shape of the same computation — κ of many subsets of
+// one ≤ 64-node pool, no snapshot per subset — and the call site picks:
+// whole graphs here, subset masks there.
 //
 // Every residual capacity is 0 or 1, so the residual graph is a pure bitset
 // matrix. That is sound because the probes run from out(s) to in(t) in the
@@ -27,14 +36,7 @@ const InfiniteConnectivity = math.MaxInt32
 // out(s)/in(t) cut in the source→sink direction — in(s)→out(s) ends on the
 // source side (at the source itself) and in(t)→out(t) starts on the sink
 // side (at the sink itself) — so their capacity never bounds the max flow
-// and pinning them to 1 changes no flow value. Max-flow values are unique,
-// so every verdict (and hence every trace digest downstream) is identical to
-// the previous matrix-based engine's.
-//
-// The base rows depend only on the graph, not on the probed pair: load
-// builds them once and each pair probe starts from a flat copy — the copy
-// plus word-parallel BFS is what makes many-pair probes (κ checks, the
-// CheckKOSR/CheckExtendedKOSR path conditions) cheap.
+// and pinning them to 1 changes no flow value.
 type FlowScratch struct {
 	adj   BitAdjacency
 	words int      // words per split-graph row
@@ -45,9 +47,9 @@ type FlowScratch struct {
 	seen  []uint64 // visited bitset for the BFS
 }
 
-// load snapshots g's adjacency and builds the split-graph residual template.
-// Returns the split-graph size (2·|nodes|).
-func (sc *FlowScratch) load(g *Digraph) int {
+// Load snapshots g's adjacency and builds the split-graph residual template
+// for subsequent probes.
+func (sc *FlowScratch) Load(g *Digraph) {
 	sc.adj.Load(g)
 	n := sc.adj.NumNodes()
 	size := 2 * n
@@ -88,7 +90,6 @@ func (sc *FlowScratch) load(g *Digraph) int {
 		sc.seen = make([]uint64, sc.words)
 	}
 	sc.seen = sc.seen[:sc.words]
-	return size
 }
 
 // flowPair runs the bounded Edmonds-Karp max-flow between the loaded nodes
@@ -154,118 +155,80 @@ func (sc *FlowScratch) flowPair(si, ti, limit int) int {
 }
 
 // MaxNodeDisjointPaths returns the maximum number of internally-node-disjoint
-// directed paths from s to t in g, computed as max-flow on the vertex-split
-// graph (every node other than s and t has capacity 1). limit > 0 caps the
-// search: the function returns early once limit paths are found, which is all
-// the k-OSR checks ever need. limit ≤ 0 means unlimited.
-//
-// A direct edge s→t counts as one path, per the paper's path-counting in
-// Definition 1.
-func (g *Digraph) MaxNodeDisjointPaths(s, t model.ID, limit int) int {
-	var sc FlowScratch
-	return g.MaxNodeDisjointPathsScratch(&sc, s, t, limit)
-}
-
-// MaxNodeDisjointPathsScratch is MaxNodeDisjointPaths running on caller-owned
-// scratch, for hot paths that probe many pairs or many graphs.
-func (g *Digraph) MaxNodeDisjointPathsScratch(sc *FlowScratch, s, t model.ID, limit int) int {
-	if s == t || !g.HasNode(s) || !g.HasNode(t) {
+// directed paths from s to t in the loaded graph, computed as max-flow on the
+// vertex-split graph (every node other than s and t has capacity 1). limit >
+// 0 caps the search: the probe returns early once limit paths are found,
+// which is all the k-OSR checks ever need. limit ≤ 0 means unlimited. A
+// direct edge s→t counts as one path, per the paper's path-counting in
+// Definition 1; s == t and nodes unknown to the snapshot yield 0.
+func (sc *FlowScratch) MaxNodeDisjointPaths(s, t model.ID, limit int) int {
+	si, ok1 := sc.adj.Index(s)
+	ti, ok2 := sc.adj.Index(t)
+	if s == t || !ok1 || !ok2 {
 		return 0
 	}
-	sc.load(g)
-	si, _ := sc.adj.Index(s)
-	ti, _ := sc.adj.Index(t)
 	return sc.flowPair(si, ti, limit)
 }
 
 // HasKDisjointPaths reports whether there are at least k internally-node-
-// disjoint paths from s to t.
-func (g *Digraph) HasKDisjointPaths(s, t model.ID, k int) bool {
-	if k <= 0 {
-		return true
-	}
-	return g.MaxNodeDisjointPaths(s, t, k) >= k
-}
-
-// FlowProber amortizes the split-graph construction across many pair probes
-// on one graph: Load once, then every probe costs one residual copy plus the
-// BFS augments. CheckKOSR's fan-in condition and CheckExtendedKOSR's C2 loop
-// probe |non-sink|×|sink| pairs on the same graph, which previously rebuilt
-// the capacity matrix per pair.
-type FlowProber struct {
-	sc     FlowScratch
-	loaded bool
-}
-
-// Load snapshots g for subsequent probes.
-func (p *FlowProber) Load(g *Digraph) {
-	p.sc.load(g)
-	p.loaded = true
-}
-
-// MaxNodeDisjointPaths is Digraph.MaxNodeDisjointPaths against the loaded
-// snapshot. Nodes unknown to the snapshot yield 0.
-func (p *FlowProber) MaxNodeDisjointPaths(s, t model.ID, limit int) int {
-	if !p.loaded || s == t {
-		return 0
-	}
-	si, ok1 := p.sc.adj.Index(s)
-	ti, ok2 := p.sc.adj.Index(t)
-	if !ok1 || !ok2 {
-		return 0
-	}
-	return p.sc.flowPair(si, ti, limit)
-}
-
-// HasKDisjointPaths reports ≥ k internally-node-disjoint paths from s to t
-// in the loaded snapshot.
-func (p *FlowProber) HasKDisjointPaths(s, t model.ID, k int) bool {
-	if k <= 0 {
-		return true
-	}
-	return p.MaxNodeDisjointPaths(s, t, k) >= k
+// disjoint paths from s to t in the loaded graph.
+func (sc *FlowScratch) HasKDisjointPaths(s, t model.ID, k int) bool {
+	return k <= 0 || sc.MaxNodeDisjointPaths(s, t, k) >= k
 }
 
 // IsKStronglyConnected reports whether every ordered pair of distinct nodes
-// is joined by at least k node-disjoint paths (the paper's definition of
-// k-strong connectivity). Graphs with ≤ 1 node are k-strongly connected for
-// every k (vacuous quantification).
-func (g *Digraph) IsKStronglyConnected(k int) bool {
-	var sc FlowScratch
-	return g.IsKStronglyConnectedScratch(&sc, k)
-}
-
-// IsKStronglyConnectedScratch is IsKStronglyConnected on caller-owned
-// scratch: the node index and the split-graph residual template are built
-// once and shared by every pair probe instead of reallocated per pair.
-func (g *Digraph) IsKStronglyConnectedScratch(sc *FlowScratch, k int) bool {
-	if k <= 0 || g.NumNodes() <= 1 {
+// of the loaded graph is joined by at least k node-disjoint paths (the
+// paper's definition of k-strong connectivity). Graphs with ≤ 1 node are
+// k-strongly connected for every k (vacuous quantification).
+func (sc *FlowScratch) IsKStronglyConnected(k int) bool {
+	n := sc.adj.NumNodes()
+	if k <= 0 || n <= 1 {
 		return true
 	}
-	if g.NumNodes() <= k {
+	if n <= k {
 		// κ(G) ≤ n-1 always (at most n-2 internal vertices plus the direct
 		// edge ⇒ ≤ n-1 disjoint paths).
 		return false
 	}
-	// Quick degree-based rejection: κ ≤ min degree.
-	for u := range g.nodes {
-		if g.OutDegree(u) < k {
-			return false
-		}
-	}
-	sc.load(g)
-	n := sc.adj.NumNodes()
 	for i := 0; i < n; i++ {
 		for j := 0; j < n; j++ {
-			if i == j {
-				continue
-			}
-			if sc.flowPair(i, j, k) < k {
+			if i != j && sc.flowPair(i, j, k) < k {
 				return false
 			}
 		}
 	}
 	return true
+}
+
+// MaxNodeDisjointPaths is FlowScratch.MaxNodeDisjointPaths on a one-shot
+// snapshot of g.
+func (g *Digraph) MaxNodeDisjointPaths(s, t model.ID, limit int) int {
+	var sc FlowScratch
+	sc.Load(g)
+	return sc.MaxNodeDisjointPaths(s, t, limit)
+}
+
+// HasKDisjointPaths is FlowScratch.HasKDisjointPaths on a one-shot snapshot
+// of g.
+func (g *Digraph) HasKDisjointPaths(s, t model.ID, k int) bool {
+	return k <= 0 || g.MaxNodeDisjointPaths(s, t, k) >= k
+}
+
+// IsKStronglyConnected is FlowScratch.IsKStronglyConnected on a one-shot
+// snapshot of g, taken only when the degrees do not already decide.
+func (g *Digraph) IsKStronglyConnected(k int) bool {
+	if k <= 0 || g.NumNodes() <= 1 {
+		return true
+	}
+	// κ ≤ min out-degree.
+	for u := range g.nodes {
+		if g.OutDegree(u) < k {
+			return false
+		}
+	}
+	var sc FlowScratch
+	sc.Load(g)
+	return sc.IsKStronglyConnected(k)
 }
 
 // StrongConnectivity returns κ(g): the maximum k such that g is k-strongly
@@ -300,7 +263,7 @@ func (g *Digraph) StrongConnectivity() int {
 		return 0
 	}
 	var sc FlowScratch
-	sc.load(g)
+	sc.Load(g)
 	for i := 0; i < n; i++ {
 		for j := 0; j < n; j++ {
 			if i == j {

@@ -51,14 +51,14 @@ func CheckKOSR(g *Digraph, k int) KOSRReport {
 	}
 	// The fan-in condition probes |non-sink| × |sink| pairs on one graph:
 	// load the split-graph residual template once and reuse it per pair.
-	var prober FlowProber
-	prober.Load(g)
+	var flow FlowScratch
+	flow.Load(g)
 	for _, u := range g.Nodes() {
 		if r.Sink.Has(u) {
 			continue
 		}
 		for _, v := range r.Sink.Sorted() {
-			if !prober.HasKDisjointPaths(u, v, k) {
+			if !flow.HasKDisjointPaths(u, v, k) {
 				r.Reason = fmt.Sprintf("fewer than %d node-disjoint paths from %v to sink node %v", k, u, v)
 				return r
 			}

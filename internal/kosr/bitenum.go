@@ -15,9 +15,9 @@ import (
 // degree κ(G[S1]) ≥ g+1 requires are cut as whole subtrees of the
 // include/exclude recursion. Every prune is sound — it only discards subsets
 // that fail one of isSink's S1-side checks — so the yielded set is a
-// superset of the passing S1 sets and the callers' exact (memoized) checks
+// superset of the passing S1 sets and the caller's exact (memoized) checks
 // decide membership; the brute-force equivalence tests pin pruned ≡ plain
-// mask ≡ from-scratch verdicts.
+// mask walk.
 //
 // State is bitset-native: pool positions are bits of a uint64, adjacency
 // within the pool is one word per member, and external out-targets are

@@ -44,10 +44,10 @@ func bruteDefs(t *testing.T) map[string]*graph.Digraph {
 }
 
 // TestSinksAtGMatchesBruteForce is the end-to-end verdict equivalence:
-// View.SinksAtG (pruned bitset enumeration over peeled SCC pools) must
-// return exactly the candidates the definitional brute force finds — every
-// subset of the received set checked directly against IsSink — on full and
-// partial views of every family, at every threshold. n ≤ 16 keeps the 2^n
+// Searcher.SinksAtGExact (pruned bitset enumeration over peeled SCC pools)
+// must return exactly the candidates the definitional brute force finds —
+// every subset of the received set checked directly against IsSink — on full
+// and partial views of every family, at every threshold. n ≤ 16 keeps the 2^n
 // walk honest while covering all prune branches.
 func TestSinksAtGMatchesBruteForce(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
@@ -71,31 +71,16 @@ func TestSinksAtGMatchesBruteForce(t *testing.T) {
 			views = append(views, v)
 		}
 		for vi, v := range views {
+			se := NewSearcher()
 			for gt := 0; gt <= v.MaxG()+1; gt++ {
-				got, exact := v.SinksAtGExact(gt)
+				got, exact := se.SinksAtGExact(v, gt)
 				if !exact {
 					t.Fatalf("%s view %d: enumeration inexact at n ≤ 16", name, vi)
 				}
-				var want []Candidate
-				enumerateSubsets(v.Received().Sorted(), 2*gt+1, func(s1 model.IDSet) {
-					s2 := v.DeriveS2(s1, gt)
-					if v.IsSink(gt, s1, s2) {
-						want = append(want, Candidate{G: gt, S1: s1, S2: s2})
-					}
-				})
-				sortCands(want)
-				if !candsEqual(got, want) {
+				if want := bruteSinksAtG(v, gt); !candsEqual(got, want) {
 					t.Fatalf("%s view %d g=%d: pruned %v != brute force %v", name, vi, gt, got, want)
 				}
 			}
-		}
-	}
-}
-
-func sortCands(cs []Candidate) {
-	for i := 1; i < len(cs); i++ {
-		for j := i; j > 0 && cs[j].S1.Key() < cs[j-1].S1.Key(); j-- {
-			cs[j], cs[j-1] = cs[j-1], cs[j]
 		}
 	}
 }
@@ -172,11 +157,11 @@ func TestPoolEnumSupersetAndExactCounts(t *testing.T) {
 	}
 }
 
-// TestSearcherMatchesViewOnProbabilisticFamilies extends the incremental ≡
-// from-scratch property to the er/geo/sf families: over randomized insertion
-// orders, after every insertion, the memoizing searcher and the from-scratch
-// View methods agree on all searches. Unstructured graphs exercise SCC
-// shapes (many small components, sparse cores) the planted families never
+// TestSearcherMatchesViewOnProbabilisticFamilies extends the searcher ≡
+// brute force property to the er/geo/sf families: over randomized insertion
+// orders, after every insertion, the memoizing searcher and the all-subsets
+// walk over View.IsSink agree on all searches. Unstructured graphs exercise
+// SCC shapes (many small components, sparse cores) the planted families never
 // produce.
 func TestSearcherMatchesViewOnProbabilisticFamilies(t *testing.T) {
 	rng := rand.New(rand.NewSource(97))

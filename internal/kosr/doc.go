@@ -8,12 +8,11 @@
 // has accumulated through discovery — never over the global graph, which no
 // process in the CUP model is allowed to see.
 //
-// The View methods are the from-scratch reference implementations; the
-// protocol stack runs the same procedures through Searcher, an incremental,
-// scratch-reusing engine that memoizes per-component candidate lists and
-// per-subset verdicts across knowledge updates. The two are pinned
-// equivalent by property tests; see Searcher and ARCHITECTURE.md ("The
-// incremental sink/core search").
+// View holds the knowledge and the literal predicate (View.IsSink); Searcher
+// is the one search engine — incremental, scratch-reusing, memoizing
+// per-component candidate lists and per-subset verdicts across knowledge
+// updates. The tests pin it to a walk over all subsets checked by
+// View.IsSink; see Searcher and ARCHITECTURE.md ("The sink/core search").
 //
 // Notation note (see DESIGN.md §2): property P3 counts *target* vertices
 // outside S1 that S1 points at, while P4 counts *source* vertices of S1

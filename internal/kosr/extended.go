@@ -41,10 +41,8 @@ func CheckExtendedKOSR(gdi *graph.Digraph, k int) ExtendedReport {
 		return r
 	}
 	v := FullView(gdi)
-	// Enumerate every sink set at every g; record the max g per set. The
-	// Searcher shares the κ/out-target verdict memos and the flow scratch
-	// across the whole g sweep (results are identical to the from-scratch
-	// View methods; only the work shrinks).
+	// Enumerate every sink set at every g; record the max g per set. One
+	// Searcher shares the κ/out-target verdict memos across the whole g sweep.
 	se := NewSearcher()
 	fgOf := make(map[string]int)
 	setOf := make(map[string]model.IDSet)
@@ -99,14 +97,14 @@ func CheckExtendedKOSR(gdi *graph.Digraph, k int) ExtendedReport {
 	// C2: every non-core node reaches every core node through k_Gdi(Vcore)
 	// node-disjoint paths.
 	kCore := best + 1
-	var prober graph.FlowProber
-	prober.Load(gdi)
+	var flow graph.FlowScratch
+	flow.Load(gdi)
 	for _, u := range gdi.Nodes() {
 		if core.Has(u) {
 			continue
 		}
 		for _, w := range core.Sorted() {
-			if !prober.HasKDisjointPaths(u, w, kCore) {
+			if !flow.HasKDisjointPaths(u, w, kCore) {
 				r.Reason = fmt.Sprintf("C2 fails: fewer than %d node-disjoint paths from %v to core node %v", kCore, u, w)
 				return r
 			}

@@ -31,7 +31,7 @@ func TestCandidateParameters(t *testing.T) {
 // (Theorem 4).
 func TestSinksAtGUnionUniqueFig1b(t *testing.T) {
 	v := FullView(graph.Fig1b().G)
-	cands := v.SinksAtG(1)
+	cands := sinksAtG(v, 1)
 	if len(cands) == 0 {
 		t.Fatal("no g=1 sinks on Fig 1b")
 	}
@@ -40,7 +40,7 @@ func TestSinksAtGUnionUniqueFig1b(t *testing.T) {
 			t.Fatalf("candidate %v∪%v != {1,2,3,4}", c.S1, c.S2)
 		}
 	}
-	c, ok := v.FindSinkKnownF(1)
+	c, ok := findSinkKnownF(v, 1)
 	if !ok || !c.Members().Equal(ids(1, 2, 3, 4)) {
 		t.Fatalf("FindSinkKnownF = %+v, %v", c, ok)
 	}
@@ -56,7 +56,7 @@ func TestFindSinkSilentByzantine(t *testing.T) {
 		v.PD[id] = fig.G.OutSet(id).Clone()
 	}
 	v.Known = ids(1, 2, 3, 4)
-	c, ok := v.FindSinkKnownF(1)
+	c, ok := findSinkKnownF(v, 1)
 	if !ok {
 		t.Fatal("sink not found with silent Byzantine member")
 	}
@@ -73,7 +73,7 @@ func TestFindSinkInsufficientView(t *testing.T) {
 	v.PD[1] = fig.G.OutSet(1).Clone()
 	v.PD[2] = fig.G.OutSet(2).Clone()
 	v.Known = ids(1, 2, 3, 4)
-	if _, ok := v.FindSinkKnownF(1); ok {
+	if _, ok := findSinkKnownF(v, 1); ok {
 		t.Fatal("sink found with |received| = 2 < 2f+1")
 	}
 }
@@ -95,7 +95,7 @@ func TestFindCoreFigures(t *testing.T) {
 	}
 	for _, c := range cases {
 		v := FullView(c.fig.G)
-		got, ok := v.FindCore()
+		got, ok := findCore(v)
 		if !ok {
 			t.Fatalf("%s: FindCore did not terminate on the full view", c.fig.Name)
 		}
@@ -118,7 +118,7 @@ func TestFindCoreFig2cSplitBrain(t *testing.T) {
 		va.PD[id] = fig.G.OutSet(id).Clone()
 	}
 	va.Known = ids(1, 2, 3, 4)
-	ca, ok := va.FindCore()
+	ca, ok := findCore(va)
 	if !ok || !ca.Members().Equal(ids(1, 2, 3, 4)) {
 		t.Fatalf("A-side core = %+v, %v", ca, ok)
 	}
@@ -127,7 +127,7 @@ func TestFindCoreFig2cSplitBrain(t *testing.T) {
 		vb.PD[id] = fig.G.OutSet(id).Clone()
 	}
 	vb.Known = ids(5, 6, 7, 8)
-	cb, ok := vb.FindCore()
+	cb, ok := findCore(vb)
 	if !ok || !cb.Members().Equal(ids(5, 6, 7, 8)) {
 		t.Fatalf("B-side core = %+v, %v", cb, ok)
 	}
@@ -146,7 +146,7 @@ func TestFindCoreFig3aFalseSink(t *testing.T) {
 		vf.PD[id] = fig.G.OutSet(id).Clone()
 	}
 	vf.Known = ids(1, 2, 3, 4, 5, 6, 7)
-	cf, ok := vf.FindCore()
+	cf, ok := findCore(vf)
 	if !ok {
 		t.Fatal("F-side core not found")
 	}
@@ -159,7 +159,7 @@ func TestFindCoreFig3aFalseSink(t *testing.T) {
 		vk.PD[id] = fig.G.OutSet(id).Clone()
 	}
 	vk.Known = ids(5, 7, 8)
-	ck, ok := vk.FindCore()
+	ck, ok := findCore(vk)
 	if !ok || ck.G != 1 || !ck.Members().Equal(ids(5, 7, 8)) {
 		t.Fatalf("K-side core = %+v, %v", ck, ok)
 	}
@@ -170,14 +170,14 @@ func TestFindCoreFig3aFalseSink(t *testing.T) {
 // while FindCore returns the true core.
 func TestFindNaiveDiffersFromCore(t *testing.T) {
 	v := FullView(graph.Fig4a().G)
-	naive, ok := v.FindNaive()
+	naive, ok := findNaive(v)
 	if !ok {
 		t.Fatal("naive sink not found")
 	}
 	if naive.G != 0 || naive.Members().Len() != 8 {
 		t.Fatalf("naive = g=%d %v, want g=0 with all 8 nodes", naive.G, naive.Members())
 	}
-	core, ok := v.FindCore()
+	core, ok := findCore(v)
 	if !ok || !core.Members().Equal(ids(1, 2, 3, 4)) {
 		t.Fatalf("core = %+v, %v", core, ok)
 	}
@@ -204,7 +204,7 @@ func TestFindSinkPlantedRandom(t *testing.T) {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
 		v := FullView(g)
-		c, ok := v.FindSinkKnownF(f)
+		c, ok := findSinkKnownF(v, f)
 		if !ok {
 			t.Fatalf("trial %d (f=%d): no sink found\n%s", trial, f, g)
 		}
@@ -228,7 +228,7 @@ func TestFindCorePlantedRandom(t *testing.T) {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
 		v := FullView(g)
-		c, ok := v.FindCore()
+		c, ok := findCore(v)
 		if !ok {
 			t.Fatalf("trial %d: no core found\n%s", trial, g)
 		}
@@ -248,7 +248,7 @@ func TestFindCorePlantedRandom(t *testing.T) {
 func TestFindCoreMonotoneOnFig4b(t *testing.T) {
 	fig := graph.Fig4b()
 	full := FullView(fig.G)
-	want, ok := full.FindCore()
+	want, ok := findCore(full)
 	if !ok {
 		t.Fatal("full view must find the core")
 	}
@@ -257,28 +257,12 @@ func TestFindCoreMonotoneOnFig4b(t *testing.T) {
 	v.Known = fig.G.NodeSet()
 	for _, id := range order {
 		v.PD[id] = fig.G.OutSet(id).Clone()
-		if c, ok := v.FindCore(); ok && c.G >= want.G {
+		if c, ok := findCore(v); ok && c.G >= want.G {
 			if !c.Members().Equal(want.Members()) {
 				t.Fatalf("partial view after %v found core %v (g=%d), full view says %v (g=%d)",
 					id, c.Members(), c.G, want.Members(), want.G)
 			}
 		}
-	}
-}
-
-func TestIsSinkStar(t *testing.T) {
-	v := FullView(graph.Fig4a().G)
-	fg, ok := v.IsSinkStar(ids(1, 2, 3, 4))
-	if !ok || fg != 1 {
-		t.Fatalf("isSink*({1,2,3,4}) = %d, %v, want 1, true", fg, ok)
-	}
-	if _, ok := v.IsSinkStar(ids(5, 6, 7, 8)); ok {
-		t.Fatal("isSink*({5,6,7,8}) should be false on Fig 4a (added links)")
-	}
-	// The whole graph is a 0-sink.
-	fg, ok = v.IsSinkStar(v.Known)
-	if !ok || fg != 0 {
-		t.Fatalf("isSink*(all) = %d, %v, want 0, true", fg, ok)
 	}
 }
 
@@ -322,7 +306,7 @@ func TestTheorem4UnionInvariance(t *testing.T) {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
 		v := FullView(g)
-		cands := v.SinksAtG(f)
+		cands := sinksAtG(v, f)
 		if len(cands) == 0 {
 			t.Fatalf("trial %d: no sink at f=%d", trial, f)
 		}
@@ -372,7 +356,7 @@ func TestSinkWithMissingPDs(t *testing.T) {
 			silent.Add(id)
 			delete(v.PD, id)
 		}
-		c, ok := v.FindSinkKnownF(f)
+		c, ok := findSinkKnownF(v, f)
 		if !ok {
 			// Allowed: the view may genuinely not satisfy the condition yet
 			// (e.g. the remaining members' connectivity dropped below f+1).

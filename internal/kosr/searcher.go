@@ -1,6 +1,8 @@
 package kosr
 
 import (
+	"cmp"
+	"encoding/binary"
 	"math/bits"
 	"slices"
 	"strconv"
@@ -9,14 +11,15 @@ import (
 	"github.com/bftcup/bftcup/internal/model"
 )
 
-// Searcher is an incremental, scratch-reusing engine for the sink/core
-// searches (Algorithms 2 and 4). One Searcher serves one process's view; the
-// protocol stack keeps a Searcher per node and re-runs the search on every
-// knowledge update, which is exactly the workload this engine is shaped for:
+// Searcher is the sink/core search engine (Algorithms 2 and 4): the only
+// implementation of the search, incremental and scratch-reusing. One Searcher
+// serves one process's view; the protocol stack keeps a Searcher per node and
+// re-runs the search on every knowledge update, which is exactly the workload
+// this engine is shaped for:
 //
 //   - The SCC decomposition of the received graph is recomputed only when the
 //     view's revision moves (one knowledge event = one recomputation), on
-//     reusable index-space Tarjan scratch instead of per-call maps.
+//     reusable graph.Tarjan scratch.
 //   - Per-SCC candidate lists are memoized by the component's member content.
 //     A knowledge update dirties only the components it touches — a component
 //     whose member set is unchanged has an unchanged induced subgraph (PD
@@ -25,26 +28,29 @@ import (
 //   - Per-S1 verdict facts (the |OutTargets| count and bounds on κ(G[S1]))
 //     are memoized across revisions and thresholds, so when a component does
 //     grow, only subsets involving the new members pay for max-flow probes.
-//   - The max-flow κ checks run on one reusable graph.FlowScratch.
 //
-// Equivalence with the from-scratch View methods is exact: for every view
-// and g, Searcher.SinksAtG returns precisely View.SinksAtG's candidates
-// (property-tested over randomized insertion sequences). The determinism
-// contract of the trace layer needs nothing less — committee adoption timing
-// is trace-visible, so the searcher may only change how much work a search
-// does, never its result.
+// Both memos live in one key space: every record owner is interned to a dense
+// index at first sight, and a member set's key is the bytes of its
+// interned-index bitset (no trailing zero bytes, so a key never depends on
+// how many owners were interned when it was rendered). Keys are pure content
+// identity — independent of ID values, of g and of the revision.
+//
+// The search is correct by the definitional oracle, not by a second engine:
+// the tests compare every result with a walk over all subsets of the received
+// set checked by View.IsSink, which shares no code with this file. The
+// determinism contract of the trace layer needs that exactness — committee
+// adoption timing is trace-visible, so the memos may only change how much
+// work a search does, never its result.
 //
 // Soundness of the content-keyed memos rests on two view invariants that
 // discovery maintains by construction and the mutator API enforces: views
 // grow monotonically (records are never removed) and a received PD is never
 // replaced (View.SetPD bumps the generation if one ever is, which drops
-// every memo). Views mutated behind the API are not supported here; use the
-// from-scratch View methods for those.
+// every memo). A view mutated behind the API needs a fresh Searcher.
 //
 // A Searcher is for one goroutine. The zero value is ready to use. Returned
 // candidates share their S1 sets with the memo — callers must treat
-// candidates as immutable (they always could: the from-scratch methods'
-// candidates are shared with nothing, but Members/Union copy anyway).
+// candidates as immutable.
 type Searcher struct {
 	view     *View
 	gen      uint64
@@ -53,41 +59,32 @@ type Searcher struct {
 	valid    bool
 
 	// comps is the current decomposition: sorted members (slices of arena)
-	// plus each component's canonical content key (mask or string).
-	comps []sccComp
-	arena []model.ID
+	// plus each component's content key (slices of keyArena).
+	comps    []sccComp
+	arena    []model.ID
+	keyArena []byte
 
-	// maskable reports that every received ID fits the 1..64 bitmask ID
-	// space, so subset and component content keys are uint64 masks (bit =
-	// id-1) instead of strings. Mask keys are pure content identity — the
-	// same cross-g, cross-revision and cross-rebind sharing as the string
-	// keys, minus the key rendering. Views with larger IDs stay on the
-	// string maps; the two key spaces never mix.
-	maskable bool
+	// owners holds what is kept per record owner, filled at first sight and
+	// immutable for the view generation (append-only; kept across
+	// RebindPreserving, because the memo keys are built from it). sccCands
+	// memoizes per-(g, component) candidate lists under uvarint(g) ‖ component
+	// key; subsets memoizes per-S1 verdict facts under the S1 key.
+	owners   map[model.ID]ownerRec
+	sccCands map[string]*sccEntry
+	subsets  map[string]*subsetFacts
 
-	// pdSorted caches each received record's sorted PD (immutable per
-	// generation). sccCands/sccCandsM memoize per-(g, component-content)
-	// candidate lists; subsets/subsetsM memoize per-S1 verdict facts.
-	pdSorted  map[model.ID][]model.ID
-	sccCands  map[string]*sccEntry
-	sccCandsM map[sccMaskKey]*sccEntry
-	subsets   map[string]*subsetFacts
-	subsetsM  map[uint64]*subsetFacts
-
-	flow     graph.FlowScratch
 	enum     poolEnum
-	poolFlow graph.PoolFlow
+	poolIdx  [64]int32         // interned index of each pool position
+	poolFlow graph.PoolFlow    // κ of pool subsets (≤ ExactLimit)
+	flow     graph.FlowScratch // κ of whole candidates (> ExactLimit fallback)
 
-	// Tarjan scratch, index space.
+	// Decomposition scratch: sorted received IDs, their positions, the CSR of
+	// the received graph and the Tarjan state.
 	ids      []model.ID
 	idx      map[model.ID]int32
 	adjStart []int32
 	adjFlat  []int32
-	num      []int32
-	low      []int32
-	onStack  []bool
-	tstack   []int32
-	frames   []tframe
+	scc      graph.Tarjan
 
 	// Per-call scratch.
 	outSet  model.IDSet
@@ -95,21 +92,14 @@ type Searcher struct {
 	pairBuf []cachedCand
 }
 
-type tframe struct {
-	u     int32
-	child int32
+type ownerRec struct {
+	idx int32      // dense interned index: the owner's bit in every memo key
+	pd  []model.ID // sorted PD
 }
 
 type sccComp struct {
-	ids  []model.ID
-	key  string // content key; empty when the searcher is maskable
-	mask uint64 // global content mask (bit = id-1); valid when maskable
-}
-
-// sccMaskKey is the (g, component-content) memo key of maskable views.
-type sccMaskKey struct {
-	g    int32
-	mask uint64
+	ids []model.ID
+	key []byte
 }
 
 // subsetFacts are the g-independent (out) and g-bounding (kLo/kHi) facts
@@ -121,9 +111,35 @@ type subsetFacts struct {
 	kHi int32 // κ(G[S1]) < kHi proven; 0 = nothing proven yet
 }
 
+// kappa reports what the memo already proves about κ(G[S1]) ≥ k.
+func (f *subsetFacts) kappa(k int32) (holds, known bool) {
+	switch {
+	case k <= f.kLo:
+		return true, true
+	case f.kHi != 0 && k >= f.kHi:
+		return false, true
+	}
+	return false, false
+}
+
+// learn records the outcome of a κ(G[S1]) ≥ k probe kappa could not answer.
+func (f *subsetFacts) learn(k int32, holds bool) {
+	if holds {
+		f.kLo = k
+	} else {
+		f.kHi = k
+	}
+}
+
+// cachedCand is a passing S1 with its canonical decimal key (S1.Key()), the
+// trace-visible order candidates are returned in.
 type cachedCand struct {
 	s1  model.IDSet
 	key string
+}
+
+func sortCands(cs []cachedCand) {
+	slices.SortFunc(cs, func(a, b cachedCand) int { return cmp.Compare(a.key, b.key) })
 }
 
 // sccEntry is the memoized outcome of searching one component at one g: the
@@ -144,10 +160,10 @@ const (
 // NewSearcher returns an empty searcher. The zero value works too.
 func NewSearcher() *Searcher { return &Searcher{} }
 
-// Search is the seam between the protocol stack and a sink/core search
-// implementation: the three committee-identification rules a node can run.
-// *Searcher (the incremental engine) is the production implementation;
-// FromScratch is the reference the transparency tests inject.
+// Search is the seam between the protocol stack and the sink/core search:
+// the three committee-identification rules a node can run. *Searcher is the
+// implementation; the seam exists so tests and the benchmark's tracer can
+// wrap it (timing, or a fresh Searcher per call to pin memo transparency).
 type Search interface {
 	// FindSinkKnownF is Algorithm 2's decision step (threshold known).
 	FindSinkKnownF(v *View, f int) (Candidate, bool)
@@ -157,54 +173,36 @@ type Search interface {
 	FindNaive(v *View) (Candidate, bool)
 }
 
-// FromScratch adapts the from-scratch View methods to the Search seam:
-// every call re-runs the full SCC → peel → enumeration pipeline. The
-// scenario-level transparency tests run whole sweeps on it and require
-// byte-identical per-cell trace digests to the incremental engine.
-type FromScratch struct{}
-
-// FindSinkKnownF implements Search via View.FindSinkKnownF.
-func (FromScratch) FindSinkKnownF(v *View, f int) (Candidate, bool) { return v.FindSinkKnownF(f) }
-
-// FindCore implements Search via View.FindCore.
-func (FromScratch) FindCore(v *View) (Candidate, bool) { return v.FindCore() }
-
-// FindNaive implements Search via View.FindNaive.
-func (FromScratch) FindNaive(v *View) (Candidate, bool) { return v.FindNaive() }
-
 // bind resets every memo and points the searcher at a (new) view or view
 // generation.
 func (s *Searcher) bind(v *View) {
 	s.view, s.gen, s.valid = v, v.gen, false
-	if s.pdSorted == nil {
-		s.pdSorted = make(map[model.ID][]model.ID)
+	if s.owners == nil {
+		s.owners = make(map[model.ID]ownerRec)
 		s.sccCands = make(map[string]*sccEntry)
-		s.sccCandsM = make(map[sccMaskKey]*sccEntry)
 		s.subsets = make(map[string]*subsetFacts)
-		s.subsetsM = make(map[uint64]*subsetFacts)
+		s.idx = make(map[model.ID]int32)
 		s.outSet = model.NewIDSet()
 	} else {
-		clear(s.pdSorted)
+		clear(s.owners)
 		clear(s.sccCands)
-		clear(s.sccCandsM)
 		clear(s.subsets)
-		clear(s.subsetsM)
 	}
 }
 
 // RebindPreserving points the searcher at a different view while keeping its
-// content-keyed memos (the sorted-PD cache, the per-component candidate
-// lists, the per-S1 verdict facts). The decomposition itself is recomputed on
-// the next search. Sound only when every view the searcher visits draws its
+// content-keyed state (the owner table, the per-component candidate lists,
+// the per-S1 verdict facts). The decomposition itself is recomputed on the
+// next search. Sound only when every view the searcher visits draws its
 // records from one immutable record universe — the same owner always mapping
 // to the same PD set — differing only in which records are present. The
 // worst-placement enumeration is exactly that workload: every f-subset's view
 // is the full graph minus the subset's records, so a component with the same
 // member content induces the same subgraph in every view, |OutTargets(S1)| is
-// computed from S1's own PDs regardless of what else was received, and all
-// three memos stay valid across rebinds.
+// computed from S1's own PDs regardless of what else was received, and both
+// memos stay valid across rebinds.
 func (s *Searcher) RebindPreserving(v *View) {
-	if s.pdSorted == nil {
+	if s.owners == nil {
 		s.bind(v)
 		return
 	}
@@ -227,164 +225,73 @@ func (s *Searcher) refresh(v *View) {
 	s.rev, s.received, s.valid = v.rev, len(v.PD), true
 }
 
-// decompose recomputes the SCCs of the received graph (Tarjan, index space,
-// reused scratch) and their content keys.
+// setBit sets bit i of the bitset key growing at key[base:]. Growing on
+// demand keeps the key canonical: its last byte always has a bit set.
+func setBit(key []byte, base int, i int32) []byte {
+	for len(key) <= base+int(i>>3) {
+		key = append(key, 0)
+	}
+	key[base+int(i>>3)] |= 1 << (i & 7)
+	return key
+}
+
+// decompose recomputes the SCCs of the received graph and their content
+// keys, interning owners seen for the first time.
 func (s *Searcher) decompose(v *View) {
 	s.ids = s.ids[:0]
 	for id := range v.PD {
 		s.ids = append(s.ids, id)
 	}
 	slices.Sort(s.ids)
-	n := len(s.ids)
-	s.maskable = n == 0 || (s.ids[0] >= 1 && s.ids[n-1] <= 64)
-	if s.idx == nil {
-		s.idx = make(map[model.ID]int32, n)
-	} else {
-		clear(s.idx)
-	}
+	clear(s.idx)
 	for i, id := range s.ids {
 		s.idx[id] = int32(i)
 	}
-	// CSR adjacency restricted to received targets, built from the sorted-PD
-	// cache (filled on first sight of each record).
+	// CSR adjacency restricted to received targets, in sorted-ID index space
+	// (the root and child order Digraph.SCCs uses).
 	s.adjStart = append(s.adjStart[:0], 0)
 	s.adjFlat = s.adjFlat[:0]
 	for _, u := range s.ids {
-		pd, ok := s.pdSorted[u]
+		rec, ok := s.owners[u]
 		if !ok {
-			pd = v.PD[u].Sorted()
-			s.pdSorted[u] = pd
+			rec = ownerRec{idx: int32(len(s.owners)), pd: v.PD[u].Sorted()}
+			s.owners[u] = rec
 		}
-		for _, tgt := range pd {
-			if tgt == u {
-				continue
-			}
-			if j, ok := s.idx[tgt]; ok {
+		for _, tgt := range rec.pd {
+			if j, ok := s.idx[tgt]; ok && tgt != u {
 				s.adjFlat = append(s.adjFlat, j)
 			}
 		}
 		s.adjStart = append(s.adjStart, int32(len(s.adjFlat)))
 	}
-
-	// Iterative Tarjan (mirrors graph.Digraph.SCCs).
-	if cap(s.num) < n {
-		s.num = make([]int32, n)
-		s.low = make([]int32, n)
-		s.onStack = make([]bool, n)
-	}
-	s.num, s.low, s.onStack = s.num[:n], s.low[:n], s.onStack[:n]
-	for i := 0; i < n; i++ {
-		s.num[i] = -1
-		s.onStack[i] = false
-	}
-	s.tstack = s.tstack[:0]
-	s.frames = s.frames[:0]
-	s.arena = s.arena[:0]
+	n := s.scc.Run(s.adjStart, s.adjFlat)
+	// Both arenas are sized up front so component slices never move. Keys
+	// stay slices of one byte arena: a Go string per component per
+	// decomposition is a measurable share of a sweep's allocations.
+	s.arena = slices.Grow(s.arena[:0], len(s.ids))
+	s.keyArena = slices.Grow(s.keyArena[:0], n*(len(s.owners)/8+1))
 	s.comps = s.comps[:0]
-	var bounds []int32 // arena offsets of component boundaries
-	counter := int32(0)
-	for root := int32(0); root < int32(n); root++ {
-		if s.num[root] >= 0 {
-			continue
+	for c := 0; c < n; c++ {
+		at, keyAt := len(s.arena), len(s.keyArena)
+		for _, i := range s.scc.Comp(c) {
+			s.arena = append(s.arena, s.ids[i])
+			s.keyArena = setBit(s.keyArena, keyAt, s.owners[s.ids[i]].idx)
 		}
-		s.frames = append(s.frames, tframe{u: root})
-		s.num[root], s.low[root] = counter, counter
-		counter++
-		s.tstack = append(s.tstack, root)
-		s.onStack[root] = true
-		for len(s.frames) > 0 {
-			f := &s.frames[len(s.frames)-1]
-			u := f.u
-			outs := s.adjFlat[s.adjStart[u]:s.adjStart[u+1]]
-			advanced := false
-			for f.child < int32(len(outs)) {
-				w := outs[f.child]
-				f.child++
-				if s.num[w] < 0 {
-					s.num[w], s.low[w] = counter, counter
-					counter++
-					s.tstack = append(s.tstack, w)
-					s.onStack[w] = true
-					s.frames = append(s.frames, tframe{u: w})
-					advanced = true
-					break
-				} else if s.onStack[w] && s.num[w] < s.low[u] {
-					s.low[u] = s.num[w]
-				}
-			}
-			if advanced {
-				continue
-			}
-			s.frames = s.frames[:len(s.frames)-1]
-			if len(s.frames) > 0 {
-				p := &s.frames[len(s.frames)-1]
-				if s.low[u] < s.low[p.u] {
-					s.low[p.u] = s.low[u]
-				}
-			}
-			if s.low[u] == s.num[u] {
-				start := len(s.arena)
-				for {
-					w := s.tstack[len(s.tstack)-1]
-					s.tstack = s.tstack[:len(s.tstack)-1]
-					s.onStack[w] = false
-					s.arena = append(s.arena, s.ids[w])
-					if w == u {
-						break
-					}
-				}
-				slices.Sort(s.arena[start:])
-				bounds = append(bounds, int32(start), int32(len(s.arena)))
-			}
-		}
-	}
-	// Materialize comps only after the arena stops growing (appends may move
-	// its backing array).
-	for i := 0; i < len(bounds); i += 2 {
-		members := s.arena[bounds[i]:bounds[i+1]]
-		c := sccComp{ids: members}
-		if s.maskable {
-			c.mask = maskOfIDs(members)
-		} else {
-			c.key = string(idsKey(s.keyBuf[:0], members))
-		}
-		s.comps = append(s.comps, c)
+		slices.Sort(s.arena[at:])
+		s.comps = append(s.comps, sccComp{ids: s.arena[at:], key: s.keyArena[keyAt:]})
 	}
 }
 
-// maskOfIDs folds ids (all in 1..64) into the global content mask, bit id-1.
-func maskOfIDs(ids []model.ID) uint64 {
-	var m uint64
-	for _, id := range ids {
-		m |= 1 << (id - 1)
-	}
-	return m
-}
-
-// idsKey renders sorted ids as the canonical comma-joined decimal key
-// (matching model.IDSet.Key) into buf.
-func idsKey(buf []byte, ids []model.ID) []byte {
-	for i, id := range ids {
-		if i > 0 {
-			buf = append(buf, ',')
-		}
-		buf = strconv.AppendUint(buf, uint64(id), 10)
-	}
-	return buf
-}
-
-// SinksAtG enumerates candidates (S1, S2) with isSink(g, S1, S2) in the
-// view, exactly as View.SinksAtG does, but incrementally. Results are
-// deterministic: sorted by the canonical key of S1.
-func (s *Searcher) SinksAtG(v *View, g int) []Candidate {
-	cands, _ := s.SinksAtGExact(v, g)
-	return cands
-}
-
-// SinksAtGExact additionally reports whether the enumeration was exhaustive.
+// SinksAtGExact enumerates the candidates (S1, S2) with isSink(g, S1, S2) in
+// the view, sorted by the canonical key of S1, and reports whether the
+// enumeration was exhaustive.
+//
+// It is exhaustive when every peeled SCC of the received graph has ≤
+// ExactLimit nodes: every valid S1 induces a strongly connected subgraph,
+// hence lies inside one SCC; and κ(G[S1]) ≥ g+1 implies S1 survives directed
+// (g+1)-core peeling, which is applied first as sound pruning.
 func (s *Searcher) SinksAtGExact(v *View, g int) ([]Candidate, bool) {
-	exact := true
-	pairs := s.collect(v, g, &exact)
+	pairs, exact := s.collect(v, g)
 	if len(pairs) == 0 {
 		return nil, exact
 	}
@@ -397,36 +304,26 @@ func (s *Searcher) SinksAtGExact(v *View, g int) ([]Candidate, bool) {
 
 // collect gathers the passing S1 sets at g across all components, sorted by
 // canonical key, in the searcher's pair scratch (valid until the next call).
-func (s *Searcher) collect(v *View, g int, exact *bool) []cachedCand {
+func (s *Searcher) collect(v *View, g int) (pairs []cachedCand, exact bool) {
 	if g < 0 {
-		return nil
+		return nil, true
 	}
 	s.refresh(v)
 	s.pairBuf = s.pairBuf[:0]
+	exact = true
 	for i := range s.comps {
 		ent := s.entryFor(v, g, &s.comps[i])
-		if !ent.exact {
-			*exact = false
-		}
+		exact = exact && ent.exact
 		s.pairBuf = append(s.pairBuf, ent.cands...)
 	}
-	slices.SortFunc(s.pairBuf, func(a, b cachedCand) int {
-		switch {
-		case a.key < b.key:
-			return -1
-		case a.key > b.key:
-			return 1
-		}
-		return 0
-	})
-	return s.pairBuf
+	sortCands(s.pairBuf)
+	return s.pairBuf, exact
 }
 
-// first returns the candidate View.SinksAtG(g)[0] would return, deriving S2
-// only for the winner.
+// first returns SinksAtGExact(v, g)'s first candidate, deriving S2 only for
+// the winner.
 func (s *Searcher) first(v *View, g int) (Candidate, bool) {
-	exact := true
-	pairs := s.collect(v, g, &exact)
+	pairs, _ := s.collect(v, g)
 	if len(pairs) == 0 {
 		return Candidate{}, false
 	}
@@ -434,24 +331,9 @@ func (s *Searcher) first(v *View, g int) (Candidate, bool) {
 	return Candidate{G: g, S1: c.s1, S2: v.DeriveS2(c.s1, g)}, true
 }
 
-// entryFor resolves one component's memoized search at g: mask-keyed on
-// maskable views, string-keyed otherwise. Both maps share the cap.
+// entryFor resolves one component's memoized search at g.
 func (s *Searcher) entryFor(v *View, g int, comp *sccComp) *sccEntry {
-	if s.maskable {
-		mk := sccMaskKey{g: int32(g), mask: comp.mask}
-		if e, ok := s.sccCandsM[mk]; ok {
-			return e
-		}
-		e := s.searchComp(v, g, comp)
-		if len(s.sccCandsM)+len(s.sccCands) >= maxSCCMemo {
-			clear(s.sccCandsM)
-			clear(s.sccCands)
-		}
-		s.sccCandsM[mk] = e
-		return e
-	}
-	s.keyBuf = strconv.AppendInt(s.keyBuf[:0], int64(g), 10)
-	s.keyBuf = append(s.keyBuf, '|')
+	s.keyBuf = binary.AppendUvarint(s.keyBuf[:0], uint64(g))
 	s.keyBuf = append(s.keyBuf, comp.key...)
 	if e, ok := s.sccCands[string(s.keyBuf)]; ok {
 		return e
@@ -460,16 +342,16 @@ func (s *Searcher) entryFor(v *View, g int, comp *sccComp) *sccEntry {
 	// reuses keyBuf for per-S1 keys.
 	key := string(s.keyBuf)
 	e := s.searchComp(v, g, comp)
-	if len(s.sccCandsM)+len(s.sccCands) >= maxSCCMemo {
-		clear(s.sccCandsM)
+	if len(s.sccCands) >= maxSCCMemo {
 		clear(s.sccCands)
 	}
 	s.sccCands[key] = e
 	return e
 }
 
-// searchComp mirrors the per-SCC block of View.sinksAtG: peel, then exact
-// subset enumeration up to ExactLimit, else structural candidates.
+// searchComp searches one component at g: (g+1)-core peel (sound for g ≥ 1
+// only: singletons have no degree requirement), then exact subset
+// enumeration up to ExactLimit, else structural candidates.
 func (s *Searcher) searchComp(v *View, g int, comp *sccComp) *sccEntry {
 	e := &sccEntry{exact: true}
 	if len(comp.ids) < 2*g+1 {
@@ -489,7 +371,7 @@ func (s *Searcher) searchComp(v *View, g int, comp *sccComp) *sccEntry {
 	} else {
 		e.exact = false
 		// Structural candidates: the peeled pool itself and the pool minus
-		// each single low-degree vertex.
+		// each single vertex, re-peeled.
 		seen := make(map[string]bool)
 		try := func(s1 model.IDSet) {
 			if s1.Len() < 2*g+1 {
@@ -500,7 +382,7 @@ func (s *Searcher) searchComp(v *View, g int, comp *sccComp) *sccEntry {
 				return
 			}
 			seen[key] = true
-			if s.passes(v, g, s1, key) {
+			if s.passes(v, g, s1, induced) {
 				e.cands = append(e.cands, cachedCand{s1: s1, key: key})
 			}
 		}
@@ -512,201 +394,121 @@ func (s *Searcher) searchComp(v *View, g int, comp *sccComp) *sccEntry {
 			if g >= 1 {
 				rest = sub.Induced(rest).DirectedCore(g + 1)
 			}
-			if rest.Len() >= 2*g+1 {
-				try(rest)
-			}
+			try(rest)
 		}
 	}
-	slices.SortFunc(e.cands, func(a, b cachedCand) int {
-		switch {
-		case a.key < b.key:
-			return -1
-		case a.key > b.key:
-			return 1
-		}
-		return 0
-	})
+	sortCands(e.cands)
 	return e
 }
 
 // enumeratePool walks the subsets of the (sorted, ≤ ExactLimit ≤ 64) pool
 // through the dominated-subset-pruned bitset enumerator: poolEnum cuts whole
 // subtrees that cannot pass P1/P3/κ, the survivors resolve their verdict
-// facts by content key (global bitmask on maskable views), and κ probes run
-// on the pool-local PoolFlow engine — no per-subset graph materialization.
-// The enumerator's prunes are sound (see poolEnum), so the passing set is
-// exactly the plain mask walk's; candidates are materialized only on pass.
+// facts by content key, and κ probes run on the pool-local PoolFlow engine —
+// no per-subset graph materialization. The enumerator's prunes are sound (see
+// poolEnum), so the passing set is exactly the plain mask walk's; candidates
+// are materialized only on pass.
 func (s *Searcher) enumeratePool(v *View, g int, pool []model.ID, e *sccEntry) {
 	pe := &s.enum
 	pe.init(pool, g, func(u model.ID, yield func(model.ID)) {
-		for _, tgt := range s.pdSorted[u] {
+		for _, tgt := range s.owners[u].pd {
 			yield(tgt)
 		}
 	})
 	s.poolFlow.Reset(pe.adj[:pe.n])
+	for i, u := range pool {
+		s.poolIdx[i] = s.owners[u].idx
+	}
 	k := int32(g + 1)
 	pe.run(func(inc uint64, out int, outExact bool) {
-		var f *subsetFacts
-		if s.maskable {
-			var gmask uint64
-			for rest := inc; rest != 0; {
-				i := bits.TrailingZeros64(rest)
-				rest &= rest - 1
-				gmask |= 1 << (pool[i] - 1)
-			}
-			f = s.factsForMask(gmask)
-		} else {
-			buf := s.keyBuf[:0]
-			for rest := inc; rest != 0; {
-				i := bits.TrailingZeros64(rest)
-				rest &= rest - 1
-				if len(buf) > 0 {
-					buf = append(buf, ',')
-				}
-				buf = strconv.AppendUint(buf, uint64(pool[i]), 10)
-			}
-			s.keyBuf = buf
-			f = s.factsForKey(string(buf))
+		key := s.keyBuf[:0]
+		for rest := inc; rest != 0; rest &= rest - 1 {
+			key = setBit(key, 0, s.poolIdx[bits.TrailingZeros64(rest)])
 		}
+		s.keyBuf = key
+		f := s.factsFor(key)
 		if f.out < 0 {
-			if outExact {
-				f.out = int32(out)
-			} else {
-				f.out = int32(s.countOutTargetsMask(v, pool, inc))
+			if !outExact {
+				// The enumerator's count is a lower bound (the pool points at
+				// more than 64 distinct external targets).
+				out = s.countOutTargets(v, maskSet(pool, inc))
 			}
+			f.out = int32(out)
 		}
 		if int(f.out) > g {
 			return
 		}
 		if bits.OnesCount64(inc) > 1 {
-			switch {
-			case k <= f.kLo:
-				// κ ≥ g+1 already proven.
-			case f.kHi != 0 && k >= f.kHi:
+			holds, known := f.kappa(k)
+			if !known {
+				holds = s.poolFlow.KappaAtLeast(inc, int(k))
+				f.learn(k, holds)
+			}
+			if !holds {
 				return
-			default:
-				if !s.poolFlow.KappaAtLeast(inc, int(k)) {
-					if f.kHi == 0 || k < f.kHi {
-						f.kHi = k
-					}
-					return
-				}
-				if k > f.kLo {
-					f.kLo = k
-				}
 			}
 		}
-		s1 := model.NewIDSet()
 		buf := s.keyBuf[:0]
-		for rest := inc; rest != 0; {
-			i := bits.TrailingZeros64(rest)
-			rest &= rest - 1
-			u := pool[i]
-			s1.Add(u)
+		for rest := inc; rest != 0; rest &= rest - 1 {
 			if len(buf) > 0 {
 				buf = append(buf, ',')
 			}
-			buf = strconv.AppendUint(buf, uint64(u), 10)
+			buf = strconv.AppendUint(buf, uint64(pool[bits.TrailingZeros64(rest)]), 10)
 		}
 		s.keyBuf = buf
-		e.cands = append(e.cands, cachedCand{s1: s1, key: string(buf)})
+		e.cands = append(e.cands, cachedCand{s1: maskSet(pool, inc), key: string(buf)})
 	})
 }
 
-// countOutTargetsMask is countOutTargets for a subset given as a mask over a
-// sorted pool, without materializing the IDSet. Only reached when the
-// enumerator's out count is a lower bound (> 64 distinct external targets).
-func (s *Searcher) countOutTargetsMask(v *View, pool []model.ID, inc uint64) int {
-	clear(s.outSet)
-	for rest := inc; rest != 0; {
-		i := bits.TrailingZeros64(rest)
-		rest &= rest - 1
-		u := pool[i]
-		for _, tgt := range s.pdSorted[u] {
-			if tgt == u {
-				continue
-			}
-			if j, ok := slices.BinarySearch(pool, tgt); ok && inc&(1<<j) != 0 {
-				continue
-			}
-			s.outSet.Add(tgt)
-		}
+// maskSet materializes a subset given as a mask over pool positions.
+func maskSet(pool []model.ID, mask uint64) model.IDSet {
+	s1 := model.NewIDSet()
+	for ; mask != 0; mask &= mask - 1 {
+		s1.Add(pool[bits.TrailingZeros64(mask)])
 	}
-	return s.outSet.Len()
+	return s1
 }
 
-// factsForMask resolves the verdict-facts record keyed by global content
-// mask; factsForKey is the string-keyed fallback for views with IDs > 64.
-// The two maps share the memo cap.
-func (s *Searcher) factsForMask(mask uint64) *subsetFacts {
-	if f, ok := s.subsetsM[mask]; ok {
+// factsFor resolves the verdict-facts record of the S1 with the given key.
+func (s *Searcher) factsFor(key []byte) *subsetFacts {
+	if f, ok := s.subsets[string(key)]; ok {
 		return f
 	}
-	if len(s.subsetsM)+len(s.subsets) >= maxSubsetMemo {
-		clear(s.subsetsM)
+	if len(s.subsets) >= maxSubsetMemo {
 		clear(s.subsets)
 	}
 	f := &subsetFacts{out: -1}
-	s.subsetsM[mask] = f
+	s.subsets[string(key)] = f
 	return f
 }
 
-func (s *Searcher) factsForKey(key string) *subsetFacts {
-	if f, ok := s.subsets[key]; ok {
-		return f
+// passes applies isSink's S1-side checks (P3 out-target bound, P2/κ
+// connectivity) to one structural candidate through the per-S1 verdict memo.
+// induced is the subgraph of s1's component; the caller checked P1.
+func (s *Searcher) passes(v *View, g int, s1 model.IDSet, induced *graph.Digraph) bool {
+	key := s.keyBuf[:0]
+	for id := range s1 {
+		key = setBit(key, 0, s.owners[id].idx)
 	}
-	if len(s.subsetsM)+len(s.subsets) >= maxSubsetMemo {
-		clear(s.subsetsM)
-		clear(s.subsets)
-	}
-	f := &subsetFacts{out: -1}
-	s.subsets[key] = f
-	return f
-}
-
-// passes applies isSink's S1-side checks (P1 size, P3 out-target bound, P2/κ
-// connectivity) through the per-S1 verdict memo. key must be s1's canonical
-// key.
-func (s *Searcher) passes(v *View, g int, s1 model.IDSet, key string) bool {
-	if s1.Len() < 2*g+1 {
-		return false
-	}
-	var f *subsetFacts
-	if s.maskable {
-		var mask uint64
-		for id := range s1 {
-			mask |= 1 << (id - 1)
-		}
-		f = s.factsForMask(mask)
-	} else {
-		f = s.factsForKey(key)
-	}
+	s.keyBuf = key
+	f := s.factsFor(key)
 	if f.out < 0 {
 		f.out = int32(s.countOutTargets(v, s1))
 	}
 	if int(f.out) > g {
 		return false
 	}
-	if s1.Len() > 1 {
-		k := int32(g + 1)
-		switch {
-		case k <= f.kLo:
-			// κ ≥ k already proven.
-		case f.kHi != 0 && k >= f.kHi:
-			return false
-		default:
-			if !s.kappaAtLeast(s1, int(k)) {
-				if f.kHi == 0 || k < f.kHi {
-					f.kHi = k
-				}
-				return false
-			}
-			if k > f.kLo {
-				f.kLo = k
-			}
-		}
+	if s1.Len() <= 1 {
+		return true
 	}
-	return true
+	k := int32(g + 1)
+	holds, known := f.kappa(k)
+	if !known {
+		s.flow.Load(induced.Induced(s1))
+		holds = s.flow.IsKStronglyConnected(int(k))
+		f.learn(k, holds)
+	}
+	return holds
 }
 
 // countOutTargets counts |OutTargets(s1)| on reused scratch.
@@ -722,26 +524,6 @@ func (s *Searcher) countOutTargets(v *View, s1 model.IDSet) int {
 	return s.outSet.Len()
 }
 
-// kappaAtLeast checks κ(G[s1]) ≥ k on the received PDs, on the shared flow
-// scratch. Matches View.kappaAtLeast (every member of s1 is received here).
-func (s *Searcher) kappaAtLeast(s1 model.IDSet, k int) bool {
-	if s1.Len() <= 1 {
-		return true
-	}
-	gd := graph.New()
-	for id := range s1 {
-		gd.AddNode(id)
-	}
-	for id := range s1 {
-		for _, tgt := range s.pdSorted[id] {
-			if tgt != id && s1.Has(tgt) {
-				gd.AddEdge(id, tgt)
-			}
-		}
-	}
-	return gd.IsKStronglyConnectedScratch(&s.flow, k)
-}
-
 // inducedOf builds the component's induced subgraph of the received graph.
 func (s *Searcher) inducedOf(comp *sccComp) *graph.Digraph {
 	gd := graph.New()
@@ -749,7 +531,7 @@ func (s *Searcher) inducedOf(comp *sccComp) *graph.Digraph {
 		gd.AddNode(u)
 	}
 	for _, u := range comp.ids {
-		for _, tgt := range s.pdSorted[u] {
+		for _, tgt := range s.owners[u].pd {
 			if tgt != u && gd.HasNode(tgt) {
 				gd.AddEdge(u, tgt)
 			}
@@ -758,14 +540,18 @@ func (s *Searcher) inducedOf(comp *sccComp) *graph.Digraph {
 	return gd
 }
 
-// FindSinkKnownF is View.FindSinkKnownF through the incremental engine
-// (Algorithm 2's decision step).
+// FindSinkKnownF implements the decision step of Algorithm 2 (the Sink
+// algorithm of the authenticated BFT-CUP model): the process knows the fault
+// threshold f and waits for a partition satisfying isSink(f, S1, S2).
 func (s *Searcher) FindSinkKnownF(v *View, f int) (Candidate, bool) {
 	return s.first(v, f)
 }
 
-// FindCore is View.FindCore through the incremental engine (Algorithm 4's
-// decision step): g scanned from the view's maximum downward.
+// FindCore implements the decision step of Algorithm 4 (the Core algorithm of
+// the BFT-CUPFT model): accept (g, S1, S2) iff isSink(g, S1, S2) holds and no
+// proper subset Q1 ⊂ S1 forms a sink at any g′ > g. Searching g from the
+// maximum downward makes the first hit satisfy the side condition (no sink at
+// any higher g exists anywhere in the view, a fortiori among subsets of S1).
 func (s *Searcher) FindCore(v *View) (Candidate, bool) {
 	for g := v.MaxG(); g >= 0; g-- {
 		if c, ok := s.first(v, g); ok {
@@ -775,8 +561,10 @@ func (s *Searcher) FindCore(v *View) (Candidate, bool) {
 	return Candidate{}, false
 }
 
-// FindNaive is View.FindNaive through the incremental engine (Observation
-// 1's unsafe any-sink rule): g scanned upward.
+// FindNaive implements the straw-man rule of Observation 1: a process adopts
+// the first partition it finds satisfying isSink at any g, scanning g upward.
+// Section IV shows this (and any other no-f rule) is unsafe on plain k-OSR
+// graphs; the Fig. 2 and Fig. 3 experiments reproduce the violation.
 func (s *Searcher) FindNaive(v *View) (Candidate, bool) {
 	for g := 0; g <= v.MaxG(); g++ {
 		if c, ok := s.first(v, g); ok {
@@ -790,8 +578,8 @@ func (s *Searcher) FindNaive(v *View) (Candidate, bool) {
 // view of one graph, inserted one record at a time in sorted owner order
 // into a fresh view, with one search per insertion — the per-event search
 // schedule a node runs. Both benchmark harnesses (the go-test benchmarks
-// and `experiments -bench-json`) run replays through this one type, so
-// their trajectory numbers measure the same schedule by construction.
+// and `go run ./bench`) run replays through this one type, so their numbers
+// measure the same schedule by construction.
 type SearchReplay struct {
 	full   *View
 	owners []model.ID
@@ -805,8 +593,7 @@ func NewSearchReplay(g *graph.Digraph) *SearchReplay {
 }
 
 // Run replays the schedule against a fresh view and searcher, invoking
-// search after every insertion (from-scratch searches ignore the searcher).
-// It reports whether any search succeeded.
+// search after every insertion. It reports whether any search succeeded.
 func (r *SearchReplay) Run(search func(se *Searcher, v *View) bool) bool {
 	v := NewView()
 	se := NewSearcher()

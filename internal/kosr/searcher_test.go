@@ -1,8 +1,11 @@
 package kosr
 
 import (
-	"math/bits"
+	"cmp"
+	"encoding/binary"
+	"fmt"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -23,41 +26,79 @@ func candsEqual(a, b []Candidate) bool {
 	return true
 }
 
+// bruteSinksAtG is the definitional oracle: every subset of the received set
+// with ≥ 2g+1 members, checked by the literal View.IsSink against its derived
+// S2, sorted by the canonical key of S1. It shares no code with the Searcher
+// (no SCC decomposition, no peel, no pruned enumeration, no memo).
+func bruteSinksAtG(v *View, g int) []Candidate {
+	var out []Candidate
+	enumerateSubsets(v.Received().Sorted(), 2*g+1, func(s1 model.IDSet) {
+		if s2 := v.DeriveS2(s1, g); v.IsSink(g, s1, s2) {
+			out = append(out, Candidate{G: g, S1: s1, S2: s2})
+		}
+	})
+	sortCandidates(out)
+	return out
+}
+
+func sortCandidates(cs []Candidate) {
+	slices.SortFunc(cs, func(a, b Candidate) int { return cmp.Compare(a.S1.Key(), b.S1.Key()) })
+}
+
+// The one-shot forms the unit tests use: a fresh Searcher per call, so views
+// assembled by direct map writes (or shrunk between calls) are fine.
+func sinksAtG(v *View, g int) []Candidate {
+	cands, _ := NewSearcher().SinksAtGExact(v, g)
+	return cands
+}
+func findSinkKnownF(v *View, f int) (Candidate, bool) { return NewSearcher().FindSinkKnownF(v, f) }
+func findCore(v *View) (Candidate, bool)              { return NewSearcher().FindCore(v) }
+func findNaive(v *View) (Candidate, bool)             { return NewSearcher().FindNaive(v) }
+
 // assertSearcherMatches compares every search the protocol stack runs — all
 // thresholds, exactness flags, and the three find rules — between the
-// incremental searcher and the from-scratch View methods on one view state.
+// searcher and the brute-force oracle on one view state (≤ ExactLimit
+// received records, so the searcher must be exact).
 func assertSearcherMatches(t *testing.T, se *Searcher, v *View, tag string) {
 	t.Helper()
-	for g := 0; g <= v.MaxG()+1; g++ {
-		want, wantExact := v.SinksAtGExact(g)
-		got, gotExact := se.SinksAtGExact(v, g)
-		if gotExact != wantExact {
-			t.Fatalf("%s: SinksAtGExact(%d) exact=%v, from-scratch %v", tag, g, gotExact, wantExact)
+	brute := make([][]Candidate, v.MaxG()+2)
+	for g := range brute {
+		brute[g] = bruteSinksAtG(v, g)
+		got, exact := se.SinksAtGExact(v, g)
+		if !exact {
+			t.Fatalf("%s: SinksAtGExact(%d) inexact on %d records", tag, g, len(v.PD))
 		}
-		if !candsEqual(got, want) {
-			t.Fatalf("%s: SinksAtG(%d) diverges:\n  incremental: %v\n  from-scratch: %v", tag, g, got, want)
+		if !candsEqual(got, brute[g]) {
+			t.Fatalf("%s: SinksAtG(%d) diverges:\n  searcher:    %v\n  brute force: %v", tag, g, got, brute[g])
 		}
 	}
-	type rule struct {
-		name string
-		inc  func() (Candidate, bool)
-		ref  func() (Candidate, bool)
-	}
-	rules := []rule{
-		{"FindSinkKnownF(1)", func() (Candidate, bool) { return se.FindSinkKnownF(v, 1) }, func() (Candidate, bool) { return v.FindSinkKnownF(1) }},
-		{"FindCore", func() (Candidate, bool) { return se.FindCore(v) }, func() (Candidate, bool) { return v.FindCore() }},
-		{"FindNaive", func() (Candidate, bool) { return se.FindNaive(v) }, func() (Candidate, bool) { return v.FindNaive() }},
-	}
-	for _, r := range rules {
-		got, gotOK := r.inc()
-		want, wantOK := r.ref()
+	check := func(name string, got Candidate, gotOK bool, gs []int) {
+		t.Helper()
+		want, wantOK := Candidate{}, false
+		for _, g := range gs {
+			if len(brute[g]) > 0 {
+				want, wantOK = brute[g][0], true
+				break
+			}
+		}
 		if gotOK != wantOK {
-			t.Fatalf("%s: %s ok=%v, from-scratch %v", tag, r.name, gotOK, wantOK)
+			t.Fatalf("%s: %s ok=%v, brute force %v", tag, name, gotOK, wantOK)
 		}
-		if gotOK && (got.G != want.G || !got.S1.Equal(want.S1) || !got.S2.Equal(want.S2)) {
-			t.Fatalf("%s: %s = %+v, from-scratch %+v", tag, r.name, got, want)
+		if wantOK && !candsEqual([]Candidate{got}, []Candidate{want}) {
+			t.Fatalf("%s: %s = %+v, brute force %+v", tag, name, got, want)
 		}
 	}
+	up := make([]int, v.MaxG()+1)
+	down := make([]int, v.MaxG()+1)
+	for g := range up {
+		up[g], down[g] = g, v.MaxG()-g
+	}
+	got, ok := se.FindSinkKnownF(v, 1)
+	check("FindSinkKnownF(1)", got, ok, []int{1})
+	got, ok = se.FindCore(v)
+	check("FindCore", got, ok, down)
+	got, ok = se.FindNaive(v)
+	check("FindNaive", got, ok, up)
 }
 
 // propertyGraphs returns one representative graph per family (every figure,
@@ -82,13 +123,13 @@ func propertyGraphs(t *testing.T, rng *rand.Rand) map[string]*graph.Digraph {
 	return out
 }
 
-// TestSearcherMatchesFromScratch is the incremental ≡ from-scratch property:
-// over randomized record-insertion sequences on every graph family, after
-// every single insertion, every search agrees with the from-scratch View
-// methods. One searcher serves all states of one sequence — exactly the
-// per-process usage — so the test also exercises revision-driven
-// invalidation and component-cache reuse.
-func TestSearcherMatchesFromScratch(t *testing.T) {
+// TestSearcherMatchesBruteForce is the searcher ≡ oracle property: over
+// randomized record-insertion sequences on every graph family, after every
+// single insertion, every search agrees with the brute-force walk. One
+// searcher serves all states of one sequence — exactly the per-process
+// usage — so the test also exercises revision-driven invalidation and
+// component-cache reuse.
+func TestSearcherMatchesBruteForce(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	for name, g := range propertyGraphs(t, rng) {
 		owners := g.Nodes()
@@ -104,8 +145,7 @@ func TestSearcherMatchesFromScratch(t *testing.T) {
 				for _, tgt := range g.OutSet(owner).Sorted() {
 					v.AddKnown(tgt)
 				}
-				assertSearcherMatches(t, se, v, name)
-				_ = step
+				assertSearcherMatches(t, se, v, fmt.Sprintf("%s/trial %d/step %d", name, trial, step))
 			}
 		}
 	}
@@ -194,124 +234,241 @@ func TestEnumerateSubsetsLoudGuard(t *testing.T) {
 	enumerateSubsets(big, 1, func(model.IDSet) {})
 }
 
-// TestForEachSubsetUpToNoAliasing pins forEachSubsetUpTo against the classic
-// append-aliasing hazard: sibling recursion branches extend the same parent
-// prefix via append(cur, ids[i]), so a shared backing array could leak one
-// branch's tail into the next. The reference is an independent bit-mask
-// enumeration; every subset of size ≤ maxSize must arrive exactly once with
-// exactly its own members.
-func TestForEachSubsetUpToNoAliasing(t *testing.T) {
-	ids := []model.ID{2, 3, 5, 7, 11, 13}
-	for maxSize := 0; maxSize <= len(ids); maxSize++ {
-		got := make(map[string]int)
-		forEachSubsetUpTo(ids, maxSize, func(s model.IDSet) bool {
-			got[s.Key()]++
-			return false
-		})
-		want := make(map[string]int)
-		for mask := 0; mask < 1<<len(ids); mask++ {
-			if bits.OnesCount(uint(mask)) > maxSize {
-				continue
-			}
-			s := model.NewIDSet()
-			for i := range ids {
-				if mask&(1<<i) != 0 {
-					s.Add(ids[i])
-				}
-			}
-			want[s.Key()]++
-		}
-		if len(got) != len(want) {
-			t.Fatalf("maxSize=%d: yielded %d distinct subsets, want %d", maxSize, len(got), len(want))
-		}
-		for key, n := range got {
-			if n != 1 {
-				t.Fatalf("maxSize=%d: subset {%s} yielded %d times (aliasing between sibling branches)", maxSize, key, n)
-			}
-			if _, ok := want[key]; !ok {
-				t.Fatalf("maxSize=%d: yielded subset {%s} is not a subset of ids (corrupted contents)", maxSize, key)
-			}
+// shiftedGraph returns g with every ID moved up by delta.
+func shiftedGraph(g *graph.Digraph, delta model.ID) *graph.Digraph {
+	out := graph.New()
+	for _, u := range g.Nodes() {
+		out.AddNode(u + delta)
+		for _, w := range g.Out(u) {
+			out.AddEdge(u+delta, w+delta)
 		}
 	}
-	// Early-stop contract: a true return ends the enumeration.
-	calls := 0
-	forEachSubsetUpTo(ids, 2, func(model.IDSet) bool { calls++; return calls == 3 })
-	if calls != 3 {
-		t.Fatalf("early stop after 3 yields, got %d", calls)
-	}
+	return out
 }
 
-// TestSearcherMemoKeysWellFormed pins the per-SCC memo's key spaces. Views
-// whose IDs all fit 1..64 are maskable: entries land in the mask-keyed map
-// under the component's content mask (a subset of the received-ID mask), and
-// the string maps stay empty. Views with larger IDs fall back to the string
-// maps, whose store key must be of the "g|members" form — searchComp's subset
-// enumeration reuses the key buffer, so a store that reads the buffer after
-// the search would park the entry under the last subset's bare key, where no
-// lookup ever finds it, silently defeating the memo while every result stays
-// correct.
+// TestSearcherMemoKeysWellFormed pins where the per-SCC memo stores: after a
+// search every (g, component) pair of the decomposition must be found under
+// uvarint(g) ‖ component key, and nothing else may be in the map. searchComp's
+// subset enumeration reuses the key buffer, so a store that read the buffer
+// after the search would park the entry under the last subset's bare key,
+// where no lookup ever finds it — silently defeating the memo while every
+// result stays correct.
 func TestSearcherMemoKeysWellFormed(t *testing.T) {
 	v := FullView(graph.Fig1b().G)
 	se := NewSearcher()
-	if _, ok := se.FindCore(v); !ok {
-		t.Fatal("core not found")
-	}
-	if !se.maskable {
-		t.Fatal("Fig1b view (IDs ≤ 64) should be maskable")
-	}
-	if len(se.sccCandsM) == 0 {
-		t.Fatal("no per-SCC entries memoized in the mask-keyed map")
-	}
-	if len(se.sccCands) != 0 || len(se.subsets) != 0 {
-		t.Fatalf("maskable view leaked into the string maps (%d sccCands, %d subsets)", len(se.sccCands), len(se.subsets))
-	}
-	var universe uint64
-	for id := range v.PD {
-		universe |= 1 << (id - 1)
-	}
-	for mk := range se.sccCandsM {
-		if mk.mask == 0 || mk.mask&^universe != 0 {
-			t.Fatalf("per-SCC mask key %b is not a nonempty subset of the received-ID mask %b", mk.mask, universe)
+	for g := 0; g <= 2; g++ {
+		se.SinksAtGExact(v, g)
+		if want := (g + 1) * len(se.comps); len(se.sccCands) != want {
+			t.Fatalf("after g=0..%d over %d components the per-SCC memo holds %d entries, want %d", g, len(se.comps), len(se.sccCands), want)
+		}
+		for _, comp := range se.comps {
+			key := append(binary.AppendUvarint(nil, uint64(g)), comp.key...)
+			if _, ok := se.sccCands[string(key)]; !ok {
+				t.Fatalf("g=%d component %v: no entry under its (g, component) key %x — stored under a clobbered key", g, comp.ids, key)
+			}
 		}
 	}
+	if len(se.subsets) == 0 {
+		t.Fatal("no per-S1 verdict facts memoized")
+	}
+	for key := range se.subsets {
+		if key == "" || key[len(key)-1] == 0 {
+			t.Fatalf("per-S1 key %x is not canonical (empty or trailing zero byte)", key)
+		}
+	}
+}
 
-	// Shift every ID by +100: same graph, IDs > 64, string-keyed path.
-	base := graph.Fig1b().G
-	shifted := graph.New()
-	for _, u := range base.Nodes() {
-		shifted.AddNode(u + 100)
-	}
-	for _, u := range base.Nodes() {
-		for _, w := range base.Out(u) {
-			shifted.AddEdge(u+100, w+100)
+// TestSearcherKeySpaceIgnoresIDValues pins that the memo key space is built
+// from interned indices, never from ID values: the same graph with every ID
+// shifted by +100 and by +1<<40 memoizes exactly as many entries and finds
+// the same candidates (modulo the shift) as the unshifted one, at every g.
+func TestSearcherKeySpaceIgnoresIDValues(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for name, g := range propertyGraphs(t, rng) {
+		v0 := FullView(g)
+		se0 := NewSearcher()
+		for _, delta := range []model.ID{100, 1 << 40} {
+			vs := FullView(shiftedGraph(g, delta))
+			ses := NewSearcher()
+			for gt := v0.MaxG(); gt >= 0; gt-- {
+				want, _ := se0.SinksAtGExact(v0, gt)
+				got, exact := ses.SinksAtGExact(vs, gt)
+				if !exact || len(got) != len(want) {
+					t.Fatalf("%s +%d g=%d: %d candidates (exact=%v), unshifted %d", name, delta, gt, len(got), exact, len(want))
+				}
+				// Decimal keys order differently after a shift, so compare as sets.
+				wantKeys := make(map[string]bool, len(want))
+				for _, c := range want {
+					wantKeys[shiftedSet(c.S1, delta).Key()+"|"+shiftedSet(c.S2, delta).Key()] = true
+				}
+				for _, c := range got {
+					if !wantKeys[c.S1.Key()+"|"+c.S2.Key()] {
+						t.Fatalf("%s +%d g=%d: candidate %v/%v has no unshifted counterpart", name, delta, gt, c.S1, c.S2)
+					}
+				}
+			}
+			if len(ses.sccCands) != len(se0.sccCands) || len(ses.subsets) != len(se0.subsets) {
+				t.Fatalf("%s +%d: memo holds %d/%d entries, unshifted %d/%d", name, delta,
+					len(ses.sccCands), len(ses.subsets), len(se0.sccCands), len(se0.subsets))
+			}
 		}
 	}
-	vs := FullView(shifted)
-	ses := NewSearcher()
-	c1, ok1 := ses.FindCore(vs)
-	if !ok1 {
-		t.Fatal("core not found in shifted view")
+}
+
+func shiftedSet(s model.IDSet, delta model.ID) model.IDSet {
+	out := model.NewIDSet()
+	for id := range s {
+		out.Add(id + delta)
 	}
-	if ses.maskable {
-		t.Fatal("shifted view (IDs > 64) should not be maskable")
-	}
-	if len(ses.sccCands) == 0 {
-		t.Fatal("no per-SCC entries memoized in the string-keyed map")
-	}
-	for key := range ses.sccCands {
-		if !strings.Contains(key, "|") {
-			t.Fatalf("per-SCC memo key %q is not of the form g|members — the entry was stored under a clobbered key", key)
+	return out
+}
+
+// TestSearcherManyRecords runs the searcher past every width the old key
+// spaces had (64 IDs, 64 records): ten 7-cliques chained by single edges,
+// inserted in random order. After every insertion a warm searcher agrees
+// with a fresh one at every g that can hold a candidate, and on the full view
+// each clique's candidates are the brute-force ones of that clique's records
+// alone (a valid S1 lies inside one SCC, and the chain edges join no two).
+func TestSearcherManyRecords(t *testing.T) {
+	g := graph.New()
+	var cliques [][]model.ID
+	for c := 0; c < 10; c++ {
+		var members []model.ID
+		for i := 0; i < 7; i++ {
+			members = append(members, model.ID(1000*c+i+1))
+		}
+		cliques = append(cliques, members)
+		for _, u := range members {
+			for _, w := range members {
+				g.AddEdge(u, w)
+			}
+		}
+		if c > 0 {
+			g.AddEdge(cliques[c-1][6], members[0])
 		}
 	}
-	// The two key spaces must agree on the result modulo the shift.
-	c0, _ := se.FindCore(v)
-	if c1.G != c0.G || c1.S1.Len() != c0.S1.Len() {
-		t.Fatalf("shifted core (g=%d, |S1|=%d) disagrees with unshifted (g=%d, |S1|=%d)", c1.G, c1.S1.Len(), c0.G, c0.S1.Len())
-	}
-	for id := range c0.S1 {
-		if !c1.S1.Has(id + 100) {
-			t.Fatalf("shifted core S1 missing %d+100", id)
+	full := FullView(g)
+	owners := g.Nodes()
+	rand.New(rand.NewSource(70)).Shuffle(len(owners), func(i, j int) { owners[i], owners[j] = owners[j], owners[i] })
+	v := NewView()
+	warm := NewSearcher()
+	for step, owner := range owners {
+		v.AddKnown(owner)
+		v.SetPD(owner, full.PD[owner])
+		for tgt := range full.PD[owner] {
+			v.AddKnown(tgt)
 		}
+		for gt := 0; gt <= 3; gt++ {
+			got, gotExact := warm.SinksAtGExact(v, gt)
+			want, wantExact := NewSearcher().SinksAtGExact(v, gt)
+			if gotExact != wantExact || !candsEqual(got, want) {
+				t.Fatalf("step %d g=%d: warm searcher %v (exact=%v), fresh searcher %v (exact=%v)", step, gt, got, gotExact, want, wantExact)
+			}
+		}
+	}
+	if len(v.PD) != 70 {
+		t.Fatalf("view holds %d records, want 70", len(v.PD))
+	}
+	for gt := 0; gt <= 3; gt++ {
+		var want []Candidate
+		for _, members := range cliques {
+			// The clique's own records, every process still known: S2 may
+			// name the next clique's entry point.
+			cv := NewView()
+			cv.Known = v.Known
+			for _, u := range members {
+				cv.PD[u] = v.PD[u]
+			}
+			want = append(want, bruteSinksAtG(cv, gt)...)
+		}
+		sortCandidates(want)
+		got, exact := warm.SinksAtGExact(v, gt)
+		if !exact || !candsEqual(got, want) {
+			t.Fatalf("full view g=%d: searcher %v (exact=%v), per-clique brute force %v", gt, got, exact, want)
+		}
+	}
+}
+
+// TestStructuralFallback executes the > ExactLimit path, which has exactly
+// one implementation and no brute-force twin (2^24 subsets): on a complete
+// graph and on a planted k-OSR graph whose sink is a 24-node SCC, every g at
+// which the peeled pool is still larger than ExactLimit must be reported
+// inexact, every candidate returned must satisfy the literal View.IsSink, and
+// both find rules must still return the planted sink.
+func TestStructuralFallback(t *testing.T) {
+	for _, tc := range []struct {
+		def       string
+		inexactTo int // largest g whose peeled pool exceeds ExactLimit
+	}{
+		{"complete:24", 11},               // P1 (2g+1 ≤ 24) is the only limit
+		{"kosr:sink=24,nonsink=4,k=3", 2}, // the (g+1)-core of a κ=3 sink is empty past g=2
+	} {
+		d, err := graph.ParseDef(tc.def)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := d.Build(1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sink := b.Sink
+		if sink.Len() == 0 {
+			sink = b.G.NodeSet()
+		}
+		v := FullView(b.G)
+		se := NewSearcher()
+		for g := v.MaxG(); g >= 0; g-- {
+			cands, exact := se.SinksAtGExact(v, g)
+			if exact != (g > tc.inexactTo) {
+				t.Fatalf("%s g=%d: exact=%v with a %d-node sink SCC", tc.def, g, exact, sink.Len())
+			}
+			if g <= tc.inexactTo && len(cands) == 0 {
+				t.Fatalf("%s g=%d: the fallback found no candidate", tc.def, g)
+			}
+			for _, c := range cands {
+				if !v.IsSink(g, c.S1, c.S2) {
+					t.Fatalf("%s g=%d: candidate %v / %v fails the literal isSink", tc.def, g, c.S1, c.S2)
+				}
+			}
+		}
+		if c, ok := se.FindSinkKnownF(v, b.F); !ok || !c.Members().Equal(sink) {
+			t.Fatalf("%s: FindSinkKnownF(%d) = %v, %v, want the planted sink", tc.def, b.F, c.Members(), ok)
+		}
+		if c, ok := se.FindCore(v); !ok || !c.Members().Equal(sink) || c.G != tc.inexactTo {
+			t.Fatalf("%s: FindCore = g=%d %v, %v, want the planted sink at g=%d", tc.def, c.G, c.Members(), ok, tc.inexactTo)
+		}
+	}
+}
+
+// TestSearcherOutTargetsPastEnumWidth covers the enumerator's lower-bound
+// out-target counts: a pool that points at more than 64 distinct external
+// targets overflows poolEnum's interned-target mask, every yield is then
+// flagged inexact, and the searcher must recount on the view. Six records, so
+// brute force decides.
+func TestSearcherOutTargetsPastEnumWidth(t *testing.T) {
+	v := NewView()
+	for u := model.ID(1); u <= 6; u++ {
+		pd := model.NewIDSet()
+		for w := model.ID(1); w <= 6; w++ {
+			if w != u {
+				pd.Add(w)
+			}
+		}
+		if u == 1 {
+			for x := model.ID(1001); x <= 1070; x++ {
+				pd.Add(x)
+			}
+		}
+		v.AddKnown(u)
+		v.SetPD(u, pd)
+		for tgt := range pd {
+			v.AddKnown(tgt)
+		}
+	}
+	se := NewSearcher()
+	assertSearcherMatches(t, se, v, "70 external targets")
+	if se.enum.extExact {
+		t.Fatal("the pool's external targets fit the enumerator's mask — the lower-bound path did not run")
 	}
 }
 
@@ -319,17 +476,17 @@ func TestSearcherMemoKeysWellFormed(t *testing.T) {
 // search on an unchanged view (the searcher analogue of the scenario
 // package's TestCompiledRunAllocsSteadyState). A memo-hit search allocates
 // only the result — the winner's derived S2, a few objects (measured: 4).
-// With the mask-keyed memos a hit performs no key rendering at all, so the
-// budget is re-pinned at 2× the measured steady state: the from-scratch path
-// re-runs SCC, peel, enumeration and max-flow, allocating hundreds, and any
-// regression of the memo mechanism (a clobbered key, a string render on the
-// hit path) costs multiples of the budget without flaking on allocator
-// noise.
+// A hit renders its key into a reused buffer and looks it up without
+// materializing a string, so the budget is pinned at 2× the measured steady
+// state: a memo-less search re-runs SCC, peel, enumeration and max-flow,
+// allocating hundreds, and any regression of the memo mechanism (a clobbered
+// key, a string materialized on the hit path) costs multiples of the budget
+// without flaking on allocator noise.
 const searcherAllocBudget = 8
 
 // TestSearcherAllocsSteadyState gates the scratch-reuse win from both
-// sides: under the absolute budget, and far under the from-scratch search
-// for the same view.
+// sides: under the absolute budget, and far under a fresh searcher's search
+// of the same view.
 func TestSearcherAllocsSteadyState(t *testing.T) {
 	fig := graph.Fig1b()
 	v := FullView(fig.G)
@@ -343,15 +500,15 @@ func TestSearcherAllocsSteadyState(t *testing.T) {
 		}
 	})
 	scratch := testing.AllocsPerRun(10, func() {
-		if _, ok := v.FindSinkKnownF(fig.F); !ok {
+		if _, ok := findSinkKnownF(v, fig.F); !ok {
 			t.Fatal("sink not found")
 		}
 	})
-	t.Logf("allocs/search: incremental steady-state %.0f, from-scratch %.0f (budget %d)", warm, scratch, searcherAllocBudget)
+	t.Logf("allocs/search: steady-state %.0f, fresh searcher %.0f (budget %d)", warm, scratch, searcherAllocBudget)
 	if warm > searcherAllocBudget {
 		t.Fatalf("steady-state search allocates %.0f objects (budget %d) — the searcher's scratch reuse regressed", warm, searcherAllocBudget)
 	}
 	if warm*4 > scratch {
-		t.Fatalf("steady-state search allocates %.0f objects vs %.0f from scratch — the memo is not engaging", warm, scratch)
+		t.Fatalf("steady-state search allocates %.0f objects vs %.0f on a fresh searcher — the memo is not engaging", warm, scratch)
 	}
 }

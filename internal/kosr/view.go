@@ -12,10 +12,10 @@ import (
 // Views grown through the mutator API (SetPD, AddKnown) carry a revision
 // counter, which is what lets a Searcher reuse work across searches: a
 // search at an unchanged revision is a pure cache read, and a search after
-// an insertion only recomputes what the insertion can change. Legacy direct
-// map mutation keeps working for the from-scratch View methods below, but a
-// Searcher requires mutator-maintained views (discovery maintains its view
-// exclusively through them).
+// an insertion only recomputes what the insertion can change. A Searcher
+// that sees one view more than once requires it to be mutator-maintained
+// (discovery maintains its view exclusively through them); the literal
+// predicates below (OutTargets, DeriveS2, IsSink) read the maps as they are.
 type View struct {
 	// Known is S_known: every process this process has heard of.
 	Known model.IDSet
@@ -167,6 +167,10 @@ func (v *View) kappaAtLeast(s1 model.IDSet, k int) bool {
 //	P2: κ(G[S1]) ≥ g+1 (PDs of all S1 members must have been received);
 //	P3: at most g distinct processes outside S1 are pointed at by S1;
 //	P4: S2 = {j ∈ Known∖S1 : more than g members of S1 point at j}.
+//
+// This is the predicate read literally, with no memo and no pruning. The
+// Searcher never calls it: it is the one building block of the tests'
+// all-subsets oracle, which stays independent of the engine that way.
 func (v *View) IsSink(g int, s1, s2 model.IDSet) bool {
 	if g < 0 || s1.Len() < 2*g+1 {
 		return false

@@ -49,7 +49,7 @@ func TestPaperWorkedExampleFig1b(t *testing.T) {
 	if !v.IsSink(1, ids(1, 3, 4), ids(2)) {
 		t.Fatal("isSink(1, {1,3,4}, {2}) should hold")
 	}
-	c, ok := v.FindSinkKnownF(1)
+	c, ok := findSinkKnownF(v, 1)
 	if !ok {
 		t.Fatal("Sink algorithm should terminate in this view")
 	}
@@ -117,7 +117,7 @@ func TestIsSinkSingleton(t *testing.T) {
 	if !v.IsSink(0, ids(1), ids()) {
 		t.Fatal("lone process should be a 0-sink")
 	}
-	c, ok := v.FindCore()
+	c, ok := findCore(v)
 	if !ok || !c.Members().Equal(ids(1)) || c.G != 0 {
 		t.Fatalf("FindCore on singleton = %+v, %v", c, ok)
 	}

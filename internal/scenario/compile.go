@@ -387,10 +387,10 @@ type Runner struct {
 	searchers    []*kosr.Searcher
 	searcherNext int
 
-	// SearchFactory, when non-nil, overrides the pooled incremental
-	// searchers with a per-node engine of its own choosing. The search
-	// transparency tests inject kosr.FromScratch through it to pin the
-	// incremental engine to the reference, trace digest for trace digest.
+	// SearchFactory, when non-nil, overrides the pooled searchers with a
+	// per-node kosr.Search of its own choosing. The search transparency tests
+	// inject a fresh kosr.Searcher per call through it to pin the pooled,
+	// memo-warm searchers to a memo-less run, trace digest for trace digest.
 	SearchFactory func() kosr.Search
 }
 
