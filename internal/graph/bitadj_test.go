@@ -107,9 +107,10 @@ func poolRows(g *Digraph, pool []model.ID) []uint64 {
 }
 
 // TestPoolFlowKappaMatchesInducedSubgraph asserts PoolFlow.KappaAtLeast on a
-// subset mask equals Digraph.IsKStronglyConnected on the materialized
-// induced subgraph, for random masks and thresholds over every family. This
-// is the verdict the sink search's property P2 (κ(G[S1]) ≥ g+1) rides on.
+// subset mask equals the all-ordered-pairs oracle on the materialized induced
+// subgraph, for random masks and thresholds over every family. This is the
+// verdict the sink search's property P2 (κ(G[S1]) ≥ g+1) rides on, so it is
+// held to the definition, not to the other engine running the same schedule.
 func TestPoolFlowKappaMatchesInducedSubgraph(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	for _, d := range propertyDefs(t) {
@@ -138,10 +139,10 @@ func TestPoolFlowKappaMatchesInducedSubgraph(t *testing.T) {
 				for m := mask; m != 0; m &= m - 1 {
 					subset.Add(pool[trailing(m)])
 				}
-				want := b.G.Induced(subset).IsKStronglyConnected(k)
+				want := kappaAllPairs(b.G.Induced(subset), k)
 				got := pf.KappaAtLeast(mask, k)
 				if got != want {
-					t.Fatalf("%s seed %d: KappaAtLeast(%s, %d) bitset %v != induced %v",
+					t.Fatalf("%s seed %d: KappaAtLeast(%s, %d) bitset %v != all pairs %v",
 						d, seed, subset, k, got, want)
 				}
 			}

@@ -14,16 +14,17 @@ const InfiniteConnectivity = math.MaxInt32
 
 // FlowScratch is the vertex-split max-flow engine behind every node-disjoint
 // path count on a whole graph: Load snapshots a graph once, then each probe
-// (MaxNodeDisjointPaths, HasKDisjointPaths, IsKStronglyConnected) costs one
-// residual copy plus word-parallel BFS augments. It owns, on bitsets, the
-// adjacency snapshot (BitAdjacency), the pair-independent residual rows of
-// the split graph, the per-probe residual copy and the BFS arrays; buffers
-// grow to the largest graph seen and are reused, so a long-lived value stops
-// allocating once warm. The Digraph methods of the same names are
-// load-then-probe one-shots; callers that probe many pairs of one graph
-// (CheckKOSR's fan-in condition, CheckExtendedKOSR's C2) or many graphs in a
-// row hold a FlowScratch instead. The zero value is ready and answers 0
-// before the first Load. One goroutine per value.
+// (MaxNodeDisjointPaths, HasKDisjointPaths, each flow of the schedule behind
+// IsKStronglyConnected) costs one residual copy plus word-parallel BFS
+// augments. It owns, on bitsets, the adjacency snapshot (BitAdjacency), the
+// pair-independent residual rows of the split graph, the per-probe residual
+// copy and the BFS arrays; buffers grow to the largest graph seen and are
+// reused, so a long-lived value stops allocating once warm. The Digraph
+// methods of the same names are load-then-probe one-shots; callers that
+// probe many pairs of one graph (CheckKOSR's fan-in condition,
+// CheckExtendedKOSR's C2) or many graphs in a row hold a FlowScratch instead.
+// The zero value is ready and answers 0 before the first Load. One goroutine
+// per value.
 //
 // PoolFlow is the other shape of the same computation — κ of many subsets of
 // one ≤ 64-node pool, no snapshot per subset — and the call site picks:
@@ -45,6 +46,8 @@ type FlowScratch struct {
 	prev  []int32
 	queue []int32
 	seen  []uint64 // visited bitset for the BFS
+
+	probes int // flows run since the zero value; tests pin the schedule's cost with it
 }
 
 // Load snapshots g's adjacency and builds the split-graph residual template
@@ -93,11 +96,18 @@ func (sc *FlowScratch) Load(g *Digraph) {
 }
 
 // flowPair runs the bounded Edmonds-Karp max-flow between the loaded nodes
-// with indices si and ti: residual rows are copied from the template, then
-// augmenting paths are found by word-parallel BFS until the limit is reached
-// or no path remains. limit ≤ 0 means unlimited.
+// with indices si and ti on a fresh copy of the residual template.
 func (sc *FlowScratch) flowPair(si, ti, limit int) int {
 	copy(sc.resid, sc.base)
+	return sc.augment(si, ti, limit)
+}
+
+// augment pushes flow from out(si) to in(ti) through the residual rows as
+// they stand: augmenting paths are found by word-parallel BFS until the limit
+// is reached or no path remains. limit ≤ 0 means unlimited. si == ti is legal
+// (IsKStronglyConnected's fan probes rewire one side of the node's arcs).
+func (sc *FlowScratch) augment(si, ti, limit int) int {
+	sc.probes++
 	source, sink := int32(2*si+1), int32(2*ti)
 	size := 2 * sc.adj.NumNodes()
 	flow := 0
@@ -180,6 +190,15 @@ func (sc *FlowScratch) HasKDisjointPaths(s, t model.ID, k int) bool {
 // of the loaded graph is joined by at least k node-disjoint paths (the
 // paper's definition of k-strong connectivity). Graphs with ≤ 1 node are
 // k-strongly connected for every k (vacuous quantification).
+//
+// Even's schedule (1975) decides it in k(k−1) + 2(n−k) flows, not n(n−1):
+// the first k nodes pairwise in both directions, then per later node v_j one
+// flow a → v_j and one v_j → b, the virtual source a pointing at, the virtual
+// sink b pointed at by, every earlier node. A separator C with |C| < k misses
+// one of the first k nodes, so the first node it cuts off from the earlier
+// survivors fails a pairwise probe or — each first hop out of a, each last hop
+// into b, lying in C or beyond it — a fan probe; ARCHITECTURE.md has the full
+// argument. a borrows out(v_j), idle while v_j is the sink; b borrows in(v_j).
 func (sc *FlowScratch) IsKStronglyConnected(k int) bool {
 	n := sc.adj.NumNodes()
 	if k <= 0 || n <= 1 {
@@ -190,11 +209,36 @@ func (sc *FlowScratch) IsKStronglyConnected(k int) bool {
 		// edge ⇒ ≤ n-1 disjoint paths).
 		return false
 	}
-	for i := 0; i < n; i++ {
-		for j := 0; j < n; j++ {
-			if i != j && sc.flowPair(i, j, k) < k {
-				return false
+	for j := 1; j < n; j++ {
+		if j < k {
+			for i := 0; i < j; i++ {
+				if sc.flowPair(i, j, k) < k || sc.flowPair(j, i, k) < k {
+					return false
+				}
 			}
+			continue
+		}
+		in, out := 2*j, 2*j+1
+		// a → v_j: out(v_j)'s row becomes in(v_0 … v_{j-1}).
+		copy(sc.resid, sc.base)
+		row := sc.resid[out*sc.words : (out+1)*sc.words]
+		clear(row)
+		for i := 0; i < j; i++ {
+			row[i>>5] |= 1 << (2 * i & 63)
+		}
+		if sc.augment(j, j, k) < k {
+			return false
+		}
+		// v_j → b: in(v_j)'s column becomes out(v_0 … v_{j-1}).
+		copy(sc.resid, sc.base)
+		for i := 0; i < n; i++ {
+			sc.resid[(2*i+1)*sc.words+in>>6] &^= 1 << (in & 63)
+		}
+		for i := 0; i < j; i++ {
+			sc.resid[(2*i+1)*sc.words+in>>6] |= 1 << (in & 63)
+		}
+		if sc.augment(j, j, k) < k {
+			return false
 		}
 	}
 	return true
@@ -220,15 +264,27 @@ func (g *Digraph) IsKStronglyConnected(k int) bool {
 	if k <= 0 || g.NumNodes() <= 1 {
 		return true
 	}
-	// κ ≤ min out-degree.
-	for u := range g.nodes {
-		if g.OutDegree(u) < k {
-			return false
-		}
+	if g.minDegree() < k {
+		return false
 	}
 	var sc FlowScratch
 	sc.Load(g)
 	return sc.IsKStronglyConnected(k)
+}
+
+// minDegree returns the smallest in- or out-degree of g, an upper bound on κ.
+func (g *Digraph) minDegree() int {
+	indeg := make(map[model.ID]int, len(g.nodes))
+	for _, outs := range g.adj {
+		for v := range outs {
+			indeg[v]++
+		}
+	}
+	best := math.MaxInt
+	for u := range g.nodes {
+		best = min(best, len(g.adj[u]), indeg[u])
+	}
+	return best
 }
 
 // StrongConnectivity returns κ(g): the maximum k such that g is k-strongly
@@ -243,40 +299,11 @@ func (g *Digraph) StrongConnectivity() int {
 		return InfiniteConnectivity
 	}
 	// κ is at most the minimum of in/out degrees and n-1.
-	best := n - 1
-	nodes := g.Nodes()
-	indeg := make(map[model.ID]int, n)
-	for _, u := range nodes {
-		for v := range g.adj[u] {
-			indeg[v]++
-		}
-	}
-	for _, u := range nodes {
-		if d := g.OutDegree(u); d < best {
-			best = d
-		}
-		if d := indeg[u]; d < best {
-			best = d
-		}
-	}
-	if best <= 0 {
-		return 0
-	}
+	best := min(g.minDegree(), n-1)
 	var sc FlowScratch
 	sc.Load(g)
-	for i := 0; i < n; i++ {
-		for j := 0; j < n; j++ {
-			if i == j {
-				continue
-			}
-			p := sc.flowPair(i, j, best)
-			if p < best {
-				best = p
-				if best == 0 {
-					return 0
-				}
-			}
-		}
+	for best > 0 && !sc.IsKStronglyConnected(best) {
+		best--
 	}
 	return best
 }

@@ -5,25 +5,29 @@ import "math/bits"
 // PoolFlow answers κ(G[S]) ≥ k queries for subsets S of one fixed pool of up
 // to 64 nodes, entirely in bitset space: the pool's adjacency is a []uint64
 // of single-word rows (bit j in row i = edge pool[i]→pool[j]), a subset is a
-// uint64 mask over pool positions, and each query runs the vertex-split
-// max-flow probes on fixed-size stack-free scratch. This is the κ engine of
-// the subset search: the sink enumeration probes κ for many S1 subsets of
-// one peeled pool, and a PoolFlow probe costs no allocation and no graph
-// materialization (the previous engine built a Digraph per subset).
+// uint64 mask over pool positions, and each query runs vertex-split max-flow
+// probes on fixed-size stack-free scratch. This is the κ engine of the subset
+// search: the sink enumeration probes κ for many S1 subsets of one peeled
+// pool, and a query costs no allocation and no graph materialization.
 //
 // The split graph of a ≤64-node pool has ≤128 vertices — two words per
-// residual row — and, as in FlowScratch, every residual capacity is 0/1, so
-// flow values (and verdicts) are identical to Digraph.IsKStronglyConnected
-// on the induced subgraph; the equivalence is property-tested across every
-// graph family. The zero value is ready; Reset rebinds it to a new pool.
+// residual row — and, as in FlowScratch, every residual capacity is 0/1. A
+// query spreads the subset's rows once, copies them before each probe, and
+// runs FlowScratch.IsKStronglyConnected's probe schedule over the members in
+// position order: k(k−1) + 2(m−k) flows for m members, the verdict of one
+// flow per ordered pair (the tests hold both engines to that loop on every
+// graph family). The zero value is ready; Reset rebinds it to a new pool.
 type PoolFlow struct {
 	n    int
 	adj  [64]uint64 // out-rows within the pool (no self bits)
 	radj [64]uint64 // in-rows within the pool
 
-	resid [256]uint64 // 128 rows × 2 words
+	base  [256]uint64 // 128 rows × 2 words: the queried subset's split graph
+	resid [256]uint64 // the running probe's residual
 	prev  [128]int8
 	queue [128]int8
+
+	probes int // flows run since the zero value; tests pin the schedule's cost with it
 }
 
 // Reset binds the PoolFlow to a pool given by its adjacency rows: adj[i] has
@@ -53,7 +57,7 @@ func (pf *PoolFlow) Reset(adj []uint64) {
 // KappaAtLeast reports κ(G[S]) ≥ k for the subset S given as a mask over
 // pool positions, matching Digraph.IsKStronglyConnected on the induced
 // subgraph: vacuously true for |S| ≤ 1 or k ≤ 0, false for |S| ≤ k, then
-// min-degree rejection and pairwise bounded max-flow.
+// min-degree rejection and the probe schedule.
 func (pf *PoolFlow) KappaAtLeast(mask uint64, k int) bool {
 	if pf.n < 64 {
 		mask &= 1<<pf.n - 1
@@ -66,47 +70,68 @@ func (pf *PoolFlow) KappaAtLeast(mask uint64, k int) bool {
 		return false
 	}
 	// κ ≤ min in/out degree within the subset.
-	for rest := mask; rest != 0; {
+	for rest := mask; rest != 0; rest &= rest - 1 {
 		i := bits.TrailingZeros64(rest)
-		rest &= rest - 1
 		if bits.OnesCount64(pf.adj[i]&mask) < k || bits.OnesCount64(pf.radj[i]&mask) < k {
 			return false
 		}
 	}
-	for srest := mask; srest != 0; {
-		s := bits.TrailingZeros64(srest)
-		srest &= srest - 1
-		for trest := mask; trest != 0; {
-			t := bits.TrailingZeros64(trest)
-			trest &= trest - 1
-			if s == t {
-				continue
+	// The split graph restricted to mask (in(i) = 2i, out(i) = 2i+1). Rows of
+	// positions outside mask are never visited: no member's row points at them.
+	for rest := mask; rest != 0; rest &= rest - 1 {
+		i := bits.TrailingZeros64(rest)
+		in, out := 2*i, 2*i+1
+		pf.base[2*in], pf.base[2*in+1] = 0, 0
+		pf.base[2*in+out>>6] = 1 << (out & 63)
+		pf.base[2*out], pf.base[2*out+1] = spreadEven(pf.adj[i] & mask)
+	}
+	rows := 4 * bits.Len64(mask) // words up to the last member's out row
+	earlier := uint64(0)         // the members before v_j
+	for rest := mask; rest != 0; rest &= rest - 1 {
+		j := bits.TrailingZeros64(rest)
+		in, out := 2*j, 2*j+1
+		if bits.OnesCount64(earlier) < k {
+			for e := earlier; e != 0; e &= e - 1 {
+				i := bits.TrailingZeros64(e)
+				if pf.flowPair(rows, i, j, k) < k || pf.flowPair(rows, j, i, k) < k {
+					return false
+				}
 			}
-			if pf.flowPair(mask, s, t, k) < k {
+		} else {
+			// a → v_j: out(v_j)'s row becomes in(earlier members).
+			copy(pf.resid[:rows], pf.base[:rows])
+			pf.resid[2*out], pf.resid[2*out+1] = spreadEven(earlier)
+			if pf.augment(j, j, k) < k {
+				return false
+			}
+			// v_j → b: in(v_j)'s column becomes out(earlier members).
+			copy(pf.resid[:rows], pf.base[:rows])
+			for r := mask; r != 0; r &= r - 1 {
+				pf.resid[4*bits.TrailingZeros64(r)+2+in>>6] &^= 1 << (in & 63)
+			}
+			for e := earlier; e != 0; e &= e - 1 {
+				pf.resid[4*bits.TrailingZeros64(e)+2+in>>6] |= 1 << (in & 63)
+			}
+			if pf.augment(j, j, k) < k {
 				return false
 			}
 		}
+		earlier |= 1 << j
 	}
 	return true
 }
 
 // flowPair is the bounded Edmonds-Karp probe between pool positions s and t
-// restricted to mask, on the two-word split graph (in(i) = 2i, out(i) =
-// 2i+1, source = out(s), sink = in(t); all capacities 0/1, see FlowScratch).
-func (pf *PoolFlow) flowPair(mask uint64, s, t, limit int) int {
-	// Build the residual rows for the masked nodes. Rows of nodes outside
-	// mask are never visited: no arc of a masked row points at them.
-	for rest := mask; rest != 0; {
-		i := bits.TrailingZeros64(rest)
-		rest &= rest - 1
-		in, out := 2*i, 2*i+1
-		pf.resid[2*in] = 0
-		pf.resid[2*in+1] = 0
-		pf.resid[2*in+(out>>6)] = 1 << (out & 63)
-		lo, hi := spreadEven(pf.adj[i] & mask)
-		pf.resid[2*out] = lo
-		pf.resid[2*out+1] = hi
-	}
+// on a fresh copy of the subset's split graph.
+func (pf *PoolFlow) flowPair(rows, s, t, limit int) int {
+	copy(pf.resid[:rows], pf.base[:rows])
+	return pf.augment(s, t, limit)
+}
+
+// augment pushes flow from out(s) to in(t) through the residual rows as they
+// stand (all capacities 0/1, see FlowScratch; s == t is a fan probe).
+func (pf *PoolFlow) augment(s, t, limit int) int {
+	pf.probes++
 	source, sink := int8(2*s+1), int8(2*t)
 	flow := 0
 	for {

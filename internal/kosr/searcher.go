@@ -24,7 +24,8 @@ import (
 //     A knowledge update dirties only the components it touches — a component
 //     whose member set is unchanged has an unchanged induced subgraph (PD
 //     records are immutable once received), so its (g+1)-core peel and its
-//     enumeration survive the update verbatim.
+//     enumeration survive the update verbatim; one that did change is peeled
+//     on the decomposition's CSR and enumerated on bitsets, no graph built.
 //   - Per-S1 verdict facts (the |OutTargets| count and bounds on κ(G[S1]))
 //     are memoized across revisions and thresholds, so when a component does
 //     grow, only subsets involving the new members pay for max-flow probes.
@@ -58,10 +59,10 @@ type Searcher struct {
 	received int
 	valid    bool
 
-	// comps is the current decomposition: sorted members (slices of arena)
-	// plus each component's content key (slices of keyArena).
+	// comps is the current decomposition: each component's members as ascending
+	// positions in ids (slices of arena) and its content key (of keyArena).
 	comps    []sccComp
-	arena    []model.ID
+	arena    []int32
 	keyArena []byte
 
 	// owners holds what is kept per record owner, filled at first sight and
@@ -86,6 +87,13 @@ type Searcher struct {
 	adjFlat  []int32
 	scc      graph.Tarjan
 
+	// Peel scratch, in the CSR's index space: deg[2u], deg[2u+1] are u's in-
+	// and out-degree among the survivors of the peel under way; deg[2u] = -1
+	// for every u that is not one.
+	deg  []int32
+	live []int32
+	pool []model.ID
+
 	// Per-call scratch.
 	outSet  model.IDSet
 	keyBuf  []byte
@@ -98,7 +106,7 @@ type ownerRec struct {
 }
 
 type sccComp struct {
-	ids []model.ID
+	idx []int32
 	key []byte
 }
 
@@ -274,11 +282,15 @@ func (s *Searcher) decompose(v *View) {
 	for c := 0; c < n; c++ {
 		at, keyAt := len(s.arena), len(s.keyArena)
 		for _, i := range s.scc.Comp(c) {
-			s.arena = append(s.arena, s.ids[i])
+			s.arena = append(s.arena, i)
 			s.keyArena = setBit(s.keyArena, keyAt, s.owners[s.ids[i]].idx)
 		}
 		slices.Sort(s.arena[at:])
-		s.comps = append(s.comps, sccComp{ids: s.arena[at:], key: s.keyArena[keyAt:]})
+		s.comps = append(s.comps, sccComp{idx: s.arena[at:], key: s.keyArena[keyAt:]})
+	}
+	s.deg = slices.Grow(s.deg[:0], 2*len(s.ids))[:2*len(s.ids)]
+	for i := range s.deg {
+		s.deg[i] = -1
 	}
 }
 
@@ -351,27 +363,25 @@ func (s *Searcher) entryFor(v *View, g int, comp *sccComp) *sccEntry {
 
 // searchComp searches one component at g: (g+1)-core peel (sound for g ≥ 1
 // only: singletons have no degree requirement), then exact subset
-// enumeration up to ExactLimit, else structural candidates.
+// enumeration up to ExactLimit, else structural candidates (the one path
+// that builds a Digraph).
 func (s *Searcher) searchComp(v *View, g int, comp *sccComp) *sccEntry {
 	e := &sccEntry{exact: true}
-	if len(comp.ids) < 2*g+1 {
-		// The peeled pool can only shrink; skip building the induced graph.
+	if len(comp.idx) < 2*g+1 {
+		// The peeled pool can only shrink.
 		return e
 	}
-	induced := s.inducedOf(comp)
-	pool := induced.NodeSet()
-	if g >= 1 {
-		pool = induced.DirectedCore(g + 1)
-	}
-	if pool.Len() < 2*g+1 {
+	pool := s.peel(comp.idx, int32(g+1))
+	if len(pool) < 2*g+1 {
 		return e
 	}
-	if pool.Len() <= ExactLimit {
-		s.enumeratePool(v, g, pool.Sorted(), e)
+	if len(pool) <= ExactLimit {
+		s.enumeratePool(v, g, pool, e)
 	} else {
 		e.exact = false
 		// Structural candidates: the peeled pool itself and the pool minus
 		// each single vertex, re-peeled.
+		induced := s.inducedOf(comp)
 		seen := make(map[string]bool)
 		try := func(s1 model.IDSet) {
 			if s1.Len() < 2*g+1 {
@@ -386,10 +396,11 @@ func (s *Searcher) searchComp(v *View, g int, comp *sccComp) *sccEntry {
 				e.cands = append(e.cands, cachedCand{s1: s1, key: key})
 			}
 		}
-		try(pool)
-		sub := induced.Induced(pool)
-		for _, u := range pool.Sorted() {
-			rest := pool.Clone()
+		whole := model.NewIDSet(pool...)
+		try(whole)
+		sub := induced.Induced(whole)
+		for _, u := range pool {
+			rest := whole.Clone()
 			rest.Remove(u)
 			if g >= 1 {
 				rest = sub.Induced(rest).DirectedCore(g + 1)
@@ -399,6 +410,48 @@ func (s *Searcher) searchComp(v *View, g int, comp *sccComp) *sccEntry {
 	}
 	sortCands(e.cands)
 	return e
+}
+
+// peel returns, as ascending IDs in reused scratch, the directed k-core of one
+// component's induced subgraph (Digraph.DirectedCore, on the decomposition's
+// CSR): what is left once every member with in- or out-degree < k among the
+// survivors is gone. The core is the unique maximal fixed point, so whole
+// passes reach it as well as any peel order. k ≤ 1 peels nothing: members of a
+// component of ≥ 2 have both degrees ≥ 1, and a singleton is a valid S1 at g = 0.
+func (s *Searcher) peel(comp []int32, k int32) []model.ID {
+	live := append(s.live[:0], comp...)
+	for k > 1 {
+		for _, u := range live {
+			s.deg[2*u], s.deg[2*u+1] = 0, 0
+		}
+		for _, u := range live {
+			for _, w := range s.adjFlat[s.adjStart[u]:s.adjStart[u+1]] {
+				if s.deg[2*w] >= 0 {
+					s.deg[2*w]++
+					s.deg[2*u+1]++
+				}
+			}
+		}
+		kept := live[:0]
+		for _, u := range live {
+			if s.deg[2*u] >= k && s.deg[2*u+1] >= k {
+				kept = append(kept, u)
+			} else {
+				s.deg[2*u] = -1
+			}
+		}
+		if len(kept) == len(live) {
+			break
+		}
+		live = kept
+	}
+	s.live = live[:0]
+	s.pool = s.pool[:0]
+	for _, u := range live {
+		s.deg[2*u] = -1
+		s.pool = append(s.pool, s.ids[u])
+	}
+	return s.pool
 }
 
 // enumeratePool walks the subsets of the (sorted, ≤ ExactLimit ≤ 64) pool
@@ -524,16 +577,17 @@ func (s *Searcher) countOutTargets(v *View, s1 model.IDSet) int {
 	return s.outSet.Len()
 }
 
-// inducedOf builds the component's induced subgraph of the received graph.
+// inducedOf builds the component's induced subgraph of the received graph,
+// for the structural fallback.
 func (s *Searcher) inducedOf(comp *sccComp) *graph.Digraph {
 	gd := graph.New()
-	for _, u := range comp.ids {
-		gd.AddNode(u)
+	for _, u := range comp.idx {
+		gd.AddNode(s.ids[u])
 	}
-	for _, u := range comp.ids {
-		for _, tgt := range s.owners[u].pd {
-			if tgt != u && gd.HasNode(tgt) {
-				gd.AddEdge(u, tgt)
+	for _, u := range comp.idx {
+		for _, w := range s.adjFlat[s.adjStart[u]:s.adjStart[u+1]] {
+			if gd.HasNode(s.ids[w]) {
+				gd.AddEdge(s.ids[u], s.ids[w])
 			}
 		}
 	}

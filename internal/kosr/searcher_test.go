@@ -264,7 +264,7 @@ func TestSearcherMemoKeysWellFormed(t *testing.T) {
 		for _, comp := range se.comps {
 			key := append(binary.AppendUvarint(nil, uint64(g)), comp.key...)
 			if _, ok := se.sccCands[string(key)]; !ok {
-				t.Fatalf("g=%d component %v: no entry under its (g, component) key %x — stored under a clobbered key", g, comp.ids, key)
+				t.Fatalf("g=%d component %v: no entry under its (g, component) key %x — stored under a clobbered key", g, comp.idx, key)
 			}
 		}
 	}
@@ -389,6 +389,74 @@ func TestSearcherManyRecords(t *testing.T) {
 	}
 }
 
+// TestSearcherPeelMatchesDirectedCore holds the index-space peel to the
+// map-based one it replaced in the search: over random insertion sequences on
+// planted and unplanted families, after every insertion, for every component
+// of the decomposition and every k the search can ask for, Searcher.peel on
+// the CSR returns exactly inducedOf(comp).DirectedCore(k) in ascending order
+// (k ≤ 1: the whole component), and leaves its degree scratch as it found it.
+// IDs are shifted past 64 and past 2^32 as in the key-space tests: the peel
+// works on positions, never on ID values.
+func TestSearcherPeelMatchesDirectedCore(t *testing.T) {
+	rng := rand.New(rand.NewSource(16))
+	kept, partial, emptied := 0, 0, 0
+	for _, def := range []string{
+		"kosr:sink=9,nonsink=5,k=3,extra=0.2", "extended:core=7,noncore=4,extra=0.2",
+		"er:n=24,p=0.2", "er:n=18,p=0.45", "geo:n=24,r=0.35", "sf:n=24,m=3",
+	} {
+		d, err := graph.ParseDef(def)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, delta := range []model.ID{0, 60, 1 << 33} {
+			b, err := d.Build(int64(i + 1))
+			if err != nil {
+				t.Fatal(err)
+			}
+			g := shiftedGraph(b.G, delta)
+			owners := g.Nodes()
+			rng.Shuffle(len(owners), func(i, j int) { owners[i], owners[j] = owners[j], owners[i] })
+			v := NewView()
+			se := NewSearcher()
+			for step, owner := range owners {
+				v.AddKnown(owner)
+				v.SetPD(owner, g.OutSet(owner))
+				se.refresh(v)
+				for c := range se.comps {
+					comp := &se.comps[c]
+					induced := se.inducedOf(comp)
+					for k := 0; k <= v.MaxG()+2; k++ {
+						want := induced.NodeSet()
+						if k > 1 {
+							want = induced.DirectedCore(k)
+						}
+						got := se.peel(comp.idx, int32(k))
+						if !slices.Equal(got, want.Sorted()) {
+							t.Fatalf("%s +%d step %d: peel(%v, %d) = %v, DirectedCore gives %v", def, delta, step, induced.Nodes(), k, got, want)
+						}
+						switch len(got) {
+						case len(comp.idx):
+							kept++
+						case 0:
+							emptied++
+						default:
+							partial++
+						}
+					}
+				}
+				for u, d := range se.deg {
+					if d != -1 && u%2 == 0 {
+						t.Fatalf("%s +%d step %d: deg[%d] = %d after the peels, want -1", def, delta, step, u, d)
+					}
+				}
+			}
+		}
+	}
+	if kept == 0 || partial == 0 || emptied == 0 {
+		t.Fatalf("peels that kept everything / something / nothing: %d / %d / %d — one outcome never ran", kept, partial, emptied)
+	}
+}
+
 // TestStructuralFallback executes the > ExactLimit path, which has exactly
 // one implementation and no brute-force twin (2^24 subsets): on a complete
 // graph and on a planted k-OSR graph whose sink is a 24-node SCC, every g at
@@ -478,10 +546,11 @@ func TestSearcherOutTargetsPastEnumWidth(t *testing.T) {
 // only the result — the winner's derived S2, a few objects (measured: 4).
 // A hit renders its key into a reused buffer and looks it up without
 // materializing a string, so the budget is pinned at 2× the measured steady
-// state: a memo-less search re-runs SCC, peel, enumeration and max-flow,
-// allocating hundreds, and any regression of the memo mechanism (a clobbered
-// key, a string materialized on the hit path) costs multiples of the budget
-// without flaking on allocator noise.
+// state: a memo-less search re-runs SCC, peel, enumeration and max-flow and
+// allocates ~95 (memo entries and candidates; 120 while every searched
+// component still cost a Digraph), so any regression of the memo mechanism (a
+// clobbered key, a string materialized on the hit path) costs multiples of
+// the budget without flaking on allocator noise.
 const searcherAllocBudget = 8
 
 // TestSearcherAllocsSteadyState gates the scratch-reuse win from both
