@@ -130,8 +130,9 @@ func BenchmarkMatrix(b *testing.B) {
 // 1-graph × 1000-seed sweep — the compile-once, run-many regime: every cell
 // shares one graph def, mode, network model and Byzantine placement, varying
 // only the simulation seed. This is the workload the scenario compilation
-// cache and the cryptox fast path exist for, and the number CI gates via
-// `experiments -bench-json -bench-gate`.
+// cache and the cryptox fast path exist for. CI smoke-runs it; the numbers
+// that are refereed are go run ./bench's — cells_per_s on its sweep workloads
+// and the per-layer kernels of bench/kernels.go.
 func BenchmarkSweepCells(b *testing.B) {
 	d, err := graph.ParseDef("fig1b")
 	if err != nil {

@@ -8,9 +8,9 @@ import (
 
 // TestEventPathAllocsSteadyState is the allocation-regression gate on the
 // pooled event path (CI runs it in the benchmark smoke job): once the event
-// heap and body pool are warm, a send→deliver cycle must allocate nothing —
-// events live by value in the heap, bodies come from the free list, metrics
-// are array-backed. Any regression (a stray boxing, a map on the hot path, a
+// slab, the queue's tiers and the body pool are warm, a send→deliver cycle
+// must allocate nothing — events are recycled slab records linked into wheel
+// buckets, bodies come from the free list, metrics are array-backed. Any regression (a stray boxing, a map on the hot path, a
 // per-message copy) shows up as a nonzero allocation count here.
 func TestEventPathAllocsSteadyState(t *testing.T) {
 	e := NewEngine(Synchronous{Delta: 5 * Millisecond}, 7)
@@ -26,7 +26,7 @@ func TestEventPathAllocsSteadyState(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// Warm up: grow the heap, the body pool and every reactor's state to
+	// Warm up: grow the slab, the body pool and every reactor's state to
 	// steady state.
 	for i := 0; i < 5000; i++ {
 		if !e.Step() {

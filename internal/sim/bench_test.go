@@ -2,10 +2,12 @@ package sim
 
 import (
 	"fmt"
+	"math"
+	"math/rand"
 	"testing"
 )
 
-// BenchmarkEngine measures the simulator hot path — event-heap churn, message
+// BenchmarkEngine measures the simulator hot path — event-queue churn, message
 // delivery, network-delay RNG draws and metrics accounting — with reactors
 // that do no protocol work. events/s is the headline throughput number the
 // BENCH_matrix.json trajectory tracks; run with -benchmem to see allocs/op on
@@ -48,5 +50,54 @@ func BenchmarkEngineSend(b *testing.B) {
 				b.Fatal(err)
 			}
 		})
+	}
+}
+
+// BenchmarkEventQueue prices the queue alone with the classic hold model —
+// pop the earliest event, push one at now + d — at several pending-set sizes
+// and one delay law per tier: a jittered Δ (the wheel, a few events a
+// bucket), a constant delay (every bucket is one run of ties), and 3×now
+// growth (everything beyond the first few rounds goes through the overflow
+// heap). Steady state must read 0 allocs/op.
+func BenchmarkEventQueue(b *testing.B) {
+	laws := []struct {
+		name  string
+		delay func(rng *rand.Rand, now Time) Time
+	}{
+		{"jitter", func(rng *rand.Rand, _ Time) Time { return jitter(5*Millisecond, rng) }},
+		{"constant", func(*rand.Rand, Time) Time { return 5 * Millisecond }},
+		{"3x-now", func(_ *rand.Rand, now Time) Time { return 2 * now }},
+	}
+	for _, law := range laws {
+		for _, pending := range []int{16, 128, 1024, 16384} {
+			law, pending := law, pending
+			b.Run(fmt.Sprintf("%s/pending-%d", law.name, pending), func(b *testing.B) {
+				e := NewEngine(Synchronous{Delta: 1}, 1)
+				rng := newRand(1)
+				push := func(at Time) { e.push(at).kind = evTimer }
+				prime := func() {
+					e.Reset(e.net, 1)
+					e.now = Millisecond
+					for i := 0; i < pending; i++ {
+						push(e.now + law.delay(rng, e.now))
+					}
+				}
+				hold := func(n int) {
+					for i := 0; i < n; i++ {
+						if e.now > math.MaxInt64/4 {
+							prime() // 3×now has run the clock out: same slab and tiers, new epoch
+						}
+						e.peek()
+						e.now = e.popEvent().at
+						push(e.now + law.delay(rng, e.now))
+					}
+				}
+				prime()
+				hold(4 * pending) // grow the slab and every tier to steady state
+				b.ReportAllocs()
+				b.ResetTimer()
+				hold(b.N)
+			})
+		}
 	}
 }

@@ -7,9 +7,9 @@ import (
 )
 
 // Workload is a synthetic, engine-dominated traffic pattern used by the
-// hot-path benchmarks (BenchmarkEngine) and by `cmd/experiments -bench-json`.
-// Reactors do no protocol work — every cycle is engine overhead (heap,
-// delivery, RNG, metrics) — so events/sec measured over a Workload tracks the
+// hot-path benchmarks (BenchmarkEngine) and by the sim.ring64 kernel of
+// bench/kernels.go. Reactors do no protocol work — every cycle is engine
+// overhead (event queue, delivery, RNG, metrics) — so events/sec measured over a Workload tracks the
 // simulator core, not the protocols running on it.
 type Workload struct {
 	// Procs is the process count (ring size). Default 16.

@@ -1,0 +1,385 @@
+package sim
+
+import (
+	"math"
+	"math/rand"
+	"testing"
+	"unsafe"
+
+	"github.com/bftcup/bftcup/internal/model"
+)
+
+// refHeap is the queue the engine had before the wheel, kept as the oracle:
+// a binary min-heap of whole events on (at, seq), seq assigned at push.
+type refHeap struct {
+	seq uint64
+	h   []event
+}
+
+func (ev *event) before(o *event) bool {
+	if ev.at != o.at {
+		return ev.at < o.at
+	}
+	return ev.seq < o.seq
+}
+
+func (r *refHeap) push(ev event) {
+	ev.seq = r.seq
+	r.seq++
+	h := append(r.h, ev)
+	i := len(h) - 1
+	for i > 0 {
+		parent := (i - 1) / 2
+		if !h[i].before(&h[parent]) {
+			break
+		}
+		h[i], h[parent] = h[parent], h[i]
+		i = parent
+	}
+	r.h = h
+}
+
+func (r *refHeap) pop() event {
+	h := r.h
+	root := h[0]
+	n := len(h) - 1
+	h[0] = h[n]
+	h = h[:n]
+	i := 0
+	for {
+		l := 2*i + 1
+		if l >= n {
+			break
+		}
+		m := l
+		if r := l + 1; r < n && h[r].before(&h[l]) {
+			m = r
+		}
+		if !h[m].before(&h[i]) {
+			break
+		}
+		h[i], h[m] = h[m], h[i]
+		i = m
+	}
+	r.h = h
+	return root
+}
+
+// queuePair drives the engine's queue and the oracle with one script.
+type queuePair struct {
+	t   *testing.T
+	e   *Engine
+	ref refHeap
+	now Time // at of the last pop: scripts push at now+d, as reactors do
+}
+
+func newQueuePair(t *testing.T) *queuePair {
+	return &queuePair{t: t, e: NewEngine(Synchronous{Delta: 1}, 1)}
+}
+
+func (q *queuePair) push(at Time) {
+	ev := q.e.push(at)
+	ev.kind, ev.tag = evTimer, q.ref.seq
+	q.ref.push(event{at: at, tag: q.ref.seq})
+}
+
+func (q *queuePair) pending() int { return len(q.ref.h) }
+
+// pop takes one event from both queues and fails the test unless peek, the
+// engine's pop and the oracle's pop name the same (at, seq).
+func (q *queuePair) pop() {
+	q.t.Helper()
+	head, ok := q.e.peek()
+	if !ok {
+		q.t.Fatalf("queue empty with %d events pending in the oracle", q.pending())
+	}
+	got, want := q.e.popEvent(), q.ref.pop()
+	if head.at != got.at || head.seq != got.seq {
+		q.t.Fatalf("peek (%d, %d) is not the next pop (%d, %d)", head.at, head.seq, got.at, got.seq)
+	}
+	if got.at != want.at || got.seq != want.seq || got.tag != want.tag {
+		q.t.Fatalf("pop (at %d, seq %d) differs from the heap's (at %d, seq %d), %d still pending",
+			got.at, got.seq, want.at, want.seq, q.pending())
+	}
+	q.now = got.at
+}
+
+func (q *queuePair) drain() {
+	q.t.Helper()
+	for q.pending() > 0 {
+		q.pop()
+	}
+	if head, ok := q.e.peek(); ok {
+		q.t.Fatalf("queue still holds (at %d, seq %d) after the oracle drained", head.at, head.seq)
+	}
+}
+
+// advanceTo pops through a lone event at the given time, which leaves that
+// time's bucket open.
+func (q *queuePair) advanceTo(at Time) {
+	q.t.Helper()
+	q.drain()
+	q.push(at)
+	q.pop()
+}
+
+const (
+	bucketWidth = Time(1) << bucketShift
+	wheelSpan   = wheelBuckets * bucketWidth
+)
+
+// TestEventQueueMatchesHeap is the differential test of the three-tier queue
+// against the binary heap it replaced: seeded scripts of pushes and pops, one
+// per regime the tiers meet, must pop in the same (at, seq) order from both.
+func TestEventQueueMatchesHeap(t *testing.T) {
+	t.Run("jittered-delta", func(t *testing.T) {
+		q, rng := newQueuePair(t), rand.New(rand.NewSource(1))
+		for i := 0; i < 200; i++ {
+			q.push(jitter(5*Millisecond, rng))
+		}
+		for i := 0; i < 60000; i++ {
+			q.pop()
+			// 0–2 successors keep the population wandering around 200.
+			for n := rng.Intn(3); n > 0 && q.pending() < 400; n-- {
+				q.push(q.now + jitter(5*Millisecond, rng))
+			}
+			if q.pending() < 100 {
+				q.push(q.now + jitter(5*Millisecond, rng))
+			}
+			if i%500 == 0 {
+				q.push(q.now + 20*Millisecond) // the discovery period
+			}
+		}
+		q.drain()
+	})
+
+	t.Run("equal-times-fifo", func(t *testing.T) {
+		// The AsyncAdversarial broadcast: thousands of events on one instant,
+		// in the open bucket, in the wheel and in the overflow heap.
+		q := newQueuePair(t)
+		q.advanceTo(Millisecond)
+		for i := 0; i < 4000; i++ {
+			q.push(q.now)
+			q.push(q.now + 30*Millisecond)
+			q.push(q.now + 3*Second)
+		}
+		q.drain()
+	})
+
+	t.Run("late-push-into-open-run", func(t *testing.T) {
+		q, rng := newQueuePair(t), rand.New(rand.NewSource(3))
+		for round := 0; round < 50; round++ {
+			base := q.now + 2*bucketWidth - q.now%bucketWidth
+			for i := 0; i < 100; i++ {
+				q.push(base + Time(rng.Int63n(int64(bucketWidth))))
+			}
+			for q.pending() > 0 {
+				q.pop()
+				if rng.Intn(2) == 0 && q.pending() < 300 {
+					q.push(q.now) // d = 0: after every equal time already queued
+					if room := base + bucketWidth - q.now; room > 1 {
+						q.push(q.now + Time(rng.Int63n(int64(room)))) // among the run's later times
+					}
+				}
+			}
+		}
+		q.drain()
+	})
+
+	t.Run("open-run-never-empties", func(t *testing.T) {
+		// Two tokens bouncing inside one bucket: the run is never spent, so
+		// only compaction keeps it from growing with the event count.
+		q := newQueuePair(t)
+		q.push(1)
+		q.push(2)
+		for i := 0; i < 100000; i++ {
+			q.pop()
+			q.push(q.now) // same instant: the bucket stays open for ever
+		}
+		if c := cap(q.e.run); c > 64 {
+			t.Fatalf("open run grew to %d keys for 2 pending events", c)
+		}
+		q.drain()
+	})
+
+	t.Run("bucket-and-window-boundaries", func(t *testing.T) {
+		// Open the bucket whose successor sits in the bitmap's last bit, so
+		// the window wraps the bitmap right away; then put events on every
+		// edge: first and last nanosecond of buckets, the last bucket the
+		// wheel holds, the first the overflow heap holds, and one later.
+		for _, startBucket := range []int64{0, 3*wheelBuckets - 2, 5*wheelBuckets + 62, 7*wheelBuckets + 63} {
+			q := newQueuePair(t)
+			if startBucket > 0 {
+				q.advanceTo(Time(startBucket) * bucketWidth)
+			}
+			if q.e.cur != startBucket {
+				t.Fatalf("open bucket %d, want %d", q.e.cur, startBucket)
+			}
+			curEnd := Time(startBucket+1) * bucketWidth
+			for _, b := range []Time{0, 1, 2, 63, 64, 65, wheelBuckets - 2, wheelBuckets - 1, wheelBuckets, wheelBuckets + 1, 2 * wheelBuckets} {
+				for _, off := range []Time{0, 1, bucketWidth - 1} {
+					q.push(curEnd + b*bucketWidth + off)
+				}
+			}
+			q.push(curEnd - 1)         // last instant of the open bucket
+			q.push(curEnd + wheelSpan) // exactly one window ahead: overflow
+			q.push(curEnd + wheelSpan - 1)
+			q.drain()
+		}
+	})
+
+	t.Run("far-future-and-idle-gaps", func(t *testing.T) {
+		q, rng := newQueuePair(t), rand.New(rand.NewSource(5))
+		q.advanceTo(30 * Millisecond)
+		for i := 0; i < 16; i++ {
+			// 3×now growth: every delivery schedules beyond the window, so
+			// each pop finds the wheel empty and jumps to the overflow minimum.
+			for n := 0; n < 16; n++ {
+				q.push(3 * q.now)
+				q.push(3*q.now + Time(rng.Int63n(int64(wheelSpan))))
+			}
+			q.push(q.now + wheelSpan/2) // and one event the wheel does hold
+			for n := 0; n < 20; n++ {
+				q.pop()
+			}
+		}
+		q.drain()
+		// A long idle gap with overflow events on both sides of the window
+		// the jump opens.
+		q.push(q.now + 1000*wheelSpan)
+		q.push(q.now + 1000*wheelSpan + wheelSpan - 1)
+		q.push(q.now + 1001*wheelSpan + bucketWidth)
+		q.push(q.now + 5000*wheelSpan)
+		q.drain()
+	})
+
+	t.Run("peek-opens-a-later-bucket", func(t *testing.T) {
+		// RunUntil's horizon check peeks without popping. The bucket that
+		// opens — after an idle gap, a far one — must not hide what is
+		// pushed below it afterwards.
+		q, rng := newQueuePair(t), rand.New(rand.NewSource(9))
+		q.advanceTo(Millisecond)
+		for round := 0; round < 20; round++ {
+			q.push(q.now + 10*Second)
+			q.e.peek()
+			for i := 0; i < 50; i++ {
+				q.push(q.now + Time(rng.Int63n(int64(11*Second))))
+			}
+			q.push(q.now)
+			q.drain()
+		}
+	})
+
+	t.Run("overflow-migrates-under-wheel-traffic", func(t *testing.T) {
+		// Back-off timers parked in the overflow heap while Δ-band traffic
+		// keeps the wheel busy: they must surface when the window reaches
+		// them, not when the wheel next runs dry.
+		q, rng := newQueuePair(t), rand.New(rand.NewSource(6))
+		for i := 0; i < 50; i++ {
+			q.push(jitter(5*Millisecond, rng))
+		}
+		for i := 0; i < 30000; i++ {
+			q.pop()
+			q.push(q.now + jitter(5*Millisecond, rng))
+			if i%100 == 0 {
+				q.push(q.now + wheelSpan + Time(rng.Int63n(int64(wheelSpan))))
+			}
+		}
+		q.drain()
+	})
+
+	t.Run("dense-bucket", func(t *testing.T) {
+		// 20 k events in one bucket over 512 distinct instants: one big sort
+		// with long FIFO runs inside it.
+		q, rng := newQueuePair(t), rand.New(rand.NewSource(7))
+		base := 10 * bucketWidth
+		for i := 0; i < 20000; i++ {
+			q.push(base + Time(rng.Int63n(512))*64)
+		}
+		q.drain()
+	})
+
+	t.Run("end-of-time", func(t *testing.T) {
+		// Times within a window of math.MaxInt64: no window test may add a
+		// span to a time.
+		q, rng := newQueuePair(t), rand.New(rand.NewSource(8))
+		const end = Time(math.MaxInt64)
+		q.advanceTo(end - 3*wheelSpan)
+		for i := 0; i < 2000; i++ {
+			q.push(q.now + Time(rng.Int63n(int64(end-q.now)+1)))
+		}
+		q.push(end)
+		q.push(end - 1)
+		q.push(end)
+		for q.pending() > 0 {
+			q.pop()
+			if q.now < end && rng.Intn(4) == 0 {
+				q.push(q.now + Time(rng.Int63n(int64(end-q.now)+1)))
+			}
+		}
+		q.drain()
+	})
+
+	t.Run("random-scripts", func(t *testing.T) {
+		delays := []func(*rand.Rand, Time) Time{
+			func(*rand.Rand, Time) Time { return 0 },
+			func(r *rand.Rand, _ Time) Time { return Time(r.Int63n(int64(bucketWidth))) },
+			func(r *rand.Rand, _ Time) Time { return jitter(5*Millisecond, r) },
+			func(r *rand.Rand, _ Time) Time { return Time(r.Int63n(8)) * bucketWidth },
+			func(r *rand.Rand, _ Time) Time { return wheelSpan + Time(r.Int63n(5)-2)*bucketWidth },
+			func(r *rand.Rand, _ Time) Time { return wheelSpan + Time(r.Int63n(3)-1) },
+			func(r *rand.Rand, _ Time) Time { return Time(r.Int63n(int64(3 * wheelSpan))) },
+			func(_ *rand.Rand, now Time) Time { return 2 * now },
+			func(*rand.Rand, Time) Time { return 20 * Millisecond },
+		}
+		for seed := int64(1); seed <= 12; seed++ {
+			q, rng := newQueuePair(t), rand.New(rand.NewSource(seed))
+			for op := 0; op < 20000; op++ {
+				if q.pending() > 0 && rng.Intn(100) < 48 {
+					q.pop()
+					continue
+				}
+				q.push(q.now + delays[rng.Intn(len(delays))](rng, q.now))
+				if q.now > math.MaxInt64/8 {
+					break // the 2×now delays have run the clock out
+				}
+			}
+			q.drain()
+		}
+	})
+}
+
+// zeroTimer arms a timer for the instant it is initialised at.
+type zeroTimer struct{ ticks int }
+
+func (z *zeroTimer) Init(ctx Context)                  { ctx.SetTimer(0, 1) }
+func (z *zeroTimer) Receive(Context, model.ID, []byte) {}
+func (z *zeroTimer) Timer(Context, uint64)             { z.ticks++ }
+
+// TestControlPrecedesInitAtTimeZero pins the documented order at t = 0: a
+// scheduled crash at time zero is queued before Init runs, so it is delivered
+// before the timer Init sets for the same instant, which then dies with the
+// process.
+func TestControlPrecedesInitAtTimeZero(t *testing.T) {
+	e := NewEngine(Synchronous{Delta: Millisecond}, 1)
+	crashed, alive := &zeroTimer{}, &zeroTimer{}
+	if err := e.AddProcess(1, crashed); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.AddProcess(2, alive); err != nil {
+		t.Fatal(err)
+	}
+	e.ScheduleCrash(1, 0)
+	e.Run(Second)
+	if crashed.ticks != 0 || alive.ticks != 1 {
+		t.Fatalf("ticks: crashed-at-0 process %d (want 0), live process %d (want 1)", crashed.ticks, alive.ticks)
+	}
+}
+
+// TestEventRecordFitsCacheLine pins the slab record at one cache line: a wider
+// one makes every push and pop touch two.
+func TestEventRecordFitsCacheLine(t *testing.T) {
+	if size := unsafe.Sizeof(event{}); size > 64 {
+		t.Fatalf("event record is %d bytes, want at most 64", size)
+	}
+}

@@ -8,12 +8,36 @@ import (
 
 // runRingOn drives a small token ring on the given engine (fresh or reset)
 // with tracing attached and returns the trace digest plus message count. The
-// horizon cuts the run with deliveries still queued, so a following Reset
-// also exercises the in-flight-event release path.
+// horizon cuts the run with events queued in every tier of the queue — ring
+// deliveries in the open bucket and the wheel, the slow link class's pre-GST
+// messages and farTimer's timer in the overflow heap (under resetNet) — so a
+// following Reset exercises the in-flight release path of all three.
 func runRingOn(t *testing.T, engine *Engine) (string, int64) {
 	t.Helper()
 	tr := NewTrace()
 	engine.SetTrace(tr)
+	addRing(t, engine)
+	if err := engine.AddProcess(9, farTimer{}); err != nil {
+		t.Fatal(err)
+	}
+	engine.Run(50 * Millisecond)
+	return tr.Digest(), engine.Metrics().Messages
+}
+
+// resetNet keeps every link touching process 8 silent until GST = 200 ms.
+var resetNet = PartialSync{GST: 200 * Millisecond, Delta: 5 * Millisecond, Slow: SlowTouching(model.NewIDSet(8))}
+
+// farTimer arms one timer a second ahead, far beyond the wheel's window.
+type farTimer struct{}
+
+func (farTimer) Init(ctx Context)                  { ctx.SetTimer(Second, 7) }
+func (farTimer) Receive(Context, model.ID, []byte) {}
+func (farTimer) Timer(Context, uint64)             {}
+
+// addRing registers the 8-process ring: every process starts one token and
+// forwards each delivery to two of its three successors.
+func addRing(t *testing.T, engine *Engine) {
+	t.Helper()
 	peers := make([]model.ID, 8)
 	for i := range peers {
 		peers[i] = model.ID(i + 1)
@@ -30,8 +54,6 @@ func runRingOn(t *testing.T, engine *Engine) (string, int64) {
 			t.Fatal(err)
 		}
 	}
-	engine.Run(50 * Millisecond)
-	return tr.Digest(), engine.Metrics().Messages
 }
 
 // TestEngineResetMatchesFresh pins Reset's contract: an engine reset to a
@@ -39,7 +61,7 @@ func runRingOn(t *testing.T, engine *Engine) (string, int64) {
 // event traces and metrics — and a reset to a different seed actually
 // diverges (the RNG was reseeded, not left running).
 func TestEngineResetMatchesFresh(t *testing.T) {
-	net := Synchronous{Delta: 5 * Millisecond}
+	net := resetNet
 	fresh := NewEngine(net, 42)
 	wantDigest, wantMsgs := runRingOn(t, fresh)
 	if wantMsgs == 0 {
@@ -51,7 +73,28 @@ func TestEngineResetMatchesFresh(t *testing.T) {
 		t.Fatal("different seeds produced identical traces")
 	}
 	for i := 0; i < 3; i++ {
+		// The cut-off run left events in all three tiers; Reset must hand
+		// every body they hold back to the pool and leave the tiers empty.
+		inFlight := make(map[*msgBody]bool)
+		for j := range reused.slab {
+			if b := reused.slab[j].body; b != nil {
+				inFlight[b] = true
+			}
+		}
+		wheelEmpty := func() bool { return reused.occ == [len(reused.occ)]uint64{} }
+		if reused.runPos == len(reused.run) || wheelEmpty() || len(reused.over) == 0 || len(inFlight) == 0 {
+			t.Fatalf("cut-off run left a tier empty: open run %d, wheel empty %v, overflow %d, bodies %d",
+				len(reused.run)-reused.runPos, wheelEmpty(), len(reused.over), len(inFlight))
+		}
+		pooled := len(reused.bodyFree)
 		reused.Reset(net, 42)
+		if got := len(reused.bodyFree); got != pooled+len(inFlight) {
+			t.Fatalf("reset %d pooled %d bodies, want %d + %d in flight", i, got, pooled, len(inFlight))
+		}
+		if _, pending := reused.peek(); pending || len(reused.run) != 0 || !wheelEmpty() ||
+			reused.heads != [wheelBuckets]int32{} || len(reused.over) != 0 || len(reused.slab) != 1 {
+			t.Fatalf("reset %d left events queued", i)
+		}
 		if reused.Now() != 0 || reused.Metrics().Messages != 0 {
 			t.Fatalf("reset %d left state behind: now=%v messages=%d", i, reused.Now(), reused.Metrics().Messages)
 		}
@@ -74,4 +117,63 @@ func TestEngineResetMatchesFresh(t *testing.T) {
 	if tr.Events() != 0 {
 		t.Fatalf("detached trace recorded %d events", tr.Events())
 	}
+}
+
+// delayTimers arms, at Init, one timer per delay (tagged with its index) and
+// logs what fires when.
+type delayTimers struct {
+	delays []Time
+	fired  []uint64
+	at     []Time
+}
+
+func (d *delayTimers) Init(ctx Context) {
+	for i, delay := range d.delays {
+		ctx.SetTimer(delay, uint64(i))
+	}
+}
+func (d *delayTimers) Receive(Context, model.ID, []byte) {}
+func (d *delayTimers) Timer(ctx Context, tag uint64) {
+	d.fired = append(d.fired, tag)
+	d.at = append(d.at, ctx.Now())
+}
+
+// TestRunUntilHorizonBoundary pins the two-phase pattern the scenario runner
+// uses for its post-decision grace second: RunUntil delivers an event at
+// exactly the horizon, leaves one a nanosecond later queued without moving
+// the clock past the horizon — although looking at it may already have opened
+// its bucket, or slid the window to a far timer — and a second RunUntil with
+// a later horizon picks up from there.
+func TestRunUntilHorizonBoundary(t *testing.T) {
+	const horizon = 10 * Millisecond
+	e := NewEngine(Synchronous{Delta: Millisecond}, 1)
+	r := &delayTimers{delays: []Time{horizon + 1, 2 * Second, horizon, Millisecond}}
+	if err := e.AddProcess(1, r); err != nil {
+		t.Fatal(err)
+	}
+	never := func() bool { return false }
+	expect := func(phase string, now Time, fired ...uint64) {
+		t.Helper()
+		if e.Now() != now {
+			t.Fatalf("%s: now = %d, want %d", phase, e.Now(), now)
+		}
+		if len(r.fired) != len(fired) {
+			t.Fatalf("%s: fired %v, want %v", phase, r.fired, fired)
+		}
+		for i, tag := range fired {
+			if r.fired[i] != tag || r.at[i] != r.delays[tag] {
+				t.Fatalf("%s: fired %v at %v, want %v at their delays", phase, r.fired, r.at, fired)
+			}
+		}
+	}
+	if e.RunUntil(never, horizon) {
+		t.Fatal("RunUntil reported a condition that never holds")
+	}
+	expect("first horizon", horizon, 3, 2)
+	e.RunUntil(never, horizon) // the same horizon again delivers nothing
+	expect("same horizon", horizon, 3, 2)
+	e.RunUntil(never, Second)
+	expect("later horizon", horizon+1, 3, 2, 0)
+	e.Run(3 * Second)
+	expect("drained", 2*Second, 3, 2, 0, 1)
 }

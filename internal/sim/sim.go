@@ -12,12 +12,15 @@
 //
 // # Hot path
 //
-// The engine is written to be allocation-free in steady state: events live by
-// value in a manually-sifted binary heap (no container/heap interface
-// boxing), message bodies are reference-counted buffers drawn from a
-// per-engine free list, and consecutive sends of byte-identical payloads — the
-// broadcast pattern every protocol layer uses — share one interned buffer
-// instead of copying per recipient. The RNG behind Context.Rand and
+// The engine is written to be allocation-free in steady state: events are
+// one-cache-line records in a recycled slab, queued in a calendar wheel of
+// 32.8 µs buckets with a binary heap behind it for what lies beyond the
+// wheel's 67 ms window (see the queue constants); message bodies are
+// reference-counted buffers drawn from a per-engine free list, and
+// consecutive sends of byte-identical payloads — the broadcast pattern every
+// protocol layer uses — share one interned buffer instead of copying per
+// recipient. Delivery order is (at, seq) — virtual time, then FIFO — and
+// nothing else about the queue is observable. The RNG behind Context.Rand and
 // NetworkModel.Delay is a splitmix64 source wrapped in math/rand, a few
 // nanoseconds per draw with no per-engine table allocation.
 //
@@ -30,7 +33,10 @@ package sim
 import (
 	"bytes"
 	"fmt"
+	"math"
+	"math/bits"
 	"math/rand"
+	"slices"
 	"sort"
 
 	"github.com/bftcup/bftcup/internal/model"
@@ -112,37 +118,56 @@ type msgBody struct {
 	refs int32
 }
 
-// event is one scheduled delivery. Events are stored by value in the heap —
-// no per-event allocation — and carry the resolved *proc so delivery needs no
-// map lookup.
+// event is one scheduled delivery: a record in the engine's slab, exactly one
+// cache line (TestEventRecordFitsCacheLine). It carries the resolved *proc, so
+// delivery needs no map lookup and the recipient's ID is tgt.id. next links
+// the records of one wheel bucket, and the free slots.
 type event struct {
 	at   Time
-	seq  uint64 // tie-breaker: FIFO among same-time events
-	kind eventKind
-	gen  uint32 // evTimer: the target's incarnation at scheduling time
-	to   model.ID
+	seq  uint64   // tie-breaker: FIFO among same-time events
 	from model.ID // evMessage
 	tgt  *proc
 	body *msgBody // evMessage
 	tag  uint64   // evTimer; evCrash/evRestart: index into Engine.controls
+	gen  uint32   // evTimer: the target's incarnation at scheduling time
+	next int32
+	kind eventKind
 }
 
-// before orders events by (at, seq): virtual time first, FIFO within a tick.
-func (ev *event) before(o *event) bool {
-	if ev.at != o.at {
-		return ev.at < o.at
+// The event queue is a calendar wheel in front of a heap: virtual time is cut
+// into buckets of 1<<bucketShift ns, the wheel holds the wheelBuckets buckets
+// after the open one, the heap whatever lies beyond. The constants decide only
+// which tier an event waits in, never the order, so they are not tunables:
+// 32.8 µs × 2,048 = 67 ms keeps the sweeps' Δ-bounded deliveries (Δ = 5 ms)
+// and discovery period (20 ms) in the wheel at a few events a bucket
+// (ARCHITECTURE.md, "The determinism contract").
+const (
+	bucketShift  = 15
+	wheelBuckets = 2048
+)
+
+// qkey is what the sorted tiers hold: (at, seq) and the event's slab slot.
+type qkey struct {
+	at   Time
+	seq  uint64
+	slot int32
+}
+
+// before orders keys by (at, seq): virtual time first, FIFO within a tick.
+func (k qkey) before(o qkey) bool {
+	if k.at != o.at {
+		return k.at < o.at
 	}
-	return ev.seq < o.seq
+	return k.seq < o.seq
 }
 
 // Engine drives a set of reactors over a virtual clock.
 type Engine struct {
-	now    Time
-	seq    uint64
-	events []event // manual binary min-heap on (at, seq)
-	procs  map[model.ID]*proc
-	order  []model.ID
-	net    NetworkModel
+	now   Time
+	seq   uint64
+	procs map[model.ID]*proc
+	order []model.ID
+	net   NetworkModel
 	// injector is net's FaultInjector view, cached so the zero-fault send
 	// path pays one nil check instead of a per-message type assertion.
 	injector FaultInjector
@@ -150,6 +175,23 @@ type Engine struct {
 	metrics  *Metrics
 	trace    *Trace
 	started  bool
+
+	// The pending events. Records live in slab (slot 0 is the nil slot, free
+	// heads the recycled ones) and wait in the tier their bucket b = at >>
+	// bucketShift selects: b <= cur in run, the open bucket's keys, sorted
+	// when it was opened and consumed from runPos; b <= cur+wheelBuckets in
+	// the wheel, where heads[b%wheelBuckets] starts a list through event.next
+	// and occ has a bit per non-empty bucket; later ones in over, a binary
+	// min-heap of keys. Every advance of cur moves what the window now covers
+	// out of over, so the ranges stay disjoint and pops follow (at, seq).
+	slab   []event
+	free   int32
+	run    []qkey
+	runPos int
+	cur    int64
+	heads  [wheelBuckets]int32
+	occ    [wheelBuckets / 64]uint64
+	over   []qkey
 
 	// bodyFree recycles payload buffers; lastBody interns the most recent one
 	// so broadcast loops sending identical bytes share a single buffer.
@@ -197,6 +239,7 @@ func NewEngine(net NetworkModel, seed int64) *Engine {
 	inj, _ := net.(FaultInjector)
 	return &Engine{
 		procs:    make(map[model.ID]*proc),
+		slab:     make([]event, 1), // slot 0 is the nil slot
 		net:      net,
 		injector: inj,
 		rng:      newRand(seed),
@@ -205,20 +248,27 @@ func NewEngine(net NetworkModel, seed int64) *Engine {
 }
 
 // Reset returns the engine to its just-constructed state under a new network
-// model and seed, retaining the capacity of the event heap, the payload
-// buffer pool and the process map — the allocations a fresh NewEngine would
-// repeat. A sweep worker running thousands of cells resets one engine
+// model and seed, retaining the capacity of the event slab and the queue's
+// tiers, the payload buffer pool and the process map — the allocations a
+// fresh NewEngine would repeat. Messages still pending give their bodies back
+// to the pool. A sweep worker running thousands of cells resets one engine
 // instead of constructing one per cell; a reset engine is indistinguishable
-// from a new one (pinned by the scenario-level cached-vs-uncached
-// fingerprint tests).
+// from a new one (pinned by the scenario-level cached-vs-uncached fingerprint
+// tests).
 func (e *Engine) Reset(net NetworkModel, seed int64) {
-	for i := range e.events {
-		if e.events[i].kind == evMessage {
-			e.releaseBody(e.events[i].body)
+	for i := range e.slab {
+		// Only pending events hold pointers: a free slot keeps none, and
+		// push rewrites whatever else is left beyond the cut.
+		if ev := &e.slab[i]; ev.tgt != nil {
+			e.releaseBody(ev.body)
+			*ev = event{}
 		}
-		e.events[i] = event{}
 	}
-	e.events = e.events[:0]
+	e.slab, e.free = e.slab[:1], 0
+	e.run, e.runPos, e.cur = e.run[:0], 0, 0
+	clear(e.heads[:])
+	clear(e.occ[:])
+	e.over = e.over[:0]
 	clear(e.procs)
 	e.order = e.order[:0]
 	e.now = 0
@@ -311,7 +361,8 @@ func (e *Engine) start() {
 		if ctl.restart {
 			kind = evRestart
 		}
-		e.push(event{at: ctl.at, kind: kind, to: ctl.id, tgt: p, tag: uint64(i)})
+		ev := e.push(ctl.at)
+		ev.kind, ev.tgt, ev.tag = kind, p, uint64(i)
 	}
 	sort.Slice(e.order, func(i, j int) bool { return e.order[i] < e.order[j] })
 	for _, id := range e.order {
@@ -326,7 +377,10 @@ func (e *Engine) start() {
 // empty.
 func (e *Engine) Step() bool {
 	e.start()
-	for len(e.events) > 0 {
+	for {
+		if _, ok := e.peek(); !ok {
+			return false
+		}
 		ev := e.popEvent()
 		e.now = ev.at
 		switch ev.kind {
@@ -377,7 +431,6 @@ func (e *Engine) Step() bool {
 		}
 		return true
 	}
-	return false
 }
 
 // RunUntil processes events until cond() holds (checked after every event),
@@ -387,18 +440,19 @@ func (e *Engine) RunUntil(cond func() bool, horizon Time) bool {
 	if cond() {
 		return true
 	}
-	for len(e.events) > 0 {
-		if e.events[0].at > horizon {
+	for {
+		head, ok := e.peek()
+		if !ok {
+			return cond()
+		}
+		if head.at > horizon {
 			return false
 		}
-		if !e.Step() {
-			break
-		}
+		e.Step()
 		if cond() {
 			return true
 		}
 	}
-	return cond()
 }
 
 // Run processes events until the horizon passes or the queue drains.
@@ -406,32 +460,158 @@ func (e *Engine) Run(horizon Time) {
 	e.RunUntil(func() bool { return false }, horizon)
 }
 
-// push assigns the FIFO sequence number and sifts the event into the heap.
-// The heap is a plain []event: pushes reuse the slice's capacity, so the
-// steady state allocates nothing.
-func (e *Engine) push(ev event) {
-	ev.seq = e.seq
-	e.seq++
-	h := append(e.events, ev)
-	i := len(h) - 1
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !h[i].before(&h[parent]) {
-			break
+// push queues an event at the given time — slab slot taken, FIFO sequence
+// number assigned, filed in its tier — and returns the otherwise zero record
+// for the caller to fill in place, which it must before it pushes again.
+// Recycled slots make the steady state allocation-free. Bucket numbers stay
+// below 2^48, so no window test can overflow however close at is to the end
+// of time.
+func (e *Engine) push(at Time) *event {
+	slot := e.free
+	if slot != 0 {
+		e.free = e.slab[slot].next
+	} else {
+		if len(e.slab) > math.MaxInt32 {
+			panic("sim: more than 2^31 pending events")
 		}
-		h[i], h[parent] = h[parent], h[i]
-		i = parent
+		e.slab = append(e.slab, event{})
+		slot = int32(len(e.slab) - 1)
 	}
-	e.events = h
+	ev := &e.slab[slot]
+	ev.at, ev.seq, ev.next = at, e.seq, 0
+	e.seq++
+	switch b := bucketOf(at); {
+	case b <= e.cur:
+		// A late push into the open bucket is placed from the tail: its seq
+		// is the largest, so among equal times that is one comparison. A full
+		// run first drops its consumed half, or a bucket that never empties
+		// would grow it for ever.
+		if len(e.run) == cap(e.run) && 2*e.runPos >= len(e.run) {
+			e.run = e.run[:copy(e.run, e.run[e.runPos:])]
+			e.runPos = 0
+		}
+		e.run = append(e.run, qkey{at, ev.seq, slot})
+		sortedInsert(e.run, e.runPos, len(e.run)-1)
+	case e.inWindow(b):
+		e.link(slot, b)
+	default:
+		h := append(e.over, qkey{at, ev.seq, slot})
+		i := len(h) - 1
+		for i > 0 {
+			parent := (i - 1) / 2
+			if !h[i].before(h[parent]) {
+				break
+			}
+			h[i], h[parent] = h[parent], h[i]
+			i = parent
+		}
+		e.over = h
+	}
+	return ev
 }
 
-// popEvent removes and returns the earliest event (min on (at, seq)).
-func (e *Engine) popEvent() event {
-	h := e.events
+// bucketOf returns the number of the bucket that holds at.
+func bucketOf(at Time) int64 { return int64(at >> bucketShift) }
+
+// inWindow reports whether bucket b > cur is one the wheel holds. The last of
+// them shares its slot with the open bucket, whose list is already in run.
+func (e *Engine) inWindow(b int64) bool { return b <= e.cur+wheelBuckets }
+
+// link pushes the event onto wheel bucket b's list.
+func (e *Engine) link(slot int32, b int64) {
+	i := uint(b) % wheelBuckets
+	e.slab[slot].next = e.heads[i]
+	e.heads[i] = slot
+	e.occ[i/64] |= 1 << (i % 64)
+}
+
+// sortedInsert moves run[i] down to its place among the sorted run[lo:i].
+func sortedInsert(run []qkey, lo, i int) {
+	k := run[i]
+	for ; i > lo && k.before(run[i-1]); i-- {
+		run[i] = run[i-1]
+	}
+	run[i] = k
+}
+
+// peek returns the key of the earliest pending event (min on (at, seq)),
+// opening the next bucket when the open one is spent; false when none is left.
+func (e *Engine) peek() (qkey, bool) {
+	if e.runPos < len(e.run) || e.refill() {
+		return e.run[e.runPos], true
+	}
+	return qkey{}, false
+}
+
+// refill opens the next non-empty bucket: its list becomes the sorted run.
+func (e *Engine) refill() bool {
+	b, ok := e.nextOccupied()
+	if !ok {
+		if len(e.over) == 0 {
+			return false
+		}
+		// Idle gap: slide the window up to the overflow minimum, whose bucket
+		// is then the first occupied one.
+		e.advance(bucketOf(e.over[0].at) - 1)
+		b, _ = e.nextOccupied()
+	}
+	i := uint(b) % wheelBuckets
+	for slot := e.heads[i]; slot != 0; slot = e.slab[slot].next {
+		ev := &e.slab[slot]
+		e.run = append(e.run, qkey{ev.at, ev.seq, slot})
+	}
+	e.heads[i] = 0
+	e.occ[i/64] &^= 1 << (i % 64)
+	e.advance(b)
+	// The list is newest first; reversed it is in seq order, which is sorted
+	// already where times tie.
+	slices.Reverse(e.run)
+	if len(e.run) <= 24 {
+		// Nearly every bucket: a handful of keys, placed directly.
+		for i := 1; i < len(e.run); i++ {
+			sortedInsert(e.run, 0, i)
+		}
+	} else {
+		slices.SortFunc(e.run, func(a, b qkey) int {
+			if a.before(b) {
+				return -1
+			}
+			return 1 // seq is unique: no two keys are equal
+		})
+	}
+	return true
+}
+
+// nextOccupied returns the first non-empty wheel bucket after cur: a scan of
+// the bitmap, a word at a time, once around from cur+1's bit.
+func (e *Engine) nextOccupied() (int64, bool) {
+	start := uint(e.cur+1) % wheelBuckets
+	for d := uint(0); d < wheelBuckets; {
+		i := (start + d) % wheelBuckets
+		if word := e.occ[i/64] >> (i % 64); word != 0 {
+			return e.cur + 1 + int64(d+uint(bits.TrailingZeros64(word))), true
+		}
+		d += 64 - i%64
+	}
+	return 0, false
+}
+
+// advance makes b the open bucket and moves the overflow events the window
+// now covers into the wheel.
+func (e *Engine) advance(b int64) {
+	e.cur = b
+	for len(e.over) > 0 && e.inWindow(bucketOf(e.over[0].at)) {
+		k := e.popOver()
+		e.link(k.slot, bucketOf(k.at))
+	}
+}
+
+// popOver removes and returns the overflow heap's minimum.
+func (e *Engine) popOver() qkey {
+	h := e.over
 	root := h[0]
 	n := len(h) - 1
 	h[0] = h[n]
-	h[n] = event{} // drop the body/proc pointers for the GC
 	h = h[:n]
 	i := 0
 	for {
@@ -440,17 +620,29 @@ func (e *Engine) popEvent() event {
 			break
 		}
 		m := l
-		if r := l + 1; r < n && h[r].before(&h[l]) {
+		if r := l + 1; r < n && h[r].before(h[l]) {
 			m = r
 		}
-		if !h[m].before(&h[i]) {
+		if !h[m].before(h[i]) {
 			break
 		}
 		h[i], h[m] = h[m], h[i]
 		i = m
 	}
-	e.events = h
+	e.over = h
 	return root
+}
+
+// popEvent removes and returns the event peek reported, and frees its slot.
+func (e *Engine) popEvent() event {
+	slot := e.run[e.runPos].slot
+	if e.runPos++; e.runPos == len(e.run) {
+		e.run, e.runPos = e.run[:0], 0
+	}
+	ev := e.slab[slot]
+	e.slab[slot] = event{next: e.free} // drop the body/proc pointers for the GC
+	e.free = slot
+	return ev
 }
 
 // acquireBody returns a buffer holding a copy of payload. Consecutive
@@ -533,7 +725,8 @@ func (c *procCtx) Send(to model.ID, payload []byte) {
 		if d < 0 {
 			d = 0
 		}
-		e.push(event{at: e.now + d, kind: evMessage, to: to, from: c.proc.id, tgt: tgt, body: e.acquireBody(payload)})
+		ev := e.push(e.now + d)
+		ev.kind, ev.from, ev.tgt, ev.body = evMessage, c.proc.id, tgt, e.acquireBody(payload)
 	}
 }
 
@@ -542,5 +735,6 @@ func (c *procCtx) SetTimer(d Time, tag uint64) {
 		d = 0
 	}
 	e := c.engine
-	e.push(event{at: e.now + d, kind: evTimer, to: c.proc.id, tgt: c.proc, tag: tag, gen: c.proc.gen})
+	ev := e.push(e.now + d)
+	ev.kind, ev.tgt, ev.tag, ev.gen = evTimer, c.proc, tag, c.proc.gen
 }

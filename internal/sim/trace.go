@@ -39,7 +39,7 @@ func (t *Trace) record(ev *event) {
 	b := t.buf[:0]
 	b = binary.BigEndian.AppendUint64(b, uint64(ev.at))
 	b = append(b, byte(ev.kind))
-	b = binary.BigEndian.AppendUint64(b, uint64(ev.to))
+	b = binary.BigEndian.AppendUint64(b, uint64(ev.tgt.id))
 	switch ev.kind {
 	case evMessage:
 		b = binary.BigEndian.AppendUint64(b, uint64(ev.from))
