@@ -176,6 +176,9 @@ func runNode(c *scenario.Compiled, seed int64, id model.ID, listen, peersFlag st
 		fmt.Printf("committee : %v (g=%d)\n", cand.Members(), cand.G)
 	}
 	fmt.Printf("metrics   : %d messages sent, %d bytes\n", rn.Messages(), rn.Bytes())
+	if d := rn.Dropped(); d != 0 {
+		fmt.Printf("dropped   : %d sends on full outbound queues\n", d)
+	}
 	rn.Stop()
 	os.Exit(exit)
 }

@@ -299,5 +299,5 @@ func (b *Colluder) round(ctx rt.Context) {
 	ctx.SetTimer(c.period, discovery.TimerTag)
 }
 
-// getPDsRequest is the constant one-byte GETPDS request (Send copies it).
+// getPDsRequest is the constant one-byte GETPDS request, never written to.
 var getPDsRequest = []byte{wire.KindGetPDs}

@@ -20,6 +20,6 @@
 // A Node is a sim.Reactor: the same implementation runs on the deterministic
 // simulator (package sim) and on the concurrent live runtime (package live).
 // Committee-consensus messages that arrive before the committee is identified
-// are buffered — copied, because the simulator recycles payload buffers after
-// each delivery — and replayed once the search succeeds.
+// are buffered as delivered (rt lets a reactor keep a payload) and replayed
+// once the search succeeds.
 package core

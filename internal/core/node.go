@@ -114,8 +114,7 @@ type Node struct {
 	committee *kosr.Candidate
 	insts     map[uint64]*pbft.Instance
 
-	pendingFrom []model.ID
-	pending     [][]byte
+	pending []pendingMsg // committee messages that arrived before the committee was known
 	// slotPending buffers committee messages for chained slots this member
 	// has not started yet (fast members race ahead; their DecideNotes must
 	// not be lost).
@@ -259,10 +258,9 @@ func (n *Node) Receive(ctx rt.Context, from model.ID, payload []byte) {
 		if n.committee == nil {
 			if len(n.pending) < maxPending {
 				// The committee is not identified yet; buffer so that a late
-				// process can still join the committee protocol. The engine
-				// recycles payload buffers after the callback, so keep a copy.
-				n.pendingFrom = append(n.pendingFrom, from)
-				n.pending = append(n.pending, append([]byte(nil), payload...))
+				// process can still join the committee protocol. A delivered
+				// payload may be kept as it is (the rt payload contract).
+				n.pending = append(n.pending, pendingMsg{from: from, payload: payload})
 			}
 			return
 		}
@@ -274,8 +272,7 @@ func (n *Node) Receive(ctx rt.Context, from model.ID, payload []byte) {
 			// A member that is still on an earlier slot must not lose
 			// traffic (especially DecideNotes) for slots it will start.
 			if n.committee.Members().Has(n.self) && slot < n.cfg.Slots && n.pendingN < maxPending {
-				// Copied: the engine recycles payload buffers after delivery.
-				n.slotPending[slot] = append(n.slotPending[slot], pendingMsg{from: from, payload: append([]byte(nil), payload...)})
+				n.slotPending[slot] = append(n.slotPending[slot], pendingMsg{from: from, payload: payload})
 				n.pendingN++
 			}
 		}
@@ -342,13 +339,13 @@ func (n *Node) adoptCommittee(ctx rt.Context, cand kosr.Candidate) {
 	n.committee = &cand
 	if cand.Members().Has(n.self) {
 		n.startSlot(ctx, 0)
-		for i := range n.pending {
-			n.Receive(ctx, n.pendingFrom[i], n.pending[i])
+		for _, m := range n.pending {
+			n.Receive(ctx, m.from, m.payload)
 		}
 	} else {
 		n.poll(ctx)
 	}
-	n.pending, n.pendingFrom = nil, nil
+	n.pending = nil
 }
 
 // startSlot launches the committee instance for one chained slot.
@@ -385,7 +382,7 @@ func (n *Node) startSlot(ctx rt.Context, slot uint64) {
 	}
 }
 
-// pendingMsg is a buffered committee message awaiting its slot's instance.
+// pendingMsg is a buffered committee message, kept as delivered.
 type pendingMsg struct {
 	from    model.ID
 	payload []byte

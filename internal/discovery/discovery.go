@@ -118,10 +118,11 @@ type Module struct {
 	encoded    []byte
 	recipients []model.ID
 
-	// lastSetPDs is the replay memo: a private copy of the last SETPDS
-	// payload handled from each sender in S_known — at most one payload per
-	// known sender, each no larger than that sender's last SETPDS.
-	lastSetPDs map[model.ID][]byte
+	// lastSetPDs is the replay memo: the last SETPDS payload handled from
+	// each sender in S_known, as delivered (rt lets a reactor keep it) — at
+	// most one payload per known sender. senders indexes it by sender ID.
+	senders    model.IDIndex
+	lastSetPDs [][]byte
 
 	// Hardened-mode retransmission state: rounds since the view last grew
 	// (drives the backoff), the view size last observed, the round counter
@@ -160,8 +161,6 @@ func New(ownRecord SignedPD, verifier cryptox.Verifier, cfg Config, onUpdate fun
 		sentTo:   make(map[model.ID]model.IDSet),
 		onUpdate: onUpdate,
 		owners:   []model.ID{ownRecord.Owner},
-
-		lastSetPDs: make(map[model.ID][]byte),
 	}
 	return m
 }
@@ -230,7 +229,7 @@ func (m *Module) Resume(ctx rt.Context) {
 	m.round(ctx)
 }
 
-// getPDsPayload is the constant one-byte GETPDS request (Send copies it).
+// getPDsPayload is the constant one-byte GETPDS request, never written to.
 var getPDsPayload = []byte{wire.KindGetPDs}
 
 func (m *Module) round(ctx rt.Context) {
@@ -304,8 +303,8 @@ func (m *Module) Handle(ctx rt.Context, from model.ID, payload []byte) bool {
 
 // sendRecords answers a GETPDS request (line 3): send S_PD to the requester.
 // In full-set mode the encoded payload is identical for every requester
-// until a new record arrives, so it is built once and reused (the engine
-// copies on Send).
+// until a new record arrives, so it is built once and the one slice sent to
+// all of them; being handed over, it is replaced then, never rebuilt in place.
 func (m *Module) sendRecords(ctx rt.Context, to model.ID) {
 	if !m.cfg.Delta {
 		if m.encoded == nil {
@@ -366,7 +365,7 @@ func (m *Module) insertOwner(owner model.ID) {
 // process re-send its whole S_PD every period, so in steady state the payload
 // is byte-for-byte the one this sender sent last round; such a replay returns
 // after one comparison against the memo, any other payload is merged and then
-// replaces the sender's memo entry.
+// becomes the sender's memo entry.
 //
 // Skipping a replay is exact because merging a payload is idempotent. After
 // mergeRecords has run over it once, every record in it is either held (and
@@ -377,19 +376,28 @@ func (m *Module) insertOwner(owner model.ID) {
 // the second time either). What other senders deliver in between can only
 // turn an owner whose record here failed into one that is held — skipped
 // either way. The comparison is on the full bytes — a digest is something a
-// Byzantine sender could collide — and the copy, needed because the runtime
-// lends payload for the callback only, is made only when the bytes differ.
+// Byzantine sender could collide — against the delivered slice itself, kept
+// without a copy: rt forbids writing to a payload once sent, so the entry
+// still reads as it did when merged, and the same memory at the same length
+// is equal bytes unread (the simulator's case: the sender's cached buffer
+// again). Where the pointers differ, over netrt always, bytes.Equal decides.
 func (m *Module) receiveRecords(from model.ID, payload []byte) {
-	last := m.lastSetPDs[from]
-	if bytes.Equal(last, payload) {
-		return
+	i, known := m.senders.Lookup(from)
+	if known {
+		if last := m.lastSetPDs[i]; len(last) == len(payload) && (&last[0] == &payload[0] || bytes.Equal(last, payload)) {
+			return
+		}
 	}
 	m.mergeRecords(payload)
 	// Only senders in S_known get an entry: GETPDS goes to S_known alone, so
 	// any other sender is unsolicited, and remembering those would let forged
 	// sender IDs grow the memo without bound.
-	if m.view.Known.Has(from) {
-		m.lastSetPDs[from] = append(last[:0], payload...)
+	if !known && m.view.Known.Has(from) {
+		i, known = m.senders.Insert(from)
+		m.lastSetPDs = append(m.lastSetPDs, nil)
+	}
+	if known {
+		m.lastSetPDs[i] = payload
 	}
 }
 

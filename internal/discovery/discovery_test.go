@@ -260,9 +260,21 @@ func TestRecordsReturnsCopy(t *testing.T) {
 	}
 }
 
+// memoEntry returns the replay-memo entry the module holds for a sender, nil
+// if it has none.
+func memoEntry(m *Module, from model.ID) []byte {
+	if i, ok := m.senders.Lookup(from); ok {
+		return m.lastSetPDs[i]
+	}
+	return nil
+}
+
 // TestReplayMemoDifferential is the exactness test for the replay memo:
-// seeded random sequences of SETPDS payloads go to two modules, one of which
-// has its memo cleared before every message and so always parses. They must
+// seeded random sequences of SETPDS payloads go to three modules. One has its
+// memo cleared before every message and so always parses — the oracle. One
+// gets every payload as delivered by the simulator (a replay is the identical
+// slice again, taking the pointer test), one as delivered by netrt (every
+// payload a fresh copy, so every hit is a bytes.Equal). They must
 // agree on everything observable after every message. The sequences mix
 // what the memo must see through: byte-identical replays, grown sets, delta
 // fragments, truncations, oversized counts, equivocating owners, and — the
@@ -313,7 +325,7 @@ func TestReplayMemoDifferential(t *testing.T) {
 	senders := []model.ID{2, 3, 77} // 77 is never in S_known: no memo entry
 	hits, merged := 0, 0
 	for trial := 0; trial < trials; trial++ {
-		memo, plain := newProbe(), newProbe()
+		memo, copied, plain := newProbe(), newProbe(), newProbe()
 		// Each sender keeps the record list behind its last payload, so the
 		// next one can be that list replayed, grown or altered in place.
 		lists := make(map[model.ID][]SignedPD)
@@ -361,30 +373,39 @@ func TestReplayMemoDifferential(t *testing.T) {
 			}
 			lists[from], last[from] = list, payload
 
-			if bytes.Equal(memo.mod.lastSetPDs[from], payload) {
+			if bytes.Equal(memoEntry(memo.mod, from), payload) {
 				hits++
 			}
 			clear(plain.mod.lastSetPDs)
 			// SETPDS handling never touches the context.
-			if !memo.mod.Handle(nil, from, payload) || !plain.mod.Handle(nil, from, payload) {
+			if !memo.mod.Handle(nil, from, payload) || !copied.mod.Handle(nil, from, bytes.Clone(payload)) ||
+				!plain.mod.Handle(nil, from, payload) {
 				t.Fatalf("trial %d step %d: SETPDS not recognized", trial, step)
 			}
-			at := fmt.Sprintf("trial %d step %d (from %v)", trial, step, from)
-			if !reflect.DeepEqual(memo.mod.Records(), plain.mod.Records()) {
-				t.Fatalf("%s: records diverge: owners %v with the memo, %v without", at, memo.mod.owners, plain.mod.owners)
-			}
-			if a, b := memo.mod.View().Rev(), plain.mod.View().Rev(); a != b {
-				t.Fatalf("%s: view revision %d with the memo, %d without", at, a, b)
-			}
-			if a, b := memo.mod.View().Known, plain.mod.View().Known; !a.Equal(b) {
-				t.Fatalf("%s: S_known %v with the memo, %v without", at, a, b)
-			}
-			if memo.updates != plain.updates {
-				t.Fatalf("%s: %d onUpdate calls with the memo, %d without", at, memo.updates, plain.updates)
+			for _, arm := range []struct {
+				name string
+				*probe
+			}{{"the identical slice re-delivered", memo}, {"fresh copies delivered", copied}} {
+				at := fmt.Sprintf("trial %d step %d (from %v), %s", trial, step, from, arm.name)
+				if !reflect.DeepEqual(arm.mod.Records(), plain.mod.Records()) {
+					t.Fatalf("%s: records diverge: owners %v with the memo, %v without", at, arm.mod.owners, plain.mod.owners)
+				}
+				if a, b := arm.mod.View().Rev(), plain.mod.View().Rev(); a != b {
+					t.Fatalf("%s: view revision %d with the memo, %d without", at, a, b)
+				}
+				if a, b := arm.mod.View().Known, plain.mod.View().Known; !a.Equal(b) {
+					t.Fatalf("%s: S_known %v with the memo, %v without", at, a, b)
+				}
+				if arm.updates != plain.updates {
+					t.Fatalf("%s: %d onUpdate calls with the memo, %d without", at, arm.updates, plain.updates)
+				}
+				if !bytes.Equal(memoEntry(arm.mod, from), memoEntry(memo.mod, from)) {
+					t.Fatalf("%s: memo entry differs from the other arm's", at)
+				}
 			}
 		}
 		merged += len(plain.mod.Records()) - 1
-		if _, kept := memo.mod.lastSetPDs[77]; kept {
+		if _, kept := memo.mod.senders.Lookup(77); kept {
 			t.Fatal("memo kept a payload from a sender outside S_known")
 		}
 	}
@@ -394,24 +415,54 @@ func TestReplayMemoDifferential(t *testing.T) {
 	}
 }
 
-// TestReplayMemoOwnsItsCopy pins the rt contract on the memo: the delivered
-// slice is the runtime's again once Handle returns, so whatever the runtime
-// writes into it next must not read as "already merged".
-func TestReplayMemoOwnsItsCopy(t *testing.T) {
-	signers, reg, err := cryptox.GenerateKeys(1, []model.ID{1, 2, 3})
+// TestReplayMemoRetainsDeliveredSlice pins what the memo keeps and when: the
+// delivered slice itself, as rt allows, re-pointed on every miss.
+func TestReplayMemoRetainsDeliveredSlice(t *testing.T) {
+	signers, reg, err := cryptox.GenerateKeys(1, []model.ID{1, 2, 3, 4})
 	if err != nil {
 		t.Fatal(err)
 	}
-	mod := New(NewSignedPD(signers[1], model.NewIDSet(2)), reg, DefaultConfig(), nil)
+	updates := 0
+	mod := New(NewSignedPD(signers[1], model.NewIDSet(2)), reg, DefaultConfig(), func() { updates++ })
 	pd := model.NewIDSet(1)
-	forged := EncodeSetPDs([]SignedPD{{Owner: 3, PD: pd, Sig: signers[2].Sign(Canonical(3, pd))}})
-	valid := EncodeSetPDs([]SignedPD{NewSignedPD(signers[3], pd)})
-	buf := append([]byte(nil), forged...)
-	mod.Handle(nil, 2, buf)
-	copy(buf, valid) // the runtime recycles the buffer for some other delivery
+	first := EncodeSetPDs([]SignedPD{NewSignedPD(signers[3], pd)})
+	held := func(want []byte) bool {
+		got := memoEntry(mod, 2)
+		return len(got) == len(want) && &got[0] == &want[0]
+	}
+
+	// The same slice twice: one merge, and the entry is that slice.
+	mod.Handle(nil, 2, first)
+	mod.Handle(nil, 2, first)
+	if updates != 1 || !held(first) {
+		t.Fatalf("same slice twice: %d merges, entry is the delivered slice: %v; want 1, true", updates, held(first))
+	}
+	// Equal bytes in another buffer (the netrt shape): still a hit — skipped,
+	// and the entry stays where it was.
+	mod.Handle(nil, 2, bytes.Clone(first))
+	if updates != 1 || !held(first) {
+		t.Fatalf("equal bytes in another buffer: %d merges, entry untouched: %v; want 1, true", updates, held(first))
+	}
+	// A differing payload of the same length from the same sender — the valid
+	// record where a forgery of it was — is merged, and the entry re-pointed.
+	forged := EncodeSetPDs([]SignedPD{{Owner: 4, PD: pd, Sig: signers[3].Sign(Canonical(4, pd))}})
+	valid := EncodeSetPDs([]SignedPD{NewSignedPD(signers[4], pd)})
+	if len(forged) != len(valid) {
+		t.Fatalf("forged and valid payloads differ in length: %d, %d", len(forged), len(valid))
+	}
+	mod.Handle(nil, 2, forged)
+	if _, ok := mod.View().PD[4]; ok || !held(forged) {
+		t.Fatal("forged record accepted, or the entry not re-pointed to the forged payload")
+	}
 	mod.Handle(nil, 2, valid)
-	if _, ok := mod.View().PD[3]; !ok {
-		t.Fatal("valid record skipped: the memo aliased the delivered buffer")
+	if _, ok := mod.View().PD[4]; !ok || updates != 2 || !held(valid) {
+		t.Fatalf("differing payload: merged %v, %d merges, entry re-pointed %v; want true, 2, true", ok, updates, held(valid))
+	}
+	// A sender outside S_known is merged like any other and gets no entry.
+	before := len(mod.lastSetPDs)
+	mod.Handle(nil, 77, first)
+	if _, kept := mod.senders.Lookup(77); kept || len(mod.lastSetPDs) != before {
+		t.Fatal("memo kept a payload from a sender outside S_known")
 	}
 }
 
@@ -446,7 +497,7 @@ func replayFixture(tb testing.TB) (mod *Module, asc, desc []byte) {
 
 // TestReceiveReplayAllocs is the allocation gate for the steady state of
 // gossip: a SETPDS identical to the sender's last one is dropped without
-// allocating. (A differing payload may allocate: it is parsed and copied.)
+// allocating. (A differing payload may allocate: it is parsed.)
 func TestReceiveReplayAllocs(t *testing.T) {
 	mod, asc, _ := replayFixture(t)
 	if avg := testing.AllocsPerRun(200, func() { mod.Handle(nil, 2, asc) }); avg != 0 {
@@ -454,19 +505,27 @@ func TestReceiveReplayAllocs(t *testing.T) {
 	}
 }
 
-// BenchmarkReceiveReplay is the memo hit: the 16-record payload the sender
-// sent last time.
+// BenchmarkReceiveReplay is the memo hit on the 16-record payload the sender
+// sent last time: identical-slice is the simulator's delivery (the sender's
+// cached buffer again, decided on the pointer), equal-copy is netrt's (the
+// same bytes in a buffer of their own, compared in full).
 func BenchmarkReceiveReplay(b *testing.B) {
 	mod, asc, _ := replayFixture(b)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		mod.Handle(nil, 2, asc)
+	for _, tc := range []struct {
+		name    string
+		payload []byte
+	}{{"identical-slice", asc}, {"equal-copy", bytes.Clone(asc)}} {
+		b.Run(tc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				mod.Handle(nil, 2, tc.payload)
+			}
+		})
 	}
 }
 
 // BenchmarkReceiveFresh is the memo miss over the same 16 held records: the
-// sender alternates two encodings, so every message is walked and copied.
+// sender alternates two encodings, so every message is walked.
 func BenchmarkReceiveFresh(b *testing.B) {
 	mod, asc, desc := replayFixture(b)
 	b.ReportAllocs()

@@ -2,6 +2,7 @@ package model
 
 import (
 	"fmt"
+	"math/bits"
 	"slices"
 	"strings"
 )
@@ -181,3 +182,63 @@ func (s IDSet) Key() string {
 	}
 	return b.String()
 }
+
+// IDIndex hands out dense indices 0, 1, 2… to IDs in insertion order, so the
+// per-message paths (the engine's process table, discovery's replay memo) keep
+// per-ID state in a slice and find it without a Go map. An append-only
+// open-addressed table — power-of-two slots at most half full, linear probing,
+// no deletion: an index never changes. ID 0 is legal; the zero value is empty.
+type IDIndex struct {
+	slots []idSlot
+	n     int
+}
+
+// idSlot is one table slot; idx1 is the index plus one, 0 marking it empty.
+type idSlot struct {
+	id   ID
+	idx1 int32
+}
+
+// probe returns the slot that holds id, or the empty one where it belongs. The
+// top bits of an odd multiple (Fibonacci hashing) spread IDs that differ only
+// in high bits (multiples of 2³²) and IDs that differ only in low ones alike.
+func (x *IDIndex) probe(id ID) *idSlot {
+	mask := uint64(len(x.slots) - 1)
+	i := uint64(id) * 0x9E3779B97F4A7C15 >> bits.LeadingZeros64(mask)
+	for x.slots[i].idx1 != 0 && x.slots[i].id != id {
+		i = (i + 1) & mask
+	}
+	return &x.slots[i]
+}
+
+// Lookup returns id's index, or -1 and false if it was never inserted.
+func (x *IDIndex) Lookup(id ID) (int, bool) {
+	if x.n == 0 {
+		return -1, false
+	}
+	s := x.probe(id)
+	return int(s.idx1) - 1, s.idx1 != 0
+}
+
+// Insert returns id's index, assigning the next one (the count of IDs so far)
+// if id is new; added reports which.
+func (x *IDIndex) Insert(id ID) (idx int, added bool) {
+	if idx, ok := x.Lookup(id); ok {
+		return idx, false
+	}
+	if 2*(x.n+1) > len(x.slots) {
+		old := x.slots
+		x.slots = make([]idSlot, max(8, 2*len(old)))
+		for _, s := range old {
+			if s.idx1 != 0 {
+				*x.probe(s.id) = s
+			}
+		}
+	}
+	x.n++
+	*x.probe(id) = idSlot{id, int32(x.n)}
+	return x.n - 1, true
+}
+
+// Reset empties the index and keeps its slots for reuse.
+func (x *IDIndex) Reset() { clear(x.slots); x.n = 0 }

@@ -1,6 +1,7 @@
 package model
 
 import (
+	"math"
 	"math/rand"
 	"sort"
 	"testing"
@@ -178,5 +179,69 @@ func TestIDSetKeyCanonical(t *testing.T) {
 	}
 	if NewIDSet(1, 2).Key() == NewIDSet(1, 3).Key() {
 		t.Fatal("distinct sets share a key")
+	}
+}
+
+// TestIDIndexMatchesMap runs seeded insert/lookup scripts against a Go map:
+// indices come out 0, 1, 2… in insertion order, a repeated Insert returns the
+// index handed out the first time, a Lookup of anything never inserted
+// misses, and none of it changes across growths. The ID families are the
+// ones a weak hash folds together — multiples of 2³² and 2⁴⁸ share all their
+// low bits, dense 1…n all their high ones — plus 0 (an ID like any other), 1
+// and MaxUint64. The zero IDIndex reads as empty.
+func TestIDIndexMatchesMap(t *testing.T) {
+	families := map[string]func(rng *rand.Rand, i int) ID{
+		"dense":      func(_ *rand.Rand, i int) ID { return ID(i + 1) },
+		"times-2^32": func(_ *rand.Rand, i int) ID { return ID(i) << 32 },
+		"times-2^48": func(_ *rand.Rand, i int) ID { return ID(i) << 48 },
+		"random":     func(rng *rand.Rand, _ int) ID { return ID(rng.Uint64()) },
+		"mixed": func(rng *rand.Rand, i int) ID {
+			return []ID{0, 1, math.MaxUint64, ID(i) << 32, ID(i) << 48, ID(i), ID(rng.Uint64())}[rng.Intn(7)]
+		},
+	}
+	for name, gen := range families {
+		for seed := int64(1); seed <= 3; seed++ {
+			rng := rand.New(rand.NewSource(seed))
+			var x IDIndex
+			want := make(map[ID]int)
+			var order []ID
+			check := func(id ID) {
+				t.Helper()
+				got, ok := x.Lookup(id)
+				if idx, in := want[id]; ok != in || (in && got != idx) {
+					t.Fatalf("%s seed %d: Lookup(%d) = %d, %v after %d inserts; the map says %d, %v", name, seed, uint64(id), got, ok, len(order), idx, in)
+				}
+			}
+			check(0)
+			for i := 0; i < 3000; i++ { // through nine doublings from 8 slots
+				id := gen(rng, i)
+				_, had := want[id]
+				idx, added := x.Insert(id)
+				if added == had {
+					t.Fatalf("%s seed %d: Insert(%d) added = %v, but the map had it: %v", name, seed, uint64(id), added, had)
+				}
+				if !had {
+					want[id] = len(order)
+					order = append(order, id)
+				}
+				if idx != want[id] || x.n != len(order) {
+					t.Fatalf("%s seed %d: Insert(%d) = %d with Len %d, want %d with %d", name, seed, uint64(id), idx, x.n, want[id], len(order))
+				}
+				// Old entries keep their index; near misses stay misses.
+				check(order[rng.Intn(len(order))])
+				check(id + 1)
+				check(ID(rng.Uint64()))
+			}
+			for _, id := range order {
+				check(id)
+			}
+			x.Reset()
+			if _, ok := x.Lookup(order[0]); ok || x.n != 0 {
+				t.Fatalf("%s seed %d: Reset left %d entries behind", name, seed, x.n)
+			}
+			if idx, added := x.Insert(order[len(order)-1]); idx != 0 || !added {
+				t.Fatalf("%s seed %d: first Insert after Reset = %d, %v, want 0, true", name, seed, idx, added)
+			}
+		}
 	}
 }

@@ -125,19 +125,20 @@ func (c *Cluster) Stop() {
 }
 
 // Messages totals accepted outbound sends across the cluster.
-func (c *Cluster) Messages() int64 {
-	var t int64
-	for _, n := range c.Nodes {
-		t += n.Messages()
-	}
-	return t
-}
+func (c *Cluster) Messages() int64 { return c.total((*Node).Messages) }
 
 // Bytes totals accepted outbound payload bytes across the cluster.
-func (c *Cluster) Bytes() int64 {
+func (c *Cluster) Bytes() int64 { return c.total((*Node).Bytes) }
+
+// Dropped totals the sends discarded on full outbound queues across the
+// cluster.
+func (c *Cluster) Dropped() int64 { return c.total((*Node).Dropped) }
+
+// total sums one per-node counter over the cluster.
+func (c *Cluster) total(counter func(*Node) int64) int64 {
 	var t int64
 	for _, n := range c.Nodes {
-		t += n.Bytes()
+		t += counter(n)
 	}
 	return t
 }

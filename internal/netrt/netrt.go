@@ -111,8 +111,8 @@ type Config struct {
 	// MaxFrame caps inbound frame sizes; 0 means MaxFrame.
 	MaxFrame int
 	// QueueLen bounds each peer's outbound queue; a full queue drops the
-	// message (fire-and-forget, like the simulator's lossy links). 0 means
-	// 1024.
+	// message (fire-and-forget, like the simulator's lossy links) and counts
+	// it in Dropped. 0 means 1024.
 	QueueLen int
 	// RedialBackoff is the initial redial delay after a failed dial or a
 	// broken stream, doubling up to 64x. 0 means 5ms.
@@ -138,7 +138,7 @@ type Node struct {
 	started atomic.Bool
 	wg      sync.WaitGroup
 
-	peers map[model.ID]*peerQueue
+	peers map[model.ID]chan []byte // one outbound stream queue per peer
 
 	timerMu sync.Mutex
 	timers  []*timerRef
@@ -146,18 +146,16 @@ type Node struct {
 
 	messages atomic.Int64
 	bytes    atomic.Int64
+	dropped  atomic.Int64
 }
 
-// peerQueue is one peer's outbound stream queue.
-type peerQueue struct {
-	ch chan []byte
-}
-
-// offer enqueues without blocking; a full queue drops the message.
-func (q *peerQueue) offer(b []byte) {
+// offer enqueues b on a peer's queue without blocking; a full queue drops
+// the message and counts it.
+func (n *Node) offer(q chan<- []byte, b []byte) {
 	select {
-	case q.ch <- b:
+	case q <- b:
 	default:
+		n.dropped.Add(1)
 	}
 }
 
@@ -177,13 +175,13 @@ func NewNode(cfg Config, r rt.Reactor) *Node {
 		reactor: r,
 		box:     newMailbox(),
 		rng:     rand.New(rand.NewSource(cfg.Seed)),
-		peers:   make(map[model.ID]*peerQueue),
+		peers:   make(map[model.ID]chan []byte),
 	}
 	for _, p := range cfg.Peers {
 		if p == cfg.ID {
 			continue
 		}
-		n.peers[p] = &peerQueue{ch: make(chan []byte, cfg.QueueLen)}
+		n.peers[p] = make(chan []byte, cfg.QueueLen)
 	}
 	return n
 }
@@ -247,6 +245,10 @@ func (n *Node) Messages() int64 { return n.messages.Load() }
 // Bytes returns the payload bytes of accepted outbound sends so far.
 func (n *Node) Bytes() int64 { return n.bytes.Load() }
 
+// Dropped returns how many accepted sends were discarded so far because the
+// peer's outbound queue (Config.QueueLen) was full.
+func (n *Node) Dropped() int64 { return n.dropped.Load() }
+
 // Serve accepts inbound connections on ln until the node's context ends
 // (which also closes the listener). Must be called after Start.
 func (n *Node) Serve(ln net.Listener) {
@@ -294,8 +296,8 @@ func (n *Node) readLoop(c net.Conn) {
 		return
 	}
 	for {
-		// No buffer reuse: the mailbox decouples delivery from reading, so
-		// each frame owns its slice.
+		// No buffer reuse: each frame gets a slice of its own, which the
+		// reactor may keep (the rt payload contract).
 		payload, err := ReadFrame(br, nil, n.cfg.MaxFrame)
 		if err != nil {
 			return
@@ -308,7 +310,7 @@ func (n *Node) readLoop(c net.Conn) {
 // redial with backoff on any failure, until the node's context ends. Queued
 // messages lost to a broken stream stay lost — the runtime is fire-and-forget
 // and retransmission is the protocol's job.
-func (n *Node) sender(p model.ID, q *peerQueue) {
+func (n *Node) sender(p model.ID, q <-chan []byte) {
 	defer n.wg.Done()
 	backoff := n.cfg.RedialBackoff
 	for n.ctx.Err() == nil {
@@ -333,7 +335,7 @@ func (n *Node) sender(p model.ID, q *peerQueue) {
 // writeLoop pumps the queue onto one healthy connection, batching frames
 // that are already queued behind a single flush. Returns on any write error
 // or context end.
-func (n *Node) writeLoop(conn net.Conn, q *peerQueue) {
+func (n *Node) writeLoop(conn net.Conn, q <-chan []byte) {
 	stop := context.AfterFunc(n.ctx, func() { conn.Close() })
 	defer stop()
 	bw := bufio.NewWriter(conn)
@@ -347,14 +349,14 @@ func (n *Node) writeLoop(conn net.Conn, q *peerQueue) {
 		select {
 		case <-n.ctx.Done():
 			return
-		case payload := <-q.ch:
+		case payload := <-q:
 			if err := WriteFrame(bw, payload); err != nil {
 				return
 			}
 		drain:
 			for {
 				select {
-				case more := <-q.ch:
+				case more := <-q:
 					if err := WriteFrame(bw, more); err != nil {
 						return
 					}
@@ -427,21 +429,19 @@ func (c *nodeCtx) Send(to model.ID, payload []byte) {
 	}
 	n.messages.Add(1)
 	n.bytes.Add(int64(len(payload)))
-	// The rt contract: the caller's slice is borrowed, copy before returning.
-	body := make([]byte, len(payload))
-	copy(body, payload)
+	// No copy: rt hands payload over, and nobody writes to it again.
 	if n.cfg.Delay != nil {
 		if d := n.cfg.Delay(to, rt.Time(time.Since(n.start))); d > 0 {
 			ref := &timerRef{}
 			ref.t = time.AfterFunc(time.Duration(d), func() {
 				ref.done.Store(true)
-				q.offer(body)
+				n.offer(q, payload)
 			})
 			n.trackTimer(ref)
 			return
 		}
 	}
-	q.offer(body)
+	n.offer(q, payload)
 }
 
 func (c *nodeCtx) SetTimer(d rt.Time, tag uint64) {

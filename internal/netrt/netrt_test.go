@@ -271,6 +271,33 @@ func TestSenderReconnects(t *testing.T) {
 	}
 }
 
+// TestFullQueueDropsAreCounted: with room for one message per peer and a peer
+// whose stream never comes up, the first send waits in the queue and every
+// further one is dropped — fire-and-forget, but counted, per node and per
+// cluster. Sends count as messages either way.
+func TestFullQueueDropsAreCounted(t *testing.T) {
+	n := NewNode(Config{
+		ID:       1,
+		Peers:    []model.ID{2},
+		QueueLen: 1,
+		Dial: func(dctx context.Context, _ model.ID) (net.Conn, error) {
+			<-dctx.Done() // the peer stalls until shutdown
+			return nil, dctx.Err()
+		},
+	}, &pingReactor{got: make(chan recvd, 1)})
+	n.Start(context.Background())
+	defer n.Stop()
+	ctx := &nodeCtx{n: n}
+	for i := 0; i < 5; i++ {
+		ctx.Send(2, []byte("into the void"))
+	}
+	ctx.Send(3, []byte("no such peer")) // not accepted: neither sent nor dropped
+	c := &Cluster{Nodes: map[model.ID]*Node{1: n}}
+	if n.Messages() != 5 || n.Dropped() != 4 || c.Dropped() != 4 {
+		t.Fatalf("%d messages, %d dropped (cluster: %d); want 5, 4, 4", n.Messages(), n.Dropped(), c.Dropped())
+	}
+}
+
 // chatterReactor generates continuous traffic and re-arming timers, to keep
 // every goroutine of a node busy while Stop runs; the first message received
 // closes ready.

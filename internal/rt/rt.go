@@ -22,11 +22,16 @@
 // Timer (and Restart) are strictly serialized per reactor. Reactors are
 // single-threaded state machines and hold no locks.
 //
-// Payload ownership. The payload slice passed to Receive is only valid for
-// the duration of the callback; a reactor that buffers a payload must copy
-// it. Symmetrically, Send treats the caller's slice as borrowed: the runtime
-// copies (or interns) it before returning, and the caller may reuse its
-// buffer immediately.
+// Payload ownership. A payload is written before it is first sent and never
+// again, by anyone. Send hands the slice over: the runtime may keep, queue and
+// share it without copying, so the caller may go on reading and re-sending it
+// (a broadcast loop, a cached reply) but never writes to its backing array
+// again. Receive gets a read-only slice, possibly the sender's own memory and
+// shared with every other recipient, and may keep it past the callback
+// without copying. Whoever wants different bytes — a Byzantine relay included
+// — builds a new payload. Simulated processes share one address space, so a
+// violation corrupts another process silently:
+// TestPayloadsNeverWrittenAfterSend in internal/scenario is the detector.
 //
 // Best-effort channels. Send is fire-and-forget. Sending to an unknown,
 // crashed, or unreachable process silently drops — the channel abstraction
@@ -86,9 +91,9 @@ func (t Time) String() string {
 type Reactor interface {
 	// Init runs once before any event is delivered.
 	Init(ctx Context)
-	// Receive delivers a message from another process. The payload slice is
-	// only valid until the callback returns (runtimes recycle payload
-	// buffers); reactors that keep a payload for later must copy it.
+	// Receive delivers a message from another process. The payload is
+	// read-only and may be shared with the sender and other recipients; it
+	// never changes, so the reactor may keep it without copying.
 	Receive(ctx Context, from model.ID, payload []byte)
 	// Timer fires a timer set via Context.SetTimer.
 	Timer(ctx Context, tag uint64)
@@ -102,8 +107,8 @@ type Context interface {
 	// Now returns the current node-local time.
 	Now() Time
 	// Send transmits payload to the given process, best-effort (see the
-	// package comment). The payload is copied; the caller may reuse its
-	// buffer.
+	// package comment). The slice is handed over, not copied: the caller may
+	// read it and send it again, but must never write to it afterwards.
 	Send(to model.ID, payload []byte)
 	// SetTimer schedules Timer(tag) after d.
 	SetTimer(d Time, tag uint64)

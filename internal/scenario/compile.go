@@ -368,7 +368,7 @@ func (c *Compiled) Run(seed int64, trace bool) (*Result, error) {
 }
 
 // Runner owns the per-worker scratch of the Run side of the pipeline: the
-// simulation engine (event heap, payload pool) and the bookkeeping maps,
+// simulation engine (slab, queue, process table) and the bookkeeping maps,
 // reset and reused across runs instead of reallocated per cell. A Runner is
 // for one goroutine; the *Result it returns (and the maps inside it) are
 // owned by the Runner and valid only until its next Run — callers that

@@ -127,10 +127,12 @@ func TestSpecDefaultsApplied(t *testing.T) {
 // (measured at the PR-3 tree: per-request SETPDS re-encoding, per-record
 // unmarshalling, per-cell keygen, fresh engine and maps); the compiled path
 // brought it to ~6,000, the incremental sink/core search engine to ~1,700,
-// and peeling components on the CSR instead of a Digraph apiece to 1,538.
-// The budget sits ~3× over the current number, so it trips on any wholesale
-// regression of either mechanism without flaking on allocator noise.
-const cellAllocBudget = 4_600
+// peeling components on the CSR instead of a Digraph apiece to 1,538, and
+// keeping delivered payloads instead of copying them (the replay memo, the
+// pending buffers; one record per simulated process, not two) to 1,484. The
+// count is deterministic; the budget sits 20 % over it, so it trips on a
+// regression of any one of the mechanisms.
+const cellAllocBudget = 1_780
 
 // TestCompiledRunAllocsSteadyState gates the fast path's allocation win from
 // both sides: under the absolute budget above, and never worse than the

@@ -109,7 +109,11 @@ func (r *Result) WriteText(w io.Writer, mode core.Mode, runtime string) {
 	if fm := r.FailureMode(); fm != "" {
 		fmt.Fprintf(w, "  (%s)", fm)
 	}
-	fmt.Fprintf(w, "\nelapsed   : %v virtual, %d messages, %d bytes\n\n", time.Duration(r.Elapsed), r.Messages, r.Bytes)
+	fmt.Fprintf(w, "\nelapsed   : %v virtual, %d messages, %d bytes\n", time.Duration(r.Elapsed), r.Messages, r.Bytes)
+	if r.Dropped != 0 {
+		fmt.Fprintf(w, "dropped   : %d sends on full outbound queues\n", r.Dropped)
+	}
+	fmt.Fprintln(w)
 	fmt.Fprintln(w, "process  role       decision          committee")
 	for _, id := range sortedIDs(r.PerProcess) {
 		pr := r.PerProcess[id]

@@ -169,6 +169,9 @@ type Result struct {
 	Messages int64
 	Bytes    int64
 	ByKind   map[byte]int64
+	// Dropped counts the sends a live run discarded on full outbound queues
+	// (netrt.Cluster.Dropped); the simulator has no such queue.
+	Dropped int64
 	// Elapsed is the virtual time of the last correct decision (or the
 	// horizon when Termination fails).
 	Elapsed sim.Time

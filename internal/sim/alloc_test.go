@@ -1,17 +1,19 @@
 package sim
 
 import (
+	"fmt"
 	"testing"
 
 	"github.com/bftcup/bftcup/internal/model"
 )
 
 // TestEventPathAllocsSteadyState is the allocation-regression gate on the
-// pooled event path (CI runs it in the benchmark smoke job): once the event
-// slab, the queue's tiers and the body pool are warm, a send→deliver cycle
-// must allocate nothing — events are recycled slab records linked into wheel
-// buckets, bodies come from the free list, metrics are array-backed. Any regression (a stray boxing, a map on the hot path, a
-// per-message copy) shows up as a nonzero allocation count here.
+// event path (CI runs it in the benchmark smoke job): once the event slab and
+// the queue's tiers are warm, a send→deliver cycle must allocate nothing —
+// events are recycled slab records linked into wheel buckets, a payload is
+// the sender's own slice, metrics are array-backed. Any regression (a stray
+// boxing, a map on the hot path, a per-message copy) shows up as a nonzero
+// allocation count here.
 func TestEventPathAllocsSteadyState(t *testing.T) {
 	e := NewEngine(Synchronous{Delta: 5 * Millisecond}, 7)
 	peers := []model.ID{1, 2, 3, 4}
@@ -26,8 +28,8 @@ func TestEventPathAllocsSteadyState(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// Warm up: grow the slab, the body pool and every reactor's state to
-	// steady state.
+	// Warm up: grow the slab, the tiers and every reactor's state to steady
+	// state.
 	for i := 0; i < 5000; i++ {
 		if !e.Step() {
 			t.Fatal("queue drained during warmup")
@@ -45,64 +47,47 @@ func TestEventPathAllocsSteadyState(t *testing.T) {
 	}
 }
 
-// TestPayloadInterning asserts broadcast fan-out shares one interned buffer:
-// sending the same bytes to k peers must acquire a single body with k
-// references, and differing bytes must not be shared.
-func TestPayloadInterning(t *testing.T) {
+// TestPayloadDeliveredIsTheSliceSent pins the hand-over contract (internal/rt,
+// "Payload ownership") from the engine's side: what a reactor receives is the
+// sender's backing array, not a copy; a broadcast delivers that one array to
+// every recipient; and a reactor may keep it — the bytes are the same after
+// 10⁴ further messages and after Reset, because the engine never writes to,
+// pools or reuses a payload.
+func TestPayloadDeliveredIsTheSliceSent(t *testing.T) {
+	const further = 10_000
+	payload := []byte("broadcast-me")
+	want := string(payload)
 	e := NewEngine(Synchronous{Delta: Millisecond}, 1)
-	for id := model.ID(1); id <= 4; id++ {
-		if err := e.AddProcess(id, &retainingReactor{keep: new([]byte)}); err != nil {
+	kept := make([][]byte, 3)
+	for i := range kept {
+		if err := e.AddProcess(model.ID(i+2), &retainingReactor{keep: &kept[i]}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	ctx := e.procs[1].ctx
-	e.start()
-
-	payload := []byte("broadcast-me")
-	ctx.Send(2, payload)
-	ctx.Send(3, payload)
-	ctx.Send(4, payload)
-	if e.lastBody == nil || e.lastBody.refs != 3 {
-		t.Fatalf("broadcast of identical payloads not interned: lastBody=%+v", e.lastBody)
-	}
-	shared := e.lastBody
-	ctx.Send(2, []byte("different"))
-	if e.lastBody == shared {
-		t.Fatal("differing payload wrongly shared the interned buffer")
-	}
-
-	// Delivering everything must recycle both buffers into the free list and
-	// clear the intern slot (a recycled buffer must not satisfy intern hits).
-	for e.Step() {
-	}
-	if e.lastBody != nil {
-		t.Fatal("intern slot not cleared after its buffer was recycled")
-	}
-	if len(e.bodyFree) == 0 {
-		t.Fatal("delivered bodies were not returned to the free list")
-	}
-}
-
-// TestPayloadRecycledAfterDelivery pins the zero-copy delivery contract: the
-// slice passed to Receive is reused for a later message, so a reactor that
-// retains it observes different bytes afterwards. (Real reactors must copy —
-// core.Node's pending buffers do — and this test documents why.)
-func TestPayloadRecycledAfterDelivery(t *testing.T) {
-	var retained []byte
-	e := NewEngine(Synchronous{Delta: Millisecond}, 1)
-	if err := e.AddProcess(1, &retainingReactor{keep: &retained}); err != nil {
-		t.Fatal(err)
-	}
-	if err := e.AddProcess(2, &sendTwoReactor{to: 1}); err != nil {
+	if err := e.AddProcess(1, &broadcastThenChatter{to: []model.ID{2, 3, 4}, first: payload, further: further}); err != nil {
 		t.Fatal(err)
 	}
 	e.Run(Second)
-	if string(retained) == "first-payload-aaaa" {
-		t.Fatal("payload buffer was not recycled; the pool is not reusing delivered bodies")
+	if got := e.Metrics().Messages; got < further {
+		t.Fatalf("only %d messages sent, want the broadcast and %d more", got, further)
 	}
+	check := func(when string) {
+		t.Helper()
+		for i, got := range kept {
+			if len(got) != len(payload) || &got[0] != &payload[0] {
+				t.Fatalf("%s: process %d holds %q at %p, want the sender's array at %p", when, i+2, got, got, payload)
+			}
+			if string(got) != want {
+				t.Fatalf("%s: process %d reads %q from the slice it kept, want %q", when, i+2, got, want)
+			}
+		}
+	}
+	check("after the run")
+	e.Reset(Synchronous{Delta: Millisecond}, 2)
+	check("after Reset")
 }
 
-// retainingReactor illegally keeps the first payload slice it receives.
+// retainingReactor keeps the first payload slice it receives, without copying.
 type retainingReactor struct{ keep *[]byte }
 
 func (r *retainingReactor) Init(Context) {}
@@ -113,16 +98,26 @@ func (r *retainingReactor) Receive(_ Context, _ model.ID, payload []byte) {
 }
 func (r *retainingReactor) Timer(Context, uint64) {}
 
-// sendTwoReactor sends two equal-length, different-content payloads.
-type sendTwoReactor struct{ to model.ID }
-
-func (s *sendTwoReactor) Init(ctx Context) {
-	ctx.Send(s.to, []byte("first-payload-aaaa"))
-	ctx.SetTimer(10*Millisecond, 1)
+// broadcastThenChatter sends first to every peer at Init and, once that has
+// been delivered (the test's Δ is 1 ms), further messages of the same length
+// and other contents, one per timer tick.
+type broadcastThenChatter struct {
+	to      []model.ID
+	first   []byte
+	further int
 }
-func (s *sendTwoReactor) Receive(Context, model.ID, []byte) {}
-func (s *sendTwoReactor) Timer(ctx Context, tag uint64) {
-	if tag == 1 {
-		ctx.Send(s.to, []byte("later-payload-bbbb"))
+
+func (b *broadcastThenChatter) Init(ctx Context) {
+	for _, id := range b.to {
+		ctx.Send(id, b.first)
 	}
+	ctx.SetTimer(2*Millisecond, 0)
+}
+func (b *broadcastThenChatter) Receive(Context, model.ID, []byte) {}
+func (b *broadcastThenChatter) Timer(ctx Context, n uint64) {
+	if int(n) == b.further {
+		return
+	}
+	ctx.Send(b.to[int(n)%len(b.to)], []byte(fmt.Sprintf("chatter-%04d", n)))
+	ctx.SetTimer(Microsecond, n+1)
 }

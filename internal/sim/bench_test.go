@@ -5,6 +5,8 @@ import (
 	"math"
 	"math/rand"
 	"testing"
+
+	"github.com/bftcup/bftcup/internal/model"
 )
 
 // BenchmarkEngine measures the simulator hot path — event-queue churn, message
@@ -40,7 +42,10 @@ func BenchmarkEngine(b *testing.B) {
 }
 
 // BenchmarkEngineSend isolates the send+deliver cycle cost for one in-flight
-// message at several payload sizes.
+// message at several payload sizes, and in the SETPDS shape: two processes
+// answering each other with their own 1 KiB payload, so consecutive sends
+// never carry the same bytes (every one of them missed the intern slot the
+// engine used to have, and was copied).
 func BenchmarkEngineSend(b *testing.B) {
 	for _, size := range []int{16, 256, 4096} {
 		size := size
@@ -51,6 +56,20 @@ func BenchmarkEngineSend(b *testing.B) {
 			}
 		})
 	}
+	b.Run("setpds-1024", func(b *testing.B) {
+		b.ReportAllocs()
+		e := NewEngine(Synchronous{Delta: 5 * Millisecond}, 1)
+		for id := model.ID(1); id <= 2; id++ {
+			payload := make([]byte, 1024)
+			for i := range payload {
+				payload[i] = byte(id) + byte(i)
+			}
+			if err := e.AddProcess(id, &workloadReactor{peers: []model.ID{3 - id}, fanout: 1, tokens: 1, payload: payload}); err != nil {
+				b.Fatal(err)
+			}
+		}
+		e.Run(Time(b.N) * 5 * Millisecond)
+	})
 }
 
 // BenchmarkEventQueue prices the queue alone with the classic hold model —

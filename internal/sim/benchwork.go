@@ -18,8 +18,8 @@ type Workload struct {
 	// Default Procs.
 	Tokens int
 	// Fanout is how many copies each delivery forwards. 1 keeps the event
-	// volume constant (unicast ring); >1 exercises the broadcast/intern path
-	// with geometric damping (forwarding stops at the horizon). Default 1.
+	// volume constant (unicast ring); >1 exercises the broadcast path with
+	// geometric damping (forwarding stops at the horizon). Default 1.
 	Fanout int
 	// PayloadBytes sizes each message body. Default 64.
 	PayloadBytes int
@@ -51,9 +51,9 @@ func (w Workload) withDefaults() Workload {
 	return w
 }
 
-// workloadReactor forwards every received payload to its Fanout successors on
-// the ring, re-sending the same payload slice (the broadcast pattern the
-// engine's payload interning targets). It also arms one periodic timer to
+// workloadReactor answers every delivery by sending its own payload slice —
+// the same one every time, the way a broadcast or a cached reply is sent — to
+// its next Fanout successors on the ring. It also arms one periodic timer to
 // keep timer events in the mix.
 type workloadReactor struct {
 	peers   []model.ID

@@ -79,8 +79,8 @@ func newQueuePair(t *testing.T) *queuePair {
 
 func (q *queuePair) push(at Time) {
 	ev := q.e.push(at)
-	ev.kind, ev.tag = evTimer, q.ref.seq
-	q.ref.push(event{at: at, tag: q.ref.seq})
+	ev.kind, ev.src = evTimer, q.ref.seq
+	q.ref.push(event{at: at, src: q.ref.seq})
 }
 
 func (q *queuePair) pending() int { return len(q.ref.h) }
@@ -97,7 +97,7 @@ func (q *queuePair) pop() {
 	if head.at != got.at || head.seq != got.seq {
 		q.t.Fatalf("peek (%d, %d) is not the next pop (%d, %d)", head.at, head.seq, got.at, got.seq)
 	}
-	if got.at != want.at || got.seq != want.seq || got.tag != want.tag {
+	if got.at != want.at || got.seq != want.seq || got.src != want.src {
 		q.t.Fatalf("pop (at %d, seq %d) differs from the heap's (at %d, seq %d), %d still pending",
 			got.at, got.seq, want.at, want.seq, q.pending())
 	}

@@ -11,7 +11,7 @@ import (
 // horizon cuts the run with events queued in every tier of the queue — ring
 // deliveries in the open bucket and the wheel, the slow link class's pre-GST
 // messages and farTimer's timer in the overflow heap (under resetNet) — so a
-// following Reset exercises the in-flight release path of all three.
+// following Reset has pending events, payloads included, to drop from all three.
 func runRingOn(t *testing.T, engine *Engine) (string, int64) {
 	t.Helper()
 	tr := NewTrace()
@@ -73,23 +73,26 @@ func TestEngineResetMatchesFresh(t *testing.T) {
 		t.Fatal("different seeds produced identical traces")
 	}
 	for i := 0; i < 3; i++ {
-		// The cut-off run left events in all three tiers; Reset must hand
-		// every body they hold back to the pool and leave the tiers empty.
-		inFlight := make(map[*msgBody]bool)
-		for j := range reused.slab {
-			if b := reused.slab[j].body; b != nil {
-				inFlight[b] = true
+		// The cut-off run left events in all three tiers; Reset must leave
+		// the tiers empty and no payload pointer anywhere in the slab it keeps
+		// (slots beyond the cut included), or the GC could not reclaim them.
+		holdsPayload := func() int {
+			n := 0
+			for _, ev := range reused.slab[:cap(reused.slab)] {
+				if ev.body != nil {
+					n++
+				}
 			}
+			return n
 		}
 		wheelEmpty := func() bool { return reused.occ == [len(reused.occ)]uint64{} }
-		if reused.runPos == len(reused.run) || wheelEmpty() || len(reused.over) == 0 || len(inFlight) == 0 {
-			t.Fatalf("cut-off run left a tier empty: open run %d, wheel empty %v, overflow %d, bodies %d",
-				len(reused.run)-reused.runPos, wheelEmpty(), len(reused.over), len(inFlight))
+		if reused.runPos == len(reused.run) || wheelEmpty() || len(reused.over) == 0 || holdsPayload() == 0 {
+			t.Fatalf("cut-off run left a tier empty: open run %d, wheel empty %v, overflow %d, payloads %d",
+				len(reused.run)-reused.runPos, wheelEmpty(), len(reused.over), holdsPayload())
 		}
-		pooled := len(reused.bodyFree)
 		reused.Reset(net, 42)
-		if got := len(reused.bodyFree); got != pooled+len(inFlight) {
-			t.Fatalf("reset %d pooled %d bodies, want %d + %d in flight", i, got, pooled, len(inFlight))
+		if n := holdsPayload(); n != 0 {
+			t.Fatalf("reset %d left %d slab slots holding a payload", i, n)
 		}
 		if _, pending := reused.peek(); pending || len(reused.run) != 0 || !wheelEmpty() ||
 			reused.heads != [wheelBuckets]int32{} || len(reused.over) != 0 || len(reused.slab) != 1 {

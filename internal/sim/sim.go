@@ -15,29 +15,27 @@
 // The engine is written to be allocation-free in steady state: events are
 // one-cache-line records in a recycled slab, queued in a calendar wheel of
 // 32.8 µs buckets with a binary heap behind it for what lies beyond the
-// wheel's 67 ms window (see the queue constants); message bodies are
-// reference-counted buffers drawn from a per-engine free list, and
-// consecutive sends of byte-identical payloads — the broadcast pattern every
-// protocol layer uses — share one interned buffer instead of copying per
-// recipient. Delivery order is (at, seq) — virtual time, then FIFO — and
-// nothing else about the queue is observable. The RNG behind Context.Rand and
+// wheel's 67 ms window (see the queue constants); a message is the slice its
+// sender passed to Send, carried in the event record — never copied, compared
+// or pooled — and processes are found through a dense model.IDIndex, not a Go
+// map. Delivery order is (at, seq) — virtual time, then FIFO — and nothing
+// else about the queue is observable. The RNG behind Context.Rand and
 // NetworkModel.Delay is a splitmix64 source wrapped in math/rand, a few
 // nanoseconds per draw with no per-engine table allocation.
 //
-// The zero-copy delivery contract: the payload slice passed to
-// Reactor.Receive is only valid for the duration of the callback. A reactor
-// that buffers a payload for later must copy it first (forwarding it to
-// Context.Send within the callback is fine — the engine re-interns it).
+// The zero-copy delivery contract (internal/rt, "Payload ownership"): Receive
+// gets the sender's backing array, shared with a broadcast's other recipients
+// and a FaultInjector's duplicates; nobody writes to it after Send (the
+// detector is internal/scenario's TestPayloadsNeverWrittenAfterSend), so a
+// reactor may keep it.
 package sim
 
 import (
-	"bytes"
 	"fmt"
 	"math"
 	"math/bits"
 	"math/rand"
 	"slices"
-	"sort"
 
 	"github.com/bftcup/bftcup/internal/model"
 	"github.com/bftcup/bftcup/internal/rt"
@@ -63,9 +61,8 @@ const (
 type Reactor = rt.Reactor
 
 // Context is the runtime-side interface a reactor uses to act on the world.
-// The engine's implementation copies (or interns, for repeated broadcasts of
-// identical bytes) every Send payload, and silently drops sends to unknown or
-// crashed processes.
+// The engine's implementation queues the very slice Send was given and
+// silently drops sends to unknown or crashed processes.
 type Context = rt.Context
 
 // NetworkModel assigns a delivery delay to each message.
@@ -109,28 +106,18 @@ const (
 	evRestart
 )
 
-// msgBody is a reference-counted payload buffer. Bodies are recycled through
-// the engine's free list once every referencing event has been delivered, so
-// the steady-state message path allocates nothing; refcounts let repeated
-// sends of identical bytes (broadcasts) share one buffer.
-type msgBody struct {
-	data []byte
-	refs int32
-}
-
 // event is one scheduled delivery: a record in the engine's slab, exactly one
-// cache line (TestEventRecordFitsCacheLine). It carries the resolved *proc, so
-// delivery needs no map lookup and the recipient's ID is tgt.id. next links
-// the records of one wheel bucket, and the free slots.
+// cache line (TestEventRecordFitsCacheLine). tgt is the recipient's index in
+// Engine.procs, so delivery looks nothing up; body is the slice the sender
+// passed to Send. next links the records of one wheel bucket, and the free slots.
 type event struct {
 	at   Time
-	seq  uint64   // tie-breaker: FIFO among same-time events
-	from model.ID // evMessage
-	tgt  *proc
-	body *msgBody // evMessage
-	tag  uint64   // evTimer; evCrash/evRestart: index into Engine.controls
-	gen  uint32   // evTimer: the target's incarnation at scheduling time
+	seq  uint64 // tie-breaker: FIFO among same-time events
+	src  uint64 // evMessage: sender ID; evTimer: tag; evCrash/evRestart: index into Engine.controls
+	body []byte // evMessage
+	tgt  int32
 	next int32
+	gen  uint32 // evTimer: the target's incarnation at scheduling time
 	kind eventKind
 }
 
@@ -163,9 +150,11 @@ func (k qkey) before(o qkey) bool {
 
 // Engine drives a set of reactors over a virtual clock.
 type Engine struct {
-	now   Time
-	seq   uint64
-	procs map[model.ID]*proc
+	now Time
+	seq uint64
+	// procs is in AddProcess order, index maps an ID to its position there.
+	procs []*proc
+	index model.IDIndex
 	order []model.ID
 	net   NetworkModel
 	// injector is net's FaultInjector view, cached so the zero-fault send
@@ -193,11 +182,6 @@ type Engine struct {
 	occ    [wheelBuckets / 64]uint64
 	over   []qkey
 
-	// bodyFree recycles payload buffers; lastBody interns the most recent one
-	// so broadcast loops sending identical bytes share a single buffer.
-	bodyFree []*msgBody
-	lastBody *msgBody
-
 	// preCrashed holds Crash marks issued before AddProcess.
 	preCrashed model.IDSet
 
@@ -215,10 +199,12 @@ type control struct {
 	replacement Reactor // restart only: non-nil swaps the reactor (wiped state)
 }
 
+// proc is one process, and the Context its reactor is handed.
 type proc struct {
+	engine  *Engine
 	id      model.ID
+	idx     int32 // position in Engine.procs
 	reactor Reactor
-	ctx     *procCtx
 	crashed bool
 	// gen is the incarnation number, bumped at every crash. Timer events
 	// carry the gen they were scheduled under and are dropped on mismatch:
@@ -238,7 +224,6 @@ type Restartable = rt.Restartable
 func NewEngine(net NetworkModel, seed int64) *Engine {
 	inj, _ := net.(FaultInjector)
 	return &Engine{
-		procs:    make(map[model.ID]*proc),
 		slab:     make([]event, 1), // slot 0 is the nil slot
 		net:      net,
 		injector: inj,
@@ -248,38 +233,29 @@ func NewEngine(net NetworkModel, seed int64) *Engine {
 }
 
 // Reset returns the engine to its just-constructed state under a new network
-// model and seed, retaining the capacity of the event slab and the queue's
-// tiers, the payload buffer pool and the process map — the allocations a
-// fresh NewEngine would repeat. Messages still pending give their bodies back
-// to the pool. A sweep worker running thousands of cells resets one engine
-// instead of constructing one per cell; a reset engine is indistinguishable
-// from a new one (pinned by the scenario-level cached-vs-uncached fingerprint
-// tests).
+// model and seed, retaining the capacity of the event slab, the queue's tiers
+// and the process table — the allocations a fresh NewEngine would repeat. A
+// sweep worker running thousands of cells resets one engine instead of
+// constructing one per cell; a reset engine is indistinguishable from a new
+// one (pinned by the scenario-level cached-vs-uncached fingerprint tests).
 func (e *Engine) Reset(net NetworkModel, seed int64) {
-	for i := range e.slab {
-		// Only pending events hold pointers: a free slot keeps none, and
-		// push rewrites whatever else is left beyond the cut.
-		if ev := &e.slab[i]; ev.tgt != nil {
-			e.releaseBody(ev.body)
-			*ev = event{}
-		}
-	}
+	clear(e.slab) // pending messages must not keep their payloads from the GC
 	e.slab, e.free = e.slab[:1], 0
 	e.run, e.runPos, e.cur = e.run[:0], 0, 0
 	clear(e.heads[:])
 	clear(e.occ[:])
 	e.over = e.over[:0]
 	clear(e.procs)
+	e.procs = e.procs[:0]
+	e.index.Reset()
 	e.order = e.order[:0]
-	e.now = 0
-	e.seq = 0
+	e.now, e.seq = 0, 0
 	e.net = net
 	e.injector, _ = net.(FaultInjector)
 	e.rng = newRand(seed)
 	*e.metrics = Metrics{}
 	e.trace = nil
 	e.started = false
-	e.lastBody = nil
 	e.preCrashed = nil
 	e.controls = e.controls[:0]
 }
@@ -295,15 +271,14 @@ func (e *Engine) AddProcess(id model.ID, r Reactor) error {
 	if e.started {
 		return fmt.Errorf("sim: AddProcess(%v) after start", id)
 	}
-	if _, dup := e.procs[id]; dup {
+	if _, added := e.index.Insert(id); !added {
 		return fmt.Errorf("sim: duplicate process %v", id)
 	}
-	p := &proc{id: id, reactor: r}
-	p.ctx = &procCtx{engine: e, proc: p}
+	p := &proc{engine: e, id: id, idx: int32(len(e.procs)), reactor: r}
 	if e.preCrashed.Has(id) {
 		p.crashed = true
 	}
-	e.procs[id] = p
+	e.procs = append(e.procs, p)
 	e.order = append(e.order, id)
 	return nil
 }
@@ -311,7 +286,8 @@ func (e *Engine) AddProcess(id model.ID, r Reactor) error {
 // Crash stops delivering events to and from the given process. It may be
 // called before the process is added; the mark is applied at registration.
 func (e *Engine) Crash(id model.ID) {
-	if p, ok := e.procs[id]; ok {
+	if i, ok := e.index.Lookup(id); ok {
+		p := e.procs[i]
 		p.crashed = true
 		p.gen++
 		return
@@ -353,7 +329,7 @@ func (e *Engine) start() {
 	// this order is the documented one).
 	for i := range e.controls {
 		ctl := &e.controls[i]
-		p, ok := e.procs[ctl.id]
+		tgt, ok := e.index.Lookup(ctl.id)
 		if !ok {
 			continue
 		}
@@ -362,13 +338,13 @@ func (e *Engine) start() {
 			kind = evRestart
 		}
 		ev := e.push(ctl.at)
-		ev.kind, ev.tgt, ev.tag = kind, p, uint64(i)
+		ev.kind, ev.tgt, ev.src = kind, int32(tgt), uint64(i)
 	}
-	sort.Slice(e.order, func(i, j int) bool { return e.order[i] < e.order[j] })
+	slices.Sort(e.order)
 	for _, id := range e.order {
-		p := e.procs[id]
-		if !p.crashed {
-			p.reactor.Init(p.ctx)
+		i, _ := e.index.Lookup(id)
+		if p := e.procs[i]; !p.crashed {
+			p.reactor.Init(p)
 		}
 	}
 }
@@ -383,49 +359,36 @@ func (e *Engine) Step() bool {
 		}
 		ev := e.popEvent()
 		e.now = ev.at
+		p := e.procs[ev.tgt]
+		// A crashed process is delivered nothing, and a timer with a stale gen
+		// was set by a previous incarnation: pending timers die with a crash,
+		// even if the process restarts before they would have fired.
+		if (ev.kind == evMessage || ev.kind == evTimer) && p.crashed || ev.kind == evTimer && ev.gen != p.gen {
+			continue
+		}
+		if e.trace != nil {
+			e.trace.record(&ev, p.id)
+		}
 		switch ev.kind {
 		case evMessage:
-			if ev.tgt.crashed {
-				e.releaseBody(ev.body)
-				continue
-			}
-			if e.trace != nil {
-				e.trace.record(&ev)
-			}
-			ev.tgt.reactor.Receive(ev.tgt.ctx, ev.from, ev.body.data)
-			e.releaseBody(ev.body)
+			p.reactor.Receive(p, model.ID(ev.src), ev.body)
 		case evTimer:
-			// A stale gen means the timer was set by a previous incarnation:
-			// pending timers die with a crash, even if the process restarts
-			// before they would have fired.
-			if ev.tgt.crashed || ev.gen != ev.tgt.gen {
-				continue
-			}
-			if e.trace != nil {
-				e.trace.record(&ev)
-			}
-			ev.tgt.reactor.Timer(ev.tgt.ctx, ev.tag)
+			p.reactor.Timer(p, ev.src)
 		case evCrash:
-			if e.trace != nil {
-				e.trace.record(&ev)
-			}
-			if !ev.tgt.crashed {
-				ev.tgt.crashed = true
-				ev.tgt.gen++
+			if !p.crashed {
+				p.crashed = true
+				p.gen++
 			}
 		case evRestart:
-			if e.trace != nil {
-				e.trace.record(&ev)
-			}
-			if p := ev.tgt; p.crashed {
+			if p.crashed {
 				p.crashed = false
-				if repl := e.controls[ev.tag].replacement; repl != nil {
+				if repl := e.controls[ev.src].replacement; repl != nil {
 					p.reactor = repl
-					p.reactor.Init(p.ctx)
+					p.reactor.Init(p)
 				} else if r, ok := p.reactor.(Restartable); ok {
-					r.Restart(p.ctx)
+					r.Restart(p)
 				} else {
-					p.reactor.Init(p.ctx)
+					p.reactor.Init(p)
 				}
 			}
 		}
@@ -640,67 +603,22 @@ func (e *Engine) popEvent() event {
 		e.run, e.runPos = e.run[:0], 0
 	}
 	ev := e.slab[slot]
-	e.slab[slot] = event{next: e.free} // drop the body/proc pointers for the GC
+	e.slab[slot] = event{next: e.free} // drop the payload pointer for the GC
 	e.free = slot
 	return ev
 }
 
-// acquireBody returns a buffer holding a copy of payload. Consecutive
-// acquisitions of byte-identical payloads (broadcast fan-out) share one
-// interned buffer via its refcount instead of copying per recipient.
-func (e *Engine) acquireBody(payload []byte) *msgBody {
-	if lb := e.lastBody; lb != nil && bytes.Equal(lb.data, payload) {
-		lb.refs++
-		return lb
-	}
-	var b *msgBody
-	if n := len(e.bodyFree); n > 0 {
-		b = e.bodyFree[n-1]
-		e.bodyFree[n-1] = nil
-		e.bodyFree = e.bodyFree[:n-1]
-	} else {
-		b = &msgBody{}
-	}
-	b.data = append(b.data[:0], payload...)
-	b.refs = 1
-	e.lastBody = b
-	return b
-}
+func (p *proc) ID() model.ID     { return p.id }
+func (p *proc) Now() Time        { return p.engine.now }
+func (p *proc) Rand() *rand.Rand { return p.engine.rng }
 
-// releaseBody returns a buffer to the free list once its last referencing
-// event has been delivered (or dropped).
-func (e *Engine) releaseBody(b *msgBody) {
-	if b == nil {
+func (p *proc) Send(to model.ID, payload []byte) {
+	e := p.engine
+	if p.crashed {
 		return
 	}
-	if b.refs--; b.refs > 0 {
-		return
-	}
-	if e.lastBody == b {
-		// The buffer is about to be rewritten by its next user; it must no
-		// longer satisfy intern hits.
-		e.lastBody = nil
-	}
-	e.bodyFree = append(e.bodyFree, b)
-}
-
-// procCtx implements Context for one process.
-type procCtx struct {
-	engine *Engine
-	proc   *proc
-}
-
-func (c *procCtx) ID() model.ID     { return c.proc.id }
-func (c *procCtx) Now() Time        { return c.engine.now }
-func (c *procCtx) Rand() *rand.Rand { return c.engine.rng }
-
-func (c *procCtx) Send(to model.ID, payload []byte) {
-	e := c.engine
-	if c.proc.crashed {
-		return
-	}
-	tgt, ok := e.procs[to]
-	if !ok || tgt.crashed || to == c.proc.id {
+	tgt, ok := e.index.Lookup(to)
+	if !ok || e.procs[tgt].crashed || to == p.id {
 		return
 	}
 	m := e.metrics
@@ -712,29 +630,29 @@ func (c *procCtx) Send(to model.ID, payload []byte) {
 	// Metrics count the send attempt; fault injection decides what the
 	// network delivers. 0 copies = dropped/severed, 2 = duplicated. Each
 	// copy gets its own delay draw (duplicates may arrive out of order);
-	// the interned body is shared between copies.
+	// all of them carry the one slice.
 	copies := 1
 	if e.injector != nil {
-		copies = e.injector.Copies(c.proc.id, to, e.now, e.rng)
+		copies = e.injector.Copies(p.id, to, e.now, e.rng)
 		if copies <= 0 {
 			return
 		}
 	}
 	for i := 0; i < copies; i++ {
-		d := e.net.Delay(c.proc.id, to, e.now, e.rng)
+		d := e.net.Delay(p.id, to, e.now, e.rng)
 		if d < 0 {
 			d = 0
 		}
 		ev := e.push(e.now + d)
-		ev.kind, ev.from, ev.tgt, ev.body = evMessage, c.proc.id, tgt, e.acquireBody(payload)
+		ev.kind, ev.src, ev.tgt, ev.body = evMessage, uint64(p.id), int32(tgt), payload
 	}
 }
 
-func (c *procCtx) SetTimer(d Time, tag uint64) {
+func (p *proc) SetTimer(d Time, tag uint64) {
 	if d < 0 {
 		d = 0
 	}
-	e := c.engine
+	e := p.engine
 	ev := e.push(e.now + d)
-	ev.kind, ev.tgt, ev.tag, ev.gen = evTimer, c.proc, tag, c.proc.gen
+	ev.kind, ev.src, ev.tgt, ev.gen = evTimer, tag, p.idx, p.gen
 }

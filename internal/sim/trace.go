@@ -32,21 +32,21 @@ func (t *Trace) Digest() string {
 	return hex.EncodeToString(t.h.Sum(nil))
 }
 
-// record folds one delivered event into the digest. The encoding is
-// canonical: fixed-width fields, payload length-prefixed.
-func (t *Trace) record(ev *event) {
+// record folds one event delivered to process to into the digest. The
+// encoding is canonical: fixed-width fields, payload length-prefixed.
+func (t *Trace) record(ev *event, to model.ID) {
 	t.events++
 	b := t.buf[:0]
 	b = binary.BigEndian.AppendUint64(b, uint64(ev.at))
 	b = append(b, byte(ev.kind))
-	b = binary.BigEndian.AppendUint64(b, uint64(ev.tgt.id))
+	b = binary.BigEndian.AppendUint64(b, uint64(to))
 	switch ev.kind {
 	case evMessage:
-		b = binary.BigEndian.AppendUint64(b, uint64(ev.from))
-		b = binary.BigEndian.AppendUint64(b, uint64(len(ev.body.data)))
-		b = append(b, ev.body.data...)
+		b = binary.BigEndian.AppendUint64(b, ev.src)
+		b = binary.BigEndian.AppendUint64(b, uint64(len(ev.body)))
+		b = append(b, ev.body...)
 	case evTimer:
-		b = binary.BigEndian.AppendUint64(b, ev.tag)
+		b = binary.BigEndian.AppendUint64(b, ev.src)
 	case evCrash, evRestart:
 		// (at, kind, to) fully identify a churn control point.
 	}
