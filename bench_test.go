@@ -28,19 +28,18 @@ import (
 	"github.com/bftcup/bftcup/internal/sim"
 )
 
-// runScenario executes one experiment spec b.N times and reports simulator
-// metrics alongside wall-clock time.
-func runScenario(b *testing.B, spec scenario.Spec, wantConsensus bool) {
+// runScenario executes one scenario b.N times and reports simulator metrics
+// alongside wall-clock time.
+func runScenario(b *testing.B, p scenario.Params, wantConsensus bool) {
 	b.Helper()
 	var msgs, bytes int64
 	var virtual sim.Time
 	for i := 0; i < b.N; i++ {
-		res, err := scenario.Run(spec)
+		res, err := p.Run()
 		if err != nil {
 			b.Fatal(err)
 		}
-		got := res.Termination && res.Agreement && res.Validity
-		if got != wantConsensus {
+		if got := res.Consensus(); got != wantConsensus {
 			b.Fatalf("verdict %v, want %v (%s)", got, wantConsensus, res.FailureMode())
 		}
 		msgs, bytes, virtual = res.Messages, res.Bytes, res.Elapsed
@@ -55,7 +54,7 @@ func BenchmarkTable1(b *testing.B) {
 	for _, exp := range scenario.Table1() {
 		exp := exp
 		b.Run(exp.ID[len("table1/"):], func(b *testing.B) {
-			runScenario(b, exp.Spec, exp.Expect.Consensus)
+			runScenario(b, exp.Params, exp.Expect.Consensus)
 		})
 	}
 }
@@ -64,7 +63,7 @@ func BenchmarkTable1(b *testing.B) {
 func BenchmarkFig1(b *testing.B) {
 	for _, exp := range scenario.Fig1() {
 		exp := exp
-		b.Run(exp.ID, func(b *testing.B) { runScenario(b, exp.Spec, exp.Expect.Consensus) })
+		b.Run(exp.ID, func(b *testing.B) { runScenario(b, exp.Params, exp.Expect.Consensus) })
 	}
 }
 
@@ -72,7 +71,7 @@ func BenchmarkFig1(b *testing.B) {
 func BenchmarkFig2(b *testing.B) {
 	for _, exp := range scenario.Fig2() {
 		exp := exp
-		b.Run(exp.ID, func(b *testing.B) { runScenario(b, exp.Spec, exp.Expect.Consensus) })
+		b.Run(exp.ID, func(b *testing.B) { runScenario(b, exp.Params, exp.Expect.Consensus) })
 	}
 }
 
@@ -80,7 +79,7 @@ func BenchmarkFig2(b *testing.B) {
 func BenchmarkFig3(b *testing.B) {
 	for _, exp := range scenario.Fig3() {
 		exp := exp
-		b.Run(exp.ID, func(b *testing.B) { runScenario(b, exp.Spec, exp.Expect.Consensus) })
+		b.Run(exp.ID, func(b *testing.B) { runScenario(b, exp.Params, exp.Expect.Consensus) })
 	}
 }
 
@@ -88,7 +87,7 @@ func BenchmarkFig3(b *testing.B) {
 func BenchmarkFig4(b *testing.B) {
 	for _, exp := range scenario.Fig4() {
 		exp := exp
-		b.Run(exp.ID, func(b *testing.B) { runScenario(b, exp.Spec, exp.Expect.Consensus) })
+		b.Run(exp.ID, func(b *testing.B) { runScenario(b, exp.Params, exp.Expect.Consensus) })
 	}
 }
 
@@ -350,21 +349,16 @@ func BenchmarkPBFTCommittee(b *testing.B) {
 	for _, n := range []int{4, 7, 10, 13} {
 		n := n
 		f := (n - 1) / 3
-		ids := make([]model.ID, n)
-		for i := range ids {
-			ids[i] = model.ID(i + 1)
-		}
-		spec := scenario.Spec{
+		p := scenario.Params{
 			Name:    fmt.Sprintf("pbft-%d", n),
-			Graph:   graph.CompleteGraph(ids...),
+			Graph:   graph.Def{Kind: graph.DefComplete, N: n},
 			Mode:    core.ModePermissioned,
 			F:       f,
-			Net:     sim.Synchronous{Delta: 5 * sim.Millisecond},
 			Horizon: 30 * sim.Second,
 			Seed:    int64(n),
 		}
 		b.Run(fmt.Sprintf("n=%d_f=%d", n, f), func(b *testing.B) {
-			runScenario(b, spec, true)
+			runScenario(b, p, true)
 		})
 	}
 }
@@ -374,22 +368,15 @@ func BenchmarkScalingCUPFT(b *testing.B) {
 	for _, n := range []int{8, 16, 32} {
 		n := n
 		coreSize := n / 2
-		g, _, _, err := graph.GenExtendedKOSR(rand.New(rand.NewSource(int64(n))), graph.GenSpec{
-			SinkSize: coreSize, NonSinkSize: n - coreSize, ExtraEdgeP: 0.1,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		spec := scenario.Spec{
+		p := scenario.Params{
 			Name:    fmt.Sprintf("cupft-%d", n),
-			Graph:   g,
+			Graph:   graph.Def{Kind: graph.DefExtended, Sink: coreSize, NonSink: n - coreSize, ExtraEdgeP: 0.1},
 			Mode:    core.ModeUnknownF,
-			Net:     sim.Synchronous{Delta: 5 * sim.Millisecond},
 			Horizon: 120 * sim.Second,
 			Seed:    int64(n),
 		}
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
-			runScenario(b, spec, true)
+			runScenario(b, p, true)
 		})
 	}
 }

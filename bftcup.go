@@ -36,6 +36,7 @@ import (
 	"fmt"
 	"sort"
 
+	"github.com/bftcup/bftcup/internal/core"
 	"github.com/bftcup/bftcup/internal/graph"
 	"github.com/bftcup/bftcup/internal/kosr"
 	"github.com/bftcup/bftcup/internal/model"
@@ -74,6 +75,20 @@ func (p Protocol) String() string {
 		return "permissioned"
 	default:
 		return fmt.Sprintf("protocol(%d)", int(p))
+	}
+}
+
+// mode is the protocol as the internal layers name it.
+func (p Protocol) mode() (core.Mode, error) {
+	switch p {
+	case ProtocolBFTCUP:
+		return core.ModeKnownF, nil
+	case ProtocolBFTCUPFT:
+		return core.ModeUnknownF, nil
+	case ProtocolPermissioned:
+		return core.ModePermissioned, nil
+	default:
+		return 0, fmt.Errorf("bftcup: unknown protocol %v", p)
 	}
 }
 

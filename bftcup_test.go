@@ -3,8 +3,15 @@ package bftcup
 import (
 	"context"
 	"fmt"
+	"reflect"
 	"testing"
 	"time"
+
+	"github.com/bftcup/bftcup/internal/core"
+	"github.com/bftcup/bftcup/internal/graph"
+	"github.com/bftcup/bftcup/internal/model"
+	"github.com/bftcup/bftcup/internal/scenario"
+	"github.com/bftcup/bftcup/internal/sim"
 )
 
 func TestCheckers(t *testing.T) {
@@ -181,21 +188,7 @@ func TestSimulatePossibility(t *testing.T) {
 }
 
 func TestSimulateImpossibility(t *testing.T) {
-	rep, err := Simulate(SimOptions{
-		Topology: Figure2c(),
-		Protocol: ProtocolBFTCUPFT,
-		Network: Network{
-			Kind:       NetworkPartiallySynchronous,
-			GST:        30 * time.Second,
-			SlowGroups: [][]ID{{1, 2, 3}, {6, 7, 8}},
-		},
-		Proposals: map[ID]Value{
-			1: Value("v"), 2: Value("v"), 3: Value("v"), 4: Value("v"),
-			5: Value("u"), 6: Value("u"), 7: Value("u"), 8: Value("u"),
-		},
-		Horizon: 90 * time.Second,
-		Seed:    2,
-	})
+	rep, err := Simulate(fig2cSplit(2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -224,6 +217,178 @@ func TestSimulateAsyncNonTermination(t *testing.T) {
 	}
 	if rep.Termination {
 		t.Fatal("adversarial asynchrony should prevent termination")
+	}
+}
+
+// fig2cProposals is the Theorem 7 assignment: system A proposes v, B proposes u.
+var fig2cProposals = map[ID]Value{
+	1: Value("v"), 2: Value("v"), 3: Value("v"), 4: Value("v"),
+	5: Value("u"), 6: Value("u"), 7: Value("u"), 8: Value("u"),
+}
+
+// fig2cSplit is the examples/impossibility run: BFT-CUPFT on Fig. 2c under the
+// Theorem 7 schedule — before GST only the two islands talk internally.
+func fig2cSplit(seed int64) SimOptions {
+	return SimOptions{
+		Topology: Figure2c(), Protocol: ProtocolBFTCUPFT, Proposals: fig2cProposals,
+		Network: Network{
+			Kind:       NetworkPartiallySynchronous,
+			GST:        30 * time.Second,
+			SlowGroups: [][]ID{{1, 2, 3}, {6, 7, 8}},
+		},
+		Horizon: 90 * time.Second,
+		Seed:    seed,
+	}
+}
+
+// decided maps every listed process to v.
+func decided(v string, ids ...ID) map[ID]Value {
+	out := make(map[ID]Value, len(ids))
+	for _, id := range ids {
+		out[id] = Value(v)
+	}
+	return out
+}
+
+// TestSimulateFacadePin holds Simulate to the reports it returned before it
+// became a veneer over scenario.Params (recorded at the parent of that PR,
+// where it built its network model and Byzantine assignment by hand): same
+// traffic, same virtual time, same decisions.
+func TestSimulateFacadePin(t *testing.T) {
+	fig1bCorrect := []ID{1, 2, 3, 5, 6, 7, 8}
+	for _, tc := range []struct {
+		name      string
+		opts      SimOptions
+		messages  int64
+		bytes     int64
+		elapsed   time.Duration
+		solved    bool
+		decisions map[ID]Value
+	}{
+		{
+			name: "fig1b/fake-pd/sync",
+			opts: SimOptions{
+				Topology: Figure1b(), Protocol: ProtocolBFTCUP, F: 1,
+				Byzantine: map[ID]Byzantine{4: {Behavior: BehaviorFakePD, ClaimedPD: []ID{1, 2, 3}}},
+				Network:   Network{Kind: NetworkSynchronous},
+				Seed:      22,
+			},
+			messages: 3776, bytes: 595025, elapsed: 36775341, solved: true,
+			decisions: decided("v1", fig1bCorrect...),
+		},
+		{
+			name:     "fig2c/slow-groups/partial",
+			opts:     fig2cSplit(1),
+			messages: 77679, bytes: 7526178, elapsed: 30005084732, solved: false,
+			decisions: fig2cProposals,
+		},
+		{
+			name: "k4/async",
+			opts: SimOptions{
+				Topology: Topology{1: {2, 3, 4}, 2: {1, 3, 4}, 3: {1, 2, 4}, 4: {1, 2, 3}},
+				Protocol: ProtocolPermissioned, F: 1,
+				Network: Network{Kind: NetworkAsynchronousAdversarial},
+				Horizon: 30 * time.Second,
+				Seed:    3,
+			},
+			messages: 90, bytes: 6312, elapsed: 30 * time.Second, solved: false,
+			decisions: map[ID]Value{},
+		},
+		{
+			// No recipient set: the equivocator's even-ID default split.
+			name: "fig1b/equiv-pd/defaults",
+			opts: SimOptions{
+				Topology: Figure1b(), Protocol: ProtocolBFTCUP, F: 1,
+				Byzantine: map[ID]Byzantine{4: {Behavior: BehaviorEquivocatePD, ClaimedPD: []ID{1, 2, 3}, AltPD: []ID{5}}},
+				Seed:      5,
+			},
+			messages: 4563, bytes: 952701, elapsed: 36608701, solved: true,
+			decisions: decided("v1", fig1bCorrect...),
+		},
+		{
+			// No ClaimedPD: the forged default claim; a non-default Delta.
+			name: "fig1b/fake-pd/forged-default",
+			opts: SimOptions{
+				Topology: Figure1b(), Protocol: ProtocolBFTCUP, F: 1,
+				Byzantine: map[ID]Byzantine{4: {Behavior: BehaviorFakePD}},
+				Network:   Network{Kind: NetworkSynchronous, Delta: 3 * time.Millisecond},
+				Seed:      6,
+			},
+			messages: 3776, bytes: 596855, elapsed: 29110325, solved: true,
+			decisions: decided("v1", fig1bCorrect...),
+		},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			rep, err := Simulate(tc.opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rep.Messages != tc.messages || rep.Bytes != tc.bytes || rep.Elapsed != tc.elapsed {
+				t.Errorf("msgs/bytes/elapsed = %d/%d/%d, pinned %d/%d/%d",
+					rep.Messages, rep.Bytes, rep.Elapsed, tc.messages, tc.bytes, tc.elapsed)
+			}
+			if !reflect.DeepEqual(rep.Decisions, tc.decisions) {
+				t.Errorf("decisions = %v, pinned %v", rep.Decisions, tc.decisions)
+			}
+			if rep.ConsensusSolved != tc.solved || !rep.Integrity {
+				t.Errorf("solved = %v (integrity %v), pinned %v", rep.ConsensusSolved, rep.Integrity, tc.solved)
+			}
+		})
+	}
+}
+
+// TestSimulateIsParamsRun pins the facade as a veneer: Simulate on the Fig. 2c
+// topology is event for event Params.Run on the fig2c graph def — the same
+// trace digest (taken through Params.Trace on both sides) and the same report.
+func TestSimulateIsParamsRun(t *testing.T) {
+	opts := fig2cSplit(34)
+	want, err := scenario.Params{
+		Graph:  graph.Def{Kind: graph.DefFigure, Figure: "fig2c"},
+		Mode:   core.ModeUnknownF,
+		Values: fig2cProposals,
+		Net: scenario.NetParams{
+			Kind:       scenario.NetPartial,
+			GST:        30 * sim.Second,
+			FastGroups: []model.IDSet{model.NewIDSet(1, 2, 3), model.NewIDSet(6, 7, 8)},
+		},
+		Horizon: 90 * sim.Second,
+		Seed:    34,
+		Trace:   true,
+	}.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	p, err := opts.params()
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.Trace = true
+	c, err := p.CompileGraph(graph.BuiltGraph{G: opts.Topology.graph()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	traced, err := c.Run(p.Seed, p.Trace)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if traced.TraceDigest == "" || traced.TraceDigest != want.TraceDigest || traced.TraceEvents != want.TraceEvents {
+		t.Fatalf("facade trace %s (%d events), Params.Run trace %s (%d events)",
+			traced.TraceDigest, traced.TraceEvents, want.TraceDigest, want.TraceEvents)
+	}
+
+	rep, err := Simulate(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Messages != want.Messages || rep.Bytes != want.Bytes || rep.Elapsed != time.Duration(want.Elapsed) ||
+		rep.ConsensusSolved != want.Consensus() || rep.FailureMode != want.FailureMode() {
+		t.Fatalf("Simulate report %+v differs from Params.Run result %+v", rep, want)
+	}
+	for id, pr := range want.PerProcess {
+		if !rep.Decisions[id].Equal(pr.Value) {
+			t.Fatalf("p%d decided %q under Simulate, %q under Params.Run", id, rep.Decisions[id], pr.Value)
+		}
 	}
 }
 

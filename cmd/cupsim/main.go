@@ -210,11 +210,7 @@ func emitSweep(rep *matrix.Report, jsonOut bool) {
 }
 
 func runSingle(params scenario.Params) {
-	c, err := params.Compile()
-	if err != nil {
-		fail(err)
-	}
-	res, err := c.Run(params.Seed, false)
+	res, err := params.Run()
 	if err != nil {
 		fail(err)
 	}

@@ -124,36 +124,20 @@ func runMerge(paths []string, jsonOut, cellRows, summary bool) {
 // buffering a report. The sweep is a lazy cell source end to end — nothing
 // materializes the cell list, so seed ranges in the millions are fine.
 func runMatrix(seedsStr string, adversary, probabilistic, chaos bool, parallel int, jsonOut, trace, cellRows, compare bool, shardStr, onlyStr, jsonlPath string, resume, insecure bool) {
-	seeds, err := matrix.ParseSeedRange(seedsStr)
-	if err != nil {
-		fail(err)
-	}
+	sweepName := "standard"
 	picked := 0
-	for _, b := range []bool{adversary, probabilistic, chaos} {
-		if b {
+	for name, on := range map[string]bool{"adversary": adversary, "probabilistic": probabilistic, "chaos": chaos} {
+		if on {
+			sweepName = name
 			picked++
 		}
 	}
 	if picked > 1 {
 		fail(fmt.Errorf("-adversary, -probabilistic and -chaos select different sweeps; pick one"))
 	}
-	sweepName, sweep := "standard", matrix.StandardSweep
-	switch {
-	case adversary:
-		sweepName, sweep = "adversary", matrix.AdversarySweep
-	case probabilistic:
-		sweepName, sweep = "probabilistic", matrix.ProbabilisticSweep
-	case chaos:
-		sweepName, sweep = "chaos", matrix.ChaosSweep
-	}
-	src, err := sweep(seeds)
+	src, name, err := matrix.NamedSweep(sweepName, seedsStr, insecure)
 	if err != nil {
 		fail(err)
-	}
-	name := fmt.Sprintf("%s sweep, seeds %s", sweepName, seedsStr)
-	if insecure {
-		src = matrix.InsecureSource(src)
-		name += " (insecure)"
 	}
 	job := matrix.StreamJob{Name: name, Src: src, Shard: shardStr, Only: onlyStr, Path: jsonlPath, Resume: resume}
 	part, spec, err := job.Slice()
@@ -328,7 +312,7 @@ func renderTable1(exps []scenario.Experiment, rep *matrix.Report, verbose bool, 
 		details = append(details, fmt.Sprintf("- `%s`: measured %s (elapsed %v, %d msgs, %d bytes)%s",
 			key, got, o.VirtualNS, o.Messages, o.Bytes, failNote(o)))
 		if verbose {
-			details = append(details, perProcess(exp.Spec)...)
+			details = append(details, perProcess(exp.Params)...)
 		}
 	}
 	fmt.Println("| Communication | Known n, Known f | Unknown n, Known f | Unknown n, Unknown f |")
@@ -379,7 +363,7 @@ func renderGroup(exps []scenario.Experiment, rep *matrix.Report, verbose bool, m
 			exp.ID, want, got, failMode, o.VirtualNS, o.Messages, o.Bytes)
 		notes = append(notes, fmt.Sprintf("- `%s`: %s", exp.ID, exp.Expect.Note))
 		if verbose {
-			notes = append(notes, perProcess(exp.Spec)...)
+			notes = append(notes, perProcess(exp.Params)...)
 		}
 	}
 	fmt.Println()
@@ -396,10 +380,10 @@ func failNote(o *matrix.Outcome) string {
 	return ""
 }
 
-// perProcess re-runs one spec serially to report per-process decisions — the
-// matrix outcome carries aggregates only.
-func perProcess(spec scenario.Spec) []string {
-	res, err := scenario.Run(spec)
+// perProcess re-runs one experiment serially to report per-process decisions —
+// the matrix outcome carries aggregates only.
+func perProcess(p scenario.Params) []string {
+	res, err := p.Run()
 	if err != nil {
 		fail(err)
 	}

@@ -58,7 +58,7 @@ func main() {
 	)
 	flag.Parse()
 
-	src, name, err := buildSweep(*sweepSel, *seedsStr, *insecure)
+	src, name, err := matrix.NamedSweep(*sweepSel, *seedsStr, *insecure)
 	if err != nil {
 		fail(err)
 	}
@@ -78,38 +78,6 @@ func main() {
 func fail(err error) {
 	fmt.Fprintln(os.Stderr, "sweepd:", err)
 	os.Exit(2)
-}
-
-// buildSweep resolves the named sweep — the same construction every worker
-// and the coordinator must share, or headers disagree and the merge refuses.
-func buildSweep(sweepSel, seedsStr string, insecure bool) (matrix.CellSource, string, error) {
-	seeds, err := matrix.ParseSeedRange(seedsStr)
-	if err != nil {
-		return nil, "", err
-	}
-	var sweep func([]int64) (matrix.CellSource, error)
-	switch sweepSel {
-	case "standard":
-		sweep = matrix.StandardSweep
-	case "adversary":
-		sweep = matrix.AdversarySweep
-	case "probabilistic":
-		sweep = matrix.ProbabilisticSweep
-	case "chaos":
-		sweep = matrix.ChaosSweep
-	default:
-		return nil, "", fmt.Errorf("unknown sweep %q (want standard|adversary|probabilistic|chaos)", sweepSel)
-	}
-	src, err := sweep(seeds)
-	if err != nil {
-		return nil, "", err
-	}
-	name := fmt.Sprintf("%s sweep, seeds %s", sweepSel, seedsStr)
-	if insecure {
-		src = matrix.InsecureSource(src)
-		name += " (insecure)"
-	}
-	return src, name, nil
 }
 
 // runWorker executes one fabric task: the coordinator side dispatches exactly

@@ -13,7 +13,7 @@ import (
 )
 
 // uncachedOutcome replicates the pre-compile-cache per-cell execution path:
-// a fresh Spec materialization and a fresh one-shot scenario.Run per cell —
+// a fresh compile and a fresh one-shot Params.Run per cell —
 // no compile cache, no per-worker scratch reuse. The transparency tests pin
 // the cached pipeline to this reference byte for byte.
 func uncachedOutcome(c Cell, trace bool) Outcome {
@@ -29,12 +29,7 @@ func uncachedOutcome(c Cell, trace bool) Outcome {
 		F:     p.F,
 		Seed:  p.Seed,
 	}
-	spec, err := p.Spec()
-	if err != nil {
-		out.Err = err.Error()
-		return out
-	}
-	res, err := scenario.Run(spec)
+	res, err := p.Run()
 	if err != nil {
 		out.Err = err.Error()
 		return out

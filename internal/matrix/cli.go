@@ -6,6 +6,42 @@ import (
 	"os"
 )
 
+// NamedSweep resolves one of the four named sweeps over a -seeds string to its
+// source and its report name, "(insecure)"-suffixed and switched to the
+// insecure suite when asked. experiments -matrix, sweepd's coordinator and
+// every sweepd worker build their sweep through it: the name goes into stream
+// headers, so constructing it anywhere else lets headers disagree and the
+// merge refuse.
+func NamedSweep(name, seedsStr string, insecure bool) (CellSource, string, error) {
+	seeds, err := ParseSeedRange(seedsStr)
+	if err != nil {
+		return nil, "", err
+	}
+	var sweep func([]int64) (CellSource, error)
+	switch name {
+	case "standard":
+		sweep = StandardSweep
+	case "adversary":
+		sweep = AdversarySweep
+	case "probabilistic":
+		sweep = ProbabilisticSweep
+	case "chaos":
+		sweep = ChaosSweep
+	default:
+		return nil, "", fmt.Errorf("unknown sweep %q (want standard|adversary|probabilistic|chaos)", name)
+	}
+	src, err := sweep(seeds)
+	if err != nil {
+		return nil, "", err
+	}
+	label := fmt.Sprintf("%s sweep, seeds %s", name, seedsStr)
+	if insecure {
+		src = InsecureSource(src)
+		label += " (insecure)"
+	}
+	return src, label, nil
+}
+
 // StreamJob is the worker-side shard/stream CLI mode shared by
 // cmd/experiments, cmd/cupsim and sweepd -worker: one place resolves the
 // -shard/-only selection against the whole sweep, validates the flag

@@ -108,7 +108,7 @@ func (a Axes) Expand() ([]Cell, error) {
 	cells := make([]Cell, src.Len())
 	for i := range cells {
 		c := src.Cell(i)
-		if _, err := c.Params.Spec(); err != nil {
+		if _, err := c.Params.Compile(); err != nil {
 			return nil, fmt.Errorf("matrix %q cell %d: %w", a.Name, i, err)
 		}
 		cells[i] = c

@@ -58,46 +58,6 @@ func (s Shard) Of(cells []Cell) []Cell {
 	return out
 }
 
-// Source is the lazy counterpart of Of: a view of the base source holding
-// the positions dealt to this shard round-robin (position p of the shard is
-// base position Index-1 + p*Count), with global indices preserved. Nothing
-// is materialized — sharding a 10^6-cell source is arithmetic.
-//
-// The base must be a whole sweep (Index(i) == i for all i): sharding deals
-// by global index residue, which only coincides with position residue on
-// identity-indexed sources. Sharding a shard or a subset is a programming
-// error and panics.
-func (s Shard) Source(base CellSource) CellSource {
-	if s.IsAll() {
-		return base
-	}
-	total := base.Len()
-	if total > 0 && (base.Index(0) != 0 || base.Index(total-1) != total-1) {
-		panic(fmt.Sprintf("matrix: Shard.Source needs a whole-sweep base (Index(i)==i); got Index(0)=%d, Index(%d)=%d",
-			base.Index(0), total-1, base.Index(total-1)))
-	}
-	n := 0
-	if first := s.Index - 1; first < total {
-		n = (total - first + s.Count - 1) / s.Count
-	}
-	return &shardSource{base: base, shard: s, n: n}
-}
-
-// shardSource is the round-robin shard view over a base source.
-type shardSource struct {
-	base  CellSource
-	shard Shard
-	n     int
-}
-
-// Len implements CellSource.
-func (s *shardSource) Len() int { return s.n }
-
-// pos maps a shard-local position to the base position.
-func (s *shardSource) pos(i int) int { return s.shard.Index - 1 + i*s.shard.Count }
-
-// Index implements CellSource.
-func (s *shardSource) Index(i int) int { return s.base.Index(s.pos(i)) }
-
-// Cell implements CellSource.
-func (s *shardSource) Cell(i int) Cell { return s.base.Cell(s.pos(i)) }
+// Source is the lazy counterpart of Of: the whole-shard span's view (see
+// Span.Source).
+func (s Shard) Source(base CellSource) CellSource { return Span{Shard: s}.Source(base) }

@@ -88,18 +88,24 @@ func (s Span) Globals(total int) []int {
 	return out
 }
 
-// Source is the lazy view of the span's cells: the shard view offset to
-// start at From. Like Shard.Source the base must be a whole sweep.
+// Source is the lazy view of the span's cells: position p of the view is
+// base position start() + p·Count, with global indices preserved. Nothing is
+// materialized — slicing a 10^6-cell source is arithmetic.
+//
+// The base must be a whole sweep (Index(i) == i for all i): spans deal by
+// global index residue, which only coincides with position residue on
+// identity-indexed sources. Slicing a shard or a subset is a programming
+// error and panics.
 func (s Span) Source(base CellSource) CellSource {
-	sh := s.Shard.Source(base)
-	if s.From == 0 {
-		return sh
+	if s.IsAll() {
+		return base
 	}
-	n := sh.Len() - s.From
-	if n < 0 {
-		n = 0
+	total := base.Len()
+	if total > 0 && (base.Index(0) != 0 || base.Index(total-1) != total-1) {
+		panic(fmt.Sprintf("matrix: Span.Source needs a whole-sweep base (Index(i)==i); got Index(0)=%d, Index(%d)=%d",
+			base.Index(0), total-1, base.Index(total-1)))
 	}
-	return &offsetSource{base: sh, off: s.From, n: n}
+	return &strideSource{base: base, first: s.start(), stride: s.Shard.Count, n: s.Len(total)}
 }
 
 // Split deals the span round-robin into m sub-spans. Sub-span k starts at
@@ -124,19 +130,18 @@ func (s Span) Split(m int) []Span {
 	return out
 }
 
-// offsetSource drops the first off positions of a base source (the span's
-// already-completed prefix). Global indices are preserved.
-type offsetSource struct {
-	base CellSource
-	off  int
-	n    int
+// strideSource is the arithmetic slice view behind every span: n base
+// positions from first, stride apart.
+type strideSource struct {
+	base             CellSource
+	first, stride, n int
 }
 
 // Len implements CellSource.
-func (s *offsetSource) Len() int { return s.n }
+func (s *strideSource) Len() int { return s.n }
 
 // Index implements CellSource.
-func (s *offsetSource) Index(i int) int { return s.base.Index(i + s.off) }
+func (s *strideSource) Index(i int) int { return s.base.Index(s.first + i*s.stride) }
 
 // Cell implements CellSource.
-func (s *offsetSource) Cell(i int) Cell { return s.base.Cell(i + s.off) }
+func (s *strideSource) Cell(i int) Cell { return s.base.Cell(s.first + i*s.stride) }

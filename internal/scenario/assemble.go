@@ -133,7 +133,7 @@ func (s *stack) zoo(id model.ID, bspec ByzSpec, colluder *byz.Colluder) rt.React
 		if alt == nil {
 			alt = model.NewIDSet()
 		}
-		choose := bspec.ChooseAlt
+		var choose func(model.ID) bool
 		if bspec.AltRecipients != nil {
 			choose = bspec.AltRecipients.Has
 		}

@@ -13,50 +13,45 @@ import (
 	"github.com/bftcup/bftcup/internal/sim"
 )
 
-// Scenario execution is split into an explicit Compile → Run pipeline.
-// Compile does everything that does not depend on the simulation seed —
-// building the graph from its def, resolving the fault threshold and the
-// automatic Byzantine placement, materializing the network model, filling
-// defaults — and Run does only the seed-dependent work: key material (via
-// the cryptox keyring cache), engine setup and the simulation itself. A
-// sweep that runs one scenario across a thousand seeds compiles once and
-// runs a thousand times; the matrix layer caches Compiled values per worker
-// keyed by Params.CompileKey. Spec/Run remain as thin shims over this
-// pipeline, so the split is invisible to existing callers — and provably so:
+// Scenario execution is the Params → Compiled → Run pipeline, and there is
+// no other path. Compile does everything that does not depend on the
+// simulation seed — building the graph from its def, resolving the fault
+// threshold and the automatic Byzantine placement, materializing the network
+// model, filling defaults — and Run does only the seed-dependent work: key
+// material (via the cryptox keyring cache), engine setup and the simulation
+// itself. A sweep that runs one scenario across a thousand seeds compiles
+// once and runs a thousand times; the matrix layer caches Compiled values per
+// worker keyed by Params.CompileKey. One-shot callers use Params.Run, which
+// is Compile + Run under p.Seed, so the two cannot diverge — and provably so:
 // the matrix fingerprint tests pin cached and uncached execution to
 // byte-identical reports.
 
-// applyDefaults fills the shared execution defaults — the synchronous
-// network model and the 60-second horizon — in one place for every entry
-// point (Compile, compiled Specs, hand-written Specs handed to Run).
-func applyDefaults(net sim.NetworkModel, horizon sim.Time) (sim.NetworkModel, sim.Time) {
-	if net == nil {
-		net = sim.Synchronous{Delta: 5 * sim.Millisecond}
-	}
+// horizonOrDefault fills the 60-second default horizon, in one place for
+// Compile and CompileKey (the network defaults are NetParams.Model's).
+func horizonOrDefault(horizon sim.Time) sim.Time {
 	if horizon <= 0 {
-		horizon = 60 * sim.Second
+		return 60 * sim.Second
 	}
-	return net, horizon
+	return horizon
 }
 
 // Compiled is the seed-independent materialization of a scenario: the built
 // knowledge connectivity graph, the resolved fault threshold and Byzantine
 // assignment, the network model and the filled-in defaults. It is produced
-// once by Params.Compile (or Spec.Compile) and then Run any number of times
+// once by Params.Compile and then Run any number of times
 // with different seeds; the per-run cost is key material, engine setup and
 // the simulation itself. A Compiled value is immutable after construction
 // and safe to share between goroutines (Run never mutates it).
 type Compiled struct {
 	// Name labels results and errors; empty derives the per-seed cell ID
-	// from Labels at run time (matching Params.Spec's naming).
+	// from Labels at run time (Params.ID for that seed).
 	Name string
-	// Labels are the seed-independent axis labels (zero-valued when the
-	// Compiled came from a hand-written Spec rather than Params).
+	// Labels are the seed-independent axis labels of the source Params.
 	Labels CellLabels
 	// Graph is the built knowledge connectivity graph.
 	Graph *graph.Digraph
 	// Mode / F / Byz / Values / Net / Horizon are the resolved counterparts
-	// of the Spec fields of the same names.
+	// of the Params fields of the same names.
 	Mode    core.Mode
 	F       int
 	Byz     map[model.ID]ByzSpec
@@ -64,7 +59,9 @@ type Compiled struct {
 	Net     sim.NetworkModel
 	Horizon sim.Time
 	// Discovery / PBFTTimeout / PollPeriod tune the protocol stack (zero
-	// keeps the module defaults).
+	// keeps the module defaults). Params sets them only through
+	// SlowDiscovery; a caller that needs another tuning sets the field on
+	// the Compiled it is about to run, before sharing it.
 	Discovery   discovery.Config
 	PBFTTimeout sim.Time
 	PollPeriod  sim.Time
@@ -80,17 +77,15 @@ type Compiled struct {
 	// node (discovery backoff + resync, PBFT decide-note replies).
 	Hardened bool
 
-	// deriveName records that Name was empty in the source Params, so each
-	// run names its result after its own seed.
-	deriveName bool
 	// ids is the sorted node list, computed once.
 	ids []model.ID
 }
 
-// Compile materializes the seed-independent part of the parameters. The
-// effective graph seed (GraphSeed, falling back to Seed) participates: for
-// random graph families a Compiled is specific to the graph its seed built,
-// which is exactly what CompileKey captures.
+// Compile materializes the seed-independent part of the parameters: it
+// builds the graph and hands it to CompileGraph. The effective graph seed
+// (GraphSeed, falling back to Seed) participates: for random graph families a
+// Compiled is specific to the graph its seed built, which is exactly what
+// CompileKey captures.
 func (p Params) Compile() (*Compiled, error) {
 	gseed := p.GraphSeed
 	if gseed == 0 {
@@ -99,6 +94,17 @@ func (p Params) Compile() (*Compiled, error) {
 	built, err := p.Graph.Build(gseed)
 	if err != nil {
 		return nil, fmt.Errorf("params %q: %w", p.nameOrID(), err)
+	}
+	return p.CompileGraph(built)
+}
+
+// CompileGraph is Compile on an already built graph: everything but
+// p.Graph / p.GraphSeed is read as usual. It is the seam for a caller that
+// holds a graph no Def describes (the root package's Simulate, whose Topology
+// is an arbitrary adjacency map).
+func (p Params) CompileGraph(built graph.BuiltGraph) (*Compiled, error) {
+	if built.G == nil {
+		return nil, fmt.Errorf("params %q: no graph", p.nameOrID())
 	}
 	f := p.F
 	if f < 0 {
@@ -137,26 +143,24 @@ func (p Params) Compile() (*Compiled, error) {
 		}
 		byzMap[id] = spec
 	}
-	net, horizon := applyDefaults(p.Net.Model(), p.Horizon)
-	net, err = applyFaults(p.Faults, net, built.G, byzMap)
+	net, err := applyFaults(p.Faults, p.Net.Model(), built.G, byzMap)
 	if err != nil {
 		return nil, fmt.Errorf("params %q: %w", p.nameOrID(), err)
 	}
 	c := &Compiled{
-		Name:       p.Name,
-		Labels:     p.Labels(),
-		Graph:      built.G,
-		Mode:       p.Mode,
-		F:          f,
-		Byz:        byzMap,
-		Values:     p.Values,
-		Net:        net,
-		Horizon:    horizon,
-		Insecure:   p.Insecure,
-		Faults:     p.Faults,
-		Hardened:   p.Faults.Hardened(),
-		deriveName: p.Name == "",
-		ids:        built.G.Nodes(),
+		Name:     p.Name,
+		Labels:   p.Labels(),
+		Graph:    built.G,
+		Mode:     p.Mode,
+		F:        f,
+		Byz:      byzMap,
+		Values:   p.Values,
+		Net:      net,
+		Horizon:  horizonOrDefault(p.Horizon),
+		Insecure: p.Insecure,
+		Faults:   p.Faults,
+		Hardened: p.Faults.Hardened(),
+		ids:      built.G.Nodes(),
 	}
 	if p.SlowDiscovery {
 		c.Discovery.Period = 500 * sim.Millisecond
@@ -168,7 +172,7 @@ func (p Params) Compile() (*Compiled, error) {
 // checkProcessIDs rejects an explicit Byzantine assignment or proposal for a
 // process the graph does not have: a typo'd ID must not compile into a run
 // that reads as adversarial (or as carrying a proposal) while placing nothing.
-func checkProcessIDs[B any](g *graph.Digraph, byz map[model.ID]B, values map[model.ID]model.Value) error {
+func checkProcessIDs(g *graph.Digraph, byz map[model.ID]ByzParams, values map[model.ID]model.Value) error {
 	for _, id := range sortedIDs(byz) {
 		if !g.HasNode(id) {
 			return fmt.Errorf("byzantine process %v not in graph", id)
@@ -214,41 +218,6 @@ func applyFaults(f FaultParams, net sim.NetworkModel, g *graph.Digraph, byzMap m
 	}, nil
 }
 
-// Compile wraps a hand-written Spec in the Compile → Run pipeline. The
-// Spec's graph, threshold and Byzantine assignment are taken as already
-// resolved; only the execution defaults are filled and the fault axis (if
-// any) applied.
-func (s Spec) Compile() (*Compiled, error) {
-	if s.Graph == nil || s.Graph.NumNodes() == 0 {
-		return nil, fmt.Errorf("scenario %q: empty graph", s.Name)
-	}
-	if err := checkProcessIDs(s.Graph, s.Byz, s.Values); err != nil {
-		return nil, fmt.Errorf("scenario %q: %w", s.Name, err)
-	}
-	net, horizon := applyDefaults(s.Net, s.Horizon)
-	net, err := applyFaults(s.Faults, net, s.Graph, s.Byz)
-	if err != nil {
-		return nil, fmt.Errorf("scenario %q: %w", s.Name, err)
-	}
-	return &Compiled{
-		Name:        s.Name,
-		Graph:       s.Graph,
-		Mode:        s.Mode,
-		F:           s.F,
-		Byz:         s.Byz,
-		Values:      s.Values,
-		Net:         net,
-		Horizon:     horizon,
-		Discovery:   s.Discovery,
-		PBFTTimeout: s.PBFTTimeout,
-		PollPeriod:  s.PollPeriod,
-		Insecure:    s.Insecure,
-		Faults:      s.Faults,
-		Hardened:    s.Faults.Hardened(),
-		ids:         s.Graph.Nodes(),
-	}, nil
-}
-
 // CompileKey is the canonical identity of the seed-independent parts of the
 // parameters: two Params with equal CompileKeys compile to interchangeable
 // Compiled values, which is the cache-key contract the matrix layer's
@@ -262,11 +231,10 @@ func (p Params) CompileKey() string {
 	if gseed == 0 {
 		gseed = p.Seed
 	}
-	_, horizon := applyDefaults(nil, p.Horizon)
 	var sb strings.Builder
 	sb.WriteString(p.Graph.BuildKey(gseed))
 	fmt.Fprintf(&sb, "|mode=%d|f=%d|net=%s|h=%d|slow=%t|auto=%d,%d,%d",
-		int(p.Mode), p.F, p.Net.Label(), int64(horizon), p.SlowDiscovery,
+		int(p.Mode), p.F, p.Net.Label(), int64(horizonOrDefault(p.Horizon)), p.SlowDiscovery,
 		int(p.Auto.Kind), p.Auto.Count, int(p.Auto.Place))
 	if p.Insecure {
 		// Appended only when set, so every pre-existing secure key is
@@ -357,6 +325,16 @@ func resolveClaim(c *Compiled, id model.ID, bspec ByzSpec) model.IDSet {
 		return ForgedClaim(c.Graph, id)
 	}
 	return c.Graph.OutSet(id).Clone()
+}
+
+// Run is the one-shot form of the pipeline: Compile, then one run under
+// p.Seed (traced when p.Trace). The Result is independently owned.
+func (p Params) Run() (*Result, error) {
+	c, err := p.Compile()
+	if err != nil {
+		return nil, err
+	}
+	return c.Run(p.Seed, p.Trace)
 }
 
 // Run executes the compiled scenario under one seed. It is shorthand for a
@@ -492,7 +470,7 @@ func (r *Runner) Run(c *Compiled, seed int64, trace bool) (*Result, error) {
 // runName is the name a run's Result and errors carry: the fixed one, or the
 // per-seed cell ID when the source Params had none.
 func (c *Compiled) runName(seed int64) string {
-	if c.deriveName {
+	if c.Name == "" {
 		return c.Labels.IDFor(seed)
 	}
 	return c.Name

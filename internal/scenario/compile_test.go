@@ -25,10 +25,11 @@ func compileTestParams() Params {
 	}
 }
 
-// TestCompiledRunMatchesSpecRun pins the Compile → Run pipeline to the
-// classic Spec path: same graded outcome, traffic counters and trace digest,
-// whether the Compiled is run once or re-run by one Runner across seeds.
-func TestCompiledRunMatchesSpecRun(t *testing.T) {
+// TestCompiledRunMatchesParamsRun pins compile-once-run-many to the one-shot
+// path: one Compiled re-run by one Runner across seeds gives, seed for seed,
+// the graded outcome, traffic counters, trace digest and name of a fresh
+// Params.Run.
+func TestCompiledRunMatchesParamsRun(t *testing.T) {
 	p := compileTestParams()
 	p.Trace = true
 	c, err := p.Compile()
@@ -39,11 +40,7 @@ func TestCompiledRunMatchesSpecRun(t *testing.T) {
 	for _, seed := range []int64{31, 32, 33} {
 		q := p
 		q.Seed = seed
-		spec, err := q.Spec()
-		if err != nil {
-			t.Fatal(err)
-		}
-		want, err := Run(spec)
+		want, err := q.Run()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -52,7 +49,7 @@ func TestCompiledRunMatchesSpecRun(t *testing.T) {
 			t.Fatal(err)
 		}
 		if got.TraceDigest != want.TraceDigest || got.TraceEvents != want.TraceEvents {
-			t.Fatalf("seed %d: compiled run diverges from spec run: %s/%d vs %s/%d",
+			t.Fatalf("seed %d: compiled run diverges from Params.Run: %s/%d vs %s/%d",
 				seed, got.TraceDigest[:16], got.TraceEvents, want.TraceDigest[:16], want.TraceEvents)
 		}
 		if got.Consensus() != want.Consensus() || got.Messages != want.Messages ||
@@ -60,7 +57,7 @@ func TestCompiledRunMatchesSpecRun(t *testing.T) {
 			t.Fatalf("seed %d: compiled run graded differently", seed)
 		}
 		if got.Name != want.Name {
-			t.Fatalf("seed %d: compiled run named %q, spec run %q", seed, got.Name, want.Name)
+			t.Fatalf("seed %d: compiled run named %q, Params.Run %q", seed, got.Name, want.Name)
 		}
 	}
 }
@@ -96,27 +93,26 @@ func TestCompiledIsReusableAcrossRunners(t *testing.T) {
 	}
 }
 
-// TestSpecDefaultsApplied pins applyDefaults through both entry points: a
-// Spec with no net and no horizon runs under sync/5ms with a 60s horizon
-// (the historical Run defaults), and Params.Spec fills the same values.
-func TestSpecDefaultsApplied(t *testing.T) {
-	fig := graph.Fig1b()
-	res, err := Run(Spec{Name: "defaults", Graph: fig.G, Mode: core.ModeKnownF, F: fig.F, Seed: 3})
+// TestCompileDefaultsApplied pins the execution defaults: Params with no net
+// and no horizon compile to sync/5ms with a 60s horizon, and run to consensus.
+func TestCompileDefaultsApplied(t *testing.T) {
+	p := Params{Graph: graph.Def{Kind: graph.DefFigure, Figure: "fig1b"}, Mode: core.ModeKnownF, F: -1, Seed: 3}
+	c, err := p.Compile()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c.Horizon != 60*sim.Second {
+		t.Fatalf("compiled horizon %v, want 60s", c.Horizon)
+	}
+	if c.Net != (sim.Synchronous{Delta: 5 * sim.Millisecond}) {
+		t.Fatalf("compiled net model %#v, want sync/5ms", c.Net)
+	}
+	res, err := c.Run(p.Seed, false)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !res.Consensus() {
 		t.Fatalf("defaulted run failed: %s", res.FailureMode())
-	}
-	spec, err := (Params{Graph: graph.Def{Kind: graph.DefFigure, Figure: "fig1b"}, Mode: core.ModeKnownF, F: -1, Seed: 3}).Spec()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if spec.Horizon != 60*sim.Second {
-		t.Fatalf("Params.Spec horizon %v, want 60s", spec.Horizon)
-	}
-	if spec.Net == nil {
-		t.Fatal("Params.Spec left the net model nil")
 	}
 }
 
@@ -136,7 +132,7 @@ const cellAllocBudget = 1_780
 
 // TestCompiledRunAllocsSteadyState gates the fast path's allocation win from
 // both sides: under the absolute budget above, and never worse than the
-// uncached Spec-then-Run path for the same cell.
+// uncached Params.Run path for the same cell.
 func TestCompiledRunAllocsSteadyState(t *testing.T) {
 	p := compileTestParams()
 	c, err := p.Compile()
@@ -153,11 +149,7 @@ func TestCompiledRunAllocsSteadyState(t *testing.T) {
 		}
 	})
 	uncached := testing.AllocsPerRun(5, func() {
-		spec, err := p.Spec()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := Run(spec); err != nil {
+		if _, err := p.Run(); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -201,9 +193,9 @@ func TestCompileRejectsStrayProcessIDs(t *testing.T) {
 			t.Errorf("%s: error %v, want one containing %q", tc.name, err, tc.want)
 		}
 	}
-	// Hand-written Specs go through the same check.
-	spec := Spec{Name: "stray", Graph: graph.Fig1b().G, Byz: map[model.ID]ByzSpec{99: {Kind: ByzSilent}}}
-	if _, err := spec.Compile(); err == nil || !strings.Contains(err.Error(), "byzantine process p99 not in graph") {
-		t.Errorf("Spec.Compile: error %v, want the stray Byzantine process named", err)
+	// A caller's own graph goes through the same check.
+	p := Params{Name: "stray", Byz: map[model.ID]ByzParams{99: {Kind: ByzSilent}}}
+	if _, err := p.CompileGraph(graph.BuiltGraph{G: graph.Fig1b().G}); err == nil || !strings.Contains(err.Error(), "byzantine process p99 not in graph") {
+		t.Errorf("CompileGraph: error %v, want the stray Byzantine process named", err)
 	}
 }

@@ -29,7 +29,7 @@ func traceParams(net NetParams, horizon sim.Time) Params {
 	}
 }
 
-// TestTraceDeterminismAcrossNetModels asserts that running the same spec
+// TestTraceDeterminismAcrossNetModels asserts that running the same Params
 // twice produces byte-identical event traces and decision transcripts (equal
 // streaming SHA-256 digests over every delivered message, timer and
 // decision) under all three network models, and that changing the seed
@@ -48,21 +48,13 @@ func TestTraceDeterminismAcrossNetModels(t *testing.T) {
 				horizon = 20 * sim.Second // non-terminating; bound the event volume
 			}
 			p := traceParams(net, sim.Time(horizon))
-			spec, err := p.Spec()
+			a, err := p.Run()
 			if err != nil {
 				t.Fatal(err)
 			}
-			a, err := Run(spec)
-			if err != nil {
-				t.Fatal(err)
-			}
-			// Re-materialize from scratch: determinism must survive full
-			// reconstruction, not just re-running a shared Spec value.
-			spec2, err := p.Spec()
-			if err != nil {
-				t.Fatal(err)
-			}
-			b, err := Run(spec2)
+			// Params.Run recompiles: determinism must survive full
+			// reconstruction, not just re-running a shared Compiled.
+			b, err := p.Run()
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -78,11 +70,7 @@ func TestTraceDeterminismAcrossNetModels(t *testing.T) {
 			}
 
 			p.Seed = 100
-			spec3, err := p.Spec()
-			if err != nil {
-				t.Fatal(err)
-			}
-			c, err := Run(spec3)
+			c, err := p.Run()
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -114,23 +102,11 @@ func transcript(r *Result) string {
 	return out
 }
 
-// TestParamsSpecMatchesHandWritten asserts the data-driven path builds the
-// same runnable spec as the original hand-written construction for a
-// representative experiment (same graded outcome and traffic counters).
-func TestParamsSpecMatchesHandWritten(t *testing.T) {
-	fig := graph.Fig1b()
-	hand := Spec{
-		Name:  "hand",
-		Graph: fig.G,
-		Mode:  core.ModeKnownF,
-		F:     fig.F,
-		Byz: map[model.ID]ByzSpec{
-			4: {Kind: ByzFakePD, ClaimedPD: model.NewIDSet(1, 2, 3)},
-		},
-		Net:     sim.Synchronous{Delta: 5 * sim.Millisecond},
-		Horizon: 60 * sim.Second,
-		Seed:    22,
-	}
+// TestCompileGraphMatchesCompile asserts that a caller holding its own graph
+// (CompileGraph, with the threshold given explicitly) gets the run Compile
+// gives for the def of the same graph (threshold resolved from the figure):
+// same trace digest, graded outcome and traffic counters.
+func TestCompileGraphMatchesCompile(t *testing.T) {
 	p := Params{
 		Graph: graph.Def{Kind: graph.DefFigure, Figure: "fig1b"},
 		Mode:  core.ModeKnownF,
@@ -141,29 +117,36 @@ func TestParamsSpecMatchesHandWritten(t *testing.T) {
 		Net:     NetParams{Kind: NetSync},
 		Horizon: 60 * sim.Second,
 		Seed:    22,
+		Trace:   true,
 	}
-	data, err := p.Spec()
+	b, err := p.Run()
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, err := Run(hand)
+	fig := graph.Fig1b()
+	hand := p
+	hand.Graph, hand.F = graph.Def{}, fig.F
+	c, err := hand.CompileGraph(graph.BuiltGraph{G: fig.G})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Run(data)
+	a, err := c.Run(hand.Seed, hand.Trace)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a.Verdict() != b.Verdict() || a.Messages != b.Messages || a.Bytes != b.Bytes || a.Elapsed != b.Elapsed {
-		t.Fatalf("data-driven spec diverges from hand-written: %v/%d/%d/%d vs %v/%d/%d/%d",
+	if a.TraceDigest != b.TraceDigest || a.Verdict() != b.Verdict() || a.Messages != b.Messages || a.Bytes != b.Bytes || a.Elapsed != b.Elapsed {
+		t.Fatalf("hand-built graph diverges from its def: %v/%d/%d/%d vs %v/%d/%d/%d",
 			a.Verdict(), a.Messages, a.Bytes, a.Elapsed, b.Verdict(), b.Messages, b.Bytes, b.Elapsed)
+	}
+	if _, err := hand.CompileGraph(graph.BuiltGraph{}); err == nil {
+		t.Fatal("CompileGraph accepted a BuiltGraph without a graph")
 	}
 }
 
 // TestTraceDeterminismProbabilisticFamilies extends the byte-identical-trace
 // regression to the unplanted random families: the graph itself is now part
 // of the seeded randomness, so determinism must hold through generation →
-// compile → run, a re-materialized spec must reproduce the digest exactly,
+// compile → run, a recompiled scenario must reproduce the digest exactly,
 // and a different seed must change both the graph and the trace. (The
 // compile cache keys er/geo/sf cells by build seed; a same-key different-
 // graph bug would surface here as a digest mismatch.)
@@ -184,19 +167,11 @@ func TestTraceDeterminismProbabilisticFamilies(t *testing.T) {
 				Seed:    7,
 				Trace:   true,
 			}
-			spec, err := p.Spec()
+			a, err := p.Run()
 			if err != nil {
 				t.Fatal(err)
 			}
-			a, err := Run(spec)
-			if err != nil {
-				t.Fatal(err)
-			}
-			spec2, err := p.Spec()
-			if err != nil {
-				t.Fatal(err)
-			}
-			b, err := Run(spec2)
+			b, err := p.Run()
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -211,11 +186,7 @@ func TestTraceDeterminismProbabilisticFamilies(t *testing.T) {
 				t.Fatalf("decision transcripts diverge:\n%s\nvs\n%s", transcript(a), transcript(b))
 			}
 			p.Seed = 8
-			spec3, err := p.Spec()
-			if err != nil {
-				t.Fatal(err)
-			}
-			c, err := Run(spec3)
+			c, err := p.Run()
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -1,8 +1,6 @@
 package scenario
 
 import (
-	"fmt"
-
 	"github.com/bftcup/bftcup/internal/core"
 	"github.com/bftcup/bftcup/internal/graph"
 	"github.com/bftcup/bftcup/internal/model"
@@ -16,14 +14,11 @@ type Expect struct {
 	Note      string // which property fails and why, per the paper
 }
 
-// Experiment pairs a runnable spec with the paper's prediction. Params is
-// the data-driven description; Spec is its materialization (kept so existing
-// callers — the benchmarks, the CLIs — run it directly).
+// Experiment pairs a scenario with the paper's prediction.
 type Experiment struct {
 	ID string // e.g. "table1/partial/bft-cupft" or "fig2c"
-	// Params is the data-driven description; Spec its materialization.
+	// Params describes the run (Params.Run executes it); Name is the ID.
 	Params Params
-	Spec   Spec
 	// Expect is the paper's prediction for the experiment.
 	Expect Expect
 }
@@ -34,27 +29,13 @@ const (
 
 func figDef(name string) graph.Def { return graph.Def{Kind: graph.DefFigure, Figure: name} }
 
-// row is one line of the data-driven experiment tables: everything the
-// harness needs to build and grade a run, as plain values.
-type row struct {
-	id     string
-	params Params
-	expect Expect
-}
-
-func build(rows []row) []Experiment {
-	out := make([]Experiment, 0, len(rows))
-	for _, r := range rows {
-		r.params.Name = r.id
-		spec, err := r.params.Spec()
-		if err != nil {
-			// The tables are static data; a row that cannot materialize is a
-			// programming error caught by the package tests.
-			panic(fmt.Sprintf("experiment %s: %v", r.id, err))
-		}
-		out = append(out, Experiment{ID: r.id, Params: r.params, Spec: spec, Expect: r.expect})
+// build names every experiment's Params after its ID. The tables are static
+// data; a row that cannot compile fails the package tests, which run every one.
+func build(exps []Experiment) []Experiment {
+	for i := range exps {
+		exps[i].Params.Name = exps[i].ID
 	}
-	return out
+	return exps
 }
 
 // permissionedParams is the known-n-known-f column: complete graph on seven
@@ -119,7 +100,7 @@ func Table1() []Experiment {
 	async := NetParams{Kind: NetAsync}
 	yes := Expect{Consensus: true}
 	no := Expect{Consensus: false, Note: "deterministic consensus impossible in asynchrony [24]; adversarial schedule shows non-termination"}
-	return build([]row{
+	return build([]Experiment{
 		{"table1/sync/known-n-known-f", permissionedParams(sync, defHorizon, 7), yes},
 		{"table1/sync/unknown-n-known-f", bftCUPParams(sync, defHorizon, 11), yes},
 		{"table1/sync/unknown-n-unknown-f", bftCUPFTParams(sync, defHorizon, 13), yes},
@@ -136,7 +117,7 @@ func Table1() []Experiment {
 // silent bridge process splits the system into islands that decide
 // independently, and the valid graph (1b) where BFT-CUP solves consensus.
 func Fig1() []Experiment {
-	return build([]row{
+	return build([]Experiment{
 		{
 			"fig1a",
 			Params{
@@ -186,7 +167,7 @@ func Fig2() []Experiment {
 	for id, v := range sameU {
 		abValues[id] = v
 	}
-	return build([]row{
+	return build([]Experiment{
 		{
 			"fig2a",
 			Params{
@@ -252,7 +233,7 @@ func Fig3() []Experiment {
 			Seed:    41,
 		}
 	}
-	return build([]row{
+	return build([]Experiment{
 		{"fig3a/naive", mk(core.ModeNaive), expect},
 		{"fig3a/bft-cupft", mk(core.ModeUnknownF), expect},
 	})
@@ -261,7 +242,7 @@ func Fig3() []Experiment {
 // Fig4 returns the BFT-CUPFT possibility experiments on both extended k-OSR
 // graphs, plus the broken variant of Fig 4a without its added links.
 func Fig4() []Experiment {
-	return build([]row{
+	return build([]Experiment{
 		{
 			"fig4a",
 			Params{

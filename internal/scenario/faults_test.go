@@ -279,12 +279,12 @@ func TestHardenedBeatsUnhardenedUnderLoss(t *testing.T) {
 			Seed:   4,
 			Faults: FaultParams{Loss: 0.25, Unhardened: unhardened},
 		}
-		spec, err := p.Spec()
+		c, err := p.Compile()
 		if err != nil {
 			t.Fatal(err)
 		}
-		spec.Discovery.Delta = true
-		res, err := Run(spec)
+		c.Discovery.Delta = true
+		res, err := c.Run(p.Seed, false)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -44,11 +44,7 @@ func TestInsecureRunDecides(t *testing.T) {
 		F:     -1,
 		Seed:  1,
 	}
-	spec, err := p.Spec()
-	if err != nil {
-		t.Fatal(err)
-	}
-	secure, err := Run(spec)
+	secure, err := p.Run()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -165,8 +165,8 @@ func (np NetParams) Model() sim.NetworkModel {
 	}
 }
 
-// ByzParams is the pure-data form of ByzSpec (no callbacks): AltRecipients
-// replaces ChooseAlt with an explicit recipient set.
+// ByzParams describes one explicitly assigned Byzantine process; Compile
+// resolves it into a ByzSpec.
 type ByzParams struct {
 	// Kind selects the behavior.
 	Kind ByzKind
@@ -319,7 +319,7 @@ func ParseAutoByz(s string) (AutoByz, error) {
 // Params is a fully data-driven experiment description: every field is a
 // plain value (no graphs, callbacks or network models), so Params can be
 // swept by the matrix engine, serialized, diffed and reproduced from a CLI
-// flag string. Spec materializes it.
+// flag string. Compile materializes it; Run is Compile plus one run.
 type Params struct {
 	// Name labels the cell; empty defaults to ID().
 	Name string
@@ -453,7 +453,7 @@ func (p Params) ByzLabel() string {
 // engine's lazy cell sources validate one probe cell per axis value through
 // it instead of building every cell's graph up front; errors Validate cannot
 // see (a generator spec unsatisfiable for some seed) still surface from
-// Spec when the cell runs.
+// Compile when the cell runs.
 func (p Params) Validate() error {
 	if err := p.Graph.Validate(); err != nil {
 		return fmt.Errorf("params %q: %w", p.nameOrID(), err)
@@ -487,40 +487,6 @@ func (p Params) Validate() error {
 		return fmt.Errorf("params %q: %w", p.nameOrID(), err)
 	}
 	return nil
-}
-
-// Spec materializes the parameters into a runnable Spec. It is a thin shim
-// over Compile (the default-filling and Byzantine-resolution logic lives
-// there, once); sweep workers skip the Spec detour entirely and run the
-// Compiled directly.
-func (p Params) Spec() (Spec, error) {
-	c, err := p.Compile()
-	if err != nil {
-		return Spec{}, err
-	}
-	name := p.Name
-	if name == "" {
-		name = c.Labels.IDFor(p.Seed)
-	}
-	return Spec{
-		Name:   name,
-		Graph:  c.Graph,
-		Mode:   c.Mode,
-		F:      c.F,
-		Byz:    c.Byz,
-		Values: c.Values,
-		// The bare model, not c.Net: Spec.Compile applies the fault wrapper
-		// itself, and handing it a pre-wrapped net would inject twice.
-		Net:         p.Net.Model(),
-		Horizon:     c.Horizon,
-		Seed:        p.Seed,
-		Discovery:   c.Discovery,
-		PBFTTimeout: c.PBFTTimeout,
-		PollPeriod:  c.PollPeriod,
-		Insecure:    p.Insecure,
-		Faults:      p.Faults,
-		Trace:       p.Trace,
-	}, nil
 }
 
 // autoByzIDs resolves the automatic placement to concrete process IDs.

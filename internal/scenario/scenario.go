@@ -3,16 +3,15 @@
 // deterministic simulator (Runner.Run) or the real runtime (RunLive) and
 // grades the outcome against the consensus properties (Agreement, Validity,
 // Integrity, Termination); assemble.go is the one assembly and grading path
-// both share. Every table and figure of the paper is expressed as one or
-// more Specs (see experiments.go).
+// both share. There is one description of a run, Params (plain data); one
+// materialisation of it, Compiled; and one executor, Runner.Run — Params →
+// Compiled → Run. Every table and figure of the paper is expressed as one or
+// more Params (see experiments.go).
 package scenario
 
 import (
 	"fmt"
 
-	"github.com/bftcup/bftcup/internal/core"
-	"github.com/bftcup/bftcup/internal/discovery"
-	"github.com/bftcup/bftcup/internal/graph"
 	"github.com/bftcup/bftcup/internal/model"
 	"github.com/bftcup/bftcup/internal/sim"
 )
@@ -20,7 +19,7 @@ import (
 // ByzKind selects a Byzantine behavior.
 type ByzKind int
 
-// Byzantine behaviors available to specs.
+// Byzantine behaviors available to scenarios.
 const (
 	// ByzSilent never sends a message.
 	ByzSilent ByzKind = iota
@@ -65,10 +64,11 @@ func (k ByzKind) String() string {
 	}
 }
 
-// ByzSpec configures one Byzantine process. All behavior-shaping fields are
-// plain data (sets and integers) so a spec has a canonical serialized
-// identity — Params.CompileKey covers every one of them, which is what lets
-// the matrix layer's compile cache treat equal keys as interchangeable.
+// ByzSpec is the resolved configuration of one Byzantine process in a
+// Compiled: ByzParams with its ID lists turned into sets and the automatic
+// placements filled in. Every behavior-shaping field is plain data, so
+// Params.CompileKey covers all of them — which is what lets the matrix
+// layer's compile cache treat equal keys as interchangeable.
 type ByzSpec struct {
 	// Kind selects the behavior.
 	Kind ByzKind
@@ -80,14 +80,9 @@ type ByzSpec struct {
 	ClaimedPD model.IDSet
 	// AltPD is record B for ByzEquivPD.
 	AltPD model.IDSet
-	// AltRecipients is the peer set that receives AltPD under ByzEquivPD.
-	// Nil falls back to ChooseAlt (and then to the even-ID default). Unlike
-	// ChooseAlt it is data, visible to CompileKey.
+	// AltRecipients is the peer set that receives AltPD under ByzEquivPD
+	// (nil: the even-ID default).
 	AltRecipients model.IDSet
-	// ChooseAlt selects which peers receive AltPD. Functions have no
-	// canonical identity, so hand-written Specs may use it but Params cannot;
-	// AltRecipients wins when both are set.
-	ChooseAlt func(model.ID) bool
 	// HoldRounds is how many discovery periods ByzDelay holds each reply
 	// (values < 1 are floored to 1).
 	HoldRounds int
@@ -99,53 +94,9 @@ type ByzSpec struct {
 	Withhold model.IDSet
 }
 
-// Spec is a full experiment description.
-type Spec struct {
-	// Name labels the experiment in results and errors.
-	Name string
-	// Graph is the knowledge connectivity graph; correct processes use its
-	// out-edges as their PDs.
-	Graph *graph.Digraph
-	// Mode selects the committee-identification protocol.
-	Mode core.Mode
-	// F is handed to processes in ModeKnownF / ModePermissioned.
-	F int
-	// Byz assigns Byzantine behaviors to processes.
-	Byz map[model.ID]ByzSpec
-	// Values maps processes to proposals; missing entries default to "v<id>".
-	Values map[model.ID]model.Value
-	// Net is the network model the engine runs under.
-	Net sim.NetworkModel
-	// Horizon bounds the run; Termination is judged against it.
-	Horizon sim.Time
-	// Seed drives the engine RNG and key generation.
-	Seed int64
-
-	// Discovery tunes Algorithm 1; PBFTTimeout and PollPeriod override the
-	// committee protocol's base view timeout and the non-member polling
-	// interval (zero keeps the defaults).
-	Discovery   discovery.Config
-	PBFTTimeout sim.Time
-	PollPeriod  sim.Time
-
-	// Insecure swaps the Ed25519 keyring for the cryptox insecure suite (see
-	// Params.Insecure for the comparability caveat).
-	Insecure bool
-
-	// Faults is the chaos fault-injection axis (see Params.Faults). Compile
-	// folds the link-level faults into Net as a sim.FaultyNetwork wrapper —
-	// Net must therefore be the bare model, not pre-wrapped — and each Run
-	// schedules the churn crash/restart points on the engine.
-	Faults FaultParams
-
-	// Trace, when set, records every delivered event and every decision into
-	// a streaming digest (Result.TraceDigest) for determinism assertions.
-	Trace bool
-}
-
 // ProcessResult is the outcome at one process.
 type ProcessResult struct {
-	// Byzantine marks the process as faulty in the spec.
+	// Byzantine marks the process as faulty in the scenario.
 	Byzantine bool
 	// Decided / Value / DecidedAt describe the decision, if one was reached.
 	Decided   bool
@@ -158,7 +109,7 @@ type ProcessResult struct {
 
 // Result grades a run.
 type Result struct {
-	// Name echoes the spec; PerProcess holds each process's outcome.
+	// Name echoes the scenario; PerProcess holds each process's outcome.
 	Name        string
 	PerProcess  map[model.ID]ProcessResult
 	Termination bool // every correct process decided within the horizon
@@ -175,7 +126,7 @@ type Result struct {
 	// Elapsed is the virtual time of the last correct decision (or the
 	// horizon when Termination fails).
 	Elapsed sim.Time
-	// TraceDigest / TraceEvents are set when Spec.Trace was on: a SHA-256
+	// TraceDigest / TraceEvents are set when the run was traced: a SHA-256
 	// over the canonical encoding of every delivered event and decision.
 	TraceDigest string
 	TraceEvents int64
@@ -208,17 +159,4 @@ func (r *Result) FailureMode() string {
 	default:
 		return ""
 	}
-}
-
-// Run executes a spec. It is a thin shim over the Compile → Run pipeline
-// (see compile.go): the Spec's defaults are filled, the seed-independent
-// parts wrapped in a Compiled, and a fresh Runner executes it — so one-shot
-// callers and the compile-once-run-many sweep path cannot diverge. The
-// returned Result is independently owned (safe to retain).
-func Run(spec Spec) (*Result, error) {
-	c, err := spec.Compile()
-	if err != nil {
-		return nil, err
-	}
-	return c.Run(spec.Seed, spec.Trace)
 }

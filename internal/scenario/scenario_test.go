@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"github.com/bftcup/bftcup/internal/core"
-	"github.com/bftcup/bftcup/internal/graph"
 	"github.com/bftcup/bftcup/internal/model"
 	"github.com/bftcup/bftcup/internal/sim"
 )
@@ -15,14 +14,13 @@ func TestAllExperimentsMatchPaper(t *testing.T) {
 	for _, exp := range AllExperiments() {
 		exp := exp
 		t.Run(exp.ID, func(t *testing.T) {
-			res, err := Run(exp.Spec)
+			res, err := exp.Params.Run()
 			if err != nil {
 				t.Fatal(err)
 			}
-			got := res.Termination && res.Agreement && res.Validity
-			if got != exp.Expect.Consensus {
-				t.Fatalf("verdict %v (termination=%v agreement=%v validity=%v), paper predicts consensus=%v\nnote: %s",
-					got, res.Termination, res.Agreement, res.Validity, exp.Expect.Consensus, exp.Expect.Note)
+			if got := res.Consensus(); got != exp.Expect.Consensus {
+				t.Fatalf("verdict %v (termination=%v agreement=%v validity=%v integrity=%v), paper predicts consensus=%v\nnote: %s",
+					got, res.Termination, res.Agreement, res.Validity, res.Integrity, exp.Expect.Consensus, exp.Expect.Note)
 			}
 		})
 	}
@@ -35,7 +33,7 @@ func TestFig2cSplitDetails(t *testing.T) {
 		if exp.ID != "fig2c/naive" && exp.ID != "fig2c/bft-cupft" {
 			continue
 		}
-		res, err := Run(exp.Spec)
+		res, err := exp.Params.Run()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -63,7 +61,7 @@ func TestFig2cSplitDetails(t *testing.T) {
 // Fig 3a's false sink must be exactly the set the paper names.
 func TestFig3aFalseSinkDetails(t *testing.T) {
 	exp := Fig3()[1] // fig3a/bft-cupft
-	res, err := Run(exp.Spec)
+	res, err := exp.Params.Run()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +89,7 @@ func TestFig4CommitteeAgreement(t *testing.T) {
 		if !exp.Expect.Consensus {
 			continue
 		}
-		res, err := Run(exp.Spec)
+		res, err := exp.Params.Run()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -114,22 +112,19 @@ func TestFig4CommitteeAgreement(t *testing.T) {
 
 // PD equivocation by the Byzantine sink member must not break Fig 1b.
 func TestFig1bWithEquivocatingPD(t *testing.T) {
-	fig := graph.Fig1b()
-	spec := Spec{
+	res, err := Params{
 		Name:  "fig1b/equiv",
-		Graph: fig.G,
+		Graph: figDef("fig1b"),
 		Mode:  core.ModeKnownF,
-		F:     fig.F,
-		Byz: map[model.ID]ByzSpec{4: {
+		F:     -1,
+		Byz: map[model.ID]ByzParams{4: {
 			Kind:      ByzEquivPD,
-			ClaimedPD: model.NewIDSet(1, 2, 3),
-			AltPD:     model.NewIDSet(1, 2),
+			ClaimedPD: []model.ID{1, 2, 3},
+			AltPD:     []model.ID{1, 2},
 		}},
-		Net:     sim.Synchronous{Delta: 5 * sim.Millisecond},
 		Horizon: 60 * sim.Second,
 		Seed:    99,
-	}
-	res, err := Run(spec)
+	}.Run()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,17 +136,14 @@ func TestFig1bWithEquivocatingPD(t *testing.T) {
 // Byzantine processes running the correct protocol (the Fig 3 adversary
 // strategy) must be harmless on a valid graph.
 func TestFig4aWithAsCorrectByz(t *testing.T) {
-	fig := graph.Fig4a()
-	spec := Spec{
+	res, err := Params{
 		Name:    "fig4a/as-correct",
-		Graph:   fig.G,
+		Graph:   figDef("fig4a"),
 		Mode:    core.ModeUnknownF,
-		Byz:     map[model.ID]ByzSpec{4: {Kind: ByzAsCorrect}},
-		Net:     sim.Synchronous{Delta: 5 * sim.Millisecond},
+		Byz:     map[model.ID]ByzParams{4: {Kind: ByzAsCorrect}},
 		Horizon: 60 * sim.Second,
 		Seed:    100,
-	}
-	res, err := Run(spec)
+	}.Run()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,8 +153,8 @@ func TestFig4aWithAsCorrectByz(t *testing.T) {
 }
 
 func TestRunValidation(t *testing.T) {
-	if _, err := Run(Spec{Name: "empty"}); err == nil {
-		t.Fatal("empty graph accepted")
+	if _, err := (Params{Name: "empty"}).Run(); err == nil {
+		t.Fatal("empty graph def accepted")
 	}
 }
 
@@ -189,14 +181,14 @@ func TestResultHelpers(t *testing.T) {
 	}
 }
 
-// Determinism at the scenario level: same spec, same result.
+// Determinism at the scenario level: same Params, same result.
 func TestScenarioDeterminism(t *testing.T) {
-	spec := Fig1()[1].Spec
-	a, err := Run(spec)
+	p := Fig1()[1].Params
+	a, err := p.Run()
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Run(spec)
+	b, err := p.Run()
 	if err != nil {
 		t.Fatal(err)
 	}

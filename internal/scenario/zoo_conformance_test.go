@@ -149,11 +149,7 @@ func TestFakePDNilClaimAdvertisesForgery(t *testing.T) {
 	}
 	digest := func(t *testing.T, p Params) string {
 		t.Helper()
-		spec, err := p.Spec()
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := Run(spec)
+		res, err := p.Run()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -208,11 +204,7 @@ func TestAltRecipientsInCompileKey(t *testing.T) {
 	}
 	run := func(t *testing.T, p Params) string {
 		t.Helper()
-		spec, err := p.Spec()
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := Run(spec)
+		res, err := p.Run()
 		if err != nil {
 			t.Fatal(err)
 		}

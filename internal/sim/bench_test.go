@@ -11,9 +11,8 @@ import (
 
 // BenchmarkEngine measures the simulator hot path — event-queue churn, message
 // delivery, network-delay RNG draws and metrics accounting — with reactors
-// that do no protocol work. events/s is the headline throughput number the
-// BENCH_matrix.json trajectory tracks; run with -benchmem to see allocs/op on
-// the pooled event path.
+// that do no protocol work. events/s is the headline throughput number; run
+// with -benchmem to see allocs/op on the event path.
 func BenchmarkEngine(b *testing.B) {
 	cases := []struct {
 		name string

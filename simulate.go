@@ -4,7 +4,7 @@ import (
 	"fmt"
 	"time"
 
-	"github.com/bftcup/bftcup/internal/core"
+	"github.com/bftcup/bftcup/internal/graph"
 	"github.com/bftcup/bftcup/internal/model"
 	"github.com/bftcup/bftcup/internal/scenario"
 	"github.com/bftcup/bftcup/internal/sim"
@@ -30,7 +30,7 @@ type Byzantine struct {
 	// Behavior selects what the process does.
 	Behavior Behavior
 	// ClaimedPD is the advertised PD for BehaviorFakePD/BehaviorEquivocatePD
-	// (nil: the topology's real out-list).
+	// (empty: a forged claim of the three lowest-ID other processes).
 	ClaimedPD []ID
 	// AltPD is the second PD for BehaviorEquivocatePD.
 	AltPD []ID
@@ -62,31 +62,20 @@ type Network struct {
 	SlowGroups [][]ID
 }
 
-func (n Network) build() sim.NetworkModel {
-	delta := sim.Time(n.Delta)
-	if delta <= 0 {
-		delta = 5 * sim.Millisecond
-	}
+// params is the network as scenario data; zero Delta and GST keep the
+// scenario defaults (5ms, 2s).
+func (n Network) params() scenario.NetParams {
+	np := scenario.NetParams{Delta: sim.Time(n.Delta), GST: sim.Time(n.GST)}
 	switch n.Kind {
 	case NetworkPartiallySynchronous:
-		gst := sim.Time(n.GST)
-		if gst <= 0 {
-			gst = 2 * sim.Second
-		}
-		slow := func(a, b model.ID) bool { return true }
-		if len(n.SlowGroups) > 0 {
-			groups := make([]model.IDSet, 0, len(n.SlowGroups))
-			for _, g := range n.SlowGroups {
-				groups = append(groups, model.NewIDSet(g...))
-			}
-			slow = sim.SlowBetweenGroups(groups...)
-		}
-		return sim.PartialSync{GST: gst, Delta: delta, Slow: slow}
+		np.Kind = scenario.NetPartial
 	case NetworkAsynchronousAdversarial:
-		return sim.AsyncAdversarial{Delta: 2 * sim.Second, Factor: 3}
-	default:
-		return sim.Synchronous{Delta: delta}
+		np.Kind = scenario.NetAsync
 	}
+	for _, g := range n.SlowGroups {
+		np.FastGroups = append(np.FastGroups, model.NewIDSet(g...))
+	}
+	return np
 }
 
 // SimOptions describes one deterministic simulation.
@@ -110,12 +99,13 @@ type SimOptions struct {
 
 // SimReport grades a simulated run.
 type SimReport struct {
-	// ConsensusSolved is true when Termination, Agreement and Validity all
-	// hold among correct processes.
+	// ConsensusSolved is true when Termination, Agreement, Validity and
+	// Integrity all hold among correct processes.
 	ConsensusSolved bool
 	Termination     bool
 	Agreement       bool
 	Validity        bool
+	Integrity       bool
 	// FailureMode names the violated property (empty on success).
 	FailureMode string
 	// Decisions and Committees record each process's decided value and
@@ -128,6 +118,41 @@ type SimReport struct {
 	Elapsed time.Duration
 }
 
+// behaviorKinds maps the public behaviors onto the scenario layer's.
+var behaviorKinds = map[Behavior]scenario.ByzKind{
+	BehaviorSilent:       scenario.ByzSilent,
+	BehaviorFakePD:       scenario.ByzFakePD,
+	BehaviorEquivocatePD: scenario.ByzEquivPD,
+	BehaviorAsCorrect:    scenario.ByzAsCorrect,
+}
+
+// params is the options as scenario data — everything but the topology,
+// which no graph.Def describes and Simulate hands over already built.
+func (opt SimOptions) params() (scenario.Params, error) {
+	mode, err := opt.Protocol.mode()
+	if err != nil {
+		return scenario.Params{}, err
+	}
+	p := scenario.Params{
+		Name:    "simulate",
+		Mode:    mode,
+		F:       opt.F,
+		Values:  opt.Proposals,
+		Net:     opt.Network.params(),
+		Horizon: sim.Time(opt.Horizon),
+		Seed:    opt.Seed,
+		Byz:     make(map[model.ID]scenario.ByzParams, len(opt.Byzantine)),
+	}
+	for id, b := range opt.Byzantine {
+		kind, ok := behaviorKinds[b.Behavior]
+		if !ok {
+			return scenario.Params{}, fmt.Errorf("bftcup: unknown behavior %v", b.Behavior)
+		}
+		p.Byz[id] = scenario.ByzParams{Kind: kind, ClaimedPD: b.ClaimedPD, AltPD: b.AltPD}
+	}
+	return p, nil
+}
+
 // Simulate runs the protocol stack on the deterministic discrete-event
 // simulator and checks the consensus properties. Identical options produce
 // identical reports.
@@ -135,73 +160,31 @@ func Simulate(opt SimOptions) (*SimReport, error) {
 	if len(opt.Topology) == 0 {
 		return nil, fmt.Errorf("bftcup: empty topology")
 	}
-	var mode core.Mode
-	switch opt.Protocol {
-	case ProtocolBFTCUP:
-		mode = core.ModeKnownF
-	case ProtocolBFTCUPFT:
-		mode = core.ModeUnknownF
-	case ProtocolPermissioned:
-		mode = core.ModePermissioned
-	default:
-		return nil, fmt.Errorf("bftcup: unknown protocol %v", opt.Protocol)
+	p, err := opt.params()
+	if err != nil {
+		return nil, err
 	}
-	spec := scenario.Spec{
-		Name:    "simulate",
-		Graph:   opt.Topology.graph(),
-		Mode:    mode,
-		F:       opt.F,
-		Net:     opt.Network.build(),
-		Horizon: sim.Time(opt.Horizon),
-		Seed:    opt.Seed,
+	c, err := p.CompileGraph(graph.BuiltGraph{G: opt.Topology.graph()})
+	if err != nil {
+		return nil, err
 	}
-	if len(opt.Proposals) > 0 {
-		spec.Values = make(map[model.ID]model.Value, len(opt.Proposals))
-		for id, v := range opt.Proposals {
-			spec.Values[id] = v
-		}
-	}
-	if len(opt.Byzantine) > 0 {
-		spec.Byz = make(map[model.ID]scenario.ByzSpec, len(opt.Byzantine))
-		for id, b := range opt.Byzantine {
-			bs := scenario.ByzSpec{}
-			switch b.Behavior {
-			case BehaviorSilent:
-				bs.Kind = scenario.ByzSilent
-			case BehaviorFakePD:
-				bs.Kind = scenario.ByzFakePD
-			case BehaviorEquivocatePD:
-				bs.Kind = scenario.ByzEquivPD
-			case BehaviorAsCorrect:
-				bs.Kind = scenario.ByzAsCorrect
-			default:
-				return nil, fmt.Errorf("bftcup: unknown behavior %v", b.Behavior)
-			}
-			if b.ClaimedPD != nil {
-				bs.ClaimedPD = model.NewIDSet(b.ClaimedPD...)
-			}
-			if b.AltPD != nil {
-				bs.AltPD = model.NewIDSet(b.AltPD...)
-			}
-			spec.Byz[id] = bs
-		}
-	}
-	res, err := scenario.Run(spec)
+	res, err := c.Run(p.Seed, false)
 	if err != nil {
 		return nil, err
 	}
 	report := &SimReport{
-		Termination: res.Termination,
-		Agreement:   res.Agreement,
-		Validity:    res.Validity,
-		FailureMode: res.FailureMode(),
-		Decisions:   make(map[ID]Value),
-		Committees:  make(map[ID][]ID),
-		Messages:    res.Messages,
-		Bytes:       res.Bytes,
-		Elapsed:     time.Duration(res.Elapsed),
+		ConsensusSolved: res.Consensus(),
+		Termination:     res.Termination,
+		Agreement:       res.Agreement,
+		Validity:        res.Validity,
+		Integrity:       res.Integrity,
+		FailureMode:     res.FailureMode(),
+		Decisions:       make(map[ID]Value),
+		Committees:      make(map[ID][]ID),
+		Messages:        res.Messages,
+		Bytes:           res.Bytes,
+		Elapsed:         time.Duration(res.Elapsed),
 	}
-	report.ConsensusSolved = res.Termination && res.Agreement && res.Validity
 	for id, pr := range res.PerProcess {
 		if pr.Decided {
 			report.Decisions[id] = pr.Value

@@ -101,16 +101,9 @@ func NewSystem(cfg SystemConfig) (*System, error) {
 	}
 	excluded := model.NewIDSet(cfg.Exclude...)
 
-	var mode core.Mode
-	switch cfg.Protocol {
-	case ProtocolBFTCUP:
-		mode = core.ModeKnownF
-	case ProtocolBFTCUPFT:
-		mode = core.ModeUnknownF
-	case ProtocolPermissioned:
-		mode = core.ModePermissioned
-	default:
-		return nil, fmt.Errorf("bftcup: unknown protocol %v", cfg.Protocol)
+	mode, err := cfg.Protocol.mode()
+	if err != nil {
+		return nil, err
 	}
 
 	s := &System{
