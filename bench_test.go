@@ -249,6 +249,67 @@ func BenchmarkCoreSearch(b *testing.B) {
 	}
 }
 
+// offlineSink keeps BenchmarkOfflineChecks' results alive.
+var offlineSink int
+
+// BenchmarkOfflineChecks measures the paper's graph conditions offline: the
+// five graph families of `go run ./bench`'s graph_check workload, each taken
+// through the same six calls (build, CheckBFTCUP, CheckBFTCUPFT,
+// CheckExtendedKOSR, WorstPlacement at f ≤ 2, a discovery replay into the
+// search). One op is one seed — five graphs. bench/ is the referee; this is
+// the same layer where a go-test profile can reach it.
+func BenchmarkOfflineChecks(b *testing.B) {
+	var defs []graph.Def
+	for _, s := range []string{
+		"kosr:sink=15,nonsink=9,k=3,extra=0.2",
+		"extended:core=10,noncore=6,extra=0.2",
+		"er:n=20,p=0.3",
+		"geo:n=16,r=0.5",
+		"sf:n=20,m=4",
+	} {
+		d, err := graph.ParseDef(s)
+		if err != nil {
+			b.Fatal(err)
+		}
+		defs = append(defs, d)
+	}
+	none := model.NewIDSet()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		for _, def := range defs {
+			built, err := def.Build(int64(i + 1))
+			if err != nil {
+				b.Fatal(err)
+			}
+			cup := graph.CheckBFTCUP(built.G, none, built.F)
+			cupft := kosr.CheckBFTCUPFT(built.G, none, built.F)
+			ext := kosr.CheckExtendedKOSR(built.G, built.F+1)
+			place, err := kosr.WorstPlacement(built.G, min(built.F, 2))
+			if err != nil {
+				b.Fatal(err)
+			}
+			found := kosr.NewSearchReplay(built.G).Run(func(se *kosr.Searcher, v *kosr.View) bool {
+				var hit bool
+				if def.Kind == graph.DefKOSR {
+					_, hit = se.FindSinkKnownF(v, built.F)
+				} else {
+					_, hit = se.FindCore(v)
+				}
+				return hit
+			})
+			switch {
+			case def.Kind == graph.DefKOSR && !cup.OK:
+				b.Fatalf("%s seed %d fails CheckBFTCUP: %s", def, i+1, cup.Reason)
+			case def.Kind == graph.DefExtended && !(cupft.OK && ext.OK):
+				b.Fatalf("%s seed %d fails CheckBFTCUPFT/CheckExtendedKOSR: %s%s", def, i+1, cupft.Reason, ext.Reason)
+			case !found:
+				b.Fatalf("%s seed %d: replay on the full view found no candidate", def, i+1)
+			}
+			offlineSink += place.Margin + ext.FG
+		}
+	}
+}
+
 // BenchmarkKappaAtLeast measures the κ(G[S1]) ≥ k test under the sink search
 // (graph.PoolFlow, Even's probe schedule) on planted sinks of the GenKOSR
 // seed-9 family the search benchmarks use. `pass` is a whole m-node sink with

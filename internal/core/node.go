@@ -112,7 +112,11 @@ type Node struct {
 	disc      *discovery.Module
 	searcher  kosr.Search
 	committee *kosr.Candidate
-	insts     map[uint64]*pbft.Instance
+	// members is committee.Members(), computed once at adoption; member says
+	// whether this node is one of them.
+	members model.IDSet
+	member  bool
+	insts   map[uint64]*pbft.Instance
 
 	pending []pendingMsg // committee messages that arrived before the committee was known
 	// slotPending buffers committee messages for chained slots this member
@@ -230,7 +234,7 @@ func (n *Node) Restart(ctx rt.Context) {
 		}
 		return
 	}
-	if n.committee.Members().Has(n.self) {
+	if n.member {
 		// Ascending slot order: Resume sets timers, and deterministic traces
 		// need a deterministic scheduling order (insts is a map).
 		for slot := uint64(0); slot < n.cfg.Slots; slot++ {
@@ -271,7 +275,7 @@ func (n *Node) Receive(ctx rt.Context, from model.ID, payload []byte) {
 			}
 			// A member that is still on an earlier slot must not lose
 			// traffic (especially DecideNotes) for slots it will start.
-			if n.committee.Members().Has(n.self) && slot < n.cfg.Slots && n.pendingN < maxPending {
+			if n.member && slot < n.cfg.Slots && n.pendingN < maxPending {
 				n.slotPending[slot] = append(n.slotPending[slot], pendingMsg{from: from, payload: payload})
 				n.pendingN++
 			}
@@ -337,7 +341,9 @@ func (n *Node) search(ctx rt.Context) {
 // role of Algorithm 3.
 func (n *Node) adoptCommittee(ctx rt.Context, cand kosr.Candidate) {
 	n.committee = &cand
-	if cand.Members().Has(n.self) {
+	n.members = cand.Members()
+	n.member = n.members.Has(n.self)
+	if n.member {
 		n.startSlot(ctx, 0)
 		for _, m := range n.pending {
 			n.Receive(ctx, m.from, m.payload)
@@ -353,12 +359,11 @@ func (n *Node) startSlot(ctx rt.Context, slot uint64) {
 	if slot >= n.cfg.Slots || n.insts[slot] != nil {
 		return
 	}
-	cand := *n.committee
 	cfg := pbft.Config{
 		Slot:        slot,
-		Committee:   cand.Members(),
-		Quorum:      cand.QuorumSize(),
-		F:           cand.G,
+		Committee:   n.members,
+		Quorum:      n.committee.QuorumSize(),
+		F:           n.committee.G,
 		BaseTimeout: n.cfg.PBFTTimeout,
 		Hardened:    n.cfg.Hardened,
 	}
@@ -413,7 +418,7 @@ func (n *Node) poll(ctx rt.Context) {
 	w.Byte(wire.KindGetDecided)
 	w.Uvarint(slot)
 	payload := w.Bytes()
-	for _, m := range n.committee.Members().Sorted() {
+	for _, m := range n.members.Sorted() {
 		if m != n.self {
 			ctx.Send(m, payload)
 		}
@@ -455,8 +460,7 @@ func (n *Node) onDecidedAnswer(from model.ID, payload []byte) {
 	if n.committee == nil {
 		return
 	}
-	members := n.committee.Members()
-	if !members.Has(from) || members.Has(n.self) {
+	if !n.members.Has(from) || n.member {
 		// Only non-members decide through answers; members run consensus.
 		return
 	}
@@ -506,7 +510,7 @@ func (n *Node) decideLocal(ctx rt.Context, slot uint64, v model.Value) {
 	if slot == 0 && n.onDecide != nil {
 		n.onDecide(v)
 	}
-	if n.committee.Members().Has(n.self) {
+	if n.member {
 		n.startSlot(ctx, slot+1)
 	}
 }

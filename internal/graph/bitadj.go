@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"math/bits"
 	"slices"
 
 	"github.com/bftcup/bftcup/internal/model"
@@ -17,7 +18,6 @@ import (
 // up like the rest of the scratch machinery. One goroutine per value.
 type BitAdjacency struct {
 	ids   []model.ID
-	idx   map[model.ID]int
 	words int
 	rows  []uint64 // n rows × words
 }
@@ -31,14 +31,6 @@ func (b *BitAdjacency) Load(g *Digraph) {
 	}
 	slices.Sort(b.ids)
 	n := len(b.ids)
-	if b.idx == nil {
-		b.idx = make(map[model.ID]int, n)
-	} else {
-		clear(b.idx)
-	}
-	for i, id := range b.ids {
-		b.idx[id] = i
-	}
 	b.words = (n + 63) / 64
 	need := n * b.words
 	if cap(b.rows) < need {
@@ -51,11 +43,26 @@ func (b *BitAdjacency) Load(g *Digraph) {
 	for i, u := range b.ids {
 		row := b.rows[i*b.words : (i+1)*b.words]
 		for v := range g.adj[u] {
-			if j, ok := b.idx[v]; ok && v != u {
+			if j, ok := b.Index(v); ok && v != u {
 				row[j>>6] |= 1 << (j & 63)
 			}
 		}
 	}
+}
+
+// csr returns the snapshot in the CSR form Tarjan.Run takes: node i's
+// out-neighbours, ascending, are adj[start[i]:start[i+1]].
+func (b *BitAdjacency) csr() (start, adj []int32) {
+	start = make([]int32, 1, len(b.ids)+1)
+	for i := range b.ids {
+		for w, word := range b.Row(i) {
+			for ; word != 0; word &= word - 1 {
+				adj = append(adj, int32(w<<6+bits.TrailingZeros64(word)))
+			}
+		}
+		start = append(start, int32(len(adj)))
+	}
+	return start, adj
 }
 
 // NumNodes returns the number of indexed nodes.
@@ -65,10 +72,9 @@ func (b *BitAdjacency) NumNodes() int { return len(b.ids) }
 // owned by the BitAdjacency.
 func (b *BitAdjacency) IDs() []model.ID { return b.ids }
 
-// Index returns the row index of id.
+// Index returns the row index of id: its rank among the sorted IDs.
 func (b *BitAdjacency) Index(id model.ID) (int, bool) {
-	i, ok := b.idx[id]
-	return i, ok
+	return slices.BinarySearch(b.ids, id)
 }
 
 // Row returns node i's out-neighbor bitset (owned by the BitAdjacency).

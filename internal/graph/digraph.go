@@ -160,32 +160,9 @@ func (g *Digraph) Without(remove model.IDSet) *Digraph {
 // UndirectedConnected reports whether the undirected counterpart of g is
 // connected (first bullet of Definition 1). The empty graph is connected.
 func (g *Digraph) UndirectedConnected() bool {
-	nodes := g.Nodes()
-	if len(nodes) <= 1 {
-		return true
-	}
-	und := make(map[model.ID]model.IDSet, len(nodes))
-	for _, u := range nodes {
-		und[u] = model.NewIDSet()
-	}
-	for u, outs := range g.adj {
-		for v := range outs {
-			und[u].Add(v)
-			und[v].Add(u)
-		}
-	}
-	seen := model.NewIDSet(nodes[0])
-	stack := []model.ID{nodes[0]}
-	for len(stack) > 0 {
-		u := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		for _, v := range und[u].Sorted() {
-			if seen.Add(v) {
-				stack = append(stack, v)
-			}
-		}
-	}
-	return seen.Len() == len(nodes)
+	var b BitAdjacency
+	b.Load(g)
+	return undirectedConnected(b.csr())
 }
 
 // String renders the adjacency list, one node per line, deterministically.
@@ -203,26 +180,16 @@ func (g *Digraph) String() string {
 // a component is emitted before any component that can reach it). Use
 // Condensation for explicit DAG structure.
 func (g *Digraph) SCCs() []model.IDSet {
-	nodes := g.Nodes()
-	idx := make(map[model.ID]int32, len(nodes))
-	for i, u := range nodes {
-		idx[u] = int32(i)
-	}
-	// CSR in sorted-ID index space: roots and children ascend by ID.
-	start := make([]int32, 1, len(nodes)+1)
-	var adj []int32
-	for _, u := range nodes {
-		for _, v := range g.Out(u) {
-			adj = append(adj, idx[v])
-		}
-		start = append(start, int32(len(adj)))
-	}
+	// The snapshot's CSR is in sorted-ID index space: roots and children
+	// ascend by ID.
+	var b BitAdjacency
+	b.Load(g)
 	var t Tarjan
-	comps := make([]model.IDSet, t.Run(start, adj))
+	comps := make([]model.IDSet, t.Run(b.csr()))
 	for c := range comps {
 		comps[c] = model.NewIDSet()
 		for _, i := range t.Comp(c) {
-			comps[c].Add(nodes[i])
+			comps[c].Add(b.ids[i])
 		}
 	}
 	return comps

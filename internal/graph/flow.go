@@ -199,34 +199,46 @@ func (sc *FlowScratch) HasKDisjointPaths(s, t model.ID, k int) bool {
 // survivors fails a pairwise probe or — each first hop out of a, each last hop
 // into b, lying in C or beyond it — a fan probe; ARCHITECTURE.md has the full
 // argument. a borrows out(v_j), idle while v_j is the sink; b borrows in(v_j).
-func (sc *FlowScratch) IsKStronglyConnected(k int) bool {
+func (sc *FlowScratch) IsKStronglyConnected(k int) bool { return sc.kStrong(nil, k) }
+
+// kStrong is IsKStronglyConnected for the subgraph induced by members
+// (ascending row indices; nil means every node), which no edge may leave: a
+// path that starts inside then stays inside, so every probe of the schedule
+// reads the same flow on the whole graph's residual rows as it would on a
+// snapshot of the induced subgraph. CheckKOSR's sink component is such a set.
+func (sc *FlowScratch) kStrong(members []int32, k int) bool {
 	n := sc.adj.NumNodes()
-	if k <= 0 || n <= 1 {
+	m, at := n, func(j int) int { return j }
+	if members != nil {
+		m, at = len(members), func(j int) int { return int(members[j]) }
+	}
+	if k <= 0 || m <= 1 {
 		return true
 	}
-	if n <= k {
+	if m <= k {
 		// κ(G) ≤ n-1 always (at most n-2 internal vertices plus the direct
 		// edge ⇒ ≤ n-1 disjoint paths).
 		return false
 	}
-	for j := 1; j < n; j++ {
+	for j := 1; j < m; j++ {
+		vj := at(j)
 		if j < k {
 			for i := 0; i < j; i++ {
-				if sc.flowPair(i, j, k) < k || sc.flowPair(j, i, k) < k {
+				if sc.flowPair(at(i), vj, k) < k || sc.flowPair(vj, at(i), k) < k {
 					return false
 				}
 			}
 			continue
 		}
-		in, out := 2*j, 2*j+1
+		in, out := 2*vj, 2*vj+1
 		// a → v_j: out(v_j)'s row becomes in(v_0 … v_{j-1}).
 		copy(sc.resid, sc.base)
 		row := sc.resid[out*sc.words : (out+1)*sc.words]
 		clear(row)
 		for i := 0; i < j; i++ {
-			row[i>>5] |= 1 << (2 * i & 63)
+			row[at(i)>>5] |= 1 << (2 * at(i) & 63)
 		}
-		if sc.augment(j, j, k) < k {
+		if sc.augment(vj, vj, k) < k {
 			return false
 		}
 		// v_j → b: in(v_j)'s column becomes out(v_0 … v_{j-1}).
@@ -235,9 +247,9 @@ func (sc *FlowScratch) IsKStronglyConnected(k int) bool {
 			sc.resid[(2*i+1)*sc.words+in>>6] &^= 1 << (in & 63)
 		}
 		for i := 0; i < j; i++ {
-			sc.resid[(2*i+1)*sc.words+in>>6] |= 1 << (in & 63)
+			sc.resid[(2*at(i)+1)*sc.words+in>>6] |= 1 << (in & 63)
 		}
-		if sc.augment(j, j, k) < k {
+		if sc.augment(vj, vj, k) < k {
 			return false
 		}
 	}

@@ -2,6 +2,7 @@ package graph
 
 import (
 	"fmt"
+	"slices"
 
 	"github.com/bftcup/bftcup/internal/model"
 )
@@ -23,49 +24,115 @@ type KOSRReport struct {
 //  3. the sink component is k-strongly connected;
 //  4. from every node outside the sink there are ≥ k node-disjoint paths to
 //     every sink node.
+//
+// All four run in row-index space on the one snapshot FlowScratch.Load takes
+// (nodes in ascending-ID order): no subgraph is built, and the only set made
+// is the report's Sink.
 func CheckKOSR(g *Digraph, k int) KOSRReport {
 	r := KOSRReport{K: k}
 	if g.NumNodes() == 0 {
 		r.Reason = "empty graph"
 		return r
 	}
-	if !g.UndirectedConnected() {
+	var flow FlowScratch
+	flow.Load(g)
+	ids := flow.adj.IDs()
+	start, adj := flow.adj.csr()
+	if !undirectedConnected(start, adj) {
 		r.Reason = "undirected counterpart is not connected"
 		return r
 	}
-	sinks := g.Condense().SinkComponents()
+	sinks := sinkComponents(start, adj)
 	if len(sinks) != 1 {
 		r.Reason = fmt.Sprintf("condensation has %d sink components, want exactly 1", len(sinks))
 		return r
 	}
-	r.Sink = sinks[0]
-	sinkGraph := g.Induced(r.Sink)
-	if !sinkGraph.IsKStronglyConnected(k) {
+	sink := sinks[0]
+	r.Sink = make(model.IDSet, len(sink))
+	for _, i := range sink {
+		r.Sink.Add(ids[i])
+	}
+	// No edge leaves a sink component, which is what lets the κ schedule run
+	// on the whole graph's rows.
+	if !flow.kStrong(sink, k) {
 		r.Reason = fmt.Sprintf("sink component %v is not %d-strongly connected", r.Sink, k)
 		return r
 	}
-	if r.Sink.Len() == 1 {
+	if len(sink) == 1 {
 		r.SinkConnectivity = InfiniteConnectivity
 	} else {
 		r.SinkConnectivity = k
 	}
-	// The fan-in condition probes |non-sink| × |sink| pairs on one graph:
-	// load the split-graph residual template once and reuse it per pair.
-	var flow FlowScratch
-	flow.Load(g)
-	for _, u := range g.Nodes() {
-		if r.Sink.Has(u) {
+	// The fan-in condition probes |non-sink| × |sink| pairs on the residual
+	// template loaded above.
+	for u, id := range ids {
+		if r.Sink.Has(id) {
 			continue
 		}
-		for _, v := range r.Sink.Sorted() {
-			if !flow.HasKDisjointPaths(u, v, k) {
-				r.Reason = fmt.Sprintf("fewer than %d node-disjoint paths from %v to sink node %v", k, u, v)
+		for _, v := range sink {
+			if k > 0 && flow.flowPair(u, int(v), k) < k {
+				r.Reason = fmt.Sprintf("fewer than %d node-disjoint paths from %v to sink node %v", k, id, ids[v])
 				return r
 			}
 		}
 	}
 	r.OK = true
 	return r
+}
+
+// undirectedConnected reports whether the undirected counterpart of a graph
+// in CSR form is connected: union-find over its edges.
+func undirectedConnected(start, adj []int32) bool {
+	parent := make([]int32, len(start)-1)
+	for i := range parent {
+		parent[i] = int32(i)
+	}
+	find := func(x int32) int32 {
+		for parent[x] != x {
+			parent[x] = parent[parent[x]]
+			x = parent[x]
+		}
+		return x
+	}
+	comps := len(parent)
+	for u := range parent {
+		for _, w := range adj[start[u]:start[u+1]] {
+			if a, b := find(int32(u)), find(w); a != b {
+				parent[a] = b
+				comps--
+			}
+		}
+	}
+	return comps <= 1
+}
+
+// sinkComponents returns, each as ascending indices, the strongly connected
+// components of a graph in CSR form that no edge leaves — the sinks of its
+// condensation — in Tarjan's emission order.
+func sinkComponents(start, adj []int32) [][]int32 {
+	var t Tarjan
+	n := t.Run(start, adj)
+	compOf := make([]int, len(start)-1)
+	for c := 0; c < n; c++ {
+		for _, u := range t.Comp(c) {
+			compOf[u] = c
+		}
+	}
+	var sinks [][]int32
+comps:
+	for c := 0; c < n; c++ {
+		for _, u := range t.Comp(c) {
+			for _, w := range adj[start[u]:start[u+1]] {
+				if compOf[w] != c {
+					continue comps
+				}
+			}
+		}
+		sink := slices.Clone(t.Comp(c))
+		slices.Sort(sink)
+		sinks = append(sinks, sink)
+	}
+	return sinks
 }
 
 // BFTCUPReport is the verdict of CheckBFTCUP.
@@ -88,7 +155,10 @@ func CheckBFTCUP(gdi *Digraph, byz model.IDSet, f int) BFTCUPReport {
 		r.Reason = fmt.Sprintf("%d Byzantine nodes exceed fault threshold f=%d", byz.Len(), f)
 		return r
 	}
-	safe := gdi.Without(byz)
+	safe := gdi
+	if byz.Len() > 0 {
+		safe = gdi.Without(byz)
+	}
 	osr := CheckKOSR(safe, f+1)
 	if !osr.OK {
 		r.Reason = "safe subgraph not (f+1)-OSR: " + osr.Reason

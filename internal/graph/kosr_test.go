@@ -1,7 +1,9 @@
 package graph
 
 import (
+	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"github.com/bftcup/bftcup/internal/model"
@@ -165,4 +167,155 @@ func TestPDMap(t *testing.T) {
 	if g.HasEdge(1, 9) {
 		t.Fatal("PDMap shares sets with the graph")
 	}
+}
+
+// undirectedConnectedByMaps is Digraph.UndirectedConnected as it was before it
+// moved onto the snapshot's CSR: the undirected counterpart built as a map of
+// sets and walked.
+func undirectedConnectedByMaps(g *Digraph) bool {
+	nodes := g.Nodes()
+	if len(nodes) <= 1 {
+		return true
+	}
+	und := make(map[model.ID]model.IDSet, len(nodes))
+	for _, u := range nodes {
+		und[u] = model.NewIDSet()
+	}
+	for u, outs := range g.adj {
+		for v := range outs {
+			und[u].Add(v)
+			und[v].Add(u)
+		}
+	}
+	seen := model.NewIDSet(nodes[0])
+	stack := []model.ID{nodes[0]}
+	for len(stack) > 0 {
+		u := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		for _, v := range und[u].Sorted() {
+			if seen.Add(v) {
+				stack = append(stack, v)
+			}
+		}
+	}
+	return seen.Len() == len(nodes)
+}
+
+// checkKOSRByDigraph is CheckKOSR as it ran before it moved onto the flow
+// engine's snapshot, kept as the test oracle: every step builds the object
+// Definition 1 names — the undirected counterpart, the condensation, the
+// induced sink subgraph — through the map-based Digraph methods.
+func checkKOSRByDigraph(g *Digraph, k int) KOSRReport {
+	r := KOSRReport{K: k}
+	if g.NumNodes() == 0 {
+		r.Reason = "empty graph"
+		return r
+	}
+	if !undirectedConnectedByMaps(g) {
+		r.Reason = "undirected counterpart is not connected"
+		return r
+	}
+	sinks := g.Condense().SinkComponents()
+	if len(sinks) != 1 {
+		r.Reason = fmt.Sprintf("condensation has %d sink components, want exactly 1", len(sinks))
+		return r
+	}
+	r.Sink = sinks[0]
+	if !g.Induced(r.Sink).IsKStronglyConnected(k) {
+		r.Reason = fmt.Sprintf("sink component %v is not %d-strongly connected", r.Sink, k)
+		return r
+	}
+	if r.Sink.Len() == 1 {
+		r.SinkConnectivity = InfiniteConnectivity
+	} else {
+		r.SinkConnectivity = k
+	}
+	for _, u := range g.Nodes() {
+		if r.Sink.Has(u) {
+			continue
+		}
+		for _, v := range r.Sink.Sorted() {
+			if !g.HasKDisjointPaths(u, v, k) {
+				r.Reason = fmt.Sprintf("fewer than %d node-disjoint paths from %v to sink node %v", k, u, v)
+				return r
+			}
+		}
+	}
+	r.OK = true
+	return r
+}
+
+// TestCheckKOSRMatchesDigraphRoute holds the dense CheckKOSR to the Digraph
+// route on 500 random graphs, field by field: planted k-OSR and extended
+// graphs with and without a damaged edge, and sparse to dense Erdős–Rényi
+// graphs on scattered IDs, which supply the disconnected, several-sink and
+// singleton-sink cases. Every exit of the checker must be taken.
+func TestCheckKOSRMatchesDigraphRoute(t *testing.T) {
+	rng := rand.New(rand.NewSource(20))
+	exits := map[string]int{}
+	for trial := 0; trial < 500; trial++ {
+		var g *Digraph
+		switch trial % 4 {
+		case 0:
+			k := 1 + rng.Intn(3)
+			var err error
+			if g, _, err = GenKOSR(rng, GenSpec{SinkSize: 2*k + 1 + rng.Intn(4), NonSinkSize: rng.Intn(6), K: k, ExtraEdgeP: rng.Float64() * 0.3}); err != nil {
+				t.Fatal(err)
+			}
+		case 1:
+			var err error
+			if g, _, _, err = GenExtendedKOSR(rng, GenSpec{SinkSize: 3 + rng.Intn(6), NonSinkSize: rng.Intn(6), ExtraEdgeP: rng.Float64() * 0.3}); err != nil {
+				t.Fatal(err)
+			}
+		default:
+			// IDs scattered over a wide range: rows are ranks, not ID values.
+			g = New()
+			n := 1 + rng.Intn(14)
+			nodes := make([]model.ID, n)
+			for i := range nodes {
+				nodes[i] = model.ID(1 + rng.Intn(1<<20))
+				g.AddNode(nodes[i])
+			}
+			p := rng.Float64() * 0.5
+			for _, u := range nodes {
+				for _, w := range nodes {
+					if rng.Float64() < p {
+						g.AddEdge(u, w)
+					}
+				}
+			}
+		}
+		if trial%8 < 2 {
+			// Damage a planted graph: drop one node's out-edges but one.
+			nodes := g.Nodes()
+			u := nodes[rng.Intn(len(nodes))]
+			for _, w := range g.Out(u)[1:] {
+				g.adj[u].Remove(w)
+			}
+		}
+		if g.UndirectedConnected() != undirectedConnectedByMaps(g) {
+			t.Fatalf("trial %d: UndirectedConnected = %v, the map walk disagrees\n%s", trial, g.UndirectedConnected(), g)
+		}
+		for k := 1; k <= 3; k++ {
+			got, want := CheckKOSR(g, k), checkKOSRByDigraph(g, k)
+			if got.OK != want.OK || got.K != want.K || got.Reason != want.Reason ||
+				got.SinkConnectivity != want.SinkConnectivity || !got.Sink.Equal(want.Sink) || (got.Sink == nil) != (want.Sink == nil) {
+				t.Fatalf("trial %d k=%d:\n  dense:   %+v\n  digraph: %+v\n%s", trial, k, got, want, g)
+			}
+			switch {
+			case got.OK && got.Sink.Len() == 1:
+				exits["ok, singleton sink"]++
+			case got.OK:
+				exits["ok"]++
+			default:
+				exits[strings.Fields(got.Reason)[0]]++
+			}
+		}
+	}
+	for _, exit := range []string{"ok", "ok, singleton sink", "undirected", "condensation", "sink", "fewer"} {
+		if exits[exit] == 0 {
+			t.Fatalf("no graph left the checker through %q: %v", exit, exits)
+		}
+	}
+	t.Logf("exits: %v", exits)
 }

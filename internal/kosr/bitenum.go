@@ -3,9 +3,6 @@ package kosr
 import (
 	"fmt"
 	"math/bits"
-	"slices"
-
-	"github.com/bftcup/bftcup/internal/model"
 )
 
 // poolEnum enumerates the S1 candidates of one peeled pool (≤ 64 nodes) in
@@ -21,7 +18,7 @@ import (
 //
 // State is bitset-native: pool positions are bits of a uint64, adjacency
 // within the pool is one word per member, and external out-targets are
-// interned into (at most) 64 index bits so the out-target lower bound is two
+// numbered into (at most) 64 index bits so the out-target lower bound is two
 // popcounts. When a pool's members reach more than 64 distinct external
 // targets the extra ones are dropped from the masks — the bound stays a true
 // lower bound, extExact turns false, and yields report it so callers count
@@ -30,61 +27,28 @@ type poolEnum struct {
 	n        int
 	g        int
 	minSize  int
-	ids      [64]model.ID
 	adj      [64]uint64 // out-edges within the pool (bit = pool position)
 	radj     [64]uint64 // in-edges within the pool
-	ext      [64]uint64 // external out-targets (bit = interned target index)
+	ext      [64]uint64 // external out-targets (bit = the target's number)
 	extExact bool
-	extIdx   map[model.ID]int
 }
 
-// init binds the enumerator to a sorted pool at threshold g. targets must
-// yield every PD out-target of the given member (self-targets are ignored
-// here).
-func (e *poolEnum) init(pool []model.ID, g int, targets func(model.ID, func(model.ID))) {
-	n := len(pool)
+// init binds the enumerator to a pool of len(adj) ≤ 64 members at threshold
+// g. adj[i] holds member i's out-edges within the pool (no self bit), ext[i]
+// its out-targets outside it; extExact says that every external target got a
+// bit.
+func (e *poolEnum) init(g int, adj, ext []uint64, extExact bool) {
+	n := len(adj)
 	if n > 64 {
 		panic(fmt.Sprintf("kosr: poolEnum over %d ids (callers must respect ExactLimit=%d; the bitset enumeration caps at 64)", n, ExactLimit))
 	}
-	e.n, e.g, e.minSize = n, g, 2*g+1
-	e.extExact = true
-	if e.extIdx == nil {
-		e.extIdx = make(map[model.ID]int)
-	} else {
-		clear(e.extIdx)
-	}
-	copy(e.ids[:], pool)
+	e.n, e.g, e.minSize, e.extExact = n, g, 2*g+1, extExact
+	copy(e.adj[:], adj)
+	copy(e.ext[:], ext)
+	clear(e.radj[:n])
 	for i := 0; i < n; i++ {
-		e.adj[i], e.radj[i], e.ext[i] = 0, 0, 0
-	}
-	for i := 0; i < n; i++ {
-		u := pool[i]
-		targets(u, func(tgt model.ID) {
-			if tgt == u {
-				return
-			}
-			if j, ok := slices.BinarySearch(pool, tgt); ok {
-				e.adj[i] |= 1 << j
-				return
-			}
-			x, ok := e.extIdx[tgt]
-			if !ok {
-				x = len(e.extIdx)
-				e.extIdx[tgt] = x
-			}
-			if x < 64 {
-				e.ext[i] |= 1 << x
-			} else {
-				e.extExact = false
-			}
-		})
-	}
-	for i := 0; i < n; i++ {
-		row := e.adj[i]
-		for row != 0 {
-			j := bits.TrailingZeros64(row)
-			row &= row - 1
-			e.radj[j] |= 1 << i
+		for row := e.adj[i]; row != 0; row &= row - 1 {
+			e.radj[bits.TrailingZeros64(row)] |= 1 << i
 		}
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/bits"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"github.com/bftcup/bftcup/internal/graph"
@@ -106,12 +107,28 @@ func TestPoolEnumSupersetAndExactCounts(t *testing.T) {
 					continue
 				}
 				sorted := pool.Sorted()
-				var pe poolEnum
-				pe.init(sorted, gt, func(u model.ID, yield func(model.ID)) {
-					for tgt := range v.PD[u] {
-						yield(tgt)
+				// The pool's rows, by ID: in-pool targets by rank, external ones
+				// numbered in order of appearance.
+				adj, ext := make([]uint64, len(sorted)), make([]uint64, len(sorted))
+				extNo := map[model.ID]int{}
+				for i, u := range sorted {
+					for _, tgt := range v.PD[u].Sorted() {
+						if j, in := slices.BinarySearch(sorted, tgt); in {
+							if tgt != u {
+								adj[i] |= 1 << j
+							}
+							continue
+						}
+						if _, ok := extNo[tgt]; !ok {
+							extNo[tgt] = len(extNo)
+						}
+						if extNo[tgt] < 64 {
+							ext[i] |= 1 << extNo[tgt]
+						}
 					}
-				})
+				}
+				var pe poolEnum
+				pe.init(gt, adj, ext, len(extNo) <= 64)
 				yields := map[uint64]struct {
 					out   int
 					exact bool

@@ -40,37 +40,39 @@ func CheckExtendedKOSR(gdi *graph.Digraph, k int) ExtendedReport {
 		r.Reason = "not k-OSR: " + base.Reason
 		return r
 	}
-	v := FullView(gdi)
-	// Enumerate every sink set at every g; record the max g per set. One
-	// Searcher shares the κ/out-target verdict memos across the whole g sweep.
+	v := borrowedView(gdi)
+	// Enumerate every sink set at every g, straight off the searcher's
+	// candidate lists: a set is keyed by its merged member slice, and a
+	// model.IDSet is built once per distinct set. g descends, so a set's first
+	// sighting carries its largest g. One Searcher shares the κ/out-target
+	// verdict memos across the whole sweep.
 	se := NewSearcher()
-	fgOf := make(map[string]int)
-	setOf := make(map[string]model.IDSet)
+	sinks := make(map[string]SinkInfo)
+	var keys []string
+	var members []model.ID
+	var keyBuf []byte
 	for g := v.MaxG(); g >= 0; g-- {
-		cands, exact := se.SinksAtGExact(v, g)
+		cands, exact := se.collect(v, g)
 		if !exact {
 			r.Exact = false
 		}
 		for _, c := range cands {
-			m := c.Members()
-			key := m.Key()
-			if old, ok := fgOf[key]; !ok || g > old {
-				fgOf[key] = g
-				setOf[key] = m
+			members = se.members(v, g, c, members[:0])
+			keyBuf = model.AppendKey(keyBuf[:0], members)
+			if _, seen := sinks[string(keyBuf)]; !seen {
+				key := string(keyBuf)
+				keys = append(keys, key)
+				sinks[key] = SinkInfo{Members: model.NewIDSet(members...), FG: g}
 			}
 		}
 	}
-	if len(fgOf) == 0 {
+	if len(sinks) == 0 {
 		r.Reason = "no sink satisfies isSink* in the full view"
 		return r
 	}
-	keys := make([]string, 0, len(fgOf))
-	for key := range fgOf {
-		keys = append(keys, key)
-	}
 	sort.Strings(keys)
 	for _, key := range keys {
-		r.Sinks = append(r.Sinks, SinkInfo{Members: setOf[key], FG: fgOf[key]})
+		r.Sinks = append(r.Sinks, sinks[key])
 	}
 	// C1: a unique sink of strictly maximum connectivity.
 	best, bestCount := -1, 0
@@ -99,11 +101,12 @@ func CheckExtendedKOSR(gdi *graph.Digraph, k int) ExtendedReport {
 	kCore := best + 1
 	var flow graph.FlowScratch
 	flow.Load(gdi)
+	coreNodes := core.Sorted()
 	for _, u := range gdi.Nodes() {
 		if core.Has(u) {
 			continue
 		}
-		for _, w := range core.Sorted() {
+		for _, w := range coreNodes {
 			if !flow.HasKDisjointPaths(u, w, kCore) {
 				r.Reason = fmt.Sprintf("C2 fails: fewer than %d node-disjoint paths from %v to core node %v", kCore, u, w)
 				return r
@@ -135,7 +138,10 @@ func CheckBFTCUPFT(gdi *graph.Digraph, byz model.IDSet, f int) BFTCUPFTReport {
 		r.Reason = fmt.Sprintf("%d Byzantine nodes exceed fault threshold f=%d", byz.Len(), f)
 		return r
 	}
-	safe := gdi.Without(byz)
+	safe := gdi
+	if byz.Len() > 0 {
+		safe = gdi.Without(byz)
+	}
 	ext := CheckExtendedKOSR(safe, f+1)
 	if !ext.OK {
 		r.Reason = "safe subgraph not extended (f+1)-OSR: " + ext.Reason

@@ -1,7 +1,11 @@
 package kosr
 
 import (
+	"flag"
+	"fmt"
 	"math/rand"
+	"os"
+	"strings"
 	"testing"
 
 	"github.com/bftcup/bftcup/internal/graph"
@@ -219,6 +223,67 @@ func TestGeneratedExtendedPassesModelCheck(t *testing.T) {
 		}
 		if !r.Core.Equal(core) {
 			t.Fatalf("trial %d: core = %v, want %v", trial, r.Core, core)
+		}
+	}
+}
+
+var update = flag.Bool("update", false, "rewrite golden files")
+
+// graphCheckDefs are the five families of `go run ./bench`'s graph_check
+// workload (bench/graphcheck.go), the offline checks' measured inputs.
+var graphCheckDefs = []string{
+	"kosr:sink=15,nonsink=9,k=3,extra=0.2",
+	"extended:core=10,noncore=6,extra=0.2",
+	"er:n=20,p=0.3",
+	"geo:n=16,r=0.5",
+	"sf:n=20,m=4",
+}
+
+// TestCheckExtendedKOSRReportsPinned holds CheckExtendedKOSR's whole report —
+// verdict, core, f_G, exactness, reason and every sink in order — to the
+// text the map-based sweep (a Candidate, a Members() union and a Key() per
+// candidate) printed for it: every figure at k = F+1 and the graph_check
+// families at seeds 1–20 (the unplanted ones at k = 1 as well). The golden was recorded at the commit before the
+// sweep moved onto the searcher's slices; regenerate it with -update only for
+// a deliberate change of the report.
+func TestCheckExtendedKOSRReportsPinned(t *testing.T) {
+	var b strings.Builder
+	for _, fig := range graph.AllFigures() {
+		fmt.Fprintf(&b, "%s k=%d: %v\n", fig.Name, fig.F+1, CheckExtendedKOSR(fig.G, fig.F+1))
+	}
+	for _, s := range graphCheckDefs {
+		d, err := graph.ParseDef(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for seed := int64(1); seed <= 20; seed++ {
+			built, err := d.Build(seed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			fmt.Fprintf(&b, "%s seed %d k=%d: %v\n", s, seed, built.F+1, CheckExtendedKOSR(built.G, built.F+1))
+			if built.Sink == nil {
+				// No planted sink: the family's F+1 fails the k-OSR base check
+				// before the sweep runs; k = 1 gets it past there.
+				fmt.Fprintf(&b, "%s seed %d k=1: %v\n", s, seed, CheckExtendedKOSR(built.G, 1))
+			}
+		}
+	}
+	const path = "testdata/extended_reports.golden"
+	if *update {
+		if err := os.WriteFile(path, []byte(b.String()), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("%v (run with -update to create)", err)
+	}
+	got := strings.Split(b.String(), "\n")
+	for i, line := range strings.Split(string(want), "\n") {
+		if i >= len(got) || got[i] != line {
+			t.Fatalf("report %d differs from the recorded one:\n  got:  %s\n  want: %s", i, got[min(i, len(got)-1)], line)
 		}
 	}
 }

@@ -16,18 +16,27 @@ type Candidate struct {
 // Members returns S1 ∪ S2 — the set the Sink/Core algorithm returns.
 func (c Candidate) Members() model.IDSet { return c.S1.Union(c.S2) }
 
+// size is |S1 ∪ S2|, counted without building the union.
+func (c Candidate) size() int {
+	s := c.S1.Len()
+	for id := range c.S2 {
+		if !c.S1.Has(id) {
+			s++
+		}
+	}
+	return s
+}
+
 // QuorumSize returns the committee quorum ⌈(|S|+g+1)/2⌉ from [11], quoted in
 // Section II of the paper: any two such quorums intersect in ≥ g+1 processes.
 func (c Candidate) QuorumSize() int {
-	s := c.Members().Len()
-	return (s + c.G + 1 + 1) / 2 // ⌈(s+g+1)/2⌉
+	return (c.size() + c.G + 1 + 1) / 2 // ⌈(s+g+1)/2⌉
 }
 
 // AnswerThreshold returns ⌈(|S|+1)/2⌉ — how many identical DECIDEDVAL
 // answers a non-member needs (Algorithm 3, line 7).
 func (c Candidate) AnswerThreshold() int {
-	s := c.Members().Len()
-	return (s + 1 + 1) / 2 // ⌈(s+1)/2⌉
+	return (c.size() + 1 + 1) / 2 // ⌈(s+1)/2⌉
 }
 
 // ExactLimit is the peeled-SCC size up to which the sink search enumerates

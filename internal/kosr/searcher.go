@@ -30,18 +30,23 @@ import (
 //     are memoized across revisions and thresholds, so when a component does
 //     grow, only subsets involving the new members pay for max-flow probes.
 //
-// Both memos live in one key space: every record owner is interned to a dense
-// index at first sight, and a member set's key is the bytes of its
+// Inside the engine a set is never a Go map: every process met — record owner
+// or PD target — is interned to a dense index at first sight, a received PD
+// and a candidate's S1 are ascending lists of such indices, and S2 is counted
+// off those lists (outside). A model.IDSet is built only for what is
+// returned: one Candidate per successful search, SinksAtGExact's list.
+//
+// Both memos live in one key space: a member set's key is the bytes of its
 // interned-index bitset (no trailing zero bytes, so a key never depends on
-// how many owners were interned when it was rendered). Keys are pure content
-// identity — independent of ID values, of g and of the revision.
+// how many processes were interned when it was rendered). Keys are pure
+// content identity — independent of ID values, of g and of the revision.
 //
 // The search is correct by the definitional oracle, not by a second engine:
 // the tests compare every result with a walk over all subsets of the received
-// set checked by View.IsSink, which shares no code with this file. The
-// determinism contract of the trace layer needs that exactness — committee
-// adoption timing is trace-visible, so the memos may only change how much
-// work a search does, never its result.
+// set checked by View.IsSink and View.DeriveS2, which share no code with
+// this file. The determinism contract of the trace layer needs that
+// exactness — committee adoption timing is trace-visible, so the memos may
+// only change how much work a search does, never its result.
 //
 // Soundness of the content-keyed memos rests on two view invariants that
 // discovery maintains by construction and the mutator API enforces: views
@@ -49,9 +54,8 @@ import (
 // replaced (View.SetPD bumps the generation if one ever is, which drops
 // every memo). A view mutated behind the API needs a fresh Searcher.
 //
-// A Searcher is for one goroutine. The zero value is ready to use. Returned
-// candidates share their S1 sets with the memo — callers must treat
-// candidates as immutable.
+// A Searcher is for one goroutine. The zero value is ready to use. It only
+// reads the views it searches, and returned candidates are the caller's.
 type Searcher struct {
 	view     *View
 	gen      uint64
@@ -65,24 +69,25 @@ type Searcher struct {
 	arena    []int32
 	keyArena []byte
 
-	// owners holds what is kept per record owner, filled at first sight and
-	// immutable for the view generation (append-only; kept across
-	// RebindPreserving, because the memo keys are built from it). sccCands
-	// memoizes per-(g, component) candidate lists under uvarint(g) ‖ component
-	// key; subsets memoizes per-S1 verdict facts under the S1 key.
-	owners   map[model.ID]ownerRec
+	// procs holds what is kept per process under the index intern gave it:
+	// append-only for the view generation (kept across RebindPreserving,
+	// because the memo keys are built from the indices). sccCands memoizes
+	// per-(g, component) candidate lists under uvarint(g) ‖ component key;
+	// subsets memoizes per-S1 verdict facts under the S1 key.
+	intern   model.IDIndex
+	procs    []procRec
 	sccCands map[string]*sccEntry
 	subsets  map[string]*subsetFacts
 
 	enum     poolEnum
-	poolIdx  [64]int32         // interned index of each pool position
 	poolFlow graph.PoolFlow    // κ of pool subsets (≤ ExactLimit)
 	flow     graph.FlowScratch // κ of whole candidates (> ExactLimit fallback)
 
-	// Decomposition scratch: sorted received IDs, their positions, the CSR of
-	// the received graph and the Tarjan state.
+	// Decomposition scratch: the received processes in ascending-ID order (ids
+	// their IDs, node their interned indices — a position indexes both), the
+	// CSR of the received graph over those positions and the Tarjan state.
 	ids      []model.ID
-	idx      map[model.ID]int32
+	node     []int32
 	adjStart []int32
 	adjFlat  []int32
 	scc      graph.Tarjan
@@ -92,17 +97,24 @@ type Searcher struct {
 	// for every u that is not one.
 	deg  []int32
 	live []int32
-	pool []model.ID
 
 	// Per-call scratch.
-	outSet  model.IDSet
+	s1Buf   []int32
+	tgtBuf  []int32
+	s2Buf   []model.ID
 	keyBuf  []byte
 	pairBuf []cachedCand
 }
 
-type ownerRec struct {
-	idx int32      // dense interned index: the owner's bit in every memo key
-	pd  []model.ID // sorted PD
+// procRec is one interned process. pd, once its record is seen (nil before),
+// is the PD as its targets' interned indices, ascending by ID, itself left
+// out, and never changes; pos is its position in the current decomposition
+// (-1: no record in the view searched); mark is scratch, 0 between uses.
+type procRec struct {
+	id   model.ID
+	pd   []int32
+	pos  int32
+	mark int32
 }
 
 type sccComp struct {
@@ -139,10 +151,11 @@ func (f *subsetFacts) learn(k int32, holds bool) {
 	}
 }
 
-// cachedCand is a passing S1 with its canonical decimal key (S1.Key()), the
+// cachedCand is a passing S1 — its members' interned indices, ascending by
+// ID — with its canonical decimal key (IDSet.Key of the set), the
 // trace-visible order candidates are returned in.
 type cachedCand struct {
-	s1  model.IDSet
+	s1  []int32
 	key string
 }
 
@@ -185,21 +198,19 @@ type Search interface {
 // generation.
 func (s *Searcher) bind(v *View) {
 	s.view, s.gen, s.valid = v, v.gen, false
-	if s.owners == nil {
-		s.owners = make(map[model.ID]ownerRec)
+	if s.sccCands == nil {
 		s.sccCands = make(map[string]*sccEntry)
 		s.subsets = make(map[string]*subsetFacts)
-		s.idx = make(map[model.ID]int32)
-		s.outSet = model.NewIDSet()
 	} else {
-		clear(s.owners)
 		clear(s.sccCands)
 		clear(s.subsets)
 	}
+	s.intern.Reset()
+	s.procs, s.node = s.procs[:0], s.node[:0]
 }
 
 // RebindPreserving points the searcher at a different view while keeping its
-// content-keyed state (the owner table, the per-component candidate lists,
+// content-keyed state (the process table, the per-component candidate lists,
 // the per-S1 verdict facts). The decomposition itself is recomputed on the
 // next search. Sound only when every view the searcher visits draws its
 // records from one immutable record universe — the same owner always mapping
@@ -210,7 +221,7 @@ func (s *Searcher) bind(v *View) {
 // computed from S1's own PDs regardless of what else was received, and both
 // memos stay valid across rebinds.
 func (s *Searcher) RebindPreserving(v *View) {
-	if s.owners == nil {
+	if s.sccCands == nil {
 		s.bind(v)
 		return
 	}
@@ -243,30 +254,49 @@ func setBit(key []byte, base int, i int32) []byte {
 	return key
 }
 
+// internID returns id's interned index, handing out the next one if id is new.
+func (s *Searcher) internID(id model.ID) int32 {
+	x, added := s.intern.Insert(id)
+	if added {
+		s.procs = append(s.procs, procRec{id: id, pos: -1})
+	}
+	return int32(x)
+}
+
 // decompose recomputes the SCCs of the received graph and their content
-// keys, interning owners seen for the first time.
+// keys, interning the processes and records seen for the first time.
 func (s *Searcher) decompose(v *View) {
 	s.ids = s.ids[:0]
 	for id := range v.PD {
 		s.ids = append(s.ids, id)
 	}
 	slices.Sort(s.ids)
-	clear(s.idx)
-	for i, id := range s.ids {
-		s.idx[id] = int32(i)
+	for _, x := range s.node {
+		s.procs[x].pos = -1
+	}
+	s.node = s.node[:0]
+	for i, u := range s.ids {
+		x := s.internID(u)
+		if s.procs[x].pd == nil {
+			tgts := v.PD[u].Sorted()
+			pd := make([]int32, 0, len(tgts))
+			for _, tgt := range tgts {
+				if tgt != u {
+					pd = append(pd, s.internID(tgt))
+				}
+			}
+			s.procs[x].pd = pd
+		}
+		s.procs[x].pos = int32(i)
+		s.node = append(s.node, x)
 	}
 	// CSR adjacency restricted to received targets, in sorted-ID index space
 	// (the root and child order Digraph.SCCs uses).
 	s.adjStart = append(s.adjStart[:0], 0)
 	s.adjFlat = s.adjFlat[:0]
-	for _, u := range s.ids {
-		rec, ok := s.owners[u]
-		if !ok {
-			rec = ownerRec{idx: int32(len(s.owners)), pd: v.PD[u].Sorted()}
-			s.owners[u] = rec
-		}
-		for _, tgt := range rec.pd {
-			if j, ok := s.idx[tgt]; ok && tgt != u {
+	for _, x := range s.node {
+		for _, tgt := range s.procs[x].pd {
+			if j := s.procs[tgt].pos; j >= 0 {
 				s.adjFlat = append(s.adjFlat, j)
 			}
 		}
@@ -277,13 +307,13 @@ func (s *Searcher) decompose(v *View) {
 	// stay slices of one byte arena: a Go string per component per
 	// decomposition is a measurable share of a sweep's allocations.
 	s.arena = slices.Grow(s.arena[:0], len(s.ids))
-	s.keyArena = slices.Grow(s.keyArena[:0], n*(len(s.owners)/8+1))
+	s.keyArena = slices.Grow(s.keyArena[:0], n*(len(s.procs)/8+1))
 	s.comps = s.comps[:0]
 	for c := 0; c < n; c++ {
 		at, keyAt := len(s.arena), len(s.keyArena)
 		for _, i := range s.scc.Comp(c) {
 			s.arena = append(s.arena, i)
-			s.keyArena = setBit(s.keyArena, keyAt, s.owners[s.ids[i]].idx)
+			s.keyArena = setBit(s.keyArena, keyAt, s.node[i])
 		}
 		slices.Sort(s.arena[at:])
 		s.comps = append(s.comps, sccComp{idx: s.arena[at:], key: s.keyArena[keyAt:]})
@@ -309,9 +339,67 @@ func (s *Searcher) SinksAtGExact(v *View, g int) ([]Candidate, bool) {
 	}
 	out := make([]Candidate, 0, len(pairs))
 	for _, c := range pairs {
-		out = append(out, Candidate{G: g, S1: c.s1, S2: v.DeriveS2(c.s1, g)})
+		out = append(out, s.candidate(v, g, c))
 	}
 	return out, exact
+}
+
+// candidate is where a memoized S1 leaves the engine as sets.
+func (s *Searcher) candidate(v *View, g int, c cachedCand) Candidate {
+	s1 := make(model.IDSet, len(c.s1))
+	for _, m := range c.s1 {
+		s1.Add(s.procs[m].id)
+	}
+	_, s2 := s.outside(v, c.s1, g)
+	return Candidate{G: g, S1: s1, S2: model.NewIDSet(s2...)}
+}
+
+// outside reads off the members' PD lists what isSink asks about the
+// processes outside an S1: how many distinct ones S1 points at (P3) and which
+// of them more than g members point at and S_known holds (P4's S2, ascending,
+// in scratch that lasts until the next call).
+func (s *Searcher) outside(v *View, s1 []int32, g int) (out int, s2 []model.ID) {
+	for _, m := range s1 {
+		s.procs[m].mark = -1
+	}
+	tgts := s.tgtBuf[:0]
+	for _, m := range s1 {
+		for _, tgt := range s.procs[m].pd {
+			if r := &s.procs[tgt]; r.mark >= 0 {
+				if r.mark == 0 {
+					tgts = append(tgts, tgt)
+				}
+				r.mark++
+			}
+		}
+	}
+	s2 = s.s2Buf[:0]
+	for _, tgt := range tgts {
+		r := &s.procs[tgt]
+		if int(r.mark) > g && v.Known.Has(r.id) {
+			s2 = append(s2, r.id)
+		}
+		r.mark = 0
+	}
+	for _, m := range s1 {
+		s.procs[m].mark = 0
+	}
+	slices.Sort(s2)
+	s.tgtBuf, s.s2Buf = tgts, s2
+	return len(tgts), s2
+}
+
+// members appends S1 ∪ S2 of a candidate at g to buf, ascending.
+func (s *Searcher) members(v *View, g int, c cachedCand, buf []model.ID) []model.ID {
+	_, s2 := s.outside(v, c.s1, g)
+	for _, m := range c.s1 {
+		id := s.procs[m].id
+		for len(s2) > 0 && s2[0] < id {
+			buf, s2 = append(buf, s2[0]), s2[1:]
+		}
+		buf = append(buf, id)
+	}
+	return append(buf, s2...)
 }
 
 // collect gathers the passing S1 sets at g across all components, sorted by
@@ -332,15 +420,14 @@ func (s *Searcher) collect(v *View, g int) (pairs []cachedCand, exact bool) {
 	return s.pairBuf, exact
 }
 
-// first returns SinksAtGExact(v, g)'s first candidate, deriving S2 only for
+// first returns SinksAtGExact(v, g)'s first candidate, materializing only
 // the winner.
 func (s *Searcher) first(v *View, g int) (Candidate, bool) {
 	pairs, _ := s.collect(v, g)
 	if len(pairs) == 0 {
 		return Candidate{}, false
 	}
-	c := pairs[0]
-	return Candidate{G: g, S1: c.s1, S2: v.DeriveS2(c.s1, g)}, true
+	return s.candidate(v, g, pairs[0]), true
 }
 
 // entryFor resolves one component's memoized search at g.
@@ -383,23 +470,30 @@ func (s *Searcher) searchComp(v *View, g int, comp *sccComp) *sccEntry {
 		// each single vertex, re-peeled.
 		induced := s.inducedOf(comp)
 		seen := make(map[string]bool)
-		try := func(s1 model.IDSet) {
-			if s1.Len() < 2*g+1 {
+		try := func(set model.IDSet) {
+			if set.Len() < 2*g+1 {
 				return
 			}
-			key := s1.Key()
+			key := set.Key()
 			if seen[key] {
 				return
 			}
 			seen[key] = true
-			if s.passes(v, g, s1, induced) {
+			s1 := make([]int32, 0, set.Len())
+			for _, id := range set.Sorted() {
+				s1 = append(s1, s.internID(id))
+			}
+			if s.passes(v, g, s1, set, induced) {
 				e.cands = append(e.cands, cachedCand{s1: s1, key: key})
 			}
 		}
-		whole := model.NewIDSet(pool...)
+		whole := model.NewIDSet()
+		for _, u := range pool {
+			whole.Add(s.ids[u])
+		}
 		try(whole)
 		sub := induced.Induced(whole)
-		for _, u := range pool {
+		for _, u := range whole.Sorted() {
 			rest := whole.Clone()
 			rest.Remove(u)
 			if g >= 1 {
@@ -412,13 +506,14 @@ func (s *Searcher) searchComp(v *View, g int, comp *sccComp) *sccEntry {
 	return e
 }
 
-// peel returns, as ascending IDs in reused scratch, the directed k-core of one
-// component's induced subgraph (Digraph.DirectedCore, on the decomposition's
-// CSR): what is left once every member with in- or out-degree < k among the
-// survivors is gone. The core is the unique maximal fixed point, so whole
-// passes reach it as well as any peel order. k ≤ 1 peels nothing: members of a
-// component of ≥ 2 have both degrees ≥ 1, and a singleton is a valid S1 at g = 0.
-func (s *Searcher) peel(comp []int32, k int32) []model.ID {
+// peel returns, as ascending positions in reused scratch, the directed k-core
+// of one component's induced subgraph (Digraph.DirectedCore, on the
+// decomposition's CSR): what is left once every member with in- or out-degree
+// < k among the survivors is gone. The core is the unique maximal fixed point,
+// so whole passes reach it as well as any peel order. k ≤ 1 peels nothing:
+// members of a component of ≥ 2 have both degrees ≥ 1, and a singleton is a
+// valid S1 at g = 0.
+func (s *Searcher) peel(comp []int32, k int32) []int32 {
 	live := append(s.live[:0], comp...)
 	for k > 1 {
 		for _, u := range live {
@@ -445,53 +540,77 @@ func (s *Searcher) peel(comp []int32, k int32) []model.ID {
 		}
 		live = kept
 	}
-	s.live = live[:0]
-	s.pool = s.pool[:0]
 	for _, u := range live {
 		s.deg[2*u] = -1
-		s.pool = append(s.pool, s.ids[u])
 	}
-	return s.pool
+	s.live = live
+	return live
 }
 
-// enumeratePool walks the subsets of the (sorted, ≤ ExactLimit ≤ 64) pool
-// through the dominated-subset-pruned bitset enumerator: poolEnum cuts whole
-// subtrees that cannot pass P1/P3/κ, the survivors resolve their verdict
-// facts by content key, and κ probes run on the pool-local PoolFlow engine —
-// no per-subset graph materialization. The enumerator's prunes are sound (see
-// poolEnum), so the passing set is exactly the plain mask walk's; candidates
-// are materialized only on pass.
-func (s *Searcher) enumeratePool(v *View, g int, pool []model.ID, e *sccEntry) {
-	pe := &s.enum
-	pe.init(pool, g, func(u model.ID, yield func(model.ID)) {
-		for _, tgt := range s.owners[u].pd {
-			yield(tgt)
-		}
-	})
-	s.poolFlow.Reset(pe.adj[:pe.n])
-	for i, u := range pool {
-		s.poolIdx[i] = s.owners[u].idx
+// enumeratePool walks the subsets of the pool (≤ ExactLimit ≤ 64 positions,
+// ascending) through the dominated-subset-pruned bitset enumerator: poolEnum
+// cuts whole subtrees that cannot pass P1/P3/κ, the survivors resolve their
+// verdict facts by content key, and κ probes run on the pool-local PoolFlow
+// engine — no per-subset graph materialization. The enumerator's prunes are
+// sound (see poolEnum), so the passing set is exactly the plain mask walk's;
+// a candidate is recorded only on pass.
+func (s *Searcher) enumeratePool(v *View, g int, pool []int32, e *sccEntry) {
+	// The members' marks carry their pool position plus one, an external
+	// target's the negative of its number plus one, handed out at first sight.
+	var adj, ext [64]uint64
+	var members [64]int32
+	for p, u := range pool {
+		members[p] = s.node[u]
+		s.procs[s.node[u]].mark = int32(p + 1)
 	}
+	exts := s.tgtBuf[:0]
+	for p := range pool {
+		for _, tgt := range s.procs[members[p]].pd {
+			r := &s.procs[tgt]
+			if r.mark > 0 {
+				adj[p] |= 1 << (r.mark - 1)
+				continue
+			}
+			if r.mark == 0 {
+				exts = append(exts, tgt)
+				r.mark = -int32(len(exts))
+			}
+			if x := -r.mark - 1; x < 64 {
+				ext[p] |= 1 << x
+			}
+		}
+	}
+	for p := range pool {
+		s.procs[members[p]].mark = 0
+	}
+	for _, tgt := range exts {
+		s.procs[tgt].mark = 0
+	}
+	s.tgtBuf = exts
+	pe := &s.enum
+	pe.init(g, adj[:len(pool)], ext[:len(pool)], len(exts) <= 64)
+	s.poolFlow.Reset(adj[:len(pool)])
 	k := int32(g + 1)
 	pe.run(func(inc uint64, out int, outExact bool) {
-		key := s.keyBuf[:0]
+		key, s1 := s.keyBuf[:0], s.s1Buf[:0]
 		for rest := inc; rest != 0; rest &= rest - 1 {
-			key = setBit(key, 0, s.poolIdx[bits.TrailingZeros64(rest)])
+			m := members[bits.TrailingZeros64(rest)]
+			key, s1 = setBit(key, 0, m), append(s1, m)
 		}
-		s.keyBuf = key
+		s.keyBuf, s.s1Buf = key, s1
 		f := s.factsFor(key)
 		if f.out < 0 {
 			if !outExact {
 				// The enumerator's count is a lower bound (the pool points at
 				// more than 64 distinct external targets).
-				out = s.countOutTargets(v, maskSet(pool, inc))
+				out, _ = s.outside(v, s1, g)
 			}
 			f.out = int32(out)
 		}
 		if int(f.out) > g {
 			return
 		}
-		if bits.OnesCount64(inc) > 1 {
+		if len(s1) > 1 {
 			holds, known := f.kappa(k)
 			if !known {
 				holds = s.poolFlow.KappaAtLeast(inc, int(k))
@@ -502,24 +621,15 @@ func (s *Searcher) enumeratePool(v *View, g int, pool []model.ID, e *sccEntry) {
 			}
 		}
 		buf := s.keyBuf[:0]
-		for rest := inc; rest != 0; rest &= rest - 1 {
-			if len(buf) > 0 {
+		for i, m := range s1 {
+			if i > 0 {
 				buf = append(buf, ',')
 			}
-			buf = strconv.AppendUint(buf, uint64(pool[bits.TrailingZeros64(rest)]), 10)
+			buf = strconv.AppendUint(buf, uint64(s.procs[m].id), 10)
 		}
 		s.keyBuf = buf
-		e.cands = append(e.cands, cachedCand{s1: maskSet(pool, inc), key: string(buf)})
+		e.cands = append(e.cands, cachedCand{s1: slices.Clone(s1), key: string(buf)})
 	})
-}
-
-// maskSet materializes a subset given as a mask over pool positions.
-func maskSet(pool []model.ID, mask uint64) model.IDSet {
-	s1 := model.NewIDSet()
-	for ; mask != 0; mask &= mask - 1 {
-		s1.Add(pool[bits.TrailingZeros64(mask)])
-	}
-	return s1
 }
 
 // factsFor resolves the verdict-facts record of the S1 with the given key.
@@ -536,45 +646,34 @@ func (s *Searcher) factsFor(key []byte) *subsetFacts {
 }
 
 // passes applies isSink's S1-side checks (P3 out-target bound, P2/κ
-// connectivity) to one structural candidate through the per-S1 verdict memo.
-// induced is the subgraph of s1's component; the caller checked P1.
-func (s *Searcher) passes(v *View, g int, s1 model.IDSet, induced *graph.Digraph) bool {
+// connectivity) to one structural candidate, given as interned indices and
+// as a set, through the per-S1 verdict memo. induced is the subgraph of its
+// component; the caller checked P1.
+func (s *Searcher) passes(v *View, g int, s1 []int32, set model.IDSet, induced *graph.Digraph) bool {
 	key := s.keyBuf[:0]
-	for id := range s1 {
-		key = setBit(key, 0, s.owners[id].idx)
+	for _, m := range s1 {
+		key = setBit(key, 0, m)
 	}
 	s.keyBuf = key
 	f := s.factsFor(key)
 	if f.out < 0 {
-		f.out = int32(s.countOutTargets(v, s1))
+		out, _ := s.outside(v, s1, g)
+		f.out = int32(out)
 	}
 	if int(f.out) > g {
 		return false
 	}
-	if s1.Len() <= 1 {
+	if len(s1) <= 1 {
 		return true
 	}
 	k := int32(g + 1)
 	holds, known := f.kappa(k)
 	if !known {
-		s.flow.Load(induced.Induced(s1))
+		s.flow.Load(induced.Induced(set))
 		holds = s.flow.IsKStronglyConnected(int(k))
 		f.learn(k, holds)
 	}
 	return holds
-}
-
-// countOutTargets counts |OutTargets(s1)| on reused scratch.
-func (s *Searcher) countOutTargets(v *View, s1 model.IDSet) int {
-	clear(s.outSet)
-	for id := range s1 {
-		for tgt := range v.PD[id] {
-			if tgt != id && !s1.Has(tgt) {
-				s.outSet.Add(tgt)
-			}
-		}
-	}
-	return s.outSet.Len()
 }
 
 // inducedOf builds the component's induced subgraph of the received graph,
@@ -642,7 +741,7 @@ type SearchReplay struct {
 
 // NewSearchReplay captures the replay inputs for one graph.
 func NewSearchReplay(g *graph.Digraph) *SearchReplay {
-	full := FullView(g)
+	full := borrowedView(g)
 	return &SearchReplay{full: full, owners: full.Received().Sorted(), known: full.Known.Sorted()}
 }
 

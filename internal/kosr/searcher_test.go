@@ -430,7 +430,10 @@ func TestSearcherPeelMatchesDirectedCore(t *testing.T) {
 						if k > 1 {
 							want = induced.DirectedCore(k)
 						}
-						got := se.peel(comp.idx, int32(k))
+						var got []model.ID
+						for _, u := range se.peel(comp.idx, int32(k)) {
+							got = append(got, se.ids[u])
+						}
 						if !slices.Equal(got, want.Sorted()) {
 							t.Fatalf("%s +%d step %d: peel(%v, %d) = %v, DirectedCore gives %v", def, delta, step, induced.Nodes(), k, got, want)
 						}
@@ -543,15 +546,14 @@ func TestSearcherOutTargetsPastEnumWidth(t *testing.T) {
 // searcherAllocBudget gates the steady-state allocation count of a repeated
 // search on an unchanged view (the searcher analogue of the scenario
 // package's TestCompiledRunAllocsSteadyState). A memo-hit search allocates
-// only the result — the winner's derived S2, a few objects (measured: 4).
-// A hit renders its key into a reused buffer and looks it up without
-// materializing a string, so the budget is pinned at 2× the measured steady
-// state: a memo-less search re-runs SCC, peel, enumeration and max-flow and
-// allocates ~95 (memo entries and candidates; 120 while every searched
-// component still cost a Digraph), so any regression of the memo mechanism (a
-// clobbered key, a string materialized on the hit path) costs multiples of
-// the budget without flaking on allocator noise.
-const searcherAllocBudget = 8
+// only the result — the winner's S1 and S2 sets, built at the API edge
+// (measured: 4; the budget is that reading + 20 %). A hit renders its key into
+// a reused buffer and looks it up without materializing a string; a memo-less
+// search re-runs SCC, peel, enumeration and max-flow and allocates ~95 (memo
+// entries, candidate slices and keys), so any regression of the memo mechanism
+// (a clobbered key, a string materialized on the hit path) costs multiples of
+// the budget.
+const searcherAllocBudget = 5
 
 // TestSearcherAllocsSteadyState gates the scratch-reuse win from both
 // sides: under the absolute budget, and far under a fresh searcher's search
@@ -579,5 +581,94 @@ func TestSearcherAllocsSteadyState(t *testing.T) {
 	}
 	if warm*4 > scratch {
 		t.Fatalf("steady-state search allocates %.0f objects vs %.0f on a fresh searcher — the memo is not engaging", warm, scratch)
+	}
+}
+
+// TestEngineS2MatchesDeriveS2 is the differential test of where S2 comes
+// from: the engine counts it off its interned PD lists (Searcher.outside),
+// the oracle is the literal View.DeriveS2, and the two share no code. Every
+// candidate at every g must carry exactly DeriveS2(S1, g), and the member
+// slice CheckExtendedKOSR keys a sink by must be S1 ∪ S2 ascending — on the
+// figures and 200 random planted and unplanted graphs, each as its full view,
+// as a view with records missing (S_known ⊋ S_received) and as a view whose
+// S_known misses processes its records point at. The last kind is what
+// exercises P4's Known clause: a process more than g members of S1 point at
+// is not in S2 while the view has not heard of it.
+func TestEngineS2MatchesDeriveS2(t *testing.T) {
+	rng := rand.New(rand.NewSource(200))
+	graphs := map[string]*graph.Digraph{}
+	for _, fig := range graph.AllFigures() {
+		graphs[fig.Name] = fig.G
+	}
+	for _, def := range []string{
+		"er:n=14,p=0.3", "geo:n=12,r=0.5", "sf:n=14,m=3",
+		"kosr:sink=7,nonsink=4,k=2,extra=0.2", "extended:core=6,noncore=4,extra=0.2",
+	} {
+		d, err := graph.ParseDef(def)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for seed := int64(1); seed <= 40; seed++ {
+			b, err := d.Build(seed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			graphs[fmt.Sprintf("%s#%d", def, seed)] = b.G
+		}
+	}
+	cands, nonEmpty, unheard := 0, 0, 0
+	for name, g := range graphs {
+		owners := g.Nodes()
+		rng.Shuffle(len(owners), func(i, j int) { owners[i], owners[j] = owners[j], owners[i] })
+		// deaf never hears of a third of the processes unless it holds their
+		// record, however many of its records point at them.
+		unheardOf := model.NewIDSet()
+		for _, u := range owners {
+			if rng.Intn(3) == 0 {
+				unheardOf.Add(u)
+			}
+		}
+		partial, deaf := NewView(), NewView()
+		for _, owner := range owners[:len(owners)/2+rng.Intn(len(owners)/2+1)] {
+			partial.AddKnown(owner)
+			partial.SetPD(owner, g.OutSet(owner))
+			deaf.AddKnown(owner)
+			deaf.SetPD(owner, g.OutSet(owner))
+			for _, tgt := range g.OutSet(owner).Sorted() {
+				partial.AddKnown(tgt)
+				if !unheardOf.Has(tgt) {
+					deaf.AddKnown(tgt)
+				}
+			}
+		}
+		for vi, v := range []*View{FullView(g), partial, deaf} {
+			se := NewSearcher()
+			for gt := v.MaxG(); gt >= 0; gt-- {
+				got, _ := se.SinksAtGExact(v, gt)
+				pairs, _ := se.collect(v, gt)
+				for i, c := range got {
+					cands++
+					want := v.DeriveS2(c.S1, gt)
+					if !c.S2.Equal(want) {
+						t.Fatalf("%s view %d g=%d S1=%v: engine S2 %v, DeriveS2 %v", name, vi, gt, c.S1, c.S2, want)
+					}
+					if members := se.members(v, gt, pairs[i], nil); !slices.Equal(members, c.S1.Union(want).Sorted()) {
+						t.Fatalf("%s view %d g=%d S1=%v: member slice %v, want S1 ∪ %v ascending", name, vi, gt, c.S1, members, want)
+					}
+					if want.Len() > 0 {
+						nonEmpty++
+					}
+					for tgt := range v.OutTargets(c.S1) {
+						if !v.Known.Has(tgt) && v.SourceCount(c.S1, tgt) > gt {
+							unheard++
+						}
+					}
+				}
+			}
+		}
+	}
+	t.Logf("%d graphs, %d candidates, %d with a non-empty S2, %d targets kept out of S2 by the Known clause alone", len(graphs), cands, nonEmpty, unheard)
+	if nonEmpty == 0 || unheard == 0 {
+		t.Fatalf("non-empty S2s: %d, targets only the Known clause excludes: %d — a clause of P4 never ran", nonEmpty, unheard)
 	}
 }

@@ -86,6 +86,19 @@ func FullView(g *graph.Digraph) *View {
 	return v
 }
 
+// borrowedView is FullView without the copies, for the checkers' read-only
+// searches: every PD is the graph's own out-set, by reference (an edge's
+// target is a node, so Known is the node set). The graph must not change
+// while the view is in use, and the view's sets are not the caller's to write.
+func borrowedView(g *graph.Digraph) *View {
+	nodes := g.Nodes()
+	v := &View{Known: model.NewIDSet(nodes...), PD: make(map[model.ID]model.IDSet, len(nodes))}
+	for _, u := range nodes {
+		v.PD[u] = g.OutSet(u)
+	}
+	return v
+}
+
 // Received returns S_received (processes whose PDs are present).
 func (v *View) Received() model.IDSet {
 	r := model.NewIDSet()

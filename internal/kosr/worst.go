@@ -57,15 +57,7 @@ func WorstPlacement(g *graph.Digraph, f int) (Placement, error) {
 		return Placement{}, fmt.Errorf("kosr: worst placement C(%d,%d) exceeds the enumeration cap %d", n, f, WorstEnumLimit)
 	}
 
-	// Known is placement-independent: correct processes eventually hear of
-	// every process (Byzantine ones included — correct PDs point at them).
-	known := model.NewIDSet(nodes...)
-	for _, u := range nodes {
-		for tgt := range g.OutSet(u) {
-			known.Add(tgt)
-		}
-	}
-
+	v := borrowedView(g)
 	se := NewSearcher()
 	byz := model.NewIDSet()
 	best := Placement{Margin: int(^uint(0) >> 1)} // +Inf until the first grade
@@ -74,7 +66,7 @@ func WorstPlacement(g *graph.Digraph, f int) (Placement, error) {
 		for _, i := range idx {
 			byz.Add(nodes[i])
 		}
-		m := placementMargin(se, g, nodes, known, byz)
+		m := placementMargin(se, g, v, byz)
 		if m < best.Margin {
 			best = Placement{Byz: byz.Clone(), Margin: m}
 		}
@@ -90,31 +82,31 @@ func WorstPlacement(g *graph.Digraph, f int) (Placement, error) {
 // is the per-subset quantity WorstPlacement minimizes, exported so sweeps and
 // tests can grade fixed placements (tail, sink) on the same scale.
 func PlacementMargin(g *graph.Digraph, byz model.IDSet) int {
-	nodes := g.Nodes()
-	known := model.NewIDSet(nodes...)
-	for _, u := range nodes {
-		for tgt := range g.OutSet(u) {
-			known.Add(tgt)
-		}
-	}
-	return placementMargin(NewSearcher(), g, nodes, known, byz)
+	return placementMargin(NewSearcher(), g, borrowedView(g), byz)
 }
 
-// placementMargin builds the correct-only view for one Byzantine subset and
-// runs the Core search on the shared searcher.
-func placementMargin(se *Searcher, g *graph.Digraph, nodes []model.ID, known model.IDSet, byz model.IDSet) int {
-	v := NewView()
-	for id := range known {
-		v.AddKnown(id)
+// placementMargin runs the Core search's g sweep on the shared searcher over
+// the correct-only view for one Byzantine subset. That view copies nothing:
+// it is v, g's borrowed full view, with the subset's records taken out for
+// the length of the call. Known stays whole — it is placement-independent:
+// correct processes eventually hear of every process, Byzantine ones
+// included, because correct PDs point at them.
+func placementMargin(se *Searcher, g *graph.Digraph, v *View, byz model.IDSet) int {
+	for u := range byz {
+		delete(v.PD, u)
 	}
-	for _, u := range nodes {
-		if !byz.Has(u) {
-			v.SetPD(u, g.OutSet(u))
+	defer func() {
+		for u := range byz {
+			if g.HasNode(u) {
+				v.PD[u] = g.OutSet(u)
+			}
 		}
-	}
+	}()
 	se.RebindPreserving(v)
-	if cand, ok := se.FindCore(v); ok {
-		return cand.G
+	for margin := v.MaxG(); margin >= 0; margin-- {
+		if cands, _ := se.collect(v, margin); len(cands) > 0 {
+			return margin
+		}
 	}
 	return -1
 }

@@ -35,6 +35,9 @@ func bruteWorst(g *graph.Digraph, f int) Placement {
 func TestWorstPlacementMatchesBruteForce(t *testing.T) {
 	rng := rand.New(rand.NewSource(61))
 	for name, g := range propertyGraphs(t, rng) {
+		// Every per-subset view holds the graph's own out-sets by reference:
+		// searching them must leave the graph as it was.
+		before := graph.PDMap(g)
 		for f := 0; f <= 3 && f <= g.NumNodes(); f++ {
 			got, err := WorstPlacement(g, f)
 			if err != nil {
@@ -48,6 +51,11 @@ func TestWorstPlacementMatchesBruteForce(t *testing.T) {
 			if !got.Byz.Equal(want.Byz) {
 				t.Fatalf("%s f=%d: placement %v, reference %v (margin %d)",
 					name, f, got.Byz, want.Byz, got.Margin)
+			}
+		}
+		for u, pd := range before {
+			if !g.OutSet(u).Equal(pd) {
+				t.Fatalf("%s: the searches changed OutSet(%v): %v, was %v", name, u, g.OutSet(u), pd)
 			}
 		}
 	}

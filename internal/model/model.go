@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/bits"
 	"slices"
+	"strconv"
 	"strings"
 )
 
@@ -170,17 +171,20 @@ func (s IDSet) String() string {
 	return "{" + strings.Join(parts, ",") + "}"
 }
 
-// Key returns a canonical string usable as a map key for memoization.
-func (s IDSet) Key() string {
-	ids := s.Sorted()
-	var b strings.Builder
+// Key returns a canonical string usable as a map key for memoization: the
+// members in ascending order, in decimal, comma-separated.
+func (s IDSet) Key() string { return string(AppendKey(nil, s.Sorted())) }
+
+// AppendKey appends the Key of the set whose members are ids, ascending, to
+// buf — for callers that hold a set as a sorted slice.
+func AppendKey(buf []byte, ids []ID) []byte {
 	for i, id := range ids {
 		if i > 0 {
-			b.WriteByte(',')
+			buf = append(buf, ',')
 		}
-		fmt.Fprintf(&b, "%d", uint64(id))
+		buf = strconv.AppendUint(buf, uint64(id), 10)
 	}
-	return b.String()
+	return buf
 }
 
 // IDIndex hands out dense indices 0, 1, 2… to IDs in insertion order, so the

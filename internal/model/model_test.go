@@ -182,6 +182,31 @@ func TestIDSetKeyCanonical(t *testing.T) {
 	}
 }
 
+// TestKeyPinned pins Key's text: members ascend numerically, in decimal,
+// comma-separated. The sink search orders its candidates by comparing these
+// strings — decimal-string order ("10,9…" sorts before "9"), not numeric
+// order, is what committee adoption depends on — so the rendering may get
+// faster but never different.
+func TestKeyPinned(t *testing.T) {
+	for _, tc := range []struct {
+		set  IDSet
+		want string
+	}{
+		{NewIDSet(), ""},
+		{NewIDSet(0), "0"},
+		{NewIDSet(7), "7"},
+		{NewIDSet(10, 9, 100), "9,10,100"},
+		{NewIDSet(math.MaxUint64, 1), "1,18446744073709551615"},
+	} {
+		if got := tc.set.Key(); got != tc.want {
+			t.Errorf("%v.Key() = %q, want %q", tc.set, got, tc.want)
+		}
+		if got := string(AppendKey([]byte("x"), tc.set.Sorted())); got != "x"+tc.want {
+			t.Errorf("AppendKey(\"x\", %v) = %q, want %q", tc.set, got, "x"+tc.want)
+		}
+	}
+}
+
 // TestIDIndexMatchesMap runs seeded insert/lookup scripts against a Go map:
 // indices come out 0, 1, 2… in insertion order, a repeated Insert returns the
 // index handed out the first time, a Lookup of anything never inserted
