@@ -1,7 +1,8 @@
 // Command cupd runs a BFT-CUP node over real TCP — the deployable twin of
 // the cupsim simulator. The same core.Node / discovery / pbft / rrbcast
 // stack the deterministic engine drives runs here on the netrt runtime:
-// length-prefixed wire-codec frames on per-peer reconnecting streams,
+// length-prefixed wire-codec frames on one reconnecting stream per pair of
+// processes (the lower ID dials, so -peers must name every higher one),
 // monotonic-clock timers, graceful shutdown on SIGINT/SIGTERM.
 //
 // Two modes:
@@ -178,6 +179,9 @@ func runNode(c *scenario.Compiled, seed int64, id model.ID, listen, peersFlag st
 	fmt.Printf("metrics   : %d messages sent, %d bytes\n", rn.Messages(), rn.Bytes())
 	if d := rn.Dropped(); d != 0 {
 		fmt.Printf("dropped   : %d sends on full outbound queues\n", d)
+	}
+	if r := rn.Rejected(); r != 0 {
+		fmt.Printf("rejected  : %d inbound streams closed for what they carried\n", r)
 	}
 	rn.Stop()
 	os.Exit(exit)

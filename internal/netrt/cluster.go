@@ -5,14 +5,14 @@ import (
 	"errors"
 	"fmt"
 	"net"
-	"time"
+	"slices"
 
 	"github.com/bftcup/bftcup/internal/model"
 	"github.com/bftcup/bftcup/internal/rt"
 )
 
 // errPeerNotReady is returned by the pipe dialer while the target node has
-// not started yet; the sender's backoff loop retries.
+// not started yet; the writer's backoff loop retries.
 var errPeerNotReady = errors.New("netrt: peer not started")
 
 // ClusterConfig parameterizes an in-process cluster.
@@ -32,8 +32,8 @@ type ClusterConfig struct {
 }
 
 // Cluster is a fully-connected in-process network of Nodes — the "multi-cupd
-// localhost cluster" harness: every node maintains real outbound streams to
-// every other, over localhost TCP sockets or net.Pipe.
+// localhost cluster" harness: every pair of nodes shares one real stream,
+// over localhost TCP sockets or net.Pipe, dialed by the lower ID of the two.
 type Cluster struct {
 	Nodes  map[model.ID]*Node
 	ids    []model.ID
@@ -46,14 +46,12 @@ func NewCluster(ctx context.Context, ids []model.ID, mk func(id model.ID) rt.Rea
 	ctx, cancel := context.WithCancel(ctx)
 	c := &Cluster{Nodes: make(map[model.ID]*Node, len(ids)), ids: append([]model.ID(nil), ids...), cancel: cancel}
 
-	var listeners map[model.ID]net.Listener
-	var addrs map[model.ID]string
+	var listeners map[model.ID]*net.TCPListener
 	usePipe := cc.Transport == "pipe"
 	if !usePipe {
-		listeners = make(map[model.ID]net.Listener, len(ids))
-		addrs = make(map[model.ID]string, len(ids))
+		listeners = make(map[model.ID]*net.TCPListener, len(ids))
 		for _, id := range ids {
-			ln, err := net.Listen("tcp", "127.0.0.1:0")
+			ln, err := net.ListenTCP("tcp", &net.TCPAddr{IP: net.IPv4(127, 0, 0, 1)})
 			if err != nil {
 				for _, l := range listeners {
 					l.Close()
@@ -62,7 +60,6 @@ func NewCluster(ctx context.Context, ids []model.ID, mk func(id model.ID) rt.Rea
 				return nil, fmt.Errorf("netrt: listen for node %v: %w", id, err)
 			}
 			listeners[id] = ln
-			addrs[id] = ln.Addr().String()
 		}
 	}
 
@@ -91,25 +88,33 @@ func NewCluster(ctx context.Context, ids []model.ID, mk func(id model.ID) rt.Rea
 			}
 		} else {
 			cfg.Dial = func(dctx context.Context, peer model.ID) (net.Conn, error) {
-				addr, ok := addrs[peer]
+				ln, ok := listeners[peer]
 				if !ok {
 					return nil, fmt.Errorf("netrt: no address for peer %v", peer)
 				}
-				d := net.Dialer{Timeout: 2 * time.Second}
-				return d.DialContext(dctx, "tcp", addr)
+				// The listener's own address, as it is: a loopback connect
+				// completes or is refused at once, so there is nothing for a
+				// timeout or the context to cut short.
+				conn, err := net.DialTCP("tcp", nil, ln.Addr().(*net.TCPAddr))
+				if err != nil {
+					return nil, err
+				}
+				return conn, nil
 			}
 		}
 		c.Nodes[id] = NewNode(cfg, mk(id))
 	}
 
-	// Start every node before any stream comes up: a dialed node must have a
-	// live event loop (pipe dials to an unstarted node are refused and
-	// retried; TCP dials would connect to the listener backlog).
-	for _, id := range ids {
+	// Highest ID first: a node dials only IDs above its own, so by the time
+	// its writers start, every node they dial is running and — over TCP —
+	// already accepting. No dial is refused and retried, none waits in a
+	// listener's backlog.
+	order := slices.Clone(ids)
+	slices.Sort(order)
+	slices.Reverse(order)
+	for _, id := range order {
 		c.Nodes[id].Start(ctx)
-	}
-	if !usePipe {
-		for _, id := range ids {
+		if !usePipe {
 			c.Nodes[id].Serve(listeners[id])
 		}
 	}
@@ -133,6 +138,10 @@ func (c *Cluster) Bytes() int64 { return c.total((*Node).Bytes) }
 // Dropped totals the sends discarded on full outbound queues across the
 // cluster.
 func (c *Cluster) Dropped() int64 { return c.total((*Node).Dropped) }
+
+// Rejected totals the streams closed for what they carried across the
+// cluster.
+func (c *Cluster) Rejected() int64 { return c.total((*Node).Rejected) }
 
 // total sums one per-node counter over the cluster.
 func (c *Cluster) total(counter func(*Node) int64) int64 {

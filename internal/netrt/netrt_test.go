@@ -133,15 +133,75 @@ func TestClusterDelayHook(t *testing.T) {
 	waitRecv(t, r1.got, recvd{2, "pong"})
 }
 
+// seenReactor records how often each (sender, payload) arrived.
+type seenReactor struct {
+	mu   sync.Mutex
+	seen map[recvd]int
+}
+
+func (r *seenReactor) Init(rt.Context) {}
+
+func (r *seenReactor) Receive(_ rt.Context, from model.ID, payload []byte) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if r.seen == nil {
+		r.seen = make(map[recvd]int)
+	}
+	r.seen[recvd{from, string(payload)}]++
+}
+
+func (r *seenReactor) Timer(rt.Context, uint64) {}
+
+func (r *seenReactor) has(m recvd) bool {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.seen[m] > 0
+}
+
+// streamState reports how many streams p has had and whether one is up.
+func streamState(p *peer) (gen uint64, up bool) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.gen, p.conn != nil
+}
+
+// eventually polls cond until it holds, failing the test after 10 s; step,
+// when non-nil, runs before every poll (a retransmission, typically).
+func eventually(t *testing.T, what string, step func(), cond func() bool) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		if step != nil {
+			step()
+		}
+		if cond() {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting for %s", what)
+		}
+		time.Sleep(2 * time.Millisecond)
+	}
+}
+
 // TestAdversarialInboundStreams throws hostile byte streams at a serving
-// node: oversized length prefixes, overflowing varints, truncated frames and
-// mid-frame disconnects must each kill only their own connection — a
-// well-behaved peer connecting afterwards still gets through.
+// node: oversized length prefixes, overflowing varints, truncated frames,
+// mid-frame disconnects and hellos claiming an ID that may not dial it (a
+// stranger's, its own, a higher peer's) must each kill only their own
+// connection and — where it is the bytes that are wrong, not the connection
+// that went away — be counted in Rejected. A well-behaved lower peer
+// connecting afterwards still gets through, in both directions over its one
+// stream, and a hostile stream arriving while that one is up does not
+// disturb it.
 func TestAdversarialInboundStreams(t *testing.T) {
 	r := &pingReactor{got: make(chan recvd, 16)}
-	n := NewNode(Config{ID: 1, Dial: func(context.Context, model.ID) (net.Conn, error) {
-		return nil, errPeerNotReady
-	}}, r)
+	n := NewNode(Config{
+		ID:    9,
+		Peers: []model.ID{2, 9, 12},
+		Dial: func(context.Context, model.ID) (net.Conn, error) {
+			return nil, errPeerNotReady // 12 never comes up
+		},
+	}, r)
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -151,123 +211,210 @@ func TestAdversarialInboundStreams(t *testing.T) {
 	n.Serve(ln)
 	addr := ln.Addr().String()
 
-	send := func(raw []byte) {
+	dial := func() net.Conn {
 		t.Helper()
 		c, err := net.Dial("tcp", addr)
 		if err != nil {
 			t.Fatal(err)
 		}
+		return c
+	}
+	// refused writes raw and waits for the node to hang up on it.
+	refused := func(what string, raw []byte) {
+		t.Helper()
+		c := dial()
+		defer c.Close()
+		c.Write(raw)
+		c.SetReadDeadline(time.Now().Add(10 * time.Second))
+		if m, err := c.Read(make([]byte, 1)); err == nil || m != 0 {
+			t.Fatalf("%s: read %d bytes, err %v; want the node to close the stream", what, m, err)
+		} else if ne, ok := err.(net.Error); ok && ne.Timeout() {
+			t.Fatalf("%s: the node kept the stream open", what)
+		}
+	}
+	// abandoned writes raw and hangs up itself.
+	abandoned := func(raw []byte) {
+		t.Helper()
+		c := dial()
 		c.Write(raw)
 		c.Close()
 	}
+	helloFrame := func(id model.ID, trailing ...byte) []byte {
+		var b bytes.Buffer
+		WriteFrame(&b, append(encodeHello(id), trailing...))
+		return b.Bytes()
+	}
 
-	var hello bytes.Buffer
-	WriteFrame(&hello, encodeHello(2))
-
-	// Oversized length prefix instead of a hello.
 	var over [binary.MaxVarintLen64]byte
 	m := binary.PutUvarint(over[:], 1<<40)
-	send(over[:m])
-	// Varint that never terminates.
-	send(bytes.Repeat([]byte{0x80}, 16))
+	refused("oversized length prefix instead of a hello", over[:m])
+	refused("varint that never terminates", bytes.Repeat([]byte{0x80}, 16))
+	refused("hello frame with trailing garbage inside the frame", helloFrame(2, 0xff))
+	refused("hello from an ID outside Peers", helloFrame(7))
+	refused("hello claiming the node's own ID", helloFrame(9))
+	refused("hello from a higher peer, which the node dials itself", helloFrame(12))
+	const wantRejected = 6
 	// Valid hello, then a frame that promises 1000 bytes and disconnects
-	// mid-payload.
-	var mid bytes.Buffer
-	mid.Write(hello.Bytes())
+	// mid-payload; and a truncated hello prefix. Disconnects, not violations.
 	var hdr [binary.MaxVarintLen64]byte
 	m = binary.PutUvarint(hdr[:], 1000)
-	mid.Write(hdr[:m])
-	mid.Write(bytes.Repeat([]byte{0xcc}, 17))
-	send(mid.Bytes())
-	// Truncated hello prefix.
-	send([]byte{0x82})
-	// Hello frame with trailing garbage inside the frame.
-	var bad bytes.Buffer
-	WriteFrame(&bad, append(encodeHello(2), 0xff))
-	send(bad.Bytes())
+	abandoned(append(append(helloFrame(2), hdr[:m]...), bytes.Repeat([]byte{0xcc}, 17)...))
+	abandoned([]byte{0x82})
+	// The first of the two was peer 2's stream for as long as it lasted; see
+	// it come and go before the real one, or it could displace that.
+	eventually(t, "the abandoned stream to be adopted and dropped", nil, func() bool {
+		gen, up := streamState(n.peers[2])
+		return gen == 1 && !up
+	})
 
-	// A well-behaved connection still works.
-	c, err := net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
-	}
+	// A well-behaved lower peer still gets through, and the node's own
+	// frames for it come back down the same connection.
+	c := dial()
 	defer c.Close()
-	bw := bufio.NewWriter(c)
-	if err := WriteFrame(bw, encodeHello(2)); err != nil {
-		t.Fatal(err)
+	bw, br := bufio.NewWriter(c), bufio.NewReader(c)
+	say := func(payload string) {
+		t.Helper()
+		if err := WriteFrame(bw, []byte(payload)); err != nil {
+			t.Fatal(err)
+		}
+		if err := bw.Flush(); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if err := WriteFrame(bw, []byte("after the storm")); err != nil {
-		t.Fatal(err)
+	hear := func(want string) {
+		t.Helper()
+		c.SetReadDeadline(time.Now().Add(10 * time.Second))
+		got, err := ReadFrame(br, nil, 0)
+		if err != nil || string(got) != want {
+			t.Fatalf("read %q, %v from the node; want %q", got, err, want)
+		}
 	}
-	if err := bw.Flush(); err != nil {
-		t.Fatal(err)
-	}
+	bw.Write(helloFrame(2))
+	say("after the storm")
 	waitRecv(t, r.got, recvd{2, "after the storm"})
+	ctx := &nodeCtx{n: n}
+	ctx.Send(2, []byte("and back"))
+	hear("and back")
+
+	// More of the same while that stream is up: it must not notice.
+	refused("hello from a stranger, while a good stream is up", helloFrame(7))
+	refused("oversized prefix, while a good stream is up", over[:binary.PutUvarint(over[:], 1<<40)])
+	say("still here")
+	waitRecv(t, r.got, recvd{2, "still here"})
+	ctx.Send(2, []byte("so am I"))
+	hear("so am I")
+
+	// An oversized frame on the adopted stream itself is a violation too,
+	// and ends that stream.
+	bw.Write(over[:binary.PutUvarint(over[:], 1<<40)])
+	bw.Flush()
+	c.SetReadDeadline(time.Now().Add(10 * time.Second))
+	if _, err := ReadFrame(br, nil, 0); err == nil {
+		t.Fatal("the node kept a stream that announced a 1 TiB frame")
+	}
+	if got := n.Rejected(); got != wantRejected+3 {
+		t.Fatalf("Rejected() = %d, want %d", got, wantRejected+3)
+	}
+	if n.Dropped() != 0 {
+		t.Fatalf("Dropped() = %d, want 0", n.Dropped())
+	}
 }
 
-// TestSenderReconnects kills the accepted side of a live stream and checks
-// the dialer re-establishes it and later messages flow.
+// TestSenderReconnects cuts a live stream, from the dialing node's end and
+// from the accepting node's end, and checks that the lower ID — and only it —
+// dials again, once, and that messages sent after the cut then flow in both
+// directions over the new stream.
 func TestSenderReconnects(t *testing.T) {
-	r2 := &pingReactor{got: make(chan recvd, 16)}
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	addr := ln.Addr().String()
-	n2 := NewNode(Config{ID: 2, Dial: func(context.Context, model.ID) (net.Conn, error) {
-		return nil, errPeerNotReady
-	}}, r2)
-	n2.Start(context.Background())
-	defer n2.Stop()
-
-	r1 := &pingReactor{got: make(chan recvd, 16)}
-	n1 := NewNode(Config{
-		ID:    1,
-		Peers: []model.ID{2},
-		Dial: func(dctx context.Context, peer model.ID) (net.Conn, error) {
-			d := net.Dialer{Timeout: time.Second}
-			return d.DialContext(dctx, "tcp", addr)
-		},
-		RedialBackoff: time.Millisecond,
-	}, r1)
-	n1.Start(context.Background())
-	defer n1.Stop()
-
-	// Slam the first accepted stream shut — whatever n1 had queued on it is
-	// lost — then serve subsequent conns properly; n1 must redial.
-	first, err := ln.Accept()
-	if err != nil {
-		t.Fatal(err)
-	}
-	first.Close()
-	go func() {
-		for {
-			c, err := ln.Accept()
+	for _, cutAt := range []string{"dialer", "acceptor"} {
+		cutAt := cutAt
+		t.Run("cut at "+cutAt, func(t *testing.T) {
+			ln, err := net.Listen("tcp", "127.0.0.1:0")
 			if err != nil {
-				return
+				t.Fatal(err)
 			}
-			n2.ServeConn(c)
-		}
-	}()
-	defer ln.Close()
+			defer ln.Close()
+			addr := ln.Addr().String()
 
-	deadline := time.After(10 * time.Second)
-	tick := time.NewTicker(10 * time.Millisecond)
-	defer tick.Stop()
-	ctx := &nodeCtx{n: n1}
-	for {
-		select {
-		case got := <-r2.got:
-			if got.payload != "are you there" {
-				t.Fatalf("unexpected payload %q", got.payload)
+			// Both ends of every stream the pair brings up, in order.
+			var mu sync.Mutex
+			var dialed, accepted []net.Conn
+			streams := func() (d, a int) {
+				mu.Lock()
+				defer mu.Unlock()
+				return len(dialed), len(accepted)
 			}
-			return
-		case <-tick.C:
-			// Retransmit until a post-reconnect stream carries one through.
-			ctx.Send(2, []byte("are you there"))
-		case <-deadline:
-			t.Fatal("message never arrived after reconnect")
-		}
+
+			r2 := &seenReactor{}
+			n2 := NewNode(Config{ID: 2, Peers: []model.ID{1}, Dial: func(context.Context, model.ID) (net.Conn, error) {
+				t.Error("the higher ID dialed")
+				return nil, errPeerNotReady
+			}}, r2)
+			n2.Start(context.Background())
+			defer n2.Stop()
+			go func() {
+				for {
+					c, err := ln.Accept()
+					if err != nil {
+						return
+					}
+					mu.Lock()
+					accepted = append(accepted, c)
+					mu.Unlock()
+					n2.ServeConn(c)
+				}
+			}()
+
+			r1 := &seenReactor{}
+			n1 := NewNode(Config{
+				ID:    1,
+				Peers: []model.ID{2},
+				Dial: func(dctx context.Context, peer model.ID) (net.Conn, error) {
+					d := net.Dialer{Timeout: time.Second}
+					c, err := d.DialContext(dctx, "tcp", addr)
+					if err == nil {
+						mu.Lock()
+						dialed = append(dialed, c)
+						mu.Unlock()
+					}
+					return c, err
+				},
+				RedialBackoff: time.Millisecond,
+			}, r1)
+			n1.Start(context.Background())
+			defer n1.Stop()
+
+			// exchange retransmits payload both ways until both sides have it:
+			// whatever was in flight when a stream died stays lost.
+			ctx1, ctx2 := &nodeCtx{n: n1}, &nodeCtx{n: n2}
+			exchange := func(payload string) {
+				t.Helper()
+				eventually(t, payload+" in both directions", func() {
+					ctx1.Send(2, []byte(payload))
+					ctx2.Send(1, []byte(payload))
+				}, func() bool {
+					return r2.has(recvd{1, payload}) && r1.has(recvd{2, payload})
+				})
+			}
+			exchange("before the cut")
+			if d, a := streams(); d != 1 || a != 1 {
+				t.Fatalf("%d dials, %d accepts before the cut; want one stream", d, a)
+			}
+
+			mu.Lock()
+			if cutAt == "dialer" {
+				dialed[0].Close()
+			} else {
+				accepted[0].Close()
+			}
+			mu.Unlock()
+			exchange("after the cut")
+			if d, a := streams(); d != 2 || a != 2 {
+				t.Fatalf("%d dials, %d accepts after one cut; want exactly one redial", d, a)
+			}
+			if n1.Rejected() != 0 || n2.Rejected() != 0 {
+				t.Fatalf("Rejected() = %d and %d, want 0", n1.Rejected(), n2.Rejected())
+			}
+		})
 	}
 }
 
@@ -367,15 +514,19 @@ func TestStopIsIdempotentAndJoins(t *testing.T) {
 }
 
 func TestMailbox(t *testing.T) {
-	// FIFO from one producer.
+	// FIFO from one producer, handed over whole.
 	m := newMailbox()
 	const n = 100
 	for i := 0; i < n; i++ {
 		m.push(envelope{tag: uint64(i)})
 	}
-	for i := 0; i < n; i++ {
-		if e, ok := m.pop(); !ok || e.tag != uint64(i) {
-			t.Fatalf("pop %d = (tag %d, %t), want FIFO order", i, e.tag, ok)
+	batch, ok := m.take(nil)
+	if !ok || len(batch) != n {
+		t.Fatalf("take = (%d envelopes, %t), want all %d", len(batch), ok, n)
+	}
+	for i, e := range batch {
+		if e.tag != uint64(i) {
+			t.Fatalf("batch[%d] has tag %d, want FIFO order", i, e.tag)
 		}
 	}
 
@@ -391,11 +542,13 @@ func TestMailbox(t *testing.T) {
 	popped := make(chan int, 1)
 	go func() {
 		got := 0
+		var batch []envelope
 		for got < n {
-			if _, ok := m.pop(); !ok {
+			var ok bool
+			if batch, ok = m.take(batch); !ok {
 				break
 			}
-			got++
+			got += len(batch)
 		}
 		popped <- got
 	}()
@@ -412,14 +565,56 @@ func TestMailbox(t *testing.T) {
 	// Close drains what is queued, then reports closed; later pushes drop.
 	m.push(envelope{tag: 7})
 	m.close()
-	if e, ok := m.pop(); !ok || e.tag != 7 {
-		t.Fatalf("pop after close = (tag %d, %t), want the queued envelope", e.tag, ok)
+	if batch, ok := m.take(nil); !ok || len(batch) != 1 || batch[0].tag != 7 {
+		t.Fatalf("take after close = (%v, %t), want the queued envelope", batch, ok)
 	}
-	if _, ok := m.pop(); ok {
-		t.Fatal("pop on a closed, empty mailbox should report closed")
+	if _, ok := m.take(nil); ok {
+		t.Fatal("take on a closed, empty mailbox should report closed")
 	}
 	m.push(envelope{})
-	if _, ok := m.pop(); ok {
+	if _, ok := m.take(nil); ok {
 		t.Fatal("push after close was queued")
 	}
+
+	// Capacity: a steady trickle alternates between two small arrays and
+	// allocates nothing; the queue does not crawl forward through memory.
+	m = newMailbox()
+	batch = nil
+	cycle := func() {
+		for i := 0; i < 3; i++ {
+			m.push(envelope{tag: uint64(i)})
+		}
+		batch, _ = m.take(batch)
+	}
+	cycle()
+	cycle() // both arrays have met the backlog now
+	if allocs := testing.AllocsPerRun(1000, cycle); allocs != 0 {
+		t.Fatalf("a push/take cycle allocates %.1f times in steady state, want 0", allocs)
+	}
+	if cap(batch) > 4 || cap(m.queue) > 4 {
+		t.Fatalf("arrays grew to %d and %d slots for a backlog of 3", cap(batch), cap(m.queue))
+	}
+
+	// Retention: once a batch is handed back, no slot of either array still
+	// points at a delivered payload.
+	freed := make(chan struct{})
+	payload := make([]byte, 64)
+	runtime.SetFinalizer(&payload[0], func(*byte) { close(freed) })
+	m.push(envelope{payload: payload})
+	payload = nil
+	batch, _ = m.take(batch)
+	m.push(envelope{tag: 1})
+	batch, _ = m.take(batch) // hands the payload's batch back
+	deadline := time.After(10 * time.Second)
+	for collected := false; !collected; {
+		runtime.GC()
+		select {
+		case <-freed:
+			collected = true
+		case <-deadline:
+			t.Fatal("a delivered payload is still reachable from the mailbox")
+		case <-time.After(time.Millisecond):
+		}
+	}
+	runtime.KeepAlive(batch)
 }

@@ -113,6 +113,9 @@ func (r *Result) WriteText(w io.Writer, mode core.Mode, runtime string) {
 	if r.Dropped != 0 {
 		fmt.Fprintf(w, "dropped   : %d sends on full outbound queues\n", r.Dropped)
 	}
+	if r.Rejected != 0 {
+		fmt.Fprintf(w, "rejected  : %d inbound streams closed for what they carried\n", r.Rejected)
+	}
 	fmt.Fprintln(w)
 	fmt.Fprintln(w, "process  role       decision          committee")
 	for _, id := range sortedIDs(r.PerProcess) {

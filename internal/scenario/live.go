@@ -188,7 +188,8 @@ func (c *Compiled) RunLive(seed int64, opts LiveOptions) (*Result, error) {
 	mu.Lock()
 	defer mu.Unlock()
 	log.grade(c, res, log.allCorrectDecided())
-	res.Messages, res.Bytes, res.Dropped = cluster.Messages(), cluster.Bytes(), cluster.Dropped()
+	res.Messages, res.Bytes = cluster.Messages(), cluster.Bytes()
+	res.Dropped, res.Rejected = cluster.Dropped(), cluster.Rejected()
 	return res, nil
 }
 

@@ -121,8 +121,10 @@ type Result struct {
 	Bytes    int64
 	ByKind   map[byte]int64
 	// Dropped counts the sends a live run discarded on full outbound queues
-	// (netrt.Cluster.Dropped); the simulator has no such queue.
-	Dropped int64
+	// (netrt.Cluster.Dropped) and Rejected the streams it closed for what
+	// they carried (netrt.Cluster.Rejected); the simulator has neither.
+	Dropped  int64
+	Rejected int64
 	// Elapsed is the virtual time of the last correct decision (or the
 	// horizon when Termination fails).
 	Elapsed sim.Time
