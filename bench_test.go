@@ -12,7 +12,6 @@ package bftcup
 
 import (
 	"fmt"
-	"math/bits"
 	"math/rand"
 	"testing"
 
@@ -308,81 +307,6 @@ func BenchmarkOfflineChecks(b *testing.B) {
 			offlineSink += place.Margin + ext.FG
 		}
 	}
-}
-
-// BenchmarkKappaAtLeast measures the κ(G[S1]) ≥ k test under the sink search
-// (graph.PoolFlow, Even's probe schedule) on planted sinks of the GenKOSR
-// seed-9 family the search benchmarks use. `pass` is a whole m-node sink with
-// κ ≥ 4 planted: the full k(k−1) + 2(m−k) schedule. `fail` is the first
-// seeded m-subset of a 2m-node sink whose members all keep in- and out-degree
-// ≥ k while κ < k — the degree exit does not answer, the schedule has to find
-// the cut (skipped where 20,000 draws hold no such subset).
-func BenchmarkKappaAtLeast(b *testing.B) {
-	sinkRows := func(size int) []uint64 {
-		g, sink, err := graph.GenKOSR(rand.New(rand.NewSource(9)), graph.GenSpec{SinkSize: size, NonSinkSize: size / 2, K: 4, ExtraEdgeP: 0.2})
-		if err != nil {
-			b.Fatal(err)
-		}
-		pool := sink.Sorted()
-		rows := make([]uint64, len(pool))
-		for i, u := range pool {
-			for j, w := range pool {
-				if g.HasEdge(u, w) {
-					rows[i] |= 1 << j
-				}
-			}
-		}
-		return rows
-	}
-	var pf graph.PoolFlow
-	run := func(name string, rows []uint64, mask uint64, k int, want bool) {
-		b.Run(name, func(b *testing.B) {
-			if mask == 0 {
-				b.Skip("no such subset drawn")
-			}
-			pf.Reset(rows)
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if pf.KappaAtLeast(mask, k) != want {
-					b.Fatalf("κ ≥ %d is %v", k, !want)
-				}
-			}
-		})
-	}
-	for _, m := range []int{10, 15, 20} {
-		whole, double := sinkRows(m), sinkRows(2*m)
-		for _, k := range []int{2, 3, 4} {
-			run(fmt.Sprintf("m=%d/k=%d/pass", m, k), whole, 1<<m-1, k, true)
-			run(fmt.Sprintf("m=%d/k=%d/fail", m, k), double, failingSubset(&pf, double, m, k), k, false)
-		}
-	}
-}
-
-// failingSubset draws seeded m-subsets of the pool until one has every in-
-// and out-degree ≥ k and still κ < k; 0 if 20,000 draws hold none.
-func failingSubset(pf *graph.PoolFlow, rows []uint64, m, k int) uint64 {
-	pf.Reset(rows)
-	rng := rand.New(rand.NewSource(9))
-draw:
-	for try := 0; try < 20000; try++ {
-		var mask uint64
-		for _, i := range rng.Perm(len(rows))[:m] {
-			mask |= 1 << i
-		}
-		for i, row := range rows {
-			in := 0
-			for j, other := range rows {
-				in += int((other >> i) & (mask >> j) & 1)
-			}
-			if mask>>i&1 != 0 && (bits.OnesCount64(row&mask) < k || in < k) {
-				continue draw
-			}
-		}
-		if !pf.KappaAtLeast(mask, k) {
-			return mask
-		}
-	}
-	return 0
 }
 
 // BenchmarkStrongConnectivity measures the κ computation (Menger max-flow).

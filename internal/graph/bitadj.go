@@ -20,6 +20,7 @@ type BitAdjacency struct {
 	ids   []model.ID
 	words int
 	rows  []uint64 // n rows × words
+	cols  []uint64 // the transpose: row j holds j's in-neighbors
 }
 
 // Load snapshots g: nodes indexed in sorted-ID order, one bitset row of
@@ -34,17 +35,17 @@ func (b *BitAdjacency) Load(g *Digraph) {
 	b.words = (n + 63) / 64
 	need := n * b.words
 	if cap(b.rows) < need {
-		b.rows = make([]uint64, need)
+		b.rows, b.cols = make([]uint64, need), make([]uint64, need)
 	}
-	b.rows = b.rows[:need]
-	for i := range b.rows {
-		b.rows[i] = 0
-	}
+	b.rows, b.cols = b.rows[:need], b.cols[:need]
+	clear(b.rows)
+	clear(b.cols)
 	for i, u := range b.ids {
 		row := b.rows[i*b.words : (i+1)*b.words]
 		for v := range g.adj[u] {
 			if j, ok := b.Index(v); ok && v != u {
 				row[j>>6] |= 1 << (j & 63)
+				b.cols[j*b.words+i>>6] |= 1 << (i & 63)
 			}
 		}
 	}

@@ -3,6 +3,7 @@ package graph
 import (
 	"math"
 	"math/bits"
+	"slices"
 
 	"github.com/bftcup/bftcup/internal/model"
 )
@@ -46,8 +47,10 @@ type FlowScratch struct {
 	prev  []int32
 	queue []int32
 	seen  []uint64 // visited bitset for the BFS
+	sets  []uint64 // kStrong's member and earlier-member bitsets over row indices
 
-	probes int // flows run since the zero value; tests pin the schedule's cost with it
+	probes  int    // flows run since the zero value; tests pin the schedule's cost with it
+	skipped [3]int // flows exits 1, 2 and 3 made unnecessary
 }
 
 // Load snapshots g's adjacency and builds the split-graph residual template
@@ -93,6 +96,14 @@ func (sc *FlowScratch) Load(g *Digraph) {
 		sc.seen = make([]uint64, sc.words)
 	}
 	sc.seen = sc.seen[:sc.words]
+	sc.sets = slices.Grow(sc.sets[:0], 2*sc.adj.words)[:2*sc.adj.words]
+}
+
+// pairHolds reports k node-disjoint paths between the loaded nodes with
+// indices si and ti: read off the rows where exit 2 allows, else by flowPair.
+func (sc *FlowScratch) pairHolds(si, ti, k int) bool {
+	ex := degreeExits{sc.adj.rows, sc.adj.cols, sc.adj.words, &sc.skipped}
+	return ex.pair(si, ti, nil, k) || sc.flowPair(si, ti, k) >= k
 }
 
 // flowPair runs the bounded Edmonds-Karp max-flow between the loaded nodes
@@ -183,7 +194,9 @@ func (sc *FlowScratch) MaxNodeDisjointPaths(s, t model.ID, limit int) int {
 // HasKDisjointPaths reports whether there are at least k internally-node-
 // disjoint paths from s to t in the loaded graph.
 func (sc *FlowScratch) HasKDisjointPaths(s, t model.ID, k int) bool {
-	return k <= 0 || sc.MaxNodeDisjointPaths(s, t, k) >= k
+	si, ok1 := sc.adj.Index(s)
+	ti, ok2 := sc.adj.Index(t)
+	return k <= 0 || s != t && ok1 && ok2 && sc.pairHolds(si, ti, k)
 }
 
 // IsKStronglyConnected reports whether every ordered pair of distinct nodes
@@ -191,14 +204,15 @@ func (sc *FlowScratch) HasKDisjointPaths(s, t model.ID, k int) bool {
 // paper's definition of k-strong connectivity). Graphs with ≤ 1 node are
 // k-strongly connected for every k (vacuous quantification).
 //
-// Even's schedule (1975) decides it in k(k−1) + 2(n−k) flows, not n(n−1):
-// the first k nodes pairwise in both directions, then per later node v_j one
-// flow a → v_j and one v_j → b, the virtual source a pointing at, the virtual
-// sink b pointed at by, every earlier node. A separator C with |C| < k misses
-// one of the first k nodes, so the first node it cuts off from the earlier
-// survivors fails a pairwise probe or — each first hop out of a, each last hop
-// into b, lying in C or beyond it — a fan probe; ARCHITECTURE.md has the full
-// argument. a borrows out(v_j), idle while v_j is the sink; b borrows in(v_j).
+// Even's schedule (1975) decides it in k(k−1) + 2(n−k) probes, not n(n−1),
+// each a flow unless degreeExits answers it: the first k nodes pairwise in
+// both directions, then per later node v_j one a → v_j and one v_j → b, the
+// virtual source a pointing at, the virtual sink b pointed at by, every earlier
+// node. A separator C with |C| < k misses one of the first k nodes, so the
+// first node it cuts off from the earlier survivors fails a pairwise probe or
+// — each first hop out of a, each last hop into b, lying in C or beyond it — a
+// fan probe; ARCHITECTURE.md has the full argument. a borrows out(v_j), idle
+// while v_j is the sink; b borrows in(v_j).
 func (sc *FlowScratch) IsKStronglyConnected(k int) bool { return sc.kStrong(nil, k) }
 
 // kStrong is IsKStronglyConnected for the subgraph induced by members
@@ -220,26 +234,42 @@ func (sc *FlowScratch) kStrong(members []int32, k int) bool {
 		// edge ⇒ ≤ n-1 disjoint paths).
 		return false
 	}
+	// The degrees among the members may settle it either way.
+	ex, w := degreeExits{sc.adj.rows, sc.adj.cols, sc.adj.words, &sc.skipped}, sc.adj.words
+	set, earlier := sc.sets[:w], sc.sets[w:]
+	clear(sc.sets)
+	for j := 0; j < m; j++ {
+		set[at(j)>>6] |= 1 << (at(j) & 63)
+	}
+	if holds, decided := ex.whole(set, m, k); decided {
+		return holds
+	}
 	for j := 1; j < m; j++ {
 		vj := at(j)
+		earlier[at(j-1)>>6] |= 1 << (at(j-1) & 63)
 		if j < k {
 			for i := 0; i < j; i++ {
-				if sc.flowPair(at(i), vj, k) < k || sc.flowPair(vj, at(i), k) < k {
+				if !sc.pairHolds(at(i), vj, k) || !sc.pairHolds(vj, at(i), k) {
 					return false
 				}
 			}
 			continue
 		}
 		in, out := 2*vj, 2*vj+1
-		// a → v_j: out(v_j)'s row becomes in(v_0 … v_{j-1}).
-		copy(sc.resid, sc.base)
-		row := sc.resid[out*sc.words : (out+1)*sc.words]
-		clear(row)
-		for i := 0; i < j; i++ {
-			row[at(i)>>5] |= 1 << (2 * at(i) & 63)
+		if !ex.fan(ex.in, vj, earlier, k) {
+			// a → v_j: out(v_j)'s row becomes in(v_0 … v_{j-1}).
+			copy(sc.resid, sc.base)
+			row := sc.resid[out*sc.words : (out+1)*sc.words]
+			clear(row)
+			for i := 0; i < j; i++ {
+				row[at(i)>>5] |= 1 << (2 * at(i) & 63)
+			}
+			if sc.augment(vj, vj, k) < k {
+				return false
+			}
 		}
-		if sc.augment(vj, vj, k) < k {
-			return false
+		if ex.fan(ex.out, vj, earlier, k) {
+			continue
 		}
 		// v_j → b: in(v_j)'s column becomes out(v_0 … v_{j-1}).
 		copy(sc.resid, sc.base)
@@ -270,10 +300,13 @@ func (g *Digraph) HasKDisjointPaths(s, t model.ID, k int) bool {
 	return k <= 0 || g.MaxNodeDisjointPaths(s, t, k) >= k
 }
 
-// IsKStronglyConnected is FlowScratch.IsKStronglyConnected on a one-shot
-// snapshot of g, taken only when the degrees do not already decide.
+// IsKStronglyConnected is the definition read literally on a one-shot
+// snapshot of g: one bounded flow per ordered pair, no schedule and no degree
+// exit but κ ≤ δ⁰. Nothing on a hot path calls it — the tests and view.go's
+// literal predicates hold the two engines to it.
 func (g *Digraph) IsKStronglyConnected(k int) bool {
-	if k <= 0 || g.NumNodes() <= 1 {
+	n := g.NumNodes()
+	if k <= 0 || n <= 1 {
 		return true
 	}
 	if g.minDegree() < k {
@@ -281,7 +314,14 @@ func (g *Digraph) IsKStronglyConnected(k int) bool {
 	}
 	var sc FlowScratch
 	sc.Load(g)
-	return sc.IsKStronglyConnected(k)
+	for s := 0; s < n; s++ {
+		for t := 0; t < n; t++ {
+			if s != t && sc.flowPair(s, t, k) < k {
+				return false
+			}
+		}
+	}
+	return true
 }
 
 // minDegree returns the smallest in- or out-degree of g, an upper bound on κ.

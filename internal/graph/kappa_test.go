@@ -231,9 +231,83 @@ func TestKappaScheduleMatchesAllPairs(t *testing.T) {
 	}
 }
 
-// TestKappaProbeCount pins the schedule's cost: a passing verdict on m members
-// runs exactly k(k−1) + 2(m−k) flows in either engine — the count is
-// deterministic, so a slide back towards one flow per ordered pair fails here.
+// probeCost runs κ(G[members]) ≥ k in both engines — PoolFlow on the mask of a
+// pool made of all of g, FlowScratch on the induced graph — and returns the
+// verdict with the flows run and the flows each exit saved, which the engines
+// must agree on: same members in the same order, same rows.
+func probeCost(t *testing.T, g *Digraph, members model.IDSet, k int, tag string) (holds bool, probes int, skipped [3]int) {
+	t.Helper()
+	var sc FlowScratch
+	sc.Load(g.Induced(members))
+	holds = sc.IsKStronglyConnected(k)
+	var pf PoolFlow
+	pool := g.Nodes()
+	pf.Reset(poolRows(g, pool))
+	var mask uint64
+	for i, id := range pool {
+		if members.Has(id) {
+			mask |= 1 << i
+		}
+	}
+	if got := pf.KappaAtLeast(mask, k); got != holds || pf.probes != sc.probes || pf.skipped != sc.skipped {
+		t.Fatalf("%s, κ(%v) ≥ %d: PoolFlow says %v after %d flows, skipped %v; FlowScratch %v after %d, skipped %v",
+			tag, members, k, got, pf.probes, pf.skipped, holds, sc.probes, sc.skipped)
+	}
+	return holds, sc.probes, sc.skipped
+}
+
+// literalSkips counts, off the Digraph's own edge sets, the probes of Even's
+// schedule over g's nodes in ID order that exits 2 and 3 answer without a flow.
+func literalSkips(g *Digraph, k int) (pairs, fans int) {
+	ids := g.Nodes()
+	for j, v := range ids {
+		if j < k {
+			for _, u := range ids[:j] {
+				for _, st := range [][2]model.ID{{u, v}, {v, u}} {
+					short := 0
+					if g.HasEdge(st[0], st[1]) {
+						short++
+					}
+					for _, w := range g.Out(st[0]) {
+						if g.HasEdge(w, st[1]) {
+							short++
+						}
+					}
+					if short >= k {
+						pairs++
+					}
+				}
+			}
+			continue
+		}
+		into, from := 0, 0
+		for _, u := range ids[:j] {
+			if g.HasEdge(u, v) {
+				into++
+			}
+			if g.HasEdge(v, u) {
+				from++
+			}
+		}
+		if into >= k {
+			fans++
+		}
+		if from >= k {
+			fans++
+		}
+	}
+	return pairs, fans
+}
+
+// TestKappaProbeCount pins the schedule's cost, in both engines. A passing
+// verdict on m members accounts for exactly k(k−1) + 2(m−k) probes, each one a
+// flow run or a flow an exit saved — the count is deterministic, so a slide
+// back towards one flow per ordered pair fails here. Cliques cost no flow at
+// all (exit 1 fires); on every family no verdict costs more than the
+// schedule; and on sparse graphs, where exit 1 declines and exits 2 and 3 fire
+// exactly where the edge sets say they must, every other probe is still run.
+// No passing verdict gets below two saved probes: the last member's ≥ k in-
+// and out-neighbours are all earlier members, so its two fan probes never run.
 func TestKappaProbeCount(t *testing.T) {
 	for m := 2; m <= 12; m++ {
 		var ids []model.ID
@@ -241,26 +315,96 @@ func TestKappaProbeCount(t *testing.T) {
 			ids = append(ids, model.ID(3*i))
 		}
 		g := CompleteGraph(ids...)
-		var sc FlowScratch
-		sc.Load(g)
-		var pf PoolFlow
-		pf.Reset(poolRows(g, ids))
 		for k := 1; k < m; k++ {
-			want := k*(k-1) + 2*(m-k)
-			before := sc.probes
-			if !sc.IsKStronglyConnected(k) {
-				t.Fatalf("K%d is not %d-strongly connected", m, k)
+			holds, probes, skipped := probeCost(t, g, g.NodeSet(), k, fmt.Sprintf("K%d", m))
+			if !holds || probes != 0 || skipped != [3]int{k*(k-1) + 2*(m-k), 0, 0} {
+				t.Fatalf("κ(K%d) ≥ %d: %v after %d flows, skipped %v; want true after none, all saved by exit 1", m, k, holds, probes, skipped)
 			}
-			if got := sc.probes - before; got != want {
-				t.Fatalf("FlowScratch: κ(K%d) ≥ %d took %d flows, want k(k−1)+2(m−k) = %d", m, k, got, want)
+		}
+	}
+
+	for _, d := range propertyDefs(t) {
+		for seed := int64(1); seed <= 2; seed++ {
+			b, err := d.Build(seed)
+			if err != nil {
+				t.Fatalf("%s seed %d: %v", d, seed, err)
 			}
-			before = pf.probes
-			if !pf.KappaAtLeast(1<<m-1, k) {
-				t.Fatalf("PoolFlow: K%d is not %d-strongly connected", m, k)
+			subsets := []model.IDSet{b.G.NodeSet()}
+			for k := 1; k <= 4; k++ {
+				subsets = append(subsets, b.G.DirectedCore(k))
 			}
-			if got := pf.probes - before; got != want {
-				t.Fatalf("PoolFlow: κ(K%d) ≥ %d took %d flows, want k(k−1)+2(m−k) = %d", m, k, got, want)
+			for _, members := range subsets {
+				m := members.Len()
+				for k := 1; k <= 5 && k < m; k++ {
+					holds, probes, skipped := probeCost(t, b.G, members, k, fmt.Sprintf("%s seed %d", d, seed))
+					want := k*(k-1) + 2*(m-k)
+					if total := probes + skipped[0] + skipped[1] + skipped[2]; total > want || holds && total != want {
+						t.Fatalf("%s seed %d, κ(%v) ≥ %d = %v: %d flows + %v skipped, want k(k−1)+2(m−k) = %d",
+							d, seed, members, k, holds, probes, skipped, want)
+					}
+				}
 			}
+			if !d.UsesSeed() {
+				break
+			}
+		}
+	}
+
+	// Sparse and k-connected: the circulant i → i+1 … i+k on m ≥ 3k+2 nodes,
+	// in cyclic order and with its nodes dealt out by a stride, and the two-way
+	// circulant i ↔ i±1 … i±r (κ = 2r) in cyclic order — there only the last
+	// node's two fan probes are saved, the floor.
+	type sparse struct {
+		name string
+		g    *Digraph
+		k    int
+	}
+	var cases []sparse
+	for k := 1; k <= 4; k++ {
+		for m := 3*k + 2; m <= 14; m++ {
+			for _, stride := range []int{1, 3, 5} {
+				if m%stride == 0 {
+					continue
+				}
+				ids := make([]model.ID, m)
+				for i := range ids {
+					ids[i] = model.ID(1 + i*stride%m)
+				}
+				g := New()
+				circulant(g, ids, k)
+				cases = append(cases, sparse{fmt.Sprintf("circulant m=%d k=%d stride %d", m, k, stride), g, k})
+			}
+		}
+	}
+	for r := 1; r <= 3; r++ {
+		for m := 6*r + 2; m <= 6*r+5; m++ {
+			ids := make([]model.ID, m)
+			for i := range ids {
+				ids[i] = model.ID(1 + i)
+			}
+			g := New()
+			circulant(g, ids, r)
+			for _, u := range ids {
+				for _, v := range g.Out(u) {
+					g.AddEdge(v, u)
+				}
+			}
+			if pairs, fans := literalSkips(g, 2*r); pairs != 0 || fans != 2 {
+				t.Fatalf("two-way circulant m=%d r=%d: built so that only the last node's fan probes are saved, but %d pair and %d fan probes are", m, r, pairs, fans)
+			}
+			cases = append(cases, sparse{fmt.Sprintf("two-way circulant m=%d r=%d", m, r), g, 2 * r})
+		}
+	}
+	for _, c := range cases {
+		m := c.g.NumNodes()
+		pairs, fans := literalSkips(c.g, c.k)
+		holds, probes, skipped := probeCost(t, c.g, c.g.NodeSet(), c.k, c.name)
+		if want := c.k*(c.k-1) + 2*(m-c.k) - pairs - fans; !holds || probes != want || skipped != [3]int{0, pairs, fans} {
+			t.Fatalf("%s: κ ≥ %d is %v after %d flows, skipped %v; want true after k(k−1)+2(m−k) − %d − %d = %d, skipped [0 %d %d]",
+				c.name, c.k, holds, probes, skipped, pairs, fans, want, pairs, fans)
+		}
+		if !kappaAllPairs(c.g, c.k) || kappaAllPairs(c.g, c.k+1) {
+			t.Fatalf("%s: the oracle disagrees that κ = %d", c.name, c.k)
 		}
 	}
 }

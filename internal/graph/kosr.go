@@ -70,7 +70,7 @@ func CheckKOSR(g *Digraph, k int) KOSRReport {
 			continue
 		}
 		for _, v := range sink {
-			if k > 0 && flow.flowPair(u, int(v), k) < k {
+			if k > 0 && !flow.pairHolds(u, int(v), k) {
 				r.Reason = fmt.Sprintf("fewer than %d node-disjoint paths from %v to sink node %v", k, id, ids[v])
 				return r
 			}

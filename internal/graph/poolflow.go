@@ -14,9 +14,9 @@ import "math/bits"
 // residual row — and, as in FlowScratch, every residual capacity is 0/1. A
 // query spreads the subset's rows once, copies them before each probe, and
 // runs FlowScratch.IsKStronglyConnected's probe schedule over the members in
-// position order: k(k−1) + 2(m−k) flows for m members, the verdict of one
-// flow per ordered pair (the tests hold both engines to that loop on every
-// graph family). The zero value is ready; Reset rebinds it to a new pool.
+// position order: k(k−1) + 2(m−k) probes for m members (flows, but for what
+// degreeExits answers), the verdict of one flow per ordered pair (the tests
+// hold both engines to that loop). The zero value is ready; Reset rebinds it.
 type PoolFlow struct {
 	n    int
 	adj  [64]uint64 // out-rows within the pool (no self bits)
@@ -27,7 +27,8 @@ type PoolFlow struct {
 	prev  [128]int8
 	queue [128]int8
 
-	probes int // flows run since the zero value; tests pin the schedule's cost with it
+	probes  int    // flows run since the zero value; tests pin the schedule's cost with it
+	skipped [3]int // flows exits 1, 2 and 3 made unnecessary
 }
 
 // Reset binds the PoolFlow to a pool given by its adjacency rows: adj[i] has
@@ -57,7 +58,7 @@ func (pf *PoolFlow) Reset(adj []uint64) {
 // KappaAtLeast reports κ(G[S]) ≥ k for the subset S given as a mask over
 // pool positions, matching Digraph.IsKStronglyConnected on the induced
 // subgraph: vacuously true for |S| ≤ 1 or k ≤ 0, false for |S| ≤ k, then
-// min-degree rejection and the probe schedule.
+// the degrees where they decide and the probe schedule where they do not.
 func (pf *PoolFlow) KappaAtLeast(mask uint64, k int) bool {
 	if pf.n < 64 {
 		mask &= 1<<pf.n - 1
@@ -69,12 +70,10 @@ func (pf *PoolFlow) KappaAtLeast(mask uint64, k int) bool {
 	if m <= k {
 		return false
 	}
-	// κ ≤ min in/out degree within the subset.
-	for rest := mask; rest != 0; rest &= rest - 1 {
-		i := bits.TrailingZeros64(rest)
-		if bits.OnesCount64(pf.adj[i]&mask) < k || bits.OnesCount64(pf.radj[i]&mask) < k {
-			return false
-		}
+	// The degrees inside the subset may settle it either way.
+	ex, set := degreeExits{pf.adj[:pf.n], pf.radj[:pf.n], 1, &pf.skipped}, []uint64{mask}
+	if holds, decided := ex.whole(set, m, k); decided {
+		return holds
 	}
 	// The split graph restricted to mask (in(i) = 2i, out(i) = 2i+1). Rows of
 	// positions outside mask are never visited: no member's row points at them.
@@ -86,37 +85,42 @@ func (pf *PoolFlow) KappaAtLeast(mask uint64, k int) bool {
 		pf.base[2*out], pf.base[2*out+1] = spreadEven(pf.adj[i] & mask)
 	}
 	rows := 4 * bits.Len64(mask) // words up to the last member's out row
-	earlier := uint64(0)         // the members before v_j
+	earlier := []uint64{0}       // the members before v_j
 	for rest := mask; rest != 0; rest &= rest - 1 {
 		j := bits.TrailingZeros64(rest)
 		in, out := 2*j, 2*j+1
-		if bits.OnesCount64(earlier) < k {
-			for e := earlier; e != 0; e &= e - 1 {
+		earlier[0] = mask & (1<<j - 1)
+		if bits.OnesCount64(earlier[0]) < k {
+			for e := earlier[0]; e != 0; e &= e - 1 {
 				i := bits.TrailingZeros64(e)
-				if pf.flowPair(rows, i, j, k) < k || pf.flowPair(rows, j, i, k) < k {
+				if !ex.pair(i, j, set, k) && pf.flowPair(rows, i, j, k) < k ||
+					!ex.pair(j, i, set, k) && pf.flowPair(rows, j, i, k) < k {
 					return false
 				}
 			}
-		} else {
+			continue
+		}
+		if !ex.fan(ex.in, j, earlier, k) {
 			// a → v_j: out(v_j)'s row becomes in(earlier members).
 			copy(pf.resid[:rows], pf.base[:rows])
-			pf.resid[2*out], pf.resid[2*out+1] = spreadEven(earlier)
+			pf.resid[2*out], pf.resid[2*out+1] = spreadEven(earlier[0])
 			if pf.augment(j, j, k) < k {
 				return false
 			}
+		}
+		if !ex.fan(ex.out, j, earlier, k) {
 			// v_j → b: in(v_j)'s column becomes out(earlier members).
 			copy(pf.resid[:rows], pf.base[:rows])
 			for r := mask; r != 0; r &= r - 1 {
 				pf.resid[4*bits.TrailingZeros64(r)+2+in>>6] &^= 1 << (in & 63)
 			}
-			for e := earlier; e != 0; e &= e - 1 {
+			for e := earlier[0]; e != 0; e &= e - 1 {
 				pf.resid[4*bits.TrailingZeros64(e)+2+in>>6] |= 1 << (in & 63)
 			}
 			if pf.augment(j, j, k) < k {
 				return false
 			}
 		}
-		earlier |= 1 << j
 	}
 	return true
 }
