@@ -65,6 +65,7 @@ func (r *Registry) VerifyBatch(reqs []BatchRequest) []bool {
 		misses = append(misses, i)
 	}
 	r.mu.Lock()
+	r.stats.Asked += uint64(len(reqs))
 	w := 0
 	for _, i := range misses {
 		if v, hit := r.memo.get(keys[i]); hit {
@@ -74,6 +75,7 @@ func (r *Registry) VerifyBatch(reqs []BatchRequest) []bool {
 		misses[w] = i
 		w++
 	}
+	r.stats.MemoHits += uint64(len(misses) - w)
 	misses = misses[:w]
 	r.mu.Unlock()
 
@@ -88,6 +90,7 @@ func (r *Registry) VerifyBatch(reqs []BatchRequest) []bool {
 	}
 	// Pass 3: store every new answer under one lock acquisition.
 	r.mu.Lock()
+	r.stats.CurveOps += uint64(len(misses))
 	for _, i := range misses {
 		r.memo.put(keys[i], out[i])
 	}

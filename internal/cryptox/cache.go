@@ -79,6 +79,20 @@ func verifyKey(signer model.ID, msg, sig []byte) [sha256.Size]byte {
 	return out
 }
 
+// VerifyStats counts a Registry's work: every question is in Asked and was
+// answered from the memo (MemoHits), by an Ed25519 verification (CurveOps)
+// or, its signer being unknown, by neither; Seeded counts the verdicts the
+// registry's own signers stored ahead of any question.
+type VerifyStats struct{ Asked, MemoHits, CurveOps, Seeded uint64 }
+
+// Stats returns the counters; they are bumped under the lock acquisitions
+// Verify, VerifyBatch and seed make anyway.
+func (r *Registry) Stats() VerifyStats {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.stats
+}
+
 // keyringKey identifies one deterministic keyring: the generation seed plus
 // a fingerprint of the ID sequence (order matters — keys are drawn from one
 // RNG stream, so the same set in a different order yields different keys).

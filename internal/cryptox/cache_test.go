@@ -180,9 +180,11 @@ func TestMemoCacheBounded(t *testing.T) {
 
 // TestMemoConcurrentWorkers hammers one shared keyring — the exact sharing
 // the matrix worker pool produces — from many goroutines mixing valid and
-// invalid verifications and overlapping signings. Correctness is asserted
-// per operation; the race detector (CI runs the package under -race) checks
-// the locking.
+// invalid verifications and overlapping signings, while one goroutine per ID
+// signs a stream of fresh messages, so that Sign is seeding the verify memo
+// as the workers read and fill it through Verify and VerifyBatch.
+// Correctness is asserted per operation; the race detector (CI runs the
+// package under -race) checks the locking.
 func TestMemoConcurrentWorkers(t *testing.T) {
 	ids := []model.ID{1, 2, 3, 4}
 	signers, reg, err := Keyring(77, ids)
@@ -191,7 +193,28 @@ func TestMemoConcurrentWorkers(t *testing.T) {
 	}
 	const workers = 8
 	var wg sync.WaitGroup
-	errs := make(chan error, workers)
+	errs := make(chan error, workers+len(ids))
+	for _, id := range ids {
+		id := id
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 200; i++ {
+				msg := []byte(fmt.Sprintf("fresh %v/%d", id, i))
+				sig := signers[id].Sign(msg)
+				bad := append([]byte(nil), sig...)
+				bad[i%len(bad)] ^= 0x04
+				got := reg.VerifyBatch([]BatchRequest{
+					{Signer: id, Msg: msg, Sig: sig},
+					{Signer: id, Msg: msg, Sig: bad},
+				})
+				if !got[0] || got[1] {
+					errs <- fmt.Errorf("signer %v: fresh signature %t, corrupted %t", id, got[0], got[1])
+					return
+				}
+			}
+		}()
+	}
 	for w := 0; w < workers; w++ {
 		w := w
 		wg.Add(1)
@@ -212,8 +235,11 @@ func TestMemoConcurrentWorkers(t *testing.T) {
 					return
 				}
 				other := ids[(w+i+1)%len(ids)]
-				if other != id && reg.Verify(other, msg, sig) {
-					errs <- fmt.Errorf("worker %d: cross-signer signature accepted", w)
+				if got := reg.VerifyBatch([]BatchRequest{
+					{Signer: other, Msg: msg, Sig: sig},
+					{Signer: id, Msg: msg, Sig: sig},
+				}); got[0] || !got[1] {
+					errs <- fmt.Errorf("worker %d: batch answered cross-signer %t, own %t", w, got[0], got[1])
 					return
 				}
 			}

@@ -36,17 +36,23 @@ type Verifier interface {
 // (signer, msg, sig) question once per receiver per gossip round — the memo
 // answers every repeat with one hash instead of a curve operation, which is
 // what makes sweep throughput protocol-bound rather than signature-bound.
+// Its own keyring's signers seed the memo (see seed), so an honest signature
+// of theirs is a hit at first sight too.
 type Registry struct {
 	pubs map[model.ID]ed25519.PublicKey
 
-	mu   sync.Mutex
-	memo *memoCache[[sha256.Size]byte, bool]
+	mu    sync.Mutex
+	memo  *memoCache[[sha256.Size]byte, bool]
+	stats VerifyStats
 }
 
 // Verify implements Verifier.
 func (r *Registry) Verify(signer model.ID, msg, sig []byte) bool {
 	pub, ok := r.pubs[signer]
 	if !ok {
+		r.mu.Lock()
+		r.stats.Asked++
+		r.mu.Unlock()
 		return false
 	}
 	if r.memo == nil {
@@ -54,7 +60,11 @@ func (r *Registry) Verify(signer model.ID, msg, sig []byte) bool {
 	}
 	k := verifyKey(signer, msg, sig)
 	r.mu.Lock()
+	r.stats.Asked++
 	v, hit := r.memo.get(k)
+	if hit {
+		r.stats.MemoHits++
+	}
 	r.mu.Unlock()
 	if hit {
 		return v
@@ -63,9 +73,21 @@ func (r *Registry) Verify(signer model.ID, msg, sig []byte) bool {
 	// than serializing every curve operation.
 	v = ed25519.Verify(pub, msg, sig)
 	r.mu.Lock()
+	r.stats.CurveOps++
 	r.memo.put(k, v)
 	r.mu.Unlock()
 	return v
+}
+
+// seed stores the verdict "true" for a signature that one of this registry's
+// own signers (GenerateKeys registered the public half of its key) has just
+// produced; the package comment has the soundness argument.
+func (r *Registry) seed(signer model.ID, msg, sig []byte) {
+	k := verifyKey(signer, msg, sig)
+	r.mu.Lock()
+	r.stats.Seeded++
+	r.memo.put(k, true)
+	r.mu.Unlock()
 }
 
 // Has reports whether the registry knows signer's key.
@@ -80,10 +102,12 @@ func (r *Registry) Has(signer model.ID) bool {
 // gossip or protocol message, so the memo turns all but the first signing of
 // each distinct message into a map hit. Signers may be shared across
 // concurrently running simulations (the Keyring cache hands out one map per
-// (seed, ids)), hence the lock.
+// (seed, ids)), hence the lock. A fresh signature (a memo miss) also seeds
+// reg, the registry GenerateKeys built beside this signer.
 type edSigner struct {
 	id   model.ID
 	priv ed25519.PrivateKey
+	reg  *Registry
 
 	mu   sync.Mutex
 	memo *memoCache[string, []byte]
@@ -104,6 +128,8 @@ func (s *edSigner) Sign(msg []byte) []byte {
 	s.mu.Lock()
 	s.memo.put(string(msg), sig)
 	s.mu.Unlock()
+	// s.mu is released first: the two locks never nest.
+	s.reg.seed(s.id, msg, sig)
 	return append([]byte(nil), sig...)
 }
 
@@ -129,7 +155,7 @@ func GenerateKeys(seed int64, ids []model.ID) (map[model.ID]Signer, *Registry, e
 			return nil, nil, fmt.Errorf("cryptox: seeding key for %v: %w", id, err)
 		}
 		priv := ed25519.NewKeyFromSeed(seedBytes)
-		signers[id] = &edSigner{id: id, priv: priv, memo: newMemoCache[string, []byte](signMemoCap)}
+		signers[id] = &edSigner{id: id, priv: priv, reg: reg, memo: newMemoCache[string, []byte](signMemoCap)}
 		reg.pubs[id] = priv.Public().(ed25519.PublicKey)
 	}
 	return signers, reg, nil

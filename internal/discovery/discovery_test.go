@@ -139,6 +139,62 @@ func TestForgedRecordRejected(t *testing.T) {
 	}
 }
 
+// TestTamperedRecordCostsOneCurveOp pins that signature seeding has not
+// weakened the receipt check. The records of a SETPDS were all signed by the
+// keyring whose registry the receiver verifies with, so their verdicts are
+// seeded; one of them has a bit of its signature flipped on the way. That
+// record is dropped, the others are kept, and the registry pays exactly one
+// Ed25519 verification for it — on first receipt, after the same payload is
+// replayed by its sender (the replay memo's drop), and after a third process
+// relays an equal copy, which is walked and verified again (so it is the
+// verifier, not the replay memo, that keeps the record out).
+func TestTamperedRecordCostsOneCurveOp(t *testing.T) {
+	signers, reg, err := cryptox.GenerateKeys(1, []model.ID{1, 2, 3, 4, 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	mod := New(NewSignedPD(signers[1], model.NewIDSet(2, 3)), reg, DefaultConfig(), nil)
+	recs := []SignedPD{
+		NewSignedPD(signers[2], model.NewIDSet(1, 3)),
+		NewSignedPD(signers[3], model.NewIDSet(4)),
+		NewSignedPD(signers[4], model.NewIDSet(5)),
+		NewSignedPD(signers[5], model.NewIDSet(1)),
+	}
+	recs[2].Sig[17] ^= 0x10
+	payload := EncodeSetPDs(recs)
+
+	check := func(when string) {
+		t.Helper()
+		v := mod.View()
+		for _, owner := range []model.ID{2, 3, 5} {
+			if _, ok := v.PD[owner]; !ok {
+				t.Fatalf("%s: intact record of %v dropped", when, owner)
+			}
+		}
+		if _, ok := v.PD[4]; ok {
+			t.Fatalf("%s: record with a flipped signature bit accepted", when)
+		}
+		if got := reg.Stats().CurveOps; got != 1 {
+			t.Fatalf("%s: %d curve ops, want exactly 1 (the tampered record)", when, got)
+		}
+	}
+	mod.receiveRecords(2, payload)
+	check("first receipt")
+	if st := reg.Stats(); st.Asked != 4 || st.MemoHits != 3 {
+		t.Fatalf("first receipt: %+v, want 4 asked, 3 answered by their seeds", st)
+	}
+	mod.receiveRecords(2, payload)
+	check("sender's replay")
+	if got := reg.Stats().Asked; got != 4 {
+		t.Fatalf("replay from the same sender was walked again: %d questions", got)
+	}
+	mod.receiveRecords(3, bytes.Clone(payload))
+	check("relayed copy")
+	if st := reg.Stats(); st.Asked != 5 || st.MemoHits != 4 {
+		t.Fatalf("relayed copy: %+v, want the tampered record asked again and refused from the memo", st)
+	}
+}
+
 // First verified record wins for an equivocating owner.
 func TestEquivocationKeepsFirst(t *testing.T) {
 	signers, reg, err := cryptox.GenerateKeys(1, []model.ID{1, 2})
