@@ -106,9 +106,10 @@ func parseByzIDs(s string) (model.IDSet, error) {
 }
 
 // report writes the full validation report: the def line first (the format
-// contract the smoke test pins down), then the adjacency list and the
-// BFT-CUP / BFT-CUPFT verdicts. It returns false when the graph satisfies
-// neither model's requirements.
+// contract the smoke test pins down), then the adjacency list, the
+// BFT-CUP / BFT-CUPFT verdicts for the given byz set and the worst placement
+// of f Byzantine processes. It returns false when the graph satisfies neither
+// model's requirements.
 func report(w io.Writer, def graph.Def, g *graph.Digraph, byz model.IDSet, f int, seed int64) bool {
 	fmt.Fprintf(w, "def: %s seed=%d\n", def.String(), seed)
 	fmt.Fprintf(w, "# %d nodes, %d edges, byz=%v, f=%d\n", g.NumNodes(), g.NumEdges(), byz, f)
@@ -126,6 +127,13 @@ func report(w io.Writer, def graph.Def, g *graph.Digraph, byz model.IDSet, f int
 		fmt.Fprintf(w, "BFT-CUPFT : ✓ core of safe subgraph = %v (f_G=%d, connectivity %d)\n", ft.Core, ft.FG, ft.FG+1)
 	} else {
 		fmt.Fprintf(w, "BFT-CUPFT : ✗ %s\n", ft.Reason)
+	}
+	// The verdicts above hold for the byz set given; the theorems quantify
+	// over every f-subset, so show the one an optimal adversary would pick.
+	if worst, err := kosr.WorstPlacement(g, f); err != nil {
+		fmt.Fprintf(w, "worst placement (f=%d): %v\n", f, err)
+	} else {
+		fmt.Fprintf(w, "worst placement (f=%d): %v margin %d\n", f, worst.Byz, worst.Margin)
 	}
 	// Enumerate every sink of the full graph for insight.
 	ext := kosr.CheckExtendedKOSR(g, 1)

@@ -86,3 +86,28 @@ func TestBuildDefExtended(t *testing.T) {
 		t.Fatalf("missing BFT-CUPFT verdict:\n%s", out.String())
 	}
 }
+
+// TestReportWorstPlacement pins the line that looks past the byz set given:
+// Fig. 1b passes both models with its scripted p4 Byzantine, and the report
+// must still name the placement an optimal adversary would pick at each f.
+func TestReportWorstPlacement(t *testing.T) {
+	def, err := buildDef("", "fig1b", 0, 0, 0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	built, err := def.Build(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for f, want := range []string{
+		"worst placement (f=0): {} margin 1\n",
+		"worst placement (f=1): {p1} margin 1\n",
+		"worst placement (f=2): {p1,p2} margin -1\n",
+	} {
+		var out strings.Builder
+		report(&out, def, built.G, built.Byz, f, 1)
+		if !strings.Contains(out.String(), want) {
+			t.Fatalf("f=%d: report lacks %q:\n%s", f, want, out.String())
+		}
+	}
+}

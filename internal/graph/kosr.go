@@ -29,15 +29,21 @@ type KOSRReport struct {
 // (nodes in ascending-ID order): no subgraph is built, and the only set made
 // is the report's Sink.
 func CheckKOSR(g *Digraph, k int) KOSRReport {
+	var flow FlowScratch
+	return flow.CheckKOSR(g, k)
+}
+
+// CheckKOSR is the package-level CheckKOSR on the caller's scratch, which it
+// leaves loaded with g (an empty g aside) for the caller's own probes.
+func (sc *FlowScratch) CheckKOSR(g *Digraph, k int) KOSRReport {
 	r := KOSRReport{K: k}
 	if g.NumNodes() == 0 {
 		r.Reason = "empty graph"
 		return r
 	}
-	var flow FlowScratch
-	flow.Load(g)
-	ids := flow.adj.IDs()
-	start, adj := flow.adj.csr()
+	sc.Load(g)
+	ids := sc.adj.IDs()
+	start, adj := sc.adj.csr()
 	if !undirectedConnected(start, adj) {
 		r.Reason = "undirected counterpart is not connected"
 		return r
@@ -54,7 +60,7 @@ func CheckKOSR(g *Digraph, k int) KOSRReport {
 	}
 	// No edge leaves a sink component, which is what lets the κ schedule run
 	// on the whole graph's rows.
-	if !flow.kStrong(sink, k) {
+	if !sc.kStrong(sink, k) {
 		r.Reason = fmt.Sprintf("sink component %v is not %d-strongly connected", r.Sink, k)
 		return r
 	}
@@ -70,7 +76,7 @@ func CheckKOSR(g *Digraph, k int) KOSRReport {
 			continue
 		}
 		for _, v := range sink {
-			if k > 0 && !flow.pairHolds(u, int(v), k) {
+			if k > 0 && !sc.pairHolds(u, int(v), k) {
 				r.Reason = fmt.Sprintf("fewer than %d node-disjoint paths from %v to sink node %v", k, id, ids[v])
 				return r
 			}

@@ -35,7 +35,9 @@ type SinkInfo struct {
 // node through k_Gdi(Vcore) node-disjoint paths (C2).
 func CheckExtendedKOSR(gdi *graph.Digraph, k int) ExtendedReport {
 	r := ExtendedReport{K: k, Exact: true}
-	base := graph.CheckKOSR(gdi, k)
+	// One snapshot of gdi serves the base check and C2's pair probes.
+	var flow graph.FlowScratch
+	base := flow.CheckKOSR(gdi, k)
 	if !base.OK {
 		r.Reason = "not k-OSR: " + base.Reason
 		return r
@@ -99,8 +101,6 @@ func CheckExtendedKOSR(gdi *graph.Digraph, k int) ExtendedReport {
 	// C2: every non-core node reaches every core node through k_Gdi(Vcore)
 	// node-disjoint paths.
 	kCore := best + 1
-	var flow graph.FlowScratch
-	flow.Load(gdi)
 	coreNodes := core.Sorted()
 	for _, u := range gdi.Nodes() {
 		if core.Has(u) {

@@ -244,6 +244,17 @@ func (s *Searcher) refresh(v *View) {
 	s.rev, s.received, s.valid = v.rev, len(v.PD), true
 }
 
+// largestComponent decomposes v, which interns every process with a record in
+// it, and returns the size of its largest strongly connected component.
+func (s *Searcher) largestComponent(v *View) int {
+	s.refresh(v)
+	largest := 0
+	for _, c := range s.comps {
+		largest = max(largest, len(c.idx))
+	}
+	return largest
+}
+
 // setBit sets bit i of the bitset key growing at key[base:]. Growing on
 // demand keeps the key canonical: its last byte always has a bit set.
 func setBit(key []byte, base int, i int32) []byte {
@@ -412,6 +423,11 @@ func (s *Searcher) collect(v *View, g int) (pairs []cachedCand, exact bool) {
 	s.pairBuf = s.pairBuf[:0]
 	exact = true
 	for i := range s.comps {
+		if len(s.comps[i].idx) < 2*g+1 {
+			// P1 cannot hold inside it: nothing to find, nothing to memoize,
+			// and the (empty) answer is exact.
+			continue
+		}
 		ent := s.entryFor(v, g, &s.comps[i])
 		exact = exact && ent.exact
 		s.pairBuf = append(s.pairBuf, ent.cands...)
@@ -454,10 +470,6 @@ func (s *Searcher) entryFor(v *View, g int, comp *sccComp) *sccEntry {
 // that builds a Digraph).
 func (s *Searcher) searchComp(v *View, g int, comp *sccComp) *sccEntry {
 	e := &sccEntry{exact: true}
-	if len(comp.idx) < 2*g+1 {
-		// The peeled pool can only shrink.
-		return e
-	}
 	pool := s.peel(comp.idx, int32(g+1))
 	if len(pool) < 2*g+1 {
 		return e

@@ -247,26 +247,40 @@ func shiftedGraph(g *graph.Digraph, delta model.ID) *graph.Digraph {
 }
 
 // TestSearcherMemoKeysWellFormed pins where the per-SCC memo stores: after a
-// search every (g, component) pair of the decomposition must be found under
-// uvarint(g) ‖ component key, and nothing else may be in the map. searchComp's
-// subset enumeration reuses the key buffer, so a store that read the buffer
-// after the search would park the entry under the last subset's bare key,
-// where no lookup ever finds it — silently defeating the memo while every
-// result stays correct.
+// search every (g, component) pair of the decomposition that P1 allows must be
+// found under uvarint(g) ‖ component key, and nothing else may be in the map.
+// searchComp's subset enumeration reuses the key buffer, so a store that read
+// the buffer after the search would park the entry under the last subset's
+// bare key, where no lookup ever finds it — silently defeating the memo while
+// every result stays correct.
 func TestSearcherMemoKeysWellFormed(t *testing.T) {
 	v := FullView(graph.Fig1b().G)
 	se := NewSearcher()
+	want := 0
 	for g := 0; g <= 2; g++ {
 		se.SinksAtGExact(v, g)
-		if want := (g + 1) * len(se.comps); len(se.sccCands) != want {
-			t.Fatalf("after g=0..%d over %d components the per-SCC memo holds %d entries, want %d", g, len(se.comps), len(se.sccCands), want)
-		}
 		for _, comp := range se.comps {
 			key := append(binary.AppendUvarint(nil, uint64(g)), comp.key...)
-			if _, ok := se.sccCands[string(key)]; !ok {
-				t.Fatalf("g=%d component %v: no entry under its (g, component) key %x — stored under a clobbered key", g, comp.idx, key)
+			_, ok := se.sccCands[string(key)]
+			// collect never asks a component that P1 rules out (fewer than 2g+1
+			// members), so such a pair has no entry at all.
+			asked := len(comp.idx) >= 2*g+1
+			if asked {
+				want++
+			}
+			if ok != asked {
+				t.Fatalf("g=%d component %v: entry under its (g, component) key %x: %v, want %v — stored under a clobbered key, or a component too small for P1 was searched", g, comp.idx, key, ok, asked)
 			}
 		}
+		if len(se.sccCands) != want {
+			t.Fatalf("after g=0..%d over %d components the per-SCC memo holds %d entries, want %d", g, len(se.comps), len(se.sccCands), want)
+		}
+	}
+	// Fig. 1b decomposes into three components, of which one has three
+	// members or more and none has five: 3 entries at g = 0, 1 at g = 1, none
+	// at g = 2 (it was 3 per g while collect asked every component).
+	if want != 4 {
+		t.Fatalf("the per-SCC memo holds %d entries after g = 0..2, want 4", want)
 	}
 	if len(se.subsets) == 0 {
 		t.Fatal("no per-S1 verdict facts memoized")
@@ -274,6 +288,37 @@ func TestSearcherMemoKeysWellFormed(t *testing.T) {
 	for key := range se.subsets {
 		if key == "" || key[len(key)-1] == 0 {
 			t.Fatalf("per-S1 key %x is not canonical (empty or trailing zero byte)", key)
+		}
+	}
+}
+
+// TestCollectSizeSkipInvisible pins that collect loses nothing by not asking
+// the components P1 rules out: at every g, on every property graph and on one
+// whose sink searches structurally (exact = false), it returns the candidates
+// and the exact flag of the loop that asks every component. That the
+// candidates are the right ones is the all-subsets oracle's word
+// (TestSearcherMatchesBruteForce), not this loop's.
+func TestCollectSizeSkipInvisible(t *testing.T) {
+	graphs := propertyGraphs(t, rand.New(rand.NewSource(9)))
+	graphs["kosr:sink=24"] = buildDef(t, "kosr:sink=24,nonsink=4,k=3", 1)
+	for name, gr := range graphs {
+		v := FullView(gr)
+		se, all := NewSearcher(), NewSearcher()
+		all.refresh(v)
+		for g := v.MaxG() + 1; g >= 0; g-- {
+			var want []cachedCand
+			wantExact := true
+			for i := range all.comps {
+				ent := all.entryFor(v, g, &all.comps[i])
+				wantExact = wantExact && ent.exact
+				want = append(want, ent.cands...)
+			}
+			sortCands(want)
+			got, exact := se.collect(v, g)
+			if exact != wantExact || !slices.EqualFunc(got, want, func(a, b cachedCand) bool { return a.key == b.key }) {
+				t.Fatalf("%s g=%d: collect returned %d candidates, exact=%v; asking every component %d, exact=%v",
+					name, g, len(got), exact, len(want), wantExact)
+			}
 		}
 	}
 }
