@@ -135,11 +135,13 @@ func report(w io.Writer, def graph.Def, g *graph.Digraph, byz model.IDSet, f int
 	} else {
 		fmt.Fprintf(w, "worst placement (f=%d): %v margin %d\n", f, worst.Byz, worst.Margin)
 	}
-	// Enumerate every sink of the full graph for insight.
-	ext := kosr.CheckExtendedKOSR(g, 1)
-	if len(ext.Sinks) > 0 {
-		fmt.Fprintln(w, "sinks of the full graph (isSink*):")
-		for _, s := range ext.Sinks {
+	// Enumerate every sink of a 1-OSR full graph for insight.
+	if graph.CheckKOSR(g, 1).OK {
+		sinks, _ := kosr.SinkSets(g)
+		if len(sinks) > 0 {
+			fmt.Fprintln(w, "sinks of the full graph (isSink*):")
+		}
+		for _, s := range sinks {
 			fmt.Fprintf(w, "  %v  f_G=%d connectivity=%d\n", s.Members, s.FG, s.FG+1)
 		}
 	}

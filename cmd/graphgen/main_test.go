@@ -1,12 +1,64 @@
 package main
 
 import (
+	"flag"
+	"fmt"
+	"os"
 	"strings"
 	"testing"
 
 	"github.com/bftcup/bftcup/internal/graph"
 	"github.com/bftcup/bftcup/internal/model"
 )
+
+var update = flag.Bool("update", false, "rewrite golden files")
+
+// TestReportGolden pins the whole report, the catalogue of the full graph's
+// sinks included, on three inputs: Fig. 2c, whose catalogue holds
+// {p1,…,p8} at f_G=0, a set only a level below the core's finds; Fig. 3a,
+// where C2 fails and {p5,p7,p8} sits at f_G=1; and an Erdős–Rényi seed with
+// two sink components, which fails the 1-OSR gate and prints no catalogue.
+// Regenerate with -update only for a deliberate change of the report.
+func TestReportGolden(t *testing.T) {
+	var b strings.Builder
+	for _, c := range []struct {
+		def  string
+		seed int64
+	}{{"fig2c", 1}, {"fig3a", 1}, {"er:n=20,p=0.3", 2374}} {
+		def, err := graph.ParseDef(c.def)
+		if err != nil {
+			t.Fatal(err)
+		}
+		built, err := def.Build(c.seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		byz, f := built.Byz, built.F
+		if def.Kind != graph.DefFigure {
+			byz, f = model.NewIDSet(), 1
+		}
+		ok := report(&b, def, built.G, byz, f, c.seed)
+		fmt.Fprintf(&b, "ok=%v\n\n", ok)
+	}
+	if strings.Contains(b.String(), "{p1,p2,p3,p4,p5,p6,p7,p8}  f_G=0") == false ||
+		!strings.Contains(b.String(), "{p5,p7,p8}  f_G=1") || !strings.Contains(b.String(), "2 sink components") {
+		t.Fatalf("the three inputs no longer show what they were chosen for:\n%s", b.String())
+	}
+	const path = "testdata/report.golden"
+	if *update {
+		if err := os.WriteFile(path, []byte(b.String()), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("%v (run with -update to create)", err)
+	}
+	if got := b.String(); got != string(want) {
+		t.Fatalf("report differs from the recorded one:\n--- got\n%s--- want\n%s", got, want)
+	}
+}
 
 // TestReportFormat pins the output contract: first line is the
 // matrix-consumable def (with the seed), and the emitted def string parses

@@ -125,7 +125,8 @@ func kappaFuzzInput(g *Digraph, members model.IDSet) []byte {
 
 // FuzzKappaEngines holds the two κ engines, exits and all, to the literal
 // all-pairs oracle on arbitrary digraphs of up to 12 nodes and arbitrary
-// member subsets, for every k ≤ 5. The corpus seeds are kappa_test.go's
+// member subsets, for every k ≤ 5, and the fan (HasKFan) to the pair loop it
+// stands for at every k the members reach. The corpus seeds are kappa_test.go's
 // boundary graphs: cliques whole and minus an edge, a cut vertex, the
 // one-directional cuts, and exit 1's tight case.
 func FuzzKappaEngines(f *testing.F) {
@@ -162,20 +163,36 @@ func FuzzKappaEngines(f *testing.F) {
 		if len(data) < 3 {
 			return
 		}
-		n := 2 + int(data[0])%11
-		g := New()
-		members := model.NewIDSet()
-		for u := 0; u < n; u++ {
-			g.AddNode(model.ID(u + 1))
-			if (int(data[1])|int(data[2])<<8)>>u&1 != 0 {
-				members.Add(model.ID(u + 1))
-			}
-			for v := 0; v < n; v++ {
-				if at := 3 + (u*n+v)/8; at < len(data) && data[at]>>((u*n+v)%8)&1 != 0 {
-					g.AddEdge(model.ID(u+1), model.ID(v+1))
-				}
+		g, members := kappaFuzzGraph(data)
+		assertExitsExact(t, g, members, "fuzz")
+		if members.Len() == 0 {
+			return
+		}
+		var sc FlowScratch
+		sc.Load(g)
+		sub := g.Induced(members)
+		for k := 1; k <= 5 && kappaAllPairs(sub, k); k++ {
+			assertFanMatchesPairs(t, &sc, g, members, k, "fuzz")
+		}
+	})
+}
+
+// kappaFuzzGraph decodes kappaFuzzInput's encoding (len(data) ≥ 3; missing
+// adjacency bytes read as no edge).
+func kappaFuzzGraph(data []byte) (*Digraph, model.IDSet) {
+	n := 2 + int(data[0])%11
+	g := New()
+	members := model.NewIDSet()
+	for u := 0; u < n; u++ {
+		g.AddNode(model.ID(u + 1))
+		if (int(data[1])|int(data[2])<<8)>>u&1 != 0 {
+			members.Add(model.ID(u + 1))
+		}
+		for v := 0; v < n; v++ {
+			if at := 3 + (u*n+v)/8; at < len(data) && data[at]>>((u*n+v)%8)&1 != 0 {
+				g.AddEdge(model.ID(u+1), model.ID(v+1))
 			}
 		}
-		assertExitsExact(t, g, members, "fuzz")
-	})
+	}
+	return g, members
 }

@@ -22,8 +22,10 @@ const InfiniteConnectivity = math.MaxInt32
 // copy and the BFS arrays; buffers grow to the largest graph seen and are
 // reused, so a long-lived value stops allocating once warm. The Digraph
 // methods of the same names are load-then-probe one-shots; callers that
-// probe many pairs of one graph (CheckKOSR's fan-in condition,
-// CheckExtendedKOSR's C2) or many graphs in a row hold a FlowScratch instead.
+// probe one graph many times (CheckKOSR's fan-in condition and
+// CheckExtendedKOSR's C2, one fan per outside node — HasKFan — with pair
+// probes only where a fan fails) or many graphs in a row hold a FlowScratch
+// instead.
 // The zero value is ready and answers 0 before the first Load. One goroutine
 // per value.
 //
@@ -199,6 +201,56 @@ func (sc *FlowScratch) HasKDisjointPaths(s, t model.ID, k int) bool {
 	return k <= 0 || s != t && ok1 && ok2 && sc.pairHolds(si, ti, k)
 }
 
+// HasKFan reports whether the loaded graph has a k-fan from u into targets:
+// k paths out of u that share nothing but u and end at distinct targets. u
+// must not be a target. When G[targets] is k-strongly connected and has at
+// least k members, that holds exactly when u has k node-disjoint paths to
+// every target — and then also to every node that ≥ k targets point at
+// (Menger's fan lemma; ARCHITECTURE.md, "The κ probe schedule") — so one fan
+// answers what |targets| pair probes would. Targets unknown to the snapshot
+// are ignored; an unknown u has no fan.
+func (sc *FlowScratch) HasKFan(u model.ID, targets []model.ID, k int) bool {
+	if k <= 0 {
+		return true
+	}
+	ui, ok := sc.adj.Index(u)
+	if !ok {
+		return false
+	}
+	set := sc.sets[:sc.adj.words]
+	clear(set)
+	for _, t := range targets {
+		if ti, ok := sc.adj.Index(t); ok {
+			set[ti>>6] |= 1 << (ti & 63)
+		}
+	}
+	return sc.fanHolds(ui, set, k)
+}
+
+// fanHolds is HasKFan for the node with index ui and a target bitset over row
+// indices: read off u's out-row where exit 3 allows (k targets are out-
+// neighbours of u), else by fanFlow. kStrong's v_j → b probe is v_j's fan into
+// the earlier members.
+func (sc *FlowScratch) fanHolds(ui int, set []uint64, k int) bool {
+	ex := degreeExits{sc.adj.rows, sc.adj.cols, sc.adj.words, &sc.skipped}
+	return ex.fan(ex.out, ui, set, k) || sc.fanFlow(ui, set, k) >= k
+}
+
+// fanFlow is the flow behind a fan: out(ui) to in(ui), bounded by limit, after
+// in(ui)'s column is rewired to the targets' out-rows (in(ui) becomes the
+// virtual sink b that every target points at), so a path can only end by
+// leaving a target through its in(t)→out(t) arc — one path per target.
+func (sc *FlowScratch) fanFlow(ui int, set []uint64, limit int) int {
+	copy(sc.resid, sc.base)
+	in := 2 * ui
+	for i := 0; i < sc.adj.NumNodes(); i++ {
+		bit := set[i>>6] >> (i & 63) & 1
+		row := sc.resid[(2*i+1)*sc.words:]
+		row[in>>6] = row[in>>6]&^(1<<(in&63)) | bit<<(in&63)
+	}
+	return sc.augment(ui, ui, limit)
+}
+
 // IsKStronglyConnected reports whether every ordered pair of distinct nodes
 // of the loaded graph is joined by at least k node-disjoint paths (the
 // paper's definition of k-strong connectivity). Graphs with ≤ 1 node are
@@ -255,7 +307,7 @@ func (sc *FlowScratch) kStrong(members []int32, k int) bool {
 			}
 			continue
 		}
-		in, out := 2*vj, 2*vj+1
+		out := 2*vj + 1
 		if !ex.fan(ex.in, vj, earlier, k) {
 			// a → v_j: out(v_j)'s row becomes in(v_0 … v_{j-1}).
 			copy(sc.resid, sc.base)
@@ -268,18 +320,8 @@ func (sc *FlowScratch) kStrong(members []int32, k int) bool {
 				return false
 			}
 		}
-		if ex.fan(ex.out, vj, earlier, k) {
-			continue
-		}
-		// v_j → b: in(v_j)'s column becomes out(v_0 … v_{j-1}).
-		copy(sc.resid, sc.base)
-		for i := 0; i < n; i++ {
-			sc.resid[(2*i+1)*sc.words+in>>6] &^= 1 << (in & 63)
-		}
-		for i := 0; i < j; i++ {
-			sc.resid[(2*at(i)+1)*sc.words+in>>6] |= 1 << (in & 63)
-		}
-		if sc.augment(vj, vj, k) < k {
+		// v_j → b: v_j's fan into v_0 … v_{j-1}.
+		if !sc.fanHolds(vj, earlier, k) {
 			return false
 		}
 	}

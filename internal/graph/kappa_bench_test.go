@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/bits"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"github.com/bftcup/bftcup/internal/model"
@@ -96,4 +97,42 @@ draw:
 		}
 	}
 	return 0
+}
+
+// BenchmarkCheckKOSR measures CheckKOSR at k = F+1 on the five families of the
+// graph_check workload at seed 1 and reports `flows/op`: the κ schedule's
+// flows plus one fan flow per outside node that exit 3 does not answer. It is
+// a count and repeats exactly; a rise on the planted families means the fan or
+// its exit stopped answering. The unplanted families fail the base check at
+// F+1 before condition 4.
+func BenchmarkCheckKOSR(b *testing.B) {
+	for _, s := range []string{
+		"kosr:sink=15,nonsink=9,k=3,extra=0.2",
+		"extended:core=10,noncore=6,extra=0.2",
+		"er:n=20,p=0.3",
+		"geo:n=16,r=0.5",
+		"sf:n=20,m=4",
+	} {
+		d, err := ParseDef(s)
+		if err != nil {
+			b.Fatal(err)
+		}
+		built, err := d.Build(1)
+		if err != nil {
+			b.Fatal(err)
+		}
+		family, _, _ := strings.Cut(s, ":")
+		b.Run(family, func(b *testing.B) {
+			var sc FlowScratch
+			want := sc.CheckKOSR(built.G, built.F+1).OK
+			b.ReportAllocs()
+			before := sc.probes
+			for i := 0; i < b.N; i++ {
+				if sc.CheckKOSR(built.G, built.F+1).OK != want {
+					b.Fatal("verdict moved between runs")
+				}
+			}
+			b.ReportMetric(float64(sc.probes-before)/float64(b.N), "flows/op")
+		})
+	}
 }

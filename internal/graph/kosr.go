@@ -69,14 +69,21 @@ func (sc *FlowScratch) CheckKOSR(g *Digraph, k int) KOSRReport {
 	} else {
 		r.SinkConnectivity = k
 	}
-	// The fan-in condition probes |non-sink| × |sink| pairs on the residual
-	// template loaded above.
+	// The fan-in condition: the sink is k-strongly connected, so one k-fan into
+	// it per outside node decides it (HasKFan). A node whose fan fails is
+	// probed pair by pair, which names the Reason and covers a sink of fewer
+	// than k members, where no fan fits.
+	set := sc.sets[:sc.adj.words]
+	clear(set)
+	for _, i := range sink {
+		set[i>>6] |= 1 << (i & 63)
+	}
 	for u, id := range ids {
-		if r.Sink.Has(id) {
+		if k <= 0 || r.Sink.Has(id) || sc.fanHolds(u, set, k) {
 			continue
 		}
 		for _, v := range sink {
-			if k > 0 && !sc.pairHolds(u, int(v), k) {
+			if !sc.pairHolds(u, int(v), k) {
 				r.Reason = fmt.Sprintf("fewer than %d node-disjoint paths from %v to sink node %v", k, id, ids[v])
 				return r
 			}

@@ -245,11 +245,43 @@ func checkKOSRByDigraph(g *Digraph, k int) KOSRReport {
 	return r
 }
 
+// fanRoutes tallies, for every node outside a k-strongly connected sink, the
+// route condition 4 takes for it: exit 3, a fan flow that holds, or a failed
+// fan and the pair loop behind it, which holds (a sink of fewer than k
+// members) or names the Reason.
+func fanRoutes(g *Digraph, sink model.IDSet, k int, routes map[string]int) {
+	var sc FlowScratch
+	sc.Load(g)
+	set := make([]uint64, sc.adj.words)
+	var rows []int
+	for i, id := range g.Nodes() {
+		if sink.Has(id) {
+			set[i>>6] |= 1 << (i & 63)
+			rows = append(rows, i)
+		}
+	}
+	for ui, id := range g.Nodes() {
+		switch {
+		case sink.Has(id):
+		case andCount(sc.adj.Row(ui), set) >= k:
+			routes["fan: exit 3"]++
+		case sc.fanFlow(ui, set, k) >= k:
+			routes["fan: flow"]++
+		case pairsHold(&sc, ui, rows, k):
+			routes["no fan: pairs hold"]++
+		default:
+			routes["no fan: pairs fail"]++
+		}
+	}
+}
+
 // TestCheckKOSRMatchesDigraphRoute holds the dense CheckKOSR to the Digraph
 // route on 500 random graphs, field by field: planted k-OSR and extended
 // graphs with and without a damaged edge, and sparse to dense Erdős–Rényi
 // graphs on scattered IDs, which supply the disconnected, several-sink and
-// singleton-sink cases. Every exit of the checker must be taken.
+// singleton-sink cases. Every exit of the checker must be taken, and every
+// route of its fan-in condition: exit 3, a fan flow, and a failed fan whose
+// pair loop holds or fails.
 func TestCheckKOSRMatchesDigraphRoute(t *testing.T) {
 	rng := rand.New(rand.NewSource(20))
 	exits := map[string]int{}
@@ -310,12 +342,73 @@ func TestCheckKOSRMatchesDigraphRoute(t *testing.T) {
 			default:
 				exits[strings.Fields(got.Reason)[0]]++
 			}
+			if got.OK || strings.HasPrefix(got.Reason, "fewer") {
+				fanRoutes(g, got.Sink, k, exits)
+			}
 		}
 	}
-	for _, exit := range []string{"ok", "ok, singleton sink", "undirected", "condensation", "sink", "fewer"} {
+	for _, exit := range []string{"ok", "ok, singleton sink", "undirected", "condensation", "sink", "fewer",
+		"fan: exit 3", "fan: flow", "no fan: pairs hold", "no fan: pairs fail"} {
 		if exits[exit] == 0 {
 			t.Fatalf("no graph left the checker through %q: %v", exit, exits)
 		}
 	}
 	t.Logf("exits: %v", exits)
+}
+
+// TestCheckKOSRFanInFlows pins what CheckKOSR's fan-in condition costs over
+// seeds 1–20: the flows it runs (CheckKOSR's flows less those of the sink's κ
+// schedule, run alone on a second scratch) and the nodes exit 3 answers. On the
+// kosr family of the graph_check workload every outside node points at k sink
+// members, so exit 3 answers all 180 of them; on the scale-free family at
+// k = 3, 83 of 320 need their fan flow. Every graph passes, so each outside
+// node costs one flow or one exit; the counts are deterministic, and a rise
+// means the fan stopped answering.
+func TestCheckKOSRFanInFlows(t *testing.T) {
+	for _, c := range []struct {
+		def          string
+		k            int // 0: the family's F+1
+		flows, exit3 int
+	}{
+		{"kosr:sink=15,nonsink=9,k=3,extra=0.2", 0, 0, 180},
+		{"sf:n=20,m=4", 3, 83, 237},
+	} {
+		d, err := ParseDef(c.def)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var flows, exit3 int
+		for seed := int64(1); seed <= 20; seed++ {
+			b, err := d.Build(seed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			k := c.k
+			if k == 0 {
+				k = b.F + 1
+			}
+			var sc FlowScratch
+			r := sc.CheckKOSR(b.G, k)
+			if !r.OK {
+				t.Fatalf("%s seed %d: %s", c.def, seed, r.Reason)
+			}
+			var sched FlowScratch
+			sched.Load(b.G)
+			var rows []int32
+			for i, id := range b.G.Nodes() {
+				if r.Sink.Has(id) {
+					rows = append(rows, int32(i))
+				}
+			}
+			sched.kStrong(rows, k)
+			fan, saved := sc.probes-sched.probes, sc.skipped[2]-sched.skipped[2]
+			if outside := b.G.NumNodes() - r.Sink.Len(); fan+saved != outside {
+				t.Fatalf("%s seed %d: %d flows and %d exits for the fan-in condition of %d outside nodes", c.def, seed, fan, saved, outside)
+			}
+			flows, exit3 = flows+fan, exit3+saved
+		}
+		if flows != c.flows || exit3 != c.exit3 {
+			t.Fatalf("%s: the fan-in condition ran %d flows, exit 3 answered %d nodes; pinned %d and %d", c.def, flows, exit3, c.flows, c.exit3)
+		}
+	}
 }

@@ -239,17 +239,35 @@ var graphCheckDefs = []string{
 	"sf:n=20,m=4",
 }
 
+// pinnedLine renders CheckExtendedKOSR(g, k) the way the report printed when
+// it still carried the catalogue of every sink: verdict, k, core, f_G,
+// exactness, reason, then — where the base k-OSR check passed — SinkSets'
+// list, with SinkSets' exactness in the report's place.
+func pinnedLine(t *testing.T, g *graph.Digraph, k int) string {
+	t.Helper()
+	r := CheckExtendedKOSR(g, k)
+	exact, sinks := r.Exact, []SinkInfo(nil)
+	if graph.CheckKOSR(g, k).OK {
+		sinks, exact = SinkSets(g)
+		if exact && !r.Exact {
+			t.Fatalf("every level was exhaustive, yet the verdict's levels were not: %+v", r)
+		}
+	}
+	return fmt.Sprintf("{%v %v %v %v %v %v %v}", r.OK, r.K, r.Core, r.FG, exact, r.Reason, sinks)
+}
+
 // TestCheckExtendedKOSRReportsPinned holds CheckExtendedKOSR's whole report —
-// verdict, core, f_G, exactness, reason and every sink in order — to the
-// text the map-based sweep (a Candidate, a Members() union and a Key() per
-// candidate) printed for it: every figure at k = F+1 and the graph_check
-// families at seeds 1–20 (the unplanted ones at k = 1 as well). The golden was recorded at the commit before the
-// sweep moved onto the searcher's slices; regenerate it with -update only for
-// a deliberate change of the report.
+// verdict, core, f_G, exactness, reason — and SinkSets' catalogue of every
+// sink, in order, to the text the map-based sweep (a Candidate, a Members()
+// union and a Key() per candidate) printed for it: every figure at k = F+1
+// and the graph_check families at seeds 1–20 (the unplanted ones at k = 1 as
+// well). The golden was recorded at the commit before the sweep moved onto
+// the searcher's slices, when the catalogue was still a field of the report;
+// regenerate it with -update only for a deliberate change of the report.
 func TestCheckExtendedKOSRReportsPinned(t *testing.T) {
 	var b strings.Builder
 	for _, fig := range graph.AllFigures() {
-		fmt.Fprintf(&b, "%s k=%d: %v\n", fig.Name, fig.F+1, CheckExtendedKOSR(fig.G, fig.F+1))
+		fmt.Fprintf(&b, "%s k=%d: %s\n", fig.Name, fig.F+1, pinnedLine(t, fig.G, fig.F+1))
 	}
 	for _, s := range graphCheckDefs {
 		d, err := graph.ParseDef(s)
@@ -261,11 +279,11 @@ func TestCheckExtendedKOSRReportsPinned(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			fmt.Fprintf(&b, "%s seed %d k=%d: %v\n", s, seed, built.F+1, CheckExtendedKOSR(built.G, built.F+1))
+			fmt.Fprintf(&b, "%s seed %d k=%d: %s\n", s, seed, built.F+1, pinnedLine(t, built.G, built.F+1))
 			if built.Sink == nil {
 				// No planted sink: the family's F+1 fails the k-OSR base check
 				// before the sweep runs; k = 1 gets it past there.
-				fmt.Fprintf(&b, "%s seed %d k=1: %v\n", s, seed, CheckExtendedKOSR(built.G, 1))
+				fmt.Fprintf(&b, "%s seed %d k=1: %s\n", s, seed, pinnedLine(t, built.G, 1))
 			}
 		}
 	}
