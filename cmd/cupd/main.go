@@ -143,7 +143,9 @@ func runNode(c *scenario.Compiled, seed int64, id model.ID, listen, peersFlag st
 			return d.DialContext(dctx, "tcp", addr)
 		},
 	}, node)
-	rn.Start(ctx)
+	if err := rn.Start(ctx); err != nil {
+		fail(err)
+	}
 	rn.Serve(ln)
 	fmt.Printf("cupd: node %d up on %s (%s, mode=%s, %d peers, scale=%d)\n",
 		uint64(id), ln.Addr(), c.Name, c.Mode, len(addrs), scale)

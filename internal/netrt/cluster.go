@@ -113,7 +113,13 @@ func NewCluster(ctx context.Context, ids []model.ID, mk func(id model.ID) rt.Rea
 	slices.Sort(order)
 	slices.Reverse(order)
 	for _, id := range order {
-		c.Nodes[id].Start(ctx)
+		if err := c.Nodes[id].Start(ctx); err != nil {
+			c.Stop()
+			for _, l := range listeners {
+				l.Close()
+			}
+			return nil, err
+		}
 		if !usePipe {
 			c.Nodes[id].Serve(listeners[id])
 		}
