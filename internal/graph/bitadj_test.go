@@ -88,80 +88,6 @@ func TestFlowScratchLoadedOnceMatchesLoadPerCall(t *testing.T) {
 	}
 }
 
-// poolRows packs a Digraph's adjacency restricted to pool (sorted IDs) into
-// single-word rows for PoolFlow, the same shape the k-OSR enumeration feeds.
-func poolRows(g *Digraph, pool []model.ID) []uint64 {
-	idx := make(map[model.ID]int, len(pool))
-	for i, id := range pool {
-		idx[id] = i
-	}
-	rows := make([]uint64, len(pool))
-	for i, id := range pool {
-		for _, v := range g.Out(id) {
-			if j, ok := idx[v]; ok && j != i {
-				rows[i] |= 1 << j
-			}
-		}
-	}
-	return rows
-}
-
-// TestPoolFlowKappaMatchesInducedSubgraph asserts PoolFlow.KappaAtLeast on a
-// subset mask equals the all-ordered-pairs oracle on the materialized induced
-// subgraph, for random masks and thresholds over every family. This is the
-// verdict the sink search's property P2 (κ(G[S1]) ≥ g+1) rides on, so it is
-// held to the definition, not to the other engine running the same schedule.
-func TestPoolFlowKappaMatchesInducedSubgraph(t *testing.T) {
-	rng := rand.New(rand.NewSource(23))
-	for _, d := range propertyDefs(t) {
-		for seed := int64(1); seed <= 2; seed++ {
-			b, err := d.Build(seed)
-			if err != nil {
-				t.Fatalf("%s seed %d: %v", d, seed, err)
-			}
-			pool := b.G.Nodes()
-			if len(pool) > 64 {
-				pool = pool[:64]
-			}
-			var pf PoolFlow
-			pf.Reset(poolRows(b.G, pool))
-			full := uint64(1)<<len(pool) - 1
-			if len(pool) == 64 {
-				full = ^uint64(0)
-			}
-			for trial := 0; trial < 40; trial++ {
-				mask := rng.Uint64() & full
-				if trial == 0 {
-					mask = full // always include the whole pool
-				}
-				k := rng.Intn(5) // 0..4; k=0 exercises the vacuous branch
-				subset := model.NewIDSet()
-				for m := mask; m != 0; m &= m - 1 {
-					subset.Add(pool[trailing(m)])
-				}
-				want := kappaAllPairs(b.G.Induced(subset), k)
-				got := pf.KappaAtLeast(mask, k)
-				if got != want {
-					t.Fatalf("%s seed %d: KappaAtLeast(%s, %d) bitset %v != all pairs %v",
-						d, seed, subset, k, got, want)
-				}
-			}
-			if !d.UsesSeed() {
-				break
-			}
-		}
-	}
-}
-
-func trailing(m uint64) int {
-	i := 0
-	for m&1 == 0 {
-		m >>= 1
-		i++
-	}
-	return i
-}
-
 // TestBitAdjacencyIndexRoundTrip pins the index contract: IDs are sorted,
 // Index inverts IDs, HasEdge mirrors Digraph.HasEdge bit for bit.
 func TestBitAdjacencyIndexRoundTrip(t *testing.T) {

@@ -8,7 +8,7 @@ import (
 // degreeExits reads "κ(G[S]) ≥ k" off an adjacency's out- and in-rows (w words
 // a row, sets as bitsets over row indices) wherever popcounts settle what a
 // flow would: three exits, each exact (ARCHITECTURE.md, "The κ probe schedule").
-// Both κ engines put them in front of every probe; the tests' oracles never do.
+// The κ engine puts them in front of every probe; the oracles never do.
 type degreeExits struct {
 	out, in []uint64
 	w       int

@@ -8,38 +8,14 @@ import (
 )
 
 // assertExitsExact holds everything the degree exits stand in front of to
-// flows that have none: assertKappaEngines on G[members] (PoolFlow's mask,
-// FlowScratch on the induced graph — all three exits), kStrong(members) on g
-// with the edges leaving members cut (CheckKOSR's shape: a closed set that
-// outsiders still point into), and HasKDisjointPaths on every ordered pair of
-// g against the unfronted MaxNodeDisjointPaths (exit 2 alone).
+// flows that have none: assertKappaEngines on G[members] (all three exits),
+// and HasKDisjointPaths on every ordered pair of g against the unfronted
+// MaxNodeDisjointPaths (exit 2 alone).
 func assertExitsExact(t *testing.T, g *Digraph, members model.IDSet, tag string) {
 	t.Helper()
 	assertKappaEngines(t, g, members, tag)
 
-	closed := g.Clone()
-	for u := range members {
-		for _, v := range g.Out(u) {
-			if !members.Has(v) {
-				closed.adj[u].Remove(v)
-			}
-		}
-	}
-	rows := []int32{} // nil would mean every node
-	for i, id := range closed.Nodes() {
-		if members.Has(id) {
-			rows = append(rows, int32(i))
-		}
-	}
-	sub := closed.Induced(members)
 	var sc FlowScratch
-	sc.Load(closed)
-	for k := 0; k <= 5; k++ {
-		if got, want := sc.kStrong(rows, k), kappaAllPairs(sub, k); got != want {
-			t.Fatalf("%s: kStrong(%v, %d) = %v on the closed graph, all pairs say %v\n%s", tag, members, k, got, want, closed)
-		}
-	}
-
 	sc.Load(g)
 	for _, s := range g.Nodes() {
 		for _, u := range g.Nodes() {
@@ -71,7 +47,8 @@ func twoCliques(a, c int) *Digraph {
 // TestKappaDegreeExitTight pins exit 1's bound where it is tight: two K_a
 // sharing k−1 nodes have m = 2a−k+1 members and least semi-degree
 // a−1 = (m+k−3)/2 — one half short of the bound — and κ = k−1. Under every
-// rotation of the IDs both engines must refuse κ ≥ k and grant κ ≥ k−1.
+// rotation of the IDs the engine, loaded either way, must refuse κ ≥ k and
+// grant κ ≥ k−1.
 func TestKappaDegreeExitTight(t *testing.T) {
 	for a := 3; a <= 7; a++ {
 		for k := 2; k < a; k++ {
@@ -87,13 +64,13 @@ func TestKappaDegreeExitTight(t *testing.T) {
 				}
 				g := relabel(base, perm)
 				tag := fmt.Sprintf("two K%d sharing %d nodes rotated by %d", a, k-1, shift)
-				if kappaAllPairs(g, k) || !kappaAllPairs(g, k-1) {
+				if g.IsKStronglyConnected(k) || !g.IsKStronglyConnected(k-1) {
 					t.Fatalf("%s: the oracle disagrees that κ = %d", tag, k-1)
 				}
 				for _, at := range []int{k - 1, k} {
 					holds, _, _ := probeCost(t, g, g.NodeSet(), at, tag)
 					if holds != (at < k) {
-						t.Fatalf("%s: the engines say κ ≥ %d is %v", tag, at, holds)
+						t.Fatalf("%s: the engine says κ ≥ %d is %v", tag, at, holds)
 					}
 				}
 				assertExitsExact(t, g, g.NodeSet(), tag)
@@ -123,7 +100,7 @@ func kappaFuzzInput(g *Digraph, members model.IDSet) []byte {
 	return data
 }
 
-// FuzzKappaEngines holds the two κ engines, exits and all, to the literal
+// FuzzKappaEngines holds the κ engine, exits and all, to the literal
 // all-pairs oracle on arbitrary digraphs of up to 12 nodes and arbitrary
 // member subsets, for every k ≤ 5, and the fan (HasKFan) to the pair loop it
 // stands for at every k the members reach. The corpus seeds are kappa_test.go's
@@ -171,7 +148,7 @@ func FuzzKappaEngines(f *testing.F) {
 		var sc FlowScratch
 		sc.Load(g)
 		sub := g.Induced(members)
-		for k := 1; k <= 5 && kappaAllPairs(sub, k); k++ {
+		for k := 1; k <= 5 && sub.IsKStronglyConnected(k); k++ {
 			assertFanMatchesPairs(t, &sc, g, members, k, "fuzz")
 		}
 	})

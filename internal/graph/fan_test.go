@@ -12,7 +12,7 @@ import (
 // flowPair per target, no exit in front.
 func pairsHold(sc *FlowScratch, ui int, targets []int, k int) bool {
 	for _, ti := range targets {
-		if sc.flowPair(ui, ti, k) < k {
+		if sc.flowPair(sc.base, ui, ti, k) < k {
 			return false
 		}
 	}
@@ -44,7 +44,7 @@ func assertFanMatchesPairs(t *testing.T, sc *FlowScratch, g *Digraph, members mo
 		}
 		cases++
 		fan := sc.fanHolds(ui, set, k)
-		flow := sc.fanFlow(ui, set, k) >= k
+		flow := sc.fanFlow(sc.base, sc.all, ui, set, k) >= k
 		exported := sc.HasKFan(u, sorted, k)
 		pairs := pairsHold(sc, ui, rows, k)
 		switch {
@@ -72,7 +72,7 @@ func assertFanMatchesPairs(t *testing.T, sc *FlowScratch, g *Digraph, members mo
 				continue
 			}
 			reached++
-			if sc.flowPair(ui, wi, k) < k {
+			if sc.flowPair(sc.base, ui, wi, k) < k {
 				t.Fatalf("%s, u=%v, S=%v, k=%d: a fan, and %v has %d in-neighbours in S, yet fewer than k paths to it\n%s", tag, u, members, k, w, in, g)
 			}
 		}
@@ -94,7 +94,7 @@ func TestFanMatchesPairs(t *testing.T) {
 			return
 		}
 		sub := g.Induced(members)
-		for k := 1; k <= 4 && kappaAllPairs(sub, k); k++ {
+		for k := 1; k <= 4 && sub.IsKStronglyConnected(k); k++ {
 			c, r := assertFanMatchesPairs(t, sc, g, members, k, tag)
 			cases, reached = cases+c, reached+r
 			if members.Len() >= k {

@@ -14,24 +14,14 @@ import (
 const InfiniteConnectivity = math.MaxInt32
 
 // FlowScratch is the vertex-split max-flow engine behind every node-disjoint
-// path count on a whole graph: Load snapshots a graph once, then each probe
-// (MaxNodeDisjointPaths, HasKDisjointPaths, each flow of the schedule behind
-// IsKStronglyConnected) costs one residual copy plus word-parallel BFS
-// augments. It owns, on bitsets, the adjacency snapshot (BitAdjacency), the
-// pair-independent residual rows of the split graph, the per-probe residual
-// copy and the BFS arrays; buffers grow to the largest graph seen and are
-// reused, so a long-lived value stops allocating once warm. The Digraph
-// methods of the same names are load-then-probe one-shots; callers that
-// probe one graph many times (CheckKOSR's fan-in condition and
-// CheckExtendedKOSR's C2, one fan per outside node — HasKFan — with pair
-// probes only where a fan fails) or many graphs in a row hold a FlowScratch
-// instead.
-// The zero value is ready and answers 0 before the first Load. One goroutine
-// per value.
-//
-// PoolFlow is the other shape of the same computation — κ of many subsets of
-// one ≤ 64-node pool, no snapshot per subset — and the call site picks:
-// whole graphs here, subset masks there.
+// path count and every κ threshold. Load snapshots a graph, LoadRows takes
+// adjacency rows as they come (the sink search's pool); each probe then costs
+// one residual copy plus BFS augments on bitset rows. Pair and fan probes run
+// on the whole graph's split-graph template, built by Load; κ queries
+// (KappaAtLeast) on the split graph of the queried member set, built per
+// query. Buffers grow to the largest graph seen and are reused. The Digraph
+// methods of the same names are load-then-probe one-shots. The zero value is
+// ready and answers 0 before the first Load. One goroutine per value.
 //
 // Every residual capacity is 0 or 1, so the residual graph is a pure bitset
 // matrix. That is sound because the probes run from out(s) to in(t) in the
@@ -44,137 +34,191 @@ const InfiniteConnectivity = math.MaxInt32
 type FlowScratch struct {
 	adj   BitAdjacency
 	words int      // words per split-graph row
-	base  []uint64 // 2n rows × words: pair-independent residual template
+	base  []uint64 // 2n rows × words: the whole graph's split-graph template
+	sub   []uint64 // KappaAtLeast's template: the queried set's split graph
 	resid []uint64
 	prev  []int32
 	queue []int32
 	seen  []uint64 // visited bitset for the BFS
-	sets  []uint64 // kStrong's member and earlier-member bitsets over row indices
+
+	// Bitsets over row indices: every loaded node, a target or member set,
+	// and KappaAtLeast's members before the one probed.
+	all, set, earlier []uint64
+
+	buf []uint64 // the backing array of the []uint64 fields above
+	idx []int32  // the backing array of prev and queue
 
 	probes  int    // flows run since the zero value; tests pin the schedule's cost with it
 	skipped [3]int // flows exits 1, 2 and 3 made unnecessary
 }
 
-// Load snapshots g's adjacency and builds the split-graph residual template
-// for subsequent probes.
+// Load snapshots g's adjacency and builds the split-graph template for
+// subsequent probes.
 func (sc *FlowScratch) Load(g *Digraph) {
 	sc.adj.Load(g)
-	n := sc.adj.NumNodes()
+	sc.prepare()
+	sc.split(sc.base, sc.all)
+}
+
+// LoadRows loads n nodes by their out-rows, ⌈n/64⌉ words each: bit j of row i
+// is an edge i → j, and no row has its own bit. The nodes have no IDs: they
+// serve KappaAtLeast and IsKStronglyConnected, whose sets are row indices.
+func (sc *FlowScratch) LoadRows(n int, rows []uint64) {
+	sc.adj.loadRows(n, rows)
+	sc.prepare()
+}
+
+// prepare sizes the scratch for the loaded rows.
+func (sc *FlowScratch) prepare() {
+	n, w := sc.adj.n, sc.adj.words
 	size := 2 * n
 	sc.words = (size + 63) / 64
-	need := size * sc.words
-	if cap(sc.base) < need {
-		sc.base = make([]uint64, need)
-		sc.resid = make([]uint64, need)
-	}
-	sc.base = sc.base[:need]
-	sc.resid = sc.resid[:need]
-	for i := range sc.base {
-		sc.base[i] = 0
-	}
-	// in(u) = 2i, out(u) = 2i+1. Internal arcs in(u)→out(u) carry the
-	// node-disjointness; adjacency arcs out(u)→in(v) carry the edges.
+	need, total := size*sc.words, 3*size*sc.words+sc.words+3*w
+	sc.buf = slices.Grow(sc.buf[:0], total)[:total]
+	buf := sc.buf
+	take := func(k int) (s []uint64) { s, buf = buf[:k:k], buf[k:]; return s }
+	sc.base, sc.sub, sc.resid = take(need), take(need), take(need)
+	sc.seen, sc.all, sc.set, sc.earlier = take(sc.words), take(w), take(w), take(w)
+	sc.idx = slices.Grow(sc.idx[:0], 2*size)[:2*size]
+	sc.prev, sc.queue = sc.idx[:size:size], sc.idx[size:]
+	clear(sc.all)
 	for i := 0; i < n; i++ {
-		in, out := 2*i, 2*i+1
-		sc.base[in*sc.words+(out>>6)] |= 1 << (out & 63)
-		row := sc.adj.Row(i)
-		dst := sc.base[out*sc.words : (out+1)*sc.words]
-		for w, word := range row {
-			for word != 0 {
-				j := w<<6 + bits.TrailingZeros64(word)
-				word &= word - 1
-				inj := 2 * j
-				dst[inj>>6] |= 1 << (inj & 63)
+		sc.all[i>>6] |= 1 << (i & 63)
+	}
+}
+
+// split writes the split graph of G[set] into tmpl and returns the words up to
+// the last member's rows. in(u) = 2i, out(u) = 2i+1: the internal arc
+// in(u)→out(u) carries the node-disjointness, an arc out(u)→in(v) the edge
+// u→v. Rows of non-members are left as they are: no member's row points at
+// them, so no probe visits them.
+func (sc *FlowScratch) split(tmpl, set []uint64) int {
+	words, last := sc.words, 0
+	for w, word := range set {
+		for ; word != 0; word &= word - 1 {
+			i := w<<6 + bits.TrailingZeros64(word)
+			in, out := tmpl[2*i*words:(2*i+1)*words], tmpl[(2*i+1)*words:(2*i+2)*words]
+			for x := range in {
+				in[x] = 0
 			}
+			in[(2*i+1)>>6] = 1 << ((2*i + 1) & 63)
+			spread(out, sc.adj.Row(i), set)
+			last = i
 		}
 	}
-	if cap(sc.prev) < size {
-		sc.prev = make([]int32, size)
-		sc.queue = make([]int32, size)
+	return (2*last + 2) * words
+}
+
+// spread writes into a split-graph row the in-vertices of the nodes in row ∩
+// mask: in(j) = 2j, so adjacency word w covers split words 2w and 2w+1 (the
+// latter is past the row's end only where it would be 0).
+func spread(dst, row, mask []uint64) {
+	for w, x := range row {
+		x &= mask[w]
+		dst[2*w] = spread32(x)
+		if 2*w+1 < len(dst) {
+			dst[2*w+1] = spread32(x >> 32)
+		}
 	}
-	sc.prev = sc.prev[:size]
-	sc.queue = sc.queue[:size]
-	if cap(sc.seen) < sc.words {
-		sc.seen = make([]uint64, sc.words)
-	}
-	sc.seen = sc.seen[:sc.words]
-	sc.sets = slices.Grow(sc.sets[:0], 2*sc.adj.words)[:2*sc.adj.words]
+}
+
+// spread32 interleaves zeros into the low 32 bits of x (bit i → bit 2i).
+func spread32(x uint64) uint64 {
+	x &= 0x00000000FFFFFFFF
+	x = (x | x<<16) & 0x0000FFFF0000FFFF
+	x = (x | x<<8) & 0x00FF00FF00FF00FF
+	x = (x | x<<4) & 0x0F0F0F0F0F0F0F0F
+	x = (x | x<<2) & 0x3333333333333333
+	x = (x | x<<1) & 0x5555555555555555
+	return x
 }
 
 // pairHolds reports k node-disjoint paths between the loaded nodes with
 // indices si and ti: read off the rows where exit 2 allows, else by flowPair.
 func (sc *FlowScratch) pairHolds(si, ti, k int) bool {
 	ex := degreeExits{sc.adj.rows, sc.adj.cols, sc.adj.words, &sc.skipped}
-	return ex.pair(si, ti, nil, k) || sc.flowPair(si, ti, k) >= k
+	return ex.pair(si, ti, nil, k) || sc.flowPair(sc.base, si, ti, k) >= k
 }
 
 // flowPair runs the bounded Edmonds-Karp max-flow between the loaded nodes
-// with indices si and ti on a fresh copy of the residual template.
-func (sc *FlowScratch) flowPair(si, ti, limit int) int {
-	copy(sc.resid, sc.base)
+// with indices si and ti on a fresh copy of the template tmpl.
+func (sc *FlowScratch) flowPair(tmpl []uint64, si, ti, limit int) int {
+	copy(sc.resid, tmpl)
 	return sc.augment(si, ti, limit)
 }
 
 // augment pushes flow from out(si) to in(ti) through the residual rows as
-// they stand: augmenting paths are found by word-parallel BFS until the limit
-// is reached or no path remains. limit ≤ 0 means unlimited. si == ti is legal
-// (IsKStronglyConnected's fan probes rewire one side of the node's arcs).
+// they stand, until the limit is reached or no augmenting path remains; limit
+// ≤ 0 means unlimited. si == ti is legal (the fan probes rewire one side of
+// the node's arcs). The paths of at most three arcs off the source's row —
+// out(si)→in(ti), and out(si)→in(u)→out(u)→in(ti) through distinct u — need
+// no search and go first; the rest are found by word-parallel BFS.
 func (sc *FlowScratch) augment(si, ti, limit int) int {
 	sc.probes++
+	words, resid, seen, prev, queue := sc.words, sc.resid, sc.seen, sc.prev, sc.queue
 	source, sink := int32(2*si+1), int32(2*ti)
-	size := 2 * sc.adj.NumNodes()
 	flow := 0
-	for {
-		if limit > 0 && flow >= limit {
-			return flow
-		}
-		for w := range sc.seen {
-			sc.seen[w] = 0
-		}
-		sc.seen[source>>6] |= 1 << (source & 63)
-		sc.prev[source] = source
-		sc.queue[0] = source
-		qlen := 1
-		found := false
-		for qi := 0; qi < qlen && !found; qi++ {
-			x := sc.queue[qi]
-			row := sc.resid[int(x)*sc.words : (int(x)+1)*sc.words]
-			for w := 0; w < sc.words; w++ {
-				fresh := row[w] &^ sc.seen[w]
-				if fresh == 0 {
-					continue
-				}
-				sc.seen[w] |= fresh
-				for fresh != 0 {
-					y := int32(w<<6 + bits.TrailingZeros64(fresh))
-					fresh &= fresh - 1
-					if int(y) >= size {
-						break
-					}
-					sc.prev[y] = x
-					if y == sink {
-						found = true
-						break
-					}
-					sc.queue[qlen] = y
-					qlen++
-				}
-				if found {
-					break
-				}
+	for w := 0; w < words; w++ {
+		for row := resid[int(source)*words+w]; row != 0 && (limit <= 0 || flow < limit); row &= row - 1 {
+			in := int32(w<<6 + bits.TrailingZeros64(row))
+			if in == sink {
+				flip(resid, words, source, sink)
+				flow++
+			} else if in&1 == 0 && resid[int(in)*words+int(in+1)>>6]>>((in+1)&63)&1 != 0 &&
+				resid[int(in+1)*words+int(sink>>6)]>>(sink&63)&1 != 0 {
+				flip(resid, words, source, in)
+				flip(resid, words, in, in+1)
+				flip(resid, words, in+1, sink)
+				flow++
 			}
 		}
-		if !found {
-			return flow
-		}
-		for y := sink; y != source; {
-			x := sc.prev[y]
-			sc.resid[int(x)*sc.words+int(y>>6)] &^= 1 << (y & 63)
-			sc.resid[int(y)*sc.words+int(x>>6)] |= 1 << (x & 63)
-			y = x
-		}
-		flow++
 	}
+	for ; limit <= 0 || flow < limit; flow++ {
+		seen[0] = 0
+		clear(seen[1:])
+		seen[source>>6] = 1 << (source & 63)
+		// The first visited word, all of it below 33 nodes, stays in a
+		// register: a word in memory chains every dequeue on a store.
+		seen0 := seen[0]
+		prev[source], queue[0] = source, source
+	bfs:
+		for qi, qlen := 0, 1; ; qi++ {
+			if qi == qlen {
+				return flow
+			}
+			x := queue[qi]
+			at := int(x) * words
+			fresh := resid[at] &^ seen0
+			seen0 |= fresh
+			for w := 0; ; {
+				for ; fresh != 0; fresh &= fresh - 1 {
+					y := int32(w<<6 + bits.TrailingZeros64(fresh))
+					prev[y] = x
+					if y == sink {
+						break bfs
+					}
+					queue[qlen] = y
+					qlen++
+				}
+				if w++; w == words {
+					break
+				}
+				fresh = resid[at+w] &^ seen[w]
+				seen[w] |= fresh
+			}
+		}
+		for y := sink; y != source; y = prev[y] {
+			flip(resid, words, prev[y], y)
+		}
+	}
+	return flow
+}
+
+// flip sends one unit of flow along the residual arc x → y: the arc goes, its
+// reverse appears.
+func flip(resid []uint64, words int, x, y int32) {
+	resid[int(x)*words+int(y>>6)] &^= 1 << (y & 63)
+	resid[int(y)*words+int(x>>6)] |= 1 << (x & 63)
 }
 
 // MaxNodeDisjointPaths returns the maximum number of internally-node-disjoint
@@ -190,7 +234,7 @@ func (sc *FlowScratch) MaxNodeDisjointPaths(s, t model.ID, limit int) int {
 	if s == t || !ok1 || !ok2 {
 		return 0
 	}
-	return sc.flowPair(si, ti, limit)
+	return sc.flowPair(sc.base, si, ti, limit)
 }
 
 // HasKDisjointPaths reports whether there are at least k internally-node-
@@ -217,112 +261,102 @@ func (sc *FlowScratch) HasKFan(u model.ID, targets []model.ID, k int) bool {
 	if !ok {
 		return false
 	}
-	set := sc.sets[:sc.adj.words]
-	clear(set)
+	clear(sc.set)
 	for _, t := range targets {
 		if ti, ok := sc.adj.Index(t); ok {
-			set[ti>>6] |= 1 << (ti & 63)
+			sc.set[ti>>6] |= 1 << (ti & 63)
 		}
 	}
-	return sc.fanHolds(ui, set, k)
+	return sc.fanHolds(ui, sc.set, k)
 }
 
 // fanHolds is HasKFan for the node with index ui and a target bitset over row
 // indices: read off u's out-row where exit 3 allows (k targets are out-
-// neighbours of u), else by fanFlow. kStrong's v_j → b probe is v_j's fan into
-// the earlier members.
+// neighbours of u), else by fanFlow on the whole graph.
 func (sc *FlowScratch) fanHolds(ui int, set []uint64, k int) bool {
 	ex := degreeExits{sc.adj.rows, sc.adj.cols, sc.adj.words, &sc.skipped}
-	return ex.fan(ex.out, ui, set, k) || sc.fanFlow(ui, set, k) >= k
+	return ex.fan(ex.out, ui, set, k) || sc.fanFlow(sc.base, sc.all, ui, set, k) >= k
 }
 
-// fanFlow is the flow behind a fan: out(ui) to in(ui), bounded by limit, after
-// in(ui)'s column is rewired to the targets' out-rows (in(ui) becomes the
-// virtual sink b that every target points at), so a path can only end by
-// leaving a target through its in(t)→out(t) arc — one path per target.
-func (sc *FlowScratch) fanFlow(ui int, set []uint64, limit int) int {
-	copy(sc.resid, sc.base)
+// fanFlow is the flow behind a fan: out(ui) to in(ui) on a copy of tmpl, the
+// split graph of the members, bounded by limit, after in(ui)'s column is
+// rewired to the targets' out-rows (in(ui) becomes the virtual sink b that
+// every target points at), so a path can only end by leaving a target through
+// its in(t)→out(t) arc — one path per target.
+func (sc *FlowScratch) fanFlow(tmpl, members []uint64, ui int, targets []uint64, limit int) int {
+	resid, words := sc.resid, sc.words
+	copy(resid, tmpl)
 	in := 2 * ui
-	for i := 0; i < sc.adj.NumNodes(); i++ {
-		bit := set[i>>6] >> (i & 63) & 1
-		row := sc.resid[(2*i+1)*sc.words:]
-		row[in>>6] = row[in>>6]&^(1<<(in&63)) | bit<<(in&63)
+	for w, word := range members {
+		for ; word != 0; word &= word - 1 {
+			i := w<<6 + bits.TrailingZeros64(word)
+			at := (2*i+1)*words + in>>6
+			resid[at] = resid[at]&^(1<<(in&63)) | (targets[w]>>(i&63)&1)<<(in&63)
+		}
 	}
 	return sc.augment(ui, ui, limit)
 }
 
 // IsKStronglyConnected reports whether every ordered pair of distinct nodes
 // of the loaded graph is joined by at least k node-disjoint paths (the
-// paper's definition of k-strong connectivity). Graphs with ≤ 1 node are
-// k-strongly connected for every k (vacuous quantification).
-//
-// Even's schedule (1975) decides it in k(k−1) + 2(n−k) probes, not n(n−1),
-// each a flow unless degreeExits answers it: the first k nodes pairwise in
-// both directions, then per later node v_j one a → v_j and one v_j → b, the
-// virtual source a pointing at, the virtual sink b pointed at by, every earlier
-// node. A separator C with |C| < k misses one of the first k nodes, so the
-// first node it cuts off from the earlier survivors fails a pairwise probe or
-// — each first hop out of a, each last hop into b, lying in C or beyond it — a
-// fan probe; ARCHITECTURE.md has the full argument. a borrows out(v_j), idle
-// while v_j is the sink; b borrows in(v_j).
-func (sc *FlowScratch) IsKStronglyConnected(k int) bool { return sc.kStrong(nil, k) }
+// paper's definition of k-strong connectivity): KappaAtLeast of every node.
+func (sc *FlowScratch) IsKStronglyConnected(k int) bool { return sc.KappaAtLeast(sc.all, k) }
 
-// kStrong is IsKStronglyConnected for the subgraph induced by members
-// (ascending row indices; nil means every node), which no edge may leave: a
-// path that starts inside then stays inside, so every probe of the schedule
-// reads the same flow on the whole graph's residual rows as it would on a
-// snapshot of the induced subgraph. CheckKOSR's sink component is such a set.
-func (sc *FlowScratch) kStrong(members []int32, k int) bool {
-	n := sc.adj.NumNodes()
-	m, at := n, func(j int) int { return j }
-	if members != nil {
-		m, at = len(members), func(j int) int { return int(members[j]) }
+// KappaAtLeast reports κ(G[S]) ≥ k for the subgraph induced by the member set
+// S, a bitset over the loaded rows: true for |S| ≤ 1 or k ≤ 0, false for
+// |S| ≤ k, else the degree exits where they decide and Even's schedule (1975)
+// where they do not — k(k−1) + 2(m−k) probes for m members, not m(m−1): the
+// first k members pairwise both ways, then per later member v_j one a → v_j
+// and one v_j → b, where the virtual source a points at, and the virtual sink
+// b is pointed at by, every earlier member (ARCHITECTURE.md has the proof). a
+// borrows out(v_j)'s row, b in(v_j)'s column, so v_j → b is v_j's fan into
+// the earlier members.
+func (sc *FlowScratch) KappaAtLeast(set []uint64, k int) bool {
+	m := 0
+	for _, word := range set {
+		m += bits.OnesCount64(word)
 	}
 	if k <= 0 || m <= 1 {
 		return true
 	}
 	if m <= k {
-		// κ(G) ≤ n-1 always (at most n-2 internal vertices plus the direct
-		// edge ⇒ ≤ n-1 disjoint paths).
 		return false
 	}
-	// The degrees among the members may settle it either way.
-	ex, w := degreeExits{sc.adj.rows, sc.adj.cols, sc.adj.words, &sc.skipped}, sc.adj.words
-	set, earlier := sc.sets[:w], sc.sets[w:]
-	clear(sc.sets)
-	for j := 0; j < m; j++ {
-		set[at(j)>>6] |= 1 << (at(j) & 63)
-	}
+	ex := degreeExits{sc.adj.rows, sc.adj.cols, sc.adj.words, &sc.skipped}
 	if holds, decided := ex.whole(set, m, k); decided {
 		return holds
 	}
-	for j := 1; j < m; j++ {
-		vj := at(j)
-		earlier[at(j-1)>>6] |= 1 << (at(j-1) & 63)
-		if j < k {
-			for i := 0; i < j; i++ {
-				if !sc.pairHolds(at(i), vj, k) || !sc.pairHolds(vj, at(i), k) {
+	tmpl := sc.sub[:sc.split(sc.sub, set)]
+	earlier, j := sc.earlier, 0
+	clear(earlier)
+	for w, word := range set {
+		for ; word != 0; word &= word - 1 {
+			v := w<<6 + bits.TrailingZeros64(word)
+			if j < k {
+				for ew, e := range earlier {
+					for ; e != 0; e &= e - 1 {
+						i := ew<<6 + bits.TrailingZeros64(e)
+						if !ex.pair(i, v, set, k) && sc.flowPair(tmpl, i, v, k) < k ||
+							!ex.pair(v, i, set, k) && sc.flowPair(tmpl, v, i, k) < k {
+							return false
+						}
+					}
+				}
+			} else {
+				if !ex.fan(ex.in, v, earlier, k) {
+					// a → v_j: out(v_j)'s row becomes in(v_0 … v_{j-1}).
+					copy(sc.resid, tmpl)
+					spread(sc.resid[(2*v+1)*sc.words:(2*v+2)*sc.words], earlier, set)
+					if sc.augment(v, v, k) < k {
+						return false
+					}
+				}
+				if !ex.fan(ex.out, v, earlier, k) && sc.fanFlow(tmpl, set, v, earlier, k) < k {
 					return false
 				}
 			}
-			continue
-		}
-		out := 2*vj + 1
-		if !ex.fan(ex.in, vj, earlier, k) {
-			// a → v_j: out(v_j)'s row becomes in(v_0 … v_{j-1}).
-			copy(sc.resid, sc.base)
-			row := sc.resid[out*sc.words : (out+1)*sc.words]
-			clear(row)
-			for i := 0; i < j; i++ {
-				row[at(i)>>5] |= 1 << (2 * at(i) & 63)
-			}
-			if sc.augment(vj, vj, k) < k {
-				return false
-			}
-		}
-		// v_j → b: v_j's fan into v_0 … v_{j-1}.
-		if !sc.fanHolds(vj, earlier, k) {
-			return false
+			earlier[w] |= 1 << (v & 63)
+			j++
 		}
 	}
 	return true
@@ -345,7 +379,7 @@ func (g *Digraph) HasKDisjointPaths(s, t model.ID, k int) bool {
 // IsKStronglyConnected is the definition read literally on a one-shot
 // snapshot of g: one bounded flow per ordered pair, no schedule and no degree
 // exit but κ ≤ δ⁰. Nothing on a hot path calls it — the tests and view.go's
-// literal predicates hold the two engines to it.
+// literal predicates hold the engine to it.
 func (g *Digraph) IsKStronglyConnected(k int) bool {
 	n := g.NumNodes()
 	if k <= 0 || n <= 1 {
@@ -358,7 +392,7 @@ func (g *Digraph) IsKStronglyConnected(k int) bool {
 	sc.Load(g)
 	for s := 0; s < n; s++ {
 		for t := 0; t < n; t++ {
-			if s != t && sc.flowPair(s, t, k) < k {
+			if s != t && sc.flowPair(sc.base, s, t, k) < k {
 				return false
 			}
 		}

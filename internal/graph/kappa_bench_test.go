@@ -2,7 +2,6 @@ package graph
 
 import (
 	"fmt"
-	"math/bits"
 	"math/rand"
 	"strings"
 	"testing"
@@ -11,9 +10,10 @@ import (
 )
 
 // BenchmarkKappaAtLeast measures the κ(G[S1]) ≥ k test under the sink search
-// (PoolFlow: the degree exits, then Even's probe schedule) and reports, next
-// to the time, how many flows a query still runs — `flows/op` — so a drop in
-// the exits' hit rate shows as a count, not only as nanoseconds.
+// (FlowScratch.KappaAtLeast on a loaded pool: the degree exits, then Even's
+// probe schedule) and reports, next to the time, how many flows a query still
+// runs — `flows/op` — so a drop in the exits' hit rate shows as a count, not
+// only as nanoseconds.
 //
 // `dense` is the planted core of an extended-k-OSR graph, a clique: exit 1
 // answers and no flow runs. `sparse` is the circulant i → i+1 … i+k, where
@@ -25,21 +25,22 @@ import (
 // answers, the schedule has to find the cut (skipped where 20,000 draws hold
 // no such subset).
 func BenchmarkKappaAtLeast(b *testing.B) {
-	var pf PoolFlow
-	run := func(name string, rows []uint64, mask uint64, k int, want bool) {
+	var sc FlowScratch
+	run := func(name string, pool *Digraph, mask uint64, k int, want bool) {
 		b.Run(name, func(b *testing.B) {
 			if mask == 0 {
 				b.Skip("no such subset drawn")
 			}
-			pf.Reset(rows)
+			sc.Load(pool)
+			set := []uint64{mask}
 			b.ReportAllocs()
-			before := pf.probes
+			before := sc.probes
 			for i := 0; i < b.N; i++ {
-				if pf.KappaAtLeast(mask, k) != want {
+				if sc.KappaAtLeast(set, k) != want {
 					b.Fatalf("κ ≥ %d is %v", k, !want)
 				}
 			}
-			b.ReportMetric(float64(pf.probes-before)/float64(b.N), "flows/op")
+			b.ReportMetric(float64(sc.probes-before)/float64(b.N), "flows/op")
 		})
 	}
 
@@ -47,53 +48,50 @@ func BenchmarkKappaAtLeast(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	run("dense/extended-core=10", poolRows(ext, core.Sorted()), 1<<10-1, fG+1, true)
+	run("dense/extended-core=10", ext.Induced(core), 1<<10-1, fG+1, true)
 	ring := New()
 	ids := make([]model.ID, 20)
 	for i := range ids {
 		ids[i] = model.ID(i + 1)
 	}
 	circulant(ring, ids, 4)
-	run("sparse/circulant-m=20-k=4", poolRows(ring, ids), 1<<20-1, 4, true)
+	run("sparse/circulant-m=20-k=4", ring, 1<<20-1, 4, true)
 
-	sinkRows := func(size int) []uint64 {
+	sinkOf := func(size int) *Digraph {
 		g, sink, err := GenKOSR(rand.New(rand.NewSource(9)), GenSpec{SinkSize: size, NonSinkSize: size / 2, K: 4, ExtraEdgeP: 0.2})
 		if err != nil {
 			b.Fatal(err)
 		}
-		return poolRows(g, sink.Sorted())
+		return g.Induced(sink)
 	}
 	for _, m := range []int{10, 15, 20} {
-		whole, double := sinkRows(m), sinkRows(2*m)
+		whole, double := sinkOf(m), sinkOf(2*m)
 		for _, k := range []int{2, 3, 4} {
 			run(fmt.Sprintf("m=%d/k=%d/pass", m, k), whole, 1<<m-1, k, true)
-			run(fmt.Sprintf("m=%d/k=%d/fail", m, k), double, failingSubset(&pf, double, m, k), k, false)
+			run(fmt.Sprintf("m=%d/k=%d/fail", m, k), double, failingSubset(&sc, double, m, k), k, false)
 		}
 	}
 }
 
 // failingSubset draws seeded m-subsets of the pool until one has every in-
 // and out-degree ≥ k and still κ < k; 0 if 20,000 draws hold none.
-func failingSubset(pf *PoolFlow, rows []uint64, m, k int) uint64 {
-	pf.Reset(rows)
+func failingSubset(sc *FlowScratch, pool *Digraph, m, k int) uint64 {
+	sc.Load(pool)
 	rng := rand.New(rand.NewSource(9))
+	set := []uint64{0}
 draw:
 	for try := 0; try < 20000; try++ {
-		var mask uint64
-		for _, i := range rng.Perm(len(rows))[:m] {
-			mask |= 1 << i
+		set[0] = 0
+		for _, i := range rng.Perm(pool.NumNodes())[:m] {
+			set[0] |= 1 << i
 		}
-		for i, row := range rows {
-			in := 0
-			for j, other := range rows {
-				in += int((other >> i) & (mask >> j) & 1)
-			}
-			if mask>>i&1 != 0 && (bits.OnesCount64(row&mask) < k || in < k) {
+		for i := 0; i < pool.NumNodes(); i++ {
+			if set[0]>>i&1 != 0 && (andCount(sc.adj.rows[i:i+1], set) < k || andCount(sc.adj.cols[i:i+1], set) < k) {
 				continue draw
 			}
 		}
-		if !pf.KappaAtLeast(mask, k) {
-			return mask
+		if !sc.KappaAtLeast(set, k) {
+			return set[0]
 		}
 	}
 	return 0

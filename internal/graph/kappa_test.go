@@ -8,64 +8,21 @@ import (
 	"github.com/bftcup/bftcup/internal/model"
 )
 
-// kappaAllPairs is the κ(g) ≥ k oracle: the definition read literally, one
-// bounded MaxNodeDisjointPaths probe per ordered pair (that probe is pinned
-// against path enumeration by TestMaxNodeDisjointPathsAgainstBruteForce). It
-// shares the flow kernel with the engines but nothing of their probe
-// schedule, which is what the tests below hold to it.
-func kappaAllPairs(g *Digraph, k int) bool {
-	if k <= 0 || g.NumNodes() <= 1 {
-		return true
-	}
-	var sc FlowScratch
-	sc.Load(g)
-	for _, s := range g.Nodes() {
-		for _, t := range g.Nodes() {
-			if s != t && sc.MaxNodeDisjointPaths(s, t, k) < k {
-				return false
-			}
-		}
-	}
-	return true
-}
-
-// assertKappaEngines holds every κ-threshold entry point to the oracle on the
-// subgraph of g induced by members, for k = 0…5: PoolFlow on the subset mask
-// of a pool made of all of g (when g fits one), FlowScratch on the induced
-// graph with no degree exit in front, and the Digraph one-shot with it.
+// assertKappaEngines holds the κ engine to the oracle, the literal
+// Digraph.IsKStronglyConnected, on the subgraph of g induced by members for
+// k = 0…5, through probeCost: loaded with all of g and queried with the
+// members, and loaded with G[S] and queried whole.
 func assertKappaEngines(t *testing.T, g *Digraph, members model.IDSet, tag string) {
 	t.Helper()
 	sub := g.Induced(members)
-	var pf PoolFlow
-	var mask uint64
-	pool := g.Nodes()
-	if len(pool) <= 64 {
-		pf.Reset(poolRows(g, pool))
-		for i, id := range pool {
-			if members.Has(id) {
-				mask |= 1 << i
-			}
-		}
-	}
-	var sc FlowScratch
-	sc.Load(sub)
 	for k := 0; k <= 5; k++ {
-		want := kappaAllPairs(sub, k)
-		if got := sc.IsKStronglyConnected(k); got != want {
-			t.Fatalf("%s: FlowScratch.IsKStronglyConnected(%d) on %v = %v, all pairs say %v\n%s", tag, k, members, got, want, sub)
-		}
-		if got := sub.IsKStronglyConnected(k); got != want {
-			t.Fatalf("%s: Digraph.IsKStronglyConnected(%d) on %v = %v, all pairs say %v\n%s", tag, k, members, got, want, sub)
-		}
-		if len(pool) <= 64 {
-			if got := pf.KappaAtLeast(mask, k); got != want {
-				t.Fatalf("%s: PoolFlow.KappaAtLeast(%v, %d) = %v, all pairs say %v\n%s", tag, members, k, got, want, sub)
-			}
+		if got, _, _ := probeCost(t, g, members, k, tag); got != sub.IsKStronglyConnected(k) {
+			t.Fatalf("%s: κ(%v) ≥ %d is %v, all pairs say %v\n%s", tag, members, k, got, !got, sub)
 		}
 	}
 }
 
-// relabel returns g with node ids[i] renamed to perm[i]: the engines order
+// relabel returns g with node ids[i] renamed to perm[i]: the engine orders
 // members by ID, so a relabelling moves a cut in or out of the schedule's
 // first k members without changing κ.
 func relabel(g *Digraph, perm map[model.ID]model.ID) *Digraph {
@@ -89,8 +46,8 @@ func clique(g *Digraph, ids ...model.ID) {
 	}
 }
 
-// TestKappaScheduleMatchesAllPairs pins Even's probe schedule, in both
-// engines, to the all-ordered-pairs loop it replaced: over every graph
+// TestKappaScheduleMatchesAllPairs pins Even's probe schedule, over a member
+// set and over a whole graph, to the all-ordered-pairs loop it replaced: over every graph
 // family (whole graph, each directed k-core — the subsets that get past the
 // degree exit — cores minus a vertex, and random subsets), over random dense
 // digraphs, and over hand-built graphs that sit on the schedule's boundaries,
@@ -129,8 +86,8 @@ func TestKappaScheduleMatchesAllPairs(t *testing.T) {
 			}
 		}
 	}
-	// Past 32 nodes the split graph's rows are several words long (and past 64
-	// PoolFlow is out of the picture).
+	// Past 32 nodes the split graph's rows are several words long, past 64 the
+	// adjacency rows too.
 	for _, s := range []string{"complete:34", "er:n=40,p=0.3", "er:n=70,p=0.25", "kosr:sink=36,nonsink=4,k=3"} {
 		d, err := ParseDef(s)
 		if err != nil {
@@ -222,7 +179,7 @@ func TestKappaScheduleMatchesAllPairs(t *testing.T) {
 			g := relabel(c.g, perm)
 			tag := fmt.Sprintf("%s rotated by %d", c.name, shift)
 			for k := 0; k <= 5; k++ {
-				if got, want := kappaAllPairs(g, k), k <= c.kappa; got != want {
+				if got, want := g.IsKStronglyConnected(k), k <= c.kappa; got != want {
 					t.Fatalf("%s: the oracle says κ ≥ %d is %v, built for κ = %d", tag, k, got, c.kappa)
 				}
 			}
@@ -231,29 +188,33 @@ func TestKappaScheduleMatchesAllPairs(t *testing.T) {
 	}
 }
 
-// probeCost runs κ(G[members]) ≥ k in both engines — PoolFlow on the mask of a
-// pool made of all of g, FlowScratch on the induced graph — and returns the
-// verdict with the flows run and the flows each exit saved, which the engines
-// must agree on: same members in the same order, same rows.
+// probeCost runs κ(G[members]) ≥ k on the engine loaded two ways — with all
+// of g through LoadRows, the members its query set, and with G[members]
+// through Load, queried whole — and returns the verdict with the flows run
+// and the flows each exit saved, which must agree: same members in the same
+// order, same rows.
 func probeCost(t *testing.T, g *Digraph, members model.IDSet, k int, tag string) (holds bool, probes int, skipped [3]int) {
 	t.Helper()
-	var sc FlowScratch
-	sc.Load(g.Induced(members))
-	holds = sc.IsKStronglyConnected(k)
-	var pf PoolFlow
-	pool := g.Nodes()
-	pf.Reset(poolRows(g, pool))
-	var mask uint64
-	for i, id := range pool {
+	var whole, rows FlowScratch
+	whole.Load(g.Induced(members))
+	holds = whole.IsKStronglyConnected(k)
+	var b BitAdjacency
+	b.Load(g)
+	rows.LoadRows(b.NumNodes(), b.rows)
+	// Every node's split rows in place, as a query on all of g leaves them:
+	// the query on S must not reach the rows of non-members.
+	rows.split(rows.sub, rows.all)
+	set := make([]uint64, b.words)
+	for i, id := range b.IDs() {
 		if members.Has(id) {
-			mask |= 1 << i
+			set[i>>6] |= 1 << (i & 63)
 		}
 	}
-	if got := pf.KappaAtLeast(mask, k); got != holds || pf.probes != sc.probes || pf.skipped != sc.skipped {
-		t.Fatalf("%s, κ(%v) ≥ %d: PoolFlow says %v after %d flows, skipped %v; FlowScratch %v after %d, skipped %v",
-			tag, members, k, got, pf.probes, pf.skipped, holds, sc.probes, sc.skipped)
+	if got := rows.KappaAtLeast(set, k); got != holds || rows.probes != whole.probes || rows.skipped != whole.skipped {
+		t.Fatalf("%s, κ(%v) ≥ %d: %v after %d flows, skipped %v on all of g; %v after %d, skipped %v on G[S]",
+			tag, members, k, got, rows.probes, rows.skipped, holds, whole.probes, whole.skipped)
 	}
-	return holds, sc.probes, sc.skipped
+	return holds, whole.probes, whole.skipped
 }
 
 // literalSkips counts, off the Digraph's own edge sets, the probes of Even's
@@ -299,7 +260,7 @@ func literalSkips(g *Digraph, k int) (pairs, fans int) {
 	return pairs, fans
 }
 
-// TestKappaProbeCount pins the schedule's cost, in both engines. A passing
+// TestKappaProbeCount pins the schedule's cost, both ways of loading. A passing
 // verdict on m members accounts for exactly k(k−1) + 2(m−k) probes, each one a
 // flow run or a flow an exit saved — the count is deterministic, so a slide
 // back towards one flow per ordered pair fails here. Cliques cost no flow at
@@ -403,7 +364,7 @@ func TestKappaProbeCount(t *testing.T) {
 			t.Fatalf("%s: κ ≥ %d is %v after %d flows, skipped %v; want true after k(k−1)+2(m−k) − %d − %d = %d, skipped [0 %d %d]",
 				c.name, c.k, holds, probes, skipped, pairs, fans, want, pairs, fans)
 		}
-		if !kappaAllPairs(c.g, c.k) || kappaAllPairs(c.g, c.k+1) {
+		if !c.g.IsKStronglyConnected(c.k) || c.g.IsKStronglyConnected(c.k+1) {
 			t.Fatalf("%s: the oracle disagrees that κ = %d", c.name, c.k)
 		}
 	}

@@ -53,14 +53,14 @@ func (sc *FlowScratch) CheckKOSR(g *Digraph, k int) KOSRReport {
 		r.Reason = fmt.Sprintf("condensation has %d sink components, want exactly 1", len(sinks))
 		return r
 	}
-	sink := sinks[0]
+	sink, set := sinks[0], sc.set
 	r.Sink = make(model.IDSet, len(sink))
+	clear(set)
 	for _, i := range sink {
 		r.Sink.Add(ids[i])
+		set[i>>6] |= 1 << (i & 63)
 	}
-	// No edge leaves a sink component, which is what lets the κ schedule run
-	// on the whole graph's rows.
-	if !sc.kStrong(sink, k) {
+	if !sc.KappaAtLeast(set, k) {
 		r.Reason = fmt.Sprintf("sink component %v is not %d-strongly connected", r.Sink, k)
 		return r
 	}
@@ -73,11 +73,6 @@ func (sc *FlowScratch) CheckKOSR(g *Digraph, k int) KOSRReport {
 	// it per outside node decides it (HasKFan). A node whose fan fails is
 	// probed pair by pair, which names the Reason and covers a sink of fewer
 	// than k members, where no fan fits.
-	set := sc.sets[:sc.adj.words]
-	clear(set)
-	for _, i := range sink {
-		set[i>>6] |= 1 << (i & 63)
-	}
 	for u, id := range ids {
 		if k <= 0 || r.Sink.Has(id) || sc.fanHolds(u, set, k) {
 			continue

@@ -265,7 +265,7 @@ func fanRoutes(g *Digraph, sink model.IDSet, k int, routes map[string]int) {
 		case sink.Has(id):
 		case andCount(sc.adj.Row(ui), set) >= k:
 			routes["fan: exit 3"]++
-		case sc.fanFlow(ui, set, k) >= k:
+		case sc.fanFlow(sc.base, sc.all, ui, set, k) >= k:
 			routes["fan: flow"]++
 		case pairsHold(&sc, ui, rows, k):
 			routes["no fan: pairs hold"]++
@@ -394,13 +394,13 @@ func TestCheckKOSRFanInFlows(t *testing.T) {
 			}
 			var sched FlowScratch
 			sched.Load(b.G)
-			var rows []int32
+			set := make([]uint64, sched.adj.words)
 			for i, id := range b.G.Nodes() {
 				if r.Sink.Has(id) {
-					rows = append(rows, int32(i))
+					set[i>>6] |= 1 << (i & 63)
 				}
 			}
-			sched.kStrong(rows, k)
+			sched.KappaAtLeast(set, k)
 			fan, saved := sc.probes-sched.probes, sc.skipped[2]-sched.skipped[2]
 			if outside := b.G.NumNodes() - r.Sink.Len(); fan+saved != outside {
 				t.Fatalf("%s seed %d: %d flows and %d exits for the fan-in condition of %d outside nodes", c.def, seed, fan, saved, outside)

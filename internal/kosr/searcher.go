@@ -79,9 +79,9 @@ type Searcher struct {
 	sccCands map[string]*sccEntry
 	subsets  map[string]*subsetFacts
 
-	enum     poolEnum
-	poolFlow graph.PoolFlow    // κ of pool subsets (≤ ExactLimit)
-	flow     graph.FlowScratch // κ of whole candidates (> ExactLimit fallback)
+	enum poolEnum
+	flow graph.FlowScratch // κ of S1 candidates, loaded with one pool's rows
+	mask [1]uint64         // an enumerated subset, as flow's member set
 
 	// Decomposition scratch: the received processes in ascending-ID order (ids
 	// their IDs, node their interned indices — a position indexes both), the
@@ -466,8 +466,7 @@ func (s *Searcher) entryFor(v *View, g int, comp *sccComp) *sccEntry {
 
 // searchComp searches one component at g: (g+1)-core peel (sound for g ≥ 1
 // only: singletons have no degree requirement), then exact subset
-// enumeration up to ExactLimit, else structural candidates (the one path
-// that builds a Digraph).
+// enumeration up to ExactLimit, else structural candidates.
 func (s *Searcher) searchComp(v *View, g int, comp *sccComp) *sccEntry {
 	e := &sccEntry{exact: true}
 	pool := s.peel(comp.idx, int32(g+1))
@@ -478,44 +477,51 @@ func (s *Searcher) searchComp(v *View, g int, comp *sccComp) *sccEntry {
 		s.enumeratePool(v, g, pool, e)
 	} else {
 		e.exact = false
-		// Structural candidates: the peeled pool itself and the pool minus
-		// each single vertex, re-peeled.
-		induced := s.inducedOf(comp)
-		seen := make(map[string]bool)
-		try := func(set model.IDSet) {
-			if set.Len() < 2*g+1 {
-				return
-			}
-			key := set.Key()
-			if seen[key] {
-				return
-			}
-			seen[key] = true
-			s1 := make([]int32, 0, set.Len())
-			for _, id := range set.Sorted() {
-				s1 = append(s1, s.internID(id))
-			}
-			if s.passes(v, g, s1, set, induced) {
-				e.cands = append(e.cands, cachedCand{s1: s1, key: key})
-			}
-		}
-		whole := model.NewIDSet()
-		for _, u := range pool {
-			whole.Add(s.ids[u])
-		}
-		try(whole)
-		sub := induced.Induced(whole)
-		for _, u := range whole.Sorted() {
-			rest := whole.Clone()
-			rest.Remove(u)
-			if g >= 1 {
-				rest = sub.Induced(rest).DirectedCore(g + 1)
-			}
-			try(rest)
-		}
+		s.structural(v, g, slices.Clone(pool), e) // its re-peels reuse pool's scratch
 	}
 	sortCands(e.cands)
+	// Re-peels can meet: one candidate, one entry.
+	e.cands = slices.CompactFunc(e.cands, func(a, b cachedCand) bool { return a.key == b.key })
 	return e
+}
+
+// structural tries the fallback's candidates on a pool larger than
+// ExactLimit: the pool itself and the pool minus each member, re-peeled to
+// its (g+1)-core, all on the decomposition's CSR. The κ engine is loaded once
+// with the pool's rows, and each candidate is its member set.
+func (s *Searcher) structural(v *View, g int, pool []int32, e *sccEntry) {
+	w := (len(pool) + 63) / 64
+	rows := make([]uint64, len(pool)*w)
+	for p, u := range pool {
+		for _, x := range s.adjFlat[s.adjStart[u]:s.adjStart[u+1]] {
+			if q, ok := slices.BinarySearch(pool, x); ok {
+				rows[p*w+q>>6] |= 1 << (q & 63)
+			}
+		}
+	}
+	s.flow.LoadRows(len(pool), rows)
+	set, rest := make([]uint64, w), make([]int32, 0, len(pool))
+	for i := -1; i < len(pool); i++ {
+		cand := pool
+		if i >= 0 {
+			rest = append(append(rest[:0], pool[:i]...), pool[i+1:]...)
+			cand = s.peel(rest, int32(g+1))
+		}
+		if len(cand) < 2*g+1 {
+			continue
+		}
+		clear(set)
+		s1 := s.s1Buf[:0]
+		for _, u := range cand {
+			q, _ := slices.BinarySearch(pool, u)
+			set[q>>6] |= 1 << (q & 63)
+			s1 = append(s1, s.node[u])
+		}
+		s.s1Buf = s1
+		if s.passes(v, g, s1, -1, set) {
+			s.record(e, s1)
+		}
+	}
 }
 
 // peel returns, as ascending positions in reused scratch, the directed k-core
@@ -562,10 +568,10 @@ func (s *Searcher) peel(comp []int32, k int32) []int32 {
 // enumeratePool walks the subsets of the pool (≤ ExactLimit ≤ 64 positions,
 // ascending) through the dominated-subset-pruned bitset enumerator: poolEnum
 // cuts whole subtrees that cannot pass P1/P3/κ, the survivors resolve their
-// verdict facts by content key, and κ probes run on the pool-local PoolFlow
-// engine — no per-subset graph materialization. The enumerator's prunes are
-// sound (see poolEnum), so the passing set is exactly the plain mask walk's;
-// a candidate is recorded only on pass.
+// verdict facts by content key, and κ probes run on the flow engine loaded
+// once with the pool's rows — no per-subset graph materialization. The
+// enumerator's prunes are sound (see poolEnum), so the passing set is exactly
+// the plain mask walk's; a candidate is recorded only on pass.
 func (s *Searcher) enumeratePool(v *View, g int, pool []int32, e *sccEntry) {
 	// The members' marks carry their pool position plus one, an external
 	// target's the negative of its number plus one, handed out at first sight.
@@ -601,46 +607,21 @@ func (s *Searcher) enumeratePool(v *View, g int, pool []int32, e *sccEntry) {
 	s.tgtBuf = exts
 	pe := &s.enum
 	pe.init(g, adj[:len(pool)], ext[:len(pool)], len(exts) <= 64)
-	s.poolFlow.Reset(adj[:len(pool)])
-	k := int32(g + 1)
+	s.flow.LoadRows(len(pool), adj[:len(pool)])
 	pe.run(func(inc uint64, out int, outExact bool) {
-		key, s1 := s.keyBuf[:0], s.s1Buf[:0]
+		s1 := s.s1Buf[:0]
 		for rest := inc; rest != 0; rest &= rest - 1 {
-			m := members[bits.TrailingZeros64(rest)]
-			key, s1 = setBit(key, 0, m), append(s1, m)
+			s1 = append(s1, members[bits.TrailingZeros64(rest)])
 		}
-		s.keyBuf, s.s1Buf = key, s1
-		f := s.factsFor(key)
-		if f.out < 0 {
-			if !outExact {
-				// The enumerator's count is a lower bound (the pool points at
-				// more than 64 distinct external targets).
-				out, _ = s.outside(v, s1, g)
-			}
-			f.out = int32(out)
+		s.s1Buf, s.mask[0] = s1, inc
+		if !outExact {
+			// A lower bound: the pool points at more than 64 distinct external
+			// targets.
+			out = -1
 		}
-		if int(f.out) > g {
-			return
+		if s.passes(v, g, s1, out, s.mask[:]) {
+			s.record(e, s1)
 		}
-		if len(s1) > 1 {
-			holds, known := f.kappa(k)
-			if !known {
-				holds = s.poolFlow.KappaAtLeast(inc, int(k))
-				f.learn(k, holds)
-			}
-			if !holds {
-				return
-			}
-		}
-		buf := s.keyBuf[:0]
-		for i, m := range s1 {
-			if i > 0 {
-				buf = append(buf, ',')
-			}
-			buf = strconv.AppendUint(buf, uint64(s.procs[m].id), 10)
-		}
-		s.keyBuf = buf
-		e.cands = append(e.cands, cachedCand{s1: slices.Clone(s1), key: string(buf)})
 	})
 }
 
@@ -657,11 +638,11 @@ func (s *Searcher) factsFor(key []byte) *subsetFacts {
 	return f
 }
 
-// passes applies isSink's S1-side checks (P3 out-target bound, P2/κ
-// connectivity) to one structural candidate, given as interned indices and
-// as a set, through the per-S1 verdict memo. induced is the subgraph of its
-// component; the caller checked P1.
-func (s *Searcher) passes(v *View, g int, s1 []int32, set model.IDSet, induced *graph.Digraph) bool {
+// passes applies isSink's S1-side checks past P1 — P3's bound on out-targets
+// and P2's κ — to an S1 given as ascending interned indices and as its member
+// set over the rows flow holds, through the per-S1 verdict memo. out is the
+// enumerator's count of S1's out-targets, or -1 to count them on the view.
+func (s *Searcher) passes(v *View, g int, s1 []int32, out int, set []uint64) bool {
 	key := s.keyBuf[:0]
 	for _, m := range s1 {
 		key = setBit(key, 0, m)
@@ -669,7 +650,9 @@ func (s *Searcher) passes(v *View, g int, s1 []int32, set model.IDSet, induced *
 	s.keyBuf = key
 	f := s.factsFor(key)
 	if f.out < 0 {
-		out, _ := s.outside(v, s1, g)
+		if out < 0 {
+			out, _ = s.outside(v, s1, g)
+		}
 		f.out = int32(out)
 	}
 	if int(f.out) > g {
@@ -681,28 +664,23 @@ func (s *Searcher) passes(v *View, g int, s1 []int32, set model.IDSet, induced *
 	k := int32(g + 1)
 	holds, known := f.kappa(k)
 	if !known {
-		s.flow.Load(induced.Induced(set))
-		holds = s.flow.IsKStronglyConnected(int(k))
+		holds = s.flow.KappaAtLeast(set, int(k))
 		f.learn(k, holds)
 	}
 	return holds
 }
 
-// inducedOf builds the component's induced subgraph of the received graph,
-// for the structural fallback.
-func (s *Searcher) inducedOf(comp *sccComp) *graph.Digraph {
-	gd := graph.New()
-	for _, u := range comp.idx {
-		gd.AddNode(s.ids[u])
-	}
-	for _, u := range comp.idx {
-		for _, w := range s.adjFlat[s.adjStart[u]:s.adjStart[u+1]] {
-			if gd.HasNode(s.ids[w]) {
-				gd.AddEdge(s.ids[u], s.ids[w])
-			}
+// record adds a passing S1 to e under its canonical decimal key.
+func (s *Searcher) record(e *sccEntry, s1 []int32) {
+	buf := s.keyBuf[:0]
+	for i, m := range s1 {
+		if i > 0 {
+			buf = append(buf, ',')
 		}
+		buf = strconv.AppendUint(buf, uint64(s.procs[m].id), 10)
 	}
-	return gd
+	s.keyBuf = buf
+	e.cands = append(e.cands, cachedCand{s1: slices.Clone(s1), key: string(buf)})
 }
 
 // FindSinkKnownF implements the decision step of Algorithm 2 (the Sink

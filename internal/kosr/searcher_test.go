@@ -2,6 +2,7 @@ package kosr
 
 import (
 	"cmp"
+	"crypto/sha256"
 	"encoding/binary"
 	"fmt"
 	"math/rand"
@@ -438,7 +439,8 @@ func TestSearcherManyRecords(t *testing.T) {
 // map-based one it replaced in the search: over random insertion sequences on
 // planted and unplanted families, after every insertion, for every component
 // of the decomposition and every k the search can ask for, Searcher.peel on
-// the CSR returns exactly inducedOf(comp).DirectedCore(k) in ascending order
+// the CSR returns exactly the DirectedCore(k) of the component's induced
+// subgraph of the received graph, in ascending order
 // (k ≤ 1: the whole component), and leaves its degree scratch as it found it.
 // IDs are shifted past 64 and past 2^32 as in the key-space tests: the peel
 // works on positions, never on ID values.
@@ -467,9 +469,14 @@ func TestSearcherPeelMatchesDirectedCore(t *testing.T) {
 				v.AddKnown(owner)
 				v.SetPD(owner, g.OutSet(owner))
 				se.refresh(v)
+				received := v.ReceivedGraph()
 				for c := range se.comps {
 					comp := &se.comps[c]
-					induced := se.inducedOf(comp)
+					members := model.NewIDSet()
+					for _, u := range comp.idx {
+						members.Add(se.ids[u])
+					}
+					induced := received.Induced(members)
 					for k := 0; k <= v.MaxG()+2; k++ {
 						want := induced.NodeSet()
 						if k > 1 {
@@ -505,19 +512,43 @@ func TestSearcherPeelMatchesDirectedCore(t *testing.T) {
 	}
 }
 
+// fallbackPin renders one SinksAtGExact result as its exact flag, its
+// candidate count and the first bytes of a SHA-256 over the candidates' S1|S2
+// keys in the order returned.
+func fallbackPin(cands []Candidate, exact bool) string {
+	h := sha256.New()
+	for _, c := range cands {
+		fmt.Fprintf(h, "%s|%s;", c.S1.Key(), c.S2.Key())
+	}
+	return fmt.Sprintf("%v %d %x", exact, len(cands), h.Sum(nil)[:6])
+}
+
 // TestStructuralFallback executes the > ExactLimit path, which has exactly
 // one implementation and no brute-force twin (2^24 subsets): on a complete
-// graph and on a planted k-OSR graph whose sink is a 24-node SCC, every g at
-// which the peeled pool is still larger than ExactLimit must be reported
-// inexact, every candidate returned must satisfy the literal View.IsSink, and
-// both find rules must still return the planted sink.
+// graph and on planted k-OSR graphs whose sink is a 24- or 66-node SCC (past
+// 64 members the κ rows are two words), every g at which the peeled pool is
+// still larger than ExactLimit must be reported inexact, every candidate
+// returned must satisfy the literal View.IsSink, and both find rules must
+// still return the planted sink. The candidates themselves — keys, order and
+// exact flag per g — are pinned to what the map-based fallback returned. The
+// 66-node sink's candidates meet the literal IsSink at g = 2 only: at g = 1
+// that would run every pair's flow on each of 67.
 func TestStructuralFallback(t *testing.T) {
 	for _, tc := range []struct {
 		def       string
-		inexactTo int // largest g whose peeled pool exceeds ExactLimit
+		inexactTo int      // largest g whose peeled pool exceeds ExactLimit
+		literalTo int      // the smallest g whose candidates meet View.IsSink
+		pins      []string // fallbackPin for g = inexactTo down to 0
 	}{
-		{"complete:24", 11},               // P1 (2g+1 ≤ 24) is the only limit
-		{"kosr:sink=24,nonsink=4,k=3", 2}, // the (g+1)-core of a κ=3 sink is empty past g=2
+		// P1 (2g+1 ≤ 24) is the only limit.
+		{"complete:24", 11, 0, []string{
+			"false 25 1b4950e8b21d", "false 25 1b4950e8b21d", "false 25 1b4950e8b21d", "false 25 1b4950e8b21d",
+			"false 25 1b4950e8b21d", "false 25 1b4950e8b21d", "false 25 1b4950e8b21d", "false 25 1b4950e8b21d",
+			"false 25 1b4950e8b21d", "false 25 1b4950e8b21d", "false 25 1b4950e8b21d", "false 1 991f86ff746b",
+		}},
+		// The (g+1)-core of a κ=3 sink is empty past g=2.
+		{"kosr:sink=24,nonsink=4,k=3", 2, 0, []string{"false 1 991f86ff746b", "false 25 1b4950e8b21d", "false 1 991f86ff746b"}},
+		{"kosr:sink=66,nonsink=4,k=3", 2, 2, []string{"false 1 7b771bea8cd2", "false 67 07bdcc57ac6f", "false 1 7b771bea8cd2"}},
 	} {
 		d, err := graph.ParseDef(tc.def)
 		if err != nil {
@@ -538,11 +569,17 @@ func TestStructuralFallback(t *testing.T) {
 			if exact != (g > tc.inexactTo) {
 				t.Fatalf("%s g=%d: exact=%v with a %d-node sink SCC", tc.def, g, exact, sink.Len())
 			}
-			if g <= tc.inexactTo && len(cands) == 0 {
+			if g > tc.inexactTo {
+				continue
+			}
+			if got, want := fallbackPin(cands, exact), tc.pins[tc.inexactTo-g]; got != want {
+				t.Errorf("%s g=%d: the fallback returned %s, pinned %s", tc.def, g, got, want)
+			}
+			if len(cands) == 0 {
 				t.Fatalf("%s g=%d: the fallback found no candidate", tc.def, g)
 			}
 			for _, c := range cands {
-				if !v.IsSink(g, c.S1, c.S2) {
+				if g >= tc.literalTo && !v.IsSink(g, c.S1, c.S2) {
 					t.Fatalf("%s g=%d: candidate %v / %v fails the literal isSink", tc.def, g, c.S1, c.S2)
 				}
 			}
@@ -553,6 +590,38 @@ func TestStructuralFallback(t *testing.T) {
 		if c, ok := se.FindCore(v); !ok || !c.Members().Equal(sink) || c.G != tc.inexactTo {
 			t.Fatalf("%s: FindCore = g=%d %v, %v, want the planted sink at g=%d", tc.def, c.G, c.Members(), ok, tc.inexactTo)
 		}
+	}
+}
+
+// TestStructuralFallbackRepeels pins the candidate only the fallback's re-peel
+// of "pool minus u" finds: a K21 (p1–p21) with a triangle p22–p24 hung on it
+// by p1 → p22, p23 → p1 and p24 → p2. At g = 1 the 2-core is all 24 nodes, past
+// ExactLimit. Without p22 the triangle's other two nodes lose their in-degree
+// and peel away, leaving the K21, which points only at p22: a sink. Unpeeled,
+// the pool minus p22 has κ = 1.
+func TestStructuralFallbackRepeels(t *testing.T) {
+	var clique []model.ID
+	for id := model.ID(1); id <= 21; id++ {
+		clique = append(clique, id)
+	}
+	g := graph.CompleteGraph(clique...)
+	for _, e := range [][2]model.ID{{22, 23}, {23, 22}, {22, 24}, {24, 22}, {23, 24}, {24, 23}, {1, 22}, {23, 1}, {24, 2}} {
+		g.AddEdge(e[0], e[1])
+	}
+	v := FullView(g)
+	cands, exact := NewSearcher().SinksAtGExact(v, 1)
+	if got, want := fallbackPin(cands, exact), "false 1 0a881f877c51"; got != want {
+		t.Errorf("the fallback returned %s, pinned %s", got, want)
+	}
+	found := false
+	for _, c := range cands {
+		if !v.IsSink(1, c.S1, c.S2) {
+			t.Fatalf("candidate %v / %v fails the literal isSink", c.S1, c.S2)
+		}
+		found = found || c.S1.Equal(model.NewIDSet(clique...))
+	}
+	if !found {
+		t.Fatalf("the K21 is not among the %d candidates", len(cands))
 	}
 }
 
