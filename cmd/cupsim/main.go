@@ -1,7 +1,10 @@
 // Command cupsim runs BFT-CUP / BFT-CUPFT scenarios on the deterministic
-// simulator: one scenario with per-process output, or a seed sweep through
-// the scenario-matrix engine — monolithic, or as deterministic shards
-// streamed to JSONL and merged back into the identical aggregate report.
+// simulator: one scenario with per-process output, or — with -seeds — the
+// scenario once per seed through the scenario-matrix engine, monolithic or
+// as deterministic shards streamed to JSONL (the matrix package's shared
+// sweep flags; `experiments -merge` folds the shard files back into the
+// identical aggregate report). A seed sweep is the one way to sweep a custom
+// graph def, such as one graphgen -emit printed.
 //
 // Examples:
 //
@@ -12,7 +15,6 @@
 //	cupsim -graph kosr:sink=5,nonsink=3,k=2 -mode bft-cup -seeds 1:50 -parallel 0 -json
 //	cupsim -graph fig1b -loss 0.15 -dup 0.075 -reorder 2ms -partition 10ms-400ms -churn 2@10ms+500ms
 //	cupsim -graph fig1b -seeds 1:100 -shard 1/4 -jsonl part1.jsonl
-//	cupsim -merge part1.jsonl part2.jsonl part3.jsonl part4.jsonl
 package main
 
 import (
@@ -31,17 +33,10 @@ import (
 
 func main() {
 	var (
-		params    = scenario.BindFlags(flag.CommandLine)
-		autoFlag  = flag.String("autobyz", "", "automatic byzantine placement, kind×count[@place] (place: figure|tail|sink|worst), e.g. silent×2@worst or 'silentx2@worst'")
-		slowFlag  = flag.String("slow", "", "pre-GST fast groups, e.g. 1,2,3/6,7,8 (everything else slow)")
-		seedsStr  = flag.String("seeds", "", "seed sweep, FROM:TO or a count N (= 1:N) — run the scenario once per seed through the matrix engine (overrides -seed)")
-		parallel  = flag.Int("parallel", 0, "sweep worker count: 0 = GOMAXPROCS, 1 = serial")
-		jsonOut   = flag.Bool("json", false, "emit the sweep report as JSON")
-		shardStr  = flag.String("shard", "", "with -seeds: run only span i/n[@t] of the sweep (deterministic partition)")
-		onlyStr   = flag.String("only", "", "with -seeds: run only these global cell indices, comma-separated")
-		jsonlPath = flag.String("jsonl", "", "with -seeds: stream per-cell outcomes as JSONL to this file ('-' = stdout)")
-		resume    = flag.Bool("resume", false, "with -seeds -jsonl FILE: resume an interrupted stream, running only the cells the file is missing")
-		doMerge   = flag.Bool("merge", false, "merge shard JSONL files (positional arguments) into the aggregate report")
+		params   = scenario.BindFlags(flag.CommandLine)
+		sweep    = matrix.BindSweepFlags(flag.CommandLine, "", 0)
+		autoFlag = flag.String("autobyz", "", "automatic byzantine placement, kind×count[@place] (place: figure|tail|sink|worst), e.g. silent×2@worst or 'silentx2@worst'")
+		slowFlag = flag.String("slow", "", "pre-GST fast groups, e.g. 1,2,3/6,7,8 (everything else slow)")
 
 		loss       = flag.Float64("loss", 0, "per-message delivery loss probability in [0,1)")
 		dup        = flag.Float64("dup", 0, "per-message duplication probability in [0,1)")
@@ -51,11 +46,6 @@ func main() {
 		unhardened = flag.Bool("unhardened", false, "with fault injection: keep the send-once protocol profile instead of arming retransmission hardening")
 	)
 	flag.Parse()
-
-	if *doMerge {
-		runMerge(flag.Args(), *jsonOut)
-		return
-	}
 
 	p, err := params()
 	if err != nil {
@@ -71,28 +61,11 @@ func main() {
 		fail(err)
 	}
 
-	if *seedsStr != "" {
-		runSweep(p, *seedsStr, *parallel, *jsonOut, *shardStr, *onlyStr, *jsonlPath, *resume)
+	if sweep.Seeds != "" {
+		runSweep(p, sweep)
 		return
 	}
 	runSingle(p)
-}
-
-// runMerge reconstructs the aggregate sweep report from shard JSONL files.
-func runMerge(paths []string, jsonOut bool) {
-	if len(paths) == 0 {
-		fail(fmt.Errorf("-merge needs shard files as positional arguments"))
-	}
-	rep, err := matrix.MergeFiles(paths...)
-	if err != nil {
-		fail(err)
-	}
-	fmt.Fprintf(os.Stderr, "merged %d shard file(s): %d cells, fingerprint %s\n",
-		len(paths), rep.Cells, rep.Fingerprint())
-	emitSweep(rep, jsonOut)
-	if rep.Errors > 0 || rep.Consensus < rep.Cells {
-		os.Exit(1)
-	}
 }
 
 func fail(err error) {
@@ -138,8 +111,10 @@ func splitList(s string) []string {
 	return out
 }
 
-func runSweep(params scenario.Params, seedsStr string, parallel int, jsonOut bool, shardStr, onlyStr, jsonlPath string, resume bool) {
-	seeds, err := matrix.ParseSeedRange(seedsStr)
+// runSweep runs the scenario once per seed: streamed with -jsonl, else into
+// a report. Lost consensus in any cell exits 1.
+func runSweep(params scenario.Params, sf *matrix.SweepFlags) {
+	seeds, err := matrix.ParseSeedRange(sf.Seeds)
 	if err != nil {
 		fail(err)
 	}
@@ -149,21 +124,15 @@ func runSweep(params scenario.Params, seedsStr string, parallel int, jsonOut boo
 	if err != nil {
 		fail(err)
 	}
-	name := fmt.Sprintf("%s seeds %s", params.Name, seedsStr)
+	name := fmt.Sprintf("%s seeds %s", params.Name, sf.Seeds)
 	if params.Faults.Enabled() {
 		name += " (faults " + params.Faults.Label() + ")"
 	}
 	if params.Insecure {
 		name += " (insecure)"
 	}
-	job := matrix.StreamJob{
-		Name: name, Src: src,
-		Shard: shardStr, Only: onlyStr,
-		Path: jsonlPath, Resume: resume,
-		Opts: matrix.Options{Parallelism: parallel},
-	}
-
-	if jsonlPath != "" {
+	job := sf.Job(name, src)
+	if job.Path != "" {
 		tr, err := job.Run()
 		if err != nil {
 			fail(err)
@@ -173,31 +142,11 @@ func runSweep(params scenario.Params, seedsStr string, parallel int, jsonOut boo
 		}
 		return
 	}
-	if resume {
-		fail(fmt.Errorf("-resume needs -jsonl FILE (a stream on stdout cannot be resumed)"))
-	}
-
-	part, spec, err := job.Slice()
+	rep, err := job.Report()
 	if err != nil {
 		fail(err)
 	}
-	rep, err := matrix.Run(part, job.Opts)
-	if err != nil {
-		fail(err)
-	}
-	rep.Name = name
-	if spec != "1/1" {
-		rep.Name = fmt.Sprintf("%s, shard %s", name, spec)
-	}
-	emitSweep(rep, jsonOut)
-	if rep.Errors > 0 || rep.Consensus < rep.Cells {
-		os.Exit(1)
-	}
-}
-
-// emitSweep renders a sweep report as JSON or per-cell text.
-func emitSweep(rep *matrix.Report, jsonOut bool) {
-	if jsonOut {
+	if sf.JSON {
 		raw, err := rep.JSON()
 		if err != nil {
 			fail(err)
@@ -206,6 +155,9 @@ func emitSweep(rep *matrix.Report, jsonOut bool) {
 		fmt.Println()
 	} else {
 		rep.WriteText(os.Stdout, true)
+	}
+	if rep.Errors > 0 || rep.Consensus < rep.Cells {
+		os.Exit(1)
 	}
 }
 

@@ -48,16 +48,10 @@ func main() {
 		adversary  = flag.Bool("adversary", false, "with -matrix: sweep the adversary zoo (delay, selective silence, collusion, equivocation) with tail vs worst-case placements instead of the standard axes")
 		probSweep  = flag.Bool("probabilistic", false, "with -matrix: sweep the random-graph families (er, geo, sf) over size, density and fault threshold, reporting per-axis emergence rates")
 		chaosSweep = flag.Bool("chaos", false, "with -matrix: sweep the chaos fault-injection ladder (loss × partition × churn × f) over the BFT-CUP families, reporting graded-property degradation")
-		seedsStr   = flag.String("seeds", "1:10", "seed sweep for -matrix, as FROM:TO or a single count N (= 1:N)")
-		parallel   = flag.Int("parallel", 0, "worker count: 0 = GOMAXPROCS, 1 = serial")
-		jsonOut    = flag.Bool("json", false, "emit the matrix report as JSON")
+		sweep      = matrix.BindSweepFlags(flag.CommandLine, "1:10", 0)
 		trace      = flag.Bool("trace", false, "record per-cell event-trace digests")
 		cellRows   = flag.Bool("cells", false, "list every cell in text output")
 		compare    = flag.Bool("compare", false, "with -matrix: run serially then in parallel, assert identical reports, print speedup")
-		shardStr   = flag.String("shard", "", "with -matrix: run only span i/n[@t] of the sweep (deterministic partition)")
-		onlyStr    = flag.String("only", "", "with -matrix: run only these global cell indices, comma-separated (the fabric's gap back-fill)")
-		jsonlPath  = flag.String("jsonl", "", "with -matrix: stream per-cell outcomes as JSONL to this file ('-' = stdout) instead of buffering a report")
-		resume     = flag.Bool("resume", false, "with -matrix -jsonl FILE: resume an interrupted stream, running only the cells the file is missing")
 		insecure   = flag.Bool("insecure", false, "with -matrix: swap Ed25519 for the insecure crypto suite (faster cells; fingerprints NOT comparable with secure sweeps)")
 		doMerge    = flag.Bool("merge", false, "merge shard JSONL files (positional arguments) into the aggregate report")
 		summary    = flag.Bool("summary", false, "with -merge: aggregate in constant memory, dropping per-cell outcomes from the report")
@@ -87,11 +81,11 @@ func main() {
 
 	switch {
 	case *doMerge:
-		runMerge(flag.Args(), *jsonOut, *cellRows, *summary)
+		runMerge(flag.Args(), sweep.JSON, *cellRows, *summary)
 	case *doMatrix:
-		runMatrix(*seedsStr, *adversary, *probSweep, *chaosSweep, *parallel, *jsonOut, *trace, *cellRows, *compare, *shardStr, *onlyStr, *jsonlPath, *resume, *insecure)
+		runMatrix(sweep, *adversary, *probSweep, *chaosSweep, *insecure, *trace, *cellRows, *compare)
 	default:
-		runPaperSuite(*runSel, *parallel, *jsonOut, *trace, *verbose)
+		runPaperSuite(*runSel, sweep.Parallel, sweep.JSON, *trace, *verbose)
 	}
 }
 
@@ -119,11 +113,11 @@ func runMerge(paths []string, jsonOut, cellRows, summary bool) {
 	}
 }
 
-// runMatrix executes the standard sweep: whole, or one deterministic shard,
-// optionally streaming per-cell JSONL (fresh or resumed) instead of
-// buffering a report. The sweep is a lazy cell source end to end — nothing
-// materializes the cell list, so seed ranges in the millions are fine.
-func runMatrix(seedsStr string, adversary, probabilistic, chaos bool, parallel int, jsonOut, trace, cellRows, compare bool, shardStr, onlyStr, jsonlPath string, resume, insecure bool) {
+// runMatrix executes a named sweep: whole, or the -shard/-only slice,
+// streamed to JSONL (fresh or resumed) with -jsonl, else into a report. The
+// sweep is a lazy cell source end to end — nothing materializes the cell
+// list, so seed ranges in the millions are fine.
+func runMatrix(sf *matrix.SweepFlags, adversary, probabilistic, chaos, insecure, trace, cellRows, compare bool) {
 	sweepName := "standard"
 	picked := 0
 	for name, on := range map[string]bool{"adversary": adversary, "probabilistic": probabilistic, "chaos": chaos} {
@@ -135,29 +129,20 @@ func runMatrix(seedsStr string, adversary, probabilistic, chaos bool, parallel i
 	if picked > 1 {
 		fail(fmt.Errorf("-adversary, -probabilistic and -chaos select different sweeps; pick one"))
 	}
-	src, name, err := matrix.NamedSweep(sweepName, seedsStr, insecure)
+	if compare && (sf.Shard != "" || sf.Only != "" || sf.JSONL != "" || sf.Resume) {
+		fail(fmt.Errorf("-compare runs the whole sweep twice; it cannot be combined with -shard, -only, -jsonl or -resume"))
+	}
+	src, name, err := matrix.NamedSweep(sweepName, sf.Seeds, insecure)
 	if err != nil {
 		fail(err)
 	}
-	job := matrix.StreamJob{Name: name, Src: src, Shard: shardStr, Only: onlyStr, Path: jsonlPath, Resume: resume}
-	part, spec, err := job.Slice()
-	if err != nil {
-		fail(err)
+	job := sf.Job(name, src)
+	job.Opts.Trace = trace
+	if !sf.JSON && sf.JSONL != "-" {
+		job.Opts.Progress = progress
 	}
-	whole := spec == "1/1"
-	if compare && (!whole || jsonlPath != "") {
-		fail(fmt.Errorf("-compare runs the whole sweep twice; it cannot be combined with -shard, -only or -jsonl"))
-	}
-	if resume && jsonlPath == "" {
-		fail(fmt.Errorf("-resume needs -jsonl FILE (a stream on stdout cannot be resumed)"))
-	}
-	opts := matrix.Options{Parallelism: parallel, Trace: trace}
-	if !jsonOut && jsonlPath != "-" {
-		opts.Progress = progressLine(part.Len())
-	}
-	job.Opts = opts
 
-	if jsonlPath != "" {
+	if job.Path != "" {
 		tr, err := job.Run()
 		if err != nil {
 			fail(err)
@@ -170,13 +155,13 @@ func runMatrix(seedsStr string, adversary, probabilistic, chaos bool, parallel i
 
 	var rep *matrix.Report
 	if compare {
-		serialOpts := opts
+		serialOpts := job.Opts
 		serialOpts.Parallelism = 1
 		serial, err := matrix.Run(src, serialOpts)
 		if err != nil {
 			fail(err)
 		}
-		rep, err = matrix.Run(src, opts)
+		rep, err = matrix.Run(src, job.Opts)
 		if err != nil {
 			fail(err)
 		}
@@ -186,33 +171,26 @@ func runMatrix(seedsStr string, adversary, probabilistic, chaos bool, parallel i
 		speedup := float64(serial.WallNS) / float64(rep.WallNS)
 		fmt.Fprintf(os.Stderr, "serial %.2fs, parallel %.2fs on %d workers → %.2fx speedup; reports identical (fingerprint %s)\n",
 			float64(serial.WallNS)/1e9, float64(rep.WallNS)/1e9, rep.Parallelism, speedup, rep.Fingerprint()[:12])
-	} else {
-		rep, err = matrix.Run(part, opts)
-		if err != nil {
-			fail(err)
-		}
-	}
-	rep.Name = name
-	if !whole {
-		rep.Name = fmt.Sprintf("%s, shard %s", name, spec)
+		rep.Name = name
+	} else if rep, err = job.Report(); err != nil {
+		fail(err)
 	}
 	fmt.Fprintf(os.Stderr, "fingerprint %s\n", rep.Fingerprint())
-	emit(rep, jsonOut, cellRows)
+	emit(rep, sf.JSON, cellRows)
 	if rep.Errors > 0 {
 		os.Exit(1)
 	}
 }
 
-func progressLine(total int) func(done, total int) {
+// progress counts finished cells on stderr, for sweeps of 40 cells or more.
+func progress(done, total int) {
 	if total < 40 {
-		return nil
+		return
 	}
-	return func(done, total int) {
-		if done%20 == 0 || done == total {
-			fmt.Fprintf(os.Stderr, "\r%d/%d cells", done, total)
-			if done == total {
-				fmt.Fprintln(os.Stderr)
-			}
+	if done%20 == 0 || done == total {
+		fmt.Fprintf(os.Stderr, "\r%d/%d cells", done, total)
+		if done == total {
+			fmt.Fprintln(os.Stderr)
 		}
 	}
 }

@@ -7,8 +7,8 @@
 //
 // The default fleet is local subprocesses of sweepd itself in -worker mode;
 // -ssh swaps in remote workers over ssh. The worker protocol is the shared
-// StreamJob flag set (-shard/-only/-jsonl/-resume), so experiments -matrix
-// and cupsim sweeps speak it too.
+// sweep flag set (matrix.BindSweepFlags: -shard/-only/-jsonl/-resume), so
+// experiments -matrix and cupsim sweeps speak it too.
 //
 // Usage:
 //
@@ -33,46 +33,54 @@ import (
 	"github.com/bftcup/bftcup/internal/matrix"
 )
 
+// config is sweepd's command line: the shared sweep flags plus the sweep
+// selection, the fleet and the coordinator's knobs. The coordinator's
+// -parallel is what each worker gets.
+type config struct {
+	sweep                        *matrix.SweepFlags
+	worker                       bool
+	sweepSel                     string
+	insecure                     bool
+	workers                      int
+	sshHosts, remoteCmd, sshArgs string
+	shards                       int
+	spoolDir                     string
+	heartbeat, retryWait         time.Duration
+	cellRows, verbose            bool
+}
+
+// bind declares sweepd's flags on fs.
+func bind(fs *flag.FlagSet) *config {
+	c := &config{sweep: matrix.BindSweepFlags(fs, "1:10", 1)}
+	fs.BoolVar(&c.worker, "worker", false, "run one worker task (the coordinator execs these) instead of coordinating")
+	fs.StringVar(&c.sweepSel, "sweep", "standard", "sweep to run: standard|adversary|probabilistic|chaos")
+	fs.BoolVar(&c.insecure, "insecure", false, "swap Ed25519 for the insecure crypto suite (fingerprints NOT comparable with secure sweeps)")
+	fs.IntVar(&c.workers, "workers", 4, "local subprocess workers (ignored with -ssh)")
+	fs.StringVar(&c.sshHosts, "ssh", "", "comma-separated ssh destinations; replaces the local fleet")
+	fs.StringVar(&c.remoteCmd, "remote-cmd", "sweepd", "worker command on ssh hosts (binary plus flags)")
+	fs.StringVar(&c.sshArgs, "ssh-args", "", "extra ssh client flags, space-separated")
+	fs.IntVar(&c.shards, "shards", 0, "initial spans dealt to the fleet (0 = one per worker)")
+	fs.StringVar(&c.spoolDir, "spool", "", "spool directory for worker streams (empty = temp dir, removed on success)")
+	fs.DurationVar(&c.heartbeat, "heartbeat", 2*time.Minute, "declare a worker stalled after this long without stream progress (0 = off)")
+	fs.DurationVar(&c.retryWait, "retry-backoff", 0, "base delay before redispatching a failed task, doubling per attempt with jitter (0 = 50ms default, negative = immediate)")
+	fs.BoolVar(&c.cellRows, "cells", false, "keep per-cell outcomes in the merged report and list them in text output")
+	fs.BoolVar(&c.verbose, "v", false, "print recovery stats (redispatches, resumes, seals, steals)")
+	return c
+}
+
 func main() {
-	var (
-		worker    = flag.Bool("worker", false, "run one worker task (the coordinator execs these) instead of coordinating")
-		sweepSel  = flag.String("sweep", "standard", "sweep to run: standard|adversary|probabilistic|chaos")
-		seedsStr  = flag.String("seeds", "1:10", "seed sweep, FROM:TO or a single count N (= 1:N)")
-		insecure  = flag.Bool("insecure", false, "swap Ed25519 for the insecure crypto suite (fingerprints NOT comparable with secure sweeps)")
-		workers   = flag.Int("workers", 4, "local subprocess workers (ignored with -ssh)")
-		sshHosts  = flag.String("ssh", "", "comma-separated ssh destinations; replaces the local fleet")
-		remoteCmd = flag.String("remote-cmd", "sweepd", "worker command on ssh hosts (binary plus flags)")
-		sshArgs   = flag.String("ssh-args", "", "extra ssh client flags, space-separated")
-		shards    = flag.Int("shards", 0, "initial spans dealt to the fleet (0 = one per worker)")
-		spoolDir  = flag.String("spool", "", "spool directory for worker streams (empty = temp dir, removed on success)")
-		heartbeat = flag.Duration("heartbeat", 2*time.Minute, "declare a worker stalled after this long without stream progress (0 = off)")
-		retryWait = flag.Duration("retry-backoff", 0, "base delay before redispatching a failed task, doubling per attempt with jitter (0 = 50ms default, negative = immediate)")
-		parallel  = flag.Int("parallel", 1, "per-worker parallelism")
-		jsonOut   = flag.Bool("json", false, "emit the merged report as JSON")
-		cellRows  = flag.Bool("cells", false, "keep per-cell outcomes in the merged report and list them in text output")
-		verbose   = flag.Bool("v", false, "print recovery stats (redispatches, resumes, seals, steals)")
-		shardStr  = flag.String("shard", "", "with -worker: run only span i/n[@t] of the sweep")
-		onlyStr   = flag.String("only", "", "with -worker: run only these global cell indices, comma-separated")
-		jsonlPath = flag.String("jsonl", "", "with -worker: stream per-cell outcomes as JSONL to this file ('-' = stdout)")
-		resume    = flag.Bool("resume", false, "with -worker -jsonl FILE: complete an interrupted stream in place")
-	)
+	c := bind(flag.CommandLine)
 	flag.Parse()
 
-	src, name, err := matrix.NamedSweep(*sweepSel, *seedsStr, *insecure)
+	src, name, err := matrix.NamedSweep(c.sweepSel, c.sweep.Seeds, c.insecure)
 	if err != nil {
 		fail(err)
 	}
-
-	if *worker {
-		runWorker(name, src, *shardStr, *onlyStr, *jsonlPath, *resume, *parallel)
+	if c.worker {
+		runWorker(c.sweep.Job(name, src))
 		return
 	}
-	runCoordinator(name, src, coordinatorConfig{
-		sweepSel: *sweepSel, seedsStr: *seedsStr, insecure: *insecure,
-		workers: *workers, sshHosts: *sshHosts, remoteCmd: *remoteCmd, sshArgs: *sshArgs,
-		shards: *shards, spoolDir: *spoolDir, heartbeat: *heartbeat, retryWait: *retryWait, parallel: *parallel,
-		jsonOut: *jsonOut, cellRows: *cellRows, verbose: *verbose,
-	})
+	runCoordinator(name, src, c)
 }
 
 func fail(err error) {
@@ -82,13 +90,8 @@ func fail(err error) {
 
 // runWorker executes one fabric task: the coordinator side dispatches exactly
 // these flags, but the mode also works by hand for debugging a single span.
-func runWorker(name string, src matrix.CellSource, shardStr, onlyStr, jsonlPath string, resume bool, parallel int) {
-	tr, err := matrix.StreamJob{
-		Name: name, Src: src,
-		Shard: shardStr, Only: onlyStr,
-		Path: jsonlPath, Resume: resume,
-		Opts: matrix.Options{Parallelism: parallel},
-	}.Run()
+func runWorker(job matrix.StreamJob) {
+	tr, err := job.Run()
 	if err != nil {
 		fail(err)
 	}
@@ -97,26 +100,14 @@ func runWorker(name string, src matrix.CellSource, shardStr, onlyStr, jsonlPath 
 	}
 }
 
-type coordinatorConfig struct {
-	sweepSel, seedsStr           string
-	insecure                     bool
-	workers                      int
-	sshHosts, remoteCmd, sshArgs string
-	shards                       int
-	spoolDir                     string
-	heartbeat, retryWait         time.Duration
-	parallel                     int
-	jsonOut, cellRows, verbose   bool
-}
-
 // fleet builds the worker transports: one ExecTransport per local slot
 // self-execing sweepd -worker, or one SSHTransport per -ssh host.
-func (c coordinatorConfig) fleet() ([]matrix.Transport, error) {
+func (c *config) fleet() ([]matrix.Transport, error) {
 	base := []string{
 		"-worker",
 		"-sweep", c.sweepSel,
-		"-seeds", c.seedsStr,
-		"-parallel", fmt.Sprint(c.parallel),
+		"-seeds", c.sweep.Seeds,
+		"-parallel", fmt.Sprint(c.sweep.Parallel),
 	}
 	if c.insecure {
 		base = append(base, "-insecure")
@@ -150,7 +141,7 @@ func (c coordinatorConfig) fleet() ([]matrix.Transport, error) {
 	return fleet, nil
 }
 
-func runCoordinator(name string, src matrix.CellSource, c coordinatorConfig) {
+func runCoordinator(name string, src matrix.CellSource, c *config) {
 	fleet, err := c.fleet()
 	if err != nil {
 		fail(err)
@@ -164,7 +155,7 @@ func runCoordinator(name string, src matrix.CellSource, c coordinatorConfig) {
 		RetryBackoff: c.retryWait,
 		KeepOutcomes: c.cellRows,
 	}
-	if !c.jsonOut {
+	if !c.sweep.JSON {
 		last := -1
 		opts.Progress = func(done, total int) {
 			if done == last {
@@ -200,7 +191,7 @@ func runCoordinator(name string, src matrix.CellSource, c coordinatorConfig) {
 			stats.Redispatches, stats.Resumes, stats.Seals, stats.Steals, stats.SubShards, stats.GapTasks, stats.Backoffs)
 	}
 	fmt.Fprintf(os.Stderr, "fingerprint %s\n", rep.Fingerprint())
-	if c.jsonOut {
+	if c.sweep.JSON {
 		raw, err := rep.JSON()
 		if err != nil {
 			fail(err)

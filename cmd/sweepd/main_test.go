@@ -1,0 +1,75 @@
+package main
+
+import (
+	"flag"
+	"io"
+	"reflect"
+	"strings"
+	"testing"
+
+	"github.com/bftcup/bftcup/internal/matrix"
+)
+
+// parse binds sweepd's flags on a fresh flag set and parses argv.
+func parse(t *testing.T, argv []string) *config {
+	t.Helper()
+	fs := flag.NewFlagSet("sweepd", flag.ContinueOnError)
+	fs.SetOutput(io.Discard)
+	c := bind(fs)
+	if err := fs.Parse(argv); err != nil {
+		t.Fatalf("%q: %v", argv, err)
+	}
+	return c
+}
+
+// TestWorkerArgvRoundTrip follows a coordinator's command line through the
+// worker protocol: the argv its fleet execs, plus each task's WorkerArgs,
+// parses in the worker into the same named sweep, the same per-worker
+// parallelism and exactly the task dispatched.
+func TestWorkerArgvRoundTrip(t *testing.T) {
+	for _, argv := range []string{
+		"-sweep standard -seeds 1:2 -workers 2",
+		"-sweep adversary -seeds 3 -parallel 2 -insecure -workers 1 -json",
+	} {
+		coord := parse(t, strings.Fields(argv))
+		wantSrc, wantName, err := matrix.NamedSweep(coord.sweepSel, coord.sweep.Seeds, coord.insecure)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fleet, err := coord.fleet()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(fleet) != coord.workers {
+			t.Fatalf("%q: %d transports, want %d", argv, len(fleet), coord.workers)
+		}
+		base := fleet[0].(matrix.ExecTransport).Argv[1:]
+		for _, task := range []matrix.Task{
+			{Span: matrix.Span{Shard: matrix.Shard{Index: 1, Count: 1}}},
+			{Span: matrix.Span{Shard: matrix.Shard{Index: 3, Count: 4}}},
+			{Span: matrix.Span{Shard: matrix.Shard{Index: 2, Count: 8}, From: 3}},
+			{Cells: []int{0, 5, 11}},
+		} {
+			w := parse(t, append(append([]string{}, base...), task.WorkerArgs("-", false)...))
+			if !w.worker {
+				t.Fatalf("%q: the fleet's argv does not start a worker", argv)
+			}
+			src, name, err := matrix.NamedSweep(w.sweepSel, w.sweep.Seeds, w.insecure)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if name != wantName || src.Len() != wantSrc.Len() {
+				t.Fatalf("%q: worker runs %q (%d cells), coordinator %q (%d cells)", argv, name, src.Len(), wantName, wantSrc.Len())
+			}
+			job := w.sweep.Job(name, src)
+			got, err := job.Task()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got, task) || job.Path != "-" || job.Resume || job.Opts.Parallelism != coord.sweep.Parallel {
+				t.Fatalf("%q: task %+v reaches the worker as %+v (jsonl %q, resume %t, parallel %d)",
+					argv, task, got, job.Path, job.Resume, job.Opts.Parallelism)
+			}
+		}
+	}
+}

@@ -1,6 +1,7 @@
 package matrix
 
 import (
+	"flag"
 	"fmt"
 	"io"
 	"os"
@@ -12,7 +13,7 @@ import (
 // every sweepd worker build their sweep through it: the name goes into stream
 // headers, so constructing it anywhere else lets headers disagree and the
 // merge refuse.
-func NamedSweep(name, seedsStr string, insecure bool) (CellSource, string, error) {
+func NamedSweep(name, seedsStr string, insecureSuite bool) (CellSource, string, error) {
 	seeds, err := ParseSeedRange(seedsStr)
 	if err != nil {
 		return nil, "", err
@@ -35,19 +36,58 @@ func NamedSweep(name, seedsStr string, insecure bool) (CellSource, string, error
 		return nil, "", err
 	}
 	label := fmt.Sprintf("%s sweep, seeds %s", name, seedsStr)
-	if insecure {
-		src = InsecureSource(src)
+	if insecureSuite {
+		src = insecure(src)
 		label += " (insecure)"
 	}
 	return src, label, nil
 }
 
-// StreamJob is the worker-side shard/stream CLI mode shared by
-// cmd/experiments, cmd/cupsim and sweepd -worker: one place resolves the
-// -shard/-only selection against the whole sweep, validates the flag
-// combinations, runs or resumes the JSONL stream, and prints the summary —
-// so the three CLIs' stream semantics cannot drift and the fabric can drive
-// any of them as a worker.
+// SweepFlags are the sweep flags experiments, cupsim and sweepd share. They
+// are declared once, by BindSweepFlags — the sweep-side mirror of
+// scenario.BindFlags — so the three CLIs and the fabric's worker protocol
+// (Task.WorkerArgs) cannot drift apart.
+type SweepFlags struct {
+	// Seeds is -seeds: FROM:TO or a count N (= 1:N).
+	Seeds string
+	// Parallel is -parallel: the worker count (0 = GOMAXPROCS).
+	Parallel int
+	// JSON is -json: emit the report as JSON.
+	JSON bool
+	// Shard, Only, JSONL and Resume are -shard, -only, -jsonl and -resume;
+	// see StreamJob.
+	Shard, Only, JSONL string
+	Resume             bool
+}
+
+// BindSweepFlags declares -seeds, -parallel, -json, -shard, -only, -jsonl and
+// -resume on fs with the CLI's own -seeds and -parallel defaults. The values
+// are read once fs is parsed.
+func BindSweepFlags(fs *flag.FlagSet, seeds string, parallel int) *SweepFlags {
+	sf := &SweepFlags{}
+	fs.StringVar(&sf.Seeds, "seeds", seeds, "seed sweep, FROM:TO or a count N (= 1:N)")
+	fs.IntVar(&sf.Parallel, "parallel", parallel, "worker count of this process: 0 = GOMAXPROCS, 1 = serial")
+	fs.BoolVar(&sf.JSON, "json", false, "emit the sweep report as JSON")
+	fs.StringVar(&sf.Shard, "shard", "", "run only span i/n[@t] of the sweep (deterministic partition)")
+	fs.StringVar(&sf.Only, "only", "", "run only these global cell indices, comma-separated (the fabric's gap back-fill)")
+	fs.StringVar(&sf.JSONL, "jsonl", "", "stream per-cell outcomes as JSONL to this file ('-' = stdout) instead of buffering a report")
+	fs.BoolVar(&sf.Resume, "resume", false, "with -jsonl FILE: resume an interrupted stream, running only the cells the file is missing")
+	return sf
+}
+
+// Job is the stream job the flags select from the whole sweep src.
+func (sf *SweepFlags) Job(name string, src CellSource) StreamJob {
+	return StreamJob{
+		Name: name, Src: src,
+		Shard: sf.Shard, Only: sf.Only,
+		Path: sf.JSONL, Resume: sf.Resume,
+		Opts: Options{Parallelism: sf.Parallel},
+	}
+}
+
+// StreamJob is one selection of a sweep, run the way every sweep CLI runs it:
+// streamed to JSONL (Run, fresh or resumed) or buffered into a report
+// (Report). The fabric drives any CLI built on it as a worker.
 type StreamJob struct {
 	// Name labels the sweep in the stream header; every worker of one sweep
 	// must derive the same name.
@@ -71,30 +111,27 @@ type StreamJob struct {
 	Log io.Writer
 }
 
-// Slice resolves the job's selection against the whole sweep: the lazy
-// sub-source to run and the canonical spec labelling it ("i/n[@t]", or
-// "cells:a,b,c" for explicit index lists). Also used by the CLIs' buffered
-// report modes so -shard/-only behave identically with and without -jsonl.
-func (j StreamJob) Slice() (CellSource, string, error) {
-	if j.Only != "" {
-		if j.Shard != "" {
-			return nil, "", fmt.Errorf("-shard and -only select different slices; pick one")
-		}
-		cells, err := ParseCellList(j.Only)
-		if err != nil {
-			return nil, "", err
-		}
-		part, err := cellSubset(j.Src, cells)
-		if err != nil {
-			return nil, "", err
-		}
-		return part, "cells:" + FormatCellList(cells), nil
+// Task is the -shard/-only selection as the fabric task it names: the
+// inverse of Task.WorkerArgs.
+func (j StreamJob) Task() (Task, error) {
+	if j.Only == "" {
+		span, err := ParseSpan(j.Shard)
+		return Task{Span: span}, err
 	}
-	span, err := ParseSpan(j.Shard)
+	if j.Shard != "" {
+		return Task{}, fmt.Errorf("-shard and -only select different slices; pick one")
+	}
+	cells, err := ParseCellList(j.Only)
+	return Task{Cells: cells}, err
+}
+
+// slice resolves the job's selection through Task.Slice.
+func (j StreamJob) slice() (CellSource, string, error) {
+	t, err := j.Task()
 	if err != nil {
 		return nil, "", err
 	}
-	return span.Source(j.Src), span.String(), nil
+	return t.Slice(j.Src)
 }
 
 // Run executes the stream job: fresh or resumed, to a file or stdout. The
@@ -111,15 +148,18 @@ func (j StreamJob) Run() (*StreamTrailer, error) {
 	if j.Resume && j.Path == "-" {
 		return nil, fmt.Errorf("-resume needs -jsonl FILE (a stream on stdout cannot be resumed)")
 	}
-	part, spec, err := j.Slice()
+	part, spec, err := j.slice()
 	if err != nil {
 		return nil, err
 	}
-	tr, skipped, err := RunOrResumeStreamFile(j.Path, j.Resume, part, j.Opts, StreamHeader{
-		Name:       j.Name,
-		TotalCells: j.Src.Len(),
-		Shard:      spec,
-	})
+	hdr := StreamHeader{Name: j.Name, TotalCells: j.Src.Len(), Shard: spec}
+	var tr *StreamTrailer
+	skipped := 0
+	if j.Resume {
+		tr, skipped, err = ResumeStreamFile(j.Path, part, j.Opts, hdr)
+	} else {
+		tr, err = RunStreamFile(j.Path, part, j.Opts, hdr)
+	}
 	if err != nil {
 		return nil, err
 	}
@@ -130,4 +170,26 @@ func (j StreamJob) Run() (*StreamTrailer, error) {
 	fmt.Fprintf(logw, "shard %s: %d cells streamed, %d consensus, %d errors, %.2fs\n",
 		spec, tr.CellsRun, tr.Consensus, tr.Errors, float64(tr.WallNS)/1e9)
 	return tr, nil
+}
+
+// Report executes the job without a stream: the selection runs into an
+// in-memory report named after the job, ", shard SPEC" appended when it is
+// not the whole sweep.
+func (j StreamJob) Report() (*Report, error) {
+	if j.Resume {
+		return nil, fmt.Errorf("-resume needs -jsonl FILE (a stream on stdout cannot be resumed)")
+	}
+	part, spec, err := j.slice()
+	if err != nil {
+		return nil, err
+	}
+	rep, err := Run(part, j.Opts)
+	if err != nil {
+		return nil, err
+	}
+	rep.Name = j.Name
+	if spec != "1/1" {
+		rep.Name = fmt.Sprintf("%s, shard %s", j.Name, spec)
+	}
+	return rep, nil
 }

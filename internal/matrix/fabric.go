@@ -67,8 +67,8 @@ func (t Task) expected(total int) []int {
 
 // WorkerArgs renders the CLI flags that make a worker run exactly this task:
 // the fabric's half of the worker protocol. Every worker-capable CLI
-// (sweepd -worker, experiments -matrix, cupsim sweeps) accepts them via the
-// shared StreamJob plumbing.
+// (sweepd -worker, experiments -matrix, cupsim sweeps) declares them through
+// BindSweepFlags, and StreamJob.Task parses them back into this task.
 func (t Task) WorkerArgs(jsonl string, resume bool) []string {
 	var args []string
 	if t.Cells != nil {
@@ -115,20 +115,6 @@ func ParseCellList(s string) ([]int, error) {
 		}
 	}
 	return cells, nil
-}
-
-// cellSubset is the lazy view of an explicit global-index list. Like
-// Shard.Source it requires a whole-sweep base, where positions and global
-// indices coincide.
-func cellSubset(base CellSource, cells []int) (CellSource, error) {
-	total := base.Len()
-	if total > 0 && (base.Index(0) != 0 || base.Index(total-1) != total-1) {
-		return nil, fmt.Errorf("matrix: cell subset needs a whole-sweep base (Index(i)==i)")
-	}
-	if len(cells) > 0 && cells[len(cells)-1] >= total {
-		return nil, fmt.Errorf("matrix: cell index %d out of range (sweep has %d cells)", cells[len(cells)-1], total)
-	}
-	return &subsetSource{base: base, pos: cells}, nil
 }
 
 // Transport launches one worker per Run call. Implementations must stream
@@ -257,12 +243,18 @@ type ProcTransport struct {
 
 // Run implements Transport.
 func (t ProcTransport) Run(ctx context.Context, task Task, sink io.Writer) error {
-	return ServeTask(t.Name, t.Src, t.Opts, task, sink)
+	part, spec, err := task.Slice(t.Src)
+	if err != nil {
+		return err
+	}
+	hdr := StreamHeader{Name: t.Name, TotalCells: t.Src.Len(), Shard: spec}
+	_, err = RunStream(part, t.Opts, sink, hdr)
+	return err
 }
 
 // ResumeSpool implements SpoolResumer.
 func (t ProcTransport) ResumeSpool(ctx context.Context, task Task, spool string) error {
-	part, spec, err := task.slice(t.Src)
+	part, spec, err := task.Slice(t.Src)
 	if err != nil {
 		return err
 	}
@@ -271,31 +263,27 @@ func (t ProcTransport) ResumeSpool(ctx context.Context, task Task, spool string)
 	return err
 }
 
-// slice resolves the task against the whole sweep: the lazy sub-source to
-// run and the header spec labelling it.
-func (t Task) slice(src CellSource) (CellSource, string, error) {
-	if t.Cells != nil {
-		part, err := cellSubset(src, t.Cells)
-		if err != nil {
-			return nil, "", err
+// Slice resolves the task against the whole sweep src: the lazy sub-source
+// to run and the spec its stream header carries. It is the one place a
+// selection meets a sweep — fabric workers, and the CLIs' stream and report
+// modes through StreamJob.Task. Spans deal by global index residue and cell
+// lists name global indices, so src must be a whole sweep (Index(i) == i).
+func (t Task) Slice(src CellSource) (CellSource, string, error) {
+	total := src.Len()
+	if total > 0 && (src.Index(0) != 0 || src.Index(total-1) != total-1) {
+		return nil, "", fmt.Errorf("matrix: slicing needs a whole-sweep source (Index(i) == i)")
+	}
+	switch {
+	case t.Cells != nil:
+		if len(t.Cells) > 0 && t.Cells[len(t.Cells)-1] >= total {
+			return nil, "", fmt.Errorf("matrix: cell index %d out of range (sweep has %d cells)", t.Cells[len(t.Cells)-1], total)
 		}
-		return part, t.spec(), nil
+		return pick(src, t.Cells), t.spec(), nil
+	case t.Span.IsAll():
+		return src, t.spec(), nil
 	}
-	return t.Span.Source(src), t.spec(), nil
-}
-
-// ServeTask runs one fabric task in-process against the given sweep,
-// writing the worker-protocol JSONL stream to w — the in-process counterpart
-// of dispatching a `-worker` subprocess. ProcTransport and the CLI worker
-// modes are built on it.
-func ServeTask(name string, src CellSource, opts Options, task Task, w io.Writer) error {
-	part, spec, err := task.slice(src)
-	if err != nil {
-		return err
-	}
-	hdr := StreamHeader{Name: name, TotalCells: src.Len(), Shard: spec}
-	_, err = RunStream(part, opts, w, hdr)
-	return err
+	first, stride := t.Span.start(), t.Span.Shard.Count
+	return indexMap{base: src, n: t.Span.Len(total), at: func(i int) int { return first + i*stride }}, t.spec(), nil
 }
 
 // sealStreamFile turns a torn spool (header plus some outcomes, no trailer,

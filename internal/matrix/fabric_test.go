@@ -309,7 +309,7 @@ func TestSealStreamFile(t *testing.T) {
 	spool := filepath.Join(dir, "torn.jsonl")
 	span := Span{Shard: Shard{Index: 1, Count: 2}}
 	hdr := StreamHeader{Name: "seal", TotalCells: src.Len(), Shard: span.String()}
-	if _, err := RunStreamFile(spool, span.Source(src), Options{Parallelism: 1}, hdr); err != nil {
+	if _, err := RunStreamFile(spool, slice(t, src, Task{Span: span}), Options{Parallelism: 1}, hdr); err != nil {
 		t.Fatal(err)
 	}
 	truncateStream(t, spool, 4) // drop trailer + 3 outcomes
@@ -341,10 +341,7 @@ func TestSealStreamFile(t *testing.T) {
 		}
 	}
 	rest := filepath.Join(dir, "rest.jsonl")
-	part, err := cellSubset(src, missing)
-	if err != nil {
-		t.Fatal(err)
-	}
+	part := slice(t, src, Task{Cells: missing})
 	restHdr := StreamHeader{Name: "seal", TotalCells: src.Len(), Shard: "cells:" + FormatCellList(missing)}
 	if _, err := RunStreamFile(rest, part, Options{Parallelism: 1}, restHdr); err != nil {
 		t.Fatal(err)

@@ -35,8 +35,8 @@ func TestInsecureSweepDivergesDeterministically(t *testing.T) {
 		return rep
 	}
 	secure := run(src)
-	ins1 := run(InsecureSource(src))
-	ins2 := run(InsecureSource(src))
+	ins1 := run(insecure(src))
+	ins2 := run(insecure(src))
 	if ins1.Fingerprint() != ins2.Fingerprint() {
 		t.Fatalf("insecure sweep is not deterministic:\n  %s\n  %s", ins1.Fingerprint(), ins2.Fingerprint())
 	}

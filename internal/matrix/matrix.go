@@ -79,21 +79,6 @@ func orDefault[T any](vals []T, def T) []T {
 	return vals
 }
 
-// Size returns the number of cells Expand will produce.
-func (a Axes) Size() int {
-	if len(a.Graphs) == 0 {
-		return 0
-	}
-	n := len(a.Graphs)
-	n *= len(orDefault(a.Modes, core.ModeUnknownF))
-	n *= len(orDefault(a.Nets, scenario.NetParams{}))
-	n *= len(orDefault(a.Byz, scenario.AutoByz{}))
-	n *= len(orDefault(a.F, -1))
-	n *= len(orDefault(a.Faults, scenario.FaultParams{}))
-	n *= len(orDefault(a.Seeds, 1))
-	return n
-}
-
 // Expand materializes the whole cross-product eagerly (same cells, same
 // order as Source), additionally rejecting every cell that cannot
 // materialize (e.g. a generator spec too small for its connectivity) with a

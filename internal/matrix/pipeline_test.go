@@ -17,7 +17,7 @@ import (
 // TestSourceMatchesExpand pins the lazy source to the eager expansion: the
 // mixed-radix arithmetic must produce exactly the cells the historical
 // nested loops produced, in the same order, and the shard view must select
-// exactly the cells Shard.Of selects.
+// exactly the cells whose index falls in the shard's residue class.
 func TestSourceMatchesExpand(t *testing.T) {
 	a := Axes{
 		Name:   "source-vs-expand",
@@ -36,8 +36,8 @@ func TestSourceMatchesExpand(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if src.Len() != len(cells) || src.Len() != a.Size() {
-		t.Fatalf("source has %d cells, expand %d, Size() %d", src.Len(), len(cells), a.Size())
+	if src.Len() != len(cells) {
+		t.Fatalf("source has %d cells, expand %d", src.Len(), len(cells))
 	}
 	for i := range cells {
 		got := src.Cell(i)
@@ -51,8 +51,13 @@ func TestSourceMatchesExpand(t *testing.T) {
 	for _, n := range []int{2, 3, 5} {
 		for idx := 1; idx <= n; idx++ {
 			sh := Shard{Index: idx, Count: n}
-			want := sh.Of(cells)
-			got := sh.Source(src)
+			var want []Cell
+			for _, c := range cells {
+				if c.Index%n == idx-1 {
+					want = append(want, c)
+				}
+			}
+			got := slice(t, src, Task{Span: Span{Shard: sh}})
 			if got.Len() != len(want) {
 				t.Fatalf("shard %s: lazy %d cells, eager %d", sh, got.Len(), len(want))
 			}
@@ -160,7 +165,7 @@ func runAllModes(t *testing.T, name string, src CellSource) {
 	for i := 1; i <= 3; i++ {
 		sh := Shard{Index: i, Count: 3}
 		path := filepath.Join(dir, fmt.Sprintf("shard%d.jsonl", i))
-		if _, err := RunStreamFile(path, sh.Source(src), Options{Parallelism: 2}, StreamHeader{
+		if _, err := RunStreamFile(path, slice(t, src, Task{Span: Span{Shard: sh}}), Options{Parallelism: 2}, StreamHeader{
 			Name: name, TotalCells: src.Len(), Shard: sh.String(),
 		}); err != nil {
 			t.Fatal(err)
@@ -186,7 +191,7 @@ func runAllModes(t *testing.T, name string, src CellSource) {
 	// Resumed: truncate shard 1 (trailer plus one outcome) and complete it;
 	// the merge must still reproduce the monolithic fingerprint.
 	sh := Shard{Index: 1, Count: 3}
-	part := sh.Source(src)
+	part := slice(t, src, Task{Span: Span{Shard: sh}})
 	truncateStream(t, paths[0], 2)
 	tr, skipped, err := ResumeStreamFile(paths[0], part, Options{Parallelism: 2}, StreamHeader{
 		Name: name, TotalCells: src.Len(), Shard: sh.String(),
@@ -243,7 +248,7 @@ func TestFingerprintIdentityExtendedKOSR(t *testing.T) {
 func TestResumeEdgeCases(t *testing.T) {
 	cells := testCells(t)
 	sh := Shard{Index: 1, Count: 2}
-	part := CellList(sh.Of(cells))
+	part := slice(t, CellList(cells), Task{Span: Span{Shard: sh}})
 	hdr := StreamHeader{Name: "stream-test", TotalCells: len(cells), Shard: sh.String()}
 	path := filepath.Join(t.TempDir(), "shard.jsonl")
 

@@ -111,17 +111,6 @@ func scanStreamFile(path string) (*streamScan, error) {
 	}
 }
 
-// RunOrResumeStreamFile dispatches between a fresh RunStreamFile and
-// ResumeStreamFile — the single entry point both CLIs' shard modes share,
-// so their stream semantics cannot drift. skipped is 0 for a fresh run.
-func RunOrResumeStreamFile(path string, resume bool, src CellSource, opts Options, hdr StreamHeader) (*StreamTrailer, int, error) {
-	if resume {
-		return ResumeStreamFile(path, src, opts, hdr)
-	}
-	tr, err := RunStreamFile(path, src, opts, hdr)
-	return tr, 0, err
-}
-
 // ResumeStreamFile completes an interrupted RunStreamFile: it verifies path
 // holds a (possibly truncated) stream of exactly this shard of this sweep,
 // skips every cell index the stream already carries, runs only the missing
@@ -196,7 +185,7 @@ func ResumeStreamFile(path string, src CellSource, opts Options, hdr StreamHeade
 		Consensus: scan.consensus,
 	}
 	start := time.Now()
-	err = streamCells(&subsetSource{base: src, pos: missing}, opts, enc, bw, &tr)
+	err = streamCells(pick(src, missing), opts, enc, bw, &tr)
 	if err == nil {
 		tr.WallNS = time.Since(start).Nanoseconds()
 		err = enc.Encode(streamRecord{Type: "trailer", Trailer: &tr})

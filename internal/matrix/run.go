@@ -260,38 +260,33 @@ func runPool(src CellSource, opts Options, sink func(pos int, o Outcome) error) 
 	return par, sinkErr
 }
 
-// Run executes the source's cells on a worker pool, folding outcomes through
-// an incremental Aggregator in cell-position order, so the report (minus
-// wall-clock fields) is independent of parallelism and scheduling. The
-// report retains every outcome; stream a shard (RunStream) when a sweep is
-// too large to hold its outcomes.
-func Run(src CellSource, opts Options) (*Report, error) {
-	agg := NewAggregator(true)
-	start := time.Now()
-	par, err := runPool(src, opts, agg.Add)
+// fold runs the source's cells on the pool and folds every outcome through
+// an Aggregator in cell-position order, so the report (minus wall-clock
+// fields) is independent of parallelism and scheduling. each, when non-nil,
+// sees every outcome as it completes. Run is fold keeping the outcomes; a
+// stream (RunStream) is fold writing each outcome as a line and keeping none.
+func fold(src CellSource, opts Options, keep bool, each func(*Outcome) error) (*Report, error) {
+	agg := NewAggregator(keep)
+	par, err := runPool(src, opts, func(pos int, o Outcome) error {
+		if err := agg.Add(pos, o); err != nil || each == nil {
+			return err
+		}
+		return each(&o)
+	})
 	if err != nil {
 		return nil, err
 	}
-	rep, err := agg.Report(par)
+	return agg.Report(par)
+}
+
+// Run executes the source's cells into a report that retains every outcome;
+// stream a shard (RunStream) when a sweep is too large to hold its outcomes.
+func Run(src CellSource, opts Options) (*Report, error) {
+	start := time.Now()
+	rep, err := fold(src, opts, true, nil)
 	if err != nil {
 		return nil, err
 	}
 	rep.WallNS = time.Since(start).Nanoseconds()
-	return rep, nil
-}
-
-// RunAxes builds the lazy source and runs in one step. Cells that cannot
-// materialize surface as per-cell Err outcomes in the report (use
-// Axes.Expand to pre-validate a small sweep eagerly).
-func RunAxes(a Axes, opts Options) (*Report, error) {
-	src, err := a.Source()
-	if err != nil {
-		return nil, err
-	}
-	rep, err := Run(src, opts)
-	if err != nil {
-		return nil, err
-	}
-	rep.Name = a.Name
 	return rep, nil
 }

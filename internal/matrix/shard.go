@@ -42,22 +42,3 @@ func (s Shard) String() string { return fmt.Sprintf("%d/%d", s.Index, s.Count) }
 
 // IsAll reports whether the shard covers the whole sweep.
 func (s Shard) IsAll() bool { return s.Count <= 1 }
-
-// Of selects this shard's cells (those whose global Index ≡ Index-1 mod
-// Count), preserving their global indices for the merge step.
-func (s Shard) Of(cells []Cell) []Cell {
-	if s.IsAll() {
-		return cells
-	}
-	var out []Cell
-	for _, c := range cells {
-		if c.Index%s.Count == s.Index-1 {
-			out = append(out, c)
-		}
-	}
-	return out
-}
-
-// Source is the lazy counterpart of Of: the whole-shard span's view (see
-// Span.Source).
-func (s Shard) Source(base CellSource) CellSource { return Span{Shard: s}.Source(base) }

@@ -55,11 +55,52 @@ func Materialize(src CellSource) []Cell {
 	return cells
 }
 
-// axesSource computes cell i of the axes cross-product by mixed-radix
-// arithmetic — graphs outermost, seeds innermost, exactly the nested-loop
-// order Expand historically produced, so fingerprints are byte-identical to
-// eager expansion.
-type axesSource struct {
+// paramsMap is a whole sweep computed cell by cell: position i is global cell
+// i, and params(i) is its scenario. The axes cross-product, a seed sweep, a
+// concatenation and -insecure are each one. With indexMap it is one of the
+// two wrappers every sweep and every slice of one is built from.
+type paramsMap struct {
+	n      int
+	params func(i int) scenario.Params
+}
+
+// Len implements CellSource.
+func (m paramsMap) Len() int { return m.n }
+
+// Index implements CellSource.
+func (m paramsMap) Index(i int) int { return i }
+
+// Cell implements CellSource.
+func (m paramsMap) Cell(i int) Cell { return Cell{Index: i, Params: m.params(i)} }
+
+// indexMap is a slice of a base source: position i is base position at(i),
+// global index kept. A span, an -only list and a resume's missing positions
+// are each one.
+type indexMap struct {
+	base CellSource
+	n    int
+	at   func(i int) int
+}
+
+// Len implements CellSource.
+func (m indexMap) Len() int { return m.n }
+
+// Index implements CellSource.
+func (m indexMap) Index(i int) int { return m.base.Index(m.at(i)) }
+
+// Cell implements CellSource.
+func (m indexMap) Cell(i int) Cell { return m.base.Cell(m.at(i)) }
+
+// pick is the slice of base at the listed positions.
+func pick(base CellSource, pos []int) CellSource {
+	return indexMap{base: base, n: len(pos), at: func(i int) int { return pos[i] }}
+}
+
+// crossProduct holds one sweep's axis values, defaults filled in; cell i of the
+// cross-product is computed by mixed-radix arithmetic — graphs outermost,
+// seeds innermost, exactly the nested-loop order Expand historically
+// produced, so fingerprints are byte-identical to eager expansion.
+type crossProduct struct {
 	graphs  []graph.Def
 	modes   []core.Mode
 	nets    []scenario.NetParams
@@ -68,7 +109,6 @@ type axesSource struct {
 	faults  []scenario.FaultParams
 	seeds   []int64
 	horizon sim.Time
-	n       int
 }
 
 // Source builds the lazy cross-product source for the axes. Malformed graph
@@ -84,7 +124,7 @@ func (a Axes) Source() (CellSource, error) {
 	if horizon <= 0 {
 		horizon = 60 * sim.Second
 	}
-	s := &axesSource{
+	s := &crossProduct{
 		graphs:  a.Graphs,
 		modes:   orDefault(a.Modes, core.ModeUnknownF),
 		nets:    orDefault(a.Nets, scenario.NetParams{Kind: scenario.NetSync}),
@@ -94,7 +134,7 @@ func (a Axes) Source() (CellSource, error) {
 		seeds:   orDefault(a.Seeds, 1),
 		horizon: horizon,
 	}
-	s.n = len(s.graphs) * len(s.modes) * len(s.nets) * len(s.byz) * len(s.fs) * len(s.faults) * len(s.seeds)
+	n := len(s.graphs) * len(s.modes) * len(s.nets) * len(s.byz) * len(s.fs) * len(s.faults) * len(s.seeds)
 	// Probe one cell per value of every axis (the other axes pinned to
 	// their first value): O(Σ axis lengths) validations, not O(cells), and
 	// every malformed axis value fails here instead of surfacing as a
@@ -135,17 +175,11 @@ func (a Axes) Source() (CellSource, error) {
 			return nil, err
 		}
 	}
-	return s, nil
+	return paramsMap{n: n, params: s.at}, nil
 }
 
-// Len implements CellSource.
-func (s *axesSource) Len() int { return s.n }
-
-// Index implements CellSource.
-func (s *axesSource) Index(i int) int { return i }
-
-// Cell implements CellSource.
-func (s *axesSource) Cell(i int) Cell {
+// at computes cell i's parameters.
+func (s *crossProduct) at(i int) scenario.Params {
 	rem := i
 	seed := s.seeds[rem%len(s.seeds)]
 	rem /= len(s.seeds)
@@ -162,16 +196,15 @@ func (s *axesSource) Cell(i int) Cell {
 	rem /= len(s.nets)
 	mode := s.modes[rem%len(s.modes)]
 	rem /= len(s.modes)
-	g := s.graphs[rem]
-	return Cell{Index: i, Params: s.cellParams(g, mode, net, b, f, fl, seed)}
+	return s.cellParams(s.graphs[rem], mode, net, b, f, fl, seed)
 }
 
-// cellParams builds one cell's scenario parameters; shared by Cell and the
+// cellParams builds one cell's scenario parameters; shared by at and the
 // Source-time validation probe so they cannot diverge. Name is left empty —
 // the scenario layer derives the per-seed cell ID on demand (a stamped
 // seed-specific name would defeat the compile cache's key sharing and
 // freeze the first seed's name into cached runs).
-func (s *axesSource) cellParams(g graph.Def, mode core.Mode, net scenario.NetParams, b scenario.AutoByz, f int, fl scenario.FaultParams, seed int64) scenario.Params {
+func (s *crossProduct) cellParams(g graph.Def, mode core.Mode, net scenario.NetParams, b scenario.AutoByz, f int, fl scenario.FaultParams, seed int64) scenario.Params {
 	return scenario.Params{
 		Graph:         g,
 		Mode:          mode,
@@ -185,12 +218,6 @@ func (s *axesSource) cellParams(g graph.Def, mode core.Mode, net scenario.NetPar
 	}
 }
 
-// seedSweepSource lazily runs one scenario once per seed.
-type seedSweepSource struct {
-	base  scenario.Params
-	seeds []int64
-}
-
 // SeedSweep is a lazy source running one scenario once per seed — cupsim's
 // sweep mode. Unlike an Axes source it preserves every field of the base
 // params verbatim (explicit Byzantine assignments, custom values, discovery
@@ -199,95 +226,37 @@ func SeedSweep(base scenario.Params, seeds []int64) (CellSource, error) {
 	if err := base.Validate(); err != nil {
 		return nil, err
 	}
-	return &seedSweepSource{base: base, seeds: seeds}, nil
+	return paramsMap{n: len(seeds), params: func(i int) scenario.Params {
+		p := base
+		p.Seed = seeds[i]
+		return p
+	}}, nil
 }
 
-// Len implements CellSource.
-func (s *seedSweepSource) Len() int { return len(s.seeds) }
-
-// Index implements CellSource.
-func (s *seedSweepSource) Index(i int) int { return i }
-
-// Cell implements CellSource.
-func (s *seedSweepSource) Cell(i int) Cell {
-	p := s.base
-	p.Seed = s.seeds[i]
-	return Cell{Index: i, Params: p}
-}
-
-// insecureSource sets Params.Insecure on every cell of a base sweep.
-type insecureSource struct {
-	base CellSource
-}
-
-// InsecureSource is the base sweep with every cell switched to the insecure
+// insecure is the whole sweep base with every cell switched to the insecure
 // crypto suite — how the CLIs' -insecure flag reaches the named sweeps, whose
 // axes the caller does not construct. Indices, axis labels and cell IDs are
 // unchanged; fingerprints are NOT comparable with the secure sweep (message
 // byte counts differ), which is why the flag also renames the sweep.
-func InsecureSource(base CellSource) CellSource {
-	return &insecureSource{base: base}
+func insecure(base CellSource) CellSource {
+	return paramsMap{n: base.Len(), params: func(i int) scenario.Params {
+		p := base.Cell(i).Params
+		p.Insecure = true
+		return p
+	}}
 }
 
-// Len implements CellSource.
-func (s *insecureSource) Len() int { return s.base.Len() }
-
-// Index implements CellSource.
-func (s *insecureSource) Index(i int) int { return s.base.Index(i) }
-
-// Cell implements CellSource.
-func (s *insecureSource) Cell(i int) Cell {
-	c := s.base.Cell(i)
-	c.Params.Insecure = true
-	return c
-}
-
-// concatSource chains sources into one sweep, reindexing cells globally in
-// concatenation order (the lazy counterpart of the old Concat helper).
-type concatSource struct {
-	srcs []CellSource
-	off  []int // off[j] is the global index of srcs[j]'s first cell
-	n    int
-}
-
-// ConcatSources chains sources into one sweep. Cells are reindexed so the
-// concatenation's global indices are 0..Len()-1 in order.
-func ConcatSources(srcs ...CellSource) CellSource {
-	c := &concatSource{srcs: srcs, off: make([]int, len(srcs))}
+// concat chains whole sweeps into one, renumbering their cells 0..n-1 in
+// concatenation order.
+func concat(srcs ...CellSource) CellSource {
+	off := make([]int, len(srcs)) // off[j] is the global index of srcs[j]'s first cell
+	n := 0
 	for j, s := range srcs {
-		c.off[j] = c.n
-		c.n += s.Len()
+		off[j] = n
+		n += s.Len()
 	}
-	return c
+	return paramsMap{n: n, params: func(i int) scenario.Params {
+		j := sort.Search(len(off), func(j int) bool { return off[j] > i }) - 1
+		return srcs[j].Cell(i - off[j]).Params
+	}}
 }
-
-// Len implements CellSource.
-func (c *concatSource) Len() int { return c.n }
-
-// Index implements CellSource.
-func (c *concatSource) Index(i int) int { return i }
-
-// Cell implements CellSource.
-func (c *concatSource) Cell(i int) Cell {
-	j := sort.Search(len(c.off), func(j int) bool { return c.off[j] > i }) - 1
-	cell := c.srcs[j].Cell(i - c.off[j])
-	cell.Index = i
-	return cell
-}
-
-// subsetSource restricts a source to the given positions (resume uses it to
-// run only the cells a partial stream is missing). Global indices are
-// preserved.
-type subsetSource struct {
-	base CellSource
-	pos  []int
-}
-
-// Len implements CellSource.
-func (s *subsetSource) Len() int { return len(s.pos) }
-
-// Index implements CellSource.
-func (s *subsetSource) Index(i int) int { return s.base.Index(s.pos[i]) }
-
-// Cell implements CellSource.
-func (s *subsetSource) Cell(i int) Cell { return s.base.Cell(s.pos[i]) }

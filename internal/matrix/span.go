@@ -88,26 +88,6 @@ func (s Span) Globals(total int) []int {
 	return out
 }
 
-// Source is the lazy view of the span's cells: position p of the view is
-// base position start() + p·Count, with global indices preserved. Nothing is
-// materialized — slicing a 10^6-cell source is arithmetic.
-//
-// The base must be a whole sweep (Index(i) == i for all i): spans deal by
-// global index residue, which only coincides with position residue on
-// identity-indexed sources. Slicing a shard or a subset is a programming
-// error and panics.
-func (s Span) Source(base CellSource) CellSource {
-	if s.IsAll() {
-		return base
-	}
-	total := base.Len()
-	if total > 0 && (base.Index(0) != 0 || base.Index(total-1) != total-1) {
-		panic(fmt.Sprintf("matrix: Span.Source needs a whole-sweep base (Index(i)==i); got Index(0)=%d, Index(%d)=%d",
-			base.Index(0), total-1, base.Index(total-1)))
-	}
-	return &strideSource{base: base, first: s.start(), stride: s.Shard.Count, n: s.Len(total)}
-}
-
 // Split deals the span round-robin into m sub-spans. Sub-span k starts at
 // the span's local position From+k and strides m shard-steps, i.e. global
 // start gₖ = (Index-1) + (From+k)·Count with stride Count·m — which is again
@@ -129,19 +109,3 @@ func (s Span) Split(m int) []Span {
 	}
 	return out
 }
-
-// strideSource is the arithmetic slice view behind every span: n base
-// positions from first, stride apart.
-type strideSource struct {
-	base             CellSource
-	first, stride, n int
-}
-
-// Len implements CellSource.
-func (s *strideSource) Len() int { return s.n }
-
-// Index implements CellSource.
-func (s *strideSource) Index(i int) int { return s.base.Index(s.first + i*s.stride) }
-
-// Cell implements CellSource.
-func (s *strideSource) Cell(i int) Cell { return s.base.Cell(s.first + i*s.stride) }

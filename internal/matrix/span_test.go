@@ -96,7 +96,8 @@ func TestSpanSplitPartition(t *testing.T) {
 }
 
 // TestSpanSourceMatchesGlobals pins the lazy span view to the arithmetic:
-// Source enumerates exactly Globals, in order, with global indices intact.
+// Task.Slice enumerates exactly Globals, in order, with global indices
+// intact.
 func TestSpanSourceMatchesGlobals(t *testing.T) {
 	src, err := StandardSweep(Seeds(1, 2))
 	if err != nil {
@@ -109,7 +110,7 @@ func TestSpanSourceMatchesGlobals(t *testing.T) {
 		{Shard: Shard{Index: 2, Count: 5}, From: 4},
 		{Shard: Shard{Index: 3, Count: 7}, From: 100},
 	} {
-		view := span.Source(src)
+		view := slice(t, src, Task{Span: span})
 		globals := span.Globals(total)
 		if view.Len() != len(globals) {
 			t.Fatalf("span %s: Source len %d, Globals %d", span, view.Len(), len(globals))

@@ -72,22 +72,14 @@ func streamCells(src CellSource, opts Options, enc *json.Encoder, bw *bufio.Writ
 		// contributes a valid header+trailer stream with zero outcomes.
 		return nil
 	}
-	agg := NewAggregator(false)
-	_, err := runPool(src, opts, func(pos int, o Outcome) error {
-		if err := agg.Add(pos, o); err != nil {
-			return err
-		}
+	rep, err := fold(src, opts, false, func(o *Outcome) error {
 		// Flushed per line so a concurrent tail (or a crash post-mortem)
 		// sees every completed cell.
-		if err := enc.Encode(streamRecord{Type: "outcome", Outcome: &o}); err != nil {
+		if err := enc.Encode(streamRecord{Type: "outcome", Outcome: o}); err != nil {
 			return err
 		}
 		return bw.Flush()
 	})
-	if err != nil {
-		return err
-	}
-	rep, err := agg.Report(0)
 	if err != nil {
 		return err
 	}
@@ -499,11 +491,6 @@ func merge(opts MergeOptions, readers ...io.Reader) (*Report, mergeStats, error)
 	return rep, stats, nil
 }
 
-// MergeStreams is Merge retaining every outcome (the historical default).
-func MergeStreams(readers ...io.Reader) (*Report, error) {
-	return Merge(MergeOptions{KeepOutcomes: true}, readers...)
-}
-
 // MergeFilesWith is Merge over shard files on disk.
 func MergeFilesWith(opts MergeOptions, paths ...string) (*Report, error) {
 	readers := make([]io.Reader, 0, len(paths))
@@ -522,9 +509,4 @@ func MergeFilesWith(opts MergeOptions, paths ...string) (*Report, error) {
 		readers = append(readers, bufio.NewReaderSize(f, 1<<16))
 	}
 	return Merge(opts, readers...)
-}
-
-// MergeFiles is MergeStreams over shard files on disk.
-func MergeFiles(paths ...string) (*Report, error) {
-	return MergeFilesWith(MergeOptions{KeepOutcomes: true}, paths...)
 }

@@ -61,7 +61,7 @@ func TestMergeAdversarialSplitConstantMemory(t *testing.T) {
 			pos = append(pos, i)
 		}
 		path := filepath.Join(dir, fmt.Sprintf("block%d.jsonl", half))
-		if _, err := RunStreamFile(path, &subsetSource{base: src, pos: pos}, Options{Parallelism: 1}, StreamHeader{
+		if _, err := RunStreamFile(path, pick(src, pos), Options{Parallelism: 1}, StreamHeader{
 			Name: "adversarial-split", TotalCells: n, // Shard left empty: no routing hint
 		}); err != nil {
 			t.Fatal(err)
@@ -96,7 +96,7 @@ func TestMergeShardRoutingBoundedBuffer(t *testing.T) {
 	for i := 1; i <= 3; i++ {
 		sh := Shard{Index: i, Count: 3}
 		path := filepath.Join(dir, fmt.Sprintf("shard%d.jsonl", i))
-		if _, err := RunStreamFile(path, sh.Source(src), Options{Parallelism: 1}, StreamHeader{
+		if _, err := RunStreamFile(path, slice(t, src, Task{Span: Span{Shard: sh}}), Options{Parallelism: 1}, StreamHeader{
 			Name: "routed", TotalCells: n, Shard: sh.String(),
 		}); err != nil {
 			t.Fatal(err)
@@ -140,8 +140,8 @@ func shardStreams(t *testing.T, cells []Cell, n int) []*bytes.Buffer {
 	for i := 1; i <= n; i++ {
 		sh := Shard{Index: i, Count: n}
 		buf := &bytes.Buffer{}
-		part := sh.Of(cells)
-		tr, err := RunStream(CellList(part), Options{Parallelism: 2}, buf, StreamHeader{
+		part := slice(t, CellList(cells), Task{Span: Span{Shard: sh}})
+		tr, err := RunStream(part, Options{Parallelism: 2}, buf, StreamHeader{
 			Name:       "stream-test",
 			TotalCells: len(cells),
 			Shard:      sh.String(),
@@ -149,8 +149,8 @@ func shardStreams(t *testing.T, cells []Cell, n int) []*bytes.Buffer {
 		if err != nil {
 			t.Fatalf("shard %s: %v", sh, err)
 		}
-		if tr.CellsRun != len(part) {
-			t.Fatalf("shard %s ran %d cells, want %d", sh, tr.CellsRun, len(part))
+		if tr.CellsRun != part.Len() {
+			t.Fatalf("shard %s ran %d cells, want %d", sh, tr.CellsRun, part.Len())
 		}
 		bufs = append(bufs, buf)
 	}
@@ -163,7 +163,7 @@ func mergeBufs(t *testing.T, bufs []*bytes.Buffer) *Report {
 	for i, b := range bufs {
 		readers[i] = bytes.NewReader(b.Bytes())
 	}
-	rep, err := MergeStreams(readers...)
+	rep, err := Merge(MergeOptions{KeepOutcomes: true}, readers...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -218,7 +218,7 @@ func TestShardPartition(t *testing.T) {
 	seen := make(map[int]string)
 	for i := 1; i <= 3; i++ {
 		sh := Shard{Index: i, Count: 3}
-		for _, c := range sh.Of(cells) {
+		for _, c := range Materialize(slice(t, CellList(cells), Task{Span: Span{Shard: sh}})) {
 			if prev, dup := seen[c.Index]; dup {
 				t.Fatalf("cell %d in shards %s and %s", c.Index, prev, sh)
 			}
@@ -237,15 +237,15 @@ func TestMergeRejectsIncomplete(t *testing.T) {
 	cells := testCells(t)
 	bufs := shardStreams(t, cells, 2)
 
-	if _, err := MergeStreams(bytes.NewReader(bufs[0].Bytes())); err == nil {
+	if _, err := Merge(MergeOptions{KeepOutcomes: true}, bytes.NewReader(bufs[0].Bytes())); err == nil {
 		t.Error("merge of 1 of 2 shards succeeded")
 	}
-	if _, err := MergeStreams(bytes.NewReader(bufs[0].Bytes()), bytes.NewReader(bufs[0].Bytes())); err == nil {
+	if _, err := Merge(MergeOptions{KeepOutcomes: true}, bytes.NewReader(bufs[0].Bytes()), bytes.NewReader(bufs[0].Bytes())); err == nil {
 		t.Error("merge of a duplicated shard succeeded")
 	}
 	raw := bufs[0].Bytes()
 	truncated := raw[:bytes.LastIndexByte(raw[:len(raw)-1], '\n')+1] // drop the trailer line
-	if _, err := MergeStreams(bytes.NewReader(truncated), bytes.NewReader(bufs[1].Bytes())); err == nil {
+	if _, err := Merge(MergeOptions{KeepOutcomes: true}, bytes.NewReader(truncated), bytes.NewReader(bufs[1].Bytes())); err == nil {
 		t.Error("merge of a truncated shard stream succeeded")
 	}
 }

@@ -122,7 +122,7 @@ func StandardSweep(seeds []int64) (CellSource, error) {
 		}
 		srcs = append(srcs, src)
 	}
-	return ConcatSources(srcs...), nil
+	return concat(srcs...), nil
 }
 
 // AdversarySweep is the adversary-zoo counterpart of StandardSweep
