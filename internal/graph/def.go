@@ -120,20 +120,17 @@ func (d Def) String() string {
 	}
 }
 
-// Validate applies the structural checks ParseDef enforces to Defs built in
-// code rather than parsed: the figure must exist, sizes must be positive.
-// Lazy sweep sources call it once per axis value instead of materializing
-// every cell; seed-dependent generation failures (a spec the generator
-// cannot satisfy) still surface from Build.
+// Validate applies the structural checks every Def is held to, parsed or
+// built in code: the figure must exist, sizes and probabilities must be in
+// range. ParseDef ends with it, and lazy sweep sources call it once per axis
+// value instead of materializing every cell; seed-dependent generation
+// failures (a spec the generator cannot satisfy) still surface from Build.
 func (d Def) Validate() error {
 	switch d.Kind {
 	case DefFigure:
-		for _, fig := range AllFigures() {
-			if fig.Name == d.Figure {
-				return nil
-			}
+		if _, ok := figure(d.Figure); !ok {
+			return fmt.Errorf("graph def: unknown figure %q (figures: %s)", d.Figure, strings.Join(FigureNames(), " "))
 		}
-		return fmt.Errorf("graph def: unknown figure %q (figures: %s)", d.Figure, strings.Join(FigureNames(), " "))
 	case DefComplete:
 		if d.N < 1 {
 			return fmt.Errorf("graph def %q: need N ≥ 1", d)
@@ -195,13 +192,21 @@ func (d Def) NumNodes() int {
 	case DefKOSR, DefExtended:
 		return d.Sink + d.NonSink
 	case DefFigure:
-		for _, fig := range AllFigures() {
-			if fig.Name == d.Figure {
-				return fig.G.NumNodes()
-			}
+		if fig, ok := figure(d.Figure); ok {
+			return fig.G.NumNodes()
 		}
 	}
 	return 0
+}
+
+// figure looks a paper figure up by name.
+func figure(name string) (Figure, bool) {
+	for _, fig := range AllFigures() {
+		if fig.Name == name {
+			return fig, true
+		}
+	}
+	return Figure{}, false
 }
 
 // FigureNames returns the names ParseDef accepts as figures, sorted.
@@ -214,111 +219,82 @@ func FigureNames() []string {
 	return names
 }
 
-// ParseDef parses the canonical textual form (see Def).
+// ParseDef parses the canonical textual form (see Def): it reads the fields
+// and leaves the ranges to Validate, so parsed and built-in-code defs are held
+// to the same checks.
 func ParseDef(s string) (Def, error) {
 	s = strings.TrimSpace(s)
 	head, rest, hasRest := strings.Cut(s, ":")
+	var d Def
+	var fields map[string]func(string) error
 	switch head {
 	case "complete":
 		n, err := strconv.Atoi(rest)
-		if err != nil || n < 1 {
+		if err != nil {
 			return Def{}, fmt.Errorf("graph def %q: want complete:N with N ≥ 1", s)
 		}
-		return Def{Kind: DefComplete, N: n}, nil
+		d = Def{Kind: DefComplete, N: n}
 	case "kosr":
-		d := Def{Kind: DefKOSR, ExtraEdgeP: 0}
-		if err := parseDefFields(rest, map[string]func(string) error{
+		d = Def{Kind: DefKOSR}
+		fields = map[string]func(string) error{
 			"sink":    intField(&d.Sink),
 			"nonsink": intField(&d.NonSink),
 			"k":       intField(&d.K),
 			"extra":   floatField(&d.ExtraEdgeP),
-		}); err != nil {
-			return Def{}, fmt.Errorf("graph def %q: %w", s, err)
 		}
-		if d.Sink <= 0 || d.K <= 0 || d.NonSink < 0 || !(d.ExtraEdgeP >= 0 && d.ExtraEdgeP <= 1) {
-			return Def{}, fmt.Errorf("graph def %q: need sink ≥ 1, k ≥ 1, nonsink ≥ 0 and 0 ≤ extra ≤ 1", s)
-		}
-		return d, nil
 	case "extended":
-		d := Def{Kind: DefExtended, ExtraEdgeP: 0}
-		if err := parseDefFields(rest, map[string]func(string) error{
+		d = Def{Kind: DefExtended}
+		fields = map[string]func(string) error{
 			"core":    intField(&d.Sink),
 			"noncore": intField(&d.NonSink),
 			"extra":   floatField(&d.ExtraEdgeP),
-		}); err != nil {
-			return Def{}, fmt.Errorf("graph def %q: %w", s, err)
 		}
-		if d.Sink < 3 || d.NonSink < 0 || !(d.ExtraEdgeP >= 0 && d.ExtraEdgeP <= 1) {
-			return Def{}, fmt.Errorf("graph def %q: need core ≥ 3, noncore ≥ 0 and 0 ≤ extra ≤ 1", s)
-		}
-		return d, nil
 	case "er":
-		d := Def{Kind: DefER}
-		if err := parseDefFields(rest, map[string]func(string) error{
-			"n": intField(&d.N),
-			"p": floatField(&d.P),
-		}); err != nil {
-			return Def{}, fmt.Errorf("graph def %q: %w", s, err)
-		}
-		if d.N < 1 || !(d.P >= 0 && d.P <= 1) {
-			return Def{}, fmt.Errorf("graph def %q: need n ≥ 1 and 0 ≤ p ≤ 1", s)
-		}
-		return d, nil
+		d = Def{Kind: DefER}
+		fields = map[string]func(string) error{"n": intField(&d.N), "p": floatField(&d.P)}
 	case "geo":
-		d := Def{Kind: DefGeo}
-		if err := parseDefFields(rest, map[string]func(string) error{
-			"n": intField(&d.N),
-			"r": floatField(&d.R),
-		}); err != nil {
-			return Def{}, fmt.Errorf("graph def %q: %w", s, err)
-		}
-		if d.N < 1 || !(d.R >= 0) {
-			return Def{}, fmt.Errorf("graph def %q: need n ≥ 1 and r ≥ 0", s)
-		}
-		return d, nil
+		d = Def{Kind: DefGeo}
+		fields = map[string]func(string) error{"n": intField(&d.N), "r": floatField(&d.R)}
 	case "sf":
-		d := Def{Kind: DefSF}
-		if err := parseDefFields(rest, map[string]func(string) error{
-			"n": intField(&d.N),
-			"m": intField(&d.M),
-		}); err != nil {
-			return Def{}, fmt.Errorf("graph def %q: %w", s, err)
-		}
-		if d.N < 1 || d.M < 1 || d.M > d.N {
-			return Def{}, fmt.Errorf("graph def %q: need n ≥ 1 and 1 ≤ m ≤ n", s)
-		}
-		return d, nil
+		d = Def{Kind: DefSF}
+		fields = map[string]func(string) error{"n": intField(&d.N), "m": intField(&d.M)}
 	default:
-		if hasRest {
-			// Legacy cupsim forms random:SINK:NONSINK:F and
-			// random-ext:CORE:NONCORE stay accepted.
-			parts := strings.Split(s, ":")
-			switch {
-			case head == "random" && len(parts) == 4:
-				sink, e1 := strconv.Atoi(parts[1])
-				non, e2 := strconv.Atoi(parts[2])
-				f, e3 := strconv.Atoi(parts[3])
-				if e1 != nil || e2 != nil || e3 != nil {
-					return Def{}, fmt.Errorf("graph def %q: want random:SINK:NONSINK:F", s)
-				}
-				return Def{Kind: DefKOSR, Sink: sink, NonSink: non, K: f + 1, ExtraEdgeP: 0.15}, nil
-			case head == "random-ext" && len(parts) == 3:
-				core, e1 := strconv.Atoi(parts[1])
-				non, e2 := strconv.Atoi(parts[2])
-				if e1 != nil || e2 != nil {
-					return Def{}, fmt.Errorf("graph def %q: want random-ext:CORE:NONCORE", s)
-				}
-				return Def{Kind: DefExtended, Sink: core, NonSink: non, ExtraEdgeP: 0.15}, nil
+		if !hasRest {
+			d = Def{Kind: DefFigure, Figure: head}
+			break
+		}
+		// Legacy cupsim forms random:SINK:NONSINK:F and random-ext:CORE:NONCORE
+		// stay accepted.
+		parts := strings.Split(s, ":")
+		switch {
+		case head == "random" && len(parts) == 4:
+			sink, e1 := strconv.Atoi(parts[1])
+			non, e2 := strconv.Atoi(parts[2])
+			f, e3 := strconv.Atoi(parts[3])
+			if e1 != nil || e2 != nil || e3 != nil {
+				return Def{}, fmt.Errorf("graph def %q: want random:SINK:NONSINK:F", s)
 			}
+			d = Def{Kind: DefKOSR, Sink: sink, NonSink: non, K: f + 1, ExtraEdgeP: 0.15}
+		case head == "random-ext" && len(parts) == 3:
+			core, e1 := strconv.Atoi(parts[1])
+			non, e2 := strconv.Atoi(parts[2])
+			if e1 != nil || e2 != nil {
+				return Def{}, fmt.Errorf("graph def %q: want random-ext:CORE:NONCORE", s)
+			}
+			d = Def{Kind: DefExtended, Sink: core, NonSink: non, ExtraEdgeP: 0.15}
+		default:
 			return Def{}, fmt.Errorf("unknown graph def %q", s)
 		}
-		for _, fig := range AllFigures() {
-			if fig.Name == head {
-				return Def{Kind: DefFigure, Figure: head}, nil
-			}
-		}
-		return Def{}, fmt.Errorf("unknown graph def %q (figures: %s)", s, strings.Join(FigureNames(), " "))
 	}
+	if fields != nil {
+		if err := parseDefFields(rest, fields); err != nil {
+			return Def{}, fmt.Errorf("graph def %q: %w", s, err)
+		}
+	}
+	if err := d.Validate(); err != nil {
+		return Def{}, err
+	}
+	return d, nil
 }
 
 func parseDefFields(s string, fields map[string]func(string) error) error {
@@ -368,12 +344,11 @@ func floatField(dst *float64) func(string) error {
 func (d Def) Build(seed int64) (BuiltGraph, error) {
 	switch d.Kind {
 	case DefFigure:
-		for _, fig := range AllFigures() {
-			if fig.Name == d.Figure {
-				return BuiltGraph{G: fig.G, F: fig.F, Byz: fig.Byz, Sink: fig.ExpectedSink}, nil
-			}
+		fig, ok := figure(d.Figure)
+		if !ok {
+			return BuiltGraph{}, fmt.Errorf("unknown figure %q", d.Figure)
 		}
-		return BuiltGraph{}, fmt.Errorf("unknown figure %q", d.Figure)
+		return BuiltGraph{G: fig.G, F: fig.F, Byz: fig.Byz, Sink: fig.ExpectedSink}, nil
 	case DefComplete:
 		if d.N < 1 {
 			return BuiltGraph{}, fmt.Errorf("complete graph needs N ≥ 1")

@@ -136,7 +136,7 @@ func TestCompileCacheTransparentRuntimeErrors(t *testing.T) {
 		Graph: def(t, "fig1b"),
 		Mode:  core.ModeKnownF,
 		F:     -1,
-		Byz:   map[model.ID]scenario.ByzParams{2: {Kind: scenario.ByzKind(99)}},
+		Byz:   map[model.ID]scenario.ByzSpec{2: {Kind: scenario.ByzKind(99)}},
 	}
 	src, err := SeedSweep(base, Seeds(1, 4))
 	if err != nil {
@@ -183,8 +183,8 @@ func TestCompileKeySharing(t *testing.T) {
 
 	// Byzantine parameter contents (not just counts) must split the key.
 	byzA, byzB := fig, fig
-	byzA.Byz = map[model.ID]scenario.ByzParams{4: {Kind: scenario.ByzFakePD, ClaimedPD: []model.ID{1, 2, 3}}}
-	byzB.Byz = map[model.ID]scenario.ByzParams{4: {Kind: scenario.ByzFakePD, ClaimedPD: []model.ID{1, 2}}}
+	byzA.Byz = map[model.ID]scenario.ByzSpec{4: {Kind: scenario.ByzFakePD, ClaimedPD: model.NewIDSet(1, 2, 3)}}
+	byzB.Byz = map[model.ID]scenario.ByzSpec{4: {Kind: scenario.ByzFakePD, ClaimedPD: model.NewIDSet(1, 2)}}
 	if byzA.CompileKey() == byzB.CompileKey() {
 		t.Fatal("different claimed PDs share a compile key")
 	}

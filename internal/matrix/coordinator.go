@@ -247,7 +247,7 @@ func runFabric(ctx context.Context, total int, workers []Transport, opts FabricO
 		}
 		if usable {
 			for g := range scan.done {
-				if !taskOwns(lv.task, g) {
+				if !lv.task.owns(g) {
 					usable = false // outside its task: untrusted stream
 					break
 				}
@@ -515,15 +515,6 @@ func retryDelay(base time.Duration, attempt int, rng *rand.Rand) time.Duration {
 		d = maxDelay
 	}
 	return d/2 + time.Duration(rng.Int63n(int64(d)))
-}
-
-// taskOwns reports whether the task's slice contains global cell index g.
-func taskOwns(t Task, g int) bool {
-	if t.Cells != nil {
-		i := sort.SearchInts(t.Cells, g)
-		return i < len(t.Cells) && t.Cells[i] == g
-	}
-	return t.Span.Owns(g)
 }
 
 // coversExactly reports whether done is exactly the expected index set.

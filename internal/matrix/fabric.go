@@ -46,14 +46,36 @@ type Task struct {
 }
 
 // spec renders the header spec the task's stream will carry: the span spec,
-// or "cells:a,b,c" for explicit-index tasks (not a span — the merge
-// scheduler treats such streams as unknown-ownership, which is correct: gap
-// streams are small and scheduled by buffer pressure).
+// or "cells:a,b,c" for explicit-index tasks. parseTask reads it back, and the
+// merge routes each stream by the task it names.
 func (t Task) spec() string {
 	if t.Cells != nil {
 		return "cells:" + FormatCellList(t.Cells)
 	}
 	return t.Span.String()
+}
+
+// parseTask is the inverse of Task.spec: the task a stream header's spec
+// names. An empty spec names no slice and is refused.
+func parseTask(spec string) (Task, error) {
+	if cells, ok := strings.CutPrefix(spec, "cells:"); ok {
+		list, err := ParseCellList(cells)
+		return Task{Cells: list}, err
+	}
+	if spec == "" {
+		return Task{}, fmt.Errorf("empty shard spec")
+	}
+	span, err := ParseSpan(spec)
+	return Task{Span: span}, err
+}
+
+// owns reports whether the task's slice contains global cell index g.
+func (t Task) owns(g int) bool {
+	if t.Cells != nil {
+		i := sort.SearchInts(t.Cells, g)
+		return i < len(t.Cells) && t.Cells[i] == g
+	}
+	return t.Span.Owns(g)
 }
 
 // expected lists the global cell indices the task's stream must supply,

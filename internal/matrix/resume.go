@@ -2,8 +2,8 @@ package matrix
 
 import (
 	"bufio"
-	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -21,94 +21,50 @@ import (
 // shard run to Merge — same records, same trailer invariants, same merged
 // fingerprint.
 
-// streamScan summarizes a (possibly truncated) shard stream file.
+// streamScan summarizes a (possibly truncated) shard stream file: its reader
+// (header, trailer — nil when the stream is truncated — and the offset just
+// past the last intact record, the truncation point for appending) plus the
+// global cell indices present and their graded summary counts.
 type streamScan struct {
-	header  *StreamHeader
-	trailer *StreamTrailer // nil when the stream is truncated
-	// done maps the global cell indices present to their graded summary
-	// contribution (counted into errors/consensus below).
+	*recordReader
 	done      map[int]bool
 	errors    int
 	consensus int
-	// offset is the byte offset just past the last intact record — the
-	// truncation point for appending.
-	offset int64
-	// headerEnd is the byte offset just past the header record (the fabric's
-	// seal step rewrites the header in place up to here).
-	headerEnd int64
 }
 
-// scanStreamFile reads a stream file line by line, stopping at the first
-// torn or unparseable line (everything after it is discarded on resume). A
-// file that does not begin with a header record is not a stream and cannot
-// be resumed.
+// scanStreamFile reads a stream file up to its trailer, stopping at the first
+// torn record (everything from there on is discarded on resume). A malformed
+// stream — one that does not begin with a header, or breaks the record order —
+// is refused.
 func scanStreamFile(path string) (*streamScan, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
 	defer f.Close()
-	br := bufio.NewReaderSize(f, 1<<16)
 	scan := &streamScan{done: make(map[int]bool)}
-	for {
-		line, err := br.ReadBytes('\n')
-		if err == io.EOF {
-			// A final line without its newline is a torn write: drop it.
-			return scan, nil
+	scan.recordReader = newRecordReader(f, func(i int) bool { return scan.done[i] })
+	var torn tornError
+	for scan.trailer == nil {
+		rec, err := scan.next()
+		if err == io.EOF || errors.As(err, &torn) {
+			break
 		}
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("%s: %w", path, err)
 		}
-		var rec streamRecord
-		if jerr := json.Unmarshal(bytes.TrimSpace(line), &rec); jerr != nil {
-			if scan.header == nil {
-				return nil, fmt.Errorf("resume %s: not a stream file: %v", path, jerr)
-			}
-			// Torn or corrupt line mid-stream: resume from the last intact
-			// record.
-			return scan, nil
-		}
-		switch rec.Type {
-		case "header":
-			if scan.header != nil {
-				return nil, fmt.Errorf("resume %s: duplicate header", path)
-			}
-			if len(scan.done) > 0 {
-				return nil, fmt.Errorf("resume %s: header after outcomes", path)
-			}
-			scan.header = rec.Header
-			scan.headerEnd = scan.offset + int64(len(line))
-		case "outcome":
-			if scan.header == nil {
-				return nil, fmt.Errorf("resume %s: outcome before header", path)
-			}
-			if rec.Outcome == nil {
-				return scan, nil
-			}
-			if scan.done[rec.Outcome.Index] {
-				return nil, fmt.Errorf("resume %s: duplicate outcome for cell index %d", path, rec.Outcome.Index)
-			}
-			scan.done[rec.Outcome.Index] = true
-			if rec.Outcome.Err != "" {
+		if rec.Type == "outcome" {
+			o := rec.Outcome
+			scan.done[o.Index] = true
+			if o.Err != "" {
 				scan.errors++
 			}
-			if rec.Outcome.Consensus {
+			if o.Consensus {
 				scan.consensus++
 			}
-		case "trailer":
-			if scan.header == nil {
-				return nil, fmt.Errorf("resume %s: trailer before header", path)
-			}
-			scan.trailer = rec.Trailer
-			scan.offset += int64(len(line))
-			// A trailer closes the stream; ignore anything after it.
-			return scan, nil
-		default:
-			// Unknown record type: treat as corruption from here on.
-			return scan, nil
 		}
-		scan.offset += int64(len(line))
 	}
+	return scan, nil
 }
 
 // ResumeStreamFile completes an interrupted RunStreamFile: it verifies path

@@ -2,6 +2,7 @@ package matrix
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -23,9 +24,9 @@ import (
 // fingerprint is a pure function of the outcomes in cell-index order and
 // every cell runs on its own deterministic engine either way. Both ends are
 // streaming: RunStream folds its trailer counts through an incremental
-// Aggregator as cells complete, and Merge interleaves the shard files
-// through per-stream cursors into another Aggregator, so neither side ever
-// holds the sweep's cells or outcomes in memory.
+// Aggregator as cells complete, and Merge reads each cell from the streams
+// whose slice owns it into another Aggregator, so neither side ever holds
+// the sweep's cells or outcomes in memory.
 
 // StreamHeader opens a stream and identifies the slice of the sweep it
 // carries.
@@ -34,7 +35,9 @@ type StreamHeader struct {
 	Name string `json:"name"`
 	// TotalCells is the size of the whole sweep (not of this shard).
 	TotalCells int `json:"total_cells"`
-	// Shard is the canonical "i/n" shard spec this stream ran.
+	// Shard names the slice this stream ran: a span "i/n[@t]" ("1/1" for the
+	// whole sweep) or the fabric's gap list "cells:a,b,c". Merge routes the
+	// stream by it and refuses a stream whose header names none.
 	Shard string `json:"shard"`
 	// ShardCells is how many cells this shard contains.
 	ShardCells int `json:"shard_cells"`
@@ -136,57 +139,128 @@ func RunStreamFile(path string, src CellSource, opts Options, hdr StreamHeader) 
 	return tr, nil
 }
 
-// streamCursor reads one shard stream incrementally for the merge: records
-// are consumed on demand and out-of-order outcomes wait in a small pending
-// buffer until the merge asks for their index. For streams written by
-// RunStream the buffer stays O(that shard's parallelism) — the pool claims
-// cells in order, so completion order can only run that far ahead.
-type streamCursor struct {
-	dec     *json.Decoder
-	hdr     *StreamHeader
-	tr      *StreamTrailer
-	pending map[int]*Outcome
-	outs    int
-	eof     bool
-	// span is the parsed header spec when it identifies a proper slice of
-	// the sweep ("i/n" or a work-stolen tail "i/n@t"); nil means ownership
-	// is unknown and the merge scheduler falls back to its buffer-aware
-	// heuristic for this stream.
-	span *Span
+// recordReader is the one decoder of stream records: the merge's cursors,
+// resume and seal (through scanStreamFile) and the fabric coordinator's
+// coverage check all read through it. It reads line by line, tracks the byte
+// offset just past the last intact record, and enforces the record order: the
+// header first and once, no outcome after the trailer, no cell index twice.
+// Damage an interrupted write leaves behind an intact header — a final line
+// without its newline, an unparseable line, an unknown or empty record — comes
+// back as a tornError; anything else that breaks the format is malformed.
+// Resume and seal cut a torn stream at offset and refuse a malformed one; the
+// merge refuses both.
+type recordReader struct {
+	br      *bufio.Reader
+	header  *StreamHeader
+	trailer *StreamTrailer
+	// seen reports whether the stream already carried a cell index: the
+	// scan's done set, or the merge cursor's pending buffer.
+	seen func(int) bool
+	// offset is the byte offset just past the last intact record, headerEnd
+	// the one just past the header.
+	offset, headerEnd int64
+	// outcomes counts the outcome records read.
+	outcomes int
 }
 
-// newStreamCursor opens a stream and reads its header record.
-func newStreamCursor(r io.Reader) (*streamCursor, error) {
-	c := &streamCursor{dec: json.NewDecoder(r), pending: make(map[int]*Outcome)}
+// tornError marks the first record an interrupted write damaged.
+type tornError struct{ msg string }
+
+func (e tornError) Error() string { return "stream: torn: " + e.msg }
+
+func newRecordReader(r io.Reader, seen func(int) bool) *recordReader {
+	return &recordReader{br: bufio.NewReaderSize(r, 1<<16), seen: seen}
+}
+
+// next decodes one record; io.EOF ends a stream whose last line is intact.
+func (r *recordReader) next() (streamRecord, error) {
 	var rec streamRecord
-	if err := c.dec.Decode(&rec); err == io.EOF {
+	line, err := r.br.ReadBytes('\n')
+	switch {
+	case err == io.EOF && len(line) == 0:
+		return rec, io.EOF
+	case err == io.EOF:
+		return rec, tornError{"final line without its newline"}
+	case err != nil:
+		return rec, err
+	}
+	// Damage before the header means this is not a stream at all.
+	damaged := func(msg string) error {
+		if r.header == nil {
+			return fmt.Errorf("stream: %s before the header", msg)
+		}
+		return tornError{msg}
+	}
+	if jerr := json.Unmarshal(bytes.TrimSpace(line), &rec); jerr != nil {
+		return rec, damaged(jerr.Error())
+	}
+	switch rec.Type {
+	case "header":
+		switch {
+		case r.header != nil:
+			return rec, fmt.Errorf("stream: duplicate header")
+		case rec.Header == nil:
+			return rec, damaged("empty header record")
+		}
+		r.header = rec.Header
+	case "outcome":
+		switch {
+		case r.header == nil:
+			return rec, fmt.Errorf("stream: outcome before header")
+		case r.trailer != nil:
+			return rec, fmt.Errorf("stream: outcome after trailer")
+		case rec.Outcome == nil:
+			return rec, damaged("empty outcome record")
+		case r.seen(rec.Outcome.Index):
+			return rec, fmt.Errorf("stream: duplicate outcome for cell index %d", rec.Outcome.Index)
+		}
+		r.outcomes++
+	case "trailer":
+		switch {
+		case r.header == nil:
+			return rec, fmt.Errorf("stream: trailer before header")
+		case r.trailer != nil:
+			return rec, fmt.Errorf("stream: duplicate trailer")
+		case rec.Trailer == nil:
+			return rec, damaged("empty trailer record")
+		}
+		r.trailer = rec.Trailer
+	default:
+		return rec, damaged(fmt.Sprintf("unknown record type %q", rec.Type))
+	}
+	r.offset += int64(len(line))
+	if rec.Type == "header" {
+		r.headerEnd = r.offset
+	}
+	return rec, nil
+}
+
+// streamCursor is one stream of a merge: its reader, the task its header
+// names, and the outcomes read ahead of the cell the merge waits for. For
+// streams RunStream writes the buffer stays O(that shard's parallelism) — the
+// pool claims cells in order, so completion order can only run that far ahead.
+type streamCursor struct {
+	*recordReader
+	task    Task
+	pending map[int]*Outcome
+	eof     bool
+}
+
+// newStreamCursor opens a stream: its header, and the task its spec names.
+func newStreamCursor(r io.Reader) (*streamCursor, error) {
+	c := &streamCursor{pending: make(map[int]*Outcome)}
+	c.recordReader = newRecordReader(r, func(i int) bool { _, ok := c.pending[i]; return ok })
+	if _, err := c.next(); err == io.EOF {
 		return nil, fmt.Errorf("stream: missing header")
 	} else if err != nil {
-		return nil, fmt.Errorf("stream: %w", err)
+		return nil, err
 	}
-	if rec.Type != "header" || rec.Header == nil {
-		return nil, fmt.Errorf("stream: first record is %q, want header", rec.Type)
+	task, err := parseTask(c.header.Shard)
+	if err != nil {
+		return nil, fmt.Errorf("header names no slice of the sweep: %w", err)
 	}
-	c.hdr = rec.Header
+	c.task = task
 	return c, nil
-}
-
-// owns reports whether this cursor's shard spec claims the global cell
-// index. Unknown specs own nothing (the scheduler handles them separately).
-func (c *streamCursor) owns(i int) bool {
-	return c.span != nil && c.span.Owns(i)
-}
-
-// minPending returns the smallest buffered cell index, or ok=false when the
-// buffer is empty.
-func (c *streamCursor) minPending() (int, bool) {
-	min, ok := 0, false
-	for i := range c.pending {
-		if !ok || i < min {
-			min, ok = i, true
-		}
-	}
-	return min, ok
 }
 
 // advance consumes one record, parking outcomes in the pending buffer.
@@ -195,47 +269,18 @@ func (c *streamCursor) advance() (bool, error) {
 	if c.eof {
 		return false, nil
 	}
-	var rec streamRecord
-	if err := c.dec.Decode(&rec); err == io.EOF {
+	rec, err := c.next()
+	if err == io.EOF {
 		c.eof = true
 		return false, nil
-	} else if err != nil {
-		return false, fmt.Errorf("stream: %w", err)
 	}
-	switch rec.Type {
-	case "header":
-		return false, fmt.Errorf("stream: duplicate header")
-	case "outcome":
-		if c.tr != nil {
-			return false, fmt.Errorf("stream: outcome after trailer")
-		}
-		if rec.Outcome == nil {
-			return false, fmt.Errorf("stream: empty outcome record")
-		}
-		if _, dup := c.pending[rec.Outcome.Index]; dup {
-			return false, fmt.Errorf("stream: duplicate outcome for cell index %d", rec.Outcome.Index)
-		}
+	if err != nil {
+		return false, err
+	}
+	if rec.Type == "outcome" {
 		c.pending[rec.Outcome.Index] = rec.Outcome
-		c.outs++
-	case "trailer":
-		if c.tr != nil {
-			return false, fmt.Errorf("stream: duplicate trailer")
-		}
-		c.tr = rec.Trailer
-	default:
-		return false, fmt.Errorf("stream: unknown record type %q", rec.Type)
 	}
 	return true, nil
-}
-
-// take pops the outcome for global cell index i if this cursor has buffered
-// it.
-func (c *streamCursor) take(i int) (*Outcome, bool) {
-	o, ok := c.pending[i]
-	if ok {
-		delete(c.pending, i)
-	}
-	return o, ok
 }
 
 // finish drains the rest of the stream and validates its framing: a trailer
@@ -252,43 +297,17 @@ func (c *streamCursor) finish() error {
 			break
 		}
 	}
-	if c.tr == nil {
+	if c.trailer == nil {
 		return fmt.Errorf("stream: missing trailer (truncated shard file?)")
 	}
 	if len(c.pending) > 0 {
 		return fmt.Errorf("stream: %d outcome(s) duplicate cells another stream supplied", len(c.pending))
 	}
-	if c.tr.CellsRun != c.outs || (c.hdr.ShardCells != 0 && c.hdr.ShardCells != c.outs) {
+	if c.trailer.CellsRun != c.outcomes || (c.header.ShardCells != 0 && c.header.ShardCells != c.outcomes) {
 		return fmt.Errorf("stream: header/trailer claim %d/%d cells, found %d",
-			c.hdr.ShardCells, c.tr.CellsRun, c.outs)
+			c.header.ShardCells, c.trailer.CellsRun, c.outcomes)
 	}
 	return nil
-}
-
-// assignShards parses each cursor's shard spec independently. A spec that
-// claims the whole sweep ("1/1", or an empty header) is only meaningful when
-// the stream is alone — alongside other streams it cannot be literally true,
-// so it is demoted to unknown and scheduled by the heuristic instead. Specs
-// that are not spans at all (the fabric's "cells:…" gap-filler streams) stay
-// unknown by construction.
-func assignShards(cursors []*streamCursor) {
-	for _, c := range cursors {
-		sp, err := ParseSpan(c.hdr.Shard)
-		if err != nil || (sp.IsAll() && len(cursors) > 1) {
-			continue
-		}
-		c.span = &sp
-	}
-}
-
-// cursorPos recovers a cursor's stream number for error messages.
-func cursorPos(cursors []*streamCursor, c *streamCursor) int {
-	for i, cand := range cursors {
-		if cand == c {
-			return i
-		}
-	}
-	return -1
 }
 
 // MergeOptions tunes stream merging.
@@ -314,17 +333,12 @@ type mergeStats struct {
 // WallNS is the sum of the shards' wall times).
 //
 // The merge is incremental: cells are folded into an Aggregator in global
-// index order while the streams are read interleaved, so beyond the merged
-// report itself only each stream's out-of-order window is buffered. Each
-// stream's next-owned index is routed through its own shard spec: a stalled
-// index reads only from the streams whose "i/n" header claims it, so for
-// everything RunStream writes the window is O(streams × per-shard
-// parallelism) — not O(cells); a resumed shard can additionally buffer up to
-// its own appended-tail window. Streams without usable specs (hand-split or
-// relabeled shards) are scheduled by buffer pressure instead — drained
-// streams are read first, then the stream lagging furthest behind — which
-// keeps pathological non-round-robin splits (e.g. contiguous blocks) at
-// O(streams) buffered outcomes rather than O(cells).
+// index order, and each cell is read only from the streams whose header names
+// a slice that owns it — a span "i/n[@t]" or the fabric's gap list
+// "cells:a,b,c". So beyond the merged report itself only each stream's
+// out-of-order window is buffered: O(streams × per-shard parallelism) for
+// everything RunStream writes, plus a resumed shard's appended-tail window. A
+// stream whose header names no slice is refused.
 func Merge(opts MergeOptions, readers ...io.Reader) (*Report, error) {
 	rep, _, err := merge(opts, readers...)
 	return rep, err
@@ -343,132 +357,47 @@ func merge(opts MergeOptions, readers ...io.Reader) (*Report, mergeStats, error)
 		}
 		cursors[i] = c
 	}
-	name, total := cursors[0].hdr.Name, cursors[0].hdr.TotalCells
+	name, total := cursors[0].header.Name, cursors[0].header.TotalCells
 	for i, c := range cursors[1:] {
-		if c.hdr.Name != name || c.hdr.TotalCells != total {
+		if c.header.Name != name || c.header.TotalCells != total {
 			return nil, stats, fmt.Errorf("merge: stream %d is from a different sweep (%q, %d cells; want %q, %d)",
-				i+1, c.hdr.Name, c.hdr.TotalCells, name, total)
-		}
-	}
-	assignShards(cursors)
-
-	// advance wraps cursor reads with error attribution and the pending-size
-	// statistic.
-	advance := func(c *streamCursor) (bool, error) {
-		more, err := c.advance()
-		if err != nil {
-			return false, fmt.Errorf("merge: stream %d: %w", cursorPos(cursors, c), err)
-		}
-		pending := 0
-		for _, cc := range cursors {
-			pending += len(cc.pending)
-		}
-		if pending > stats.maxPending {
-			stats.maxPending = pending
-		}
-		return more, nil
-	}
-
-	hasUnknown := false
-	for _, c := range cursors {
-		if c.span == nil {
-			hasUnknown = true
+				i+1, c.header.Name, c.header.TotalCells, name, total)
 		}
 	}
 
-	// fill reads records until some cursor can supply cell index next,
-	// choosing which stream to read by ownership first and buffer pressure
-	// second. It reports false when the cell cannot appear anymore: every
-	// stream that could hold it is exhausted.
-	fill := func(next int) (bool, error) {
-		// 1. Streams whose shard spec owns next.
-		progress := false
-		for _, c := range cursors {
-			if c.owns(next) {
-				more, err := advance(c)
-				if err != nil {
-					return false, err
+	// take returns cell next, reading the streams that own it until one
+	// supplies it; when every owner is exhausted the cell is missing.
+	take := func(next int) (*Outcome, error) {
+		for {
+			for _, c := range cursors {
+				if o, ok := c.pending[next]; ok {
+					delete(c.pending, next)
+					return o, nil
 				}
-				progress = progress || more
 			}
-		}
-		if progress {
-			return true, nil
-		}
-		// 2. Unknown-spec streams with nothing buffered: reading them costs
-		// no memory and reveals where they are.
-		for _, c := range cursors {
-			if c.span == nil && len(c.pending) == 0 {
-				more, err := advance(c)
-				if err != nil {
-					return false, err
+			read, pending := false, 0
+			for i, c := range cursors {
+				if c.task.owns(next) {
+					more, err := c.advance()
+					if err != nil {
+						return nil, fmt.Errorf("merge: stream %d: %w", i, err)
+					}
+					read = read || more
 				}
-				progress = progress || more
+				pending += len(c.pending)
 			}
-		}
-		if progress {
-			return true, nil
-		}
-		// 3. The unknown-spec stream lagging furthest behind (smallest
-		// buffered index) — the most plausible holder of next.
-		var best *streamCursor
-		bestMin := 0
-		for _, c := range cursors {
-			if c.span != nil || c.eof {
-				continue
+			if !read {
+				return nil, fmt.Errorf("merge: cell index %d missing across %d stream(s) (missing shards?)", next, len(cursors))
 			}
-			if m, ok := c.minPending(); ok && (best == nil || m < bestMin) {
-				best, bestMin = c, m
-			}
+			stats.maxPending = max(stats.maxPending, pending)
 		}
-		if best != nil {
-			more, err := advance(best)
-			if err != nil {
-				return false, err
-			}
-			if more {
-				return true, nil
-			}
-		}
-		// 4. Last resort, only when spec-less streams are in the merge — the
-		// cell could still be hiding anywhere, so read whatever is open
-		// rather than failing early. When every stream carries a spec,
-		// ownership is total: an exhausted owner means the cell is missing,
-		// and reading (and buffering) the other streams to prove it would
-		// cost O(cells) of memory for the same error.
-		if !hasUnknown {
-			return false, nil
-		}
-		for _, c := range cursors {
-			more, err := advance(c)
-			if err != nil {
-				return false, err
-			}
-			progress = progress || more
-		}
-		return progress, nil
 	}
 
 	agg := NewAggregator(opts.KeepOutcomes)
 	for next := 0; next < total; next++ {
-		var o *Outcome
-		for o == nil {
-			for _, c := range cursors {
-				if got, ok := c.take(next); ok {
-					o = got
-					break
-				}
-			}
-			if o != nil {
-				break
-			}
-			progress, err := fill(next)
-			if err != nil {
-				return nil, stats, err
-			}
-			if !progress {
-				return nil, stats, fmt.Errorf("merge: cell index %d missing across %d stream(s) (missing shards?)", next, len(cursors))
-			}
+		o, err := take(next)
+		if err != nil {
+			return nil, stats, err
 		}
 		if err := agg.Add(next, *o); err != nil {
 			return nil, stats, fmt.Errorf("merge: %w", err)
@@ -480,7 +409,7 @@ func merge(opts MergeOptions, readers ...io.Reader) (*Report, mergeStats, error)
 		if err := c.finish(); err != nil {
 			return nil, stats, fmt.Errorf("merge: stream %d: %w", i, err)
 		}
-		wallNS += c.tr.WallNS
+		wallNS += c.trailer.WallNS
 	}
 	rep, err := agg.Report(0)
 	if err != nil {
@@ -506,7 +435,7 @@ func MergeFilesWith(opts MergeOptions, paths ...string) (*Report, error) {
 			return nil, fmt.Errorf("merge: %w", err)
 		}
 		files = append(files, f)
-		readers = append(readers, bufio.NewReaderSize(f, 1<<16))
+		readers = append(readers, f)
 	}
 	return Merge(opts, readers...)
 }

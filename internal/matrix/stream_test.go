@@ -37,12 +37,13 @@ func mergeFilesWithStats(t *testing.T, paths ...string) (*Report, mergeStats) {
 	return rep, stats
 }
 
-// TestMergeAdversarialSplitConstantMemory pins the buffer-pressure scheduler
-// on the pathological split the shard-spec routing cannot help with: two
-// streams carrying contiguous index blocks (first half / second half) with
-// headers that claim no usable shard spec. A round-robin reader would buffer
-// the entire second stream (O(cells)) while draining the first; the
-// scheduler must keep the total out-of-order buffer at O(streams).
+// TestMergeAdversarialSplitConstantMemory pins the merge's memory on the
+// split a round-robin reader handles worst: two streams carrying contiguous
+// index blocks (first half / second half), each header naming its block as a
+// "cells:" list. A reader that alternated between the streams would buffer
+// the entire second stream (O(cells)) while draining the first; routing every
+// index to the stream that owns it keeps the total out-of-order buffer at
+// O(streams).
 func TestMergeAdversarialSplitConstantMemory(t *testing.T) {
 	const n = 2000
 	src := errorSweep(t, n)
@@ -62,7 +63,7 @@ func TestMergeAdversarialSplitConstantMemory(t *testing.T) {
 		}
 		path := filepath.Join(dir, fmt.Sprintf("block%d.jsonl", half))
 		if _, err := RunStreamFile(path, pick(src, pos), Options{Parallelism: 1}, StreamHeader{
-			Name: "adversarial-split", TotalCells: n, // Shard left empty: no routing hint
+			Name: "adversarial-split", TotalCells: n, Shard: Task{Cells: pos}.spec(),
 		}); err != nil {
 			t.Fatal(err)
 		}

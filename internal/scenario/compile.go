@@ -2,6 +2,7 @@ package scenario
 
 import (
 	"fmt"
+	"maps"
 	"slices"
 	"strings"
 
@@ -121,28 +122,7 @@ func (p Params) CompileGraph(built graph.BuiltGraph) (*Compiled, error) {
 	for _, id := range placed {
 		byzMap[id] = p.autoByzSpec(built, id, placed)
 	}
-	for id, bp := range p.Byz {
-		spec := ByzSpec{Kind: bp.Kind, HoldRounds: bp.HoldRounds}
-		if len(bp.ClaimedPD) > 0 {
-			spec.ClaimedPD = model.NewIDSet(bp.ClaimedPD...)
-		}
-		if len(bp.AltPD) > 0 {
-			spec.AltPD = model.NewIDSet(bp.AltPD...)
-		}
-		if len(bp.AltRecipients) > 0 {
-			// Carried as data, not a closure: CompileKey covers the set, so
-			// two cells differing only in recipients cannot share a cache
-			// entry (the Runner derives the chooser from the set at run time).
-			spec.AltRecipients = model.NewIDSet(bp.AltRecipients...)
-		}
-		if len(bp.AnswerTo) > 0 {
-			spec.AnswerTo = model.NewIDSet(bp.AnswerTo...)
-		}
-		if len(bp.Withhold) > 0 {
-			spec.Withhold = model.NewIDSet(bp.Withhold...)
-		}
-		byzMap[id] = spec
-	}
+	maps.Copy(byzMap, p.Byz)
 	net, err := applyFaults(p.Faults, p.Net.Model(), built.G, byzMap)
 	if err != nil {
 		return nil, fmt.Errorf("params %q: %w", p.nameOrID(), err)
@@ -172,7 +152,7 @@ func (p Params) CompileGraph(built graph.BuiltGraph) (*Compiled, error) {
 // checkProcessIDs rejects an explicit Byzantine assignment or proposal for a
 // process the graph does not have: a typo'd ID must not compile into a run
 // that reads as adversarial (or as carrying a proposal) while placing nothing.
-func checkProcessIDs(g *graph.Digraph, byz map[model.ID]ByzParams, values map[model.ID]model.Value) error {
+func checkProcessIDs(g *graph.Digraph, byz map[model.ID]ByzSpec, values map[model.ID]model.Value) error {
 	for _, id := range sortedIDs(byz) {
 		if !g.HasNode(id) {
 			return fmt.Errorf("byzantine process %v not in graph", id)
@@ -257,10 +237,10 @@ func (p Params) CompileKey() string {
 		fmt.Fprintf(&sb, "|name=%q", p.Name)
 	}
 	for _, id := range sortedIDs(p.Byz) {
-		bp := p.Byz[id]
-		fmt.Fprintf(&sb, "|byz%d=%d;%v;%v;%v;%d;%v;%v", uint64(id), int(bp.Kind),
-			canonIDs(bp.ClaimedPD), canonIDs(bp.AltPD), canonIDs(bp.AltRecipients),
-			bp.HoldRounds, canonIDs(bp.AnswerTo), canonIDs(bp.Withhold))
+		bs := p.Byz[id]
+		fmt.Fprintf(&sb, "|byz%d=%d;%s;%s;%s;%d;%s;%s", uint64(id), int(bs.Kind),
+			setKey(bs.ClaimedPD), setKey(bs.AltPD), setKey(bs.AltRecipients),
+			bs.HoldRounds, setKey(bs.AnswerTo), setKey(bs.Withhold))
 	}
 	for _, id := range sortedIDs(p.Values) {
 		fmt.Fprintf(&sb, "|val%d=%q", uint64(id), string(p.Values[id]))
@@ -279,15 +259,14 @@ func sortedIDs[V any](m map[model.ID]V) []model.ID {
 	return ids
 }
 
-// canonIDs renders an ID slice order-independently (the slices parameterize
-// sets, so order must not split cache entries).
-func canonIDs(ids []model.ID) []model.ID {
-	if len(ids) < 2 {
-		return ids
+// setKey renders one ByzSpec set for CompileKey: members ascending, nil (the
+// kind's default) as "[]", and an empty set apart from nil — the two compile
+// to different behaviors, so they must not share a cache entry.
+func setKey(s model.IDSet) string {
+	if s != nil && len(s) == 0 {
+		return "[∅]"
 	}
-	out := slices.Clone(ids)
-	slices.Sort(out)
-	return out
+	return fmt.Sprint(s.Sorted())
 }
 
 // ForgedClaim is the default advertised PD for a PD-forging behavior left

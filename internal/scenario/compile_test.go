@@ -17,8 +17,8 @@ func compileTestParams() Params {
 		Graph: graph.Def{Kind: graph.DefFigure, Figure: "fig1b"},
 		Mode:  core.ModeKnownF,
 		F:     -1,
-		Byz: map[model.ID]ByzParams{
-			4: {Kind: ByzFakePD, ClaimedPD: []model.ID{1, 2, 3}},
+		Byz: map[model.ID]ByzSpec{
+			4: {Kind: ByzFakePD, ClaimedPD: model.NewIDSet(1, 2, 3)},
 		},
 		Net:  NetParams{Kind: NetSync},
 		Seed: 31,
@@ -170,17 +170,17 @@ func TestCompileRejectsStrayProcessIDs(t *testing.T) {
 	base := Params{Graph: graph.Def{Kind: graph.DefFigure, Figure: "fig1b"}, Mode: core.ModeKnownF, F: -1} // processes 1–8
 	for _, tc := range []struct {
 		name   string
-		byz    map[model.ID]ByzParams
+		byz    map[model.ID]ByzSpec
 		values map[model.ID]model.Value
 		want   string // "" = compiles
 	}{
-		{name: "node byz and value", byz: map[model.ID]ByzParams{4: {Kind: ByzSilent}}, values: map[model.ID]model.Value{8: model.Value("x")}},
-		{name: "stray silent", byz: map[model.ID]ByzParams{99: {Kind: ByzSilent}}, want: "byzantine process p99 not in graph"},
-		{name: "stray among nodes", byz: map[model.ID]ByzParams{4: {Kind: ByzSilent}, 9: {Kind: ByzFakePD}}, want: "byzantine process p9 not in graph"},
-		{name: "stray owner of behaviour fields", byz: map[model.ID]ByzParams{
-			12: {Kind: ByzSelectiveSilent, AnswerTo: []model.ID{1, 2}, Withhold: []model.ID{3}, AltRecipients: []model.ID{4}, ClaimedPD: []model.ID{1}},
+		{name: "node byz and value", byz: map[model.ID]ByzSpec{4: {Kind: ByzSilent}}, values: map[model.ID]model.Value{8: model.Value("x")}},
+		{name: "stray silent", byz: map[model.ID]ByzSpec{99: {Kind: ByzSilent}}, want: "byzantine process p99 not in graph"},
+		{name: "stray among nodes", byz: map[model.ID]ByzSpec{4: {Kind: ByzSilent}, 9: {Kind: ByzFakePD}}, want: "byzantine process p9 not in graph"},
+		{name: "stray owner of behaviour fields", byz: map[model.ID]ByzSpec{
+			12: {Kind: ByzSelectiveSilent, AnswerTo: model.NewIDSet(1, 2), Withhold: model.NewIDSet(3), AltRecipients: model.NewIDSet(4), ClaimedPD: model.NewIDSet(1)},
 		}, want: "byzantine process p12 not in graph"},
-		{name: "stray as-correct", byz: map[model.ID]ByzParams{0: {Kind: ByzAsCorrect}}, want: "byzantine process p0 not in graph"},
+		{name: "stray as-correct", byz: map[model.ID]ByzSpec{0: {Kind: ByzAsCorrect}}, want: "byzantine process p0 not in graph"},
 		{name: "stray value", values: map[model.ID]model.Value{99: model.Value("x")}, want: "proposal of process p99 not in graph"},
 	} {
 		p := base
@@ -194,7 +194,7 @@ func TestCompileRejectsStrayProcessIDs(t *testing.T) {
 		}
 	}
 	// A caller's own graph goes through the same check.
-	p := Params{Name: "stray", Byz: map[model.ID]ByzParams{99: {Kind: ByzSilent}}}
+	p := Params{Name: "stray", Byz: map[model.ID]ByzSpec{99: {Kind: ByzSilent}}}
 	if _, err := p.CompileGraph(graph.BuiltGraph{G: graph.Fig1b().G}); err == nil || !strings.Contains(err.Error(), "byzantine process p99 not in graph") {
 		t.Errorf("CompileGraph: error %v, want the stray Byzantine process named", err)
 	}

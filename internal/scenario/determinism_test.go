@@ -18,8 +18,8 @@ func traceParams(net NetParams, horizon sim.Time) Params {
 		Graph: graph.Def{Kind: graph.DefFigure, Figure: "fig1b"},
 		Mode:  core.ModeKnownF,
 		F:     -1,
-		Byz: map[model.ID]ByzParams{
-			4: {Kind: ByzFakePD, ClaimedPD: []model.ID{1, 2, 3}},
+		Byz: map[model.ID]ByzSpec{
+			4: {Kind: ByzFakePD, ClaimedPD: model.NewIDSet(1, 2, 3)},
 		},
 		Net:           net,
 		Horizon:       horizon,
@@ -111,8 +111,8 @@ func TestCompileGraphMatchesCompile(t *testing.T) {
 		Graph: graph.Def{Kind: graph.DefFigure, Figure: "fig1b"},
 		Mode:  core.ModeKnownF,
 		F:     -1,
-		Byz: map[model.ID]ByzParams{
-			4: {Kind: ByzFakePD, ClaimedPD: []model.ID{1, 2, 3}},
+		Byz: map[model.ID]ByzSpec{
+			4: {Kind: ByzFakePD, ClaimedPD: model.NewIDSet(1, 2, 3)},
 		},
 		Net:     NetParams{Kind: NetSync},
 		Horizon: 60 * sim.Second,

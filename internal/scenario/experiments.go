@@ -45,7 +45,7 @@ func permissionedParams(net NetParams, horizon sim.Time, seed int64) Params {
 		Graph: graph.Def{Kind: graph.DefComplete, N: 7},
 		Mode:  core.ModePermissioned,
 		F:     2,
-		Byz: map[model.ID]ByzParams{
+		Byz: map[model.ID]ByzSpec{
 			3: {Kind: ByzSilent},
 			6: {Kind: ByzSilent},
 		},
@@ -62,8 +62,8 @@ func bftCUPParams(net NetParams, horizon sim.Time, seed int64) Params {
 		Graph: figDef("fig1b"),
 		Mode:  core.ModeKnownF,
 		F:     -1,
-		Byz: map[model.ID]ByzParams{
-			4: {Kind: ByzFakePD, ClaimedPD: []model.ID{1, 2, 3}},
+		Byz: map[model.ID]ByzSpec{
+			4: {Kind: ByzFakePD, ClaimedPD: model.NewIDSet(1, 2, 3)},
 		},
 		Net:     net,
 		Horizon: horizon,
@@ -77,7 +77,7 @@ func bftCUPFTParams(net NetParams, horizon sim.Time, seed int64) Params {
 	return Params{
 		Graph: figDef("fig4a"),
 		Mode:  core.ModeUnknownF,
-		Byz: map[model.ID]ByzParams{
+		Byz: map[model.ID]ByzSpec{
 			4: {Kind: ByzSilent},
 		},
 		Net:     net,
@@ -122,7 +122,7 @@ func Fig1() []Experiment {
 			"fig1a",
 			Params{
 				Graph: figDef("fig1a"), Mode: core.ModeKnownF, F: -1,
-				Byz: map[model.ID]ByzParams{4: {Kind: ByzSilent}},
+				Byz: map[model.ID]ByzSpec{4: {Kind: ByzSilent}},
 				Net: NetParams{Kind: NetSync},
 				// Both islands decide quickly; the violation is immediate.
 				Horizon: 60 * sim.Second, Seed: 21,
@@ -133,7 +133,7 @@ func Fig1() []Experiment {
 			"fig1b",
 			Params{
 				Graph: figDef("fig1b"), Mode: core.ModeKnownF, F: -1,
-				Byz:     map[model.ID]ByzParams{4: {Kind: ByzFakePD, ClaimedPD: []model.ID{1, 2, 3}}},
+				Byz:     map[model.ID]ByzSpec{4: {Kind: ByzFakePD, ClaimedPD: model.NewIDSet(1, 2, 3)}},
 				Net:     NetParams{Kind: NetSync},
 				Horizon: 60 * sim.Second, Seed: 22,
 			},
@@ -172,7 +172,7 @@ func Fig2() []Experiment {
 			"fig2a",
 			Params{
 				Graph: figDef("fig2a"), Mode: core.ModeKnownF, F: -1,
-				Byz:    map[model.ID]ByzParams{4: {Kind: ByzSilent}},
+				Byz:    map[model.ID]ByzSpec{4: {Kind: ByzSilent}},
 				Values: sameV, Net: NetParams{Kind: NetSync}, Horizon: 60 * sim.Second, Seed: 31,
 			},
 			Expect{Consensus: true, Note: "system A decides v"},
@@ -181,7 +181,7 @@ func Fig2() []Experiment {
 			"fig2b",
 			Params{
 				Graph: figDef("fig2b"), Mode: core.ModeKnownF, F: -1,
-				Byz:    map[model.ID]ByzParams{5: {Kind: ByzSilent}},
+				Byz:    map[model.ID]ByzSpec{5: {Kind: ByzSilent}},
 				Values: sameU, Net: NetParams{Kind: NetSync}, Horizon: 60 * sim.Second, Seed: 32,
 			},
 			Expect{Consensus: true, Note: "system B decides u"},
@@ -227,7 +227,7 @@ func Fig3() []Experiment {
 	mk := func(mode core.Mode) Params {
 		return Params{
 			Graph: figDef("fig3a"), Mode: mode,
-			Byz:     map[model.ID]ByzParams{1: {Kind: ByzAsCorrect}},
+			Byz:     map[model.ID]ByzSpec{1: {Kind: ByzAsCorrect}},
 			Net:     net,
 			Horizon: 90 * sim.Second,
 			Seed:    41,
@@ -247,7 +247,7 @@ func Fig4() []Experiment {
 			"fig4a",
 			Params{
 				Graph: figDef("fig4a"), Mode: core.ModeUnknownF,
-				Byz:     map[model.ID]ByzParams{4: {Kind: ByzSilent}},
+				Byz:     map[model.ID]ByzSpec{4: {Kind: ByzSilent}},
 				Net:     NetParams{Kind: NetSync},
 				Horizon: 60 * sim.Second,
 				Seed:    51,
@@ -268,7 +268,7 @@ func Fig4() []Experiment {
 			"fig4a/without-added-links",
 			Params{
 				Graph: figDef("fig4a-without-added-links"), Mode: core.ModeUnknownF,
-				Byz: map[model.ID]ByzParams{4: {Kind: ByzSilent}},
+				Byz: map[model.ID]ByzSpec{4: {Kind: ByzSilent}},
 				Net: NetParams{
 					Kind:      NetPartial,
 					GST:       30 * sim.Second,
@@ -283,7 +283,7 @@ func Fig4() []Experiment {
 			"fig4b",
 			Params{
 				Graph: figDef("fig4b"), Mode: core.ModeUnknownF,
-				Byz: map[model.ID]ByzParams{
+				Byz: map[model.ID]ByzSpec{
 					4: {Kind: ByzSilent},
 					9: {Kind: ByzSilent},
 				},

@@ -206,7 +206,7 @@ func TestCompileRejectsBadChurn(t *testing.T) {
 	}
 
 	p = chaosParams(1)
-	p.Byz = map[model.ID]ByzParams{8: {Kind: ByzSilent}}
+	p.Byz = map[model.ID]ByzSpec{8: {Kind: ByzSilent}}
 	p.Faults.Churn = []ChurnEvent{{ID: 8, CrashAt: 100 * sim.Millisecond, RestartAt: 500 * sim.Millisecond, Wipe: true}}
 	if _, err := p.Compile(); err == nil || !strings.Contains(err.Error(), "Byzantine") {
 		t.Fatalf("wiped churn of a Byzantine process compiled: %v", err)

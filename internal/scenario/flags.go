@@ -32,8 +32,8 @@ func ParseMode(name string) (core.Mode, error) {
 
 // ParseByzList parses an explicit Byzantine assignment, ID[:kind]
 // comma-separated (kind defaults to silent), e.g. "4:silent,7:fake-pd".
-func ParseByzList(s string) (map[model.ID]ByzParams, error) {
-	out := make(map[model.ID]ByzParams)
+func ParseByzList(s string) (map[model.ID]ByzSpec, error) {
+	out := make(map[model.ID]ByzSpec)
 	if s == "" {
 		return out, nil
 	}
@@ -46,11 +46,11 @@ func ParseByzList(s string) (map[model.ID]ByzParams, error) {
 		if !hasKind {
 			kind = "silent"
 		}
-		var bp ByzParams
-		if bp.Kind, err = ParseByzKind(kind); err != nil {
+		var bs ByzSpec
+		if bs.Kind, err = ParseByzKind(kind); err != nil {
 			return nil, err
 		}
-		out[model.ID(raw)] = bp
+		out[model.ID(raw)] = bs
 	}
 	return out, nil
 }

@@ -165,27 +165,6 @@ func (np NetParams) Model() sim.NetworkModel {
 	}
 }
 
-// ByzParams describes one explicitly assigned Byzantine process; Compile
-// resolves it into a ByzSpec.
-type ByzParams struct {
-	// Kind selects the behavior.
-	Kind ByzKind
-	// ClaimedPD is the advertised PD (nil: the kind's default — see
-	// ByzSpec.ClaimedPD).
-	ClaimedPD []model.ID
-	// AltPD is the second record for ByzEquivPD.
-	AltPD []model.ID
-	// AltRecipients lists the peers that receive AltPD under ByzEquivPD
-	// (empty keeps the default even-ID split).
-	AltRecipients []model.ID
-	// HoldRounds is the ByzDelay reply delay in discovery periods.
-	HoldRounds int
-	// AnswerTo is the ByzSelectiveSilent peer subset.
-	AnswerTo []model.ID
-	// Withhold lists record owners a ByzCollude member censors.
-	Withhold []model.ID
-}
-
 // ByzPlace selects a deterministic automatic placement for swept Byzantine
 // processes.
 type ByzPlace int
@@ -334,7 +313,7 @@ type Params struct {
 	F int
 	// Byz assigns explicit Byzantine behaviors; Auto adds swept placements
 	// on top (explicit entries win on collision).
-	Byz map[model.ID]ByzParams
+	Byz map[model.ID]ByzSpec
 	// Auto places additional swept Byzantine processes.
 	Auto AutoByz
 	// Values maps processes to proposals (defaults to "v<id>").

@@ -64,11 +64,11 @@ func (k ByzKind) String() string {
 	}
 }
 
-// ByzSpec is the resolved configuration of one Byzantine process in a
-// Compiled: ByzParams with its ID lists turned into sets and the automatic
-// placements filled in. Every behavior-shaping field is plain data, so
-// Params.CompileKey covers all of them — which is what lets the matrix
-// layer's compile cache treat equal keys as interchangeable.
+// ByzSpec describes one Byzantine process: explicitly in Params.Byz, and in
+// Compiled.Byz with the automatic placements filled in beside the explicit
+// ones. Every behavior-shaping field is plain data, so Params.CompileKey
+// covers all of them — which is what lets the matrix layer's compile cache
+// treat equal keys as interchangeable. A nil set picks the kind's default.
 type ByzSpec struct {
 	// Kind selects the behavior.
 	Kind ByzKind

@@ -117,10 +117,10 @@ func TestFig1bWithEquivocatingPD(t *testing.T) {
 		Graph: figDef("fig1b"),
 		Mode:  core.ModeKnownF,
 		F:     -1,
-		Byz: map[model.ID]ByzParams{4: {
+		Byz: map[model.ID]ByzSpec{4: {
 			Kind:      ByzEquivPD,
-			ClaimedPD: []model.ID{1, 2, 3},
-			AltPD:     []model.ID{1, 2},
+			ClaimedPD: model.NewIDSet(1, 2, 3),
+			AltPD:     model.NewIDSet(1, 2),
 		}},
 		Horizon: 60 * sim.Second,
 		Seed:    99,
@@ -140,7 +140,7 @@ func TestFig4aWithAsCorrectByz(t *testing.T) {
 		Name:    "fig4a/as-correct",
 		Graph:   figDef("fig4a"),
 		Mode:    core.ModeUnknownF,
-		Byz:     map[model.ID]ByzParams{4: {Kind: ByzAsCorrect}},
+		Byz:     map[model.ID]ByzSpec{4: {Kind: ByzAsCorrect}},
 		Horizon: 60 * sim.Second,
 		Seed:    100,
 	}.Run()

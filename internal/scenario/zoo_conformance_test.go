@@ -158,13 +158,13 @@ func TestFakePDNilClaimAdvertisesForgery(t *testing.T) {
 	fig := graph.Fig1b()
 
 	nilClaim := base()
-	nilClaim.Byz = map[model.ID]ByzParams{4: {Kind: ByzFakePD}}
+	nilClaim.Byz = map[model.ID]ByzSpec{4: {Kind: ByzFakePD}}
 
 	explicitForged := base()
-	explicitForged.Byz = map[model.ID]ByzParams{4: {Kind: ByzFakePD, ClaimedPD: ForgedClaim(fig.G, 4).Sorted()}}
+	explicitForged.Byz = map[model.ID]ByzSpec{4: {Kind: ByzFakePD, ClaimedPD: ForgedClaim(fig.G, 4)}}
 
 	honest := base()
-	honest.Byz = map[model.ID]ByzParams{4: {Kind: ByzFakePD, ClaimedPD: fig.G.OutSet(4).Sorted()}}
+	honest.Byz = map[model.ID]ByzSpec{4: {Kind: ByzFakePD, ClaimedPD: fig.G.OutSet(4).Clone()}}
 
 	dNil, dForged, dHonest := digest(t, nilClaim), digest(t, explicitForged), digest(t, honest)
 	if dNil != dForged {
@@ -186,8 +186,8 @@ func TestAltRecipientsInCompileKey(t *testing.T) {
 			Graph: graph.Def{Kind: graph.DefFigure, Figure: "fig1b"},
 			Mode:  core.ModeKnownF,
 			F:     -1,
-			Byz: map[model.ID]ByzParams{
-				4: {Kind: ByzEquivPD, ClaimedPD: []model.ID{1, 2, 3}, AltPD: []model.ID{1, 2}, AltRecipients: recipients},
+			Byz: map[model.ID]ByzSpec{
+				4: {Kind: ByzEquivPD, ClaimedPD: model.NewIDSet(1, 2, 3), AltPD: model.NewIDSet(1, 2), AltRecipients: model.NewIDSet(recipients...)},
 			},
 			Net:     NetParams{Kind: NetSync},
 			Horizon: 10 * sim.Second,

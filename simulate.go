@@ -141,14 +141,22 @@ func (opt SimOptions) params() (scenario.Params, error) {
 		Net:     opt.Network.params(),
 		Horizon: sim.Time(opt.Horizon),
 		Seed:    opt.Seed,
-		Byz:     make(map[model.ID]scenario.ByzParams, len(opt.Byzantine)),
+		Byz:     make(map[model.ID]scenario.ByzSpec, len(opt.Byzantine)),
 	}
 	for id, b := range opt.Byzantine {
 		kind, ok := behaviorKinds[b.Behavior]
 		if !ok {
 			return scenario.Params{}, fmt.Errorf("bftcup: unknown behavior %v", b.Behavior)
 		}
-		p.Byz[id] = scenario.ByzParams{Kind: kind, ClaimedPD: b.ClaimedPD, AltPD: b.AltPD}
+		// An empty list keeps meaning the kind's default, a nil set.
+		spec := scenario.ByzSpec{Kind: kind}
+		if len(b.ClaimedPD) > 0 {
+			spec.ClaimedPD = model.NewIDSet(b.ClaimedPD...)
+		}
+		if len(b.AltPD) > 0 {
+			spec.AltPD = model.NewIDSet(b.AltPD...)
+		}
+		p.Byz[id] = spec
 	}
 	return p, nil
 }
