@@ -3,7 +3,6 @@ package graph
 import (
 	"fmt"
 	"math/rand"
-	"sort"
 	"strconv"
 	"strings"
 
@@ -128,7 +127,7 @@ func (d Def) String() string {
 func (d Def) Validate() error {
 	switch d.Kind {
 	case DefFigure:
-		if _, ok := figure(d.Figure); !ok {
+		if figure(d.Figure) == nil {
 			return fmt.Errorf("graph def: unknown figure %q (figures: %s)", d.Figure, strings.Join(FigureNames(), " "))
 		}
 	case DefComplete:
@@ -182,41 +181,6 @@ func (d Def) BuildKey(seed int64) string {
 		seed = 0
 	}
 	return fmt.Sprintf("%s@%d", d.String(), seed)
-}
-
-// NumNodes returns the node count the def will materialize to.
-func (d Def) NumNodes() int {
-	switch d.Kind {
-	case DefComplete, DefER, DefGeo, DefSF:
-		return d.N
-	case DefKOSR, DefExtended:
-		return d.Sink + d.NonSink
-	case DefFigure:
-		if fig, ok := figure(d.Figure); ok {
-			return fig.G.NumNodes()
-		}
-	}
-	return 0
-}
-
-// figure looks a paper figure up by name.
-func figure(name string) (Figure, bool) {
-	for _, fig := range AllFigures() {
-		if fig.Name == name {
-			return fig, true
-		}
-	}
-	return Figure{}, false
-}
-
-// FigureNames returns the names ParseDef accepts as figures, sorted.
-func FigureNames() []string {
-	var names []string
-	for _, fig := range AllFigures() {
-		names = append(names, fig.Name)
-	}
-	sort.Strings(names)
-	return names
 }
 
 // ParseDef parses the canonical textual form (see Def): it reads the fields
@@ -344,10 +308,11 @@ func floatField(dst *float64) func(string) error {
 func (d Def) Build(seed int64) (BuiltGraph, error) {
 	switch d.Kind {
 	case DefFigure:
-		fig, ok := figure(d.Figure)
-		if !ok {
+		build := figure(d.Figure)
+		if build == nil {
 			return BuiltGraph{}, fmt.Errorf("unknown figure %q", d.Figure)
 		}
+		fig := build()
 		return BuiltGraph{G: fig.G, F: fig.F, Byz: fig.Byz, Sink: fig.ExpectedSink}, nil
 	case DefComplete:
 		if d.N < 1 {

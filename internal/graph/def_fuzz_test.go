@@ -8,9 +8,10 @@ import (
 // FuzzParseDef drives ParseDef over arbitrary inputs, checking the
 // invariants every accepted def must satisfy: Validate agrees the def is
 // well-formed, the canonical rendering re-parses to the identical value
-// (round trip), and NumNodes is non-negative. The corpus seeds cover every
-// family's canonical form plus the boundary shapes that historically bite —
-// NaN and out-of-range floats (a naive `p < 0 || p > 1` check lets NaN
+// (round trip), and an accepted figure builds a non-empty graph (a random
+// family is not built: a fuzzed size can be huge). The corpus seeds cover
+// every family's canonical form plus the boundary shapes that historically
+// bite — NaN and out-of-range floats (a naive `p < 0 || p > 1` check lets NaN
 // through), missing and unknown parameters, and the legacy colon forms.
 func FuzzParseDef(f *testing.F) {
 	for _, seed := range []string{
@@ -35,8 +36,10 @@ func FuzzParseDef(f *testing.F) {
 		if verr := d.Validate(); verr != nil {
 			t.Fatalf("ParseDef(%q) accepted %+v but Validate rejects it: %v", s, d, verr)
 		}
-		if d.NumNodes() < 0 {
-			t.Fatalf("ParseDef(%q) = %+v with negative NumNodes %d", s, d, d.NumNodes())
+		if d.Kind == DefFigure {
+			if b, err := d.Build(0); err != nil || b.G.NumNodes() == 0 {
+				t.Fatalf("ParseDef(%q) accepted figure %q, but it builds %v, %v", s, d.Figure, b.G, err)
+			}
 		}
 		canon := d.String()
 		if strings.ContainsAny(canon, " \t\n") {

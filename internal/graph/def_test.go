@@ -126,6 +126,9 @@ func TestValidateMatchesParseDef(t *testing.T) {
 	}
 }
 
+// TestParseDefFigures holds the figure registry's contract: every name
+// FigureNames lists parses, and Build materializes exactly the figure of that
+// name.
 func TestParseDefFigures(t *testing.T) {
 	for _, name := range FigureNames() {
 		d, err := ParseDef(name)
@@ -139,8 +142,12 @@ func TestParseDefFigures(t *testing.T) {
 		if b.G.NumNodes() == 0 {
 			t.Errorf("figure %q built empty", name)
 		}
-		if b.G.NumNodes() != d.NumNodes() {
-			t.Errorf("figure %q: NumNodes %d != built %d", name, d.NumNodes(), b.G.NumNodes())
+		fig := figure(name)()
+		if fig.Name != name {
+			t.Errorf("registry entry %q builds figure %q", name, fig.Name)
+		}
+		if b.G.String() != fig.G.String() || b.F != fig.F || !b.Byz.Equal(fig.Byz) {
+			t.Errorf("Build(%q) is not the figure of that name", name)
 		}
 	}
 }

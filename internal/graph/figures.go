@@ -308,10 +308,42 @@ func CompleteGraph(ids ...model.ID) *Digraph {
 	return g
 }
 
-// AllFigures returns every reconstructed paper figure.
-func AllFigures() []Figure {
-	return []Figure{
-		Fig1a(), Fig1b(), Fig2a(), Fig2b(), Fig2c(),
-		Fig3a(), Fig3b(), Fig4a(), Fig4aWithoutAddedLinks(), Fig4b(),
+// figureTable is the one figure registry, sorted by name. figure,
+// FigureNames and AllFigures all read it, so a lookup builds only the figure
+// it names, and FigureNames lists exactly the figures AllFigures builds.
+var figureTable = []struct {
+	name  string
+	build func() Figure
+}{
+	{"fig1a", Fig1a}, {"fig1b", Fig1b}, {"fig2a", Fig2a}, {"fig2b", Fig2b},
+	{"fig2c", Fig2c}, {"fig3a", Fig3a}, {"fig3b", Fig3b}, {"fig4a", Fig4a},
+	{"fig4a-without-added-links", Fig4aWithoutAddedLinks}, {"fig4b", Fig4b},
+}
+
+// figure returns the named paper figure's constructor, nil if there is none.
+func figure(name string) func() Figure {
+	for _, f := range figureTable {
+		if f.name == name {
+			return f.build
+		}
 	}
+	return nil
+}
+
+// FigureNames returns the names ParseDef accepts as figures, sorted.
+func FigureNames() []string {
+	names := make([]string, len(figureTable))
+	for i, f := range figureTable {
+		names[i] = f.name
+	}
+	return names
+}
+
+// AllFigures builds every reconstructed paper figure, in FigureNames order.
+func AllFigures() []Figure {
+	figs := make([]Figure, len(figureTable))
+	for i, f := range figureTable {
+		figs[i] = f.build()
+	}
+	return figs
 }
