@@ -189,7 +189,8 @@ func runNode(c *scenario.Compiled, seed int64, id model.ID, listen, peersFlag st
 	os.Exit(exit)
 }
 
-// parsePeers parses "2=127.0.0.1:7102,3=host:port" into an address map.
+// parsePeers parses "2=127.0.0.1:7102,3=host:port" into an address map,
+// refusing an ID named twice.
 func parsePeers(s string) (map[model.ID]string, error) {
 	out := make(map[model.ID]string)
 	if s == "" {
@@ -203,6 +204,9 @@ func parsePeers(s string) (map[model.ID]string, error) {
 		raw, err := strconv.ParseUint(kv[0], 10, 64)
 		if err != nil {
 			return nil, fmt.Errorf("bad peer ID in %q", item)
+		}
+		if _, dup := out[model.ID(raw)]; dup {
+			return nil, fmt.Errorf("peer ID %d named twice", raw)
 		}
 		out[model.ID(raw)] = kv[1]
 	}

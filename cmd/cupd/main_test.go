@@ -19,8 +19,7 @@ func TestParsePeers(t *testing.T) {
 			want: map[model.ID]string{2: "127.0.0.1:7102", 3: "host:7103"}},
 		{name: "whitespace around items", in: " 2=127.0.0.1:7102 ,\t3=host:7103 ",
 			want: map[model.ID]string{2: "127.0.0.1:7102", 3: "host:7103"}},
-		// A repeated ID is not refused today: the last address wins.
-		{name: "duplicate ID", in: "2=a:1,2=b:2", want: map[model.ID]string{2: "b:2"}},
+		{name: "duplicate ID", in: "2=a:1,2=b:2", err: "peer ID 2 named twice"},
 		{name: "missing =", in: "2=a:1,3:b:2", err: `bad peer spec "3:b:2"`},
 		{name: "empty address", in: "2=", err: `bad peer spec "2="`},
 		{name: "trailing comma", in: "2=a:1,", err: `bad peer spec ""`},

@@ -186,9 +186,9 @@ func runCoordinator(name string, src matrix.CellSource, c *config) {
 	wall := time.Since(start)
 	fmt.Fprintf(os.Stderr, "fabric: %d cells in %.2fs (%.2f cells/s) over %d workers, %d dispatches\n",
 		rep.Cells, wall.Seconds(), float64(rep.Cells)/wall.Seconds(), len(fleet), stats.Tasks)
-	if c.verbose || stats.Redispatches+stats.Resumes+stats.Seals+stats.Steals > 0 {
-		fmt.Fprintf(os.Stderr, "fabric: recovery — %d redispatched, %d resumed in place, %d sealed, %d steals (%d sub-shards), %d gap tasks, %d backed off\n",
-			stats.Redispatches, stats.Resumes, stats.Seals, stats.Steals, stats.SubShards, stats.GapTasks, stats.Backoffs)
+	if c.verbose || stats.Redispatches+stats.Seals+stats.Steals > 0 {
+		fmt.Fprintf(os.Stderr, "fabric: recovery — %d redispatched, %d sealed, %d steals (%d sub-shards), %d gap tasks, %d backed off\n",
+			stats.Redispatches, stats.Seals, stats.Steals, stats.SubShards, stats.GapTasks, stats.Backoffs)
 	}
 	fmt.Fprintf(os.Stderr, "fingerprint %s\n", rep.Fingerprint())
 	if c.sweep.JSON {

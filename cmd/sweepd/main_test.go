@@ -50,7 +50,7 @@ func TestWorkerArgvRoundTrip(t *testing.T) {
 			{Span: matrix.Span{Shard: matrix.Shard{Index: 2, Count: 8}, From: 3}},
 			{Cells: []int{0, 5, 11}},
 		} {
-			w := parse(t, append(append([]string{}, base...), task.WorkerArgs("-", false)...))
+			w := parse(t, append(append([]string{}, base...), task.WorkerArgs("-")...))
 			if !w.worker {
 				t.Fatalf("%q: the fleet's argv does not start a worker", argv)
 			}

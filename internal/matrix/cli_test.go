@@ -30,7 +30,7 @@ func parseSweepFlags(t *testing.T, argv []string) (*SweepFlags, error) {
 // TestSweepFlagsJobRoundTrip is the flag → job table: each command line
 // selects the task, header spec and global cells it names, and every task
 // rendered back through WorkerArgs — what the fabric hands a worker —
-// parses to the same task, destination and resume flag.
+// parses to the same task and destination, without -resume.
 func TestSweepFlagsJobRoundTrip(t *testing.T) {
 	src, err := StandardSweep(Seeds(1, 1)) // 24 cells
 	if err != nil {
@@ -85,19 +85,17 @@ func TestSweepFlagsJobRoundTrip(t *testing.T) {
 		}
 
 		// Back through the worker protocol.
-		for _, resume := range []bool{false, true} {
-			back, err := parseSweepFlags(t, task.WorkerArgs("spool.jsonl", resume))
-			if err != nil {
-				t.Fatalf("%q WorkerArgs: %v", tc.argv, err)
-			}
-			again, err := back.Job(job.Name, src).Task()
-			if err != nil {
-				t.Fatalf("%q WorkerArgs: %v", tc.argv, err)
-			}
-			if !reflect.DeepEqual(again, task) || back.JSONL != "spool.jsonl" || back.Resume != resume {
-				t.Fatalf("%q: WorkerArgs %v parse back to %+v (jsonl %q, resume %t)",
-					tc.argv, task.WorkerArgs("spool.jsonl", resume), again, back.JSONL, back.Resume)
-			}
+		back, err := parseSweepFlags(t, task.WorkerArgs("spool.jsonl"))
+		if err != nil {
+			t.Fatalf("%q WorkerArgs: %v", tc.argv, err)
+		}
+		again, err := back.Job(job.Name, src).Task()
+		if err != nil {
+			t.Fatalf("%q WorkerArgs: %v", tc.argv, err)
+		}
+		if !reflect.DeepEqual(again, task) || back.JSONL != "spool.jsonl" || back.Resume {
+			t.Fatalf("%q: WorkerArgs %v parse back to %+v (jsonl %q, resume %t)",
+				tc.argv, task.WorkerArgs("spool.jsonl"), again, back.JSONL, back.Resume)
 		}
 	}
 }

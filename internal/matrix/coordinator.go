@@ -6,7 +6,6 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
-	"sort"
 	"sync/atomic"
 	"time"
 )
@@ -21,14 +20,13 @@ type FabricOptions struct {
 	// means a temporary directory, removed after a successful merge; a
 	// caller-provided directory is always left in place.
 	SpoolDir string
-	// Heartbeat is how long a worker may go without emitting a record (or
-	// growing its resume spool) before it is declared stalled, killed, and
-	// its unclaimed tail re-specced to idle workers. 0 disables stall
-	// detection.
+	// Heartbeat is how long a worker may go without emitting a record before
+	// it is declared stalled and killed; its spool then recovers like any
+	// failed task's. 0 disables stall detection.
 	Heartbeat time.Duration
 	// MaxAttempts bounds one task lineage's dispatches (the original plus
-	// every redispatch, resume or re-spec descended from it) before the
-	// sweep aborts. 0 means 5.
+	// every recovery task descended from it) before the sweep aborts. 0
+	// means 5.
 	MaxAttempts int
 	// RetryBackoff is the base delay before a failed task's lineage is
 	// dispatched again; each attempt doubles it, with ±50% jitter, capped at
@@ -36,9 +34,6 @@ type FabricOptions struct {
 	// MaxAttempts budget in milliseconds. 0 means 50ms; negative disables
 	// the delay (recovery tasks redispatch immediately).
 	RetryBackoff time.Duration
-	// MaxSplit caps how many sub-spans one steal creates; 0 means the
-	// worker count.
-	MaxSplit int
 	// KeepOutcomes retains every cell outcome in the merged report.
 	KeepOutcomes bool
 	// Progress, when set, is called from the coordinator loop with the
@@ -51,15 +46,19 @@ type FabricOptions struct {
 type FabricStats struct {
 	// Tasks counts dispatches, including every recovery dispatch.
 	Tasks int
-	// Redispatches counts tasks re-run from scratch (no usable partial).
+	// Redispatches counts failed tasks whose spool was discarded (no
+	// trusted outcome in it), so all their cells were dealt out again.
 	Redispatches int
-	// Resumes counts torn spools completed in place by another worker.
+	// Resumes is always 0: the fabric no longer completes spools in place.
+	// It stays for callers that sum the recovery counters.
 	Resumes int
-	// Seals counts torn spools sealed as valid partial streams.
+	// Seals counts failed tasks whose intact prefix was sealed into the
+	// merge set.
 	Seals int
-	// Steals counts stalled tasks whose unclaimed tail was re-specced.
+	// Steals counts recoveries whose unclaimed tail was split over more
+	// than one worker.
 	Steals int
-	// SubShards counts the sub-spans those steals created.
+	// SubShards counts the sub-spans those splits created.
 	SubShards int
 	// GapTasks counts explicit cell-list back-fill dispatches.
 	GapTasks int
@@ -90,12 +89,8 @@ type live struct {
 	slot    int
 	spool   string
 	cancel  context.CancelFunc
-	w       *spoolWriter // nil for resume-in-place dispatches
-	stalled bool
-	// lastSize/lastChange drive the heartbeat for resume dispatches, where
-	// progress is spool-file growth rather than sink writes.
-	lastSize   int64
-	lastChange time.Time
+	w       *spoolWriter
+	started time.Time
 }
 
 // exitEvent reports a worker's exit to the coordinator loop.
@@ -126,10 +121,6 @@ func runFabric(ctx context.Context, total int, workers []Transport, opts FabricO
 	if maxAttempts <= 0 {
 		maxAttempts = 5
 	}
-	maxSplit := opts.MaxSplit
-	if maxSplit <= 0 {
-		maxSplit = len(workers)
-	}
 	retryBase := opts.RetryBackoff
 	if retryBase == 0 {
 		retryBase = 50 * time.Millisecond
@@ -147,15 +138,6 @@ func runFabric(ctx context.Context, total int, workers []Transport, opts FabricO
 		ownDir = true
 	} else if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, stats, err
-	}
-
-	// Resume-in-place needs every transport to share the coordinator's
-	// filesystem; a mixed fleet falls back to seal-and-resplit for everyone.
-	allResume := true
-	for _, w := range workers {
-		if _, ok := w.(SpoolResumer); !ok {
-			allResume = false
-		}
 	}
 
 	queue := make([]Task, 0, shards)
@@ -178,34 +160,24 @@ func runFabric(ctx context.Context, total int, workers []Transport, opts FabricO
 	dispatch := func(task Task) error {
 		slot := idle[len(idle)-1]
 		idle = idle[:len(idle)-1]
+		seq++
+		spool := filepath.Join(dir, fmt.Sprintf("task-%03d-w%d.jsonl", seq, slot))
+		f, err := os.Create(spool)
+		if err != nil {
+			return err
+		}
 		// Derived from the caller's ctx: cancelling the sweep cancels every
 		// in-flight worker.
 		ctx, cancel := context.WithCancel(ctx)
-		lv := &live{task: task, slot: slot, cancel: cancel, lastChange: time.Now()}
+		lv := &live{task: task, slot: slot, spool: spool, cancel: cancel, w: newSpoolWriter(f), started: time.Now()}
 		stats.Tasks++
-		if task.resumeSpool != "" {
-			lv.spool = task.resumeSpool
-			resumer := workers[slot].(SpoolResumer)
-			go func() {
-				events <- exitEvent{lv: lv, err: resumer.ResumeSpool(ctx, task, lv.spool)}
-			}()
-		} else {
-			seq++
-			lv.spool = filepath.Join(dir, fmt.Sprintf("task-%03d-w%d.jsonl", seq, slot))
-			f, err := os.Create(lv.spool)
-			if err != nil {
-				cancel()
-				return err
+		go func() {
+			err := workers[slot].Run(ctx, task, lv.w)
+			if cerr := f.Close(); err == nil {
+				err = cerr
 			}
-			lv.w = newSpoolWriter(f)
-			go func() {
-				err := workers[slot].Run(ctx, task, lv.w)
-				if cerr := f.Close(); err == nil {
-					err = cerr
-				}
-				events <- exitEvent{lv: lv, err: err}
-			}()
-		}
+			events <- exitEvent{lv: lv, err: err}
+		}()
 		running[slot] = lv
 		return nil
 	}
@@ -221,11 +193,15 @@ func runFabric(ctx context.Context, total int, workers []Transport, opts FabricO
 		}
 	}
 
-	// enqueueRecovery routes one failed dispatch: discard-and-redispatch
-	// when nothing usable was spooled, resume-in-place when the fleet can,
-	// seal plus gap/tail re-spec otherwise (and always on a stall, where
-	// the tail split is the work-stealing).
-	enqueueRecovery := func(lv *live, runErr error) {
+	// enqueueRecovery is the fabric's one recovery rule, for a dead worker,
+	// a corrupt stream and a stall alike. The spool's intact prefix is sealed
+	// into the merge set; a spool the reader refuses, without a header, or
+	// carrying cells outside its task is discarded instead. The holes below
+	// the last completed position go out as one cell-list task, and the
+	// unclaimed tail is split over the workers free at that moment. The
+	// worker pool claims positions within a bounded window, so the holes are
+	// few and the tail is most of what is missing.
+	enqueueRecovery := func(lv *live, scan *streamScan, runErr error) {
 		attempt := lv.task.attempt + 1
 		if attempt >= maxAttempts {
 			abort(fmt.Errorf("fabric: task %s failed %d times (last: %v)", lv.task.spec(), attempt, runErr))
@@ -238,117 +214,66 @@ func runFabric(ctx context.Context, total int, workers []Transport, opts FabricO
 			notBefore = time.Now().Add(retryDelay(retryBase, attempt, retryJitter))
 			stats.Backoffs++
 		}
-		scan, serr := scanStreamFile(lv.spool)
-		expected := lv.task.expected(total)
-		usable := serr == nil && scan.header != nil && len(scan.done) > 0 && scan.trailer == nil
-		if usable && scan.header.TotalCells != total {
-			abort(fmt.Errorf("fabric: worker stream claims %d total cells, sweep has %d (misconfigured fleet?)", scan.header.TotalCells, total))
-			return
+		enqueue := func(t Task) {
+			t.attempt, t.notBefore = attempt, notBefore
+			queue = append(queue, t)
 		}
-		if usable {
-			for g := range scan.done {
-				if !lv.task.owns(g) {
-					usable = false // outside its task: untrusted stream
-					break
-				}
+		var done map[int]bool
+		if scan != nil && scan.header != nil && scan.trailer == nil && len(scan.done) > 0 && ownsAll(lv.task, scan.done) {
+			if kept, err := sealStreamFile(lv.spool); err == nil {
+				completed = append(completed, lv.spool)
+				doneCells += kept
+				stats.Seals++
+				done = scan.done
 			}
 		}
-		if !usable {
+		if done == nil {
 			os.Remove(lv.spool)
-			t := lv.task
-			t.attempt = attempt
-			t.resumeSpool = ""
-			t.notBefore = notBefore
-			queue = append(queue, t)
 			stats.Redispatches++
-			return
-		}
-		if !lv.stalled && allResume {
-			// Dead worker, shared filesystem: another worker completes the
-			// torn spool in place — the cheapest recovery, one stream.
-			t := lv.task
-			t.attempt = attempt
-			t.resumeSpool = lv.spool
-			t.notBefore = notBefore
-			queue = append(queue, t)
-			stats.Resumes++
-			return
-		}
-		// Seal what ran; back-fill the holes. The sealed stream stays in the
-		// merge set with its outcome prefix.
-		kept, err := sealStreamFile(lv.spool)
-		if err != nil {
-			os.Remove(lv.spool)
-			t := lv.task
-			t.attempt = attempt
-			t.resumeSpool = ""
-			t.notBefore = notBefore
-			queue = append(queue, t)
-			stats.Redispatches++
-			return
-		}
-		completed = append(completed, lv.spool)
-		doneCells += kept
-		stats.Seals++
-		var missing []int
-		for _, g := range expected {
-			if !scan.done[g] {
-				missing = append(missing, g)
-			}
-		}
-		if len(missing) == 0 {
-			return
 		}
 		if lv.task.Cells != nil {
-			queue = append(queue, Task{Cells: missing, attempt: attempt, notBefore: notBefore})
-			stats.GapTasks++
+			var missing []int
+			for _, g := range lv.task.Cells {
+				if !done[g] {
+					missing = append(missing, g)
+				}
+			}
+			if len(missing) > 0 {
+				enqueue(Task{Cells: missing})
+				stats.GapTasks++
+			}
 			return
 		}
-		// The worker pool claims positions within a bounded window, so the
-		// completed set is a prefix of the span plus a few holes: everything
-		// missing past the last completed position is the unclaimed tail —
-		// re-specced as fresh sub-spans — and the holes below it are a small
-		// explicit gap task.
 		span := lv.task.Span
-		tailFrom := span.From
-		for g := range scan.done {
-			if p := g / span.Shard.Count; p+1 > tailFrom {
-				tailFrom = p + 1
+		tail := span
+		for g := range done {
+			if p := g / span.Shard.Count; p >= tail.From {
+				tail.From = p + 1
 			}
 		}
-		tail := Span{Shard: span.Shard, From: tailFrom}
-		var gaps []int
-		for _, g := range missing {
-			if !tail.Owns(g) {
-				gaps = append(gaps, g)
+		var holes []int
+		for _, g := range span.Globals(total) {
+			if tail.Owns(g) {
+				break
+			}
+			if !done[g] {
+				holes = append(holes, g)
 			}
 		}
-		if len(gaps) > 0 {
-			sort.Ints(gaps)
-			queue = append(queue, Task{Cells: gaps, attempt: attempt, notBefore: notBefore})
+		if len(holes) > 0 {
+			enqueue(Task{Cells: holes})
 			stats.GapTasks++
 		}
-		if tailLen := tail.Len(total); tailLen > 0 {
-			m := 1
-			if lv.stalled {
-				// Steal: deal the tail to the workers now idle (plus the
-				// slot this exit just freed).
-				m = len(idle) + 1
-				if m > maxSplit {
-					m = maxSplit
-				}
-				if m > tailLen {
-					m = tailLen
-				}
-				if m > 1 {
-					stats.Steals++
-					stats.SubShards += m
-				}
-			}
-			for _, sub := range tail.Split(m) {
-				if sub.Len(total) > 0 {
-					queue = append(queue, Task{Span: sub, attempt: attempt, notBefore: notBefore})
-				}
+		// idle includes the slot this exit freed and never outnumbers the
+		// fleet, so it caps the split at the fleet size.
+		m := min(len(idle), tail.Len(total))
+		if m > 1 {
+			stats.Steals++
+			stats.SubShards += m
+		}
+		for _, sub := range tail.Split(m) {
+			if sub.Len(total) > 0 {
+				enqueue(Task{Span: sub})
 			}
 		}
 	}
@@ -357,43 +282,31 @@ func runFabric(ctx context.Context, total int, workers []Transport, opts FabricO
 		lv := ev.lv
 		delete(running, lv.slot)
 		idle = append(idle, lv.slot)
-		scan, serr := scanStreamFile(lv.spool)
-		expected := lv.task.expected(total)
-		if serr == nil && scan.header != nil && scan.trailer != nil && coversExactly(scan.done, expected) {
-			if scan.header.TotalCells != total {
-				abort(fmt.Errorf("fabric: worker stream claims %d total cells, sweep has %d (misconfigured fleet?)", scan.header.TotalCells, total))
-				return
-			}
+		scan, err := scanStreamFile(lv.spool)
+		if err != nil {
+			scan = nil
+		} else if scan.header != nil && scan.header.TotalCells != total {
+			abort(fmt.Errorf("fabric: worker stream claims %d total cells, sweep has %d (misconfigured fleet?)", scan.header.TotalCells, total))
+			return
+		}
+		if scan != nil && scan.header != nil && scan.trailer != nil && coversExactly(scan.done, lv.task.expected(total)) {
 			completed = append(completed, lv.spool)
-			doneCells += len(expected)
+			doneCells += len(scan.done)
 			return
 		}
 		if ev.err == nil {
 			ev.err = fmt.Errorf("stream incomplete or corrupt")
 		}
-		enqueueRecovery(lv, ev.err)
+		enqueueRecovery(lv, scan, ev.err)
 	}
 
 	checkStalls := func(now time.Time) {
 		for _, lv := range running {
-			if lv.stalled {
-				continue
-			}
-			var last time.Time
-			if lv.w != nil {
-				last = lv.w.lastActivity()
-				if last.IsZero() {
-					last = lv.lastChange
-				}
-			} else {
-				if st, err := os.Stat(lv.spool); err == nil && st.Size() != lv.lastSize {
-					lv.lastSize = st.Size()
-					lv.lastChange = now
-				}
-				last = lv.lastChange
+			last := lv.w.lastActivity()
+			if last.IsZero() {
+				last = lv.started
 			}
 			if now.Sub(last) > opts.Heartbeat {
-				lv.stalled = true
 				lv.cancel()
 			}
 		}
@@ -420,9 +333,7 @@ func runFabric(ctx context.Context, total int, workers []Transport, opts FabricO
 		}
 		inFlight := 0
 		for _, lv := range running {
-			if lv.w != nil {
-				inFlight += lv.w.outcomeCount()
-			}
+			inFlight += lv.w.outcomeCount()
 		}
 		opts.Progress(doneCells+inFlight, total)
 	}
@@ -524,6 +435,16 @@ func coversExactly(done map[int]bool, expected []int) bool {
 	}
 	for _, g := range expected {
 		if !done[g] {
+			return false
+		}
+	}
+	return true
+}
+
+// ownsAll reports whether every index in done belongs to the task's slice.
+func ownsAll(t Task, done map[int]bool) bool {
+	for g := range done {
+		if !t.owns(g) {
 			return false
 		}
 	}

@@ -35,9 +35,6 @@ type Task struct {
 	// attempt counts how many dispatches this task's lineage has consumed;
 	// the coordinator aborts rather than retry forever.
 	attempt int
-	// resumeSpool, when set, asks the worker to complete this torn spool
-	// file in place instead of streaming afresh (shared-filesystem fleets).
-	resumeSpool string
 	// notBefore delays the dispatch of a recovery task: the jittered
 	// exponential backoff that keeps a flapping worker from burning the
 	// lineage's attempt budget in milliseconds. Zero means immediately
@@ -91,18 +88,14 @@ func (t Task) expected(total int) []int {
 // the fabric's half of the worker protocol. Every worker-capable CLI
 // (sweepd -worker, experiments -matrix, cupsim sweeps) declares them through
 // BindSweepFlags, and StreamJob.Task parses them back into this task.
-func (t Task) WorkerArgs(jsonl string, resume bool) []string {
+func (t Task) WorkerArgs(jsonl string) []string {
 	var args []string
 	if t.Cells != nil {
 		args = append(args, "-only", FormatCellList(t.Cells))
 	} else if !t.Span.IsAll() {
 		args = append(args, "-shard", t.Span.String())
 	}
-	args = append(args, "-jsonl", jsonl)
-	if resume {
-		args = append(args, "-resume")
-	}
-	return args
+	return append(args, "-jsonl", jsonl)
 }
 
 // FormatCellList renders global cell indices as the comma-separated -only
@@ -148,17 +141,6 @@ type Transport interface {
 	Run(ctx context.Context, task Task, sink io.Writer) error
 }
 
-// SpoolResumer is the optional second half of the worker protocol for
-// transports whose workers share the coordinator's filesystem: ResumeSpool
-// completes a torn spool file in place (the worker scans it, truncates the
-// torn tail, runs only the missing cells and seals the stream with a
-// trailer). When every transport in a fleet implements it, a dead worker's
-// partial stream is finished by another worker instead of being sealed and
-// re-specced.
-type SpoolResumer interface {
-	ResumeSpool(ctx context.Context, task Task, spool string) error
-}
-
 // ExecTransport runs workers as local subprocesses: the default, fully
 // testable fabric backend. Argv is the worker command prefix (binary plus
 // its sweep-selection flags); the task flags are appended per dispatch.
@@ -170,13 +152,7 @@ type ExecTransport struct {
 
 // Run implements Transport.
 func (t ExecTransport) Run(ctx context.Context, task Task, sink io.Writer) error {
-	return t.exec(ctx, task.WorkerArgs("-", false), sink)
-}
-
-// ResumeSpool implements SpoolResumer: local subprocesses share the
-// coordinator's filesystem, so the worker completes the spool in place.
-func (t ExecTransport) ResumeSpool(ctx context.Context, task Task, spool string) error {
-	return t.exec(ctx, task.WorkerArgs(spool, true), io.Discard)
+	return t.exec(ctx, task.WorkerArgs("-"), sink)
 }
 
 func (t ExecTransport) exec(ctx context.Context, taskArgs []string, sink io.Writer) error {
@@ -217,9 +193,7 @@ func (t *tailBuffer) Write(p []byte) (int, error) {
 func (t *tailBuffer) String() string { return strings.TrimSpace(string(t.buf)) }
 
 // SSHTransport runs workers over ssh in batch mode: the same worker argv,
-// quoted through a remote shell. It does not implement SpoolResumer — a
-// remote worker cannot complete a coordinator-local spool, so failures on
-// SSH fleets recover via seal-and-resplit instead.
+// quoted through a remote shell.
 type SSHTransport struct {
 	// Host is the ssh destination (user@host or a ssh_config alias).
 	Host string
@@ -235,7 +209,7 @@ func (t SSHTransport) Run(ctx context.Context, task Task, sink io.Writer) error 
 		return fmt.Errorf("fabric: SSHTransport needs a host and a worker command")
 	}
 	remote := make([]string, 0, len(t.Argv)+4)
-	for _, a := range append(append([]string{}, t.Argv...), task.WorkerArgs("-", false)...) {
+	for _, a := range append(append([]string{}, t.Argv...), task.WorkerArgs("-")...) {
 		remote = append(remote, shellQuote(a))
 	}
 	args := append([]string{"-o", "BatchMode=yes"}, t.SSHArgs...)
@@ -271,17 +245,6 @@ func (t ProcTransport) Run(ctx context.Context, task Task, sink io.Writer) error
 	}
 	hdr := StreamHeader{Name: t.Name, TotalCells: t.Src.Len(), Shard: spec}
 	_, err = RunStream(part, t.Opts, sink, hdr)
-	return err
-}
-
-// ResumeSpool implements SpoolResumer.
-func (t ProcTransport) ResumeSpool(ctx context.Context, task Task, spool string) error {
-	part, spec, err := task.Slice(t.Src)
-	if err != nil {
-		return err
-	}
-	hdr := StreamHeader{Name: t.Name, TotalCells: t.Src.Len(), Shard: spec}
-	_, _, err = ResumeStreamFile(spool, part, t.Opts, hdr)
 	return err
 }
 

@@ -3,10 +3,13 @@ package matrix
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
+	"fmt"
 	"io"
 	"os"
 	"path/filepath"
+	"sort"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -88,34 +91,43 @@ const (
 	faultStall                    // stop emitting, hang until killed
 )
 
-// faultTransport wraps an in-process worker and injects one fault on the
-// fleet's first dispatch: the worker's true stream is buffered, a prefix of
-// it is emitted, and then the transport dies, corrupts the stream, or hangs
-// until the coordinator kills it. It deliberately does not implement
-// SpoolResumer, so a fleet of these recovers by seal-and-resplit.
+// faultTransport wraps an in-process worker and injects a fault on chosen
+// dispatches: the worker's true stream is buffered, its header and `after`
+// outcomes are emitted, and then the transport dies, corrupts the stream, or
+// hangs until the coordinator kills it. The outcomes emitted leave out the
+// task's first cell, so the spool has a hole below its last completed
+// position, as a worker pool finishing cells out of order leaves.
 type faultTransport struct {
 	proc  ProcTransport
 	mode  faultMode
-	after int          // outcome records to emit before the fault
-	fired *atomic.Bool // shared: only the first dispatch faults
+	after int           // outcome records to emit before the fault
+	on    map[int]bool  // fleet-wide dispatch ordinals (1-based) that fault
+	seen  *atomic.Int32 // shared dispatch counter
+	fired *atomic.Int32 // shared count of faults injected
 }
 
 // Run implements Transport.
 func (f *faultTransport) Run(ctx context.Context, task Task, sink io.Writer) error {
-	if !f.fired.CompareAndSwap(false, true) {
+	if !f.on[int(f.seen.Add(1))] {
 		return f.proc.Run(ctx, task, sink)
 	}
+	f.fired.Add(1)
 	var buf bytes.Buffer
 	if err := f.proc.Run(ctx, task, &buf); err != nil {
 		return err
 	}
-	// Emit the header plus the first `after` outcome lines.
+	// The header, then the outcomes of the task's cells in index order from
+	// its second cell on.
 	lines := bytes.SplitAfter(buf.Bytes(), []byte("\n"))
-	keep := f.after + 1
-	if keep > len(lines) {
-		keep = len(lines)
+	outcomes := lines[1 : len(lines)-2] // drop the trailer and the empty tail
+	sort.Slice(outcomes, func(i, j int) bool { return outcomeIndex(outcomes[i]) < outcomeIndex(outcomes[j]) })
+	if len(outcomes) > 0 {
+		outcomes = outcomes[1:]
 	}
-	for _, line := range lines[:keep] {
+	if len(outcomes) > f.after {
+		outcomes = outcomes[:f.after]
+	}
+	for _, line := range append([][]byte{lines[0]}, outcomes...) {
 		if _, err := sink.Write(line); err != nil {
 			return err
 		}
@@ -132,37 +144,39 @@ func (f *faultTransport) Run(ctx context.Context, task Task, sink io.Writer) err
 	}
 }
 
-// resumingFault is faultTransport on a shared-filesystem fleet: it forwards
-// ResumeSpool to the in-process worker, so the coordinator recovers its
-// death by completing the torn spool in place.
-type resumingFault struct {
-	faultTransport
+// outcomeIndex reads the global cell index of one outcome line.
+func outcomeIndex(line []byte) int {
+	var rec streamRecord
+	if err := json.Unmarshal(line, &rec); err != nil || rec.Outcome == nil {
+		panic(fmt.Sprintf("not an outcome line: %q", line))
+	}
+	return rec.Outcome.Index
 }
 
-// ResumeSpool implements SpoolResumer.
-func (f *resumingFault) ResumeSpool(ctx context.Context, task Task, spool string) error {
-	return f.proc.ResumeSpool(ctx, task, spool)
-}
-
-// faultFleet builds 4 workers whose first dispatch suffers the given fault.
-// With resuming=true the fleet shares the coordinator's filesystem.
-func faultFleet(name string, src CellSource, mode faultMode, after int, resuming bool) []Transport {
-	fired := &atomic.Bool{}
+// faultFleet builds 4 workers whose dispatches with the given fleet-wide
+// ordinals (the first dispatch when none is given) suffer the fault. The
+// returned counter reads how many faults were injected.
+func faultFleet(name string, src CellSource, mode faultMode, after int, dispatches ...int) ([]Transport, *atomic.Int32) {
+	if len(dispatches) == 0 {
+		dispatches = []int{1}
+	}
+	on := map[int]bool{}
+	for _, d := range dispatches {
+		on[d] = true
+	}
+	seen, fired := &atomic.Int32{}, &atomic.Int32{}
 	fleet := make([]Transport, 4)
 	for i := range fleet {
-		ft := faultTransport{
+		fleet[i] = &faultTransport{
 			proc:  ProcTransport{Name: name, Src: src, Opts: Options{Parallelism: 2}},
 			mode:  mode,
 			after: after,
+			on:    on,
+			seen:  seen,
 			fired: fired,
 		}
-		if resuming {
-			fleet[i] = &resumingFault{faultTransport: ft}
-		} else {
-			fleet[i] = &ft
-		}
 	}
-	return fleet
+	return fleet, fired
 }
 
 // checkFabricIdentity runs the fleet and asserts byte-identical convergence
@@ -184,36 +198,44 @@ func checkFabricIdentity(t *testing.T, src CellSource, fleet []Transport, opts F
 	if rep.Cells != mono.Cells || rep.Consensus != mono.Consensus {
 		t.Fatalf("fabric %d cells / %d consensus, mono %d / %d", rep.Cells, rep.Consensus, mono.Cells, mono.Consensus)
 	}
+	if stats.Resumes != 0 {
+		t.Fatalf("fabric resumed a spool in place: %+v", stats)
+	}
 	return stats
 }
 
-// TestFabricWorkerDeathResume kills a worker mid-shard on a shared-
-// filesystem fleet: the torn spool must be completed in place by another
-// worker and the merged fingerprint must not move.
-func TestFabricWorkerDeathResume(t *testing.T) {
+// TestFabricWorkerDeathSealSplit kills a worker mid-shard: its intact
+// prefix must be sealed into the merge set, the hole below it and the
+// unclaimed tail re-dispatched, and the merged fingerprint must not move.
+func TestFabricWorkerDeathSealSplit(t *testing.T) {
 	for name, src := range fabricSweeps(t) {
 		t.Run(name, func(t *testing.T) {
-			fleet := faultFleet(name, src, faultDie, 3, true)
+			fleet, _ := faultFleet(name, src, faultDie, 3)
 			stats := checkFabricIdentity(t, src, fleet, FabricOptions{})
-			if stats.Resumes < 1 {
-				t.Fatalf("death recovered without a resume: %+v", stats)
+			if stats.Seals < 1 || stats.GapTasks < 1 {
+				t.Fatalf("death recovered without sealing the prefix and back-filling its hole: %+v", stats)
 			}
 		})
 	}
 }
 
-// TestFabricWorkerDeathSealSplit kills a worker mid-shard on a fleet that
-// cannot resume spools (the SSH shape): the partial stream must be sealed
-// and its missing cells re-dispatched, converging to the same fingerprint.
-func TestFabricWorkerDeathSealSplit(t *testing.T) {
-	src := fabricSweeps(t)["standard"]
-	fleet := faultFleet("standard", src, faultDie, 3, false)
-	stats := checkFabricIdentity(t, src, fleet, FabricOptions{})
-	if stats.Seals < 1 {
-		t.Fatalf("non-resumable death recovered without sealing: %+v", stats)
-	}
-	if stats.Resumes != 0 {
-		t.Fatalf("fleet without SpoolResumer resumed a spool: %+v", stats)
+// TestFabricDoubleFaultLineage kills a worker mid-shard and then the first
+// recovery task dispatched for it: with as many shards as workers, dispatch
+// 5 is that recovery task. The lineage must recover twice and still
+// converge byte-identically.
+func TestFabricDoubleFaultLineage(t *testing.T) {
+	for name, src := range fabricSweeps(t) {
+		t.Run(name, func(t *testing.T) {
+			fleet, fired := faultFleet(name, src, faultDie, 3, 1, 5)
+			stats := checkFabricIdentity(t, src, fleet, FabricOptions{Shards: 4})
+			t.Logf("stats %+v", stats)
+			if fired.Load() != 2 {
+				t.Fatalf("%d faults injected, want 2 (stats %+v)", fired.Load(), stats)
+			}
+			if stats.Seals+stats.Redispatches != 2 || stats.Seals < 1 {
+				t.Fatalf("two faults, recoveries %+v", stats)
+			}
+		})
 	}
 }
 
@@ -223,10 +245,10 @@ func TestFabricWorkerDeathSealSplit(t *testing.T) {
 func TestFabricCorruptStream(t *testing.T) {
 	for name, src := range fabricSweeps(t) {
 		t.Run(name, func(t *testing.T) {
-			fleet := faultFleet(name, src, faultCorrupt, 3, true)
+			fleet, _ := faultFleet(name, src, faultCorrupt, 3)
 			stats := checkFabricIdentity(t, src, fleet, FabricOptions{})
-			if stats.Resumes+stats.Seals+stats.Redispatches < 1 {
-				t.Fatalf("corrupt stream accepted without recovery: %+v", stats)
+			if stats.Seals < 1 {
+				t.Fatalf("corrupt stream's intact prefix was not sealed: %+v", stats)
 			}
 		})
 	}
@@ -238,7 +260,7 @@ func TestFabricCorruptStream(t *testing.T) {
 func TestFabricStallSteal(t *testing.T) {
 	for name, src := range fabricSweeps(t) {
 		t.Run(name, func(t *testing.T) {
-			fleet := faultFleet(name, src, faultStall, 3, false)
+			fleet, _ := faultFleet(name, src, faultStall, 3)
 			stats := checkFabricIdentity(t, src, fleet, FabricOptions{
 				Shards:    2,
 				Heartbeat: 150 * time.Millisecond,

@@ -99,6 +99,11 @@ func NewCluster(ctx context.Context, ids []model.ID, mk func(id model.ID) rt.Rea
 				if err != nil {
 					return nil, err
 				}
+				// Both ends live in this process and go down together, so
+				// the stream is reset on close rather than parked in
+				// TIME_WAIT: back-to-back clusters would otherwise fill the
+				// kernel's TIME_WAIT table and slow every later connect.
+				conn.SetLinger(0)
 				return conn, nil
 			}
 		}
