@@ -10,6 +10,7 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -202,6 +203,64 @@ func checkFabricIdentity(t *testing.T, src CellSource, fleet []Transport, opts F
 		t.Fatalf("fabric resumed a spool in place: %+v", stats)
 	}
 	return stats
+}
+
+// ledgerTransport counts, per cell, the outcomes a fleet delivers to the
+// coordinator: every cell of a dispatch that succeeds, and only the outcome
+// lines a failed dispatch wrote before it died.
+type ledgerTransport struct {
+	inner Transport
+	total int
+	mu    *sync.Mutex
+	ran   map[int]int
+}
+
+// Run implements Transport.
+func (l ledgerTransport) Run(ctx context.Context, task Task, sink io.Writer) error {
+	var tee bytes.Buffer
+	err := l.inner.Run(ctx, task, io.MultiWriter(sink, &tee))
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if err == nil {
+		for _, g := range task.expected(l.total) {
+			l.ran[g]++
+		}
+		return nil
+	}
+	for _, line := range bytes.SplitAfter(tee.Bytes(), []byte("\n")) {
+		var rec streamRecord
+		if json.Unmarshal(line, &rec) == nil && rec.Outcome != nil {
+			l.ran[rec.Outcome.Index]++
+		}
+	}
+	return err
+}
+
+// TestFabricWorkerDeathResume kills a worker mid-shard and checks that the
+// sweep resumes where the worker died: the cells whose outcomes it
+// delivered are never run again, and every other cell runs exactly once on
+// a surviving worker.
+func TestFabricWorkerDeathResume(t *testing.T) {
+	for name, src := range fabricSweeps(t) {
+		t.Run(name, func(t *testing.T) {
+			faulty, fired := faultFleet(name, src, faultDie, 3)
+			ledger := ledgerTransport{total: src.Len(), mu: &sync.Mutex{}, ran: map[int]int{}}
+			fleet := make([]Transport, len(faulty))
+			for i, tr := range faulty {
+				ledger.inner = tr
+				fleet[i] = ledger
+			}
+			checkFabricIdentity(t, src, fleet, FabricOptions{})
+			if fired.Load() != 1 {
+				t.Fatalf("%d faults injected, want 1", fired.Load())
+			}
+			for g := 0; g < src.Len(); g++ {
+				if ledger.ran[g] != 1 {
+					t.Fatalf("cell %d delivered %d times, want once", g, ledger.ran[g])
+				}
+			}
+		})
+	}
 }
 
 // TestFabricWorkerDeathSealSplit kills a worker mid-shard: its intact
