@@ -34,12 +34,12 @@ package bftcup
 
 import (
 	"fmt"
-	"sort"
 
 	"github.com/bftcup/bftcup/internal/core"
 	"github.com/bftcup/bftcup/internal/graph"
 	"github.com/bftcup/bftcup/internal/kosr"
 	"github.com/bftcup/bftcup/internal/model"
+	"github.com/bftcup/bftcup/internal/scenario"
 )
 
 // ID identifies a process; IDs are Sybil-proof by assumption.
@@ -78,18 +78,21 @@ func (p Protocol) String() string {
 	}
 }
 
-// mode is the protocol as the internal layers name it.
-func (p Protocol) mode() (core.Mode, error) {
-	switch p {
-	case ProtocolBFTCUP:
-		return core.ModeKnownF, nil
-	case ProtocolBFTCUPFT:
-		return core.ModeUnknownF, nil
-	case ProtocolPermissioned:
-		return core.ModePermissioned, nil
-	default:
-		return 0, fmt.Errorf("bftcup: unknown protocol %v", p)
+// protocolModes names the protocols as the internal layers do.
+var protocolModes = map[Protocol]core.Mode{
+	ProtocolBFTCUP:       core.ModeKnownF,
+	ProtocolBFTCUPFT:     core.ModeUnknownF,
+	ProtocolPermissioned: core.ModePermissioned,
+}
+
+// params is the scenario a facade run (Simulate, NewSystem) starts from:
+// the protocol's mode, the fault threshold and the proposals.
+func (p Protocol) params(name string, f int, proposals map[ID]Value) (scenario.Params, error) {
+	mode, ok := protocolModes[p]
+	if !ok {
+		return scenario.Params{}, fmt.Errorf("bftcup: unknown protocol %v", p)
 	}
+	return scenario.Params{Name: name, Mode: mode, F: f, Values: proposals}, nil
 }
 
 // Topology is a knowledge connectivity graph in adjacency form: Topology[i]
@@ -226,10 +229,4 @@ func RandomExtendedKOSR(seed int64, coreSize, nonCoreSize int) (Topology, []ID, 
 		return nil, nil, err
 	}
 	return topologyOf(g), core.Sorted(), nil
-}
-
-// sortIDs sorts a slice of IDs in place and returns it.
-func sortIDs(ids []ID) []ID {
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	return ids
 }

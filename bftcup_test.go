@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -131,6 +132,40 @@ func TestLiveSystemChained(t *testing.T) {
 		for _, id := range sys.Started() {
 			if !all[id][b].Equal(ref) {
 				t.Fatalf("block %d differs at %v: %q vs %q", b, id, all[id][b], ref)
+			}
+		}
+	}
+}
+
+// TestSystemChainedProposals pins what the System hands each node for
+// chained mode: every process decides every block, and block b decides a
+// value some process proposed for block b through ProposalFor.
+func TestSystemChainedProposals(t *testing.T) {
+	const blocks = 2
+	sys, err := NewSystem(SystemConfig{
+		Topology: Figure1b(),
+		Protocol: ProtocolBFTCUP,
+		F:        1,
+		Exclude:  []ID{4},
+		Blocks:   blocks,
+		ProposalFor: func(id ID, block int) Value {
+			return Value(fmt.Sprintf("block%d-by-%d", block, id))
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sys.Stop()
+	sys.Start()
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	if err := sys.WaitAll(ctx); err != nil {
+		t.Fatal(err)
+	}
+	for id, byBlock := range sys.Decisions() {
+		for b := 0; b < blocks; b++ {
+			if v := string(byBlock[b]); !strings.HasPrefix(v, fmt.Sprintf("block%d-by-", b)) {
+				t.Fatalf("%v decided %q for block %d", id, v, b)
 			}
 		}
 	}
@@ -401,6 +436,14 @@ func TestValidationErrors(t *testing.T) {
 	}
 	if _, err := NewSystem(SystemConfig{Topology: Topology{1: {2}}, Exclude: []ID{1, 2}}); err == nil {
 		t.Fatal("fully excluded system accepted")
+	}
+	// A mistyped ID must not start a run that silently ignores it: a
+	// proposal nobody makes, or an exclusion that excludes nothing.
+	if _, err := NewSystem(SystemConfig{Topology: Figure1b(), Protocol: ProtocolBFTCUP, F: 1, Proposals: map[ID]Value{99: Value("x")}}); err == nil {
+		t.Fatal("system proposal of a process outside the topology accepted")
+	}
+	if _, err := NewSystem(SystemConfig{Topology: Figure1b(), Protocol: ProtocolBFTCUP, F: 1, Exclude: []ID{99}}); err == nil {
+		t.Fatal("system exclusion of a process outside the topology accepted")
 	}
 	if _, err := Simulate(SimOptions{}); err == nil {
 		t.Fatal("empty simulate accepted")

@@ -1,6 +1,6 @@
 // Command cupd runs a BFT-CUP node over real TCP — the deployable twin of
-// the cupsim simulator. The same core.Node / discovery / pbft / rrbcast
-// stack the deterministic engine drives runs here on the netrt runtime:
+// the cupsim simulator. The same core.Node / discovery / pbft stack the
+// deterministic engine drives runs here on the netrt runtime:
 // length-prefixed wire-codec frames on one reconnecting stream per pair of
 // processes (the lower ID dials, so -peers must name every higher one),
 // monotonic-clock timers, graceful shutdown on SIGINT/SIGTERM.
@@ -113,7 +113,7 @@ func runNode(c *scenario.Compiled, seed int64, id model.ID, listen, peersFlag st
 
 	begin := time.Now()
 	decided := make(chan model.Value, 1)
-	node, err := c.LiveNode(seed, id, scale, func(v model.Value) {
+	node, err := c.LiveNode(seed, id, scale, 1, nil, func(_ uint64, v model.Value) {
 		select {
 		case decided <- v:
 		default:

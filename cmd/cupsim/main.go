@@ -31,23 +31,26 @@ import (
 	"github.com/bftcup/bftcup/internal/sim"
 )
 
-func main() {
-	var (
-		params   = scenario.BindFlags(flag.CommandLine)
-		sweep    = matrix.BindSweepFlags(flag.CommandLine, "", 0)
-		autoFlag = flag.String("autobyz", "", "automatic byzantine placement, kind×count[@place] (place: figure|tail|sink|worst), e.g. silent×2@worst or 'silentx2@worst'")
-		slowFlag = flag.String("slow", "", "pre-GST fast groups, e.g. 1,2,3/6,7,8 (everything else slow)")
+// The flags, on flag.CommandLine. Every example a help text gives after
+// "e.g." must parse (main_test.go feeds each through the flag's parser).
+var (
+	scenarioFlags = scenario.BindFlags(flag.CommandLine)
+	sweep         = matrix.BindSweepFlags(flag.CommandLine, "", 0)
+	autoFlag      = flag.String("autobyz", "", "automatic byzantine placement, kind×count[@place] (place: figure|tail|sink|worst), e.g. silent×2@worst or 'silentx2@worst'")
+	slowFlag      = flag.String("slow", "", "pre-GST fast groups, e.g. 1,2,3/6,7,8 (everything else slow)")
 
-		loss       = flag.Float64("loss", 0, "per-message delivery loss probability in [0,1)")
-		dup        = flag.Float64("dup", 0, "per-message duplication probability in [0,1)")
-		reorder    = flag.Duration("reorder", 0, "extra per-copy delivery jitter bound (reorders messages)")
-		partitions = flag.String("partition", "", "partition windows, ';'-separated FROM-UNTIL[:A|B] (Go durations; no groups = deterministic half/half), e.g. 10ms-400ms or 50ms-1s:1,2/3,4")
-		churnFlag  = flag.String("churn", "", "crash/restart churn, ';'-separated ID@CRASH[+RESTART[:wipe]] (Go durations), e.g. 2@10ms+500ms or 8@10ms")
-		unhardened = flag.Bool("unhardened", false, "with fault injection: keep the send-once protocol profile instead of arming retransmission hardening")
-	)
+	loss       = flag.Float64("loss", 0, "per-message delivery loss probability in [0,1)")
+	dup        = flag.Float64("dup", 0, "per-message duplication probability in [0,1)")
+	reorder    = flag.Duration("reorder", 0, "extra per-copy delivery jitter bound (reorders messages)")
+	partitions = flag.String("partition", "", "partition windows, ';'-separated FROM-UNTIL[:A|B] (Go durations; no groups = deterministic half/half), e.g. 10ms-400ms or 50ms-1s:1,2|3,4")
+	churnFlag  = flag.String("churn", "", "crash/restart churn, ';'-separated ID@CRASH[+RESTART[:wipe]] (Go durations), e.g. 2@10ms+500ms or 8@10ms")
+	unhardened = flag.Bool("unhardened", false, "with fault injection: keep the send-once protocol profile instead of arming retransmission hardening")
+)
+
+func main() {
 	flag.Parse()
 
-	p, err := params()
+	p, err := scenarioFlags()
 	if err != nil {
 		fail(err)
 	}

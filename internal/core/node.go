@@ -89,12 +89,15 @@ type Config struct {
 	Hardened bool
 }
 
+// DefaultPBFTTimeout and DefaultPollPeriod replace a zero PBFTTimeout / PollPeriod.
+const DefaultPBFTTimeout, DefaultPollPeriod = 200 * rt.Millisecond, 50 * rt.Millisecond
+
 func (c *Config) setDefaults() {
 	if c.PBFTTimeout <= 0 {
-		c.PBFTTimeout = 200 * rt.Millisecond
+		c.PBFTTimeout = DefaultPBFTTimeout
 	}
 	if c.PollPeriod <= 0 {
-		c.PollPeriod = 50 * rt.Millisecond
+		c.PollPeriod = DefaultPollPeriod
 	}
 	if c.Slots == 0 {
 		c.Slots = 1

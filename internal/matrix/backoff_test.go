@@ -47,7 +47,7 @@ func (flapTransport) Run(context.Context, Task, io.Writer) error {
 func TestFabricBackoffBoundsFlappingWorker(t *testing.T) {
 	base := 40 * time.Millisecond
 	start := time.Now()
-	_, stats, err := runFabric(context.Background(), 3, []Transport{flapTransport{}}, FabricOptions{
+	_, stats, err := RunFabric(context.Background(), 3, []Transport{flapTransport{}}, FabricOptions{
 		MaxAttempts:  3,
 		RetryBackoff: base,
 		SpoolDir:     t.TempDir(),
@@ -67,7 +67,7 @@ func TestFabricBackoffBoundsFlappingWorker(t *testing.T) {
 // TestFabricBackoffDisabled pins the opt-out: a negative RetryBackoff
 // redispatches immediately, so no recovery task is ever delayed.
 func TestFabricBackoffDisabled(t *testing.T) {
-	_, stats, err := runFabric(context.Background(), 3, []Transport{flapTransport{}}, FabricOptions{
+	_, stats, err := RunFabric(context.Background(), 3, []Transport{flapTransport{}}, FabricOptions{
 		MaxAttempts:  3,
 		RetryBackoff: -1,
 		SpoolDir:     t.TempDir(),

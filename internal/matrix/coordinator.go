@@ -67,22 +67,6 @@ type FabricStats struct {
 	Backoffs int
 }
 
-// RunFabric executes a sweep of total cells across the fleet and merges the
-// workers' streams into the monolithic report: the fingerprint is
-// byte-identical to a single-process Run of the same sweep, including under
-// worker death, torn streams, and straggler-triggered shard splits. Memory
-// on the coordinator is O(workers × parallelism + axes): each worker's
-// stream spools to disk as it arrives and the final fold is the cursor-based
-// streaming Merge. The stats describe the recovery work the run needed.
-//
-// Cancelling ctx aborts the sweep: every in-flight dispatch context is
-// cancelled (transports must kill their worker and return), the queue is
-// drained, and RunFabric returns ctx's error once the fleet has been reaped —
-// a killed coordinator leaves no orphaned workers behind.
-func RunFabric(ctx context.Context, total int, workers []Transport, opts FabricOptions) (*Report, FabricStats, error) {
-	return runFabric(ctx, total, workers, opts)
-}
-
 // live tracks one in-flight dispatch.
 type live struct {
 	task    Task
@@ -99,7 +83,19 @@ type exitEvent struct {
 	err error
 }
 
-func runFabric(ctx context.Context, total int, workers []Transport, opts FabricOptions) (*Report, FabricStats, error) {
+// RunFabric executes a sweep of total cells across the fleet and merges the
+// workers' streams into the monolithic report: the fingerprint is
+// byte-identical to a single-process Run of the same sweep, including under
+// worker death, torn streams, and straggler-triggered shard splits. Memory
+// on the coordinator is O(workers × parallelism + axes): each worker's
+// stream spools to disk as it arrives and the final fold is the cursor-based
+// streaming Merge. The stats describe the recovery work the run needed.
+//
+// Cancelling ctx aborts the sweep: every in-flight dispatch context is
+// cancelled (transports must kill their worker and return), the queue is
+// drained, and RunFabric returns ctx's error once the fleet has been reaped —
+// a killed coordinator leaves no orphaned workers behind.
+func RunFabric(ctx context.Context, total int, workers []Transport, opts FabricOptions) (*Report, FabricStats, error) {
 	var stats FabricStats
 	if ctx == nil {
 		ctx = context.Background()

@@ -61,7 +61,7 @@ func TestFabricFingerprintIdentity(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			rep, stats, err := runFabric(context.Background(), src.Len(), procFleet(name, src, 4), FabricOptions{
+			rep, stats, err := RunFabric(context.Background(), src.Len(), procFleet(name, src, 4), FabricOptions{
 				Shards:   5,
 				SpoolDir: t.TempDir(),
 			})
@@ -189,7 +189,7 @@ func checkFabricIdentity(t *testing.T, src CellSource, fleet []Transport, opts F
 		t.Fatal(err)
 	}
 	opts.SpoolDir = t.TempDir()
-	rep, stats, err := runFabric(context.Background(), src.Len(), fleet, opts)
+	rep, stats, err := RunFabric(context.Background(), src.Len(), fleet, opts)
 	if err != nil {
 		t.Fatalf("fabric: %v (stats %+v)", err, stats)
 	}
@@ -347,7 +347,7 @@ func TestFabricEmptyAndTinySweeps(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{1, 8} {
-		rep, _, err := runFabric(context.Background(), tiny.Len(), procFleet("tiny", tiny, workers), FabricOptions{SpoolDir: t.TempDir()})
+		rep, _, err := RunFabric(context.Background(), tiny.Len(), procFleet("tiny", tiny, workers), FabricOptions{SpoolDir: t.TempDir()})
 		if err != nil {
 			t.Fatalf("%d workers: %v", workers, err)
 		}
@@ -355,10 +355,10 @@ func TestFabricEmptyAndTinySweeps(t *testing.T) {
 			t.Fatalf("%d workers: fingerprint diverged", workers)
 		}
 	}
-	if _, _, err := runFabric(context.Background(), 0, procFleet("tiny", tiny, 2), FabricOptions{}); err == nil {
+	if _, _, err := RunFabric(context.Background(), 0, procFleet("tiny", tiny, 2), FabricOptions{}); err == nil {
 		t.Fatal("empty sweep accepted")
 	}
-	if _, _, err := runFabric(context.Background(), 3, nil, FabricOptions{}); err == nil {
+	if _, _, err := RunFabric(context.Background(), 3, nil, FabricOptions{}); err == nil {
 		t.Fatal("empty fleet accepted")
 	}
 }
@@ -470,7 +470,7 @@ func TestFabricCancelReapsWorkers(t *testing.T) {
 	go func() {
 		// MaxAttempts is high so the only way out is the cancellation abort,
 		// not an attempts-exhausted failure racing it.
-		_, _, err := runFabric(ctx, 8, fleet, FabricOptions{
+		_, _, err := RunFabric(ctx, 8, fleet, FabricOptions{
 			SpoolDir: t.TempDir(), MaxAttempts: 100,
 		})
 		done <- err
@@ -487,7 +487,7 @@ func TestFabricCancelReapsWorkers(t *testing.T) {
 			t.Fatalf("err = %v, want context.Canceled", err)
 		}
 	case <-time.After(10 * time.Second):
-		t.Fatal("runFabric did not return after cancellation")
+		t.Fatal("RunFabric did not return after cancellation")
 	}
 	if n := active.Load(); n != 0 {
 		t.Fatalf("%d workers still live after RunFabric returned", n)

@@ -1,8 +1,8 @@
 // Package netrt implements the rt runtime over real network transports: the
-// same core.Node/discovery/pbft/rrbcast stack the deterministic simulator
-// drives runs here over length-prefixed wire-codec frames on TCP (or any
-// net.Conn, e.g. net.Pipe in tests), with monotonic-clock timers and graceful
-// shutdown via context.
+// same reactors the deterministic simulator drives (core.Node with its
+// discovery and pbft layers, and the Byzantine zoo) run here over
+// length-prefixed wire-codec frames on TCP (or any net.Conn, e.g. net.Pipe in
+// tests), with monotonic-clock timers and graceful shutdown via context.
 //
 // Each Node owns one event-loop goroutine that serializes all reactor
 // callbacks (the rt contract) and, per peer, one bounded outbound queue, one

@@ -14,15 +14,16 @@ import (
 
 // This file is the only place a compiled cell becomes reactors and the only
 // place a decision log becomes a Result. Every way of running a cell — the
-// simulator (Runner.Run), a live cluster (RunLive), one cupd daemon
-// (LiveNode) — is "make a runtime, assemble, drive, grade" over it, so a new
-// zoo kind, grading rule or key suite is written once and the sim≡live twin
-// cannot drift.
+// simulator (Runner.Run), a live cluster (RunLive), one live node (LiveNode:
+// a cupd daemon, and each process of the root package's System) — is "make
+// a runtime, assemble, drive, grade" over it, so a new zoo kind, grading
+// rule or key suite is written once and the sim≡live twin cannot drift.
 
 // stack is what assembly needs beyond the compiled cell: the run's key
 // material, the protocol durations (virtual for the simulator,
-// LiveDurations for a live run), where searchers come from and where
-// decisions go.
+// LiveDurations for a live run), where searchers come from, where each
+// decided slot goes and — set by LiveNode only — how many slots a node
+// chains and on which proposals.
 type stack struct {
 	c                       *Compiled
 	signers                 map[model.ID]cryptox.Signer
@@ -30,7 +31,9 @@ type stack struct {
 	disc                    discovery.Config
 	pbftTimeout, pollPeriod rt.Time
 	searcher                func() kosr.Search
-	decide                  func(id model.ID, v model.Value)
+	decide                  func(id model.ID, slot uint64, v model.Value)
+	slots                   uint64
+	proposalFor             func(slot uint64) model.Value
 }
 
 // newStack selects the run's key material — the insecure suite when the cell
@@ -55,24 +58,28 @@ func (s *stack) proposal(id model.ID) model.Value {
 	return model.Value(fmt.Sprintf("v%d", id))
 }
 
-// node builds a correct node for one process. Besides assemble, the
-// simulator calls it for the replacement reactor of a wiped churn restart.
+// node builds a correct node for one process. Besides assemble, LiveNode
+// calls it, and the simulator for the replacement reactor of a wiped churn
+// restart.
 func (s *stack) node(id model.ID, value model.Value) *core.Node {
 	c := s.c
 	cfg := core.Config{
-		Mode:        c.Mode,
-		F:           c.F,
-		PD:          c.Graph.OutSet(id).Clone(),
-		Proposal:    value,
-		Discovery:   s.disc,
-		PBFTTimeout: s.pbftTimeout,
-		PollPeriod:  s.pollPeriod,
-		Hardened:    c.Hardened,
+		Mode:          c.Mode,
+		F:             c.F,
+		PD:            c.Graph.OutSet(id).Clone(),
+		Proposal:      value,
+		Discovery:     s.disc,
+		PBFTTimeout:   s.pbftTimeout,
+		PollPeriod:    s.pollPeriod,
+		Slots:         s.slots,
+		ProposalFor:   s.proposalFor,
+		OnSlotDecided: func(slot uint64, v model.Value) { s.decide(id, slot, v) },
+		Hardened:      c.Hardened,
 	}
 	if c.Mode != core.ModePermissioned {
 		cfg.Searcher = s.searcher()
 	}
-	return core.NewNode(s.signers[id], s.reg, cfg, func(v model.Value) { s.decide(id, v) })
+	return core.NewNode(s.signers[id], s.reg, cfg, nil)
 }
 
 // assemble builds every process's reactor in ID order — a correct node, or

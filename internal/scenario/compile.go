@@ -397,7 +397,7 @@ func (r *Runner) Run(c *Compiled, seed int64, trace bool) (*Result, error) {
 	if st.searcher == nil {
 		st.searcher = r.nextSearcher
 	}
-	st.decide = func(id model.ID, v model.Value) {
+	st.decide = func(id model.ID, _ uint64, v model.Value) {
 		if log.record(id, v, engine.Now()) && tr != nil {
 			tr.RecordDecision(id, engine.Now(), []byte(v))
 		}

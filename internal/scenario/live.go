@@ -64,17 +64,27 @@ func scaleDur(v, def sim.Time, scale int64) rt.Time {
 
 // LiveDurations returns the protocol stack's durations mapped for a live run
 // at the given scale (0 means 10): the discovery config, the PBFT base
-// timeout and the decided-poll period. RunLive uses exactly these; cmd/cupd
-// calls it so a standalone daemon boots the same stack a cluster run would.
+// timeout and the decided-poll period. RunLive and LiveNode build their
+// nodes on exactly these, and the benchmark's traced live round does too.
 func (c *Compiled) LiveDurations(scale int64) (disc discovery.Config, pbftTimeout, pollPeriod rt.Time) {
 	if scale <= 0 {
 		scale = 10
 	}
 	disc = c.Discovery
-	disc.Period = scaleDur(disc.Period, 20*sim.Millisecond, scale)
-	pbftTimeout = scaleDur(c.PBFTTimeout, 200*sim.Millisecond, scale)
-	pollPeriod = scaleDur(c.PollPeriod, 50*sim.Millisecond, scale)
+	disc.Period = scaleDur(disc.Period, discovery.DefaultConfig().Period, scale)
+	pbftTimeout = scaleDur(c.PBFTTimeout, core.DefaultPBFTTimeout, scale)
+	pollPeriod = scaleDur(c.PollPeriod, core.DefaultPollPeriod, scale)
 	return disc, pbftTimeout, pollPeriod
+}
+
+// liveStack is the stack of a live run at the given scale: LiveDurations'
+// timers, the seed's key material, and a searcher of its own for every node
+// (nodes run concurrently; there is no Runner pool to share).
+func (c *Compiled) liveStack(seed, scale int64) (stack, error) {
+	disc, pbftTimeout, pollPeriod := c.LiveDurations(scale)
+	st, err := c.newStack(seed, disc, pbftTimeout, pollPeriod)
+	st.searcher = func() kosr.Search { return kosr.NewSearcher() }
+	return st, err
 }
 
 // liveNet adapts the compiled sim.NetworkModel into the netrt per-message
@@ -99,10 +109,6 @@ func (l *liveNet) delay(from, to model.ID, now rt.Time) rt.Time {
 	return d / rt.Time(l.scale)
 }
 
-// newSearcher gives every live node a searcher of its own (nodes run
-// concurrently; there is no Runner pool to share).
-func newSearcher() kosr.Search { return kosr.NewSearcher() }
-
 // RunLive executes the compiled scenario under one seed on the live runtime.
 // The seed drives key material and reactor RNGs exactly as in Runner.Run;
 // scheduling, however, is the operating system's, so traces are not
@@ -121,8 +127,7 @@ func (c *Compiled) RunLive(seed int64, opts LiveOptions) (*Result, error) {
 		transport = "pipe"
 	}
 
-	disc, pbftTimeout, pollPeriod := c.LiveDurations(scale)
-	st, err := c.newStack(seed, disc, pbftTimeout, pollPeriod)
+	st, err := c.liveStack(seed, scale)
 	if err != nil {
 		return nil, fmt.Errorf("scenario %q: %w", name, err)
 	}
@@ -136,8 +141,7 @@ func (c *Compiled) RunLive(seed int64, opts LiveOptions) (*Result, error) {
 		doneOnce sync.Once
 	)
 	log.reset()
-	st.searcher = newSearcher
-	st.decide = func(id model.ID, v model.Value) {
+	st.decide = func(id model.ID, _ uint64, v model.Value) {
 		mu.Lock()
 		defer mu.Unlock()
 		// Reported in virtual units, like every simulator result.
@@ -193,11 +197,13 @@ func (c *Compiled) RunLive(seed int64, opts LiveOptions) (*Result, error) {
 	return res, nil
 }
 
-// LiveNode assembles the one correct node a cupd daemon runs: process id of
-// the compiled cell, with the key material and scaled durations a RunLive
-// cluster of the same seed and scale would give it. decide receives the
-// node's decision on its event-loop goroutine.
-func (c *Compiled) LiveNode(seed int64, id model.ID, scale int64, decide func(model.Value)) (*core.Node, error) {
+// LiveNode assembles one correct live node — a cupd daemon, or a process of
+// the root package's System: process id of the compiled cell, with the key
+// material and scaled durations a RunLive cluster of the same seed and scale
+// would give it. It runs slots chained slots (0 or 1: one-shot), proposing
+// proposalFor(slot) when that is non-nil and the cell's proposal otherwise;
+// decided receives every slot's decision on the node's event-loop goroutine.
+func (c *Compiled) LiveNode(seed int64, id model.ID, scale int64, slots uint64, proposalFor func(slot uint64) model.Value, decided func(slot uint64, v model.Value)) (*core.Node, error) {
 	name := c.runName(seed)
 	if !c.Graph.HasNode(id) {
 		return nil, fmt.Errorf("scenario %q: process %v is not in the graph", name, id)
@@ -205,12 +211,11 @@ func (c *Compiled) LiveNode(seed int64, id model.ID, scale int64, decide func(mo
 	if _, isByz := c.Byz[id]; isByz {
 		return nil, fmt.Errorf("scenario %q: process %v is Byzantine; a daemon only runs correct nodes", name, id)
 	}
-	disc, pbftTimeout, pollPeriod := c.LiveDurations(scale)
-	st, err := c.newStack(seed, disc, pbftTimeout, pollPeriod)
+	st, err := c.liveStack(seed, scale)
 	if err != nil {
 		return nil, fmt.Errorf("scenario %q: %w", name, err)
 	}
-	st.searcher = newSearcher
-	st.decide = func(_ model.ID, v model.Value) { decide(v) }
+	st.slots, st.proposalFor = slots, proposalFor
+	st.decide = func(_ model.ID, slot uint64, v model.Value) { decided(slot, v) }
 	return st.node(id, st.proposal(id)), nil
 }

@@ -129,7 +129,7 @@ func runWatched(t *testing.T, c *Compiled, seed int64) {
 		t.Fatal(err)
 	}
 	st.searcher = func() kosr.Search { return kosr.NewSearcher() }
-	st.decide = func(id model.ID, v model.Value) { log.record(id, v, engine.Now()) }
+	st.decide = func(id model.ID, _ uint64, v model.Value) { log.record(id, v, engine.Now()) }
 	err = st.assemble(&log, func(id model.ID, r rt.Reactor) error {
 		return engine.AddProcess(id, watchedReactor{r, w})
 	})

@@ -129,20 +129,14 @@ var behaviorKinds = map[Behavior]scenario.ByzKind{
 // params is the options as scenario data — everything but the topology,
 // which no graph.Def describes and Simulate hands over already built.
 func (opt SimOptions) params() (scenario.Params, error) {
-	mode, err := opt.Protocol.mode()
+	p, err := opt.Protocol.params("simulate", opt.F, opt.Proposals)
 	if err != nil {
-		return scenario.Params{}, err
+		return p, err
 	}
-	p := scenario.Params{
-		Name:    "simulate",
-		Mode:    mode,
-		F:       opt.F,
-		Values:  opt.Proposals,
-		Net:     opt.Network.params(),
-		Horizon: sim.Time(opt.Horizon),
-		Seed:    opt.Seed,
-		Byz:     make(map[model.ID]scenario.ByzSpec, len(opt.Byzantine)),
-	}
+	p.Net = opt.Network.params()
+	p.Horizon = sim.Time(opt.Horizon)
+	p.Seed = opt.Seed
+	p.Byz = make(map[model.ID]scenario.ByzSpec, len(opt.Byzantine))
 	for id, b := range opt.Byzantine {
 		kind, ok := behaviorKinds[b.Behavior]
 		if !ok {

@@ -8,10 +8,11 @@ import (
 	"time"
 
 	"github.com/bftcup/bftcup/internal/core"
-	"github.com/bftcup/bftcup/internal/cryptox"
+	"github.com/bftcup/bftcup/internal/graph"
 	"github.com/bftcup/bftcup/internal/model"
 	"github.com/bftcup/bftcup/internal/netrt"
 	"github.com/bftcup/bftcup/internal/rt"
+	"github.com/bftcup/bftcup/internal/scenario"
 )
 
 func newRand(seed int64) *rand.Rand { return rand.New(rand.NewSource(seed)) }
@@ -27,11 +28,11 @@ type SystemConfig struct {
 	// F is the fault threshold handed to processes (ProtocolBFTCUP and
 	// ProtocolPermissioned only).
 	F int
-	// Exclude lists processes that exist in the topology but are never
-	// started — the standard way to model silent Byzantine processes.
+	// Exclude lists processes of the topology that are never started (the
+	// standard way to model silent Byzantine ones); another ID is an error.
 	Exclude []ID
-	// Proposals maps processes to their proposed values; missing entries
-	// default to "v<id>".
+	// Proposals maps processes of the topology to their proposed values;
+	// missing entries default to "v<id>", another ID is an error.
 	Proposals map[ID]Value
 	// Blocks is the number of chained decisions over the bootstrapped
 	// committee (default 1: classic one-shot consensus).
@@ -61,7 +62,6 @@ type Decision struct {
 
 // System is a running live network of BFT-CUP/BFT-CUPFT processes.
 type System struct {
-	blocks   int
 	started  []ID
 	reactors map[ID]rt.Reactor
 	latency  func(from, to ID) time.Duration
@@ -93,21 +93,26 @@ func NewSystem(cfg SystemConfig) (*System, error) {
 	if cfg.PollPeriod <= 0 {
 		cfg.PollPeriod = 20 * time.Millisecond
 	}
-	g := cfg.Topology.graph()
-	all := g.Nodes()
-	signers, registry, err := cryptox.GenerateKeys(cfg.KeySeed+1, all)
-	if err != nil {
-		return nil, fmt.Errorf("bftcup: %w", err)
-	}
-	excluded := model.NewIDSet(cfg.Exclude...)
-
-	mode, err := cfg.Protocol.mode()
+	p, err := cfg.Protocol.params("system", cfg.F, cfg.Proposals)
 	if err != nil {
 		return nil, err
 	}
+	// An excluded process is a silent Byzantine one that is never started:
+	// compiling it as such refuses an ID the topology does not have.
+	p.Byz = make(map[model.ID]scenario.ByzSpec, len(cfg.Exclude))
+	for _, id := range cfg.Exclude {
+		p.Byz[id] = scenario.ByzSpec{Kind: scenario.ByzSilent}
+	}
+	c, err := p.CompileGraph(graph.BuiltGraph{G: cfg.Topology.graph()})
+	if err != nil {
+		return nil, err
+	}
+	// Live nodes at scale 1 run these durations as they are.
+	c.Discovery.Period = rt.Time(cfg.DiscoveryPeriod)
+	c.PBFTTimeout = rt.Time(cfg.ConsensusTimeout)
+	c.PollPeriod = rt.Time(cfg.PollPeriod)
 
 	s := &System{
-		blocks:     cfg.Blocks,
 		reactors:   make(map[ID]rt.Reactor),
 		latency:    cfg.Latency,
 		decisions:  make(map[ID]map[int]Value),
@@ -115,33 +120,22 @@ func NewSystem(cfg SystemConfig) (*System, error) {
 		done:       make(chan struct{}),
 		events:     make(chan Decision, 1024),
 	}
-	for _, id := range all {
-		if excluded.Has(id) {
+	for _, id := range c.Graph.Nodes() {
+		if _, excluded := c.Byz[id]; excluded {
 			continue
 		}
 		id := id
-		proposal := Value(fmt.Sprintf("v%d", id))
-		if v, ok := cfg.Proposals[id]; ok {
-			proposal = v
-		}
-		nodeCfg := core.Config{
-			Mode:        mode,
-			F:           cfg.F,
-			PD:          g.OutSet(id).Clone(),
-			Proposal:    proposal,
-			PBFTTimeout: rt.Time(cfg.ConsensusTimeout),
-			PollPeriod:  rt.Time(cfg.PollPeriod),
-			Slots:       uint64(cfg.Blocks),
-		}
-		nodeCfg.Discovery.Period = rt.Time(cfg.DiscoveryPeriod)
+		var proposalFor func(slot uint64) Value
 		if cfg.ProposalFor != nil {
-			nodeCfg.ProposalFor = func(slot uint64) Value { return cfg.ProposalFor(id, int(slot)) }
+			proposalFor = func(slot uint64) Value { return cfg.ProposalFor(id, int(slot)) }
 		}
 		var node *core.Node
-		nodeCfg.OnSlotDecided = func(slot uint64, v Value) {
+		node, err = c.LiveNode(cfg.KeySeed, id, 1, uint64(cfg.Blocks), proposalFor, func(slot uint64, v Value) {
 			s.recordDecision(node, id, int(slot), v)
+		})
+		if err != nil {
+			return nil, err
 		}
-		node = core.NewNode(signers[id], registry, nodeCfg, nil)
 		s.reactors[id] = node
 		s.started = append(s.started, id)
 		s.decisions[id] = make(map[int]Value)
@@ -149,7 +143,6 @@ func NewSystem(cfg SystemConfig) (*System, error) {
 	if len(s.started) == 0 {
 		return nil, fmt.Errorf("bftcup: every process excluded")
 	}
-	sortIDs(s.started)
 	s.remaining = len(s.started) * cfg.Blocks
 	return s, nil
 }
