@@ -64,25 +64,19 @@ const (
 	ProtocolPermissioned
 )
 
-// String implements fmt.Stringer.
-func (p Protocol) String() string {
-	switch p {
-	case ProtocolBFTCUP:
-		return "bft-cup"
-	case ProtocolBFTCUPFT:
-		return "bft-cupft"
-	case ProtocolPermissioned:
-		return "permissioned"
-	default:
-		return fmt.Sprintf("protocol(%d)", int(p))
-	}
-}
-
 // protocolModes names the protocols as the internal layers do.
 var protocolModes = map[Protocol]core.Mode{
 	ProtocolBFTCUP:       core.ModeKnownF,
 	ProtocolBFTCUPFT:     core.ModeUnknownF,
 	ProtocolPermissioned: core.ModePermissioned,
+}
+
+// String implements fmt.Stringer: a protocol is spelled as its mode.
+func (p Protocol) String() string {
+	if mode, ok := protocolModes[p]; ok {
+		return mode.String()
+	}
+	return fmt.Sprintf("protocol(%d)", int(p))
 }
 
 // params is the scenario a facade run (Simulate, NewSystem) starts from:

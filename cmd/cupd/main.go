@@ -35,6 +35,7 @@ import (
 	"net"
 	"os"
 	"os/signal"
+	"slices"
 	"strconv"
 	"strings"
 	"syscall"
@@ -62,6 +63,9 @@ func main() {
 	)
 	flag.Parse()
 
+	if err := checkScale(*scale); err != nil {
+		fail(err)
+	}
 	p, err := params()
 	if err != nil {
 		fail(err)
@@ -108,6 +112,9 @@ func runNode(c *scenario.Compiled, seed int64, id model.ID, listen, peersFlag st
 	}
 	addrs, err := parsePeers(peersFlag)
 	if err != nil {
+		fail(err)
+	}
+	if err := checkPeers(addrs, c.Graph.Nodes(), id); err != nil {
 		fail(err)
 	}
 
@@ -187,6 +194,30 @@ func runNode(c *scenario.Compiled, seed int64, id model.ID, listen, peersFlag st
 	}
 	rn.Stop()
 	os.Exit(exit)
+}
+
+// checkScale refuses a -scale below 1: it divides every duration of both
+// modes, the default -deadline included.
+func checkScale(scale int64) error {
+	if scale < 1 {
+		return fmt.Errorf("-scale %d: want a divisor ≥ 1", scale)
+	}
+	return nil
+}
+
+// checkPeers refuses a -peers entry that names the node itself or a process
+// outside the graph: the runtime would ignore either, and the daemon would
+// report a peer count it does not have.
+func checkPeers(addrs map[model.ID]string, nodes []model.ID, self model.ID) error {
+	if _, ok := addrs[self]; ok {
+		return fmt.Errorf("-peers names %v, this node's own -id", self)
+	}
+	for id := range addrs {
+		if !slices.Contains(nodes, id) {
+			return fmt.Errorf("-peers names %v, which is not a node of the graph", id)
+		}
+	}
+	return nil
 }
 
 // parsePeers parses "2=127.0.0.1:7102,3=host:port" into an address map,

@@ -36,7 +36,7 @@ import (
 var (
 	scenarioFlags = scenario.BindFlags(flag.CommandLine)
 	sweep         = matrix.BindSweepFlags(flag.CommandLine, "", 0)
-	autoFlag      = flag.String("autobyz", "", "automatic byzantine placement, kind×count[@place] (place: figure|tail|sink|worst), e.g. silent×2@worst or 'silentx2@worst'")
+	autoFlag      = flag.String("autobyz", "", "automatic byzantine placement, kind×count[@place] (place: "+scenario.ByzPlaces.Join("|")+"), e.g. silent×2@worst or 'silentx2@worst'")
 	slowFlag      = flag.String("slow", "", "pre-GST fast groups, e.g. 1,2,3/6,7,8 (everything else slow)")
 
 	loss       = flag.Float64("loss", 0, "per-message delivery loss probability in [0,1)")

@@ -2,9 +2,12 @@ package main
 
 import (
 	"flag"
+	"slices"
 	"strings"
 	"testing"
 
+	"github.com/bftcup/bftcup/internal/core"
+	"github.com/bftcup/bftcup/internal/graph"
 	"github.com/bftcup/bftcup/internal/scenario"
 )
 
@@ -23,7 +26,8 @@ func helpExamples(help string) []string {
 }
 
 // TestFlagHelpExamplesParse feeds every example in cupsim's flag help
-// through that flag's parser: an example a user copies must run.
+// through that flag's parser: an example a user copies must run. And every
+// list of names in the help is its vocabulary's whole table.
 func TestFlagHelpExamplesParse(t *testing.T) {
 	parsers := map[string]func(string) error{
 		"autobyz": func(s string) error {
@@ -67,5 +71,55 @@ func TestFlagHelpExamplesParse(t *testing.T) {
 	})
 	if seen != len(parsers) {
 		t.Errorf("%d flags give examples, the table parses %d", seen, len(parsers))
+	}
+	checkHelpLists(t)
+}
+
+// helpList returns the "|"-separated list a help text gives after label, up
+// to the closing parenthesis or the end.
+func helpList(help, label string) []string {
+	_, list, ok := strings.Cut(help, label)
+	if !ok {
+		return nil
+	}
+	list, _, _ = strings.Cut(list, ")")
+	return strings.Split(list, "|")
+}
+
+// checkHelpLists: the help of -mode, -net, -byz and -autobyz lists every
+// value of its vocabulary, in order, and -graph every family head.
+func checkHelpLists(t *testing.T) {
+	usage := func(name string) string { return flag.CommandLine.Lookup(name).Usage }
+	lists := []struct {
+		flag, label string
+		names       []string
+	}{
+		{"mode", "protocol: ", nil},
+		{"net", "network model: ", nil},
+		{"byz", "(kinds: ", nil},
+		{"autobyz", "(place: ", nil},
+	}
+	for m := core.ModeKnownF; m <= core.ModePermissioned; m++ {
+		lists[0].names = append(lists[0].names, m.String())
+	}
+	for k := scenario.NetSync; k <= scenario.NetAsync; k++ {
+		lists[1].names = append(lists[1].names, k.String())
+	}
+	for k := scenario.ByzSilent; k <= scenario.ByzCollude; k++ {
+		lists[2].names = append(lists[2].names, k.String())
+	}
+	for p := scenario.PlaceFigure; p <= scenario.PlaceWorst; p++ {
+		lists[3].names = append(lists[3].names, p.String())
+	}
+	for _, l := range lists {
+		if got := helpList(usage(l.flag), l.label); !slices.Equal(got, l.names) {
+			t.Errorf("-%s help lists %q, want %q", l.flag, got, l.names)
+		}
+	}
+	for kind := graph.DefComplete; kind <= graph.DefSF; kind++ {
+		head, _, _ := strings.Cut(graph.Def{Kind: kind}.String(), ":")
+		if !strings.Contains(usage("graph"), ", "+head+":") {
+			t.Errorf("-graph help %q leaves out %s", usage("graph"), head)
+		}
 	}
 }

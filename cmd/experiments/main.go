@@ -42,7 +42,7 @@ import (
 
 func main() {
 	var (
-		runSel     = flag.String("run", "all", "experiment group: table1, fig1, fig2, fig3, fig4, all (ignored with -matrix)")
+		runSel     = flag.String("run", "all", runHelp)
 		verbose    = flag.Bool("v", false, "print per-process details")
 		doMatrix   = flag.Bool("matrix", false, "run the standard scenario-matrix sweep instead of the paper suite")
 		adversary  = flag.Bool("adversary", false, "with -matrix: sweep the adversary zoo (delay, selective silence, collusion, equivocation) with tail vs worst-case placements instead of the standard axes")
@@ -118,7 +118,7 @@ func runMerge(paths []string, jsonOut, cellRows, summary bool) {
 // sweep is a lazy cell source end to end — nothing materializes the cell
 // list, so seed ranges in the millions are fine.
 func runMatrix(sf *matrix.SweepFlags, adversary, probabilistic, chaos, insecure, trace, cellRows, compare bool) {
-	sweepName := "standard"
+	sweepName := matrix.Sweeps[0].Name
 	picked := 0
 	for name, on := range map[string]bool{"adversary": adversary, "probabilistic": probabilistic, "chaos": chaos} {
 		if on {
@@ -208,36 +208,48 @@ func emit(rep *matrix.Report, jsonOut, cellRows bool) {
 	rep.WriteText(os.Stdout, cellRows)
 }
 
+// paperGroup is one -run group of the paper suite: its experiments and the
+// Markdown renderer for them.
+type paperGroup struct {
+	experiments func() []scenario.Experiment
+	render      func([]scenario.Experiment, *matrix.Report, bool, *int)
+}
+
+// paperGroups is the paper suite behind -run, in report order.
+var paperGroups = model.Names[paperGroup]{
+	{"table1", paperGroup{scenario.Table1, renderTable1}},
+	{"fig1", paperGroup{scenario.Fig1, renderGroup}},
+	{"fig2", paperGroup{scenario.Fig2, renderGroup}},
+	{"fig3", paperGroup{scenario.Fig3, renderGroup}},
+	{"fig4", paperGroup{scenario.Fig4, renderGroup}},
+}
+
+// runHelp is -run's help: every group, then all.
+var runHelp = "experiment group: " + paperGroups.Join(", ") + ", all (ignored with -matrix)"
+
 // runPaperSuite reproduces the paper's tables and figures through the matrix
 // engine and renders the classic paper-vs-measured Markdown.
 func runPaperSuite(runSel string, parallel int, jsonOut, trace, verbose bool) {
-	groups := map[string][]scenario.Experiment{
-		"table1": scenario.Table1(),
-		"fig1":   scenario.Fig1(),
-		"fig2":   scenario.Fig2(),
-		"fig3":   scenario.Fig3(),
-		"fig4":   scenario.Fig4(),
-	}
-	var order []string
-	if runSel == "all" {
-		order = []string{"table1", "fig1", "fig2", "fig3", "fig4"}
-	} else if _, ok := groups[runSel]; ok {
-		order = []string{runSel}
-	} else {
-		fmt.Fprintf(os.Stderr, "unknown group %q\n", runSel)
-		os.Exit(2)
+	groups := paperGroups
+	if runSel != "all" {
+		g, ok := paperGroups.Lookup(runSel)
+		if !ok {
+			fmt.Fprintf(os.Stderr, "unknown group %q\n", runSel)
+			os.Exit(2)
+		}
+		groups = model.Names[paperGroup]{{runSel, g}}
 	}
 
 	if jsonOut {
 		var exps []scenario.Experiment
-		for _, g := range order {
-			exps = append(exps, groups[g]...)
+		for _, g := range groups {
+			exps = append(exps, g.Value.experiments()...)
 		}
 		rep, err := matrix.Run(matrix.FromExperiments(exps), matrix.Options{Parallelism: parallel, Trace: trace})
 		if err != nil {
 			fail(err)
 		}
-		rep.Name = "paper suite: " + strings.Join(order, ",")
+		rep.Name = "paper suite: " + groups.Join(",")
 		emit(rep, true, false)
 		if rep.Mismatches > 0 || rep.Errors > 0 {
 			os.Exit(1)
@@ -246,17 +258,14 @@ func runPaperSuite(runSel string, parallel int, jsonOut, trace, verbose bool) {
 	}
 
 	mismatches := 0
-	for _, g := range order {
-		fmt.Printf("## %s\n\n", g)
-		rep, err := matrix.Run(matrix.FromExperiments(groups[g]), matrix.Options{Parallelism: parallel, Trace: trace})
+	for _, g := range groups {
+		fmt.Printf("## %s\n\n", g.Name)
+		exps := g.Value.experiments()
+		rep, err := matrix.Run(matrix.FromExperiments(exps), matrix.Options{Parallelism: parallel, Trace: trace})
 		if err != nil {
 			fail(err)
 		}
-		if g == "table1" {
-			renderTable1(groups[g], rep, verbose, &mismatches)
-			continue
-		}
-		renderGroup(groups[g], rep, verbose, &mismatches)
+		g.Value.render(exps, rep, verbose, &mismatches)
 	}
 	if mismatches > 0 {
 		fmt.Fprintf(os.Stderr, "%d experiments diverged from the paper's prediction\n", mismatches)
@@ -295,14 +304,11 @@ func renderTable1(exps []scenario.Experiment, rep *matrix.Report, verbose bool, 
 	}
 	fmt.Println("| Communication | Known n, Known f | Unknown n, Known f | Unknown n, Unknown f |")
 	fmt.Println("|---|---|---|---|")
-	for _, row := range []struct{ label, key string }{
-		{"Synchronous", "sync"},
-		{"Partially synchronous", "partial"},
-		{"Asynchronous (adversarial)", "async"},
-	} {
-		fmt.Printf("| %s |", row.label)
+	// One row per network kind, in Table I's order.
+	for k, label := range []string{"Synchronous", "Partially synchronous", "Asynchronous (adversarial)"} {
+		fmt.Printf("| %s |", label)
 		for _, col := range []string{"known-n-known-f", "unknown-n-known-f", "unknown-n-unknown-f"} {
-			c := cells[row.key+"/"+col]
+			c := cells[scenario.NetKind(k).String()+"/"+col]
 			m := c.measured
 			if c.measured != c.expected {
 				m = fmt.Sprintf("%s (paper: %s!)", c.measured, c.expected)

@@ -53,7 +53,7 @@ type config struct {
 func bind(fs *flag.FlagSet) *config {
 	c := &config{sweep: matrix.BindSweepFlags(fs, "1:10", 1)}
 	fs.BoolVar(&c.worker, "worker", false, "run one worker task (the coordinator execs these) instead of coordinating")
-	fs.StringVar(&c.sweepSel, "sweep", "standard", "sweep to run: standard|adversary|probabilistic|chaos")
+	fs.StringVar(&c.sweepSel, "sweep", matrix.Sweeps[0].Name, "sweep to run: "+matrix.Sweeps.Join("|"))
 	fs.BoolVar(&c.insecure, "insecure", false, "swap Ed25519 for the insecure crypto suite (fingerprints NOT comparable with secure sweeps)")
 	fs.IntVar(&c.workers, "workers", 4, "local subprocess workers (ignored with -ssh)")
 	fs.StringVar(&c.sshHosts, "ssh", "", "comma-separated ssh destinations; replaces the local fleet")

@@ -73,3 +73,38 @@ func TestWorkerArgvRoundTrip(t *testing.T) {
 		}
 	}
 }
+
+// TestSweepFlagListsEverySweep: -sweep's help lists every named sweep, each
+// name resolves to a sweep labelled with it, and an unknown one is refused
+// with that same list.
+func TestSweepFlagListsEverySweep(t *testing.T) {
+	fs := flag.NewFlagSet("sweepd", flag.ContinueOnError)
+	bind(fs)
+	_, list, _ := strings.Cut(fs.Lookup("sweep").Usage, ": ")
+	sweeps := map[string]func([]int64) (matrix.CellSource, error){
+		"standard": matrix.StandardSweep, "adversary": matrix.AdversarySweep,
+		"probabilistic": matrix.ProbabilisticSweep, "chaos": matrix.ChaosSweep,
+	}
+	var names []string
+	for _, s := range matrix.Sweeps {
+		names = append(names, s.Name)
+		c := parse(t, []string{"-sweep", s.Name, "-seeds", "1"})
+		got, label, err := matrix.NamedSweep(c.sweepSel, c.sweep.Seeds, false)
+		if err != nil || !strings.HasPrefix(label, s.Name+" sweep") {
+			t.Fatalf("-sweep %s: %q, %v", s.Name, label, err)
+		}
+		want, err := sweeps[s.Name]([]int64{1})
+		if err != nil || got.Len() != want.Len() || got.Cell(0).Params.ID() != want.Cell(0).Params.ID() {
+			t.Errorf("-sweep %s does not run %s's cells", s.Name, s.Name)
+		}
+	}
+	if len(names) != len(sweeps) {
+		t.Errorf("%d named sweeps, want %d", len(names), len(sweeps))
+	}
+	if want := strings.Join(names, "|"); list != want {
+		t.Errorf("-sweep help lists %q, want %q", list, want)
+	}
+	if _, _, err := matrix.NamedSweep("bogus", "1", false); err == nil || !strings.Contains(err.Error(), "(want "+list+")") {
+		t.Errorf("unknown sweep: %v", err)
+	}
+}

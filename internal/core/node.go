@@ -23,21 +23,13 @@ const (
 	ModePermissioned
 )
 
-// String implements fmt.Stringer.
-func (m Mode) String() string {
-	switch m {
-	case ModeKnownF:
-		return "bft-cup"
-	case ModeUnknownF:
-		return "bft-cupft"
-	case ModeNaive:
-		return "naive"
-	case ModePermissioned:
-		return "permissioned"
-	default:
-		return fmt.Sprintf("mode(%d)", int(m))
-	}
+// Modes spells every mode, in the order the CLI help lists them.
+var Modes = model.Names[Mode]{
+	{"bft-cup", ModeKnownF}, {"bft-cupft", ModeUnknownF}, {"naive", ModeNaive}, {"permissioned", ModePermissioned},
 }
+
+// String implements fmt.Stringer.
+func (m Mode) String() string { return model.NameOf(Modes, m, "mode") }
 
 // pollTag drives the non-member GETDECIDEDVAL loop.
 const pollTag uint64 = 2 << 40
@@ -80,12 +72,11 @@ type Config struct {
 	ProposalFor func(slot uint64) model.Value
 	// OnSlotDecided fires once per decided slot (chained mode observers).
 	OnSlotDecided func(slot uint64, v model.Value)
-	// Hardened arms the loss-tolerant protocol profile end to end:
-	// discovery retransmission backoff + delta resync and the PBFT
-	// sustained-loss behaviors (see discovery.Config.Hardened and
-	// pbft.Config.Hardened). Scenario compilation sets it whenever fault
-	// injection is active; off, the node is byte-identical to the seed
-	// protocol.
+	// Hardened arms the loss-tolerant protocol profile end to end: GETPDS
+	// backoff, PBFT decide-note replies and the capped view-timer shift (see
+	// discovery.Config.Hardened and pbft.Config.Hardened). Scenario
+	// compilation sets it whenever fault injection is active; off, the node
+	// is byte-identical to the seed protocol.
 	Hardened bool
 }
 

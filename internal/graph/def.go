@@ -3,6 +3,7 @@ package graph
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -89,34 +90,110 @@ type BuiltGraph struct {
 	Sink model.IDSet
 }
 
+// defFamily is one generated family: its kind and its fields in canonical
+// order.
+type defFamily struct {
+	kind   DefKind
+	fields []defField
+}
+
+// defField is one field of a family: its key (empty for complete's bare
+// count), the placeholder the CLI help shows, and where its value lives —
+// at returns an *int or a *float64 into the Def. An optional field is left
+// out of String unless positive and bracketed in the help.
+type defField struct {
+	key, meta string
+	optional  bool
+	at        func(*Def) any
+}
+
+// defFamilies is the one table of the generated families, by head: String
+// writes, ParseDef reads and DefUsage lists exactly these heads and fields.
+var defFamilies = model.Names[defFamily]{
+	{"complete", defFamily{DefComplete, []defField{
+		{"", "N", false, func(d *Def) any { return &d.N }}}}},
+	{"kosr", defFamily{DefKOSR, []defField{
+		{"sink", "S", false, func(d *Def) any { return &d.Sink }},
+		{"nonsink", "T", false, func(d *Def) any { return &d.NonSink }},
+		{"k", "K", false, func(d *Def) any { return &d.K }},
+		{"extra", "P", true, func(d *Def) any { return &d.ExtraEdgeP }}}}},
+	{"extended", defFamily{DefExtended, []defField{
+		{"core", "S", false, func(d *Def) any { return &d.Sink }},
+		{"noncore", "T", false, func(d *Def) any { return &d.NonSink }},
+		{"extra", "P", true, func(d *Def) any { return &d.ExtraEdgeP }}}}},
+	{"er", defFamily{DefER, []defField{
+		{"n", "N", false, func(d *Def) any { return &d.N }},
+		{"p", "P", false, func(d *Def) any { return &d.P }}}}},
+	{"geo", defFamily{DefGeo, []defField{
+		{"n", "N", false, func(d *Def) any { return &d.N }},
+		{"r", "R", false, func(d *Def) any { return &d.R }}}}},
+	{"sf", defFamily{DefSF, []defField{
+		{"n", "N", false, func(d *Def) any { return &d.N }},
+		{"m", "M", false, func(d *Def) any { return &d.M }}}}},
+}
+
+// DefUsage lists the def forms for a CLI's help: the figure range, then
+// every family's head and fields as String writes them.
+func DefUsage() string {
+	names := FigureNames()
+	forms := []string{"a figure (" + names[0] + "…" + names[len(names)-1] + ")"}
+	for _, fam := range defFamilies {
+		form := fam.Name + ":"
+		for i, f := range fam.Value.fields {
+			field := f.meta
+			if f.key != "" {
+				field = f.key + "=" + f.meta
+			}
+			if i > 0 {
+				field = "," + field
+			}
+			if f.optional {
+				field = "[" + field + "]"
+			}
+			form += field
+		}
+		forms = append(forms, form)
+	}
+	return strings.Join(forms, ", ")
+}
+
 // String renders the canonical textual form, parseable by ParseDef.
 func (d Def) String() string {
-	switch d.Kind {
-	case DefFigure:
+	if d.Kind == DefFigure {
 		return d.Figure
-	case DefComplete:
-		return fmt.Sprintf("complete:%d", d.N)
-	case DefKOSR:
-		s := fmt.Sprintf("kosr:sink=%d,nonsink=%d,k=%d", d.Sink, d.NonSink, d.K)
-		if d.ExtraEdgeP > 0 {
-			s += fmt.Sprintf(",extra=%g", d.ExtraEdgeP)
-		}
-		return s
-	case DefExtended:
-		s := fmt.Sprintf("extended:core=%d,noncore=%d", d.Sink, d.NonSink)
-		if d.ExtraEdgeP > 0 {
-			s += fmt.Sprintf(",extra=%g", d.ExtraEdgeP)
-		}
-		return s
-	case DefER:
-		return fmt.Sprintf("er:n=%d,p=%g", d.N, d.P)
-	case DefGeo:
-		return fmt.Sprintf("geo:n=%d,r=%g", d.N, d.R)
-	case DefSF:
-		return fmt.Sprintf("sf:n=%d,m=%d", d.N, d.M)
-	default:
-		return fmt.Sprintf("def(%d)", int(d.Kind))
 	}
+	return d.familyString()
+}
+
+// familyString renders a generated family's def. It is apart from String so
+// that a figure's rendering does not pay for the copy of d that handing &d
+// to the field accessors moves to the heap.
+func (d Def) familyString() string {
+	for _, fam := range defFamilies {
+		if fam.Value.kind != d.Kind {
+			continue
+		}
+		b := append(make([]byte, 0, 48), fam.Name...)
+		sep := byte(':')
+		for _, f := range fam.Value.fields {
+			at := f.at(&d)
+			if x, ok := at.(*float64); ok && f.optional && !(*x > 0) {
+				continue
+			}
+			if b = append(b, sep); f.key != "" {
+				b = append(append(b, f.key...), '=')
+			}
+			switch v := at.(type) {
+			case *int:
+				b = strconv.AppendInt(b, int64(*v), 10)
+			case *float64:
+				b = strconv.AppendFloat(b, *v, 'g', -1, 64)
+			}
+			sep = ','
+		}
+		return string(b)
+	}
+	return fmt.Sprintf("def(%d)", int(d.Kind))
 }
 
 // Validate applies the structural checks every Def is held to, parsed or
@@ -127,8 +204,8 @@ func (d Def) String() string {
 func (d Def) Validate() error {
 	switch d.Kind {
 	case DefFigure:
-		if figure(d.Figure) == nil {
-			return fmt.Errorf("graph def: unknown figure %q (figures: %s)", d.Figure, strings.Join(FigureNames(), " "))
+		if _, ok := figureTable.Lookup(d.Figure); !ok {
+			return fmt.Errorf("graph def: unknown figure %q (figures: %s)", d.Figure, figureTable.Join(" "))
 		}
 	case DefComplete:
 		if d.N < 1 {
@@ -189,71 +266,14 @@ func (d Def) BuildKey(seed int64) string {
 func ParseDef(s string) (Def, error) {
 	s = strings.TrimSpace(s)
 	head, rest, hasRest := strings.Cut(s, ":")
-	var d Def
-	var fields map[string]func(string) error
-	switch head {
-	case "complete":
-		n, err := strconv.Atoi(rest)
-		if err != nil {
-			return Def{}, fmt.Errorf("graph def %q: want complete:N with N ≥ 1", s)
-		}
-		d = Def{Kind: DefComplete, N: n}
-	case "kosr":
-		d = Def{Kind: DefKOSR}
-		fields = map[string]func(string) error{
-			"sink":    intField(&d.Sink),
-			"nonsink": intField(&d.NonSink),
-			"k":       intField(&d.K),
-			"extra":   floatField(&d.ExtraEdgeP),
-		}
-	case "extended":
-		d = Def{Kind: DefExtended}
-		fields = map[string]func(string) error{
-			"core":    intField(&d.Sink),
-			"noncore": intField(&d.NonSink),
-			"extra":   floatField(&d.ExtraEdgeP),
-		}
-	case "er":
-		d = Def{Kind: DefER}
-		fields = map[string]func(string) error{"n": intField(&d.N), "p": floatField(&d.P)}
-	case "geo":
-		d = Def{Kind: DefGeo}
-		fields = map[string]func(string) error{"n": intField(&d.N), "r": floatField(&d.R)}
-	case "sf":
-		d = Def{Kind: DefSF}
-		fields = map[string]func(string) error{"n": intField(&d.N), "m": intField(&d.M)}
-	default:
-		if !hasRest {
-			d = Def{Kind: DefFigure, Figure: head}
-			break
-		}
-		// Legacy cupsim forms random:SINK:NONSINK:F and random-ext:CORE:NONCORE
-		// stay accepted.
-		parts := strings.Split(s, ":")
-		switch {
-		case head == "random" && len(parts) == 4:
-			sink, e1 := strconv.Atoi(parts[1])
-			non, e2 := strconv.Atoi(parts[2])
-			f, e3 := strconv.Atoi(parts[3])
-			if e1 != nil || e2 != nil || e3 != nil {
-				return Def{}, fmt.Errorf("graph def %q: want random:SINK:NONSINK:F", s)
-			}
-			d = Def{Kind: DefKOSR, Sink: sink, NonSink: non, K: f + 1, ExtraEdgeP: 0.15}
-		case head == "random-ext" && len(parts) == 3:
-			core, e1 := strconv.Atoi(parts[1])
-			non, e2 := strconv.Atoi(parts[2])
-			if e1 != nil || e2 != nil {
-				return Def{}, fmt.Errorf("graph def %q: want random-ext:CORE:NONCORE", s)
-			}
-			d = Def{Kind: DefExtended, Sink: core, NonSink: non, ExtraEdgeP: 0.15}
-		default:
-			return Def{}, fmt.Errorf("unknown graph def %q", s)
-		}
-	}
-	if fields != nil {
-		if err := parseDefFields(rest, fields); err != nil {
+	d := Def{Kind: DefFigure, Figure: head}
+	if fam, ok := defFamilies.Lookup(head); ok {
+		d = Def{Kind: fam.kind}
+		if err := fam.parse(&d, head, rest); err != nil {
 			return Def{}, fmt.Errorf("graph def %q: %w", s, err)
 		}
+	} else if hasRest {
+		return Def{}, fmt.Errorf("unknown graph def %q", s)
 	}
 	if err := d.Validate(); err != nil {
 		return Def{}, err
@@ -261,46 +281,44 @@ func ParseDef(s string) (Def, error) {
 	return d, nil
 }
 
-func parseDefFields(s string, fields map[string]func(string) error) error {
-	if s == "" {
+// parse reads a family's fields from the text after its head: key=value
+// items in any order, or complete's bare count.
+func (fam defFamily) parse(d *Def, head, rest string) error {
+	if f := fam.fields[0]; f.key == "" {
+		if setField(f.at(d), rest) != nil {
+			return fmt.Errorf("want %s:%s with %s ≥ 1", head, f.meta, f.meta)
+		}
+		return nil
+	}
+	if rest == "" {
 		return fmt.Errorf("missing parameters")
 	}
-	for _, item := range strings.Split(s, ",") {
+	for _, item := range strings.Split(rest, ",") {
 		k, v, ok := strings.Cut(item, "=")
 		if !ok {
 			return fmt.Errorf("bad parameter %q (want key=value)", item)
 		}
-		set, known := fields[k]
-		if !known {
+		i := slices.IndexFunc(fam.fields, func(f defField) bool { return f.key == k })
+		if i < 0 {
 			return fmt.Errorf("unknown parameter %q", k)
 		}
-		if err := set(v); err != nil {
+		if err := setField(fam.fields[i].at(d), v); err != nil {
 			return fmt.Errorf("parameter %q: %w", item, err)
 		}
 	}
 	return nil
 }
 
-func intField(dst *int) func(string) error {
-	return func(v string) error {
-		n, err := strconv.Atoi(v)
-		if err != nil {
-			return err
-		}
-		*dst = n
-		return nil
+// setField parses v into the *int or *float64 a defField points at.
+func setField(dst any, v string) error {
+	var err error
+	switch p := dst.(type) {
+	case *int:
+		*p, err = strconv.Atoi(v)
+	case *float64:
+		*p, err = strconv.ParseFloat(v, 64)
 	}
-}
-
-func floatField(dst *float64) func(string) error {
-	return func(v string) error {
-		f, err := strconv.ParseFloat(v, 64)
-		if err != nil {
-			return err
-		}
-		*dst = f
-		return nil
-	}
+	return err
 }
 
 // Build materializes the def. The seed drives the random families; figures
@@ -308,8 +326,8 @@ func floatField(dst *float64) func(string) error {
 func (d Def) Build(seed int64) (BuiltGraph, error) {
 	switch d.Kind {
 	case DefFigure:
-		build := figure(d.Figure)
-		if build == nil {
+		build, ok := figureTable.Lookup(d.Figure)
+		if !ok {
 			return BuiltGraph{}, fmt.Errorf("unknown figure %q", d.Figure)
 		}
 		fig := build()
@@ -339,23 +357,20 @@ func (d Def) Build(seed int64) (BuiltGraph, error) {
 			return BuiltGraph{}, err
 		}
 		return BuiltGraph{G: g, F: fG, Byz: model.NewIDSet(), Sink: core}, nil
-	case DefER:
+	case DefER, DefGeo, DefSF:
 		if err := d.Validate(); err != nil {
 			return BuiltGraph{}, err
 		}
-		g := GenER(rand.New(rand.NewSource(seed)), d.N, d.P)
-		return BuiltGraph{G: g, F: (d.N - 1) / 3, Byz: model.NewIDSet()}, nil
-	case DefGeo:
-		if err := d.Validate(); err != nil {
-			return BuiltGraph{}, err
+		rng := rand.New(rand.NewSource(seed))
+		var g *Digraph
+		switch d.Kind {
+		case DefER:
+			g = GenER(rng, d.N, d.P)
+		case DefGeo:
+			g = GenGeometric(rng, d.N, d.R)
+		default:
+			g = GenScaleFree(rng, d.N, d.M)
 		}
-		g := GenGeometric(rand.New(rand.NewSource(seed)), d.N, d.R)
-		return BuiltGraph{G: g, F: (d.N - 1) / 3, Byz: model.NewIDSet()}, nil
-	case DefSF:
-		if err := d.Validate(); err != nil {
-			return BuiltGraph{}, err
-		}
-		g := GenScaleFree(rand.New(rand.NewSource(seed)), d.N, d.M)
 		return BuiltGraph{G: g, F: (d.N - 1) / 3, Byz: model.NewIDSet()}, nil
 	default:
 		return BuiltGraph{}, fmt.Errorf("unknown graph def kind %d", int(d.Kind))

@@ -12,7 +12,8 @@ import (
 // family is not built: a fuzzed size can be huge). The corpus seeds cover
 // every family's canonical form plus the boundary shapes that historically
 // bite — NaN and out-of-range floats (a naive `p < 0 || p > 1` check lets NaN
-// through), missing and unknown parameters, and the legacy colon forms.
+// through), missing and unknown parameters, and the deleted legacy colon
+// forms.
 func FuzzParseDef(f *testing.F) {
 	for _, seed := range []string{
 		"fig1b", "fig4a", "complete:7",

@@ -3,6 +3,7 @@ package graph
 import (
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 )
 
@@ -27,6 +28,27 @@ func TestParseDefRoundTrip(t *testing.T) {
 		if got != want {
 			t.Errorf("ParseDef(%q) = %+v, want %+v", want.String(), got, want)
 		}
+	}
+	// Every family's head renders, parses back and is in the CLI help; a
+	// kind without a family keeps its rendering.
+	usage := DefUsage()
+	for kind := DefComplete; kind <= DefSF; kind++ {
+		fam := Def{Kind: kind}.String()
+		head, _, _ := strings.Cut(fam, ":")
+		if got, ok := defFamilies.Lookup(head); !ok || got.kind != kind {
+			t.Errorf("kind %d renders head %q, which does not name it", kind, head)
+		}
+		if !strings.Contains(usage, head+":") {
+			t.Errorf("DefUsage %q leaves out %s", usage, head)
+		}
+	}
+	if got := (Def{Kind: DefKind(9)}).String(); got != "def(9)" {
+		t.Errorf("Def{Kind: 9} renders %q, want def(9)", got)
+	}
+	const wantUsage = "a figure (fig1a…fig4b), complete:N, kosr:sink=S,nonsink=T,k=K[,extra=P], " +
+		"extended:core=S,noncore=T[,extra=P], er:n=N,p=P, geo:n=N,r=R, sf:n=N,m=M"
+	if usage != wantUsage {
+		t.Errorf("DefUsage() = %q, want %q", usage, wantUsage)
 	}
 }
 
@@ -142,30 +164,14 @@ func TestParseDefFigures(t *testing.T) {
 		if b.G.NumNodes() == 0 {
 			t.Errorf("figure %q built empty", name)
 		}
-		fig := figure(name)()
+		build, _ := figureTable.Lookup(name)
+		fig := build()
 		if fig.Name != name {
 			t.Errorf("registry entry %q builds figure %q", name, fig.Name)
 		}
 		if b.G.String() != fig.G.String() || b.F != fig.F || !b.Byz.Equal(fig.Byz) {
 			t.Errorf("Build(%q) is not the figure of that name", name)
 		}
-	}
-}
-
-func TestParseDefLegacyForms(t *testing.T) {
-	d, err := ParseDef("random:5:3:1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d.Kind != DefKOSR || d.Sink != 5 || d.NonSink != 3 || d.K != 2 {
-		t.Errorf("random:5:3:1 parsed to %+v", d)
-	}
-	d, err = ParseDef("random-ext:5:3")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d.Kind != DefExtended || d.Sink != 5 || d.NonSink != 3 {
-		t.Errorf("random-ext:5:3 parsed to %+v", d)
 	}
 }
 
@@ -177,6 +183,8 @@ func TestParseDefErrors(t *testing.T) {
 		"er:", "er:n=0,p=0.5", "er:n=8,p=1.5", "er:n=8,p=-0.1", "er:n=8,p=NaN",
 		"er:n=8,q=0.5", "geo:", "geo:n=0,r=0.4", "geo:n=8,r=-1",
 		"geo:n=8,r=NaN", "sf:", "sf:n=8,m=0", "sf:n=8,m=9", "sf:n=8,m=x",
+		// The legacy cupsim forms are gone: kosr:… and extended:… spell them.
+		"random:5:3:1", "random-ext:5:3",
 	} {
 		if _, err := ParseDef(bad); err == nil {
 			t.Errorf("ParseDef(%q) unexpectedly succeeded", bad)

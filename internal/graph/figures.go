@@ -308,33 +308,20 @@ func CompleteGraph(ids ...model.ID) *Digraph {
 	return g
 }
 
-// figureTable is the one figure registry, sorted by name. figure,
+// figureTable is the one figure registry, sorted by name. Def's lookups,
 // FigureNames and AllFigures all read it, so a lookup builds only the figure
 // it names, and FigureNames lists exactly the figures AllFigures builds.
-var figureTable = []struct {
-	name  string
-	build func() Figure
-}{
+var figureTable = model.Names[func() Figure]{
 	{"fig1a", Fig1a}, {"fig1b", Fig1b}, {"fig2a", Fig2a}, {"fig2b", Fig2b},
 	{"fig2c", Fig2c}, {"fig3a", Fig3a}, {"fig3b", Fig3b}, {"fig4a", Fig4a},
 	{"fig4a-without-added-links", Fig4aWithoutAddedLinks}, {"fig4b", Fig4b},
-}
-
-// figure returns the named paper figure's constructor, nil if there is none.
-func figure(name string) func() Figure {
-	for _, f := range figureTable {
-		if f.name == name {
-			return f.build
-		}
-	}
-	return nil
 }
 
 // FigureNames returns the names ParseDef accepts as figures, sorted.
 func FigureNames() []string {
 	names := make([]string, len(figureTable))
 	for i, f := range figureTable {
-		names[i] = f.name
+		names[i] = f.Name
 	}
 	return names
 }
@@ -343,7 +330,7 @@ func FigureNames() []string {
 func AllFigures() []Figure {
 	figs := make([]Figure, len(figureTable))
 	for i, f := range figureTable {
-		figs[i] = f.build()
+		figs[i] = f.Value()
 	}
 	return figs
 }

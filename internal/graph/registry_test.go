@@ -23,8 +23,8 @@ func TestFigureRegistryOrder(t *testing.T) {
 		}
 	}
 	for _, name := range []string{"", "fig", "fig5", "FIG1B", "fig1b "} {
-		if figure(name) != nil {
-			t.Errorf("figure(%q) found a constructor", name)
+		if _, ok := figureTable.Lookup(name); ok {
+			t.Errorf("figureTable.Lookup(%q) found a constructor", name)
 		}
 	}
 }

@@ -5,9 +5,18 @@ import (
 	"fmt"
 	"io"
 	"os"
+
+	"github.com/bftcup/bftcup/internal/model"
 )
 
-// NamedSweep resolves one of the four named sweeps over a -seeds string to its
+// Sweeps is the one table of named sweeps, in the order the CLI help lists
+// them; the first is the CLIs' default.
+var Sweeps = model.Names[func([]int64) (CellSource, error)]{
+	{"standard", StandardSweep}, {"adversary", AdversarySweep},
+	{"probabilistic", ProbabilisticSweep}, {"chaos", ChaosSweep},
+}
+
+// NamedSweep resolves one of the named sweeps over a -seeds string to its
 // source and its report name, "(insecure)"-suffixed and switched to the
 // insecure suite when asked. experiments -matrix, sweepd's coordinator and
 // every sweepd worker build their sweep through it: the name goes into stream
@@ -18,18 +27,9 @@ func NamedSweep(name, seedsStr string, insecureSuite bool) (CellSource, string, 
 	if err != nil {
 		return nil, "", err
 	}
-	var sweep func([]int64) (CellSource, error)
-	switch name {
-	case "standard":
-		sweep = StandardSweep
-	case "adversary":
-		sweep = AdversarySweep
-	case "probabilistic":
-		sweep = ProbabilisticSweep
-	case "chaos":
-		sweep = ChaosSweep
-	default:
-		return nil, "", fmt.Errorf("unknown sweep %q (want standard|adversary|probabilistic|chaos)", name)
+	sweep, err := Sweeps.Parse("sweep", name)
+	if err != nil {
+		return nil, "", err
 	}
 	src, err := sweep(seeds)
 	if err != nil {

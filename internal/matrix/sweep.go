@@ -41,19 +41,15 @@ func Seeds(from, to int64) []int64 {
 	return out
 }
 
-// parseDefs parses graph-def strings, failing loudly on the first malformed
-// one instead of panicking deep inside a sweep definition.
-func parseDefs(specs ...string) ([]graph.Def, error) {
-	defs := make([]graph.Def, 0, len(specs))
-	for _, s := range specs {
-		d, err := graph.ParseDef(s)
-		if err != nil {
-			return nil, fmt.Errorf("sweep graph def: %w", err)
-		}
-		defs = append(defs, d)
-	}
-	return defs, nil
+// cupGraphs are the BFT-CUP graph families the standard, adversary and chaos
+// sweeps run: the paper's Fig. 1b and a planted k-OSR draw.
+var cupGraphs = []graph.Def{
+	{Kind: graph.DefFigure, Figure: "fig1b"},
+	{Kind: graph.DefKOSR, Sink: 5, NonSink: 3, K: 2, ExtraEdgeP: 0.15},
 }
+
+// syncAndPartial are the standard and adversary sweeps' network models.
+var syncAndPartial = []scenario.NetParams{{Kind: scenario.NetSync}, {Kind: scenario.NetPartial, GST: 2 * sim.Second}}
 
 // StandardSweep is the default scenario matrix of cmd/experiments -matrix:
 // each protocol family crossed with its valid graph families, the sync and
@@ -65,58 +61,27 @@ func parseDefs(specs ...string) ([]graph.Def, error) {
 //
 // The returned source is lazy: cells are materialized on demand by the
 // worker pool, so the sweep scales to arbitrary seed ranges without an
-// up-front expansion. A malformed graph def is an error, not a panic.
+// up-front expansion. An invalid axis value is an error (Axes.Source checks
+// one probe cell per value), not a panic.
 func StandardSweep(seeds []int64) (CellSource, error) {
 	if len(seeds) == 0 {
 		seeds = Seeds(1, 10)
 	}
-	cupGraphs, err := parseDefs("fig1b", "kosr:sink=5,nonsink=3,k=2,extra=0.15")
-	if err != nil {
-		return nil, err
-	}
-	cupftGraphs, err := parseDefs("fig4a", "fig4b", "extended:core=5,noncore=3,extra=0.15")
-	if err != nil {
-		return nil, err
-	}
-	permGraphs, err := parseDefs("complete:7")
-	if err != nil {
-		return nil, err
-	}
-	none := scenario.AutoByz{}
-	tailSilent := scenario.AutoByz{Kind: scenario.ByzSilent, Count: 1, Place: scenario.PlaceTail}
-	nets := []scenario.NetParams{
-		{Kind: scenario.NetSync},
-		{Kind: scenario.NetPartial, GST: 2 * sim.Second},
-	}
-	groups := []Axes{
-		{
-			Name:   "bft-cup",
-			Graphs: cupGraphs,
-			Modes:  []core.Mode{core.ModeKnownF},
-			Nets:   nets,
-			Byz:    []scenario.AutoByz{none, tailSilent},
-			Seeds:  seeds,
-		},
-		{
-			Name:   "bft-cupft",
-			Graphs: cupftGraphs,
-			Modes:  []core.Mode{core.ModeUnknownF},
-			Nets:   nets,
-			Byz:    []scenario.AutoByz{none, tailSilent},
-			Seeds:  seeds,
-		},
-		{
-			Name:   "permissioned",
-			Graphs: permGraphs,
-			Modes:  []core.Mode{core.ModePermissioned},
-			Nets:   nets,
-			Byz:    []scenario.AutoByz{none, tailSilent},
-			Seeds:  seeds,
-		},
-	}
-	srcs := make([]CellSource, 0, len(groups))
-	for _, g := range groups {
-		src, err := g.Source()
+	byz := []scenario.AutoByz{{}, {Kind: scenario.ByzSilent, Count: 1, Place: scenario.PlaceTail}}
+	var srcs []CellSource
+	for _, g := range []struct {
+		mode   core.Mode
+		graphs []graph.Def
+	}{
+		{core.ModeKnownF, cupGraphs},
+		{core.ModeUnknownF, []graph.Def{
+			{Kind: graph.DefFigure, Figure: "fig4a"}, {Kind: graph.DefFigure, Figure: "fig4b"},
+			{Kind: graph.DefExtended, Sink: 5, NonSink: 3, ExtraEdgeP: 0.15},
+		}},
+		{core.ModePermissioned, []graph.Def{{Kind: graph.DefComplete, N: 7}}},
+	} {
+		axes := Axes{Name: g.mode.String(), Graphs: g.graphs, Modes: []core.Mode{g.mode}, Nets: syncAndPartial, Byz: byz, Seeds: seeds}
+		src, err := axes.Source()
 		if err != nil {
 			return nil, err
 		}
@@ -140,14 +105,6 @@ func AdversarySweep(seeds []int64) (CellSource, error) {
 	if len(seeds) == 0 {
 		seeds = Seeds(1, 10)
 	}
-	cupGraphs, err := parseDefs("fig1b", "kosr:sink=5,nonsink=3,k=2,extra=0.15")
-	if err != nil {
-		return nil, err
-	}
-	nets := []scenario.NetParams{
-		{Kind: scenario.NetSync},
-		{Kind: scenario.NetPartial, GST: 2 * sim.Second},
-	}
 	zoo := []scenario.AutoByz{
 		{Kind: scenario.ByzDelay, Count: 1, Place: scenario.PlaceTail},
 		{Kind: scenario.ByzSelectiveSilent, Count: 1, Place: scenario.PlaceTail},
@@ -160,7 +117,7 @@ func AdversarySweep(seeds []int64) (CellSource, error) {
 		Name:   "adversary",
 		Graphs: cupGraphs,
 		Modes:  []core.Mode{core.ModeKnownF},
-		Nets:   nets,
+		Nets:   syncAndPartial,
 		Byz:    zoo,
 		Seeds:  seeds,
 	}
@@ -179,9 +136,9 @@ func AdversarySweep(seeds []int64) (CellSource, error) {
 // where they degrade to is the measurement. Cells that lose consensus under
 // injection are findings, not regressions.
 //
-// Every injected cell runs the hardened protocol profile (retransmission
-// backoff, delta resync, PBFT decide-note replies); the seed send-once
-// profile's collapse under the same injection is pinned separately by the
+// Every injected cell runs the hardened protocol profile (GETPDS backoff,
+// PBFT decide-note replies, the capped view-timer shift); the seed profile's
+// collapse under the same injection is pinned separately by the
 // scenario-level A/B regression tests.
 //
 // StandardSweep stays the untouched cross-version fingerprint anchor; this
@@ -190,10 +147,6 @@ func AdversarySweep(seeds []int64) (CellSource, error) {
 func ChaosSweep(seeds []int64) (CellSource, error) {
 	if len(seeds) == 0 {
 		seeds = Seeds(1, 3)
-	}
-	cupGraphs, err := parseDefs("fig1b", "kosr:sink=5,nonsink=3,k=2,extra=0.15")
-	if err != nil {
-		return nil, err
 	}
 	// Clean sync cells decide within a few tens of virtual milliseconds, so
 	// both disruptions start at 10ms — inside the discovery phase — or they
@@ -256,24 +209,22 @@ func ProbabilisticSweep(seeds []int64) (CellSource, error) {
 	if len(seeds) == 0 {
 		seeds = Seeds(1, 5)
 	}
-	var specs []string
-	for _, family := range []string{"er", "geo", "sf"} {
+	var defs []graph.Def
+	for _, kind := range []graph.DefKind{graph.DefER, graph.DefGeo, graph.DefSF} {
 		for _, n := range []int{12, 16, 20} {
 			for _, d := range []float64{0.15, 0.3, 0.5} {
-				switch family {
-				case "er":
-					specs = append(specs, fmt.Sprintf("er:n=%d,p=%g", n, d))
-				case "geo":
-					specs = append(specs, fmt.Sprintf("geo:n=%d,r=%g", n, d))
-				case "sf":
-					specs = append(specs, fmt.Sprintf("sf:n=%d,m=%d", n, max(1, int(d*8+0.5))))
+				def := graph.Def{Kind: kind, N: n}
+				switch kind {
+				case graph.DefER:
+					def.P = d
+				case graph.DefGeo:
+					def.R = d
+				default:
+					def.M = max(1, int(d*8+0.5))
 				}
+				defs = append(defs, def)
 			}
 		}
-	}
-	defs, err := parseDefs(specs...)
-	if err != nil {
-		return nil, err
 	}
 	axes := Axes{
 		Name:   "probabilistic",

@@ -19,7 +19,7 @@ var errPeerNotReady = errors.New("netrt: peer not started")
 type ClusterConfig struct {
 	// Transport selects the link type: "tcp" (localhost listeners, the
 	// cupd-shaped path) or "pipe" (synchronous net.Pipe links, the unit-test
-	// harness). Empty means "tcp".
+	// harness). Empty means "tcp"; NewCluster refuses any other value.
 	Transport string
 	// Seed offsets every node's RNG seed; nodes use Seed + id + 1.
 	Seed int64
@@ -43,11 +43,14 @@ type Cluster struct {
 // NewCluster builds, starts and wires one node per ID, with reactors from
 // mk. The cluster shuts down when ctx is cancelled or Stop is called.
 func NewCluster(ctx context.Context, ids []model.ID, mk func(id model.ID) rt.Reactor, cc ClusterConfig) (*Cluster, error) {
+	usePipe := cc.Transport == "pipe"
+	if !usePipe && cc.Transport != "" && cc.Transport != "tcp" {
+		return nil, fmt.Errorf("netrt: unknown transport %q (want tcp|pipe)", cc.Transport)
+	}
 	ctx, cancel := context.WithCancel(ctx)
 	c := &Cluster{Nodes: make(map[model.ID]*Node, len(ids)), ids: append([]model.ID(nil), ids...), cancel: cancel}
 
 	var listeners map[model.ID]*net.TCPListener
-	usePipe := cc.Transport == "pipe"
 	if !usePipe {
 		listeners = make(map[model.ID]*net.TCPListener, len(ids))
 		for _, id := range ids {

@@ -4,6 +4,7 @@ import (
 	"context"
 	"runtime"
 	"sort"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -82,6 +83,21 @@ func TestClusterOneStreamPerPair(t *testing.T) {
 		c.Stop()
 		if c.Rejected() != 0 || c.Dropped() != 0 {
 			t.Errorf("%s: %d streams rejected, %d sends dropped; want none", transport, c.Rejected(), c.Dropped())
+		}
+	}
+}
+
+// TestClusterUnknownTransport: only "tcp" (or empty) and "pipe" name a
+// transport; anything else is refused instead of quietly running over TCP.
+func TestClusterUnknownTransport(t *testing.T) {
+	mk := func(model.ID) rt.Reactor { return &helloAllReactor{} }
+	for _, transport := range []string{"pipes", "udp", "TCP"} {
+		c, err := NewCluster(context.Background(), eightIDs(), mk, ClusterConfig{Transport: transport})
+		if err == nil {
+			c.Stop()
+			t.Errorf("NewCluster accepted transport %q", transport)
+		} else if !strings.Contains(err.Error(), "unknown transport") {
+			t.Errorf("transport %q: error %v, want an unknown-transport error", transport, err)
 		}
 	}
 }

@@ -10,11 +10,11 @@ import (
 	"github.com/bftcup/bftcup/internal/wire"
 )
 
-// DefaultForwardCap bounds how many distinct copies of one content a process
+// ForwardCap bounds how many distinct copies of one content a process
 // re-forwards. Unbounded path flooding is exponential; a small cap preserves
 // f+1 disjoint-path delivery on the graphs the model admits while keeping the
 // baseline runnable (the original protocol pays this same flooding cost).
-const DefaultForwardCap = 8
+const ForwardCap = 8
 
 // Message is one broadcast in flight.
 type Message struct {
@@ -62,11 +62,10 @@ func keyOf(m *Message) contentKey {
 // Module is the per-process broadcast state. Forwarding follows the
 // process's (static) participant detector, as in the original protocol.
 type Module struct {
-	self       model.ID
-	pd         model.IDSet
-	f          int
-	forwardCap int
-	onDeliver  func(origin model.ID, payload []byte)
+	self      model.ID
+	pd        model.IDSet
+	f         int
+	onDeliver func(origin model.ID, payload []byte)
 
 	paths     map[contentKey][][]model.ID
 	delivered map[contentKey]bool
@@ -76,21 +75,13 @@ type Module struct {
 // New creates a module. onDeliver fires exactly once per delivered content.
 func New(self model.ID, pd model.IDSet, f int, onDeliver func(model.ID, []byte)) *Module {
 	return &Module{
-		self:       self,
-		pd:         pd.Clone(),
-		f:          f,
-		forwardCap: DefaultForwardCap,
-		onDeliver:  onDeliver,
-		paths:      make(map[contentKey][][]model.ID),
-		delivered:  make(map[contentKey]bool),
-		forwards:   make(map[contentKey]int),
-	}
-}
-
-// SetForwardCap overrides the per-content forwarding bound (tests/benches).
-func (m *Module) SetForwardCap(n int) {
-	if n > 0 {
-		m.forwardCap = n
+		self:      self,
+		pd:        pd.Clone(),
+		f:         f,
+		onDeliver: onDeliver,
+		paths:     make(map[contentKey][][]model.ID),
+		delivered: make(map[contentKey]bool),
+		forwards:  make(map[contentKey]int),
 	}
 }
 
@@ -146,7 +137,7 @@ func (m *Module) Handle(ctx rt.Context, from model.ID, payload []byte) bool {
 		}
 	}
 	// Forward with ourselves appended, within the cap.
-	if m.forwards[k] < m.forwardCap {
+	if m.forwards[k] < ForwardCap {
 		m.forwards[k]++
 		fwd := &Message{Origin: msg.Origin, Seq: msg.Seq, Payload: msg.Payload,
 			Path: append(append([]model.ID{}, msg.Path...), m.self)}

@@ -20,9 +20,10 @@ import (
 // A zero FaultParams means "no injection": the compiled scenario is
 // byte-identical to one compiled before this type existed (the fault section
 // is appended to CompileKey and labels only when set). When any fault is
-// active, protocol hardening (retransmission backoff, delta resync, PBFT
-// sustained-loss behaviors) arms automatically; Unhardened opts out, which
-// is how the A/B regression pins the seed protocol's failure under loss.
+// active, the hardened protocol profile (GETPDS backoff, PBFT decide-note
+// replies, the capped view-timer shift) arms automatically; Unhardened opts
+// out, which is how the A/B regression pins the seed protocol's failure
+// under loss.
 type FaultParams struct {
 	// Loss is the per-message drop probability in [0, 1).
 	Loss float64
@@ -35,7 +36,8 @@ type FaultParams struct {
 	Partitions []PartitionWindow
 	// Churn are scheduled crash/restart points.
 	Churn []ChurnEvent
-	// Unhardened keeps the seed (send-once) protocol profile despite active
+	// Unhardened keeps the seed protocol profile (fixed GETPDS period, no
+	// decide-note replies, view timers that keep doubling) despite active
 	// faults — the ablation arm of the hardening comparison.
 	Unhardened bool
 }

@@ -15,20 +15,7 @@ import (
 )
 
 // ParseMode parses a protocol mode's CLI name.
-func ParseMode(name string) (core.Mode, error) {
-	switch name {
-	case "bft-cup":
-		return core.ModeKnownF, nil
-	case "bft-cupft":
-		return core.ModeUnknownF, nil
-	case "naive":
-		return core.ModeNaive, nil
-	case "permissioned":
-		return core.ModePermissioned, nil
-	default:
-		return 0, fmt.Errorf("unknown mode %q (want bft-cup|bft-cupft|naive|permissioned)", name)
-	}
-}
+func ParseMode(name string) (core.Mode, error) { return core.Modes.Parse("mode", name) }
 
 // ParseByzList parses an explicit Byzantine assignment, ID[:kind]
 // comma-separated (kind defaults to silent), e.g. "4:silent,7:fake-pd".
@@ -43,12 +30,11 @@ func ParseByzList(s string) (map[model.ID]ByzSpec, error) {
 		if err != nil {
 			return nil, fmt.Errorf("bad byzantine spec %q", item)
 		}
-		if !hasKind {
-			kind = "silent"
-		}
-		var bs ByzSpec
-		if bs.Kind, err = ParseByzKind(kind); err != nil {
-			return nil, err
+		var bs ByzSpec // ByzSilent when no kind is given
+		if hasKind {
+			if bs.Kind, err = ParseByzKind(kind); err != nil {
+				return nil, err
+			}
 		}
 		out[model.ID(raw)] = bs
 	}
@@ -61,12 +47,12 @@ func ParseByzList(s string) (map[model.ID]ByzSpec, error) {
 // graph def).
 func BindFlags(fs *flag.FlagSet) func() (Params, error) {
 	var (
-		graphName = fs.String("graph", "fig1b", "graph def: a figure (fig1a…fig4b), complete:N, kosr:sink=S,nonsink=T,k=K[,extra=P], extended:core=S,noncore=T[,extra=P]")
-		modeName  = fs.String("mode", "bft-cup", "protocol: bft-cup|bft-cupft|naive|permissioned")
+		graphName = fs.String("graph", "fig1b", "graph def: "+graph.DefUsage())
+		modeName  = fs.String("mode", core.ModeKnownF.String(), "protocol: "+core.Modes.Join("|"))
 		f         = fs.Int("f", -1, "fault threshold handed to processes; -1 = the graph family's natural threshold")
-		byzFlag   = fs.String("byz", "", "byzantine processes, e.g. 4:silent,7:fake-pd,3:delay,5:collude (kinds: silent|fake-pd|equiv-pd|as-correct|delay|selective-silent|collude)")
-		netName   = fs.String("net", "sync", "network model: sync|partial|async")
-		gst       = fs.Duration("gst", 2*time.Second, "GST for -net partial (virtual)")
+		byzFlag   = fs.String("byz", "", "byzantine processes, e.g. 4:silent,7:fake-pd,3:delay,5:collude (kinds: "+ByzKinds.Join("|")+")")
+		netName   = fs.String("net", NetSync.String(), "network model: "+NetKinds.Join("|"))
+		gst       = fs.Duration("gst", time.Duration(DefaultGST), "GST for -net partial (virtual)")
 		horizon   = fs.Duration("horizon", 60*time.Second, "virtual-time horizon")
 		seed      = fs.Int64("seed", 1, "run seed: engine and reactor RNGs, keyring derivation, random graph families")
 		insecure  = fs.Bool("insecure", false, "swap Ed25519 for the insecure crypto suite (faster runs; sweep fingerprints NOT comparable with secure ones)")

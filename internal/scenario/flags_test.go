@@ -3,6 +3,7 @@ package scenario
 import (
 	"bytes"
 	"flag"
+	"fmt"
 	"io"
 	"strings"
 	"testing"
@@ -90,6 +91,33 @@ func TestBindFlagsRoundTrip(t *testing.T) {
 		back.Byz = again
 		if back.CompileKey() != got.CompileKey() {
 			t.Errorf("%v: -byz %q round-trips to a different compile key", tc.args, got.ByzLabel())
+		}
+	}
+
+	// Every declared mode, network kind and Byzantine kind: its name given to
+	// its flag parses back to it (cupsim's flag-help test checks that the
+	// help lists it); a value outside its table keeps its numeric rendering.
+	for m := core.ModeKnownF; m <= core.ModePermissioned; m++ {
+		if p, err := parseFlags(t, "-mode", m.String()); err != nil || p.Mode != m {
+			t.Errorf("-mode %s parsed to %v, %v", m, p.Mode, err)
+		}
+	}
+	for k := NetSync; k <= NetAsync; k++ {
+		if p, err := parseFlags(t, "-net", k.String()); err != nil || p.Net.Kind != k {
+			t.Errorf("-net %s parsed to %v, %v", k, p.Net.Kind, err)
+		}
+	}
+	for _, k := range allByzKinds {
+		if p, err := parseFlags(t, "-byz", "4:"+k.String()); err != nil || p.Byz[4].Kind != k {
+			t.Errorf("-byz 4:%s parsed to %v, %v", k, p.Byz, err)
+		}
+	}
+	for v, want := range map[fmt.Stringer]string{
+		core.Mode(9): "mode(9)", NetKind(9): "net(9)", ByzKind(9): "byz(9)", ByzPlace(9): "place(9)",
+		core.Mode(-1): "mode(-1)",
+	} {
+		if got := v.String(); got != want {
+			t.Errorf("out-of-range %T renders %q, want %q", v, got, want)
 		}
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+	"time"
 
 	"github.com/bftcup/bftcup/internal/core"
 	"github.com/bftcup/bftcup/internal/graph"
@@ -23,44 +24,34 @@ const (
 	NetAsync
 )
 
-// String implements fmt.Stringer.
-func (k NetKind) String() string {
-	switch k {
-	case NetSync:
-		return "sync"
-	case NetPartial:
-		return "partial"
-	case NetAsync:
-		return "async"
-	default:
-		return fmt.Sprintf("net(%d)", int(k))
-	}
+// NetKinds spells every network kind, in the order of the paper's Table I.
+var NetKinds = model.Names[NetKind]{
+	{"sync", NetSync}, {"partial", NetPartial}, {"async", NetAsync},
 }
+
+// String implements fmt.Stringer.
+func (k NetKind) String() string { return model.NameOf(NetKinds, k, "net") }
 
 // ParseNetKind parses the String form.
-func ParseNetKind(s string) (NetKind, error) {
-	switch s {
-	case "sync":
-		return NetSync, nil
-	case "partial":
-		return NetPartial, nil
-	case "async":
-		return NetAsync, nil
-	default:
-		return 0, fmt.Errorf("unknown network kind %q (want sync|partial|async)", s)
-	}
-}
+func ParseNetKind(s string) (NetKind, error) { return NetKinds.Parse("network kind", s) }
+
+// The network defaults a zero (or negative) NetParams knob stands for.
+const (
+	DefaultDelta       = 5 * sim.Millisecond
+	DefaultGST         = 2 * sim.Second
+	DefaultAsyncDelta  = 2 * sim.Second
+	DefaultAsyncFactor = 3
+)
 
 // NetParams is a pure-data description of a network model; Model builds the
-// corresponding sim.NetworkModel. Zero values pick the defaults the
-// experiment suite uses throughout.
+// corresponding sim.NetworkModel. Zero timing knobs pick the Default*
+// constants above.
 type NetParams struct {
 	// Kind selects the communication assumption.
 	Kind NetKind
 	// Delta is the post-GST (or always, for sync) delivery bound.
-	// Default 5ms.
 	Delta sim.Time
-	// GST is the global stabilization time for NetPartial. Default 2s.
+	// GST is the global stabilization time for NetPartial.
 	GST sim.Time
 	// FastGroups, when non-empty, keeps only intra-group links fast before
 	// GST (the Theorem 7 schedules). SlowTouch slows every link touching one
@@ -70,31 +61,41 @@ type NetParams struct {
 	// SlowTouch slows every link touching one of its members before GST.
 	SlowTouch model.IDSet
 	// AsyncDelta and AsyncFactor tune the adversarial scheduler.
-	// Defaults 2s / 3.
 	AsyncDelta sim.Time
 	// AsyncFactor is the delay growth factor (floored at 3).
 	AsyncFactor int64
+}
+
+// withDefaults returns np with every unset timing knob resolved to its
+// default — the one place Label and Model read the defaults from.
+func (np NetParams) withDefaults() NetParams {
+	if np.Delta <= 0 {
+		np.Delta = DefaultDelta
+	}
+	if np.GST <= 0 {
+		np.GST = DefaultGST
+	}
+	if np.AsyncDelta <= 0 {
+		np.AsyncDelta = DefaultAsyncDelta
+	}
+	if np.AsyncFactor <= 0 {
+		np.AsyncFactor = DefaultAsyncFactor
+	}
+	return np
 }
 
 // Label renders the network model with its distinguishing parameters
 // (effective defaults applied), so sweeps over GST, delta or slow-link
 // schedules stay attributable in cell IDs and per-axis statistics.
 func (np NetParams) Label() string {
-	delta := np.Delta
-	if delta <= 0 {
-		delta = 5 * sim.Millisecond
-	}
+	np = np.withDefaults()
 	deltaPart := ""
-	if delta != 5*sim.Millisecond {
-		deltaPart = ",delta=" + delta.String()
+	if np.Delta != DefaultDelta {
+		deltaPart = ",delta=" + np.Delta.String()
 	}
 	switch np.Kind {
 	case NetPartial:
-		gst := np.GST
-		if gst <= 0 {
-			gst = 2 * sim.Second
-		}
-		parts := []string{"gst=" + gst.String()}
+		parts := []string{"gst=" + np.GST.String()}
 		if deltaPart != "" {
 			parts = append(parts, deltaPart[1:])
 		}
@@ -110,18 +111,10 @@ func (np NetParams) Label() string {
 		}
 		return "partial(" + strings.Join(parts, ",") + ")"
 	case NetAsync:
-		ad := np.AsyncDelta
-		if ad <= 0 {
-			ad = 2 * sim.Second
-		}
-		f := np.AsyncFactor
-		if f <= 0 {
-			f = 3
-		}
-		if ad == 2*sim.Second && f == 3 {
+		if np.AsyncDelta == DefaultAsyncDelta && np.AsyncFactor == DefaultAsyncFactor {
 			return "async"
 		}
-		return fmt.Sprintf("async(delta=%s,factor=%d)", ad, f)
+		return fmt.Sprintf("async(delta=%s,factor=%d)", np.AsyncDelta, np.AsyncFactor)
 	default:
 		if deltaPart != "" {
 			return "sync(" + deltaPart[1:] + ")"
@@ -132,16 +125,9 @@ func (np NetParams) Label() string {
 
 // Model materializes the network model.
 func (np NetParams) Model() sim.NetworkModel {
-	delta := np.Delta
-	if delta <= 0 {
-		delta = 5 * sim.Millisecond
-	}
+	np = np.withDefaults()
 	switch np.Kind {
 	case NetPartial:
-		gst := np.GST
-		if gst <= 0 {
-			gst = 2 * sim.Second
-		}
 		slow := func(a, b model.ID) bool { return true }
 		switch {
 		case len(np.FastGroups) > 0:
@@ -149,19 +135,11 @@ func (np NetParams) Model() sim.NetworkModel {
 		case np.SlowTouch.Len() > 0:
 			slow = sim.SlowTouching(np.SlowTouch)
 		}
-		return sim.PartialSync{GST: gst, Delta: delta, Slow: slow}
+		return sim.PartialSync{GST: np.GST, Delta: np.Delta, Slow: slow}
 	case NetAsync:
-		ad := np.AsyncDelta
-		if ad <= 0 {
-			ad = 2 * sim.Second
-		}
-		f := np.AsyncFactor
-		if f <= 0 {
-			f = 3
-		}
-		return sim.AsyncAdversarial{Delta: ad, Factor: f}
+		return sim.AsyncAdversarial{Delta: np.AsyncDelta, Factor: np.AsyncFactor}
 	default:
-		return sim.Synchronous{Delta: delta}
+		return sim.Synchronous{Delta: np.Delta}
 	}
 }
 
@@ -187,59 +165,16 @@ const (
 	PlaceWorst
 )
 
-// String implements fmt.Stringer.
-func (p ByzPlace) String() string {
-	switch p {
-	case PlaceFigure:
-		return "figure"
-	case PlaceTail:
-		return "tail"
-	case PlaceSink:
-		return "sink"
-	case PlaceWorst:
-		return "worst"
-	default:
-		return fmt.Sprintf("place(%d)", int(p))
-	}
+// ByzPlaces spells every placement, in declaration order.
+var ByzPlaces = model.Names[ByzPlace]{
+	{"figure", PlaceFigure}, {"tail", PlaceTail}, {"sink", PlaceSink}, {"worst", PlaceWorst},
 }
 
-// ParseByzKind parses a ByzKind's String form.
-func ParseByzKind(s string) (ByzKind, error) {
-	switch s {
-	case "silent":
-		return ByzSilent, nil
-	case "fake-pd":
-		return ByzFakePD, nil
-	case "equiv-pd":
-		return ByzEquivPD, nil
-	case "as-correct":
-		return ByzAsCorrect, nil
-	case "delay":
-		return ByzDelay, nil
-	case "selective-silent":
-		return ByzSelectiveSilent, nil
-	case "collude":
-		return ByzCollude, nil
-	default:
-		return 0, fmt.Errorf("unknown byzantine kind %q (want silent|fake-pd|equiv-pd|as-correct|delay|selective-silent|collude)", s)
-	}
-}
+// String implements fmt.Stringer.
+func (p ByzPlace) String() string { return model.NameOf(ByzPlaces, p, "place") }
 
 // ParseByzPlace parses a ByzPlace's String form.
-func ParseByzPlace(s string) (ByzPlace, error) {
-	switch s {
-	case "figure":
-		return PlaceFigure, nil
-	case "tail":
-		return PlaceTail, nil
-	case "sink":
-		return PlaceSink, nil
-	case "worst":
-		return PlaceWorst, nil
-	default:
-		return 0, fmt.Errorf("unknown byzantine placement %q (want figure|tail|sink|worst)", s)
-	}
-}
+func ParseByzPlace(s string) (ByzPlace, error) { return ByzPlaces.Parse("byzantine placement", s) }
 
 // AutoByz places Count Byzantine processes of the given Kind according to
 // Place. The zero value means "no automatic placement".
@@ -444,20 +379,19 @@ func (p Params) Validate() error {
 		return fmt.Errorf("params %q: negative horizon %v", p.nameOrID(), p.Horizon)
 	}
 	// Net-timing knobs: zero is the documented "use the default" sentinel
-	// (Delta→5ms, GST→2s, AsyncDelta→2s, AsyncFactor→3); negatives were
-	// previously swallowed by the same default-filling and are rejected
-	// loudly instead.
+	// (withDefaults); negatives were previously swallowed by the same
+	// default-filling and are rejected loudly instead.
 	if p.Net.Delta < 0 {
-		return fmt.Errorf("params %q: negative delta %v (0 means the 5ms default)", p.nameOrID(), p.Net.Delta)
+		return fmt.Errorf("params %q: negative delta %v (0 means the %v default)", p.nameOrID(), p.Net.Delta, time.Duration(DefaultDelta))
 	}
 	if p.Net.GST < 0 {
-		return fmt.Errorf("params %q: negative GST %v (0 means the 2s default)", p.nameOrID(), p.Net.GST)
+		return fmt.Errorf("params %q: negative GST %v (0 means the %v default)", p.nameOrID(), p.Net.GST, time.Duration(DefaultGST))
 	}
 	if p.Net.AsyncDelta < 0 {
-		return fmt.Errorf("params %q: negative async delta %v (0 means the 2s default)", p.nameOrID(), p.Net.AsyncDelta)
+		return fmt.Errorf("params %q: negative async delta %v (0 means the %v default)", p.nameOrID(), p.Net.AsyncDelta, time.Duration(DefaultAsyncDelta))
 	}
 	if p.Net.AsyncFactor < 0 {
-		return fmt.Errorf("params %q: negative async factor %d (0 means the default of 3)", p.nameOrID(), p.Net.AsyncFactor)
+		return fmt.Errorf("params %q: negative async factor %d (0 means the default of %d)", p.nameOrID(), p.Net.AsyncFactor, DefaultAsyncFactor)
 	}
 	if p.Auto.Count < 0 {
 		return fmt.Errorf("params %q: negative byzantine count %d", p.nameOrID(), p.Auto.Count)

@@ -10,8 +10,6 @@
 package scenario
 
 import (
-	"fmt"
-
 	"github.com/bftcup/bftcup/internal/model"
 	"github.com/bftcup/bftcup/internal/sim"
 )
@@ -42,27 +40,17 @@ const (
 	ByzCollude
 )
 
-// String implements fmt.Stringer.
-func (k ByzKind) String() string {
-	switch k {
-	case ByzSilent:
-		return "silent"
-	case ByzFakePD:
-		return "fake-pd"
-	case ByzEquivPD:
-		return "equiv-pd"
-	case ByzAsCorrect:
-		return "as-correct"
-	case ByzDelay:
-		return "delay"
-	case ByzSelectiveSilent:
-		return "selective-silent"
-	case ByzCollude:
-		return "collude"
-	default:
-		return fmt.Sprintf("byz(%d)", int(k))
-	}
+// ByzKinds spells every Byzantine behavior, in declaration order.
+var ByzKinds = model.Names[ByzKind]{
+	{"silent", ByzSilent}, {"fake-pd", ByzFakePD}, {"equiv-pd", ByzEquivPD}, {"as-correct", ByzAsCorrect},
+	{"delay", ByzDelay}, {"selective-silent", ByzSelectiveSilent}, {"collude", ByzCollude},
 }
+
+// String implements fmt.Stringer.
+func (k ByzKind) String() string { return model.NameOf(ByzKinds, k, "byz") }
+
+// ParseByzKind parses a ByzKind's String form.
+func ParseByzKind(s string) (ByzKind, error) { return ByzKinds.Parse("byzantine kind", s) }
 
 // ByzSpec describes one Byzantine process: explicitly in Params.Byz, and in
 // Compiled.Byz with the automatic placements filled in beside the explicit

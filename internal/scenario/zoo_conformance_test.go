@@ -277,4 +277,16 @@ func TestParseAutoByz(t *testing.T) {
 			t.Fatalf("ParseAutoByz(%q) accepted", in)
 		}
 	}
+	// Every kind at every placement renders and parses back.
+	for _, kind := range allByzKinds {
+		for place := PlaceFigure; place <= PlaceWorst; place++ {
+			want := AutoByz{Kind: kind, Count: 2, Place: place}
+			if got, err := ParseAutoByz(want.String()); err != nil || got != want {
+				t.Errorf("ParseAutoByz(%q) = %+v, %v; want %+v", want.String(), got, err, want)
+			}
+		}
+	}
+	if got := (AutoByz{Kind: 9, Count: 1, Place: 9}).String(); got != "byz(9)×1@place(9)" {
+		t.Errorf("out-of-range AutoByz renders %q", got)
+	}
 }

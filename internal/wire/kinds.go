@@ -18,32 +18,17 @@ const (
 	KindRRB        byte = 11 // reachable reliable broadcast envelope (baseline)
 )
 
+// kindNames spells every kind for metrics tables.
+var kindNames = [...]string{
+	KindGetPDs: "GETPDS", KindSetPDs: "SETPDS", KindPrePrepare: "PRE-PREPARE", KindPrepare: "PREPARE",
+	KindCommit: "COMMIT", KindViewChange: "VIEW-CHANGE", KindNewView: "NEW-VIEW", KindDecideNote: "DECIDE-NOTE",
+	KindGetDecided: "GETDECIDEDVAL", KindDecided: "DECIDEDVAL", KindRRB: "RRB",
+}
+
 // KindName returns a human-readable name for metrics tables.
 func KindName(k byte) string {
-	switch k {
-	case KindGetPDs:
-		return "GETPDS"
-	case KindSetPDs:
-		return "SETPDS"
-	case KindPrePrepare:
-		return "PRE-PREPARE"
-	case KindPrepare:
-		return "PREPARE"
-	case KindCommit:
-		return "COMMIT"
-	case KindViewChange:
-		return "VIEW-CHANGE"
-	case KindNewView:
-		return "NEW-VIEW"
-	case KindDecideNote:
-		return "DECIDE-NOTE"
-	case KindGetDecided:
-		return "GETDECIDEDVAL"
-	case KindDecided:
-		return "DECIDEDVAL"
-	case KindRRB:
-		return "RRB"
-	default:
-		return "UNKNOWN"
+	if int(k) < len(kindNames) && kindNames[k] != "" {
+		return kindNames[k]
 	}
+	return "UNKNOWN"
 }
