@@ -183,11 +183,25 @@ func TestParseDefErrors(t *testing.T) {
 		"er:", "er:n=0,p=0.5", "er:n=8,p=1.5", "er:n=8,p=-0.1", "er:n=8,p=NaN",
 		"er:n=8,q=0.5", "geo:", "geo:n=0,r=0.4", "geo:n=8,r=-1",
 		"geo:n=8,r=NaN", "sf:", "sf:n=8,m=0", "sf:n=8,m=9", "sf:n=8,m=x",
-		// The legacy cupsim forms are gone: kosr:… and extended:… spell them.
-		"random:5:3:1", "random-ext:5:3",
 	} {
 		if _, err := ParseDef(bad); err == nil {
 			t.Errorf("ParseDef(%q) unexpectedly succeeded", bad)
+		}
+	}
+}
+
+// TestParseDefLegacyForms pins that the old cupsim forms are refused and
+// that the kosr:… and extended:… spellings of the same graphs parse.
+func TestParseDefLegacyForms(t *testing.T) {
+	for _, c := range []struct{ legacy, canonical string }{
+		{"random:5:3:1", "kosr:sink=5,nonsink=3,k=2"},
+		{"random-ext:5:3", "extended:core=5,noncore=3"},
+	} {
+		if _, err := ParseDef(c.legacy); err == nil {
+			t.Errorf("ParseDef(%q) unexpectedly succeeded", c.legacy)
+		}
+		if _, err := ParseDef(c.canonical); err != nil {
+			t.Errorf("ParseDef(%q): %v", c.canonical, err)
 		}
 	}
 }
