@@ -2,9 +2,8 @@ package bftcup
 
 // The benchmark harness regenerates every table and figure of the paper
 // (virtual time, message and byte counts on the deterministic simulator) and
-// adds the extension measurements DESIGN.md calls out: authenticated vs
-// unauthenticated dissemination, delta-gossip ablation, search and signature
-// micro-benchmarks, and protocol scaling sweeps.
+// adds the extension measurements DESIGN.md calls out: search and signature
+// micro-benchmarks and protocol scaling sweeps.
 //
 // Absolute wall-clock numbers measure this simulator, not the authors'
 // testbed; the reproduced shape is the pattern of ✓/✗ verdicts, the relative
@@ -17,12 +16,10 @@ import (
 
 	"github.com/bftcup/bftcup/internal/core"
 	"github.com/bftcup/bftcup/internal/cryptox"
-	"github.com/bftcup/bftcup/internal/discovery"
 	"github.com/bftcup/bftcup/internal/graph"
 	"github.com/bftcup/bftcup/internal/kosr"
 	"github.com/bftcup/bftcup/internal/matrix"
 	"github.com/bftcup/bftcup/internal/model"
-	"github.com/bftcup/bftcup/internal/rrbcast"
 	"github.com/bftcup/bftcup/internal/scenario"
 	"github.com/bftcup/bftcup/internal/sim"
 )
@@ -362,167 +359,6 @@ func BenchmarkScalingCUPFT(b *testing.B) {
 		}
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
 			runScenario(b, p, true)
-		})
-	}
-}
-
-// --- authenticated vs unauthenticated dissemination (Section III's claim) --
-
-// authDisc runs signed-gossip discovery (Algorithm 1) until every correct
-// sink member holds every other correct sink member's PD.
-type authDiscNode struct{ mod *discovery.Module }
-
-func (n *authDiscNode) Init(ctx sim.Context) { n.mod.Start(ctx) }
-func (n *authDiscNode) Receive(ctx sim.Context, from model.ID, payload []byte) {
-	n.mod.Handle(ctx, from, payload)
-}
-func (n *authDiscNode) Timer(ctx sim.Context, tag uint64) { n.mod.HandleTimer(ctx, tag) }
-
-type rrbDiscNode struct {
-	mod     *rrbcast.Module
-	payload []byte
-}
-
-func (n *rrbDiscNode) Init(ctx sim.Context) { n.mod.Broadcast(ctx, 0, n.payload) }
-func (n *rrbDiscNode) Receive(ctx sim.Context, from model.ID, payload []byte) {
-	n.mod.Handle(ctx, from, payload)
-}
-func (n *rrbDiscNode) Timer(sim.Context, uint64) {}
-
-// BenchmarkAuthVsUnauthDissemination quantifies the paper's simplification:
-// disseminating every correct sink member's PD to every other on Fig 1b,
-// with signatures (trust any relay) vs without (wait for > f node-disjoint
-// paths). Compare msgs/run and wirebytes/run across the two sub-benchmarks.
-func BenchmarkAuthVsUnauthDissemination(b *testing.B) {
-	fig := graph.Fig1b()
-	sinkIDs := fig.ExpectedSink.Sorted()
-
-	b.Run("authenticated", func(b *testing.B) {
-		var msgs, bytes int64
-		for i := 0; i < b.N; i++ {
-			signers, reg, err := cryptox.GenerateKeys(1, fig.G.Nodes())
-			if err != nil {
-				b.Fatal(err)
-			}
-			engine := sim.NewEngine(sim.Synchronous{Delta: 5 * sim.Millisecond}, 1)
-			nodes := make(map[model.ID]*authDiscNode)
-			for _, id := range fig.G.Nodes() {
-				nd := &authDiscNode{mod: discovery.New(
-					discovery.NewSignedPD(signers[id], fig.G.OutSet(id).Clone()), reg, discovery.DefaultConfig(), nil)}
-				nodes[id] = nd
-				if err := engine.AddProcess(id, nd); err != nil {
-					b.Fatal(err)
-				}
-				if fig.Byz.Has(id) {
-					engine.Crash(id)
-				}
-			}
-			done := func() bool {
-				for _, a := range sinkIDs {
-					v := nodes[a].mod.View()
-					for _, c := range sinkIDs {
-						if _, ok := v.PD[c]; !ok {
-							return false
-						}
-					}
-				}
-				return true
-			}
-			if !engine.RunUntil(done, 30*sim.Second) {
-				b.Fatal("authenticated dissemination did not converge")
-			}
-			msgs, bytes = engine.Metrics().Messages, engine.Metrics().Bytes
-		}
-		b.ReportMetric(float64(msgs), "msgs/run")
-		b.ReportMetric(float64(bytes), "wirebytes/run")
-	})
-
-	b.Run("unauthenticated-rrbcast", func(b *testing.B) {
-		var msgs, bytes int64
-		for i := 0; i < b.N; i++ {
-			engine := sim.NewEngine(sim.Synchronous{Delta: 5 * sim.Millisecond}, 1)
-			delivered := make(map[model.ID]model.IDSet)
-			for _, id := range fig.G.Nodes() {
-				id := id
-				delivered[id] = model.NewIDSet()
-				mod := rrbcast.New(id, fig.G.OutSet(id).Clone(), fig.F, func(origin model.ID, _ []byte) {
-					delivered[id].Add(origin)
-				})
-				nd := &rrbDiscNode{mod: mod, payload: discovery.Canonical(id, fig.G.OutSet(id).Clone())}
-				if err := engine.AddProcess(id, nd); err != nil {
-					b.Fatal(err)
-				}
-				if fig.Byz.Has(id) {
-					engine.Crash(id)
-				}
-			}
-			done := func() bool {
-				for _, a := range sinkIDs {
-					for _, c := range sinkIDs {
-						if a != c && !delivered[a].Has(c) {
-							return false
-						}
-					}
-				}
-				return true
-			}
-			if !engine.RunUntil(done, 30*sim.Second) {
-				b.Fatal("rrbcast dissemination did not converge")
-			}
-			msgs, bytes = engine.Metrics().Messages, engine.Metrics().Bytes
-		}
-		b.ReportMetric(float64(msgs), "msgs/run")
-		b.ReportMetric(float64(bytes), "wirebytes/run")
-	})
-}
-
-// BenchmarkDeltaGossip is the ablation of DESIGN.md E-X3: paper-faithful
-// full-set SETPDS vs delta gossip over one second of steady-state virtual
-// time on Fig 1b (the periodic task keeps running after convergence, which
-// is where the full-set re-transmission cost accumulates).
-func BenchmarkDeltaGossip(b *testing.B) {
-	fig := graph.Fig1b()
-	for _, delta := range []bool{false, true} {
-		delta := delta
-		name := "full-set"
-		if delta {
-			name = "delta"
-		}
-		b.Run(name, func(b *testing.B) {
-			var msgs, bytes int64
-			for i := 0; i < b.N; i++ {
-				signers, reg, err := cryptox.GenerateKeys(1, fig.G.Nodes())
-				if err != nil {
-					b.Fatal(err)
-				}
-				engine := sim.NewEngine(sim.Synchronous{Delta: 5 * sim.Millisecond}, 1)
-				cfg := discovery.DefaultConfig()
-				cfg.Delta = delta
-				nodes := make(map[model.ID]*authDiscNode)
-				for _, id := range fig.G.Nodes() {
-					nd := &authDiscNode{mod: discovery.New(
-						discovery.NewSignedPD(signers[id], fig.G.OutSet(id).Clone()), reg, cfg, nil)}
-					nodes[id] = nd
-					if err := engine.AddProcess(id, nd); err != nil {
-						b.Fatal(err)
-					}
-					if fig.Byz.Has(id) {
-						engine.Crash(id)
-					}
-				}
-				engine.Run(sim.Second)
-				for _, a := range fig.ExpectedSink.Sorted() {
-					v := nodes[a].mod.View()
-					for _, c := range fig.ExpectedSink.Sorted() {
-						if _, ok := v.PD[c]; !ok {
-							b.Fatal("gossip did not converge")
-						}
-					}
-				}
-				msgs, bytes = engine.Metrics().Messages, engine.Metrics().Bytes
-			}
-			b.ReportMetric(float64(msgs), "msgs/run")
-			b.ReportMetric(float64(bytes), "wirebytes/run")
 		})
 	}
 }

@@ -28,35 +28,59 @@ import (
 )
 
 func main() {
-	var (
-		kind    = flag.String("kind", "kosr", "generator: kosr|extended (ignored with -fig)")
-		figName = flag.String("fig", "", "validate a paper figure instead of generating")
-		sink    = flag.Int("sink", 5, "sink/core size")
-		nonsink = flag.Int("nonsink", 3, "non-sink/non-core size")
-		f       = flag.Int("f", 1, "fault threshold for validation")
-		byzFlag = flag.String("byz", "", "byzantine nodes for validation, e.g. 4 or 4,9")
-		seed    = flag.Int64("seed", 1, "generator seed")
-		extraP  = flag.Float64("extra", 0.15, "extra-edge probability")
-		emit    = flag.Bool("emit", false, "print only the matrix-consumable graph def and exit")
-	)
-	flag.Parse()
+	ok, err := run(os.Args[1:], os.Stdout)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "graphgen:", err)
+		os.Exit(2)
+	}
+	if !ok {
+		os.Exit(1)
+	}
+}
 
+// run parses args and writes the def (-emit) or the full report to w. Every
+// usage error is returned before anything is written; ok is false when the
+// graph satisfies neither model's requirements.
+func run(args []string, w io.Writer) (ok bool, err error) {
+	fs := flag.NewFlagSet(os.Args[0], flag.ExitOnError)
+	var (
+		kind    = fs.String("kind", "kosr", "generator: kosr|extended (ignored with -fig)")
+		figName = fs.String("fig", "", "validate a paper figure instead of generating")
+		sink    = fs.Int("sink", 5, "sink/core size")
+		nonsink = fs.Int("nonsink", 3, "non-sink/non-core size")
+		f       = fs.Int("f", 1, "fault threshold for validation")
+		byzFlag = fs.String("byz", "", "byzantine nodes for validation, e.g. 4 or 4,9")
+		seed    = fs.Int64("seed", 1, "generator seed")
+		extraP  = fs.Float64("extra", 0.15, "extra-edge probability")
+		emit    = fs.Bool("emit", false, "print only the matrix-consumable graph def and exit")
+	)
+	if err := fs.Parse(args); err != nil {
+		return false, err
+	}
+	if *f < 0 {
+		return false, fmt.Errorf("-f %d: the fault threshold must be ≥ 0", *f)
+	}
 	def, err := buildDef(*kind, *figName, *sink, *nonsink, *f, *extraP)
 	if err != nil {
-		fail(err)
+		return false, err
 	}
 	if *emit {
-		fmt.Println(def.String())
-		return
+		fmt.Fprintln(w, def.String())
+		return true, nil
 	}
 
 	byz, err := parseByzIDs(*byzFlag)
 	if err != nil {
-		fail(err)
+		return false, err
 	}
 	built, err := def.Build(*seed)
 	if err != nil {
-		fail(err)
+		return false, err
+	}
+	for _, id := range byz.Sorted() {
+		if !built.G.HasNode(id) {
+			return false, fmt.Errorf("-byz names %v, which is not a node of the graph", id)
+		}
 	}
 	fEff := *f
 	if def.Kind == graph.DefFigure {
@@ -65,29 +89,30 @@ func main() {
 		if byz.Len() == 0 {
 			byz = built.Byz
 		}
-		if !flagSet("f") {
+		fSet := false
+		fs.Visit(func(fl *flag.Flag) { fSet = fSet || fl.Name == "f" })
+		if !fSet {
 			fEff = built.F
 		}
 	}
-
-	ok := report(os.Stdout, def, built.G, byz, fEff, *seed)
-	if !ok {
-		os.Exit(1)
-	}
+	return report(w, def, built.G, byz, fEff, *seed), nil
 }
 
-// buildDef maps the generator flags onto a graph def.
+// buildDef maps the generator flags onto a graph def and validates it, so a
+// def graphgen prints is one ParseDef accepts.
 func buildDef(kind, figName string, sink, nonsink, f int, extraP float64) (graph.Def, error) {
+	var def graph.Def
 	switch {
 	case figName != "":
 		return graph.ParseDef(figName)
 	case kind == "kosr":
-		return graph.Def{Kind: graph.DefKOSR, Sink: sink, NonSink: nonsink, K: f + 1, ExtraEdgeP: extraP}, nil
+		def = graph.Def{Kind: graph.DefKOSR, Sink: sink, NonSink: nonsink, K: f + 1, ExtraEdgeP: extraP}
 	case kind == "extended":
-		return graph.Def{Kind: graph.DefExtended, Sink: sink, NonSink: nonsink, ExtraEdgeP: extraP}, nil
+		def = graph.Def{Kind: graph.DefExtended, Sink: sink, NonSink: nonsink, ExtraEdgeP: extraP}
 	default:
 		return graph.Def{}, fmt.Errorf("unknown kind %q", kind)
 	}
+	return def, def.Validate()
 }
 
 func parseByzIDs(s string) (model.IDSet, error) {
@@ -146,19 +171,4 @@ func report(w io.Writer, def graph.Def, g *graph.Digraph, byz model.IDSet, f int
 		}
 	}
 	return cup.OK || ft.OK
-}
-
-func flagSet(name string) bool {
-	set := false
-	flag.Visit(func(fl *flag.Flag) {
-		if fl.Name == name {
-			set = true
-		}
-	})
-	return set
-}
-
-func fail(err error) {
-	fmt.Fprintln(os.Stderr, "graphgen:", err)
-	os.Exit(2)
 }

@@ -163,3 +163,69 @@ func TestReportWorstPlacement(t *testing.T) {
 		}
 	}
 }
+
+// TestRunRefusesBadFlags holds graphgen to the defs the rest of the tool
+// chain accepts: a def out of Validate's ranges, a negative fault threshold
+// or a -byz ID outside the graph is a usage error, and nothing is printed —
+// neither a report nor an -emit def that ParseDef would refuse.
+func TestRunRefusesBadFlags(t *testing.T) {
+	for _, c := range []struct {
+		args []string
+		err  string
+	}{
+		{[]string{"-nonsink", "-2"}, "nonsink ≥ 0"},
+		{[]string{"-nonsink", "-2", "-emit"}, "nonsink ≥ 0"},
+		{[]string{"-extra", "3"}, "0 ≤ extra ≤ 1"},
+		{[]string{"-extra", "-1"}, "0 ≤ extra ≤ 1"},
+		{[]string{"-kind", "extended", "-extra", "-1", "-emit"}, "0 ≤ extra ≤ 1"},
+		{[]string{"-f", "-1"}, "must be ≥ 0"},
+		{[]string{"-fig", "fig1b", "-f", "-1"}, "must be ≥ 0"},
+		{[]string{"-byz", "99"}, "p99, which is not a node"},
+		{[]string{"-fig", "fig1b", "-byz", "4,99"}, "p99, which is not a node"},
+	} {
+		var out strings.Builder
+		_, err := run(c.args, &out)
+		if err == nil || !strings.Contains(err.Error(), c.err) {
+			t.Errorf("%v: err = %v, want one containing %q", c.args, err, c.err)
+		}
+		if out.Len() != 0 {
+			t.Errorf("%v: printed %q before refusing", c.args, out.String())
+		}
+	}
+}
+
+// TestRunEmitParses: what -emit prints for accepted flags is a def ParseDef
+// takes back unchanged, and a figure's report uses the figure's Byzantine set
+// and f unless the flags name their own.
+func TestRunEmitParses(t *testing.T) {
+	for _, args := range [][]string{
+		{"-emit"},
+		{"-kind", "extended", "-sink", "6", "-nonsink", "0", "-extra", "1", "-emit"},
+		{"-f", "0", "-extra", "0", "-emit"},
+	} {
+		var out strings.Builder
+		if ok, err := run(args, &out); err != nil || !ok {
+			t.Fatalf("%v: ok=%v err=%v", args, ok, err)
+		}
+		emitted := strings.TrimSuffix(out.String(), "\n")
+		def, err := graph.ParseDef(emitted)
+		if err != nil || def.String() != emitted {
+			t.Fatalf("%v: emitted %q parses to %q, %v", args, emitted, def.String(), err)
+		}
+	}
+	for _, c := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-fig", "fig1b"}, "byz={p4}, f=1\n"},
+		{[]string{"-fig", "fig1b", "-byz", "1", "-f", "2"}, "byz={p1}, f=2\n"},
+	} {
+		var out strings.Builder
+		if _, err := run(c.args, &out); err != nil {
+			t.Fatalf("%v: %v", c.args, err)
+		}
+		if !strings.Contains(out.String(), c.want) {
+			t.Fatalf("%v: report lacks %q:\n%s", c.args, c.want, out.String())
+		}
+	}
+}

@@ -58,25 +58,14 @@ func (r SignedPD) marshal(w *wire.Writer) {
 type Config struct {
 	// Period between GETPDS rounds (Algorithm 1, line 2).
 	Period rt.Time
-	// Delta enables the delta-gossip ablation: SETPDS carries only records
-	// the sender has not previously sent to that peer, instead of the
-	// paper-faithful full S_PD.
-	Delta bool
 	// Hardened enables the loss-tolerant retransmission profile for chaos
-	// runs. Two changes, both trace-neutral when every round's view keeps
-	// growing on schedule (i.e. on loss-free networks the flag is only
-	// armed for fault scenarios, keeping baseline traces byte-identical):
-	//
-	//   - The GETPDS round period backs off exponentially (with RNG jitter,
-	//     so synchronized senders desynchronize) up to 8×Period while the
-	//     local view is unchanged, and snaps back to Period on growth —
-	//     retransmission keeps probing a lossy network without the seed's
-	//     fixed-cadence message volume exploding.
-	//   - In delta mode the per-peer sentTo sets are cleared at
-	//     exponentially spaced rounds (4, 8, 16, …): a full resync that
-	//     retransmits every record. Without it a SETPDS lost in transit
-	//     loses its records forever — sendRecords marks owners as sent at
-	//     send time, so delta gossip is at-most-once per (peer, record).
+	// runs: the GETPDS round period backs off exponentially (with RNG
+	// jitter, so synchronized senders desynchronize) up to 8×Period while
+	// the local view is unchanged, and snaps back to Period on growth —
+	// retransmission keeps probing a lossy network without the seed's
+	// fixed-cadence message volume exploding. It is trace-neutral while
+	// every round's view keeps growing on schedule; the flag is only armed
+	// for fault scenarios, keeping baseline traces byte-identical.
 	Hardened bool
 }
 
@@ -106,7 +95,6 @@ type Module struct {
 	cfg      Config
 	view     *kosr.View
 	records  map[model.ID]SignedPD
-	sentTo   map[model.ID]model.IDSet // delta mode: record owners already sent per peer
 	onUpdate func()
 	started  bool
 
@@ -125,12 +113,9 @@ type Module struct {
 	lastSetPDs [][]byte
 
 	// Hardened-mode retransmission state: rounds since the view last grew
-	// (drives the backoff), the view size last observed, the round counter
-	// and the next full-resync round (delta mode).
+	// (drives the backoff) and the view size last observed.
 	idleRounds int
 	lastSize   int
-	roundNum   int
-	nextResync int
 }
 
 // New creates a discovery module. ownRecord is this process's signed PD
@@ -158,7 +143,6 @@ func New(ownRecord SignedPD, verifier cryptox.Verifier, cfg Config, onUpdate fun
 		cfg:      cfg,
 		view:     v,
 		records:  map[model.ID]SignedPD{ownRecord.Owner: ownRecord},
-		sentTo:   make(map[model.ID]model.IDSet),
 		onUpdate: onUpdate,
 		owners:   []model.ID{ownRecord.Owner},
 	}
@@ -168,18 +152,6 @@ func New(ownRecord SignedPD, verifier cryptox.Verifier, cfg Config, onUpdate fun
 // View exposes the module's current knowledge for the Sink/Core searches.
 // Callers must not mutate it.
 func (m *Module) View() *kosr.View { return m.view }
-
-// Records returns a copy of the signed records collected so far (used by the
-// Byzantine relay behaviors and by tests). Callers own the returned map;
-// mutating it cannot alias module state. Hot paths that only need ordered
-// iteration should use AppendOtherRecords instead.
-func (m *Module) Records() map[model.ID]SignedPD {
-	out := make(map[model.ID]SignedPD, len(m.records))
-	for id, rec := range m.records {
-		out[id] = rec
-	}
-	return out
-}
 
 // AppendOtherRecords appends every collected record except the module owner's
 // own to buf, in ascending owner order, and returns the extended slice. The
@@ -233,18 +205,6 @@ func (m *Module) Resume(ctx rt.Context) {
 var getPDsPayload = []byte{wire.KindGetPDs}
 
 func (m *Module) round(ctx rt.Context) {
-	if m.cfg.Hardened && m.cfg.Delta {
-		m.roundNum++
-		if m.nextResync == 0 {
-			m.nextResync = 4
-		}
-		if m.roundNum >= m.nextResync {
-			// Full resync: forget what was sent so every record is
-			// retransmitted — the recovery path for SETPDS lost in transit.
-			clear(m.sentTo)
-			m.nextResync = m.roundNum * 2
-		}
-	}
 	if m.recipients == nil {
 		m.recipients = m.view.Known.Sorted()
 	}
@@ -302,41 +262,18 @@ func (m *Module) Handle(ctx rt.Context, from model.ID, payload []byte) bool {
 }
 
 // sendRecords answers a GETPDS request (line 3): send S_PD to the requester.
-// In full-set mode the encoded payload is identical for every requester
-// until a new record arrives, so it is built once and the one slice sent to
-// all of them; being handed over, it is replaced then, never rebuilt in place.
+// The encoded payload is identical for every requester until a new record
+// arrives, so it is built once and the one slice sent to all of them; being
+// handed over, it is replaced then, never rebuilt in place.
 func (m *Module) sendRecords(ctx rt.Context, to model.ID) {
-	if !m.cfg.Delta {
-		if m.encoded == nil {
-			recs := make([]SignedPD, 0, len(m.owners))
-			for _, owner := range m.owners {
-				recs = append(recs, m.records[owner])
-			}
-			m.encoded = EncodeSetPDs(recs)
+	if m.encoded == nil {
+		recs := make([]SignedPD, 0, len(m.owners))
+		for _, owner := range m.owners {
+			recs = append(recs, m.records[owner])
 		}
-		ctx.Send(to, m.encoded)
-		return
+		m.encoded = EncodeSetPDs(recs)
 	}
-	sent := m.sentTo[to]
-	if sent == nil {
-		sent = model.NewIDSet()
-		m.sentTo[to] = sent
-	}
-	var owners []model.ID
-	for _, owner := range m.owners {
-		if !sent.Has(owner) {
-			owners = append(owners, owner)
-			sent.Add(owner)
-		}
-	}
-	if len(owners) == 0 {
-		return
-	}
-	recs := make([]SignedPD, 0, len(owners))
-	for _, owner := range owners {
-		recs = append(recs, m.records[owner])
-	}
-	ctx.Send(to, EncodeSetPDs(recs))
+	ctx.Send(to, m.encoded)
 }
 
 // EncodeSetPDs builds a ⟨SETPDS, records⟩ payload. Exported so Byzantine

@@ -26,7 +26,7 @@ func (n *discNode) Receive(ctx sim.Context, from model.ID, payload []byte) {
 }
 func (n *discNode) Timer(ctx sim.Context, tag uint64) { n.mod.HandleTimer(ctx, tag) }
 
-func buildNetwork(t *testing.T, g *graph.Digraph, netmod sim.NetworkModel, silent model.IDSet, delta bool) (map[model.ID]*discNode, *sim.Engine) {
+func buildNetwork(t *testing.T, g *graph.Digraph, netmod sim.NetworkModel, silent model.IDSet) (map[model.ID]*discNode, *sim.Engine) {
 	t.Helper()
 	ids := g.Nodes()
 	signers, reg, err := cryptox.GenerateKeys(1, ids)
@@ -39,10 +39,8 @@ func buildNetwork(t *testing.T, g *graph.Digraph, netmod sim.NetworkModel, silen
 		if silent.Has(id) {
 			engine.Crash(id)
 		}
-		cfg := DefaultConfig()
-		cfg.Delta = delta
 		rec := NewSignedPD(signers[id], g.OutSet(id).Clone())
-		n := &discNode{mod: New(rec, reg, cfg, nil)}
+		n := &discNode{mod: New(rec, reg, DefaultConfig(), nil)}
 		nodes[id] = n
 		if err := engine.AddProcess(id, n); err != nil {
 			t.Fatal(err)
@@ -55,21 +53,19 @@ func buildNetwork(t *testing.T, g *graph.Digraph, netmod sim.NetworkModel, silen
 // sink members and receives their PDs.
 func TestTheorem2Fig1b(t *testing.T) {
 	fig := graph.Fig1b()
-	for _, delta := range []bool{false, true} {
-		nodes, engine := buildNetwork(t, fig.G, sim.Synchronous{Delta: 5 * sim.Millisecond}, fig.Byz, delta)
-		engine.Run(2 * sim.Second)
-		for id, n := range nodes {
-			if fig.Byz.Has(id) {
-				continue
+	nodes, engine := buildNetwork(t, fig.G, sim.Synchronous{Delta: 5 * sim.Millisecond}, fig.Byz)
+	engine.Run(2 * sim.Second)
+	for id, n := range nodes {
+		if fig.Byz.Has(id) {
+			continue
+		}
+		v := n.mod.View()
+		for _, s := range fig.ExpectedSink.Sorted() {
+			if !v.Known.Has(s) {
+				t.Fatalf("%v never discovered sink member %v", id, s)
 			}
-			v := n.mod.View()
-			for _, s := range fig.ExpectedSink.Sorted() {
-				if !v.Known.Has(s) {
-					t.Fatalf("delta=%v: %v never discovered sink member %v", delta, id, s)
-				}
-				if _, ok := v.PD[s]; !ok {
-					t.Fatalf("delta=%v: %v never received PD of sink member %v", delta, id, s)
-				}
+			if _, ok := v.PD[s]; !ok {
+				t.Fatalf("%v never received PD of sink member %v", id, s)
 			}
 		}
 	}
@@ -79,7 +75,7 @@ func TestTheorem2Fig1b(t *testing.T) {
 // learn of each other (the caption's impossibility narrative).
 func TestFig1aIslandsStayIsolated(t *testing.T) {
 	fig := graph.Fig1a()
-	nodes, engine := buildNetwork(t, fig.G, sim.Synchronous{Delta: 5 * sim.Millisecond}, fig.Byz, false)
+	nodes, engine := buildNetwork(t, fig.G, sim.Synchronous{Delta: 5 * sim.Millisecond}, fig.Byz)
 	engine.Run(2 * sim.Second)
 	left := model.NewIDSet(1, 2, 3)
 	right := model.NewIDSet(5, 6, 7, 8)
@@ -263,56 +259,38 @@ func TestMalformedPayloadIgnored(t *testing.T) {
 	}
 }
 
-// Delta gossip must converge to the same knowledge with fewer bytes.
-func TestDeltaGossipConvergesCheaper(t *testing.T) {
-	fig := graph.Fig1b()
-	run := func(delta bool) (int64, map[model.ID]*discNode) {
-		nodes, engine := buildNetwork(t, fig.G, sim.Synchronous{Delta: 5 * sim.Millisecond}, fig.Byz, delta)
-		engine.Run(2 * sim.Second)
-		return engine.Metrics().Bytes, nodes
-	}
-	fullBytes, fullNodes := run(false)
-	deltaBytes, deltaNodes := run(true)
-	for id, n := range deltaNodes {
-		if fig.Byz.Has(id) {
-			continue
-		}
-		if !n.mod.View().Known.Equal(fullNodes[id].mod.View().Known) {
-			t.Fatalf("delta and full gossip disagree on S_known for %v", id)
-		}
-	}
-	if deltaBytes >= fullBytes {
-		t.Fatalf("delta gossip should use fewer bytes: delta=%d full=%d", deltaBytes, fullBytes)
-	}
-}
-
-// TestRecordsReturnsCopy is the regression test for the internal-map leak:
-// Records() must hand back a snapshot the caller owns, so deleting or
-// overwriting entries cannot corrupt the module's verified-record store.
+// TestRecordsReturnsCopy is the regression test for the internal-map leak,
+// on the one record accessor: AppendOtherRecords appends after what buf
+// holds, in ascending owner order and without the module's own record, and
+// the caller owns what it gets back — overwriting the returned entries
+// cannot corrupt the module's verified-record store.
 func TestRecordsReturnsCopy(t *testing.T) {
-	signers, reg, err := cryptox.GenerateKeys(1, []model.ID{1, 2})
+	signers, reg, err := cryptox.GenerateKeys(1, []model.ID{1, 2, 3})
 	if err != nil {
 		t.Fatal(err)
 	}
 	mod := New(NewSignedPD(signers[1], model.NewIDSet(2)), reg, DefaultConfig(), nil)
-	other := NewSignedPD(signers[2], model.NewIDSet(1))
 	w := wire.NewWriter()
 	w.Byte(wire.KindSetPDs)
-	w.Uvarint(1)
-	other.marshal(w)
+	w.Uvarint(2)
+	NewSignedPD(signers[3], model.NewIDSet(1)).marshal(w)
+	NewSignedPD(signers[2], model.NewIDSet(1)).marshal(w)
 	mod.receiveRecords(9, w.Bytes())
 
-	snap := mod.Records()
-	if len(snap) != 2 {
-		t.Fatalf("snapshot has %d records, want 2", len(snap))
+	got := mod.AppendOtherRecords([]SignedPD{{Owner: 7}})
+	var owners []model.ID
+	for _, rec := range got {
+		owners = append(owners, rec.Owner)
 	}
-	delete(snap, 2)
-	snap[1] = SignedPD{Owner: 1}
-	if again := mod.Records(); len(again) != 2 || again[2].Owner != 2 || len(again[1].Sig) == 0 {
-		t.Fatal("mutating the Records() snapshot corrupted module state")
+	if !slices.Equal(owners, []model.ID{7, 2, 3}) {
+		t.Fatalf("AppendOtherRecords = owners %v, want the caller's p7, then p2, p3", owners)
 	}
-	if got := mod.View().PD[2]; !got.Equal(model.NewIDSet(1)) {
-		t.Fatalf("view PD(2) = %v after snapshot mutation, want {1}", got)
+	got[1] = SignedPD{Owner: 1}
+	if again := mod.AppendOtherRecords(nil); len(again) != 2 || again[0].Owner != 2 || len(again[0].Sig) == 0 {
+		t.Fatal("overwriting the returned records corrupted module state")
+	}
+	if pd := mod.View().PD[2]; !pd.Equal(model.NewIDSet(1)) {
+		t.Fatalf("view PD(2) = %v after the overwrite, want {1}", pd)
 	}
 }
 
@@ -332,8 +310,8 @@ func memoEntry(m *Module, from model.ID) []byte {
 // slice again, taking the pointer test), one as delivered by netrt (every
 // payload a fresh copy, so every hit is a bytes.Equal). They must
 // agree on everything observable after every message. The sequences mix
-// what the memo must see through: byte-identical replays, grown sets, delta
-// fragments, truncations, oversized counts, equivocating owners, and — the
+// what the memo must see through: byte-identical replays, grown sets, partial
+// sets, truncations, oversized counts, equivocating owners, and — the
 // case that defeats a memo keyed on anything weaker than the exact bytes — a
 // forged record swapped for the valid one of the same owner, PD and length.
 func TestReplayMemoDifferential(t *testing.T) {
@@ -407,7 +385,7 @@ func TestReplayMemoDifferential(t *testing.T) {
 				if o := list[i].Owner; o != stranger.Owner {
 					list[i] = variants[rng.Intn(len(variants))][o]
 				}
-			case op < 16 && len(list) > 1: // delta fragment: a few of the records
+			case op < 16 && len(list) > 1: // a partial set: a few of the records
 				rng.Shuffle(len(list), func(i, j int) { list[i], list[j] = list[j], list[i] })
 				list = list[:1+rng.Intn(len(list)-1)]
 			case op < 17 && len(list) > 0: // truncated in transit
@@ -443,7 +421,7 @@ func TestReplayMemoDifferential(t *testing.T) {
 				*probe
 			}{{"the identical slice re-delivered", memo}, {"fresh copies delivered", copied}} {
 				at := fmt.Sprintf("trial %d step %d (from %v), %s", trial, step, from, arm.name)
-				if !reflect.DeepEqual(arm.mod.Records(), plain.mod.Records()) {
+				if !reflect.DeepEqual(arm.mod.AppendOtherRecords(nil), plain.mod.AppendOtherRecords(nil)) {
 					t.Fatalf("%s: records diverge: owners %v with the memo, %v without", at, arm.mod.owners, plain.mod.owners)
 				}
 				if a, b := arm.mod.View().Rev(), plain.mod.View().Rev(); a != b {
@@ -460,7 +438,7 @@ func TestReplayMemoDifferential(t *testing.T) {
 				}
 			}
 		}
-		merged += len(plain.mod.Records()) - 1
+		merged += len(plain.mod.AppendOtherRecords(nil))
 		if _, kept := memo.mod.senders.Lookup(77); kept {
 			t.Fatal("memo kept a payload from a sender outside S_known")
 		}

@@ -8,6 +8,5 @@
 // The module maintains the kosr.View (S_known and S_PD) that the committee
 // search reads, and calls its onUpdate hook whenever knowledge grows so the
 // search can re-run exactly when the wait-until conditions of Algorithms 2
-// and 4 may newly hold. Delta mode gossips only records the peer has not yet
-// been sent, an ablation of the paper-faithful full-set retransmission.
+// and 4 may newly hold.
 package discovery

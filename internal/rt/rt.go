@@ -1,8 +1,8 @@
 // Package rt defines the Runtime abstraction the BFT-CUP protocol stack is
 // written against: a node-local view of time, randomness, message transmission
 // and timer scheduling, plus the reactor callbacks a runtime drives. The
-// protocol layers (core, discovery, pbft, rrbcast, byz) import only this
-// package; which world they run in is the runtime's business:
+// protocol layers (core, discovery, pbft, byz) import only this package;
+// which world they run in is the runtime's business:
 //
 //   - internal/sim implements it as a deterministic discrete-event engine
 //     over a virtual clock (identical seeds ⇒ byte-identical traces), and

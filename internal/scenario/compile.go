@@ -75,7 +75,7 @@ type Compiled struct {
 	// crash/restart control events on the engine per seed.
 	Faults FaultParams
 	// Hardened arms the retransmitting protocol profile in every correct
-	// node (discovery backoff + resync, PBFT decide-note replies).
+	// node (discovery backoff, PBFT decide-note replies).
 	Hardened bool
 
 	// ids is the sorted node list, computed once.

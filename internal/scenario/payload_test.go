@@ -162,8 +162,7 @@ func runWatched(t *testing.T, c *Compiled, seed int64) {
 // written to again. In the simulator every process lives in one address
 // space and payloads are shared, not copied, so a violation would silently
 // change what another process holds. One cell per protocol mode, one per zoo
-// kind, delta + hardened discovery, and a chaos cell with duplication and
-// churn.
+// kind, hardened discovery, and a chaos cell with duplication and churn.
 func TestPayloadsNeverWrittenAfterSend(t *testing.T) {
 	sync := NetParams{Kind: NetSync}
 	type cell struct {
@@ -179,8 +178,8 @@ func TestPayloadsNeverWrittenAfterSend(t *testing.T) {
 	for _, kind := range allByzKinds {
 		cells = append(cells, cell{"zoo/" + kind.String(), zooParams(kind, sync)})
 	}
-	const deltaCell = "discovery/delta+hardened"
-	cells = append(cells, cell{deltaCell, chaosParams(2)})
+	const hardenedCell = "discovery/hardened"
+	cells = append(cells, cell{hardenedCell, chaosParams(2)})
 	churn := chaosParams(4)
 	churn.Faults.Dup = 0.2
 	churn.Faults.Churn = []ChurnEvent{
@@ -197,12 +196,8 @@ func TestPayloadsNeverWrittenAfterSend(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if tc.name == deltaCell {
-				// Delta gossip is a discovery.Config field no Params axis sets.
-				c.Discovery.Delta = true
-				if !c.Hardened {
-					t.Fatal("the chaos cell did not arm the hardened profile")
-				}
+			if tc.name == hardenedCell && !c.Hardened {
+				t.Fatal("the chaos cell did not arm the hardened profile")
 			}
 			runWatched(t, c, tc.p.Seed)
 		})

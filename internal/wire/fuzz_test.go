@@ -21,7 +21,6 @@ func FuzzDecode(f *testing.F) {
 	w.Bool(true)
 	w.ID(42)
 	w.IDSet(model.NewIDSet(1, 5, 9))
-	w.IDSlice([]model.ID{3, 1, 2})
 	w.BytesField([]byte("payload"))
 	f.Add(w.Bytes())
 	f.Add(w.Bytes()[:3])
@@ -59,7 +58,7 @@ func FuzzDecode(f *testing.F) {
 				t.Fatalf("offset ran past the buffer: remaining %d", r.Remaining())
 			}
 		}
-		r.IDSlice()
+		r.IDSet()
 		firstErr := r.Err()
 		r.Uvarint()
 		if firstErr != nil && r.Err() != firstErr {
@@ -80,17 +79,12 @@ func FuzzRoundTrip(f *testing.F) {
 		for _, v := range setRaw {
 			set.Add(model.ID(v))
 		}
-		slice := make([]model.ID, 0, len(setRaw))
-		for _, v := range setRaw {
-			slice = append(slice, model.ID(v))
-		}
 
 		w := NewWriter()
 		w.Uvarint(x)
 		w.Bool(b)
 		w.ID(model.ID(id))
 		w.IDSet(set)
-		w.IDSlice(slice)
 		w.BytesField(payload)
 
 		r := NewReader(w.Bytes())
@@ -105,15 +99,6 @@ func FuzzRoundTrip(f *testing.F) {
 		}
 		if got := r.IDSet(); !got.Equal(set) {
 			t.Fatalf("IDSet: %v != %v", got, set)
-		}
-		gotSlice := r.IDSlice()
-		if len(gotSlice) != len(slice) {
-			t.Fatalf("IDSlice length: %d != %d", len(gotSlice), len(slice))
-		}
-		for i := range slice {
-			if gotSlice[i] != slice[i] {
-				t.Fatalf("IDSlice[%d]: %d != %d", i, gotSlice[i], slice[i])
-			}
 		}
 		if got := r.BytesField(); !bytes.Equal(got, payload) {
 			t.Fatalf("BytesField: %x != %x", got, payload)

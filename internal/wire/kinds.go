@@ -15,14 +15,13 @@ const (
 	KindDecideNote byte = 8  // PBFT decision notification (commit certificate)
 	KindGetDecided byte = 9  // Algorithm 3: ⟨GETDECIDEDVAL⟩
 	KindDecided    byte = 10 // Algorithm 3: ⟨DECIDEDVAL, val⟩
-	KindRRB        byte = 11 // reachable reliable broadcast envelope (baseline)
 )
 
 // kindNames spells every kind for metrics tables.
 var kindNames = [...]string{
 	KindGetPDs: "GETPDS", KindSetPDs: "SETPDS", KindPrePrepare: "PRE-PREPARE", KindPrepare: "PREPARE",
 	KindCommit: "COMMIT", KindViewChange: "VIEW-CHANGE", KindNewView: "NEW-VIEW", KindDecideNote: "DECIDE-NOTE",
-	KindGetDecided: "GETDECIDEDVAL", KindDecided: "DECIDEDVAL", KindRRB: "RRB",
+	KindGetDecided: "GETDECIDEDVAL", KindDecided: "DECIDEDVAL",
 }
 
 // KindName returns a human-readable name for metrics tables.

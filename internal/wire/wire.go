@@ -61,14 +61,6 @@ func (w *Writer) IDSet(s model.IDSet) {
 	}
 }
 
-// IDSlice appends a list of IDs in the given order.
-func (w *Writer) IDSlice(ids []model.ID) {
-	w.Uvarint(uint64(len(ids)))
-	for _, id := range ids {
-		w.ID(id)
-	}
-}
-
 // BytesField appends a length-prefixed byte string.
 func (w *Writer) BytesField(b []byte) {
 	w.Uvarint(uint64(len(b)))
@@ -200,26 +192,6 @@ func (r *Reader) SkipBytesField() {
 		return
 	}
 	r.off += int(n)
-}
-
-// IDSlice reads a list written by Writer.IDSlice.
-func (r *Reader) IDSlice() []model.ID {
-	n := r.Uvarint()
-	if r.err != nil {
-		return nil
-	}
-	if n > MaxChunk {
-		r.fail(ErrTooLarge)
-		return nil
-	}
-	out := make([]model.ID, 0, n)
-	for i := uint64(0); i < n; i++ {
-		out = append(out, r.ID())
-		if r.err != nil {
-			return nil
-		}
-	}
-	return out
 }
 
 // BytesField reads a length-prefixed byte string.

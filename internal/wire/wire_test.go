@@ -16,7 +16,6 @@ func TestRoundTrip(t *testing.T) {
 	w.Bool(false)
 	w.ID(42)
 	w.IDSet(model.NewIDSet(3, 1, 2))
-	w.IDSlice([]model.ID{9, 8})
 	w.BytesField([]byte("payload"))
 
 	r := NewReader(w.Bytes())
@@ -34,9 +33,6 @@ func TestRoundTrip(t *testing.T) {
 	}
 	if got := r.IDSet(); !got.Equal(model.NewIDSet(1, 2, 3)) {
 		t.Fatalf("IDSet = %v", got)
-	}
-	if got := r.IDSlice(); len(got) != 2 || got[0] != 9 || got[1] != 8 {
-		t.Fatalf("IDSlice = %v", got)
 	}
 	if got := r.BytesField(); !bytes.Equal(got, []byte("payload")) {
 		t.Fatalf("BytesField = %q", got)
@@ -99,11 +95,6 @@ func TestTooLargeRejected(t *testing.T) {
 	_ = r2.IDSet()
 	if r2.Err() == nil {
 		t.Fatal("oversized IDSet accepted")
-	}
-	r3 := NewReader(w.Bytes())
-	_ = r3.IDSlice()
-	if r3.Err() == nil {
-		t.Fatal("oversized IDSlice accepted")
 	}
 }
 
