@@ -41,6 +41,7 @@ import (
 	"syscall"
 	"time"
 
+	"github.com/bftcup/bftcup/internal/cryptox"
 	"github.com/bftcup/bftcup/internal/model"
 	"github.com/bftcup/bftcup/internal/netrt"
 	"github.com/bftcup/bftcup/internal/rt"
@@ -120,7 +121,7 @@ func runNode(c *scenario.Compiled, seed int64, id model.ID, listen, peersFlag st
 
 	begin := time.Now()
 	decided := make(chan model.Value, 1)
-	node, err := c.LiveNode(seed, id, scale, 1, nil, func(_ uint64, v model.Value) {
+	node, err := c.LiveNode(cryptox.NewKeys(), seed, id, scale, 1, nil, func(_ uint64, v model.Value) {
 		select {
 		case decided <- v:
 		default:

@@ -47,13 +47,6 @@ func VerifyBatch(v Verifier, reqs []BatchRequest) []bool {
 // same memo is consulted and the same curve operation decides a miss.
 func (r *Registry) VerifyBatch(reqs []BatchRequest) []bool {
 	out := make([]bool, len(reqs))
-	if r.memo == nil {
-		for i, q := range reqs {
-			out[i] = r.Verify(q.Signer, q.Msg, q.Sig)
-		}
-		return out
-	}
-
 	// Pass 1: hash keys and drain the memo under one lock acquisition.
 	keys := make([][sha256.Size]byte, len(reqs))
 	misses := make([]int, 0, len(reqs))

@@ -10,9 +10,11 @@ import (
 
 // Cache capacities. The verify memo is per registry and sized for one
 // scenario's working set (every distinct signed record in flight); the sign
-// memo is per signer (a process re-signs only its own handful of records);
-// the keyring cache is process-wide (one entry per (seed, ids) pair a sweep
-// touches).
+// memo is per signer (a process re-signs only its own handful of records); a
+// Keys store holds keyringCap keyrings per generation (one per (seed, ids)
+// pair its run touches), and the process-wide key-material cache as many key
+// sets. The key-material cache holds no memo: a run's memos live in its
+// store, at most 2×keyringCap keyrings' worth, and are dropped with it.
 const (
 	verifyMemoCap = 4096
 	signMemoCap   = 256
@@ -113,41 +115,90 @@ func newKeyringKey(seed int64, ids []model.ID) keyringKey {
 	return k
 }
 
-// keyringEntry is one cached GenerateKeys result.
+// keySets is the process-wide cache of derived key material: deriving is
+// the expensive, seed-determined part of a keyring and holds no memo, so
+// every store shares it.
+var keySets = struct {
+	sync.Mutex
+	c *memoCache[keyringKey, *keySet]
+}{c: newMemoCache[keyringKey, *keySet](keyringCap)}
+
+// cachedKeySet returns the key material of (seed, ids), deriving it on a
+// miss. It derives outside the lock: keygen is the expensive part, and a
+// duplicate derivation under contention is deterministic-identical.
+func cachedKeySet(key keyringKey, seed int64, ids []model.ID) (*keySet, error) {
+	keySets.Lock()
+	ks, ok := keySets.c.get(key)
+	keySets.Unlock()
+	if ok {
+		return ks, nil
+	}
+	ks, err := deriveKeys(seed, ids)
+	if err != nil {
+		return nil, err
+	}
+	keySets.Lock()
+	keySets.c.put(key, ks)
+	keySets.Unlock()
+	return ks, nil
+}
+
+// keyringEntry is one keyring of a store: signers and a registry over one
+// key set, with memos of their own.
 type keyringEntry struct {
 	signers map[model.ID]Signer
 	reg     *Registry
 }
 
-// keyrings is the process-wide keyring cache behind Keyring.
-var keyrings = struct {
-	sync.Mutex
-	c *memoCache[keyringKey, *keyringEntry]
-}{c: newMemoCache[keyringKey, *keyringEntry](keyringCap)}
+// Keys is one run's crypto state: the keyrings it has asked for, each built
+// over the process-wide key material with sign and verify memos of its own,
+// so that the memos become garbage together with the run that filled them.
+// A store is bounded like every cache here (two generations of keyringCap
+// keyrings) and safe for concurrent use; one (seed, ids) yields one keyring
+// per store, so nodes that share a store share a registry. Who owns one: a
+// scenario.Runner (hence each matrix worker), each RunLive call, a cupd
+// process, and a System for all its nodes.
+type Keys struct {
+	mu       sync.Mutex
+	keyrings *memoCache[keyringKey, *keyringEntry]
+}
 
-// Keyring is GenerateKeys behind a process-wide bounded cache keyed by
-// (seed, ids fingerprint): repeated materializations of the same scenario —
-// a seed sweep re-running one compiled cell, sweep axes sharing a seed, a
-// benchmark's b.N loop — reuse one keyring instead of regenerating Ed25519
-// keypairs per run. Determinism is unchanged (GenerateKeys is already a pure
-// function of its arguments); so is the result's concurrency contract: the
-// returned maps and registry are shared and must be treated as read-only.
-func Keyring(seed int64, ids []model.ID) (map[model.ID]Signer, *Registry, error) {
+// NewKeys returns an empty store.
+func NewKeys() *Keys {
+	return &Keys{keyrings: newMemoCache[keyringKey, *keyringEntry](keyringCap)}
+}
+
+// Keyring returns the store's keyring for (seed, ids): GenerateKeys' keys,
+// taken from the process-wide key-material cache, under signers and a
+// registry the store builds once and then hands out again. Determinism is
+// unchanged (the keys are a pure function of the arguments); the returned
+// maps and registry are shared and must be treated as read-only.
+func (k *Keys) Keyring(seed int64, ids []model.ID) (map[model.ID]Signer, *Registry, error) {
 	key := newKeyringKey(seed, ids)
-	keyrings.Lock()
-	if e, ok := keyrings.c.get(key); ok {
-		keyrings.Unlock()
+	// Held across a derivation too: a store serves one run, so there is no
+	// contention to avoid, and the lock makes the keyring one per store.
+	k.mu.Lock()
+	defer k.mu.Unlock()
+	if e, ok := k.keyrings.get(key); ok {
 		return e.signers, e.reg, nil
 	}
-	keyrings.Unlock()
-	// Generate outside the lock: keygen is the expensive part, and a
-	// duplicate generation under contention is deterministic-identical.
-	signers, reg, err := GenerateKeys(seed, ids)
+	ks, err := cachedKeySet(key, seed, ids)
 	if err != nil {
 		return nil, nil, err
 	}
-	keyrings.Lock()
-	keyrings.c.put(key, &keyringEntry{signers: signers, reg: reg})
-	keyrings.Unlock()
-	return signers, reg, nil
+	e := &keyringEntry{}
+	e.signers, e.reg = ks.keyring()
+	k.keyrings.put(key, e)
+	return e.signers, e.reg, nil
+}
+
+// processKeys is the store behind Keyring.
+var processKeys = NewKeys()
+
+// Keyring is the keyring of one process-wide store: its memos live as long
+// as the process, within the store's bound. Only the benchmark's traced
+// copies of the assembly still call it; a run takes its keyrings from a Keys
+// store of its own.
+func Keyring(seed int64, ids []model.ID) (map[model.ID]Signer, *Registry, error) {
+	return processKeys.Keyring(seed, ids)
 }

@@ -62,6 +62,40 @@ func TestKeyringMatchesGenerateKeys(t *testing.T) {
 	}
 }
 
+// TestKeysShareKeyMaterialOnly pins the split between the two caches: two
+// stores asked for one (seed, ids) get the same derived key material (the
+// public-key map itself, not a re-derivation) under registries and signers
+// of their own, so a signature made through one store seeds only that
+// store's registry and is a curve operation for the other.
+func TestKeysShareKeyMaterialOnly(t *testing.T) {
+	ids := []model.ID{1, 2, 3}
+	s1, r1, err := NewKeys().Keyring(61, ids)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s2, r2, err := NewKeys().Keyring(61, ids)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r1 == r2 || s1[1] == s2[1] {
+		t.Fatal("two stores share a registry or a signer")
+	}
+	if fmt.Sprintf("%p", r1.pubs) != fmt.Sprintf("%p", r2.pubs) {
+		t.Fatal("the second store derived the key material again")
+	}
+	msg := []byte("signed through store 1")
+	sig := s1[1].Sign(msg)
+	if !r1.Verify(1, msg, sig) || !r2.Verify(1, msg, sig) {
+		t.Fatal("a valid signature was rejected")
+	}
+	if got := r1.Stats(); got != (VerifyStats{Asked: 1, MemoHits: 1, Seeded: 1}) {
+		t.Fatalf("signing store: %+v, want its seed to answer", got)
+	}
+	if got := r2.Stats(); got != (VerifyStats{Asked: 1, CurveOps: 1}) {
+		t.Fatalf("other store: %+v, want one curve op and nothing seeded", got)
+	}
+}
+
 // TestKeyringRejectsBadIDs mirrors the GenerateKeys validation through the
 // cached entry point.
 func TestKeyringRejectsBadIDs(t *testing.T) {
@@ -178,11 +212,12 @@ func TestMemoCacheBounded(t *testing.T) {
 	}
 }
 
-// TestMemoConcurrentWorkers hammers one shared keyring — the exact sharing
-// the matrix worker pool produces — from many goroutines mixing valid and
-// invalid verifications and overlapping signings, while one goroutine per ID
-// signs a stream of fresh messages, so that Sign is seeding the verify memo
-// as the workers read and fill it through Verify and VerifyBatch.
+// TestMemoConcurrentWorkers hammers one shared keyring — the sharing of a
+// live run, whose nodes sign and verify concurrently through one store's
+// keyring — from many goroutines mixing valid and invalid verifications and
+// overlapping signings, while one goroutine per ID signs a stream of fresh
+// messages, so that Sign is seeding the verify memo as the workers read and
+// fill it through Verify and VerifyBatch.
 // Correctness is asserted per operation; the race detector (CI runs the
 // package under -race) checks the locking.
 func TestMemoConcurrentWorkers(t *testing.T) {

@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sync"
 
 	"github.com/bftcup/bftcup/internal/model"
@@ -55,9 +56,6 @@ func (r *Registry) Verify(signer model.ID, msg, sig []byte) bool {
 		r.mu.Unlock()
 		return false
 	}
-	if r.memo == nil {
-		return ed25519.Verify(pub, msg, sig)
-	}
 	k := verifyKey(signer, msg, sig)
 	r.mu.Lock()
 	r.stats.Asked++
@@ -80,7 +78,7 @@ func (r *Registry) Verify(signer model.ID, msg, sig []byte) bool {
 }
 
 // seed stores the verdict "true" for a signature that one of this registry's
-// own signers (GenerateKeys registered the public half of its key) has just
+// own signers (its keyring registered the public half of the key) has just
 // produced; the package comment has the soundness argument.
 func (r *Registry) seed(signer model.ID, msg, sig []byte) {
 	k := verifyKey(signer, msg, sig)
@@ -100,10 +98,10 @@ func (r *Registry) Has(signer model.ID) bool {
 // deterministic (RFC 8032 — identical bytes sign to identical signatures),
 // and a process re-signs the same canonical record every time it rebuilds a
 // gossip or protocol message, so the memo turns all but the first signing of
-// each distinct message into a map hit. Signers may be shared across
-// concurrently running simulations (the Keyring cache hands out one map per
-// (seed, ids)), hence the lock. A fresh signature (a memo miss) also seeds
-// reg, the registry GenerateKeys built beside this signer.
+// each distinct message into a map hit. The memo belongs to one keyring of
+// one Keys store, so it lives as long as the run that owns the store; the
+// nodes of a live run sign concurrently through it, hence the lock. A fresh
+// signature (a memo miss) also seeds reg, the registry of the same keyring.
 type edSigner struct {
 	id   model.ID
 	priv ed25519.PrivateKey
@@ -135,30 +133,61 @@ func (s *edSigner) Sign(msg []byte) []byte {
 
 // GenerateKeys deterministically creates one Ed25519 keypair per ID from the
 // given seed and returns the signers plus the shared registry. Determinism
-// keeps simulation traces reproducible.
+// keeps simulation traces reproducible. Every call derives the keys afresh
+// and builds fresh memos; a run takes its keyrings from a Keys store instead.
 func GenerateKeys(seed int64, ids []model.ID) (map[model.ID]Signer, *Registry, error) {
-	rng := rand.New(rand.NewSource(seed))
-	signers := make(map[model.ID]Signer, len(ids))
-	reg := &Registry{
-		pubs: make(map[model.ID]ed25519.PublicKey, len(ids)),
-		memo: newMemoCache[[sha256.Size]byte, bool](verifyMemoCap),
+	ks, err := deriveKeys(seed, ids)
+	if err != nil {
+		return nil, nil, err
 	}
-	for _, id := range ids {
+	signers, reg := ks.keyring()
+	return signers, reg, nil
+}
+
+// keySet is the key material of one (seed, ids): the private keys in ID
+// order and the public keys by ID. It holds no memo and is read-only once
+// derived, so every keyring built over it shares it.
+type keySet struct {
+	ids   []model.ID
+	privs []ed25519.PrivateKey
+	pubs  map[model.ID]ed25519.PublicKey
+}
+
+// deriveKeys draws one Ed25519 keypair per ID, in order, from one RNG stream
+// seeded with seed.
+func deriveKeys(seed int64, ids []model.ID) (*keySet, error) {
+	rng := rand.New(rand.NewSource(seed))
+	ks := &keySet{
+		ids:   slices.Clone(ids),
+		privs: make([]ed25519.PrivateKey, len(ids)),
+		pubs:  make(map[model.ID]ed25519.PublicKey, len(ids)),
+	}
+	for i, id := range ids {
 		if id == model.NilID {
-			return nil, nil, errors.New("cryptox: NilID cannot own a key")
+			return nil, errors.New("cryptox: NilID cannot own a key")
 		}
-		if _, dup := signers[id]; dup {
-			return nil, nil, fmt.Errorf("cryptox: duplicate ID %v", id)
+		if _, dup := ks.pubs[id]; dup {
+			return nil, fmt.Errorf("cryptox: duplicate ID %v", id)
 		}
 		seedBytes := make([]byte, ed25519.SeedSize)
 		if _, err := rng.Read(seedBytes); err != nil {
-			return nil, nil, fmt.Errorf("cryptox: seeding key for %v: %w", id, err)
+			return nil, fmt.Errorf("cryptox: seeding key for %v: %w", id, err)
 		}
-		priv := ed25519.NewKeyFromSeed(seedBytes)
-		signers[id] = &edSigner{id: id, priv: priv, reg: reg, memo: newMemoCache[string, []byte](signMemoCap)}
-		reg.pubs[id] = priv.Public().(ed25519.PublicKey)
+		ks.privs[i] = ed25519.NewKeyFromSeed(seedBytes)
+		ks.pubs[id] = ks.privs[i].Public().(ed25519.PublicKey)
 	}
-	return signers, reg, nil
+	return ks, nil
+}
+
+// keyring builds signers and a registry over the key set, each with empty
+// memos of its own; the signers seed that registry.
+func (ks *keySet) keyring() (map[model.ID]Signer, *Registry) {
+	reg := &Registry{pubs: ks.pubs, memo: newMemoCache[[sha256.Size]byte, bool](verifyMemoCap)}
+	signers := make(map[model.ID]Signer, len(ks.ids))
+	for i, id := range ks.ids {
+		signers[id] = &edSigner{id: id, priv: ks.privs[i], reg: reg, memo: newMemoCache[string, []byte](signMemoCap)}
+	}
+	return signers, reg
 }
 
 // InsecureSuite returns keyed-hash signers for benchmarks: signatures are

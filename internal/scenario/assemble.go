@@ -37,16 +37,16 @@ type stack struct {
 }
 
 // newStack selects the run's key material — the insecure suite when the cell
-// asks for it, the cached Ed25519 keyring for seed+1 otherwise — around the
-// given durations.
-func (c *Compiled) newStack(seed int64, disc discovery.Config, pbftTimeout, pollPeriod rt.Time) (stack, error) {
+// asks for it, the Ed25519 keyring for seed+1 from the run's key store
+// otherwise — around the given durations.
+func (c *Compiled) newStack(keys *cryptox.Keys, seed int64, disc discovery.Config, pbftTimeout, pollPeriod rt.Time) (stack, error) {
 	s := stack{c: c, disc: disc, pbftTimeout: pbftTimeout, pollPeriod: pollPeriod}
 	if c.Insecure {
 		s.signers, s.reg = cryptox.InsecureSuite(c.ids)
 		return s, nil
 	}
 	var err error
-	s.signers, s.reg, err = cryptox.Keyring(seed+1, c.ids)
+	s.signers, s.reg, err = keys.Keyring(seed+1, c.ids)
 	return s, err
 }
 

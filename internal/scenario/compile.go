@@ -7,6 +7,7 @@ import (
 	"strings"
 
 	"github.com/bftcup/bftcup/internal/core"
+	"github.com/bftcup/bftcup/internal/cryptox"
 	"github.com/bftcup/bftcup/internal/discovery"
 	"github.com/bftcup/bftcup/internal/graph"
 	"github.com/bftcup/bftcup/internal/kosr"
@@ -18,14 +19,14 @@ import (
 // no other path. Compile does everything that does not depend on the
 // simulation seed — building the graph from its def, resolving the fault
 // threshold and the automatic Byzantine placement, materializing the network
-// model, filling defaults — and Run does only the seed-dependent work: key
-// material (via the cryptox keyring cache), engine setup and the simulation
-// itself. A sweep that runs one scenario across a thousand seeds compiles
-// once and runs a thousand times; the matrix layer caches Compiled values per
-// worker keyed by Params.CompileKey. One-shot callers use Params.Run, which
-// is Compile + Run under p.Seed, so the two cannot diverge — and provably so:
-// the matrix fingerprint tests pin cached and uncached execution to
-// byte-identical reports.
+// model, filling defaults — and Run does only the seed-dependent work: the
+// keyring (from the Runner's cryptox key store), engine setup and the
+// simulation itself. A sweep that runs one scenario across a thousand seeds
+// compiles once and runs a thousand times; the matrix layer caches Compiled
+// values per worker keyed by Params.CompileKey. One-shot callers use
+// Params.Run, which is Compile + Run under p.Seed, so the two cannot diverge
+// — and provably so: the matrix fingerprint tests pin cached and uncached
+// execution to byte-identical reports.
 
 // horizonOrDefault fills the 60-second default horizon, in one place for
 // Compile and CompileKey (the network defaults are NetParams.Model's).
@@ -326,12 +327,15 @@ func (c *Compiled) Run(seed int64, trace bool) (*Result, error) {
 
 // Runner owns the per-worker scratch of the Run side of the pipeline: the
 // simulation engine (slab, queue, process table) and the bookkeeping maps,
-// reset and reused across runs instead of reallocated per cell. A Runner is
-// for one goroutine; the *Result it returns (and the maps inside it) are
-// owned by the Runner and valid only until its next Run — callers that
-// retain results across cells must copy what they keep.
+// reset and reused across runs instead of reallocated per cell, and the
+// run's key store, whose sign and verify memos the cells of one seed share
+// and which goes with the Runner. A Runner is for one goroutine; the *Result
+// it returns (and the maps inside it) are owned by the Runner and valid only
+// until its next Run — callers that retain results across cells must copy
+// what they keep.
 type Runner struct {
 	engine     *sim.Engine
+	keys       *cryptox.Keys
 	log        runLog
 	perProcess map[model.ID]ProcessResult
 	res        Result
@@ -362,6 +366,14 @@ func (r *Runner) nextSearcher() kosr.Search {
 	return s
 }
 
+// keyStore returns the Runner's key store, creating it on first use.
+func (r *Runner) keyStore() *cryptox.Keys {
+	if r.keys == nil {
+		r.keys = cryptox.NewKeys()
+	}
+	return r.keys
+}
+
 // reset prepares the scratch for one run.
 func (r *Runner) reset(net sim.NetworkModel, seed int64) {
 	if r.engine == nil {
@@ -376,15 +388,15 @@ func (r *Runner) reset(net sim.NetworkModel, seed int64) {
 }
 
 // Run executes the compiled scenario under one seed on the simulator:
-// assemble the reactors onto the engine (key material comes from the keyring
-// cache), schedule the churn, drive the engine to decision or horizon, and
+// assemble the reactors onto the engine (keyrings come from the Runner's key
+// store), schedule the churn, drive the engine to decision or horizon, and
 // grade the outcome.
 func (r *Runner) Run(c *Compiled, seed int64, trace bool) (*Result, error) {
 	name := c.runName(seed)
 	r.reset(c.Net, seed)
 	engine, log := r.engine, &r.log
 
-	st, err := c.newStack(seed, c.Discovery, c.PBFTTimeout, c.PollPeriod)
+	st, err := c.newStack(r.keyStore(), seed, c.Discovery, c.PBFTTimeout, c.PollPeriod)
 	if err != nil {
 		return nil, fmt.Errorf("scenario %q: %w", name, err)
 	}

@@ -6,37 +6,20 @@ import (
 	"github.com/bftcup/bftcup/internal/core"
 	"github.com/bftcup/bftcup/internal/cryptox"
 	"github.com/bftcup/bftcup/internal/graph"
-	"github.com/bftcup/bftcup/internal/model"
 	"github.com/bftcup/bftcup/internal/sim"
 )
 
-// flushSeed numbers the throw-away keyrings of the test below.
-var flushSeed int64
-
 // TestFaultFreeCellsRunNoCurveOps is the end-to-end reading of signature
 // seeding: one fault-free cell of every StandardSweep graph family, under
-// sync and partial synchrony, seeds 1–3, starts from a keyring nothing has
-// touched and ends without one Ed25519 verification — every signature a
-// process checked was made by the cell's own keyring and answered by its
-// seed. The number of questions is pinned to what the commit before seeding
-// asked (counted there with the same counters and no seeding; it paid 348
-// curve operations for these 36 cells): the saving is in how the questions
-// are answered, not in how many are put. CI prints the
-// last log line in its job summary.
+// sync and partial synchrony, seeds 1–3, on one Runner whose key store starts
+// empty, ends without one Ed25519 verification — every signature a process
+// checked was made by the cell's own keyring and answered by its seed. The
+// number of questions is pinned to what the commit before seeding asked
+// (counted there with the same counters and no seeding; it paid 348 curve
+// operations for these 36 cells): the saving is in how the questions are
+// answered, not in how many are put. CI prints the last log line in its job
+// summary.
 func TestFaultFreeCellsRunNoCurveOps(t *testing.T) {
-	// Other tests of this package run the same (seed, ids) cells, and the
-	// keyring cache is process-wide (two generations of 128): push everything
-	// out, so that every registry below is new when first met (families with
-	// equal ID sets share one per seed). The zero-stats check in the loop
-	// fails loudly should the cache ever outgrow this flush.
-	for i := 0; i <= 2*128; i++ {
-		// Rings the cache has never seen (also under -count=2): a look-up
-		// that hits evicts nothing.
-		flushSeed--
-		if _, _, err := cryptox.Keyring(flushSeed, []model.ID{1}); err != nil {
-			t.Fatal(err)
-		}
-	}
 	nets := []NetParams{{Kind: NetSync}, {Kind: NetPartial, GST: 2 * sim.Second}}
 	families := []struct {
 		def  string
@@ -65,13 +48,16 @@ func TestFaultFreeCellsRunNoCurveOps(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				_, reg, err := cryptox.Keyring(seed+1, c.ids)
+				// The registry this cell's run will use: families with equal
+				// ID sets share one per seed, so its counters are read as a
+				// difference.
+				_, reg, err := runner.keyStore().Keyring(seed+1, c.ids)
 				if err != nil {
 					t.Fatal(err)
 				}
 				before := reg.Stats()
 				if !met[reg] && before != (cryptox.VerifyStats{}) {
-					t.Fatalf("%s seed %d: keyring not new after the flush: %+v", fam.def, seed, before)
+					t.Fatalf("%s seed %d: a new keyring of the Runner's store has counts: %+v", fam.def, seed, before)
 				}
 				met[reg] = true
 				res, err := runner.Run(c, seed, false)

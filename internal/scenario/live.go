@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"github.com/bftcup/bftcup/internal/core"
+	"github.com/bftcup/bftcup/internal/cryptox"
 	"github.com/bftcup/bftcup/internal/discovery"
 	"github.com/bftcup/bftcup/internal/kosr"
 	"github.com/bftcup/bftcup/internal/model"
@@ -78,11 +79,11 @@ func (c *Compiled) LiveDurations(scale int64) (disc discovery.Config, pbftTimeou
 }
 
 // liveStack is the stack of a live run at the given scale: LiveDurations'
-// timers, the seed's key material, and a searcher of its own for every node
-// (nodes run concurrently; there is no Runner pool to share).
-func (c *Compiled) liveStack(seed, scale int64) (stack, error) {
+// timers, the seed's keyring from keys, and a searcher of its own for every
+// node (nodes run concurrently; there is no Runner pool to share).
+func (c *Compiled) liveStack(keys *cryptox.Keys, seed, scale int64) (stack, error) {
 	disc, pbftTimeout, pollPeriod := c.LiveDurations(scale)
-	st, err := c.newStack(seed, disc, pbftTimeout, pollPeriod)
+	st, err := c.newStack(keys, seed, disc, pbftTimeout, pollPeriod)
 	st.searcher = func() kosr.Search { return kosr.NewSearcher() }
 	return st, err
 }
@@ -112,7 +113,8 @@ func (l *liveNet) delay(from, to model.ID, now rt.Time) rt.Time {
 // RunLive executes the compiled scenario under one seed on the live runtime.
 // The seed drives key material and reactor RNGs exactly as in Runner.Run;
 // scheduling, however, is the operating system's, so traces are not
-// reproducible — only verdicts are the contract.
+// reproducible — only verdicts are the contract. Each call is a run of its
+// own: its nodes share one key store, which goes with the call.
 func (c *Compiled) RunLive(seed int64, opts LiveOptions) (*Result, error) {
 	name := c.runName(seed)
 	if c.Faults.Enabled() {
@@ -127,7 +129,7 @@ func (c *Compiled) RunLive(seed int64, opts LiveOptions) (*Result, error) {
 		transport = "pipe"
 	}
 
-	st, err := c.liveStack(seed, scale)
+	st, err := c.liveStack(cryptox.NewKeys(), seed, scale)
 	if err != nil {
 		return nil, fmt.Errorf("scenario %q: %w", name, err)
 	}
@@ -200,10 +202,13 @@ func (c *Compiled) RunLive(seed int64, opts LiveOptions) (*Result, error) {
 // LiveNode assembles one correct live node — a cupd daemon, or a process of
 // the root package's System: process id of the compiled cell, with the key
 // material and scaled durations a RunLive cluster of the same seed and scale
-// would give it. It runs slots chained slots (0 or 1: one-shot), proposing
-// proposalFor(slot) when that is non-nil and the cell's proposal otherwise;
-// decided receives every slot's decision on the node's event-loop goroutine.
-func (c *Compiled) LiveNode(seed int64, id model.ID, scale int64, slots uint64, proposalFor func(slot uint64) model.Value, decided func(slot uint64, v model.Value)) (*core.Node, error) {
+// would give it. Its signer and registry come from keys, so nodes built on
+// one store share a registry (a System), and a node on a store of its own
+// verifies its peers' signatures itself (a cupd process). It runs slots
+// chained slots (0 or 1: one-shot), proposing proposalFor(slot) when that is
+// non-nil and the cell's proposal otherwise; decided receives every slot's
+// decision on the node's event-loop goroutine.
+func (c *Compiled) LiveNode(keys *cryptox.Keys, seed int64, id model.ID, scale int64, slots uint64, proposalFor func(slot uint64) model.Value, decided func(slot uint64, v model.Value)) (*core.Node, error) {
 	name := c.runName(seed)
 	if !c.Graph.HasNode(id) {
 		return nil, fmt.Errorf("scenario %q: process %v is not in the graph", name, id)
@@ -211,7 +216,7 @@ func (c *Compiled) LiveNode(seed int64, id model.ID, scale int64, slots uint64, 
 	if _, isByz := c.Byz[id]; isByz {
 		return nil, fmt.Errorf("scenario %q: process %v is Byzantine; a daemon only runs correct nodes", name, id)
 	}
-	st, err := c.liveStack(seed, scale)
+	st, err := c.liveStack(keys, seed, scale)
 	if err != nil {
 		return nil, fmt.Errorf("scenario %q: %w", name, err)
 	}

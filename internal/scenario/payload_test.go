@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"github.com/bftcup/bftcup/internal/core"
+	"github.com/bftcup/bftcup/internal/cryptox"
 	"github.com/bftcup/bftcup/internal/kosr"
 	"github.com/bftcup/bftcup/internal/model"
 	"github.com/bftcup/bftcup/internal/rt"
@@ -124,7 +125,7 @@ func runWatched(t *testing.T, c *Compiled, seed int64) {
 	engine := sim.NewEngine(c.Net, seed)
 	var log runLog
 	log.reset()
-	st, err := c.newStack(seed, c.Discovery, c.PBFTTimeout, c.PollPeriod)
+	st, err := c.newStack(cryptox.NewKeys(), seed, c.Discovery, c.PBFTTimeout, c.PollPeriod)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"github.com/bftcup/bftcup/internal/core"
+	"github.com/bftcup/bftcup/internal/cryptox"
 	"github.com/bftcup/bftcup/internal/graph"
 	"github.com/bftcup/bftcup/internal/model"
 	"github.com/bftcup/bftcup/internal/netrt"
@@ -120,6 +121,10 @@ func NewSystem(cfg SystemConfig) (*System, error) {
 		done:       make(chan struct{}),
 		events:     make(chan Decision, 1024),
 	}
+	// One key store for every node: the processes of a System share one
+	// registry, so a signature one of them made is a seeded memo hit for the
+	// others.
+	keys := cryptox.NewKeys()
 	for _, id := range c.Graph.Nodes() {
 		if _, excluded := c.Byz[id]; excluded {
 			continue
@@ -130,7 +135,7 @@ func NewSystem(cfg SystemConfig) (*System, error) {
 			proposalFor = func(slot uint64) Value { return cfg.ProposalFor(id, int(slot)) }
 		}
 		var node *core.Node
-		node, err = c.LiveNode(cfg.KeySeed, id, 1, uint64(cfg.Blocks), proposalFor, func(slot uint64, v Value) {
+		node, err = c.LiveNode(keys, cfg.KeySeed, id, 1, uint64(cfg.Blocks), proposalFor, func(slot uint64, v Value) {
 			s.recordDecision(node, id, int(slot), v)
 		})
 		if err != nil {
