@@ -73,10 +73,12 @@ func BenchmarkEngineSend(b *testing.B) {
 
 // BenchmarkEventQueue prices the queue alone with the classic hold model —
 // pop the earliest event, push one at now + d — at several pending-set sizes
-// and one delay law per tier: a jittered Δ (the wheel, a few events a
-// bucket), a constant delay (every bucket is one run of ties), and 3×now
-// growth (everything beyond the first few rounds goes through the overflow
-// heap). Steady state must read 0 allocs/op.
+// and one delay law per tier: a jittered Δ (the fine wheel, a few events a
+// bucket), a constant delay (every bucket is one run of ties), a GST burst
+// (the standard sweep's partial regime: the pending set parked 2 s ahead in
+// the far wheel, then released in a 2.5 ms band of crowded buckets), and 3×now
+// growth (everything beyond the first few rounds goes through the far wheel,
+// then the heap). Steady state must read 0 allocs/op.
 func BenchmarkEventQueue(b *testing.B) {
 	laws := []struct {
 		name  string
@@ -84,6 +86,10 @@ func BenchmarkEventQueue(b *testing.B) {
 	}{
 		{"jitter", func(rng *rand.Rand, _ Time) Time { return jitter(5*Millisecond, rng) }},
 		{"constant", func(*rand.Rand, Time) Time { return 5 * Millisecond }},
+		{"gst-burst", func(rng *rand.Rand, now Time) Time {
+			gst := (now/(2*Second) + 1) * 2 * Second
+			return gst - now + jitter(5*Millisecond, rng)
+		}},
 		{"3x-now", func(_ *rand.Rand, now Time) Time { return 2 * now }},
 	}
 	for _, law := range laws {

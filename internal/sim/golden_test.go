@@ -26,8 +26,10 @@ func ringDigest(t *testing.T, net NetworkModel, seed int64, horizon Time, prepar
 // produced. The digests were captured at the last commit whose queue was the
 // plain binary heap on (at, seq) — the order the package documents — under
 // one network model per delay regime the queue meets: a jittered Δ band, a
-// pre-GST slow link class piling up at GST, all-ties far-future growth, and
-// loss/dup/reorder with a scheduled crash and restart. A queue change that
+// pre-GST slow link class piling up at GST, all-ties far-future growth,
+// loss/dup/reorder with a scheduled crash and restart, and every link slow
+// until a GST 2 s out (captured at the last commit with the overflow heap
+// behind a single wheel, before the far wheel was added). A queue change that
 // reorders two events fails here in milliseconds, not a minute later in
 // internal/matrix's sweep anchors.
 func TestEngineTraceGoldens(t *testing.T) {
@@ -65,6 +67,14 @@ func TestEngineTraceGoldens(t *testing.T) {
 				e.ScheduleRestart(3, 35*Millisecond, nil)
 			},
 			digest: "30308f51e96be0eeb0b4c74d5ee71eb5f4794012e6db8f073fb020bc79d7028d", events: 5897,
+		},
+		{
+			// The standard sweep's partial regime: every send before GST is
+			// parked about 2 s ahead and the backlog lands in one Δ band.
+			name: "partial-sync-all-slow-gst-2s",
+			net:  PartialSync{GST: 2 * Second, Delta: 5 * Millisecond, Slow: func(model.ID, model.ID) bool { return true }},
+			seed: 46, horizon: 2*Second + 30*Millisecond,
+			digest: "12067d4473c0f97c00bd87e982642079cf1249c3b6aecbce1facbc667bb10689", events: 3335,
 		},
 	}
 	for _, tc := range cases {

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"math"
+	"math/bits"
 	"math/rand"
 	"testing"
 	"unsafe"
@@ -126,9 +127,15 @@ func (q *queuePair) advanceTo(at Time) {
 const (
 	bucketWidth = Time(1) << bucketShift
 	wheelSpan   = wheelBuckets * bucketWidth
+	coarseWidth = Time(1) << coarseShift
+	farSpan     = farBuckets * coarseWidth
 )
 
-// TestEventQueueMatchesHeap is the differential test of the three-tier queue
+// farWindow returns the first instant of the far wheel's window (period C+2)
+// with the queue's present open bucket.
+func (q *queuePair) farWindow() Time { return Time(coarseOf(q.e.cur)+2) * coarseWidth }
+
+// TestEventQueueMatchesHeap is the differential test of the four-tier queue
 // against the binary heap it replaced: seeded scripts of pushes and pops, one
 // per regime the tiers meet, must pop in the same (at, seq) order from both.
 func TestEventQueueMatchesHeap(t *testing.T) {
@@ -155,7 +162,7 @@ func TestEventQueueMatchesHeap(t *testing.T) {
 
 	t.Run("equal-times-fifo", func(t *testing.T) {
 		// The AsyncAdversarial broadcast: thousands of events on one instant,
-		// in the open bucket, in the wheel and in the overflow heap.
+		// in the open bucket, in the fine wheel and in the far wheel.
 		q := newQueuePair(t)
 		q.advanceTo(Millisecond)
 		for i := 0; i < 4000; i++ {
@@ -205,8 +212,10 @@ func TestEventQueueMatchesHeap(t *testing.T) {
 	t.Run("bucket-and-window-boundaries", func(t *testing.T) {
 		// Open the bucket whose successor sits in the bitmap's last bit, so
 		// the window wraps the bitmap right away; then put events on every
-		// edge: first and last nanosecond of buckets, the last bucket the
-		// wheel holds, the first the overflow heap holds, and one later.
+		// edge: first and last nanosecond of buckets, the last bucket within a
+		// fine wheel's span and the first beyond it — fine or far wheel,
+		// depending on where in its coarse period the open bucket sits — and
+		// one later.
 		for _, startBucket := range []int64{0, 3*wheelBuckets - 2, 5*wheelBuckets + 62, 7*wheelBuckets + 63} {
 			q := newQueuePair(t)
 			if startBucket > 0 {
@@ -222,7 +231,7 @@ func TestEventQueueMatchesHeap(t *testing.T) {
 				}
 			}
 			q.push(curEnd - 1)         // last instant of the open bucket
-			q.push(curEnd + wheelSpan) // exactly one window ahead: overflow
+			q.push(curEnd + wheelSpan) // exactly one fine wheel's span ahead
 			q.push(curEnd + wheelSpan - 1)
 			q.drain()
 		}
@@ -232,8 +241,9 @@ func TestEventQueueMatchesHeap(t *testing.T) {
 		q, rng := newQueuePair(t), rand.New(rand.NewSource(5))
 		q.advanceTo(30 * Millisecond)
 		for i := 0; i < 16; i++ {
-			// 3×now growth: every delivery schedules beyond the window, so
-			// each pop finds the wheel empty and jumps to the overflow minimum.
+			// 3×now growth: every delivery schedules beyond the fine wheel, so
+			// each pop finds it empty and jumps to the next far bucket or, once
+			// 3×now passes the far wheel's window, to the heap minimum.
 			for n := 0; n < 16; n++ {
 				q.push(3 * q.now)
 				q.push(3*q.now + Time(rng.Int63n(int64(wheelSpan))))
@@ -244,8 +254,8 @@ func TestEventQueueMatchesHeap(t *testing.T) {
 			}
 		}
 		q.drain()
-		// A long idle gap with overflow events on both sides of the window
-		// the jump opens.
+		// A long idle gap with far-wheel and heap events on both sides of the
+		// window the jump opens.
 		q.push(q.now + 1000*wheelSpan)
 		q.push(q.now + 1000*wheelSpan + wheelSpan - 1)
 		q.push(q.now + 1001*wheelSpan + bucketWidth)
@@ -271,9 +281,9 @@ func TestEventQueueMatchesHeap(t *testing.T) {
 	})
 
 	t.Run("overflow-migrates-under-wheel-traffic", func(t *testing.T) {
-		// Back-off timers parked in the overflow heap while Δ-band traffic
-		// keeps the wheel busy: they must surface when the window reaches
-		// them, not when the wheel next runs dry.
+		// Back-off timers parked in the far wheel while Δ-band traffic keeps
+		// the fine wheel busy: they must surface when the window reaches them,
+		// not when the fine wheel next runs dry.
 		q, rng := newQueuePair(t), rand.New(rand.NewSource(6))
 		for i := 0; i < 50; i++ {
 			q.push(jitter(5*Millisecond, rng))
@@ -284,6 +294,130 @@ func TestEventQueueMatchesHeap(t *testing.T) {
 			if i%100 == 0 {
 				q.push(q.now + wheelSpan + Time(rng.Int63n(int64(wheelSpan))))
 			}
+		}
+		q.drain()
+	})
+
+	t.Run("gst-backlog-under-jitter", func(t *testing.T) {
+		// The standard sweep's partial regime: jittered-Δ traffic, while
+		// every eighth delivery before a GST 2 s out also parks a message
+		// until GST + Δ, in the far wheel. At GST the backlog lands in a
+		// 2.5 ms band of crowded buckets, and keeps its traffic going.
+		const gst = 2 * Second
+		q, rng := newQueuePair(t), rand.New(rand.NewSource(10))
+		for i := 0; i < 200; i++ {
+			q.push(jitter(5*Millisecond, rng))
+		}
+		for q.now < gst+20*Millisecond {
+			q.pop()
+			q.push(q.now + jitter(5*Millisecond, rng))
+			if q.now < gst && rng.Intn(8) == 0 {
+				q.push(gst + jitter(5*Millisecond, rng))
+			}
+		}
+		q.drain()
+	})
+
+	t.Run("coarse-period-edges", func(t *testing.T) {
+		// The first and last nanosecond of C+1 (the fine wheel's last
+		// period), C+2 (the far wheel's first), C+1+farBuckets (its last)
+		// and the period after it (the heap's first), from open buckets on
+		// both sides of a coarse boundary — reached directly, or by a jump
+		// into a far bucket.
+		const perCoarse = int64(1) << (coarseShift - bucketShift)
+		for _, startBucket := range []int64{0, perCoarse - 1, perCoarse, 5*perCoarse - 1, 5 * perCoarse, 5*perCoarse + 1} {
+			q := newQueuePair(t)
+			if startBucket > 0 {
+				q.advanceTo(Time(startBucket) * bucketWidth)
+			}
+			if q.e.cur != startBucket {
+				t.Fatalf("open bucket %d, want %d", q.e.cur, startBucket)
+			}
+			c := Time(coarseOf(startBucket))
+			for _, p := range []Time{c + 1, c + 2, c + 1 + farBuckets, c + 2 + farBuckets} {
+				q.push(p * coarseWidth)
+				q.push((p+1)*coarseWidth - 1)
+			}
+			fine, far := 0, 0
+			for _, w := range q.e.occ {
+				fine += bits.OnesCount64(w)
+			}
+			for _, w := range q.e.farOcc {
+				far += bits.OnesCount64(w)
+			}
+			if fine != 2 || far != 2 || len(q.e.over) != 2 {
+				t.Fatalf("open bucket %d: %d fine buckets, %d far buckets, %d heap keys; want 2, 2, 2", startBucket, fine, far, len(q.e.over))
+			}
+			q.drain()
+		}
+	})
+
+	t.Run("idle-gap-into-far-bucket", func(t *testing.T) {
+		// Events only beyond the fine wheel: each time it runs dry the queue
+		// jumps to the first occupied far bucket and cascades it, while
+		// near pushes land around and below what the jump opened.
+		q, rng := newQueuePair(t), rand.New(rand.NewSource(11))
+		q.advanceTo(3 * Millisecond)
+		for round := 0; round < 20; round++ {
+			for i := 0; i < 40; i++ {
+				q.push(q.farWindow() + Time(rng.Int63n(int64(farSpan))))
+			}
+			q.push(q.farWindow())
+			q.push(q.farWindow() + farSpan - 1)
+			for q.pending() > 0 {
+				q.pop()
+				if rng.Intn(3) == 0 {
+					q.push(q.now + Time(rng.Int63n(int64(2*coarseWidth))))
+				}
+			}
+		}
+		q.drain()
+	})
+
+	t.Run("idle-gap-into-heap", func(t *testing.T) {
+		// Events only beyond the far wheel: the jump goes to the heap
+		// minimum, and the keys behind it spread over all three tiers the
+		// new window has.
+		q, rng := newQueuePair(t), rand.New(rand.NewSource(12))
+		q.advanceTo(3 * Millisecond)
+		for round := 0; round < 20; round++ {
+			base := q.farWindow() + farSpan + Time(rng.Int63n(int64(farSpan)))
+			for _, d := range []Time{0, 0, 1, bucketWidth, coarseWidth - 1, coarseWidth, 2 * coarseWidth, farSpan - 1, farSpan, farSpan + coarseWidth, 3 * farSpan} {
+				q.push(base + d)
+			}
+			for i := 0; i < 30; i++ {
+				q.push(base + Time(rng.Int63n(int64(2*farSpan))))
+			}
+			for q.pending() > 0 {
+				q.pop()
+				if rng.Intn(4) == 0 {
+					q.push(q.now + jitter(5*Millisecond, rng))
+				}
+			}
+		}
+		q.drain()
+	})
+
+	t.Run("crowded-bucket-recycled-slots", func(t *testing.T) {
+		// Popping 200 events in slot order leaves the free list newest first,
+		// so the next pushes take descending slots while seq ascends. Groups
+		// of equal times in one crowded bucket then sort on packed keys in
+		// reverse seq order, and the tie fix-up — by insertion for the small
+		// group, by a full sort for the large ones — must restore FIFO.
+		q := newQueuePair(t)
+		for i := 0; i < 200; i++ {
+			q.push(Millisecond + Time(i))
+		}
+		q.drain()
+		at := q.now + 10*Millisecond
+		for i := 0; i < 100; i++ {
+			q.push(at)
+		}
+		for i := 0; i < 10; i++ {
+			q.push(at + 1)
+		}
+		for i := 0; i < 40; i++ {
+			q.push(at + 2 + Time(i%2)*64)
 		}
 		q.drain()
 	})
@@ -347,6 +481,33 @@ func TestEventQueueMatchesHeap(t *testing.T) {
 			q.drain()
 		}
 	})
+}
+
+// TestCascadeKeepsListsNewestFirst pins the list order refill relies on: a
+// far bucket cascades into the fine wheel newest first, the order pushes leave
+// a list in, so a bucket of equal times reverses into seq order and is not
+// sorted again.
+func TestCascadeKeepsListsNewestFirst(t *testing.T) {
+	q := newQueuePair(t)
+	at := 2*coarseWidth + 5*bucketWidth // period C+2: the far wheel
+	for i := 0; i < 30; i++ {
+		q.push(at)
+	}
+	q.push(coarseWidth) // period C+1: popping it moves C, which cascades C+2
+	q.pop()
+	var seqs []uint64
+	for slot := q.e.heads[uint(bucketOf(at))%wheelBuckets]; slot != 0; slot = q.e.slab[slot].next {
+		seqs = append(seqs, q.e.slab[slot].seq)
+	}
+	for i := 1; i < len(seqs); i++ {
+		if seqs[i] > seqs[i-1] {
+			t.Fatalf("cascaded list holds seqs %v, want them newest first", seqs)
+		}
+	}
+	if len(seqs) != 30 {
+		t.Fatalf("cascaded list holds %d events, want 30", len(seqs))
+	}
+	q.drain()
 }
 
 // zeroTimer arms a timer for the instant it is initialised at.

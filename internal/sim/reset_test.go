@@ -9,9 +9,10 @@ import (
 // runRingOn drives a small token ring on the given engine (fresh or reset)
 // with tracing attached and returns the trace digest plus message count. The
 // horizon cuts the run with events queued in every tier of the queue — ring
-// deliveries in the open bucket and the wheel, the slow link class's pre-GST
-// messages and farTimer's timer in the overflow heap (under resetNet) — so a
-// following Reset has pending events, payloads included, to drop from all three.
+// deliveries in the open bucket and the fine wheel, the slow link class's
+// pre-GST messages and farTimer's first timer in the far wheel (under
+// resetNet), its second timer in the heap — so a following Reset has pending
+// events, payloads included, to drop from all four.
 func runRingOn(t *testing.T, engine *Engine) (string, int64) {
 	t.Helper()
 	tr := NewTrace()
@@ -27,10 +28,14 @@ func runRingOn(t *testing.T, engine *Engine) (string, int64) {
 // resetNet keeps every link touching process 8 silent until GST = 200 ms.
 var resetNet = PartialSync{GST: 200 * Millisecond, Delta: 5 * Millisecond, Slow: SlowTouching(model.NewIDSet(8))}
 
-// farTimer arms one timer a second ahead, far beyond the wheel's window.
+// farTimer arms one timer a second ahead, in the far wheel, and one 200 s
+// ahead, beyond the far wheel's 137 s window.
 type farTimer struct{}
 
-func (farTimer) Init(ctx Context)                  { ctx.SetTimer(Second, 7) }
+func (farTimer) Init(ctx Context) {
+	ctx.SetTimer(Second, 7)
+	ctx.SetTimer(200*Second, 8)
+}
 func (farTimer) Receive(Context, model.ID, []byte) {}
 func (farTimer) Timer(Context, uint64)             {}
 
@@ -73,7 +78,7 @@ func TestEngineResetMatchesFresh(t *testing.T) {
 		t.Fatal("different seeds produced identical traces")
 	}
 	for i := 0; i < 3; i++ {
-		// The cut-off run left events in all three tiers; Reset must leave
+		// The cut-off run left events in all four tiers; Reset must leave
 		// the tiers empty and no payload pointer anywhere in the slab it keeps
 		// (slots beyond the cut included), or the GC could not reclaim them.
 		holdsPayload := func() int {
@@ -86,16 +91,18 @@ func TestEngineResetMatchesFresh(t *testing.T) {
 			return n
 		}
 		wheelEmpty := func() bool { return reused.occ == [len(reused.occ)]uint64{} }
-		if reused.runPos == len(reused.run) || wheelEmpty() || len(reused.over) == 0 || holdsPayload() == 0 {
-			t.Fatalf("cut-off run left a tier empty: open run %d, wheel empty %v, overflow %d, payloads %d",
-				len(reused.run)-reused.runPos, wheelEmpty(), len(reused.over), holdsPayload())
+		farEmpty := func() bool { return reused.farOcc == [len(reused.farOcc)]uint64{} }
+		if reused.runPos == len(reused.run) || wheelEmpty() || farEmpty() || len(reused.over) == 0 || holdsPayload() == 0 {
+			t.Fatalf("cut-off run left a tier empty: open run %d, wheel empty %v, far wheel empty %v, overflow %d, payloads %d",
+				len(reused.run)-reused.runPos, wheelEmpty(), farEmpty(), len(reused.over), holdsPayload())
 		}
 		reused.Reset(net, 42)
 		if n := holdsPayload(); n != 0 {
 			t.Fatalf("reset %d left %d slab slots holding a payload", i, n)
 		}
 		if _, pending := reused.peek(); pending || len(reused.run) != 0 || !wheelEmpty() ||
-			reused.heads != [wheelBuckets]int32{} || len(reused.over) != 0 || len(reused.slab) != 1 {
+			reused.heads != [wheelBuckets]int32{} || !farEmpty() || reused.farHeads != [farBuckets]int32{} ||
+			len(reused.over) != 0 || len(reused.slab) != 1 {
 			t.Fatalf("reset %d left events queued", i)
 		}
 		if reused.Now() != 0 || reused.Metrics().Messages != 0 {

@@ -13,15 +13,17 @@
 // # Hot path
 //
 // The engine is written to be allocation-free in steady state: events are
-// one-cache-line records in a recycled slab, queued in a calendar wheel of
-// 32.8 µs buckets with a binary heap behind it for what lies beyond the
-// wheel's 67 ms window (see the queue constants); a message is the slice its
-// sender passed to Send, carried in the event record — never copied, compared
-// or pooled — and processes are found through a dense model.IDIndex, not a Go
-// map. Delivery order is (at, seq) — virtual time, then FIFO — and nothing
-// else about the queue is observable. The RNG behind Context.Rand and
-// NetworkModel.Delay is a splitmix64 source wrapped in math/rand, a few
-// nanoseconds per draw with no per-engine table allocation.
+// one-cache-line records in a recycled slab, queued in a hierarchical timing
+// wheel — a fine wheel of 32.8 µs buckets over the open 67 ms period and the
+// next, a far wheel of 67 ms buckets over the 137 s after that, a binary heap
+// for what lies beyond (see the queue constants) — and a crowded bucket is
+// sorted on packed integer keys, not through a comparator; a message is the
+// slice its sender passed to Send, carried in the event record — never
+// copied, compared or pooled — and processes are found through a dense
+// model.IDIndex, not a Go map. Delivery order is (at, seq) — virtual time,
+// then FIFO — and nothing else about the queue is observable. The RNG behind
+// Context.Rand and NetworkModel.Delay is a splitmix64 source wrapped in
+// math/rand, a few nanoseconds per draw with no per-engine table allocation.
 //
 // The zero-copy delivery contract (internal/rt, "Payload ownership"): Receive
 // gets the sender's backing array, shared with a broadcast's other recipients
@@ -121,16 +123,26 @@ type event struct {
 	kind eventKind
 }
 
-// The event queue is a calendar wheel in front of a heap: virtual time is cut
-// into buckets of 1<<bucketShift ns, the wheel holds the wheelBuckets buckets
-// after the open one, the heap whatever lies beyond. The constants decide only
-// which tier an event waits in, never the order, so they are not tunables:
-// 32.8 µs × 2,048 = 67 ms keeps the sweeps' Δ-bounded deliveries (Δ = 5 ms)
-// and discovery period (20 ms) in the wheel at a few events a bucket
-// (ARCHITECTURE.md, "The determinism contract").
+// The event queue is a two-level timing wheel in front of a heap. Virtual time
+// is cut into fine buckets of 1<<bucketShift ns and coarse periods of
+// 1<<coarseShift ns; C is the coarse period of the open bucket. The fine wheel
+// (wheelBuckets slots) holds the fine buckets of C and C+1 after the open one,
+// the far wheel (farBuckets slots, one per coarse period) holds C+2 …
+// C+1+farBuckets, the heap whatever lies beyond. When C advances, the far
+// bucket that becomes C+1 cascades into the fine wheel. The constants decide
+// only which tier an event waits in, never the order, so they are not
+// tunables: 32.8 µs fine buckets keep the sweeps' Δ-bounded deliveries (Δ =
+// 5 ms) and discovery period (20 ms) at a few events a bucket, and 67 ms × 2,048
+// = 137 s of far wheel holds the pre-GST backlog of a 2 s GST (ARCHITECTURE.md,
+// "The determinism contract").
 const (
 	bucketShift  = 15
-	wheelBuckets = 2048
+	coarseShift  = 26
+	wheelBuckets = 2 << (coarseShift - bucketShift) // two coarse periods: 4,096
+	farBuckets   = 2048
+	// crowded is the largest bucket sorted by insertion; a larger one is sorted
+	// on packed keys.
+	crowded = 24
 )
 
 // qkey is what the sorted tiers hold: (at, seq) and the event's slab slot.
@@ -167,20 +179,28 @@ type Engine struct {
 
 	// The pending events. Records live in slab (slot 0 is the nil slot, free
 	// heads the recycled ones) and wait in the tier their bucket b = at >>
-	// bucketShift selects: b <= cur in run, the open bucket's keys, sorted
-	// when it was opened and consumed from runPos; b <= cur+wheelBuckets in
-	// the wheel, where heads[b%wheelBuckets] starts a list through event.next
-	// and occ has a bit per non-empty bucket; later ones in over, a binary
-	// min-heap of keys. Every advance of cur moves what the window now covers
-	// out of over, so the ranges stay disjoint and pops follow (at, seq).
-	slab   []event
-	free   int32
-	run    []qkey
-	runPos int
-	cur    int64
-	heads  [wheelBuckets]int32
-	occ    [wheelBuckets / 64]uint64
-	over   []qkey
+	// bucketShift, of coarse period c = coarseOf(b), selects: b <= cur in
+	// run, the open bucket's keys, sorted when it was opened and consumed from
+	// runPos; c <= C+1 in the fine wheel, where heads[b%wheelBuckets] starts
+	// a list through event.next and occ has a bit per non-empty bucket; c <=
+	// C+1+farBuckets in the far wheel, the same with farHeads[c%farBuckets]
+	// and farOcc, except that a far list is oldest first and farTails holds
+	// its last record (read only behind a non-zero head); later ones in over,
+	// a binary min-heap of keys. Every advance of C moves what each tier now
+	// covers down a tier, so the ranges stay disjoint and pops follow (at,
+	// seq). keys is the crowded-bucket sort's scratch.
+	slab     []event
+	free     int32
+	run      []qkey
+	runPos   int
+	keys     []uint64
+	cur      int64
+	heads    [wheelBuckets]int32
+	occ      [wheelBuckets / 64]uint64
+	farHeads [farBuckets]int32
+	farTails [farBuckets]int32
+	farOcc   [farBuckets / 64]uint64
+	over     []qkey
 
 	// preCrashed holds Crash marks issued before AddProcess.
 	preCrashed model.IDSet
@@ -244,6 +264,8 @@ func (e *Engine) Reset(net NetworkModel, seed int64) {
 	e.run, e.runPos, e.cur = e.run[:0], 0, 0
 	clear(e.heads[:])
 	clear(e.occ[:])
+	clear(e.farHeads[:])
+	clear(e.farOcc[:])
 	e.over = e.over[:0]
 	clear(e.procs)
 	e.procs = e.procs[:0]
@@ -443,22 +465,50 @@ func (e *Engine) push(at Time) *event {
 	ev := &e.slab[slot]
 	ev.at, ev.seq, ev.next = at, e.seq, 0
 	e.seq++
-	switch b := bucketOf(at); {
-	case b <= e.cur:
-		// A late push into the open bucket is placed from the tail: its seq
-		// is the largest, so among equal times that is one comparison. A full
-		// run first drops its consumed half, or a bucket that never empties
-		// would grow it for ever.
-		if len(e.run) == cap(e.run) && 2*e.runPos >= len(e.run) {
-			e.run = e.run[:copy(e.run, e.run[e.runPos:])]
-			e.runPos = 0
-		}
-		e.run = append(e.run, qkey{at, ev.seq, slot})
-		sortedInsert(e.run, e.runPos, len(e.run)-1)
-	case e.inWindow(b):
+	if b := bucketOf(at); b > e.cur {
+		e.file(slot, b)
+		return ev
+	}
+	// A late push into the open bucket is placed from the tail: its seq is
+	// the largest, so among equal times that is one comparison. A full run
+	// first drops its consumed half, or a bucket that never empties would
+	// grow it for ever.
+	if len(e.run) == cap(e.run) && 2*e.runPos >= len(e.run) {
+		e.run = e.run[:copy(e.run, e.run[e.runPos:])]
+		e.runPos = 0
+	}
+	e.run = append(e.run, qkey{at, ev.seq, slot})
+	sortedInsert(e.run, e.runPos, len(e.run)-1)
+	return ev
+}
+
+// bucketOf returns the number of the bucket that holds at.
+func bucketOf(at Time) int64 { return int64(at >> bucketShift) }
+
+// coarseOf returns the coarse period of bucket b.
+func coarseOf(b int64) int64 { return b >> (coarseShift - bucketShift) }
+
+// file queues the event in slot, whose bucket b lies after the open one, in
+// the tier that holds b.
+func (e *Engine) file(slot int32, b int64) {
+	switch c, open := coarseOf(b), coarseOf(e.cur); {
+	case c <= open+1:
 		e.link(slot, b)
+	case c <= open+1+farBuckets:
+		// Appended, so that the cascade, relinking the list head first into
+		// the fine wheel, leaves each fine list newest first like a push.
+		i := uint(c) % farBuckets
+		e.slab[slot].next = 0
+		if e.farHeads[i] == 0 {
+			e.farHeads[i] = slot
+			e.farOcc[i/64] |= 1 << (i % 64)
+		} else {
+			e.slab[e.farTails[i]].next = slot
+		}
+		e.farTails[i] = slot
 	default:
-		h := append(e.over, qkey{at, ev.seq, slot})
+		ev := &e.slab[slot]
+		h := append(e.over, qkey{ev.at, ev.seq, slot})
 		i := len(h) - 1
 		for i > 0 {
 			parent := (i - 1) / 2
@@ -470,17 +520,9 @@ func (e *Engine) push(at Time) *event {
 		}
 		e.over = h
 	}
-	return ev
 }
 
-// bucketOf returns the number of the bucket that holds at.
-func bucketOf(at Time) int64 { return int64(at >> bucketShift) }
-
-// inWindow reports whether bucket b > cur is one the wheel holds. The last of
-// them shares its slot with the open bucket, whose list is already in run.
-func (e *Engine) inWindow(b int64) bool { return b <= e.cur+wheelBuckets }
-
-// link pushes the event onto wheel bucket b's list.
+// link pushes the event onto fine bucket b's list.
 func (e *Engine) link(slot int32, b int64) {
 	i := uint(b) % wheelBuckets
 	e.slab[slot].next = e.heads[i]
@@ -508,15 +550,18 @@ func (e *Engine) peek() (qkey, bool) {
 
 // refill opens the next non-empty bucket: its list becomes the sorted run.
 func (e *Engine) refill() bool {
-	b, ok := e.nextOccupied()
+	b, ok := nextSet(e.occ[:], e.cur+1)
 	if !ok {
-		if len(e.over) == 0 {
+		// Idle gap: slide the window up to the next occupied far bucket, or
+		// to the heap minimum, whose bucket is then the first occupied one.
+		if c, ok := nextSet(e.farOcc[:], coarseOf(e.cur)+2); ok {
+			e.advance(c<<(coarseShift-bucketShift) - 1)
+		} else if len(e.over) > 0 {
+			e.advance(bucketOf(e.over[0].at) - 1)
+		} else {
 			return false
 		}
-		// Idle gap: slide the window up to the overflow minimum, whose bucket
-		// is then the first occupied one.
-		e.advance(bucketOf(e.over[0].at) - 1)
-		b, _ = e.nextOccupied()
+		b, _ = nextSet(e.occ[:], e.cur+1)
 	}
 	i := uint(b) % wheelBuckets
 	for slot := e.heads[i]; slot != 0; slot = e.slab[slot].next {
@@ -526,46 +571,101 @@ func (e *Engine) refill() bool {
 	e.heads[i] = 0
 	e.occ[i/64] &^= 1 << (i % 64)
 	e.advance(b)
-	// The list is newest first; reversed it is in seq order, which is sorted
-	// already where times tie.
+	// The list is newest first (a cascade keeps it so); reversed it is in seq
+	// order, which is sorted already where times tie — and throughout when
+	// one constant delay filled the bucket.
 	slices.Reverse(e.run)
-	if len(e.run) <= 24 {
-		// Nearly every bucket: a handful of keys, placed directly.
-		for i := 1; i < len(e.run); i++ {
-			sortedInsert(e.run, 0, i)
-		}
-	} else {
-		slices.SortFunc(e.run, func(a, b qkey) int {
-			if a.before(b) {
-				return -1
-			}
-			return 1 // seq is unique: no two keys are equal
-		})
+	if len(e.run) <= crowded {
+		sortKeys(e.run) // nearly every bucket: a handful of keys, placed directly
+	} else if !slices.IsSortedFunc(e.run, cmpKeys) {
+		e.sortCrowded(Time(b) << bucketShift)
 	}
 	return true
 }
 
-// nextOccupied returns the first non-empty wheel bucket after cur: a scan of
-// the bitmap, a word at a time, once around from cur+1's bit.
-func (e *Engine) nextOccupied() (int64, bool) {
-	start := uint(e.cur+1) % wheelBuckets
-	for d := uint(0); d < wheelBuckets; {
-		i := (start + d) % wheelBuckets
-		if word := e.occ[i/64] >> (i % 64); word != 0 {
-			return e.cur + 1 + int64(d+uint(bits.TrailingZeros64(word))), true
+// sortCrowded sorts the run of a crowded bucket, the one starting at start,
+// on packed words (at − start)<<32 | slot: slices.Sort orders them without a
+// comparator call. Slots are recycled, so each group of equal times is then
+// put in seq order.
+func (e *Engine) sortCrowded(start Time) {
+	keys := e.keys[:0]
+	for _, k := range e.run {
+		keys = append(keys, uint64(k.at-start)<<32|uint64(k.slot))
+	}
+	slices.Sort(keys)
+	for i, k := range keys {
+		slot := int32(uint32(k))
+		e.run[i] = qkey{start + Time(k>>32), e.slab[slot].seq, slot}
+	}
+	e.keys = keys
+	for i := 0; i < len(e.run); {
+		j := i + 1
+		for j < len(e.run) && e.run[j].at == e.run[i].at {
+			j++
+		}
+		sortKeys(e.run[i:j])
+		i = j
+	}
+}
+
+// sortKeys sorts keys on (at, seq): by insertion when there are few.
+func sortKeys(keys []qkey) {
+	if len(keys) <= crowded {
+		for i := 1; i < len(keys); i++ {
+			sortedInsert(keys, 0, i)
+		}
+		return
+	}
+	slices.SortFunc(keys, cmpKeys)
+}
+
+// cmpKeys orders keys by (at, seq) for the slices package.
+func cmpKeys(a, b qkey) int {
+	if a.before(b) {
+		return -1
+	}
+	return 1 // seq is unique: no two keys are equal
+}
+
+// nextSet returns the first number n >= from whose slot is marked in occ, the
+// bitmap of a wheel of len(occ)*64 slots: a scan a word at a time, once
+// around from from's bit. Every marked number lies within one turn of from.
+func nextSet(occ []uint64, from int64) (int64, bool) {
+	size := uint(len(occ)) * 64
+	start := uint(from) % size
+	for d := uint(0); d < size; {
+		i := (start + d) % size
+		if word := occ[i/64] >> (i % 64); word != 0 {
+			return from + int64(d+uint(bits.TrailingZeros64(word))), true
 		}
 		d += 64 - i%64
 	}
 	return 0, false
 }
 
-// advance makes b the open bucket and moves the overflow events the window
-// now covers into the wheel.
+// advance makes b the open bucket. When that moves C, the far bucket that
+// becomes C+1 cascades into the fine wheel, and the heap keys the far wheel
+// now covers move out of the heap. No other far bucket can fall into the fine
+// wheel: C moves one period, or jumps to just below the first occupied far
+// bucket, or past an empty far wheel to the heap minimum.
 func (e *Engine) advance(b int64) {
+	open := coarseOf(b)
+	moved := open != coarseOf(e.cur)
 	e.cur = b
-	for len(e.over) > 0 && e.inWindow(bucketOf(e.over[0].at)) {
+	if !moved {
+		return
+	}
+	i := uint(open+1) % farBuckets
+	for slot := e.farHeads[i]; slot != 0; {
+		next := e.slab[slot].next
+		e.link(slot, bucketOf(e.slab[slot].at))
+		slot = next
+	}
+	e.farHeads[i] = 0
+	e.farOcc[i/64] &^= 1 << (i % 64)
+	for len(e.over) > 0 && coarseOf(bucketOf(e.over[0].at)) <= open+1+farBuckets {
 		k := e.popOver()
-		e.link(k.slot, bucketOf(k.at))
+		e.file(k.slot, bucketOf(k.at))
 	}
 }
 
