@@ -64,7 +64,7 @@ func bind(fs *flag.FlagSet) *config {
 	fs.DurationVar(&c.heartbeat, "heartbeat", 2*time.Minute, "declare a worker stalled after this long without stream progress (0 = off)")
 	fs.DurationVar(&c.retryWait, "retry-backoff", 0, "base delay before redispatching a failed task, doubling per attempt with jitter (0 = 50ms default, negative = immediate)")
 	fs.BoolVar(&c.cellRows, "cells", false, "keep per-cell outcomes in the merged report and list them in text output")
-	fs.BoolVar(&c.verbose, "v", false, "print recovery stats (redispatches, resumes, seals, steals)")
+	fs.BoolVar(&c.verbose, "v", false, "print recovery stats (redispatches, seals, steals, gap tasks, back-offs)")
 	return c
 }
 
