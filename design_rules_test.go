@@ -59,6 +59,7 @@ func TestDesignRules(t *testing.T) {
 			}
 		})
 	}
+	t.Run("ChangesEntryCap", testChangesEntryCap)
 }
 
 // mod is the module path; a package-level name is spelled with its
@@ -67,7 +68,7 @@ const mod = "github.com/bftcup/bftcup"
 
 // A rule holds the tree to one design decision: in the files it scopes
 // (within funcs' bodies only, when set), each of its patterns must match
-// exactly want uses. A rule over CHANGES.md sets text instead.
+// exactly want uses.
 type rule struct {
 	name  string // the subtest
 	since string // the commit that made the rule
@@ -75,13 +76,13 @@ type rule struct {
 	funcs []string // "name", or "Recv.Name" for a method; each must be declared in scope
 	match []match
 	want  int
-	text  func(changes string) []string
 }
 
 // A scope picks files by slash path relative to the module root: non-test
 // files unless tests is set, under some prefix of in (anywhere when in is
 // empty) and under none of except. A directory prefix ends in "/". The zero
-// scope is every non-test file.
+// scope is every non-test file. No scope covers this file: it spells every
+// banned name as data.
 type scope struct {
 	tests      bool
 	in, except []string
@@ -96,43 +97,31 @@ func (s scope) covers(f *srcFile) bool {
 		}
 		return false
 	}
-	return (s.tests || !f.test) && (len(s.in) == 0 || under(s.in)) && !under(s.except)
+	return f.path != "design_rules_test.go" && (s.tests || !f.test) && (len(s.in) == 0 || under(s.in)) && !under(s.except)
 }
 
-// A match is a pattern over uses: string literal values when lit is set,
-// else spelled names (see use).
+// A match is a pattern over uses (see use): over spelled names when idents
+// is set, over string literal values when lits is set.
 type match struct {
-	re   *regexp.Regexp
-	lit  bool
-	memo map[string]bool // re's verdict by spelling: a tree spells most names many times
+	re           *regexp.Regexp
+	idents, lits bool
 }
 
-func (m match) matches(u use) bool {
-	if m.lit != u.lit {
-		return false
-	}
-	v, ok := m.memo[u.name]
-	if !ok {
-		v = m.re.MatchString(u.name)
-		m.memo[u.name] = v
-	}
-	return v
-}
-
-// names matches spelled names; unanchored, pattern also matches inside a name.
+// names matches spelled names and string literal values, as a text search of
+// code would; unanchored, pattern also matches inside either.
 func names(pattern string) match {
-	return match{re: regexp.MustCompile(pattern), memo: map[string]bool{}}
+	return match{re: regexp.MustCompile(pattern), idents: true, lits: true}
 }
 
 // ref matches a package-level name of the package at import path pkg:
 // qualified through any import of pkg, or bare inside pkg itself, its
 // declaration included.
-func ref(pkg, name string) match { return names("^" + regexp.QuoteMeta(pkg+"."+name) + "$") }
+func ref(pkg, name string) match {
+	return match{re: regexp.MustCompile("^" + regexp.QuoteMeta(pkg+"."+name) + "$"), idents: true}
+}
 
 // str matches string literals whose value matches pattern.
-func str(pattern string) match {
-	return match{re: regexp.MustCompile(pattern), lit: true, memo: map[string]bool{}}
-}
+func str(pattern string) match { return match{re: regexp.MustCompile(pattern), lits: true} }
 
 var designRules = []rule{
 	// Tombstones: deleted generations must not come back.
@@ -156,9 +145,13 @@ var designRules = []rule{
 		match: []match{names(`msgBody|acquireBody|releaseBody|bodyFree|lastBody`)}},
 
 	// Call sites: a callee is named only in the files allowed to name it.
+	// internal/core may name its own Config and NewNode bare.
 	{name: "NodeAssembly", since: "aa73247",
 		files: scope{except: []string{"internal/scenario/assemble.go", "internal/cryptox/", "internal/core/", "bench/"}},
-		match: []match{ref(mod+"/internal/core", "Config"), ref(mod+"/internal/core", "NewNode"), ref(mod+"/internal/cryptox", "GenerateKeys")}},
+		match: []match{ref(mod+"/internal/core", "Config"), ref(mod+"/internal/core", "NewNode")}},
+	{name: "KeyGeneration", since: "aa73247",
+		files: scope{except: []string{"internal/scenario/assemble.go", "internal/cryptox/", "bench/"}},
+		match: []match{ref(mod+"/internal/cryptox", "GenerateKeys")}},
 	{name: "KeyStore", since: "7dbe444", files: scope{except: []string{"internal/cryptox/", "bench/"}},
 		match: []match{ref(mod+"/internal/cryptox", "Keyring")}},
 	{name: "FigureRegistry", since: "3c157f2", files: scope{except: []string{"internal/graph/figures.go"}},
@@ -188,9 +181,6 @@ var designRules = []rule{
 	{name: "Vocabulary", since: "46fb081", files: scope{except: []string{"bench/"}}, want: 1,
 		match: []match{str(`^fake-pd$`), str(`^equiv-pd$`), str(`^as-correct$`), str(`^selective-silent$`),
 			str(`^collude$`), str(`^bft-cupft$`), str(`^naive$`), str(`^worst$`)}},
-
-	// CHANGES.md: an entry is at most 1,500 characters.
-	{name: "ChangesEntryCap", since: "86824fa", text: changesOverCap},
 }
 
 // A ruleCase feeds one synthetic source, parsed as the file at path (it
@@ -219,6 +209,10 @@ var ruleCases = []ruleCase{
 		"package wire\nvar _ = KindRRB", "KindRRB"},
 	{"Dissemination", "cfg.Delta", "internal/discovery/delta.go",
 		"package discovery\nfunc f(cfg Config) bool { return cfg.Delta }", "cfg.Delta"},
+	{"Dissemination", "m.cfg.Delta", "internal/discovery/delta.go",
+		"package discovery\nfunc (m *Module) f() bool { return m.cfg.Delta }", "cfg.Delta"},
+	{"Dissemination", "rrbcast as a test-table name", "internal/core/gossip_test.go",
+		"package core\nvar modes = []string{\"rrbcast\"}", "rrbcast"},
 	{"ResumeInPlace", "MaxSplit", "internal/matrix/split.go",
 		"package matrix\nconst MaxSplit = 4", "MaxSplit"},
 	{"ScenarioSpec", "Params.Spec", "internal/scenario/spec.go",
@@ -231,6 +225,10 @@ var ruleCases = []ruleCase{
 		"package bftcup\nimport c \"github.com/bftcup/bftcup/internal/core\"\nvar _ = c.Config{}", "internal/core.Config"},
 	{"NodeAssembly", "core.NewNode in a CLI", "cmd/cupd/node2.go",
 		"package main\nimport \"github.com/bftcup/bftcup/internal/core\"\nvar _ = core.NewNode(nil, nil, core.Config{}, nil)", "internal/core.NewNode"},
+	{"NodeAssembly", "core names its own Config", "internal/core/node2.go",
+		"package core\nvar _ = NewNode(nil, nil, Config{}, nil)", ""},
+	{"KeyGeneration", "cryptox.GenerateKeys in core", "internal/core/node2.go",
+		"package core\nimport \"github.com/bftcup/bftcup/internal/cryptox\"\nvar _ = cryptox.GenerateKeys", "internal/cryptox.GenerateKeys"},
 	{"KeyStore", "aliased keyring call", "internal/scenario/assemble.go",
 		"package scenario\nimport cx \"github.com/bftcup/bftcup/internal/cryptox\"\nfunc k() { cx.Keyring(1, nil) }", "internal/cryptox.Keyring"},
 	{"KeyStore", "keyring method value", "cmd/cupd/keys2.go",
@@ -259,10 +257,31 @@ var ruleCases = []ruleCase{
 		"package byz\nconst kind = \"collude\"", "collude"},
 	{"Vocabulary", "a test may spell it", "internal/byz/collude2_test.go",
 		"package byz\nconst kind = \"collude\"", ""},
-	{"ChangesEntryCap", "1,501 characters", "CHANGES.md",
-		"- PR 900: " + strings.Repeat("x", 1491) + "\n", "entry 900"},
-	{"ChangesEntryCap", "1,500 runes of wider bytes, and older entries", "CHANGES.md",
-		"- PR 7: " + strings.Repeat("x", 2000) + "\n- PR 901: " + strings.Repeat("κ", 1490) + "\n", ""},
+}
+
+// testChangesEntryCap holds CHANGES.md to its entry cap (since 86824fa),
+// then checks the cap on a red and a benign text.
+func testChangesEntryCap(t *testing.T) {
+	changes, err := os.ReadFile("CHANGES.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, b := range changesOverCap(string(changes)) {
+		t.Error(b)
+	}
+	for _, c := range []struct {
+		label, text string
+		over        bool
+	}{
+		{"1,501 characters", "- PR 900: " + strings.Repeat("x", 1491) + "\n", true},
+		{"1,500 runes of wider bytes, and older entries", "- PR 7: " + strings.Repeat("x", 2000) + "\n- PR 901: " + strings.Repeat("κ", 1490) + "\n", false},
+	} {
+		t.Run(c.label, func(t *testing.T) {
+			if got := changesOverCap(c.text); (len(got) > 0) != c.over {
+				t.Errorf("over cap = %q, want over %v", got, c.over)
+			}
+		})
+	}
 }
 
 // changesOverCap reports each CHANGES.md entry ("- PR <n>: …" on one line)
@@ -286,9 +305,29 @@ func changesOverCap(changes string) []string {
 
 // A tree is the module as the rules read it.
 type tree struct {
-	fset    *token.FileSet
-	files   []*srcFile
-	changes string // CHANGES.md
+	fset     *token.FileSet
+	files    []*srcFile
+	verdicts map[*regexp.Regexp]map[string]bool // shared with each tree made by with
+}
+
+// matches reports whether m matches u, keeping re's verdict on each
+// spelling: every rule case rereads the tree, and the test takes 3 s without
+// the memo and 0.45 s with it (2 vCPUs).
+func (t tree) matches(m match, u use) bool {
+	if u.lit && !m.lits || !u.lit && !m.idents {
+		return false
+	}
+	seen := t.verdicts[m.re]
+	if seen == nil {
+		seen = map[string]bool{}
+		t.verdicts[m.re] = seen
+	}
+	v, ok := seen[u.name]
+	if !ok {
+		v = m.re.MatchString(u.name)
+		seen[u.name] = v
+	}
+	return v
 }
 
 // A srcFile is one parsed Go file.
@@ -311,11 +350,7 @@ func loadTree(root string) (tree, error) {
 	if !strings.HasPrefix(string(gomod), "module "+mod+"\n") {
 		return tree{}, fmt.Errorf("go.mod does not declare module %s", mod)
 	}
-	changes, err := os.ReadFile(filepath.Join(root, "CHANGES.md"))
-	if err != nil {
-		return tree{}, err
-	}
-	t := tree{fset: token.NewFileSet(), changes: string(changes)}
+	t := tree{fset: token.NewFileSet(), verdicts: map[*regexp.Regexp]map[string]bool{}}
 	err = filepath.WalkDir(root, func(p string, d fs.DirEntry, err error) error {
 		switch {
 		case err != nil:
@@ -366,12 +401,8 @@ func parseFile(fset *token.FileSet, p string, src []byte) (*srcFile, error) {
 	return f, nil
 }
 
-// with returns t with src parsed as the file at p, or as CHANGES.md.
+// with returns t with src parsed as the file at p.
 func (t tree) with(p, src string) (tree, error) {
-	if p == "CHANGES.md" {
-		t.changes = src
-		return t, nil
-	}
 	f, err := parseFile(t.fset, p, []byte(src))
 	if err != nil {
 		return t, err
@@ -387,8 +418,9 @@ func (t tree) with(p, src string) (tree, error) {
 }
 
 // A use is one name in code. An identifier is spelled by what qualifies it:
-// "import/path.Name" through an import, "x.Name" or ".Name" after another
-// operand, "Recv.Name" where it declares a method, "pkg/path.name" bare.
+// "import/path.Name" through an import, "x.Name" after x or after a selector
+// ending in x (m.x.Name), ".Name" after another operand, "Recv.Name" where it
+// declares a method, "pkg/path.name" bare.
 // A string literal is its value, with lit set. Comments are not read.
 type use struct {
 	name string
@@ -414,15 +446,17 @@ func (f *srcFile) uses() []use {
 			}
 		case *ast.SelectorExpr:
 			done[n.Sel] = true
-			x, ok := n.X.(*ast.Ident)
-			switch {
-			case !ok:
-				add("."+n.Sel.Name, false, n.Sel.Pos())
-			case f.imports[x.Name] != "":
-				add(f.imports[x.Name]+"."+n.Sel.Name, false, n.Sel.Pos())
-				return false
-			default:
+			switch x := n.X.(type) {
+			case *ast.Ident:
+				if ip := f.imports[x.Name]; ip != "" {
+					add(ip+"."+n.Sel.Name, false, n.Sel.Pos())
+					return false
+				}
 				add(x.Name+"."+n.Sel.Name, false, n.Sel.Pos())
+			case *ast.SelectorExpr:
+				add(x.Sel.Name+"."+n.Sel.Name, false, n.Sel.Pos())
+			default:
+				add("."+n.Sel.Name, false, n.Sel.Pos())
 			}
 		case *ast.Ident:
 			if !done[n] {
@@ -473,9 +507,6 @@ func funcDecl(f *ast.File, recv, name string) *ast.FuncDecl {
 
 // breaches reports where t departs from r.
 func (t tree) breaches(r rule) []string {
-	if r.text != nil {
-		return r.text(t.changes)
-	}
 	var out []string
 	hits := make([][]string, len(r.match))
 	found := map[string]bool{}
@@ -499,7 +530,7 @@ func (t tree) breaches(r rule) []string {
 				continue
 			}
 			for i, m := range r.match {
-				if m.matches(u) {
+				if t.matches(m, u) {
 					hits[i] = append(hits[i], fmt.Sprintf("%s:%d: %s", f.path, t.fset.Position(u.pos).Line, u.name))
 				}
 			}
