@@ -250,9 +250,7 @@ func (n *Node) Receive(ctx rt.Context, from model.ID, payload []byte) {
 	if n.disc != nil && n.disc.Handle(ctx, from, payload) {
 		return
 	}
-	switch payload[0] {
-	case wire.KindPrePrepare, wire.KindPrepare, wire.KindCommit,
-		wire.KindViewChange, wire.KindNewView, wire.KindDecideNote:
+	if slot, ok := pbft.PeekSlot(payload); ok {
 		if n.committee == nil {
 			if len(n.pending) < maxPending {
 				// The committee is not identified yet; buffer so that a late
@@ -260,20 +258,17 @@ func (n *Node) Receive(ctx rt.Context, from model.ID, payload []byte) {
 				// payload may be kept as it is (the rt payload contract).
 				n.pending = append(n.pending, pendingMsg{from: from, payload: payload})
 			}
-			return
-		}
-		if slot, ok := pbft.PeekSlot(payload); ok {
-			if inst := n.insts[slot]; inst != nil {
-				inst.Handle(ctx, from, payload)
-				return
-			}
+		} else if inst := n.insts[slot]; inst != nil {
+			inst.Handle(ctx, from, payload)
+		} else if n.member && slot < n.cfg.Slots && n.pendingN < maxPending {
 			// A member that is still on an earlier slot must not lose
 			// traffic (especially DecideNotes) for slots it will start.
-			if n.member && slot < n.cfg.Slots && n.pendingN < maxPending {
-				n.slotPending[slot] = append(n.slotPending[slot], pendingMsg{from: from, payload: payload})
-				n.pendingN++
-			}
+			n.slotPending[slot] = append(n.slotPending[slot], pendingMsg{from: from, payload: payload})
+			n.pendingN++
 		}
+		return
+	}
+	switch payload[0] {
 	case wire.KindGetDecided:
 		n.onGetDecided(ctx, from, payload)
 	case wire.KindDecided:

@@ -36,7 +36,7 @@ func goldenMessages() []struct {
 	msg  message
 	hex  string
 } {
-	cert := &PreparedCert{View: 2, Value: model.Value("prep"), Sigs: []sigEntry{{ID: 1, Sig: []byte("s1")}, {ID: 4, Sig: []byte("s4")}}}
+	cert := &Cert{View: 2, Value: model.Value("prep"), Sigs: []sigEntry{{ID: 1, Sig: []byte("s1")}, {ID: 4, Sig: []byte("s4")}}}
 	vc := viewChangeMsg{Slot: 7, NewView: 3, Prepared: cert, Sig: []byte("vc")}
 	bare := viewChangeMsg{Slot: 7, NewView: 3, Sig: []byte("vb")}
 	var d Digest
@@ -60,7 +60,7 @@ func goldenMessages() []struct {
 			"06070300027662"},
 		{"new view", &newViewMsg{Slot: 7, View: 3, VCs: []viewChangeMsg{vc, bare}, VCFrom: []model.ID{1, 2}, Value: model.Value("prep"), Sig: []byte("nv")},
 			"070703020116060703010204707265700201027331040273340276630207060703000276620470726570026e76"},
-		{"decide note", &decideNoteMsg{Slot: 7, Cert: CommitCert{View: 3, Value: model.Value("dec"), Sigs: []sigEntry{{ID: 2, Sig: []byte("c2")}, {ID: 3, Sig: []byte("c3")}, {ID: 4, Sig: []byte("c4")}}}},
+		{"decide note", &decideNoteMsg{Slot: 7, Cert: Cert{View: 3, Value: model.Value("dec"), Sigs: []sigEntry{{ID: 2, Sig: []byte("c2")}, {ID: 3, Sig: []byte("c3")}, {ID: 4, Sig: []byte("c4")}}}},
 			"0807030364656303020263320302633304026334"},
 	}
 }

@@ -73,7 +73,7 @@ func (fx *fixture) sigs(dom byte, view uint64, value model.Value, ids ...model.I
 }
 
 // viewChange is a view change to newView by from, carrying prepared.
-func (fx *fixture) viewChange(from model.ID, newView uint64, prepared *PreparedCert) viewChangeMsg {
+func (fx *fixture) viewChange(from model.ID, newView uint64, prepared *Cert) viewChangeMsg {
 	return viewChangeMsg{NewView: newView, Prepared: prepared, Sig: fx.signers[from].Sign(vcCanon(0, newView, prepared))}
 }
 
@@ -105,7 +105,7 @@ func (fx *fixture) installed(value model.Value) bool {
 
 // A DECIDE-NOTE decides only on a quorum of commit signatures over its own
 // view and value.
-func TestDecideNoteNeedsCommitCert(t *testing.T) {
+func TestDecideNoteChecksCert(t *testing.T) {
 	x := model.Value("x")
 	for _, c := range []struct {
 		label  string
@@ -119,7 +119,7 @@ func TestDecideNoteNeedsCommitCert(t *testing.T) {
 	} {
 		t.Run(c.label, func(t *testing.T) {
 			fx := newFixture(t)
-			note := &decideNoteMsg{Cert: CommitCert{View: 0, Value: x, Sigs: c.sigs(fx)}}
+			note := &decideNoteMsg{Cert: Cert{View: 0, Value: x, Sigs: c.sigs(fx)}}
 			fx.inst.Handle(fx.ctx, 1, note.encode())
 			if got := len(fx.decided) == 1; got != c.decide {
 				t.Fatalf("decided %q, want a decision %v", fx.decided, c.decide)
@@ -158,7 +158,7 @@ func TestNewViewNeedsQuorumViewChanges(t *testing.T) {
 
 // A NEW-VIEW is refused when a prepared certificate in its bundle does not
 // verify, and when its value is not the highest prepared one.
-func TestNewViewChecksPreparedCerts(t *testing.T) {
+func TestNewViewChecksBundledCerts(t *testing.T) {
 	p := model.Value("p")
 	for _, c := range []struct {
 		label   string
@@ -172,7 +172,7 @@ func TestNewViewChecksPreparedCerts(t *testing.T) {
 	} {
 		t.Run(c.label, func(t *testing.T) {
 			fx := newFixture(t)
-			cert := &PreparedCert{View: 0, Value: p, Sigs: fx.sigs(domPrepare, 0, p, 1, 2, 4)}
+			cert := &Cert{View: 0, Value: p, Sigs: fx.sigs(domPrepare, 0, p, 1, 2, 4)}
 			if c.forge {
 				// p1 signs in p4's name.
 				cert.Sigs[2].Sig = fx.signers[1].Sign(canon(domPrepare, 0, 0, DigestOf(p)))

@@ -39,44 +39,27 @@ type sigEntry struct {
 	Sig []byte
 }
 
-func marshalSigs(w *wire.Writer, sigs []sigEntry) {
-	w.Uvarint(uint64(len(sigs)))
-	for _, s := range sigs {
-		w.ID(s.ID)
-		w.BytesField(s.Sig)
-	}
-}
-
-func unmarshalSigs(r *wire.Reader) []sigEntry {
-	n := r.Uvarint()
-	if r.Err() != nil || n > 4096 {
-		return nil
-	}
-	out := make([]sigEntry, 0, n)
-	for i := uint64(0); i < n; i++ {
-		out = append(out, sigEntry{ID: r.ID(), Sig: r.BytesField()})
-	}
-	return out
-}
-
-// PreparedCert proves that a quorum endorsed Value at View: it carries ≥ Q
-// prepare signatures from distinct committee members. It is what a view
-// change carries forward so no decided value can be lost.
-type PreparedCert struct {
-	// View is the view the value prepared in; Value is the prepared value.
+// Cert proves that a quorum signed Value at View: ≥ Q signatures from
+// distinct committee members over canon(dom, slot, View, digest). Its signing
+// domain tells the two kinds apart. Under domPrepare it is a prepared
+// certificate, which a view change carries forward so that no decided value
+// is lost. Under domCommit it proves a decision, which a DecideNote
+// broadcasts so that laggards decide without re-running the protocol.
+type Cert struct {
+	// View is the view the value prepared or committed in.
 	View  uint64
 	Value model.Value
-	// Sigs holds the quorum's prepare signatures, keyed by signer.
+	// Sigs holds the quorum's signatures, in signer order.
 	Sigs []sigEntry
 }
 
-// validCert checks a prepared certificate against a committee and quorum.
-func (c *PreparedCert) valid(slot uint64, committee model.IDSet, quorum int, v cryptox.Verifier) bool {
-	if c == nil || len(c.Sigs) < quorum {
+// valid checks the certificate under signing domain dom against the
+// instance's committee and quorum.
+func (c *Cert) valid(dom byte, cfg *Config, v cryptox.Verifier) bool {
+	if c == nil || len(c.Sigs) < cfg.Quorum {
 		return false
 	}
-	msg := canon(domPrepare, slot, c.View, DigestOf(c.Value))
-	return validSigs(c.Sigs, msg, committee, v)
+	return validSigs(c.Sigs, canon(dom, cfg.Slot, c.View, DigestOf(c.Value)), cfg.Committee, v)
 }
 
 // validSigs checks a certificate's signature set: every signer is a distinct
@@ -101,43 +84,44 @@ func validSigs(sigs []sigEntry, msg []byte, committee model.IDSet, v cryptox.Ver
 	return true
 }
 
-func (c *PreparedCert) marshal(w *wire.Writer) {
-	if c == nil {
-		w.Bool(false)
-		return
-	}
-	w.Bool(true)
+func (c *Cert) marshal(w *wire.Writer) {
 	w.Uvarint(c.View)
 	w.BytesField(c.Value)
-	marshalSigs(w, c.Sigs)
+	w.Uvarint(uint64(len(c.Sigs)))
+	for _, s := range c.Sigs {
+		w.ID(s.ID)
+		w.BytesField(s.Sig)
+	}
 }
 
-func unmarshalCert(r *wire.Reader) *PreparedCert {
-	if !r.Bool() {
-		return nil
+func unmarshalCert(r *wire.Reader) Cert {
+	c := Cert{View: r.Uvarint(), Value: r.BytesField()}
+	n := r.Uvarint()
+	if r.Err() != nil || n > 4096 {
+		return c
 	}
-	c := &PreparedCert{View: r.Uvarint(), Value: r.BytesField()}
-	c.Sigs = unmarshalSigs(r)
+	c.Sigs = make([]sigEntry, 0, n)
+	for i := uint64(0); i < n; i++ {
+		c.Sigs = append(c.Sigs, sigEntry{ID: r.ID(), Sig: r.BytesField()})
+	}
 	return c
 }
 
-// CommitCert proves a decision: ≥ Q commit signatures over (slot, view,
-// digest). Broadcast in a DecideNote so laggards decide without re-running
-// the protocol.
-type CommitCert struct {
-	// View is the view the value committed in; Value is the decided value.
-	View  uint64
-	Value model.Value
-	// Sigs holds the quorum's commit signatures, keyed by signer.
-	Sigs []sigEntry
+// marshalPrepared writes a view change's optional prepared certificate: a
+// presence flag, then the certificate.
+func marshalPrepared(w *wire.Writer, c *Cert) {
+	w.Bool(c != nil)
+	if c != nil {
+		c.marshal(w)
+	}
 }
 
-func (c *CommitCert) valid(slot uint64, committee model.IDSet, quorum int, v cryptox.Verifier) bool {
-	if c == nil || len(c.Sigs) < quorum {
-		return false
+func unmarshalPrepared(r *wire.Reader) *Cert {
+	if !r.Bool() {
+		return nil
 	}
-	msg := canon(domCommit, slot, c.View, DigestOf(c.Value))
-	return validSigs(c.Sigs, msg, committee, v)
+	c := unmarshalCert(r)
+	return &c
 }
 
 // --- wire formats -----------------------------------------------------------
@@ -202,17 +186,17 @@ func decodeVote(b []byte) (*voteMsg, bool) {
 type viewChangeMsg struct {
 	Slot     uint64
 	NewView  uint64
-	Prepared *PreparedCert
+	Prepared *Cert
 	Sig      []byte
 }
 
-func vcCanon(slot, newView uint64, prepared *PreparedCert) []byte {
+func vcCanon(slot, newView uint64, prepared *Cert) []byte {
 	w := wire.NewWriter()
 	w.Byte('B')
 	w.Byte(domViewChange)
 	w.Uvarint(slot)
 	w.Uvarint(newView)
-	prepared.marshal(w)
+	marshalPrepared(w, prepared)
 	return w.Bytes()
 }
 
@@ -221,15 +205,14 @@ func (m *viewChangeMsg) encode() []byte {
 	w.Byte(wire.KindViewChange)
 	w.Uvarint(m.Slot)
 	w.Uvarint(m.NewView)
-	m.Prepared.marshal(w)
+	marshalPrepared(w, m.Prepared)
 	w.BytesField(m.Sig)
 	return w.Bytes()
 }
 
 func decodeViewChange(b []byte) (*viewChangeMsg, bool) {
 	r := wire.NewReader(b[1:])
-	m := &viewChangeMsg{Slot: r.Uvarint(), NewView: r.Uvarint()}
-	m.Prepared = unmarshalCert(r)
+	m := &viewChangeMsg{Slot: r.Uvarint(), NewView: r.Uvarint(), Prepared: unmarshalPrepared(r)}
 	m.Sig = r.BytesField()
 	return m, r.Done() == nil
 }
@@ -289,44 +272,40 @@ func decodeNewView(b []byte) (*newViewMsg, bool) {
 // decision directly.
 type decideNoteMsg struct {
 	Slot uint64
-	Cert CommitCert
+	Cert Cert
 }
 
 func (m *decideNoteMsg) encode() []byte {
 	w := wire.NewWriter()
 	w.Byte(wire.KindDecideNote)
 	w.Uvarint(m.Slot)
-	w.Uvarint(m.Cert.View)
-	w.BytesField(m.Cert.Value)
-	marshalSigs(w, m.Cert.Sigs)
+	m.Cert.marshal(w)
 	return w.Bytes()
 }
 
 func decodeDecideNote(b []byte) (*decideNoteMsg, bool) {
 	r := wire.NewReader(b[1:])
-	m := &decideNoteMsg{Slot: r.Uvarint()}
-	m.Cert.View = r.Uvarint()
-	m.Cert.Value = r.BytesField()
-	m.Cert.Sigs = unmarshalSigs(r)
+	m := &decideNoteMsg{Slot: r.Uvarint(), Cert: unmarshalCert(r)}
 	return m, r.Done() == nil
+}
+
+// isPBFT reports whether a wire kind is one of PBFT's six.
+func isPBFT(kind byte) bool {
+	switch kind {
+	case wire.KindPrePrepare, wire.KindPrepare, wire.KindCommit,
+		wire.KindViewChange, wire.KindNewView, wire.KindDecideNote:
+		return true
+	}
+	return false
 }
 
 // PeekSlot extracts the slot from any PBFT payload so a multi-slot node can
 // route it; ok is false for non-PBFT payloads.
 func PeekSlot(payload []byte) (uint64, bool) {
-	if len(payload) < 2 {
+	if len(payload) < 2 || !isPBFT(payload[0]) {
 		return 0, false
 	}
-	switch payload[0] {
-	case wire.KindPrePrepare, wire.KindPrepare, wire.KindCommit,
-		wire.KindViewChange, wire.KindNewView, wire.KindDecideNote:
-		r := wire.NewReader(payload[1:])
-		s := r.Uvarint()
-		if r.Err() != nil {
-			return 0, false
-		}
-		return s, true
-	default:
-		return 0, false
-	}
+	r := wire.NewReader(payload[1:])
+	s := r.Uvarint()
+	return s, r.Err() == nil
 }

@@ -92,24 +92,29 @@ type Instance struct {
 	members  []model.ID // sorted
 
 	view     uint64
-	proposal model.Value            // own initial proposal
-	accepted map[uint64]model.Value // view → value accepted for that view (from pre-prepare/new-view)
-	sentPrep map[uint64]bool        // views in which we already sent Prepare
-	sentComm map[uint64]bool
-	prepares map[uint64]map[Digest]map[model.ID][]byte
-	commits  map[uint64]map[Digest]map[model.ID][]byte
-	vcs      map[uint64]map[model.ID]*viewChangeMsg
-	sentVC   map[uint64]bool
-	sentNV   map[uint64]bool
-	prepared *PreparedCert
+	proposal model.Value // own initial proposal
+	views    map[uint64]*viewState
+	prepared *Cert // the highest-view prepared certificate, carried by view changes
 
-	decided  bool
-	decision model.Value
+	decided bool
 	// noteBytes is the encoded DecideNote retained after deciding
 	// (hardened mode replays it to members still working the slot).
 	noteBytes []byte
 	onDecide  func(model.Value)
 	started   bool
+}
+
+// viewState is what an instance records about one view.
+type viewState struct {
+	// value is the value accepted for the view, from its pre-prepare or its
+	// new-view; accepting it and sending its prepare are one step.
+	value    model.Value
+	accepted bool
+	// The messages this member sent for the view, besides its prepare.
+	sentCommit, sentVC, sentNV bool
+	// The view's prepare and commit signatures, by digest and signer.
+	prepares, commits map[Digest]map[model.ID][]byte
+	vcs               map[model.ID]*viewChangeMsg
 }
 
 // New creates an instance. onDecide fires exactly once; it may be nil.
@@ -127,20 +132,20 @@ func New(signer cryptox.Signer, verifier cryptox.Verifier, cfg Config, proposal 
 		cfg:      cfg,
 		members:  cfg.Committee.Sorted(),
 		proposal: proposal,
-		accepted: make(map[uint64]model.Value),
-		sentPrep: make(map[uint64]bool),
-		sentComm: make(map[uint64]bool),
-		prepares: make(map[uint64]map[Digest]map[model.ID][]byte),
-		commits:  make(map[uint64]map[Digest]map[model.ID][]byte),
-		vcs:      make(map[uint64]map[model.ID]*viewChangeMsg),
-		sentVC:   make(map[uint64]bool),
-		sentNV:   make(map[uint64]bool),
+		views:    make(map[uint64]*viewState),
 		onDecide: onDecide,
 	}, nil
 }
 
-// Decided returns the decision, if reached.
-func (i *Instance) Decided() (model.Value, bool) { return i.decision, i.decided }
+// at returns the record of a view, making it on first use.
+func (i *Instance) at(view uint64) *viewState {
+	vs := i.views[view]
+	if vs == nil {
+		vs = &viewState{}
+		i.views[view] = vs
+	}
+	return vs
+}
 
 // View returns the current view (for tests and metrics).
 func (i *Instance) View() uint64 { return i.view }
@@ -203,102 +208,73 @@ func (i *Instance) Resume(ctx rt.Context) {
 	i.armTimer(ctx)
 }
 
-// HandleTimer processes a view timer; it reports whether the tag was ours.
-func (i *Instance) HandleTimer(ctx rt.Context, tag uint64) bool {
+// HandleTimer processes a view timer of this instance's slot; a foreign or
+// stale tag is ignored.
+func (i *Instance) HandleTimer(ctx rt.Context, tag uint64) {
 	slot, ok := SlotOfTag(tag)
-	if !ok {
-		return false
-	}
-	if slot != i.cfg.Slot&0xFF {
-		return false
-	}
-	view := tag & 0xFFFFFFFF
-	if view != i.view&0xFFFFFFFF || i.decided || !i.started {
-		return true // stale timer
+	if !ok || slot != i.cfg.Slot&0xFF || tag&0xFFFFFFFF != i.view&0xFFFFFFFF || i.decided || !i.started {
+		return
 	}
 	i.startViewChange(ctx, i.view+1)
-	return true
 }
 
+// startViewChange moves to newView, above the current view, and asks the
+// committee to install it.
 func (i *Instance) startViewChange(ctx rt.Context, newView uint64) {
-	if newView <= i.view && i.sentVC[newView] {
+	i.view = newView
+	vs := i.at(newView)
+	if vs.sentVC {
 		return
 	}
-	if newView > i.view {
-		i.view = newView
-	}
-	if i.sentVC[i.view] {
-		return
-	}
-	i.sentVC[i.view] = true
-	vc := &viewChangeMsg{Slot: i.cfg.Slot, NewView: i.view, Prepared: i.prepared}
-	vc.Sig = i.signer.Sign(vcCanon(i.cfg.Slot, i.view, i.prepared))
+	vs.sentVC = true
+	vc := &viewChangeMsg{Slot: i.cfg.Slot, NewView: newView, Prepared: i.prepared}
+	vc.Sig = i.signer.Sign(vcCanon(i.cfg.Slot, newView, i.prepared))
 	i.broadcast(ctx, vc.encode())
 	// Record our own view change (the new leader might be us).
 	i.recordVC(ctx, i.self, vc)
 	i.armTimer(ctx)
 }
 
-// Handle processes a PBFT payload for this slot; it reports whether the
-// payload was consumed.
-func (i *Instance) Handle(ctx rt.Context, from model.ID, payload []byte) bool {
-	if len(payload) < 2 || i.decided || !i.started {
+// Handle processes a PBFT payload for this slot. PBFT traffic from
+// non-members, and every other payload, is dropped.
+func (i *Instance) Handle(ctx rt.Context, from model.ID, payload []byte) {
+	if len(payload) == 0 || !isPBFT(payload[0]) || !i.cfg.Committee.Has(from) {
+		return
+	}
+	if i.decided || !i.started {
 		// Decided instances ignore everything (DecideNote already sent) —
 		// except that in hardened mode a decided member answers live
 		// protocol traffic from a committee peer with its decide
 		// certificate: the peer is visibly still working the slot, so the
 		// original note (or its loss-recovery window) did not reach it.
 		// DecideNote itself never triggers a reply, so replies cannot loop.
-		if len(payload) >= 1 {
-			switch payload[0] {
-			case wire.KindPrePrepare, wire.KindPrepare, wire.KindCommit,
-				wire.KindViewChange, wire.KindNewView:
-				if i.decided && i.cfg.Hardened && i.noteBytes != nil && i.cfg.Committee.Has(from) {
-					ctx.Send(from, i.noteBytes)
-				}
-				return true
-			case wire.KindDecideNote:
-				return true
-			}
+		if i.decided && i.cfg.Hardened && i.noteBytes != nil && payload[0] != wire.KindDecideNote {
+			ctx.Send(from, i.noteBytes)
 		}
-		return false
-	}
-	if !i.cfg.Committee.Has(from) {
-		switch payload[0] {
-		case wire.KindPrePrepare, wire.KindPrepare, wire.KindCommit,
-			wire.KindViewChange, wire.KindNewView, wire.KindDecideNote:
-			return true // PBFT traffic from non-members is dropped
-		}
-		return false
+		return
 	}
 	switch payload[0] {
 	case wire.KindPrePrepare:
 		if m, ok := decodePrePrepare(payload); ok && m.Slot == i.cfg.Slot {
 			i.onPrePrepare(ctx, from, m)
 		}
-		return true
 	case wire.KindPrepare, wire.KindCommit:
-		if m, ok := decodeVote(payload); ok && m.Slot == i.cfg.Slot {
-			i.onVote(ctx, from, m)
+		if m, ok := decodeVote(payload); ok && m.Slot == i.cfg.Slot &&
+			i.verifier.Verify(from, canon(domOf(m.Kind), i.cfg.Slot, m.View, m.Digest), m.Sig) {
+			i.recordVote(ctx, from, m)
 		}
-		return true
 	case wire.KindViewChange:
-		if m, ok := decodeViewChange(payload); ok && m.Slot == i.cfg.Slot {
-			i.onViewChange(ctx, from, m)
+		if m, ok := decodeViewChange(payload); ok && m.Slot == i.cfg.Slot && i.validVC(from, m) {
+			i.recordVC(ctx, from, m)
 		}
-		return true
 	case wire.KindNewView:
 		if m, ok := decodeNewView(payload); ok && m.Slot == i.cfg.Slot {
 			i.onNewView(ctx, from, m)
 		}
-		return true
 	case wire.KindDecideNote:
-		if m, ok := decodeDecideNote(payload); ok && m.Slot == i.cfg.Slot {
-			i.onDecideNote(ctx, m)
+		if m, ok := decodeDecideNote(payload); ok && m.Slot == i.cfg.Slot && m.Cert.valid(domCommit, &i.cfg, i.verifier) {
+			i.decide(ctx, &m.Cert, false) // no re-broadcast: the sender already notified all
 		}
-		return true
-	default:
-		return false
 	}
 }
 
@@ -306,58 +282,53 @@ func (i *Instance) onPrePrepare(ctx rt.Context, from model.ID, m *prePrepareMsg)
 	if m.View != i.view || from != i.Leader(m.View) {
 		return
 	}
-	d := DigestOf(m.Value)
-	if !i.verifier.Verify(from, canon(domPrePrepare, i.cfg.Slot, m.View, d), m.Sig) {
+	if !i.verifier.Verify(from, canon(domPrePrepare, i.cfg.Slot, m.View, DigestOf(m.Value)), m.Sig) {
 		return
 	}
-	if _, have := i.accepted[m.View]; have {
-		return // first proposal wins; equivocation cannot gather two quorums
-	}
+	// The first proposal wins; equivocation cannot gather two quorums.
 	i.acceptProposal(ctx, m.View, m.Value)
 }
 
-// acceptProposal records the value bound to a view and broadcasts Prepare.
+// acceptProposal binds a value to a view, once, and prepares it.
 func (i *Instance) acceptProposal(ctx rt.Context, view uint64, value model.Value) {
-	if _, have := i.accepted[view]; have {
+	vs := i.at(view)
+	if vs.accepted {
 		return
 	}
-	i.accepted[view] = value
-	if i.sentPrep[view] {
-		return
-	}
-	i.sentPrep[view] = true
-	d := DigestOf(value)
-	sig := i.signer.Sign(canon(domPrepare, i.cfg.Slot, view, d))
-	vote := &voteMsg{Kind: wire.KindPrepare, Slot: i.cfg.Slot, View: view, Digest: d, Sig: sig}
-	i.broadcast(ctx, vote.encode())
-	i.recordVote(ctx, i.self, &voteMsg{Kind: wire.KindPrepare, Slot: i.cfg.Slot, View: view, Digest: d, Sig: sig})
+	vs.value, vs.accepted = value, true
+	i.vote(ctx, wire.KindPrepare, view, DigestOf(value))
 }
 
-func (i *Instance) onVote(ctx rt.Context, from model.ID, m *voteMsg) {
-	dom := domPrepare
-	if m.Kind == wire.KindCommit {
-		dom = domCommit
+// domOf is the signing domain of a vote kind.
+func domOf(kind byte) byte {
+	if kind == wire.KindCommit {
+		return domCommit
 	}
-	if !i.verifier.Verify(from, canon(dom, i.cfg.Slot, m.View, m.Digest), m.Sig) {
-		return
-	}
-	i.recordVote(ctx, from, m)
+	return domPrepare
+}
+
+// vote signs and broadcasts this member's prepare or commit for (view, d),
+// then records it like any other.
+func (i *Instance) vote(ctx rt.Context, kind byte, view uint64, d Digest) {
+	m := &voteMsg{Kind: kind, Slot: i.cfg.Slot, View: view, Digest: d,
+		Sig: i.signer.Sign(canon(domOf(kind), i.cfg.Slot, view, d))}
+	i.broadcast(ctx, m.encode())
+	i.recordVote(ctx, i.self, m)
 }
 
 func (i *Instance) recordVote(ctx rt.Context, from model.ID, m *voteMsg) {
-	table := i.prepares
+	vs := i.at(m.View)
+	tally := &vs.prepares
 	if m.Kind == wire.KindCommit {
-		table = i.commits
+		tally = &vs.commits
 	}
-	byDigest, ok := table[m.View]
-	if !ok {
-		byDigest = make(map[Digest]map[model.ID][]byte)
-		table[m.View] = byDigest
+	if *tally == nil {
+		*tally = make(map[Digest]map[model.ID][]byte)
 	}
-	byID, ok := byDigest[m.Digest]
+	byID, ok := (*tally)[m.Digest]
 	if !ok {
 		byID = make(map[model.ID][]byte)
-		byDigest[m.Digest] = byID
+		(*tally)[m.Digest] = byID
 	}
 	if _, dup := byID[from]; dup {
 		return
@@ -369,38 +340,31 @@ func (i *Instance) recordVote(ctx rt.Context, from model.ID, m *voteMsg) {
 // checkProgress fires the prepared → commit and committed → decide
 // transitions for the current view.
 func (i *Instance) checkProgress(ctx rt.Context, view uint64, d Digest) {
-	if view != i.view || i.decided {
+	vs := i.at(view)
+	if view != i.view || i.decided || !vs.accepted || DigestOf(vs.value) != d {
 		return
 	}
-	value, haveValue := i.accepted[view]
-	if !haveValue || DigestOf(value) != d {
-		return
-	}
-	preps := i.prepares[view][d]
-	if len(preps) >= i.cfg.Quorum && !i.sentComm[view] {
-		i.sentComm[view] = true
+	if preps := vs.prepares[d]; len(preps) >= i.cfg.Quorum && !vs.sentCommit {
+		vs.sentCommit = true
 		// Build/refresh the prepared certificate carried by view changes.
-		cert := &PreparedCert{View: view, Value: value}
-		for _, id := range sortedIDs(preps) {
-			cert.Sigs = append(cert.Sigs, sigEntry{ID: id, Sig: preps[id]})
-		}
-		if i.prepared == nil || cert.View > i.prepared.View {
+		if cert := certOf(view, vs.value, preps); i.prepared == nil || cert.View > i.prepared.View {
 			i.prepared = cert
 		}
-		sig := i.signer.Sign(canon(domCommit, i.cfg.Slot, view, d))
-		vote := &voteMsg{Kind: wire.KindCommit, Slot: i.cfg.Slot, View: view, Digest: d, Sig: sig}
-		i.broadcast(ctx, vote.encode())
-		i.recordVote(ctx, i.self, vote)
+		i.vote(ctx, wire.KindCommit, view, d)
 		return
 	}
-	comms := i.commits[view][d]
-	if len(comms) >= i.cfg.Quorum && i.sentComm[view] {
-		cert := CommitCert{View: view, Value: value}
-		for _, id := range sortedIDs(comms) {
-			cert.Sigs = append(cert.Sigs, sigEntry{ID: id, Sig: comms[id]})
-		}
-		i.decide(ctx, value, &cert)
+	if comms := vs.commits[d]; len(comms) >= i.cfg.Quorum && vs.sentCommit {
+		i.decide(ctx, certOf(view, vs.value, comms), true)
 	}
+}
+
+// certOf assembles a certificate from a tally's signatures, in signer order.
+func certOf(view uint64, value model.Value, sigs map[model.ID][]byte) *Cert {
+	c := &Cert{View: view, Value: value}
+	for _, id := range sortedIDs(sigs) {
+		c.Sigs = append(c.Sigs, sigEntry{ID: id, Sig: sigs[id]})
+	}
+	return c
 }
 
 func sortedIDs[T any](m map[model.ID]T) []model.ID {
@@ -412,50 +376,49 @@ func sortedIDs[T any](m map[model.ID]T) []model.ID {
 	return out
 }
 
-func (i *Instance) decide(ctx rt.Context, value model.Value, cert *CommitCert) {
+// decide adopts the value a commit certificate proves, once, and broadcasts
+// the certificate as a DecideNote when asked to. Hardened mode keeps the note
+// either way, to answer peers still working the slot.
+func (i *Instance) decide(ctx rt.Context, cert *Cert, broadcast bool) {
 	if i.decided {
 		return
 	}
 	i.decided = true
-	i.decision = value
-	if cert != nil {
-		note := &decideNoteMsg{Slot: i.cfg.Slot, Cert: *cert}
-		i.noteBytes = note.encode()
+	if broadcast || i.cfg.Hardened {
+		i.noteBytes = (&decideNoteMsg{Slot: i.cfg.Slot, Cert: *cert}).encode()
+	}
+	if broadcast {
 		i.broadcast(ctx, i.noteBytes)
 	}
 	if i.onDecide != nil {
-		i.onDecide(value)
+		i.onDecide(cert.Value)
 	}
 }
 
-func (i *Instance) onViewChange(ctx rt.Context, from model.ID, m *viewChangeMsg) {
-	if !i.verifier.Verify(from, vcCanon(i.cfg.Slot, m.NewView, m.Prepared), m.Sig) {
-		return
-	}
-	if m.Prepared != nil && !m.Prepared.valid(i.cfg.Slot, i.cfg.Committee, i.cfg.Quorum, i.verifier) {
-		return
-	}
-	i.recordVC(ctx, from, m)
+// validVC checks a view change from sender: its signature, and the prepared
+// certificate it carries, if any.
+func (i *Instance) validVC(sender model.ID, m *viewChangeMsg) bool {
+	return i.verifier.Verify(sender, vcCanon(i.cfg.Slot, m.NewView, m.Prepared), m.Sig) &&
+		(m.Prepared == nil || m.Prepared.valid(domPrepare, &i.cfg, i.verifier))
 }
 
 func (i *Instance) recordVC(ctx rt.Context, from model.ID, m *viewChangeMsg) {
-	byID, ok := i.vcs[m.NewView]
-	if !ok {
-		byID = make(map[model.ID]*viewChangeMsg)
-		i.vcs[m.NewView] = byID
+	vs := i.at(m.NewView)
+	if vs.vcs == nil {
+		vs.vcs = make(map[model.ID]*viewChangeMsg)
 	}
-	if _, dup := byID[from]; dup {
+	if _, dup := vs.vcs[from]; dup {
 		return
 	}
-	byID[from] = m
+	vs.vcs[from] = m
 
 	// Catch-up: if f+1 distinct members (hence ≥ one correct) are past us,
 	// join the lowest such view — the classic PBFT liveness rule.
 	minHigher := uint64(0)
 	ahead := model.NewIDSet()
-	for v, set := range i.vcs {
-		if v > i.view {
-			for id := range set {
+	for v, s := range i.views {
+		if v > i.view && len(s.vcs) > 0 {
+			for id := range s.vcs {
 				ahead.Add(id)
 			}
 			if minHigher == 0 || v < minHigher {
@@ -467,56 +430,38 @@ func (i *Instance) recordVC(ctx rt.Context, from model.ID, m *viewChangeMsg) {
 		i.startViewChange(ctx, minHigher)
 	}
 
-	// New leader: install the view once a quorum of view changes arrives.
-	if len(i.vcs[m.NewView]) >= i.cfg.Quorum && i.Leader(m.NewView) == i.self &&
-		m.NewView >= i.view && !i.sentNV[m.NewView] {
-		i.sentNV[m.NewView] = true
+	// New leader: install the view once a quorum of view changes arrives,
+	// re-proposing the highest prepared value among them, else its own.
+	if len(vs.vcs) >= i.cfg.Quorum && i.Leader(m.NewView) == i.self &&
+		m.NewView >= i.view && !vs.sentNV {
+		vs.sentNV = true
 		i.view = m.NewView
-		value := i.chooseValue(m.NewView)
-		nv := &newViewMsg{Slot: i.cfg.Slot, View: m.NewView, Value: value}
-		for _, id := range sortedIDs(i.vcs[m.NewView]) {
+		nv := &newViewMsg{Slot: i.cfg.Slot, View: m.NewView, Value: i.proposal}
+		for _, id := range sortedIDs(vs.vcs) {
 			nv.VCFrom = append(nv.VCFrom, id)
-			nv.VCs = append(nv.VCs, *i.vcs[m.NewView][id])
+			nv.VCs = append(nv.VCs, *vs.vcs[id])
 		}
-		nv.Sig = i.signer.Sign(canon(domNewView, i.cfg.Slot, m.NewView, DigestOf(value)))
+		if c := highestPrepared(nv.VCs); c != nil {
+			nv.Value = c.Value
+		}
+		nv.Sig = i.signer.Sign(canon(domNewView, i.cfg.Slot, m.NewView, DigestOf(nv.Value)))
 		i.broadcast(ctx, nv.encode())
-		i.acceptProposal(ctx, m.NewView, value)
+		i.acceptProposal(ctx, m.NewView, nv.Value)
 		i.armTimer(ctx)
 	}
 }
 
-// chooseValue picks the value a new leader must propose: the value of the
-// highest-view prepared certificate among the quorum's view changes, or its
-// own proposal when none prepared.
-func (i *Instance) chooseValue(view uint64) model.Value {
-	var best *PreparedCert
-	for _, id := range sortedIDs(i.vcs[view]) {
-		if c := i.vcs[view][id].Prepared; c != nil {
-			if best == nil || c.View > best.View {
-				best = c
-			}
-		}
-	}
-	if best != nil {
-		return best.Value
-	}
-	return i.proposal
-}
-
-// validNewViewValue recomputes the leader's mandatory choice from the bundle.
-func validNewViewValue(bundle []viewChangeMsg, value model.Value) bool {
-	var best *PreparedCert
+// highestPrepared returns the highest-view prepared certificate of a
+// new-view bundle (the first among equals), nil when none prepared: a new
+// leader must propose its value, and members check that it did.
+func highestPrepared(bundle []viewChangeMsg) *Cert {
+	var best *Cert
 	for idx := range bundle {
-		if c := bundle[idx].Prepared; c != nil {
-			if best == nil || c.View > best.View {
-				best = c
-			}
+		if c := bundle[idx].Prepared; c != nil && (best == nil || c.View > best.View) {
+			best = c
 		}
 	}
-	if best != nil {
-		return DigestOf(best.Value) == DigestOf(value)
-	}
-	return true // no prepared cert: the leader may propose anything
+	return best
 }
 
 func (i *Instance) onNewView(ctx rt.Context, from model.ID, m *newViewMsg) {
@@ -531,45 +476,17 @@ func (i *Instance) onNewView(ctx rt.Context, from model.ID, m *newViewMsg) {
 	}
 	seen := model.NewIDSet()
 	for idx := range m.VCs {
-		vc := m.VCs[idx]
-		sender := m.VCFrom[idx]
-		if vc.NewView != m.View || !i.cfg.Committee.Has(sender) || !seen.Add(sender) {
-			return
-		}
-		if !i.verifier.Verify(sender, vcCanon(i.cfg.Slot, vc.NewView, vc.Prepared), vc.Sig) {
-			return
-		}
-		if vc.Prepared != nil && !vc.Prepared.valid(i.cfg.Slot, i.cfg.Committee, i.cfg.Quorum, i.verifier) {
+		vc, sender := &m.VCs[idx], m.VCFrom[idx]
+		if vc.NewView != m.View || !i.cfg.Committee.Has(sender) || !seen.Add(sender) || !i.validVC(sender, vc) {
 			return
 		}
 	}
-	if !validNewViewValue(m.VCs, m.Value) {
+	if c := highestPrepared(m.VCs); c != nil && DigestOf(c.Value) != DigestOf(m.Value) {
 		return
 	}
 	i.view = m.View
 	i.acceptProposal(ctx, m.View, m.Value)
 	i.armTimer(ctx)
 	// Votes for this view may have arrived before we installed it.
-	i.replayVotes(ctx, m.View)
-}
-
-// replayVotes re-evaluates quorum conditions after a late view installation.
-func (i *Instance) replayVotes(ctx rt.Context, view uint64) {
-	value, ok := i.accepted[view]
-	if !ok {
-		return
-	}
-	i.checkProgress(ctx, view, DigestOf(value))
-}
-
-func (i *Instance) onDecideNote(ctx rt.Context, m *decideNoteMsg) {
-	if !m.Cert.valid(i.cfg.Slot, i.cfg.Committee, i.cfg.Quorum, i.verifier) {
-		return
-	}
-	if i.cfg.Hardened && i.noteBytes == nil {
-		// Retain the certificate so this member can in turn answer peers
-		// still working the slot.
-		i.noteBytes = (&decideNoteMsg{Slot: i.cfg.Slot, Cert: m.Cert}).encode()
-	}
-	i.decide(ctx, m.Cert.Value, nil) // no re-broadcast: sender already notified all
+	i.checkProgress(ctx, m.View, DigestOf(i.at(m.View).value))
 }

@@ -325,7 +325,7 @@ func TestMessageRoundTrips(t *testing.T) {
 	if got, ok := decodePrePrepare(pp.encode()); !ok || got.View != 2 || !got.Value.Equal(pp.Value) {
 		t.Fatalf("preprepare round-trip: %+v %v", got, ok)
 	}
-	cert := &PreparedCert{View: 3, Value: model.Value("v"), Sigs: []sigEntry{{ID: 1, Sig: []byte("s")}}}
+	cert := &Cert{View: 3, Value: model.Value("v"), Sigs: []sigEntry{{ID: 1, Sig: []byte("s")}}}
 	vc := &viewChangeMsg{Slot: 1, NewView: 4, Prepared: cert, Sig: []byte("sig")}
 	got, ok := decodeViewChange(vc.encode())
 	if !ok || got.NewView != 4 || got.Prepared == nil || got.Prepared.View != 3 {
@@ -339,7 +339,7 @@ func TestMessageRoundTrips(t *testing.T) {
 	if got, ok := decodeNewView(nv.encode()); !ok || len(got.VCs) != 1 || got.VCFrom[0] != 2 {
 		t.Fatalf("newview round-trip: %+v %v", got, ok)
 	}
-	note := &decideNoteMsg{Slot: 1, Cert: CommitCert{View: 5, Value: model.Value("v"), Sigs: []sigEntry{{ID: 3, Sig: []byte("c")}}}}
+	note := &decideNoteMsg{Slot: 1, Cert: Cert{View: 5, Value: model.Value("v"), Sigs: []sigEntry{{ID: 3, Sig: []byte("c")}}}}
 	if got, ok := decodeDecideNote(note.encode()); !ok || got.Cert.View != 5 {
 		t.Fatalf("decidenote round-trip: %+v %v", got, ok)
 	}
@@ -359,36 +359,40 @@ func TestCertValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	cfg := &Config{Committee: committee, Quorum: 3}
 	val := model.Value("v")
 	d := DigestOf(val)
-	mk := func(members ...model.ID) *PreparedCert {
-		c := &PreparedCert{View: 1, Value: val}
+	mk := func(members ...model.ID) *Cert {
+		c := &Cert{View: 1, Value: val}
 		for _, id := range members {
 			c.Sigs = append(c.Sigs, sigEntry{ID: id, Sig: signers[id].Sign(canon(domPrepare, 0, 1, d))})
 		}
 		return c
 	}
-	if !mk(1, 2, 3).valid(0, committee, 3, reg) {
+	if !mk(1, 2, 3).valid(domPrepare, cfg, reg) {
 		t.Fatal("valid cert rejected")
 	}
-	if mk(1, 2).valid(0, committee, 3, reg) {
+	if mk(1, 2, 3).valid(domCommit, cfg, reg) {
+		t.Fatal("prepare signatures accepted as a commit cert")
+	}
+	if mk(1, 2).valid(domPrepare, cfg, reg) {
 		t.Fatal("sub-quorum cert accepted")
 	}
-	if mk(1, 2, 2).valid(0, committee, 3, reg) {
+	if mk(1, 2, 2).valid(domPrepare, cfg, reg) {
 		t.Fatal("duplicate-signer cert accepted")
 	}
 	bad := mk(1, 2, 3)
 	bad.Sigs[0].Sig = []byte("junk")
-	if bad.valid(0, committee, 3, reg) {
+	if bad.valid(domPrepare, cfg, reg) {
 		t.Fatal("bad-signature cert accepted")
 	}
 	outsider := mk(1, 2, 3)
 	outsider.Sigs[0].ID = 9
-	if outsider.valid(0, committee, 3, reg) {
+	if outsider.valid(domPrepare, cfg, reg) {
 		t.Fatal("non-member cert accepted")
 	}
-	var nilCert *PreparedCert
-	if nilCert.valid(0, committee, 3, reg) {
+	var nilCert *Cert
+	if nilCert.valid(domPrepare, cfg, reg) {
 		t.Fatal("nil cert accepted")
 	}
 }
