@@ -177,6 +177,13 @@ var designRules = []rule{
 		funcs: []string{"checkKOSRByDigraph", "pairsHold", "kosrReasonByPairs", "pairsByFlow", "checkExtendedKOSRByPairs", "checkBFTCUPFTByPairs"},
 		match: []match{names(`HasKFan|fanHolds|fanFlow|pairHolds|degreeExits|CheckKOSR$|CheckExtendedKOSR$|CheckBFTCUPF?T?$`)}},
 
+	// Committee consensus: one certificate type, one highest-prepared scan,
+	// and PBFT's wire kinds named only by the package that speaks them.
+	{name: "CommitteeCert", since: "1ba2d08", files: scope{tests: true, except: []string{"bench/"}},
+		match: []match{names(`(^|\.)(PreparedCert|CommitCert|chooseValue|validNewViewValue)$`)}},
+	{name: "CommitteeKinds", since: "1ba2d08", files: scope{tests: true, in: []string{"internal/core/"}},
+		match: []match{names(`internal/wire\.Kind(PrePrepare|Prepare|Commit|ViewChange|NewView|DecideNote)$`)}},
+
 	// Vocabulary: each word is one literal, in its model.Names table.
 	{name: "Vocabulary", since: "46fb081", files: scope{except: []string{"bench/"}}, want: 1,
 		match: []match{str(`^fake-pd$`), str(`^equiv-pd$`), str(`^as-correct$`), str(`^selective-silent$`),
@@ -253,6 +260,18 @@ var ruleCases = []ruleCase{
 		"package graph\nfunc (g *Digraph) IsKStronglyConnected(k int) bool { return g.sc.KappaAtLeast(nil, k) }", "KappaAtLeast"},
 	{"PairOraclesBare", "pair oracle runs a fan", "internal/graph/fan_test.go",
 		"package graph\nfunc pairsHold(sc *FlowScratch) bool { return sc.HasKFan(0, nil, 1) }", "sc.HasKFan"},
+	{"CommitteeCert", "PreparedCert", "internal/pbft/cert2.go",
+		"package pbft\ntype PreparedCert struct{}", "PreparedCert"},
+	{"CommitteeCert", "chooseValue", "internal/pbft/choose.go",
+		"package pbft\nfunc (i *Instance) chooseValue() {}", "Instance.chooseValue"},
+	{"CommitteeCert", "a test named for commit certificates", "internal/pbft/cert2_test.go",
+		"package pbft\nfunc TestDecideNoteNeedsCommitCert() {}", ""},
+	{"CommitteeKinds", "core routes by KindCommit", "internal/core/route.go",
+		"package core\nimport \"github.com/bftcup/bftcup/internal/wire\"\nvar _ = wire.KindCommit", "internal/wire.KindCommit"},
+	{"CommitteeKinds", "aliased KindDecideNote in a test", "internal/core/route_test.go",
+		"package core\nimport w \"github.com/bftcup/bftcup/internal/wire\"\nvar _ = w.KindDecideNote", "internal/wire.KindDecideNote"},
+	{"CommitteeKinds", "core's own kinds", "internal/core/route.go",
+		"package core\nimport \"github.com/bftcup/bftcup/internal/wire\"\nvar _ = wire.KindGetDecided", ""},
 	{"Vocabulary", "a second collude literal", "internal/byz/collude2.go",
 		"package byz\nconst kind = \"collude\"", "collude"},
 	{"Vocabulary", "a test may spell it", "internal/byz/collude2_test.go",
@@ -274,7 +293,10 @@ func testChangesEntryCap(t *testing.T) {
 		over        bool
 	}{
 		{"1,501 characters", "- PR 900: " + strings.Repeat("x", 1491) + "\n", true},
-		{"1,500 runes of wider bytes, and older entries", "- PR 7: " + strings.Repeat("x", 2000) + "\n- PR 901: " + strings.Repeat("κ", 1490) + "\n", false},
+		{"a head without a colon", "- PR 902 [simplicity] " + strings.Repeat("x", 1479) + "\n", true},
+		{"a bold head", "- **PR 903 · " + strings.Repeat("x", 1488) + "\n", true},
+		{"1,500 runes of wider bytes, and older entries", "- PR 7: " + strings.Repeat("x", 2000) + "\n- **PR 27 · " + strings.Repeat("x", 2000) +
+			"\n- PR 901: " + strings.Repeat("κ", 1490) + "\n", false},
 	} {
 		t.Run(c.label, func(t *testing.T) {
 			if got := changesOverCap(c.text); (len(got) > 0) != c.over {
@@ -284,12 +306,12 @@ func testChangesEntryCap(t *testing.T) {
 	}
 }
 
-// changesOverCap reports each CHANGES.md entry ("- PR <n>: …" on one line)
-// longer than 1,500 characters, counted as runes. Entries numbered below 37
-// predate the cap.
+// changesOverCap reports each CHANGES.md entry (one line headed "- PR <n>",
+// "**" allowed before "PR") longer than 1,500 characters, counted as runes.
+// Entries numbered below 37 predate the cap.
 func changesOverCap(changes string) []string {
 	var out []string
-	entry := regexp.MustCompile(`^- PR ([0-9]+):`)
+	entry := regexp.MustCompile(`^- (?:\*\*)?PR ([0-9]+)\b`)
 	for i, line := range strings.Split(changes, "\n") {
 		m := entry.FindStringSubmatch(line)
 		if m == nil {

@@ -5,6 +5,12 @@
 // 2f+1). Instances are slot-addressed so multi-decision chains can be built
 // on top (see examples/committee).
 //
+// An Instance keeps one record per view: the value it accepted, the messages
+// it sent, its prepare and commit tallies and the view changes it received.
+// Prepared and commit certificates are one type, Cert, told apart by the
+// signing domain their signatures are checked under: a view change carries a
+// prepared one, a DecideNote a commit one.
+//
 // Every message is signed under a domain-separated namespace and carries its
 // slot, so one core.Node can demultiplex traffic for many chained instances
 // (pbft.PeekSlot) without decoding whole messages.

@@ -112,7 +112,8 @@ type viewState struct {
 	accepted bool
 	// The messages this member sent for the view, besides its prepare.
 	sentCommit, sentVC, sentNV bool
-	// The view's prepare and commit signatures, by digest and signer.
+	// The view's prepare and commit signatures by digest and signer, and
+	// its view changes (this member's own included) by sender.
 	prepares, commits map[Digest]map[model.ID][]byte
 	vcs               map[model.ID]*viewChangeMsg
 }
