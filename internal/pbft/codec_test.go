@@ -29,13 +29,16 @@ func decode(b []byte) (message, bool) {
 	return nil, false
 }
 
-// goldenMessages are one message of each shape, with the encoding the
-// protocol has always put on the wire.
-func goldenMessages() []struct {
+// A golden is a message with the encoding the protocol has always put on
+// the wire.
+type golden struct {
 	name string
 	msg  message
 	hex  string
-} {
+}
+
+// goldenMessages are one message of each shape.
+func goldenMessages() []golden {
 	cert := &Cert{View: 2, Value: model.Value("prep"), Sigs: []sigEntry{{ID: 1, Sig: []byte("s1")}, {ID: 4, Sig: []byte("s4")}}}
 	vc := viewChangeMsg{Slot: 7, NewView: 3, Prepared: cert, Sig: []byte("vc")}
 	bare := viewChangeMsg{Slot: 7, NewView: 3, Sig: []byte("vb")}
@@ -43,11 +46,7 @@ func goldenMessages() []struct {
 	for i := range d {
 		d[i] = byte(i)
 	}
-	return []struct {
-		name string
-		msg  message
-		hex  string
-	}{
+	return []golden{
 		{"pre-prepare", &prePrepareMsg{Slot: 7, View: 2, Value: model.Value("val"), Sig: []byte("pp")},
 			"0307020376616c027070"},
 		{"prepare", &voteMsg{Kind: wire.KindPrepare, Slot: 7, View: 2, Digest: d, Sig: []byte("pr")},

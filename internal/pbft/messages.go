@@ -49,7 +49,7 @@ type Cert struct {
 	// View is the view the value prepared or committed in.
 	View  uint64
 	Value model.Value
-	// Sigs holds the quorum's signatures, in signer order.
+	// Sigs holds the quorum's signatures, one per signer.
 	Sigs []sigEntry
 }
 
@@ -114,14 +114,6 @@ func marshalPrepared(w *wire.Writer, c *Cert) {
 	if c != nil {
 		c.marshal(w)
 	}
-}
-
-func unmarshalPrepared(r *wire.Reader) *Cert {
-	if !r.Bool() {
-		return nil
-	}
-	c := unmarshalCert(r)
-	return &c
 }
 
 // --- wire formats -----------------------------------------------------------
@@ -212,7 +204,11 @@ func (m *viewChangeMsg) encode() []byte {
 
 func decodeViewChange(b []byte) (*viewChangeMsg, bool) {
 	r := wire.NewReader(b[1:])
-	m := &viewChangeMsg{Slot: r.Uvarint(), NewView: r.Uvarint(), Prepared: unmarshalPrepared(r)}
+	m := &viewChangeMsg{Slot: r.Uvarint(), NewView: r.Uvarint()}
+	if r.Bool() {
+		c := unmarshalCert(r)
+		m.Prepared = &c
+	}
 	m.Sig = r.BytesField()
 	return m, r.Done() == nil
 }

@@ -453,8 +453,9 @@ func (i *Instance) recordVC(ctx rt.Context, from model.ID, m *viewChangeMsg) {
 }
 
 // highestPrepared returns the highest-view prepared certificate of a
-// new-view bundle (the first among equals), nil when none prepared: a new
-// leader must propose its value, and members check that it did.
+// new-view bundle (the first among equals): a new leader must re-propose its
+// value, and members check that it did. Nil means none prepared, and the
+// leader may propose anything.
 func highestPrepared(bundle []viewChangeMsg) *Cert {
 	var best *Cert
 	for idx := range bundle {
