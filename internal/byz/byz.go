@@ -52,8 +52,6 @@ func (b *FakePD) Timer(ctx rt.Context, tag uint64) { b.mod.HandleTimer(ctx, tag)
 // algorithms must tolerate the resulting inconsistent views. It relays every
 // verified record it has collected, like a correct process would.
 type PDEquivocator struct {
-	self      model.ID
-	verifier  cryptox.Verifier
 	recA      discovery.SignedPD
 	recB      discovery.SignedPD
 	chooseAlt func(model.ID) bool
@@ -69,8 +67,6 @@ func NewPDEquivocator(signer cryptox.Signer, verifier cryptox.Verifier, pdA, pdB
 	}
 	recA := discovery.NewSignedPD(signer, pdA)
 	return &PDEquivocator{
-		self:      signer.ID(),
-		verifier:  verifier,
 		recA:      recA,
 		recB:      discovery.NewSignedPD(signer, pdB),
 		chooseAlt: chooseAlt,

@@ -124,27 +124,26 @@ func (b *SelectiveSilent) Timer(ctx rt.Context, tag uint64) {
 
 // Collusion is the shared state of a colluding group: every member's forged
 // own record (any member advertises records for all fellow members — the
-// group shares key material), the pooled third-party records every member's
+// group shares key material), the pool of third-party records every member's
 // collection feeds, and the set of record owners the group censors from its
-// replies. One Collusion is built per simulation run (it is mutable run
-// state; a compiled scenario must not hold one) and is for one goroutine —
-// the simulator delivers events sequentially.
+// replies. The pool is a discovery.Module seated at the first member to join,
+// so the group decodes and verifies SETPDS exactly as correct processes do.
+// One Collusion is built per simulation run (it is mutable run state; a
+// compiled scenario must not hold one) and is for one goroutine — the
+// simulator delivers events sequentially.
 //
-// Determinism: the pool is keyed by owner but always iterated through the
-// sorted owner list, and the reply payload is cached and rebuilt only when
-// the pool changes, so replies are byte-deterministic regardless of map
-// iteration order.
+// Determinism: the pool hands its records out in ascending owner order, and
+// the reply payload is cached and rebuilt only when the pool changes, so
+// replies are byte-deterministic regardless of map iteration order.
 type Collusion struct {
 	verifier   cryptox.Verifier
-	period     rt.Time
+	cfg        discovery.Config
 	members    model.IDSet
 	group      []discovery.SignedPD // one forged record per member, ascending owner
 	withhold   model.IDSet
-	pool       map[model.ID]discovery.SignedPD // verified third-party records
-	owners     []model.ID                      // sorted pool keys
-	known      model.IDSet
-	encoded    []byte     // cached SETPDS reply; nil after pool growth
-	recipients []model.ID // cached sorted gossip targets; nil after known growth
+	pool       *discovery.Module // verified records; nil until the first member joins
+	encoded    []byte            // cached SETPDS reply; nil after pool growth
+	recipients []model.ID        // cached sorted gossip targets; nil after pool growth
 }
 
 // NewCollusion creates an empty colluding group.
@@ -154,11 +153,9 @@ func NewCollusion(verifier cryptox.Verifier, cfg discovery.Config) *Collusion {
 	}
 	return &Collusion{
 		verifier: verifier,
-		period:   cfg.Period,
+		cfg:      cfg,
 		members:  model.NewIDSet(),
 		withhold: model.NewIDSet(),
-		pool:     make(map[model.ID]discovery.SignedPD),
-		known:    model.NewIDSet(),
 	}
 }
 
@@ -174,82 +171,53 @@ func (c *Collusion) AddMember(signer cryptox.Signer, claimed model.IDSet, withho
 	copy(c.group[i+1:], c.group[i:])
 	c.group[i] = rec
 	c.members.Add(rec.Owner)
-	c.addKnown(rec.Owner)
-	for id := range claimed {
-		c.addKnown(id)
-	}
 	for id := range withhold {
 		c.withhold.Add(id)
 	}
-	c.encoded = nil
+	if c.pool == nil {
+		c.pool = discovery.New(rec, c.verifier, c.cfg, c.dropCaches)
+	}
+	c.dropCaches()
 	return &Colluder{shared: c, self: rec.Owner}
 }
 
-func (c *Collusion) addKnown(id model.ID) {
-	if c.known.Add(id) {
-		c.recipients = nil
-	}
+// dropCaches forgets the reply and the gossip targets; the pool calls it
+// whenever it grows.
+func (c *Collusion) dropCaches() {
+	c.encoded = nil
+	c.recipients = nil
 }
 
 // payload renders the group's reply: every member's forged record first, then
-// the pooled third-party records in ascending owner order, minus the withheld
-// owners. All members send the identical payload — sharing collected records
-// is the point of the group.
+// the pooled third-party records in ascending owner order, minus the members'
+// (the group's forged ones win) and the withheld owners. All members send the
+// identical payload — sharing collected records is the point of the group.
 func (c *Collusion) payload() []byte {
 	if c.encoded == nil {
-		recs := make([]discovery.SignedPD, 0, len(c.group)+len(c.owners))
-		recs = append(recs, c.group...)
-		for _, owner := range c.owners {
-			if !c.withhold.Has(owner) {
-				recs = append(recs, c.pool[owner])
+		recs := c.pool.AppendOtherRecords(append([]discovery.SignedPD(nil), c.group...))
+		kept := recs[:len(c.group)]
+		for _, rec := range recs[len(c.group):] {
+			if !c.members.Has(rec.Owner) && !c.withhold.Has(rec.Owner) {
+				kept = append(kept, rec)
 			}
 		}
-		c.encoded = discovery.EncodeSetPDs(recs)
+		c.encoded = discovery.EncodeSetPDs(kept)
 	}
 	return c.encoded
 }
 
-// merge folds a received SETPDS payload into the shared pool, mirroring the
-// discovery module's verification rules (first verified record per owner
-// wins; member-owned records are ignored — the group controls those).
-func (c *Collusion) merge(payload []byte) {
-	rd := wire.NewReader(payload[1:])
-	n := rd.Uvarint()
-	if rd.Err() != nil || n > 4096 {
-		return
+// targets returns the sorted gossip recipients: everyone the pool knows of,
+// plus the members and the PDs the group claims for them.
+func (c *Collusion) targets() []model.ID {
+	if c.recipients == nil {
+		known := c.pool.View().Known.Clone()
+		for _, rec := range c.group {
+			known.Add(rec.Owner)
+			known.AddAll(rec.PD)
+		}
+		c.recipients = known.Sorted()
 	}
-	for i := uint64(0); i < n; i++ {
-		owner := rd.ID()
-		if rd.Err() != nil {
-			return
-		}
-		_, have := c.pool[owner]
-		if have || c.members.Has(owner) {
-			rd.SkipIDSet()
-			rd.SkipBytesField()
-			if rd.Err() != nil {
-				return
-			}
-			continue
-		}
-		rec := discovery.SignedPD{Owner: owner, PD: rd.IDSet(), Sig: rd.BytesField()}
-		if rd.Err() != nil {
-			return
-		}
-		if !rec.Verify(c.verifier) {
-			continue
-		}
-		j := sort.Search(len(c.owners), func(i int) bool { return c.owners[i] >= owner })
-		c.owners = append(c.owners, 0)
-		copy(c.owners[j+1:], c.owners[j:])
-		c.owners[j] = owner
-		c.pool[owner] = rec
-		c.encoded = nil
-		c.addKnown(owner)
-		for id := range rec.PD {
-			c.addKnown(id)
-		}
-	}
+	return c.recipients
 }
 
 // Colluder is one member of a Collusion: it gossips GETPDS rounds like a
@@ -264,17 +232,14 @@ type Colluder struct {
 // Init implements rt.Reactor.
 func (b *Colluder) Init(ctx rt.Context) { b.round(ctx) }
 
-// Receive implements rt.Reactor.
+// Receive implements rt.Reactor: a GETPDS gets the group's reply, a SETPDS
+// goes into the pool.
 func (b *Colluder) Receive(ctx rt.Context, from model.ID, payload []byte) {
-	if len(payload) == 0 {
+	if len(payload) > 0 && payload[0] == wire.KindGetPDs {
+		ctx.Send(from, b.shared.payload())
 		return
 	}
-	switch payload[0] {
-	case wire.KindGetPDs:
-		ctx.Send(from, b.shared.payload())
-	case wire.KindSetPDs:
-		b.shared.merge(payload)
-	}
+	b.shared.pool.Handle(ctx, from, payload)
 }
 
 // Timer implements rt.Reactor.
@@ -287,16 +252,12 @@ func (b *Colluder) Timer(ctx rt.Context, tag uint64) {
 // round requests records from every known process, like Algorithm 1's
 // periodic task — colluders pull knowledge as eagerly as correct processes.
 func (b *Colluder) round(ctx rt.Context) {
-	c := b.shared
-	if c.recipients == nil {
-		c.recipients = c.known.Sorted()
-	}
-	for _, id := range c.recipients {
+	for _, id := range b.shared.targets() {
 		if id != b.self {
 			ctx.Send(id, getPDsRequest)
 		}
 	}
-	ctx.SetTimer(c.period, discovery.TimerTag)
+	ctx.SetTimer(b.shared.cfg.Period, discovery.TimerTag)
 }
 
 // getPDsRequest is the constant one-byte GETPDS request, never written to.

@@ -89,10 +89,11 @@ func decodeSetPDs(t *testing.T, payload []byte) []model.ID {
 
 // TestCollusionPoolsAndCensors drives the shared group state directly: pooled
 // third-party records appear in every member's identical reply, withheld
-// owners are censored, and records claiming a member's identity are ignored
-// (the group's forged self-records win).
+// owners are censored, records claiming a member's identity are ignored
+// (the group's forged self-records win), and a record whose signature fails
+// is never relayed.
 func TestCollusionPoolsAndCensors(t *testing.T) {
-	signers, reg, err := cryptox.GenerateKeys(1, []model.ID{1, 2, 3, 4})
+	signers, reg, err := cryptox.GenerateKeys(1, []model.ID{1, 2, 3, 4, 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,15 +103,21 @@ func TestCollusionPoolsAndCensors(t *testing.T) {
 	c4 := group.AddMember(signers[4], model.NewIDSet(1), nil)
 	c2 := group.AddMember(signers[2], model.NewIDSet(1), model.NewIDSet(3))
 
-	// The outside world: records from 1 and 3, plus a genuine record from
-	// member 2 that must NOT displace the group's forged one.
+	// The outside world: records from 1 and 3, a genuine record from member
+	// 2 that must NOT displace the group's forged one, and a record of 5
+	// whose signature covers another PD than the one it carries.
 	genuine2 := discovery.NewSignedPD(signers[2], model.NewIDSet(3, 4))
+	forged5 := discovery.NewSignedPD(signers[5], model.NewIDSet(1))
+	forged5.PD = model.NewIDSet(1, 3)
 	incoming := discovery.EncodeSetPDs([]discovery.SignedPD{
 		discovery.NewSignedPD(signers[1], model.NewIDSet(3)),
 		discovery.NewSignedPD(signers[3], model.NewIDSet(1)),
 		genuine2,
+		forged5,
 	})
-	group.merge(incoming)
+	// Either member's collection feeds the one pool.
+	c4.Receive(captureCtx{}, 1, incoming)
+	c2.Receive(captureCtx{}, 3, incoming)
 
 	reply := group.payload()
 	owners := decodeSetPDs(t, reply)

@@ -165,7 +165,9 @@ func TestReportJSONRoundTrip(t *testing.T) {
 // TestSweepAnchors pins the two fingerprints bench/ hard-codes as its anchors
 // (and counts a mismatch against as a failed operation), so an edit that
 // changes a trace, a message count or a verdict fails here, under the tier-1
-// command, before it fails the benchmark.
+// command, before it fails the benchmark. It also pins the adversary sweep,
+// which no bench workload runs: the only anchor over the zoo's collusion,
+// delay, selective-silence and equivocation cells.
 func TestSweepAnchors(t *testing.T) {
 	anchors := []struct {
 		name  string
@@ -176,6 +178,7 @@ func TestSweepAnchors(t *testing.T) {
 	}{
 		{"standard", StandardSweep, Seeds(1, 10), "4b072439c652d9f4eeb39ecf603b390fd7386fbc746bfcfe6ba2065620e8b0b8", false},
 		{"probabilistic", ProbabilisticSweep, Seeds(1, 1), "a7e7a889fe264e59265bd7813649bcad1a1e5c91a2f376b4bd5f1bc5181d747b", true},
+		{"adversary", AdversarySweep, Seeds(1, 3), "5692f30dabfed8fce2ca67a60880d3744f4f70954d02bd01b74a1d93b44c0aa6", false},
 	}
 	for _, a := range anchors {
 		t.Run(a.name, func(t *testing.T) {

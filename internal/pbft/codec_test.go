@@ -113,3 +113,23 @@ func FuzzPBFTDecode(f *testing.F) {
 		}
 	})
 }
+
+// TestDecodeRefusesSignatureCountOverCap: a certificate whose signature count
+// is above the 4,096 cap fails the message that carries it, also when the
+// bytes after the count are what the message expects next.
+func TestDecodeRefusesSignatureCountOverCap(t *testing.T) {
+	over := []byte{0x88, 0x27} // uvarint 5,000
+	for _, c := range []struct {
+		name string
+		b    []byte
+	}{
+		{"decide note ending after the count", append([]byte{wire.KindDecideNote, 7, 3, 3, 'd', 'e', 'c'}, over...)},
+		{"view change with its signature after the count", append(append([]byte{wire.KindViewChange, 7, 3, 1, 2, 4, 'p', 'r', 'e', 'p'}, over...), 2, 'v', 'c')},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			if m, ok := decode(c.b); ok {
+				t.Fatalf("%x decodes as %+v", c.b, m)
+			}
+		})
+	}
+}

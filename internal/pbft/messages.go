@@ -94,17 +94,19 @@ func (c *Cert) marshal(w *wire.Writer) {
 	}
 }
 
-func unmarshalCert(r *wire.Reader) Cert {
-	c := Cert{View: r.Uvarint(), Value: r.BytesField()}
+// unmarshalCert reads a certificate; ok is false when its signature count is
+// above the cap, which fails the message that carries it.
+func unmarshalCert(r *wire.Reader) (c Cert, ok bool) {
+	c = Cert{View: r.Uvarint(), Value: r.BytesField()}
 	n := r.Uvarint()
 	if r.Err() != nil || n > 4096 {
-		return c
+		return c, false
 	}
 	c.Sigs = make([]sigEntry, 0, n)
 	for i := uint64(0); i < n; i++ {
 		c.Sigs = append(c.Sigs, sigEntry{ID: r.ID(), Sig: r.BytesField()})
 	}
-	return c
+	return c, true
 }
 
 // marshalPrepared writes a view change's optional prepared certificate: a
@@ -206,7 +208,10 @@ func decodeViewChange(b []byte) (*viewChangeMsg, bool) {
 	r := wire.NewReader(b[1:])
 	m := &viewChangeMsg{Slot: r.Uvarint(), NewView: r.Uvarint()}
 	if r.Bool() {
-		c := unmarshalCert(r)
+		c, ok := unmarshalCert(r)
+		if !ok {
+			return nil, false
+		}
 		m.Prepared = &c
 	}
 	m.Sig = r.BytesField()
@@ -281,8 +286,9 @@ func (m *decideNoteMsg) encode() []byte {
 
 func decodeDecideNote(b []byte) (*decideNoteMsg, bool) {
 	r := wire.NewReader(b[1:])
-	m := &decideNoteMsg{Slot: r.Uvarint(), Cert: unmarshalCert(r)}
-	return m, r.Done() == nil
+	slot := r.Uvarint()
+	c, ok := unmarshalCert(r)
+	return &decideNoteMsg{Slot: slot, Cert: c}, ok && r.Done() == nil
 }
 
 // isPBFT reports whether a wire kind is one of PBFT's six.
