@@ -160,6 +160,8 @@ var designRules = []rule{
 		match: []match{names(`degreeExits`)}},
 	{name: "SweepFlags", since: "576183d", files: scope{except: []string{"internal/matrix/cli.go", "bench/"}},
 		match: []match{str(`^(seeds|parallel|shard|only|jsonl|resume)$`)}},
+	{name: "RecordPool", since: "086c4a5", files: scope{tests: true, except: []string{"internal/discovery/", "internal/wire/", "bench/"}},
+		match: []match{names(`(^|\.)Skip(IDSet|BytesField)$`)}},
 	{name: "RecordDecoder", since: "e49ef2c", files: scope{in: []string{"internal/matrix/"}},
 		match: []match{ref("encoding/json", "Unmarshal")}, want: 1},
 
@@ -250,6 +252,10 @@ var ruleCases = []ruleCase{
 		"package graph\n// kappaFast reads degreeExits before any flow.\nfunc kappaFast() {}", ""},
 	{"SweepFlags", "shard flag in experiments", "cmd/experiments/shard.go",
 		"package main\nimport \"flag\"\nfunc bind(fs *flag.FlagSet) { fs.String(\"shard\", \"\", \"\") }", "shard"},
+	{"RecordPool", "a second SETPDS walk in the zoo", "internal/byz/collude2.go",
+		"package byz\nimport \"github.com/bftcup/bftcup/internal/wire\"\nfunc skip(rd *wire.Reader) { rd.SkipIDSet(); rd.SkipBytesField() }", "rd.SkipIDSet"},
+	{"RecordPool", "discovery steps over a held record", "internal/discovery/merge2.go",
+		"package discovery\nimport \"github.com/bftcup/bftcup/internal/wire\"\nfunc skip(rd *wire.Reader) { rd.SkipIDSet(); rd.SkipBytesField() }", ""},
 	{"RecordDecoder", "a second json.Unmarshal", "internal/matrix/decode2.go",
 		"package matrix\nimport \"encoding/json\"\nvar _ = json.Unmarshal(nil, nil)", "encoding/json.Unmarshal"},
 	{"EngineSkipsOracle", "engine calls IsSink", "internal/kosr/searcher2.go",

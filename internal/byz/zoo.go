@@ -125,25 +125,24 @@ func (b *SelectiveSilent) Timer(ctx rt.Context, tag uint64) {
 // Collusion is the shared state of a colluding group: every member's forged
 // own record (any member advertises records for all fellow members — the
 // group shares key material), the pool of third-party records every member's
-// collection feeds, and the set of record owners the group censors from its
-// replies. The pool is a discovery.Module seated at the first member to join,
-// so the group decodes and verifies SETPDS exactly as correct processes do.
-// One Collusion is built per simulation run (it is mutable run state; a
-// compiled scenario must not hold one) and is for one goroutine — the
-// simulator delivers events sequentially.
+// collection feeds, and the record owners the group censors from its replies.
+// The pool is a discovery.Module seated at the first member to join, so the
+// group decodes and verifies SETPDS exactly as correct processes do. One
+// Collusion is built per simulation run (it is mutable run state; a compiled
+// scenario must not hold one) and is for one goroutine — the simulator
+// delivers events sequentially.
 //
 // Determinism: the pool hands its records out in ascending owner order, and
-// the reply payload is cached and rebuilt only when the pool changes, so
+// the reply payload is cached and rebuilt only when the pool grows, so
 // replies are byte-deterministic regardless of map iteration order.
 type Collusion struct {
 	verifier   cryptox.Verifier
 	cfg        discovery.Config
-	members    model.IDSet
 	group      []discovery.SignedPD // one forged record per member, ascending owner
-	withhold   model.IDSet
-	pool       *discovery.Module // verified records; nil until the first member joins
-	encoded    []byte            // cached SETPDS reply; nil after pool growth
-	recipients []model.ID        // cached sorted gossip targets; nil after pool growth
+	omit       model.IDSet          // members and withheld owners: never relayed from the pool
+	pool       *discovery.Module    // nil until the first member joins
+	encoded    []byte               // cached SETPDS reply
+	recipients []model.ID           // cached sorted gossip targets
 }
 
 // NewCollusion creates an empty colluding group.
@@ -151,12 +150,7 @@ func NewCollusion(verifier cryptox.Verifier, cfg discovery.Config) *Collusion {
 	if cfg.Period <= 0 {
 		cfg.Period = discovery.DefaultConfig().Period
 	}
-	return &Collusion{
-		verifier: verifier,
-		cfg:      cfg,
-		members:  model.NewIDSet(),
-		withhold: model.NewIDSet(),
-	}
+	return &Collusion{verifier: verifier, cfg: cfg, omit: model.NewIDSet()}
 }
 
 // AddMember registers one colluder and returns its reactor. claimed is the
@@ -166,14 +160,10 @@ func NewCollusion(verifier cryptox.Verifier, cfg discovery.Config) *Collusion {
 // record list is part of every member's replies.
 func (c *Collusion) AddMember(signer cryptox.Signer, claimed model.IDSet, withhold model.IDSet) *Colluder {
 	rec := discovery.NewSignedPD(signer, claimed)
-	i := sort.Search(len(c.group), func(i int) bool { return c.group[i].Owner >= rec.Owner })
-	c.group = append(c.group, discovery.SignedPD{})
-	copy(c.group[i+1:], c.group[i:])
-	c.group[i] = rec
-	c.members.Add(rec.Owner)
-	for id := range withhold {
-		c.withhold.Add(id)
-	}
+	c.group = append(c.group, rec)
+	sort.Slice(c.group, func(i, j int) bool { return c.group[i].Owner < c.group[j].Owner })
+	c.omit.Add(rec.Owner)
+	c.omit.AddAll(withhold)
 	if c.pool == nil {
 		c.pool = discovery.New(rec, c.verifier, c.cfg, c.dropCaches)
 	}
@@ -189,15 +179,15 @@ func (c *Collusion) dropCaches() {
 }
 
 // payload renders the group's reply: every member's forged record first, then
-// the pooled third-party records in ascending owner order, minus the members'
-// (the group's forged ones win) and the withheld owners. All members send the
+// the pooled records in ascending owner order, minus the members' (the
+// group's forged ones win) and the withheld owners'. All members send the
 // identical payload — sharing collected records is the point of the group.
 func (c *Collusion) payload() []byte {
 	if c.encoded == nil {
 		recs := c.pool.AppendOtherRecords(append([]discovery.SignedPD(nil), c.group...))
 		kept := recs[:len(c.group)]
 		for _, rec := range recs[len(c.group):] {
-			if !c.members.Has(rec.Owner) && !c.withhold.Has(rec.Owner) {
+			if !c.omit.Has(rec.Owner) {
 				kept = append(kept, rec)
 			}
 		}

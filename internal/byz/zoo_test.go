@@ -2,6 +2,7 @@ package byz
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"github.com/bftcup/bftcup/internal/cryptox"
@@ -149,6 +150,29 @@ func TestCollusionPoolsAndCensors(t *testing.T) {
 	rd.Uvarint()
 	if owner, pd := rd.ID(), rd.IDSet(); owner != 2 || !pd.Equal(model.NewIDSet(1)) {
 		t.Fatalf("member record is %v:%v, want the forged 2:{1}", owner, pd)
+	}
+}
+
+// TestCollusionGossipsToGroupKnowledge: a member's GETPDS round reaches, in
+// ascending order, everyone the pool knows of plus every fellow member and
+// every PD the group claims, but not the member itself.
+func TestCollusionGossipsToGroupKnowledge(t *testing.T) {
+	signers, reg, err := cryptox.GenerateKeys(1, []model.ID{2, 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	group := NewCollusion(reg, discovery.DefaultConfig())
+	c4 := group.AddMember(signers[4], model.NewIDSet(1), nil)
+	group.AddMember(signers[2], model.NewIDSet(3), nil)
+	var got []model.ID
+	c4.Init(captureCtx{onSend: func(to model.ID, p []byte) {
+		if len(p) != 1 || p[0] != wire.KindGetPDs {
+			t.Fatalf("round sent % x to %v, want GETPDS", p, to)
+		}
+		got = append(got, to)
+	}})
+	if want := []model.ID{1, 2, 3}; !slices.Equal(got, want) {
+		t.Fatalf("round requested from %v, want %v", got, want)
 	}
 }
 
