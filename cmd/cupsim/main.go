@@ -131,9 +131,6 @@ func runSweep(params scenario.Params, sf *matrix.SweepFlags) {
 	if params.Faults.Enabled() {
 		name += " (faults " + params.Faults.Label() + ")"
 	}
-	if params.Insecure {
-		name += " (insecure)"
-	}
 	job := sf.Job(name, src)
 	if job.Path != "" {
 		tr, err := job.Run()

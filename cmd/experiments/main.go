@@ -52,7 +52,6 @@ func main() {
 		trace      = flag.Bool("trace", false, "record per-cell event-trace digests")
 		cellRows   = flag.Bool("cells", false, "list every cell in text output")
 		compare    = flag.Bool("compare", false, "with -matrix: run serially then in parallel, assert identical reports, print speedup")
-		insecure   = flag.Bool("insecure", false, "with -matrix: swap Ed25519 for the insecure crypto suite (faster cells; fingerprints NOT comparable with secure sweeps)")
 		doMerge    = flag.Bool("merge", false, "merge shard JSONL files (positional arguments) into the aggregate report")
 		summary    = flag.Bool("summary", false, "with -merge: aggregate in constant memory, dropping per-cell outcomes from the report")
 		cpuProfile = flag.String("cpuprofile", "", "write a pprof CPU profile of the selected mode to this file (hot-path work starts from a profile artifact)")
@@ -83,7 +82,7 @@ func main() {
 	case *doMerge:
 		runMerge(flag.Args(), sweep.JSON, *cellRows, *summary)
 	case *doMatrix:
-		runMatrix(sweep, *adversary, *probSweep, *chaosSweep, *insecure, *trace, *cellRows, *compare)
+		runMatrix(sweep, *adversary, *probSweep, *chaosSweep, *trace, *cellRows, *compare)
 	default:
 		runPaperSuite(*runSel, sweep.Parallel, sweep.JSON, *trace, *verbose)
 	}
@@ -117,7 +116,7 @@ func runMerge(paths []string, jsonOut, cellRows, summary bool) {
 // streamed to JSONL (fresh or resumed) with -jsonl, else into a report. The
 // sweep is a lazy cell source end to end — nothing materializes the cell
 // list, so seed ranges in the millions are fine.
-func runMatrix(sf *matrix.SweepFlags, adversary, probabilistic, chaos, insecure, trace, cellRows, compare bool) {
+func runMatrix(sf *matrix.SweepFlags, adversary, probabilistic, chaos, trace, cellRows, compare bool) {
 	sweepName := matrix.Sweeps[0].Name
 	picked := 0
 	for name, on := range map[string]bool{"adversary": adversary, "probabilistic": probabilistic, "chaos": chaos} {
@@ -132,7 +131,7 @@ func runMatrix(sf *matrix.SweepFlags, adversary, probabilistic, chaos, insecure,
 	if compare && (sf.Shard != "" || sf.Only != "" || sf.JSONL != "" || sf.Resume) {
 		fail(fmt.Errorf("-compare runs the whole sweep twice; it cannot be combined with -shard, -only, -jsonl or -resume"))
 	}
-	src, name, err := matrix.NamedSweep(sweepName, sf.Seeds, insecure)
+	src, name, err := matrix.NamedSweep(sweepName, sf.Seeds)
 	if err != nil {
 		fail(err)
 	}

@@ -40,7 +40,6 @@ type config struct {
 	sweep                        *matrix.SweepFlags
 	worker                       bool
 	sweepSel                     string
-	insecure                     bool
 	workers                      int
 	sshHosts, remoteCmd, sshArgs string
 	shards                       int
@@ -54,7 +53,6 @@ func bind(fs *flag.FlagSet) *config {
 	c := &config{sweep: matrix.BindSweepFlags(fs, "1:10", 1)}
 	fs.BoolVar(&c.worker, "worker", false, "run one worker task (the coordinator execs these) instead of coordinating")
 	fs.StringVar(&c.sweepSel, "sweep", matrix.Sweeps[0].Name, "sweep to run: "+matrix.Sweeps.Join("|"))
-	fs.BoolVar(&c.insecure, "insecure", false, "swap Ed25519 for the insecure crypto suite (fingerprints NOT comparable with secure sweeps)")
 	fs.IntVar(&c.workers, "workers", 4, "local subprocess workers (ignored with -ssh)")
 	fs.StringVar(&c.sshHosts, "ssh", "", "comma-separated ssh destinations; replaces the local fleet")
 	fs.StringVar(&c.remoteCmd, "remote-cmd", "sweepd", "worker command on ssh hosts (binary plus flags)")
@@ -72,7 +70,7 @@ func main() {
 	c := bind(flag.CommandLine)
 	flag.Parse()
 
-	src, name, err := matrix.NamedSweep(c.sweepSel, c.sweep.Seeds, c.insecure)
+	src, name, err := matrix.NamedSweep(c.sweepSel, c.sweep.Seeds)
 	if err != nil {
 		fail(err)
 	}
@@ -108,9 +106,6 @@ func (c *config) fleet() ([]matrix.Transport, error) {
 		"-sweep", c.sweepSel,
 		"-seeds", c.sweep.Seeds,
 		"-parallel", fmt.Sprint(c.sweep.Parallel),
-	}
-	if c.insecure {
-		base = append(base, "-insecure")
 	}
 	if c.sshHosts != "" {
 		argv := append(strings.Fields(c.remoteCmd), base...)

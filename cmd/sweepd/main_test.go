@@ -29,10 +29,10 @@ func parse(t *testing.T, argv []string) *config {
 func TestWorkerArgvRoundTrip(t *testing.T) {
 	for _, argv := range []string{
 		"-sweep standard -seeds 1:2 -workers 2",
-		"-sweep adversary -seeds 3 -parallel 2 -insecure -workers 1 -json",
+		"-sweep adversary -seeds 3 -parallel 2 -workers 1 -json",
 	} {
 		coord := parse(t, strings.Fields(argv))
-		wantSrc, wantName, err := matrix.NamedSweep(coord.sweepSel, coord.sweep.Seeds, coord.insecure)
+		wantSrc, wantName, err := matrix.NamedSweep(coord.sweepSel, coord.sweep.Seeds)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -54,7 +54,7 @@ func TestWorkerArgvRoundTrip(t *testing.T) {
 			if !w.worker {
 				t.Fatalf("%q: the fleet's argv does not start a worker", argv)
 			}
-			src, name, err := matrix.NamedSweep(w.sweepSel, w.sweep.Seeds, w.insecure)
+			src, name, err := matrix.NamedSweep(w.sweepSel, w.sweep.Seeds)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -89,7 +89,7 @@ func TestSweepFlagListsEverySweep(t *testing.T) {
 	for _, s := range matrix.Sweeps {
 		names = append(names, s.Name)
 		c := parse(t, []string{"-sweep", s.Name, "-seeds", "1"})
-		got, label, err := matrix.NamedSweep(c.sweepSel, c.sweep.Seeds, false)
+		got, label, err := matrix.NamedSweep(c.sweepSel, c.sweep.Seeds)
 		if err != nil || !strings.HasPrefix(label, s.Name+" sweep") {
 			t.Fatalf("-sweep %s: %q, %v", s.Name, label, err)
 		}
@@ -104,7 +104,7 @@ func TestSweepFlagListsEverySweep(t *testing.T) {
 	if want := strings.Join(names, "|"); list != want {
 		t.Errorf("-sweep help lists %q, want %q", list, want)
 	}
-	if _, _, err := matrix.NamedSweep("bogus", "1", false); err == nil || !strings.Contains(err.Error(), "(want "+list+")") {
+	if _, _, err := matrix.NamedSweep("bogus", "1"); err == nil || !strings.Contains(err.Error(), "(want "+list+")") {
 		t.Errorf("unknown sweep: %v", err)
 	}
 }

@@ -17,12 +17,11 @@ var Sweeps = model.Names[func([]int64) (CellSource, error)]{
 }
 
 // NamedSweep resolves one of the named sweeps over a -seeds string to its
-// source and its report name, "(insecure)"-suffixed and switched to the
-// insecure suite when asked. experiments -matrix, sweepd's coordinator and
+// source and its report name. experiments -matrix, sweepd's coordinator and
 // every sweepd worker build their sweep through it: the name goes into stream
 // headers, so constructing it anywhere else lets headers disagree and the
 // merge refuse.
-func NamedSweep(name, seedsStr string, insecureSuite bool) (CellSource, string, error) {
+func NamedSweep(name, seedsStr string) (CellSource, string, error) {
 	seeds, err := ParseSeedRange(seedsStr)
 	if err != nil {
 		return nil, "", err
@@ -35,12 +34,7 @@ func NamedSweep(name, seedsStr string, insecureSuite bool) (CellSource, string, 
 	if err != nil {
 		return nil, "", err
 	}
-	label := fmt.Sprintf("%s sweep, seeds %s", name, seedsStr)
-	if insecureSuite {
-		src = insecure(src)
-		label += " (insecure)"
-	}
-	return src, label, nil
+	return src, fmt.Sprintf("%s sweep, seeds %s", name, seedsStr), nil
 }
 
 // SweepFlags are the sweep flags experiments, cupsim and sweepd share. They

@@ -56,8 +56,8 @@ func Materialize(src CellSource) []Cell {
 }
 
 // paramsMap is a whole sweep computed cell by cell: position i is global cell
-// i, and params(i) is its scenario. The axes cross-product, a seed sweep, a
-// concatenation and -insecure are each one. With indexMap it is one of the
+// i, and params(i) is its scenario. The axes cross-product, a seed sweep and
+// a concatenation are each one. With indexMap it is one of the
 // two wrappers every sweep and every slice of one is built from.
 type paramsMap struct {
 	n      int
@@ -231,19 +231,6 @@ func SeedSweep(base scenario.Params, seeds []int64) (CellSource, error) {
 		p.Seed = seeds[i]
 		return p
 	}}, nil
-}
-
-// insecure is the whole sweep base with every cell switched to the insecure
-// crypto suite — how the CLIs' -insecure flag reaches the named sweeps, whose
-// axes the caller does not construct. Indices, axis labels and cell IDs are
-// unchanged; fingerprints are NOT comparable with the secure sweep (message
-// byte counts differ), which is why the flag also renames the sweep.
-func insecure(base CellSource) CellSource {
-	return paramsMap{n: base.Len(), params: func(i int) scenario.Params {
-		p := base.Cell(i).Params
-		p.Insecure = true
-		return p
-	}}
 }
 
 // concat chains whole sweeps into one, renumbering their cells 0..n-1 in

@@ -36,15 +36,10 @@ type stack struct {
 	proposalFor             func(slot uint64) model.Value
 }
 
-// newStack selects the run's key material — the insecure suite when the cell
-// asks for it, the Ed25519 keyring for seed+1 from the run's key store
-// otherwise — around the given durations.
+// newStack takes the run's key material — the Ed25519 keyring for seed+1
+// from the run's key store — around the given durations.
 func (c *Compiled) newStack(keys *cryptox.Keys, seed int64, disc discovery.Config, pbftTimeout, pollPeriod rt.Time) (stack, error) {
 	s := stack{c: c, disc: disc, pbftTimeout: pbftTimeout, pollPeriod: pollPeriod}
-	if c.Insecure {
-		s.signers, s.reg = cryptox.InsecureSuite(c.ids)
-		return s, nil
-	}
 	var err error
 	s.signers, s.reg, err = keys.Keyring(seed+1, c.ids)
 	return s, err

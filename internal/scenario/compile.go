@@ -67,8 +67,9 @@ type Compiled struct {
 	Discovery   discovery.Config
 	PBFTTimeout sim.Time
 	PollPeriod  sim.Time
-	// Insecure swaps the Ed25519 keyring for the insecure suite at run time
-	// (see Params.Insecure).
+	// Insecure is always false: Compile never sets it, and every run signs
+	// with the Ed25519 keyring. It is read only by bench/simtrace.go, which
+	// would swap in cryptox.InsecureSuite when it is set.
 	Insecure bool
 	// Faults is the validated chaos axis (zero when no injection). The
 	// link-level parts are already folded into Net as a sim.FaultyNetwork
@@ -138,7 +139,6 @@ func (p Params) CompileGraph(built graph.BuiltGraph) (*Compiled, error) {
 		Values:   p.Values,
 		Net:      net,
 		Horizon:  horizonOrDefault(p.Horizon),
-		Insecure: p.Insecure,
 		Faults:   p.Faults,
 		Hardened: p.Faults.Hardened(),
 		ids:      built.G.Nodes(),
@@ -217,12 +217,6 @@ func (p Params) CompileKey() string {
 	fmt.Fprintf(&sb, "|mode=%d|f=%d|net=%s|h=%d|slow=%t|auto=%d,%d,%d",
 		int(p.Mode), p.F, p.Net.Label(), int64(horizonOrDefault(p.Horizon)), p.SlowDiscovery,
 		int(p.Auto.Kind), p.Auto.Count, int(p.Auto.Place))
-	if p.Insecure {
-		// Appended only when set, so every pre-existing secure key is
-		// byte-stable; an insecure cell must never share a Compiled (whose
-		// Insecure flag drives key-material selection) with a secure one.
-		sb.WriteString("|insecure=true")
-	}
 	if p.Faults.Enabled() {
 		// Same only-when-set discipline: every zero-fault key is byte-stable,
 		// and a chaos cell (whose FaultyNetwork wrapper and Hardened flag

@@ -26,7 +26,7 @@ func TestCompileKeysPinned(t *testing.T) {
 	for _, args := range [][]string{
 		nil,
 		{"-graph", "fig4a", "-mode", "bft-cupft", "-byz", "4", "-seed", "7"},
-		{"-graph", "kosr:sink=4,nonsink=3,k=2", "-f", "1", "-byz", "7:fake-pd,5:collude", "-net", "partial", "-gst", "500ms", "-horizon", "10s", "-insecure"},
+		{"-graph", "kosr:sink=4,nonsink=3,k=2", "-f", "1", "-byz", "7:fake-pd,5:collude", "-net", "partial", "-gst", "500ms", "-horizon", "10s"},
 		{"-graph", "complete:7", "-mode", "permissioned", "-f", "2", "-net", "async", "-byz", "3:silent,6:silent"},
 		{"-mode", "naive"},
 	} {

@@ -42,7 +42,7 @@ func ParseByzList(s string) (map[model.ID]ByzSpec, error) {
 }
 
 // BindFlags declares the scenario flags cupsim and cupd share — graph, mode,
-// f, byz, net, gst, horizon, seed, insecure — on fs and returns the function
+// f, byz, net, gst, horizon, seed — on fs and returns the function
 // that, after fs is parsed, builds the Params they describe (named after the
 // graph def).
 func BindFlags(fs *flag.FlagSet) func() (Params, error) {
@@ -55,16 +55,14 @@ func BindFlags(fs *flag.FlagSet) func() (Params, error) {
 		gst       = fs.Duration("gst", time.Duration(DefaultGST), "GST for -net partial (virtual)")
 		horizon   = fs.Duration("horizon", 60*time.Second, "virtual-time horizon")
 		seed      = fs.Int64("seed", 1, "run seed: engine and reactor RNGs, keyring derivation, random graph families")
-		insecure  = fs.Bool("insecure", false, "swap Ed25519 for the insecure crypto suite (faster runs; sweep fingerprints NOT comparable with secure ones)")
 	)
 	return func() (Params, error) {
 		p := Params{
-			Name:     *graphName,
-			F:        *f,
-			Net:      NetParams{GST: sim.Time(*gst)},
-			Horizon:  sim.Time(*horizon),
-			Seed:     *seed,
-			Insecure: *insecure,
+			Name:    *graphName,
+			F:       *f,
+			Net:     NetParams{GST: sim.Time(*gst)},
+			Horizon: sim.Time(*horizon),
+			Seed:    *seed,
 		}
 		var err error
 		if p.Graph, err = graph.ParseDef(*graphName); err != nil {

@@ -50,10 +50,10 @@ func TestBindFlagsRoundTrip(t *testing.T) {
 			Byz: map[model.ID]ByzSpec{4: {Kind: ByzSilent}},
 			Net: NetParams{Kind: NetSync, GST: 2 * sim.Second}, Horizon: 60 * sim.Second, Seed: 7,
 		}},
-		{[]string{"-graph", "kosr:sink=4,nonsink=3,k=2", "-f", "1", "-byz", "7:fake-pd,5:collude", "-net", "partial", "-gst", "500ms", "-horizon", "10s", "-insecure"}, Params{
+		{[]string{"-graph", "kosr:sink=4,nonsink=3,k=2", "-f", "1", "-byz", "7:fake-pd,5:collude", "-net", "partial", "-gst", "500ms", "-horizon", "10s"}, Params{
 			Name: "kosr:sink=4,nonsink=3,k=2", Graph: def("kosr:sink=4,nonsink=3,k=2"), Mode: core.ModeKnownF, F: 1,
 			Byz: map[model.ID]ByzSpec{5: {Kind: ByzCollude}, 7: {Kind: ByzFakePD}},
-			Net: NetParams{Kind: NetPartial, GST: 500 * sim.Millisecond}, Horizon: 10 * sim.Second, Seed: 1, Insecure: true,
+			Net: NetParams{Kind: NetPartial, GST: 500 * sim.Millisecond}, Horizon: 10 * sim.Second, Seed: 1,
 		}},
 		{[]string{"-graph", "complete:7", "-mode", "permissioned", "-f", "2", "-net", "async", "-byz", "3:silent,6:silent"}, Params{
 			Name: "complete:7", Graph: def("complete:7"), Mode: core.ModePermissioned, F: 2,

@@ -269,14 +269,6 @@ type Params struct {
 	// scenarios. Active faults arm the hardened protocol profile unless
 	// Faults.Unhardened opts out.
 	Faults FaultParams
-	// Insecure replaces the Ed25519 keyring with the cryptox insecure suite
-	// (identity-tagged, unverified signatures). Protocol decisions are
-	// unchanged — nodes never branch on signature bytes, only on
-	// verification verdicts, and the insecure verifier accepts exactly what
-	// Ed25519 would — but byte counts and therefore sweep fingerprints are
-	// NOT comparable with secure runs. Opt-in for crypto-dominated profiling
-	// sweeps; anchor fingerprints always use the real suite.
-	Insecure bool
 	// Trace enables event/decision trace digests on the result.
 	Trace bool
 }
