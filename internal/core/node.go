@@ -120,9 +120,8 @@ type Node struct {
 	pendingN    int
 
 	decidedSlots map[uint64]model.Value
-	askers       map[uint64]model.IDSet            // per slot: processes awaiting DECIDEDVAL
-	answers      map[uint64]map[string]model.IDSet // per slot: digest key → answering members
-	valueOf      map[string]model.Value
+	askers       map[uint64]model.IDSet              // per slot: processes awaiting DECIDEDVAL
+	answers      map[uint64]map[model.ID]model.Value // per undecided slot: each member's first DECIDEDVAL answer
 
 	onDecide func(model.Value)
 	ctx      rt.Context // current callback context (single-threaded reactor)
@@ -141,8 +140,7 @@ func NewNode(signer cryptox.Signer, verifier cryptox.Verifier, cfg Config, onDec
 		decidedSlots: make(map[uint64]model.Value),
 		slotPending:  make(map[uint64][]pendingMsg),
 		askers:       make(map[uint64]model.IDSet),
-		answers:      make(map[uint64]map[string]model.IDSet),
-		valueOf:      make(map[string]model.Value),
+		answers:      make(map[uint64]map[model.ID]model.Value),
 		onDecide:     onDecide,
 	}
 	if cfg.Mode != ModePermissioned {
@@ -444,7 +442,9 @@ func (n *Node) sendDecided(ctx rt.Context, to model.ID, slot uint64) {
 }
 
 // onDecidedAnswer counts ⟨DECIDEDVAL, val⟩ answers from distinct committee
-// members until ⌈(|S|+1)/2⌉ agree (Algorithm 3 line 7).
+// members until ⌈(|S|+1)/2⌉ agree (Algorithm 3 line 7). A member's first
+// answer for a slot is its only vote, so a slot's tally holds at most |S|
+// entries; decideLocal drops it.
 func (n *Node) onDecidedAnswer(from model.ID, payload []byte) {
 	if n.committee == nil {
 		return
@@ -462,22 +462,23 @@ func (n *Node) onDecidedAnswer(from model.ID, payload []byte) {
 	if _, ok := n.decidedSlots[slot]; ok {
 		return
 	}
-	d := pbft.DigestOf(val)
-	key := string(d[:])
 	bySlot := n.answers[slot]
 	if bySlot == nil {
-		bySlot = make(map[string]model.IDSet)
+		bySlot = make(map[model.ID]model.Value)
 		n.answers[slot] = bySlot
 	}
-	set := bySlot[key]
-	if set == nil {
-		set = model.NewIDSet()
-		bySlot[key] = set
-		n.valueOf[key] = val
+	if _, ok := bySlot[from]; ok {
+		return
 	}
-	set.Add(from)
-	if set.Len() >= n.committee.AnswerThreshold() {
-		n.decideLocal(n.ctx, slot, n.valueOf[key])
+	bySlot[from] = val
+	agree := 0
+	for _, v := range bySlot {
+		if v.Equal(val) {
+			agree++
+		}
+	}
+	if agree >= n.committee.AnswerThreshold() {
+		n.decideLocal(n.ctx, slot, val)
 	}
 }
 
@@ -493,6 +494,7 @@ func (n *Node) decideLocal(ctx rt.Context, slot uint64, v model.Value) {
 		n.sendDecided(ctx, asker, slot)
 	}
 	delete(n.askers, slot)
+	delete(n.answers, slot)
 	if n.cfg.OnSlotDecided != nil {
 		n.cfg.OnSlotDecided(slot, v)
 	}

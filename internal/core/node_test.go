@@ -323,9 +323,11 @@ func (f *fakeCtx) Send(to model.ID, payload []byte) {
 }
 func (f *fakeCtx) SetTimer(sim.Time, uint64) {}
 
-// A non-member must not decide on fewer than ⌈(|S|+1)/2⌉ matching answers,
-// and Byzantine members answering garbage cannot reach the threshold.
-func TestAnswerThreshold(t *testing.T) {
+// answeringNonMember is process 9 outside the committee S = {1,2,3,4}
+// (g=1, answer threshold ⌈5/2⌉ = 3), with a function that delivers a slot-0
+// ⟨DECIDEDVAL, val⟩ from a process.
+func answeringNonMember(t *testing.T) (*Node, func(from model.ID, val string)) {
+	t.Helper()
 	ids := []model.ID{1, 2, 3, 4, 9}
 	signers, reg, err := cryptox.GenerateKeys(1, ids)
 	if err != nil {
@@ -345,6 +347,13 @@ func TestAnswerThreshold(t *testing.T) {
 		w.BytesField([]byte(val))
 		n.Receive(ctx, from, w.Bytes())
 	}
+	return n, answer
+}
+
+// A non-member must not decide on fewer than ⌈(|S|+1)/2⌉ matching answers,
+// and Byzantine members answering garbage cannot reach the threshold.
+func TestAnswerThreshold(t *testing.T) {
+	n, answer := answeringNonMember(t)
 	answer(1, "X")
 	answer(4, "garbage") // Byzantine member lies
 	if _, ok := n.Decided(); ok {
@@ -363,6 +372,32 @@ func TestAnswerThreshold(t *testing.T) {
 	v, ok := n.Decided()
 	if !ok || !v.Equal(model.Value("X")) {
 		t.Fatalf("decided = %q, %v", v, ok)
+	}
+}
+
+// A Byzantine member answering many distinct values holds one tally entry
+// (its first answer is its only vote), and the slot's tally is freed once
+// the slot decides.
+func TestAnswerTallyBounded(t *testing.T) {
+	n, answer := answeringNonMember(t)
+	for i := 0; i < 1000; i++ {
+		answer(4, fmt.Sprintf("lie%d", i))
+	}
+	if got := len(n.answers[0]); got > 4 {
+		t.Fatalf("one member's distinct answers grew the slot tally to %d entries, want at most |S| = 4", got)
+	}
+	answer(1, "X")
+	answer(2, "X")
+	answer(4, "X") // a second answer from member 4 is not a vote
+	if _, ok := n.Decided(); ok {
+		t.Fatal("a member's second answer counted")
+	}
+	answer(3, "X")
+	if v, ok := n.Decided(); !ok || !v.Equal(model.Value("X")) {
+		t.Fatalf("decided = %q, %v", v, ok)
+	}
+	if len(n.answers) != 0 {
+		t.Fatalf("decided slot still holds a tally: %d slots", len(n.answers))
 	}
 }
 

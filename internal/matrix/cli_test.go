@@ -100,6 +100,35 @@ func TestSweepFlagsJobRoundTrip(t *testing.T) {
 	}
 }
 
+// TestSeedRangeRefused: a seed range longer than maxSeeds, or one whose
+// length overflows int64, is refused before anything is allocated. Each
+// subtest is one spelling; the cap's edge still parses.
+func TestSeedRangeRefused(t *testing.T) {
+	for _, tc := range []struct{ name, seeds string }{
+		{"huge", "0:9223372036854775807"},
+		{"wrapping", "-9223372036854775808:9223372036854775807"},
+		{"overcap", "1:16777217"},
+		{"count", "16777217"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if seeds, err := ParseSeedRange(tc.seeds); err == nil {
+				t.Fatalf("-seeds %s parsed to %d seeds", tc.seeds, len(seeds))
+			}
+		})
+	}
+	t.Run("edge", func(t *testing.T) {
+		for _, s := range []string{"9223372036854775805:9223372036854775807", "-3:-1"} {
+			seeds, err := ParseSeedRange(s)
+			if err != nil || len(seeds) != 3 || seeds[2]-seeds[0] != 2 {
+				t.Fatalf("-seeds %s: %v, %v", s, seeds, err)
+			}
+		}
+		if n, ok := seedCount(1, maxSeeds); n != maxSeeds || !ok {
+			t.Fatalf("1:%d counts %d seeds, within the cap %t", maxSeeds, n, ok)
+		}
+	})
+}
+
 // TestSweepFlagsRefused pins the selections a job refuses, before or when it
 // meets the sweep.
 func TestSweepFlagsRefused(t *testing.T) {

@@ -11,8 +11,13 @@ import (
 	"github.com/bftcup/bftcup/internal/sim"
 )
 
+// maxSeeds caps a seed range's length: well above the millions of seeds a
+// sweep may run, well below a seed slice that cannot be allocated.
+const maxSeeds = 1 << 24
+
 // ParseSeedRange parses a seed-sweep flag: "FROM:TO", or a bare count "N"
 // meaning 1:N. The shared parser keeps every CLI's sweep syntax identical.
+// It refuses a range of more than 2^24 seeds before allocating any.
 func ParseSeedRange(s string) ([]int64, error) {
 	if from, to, ok := strings.Cut(s, ":"); ok {
 		a, err1 := strconv.ParseInt(from, 10, 64)
@@ -20,23 +25,41 @@ func ParseSeedRange(s string) ([]int64, error) {
 		if err1 != nil || err2 != nil || b < a {
 			return nil, fmt.Errorf("bad seed range %q (want FROM:TO)", s)
 		}
+		if _, ok := seedCount(a, b); !ok {
+			return nil, fmt.Errorf("seed range %q spans more than %d seeds", s, maxSeeds)
+		}
 		return Seeds(a, b), nil
 	}
 	n, err := strconv.ParseInt(s, 10, 64)
 	if err != nil || n < 1 {
 		return nil, fmt.Errorf("bad seed count %q (want N or FROM:TO)", s)
 	}
+	if n > maxSeeds {
+		return nil, fmt.Errorf("seed count %q is more than %d seeds", s, maxSeeds)
+	}
 	return Seeds(1, n), nil
 }
 
-// Seeds returns [from, from+1, …, to] for seed-sweep axes.
-func Seeds(from, to int64) []int64 {
+// seedCount is the length of from:to, exact for any int64 pair, and whether
+// it is within maxSeeds.
+func seedCount(from, to int64) (uint64, bool) {
 	if to < from {
-		return nil
+		return 0, true
 	}
-	out := make([]int64, 0, to-from+1)
-	for s := from; s <= to; s++ {
-		out = append(out, s)
+	d := uint64(to) - uint64(from) // to−from < 2^64, so the difference is exact
+	return d + 1, d < maxSeeds
+}
+
+// Seeds returns [from, from+1, …, to] for seed-sweep axes. It panics on a
+// range of more than 2^24 seeds; ParseSeedRange refuses those first.
+func Seeds(from, to int64) []int64 {
+	n, ok := seedCount(from, to)
+	if !ok {
+		panic(fmt.Sprintf("matrix.Seeds(%d, %d): more than %d seeds", from, to, maxSeeds))
+	}
+	out := make([]int64, n)
+	for i := range out {
+		out[i] = from + int64(i)
 	}
 	return out
 }
