@@ -154,6 +154,8 @@ var designRules = []rule{
 		match: []match{ref(mod+"/internal/cryptox", "GenerateKeys")}},
 	{name: "KeyStore", since: "7dbe444", files: scope{except: []string{"internal/cryptox/", "bench/"}},
 		match: []match{ref(mod+"/internal/cryptox", "Keyring")}},
+	{name: "OneCryptoSuite", since: "8053508", files: scope{except: []string{"internal/cryptox/", "bench/"}},
+		match: []match{ref(mod+"/internal/cryptox", "InsecureSuite"), str(`^insecure$`)}},
 	{name: "FigureRegistry", since: "3c157f2", files: scope{except: []string{"internal/graph/figures.go"}},
 		match: []match{ref(mod+"/internal/graph", "AllFigures")}},
 	{name: "DegreeExits", since: "2a95078", files: scope{tests: true, except: []string{"internal/graph/exits.go", "internal/graph/flow.go"}},
@@ -244,6 +246,12 @@ var ruleCases = []ruleCase{
 		"package main\nimport \"github.com/bftcup/bftcup/internal/cryptox\"\nvar k = cryptox.Keyring", "internal/cryptox.Keyring"},
 	{"KeyStore", "a run's own store", "internal/scenario/keys2.go",
 		"package scenario\nimport \"github.com/bftcup/bftcup/internal/cryptox\"\nfunc k(keys *cryptox.Keys) { keys.Keyring(1, nil) }", ""},
+	{"OneCryptoSuite", "an insecure flag in cupd", "cmd/cupd/suite.go",
+		"package main\nimport \"flag\"\nvar _ = flag.Bool(\"insecure\", false, \"\")", "insecure"},
+	{"OneCryptoSuite", "aliased InsecureSuite in node assembly", "internal/scenario/assemble2.go",
+		"package scenario\nimport cx \"github.com/bftcup/bftcup/internal/cryptox\"\nvar _ = cx.InsecureSuite", "internal/cryptox.InsecureSuite"},
+	{"OneCryptoSuite", "the benchmark harness's traced pass", "bench/simtrace2.go",
+		"package main\nimport \"github.com/bftcup/bftcup/internal/cryptox\"\nvar _ = cryptox.InsecureSuite", ""},
 	{"FigureRegistry", "AllFigures in a CLI", "cmd/graphgen/all.go",
 		"package main\nimport \"github.com/bftcup/bftcup/internal/graph\"\nvar _ = len(graph.AllFigures())", "internal/graph.AllFigures"},
 	{"DegreeExits", "degreeExits in kappa", "internal/graph/kappa_exit.go",

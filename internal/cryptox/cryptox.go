@@ -190,19 +190,11 @@ func (ks *keySet) keyring() (map[model.ID]Signer, *Registry) {
 	return signers, reg
 }
 
-// InsecureSuite returns keyed-hash signers for benchmarks: signatures are
-// SHA-256 over (id, msg) with a shared secret, so they are NOT unforgeable
-// between processes and must never be used where Byzantine processes are
-// simulated as real adversaries against the crypto itself. The protocol-level
-// adversaries in this repository never forge signatures (they equivocate and
-// lie within their own signing rights), so benchmarks may substitute this
-// suite to measure protocol costs without Ed25519 dominating.
-//
-// On the live runtime (cupd's -insecure flag) the narrowing is stricter
-// still: netrt streams carry no authentication beyond these signatures, so
-// the suite is acceptable only for single-machine benchmark deployments on a
-// loopback interface where every process is trusted. Any deployment that
-// crosses a host boundary must use the Ed25519 keyring.
+// InsecureSuite returns keyed-hash signers: signatures are SHA-256 over
+// (id, msg) with a shared secret, so anyone can forge them. It serves the
+// benchmark harness (bench/) only, which swaps it in when a Compiled's
+// Insecure field is set; no CLI, Params or sweep reaches it, and every run
+// on the production path signs with the Ed25519 keyring.
 func InsecureSuite(ids []model.ID) (map[model.ID]Signer, Verifier) {
 	signers := make(map[model.ID]Signer, len(ids))
 	v := insecureVerifier{}

@@ -1,8 +1,8 @@
 // Package cryptox provides the digital-signature layer of the authenticated
 // BFT-CUP / BFT-CUPFT model: per-process Ed25519 keys, a static ID→key
 // registry standing in for the paper's Sybil-proof identity assumption
-// (Section II-A), and an insecure fast signer for benchmarks where signing
-// cost would dominate the quantity being measured.
+// (Section II-A), and an insecure fast signer that only the benchmark harness
+// (bench/) uses. Every simulated and live run signs with Ed25519.
 //
 // Key generation is deterministic from a seed, which is what keeps whole
 // simulation traces reproducible: the same (seed, ID set) always yields the
