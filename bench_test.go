@@ -139,7 +139,7 @@ func BenchmarkSweepCells(b *testing.B) {
 		F:     -1,
 		Net:   scenario.NetParams{Kind: scenario.NetSync},
 	}
-	src, err := matrix.SeedSweep(base, matrix.Seeds(1, 1000))
+	src, err := matrix.SeedSweep(base, 1, 1000)
 	if err != nil {
 		b.Fatal(err)
 	}

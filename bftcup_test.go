@@ -374,10 +374,10 @@ func TestSimulateFacadePin(t *testing.T) {
 
 // TestSimulateIsParamsRun pins the facade as a veneer: Simulate on the Fig. 2c
 // topology is event for event Params.Run on the fig2c graph def — the same
-// trace digest (taken through Params.Trace on both sides) and the same report.
+// trace digest (traced on both sides) and the same report.
 func TestSimulateIsParamsRun(t *testing.T) {
 	opts := fig2cSplit(34)
-	want, err := scenario.Params{
+	compiled, err := scenario.Params{
 		Graph:  graph.Def{Kind: graph.DefFigure, Figure: "fig2c"},
 		Mode:   core.ModeUnknownF,
 		Values: fig2cProposals,
@@ -388,8 +388,11 @@ func TestSimulateIsParamsRun(t *testing.T) {
 		},
 		Horizon: 90 * sim.Second,
 		Seed:    34,
-		Trace:   true,
-	}.Run()
+	}.Compile()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := compiled.Run(34, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -398,12 +401,11 @@ func TestSimulateIsParamsRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p.Trace = true
 	c, err := p.CompileGraph(graph.BuiltGraph{G: opts.Topology.graph()})
 	if err != nil {
 		t.Fatal(err)
 	}
-	traced, err := c.Run(p.Seed, p.Trace)
+	traced, err := c.Run(p.Seed, true)
 	if err != nil {
 		t.Fatal(err)
 	}

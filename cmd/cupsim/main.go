@@ -4,7 +4,7 @@
 // as deterministic shards streamed to JSONL (the matrix package's shared
 // sweep flags; `experiments -merge` folds the shard files back into the
 // identical aggregate report). A seed sweep is the one way to sweep a custom
-// graph def, such as one graphgen -emit printed.
+// graph def, such as the def line of a graphgen report.
 //
 // Examples:
 //
@@ -44,7 +44,6 @@ var (
 	reorder    = flag.Duration("reorder", 0, "extra per-copy delivery jitter bound (reorders messages)")
 	partitions = flag.String("partition", "", "partition windows, ';'-separated FROM-UNTIL[:A|B] (Go durations; no groups = deterministic half/half), e.g. 10ms-400ms or 50ms-1s:1,2|3,4")
 	churnFlag  = flag.String("churn", "", "crash/restart churn, ';'-separated ID@CRASH[+RESTART[:wipe]] (Go durations), e.g. 2@10ms+500ms or 8@10ms")
-	unhardened = flag.Bool("unhardened", false, "with fault injection: keep the send-once protocol profile instead of arming retransmission hardening")
 )
 
 func main() {
@@ -60,7 +59,7 @@ func main() {
 	if p.Auto, err = scenario.ParseAutoByz(*autoFlag); err != nil {
 		fail(err)
 	}
-	if p.Faults, err = buildFaults(*loss, *dup, *reorder, *partitions, *churnFlag, *unhardened); err != nil {
+	if p.Faults, err = buildFaults(*loss, *dup, *reorder, *partitions, *churnFlag); err != nil {
 		fail(err)
 	}
 
@@ -78,12 +77,11 @@ func fail(err error) {
 
 // buildFaults assembles the chaos-injection axis from its flags; validation
 // happens at compile time so this only parses.
-func buildFaults(loss, dup float64, reorder time.Duration, partitions, churn string, unhardened bool) (scenario.FaultParams, error) {
+func buildFaults(loss, dup float64, reorder time.Duration, partitions, churn string) (scenario.FaultParams, error) {
 	fp := scenario.FaultParams{
-		Loss:       loss,
-		Dup:        dup,
-		Reorder:    sim.Time(reorder),
-		Unhardened: unhardened,
+		Loss:    loss,
+		Dup:     dup,
+		Reorder: sim.Time(reorder),
 	}
 	for _, s := range splitList(partitions) {
 		w, err := scenario.ParsePartition(s)
@@ -117,13 +115,13 @@ func splitList(s string) []string {
 // runSweep runs the scenario once per seed: streamed with -jsonl, else into
 // a report. Lost consensus in any cell exits 1.
 func runSweep(params scenario.Params, sf *matrix.SweepFlags) {
-	seeds, err := matrix.ParseSeedRange(sf.Seeds)
+	from, count, err := matrix.ParseSeedBounds(sf.Seeds)
 	if err != nil {
 		fail(err)
 	}
 	// The sweep is the scenario crossed with the seed axis: a lazy source,
 	// so -seeds 1:1000000 costs arithmetic, not memory.
-	src, err := matrix.SeedSweep(params, seeds)
+	src, err := matrix.SeedSweep(params, from, count)
 	if err != nil {
 		fail(err)
 	}

@@ -43,11 +43,11 @@ func TestFlagHelpExamplesParse(t *testing.T) {
 			return err
 		},
 		"partition": func(s string) error {
-			_, err := buildFaults(0, 0, 0, s, "", false)
+			_, err := buildFaults(0, 0, 0, s, "")
 			return err
 		},
 		"churn": func(s string) error {
-			_, err := buildFaults(0, 0, 0, "", s, false)
+			_, err := buildFaults(0, 0, 0, "", s)
 			return err
 		},
 	}

@@ -1,17 +1,18 @@
-// Command graphgen generates random knowledge connectivity graphs and
-// validates them (or any paper figure) against the BFT-CUP and BFT-CUPFT
-// model requirements. Its first output line is the graph's matrix-consumable
-// definition — the exact string cupsim -graph and the matrix engine's graph
-// axis accept — so generated topologies feed straight into sweeps:
+// Command graphgen builds a knowledge connectivity graph from its def — a
+// paper figure or any generated family — and validates it against the
+// BFT-CUP and BFT-CUPFT model requirements. Its first output line is the
+// graph's def with the seed: the def is the exact string cupsim -graph and
+// the matrix engine's graph axis accept, so a generated topology feeds
+// straight into a sweep:
 //
-//	cupsim -graph "$(graphgen -kind kosr -sink 7 -nonsink 4 -f 2 -seed 5 -emit)" -seed 5
+//	cupsim -graph kosr:sink=7,nonsink=4,k=3,extra=0.15 -seed 5
 //
 // Examples:
 //
-//	graphgen -kind kosr -sink 7 -nonsink 4 -f 2 -seed 5
-//	graphgen -kind extended -sink 8 -nonsink 5
-//	graphgen -fig fig4a -f 1 -byz 4
-//	graphgen -kind kosr -sink 5 -nonsink 3 -f 1 -emit     (def string only)
+//	graphgen -graph kosr:sink=7,nonsink=4,k=3,extra=0.15 -seed 5
+//	graphgen -graph extended:core=8,noncore=5,extra=0.15
+//	graphgen -graph fig4a -f 1 -byz 4
+//	graphgen -graph er:n=20,p=0.3 -seed 2374
 package main
 
 import (
@@ -38,37 +39,27 @@ func main() {
 	}
 }
 
-// run parses args and writes the def (-emit) or the full report to w. Every
-// usage error is returned before anything is written; ok is false when the
-// graph satisfies neither model's requirements.
+// run parses args and writes the report to w. Every usage error is returned
+// before anything is written; ok is false when the graph satisfies neither
+// model's requirements.
 func run(args []string, w io.Writer) (ok bool, err error) {
 	fs := flag.NewFlagSet(os.Args[0], flag.ExitOnError)
 	var (
-		kind    = fs.String("kind", "kosr", "generator: kosr|extended (ignored with -fig)")
-		figName = fs.String("fig", "", "validate a paper figure instead of generating")
-		sink    = fs.Int("sink", 5, "sink/core size")
-		nonsink = fs.Int("nonsink", 3, "non-sink/non-core size")
-		f       = fs.Int("f", 1, "fault threshold for validation")
-		byzFlag = fs.String("byz", "", "byzantine nodes for validation, e.g. 4 or 4,9")
+		defFlag = fs.String("graph", "kosr:sink=5,nonsink=3,k=2,extra=0.15", "graph def: "+graph.DefUsage())
+		f       = fs.Int("f", -1, "fault threshold for validation; -1 = the graph family's natural threshold")
+		byzFlag = fs.String("byz", "", "byzantine nodes for validation, e.g. 4 or 4,9 (default: a figure's scripted set)")
 		seed    = fs.Int64("seed", 1, "generator seed")
-		extraP  = fs.Float64("extra", 0.15, "extra-edge probability")
-		emit    = fs.Bool("emit", false, "print only the matrix-consumable graph def and exit")
 	)
 	if err := fs.Parse(args); err != nil {
 		return false, err
 	}
-	if *f < 0 {
-		return false, fmt.Errorf("-f %d: the fault threshold must be ≥ 0", *f)
+	if *f < -1 {
+		return false, fmt.Errorf("-f %d: the fault threshold must be ≥ 0, or -1 for the family's own", *f)
 	}
-	def, err := buildDef(*kind, *figName, *sink, *nonsink, *f, *extraP)
+	def, err := graph.ParseDef(*defFlag)
 	if err != nil {
 		return false, err
 	}
-	if *emit {
-		fmt.Fprintln(w, def.String())
-		return true, nil
-	}
-
 	byz, err := parseByzIDs(*byzFlag)
 	if err != nil {
 		return false, err
@@ -82,37 +73,16 @@ func run(args []string, w io.Writer) (ok bool, err error) {
 			return false, fmt.Errorf("-byz names %v, which is not a node of the graph", id)
 		}
 	}
-	fEff := *f
-	if def.Kind == graph.DefFigure {
-		// The figure's scripted fault assignment is the default; explicit
-		// flags win.
-		if byz.Len() == 0 {
-			byz = built.Byz
-		}
-		fSet := false
-		fs.Visit(func(fl *flag.Flag) { fSet = fSet || fl.Name == "f" })
-		if !fSet {
-			fEff = built.F
-		}
+	// The def's scripted fault assignment and threshold are the defaults
+	// (generated families script no Byzantine processes); explicit flags win.
+	if byz.Len() == 0 {
+		byz = built.Byz
+	}
+	fEff := built.F
+	if *f >= 0 {
+		fEff = *f
 	}
 	return report(w, def, built.G, byz, fEff, *seed), nil
-}
-
-// buildDef maps the generator flags onto a graph def and validates it, so a
-// def graphgen prints is one ParseDef accepts.
-func buildDef(kind, figName string, sink, nonsink, f int, extraP float64) (graph.Def, error) {
-	var def graph.Def
-	switch {
-	case figName != "":
-		return graph.ParseDef(figName)
-	case kind == "kosr":
-		def = graph.Def{Kind: graph.DefKOSR, Sink: sink, NonSink: nonsink, K: f + 1, ExtraEdgeP: extraP}
-	case kind == "extended":
-		def = graph.Def{Kind: graph.DefExtended, Sink: sink, NonSink: nonsink, ExtraEdgeP: extraP}
-	default:
-		return graph.Def{}, fmt.Errorf("unknown kind %q", kind)
-	}
-	return def, def.Validate()
 }
 
 func parseByzIDs(s string) (model.IDSet, error) {

@@ -61,10 +61,10 @@ func TestReportGolden(t *testing.T) {
 }
 
 // TestReportFormat pins the output contract: first line is the
-// matrix-consumable def (with the seed), and the emitted def string parses
-// back to the same definition and rebuilds the same graph.
+// matrix-consumable def (with the seed), and that def string parses back to
+// the same definition and rebuilds the same graph.
 func TestReportFormat(t *testing.T) {
-	def, err := buildDef("kosr", "", 5, 3, 1, 0.15)
+	def, err := graph.ParseDef("kosr:sink=5,nonsink=3,k=2,extra=0.15")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,45 +105,11 @@ func TestReportFormat(t *testing.T) {
 	}
 }
 
-func TestBuildDefFigure(t *testing.T) {
-	def, err := buildDef("kosr", "fig4a", 0, 0, 0, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if def.Kind != graph.DefFigure || def.Figure != "fig4a" {
-		t.Fatalf("figure def wrong: %+v", def)
-	}
-	if _, err := buildDef("bogus", "", 1, 1, 1, 0); err == nil {
-		t.Fatal("unknown kind accepted")
-	}
-}
-
-func TestBuildDefExtended(t *testing.T) {
-	def, err := buildDef("extended", "", 6, 2, 0, 0.1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	built, err := def.Build(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if built.G.NumNodes() != 8 {
-		t.Fatalf("extended graph has %d nodes, want 8", built.G.NumNodes())
-	}
-	var out strings.Builder
-	if ok := report(&out, def, built.G, model.NewIDSet(), built.F, 1); !ok {
-		t.Fatalf("planted extended graph failed validation:\n%s", out.String())
-	}
-	if !strings.Contains(out.String(), "BFT-CUPFT : ✓") {
-		t.Fatalf("missing BFT-CUPFT verdict:\n%s", out.String())
-	}
-}
-
 // TestReportWorstPlacement pins the line that looks past the byz set given:
 // Fig. 1b passes both models with its scripted p4 Byzantine, and the report
 // must still name the placement an optimal adversary would pick at each f.
 func TestReportWorstPlacement(t *testing.T) {
-	def, err := buildDef("", "fig1b", 0, 0, 0, 0)
+	def, err := graph.ParseDef("fig1b")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,23 +131,22 @@ func TestReportWorstPlacement(t *testing.T) {
 }
 
 // TestRunRefusesBadFlags holds graphgen to the defs the rest of the tool
-// chain accepts: a def out of Validate's ranges, a negative fault threshold
-// or a -byz ID outside the graph is a usage error, and nothing is printed —
-// neither a report nor an -emit def that ParseDef would refuse.
+// chain accepts: a def ParseDef refuses, a fault threshold below -1 or a
+// -byz ID outside the graph is a usage error, and nothing is printed.
 func TestRunRefusesBadFlags(t *testing.T) {
 	for _, c := range []struct {
 		args []string
 		err  string
 	}{
-		{[]string{"-nonsink", "-2"}, "nonsink ≥ 0"},
-		{[]string{"-nonsink", "-2", "-emit"}, "nonsink ≥ 0"},
-		{[]string{"-extra", "3"}, "0 ≤ extra ≤ 1"},
-		{[]string{"-extra", "-1"}, "0 ≤ extra ≤ 1"},
-		{[]string{"-kind", "extended", "-extra", "-1", "-emit"}, "0 ≤ extra ≤ 1"},
-		{[]string{"-f", "-1"}, "must be ≥ 0"},
-		{[]string{"-fig", "fig1b", "-f", "-1"}, "must be ≥ 0"},
+		{[]string{"-graph", "kosr:sink=5,nonsink=-2,k=2"}, "nonsink ≥ 0"},
+		{[]string{"-graph", "kosr:sink=5,nonsink=3,k=2,extra=3"}, "0 ≤ extra ≤ 1"},
+		{[]string{"-graph", "extended:core=5,noncore=3,extra=-1"}, "0 ≤ extra ≤ 1"},
+		{[]string{"-graph", "bogus:x=1"}, "unknown graph def"},
+		{[]string{"-graph", "fig9z"}, "unknown figure"},
+		{[]string{"-f", "-2"}, "must be ≥ 0"},
+		{[]string{"-graph", "fig1b", "-f", "-2"}, "must be ≥ 0"},
 		{[]string{"-byz", "99"}, "p99, which is not a node"},
-		{[]string{"-fig", "fig1b", "-byz", "4,99"}, "p99, which is not a node"},
+		{[]string{"-graph", "fig1b", "-byz", "4,99"}, "p99, which is not a node"},
 	} {
 		var out strings.Builder
 		_, err := run(c.args, &out)
@@ -194,31 +159,22 @@ func TestRunRefusesBadFlags(t *testing.T) {
 	}
 }
 
-// TestRunEmitParses: what -emit prints for accepted flags is a def ParseDef
-// takes back unchanged, and a figure's report uses the figure's Byzantine set
-// and f unless the flags name their own.
-func TestRunEmitParses(t *testing.T) {
-	for _, args := range [][]string{
-		{"-emit"},
-		{"-kind", "extended", "-sink", "6", "-nonsink", "0", "-extra", "1", "-emit"},
-		{"-f", "0", "-extra", "0", "-emit"},
-	} {
-		var out strings.Builder
-		if ok, err := run(args, &out); err != nil || !ok {
-			t.Fatalf("%v: ok=%v err=%v", args, ok, err)
-		}
-		emitted := strings.TrimSuffix(out.String(), "\n")
-		def, err := graph.ParseDef(emitted)
-		if err != nil || def.String() != emitted {
-			t.Fatalf("%v: emitted %q parses to %q, %v", args, emitted, def.String(), err)
-		}
-	}
+// TestRunDefaults: the report's def line is a def ParseDef takes back
+// unchanged; without -f a def validates at its family's own threshold and
+// without -byz at its scripted Byzantine set, and explicit flags win. The
+// CLI reaches every family: the er block of the pinned golden report is
+// exactly what graphgen prints for it.
+func TestRunDefaults(t *testing.T) {
 	for _, c := range []struct {
 		args []string
 		want string
 	}{
-		{[]string{"-fig", "fig1b"}, "byz={p4}, f=1\n"},
-		{[]string{"-fig", "fig1b", "-byz", "1", "-f", "2"}, "byz={p1}, f=2\n"},
+		{nil, "byz={}, f=1\n"},
+		{[]string{"-graph", "fig1b"}, "byz={p4}, f=1\n"},
+		{[]string{"-graph", "fig1b", "-byz", "1", "-f", "2"}, "byz={p1}, f=2\n"},
+		{[]string{"-graph", "extended:core=6,noncore=2,extra=0.1"}, "8 nodes, 36 edges, byz={}, f=2\n"},
+		{[]string{"-graph", "extended:core=6,noncore=2,extra=0.1", "-f", "1"}, "byz={}, f=1\n"},
+		{[]string{"-graph", "kosr:sink=5,nonsink=3,k=3,extra=0", "-f", "0"}, "byz={}, f=0\n"},
 	} {
 		var out strings.Builder
 		if _, err := run(c.args, &out); err != nil {
@@ -227,5 +183,23 @@ func TestRunEmitParses(t *testing.T) {
 		if !strings.Contains(out.String(), c.want) {
 			t.Fatalf("%v: report lacks %q:\n%s", c.args, c.want, out.String())
 		}
+		defLine, _, _ := strings.Cut(out.String(), "\n")
+		emitted, _, _ := strings.Cut(strings.TrimPrefix(defLine, "def: "), " seed=")
+		if def, err := graph.ParseDef(emitted); err != nil || def.String() != emitted {
+			t.Fatalf("%v: def line %q parses to %q, %v", c.args, emitted, def.String(), err)
+		}
+	}
+
+	var out strings.Builder
+	ok, err := run([]string{"-graph", "er:n=20,p=0.3", "-seed", "2374", "-f", "1"}, &out)
+	if err != nil || ok {
+		t.Fatalf("er report: ok=%v err=%v, want a graph neither model accepts", ok, err)
+	}
+	golden, err := os.ReadFile("testdata/report.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(string(golden), out.String()+"ok=false\n") {
+		t.Fatalf("graphgen's er report differs from the golden one:\n%s", out.String())
 	}
 }

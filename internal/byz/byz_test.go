@@ -6,6 +6,7 @@ import (
 	"github.com/bftcup/bftcup/internal/cryptox"
 	"github.com/bftcup/bftcup/internal/discovery"
 	"github.com/bftcup/bftcup/internal/model"
+	"github.com/bftcup/bftcup/internal/rt"
 	"github.com/bftcup/bftcup/internal/sim"
 )
 
@@ -15,11 +16,11 @@ type collector struct {
 	mod *discovery.Module
 }
 
-func (c *collector) Init(ctx sim.Context) { c.mod.Start(ctx) }
-func (c *collector) Receive(ctx sim.Context, from model.ID, payload []byte) {
+func (c *collector) Init(ctx rt.Context) { c.mod.Start(ctx) }
+func (c *collector) Receive(ctx rt.Context, from model.ID, payload []byte) {
 	c.mod.Handle(ctx, from, payload)
 }
-func (c *collector) Timer(ctx sim.Context, tag uint64) { c.mod.HandleTimer(ctx, tag) }
+func (c *collector) Timer(ctx rt.Context, tag uint64) { c.mod.HandleTimer(ctx, tag) }
 
 func TestSilentSendsNothing(t *testing.T) {
 	engine := sim.NewEngine(sim.Synchronous{Delta: sim.Millisecond}, 1)
@@ -77,7 +78,7 @@ func TestFakePDRelays(t *testing.T) {
 	obs3 := &collector{mod: discovery.New(discovery.NewSignedPD(signers[3], model.NewIDSet(2)), reg, discovery.DefaultConfig(), nil)}
 	obs1 := &collector{mod: discovery.New(discovery.NewSignedPD(signers[1], model.NewIDSet(2)), reg, discovery.DefaultConfig(), nil)}
 	fake := NewFakePD(signers[2], reg, model.NewIDSet(1, 3), discovery.DefaultConfig())
-	for id, r := range map[model.ID]sim.Reactor{1: obs1, 2: fake, 3: obs3} {
+	for id, r := range map[model.ID]rt.Reactor{1: obs1, 2: fake, 3: obs3} {
 		if err := engine.AddProcess(id, r); err != nil {
 			t.Fatal(err)
 		}
@@ -100,7 +101,7 @@ func TestPDEquivocatorSplitsViews(t *testing.T) {
 	equiv := NewPDEquivocator(signers[2], reg, pdA, pdB, func(id model.ID) bool { return uint64(id)%2 == 1 }, discovery.DefaultConfig())
 	obs1 := &collector{mod: discovery.New(discovery.NewSignedPD(signers[1], model.NewIDSet(2)), reg, discovery.DefaultConfig(), nil)}
 	obs3 := &collector{mod: discovery.New(discovery.NewSignedPD(signers[3], model.NewIDSet(2)), reg, discovery.DefaultConfig(), nil)}
-	for id, r := range map[model.ID]sim.Reactor{1: obs1, 2: equiv, 3: obs3} {
+	for id, r := range map[model.ID]rt.Reactor{1: obs1, 2: equiv, 3: obs3} {
 		if err := engine.AddProcess(id, r); err != nil {
 			t.Fatal(err)
 		}

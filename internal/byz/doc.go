@@ -5,7 +5,7 @@
 // different peers — or simply behave correctly while being counted against
 // the fault threshold (the strategy behind the paper's Fig. 3 narrative).
 //
-// Each behavior is a sim.Reactor, so the scenario layer can drop one in
+// Each behavior is an rt.Reactor, so the scenario layer can drop one in
 // wherever a correct core.Node would go; the automatic placements of
 // scenario.AutoByz choose which processes get them during matrix sweeps.
 package byz

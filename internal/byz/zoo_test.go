@@ -8,6 +8,7 @@ import (
 	"github.com/bftcup/bftcup/internal/cryptox"
 	"github.com/bftcup/bftcup/internal/discovery"
 	"github.com/bftcup/bftcup/internal/model"
+	"github.com/bftcup/bftcup/internal/rt"
 	"github.com/bftcup/bftcup/internal/sim"
 	"github.com/bftcup/bftcup/internal/wire"
 )
@@ -54,7 +55,7 @@ func TestSelectiveSilentAnswersSubset(t *testing.T) {
 	obs1 := &collector{mod: discovery.New(discovery.NewSignedPD(signers[1], model.NewIDSet(2)), reg, discovery.DefaultConfig(), nil)}
 	obs3 := &collector{mod: discovery.New(discovery.NewSignedPD(signers[3], model.NewIDSet(2)), reg, discovery.DefaultConfig(), nil)}
 	sel := NewSelectiveSilent(signers[2], reg, model.NewIDSet(1, 3), model.NewIDSet(1), discovery.DefaultConfig())
-	for id, r := range map[model.ID]sim.Reactor{1: obs1, 2: sel, 3: obs3} {
+	for id, r := range map[model.ID]rt.Reactor{1: obs1, 2: sel, 3: obs3} {
 		if err := engine.AddProcess(id, r); err != nil {
 			t.Fatal(err)
 		}
@@ -176,7 +177,7 @@ func TestCollusionGossipsToGroupKnowledge(t *testing.T) {
 	}
 }
 
-// captureCtx is a sim.Context stub recording Sends.
+// captureCtx is a rt.Context stub recording Sends.
 type captureCtx struct {
 	onSend func(to model.ID, payload []byte)
 }

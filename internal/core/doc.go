@@ -17,8 +17,8 @@
 // ⌈(|S|+g+1)/2⌉ while non-members poll ⟨GETDECIDEDVAL⟩ and decide on
 // ⌈(|S|+1)/2⌉ matching answers (Algorithm 3).
 //
-// A Node is a sim.Reactor: the same implementation runs on the deterministic
-// simulator (package sim) and on the concurrent live runtime (package live).
+// A Node is an rt.Reactor: the same implementation runs on the deterministic
+// simulator (package sim) and on the concurrent live runtime (package netrt).
 // Committee-consensus messages that arrive before the committee is identified
 // are buffered as delivered (rt lets a reactor keep a payload) and replayed
 // once the search succeeds.

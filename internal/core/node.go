@@ -49,7 +49,7 @@ type Config struct {
 	PD model.IDSet
 	// Proposal is the value this process proposes.
 	Proposal model.Value
-	// Discovery tunes Algorithm 1.
+	// Discovery tunes Algorithm 1; its Hardened field is Hardened below.
 	Discovery discovery.Config
 	// Searcher, when non-nil, is the sink/core search engine the node runs
 	// its committee-identification rule on. Sweep workers inject a per-node
@@ -146,7 +146,7 @@ func NewNode(signer cryptox.Signer, verifier cryptox.Verifier, cfg Config, onDec
 	if cfg.Mode != ModePermissioned {
 		rec := discovery.NewSignedPD(signer, cfg.PD)
 		dcfg := cfg.Discovery
-		dcfg.Hardened = dcfg.Hardened || cfg.Hardened
+		dcfg.Hardened = cfg.Hardened
 		n.disc = discovery.New(rec, verifier, dcfg, n.onKnowledge)
 		n.searcher = cfg.Searcher
 		if n.searcher == nil {

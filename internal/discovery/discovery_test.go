@@ -11,6 +11,7 @@ import (
 	"github.com/bftcup/bftcup/internal/cryptox"
 	"github.com/bftcup/bftcup/internal/graph"
 	"github.com/bftcup/bftcup/internal/model"
+	"github.com/bftcup/bftcup/internal/rt"
 	"github.com/bftcup/bftcup/internal/sim"
 	"github.com/bftcup/bftcup/internal/wire"
 )
@@ -20,11 +21,11 @@ type discNode struct {
 	mod *Module
 }
 
-func (n *discNode) Init(ctx sim.Context) { n.mod.Start(ctx) }
-func (n *discNode) Receive(ctx sim.Context, from model.ID, payload []byte) {
+func (n *discNode) Init(ctx rt.Context) { n.mod.Start(ctx) }
+func (n *discNode) Receive(ctx rt.Context, from model.ID, payload []byte) {
 	n.mod.Handle(ctx, from, payload)
 }
-func (n *discNode) Timer(ctx sim.Context, tag uint64) { n.mod.HandleTimer(ctx, tag) }
+func (n *discNode) Timer(ctx rt.Context, tag uint64) { n.mod.HandleTimer(ctx, tag) }
 
 func buildNetwork(t *testing.T, g *graph.Digraph, netmod sim.NetworkModel, silent model.IDSet) (map[model.ID]*discNode, *sim.Engine) {
 	t.Helper()

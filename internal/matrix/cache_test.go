@@ -13,12 +13,11 @@ import (
 )
 
 // uncachedOutcome replicates the pre-compile-cache per-cell execution path:
-// a fresh compile and a fresh one-shot Params.Run per cell —
+// a fresh compile and a fresh one-shot Compiled.Run per cell —
 // no compile cache, no per-worker scratch reuse. The transparency tests pin
 // the cached pipeline to this reference byte for byte.
 func uncachedOutcome(c Cell, trace bool) Outcome {
 	p := c.Params
-	p.Trace = trace
 	out := Outcome{
 		Index: c.Index,
 		ID:    p.ID(),
@@ -29,7 +28,11 @@ func uncachedOutcome(c Cell, trace bool) Outcome {
 		F:     p.F,
 		Seed:  p.Seed,
 	}
-	res, err := p.Run()
+	var res *scenario.Result
+	compiled, err := p.Compile()
+	if err == nil {
+		res, err = compiled.Run(p.Seed, trace)
+	}
 	if err != nil {
 		out.Err = err.Error()
 		return out
@@ -138,7 +141,7 @@ func TestCompileCacheTransparentRuntimeErrors(t *testing.T) {
 		F:     -1,
 		Byz:   map[model.ID]scenario.ByzSpec{2: {Kind: scenario.ByzKind(99)}},
 	}
-	src, err := SeedSweep(base, Seeds(1, 4))
+	src, err := SeedSweep(base, 1, 4)
 	if err != nil {
 		t.Fatal(err)
 	}

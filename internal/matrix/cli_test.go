@@ -2,9 +2,15 @@ package matrix
 
 import (
 	"flag"
+	"math"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
+
+	"github.com/bftcup/bftcup/internal/core"
+	"github.com/bftcup/bftcup/internal/graph"
+	"github.com/bftcup/bftcup/internal/scenario"
 )
 
 // slice is Task.Slice failing the test on a refused selection.
@@ -127,6 +133,41 @@ func TestSeedRangeRefused(t *testing.T) {
 			t.Fatalf("1:%d counts %d seeds, within the cap %t", maxSeeds, n, ok)
 		}
 	})
+}
+
+// TestSeedSweepHoldsNoSeedList: a seed sweep computes each seed from its
+// index, so parsing and building the source for the largest range -seeds
+// accepts, 1:16777216, allocates a few bytes, not a 128 MiB seed slice. A
+// sweep past the cap or past the largest int64 is refused.
+func TestSeedSweepHoldsNoSeedList(t *testing.T) {
+	base := scenario.Params{Graph: graph.Def{Kind: graph.DefFigure, Figure: "fig1b"}, Mode: core.ModeKnownF, F: -1}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	from, count, err := ParseSeedBounds("1:16777216")
+	if err != nil {
+		t.Fatal(err)
+	}
+	src, err := SeedSweep(base, from, count)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The bound leaves room for allocations of other goroutines; the seed
+	// slice this replaces is 128 times larger.
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
+		t.Fatalf("building the 1:16777216 seed sweep allocated %d bytes", grew)
+	}
+	if src.Len() != maxSeeds || src.Cell(0).Params.Seed != 1 || src.Cell(maxSeeds-1).Params.Seed != maxSeeds {
+		t.Fatalf("source of %d cells, seeds %d…%d", src.Len(), src.Cell(0).Params.Seed, src.Cell(src.Len()-1).Params.Seed)
+	}
+	for _, c := range []struct {
+		from  int64
+		count int
+	}{{1, maxSeeds + 1}, {math.MaxInt64, 2}, {1, -1}} {
+		if _, err := SeedSweep(base, c.from, c.count); err == nil {
+			t.Errorf("SeedSweep(%d, %d) accepted", c.from, c.count)
+		}
+	}
 }
 
 // TestSweepFlagsRefused pins the selections a job refuses, before or when it

@@ -206,29 +206,32 @@ func (s *crossProduct) at(i int) scenario.Params {
 // freeze the first seed's name into cached runs).
 func (s *crossProduct) cellParams(g graph.Def, mode core.Mode, net scenario.NetParams, b scenario.AutoByz, f int, fl scenario.FaultParams, seed int64) scenario.Params {
 	return scenario.Params{
-		Graph:         g,
-		Mode:          mode,
-		F:             f,
-		Auto:          b,
-		Net:           net,
-		Horizon:       s.horizon,
-		Seed:          seed,
-		SlowDiscovery: net.Kind == scenario.NetAsync,
-		Faults:        fl,
+		Graph:   g,
+		Mode:    mode,
+		F:       f,
+		Auto:    b,
+		Net:     net,
+		Horizon: s.horizon,
+		Seed:    seed,
+		Faults:  fl,
 	}
 }
 
-// SeedSweep is a lazy source running one scenario once per seed — cupsim's
-// sweep mode. Unlike an Axes source it preserves every field of the base
-// params verbatim (explicit Byzantine assignments, custom values, discovery
-// pacing), varying only the seed.
-func SeedSweep(base scenario.Params, seeds []int64) (CellSource, error) {
+// SeedSweep is a lazy source running one scenario once per seed of
+// from, from+1, …, from+count-1 — cupsim's sweep mode. Unlike an Axes source
+// it preserves every field of the base params verbatim (explicit Byzantine
+// assignments, custom values), varying only the seed, which it computes
+// per cell: the source holds no seed list, whatever the count.
+func SeedSweep(base scenario.Params, from int64, count int) (CellSource, error) {
+	if count < 0 || count > maxSeeds || count > 0 && from+int64(count-1) < from {
+		return nil, fmt.Errorf("seed sweep of %d seeds from %d (want 0 to %d seeds, none past the largest int64)", count, from, maxSeeds)
+	}
 	if err := base.Validate(); err != nil {
 		return nil, err
 	}
-	return paramsMap{n: len(seeds), params: func(i int) scenario.Params {
+	return paramsMap{n: count, params: func(i int) scenario.Params {
 		p := base
-		p.Seed = seeds[i]
+		p.Seed = from + int64(i)
 		return p
 	}}, nil
 }

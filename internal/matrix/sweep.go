@@ -15,29 +15,41 @@ import (
 // sweep may run, well below a seed slice that cannot be allocated.
 const maxSeeds = 1 << 24
 
-// ParseSeedRange parses a seed-sweep flag: "FROM:TO", or a bare count "N"
-// meaning 1:N. The shared parser keeps every CLI's sweep syntax identical.
-// It refuses a range of more than 2^24 seeds before allocating any.
-func ParseSeedRange(s string) ([]int64, error) {
-	if from, to, ok := strings.Cut(s, ":"); ok {
-		a, err1 := strconv.ParseInt(from, 10, 64)
-		b, err2 := strconv.ParseInt(to, 10, 64)
-		if err1 != nil || err2 != nil || b < a {
-			return nil, fmt.Errorf("bad seed range %q (want FROM:TO)", s)
+// ParseSeedBounds parses a seed-sweep flag: "FROM:TO", or a bare count "N"
+// meaning 1:N, into the range's first seed and its length. The shared parser
+// keeps every CLI's sweep syntax identical. It refuses a range of more than
+// 2^24 seeds.
+func ParseSeedBounds(s string) (from int64, count int, err error) {
+	if a, b, ok := strings.Cut(s, ":"); ok {
+		first, err1 := strconv.ParseInt(a, 10, 64)
+		last, err2 := strconv.ParseInt(b, 10, 64)
+		if err1 != nil || err2 != nil || last < first {
+			return 0, 0, fmt.Errorf("bad seed range %q (want FROM:TO)", s)
 		}
-		if _, ok := seedCount(a, b); !ok {
-			return nil, fmt.Errorf("seed range %q spans more than %d seeds", s, maxSeeds)
+		n, ok := seedCount(first, last)
+		if !ok {
+			return 0, 0, fmt.Errorf("seed range %q spans more than %d seeds", s, maxSeeds)
 		}
-		return Seeds(a, b), nil
+		return first, int(n), nil
 	}
 	n, err := strconv.ParseInt(s, 10, 64)
 	if err != nil || n < 1 {
-		return nil, fmt.Errorf("bad seed count %q (want N or FROM:TO)", s)
+		return 0, 0, fmt.Errorf("bad seed count %q (want N or FROM:TO)", s)
 	}
 	if n > maxSeeds {
-		return nil, fmt.Errorf("seed count %q is more than %d seeds", s, maxSeeds)
+		return 0, 0, fmt.Errorf("seed count %q is more than %d seeds", s, maxSeeds)
 	}
-	return Seeds(1, n), nil
+	return 1, int(n), nil
+}
+
+// ParseSeedRange is ParseSeedBounds as the seed list the named sweeps take.
+// It refuses a range of more than 2^24 seeds before allocating any.
+func ParseSeedRange(s string) ([]int64, error) {
+	from, count, err := ParseSeedBounds(s)
+	if err != nil {
+		return nil, err
+	}
+	return Seeds(from, from+int64(count-1)), nil
 }
 
 // seedCount is the length of from:to, exact for any int64 pair, and whether

@@ -26,8 +26,7 @@ type ClusterConfig struct {
 	// Delay, when non-nil, is installed on every node as its outbound
 	// latency hook (see Config.Delay), closed over the sending node's ID.
 	Delay func(from, to model.ID, now rt.Time) rt.Time
-	// MaxFrame and QueueLen forward to each node's Config.
-	MaxFrame int
+	// QueueLen forwards to each node's Config.
 	QueueLen int
 }
 
@@ -72,7 +71,6 @@ func NewCluster(ctx context.Context, ids []model.ID, mk func(id model.ID) rt.Rea
 			ID:       id,
 			Peers:    ids,
 			Seed:     cc.Seed + int64(id) + 1,
-			MaxFrame: cc.MaxFrame,
 			QueueLen: cc.QueueLen,
 		}
 		if cc.Delay != nil {

@@ -255,8 +255,6 @@ type Config struct {
 	Dial func(ctx context.Context, peer model.ID) (net.Conn, error)
 	// Seed seeds the node-local RNG; 0 derives a per-ID default.
 	Seed int64
-	// MaxFrame caps inbound frame sizes; 0 means MaxFrame.
-	MaxFrame int
 	// QueueLen bounds each peer's outbound queue; a full queue drops the
 	// message (fire-and-forget, like the simulator's lossy links) and counts
 	// it in Dropped. 0 means 1024.
@@ -471,7 +469,7 @@ func (n *Node) ServeConn(c net.Conn) {
 // names, or nil when the stream is to be refused: only a configured peer
 // with an ID below this node's own dials it.
 func (n *Node) readHello(br *bufio.Reader) *peer {
-	hello, err := ReadFrame(br, nil, n.cfg.MaxFrame)
+	hello, err := ReadFrame(br, nil, MaxFrame)
 	if err != nil {
 		n.countViolation(err)
 		return nil
@@ -492,7 +490,7 @@ func (n *Node) readFrames(br *bufio.Reader, from model.ID) {
 	for {
 		// No buffer reuse: each frame gets a slice of its own, which the
 		// reactor may keep (the rt payload contract).
-		payload, err := ReadFrame(br, nil, n.cfg.MaxFrame)
+		payload, err := ReadFrame(br, nil, MaxFrame)
 		if err != nil {
 			n.countViolation(err)
 			return

@@ -7,6 +7,7 @@ import (
 
 	"github.com/bftcup/bftcup/internal/cryptox"
 	"github.com/bftcup/bftcup/internal/model"
+	"github.com/bftcup/bftcup/internal/rt"
 	"github.com/bftcup/bftcup/internal/sim"
 	"github.com/bftcup/bftcup/internal/wire"
 )
@@ -16,11 +17,11 @@ type memberReactor struct {
 	inst *Instance
 }
 
-func (m *memberReactor) Init(ctx sim.Context) { m.inst.Start(ctx) }
-func (m *memberReactor) Receive(ctx sim.Context, from model.ID, payload []byte) {
+func (m *memberReactor) Init(ctx rt.Context) { m.inst.Start(ctx) }
+func (m *memberReactor) Receive(ctx rt.Context, from model.ID, payload []byte) {
 	m.inst.Handle(ctx, from, payload)
 }
-func (m *memberReactor) Timer(ctx sim.Context, tag uint64) { m.inst.HandleTimer(ctx, tag) }
+func (m *memberReactor) Timer(ctx rt.Context, tag uint64) { m.inst.HandleTimer(ctx, tag) }
 
 type cluster struct {
 	engine    *sim.Engine
@@ -173,7 +174,7 @@ type equivocatingLeader struct {
 	slot      uint64
 }
 
-func (b *equivocatingLeader) Init(ctx sim.Context) {
+func (b *equivocatingLeader) Init(ctx rt.Context) {
 	a, bb := model.Value("evil-A"), model.Value("evil-B")
 	for idx, id := range b.committee {
 		if id == b.signer.ID() {
@@ -189,8 +190,8 @@ func (b *equivocatingLeader) Init(ctx sim.Context) {
 		ctx.Send(id, m.encode())
 	}
 }
-func (b *equivocatingLeader) Receive(sim.Context, model.ID, []byte) {}
-func (b *equivocatingLeader) Timer(sim.Context, uint64)             {}
+func (b *equivocatingLeader) Receive(rt.Context, model.ID, []byte) {}
+func (b *equivocatingLeader) Timer(rt.Context, uint64)             {}
 
 func TestEquivocatingLeaderCannotSplitAgreement(t *testing.T) {
 	ids := []model.ID{1, 2, 3, 4}

@@ -61,9 +61,10 @@ type Compiled struct {
 	Net     sim.NetworkModel
 	Horizon sim.Time
 	// Discovery / PBFTTimeout / PollPeriod tune the protocol stack (zero
-	// keeps the module defaults). Params sets them only through
-	// SlowDiscovery; a caller that needs another tuning sets the field on
-	// the Compiled it is about to run, before sharing it.
+	// keeps the module defaults). Compile stretches the discovery and poll
+	// periods on NetAsync cells and leaves them zero otherwise; a caller
+	// that needs another tuning sets the field on the Compiled it is about
+	// to run, before sharing it.
 	Discovery   discovery.Config
 	PBFTTimeout sim.Time
 	PollPeriod  sim.Time
@@ -140,10 +141,13 @@ func (p Params) CompileGraph(built graph.BuiltGraph) (*Compiled, error) {
 		Net:      net,
 		Horizon:  horizonOrDefault(p.Horizon),
 		Faults:   p.Faults,
-		Hardened: p.Faults.Hardened(),
+		Hardened: p.Faults.Enabled(),
 		ids:      built.G.Nodes(),
 	}
-	if p.SlowDiscovery {
+	if p.Net.Kind == NetAsync {
+		// The adversarial scheduler never lets a run terminate, so the
+		// default periods would gossip and poll until the horizon; the
+		// stretched ones keep the event volume of these runs sane.
 		c.Discovery.Period = 500 * sim.Millisecond
 		c.PollPeriod = 2 * sim.Second
 	}
@@ -214,8 +218,8 @@ func (p Params) CompileKey() string {
 	}
 	var sb strings.Builder
 	sb.WriteString(p.Graph.BuildKey(gseed))
-	fmt.Fprintf(&sb, "|mode=%d|f=%d|net=%s|h=%d|slow=%t|auto=%d,%d,%d",
-		int(p.Mode), p.F, p.Net.Label(), int64(horizonOrDefault(p.Horizon)), p.SlowDiscovery,
+	fmt.Fprintf(&sb, "|mode=%d|f=%d|net=%s|h=%d|auto=%d,%d,%d",
+		int(p.Mode), p.F, p.Net.Label(), int64(horizonOrDefault(p.Horizon)),
 		int(p.Auto.Kind), p.Auto.Count, int(p.Auto.Place))
 	if p.Faults.Enabled() {
 		// Same only-when-set discipline: every zero-fault key is byte-stable,
@@ -301,14 +305,14 @@ func resolveClaim(c *Compiled, id model.ID, bspec ByzSpec) model.IDSet {
 	return c.Graph.OutSet(id).Clone()
 }
 
-// Run is the one-shot form of the pipeline: Compile, then one run under
-// p.Seed (traced when p.Trace). The Result is independently owned.
+// Run is the one-shot form of the pipeline: Compile, then one untraced run
+// under p.Seed. The Result is independently owned.
 func (p Params) Run() (*Result, error) {
 	c, err := p.Compile()
 	if err != nil {
 		return nil, err
 	}
-	return c.Run(p.Seed, p.Trace)
+	return c.Run(p.Seed, false)
 }
 
 // Run executes the compiled scenario under one seed. It is shorthand for a

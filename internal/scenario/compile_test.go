@@ -28,10 +28,9 @@ func compileTestParams() Params {
 // TestCompiledRunMatchesParamsRun pins compile-once-run-many to the one-shot
 // path: one Compiled re-run by one Runner across seeds gives, seed for seed,
 // the graded outcome, traffic counters, trace digest and name of a fresh
-// Params.Run.
+// Params.Run, traced (runTraced).
 func TestCompiledRunMatchesParamsRun(t *testing.T) {
 	p := compileTestParams()
-	p.Trace = true
 	c, err := p.Compile()
 	if err != nil {
 		t.Fatal(err)
@@ -40,7 +39,7 @@ func TestCompiledRunMatchesParamsRun(t *testing.T) {
 	for _, seed := range []int64{31, 32, 33} {
 		q := p
 		q.Seed = seed
-		want, err := q.Run()
+		want, err := runTraced(q)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -113,6 +112,41 @@ func TestCompileDefaultsApplied(t *testing.T) {
 	}
 	if !res.Consensus() {
 		t.Fatalf("defaulted run failed: %s", res.FailureMode())
+	}
+}
+
+// TestAsyncCompilesSlow pins the one rule for the gossip and poll periods:
+// every NetAsync cell compiles with them stretched, since the adversarial
+// scheduler never lets such a run end and the default periods would fire
+// until the horizon; sync and partial cells keep the module defaults (zero).
+// The cells are every paper row plus a bare cell of each network kind, the
+// shape cupsim's flags and the Simulate facade compile.
+func TestAsyncCompilesSlow(t *testing.T) {
+	var cells []Params
+	for _, e := range AllExperiments() {
+		cells = append(cells, e.Params)
+	}
+	for _, kind := range []NetKind{NetSync, NetPartial, NetAsync} {
+		cells = append(cells, Params{Graph: figDef("fig1b"), Mode: core.ModeKnownF, F: -1, Net: NetParams{Kind: kind}})
+	}
+	async := 0
+	for _, p := range cells {
+		c, err := p.Compile()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var period, poll sim.Time
+		if p.Net.Kind == NetAsync {
+			period, poll = 500*sim.Millisecond, 2*sim.Second
+			async++
+		}
+		if c.Discovery.Period != period || c.PollPeriod != poll {
+			t.Errorf("%s (%s): discovery period %v, poll period %v; want %v, %v",
+				p.nameOrID(), p.Net.Kind, c.Discovery.Period, c.PollPeriod, period, poll)
+		}
+	}
+	if async < 4 {
+		t.Fatalf("only %d async cells checked", async)
 	}
 }
 

@@ -21,12 +21,20 @@ func traceParams(net NetParams, horizon sim.Time) Params {
 		Byz: map[model.ID]ByzSpec{
 			4: {Kind: ByzFakePD, ClaimedPD: model.NewIDSet(1, 2, 3)},
 		},
-		Net:           net,
-		Horizon:       horizon,
-		Seed:          99,
-		SlowDiscovery: net.Kind == NetAsync,
-		Trace:         true,
+		Net:     net,
+		Horizon: horizon,
+		Seed:    99,
 	}
+}
+
+// runTraced is Params.Run with the trace digests on: Compile, then one
+// traced run under p.Seed.
+func runTraced(p Params) (*Result, error) {
+	c, err := p.Compile()
+	if err != nil {
+		return nil, err
+	}
+	return c.Run(p.Seed, true)
 }
 
 // TestTraceDeterminismAcrossNetModels asserts that running the same Params
@@ -48,13 +56,13 @@ func TestTraceDeterminismAcrossNetModels(t *testing.T) {
 				horizon = 20 * sim.Second // non-terminating; bound the event volume
 			}
 			p := traceParams(net, sim.Time(horizon))
-			a, err := p.Run()
+			a, err := runTraced(p)
 			if err != nil {
 				t.Fatal(err)
 			}
-			// Params.Run recompiles: determinism must survive full
+			// runTraced recompiles: determinism must survive full
 			// reconstruction, not just re-running a shared Compiled.
-			b, err := p.Run()
+			b, err := runTraced(p)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -70,7 +78,7 @@ func TestTraceDeterminismAcrossNetModels(t *testing.T) {
 			}
 
 			p.Seed = 100
-			c, err := p.Run()
+			c, err := runTraced(p)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -117,9 +125,8 @@ func TestCompileGraphMatchesCompile(t *testing.T) {
 		Net:     NetParams{Kind: NetSync},
 		Horizon: 60 * sim.Second,
 		Seed:    22,
-		Trace:   true,
 	}
-	b, err := p.Run()
+	b, err := runTraced(p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,7 +137,7 @@ func TestCompileGraphMatchesCompile(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, err := c.Run(hand.Seed, hand.Trace)
+	a, err := c.Run(hand.Seed, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,13 +172,12 @@ func TestTraceDeterminismProbabilisticFamilies(t *testing.T) {
 				Net:     NetParams{Kind: NetSync},
 				Horizon: 30 * sim.Second,
 				Seed:    7,
-				Trace:   true,
 			}
-			a, err := p.Run()
+			a, err := runTraced(p)
 			if err != nil {
 				t.Fatal(err)
 			}
-			b, err := p.Run()
+			b, err := runTraced(p)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -186,7 +192,7 @@ func TestTraceDeterminismProbabilisticFamilies(t *testing.T) {
 				t.Fatalf("decision transcripts diverge:\n%s\nvs\n%s", transcript(a), transcript(b))
 			}
 			p.Seed = 8
-			c, err := p.Run()
+			c, err := runTraced(p)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -86,11 +86,6 @@ func bftCUPFTParams(net NetParams, horizon sim.Time, seed int64) Params {
 	}
 }
 
-func slow(p Params) Params {
-	p.SlowDiscovery = true
-	return p
-}
-
 // Table1 returns the nine cells of Table I: three knowledge models × three
 // communication models. The async row uses the adversarial scheduler as a
 // witness of [24]'s impossibility (observed non-termination by the horizon).
@@ -107,9 +102,9 @@ func Table1() []Experiment {
 		{"table1/partial/known-n-known-f", permissionedParams(partial, defHorizon, 7), yes},
 		{"table1/partial/unknown-n-known-f", bftCUPParams(partial, defHorizon, 11), yes},
 		{"table1/partial/unknown-n-unknown-f", bftCUPFTParams(partial, defHorizon, 13), yes},
-		{"table1/async/known-n-known-f", slow(permissionedParams(async, 60*sim.Second, 7)), no},
-		{"table1/async/unknown-n-known-f", slow(bftCUPParams(async, 60*sim.Second, 11)), no},
-		{"table1/async/unknown-n-unknown-f", slow(bftCUPFTParams(async, 60*sim.Second, 13)), no},
+		{"table1/async/known-n-known-f", permissionedParams(async, 60*sim.Second, 7), no},
+		{"table1/async/unknown-n-known-f", bftCUPParams(async, 60*sim.Second, 11), no},
+		{"table1/async/unknown-n-unknown-f", bftCUPFTParams(async, 60*sim.Second, 13), no},
 	})
 }
 

@@ -21,9 +21,7 @@ import (
 // byte-identical to one compiled before this type existed (the fault section
 // is appended to CompileKey and labels only when set). When any fault is
 // active, the hardened protocol profile (GETPDS backoff, PBFT decide-note
-// replies, the capped view-timer shift) arms automatically; Unhardened opts
-// out, which is how the A/B regression pins the seed protocol's failure
-// under loss.
+// replies, the capped view-timer shift) arms automatically.
 type FaultParams struct {
 	// Loss is the per-message drop probability in [0, 1).
 	Loss float64
@@ -36,10 +34,6 @@ type FaultParams struct {
 	Partitions []PartitionWindow
 	// Churn are scheduled crash/restart points.
 	Churn []ChurnEvent
-	// Unhardened keeps the seed protocol profile (fixed GETPDS period, no
-	// decide-note replies, view timers that keep doubling) despite active
-	// faults — the ablation arm of the hardening comparison.
-	Unhardened bool
 }
 
 // PartitionWindow is one timed split. An empty Groups list means "split the
@@ -66,10 +60,6 @@ type ChurnEvent struct {
 func (f FaultParams) Enabled() bool {
 	return f.Loss > 0 || f.Dup > 0 || f.Reorder > 0 || len(f.Partitions) > 0 || len(f.Churn) > 0
 }
-
-// Hardened reports whether the hardened protocol profile should arm: faults
-// are active and the ablation flag is off.
-func (f FaultParams) Hardened() bool { return f.Enabled() && !f.Unhardened }
 
 // Validate rejects out-of-range fault parameters loudly.
 func (f FaultParams) Validate() error {
@@ -109,9 +99,6 @@ func (f FaultParams) Validate() error {
 		if !churned.Add(c.ID) {
 			return fmt.Errorf("scenario: duplicate churn entry for process %v", c.ID)
 		}
-	}
-	if f.Unhardened && !f.Enabled() {
-		return fmt.Errorf("scenario: unhardened flag without any active fault")
 	}
 	return nil
 }
@@ -156,9 +143,6 @@ func (f FaultParams) Label() string {
 			}
 		}
 		parts = append(parts, s)
-	}
-	if f.Unhardened {
-		parts = append(parts, "unhardened")
 	}
 	return strings.Join(parts, ",")
 }

@@ -59,7 +59,6 @@ func TestFaultParamsValidate(t *testing.T) {
 		{"churn-duplicate-id", FaultParams{Churn: []ChurnEvent{
 			{ID: 1, CrashAt: 10}, {ID: 1, CrashAt: 20},
 		}}},
-		{"unhardened-without-faults", FaultParams{Unhardened: true}},
 	}
 	for _, tc := range cases {
 		if err := tc.f.Validate(); err == nil {
@@ -72,7 +71,6 @@ func TestFaultParamsValidate(t *testing.T) {
 		Reorder:    sim.Millisecond,
 		Partitions: []PartitionWindow{{From: 0, Until: 100, Groups: [][]model.ID{{1, 2}, {3}}}},
 		Churn:      []ChurnEvent{{ID: 1, CrashAt: 50, RestartAt: 80, Wipe: true}, {ID: 2, CrashAt: 10}},
-		Unhardened: true,
 	}
 	if err := ok.Validate(); err != nil {
 		t.Errorf("Validate rejected a well-formed axis: %v", err)
@@ -91,8 +89,6 @@ func TestParamsValidateRejectsBadNetTiming(t *testing.T) {
 		{"negative-horizon", func(p *Params) { p.Horizon = -sim.Second }},
 		{"negative-delta", func(p *Params) { p.Net.Delta = -sim.Millisecond }},
 		{"negative-gst", func(p *Params) { p.Net.GST = -sim.Second }},
-		{"negative-async-delta", func(p *Params) { p.Net.AsyncDelta = -sim.Second }},
-		{"negative-async-factor", func(p *Params) { p.Net.AsyncFactor = -2 }},
 		{"bad-faults", func(p *Params) { p.Faults.Loss = 2 }},
 	}
 	for _, tc := range cases {
@@ -123,10 +119,9 @@ func TestFaultLabelAndParsers(t *testing.T) {
 			{ID: 8, CrashAt: 100 * sim.Millisecond},
 			{ID: 2, CrashAt: 150 * sim.Millisecond, RestartAt: 500 * sim.Millisecond, Wipe: true},
 		},
-		Unhardened: true,
 	}
 	label := f.Label()
-	for _, want := range []string{"loss=0.15", "dup=0.075", "reorder=2.0ms", "part=", ":half", "1,2|3,4", "churn=8@", "churn=2@", ":wipe", "unhardened"} {
+	for _, want := range []string{"loss=0.15", "dup=0.075", "reorder=2.0ms", "part=", ":half", "1,2|3,4", "churn=8@", "churn=2@", ":wipe"} {
 		if !strings.Contains(label, want) {
 			t.Errorf("label %q missing %q", label, want)
 		}
@@ -178,13 +173,10 @@ func TestCompileKeyFaultSection(t *testing.T) {
 	a := chaosParams(1)
 	b := chaosParams(1)
 	b.Faults.Loss = 0.2
-	u := chaosParams(1)
-	u.Faults.Unhardened = true
 	keys := map[string]string{
 		"clean": clean.CompileKey(),
 		"a":     a.CompileKey(),
 		"b":     b.CompileKey(),
-		"u":     u.CompileKey(),
 	}
 	seen := make(map[string]string)
 	for name, key := range keys {
@@ -225,7 +217,6 @@ func TestCompileRejectsBadChurn(t *testing.T) {
 // digests — the determinism contract fault injection must preserve.
 func TestFaultScenarioDeterministic(t *testing.T) {
 	p := chaosParams(3)
-	p.Trace = true
 	p.Faults.Partitions = []PartitionWindow{{From: 100 * sim.Millisecond, Until: 300 * sim.Millisecond}}
 	p.Faults.Churn = []ChurnEvent{{ID: 2, CrashAt: 150 * sim.Millisecond, RestartAt: 500 * sim.Millisecond, Wipe: true}}
 
@@ -262,35 +253,43 @@ func TestFaultScenarioDeterministic(t *testing.T) {
 }
 
 // TestHardenedBeatsUnhardenedUnderLoss is the pinned A/B regression of the
-// protocol hardening: fig1b at 25% message loss, seed 4. Full-set gossip
+// protocol hardening: fig1b at 25% message loss, seed 4, compiled once and
+// run with Compiled.Hardened as compiled and flipped off. Full-set gossip
 // re-sends every record each round, so the unhardened run recovers from loss
 // too, but at a fixed cadence; the hardened profile (GETPDS backoff + PBFT
 // decide-note replies) decides on under a third of the messages, well under
 // a virtual second. Both runs are fully deterministic, so this is an
 // exact pin, not a statistical claim.
 func TestHardenedBeatsUnhardenedUnderLoss(t *testing.T) {
-	run := func(unhardened bool) *Result {
-		t.Helper()
-		p := Params{
-			Graph:  fig1bDef(t),
-			Mode:   core.ModeKnownF,
-			F:      -1,
-			Net:    NetParams{Kind: NetSync},
-			Seed:   4,
-			Faults: FaultParams{Loss: 0.25, Unhardened: unhardened},
-		}
-		res, err := p.Run()
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
+	p := Params{
+		Graph:  fig1bDef(t),
+		Mode:   core.ModeKnownF,
+		F:      -1,
+		Net:    NetParams{Kind: NetSync},
+		Seed:   4,
+		Faults: FaultParams{Loss: 0.25},
 	}
+	hard, err := p.Compile()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !hard.Hardened {
+		t.Fatal("an active fault axis compiled without the hardened profile")
+	}
+	unhardened := *hard
+	unhardened.Hardened = false
 
-	seedRes := run(true)
+	seedRes, err := unhardened.Run(p.Seed, false)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if !seedRes.Consensus() {
 		t.Fatalf("unhardened protocol failed under 25%% loss: %s (elapsed %v)", seedRes.FailureMode(), seedRes.Elapsed)
 	}
-	hardRes := run(false)
+	hardRes, err := hard.Run(p.Seed, false)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if !hardRes.Consensus() {
 		t.Fatalf("hardened protocol failed under 25%% loss: %s (elapsed %v)", hardRes.FailureMode(), hardRes.Elapsed)
 	}

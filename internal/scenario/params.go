@@ -35,12 +35,17 @@ func (k NetKind) String() string { return model.NameOf(NetKinds, k, "net") }
 // ParseNetKind parses the String form.
 func ParseNetKind(s string) (NetKind, error) { return NetKinds.Parse("network kind", s) }
 
-// The network defaults a zero (or negative) NetParams knob stands for.
+// The network defaults a zero NetParams knob stands for.
 const (
-	DefaultDelta       = 5 * sim.Millisecond
-	DefaultGST         = 2 * sim.Second
-	DefaultAsyncDelta  = 2 * sim.Second
-	DefaultAsyncFactor = 3
+	DefaultDelta = 5 * sim.Millisecond
+	DefaultGST   = 2 * sim.Second
+)
+
+// The adversarial scheduler's base delay and growth factor, fixed for every
+// NetAsync run.
+const (
+	asyncDelta  = 2 * sim.Second
+	asyncFactor = 3
 )
 
 // NetParams is a pure-data description of a network model; Model builds the
@@ -60,10 +65,6 @@ type NetParams struct {
 	FastGroups []model.IDSet
 	// SlowTouch slows every link touching one of its members before GST.
 	SlowTouch model.IDSet
-	// AsyncDelta and AsyncFactor tune the adversarial scheduler.
-	AsyncDelta sim.Time
-	// AsyncFactor is the delay growth factor (floored at 3).
-	AsyncFactor int64
 }
 
 // withDefaults returns np with every unset timing knob resolved to its
@@ -74,12 +75,6 @@ func (np NetParams) withDefaults() NetParams {
 	}
 	if np.GST <= 0 {
 		np.GST = DefaultGST
-	}
-	if np.AsyncDelta <= 0 {
-		np.AsyncDelta = DefaultAsyncDelta
-	}
-	if np.AsyncFactor <= 0 {
-		np.AsyncFactor = DefaultAsyncFactor
 	}
 	return np
 }
@@ -111,10 +106,7 @@ func (np NetParams) Label() string {
 		}
 		return "partial(" + strings.Join(parts, ",") + ")"
 	case NetAsync:
-		if np.AsyncDelta == DefaultAsyncDelta && np.AsyncFactor == DefaultAsyncFactor {
-			return "async"
-		}
-		return fmt.Sprintf("async(delta=%s,factor=%d)", np.AsyncDelta, np.AsyncFactor)
+		return "async"
 	default:
 		if deltaPart != "" {
 			return "sync(" + deltaPart[1:] + ")"
@@ -137,7 +129,7 @@ func (np NetParams) Model() sim.NetworkModel {
 		}
 		return sim.PartialSync{GST: np.GST, Delta: np.Delta, Slow: slow}
 	case NetAsync:
-		return sim.AsyncAdversarial{Delta: np.AsyncDelta, Factor: np.AsyncFactor}
+		return sim.AsyncAdversarial{Delta: asyncDelta, Factor: asyncFactor}
 	default:
 		return sim.Synchronous{Delta: np.Delta}
 	}
@@ -259,18 +251,12 @@ type Params struct {
 	Horizon sim.Time
 	// Seed drives the simulation (and graph generation when GraphSeed is 0).
 	Seed int64
-	// SlowDiscovery stretches the gossip/poll periods, keeping the event
-	// volume of non-terminating (async) runs sane.
-	SlowDiscovery bool
 	// Faults is the chaos fault-injection axis: link loss/duplication/
 	// reorder, partition windows and crash/restart churn, all serializable
 	// data resolved at compile time. The zero value means no injection and
 	// leaves CompileKey, labels and traces byte-identical to pre-fault
-	// scenarios. Active faults arm the hardened protocol profile unless
-	// Faults.Unhardened opts out.
+	// scenarios. Active faults arm the hardened protocol profile.
 	Faults FaultParams
-	// Trace enables event/decision trace digests on the result.
-	Trace bool
 }
 
 // CellLabels are the seed-independent axis labels of one Params — what a
@@ -378,12 +364,6 @@ func (p Params) Validate() error {
 	}
 	if p.Net.GST < 0 {
 		return fmt.Errorf("params %q: negative GST %v (0 means the %v default)", p.nameOrID(), p.Net.GST, time.Duration(DefaultGST))
-	}
-	if p.Net.AsyncDelta < 0 {
-		return fmt.Errorf("params %q: negative async delta %v (0 means the %v default)", p.nameOrID(), p.Net.AsyncDelta, time.Duration(DefaultAsyncDelta))
-	}
-	if p.Net.AsyncFactor < 0 {
-		return fmt.Errorf("params %q: negative async factor %d (0 means the default of %d)", p.nameOrID(), p.Net.AsyncFactor, DefaultAsyncFactor)
 	}
 	if p.Auto.Count < 0 {
 		return fmt.Errorf("params %q: negative byzantine count %d", p.nameOrID(), p.Auto.Count)

@@ -25,15 +25,13 @@ func zooParams(kind ByzKind, net NetParams) Params {
 		count = 2
 	}
 	return Params{
-		Graph:         graph.Def{Kind: graph.DefFigure, Figure: "fig1b"},
-		Mode:          core.ModeKnownF,
-		F:             -1,
-		Auto:          AutoByz{Kind: kind, Count: count, Place: PlaceTail},
-		Net:           net,
-		Horizon:       10 * sim.Second,
-		Seed:          5,
-		SlowDiscovery: net.Kind == NetAsync,
-		Trace:         true,
+		Graph:   graph.Def{Kind: graph.DefFigure, Figure: "fig1b"},
+		Mode:    core.ModeKnownF,
+		F:       -1,
+		Auto:    AutoByz{Kind: kind, Count: count, Place: PlaceTail},
+		Net:     net,
+		Horizon: 10 * sim.Second,
+		Seed:    5,
 	}
 }
 
@@ -144,12 +142,11 @@ func TestFakePDNilClaimAdvertisesForgery(t *testing.T) {
 			Net:     NetParams{Kind: NetSync},
 			Horizon: 10 * sim.Second,
 			Seed:    7,
-			Trace:   true,
 		}
 	}
 	digest := func(t *testing.T, p Params) string {
 		t.Helper()
-		res, err := p.Run()
+		res, err := runTraced(p)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -192,7 +189,6 @@ func TestAltRecipientsInCompileKey(t *testing.T) {
 			Net:     NetParams{Kind: NetSync},
 			Horizon: 10 * sim.Second,
 			Seed:    7,
-			Trace:   true,
 		}
 	}
 	a, b := base([]model.ID{1, 3}), base([]model.ID{2, 6})
@@ -204,7 +200,7 @@ func TestAltRecipientsInCompileKey(t *testing.T) {
 	}
 	run := func(t *testing.T, p Params) string {
 		t.Helper()
-		res, err := p.Run()
+		res, err := runTraced(p)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"github.com/bftcup/bftcup/internal/model"
+	"github.com/bftcup/bftcup/internal/rt"
 )
 
 // TestEventPathAllocsSteadyState is the allocation-regression gate on the
@@ -90,13 +91,13 @@ func TestPayloadDeliveredIsTheSliceSent(t *testing.T) {
 // retainingReactor keeps the first payload slice it receives, without copying.
 type retainingReactor struct{ keep *[]byte }
 
-func (r *retainingReactor) Init(Context) {}
-func (r *retainingReactor) Receive(_ Context, _ model.ID, payload []byte) {
+func (r *retainingReactor) Init(rt.Context) {}
+func (r *retainingReactor) Receive(_ rt.Context, _ model.ID, payload []byte) {
 	if *r.keep == nil {
 		*r.keep = payload
 	}
 }
-func (r *retainingReactor) Timer(Context, uint64) {}
+func (r *retainingReactor) Timer(rt.Context, uint64) {}
 
 // broadcastThenChatter sends first to every peer at Init and, once that has
 // been delivered (the test's Δ is 1 ms), further messages of the same length
@@ -107,14 +108,14 @@ type broadcastThenChatter struct {
 	further int
 }
 
-func (b *broadcastThenChatter) Init(ctx Context) {
+func (b *broadcastThenChatter) Init(ctx rt.Context) {
 	for _, id := range b.to {
 		ctx.Send(id, b.first)
 	}
 	ctx.SetTimer(2*Millisecond, 0)
 }
-func (b *broadcastThenChatter) Receive(Context, model.ID, []byte) {}
-func (b *broadcastThenChatter) Timer(ctx Context, n uint64) {
+func (b *broadcastThenChatter) Receive(rt.Context, model.ID, []byte) {}
+func (b *broadcastThenChatter) Timer(ctx rt.Context, n uint64) {
 	if int(n) == b.further {
 		return
 	}

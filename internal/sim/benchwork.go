@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"github.com/bftcup/bftcup/internal/model"
+	"github.com/bftcup/bftcup/internal/rt"
 )
 
 // Workload is a synthetic, engine-dominated traffic pattern used by the
@@ -65,25 +66,25 @@ type workloadReactor struct {
 
 const workloadTimerPeriod = 100 * Millisecond
 
-func (r *workloadReactor) forward(ctx Context) {
+func (r *workloadReactor) forward(ctx rt.Context) {
 	for i := 0; i < r.fanout; i++ {
 		ctx.Send(r.peers[r.next%len(r.peers)], r.payload)
 		r.next++
 	}
 }
 
-func (r *workloadReactor) Init(ctx Context) {
+func (r *workloadReactor) Init(ctx rt.Context) {
 	for i := 0; i < r.tokens; i++ {
 		r.forward(ctx)
 	}
 	ctx.SetTimer(workloadTimerPeriod, 1)
 }
 
-func (r *workloadReactor) Receive(ctx Context, _ model.ID, _ []byte) {
+func (r *workloadReactor) Receive(ctx rt.Context, _ model.ID, _ []byte) {
 	r.forward(ctx)
 }
 
-func (r *workloadReactor) Timer(ctx Context, tag uint64) {
+func (r *workloadReactor) Timer(ctx rt.Context, tag uint64) {
 	ctx.SetTimer(workloadTimerPeriod, tag)
 }
 

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"github.com/bftcup/bftcup/internal/model"
+	"github.com/bftcup/bftcup/internal/rt"
 )
 
 // fixedNet delivers every message after exactly d — the timing-precise base
@@ -22,13 +23,13 @@ type scriptSend struct {
 
 type scriptSender struct{ sends []scriptSend }
 
-func (s *scriptSender) Init(ctx Context) {
+func (s *scriptSender) Init(ctx rt.Context) {
 	for i, snd := range s.sends {
 		ctx.SetTimer(snd.at, uint64(i))
 	}
 }
-func (s *scriptSender) Receive(Context, model.ID, []byte) {}
-func (s *scriptSender) Timer(ctx Context, tag uint64) {
+func (s *scriptSender) Receive(rt.Context, model.ID, []byte) {}
+func (s *scriptSender) Timer(ctx rt.Context, tag uint64) {
 	snd := s.sends[tag]
 	ctx.Send(snd.to, []byte(snd.payload))
 }
@@ -47,11 +48,11 @@ type recorder struct {
 	inits int
 }
 
-func (r *recorder) Init(Context) { r.inits++ }
-func (r *recorder) Receive(ctx Context, from model.ID, payload []byte) {
+func (r *recorder) Init(rt.Context) { r.inits++ }
+func (r *recorder) Receive(ctx rt.Context, from model.ID, payload []byte) {
 	r.got = append(r.got, recvRec{ctx.Now(), from, string(payload)})
 }
-func (r *recorder) Timer(Context, uint64) {}
+func (r *recorder) Timer(rt.Context, uint64) {}
 
 // resumableRecorder is a recorder with persisted-restart support.
 type resumableRecorder struct {
@@ -59,7 +60,7 @@ type resumableRecorder struct {
 	resumed int
 }
 
-func (r *resumableRecorder) Restart(Context) { r.resumed++ }
+func (r *resumableRecorder) Restart(rt.Context) { r.resumed++ }
 
 func faultyRingDigest(t *testing.T, net NetworkModel, seed int64) (string, int64) {
 	t.Helper()
@@ -244,13 +245,13 @@ type crashTicker struct {
 	resumed int
 }
 
-func (c *crashTicker) Init(ctx Context)                  { ctx.SetTimer(10*Millisecond, 1) }
-func (c *crashTicker) Receive(Context, model.ID, []byte) {}
-func (c *crashTicker) Timer(ctx Context, tag uint64) {
+func (c *crashTicker) Init(ctx rt.Context)                  { ctx.SetTimer(10*Millisecond, 1) }
+func (c *crashTicker) Receive(rt.Context, model.ID, []byte) {}
+func (c *crashTicker) Timer(ctx rt.Context, tag uint64) {
 	c.ticks++
 	ctx.SetTimer(10*Millisecond, tag)
 }
-func (c *crashTicker) Restart(Context) { c.resumed++ }
+func (c *crashTicker) Restart(rt.Context) { c.resumed++ }
 
 // TestRestartSemantics pins the two restart flavors: a persisted restart
 // keeps the reactor (state intact, Restart called, pending timers dead); a

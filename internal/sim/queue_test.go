@@ -8,6 +8,7 @@ import (
 	"unsafe"
 
 	"github.com/bftcup/bftcup/internal/model"
+	"github.com/bftcup/bftcup/internal/rt"
 )
 
 // refHeap is the queue the engine had before the wheel, kept as the oracle:
@@ -513,9 +514,9 @@ func TestCascadeKeepsListsNewestFirst(t *testing.T) {
 // zeroTimer arms a timer for the instant it is initialised at.
 type zeroTimer struct{ ticks int }
 
-func (z *zeroTimer) Init(ctx Context)                  { ctx.SetTimer(0, 1) }
-func (z *zeroTimer) Receive(Context, model.ID, []byte) {}
-func (z *zeroTimer) Timer(Context, uint64)             { z.ticks++ }
+func (z *zeroTimer) Init(ctx rt.Context)                  { ctx.SetTimer(0, 1) }
+func (z *zeroTimer) Receive(rt.Context, model.ID, []byte) {}
+func (z *zeroTimer) Timer(rt.Context, uint64)             { z.ticks++ }
 
 // TestControlPrecedesInitAtTimeZero pins the documented order at t = 0: a
 // scheduled crash at time zero is queued before Init runs, so it is delivered

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"github.com/bftcup/bftcup/internal/model"
+	"github.com/bftcup/bftcup/internal/rt"
 )
 
 // runRingOn drives a small token ring on the given engine (fresh or reset)
@@ -32,12 +33,12 @@ var resetNet = PartialSync{GST: 200 * Millisecond, Delta: 5 * Millisecond, Slow:
 // ahead, beyond the far wheel's 137 s window.
 type farTimer struct{}
 
-func (farTimer) Init(ctx Context) {
+func (farTimer) Init(ctx rt.Context) {
 	ctx.SetTimer(Second, 7)
 	ctx.SetTimer(200*Second, 8)
 }
-func (farTimer) Receive(Context, model.ID, []byte) {}
-func (farTimer) Timer(Context, uint64)             {}
+func (farTimer) Receive(rt.Context, model.ID, []byte) {}
+func (farTimer) Timer(rt.Context, uint64)             {}
 
 // addRing registers the 8-process ring: every process starts one token and
 // forwards each delivery to two of its three successors.
@@ -137,13 +138,13 @@ type delayTimers struct {
 	at     []Time
 }
 
-func (d *delayTimers) Init(ctx Context) {
+func (d *delayTimers) Init(ctx rt.Context) {
 	for i, delay := range d.delays {
 		ctx.SetTimer(delay, uint64(i))
 	}
 }
-func (d *delayTimers) Receive(Context, model.ID, []byte) {}
-func (d *delayTimers) Timer(ctx Context, tag uint64) {
+func (d *delayTimers) Receive(rt.Context, model.ID, []byte) {}
+func (d *delayTimers) Timer(ctx rt.Context, tag uint64) {
 	d.fired = append(d.fired, tag)
 	d.at = append(d.at, ctx.Now())
 }

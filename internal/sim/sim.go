@@ -44,9 +44,9 @@ import (
 )
 
 // The runtime abstraction (Time, Reactor, Context, Restartable) lives in
-// internal/rt; the engine is one implementation of it. The aliases below keep
-// the historical sim.* names working — they are the same types, so the engine
-// and every reactor written against rt interoperate with zero conversion.
+// internal/rt; the engine is one implementation of it. Time and its
+// durations keep sim.* aliases, the same types, so virtual times read alike
+// in either spelling.
 
 // Time is virtual nanoseconds since the start of the run.
 type Time = rt.Time
@@ -57,15 +57,6 @@ const (
 	Millisecond = rt.Millisecond
 	Second      = rt.Second
 )
-
-// Reactor is a deterministic, single-threaded protocol state machine. The
-// engine never calls a reactor concurrently.
-type Reactor = rt.Reactor
-
-// Context is the runtime-side interface a reactor uses to act on the world.
-// The engine's implementation queues the very slice Send was given and
-// silently drops sends to unknown or crashed processes.
-type Context = rt.Context
 
 // NetworkModel assigns a delivery delay to each message.
 type NetworkModel interface {
@@ -216,7 +207,7 @@ type control struct {
 	at          Time
 	id          model.ID
 	restart     bool
-	replacement Reactor // restart only: non-nil swaps the reactor (wiped state)
+	replacement rt.Reactor // restart only: non-nil swaps the reactor (wiped state)
 }
 
 // proc is one process, and the Context its reactor is handed.
@@ -224,7 +215,7 @@ type proc struct {
 	engine  *Engine
 	id      model.ID
 	idx     int32 // position in Engine.procs
-	reactor Reactor
+	reactor rt.Reactor
 	crashed bool
 	// gen is the incarnation number, bumped at every crash. Timer events
 	// carry the gen they were scheduled under and are dropped on mismatch:
@@ -232,13 +223,6 @@ type proc struct {
 	// which live in the network, not the process — survive a restart.
 	gen uint32
 }
-
-// Restartable is an optional Reactor extension for processes that can resume
-// from persisted state after a crash. A scheduled restart without a
-// replacement reactor calls Restart (falling back to Init when the reactor
-// does not implement it); the reactor re-arms whatever timers it needs —
-// pending timers from before the crash are gone.
-type Restartable = rt.Restartable
 
 // NewEngine creates an engine with the given network model and seed.
 func NewEngine(net NetworkModel, seed int64) *Engine {
@@ -289,7 +273,7 @@ func (e *Engine) Metrics() *Metrics { return e.metrics }
 func (e *Engine) Now() Time { return e.now }
 
 // AddProcess registers a reactor under an ID. Must be called before Run.
-func (e *Engine) AddProcess(id model.ID, r Reactor) error {
+func (e *Engine) AddProcess(id model.ID, r rt.Reactor) error {
 	if e.started {
 		return fmt.Errorf("sim: AddProcess(%v) after start", id)
 	}
@@ -337,7 +321,7 @@ func (e *Engine) ScheduleCrash(id model.ID, at Time) {
 // restart are delivered; timers from the previous incarnation are not.
 // Must be called before the run starts. Restarting a live process is a
 // no-op.
-func (e *Engine) ScheduleRestart(id model.ID, at Time, replacement Reactor) {
+func (e *Engine) ScheduleRestart(id model.ID, at Time, replacement rt.Reactor) {
 	e.controls = append(e.controls, control{at: at, id: id, restart: true, replacement: replacement})
 }
 
@@ -407,7 +391,7 @@ func (e *Engine) Step() bool {
 				if repl := e.controls[ev.src].replacement; repl != nil {
 					p.reactor = repl
 					p.reactor.Init(p)
-				} else if r, ok := p.reactor.(Restartable); ok {
+				} else if r, ok := p.reactor.(rt.Restartable); ok {
 					r.Restart(p)
 				} else {
 					p.reactor.Init(p)

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"github.com/bftcup/bftcup/internal/model"
+	"github.com/bftcup/bftcup/internal/rt"
 )
 
 // echoReactor replies to every "ping" with a "pong" and records deliveries.
@@ -15,20 +16,20 @@ type echoReactor struct {
 	log      *[]string
 }
 
-func (r *echoReactor) Init(ctx Context) {
+func (r *echoReactor) Init(ctx rt.Context) {
 	if r.initiate {
 		ctx.Send(r.peer, []byte("ping"))
 	}
 }
 
-func (r *echoReactor) Receive(ctx Context, from model.ID, payload []byte) {
+func (r *echoReactor) Receive(ctx rt.Context, from model.ID, payload []byte) {
 	*r.log = append(*r.log, fmt.Sprintf("%v<-%v:%s@%d", ctx.ID(), from, payload, ctx.Now()))
 	if string(payload) == "ping" {
 		ctx.Send(from, []byte("pong"))
 	}
 }
 
-func (r *echoReactor) Timer(Context, uint64) {}
+func (r *echoReactor) Timer(rt.Context, uint64) {}
 
 func TestPingPong(t *testing.T) {
 	var log []string
@@ -85,13 +86,13 @@ type timerReactor struct {
 	times []Time
 }
 
-func (r *timerReactor) Init(ctx Context) {
+func (r *timerReactor) Init(ctx rt.Context) {
 	ctx.SetTimer(30*Millisecond, 3)
 	ctx.SetTimer(10*Millisecond, 1)
 	ctx.SetTimer(20*Millisecond, 2)
 }
-func (r *timerReactor) Receive(Context, model.ID, []byte) {}
-func (r *timerReactor) Timer(ctx Context, tag uint64) {
+func (r *timerReactor) Receive(rt.Context, model.ID, []byte) {}
+func (r *timerReactor) Timer(ctx rt.Context, tag uint64) {
 	r.fired = append(r.fired, tag)
 	r.times = append(r.times, ctx.Now())
 }
@@ -162,12 +163,12 @@ type arrivalRecorder struct {
 	at   map[model.ID]Time
 }
 
-func (r *arrivalRecorder) Init(ctx Context) {
+func (r *arrivalRecorder) Init(ctx rt.Context) {
 	if r.peer != 0 {
 		ctx.Send(r.peer, []byte("ping"))
 	}
 }
-func (r *arrivalRecorder) Receive(ctx Context, from model.ID, _ []byte) {
+func (r *arrivalRecorder) Receive(ctx rt.Context, from model.ID, _ []byte) {
 	if r.at == nil {
 		r.at = make(map[model.ID]Time)
 	}
@@ -175,7 +176,7 @@ func (r *arrivalRecorder) Receive(ctx Context, from model.ID, _ []byte) {
 		r.at[from] = ctx.Now()
 	}
 }
-func (r *arrivalRecorder) Timer(Context, uint64) {}
+func (r *arrivalRecorder) Timer(rt.Context, uint64) {}
 
 func TestPartialSyncSlowLinks(t *testing.T) {
 	const gst = 100 * Millisecond
