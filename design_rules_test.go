@@ -166,6 +166,8 @@ var designRules = []rule{
 		match: []match{names(`(^|\.)Skip(IDSet|BytesField)$`)}},
 	{name: "RecordDecoder", since: "e49ef2c", files: scope{in: []string{"internal/matrix/"}},
 		match: []match{ref("encoding/json", "Unmarshal")}, want: 1},
+	{name: "GraphDefSpelling", since: "4ccdf8d", files: scope{in: []string{"cmd/"}},
+		match: []match{ref(mod+"/internal/graph", "Def{}"), ref(mod+"/internal/graph", "DefKOSR"), ref(mod+"/internal/graph", "DefExtended")}},
 
 	// Function bodies: what a body must not name.
 	{name: "EngineSkipsOracle", since: "0cc0878", files: scope{in: []string{"internal/kosr/"}, except: []string{"internal/kosr/view.go"}},
@@ -266,6 +268,10 @@ var ruleCases = []ruleCase{
 		"package discovery\nimport \"github.com/bftcup/bftcup/internal/wire\"\nfunc skip(rd *wire.Reader) { rd.SkipIDSet(); rd.SkipBytesField() }", ""},
 	{"RecordDecoder", "a second json.Unmarshal", "internal/matrix/decode2.go",
 		"package matrix\nimport \"encoding/json\"\nvar _ = json.Unmarshal(nil, nil)", "encoding/json.Unmarshal"},
+	{"GraphDefSpelling", "graphgen's flag spelling of a kosr def", "cmd/graphgen/main.go",
+		"package main\nimport \"github.com/bftcup/bftcup/internal/graph\"\nfunc kosr(k int) graph.Def { return graph.Def{Kind: graph.DefKOSR, K: k} }", "internal/graph.Def{}"},
+	{"GraphDefSpelling", "a def parsed from its string", "cmd/graphgen/main.go",
+		"package main\nimport \"github.com/bftcup/bftcup/internal/graph\"\nfunc def(s string) (graph.Def, error) { return graph.ParseDef(s) }", ""},
 	{"EngineSkipsOracle", "engine calls IsSink", "internal/kosr/searcher2.go",
 		"package kosr\nfunc sinkAt(v *View) bool { return v.IsSink(nil, 1) }", "v.IsSink"},
 	{"PlacementMarginBorrows", "SetPD in placementMargin", "internal/kosr/worst.go",
@@ -456,7 +462,8 @@ func (t tree) with(p, src string) (tree, error) {
 // A use is one name in code. An identifier is spelled by what qualifies it:
 // "import/path.Name" through an import, "x.Name" after x or after a selector
 // ending in x (m.x.Name), ".Name" after another operand, "Recv.Name" where it
-// declares a method, "pkg/path.name" bare.
+// declares a method, "pkg/path.name" bare. A composite literal of a named
+// type is one more use, the type so spelled with "{}" appended.
 // A string literal is its value, with lit set. Comments are not read.
 type use struct {
 	name string
@@ -501,6 +508,15 @@ func (f *srcFile) uses() []use {
 		case *ast.BasicLit:
 			if s, err := strconv.Unquote(n.Value); n.Kind == token.STRING && err == nil {
 				add(s, true, n.Pos())
+			}
+		case *ast.CompositeLit:
+			switch typ := n.Type.(type) {
+			case *ast.Ident:
+				add(f.pkg+"."+typ.Name+"{}", false, n.Lbrace)
+			case *ast.SelectorExpr:
+				if x, ok := typ.X.(*ast.Ident); ok && f.imports[x.Name] != "" {
+					add(f.imports[x.Name]+"."+typ.Sel.Name+"{}", false, n.Lbrace)
+				}
 			}
 		}
 		return true
