@@ -159,19 +159,89 @@ func TestRunRefusesBadFlags(t *testing.T) {
 	}
 }
 
-// TestRunDefaults: the report's def line is a def ParseDef takes back
-// unchanged; without -f a def validates at its family's own threshold and
-// without -byz at its scripted Byzantine set, and explicit flags win. The
-// CLI reaches every family: the er block of the pinned golden report is
-// exactly what graphgen prints for it.
+// TestBuildDefFigure: a figure name given to -graph builds that figure, its
+// def line names the figure, and a def of an unknown kind is refused.
+func TestBuildDefFigure(t *testing.T) {
+	var out strings.Builder
+	if _, err := run([]string{"-graph", "fig4a"}, &out); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.HasPrefix(out.String(), "def: fig4a seed=1\n") {
+		t.Fatalf("figure def wrong:\n%s", out.String())
+	}
+	def, err := graph.ParseDef("fig4a")
+	if err != nil || def.Kind != graph.DefFigure || def.Figure != "fig4a" {
+		t.Fatalf("figure def wrong: %+v, %v", def, err)
+	}
+	if _, err := run([]string{"-graph", "bogus:sink=1,nonsink=1"}, &out); err == nil {
+		t.Fatal("unknown kind accepted")
+	}
+}
+
+// TestBuildDefExtended: an extended def given to -graph builds the planted
+// graph of core+noncore nodes, and that graph passes BFT-CUPFT validation.
+func TestBuildDefExtended(t *testing.T) {
+	var out strings.Builder
+	ok, err := run([]string{"-graph", "extended:core=6,noncore=2,extra=0.1", "-f", "1"}, &out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !ok {
+		t.Fatalf("planted extended graph failed validation:\n%s", out.String())
+	}
+	if !strings.Contains(out.String(), "# 8 nodes,") {
+		t.Fatalf("extended graph does not have 8 nodes:\n%s", out.String())
+	}
+	if !strings.Contains(out.String(), "BFT-CUPFT : ✓") {
+		t.Fatalf("missing BFT-CUPFT verdict:\n%s", out.String())
+	}
+}
+
+// TestRunEmitParses: the def on the report's first line is a def ParseDef
+// takes back unchanged, so it can be handed to cupsim -graph as it stands;
+// a figure's report states its scripted Byzantine set unless -byz overrides.
+func TestRunEmitParses(t *testing.T) {
+	for _, args := range [][]string{
+		nil,
+		{"-graph", "extended:core=6,noncore=0,extra=1"},
+		{"-graph", "kosr:sink=5,nonsink=3,k=1,extra=0", "-f", "0"},
+	} {
+		var out strings.Builder
+		if ok, err := run(args, &out); err != nil || !ok {
+			t.Fatalf("%v: ok=%v err=%v", args, ok, err)
+		}
+		defLine, _, _ := strings.Cut(out.String(), "\n")
+		emitted, _, _ := strings.Cut(strings.TrimPrefix(defLine, "def: "), " seed=")
+		if def, err := graph.ParseDef(emitted); err != nil || def.String() != emitted {
+			t.Fatalf("%v: def line %q parses to %q, %v", args, emitted, def.String(), err)
+		}
+	}
+	for _, c := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-graph", "fig1b"}, "byz={p4}, f=1\n"},
+		{[]string{"-graph", "fig1b", "-byz", "1", "-f", "2"}, "byz={p1}, f=2\n"},
+	} {
+		var out strings.Builder
+		if _, err := run(c.args, &out); err != nil {
+			t.Fatalf("%v: %v", c.args, err)
+		}
+		if !strings.Contains(out.String(), c.want) {
+			t.Fatalf("%v: report lacks %q:\n%s", c.args, c.want, out.String())
+		}
+	}
+}
+
+// TestRunDefaults: without -f a def validates at its family's own threshold,
+// and an explicit -f wins. The CLI reaches every family: the er block of the
+// pinned golden report is exactly what graphgen prints for it.
 func TestRunDefaults(t *testing.T) {
 	for _, c := range []struct {
 		args []string
 		want string
 	}{
 		{nil, "byz={}, f=1\n"},
-		{[]string{"-graph", "fig1b"}, "byz={p4}, f=1\n"},
-		{[]string{"-graph", "fig1b", "-byz", "1", "-f", "2"}, "byz={p1}, f=2\n"},
 		{[]string{"-graph", "extended:core=6,noncore=2,extra=0.1"}, "8 nodes, 36 edges, byz={}, f=2\n"},
 		{[]string{"-graph", "extended:core=6,noncore=2,extra=0.1", "-f", "1"}, "byz={}, f=1\n"},
 		{[]string{"-graph", "kosr:sink=5,nonsink=3,k=3,extra=0", "-f", "0"}, "byz={}, f=0\n"},
@@ -182,11 +252,6 @@ func TestRunDefaults(t *testing.T) {
 		}
 		if !strings.Contains(out.String(), c.want) {
 			t.Fatalf("%v: report lacks %q:\n%s", c.args, c.want, out.String())
-		}
-		defLine, _, _ := strings.Cut(out.String(), "\n")
-		emitted, _, _ := strings.Cut(strings.TrimPrefix(defLine, "def: "), " seed=")
-		if def, err := graph.ParseDef(emitted); err != nil || def.String() != emitted {
-			t.Fatalf("%v: def line %q parses to %q, %v", c.args, emitted, def.String(), err)
 		}
 	}
 
