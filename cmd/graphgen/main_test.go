@@ -140,6 +140,7 @@ func TestRunRefusesBadFlags(t *testing.T) {
 	}{
 		{[]string{"-graph", "kosr:sink=5,nonsink=-2,k=2"}, "nonsink ≥ 0"},
 		{[]string{"-graph", "kosr:sink=5,nonsink=3,k=2,extra=3"}, "0 ≤ extra ≤ 1"},
+		{[]string{"-graph", "kosr:sink=5,nonsink=3,k=2,extra=-1"}, "0 ≤ extra ≤ 1"},
 		{[]string{"-graph", "extended:core=5,noncore=3,extra=-1"}, "0 ≤ extra ≤ 1"},
 		{[]string{"-graph", "bogus:x=1"}, "unknown graph def"},
 		{[]string{"-graph", "fig9z"}, "unknown figure"},
@@ -179,10 +180,11 @@ func TestBuildDefFigure(t *testing.T) {
 }
 
 // TestBuildDefExtended: an extended def given to -graph builds the planted
-// graph of core+noncore nodes, and that graph passes BFT-CUPFT validation.
+// graph of core+noncore nodes, and that graph passes BFT-CUPFT validation at
+// its own threshold f_G, which run uses when -f is not given.
 func TestBuildDefExtended(t *testing.T) {
 	var out strings.Builder
-	ok, err := run([]string{"-graph", "extended:core=6,noncore=2,extra=0.1", "-f", "1"}, &out)
+	ok, err := run([]string{"-graph", "extended:core=6,noncore=2,extra=0.1"}, &out)
 	if err != nil {
 		t.Fatal(err)
 	}

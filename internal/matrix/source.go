@@ -223,7 +223,7 @@ func (s *crossProduct) cellParams(g graph.Def, mode core.Mode, net scenario.NetP
 // assignments, custom values), varying only the seed, which it computes
 // per cell: the source holds no seed list, whatever the count.
 func SeedSweep(base scenario.Params, from int64, count int) (CellSource, error) {
-	if count < 0 || count > maxSeeds || count > 0 && from+int64(count-1) < from {
+	if n, ok := seedCount(from, from+int64(count)-1); count < 0 || !ok || n != uint64(count) {
 		return nil, fmt.Errorf("seed sweep of %d seeds from %d (want 0 to %d seeds, none past the largest int64)", count, from, maxSeeds)
 	}
 	if err := base.Validate(); err != nil {

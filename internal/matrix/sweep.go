@@ -36,7 +36,7 @@ func ParseSeedBounds(s string) (from int64, count int, err error) {
 	if err != nil || n < 1 {
 		return 0, 0, fmt.Errorf("bad seed count %q (want N or FROM:TO)", s)
 	}
-	if n > maxSeeds {
+	if _, ok := seedCount(1, n); !ok {
 		return 0, 0, fmt.Errorf("seed count %q is more than %d seeds", s, maxSeeds)
 	}
 	return 1, int(n), nil
