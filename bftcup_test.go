@@ -453,6 +453,9 @@ func TestValidationErrors(t *testing.T) {
 	if _, err := Simulate(SimOptions{Topology: Figure1b(), Protocol: Protocol(99)}); err == nil {
 		t.Fatal("bad simulate protocol accepted")
 	}
+	if _, err := Simulate(SimOptions{Topology: Figure1b(), Horizon: -time.Second}); err == nil {
+		t.Fatal("negative simulate horizon accepted")
+	}
 }
 
 func TestProtocolString(t *testing.T) {

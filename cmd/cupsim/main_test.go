@@ -1,7 +1,11 @@
 package main
 
 import (
+	"bytes"
+	"errors"
 	"flag"
+	"os"
+	"os/exec"
 	"slices"
 	"strings"
 	"testing"
@@ -120,6 +124,36 @@ func checkHelpLists(t *testing.T) {
 		head, _, _ := strings.Cut(graph.Def{Kind: kind}.String(), ":")
 		if !strings.Contains(usage("graph"), ", "+head+":") {
 			t.Errorf("-graph help %q leaves out %s", usage("graph"), head)
+		}
+	}
+}
+
+// TestSingleRunRefusesWhatSweepRefuses runs cupsim in a child process (this
+// test binary, with CUPSIM_ARGS set): a single run exits 2 on a scalar out of
+// range, with the message the -seeds path prints for it.
+func TestSingleRunRefusesWhatSweepRefuses(t *testing.T) {
+	if args := os.Getenv("CUPSIM_ARGS"); args != "" {
+		os.Args = append([]string{"cupsim"}, strings.Fields(args)...)
+		main()
+		return
+	}
+	run := func(args string) (int, string) {
+		cmd := exec.Command(os.Args[0], "-test.run=^TestSingleRunRefusesWhatSweepRefuses$")
+		cmd.Env = append(os.Environ(), "CUPSIM_ARGS="+args)
+		var stderr bytes.Buffer
+		cmd.Stderr = &stderr
+		err := cmd.Run()
+		var exit *exec.ExitError
+		if err != nil && !errors.As(err, &exit) {
+			t.Fatalf("cupsim %s: %v", args, err)
+		}
+		return cmd.ProcessState.ExitCode(), stderr.String()
+	}
+	for _, bad := range []string{"-f -2", "-horizon -5s"} {
+		code, msg := run("-graph fig1b " + bad)
+		sweepCode, sweepMsg := run("-graph fig1b -seeds 1:2 " + bad)
+		if code != 2 || sweepCode != 2 || msg != sweepMsg {
+			t.Errorf("cupsim %s: single run exits %d (%q), -seeds exits %d (%q); want both 2 with one message", bad, code, msg, sweepCode, sweepMsg)
 		}
 	}
 }

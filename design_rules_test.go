@@ -60,6 +60,7 @@ func TestDesignRules(t *testing.T) {
 		})
 	}
 	t.Run("ChangesEntryCap", testChangesEntryCap)
+	t.Run("EveryExportHasACaller", func(t *testing.T) { testEveryExportHasACaller(t, tr) })
 }
 
 // mod is the module path; a package-level name is spelled with its
@@ -608,4 +609,145 @@ func inAny(pos token.Pos, bodies []*ast.BlockStmt) bool {
 		}
 	}
 	return false
+}
+
+// exportAllowed names, as "pkg.Func" or "pkg.Recv.Method", each exported
+// func or method outside bench/ that no non-test code calls, with the reason
+// it stays.
+var exportAllowed = map[string]string{
+	"bftcup.Figure1a":   "root API: the library's public surface",
+	"bftcup.Figure3a":   "root API: the library's public surface",
+	"bftcup.Figure4a":   "root API: the library's public surface",
+	"bftcup.Figure4b":   "root API: the library's public surface",
+	"bftcup.RandomKOSR": "root API: the library's public surface",
+
+	"graph.Digraph.HasEdge":             "map-based oracle the bitset engine is tested against (ROADMAP item 18)",
+	"graph.Digraph.In":                  "map-based oracle the bitset engine is tested against (ROADMAP item 18)",
+	"graph.Digraph.OutDegree":           "map-based oracle the bitset engine is tested against (ROADMAP item 18)",
+	"graph.Digraph.UndirectedConnected": "map-based oracle the bitset engine is tested against (ROADMAP item 18)",
+	"graph.Digraph.UniqueSink":          "map-based oracle the bitset engine is tested against (ROADMAP item 18)",
+	"graph.Digraph.DirectedCore":        "map-based oracle the bitset engine is tested against (ROADMAP item 18)",
+	"graph.Digraph.StrongConnectivity":  "map-based oracle the bitset engine is tested against (ROADMAP item 18)",
+	"kosr.View.IsSink":                  "literal sink predicate the search engine is tested against (ROADMAP item 18)",
+
+	"matrix.Materialize":     "bench/trace_test.go expands a sweep through it; bench/ changes only in a benchmark PR",
+	"cryptox.Registry.Stats": "the verify-memo counters; tests pin them, and ROADMAP item 2 will report them",
+
+	"graph.AllFigures":            "test seam: the figure tests of graph, kosr and scenario walk every figure (rule FigureRegistry)",
+	"kosr.FullView":               "test seam: kosr's and the root package's tests build a view of a whole graph",
+	"kosr.Searcher.SinksAtGExact": "test seam: the exhaustive per-g sink list the search tests compare against",
+	"kosr.View.Rev":               "test seam: discovery's tests read a view's revision",
+	"kosr.View.Gen":               "test seam: the searcher's memo tests read a view's generation",
+	"model.IDSet.Intersect":       "test seam: five packages' tests intersect ID sets",
+	"model.IDSet.Key":             "test seam: graph's and kosr's tests key sets by their members",
+	"scenario.AllExperiments":     "test seam: scenario's and matrix's tests walk the whole paper suite",
+	"sim.Engine.Crash":            "test seam: four packages' tests crash a process",
+	"sim.splitmix64.Int63":        "implements rand.Source; math/rand calls it",
+}
+
+// testEveryExportHasACaller holds every exported func and method declared
+// in a non-test file outside bench/ to a non-test caller, or to a reason on
+// exportAllowed, and reports an entry there that names no uncalled export;
+// then it checks the rule on red and benign trees. The check is
+// by name: a method counts as called when any non-test code calls a method
+// of that name on any type, so it misses a dead method whose name another
+// type's live method shares.
+func testEveryExportHasACaller(t *testing.T, tr tree) {
+	for _, b := range tr.uncalledExports() {
+		t.Error(b)
+	}
+	for _, c := range []struct {
+		label  string
+		files  [][2]string // path, source
+		breach string
+	}{
+		{"nothing calls it", [][2]string{{"internal/graph/orphan.go", "package graph\nfunc Orphan() {}"}}, "graph.Orphan has"},
+		{"only a test calls it", [][2]string{
+			{"internal/graph/orphan.go", "package graph\ntype T struct{}\nfunc (T) Orphan() {}"},
+			{"internal/graph/orphan_test.go", "package graph\nvar _ = T{}.Orphan"},
+		}, "graph.T.Orphan has"},
+		{"an allowed oracle gains a caller", [][2]string{
+			{"cmd/graphgen/sink.go", "package main\nimport \"github.com/bftcup/bftcup/internal/graph\"\nvar _ = (*graph.Digraph).UniqueSink"},
+		}, "names graph.Digraph.UniqueSink,"},
+		{"the benchmark calls it", [][2]string{
+			{"internal/graph/orphan.go", "package graph\nfunc Orphan() {}"},
+			{"bench/orphan.go", "package main\nimport \"github.com/bftcup/bftcup/internal/graph\"\nvar _ = graph.Orphan"},
+		}, ""},
+	} {
+		t.Run(c.label, func(t *testing.T) {
+			mixed := tr
+			for _, f := range c.files {
+				var err error
+				if mixed, err = mixed.with(f[0], f[1]); err != nil {
+					t.Fatal(err)
+				}
+			}
+			got := mixed.uncalledExports()
+			if c.breach == "" {
+				if len(got) > 0 {
+					t.Errorf("benign case reported: %q", got)
+				}
+				return
+			}
+			for _, b := range got {
+				if strings.Contains(b, c.breach) {
+					return
+				}
+			}
+			t.Errorf("red case not reported (want %s); got %q", c.breach, got)
+		})
+	}
+}
+
+// uncalledExports reports each exported func or method declared in a
+// non-test file outside bench/ whose name no non-test file uses, bench/
+// included, other than at its own declaration, and that exportAllowed does
+// not name; and each entry of exportAllowed that names no such func.
+func (t tree) uncalledExports() []string {
+	decls := map[token.Pos]bool{}
+	for _, f := range t.files {
+		for _, d := range f.ast.Decls {
+			if fd, ok := d.(*ast.FuncDecl); ok {
+				decls[fd.Name.Pos()] = true
+			}
+		}
+	}
+	called := map[string]bool{}
+	for _, f := range t.files {
+		if f.test {
+			continue
+		}
+		for _, u := range f.uses() {
+			if !u.lit && !decls[u.pos] {
+				called[u.name[strings.LastIndex(u.name, ".")+1:]] = true
+			}
+		}
+	}
+	var out []string
+	uncalled := map[string]bool{}
+	for _, f := range t.files {
+		if f.test || strings.HasPrefix(f.path, "bench/") {
+			continue
+		}
+		for _, d := range f.ast.Decls {
+			fd, ok := d.(*ast.FuncDecl)
+			if !ok || !fd.Name.IsExported() || called[fd.Name.Name] {
+				continue
+			}
+			key := path.Base(f.pkg) + "." + fd.Name.Name
+			if fd.Recv != nil {
+				key = path.Base(f.pkg) + "." + recvType(fd.Recv.List[0].Type) + "." + fd.Name.Name
+			}
+			if exportAllowed[key] == "" {
+				out = append(out, fmt.Sprintf("%s:%d: %s has no non-test caller", f.path, t.fset.Position(fd.Pos()).Line, key))
+			}
+			uncalled[key] = true
+		}
+	}
+	for key := range exportAllowed {
+		if !uncalled[key] {
+			out = append(out, fmt.Sprintf("exportAllowed names %s, which is not an uncalled export", key))
+		}
+	}
+	return out
 }

@@ -40,7 +40,7 @@ func TestSilentSendsNothing(t *testing.T) {
 		t.Fatal("silent process leaked a PD")
 	}
 	// Only the observer's GETPDS traffic exists.
-	if engine.Metrics().KindCount(2) != 0 { // KindSetPDs
+	if engine.Metrics().ByKind()[2] != 0 { // KindSetPDs
 		t.Fatal("silent process sent SETPDS")
 	}
 }

@@ -35,7 +35,7 @@ func (m Mode) String() string { return model.NameOf(Modes, m, "mode") }
 const pollTag uint64 = 2 << 40
 
 // maxPending bounds the buffer of committee-consensus messages that arrive
-// before the committee is identified.
+// before their slot's instance starts.
 const maxPending = 8192
 
 // Config parameterizes a node.
@@ -112,12 +112,13 @@ type Node struct {
 	member  bool
 	insts   map[uint64]*pbft.Instance
 
-	pending []pendingMsg // committee messages that arrived before the committee was known
-	// slotPending buffers committee messages for chained slots this member
-	// has not started yet (fast members race ahead; their DecideNotes must
-	// not be lost).
-	slotPending map[uint64][]pendingMsg
-	pendingN    int
+	// pending buffers committee messages, by slot, that arrive before their
+	// slot's instance starts: before the committee is known (so a late
+	// process can still join the committee protocol), or for a chained slot
+	// this member has not started yet (fast members race ahead; their
+	// DecideNotes must not be lost). pendingN counts them, up to maxPending.
+	pending  map[uint64][]pendingMsg
+	pendingN int
 
 	decidedSlots map[uint64]model.Value
 	askers       map[uint64]model.IDSet              // per slot: processes awaiting DECIDEDVAL
@@ -138,7 +139,7 @@ func NewNode(signer cryptox.Signer, verifier cryptox.Verifier, cfg Config, onDec
 		cfg:          cfg,
 		insts:        make(map[uint64]*pbft.Instance),
 		decidedSlots: make(map[uint64]model.Value),
-		slotPending:  make(map[uint64][]pendingMsg),
+		pending:      make(map[uint64][]pendingMsg),
 		askers:       make(map[uint64]model.IDSet),
 		answers:      make(map[uint64]map[model.ID]model.Value),
 		onDecide:     onDecide,
@@ -156,20 +157,6 @@ func NewNode(signer cryptox.Signer, verifier cryptox.Verifier, cfg Config, onDec
 	return n
 }
 
-// Decided returns the slot-0 decision, if reached.
-func (n *Node) Decided() (model.Value, bool) { return n.DecidedSlot(0) }
-
-// DecidedSlot returns the decision of one chained slot, if reached.
-func (n *Node) DecidedSlot(slot uint64) (model.Value, bool) {
-	v, ok := n.decidedSlots[slot]
-	return v, ok
-}
-
-// DecidedAll reports whether every configured slot has decided.
-func (n *Node) DecidedAll() bool {
-	return uint64(len(n.decidedSlots)) >= n.cfg.Slots
-}
-
 // proposalFor returns this node's proposal for a slot.
 func (n *Node) proposalFor(slot uint64) model.Value {
 	if n.cfg.ProposalFor != nil {
@@ -184,14 +171,6 @@ func (n *Node) Committee() (kosr.Candidate, bool) {
 		return kosr.Candidate{}, false
 	}
 	return *n.committee, true
-}
-
-// View exposes the node's current knowledge (tests and tools only).
-func (n *Node) View() *kosr.View {
-	if n.disc == nil {
-		return nil
-	}
-	return n.disc.View()
 }
 
 // Init implements rt.Reactor.
@@ -249,19 +228,12 @@ func (n *Node) Receive(ctx rt.Context, from model.ID, payload []byte) {
 		return
 	}
 	if slot, ok := pbft.PeekSlot(payload); ok {
-		if n.committee == nil {
-			if len(n.pending) < maxPending {
-				// The committee is not identified yet; buffer so that a late
-				// process can still join the committee protocol. A delivered
-				// payload may be kept as it is (the rt payload contract).
-				n.pending = append(n.pending, pendingMsg{from: from, payload: payload})
-			}
-		} else if inst := n.insts[slot]; inst != nil {
+		if inst := n.insts[slot]; inst != nil {
 			inst.Handle(ctx, from, payload)
-		} else if n.member && slot < n.cfg.Slots && n.pendingN < maxPending {
-			// A member that is still on an earlier slot must not lose
-			// traffic (especially DecideNotes) for slots it will start.
-			n.slotPending[slot] = append(n.slotPending[slot], pendingMsg{from: from, payload: payload})
+		} else if (n.committee == nil || n.member) && slot < n.cfg.Slots && n.pendingN < maxPending {
+			// A delivered payload may be kept as it is (the rt payload
+			// contract).
+			n.pending[slot] = append(n.pending[slot], pendingMsg{from: from, payload: payload})
 			n.pendingN++
 		}
 		return
@@ -332,13 +304,11 @@ func (n *Node) adoptCommittee(ctx rt.Context, cand kosr.Candidate) {
 	n.member = n.members.Has(n.self)
 	if n.member {
 		n.startSlot(ctx, 0)
-		for _, m := range n.pending {
-			n.Receive(ctx, m.from, m.payload)
-		}
 	} else {
+		clear(n.pending)
+		n.pendingN = 0
 		n.poll(ctx)
 	}
-	n.pending = nil
 }
 
 // startSlot launches the committee instance for one chained slot.
@@ -365,8 +335,8 @@ func (n *Node) startSlot(ctx rt.Context, slot uint64) {
 	}
 	n.insts[slot] = inst
 	inst.Start(ctx)
-	if buf := n.slotPending[slot]; len(buf) > 0 {
-		delete(n.slotPending, slot)
+	if buf := n.pending[slot]; len(buf) > 0 {
+		delete(n.pending, slot)
 		n.pendingN -= len(buf)
 		for _, pm := range buf {
 			inst.Handle(ctx, pm.from, pm.payload)

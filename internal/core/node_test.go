@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -9,6 +10,7 @@ import (
 	"github.com/bftcup/bftcup/internal/graph"
 	"github.com/bftcup/bftcup/internal/kosr"
 	"github.com/bftcup/bftcup/internal/model"
+	"github.com/bftcup/bftcup/internal/pbft"
 	"github.com/bftcup/bftcup/internal/sim"
 	"github.com/bftcup/bftcup/internal/wire"
 )
@@ -356,20 +358,20 @@ func TestAnswerThreshold(t *testing.T) {
 	n, answer := answeringNonMember(t)
 	answer(1, "X")
 	answer(4, "garbage") // Byzantine member lies
-	if _, ok := n.Decided(); ok {
+	if _, ok := n.decidedSlots[0]; ok {
 		t.Fatal("decided below threshold")
 	}
 	answer(1, "X") // duplicate sender must not double-count
-	if _, ok := n.Decided(); ok {
+	if _, ok := n.decidedSlots[0]; ok {
 		t.Fatal("duplicate answer double-counted")
 	}
 	answer(7, "X") // non-member answers must be ignored
-	if _, ok := n.Decided(); ok {
+	if _, ok := n.decidedSlots[0]; ok {
 		t.Fatal("non-member answer counted")
 	}
 	answer(2, "X")
 	answer(3, "X") // third distinct member: threshold ⌈5/2⌉ = 3 reached
-	v, ok := n.Decided()
+	v, ok := n.decidedSlots[0]
 	if !ok || !v.Equal(model.Value("X")) {
 		t.Fatalf("decided = %q, %v", v, ok)
 	}
@@ -389,11 +391,11 @@ func TestAnswerTallyBounded(t *testing.T) {
 	answer(1, "X")
 	answer(2, "X")
 	answer(4, "X") // a second answer from member 4 is not a vote
-	if _, ok := n.Decided(); ok {
+	if _, ok := n.decidedSlots[0]; ok {
 		t.Fatal("a member's second answer counted")
 	}
 	answer(3, "X")
-	if v, ok := n.Decided(); !ok || !v.Equal(model.Value("X")) {
+	if v, ok := n.decidedSlots[0]; !ok || !v.Equal(model.Value("X")) {
 		t.Fatalf("decided = %q, %v", v, ok)
 	}
 	if len(n.answers) != 0 {
@@ -403,6 +405,70 @@ func TestAnswerTallyBounded(t *testing.T) {
 
 func mkCand(g int, s1, s2 model.IDSet) kosr.Candidate {
 	return kosr.Candidate{G: g, S1: s1, S2: s2}
+}
+
+// Committee messages that reach a process before it knows the committee are
+// buffered, up to maxPending, and handled in arrival order once it adopts
+// one. Process 4 of S = {1,2,3,4} (view-0 leader 1) hears two conflicting
+// proposals from the leader before it adopts S: the first one wins, so it
+// prepares that one. Behind a flood of maxPending messages the proposal is
+// dropped, and the node prepares nothing.
+func TestEarlyCommitteeMessagesBuffered(t *testing.T) {
+	ids := []model.ID{1, 2, 3, 4}
+	signers, reg, err := cryptox.GenerateKeys(1, ids)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cand := mkCand(1, model.NewIDSet(1, 2, 3), model.NewIDSet(4))
+	cfg := pbft.Config{Committee: cand.Members(), Quorum: cand.QuorumSize(), F: cand.G, BaseTimeout: DefaultPBFTTimeout}
+	// sends starts a slot-0 instance of process id, feeds it the payloads
+	// from the leader, and returns what it sent to process to.
+	sends := func(id model.ID, proposal string, fromLeader [][]byte, to model.ID) [][]byte {
+		inst, err := pbft.New(signers[id], reg, cfg, model.Value(proposal), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ctx := newFakeCtx(id)
+		inst.Start(ctx)
+		for _, p := range fromLeader {
+			inst.Handle(ctx, 1, p)
+		}
+		return ctx.sends[to]
+	}
+	// The leader's proposal and its own prepare, as process 4 receives them.
+	proposeA, proposeB := sends(1, "A", nil, 4), sends(1, "B", nil, 4)
+	prepareA := sends(4, "", proposeA[:1], 1)[0]
+	prepareB := sends(4, "", proposeB[:1], 1)[0]
+
+	run := func(flood int, early ...[]byte) (a, b bool) {
+		n := NewNode(signers[4], reg, Config{Mode: ModeUnknownF, PD: model.NewIDSet(1)}, nil)
+		ctx := newFakeCtx(4)
+		n.ctx = ctx
+		for i := 0; i < flood; i++ {
+			n.Receive(ctx, 1, proposeA[1])
+		}
+		for _, p := range early {
+			n.Receive(ctx, 1, p)
+		}
+		n.adoptCommittee(ctx, cand)
+		for _, p := range ctx.sends[1] {
+			a = a || bytes.Equal(p, prepareA)
+			b = b || bytes.Equal(p, prepareB)
+		}
+		return a, b
+	}
+	if a, b := run(0, proposeA[0], proposeB[0]); !a || b {
+		t.Errorf("A then B: prepared A %v, B %v; want A only", a, b)
+	}
+	if a, b := run(0, proposeB[0], proposeA[0]); a || !b {
+		t.Errorf("B then A: prepared A %v, B %v; want B only", a, b)
+	}
+	if a, _ := run(maxPending-1, proposeA[0]); !a {
+		t.Errorf("the proposal behind %d buffered messages was dropped", maxPending-1)
+	}
+	if a, _ := run(maxPending, proposeA[0]); a {
+		t.Errorf("the proposal behind %d buffered messages was kept: the buffer outgrew its cap", maxPending)
+	}
 }
 
 // GETDECIDEDVAL before the decision is queued and answered on decide
@@ -439,7 +505,7 @@ func TestDecidedValQueue(t *testing.T) {
 	}
 	// Integrity: second decide is a no-op.
 	n.decideLocal(ctx, 0, model.Value("other"))
-	if v, _ := n.Decided(); !v.Equal(model.Value("done")) {
+	if v := n.decidedSlots[0]; !v.Equal(model.Value("done")) {
 		t.Fatal("decision overwritten")
 	}
 }
@@ -455,12 +521,11 @@ func TestChainedSlotsOnFig4a(t *testing.T) {
 	}
 	const slots = 5
 	engine := sim.NewEngine(sim.Synchronous{Delta: 5 * sim.Millisecond}, 8)
-	chains := make(map[model.ID][]model.Value)
-	nodes := make(map[model.ID]*Node)
+	chains := make(map[model.ID]map[uint64]model.Value)
 	correct := fig.G.NodeSet().Diff(fig.Byz)
 	for _, id := range ids {
 		id := id
-		chains[id] = make([]model.Value, slots)
+		chains[id] = make(map[uint64]model.Value, slots)
 		cfg := Config{
 			Mode:  ModeUnknownF,
 			PD:    fig.G.OutSet(id).Clone(),
@@ -472,9 +537,7 @@ func TestChainedSlotsOnFig4a(t *testing.T) {
 				chains[id][slot] = v
 			},
 		}
-		n := NewNode(signers[id], reg, cfg, nil)
-		nodes[id] = n
-		if err := engine.AddProcess(id, n); err != nil {
+		if err := engine.AddProcess(id, NewNode(signers[id], reg, cfg, nil)); err != nil {
 			t.Fatal(err)
 		}
 		if fig.Byz.Has(id) {
@@ -483,7 +546,7 @@ func TestChainedSlotsOnFig4a(t *testing.T) {
 	}
 	ok := engine.RunUntil(func() bool {
 		for id := range correct {
-			if !nodes[id].DecidedAll() {
+			if len(chains[id]) != slots {
 				return false
 			}
 		}
@@ -494,7 +557,7 @@ func TestChainedSlotsOnFig4a(t *testing.T) {
 	}
 	ref := chains[1]
 	for id := range correct {
-		for s := 0; s < slots; s++ {
+		for s := uint64(0); s < slots; s++ {
 			if !chains[id][s].Equal(ref[s]) {
 				t.Fatalf("chain divergence at %v slot %d: %q vs %q", id, s, chains[id][s], ref[s])
 			}

@@ -88,12 +88,6 @@ func (r *Registry) seed(signer model.ID, msg, sig []byte) {
 	r.mu.Unlock()
 }
 
-// Has reports whether the registry knows signer's key.
-func (r *Registry) Has(signer model.ID) bool {
-	_, ok := r.pubs[signer]
-	return ok
-}
-
 // edSigner is the Ed25519 Signer. Sign memoizes by message: Ed25519 is
 // deterministic (RFC 8032 — identical bytes sign to identical signatures),
 // and a process re-signs the same canonical record every time it rebuilds a

@@ -26,8 +26,11 @@ func TestGenerateKeysAndVerify(t *testing.T) {
 	if reg.Verify(99, msg, sig) {
 		t.Fatal("unknown signer accepted")
 	}
-	if !reg.Has(3) || reg.Has(99) {
-		t.Fatal("Has wrong")
+	if _, ok := reg.pubs[3]; !ok {
+		t.Fatal("registry lacks signer 3's key")
+	}
+	if _, ok := reg.pubs[99]; ok {
+		t.Fatal("registry holds a key for unknown signer 99")
 	}
 }
 

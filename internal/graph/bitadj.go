@@ -92,9 +92,6 @@ func (b *BitAdjacency) csr() (start, adj []int32) {
 	return start, adj
 }
 
-// NumNodes returns the number of indexed nodes.
-func (b *BitAdjacency) NumNodes() int { return b.n }
-
 // IDs returns the indexed nodes in index order (sorted by ID). The slice is
 // owned by the BitAdjacency.
 func (b *BitAdjacency) IDs() []model.ID { return b.ids }
@@ -107,10 +104,4 @@ func (b *BitAdjacency) Index(id model.ID) (int, bool) {
 // Row returns node i's out-neighbor bitset (owned by the BitAdjacency).
 func (b *BitAdjacency) Row(i int) []uint64 {
 	return b.rows[i*b.words : (i+1)*b.words]
-}
-
-// HasEdge reports an edge from node index i to node index j. Self-edges are
-// never recorded (AddEdge ignores them at the Digraph layer too).
-func (b *BitAdjacency) HasEdge(i, j int) bool {
-	return b.rows[i*b.words+(j>>6)]&(1<<(j&63)) != 0
 }

@@ -89,7 +89,7 @@ func TestFlowScratchLoadedOnceMatchesLoadPerCall(t *testing.T) {
 }
 
 // TestBitAdjacencyIndexRoundTrip pins the index contract: IDs are sorted,
-// Index inverts IDs, HasEdge mirrors Digraph.HasEdge bit for bit.
+// Index inverts IDs, Row mirrors Digraph.HasEdge bit for bit.
 func TestBitAdjacencyIndexRoundTrip(t *testing.T) {
 	d, err := ParseDef("er:n=70,p=0.1") // > 64 nodes: multi-word rows
 	if err != nil {
@@ -112,8 +112,8 @@ func TestBitAdjacencyIndexRoundTrip(t *testing.T) {
 	}
 	for i, u := range ids {
 		for j, v := range ids {
-			if got, want := ba.HasEdge(i, j), b.G.HasEdge(u, v); got != want {
-				t.Fatalf("HasEdge(%d→%d) bitset %v != digraph %v", u, v, got, want)
+			if got, want := ba.Row(i)[j>>6]&(1<<(j&63)) != 0, b.G.HasEdge(u, v); got != want {
+				t.Fatalf("Row(%d) bit %d (%d→%d) %v != digraph %v", i, j, u, v, got, want)
 			}
 		}
 	}

@@ -234,8 +234,18 @@ func (d Def) Validate() error {
 	default:
 		return fmt.Errorf("graph def: unknown kind %d", int(d.Kind))
 	}
+	// Build allocates every process (a complete graph N(N−1) edges), so the
+	// size is capped before anything is built. A family sets N, or Sink and
+	// NonSink, and leaves the others zero.
+	if d.N > maxProcesses || d.Sink > maxProcesses || d.NonSink > maxProcesses-d.Sink {
+		return fmt.Errorf("graph def %q: more than %d processes", d, maxProcesses)
+	}
 	return nil
 }
+
+// maxProcesses caps a def's process count, far above the largest def the
+// repository runs (70 processes: er:n=70, kosr:sink=66,nonsink=4).
+const maxProcesses = 4096
 
 // UsesSeed reports whether Build's output depends on the seed. Figures and
 // complete graphs are fixed constructions; only the random families draw

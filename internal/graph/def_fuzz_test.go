@@ -26,6 +26,7 @@ func FuzzParseDef(f *testing.F) {
 		"geo:n=8,r=-1", "geo:n=8,r=Inf", "sf:n=8,m=0", "sf:n=8,m=9",
 		"er:", "er:n=8", "er:p=0.3", "er:n=8,q=0.5", "er:n=8,p=0.3,p=0.7",
 		"random:5:3:1", "random-ext:5:3", "  er:n=8,p=0.5  ",
+		"complete:4097", "kosr:sink=4096,nonsink=1,k=1",
 	} {
 		f.Add(seed)
 	}

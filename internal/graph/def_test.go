@@ -183,6 +183,9 @@ func TestParseDefErrors(t *testing.T) {
 		"er:", "er:n=0,p=0.5", "er:n=8,p=1.5", "er:n=8,p=-0.1", "er:n=8,p=NaN",
 		"er:n=8,q=0.5", "geo:", "geo:n=0,r=0.4", "geo:n=8,r=-1",
 		"geo:n=8,r=NaN", "sf:", "sf:n=8,m=0", "sf:n=8,m=9", "sf:n=8,m=x",
+		"complete:4097", "complete:3000000000", "er:n=4097,p=0.1", "geo:n=4097,r=0.1",
+		"sf:n=4097,m=1", "kosr:sink=4000,nonsink=97,k=1", "extended:core=3,noncore=4094",
+		"kosr:sink=1,nonsink=9223372036854775807,k=1",
 	} {
 		if _, err := ParseDef(bad); err == nil {
 			t.Errorf("ParseDef(%q) unexpectedly succeeded", bad)

@@ -249,13 +249,3 @@ func GenScaleFree(rng *rand.Rand, n, m int) *Digraph {
 	}
 	return g
 }
-
-// PDMap converts a graph into the participant-detector map handed to
-// processes: PD(i) = out-neighbors of i.
-func PDMap(g *Digraph) map[model.ID]model.IDSet {
-	out := make(map[model.ID]model.IDSet, g.NumNodes())
-	for _, u := range g.Nodes() {
-		out[u] = g.OutSet(u).Clone()
-	}
-	return out
-}

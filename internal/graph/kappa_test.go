@@ -200,7 +200,7 @@ func probeCost(t *testing.T, g *Digraph, members model.IDSet, k int, tag string)
 	holds = whole.IsKStronglyConnected(k)
 	var b BitAdjacency
 	b.Load(g)
-	rows.LoadRows(b.NumNodes(), b.rows)
+	rows.LoadRows(len(b.IDs()), b.rows)
 	// Every node's split rows in place, as a query on all of g leaves them:
 	// the query on S must not reach the rows of non-members.
 	rows.split(rows.sub, rows.all)

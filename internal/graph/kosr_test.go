@@ -156,19 +156,6 @@ func TestGenExtendedKOSRStructure(t *testing.T) {
 	}
 }
 
-func TestPDMap(t *testing.T) {
-	g := edgeList([2]model.ID{1, 2}, [2]model.ID{1, 3}, [2]model.ID{2, 3})
-	pd := PDMap(g)
-	if !pd[1].Equal(model.NewIDSet(2, 3)) || !pd[2].Equal(model.NewIDSet(3)) || pd[3].Len() != 0 {
-		t.Fatalf("PDMap = %v", pd)
-	}
-	// Mutating the map must not affect the graph.
-	pd[1].Add(9)
-	if g.HasEdge(1, 9) {
-		t.Fatal("PDMap shares sets with the graph")
-	}
-}
-
 // undirectedConnectedByMaps is Digraph.UndirectedConnected as it was before it
 // moved onto the snapshot's CSR: the undirected counterpart built as a map of
 // sets and walked.

@@ -172,15 +172,6 @@ sets:
 	return false
 }
 
-// PlacementMargin grades one concrete Byzantine subset: the largest g at
-// which the correct-only view still contains a sink (-1 when none does). It
-// is the per-subset quantity WorstPlacement minimizes, exported so sweeps and
-// tests can grade fixed placements (tail, sink) on the same scale.
-func PlacementMargin(g *graph.Digraph, byz model.IDSet) int {
-	m, _ := placementMargin(NewSearcher(), g, borrowedView(g), byz)
-	return m
-}
-
 // placementMargin runs the Core search's g sweep on the shared searcher over
 // the correct-only view for one Byzantine subset, and returns with the margin
 // the candidates found at it (in the searcher's pair scratch: valid until its

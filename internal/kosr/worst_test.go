@@ -19,7 +19,7 @@ func bruteWorst(g *graph.Digraph, f int) Placement {
 		for _, i := range idx {
 			byz.Add(nodes[i])
 		}
-		m := PlacementMargin(g, byz)
+		m, _ := placementMargin(NewSearcher(), g, borrowedView(g), byz)
 		if m < best.Margin {
 			best = Placement{Byz: byz, Margin: m}
 		}
@@ -89,7 +89,10 @@ func TestWorstPlacementMatchesBruteForce(t *testing.T) {
 	for name, g := range graphs {
 		// Every per-subset view holds the graph's own out-sets by reference:
 		// searching them must leave the graph as it was.
-		before := graph.PDMap(g)
+		before := make(map[model.ID]model.IDSet)
+		for _, u := range g.Nodes() {
+			before[u] = g.OutSet(u).Clone()
+		}
 		for f := 0; f <= 3 && f <= g.NumNodes(); f++ {
 			if name == "hidden-sink" && f == 2 {
 				break // f = 1 separates already; 528 structural searches add seconds only
@@ -175,7 +178,7 @@ func TestWorstPlacementEdges(t *testing.T) {
 	if p.Byz.Len() != 0 {
 		t.Fatalf("f=0 placement %v, want empty", p.Byz)
 	}
-	if full := PlacementMargin(g, model.NewIDSet()); p.Margin != full {
+	if full, _ := placementMargin(NewSearcher(), g, borrowedView(g), model.NewIDSet()); p.Margin != full {
 		t.Fatalf("f=0 margin %d, full-view margin %d", p.Margin, full)
 	}
 	if _, err := WorstPlacement(g, -1); err == nil {
@@ -202,7 +205,7 @@ func TestWorstPlacementStrictlyWorseThanTail(t *testing.T) {
 	nodes := g.Nodes()
 	f := 2
 	tail := model.NewIDSet(nodes[len(nodes)-f:]...)
-	tailMargin := PlacementMargin(g, tail)
+	tailMargin, _ := placementMargin(NewSearcher(), g, borrowedView(g), tail)
 	worst, err := WorstPlacement(g, f)
 	if err != nil {
 		t.Fatal(err)

@@ -116,9 +116,6 @@ func (a *Aggregator) Add(pos int, o Outcome) error {
 	}
 }
 
-// Cells returns how many outcomes have been folded (contiguous from 0).
-func (a *Aggregator) Cells() int { return a.next }
-
 // fold integrates one outcome; only called with the next position in order.
 func (a *Aggregator) fold(o *Outcome) {
 	a.next++

@@ -19,8 +19,6 @@
 package matrix
 
 import (
-	"fmt"
-
 	"github.com/bftcup/bftcup/internal/core"
 	"github.com/bftcup/bftcup/internal/graph"
 	"github.com/bftcup/bftcup/internal/scenario"
@@ -77,28 +75,6 @@ func orDefault[T any](vals []T, def T) []T {
 		return []T{def}
 	}
 	return vals
-}
-
-// Expand materializes the whole cross-product eagerly (same cells, same
-// order as Source), additionally rejecting every cell that cannot
-// materialize (e.g. a generator spec too small for its connectivity) with a
-// precise error before anything runs. Use it for small sweeps where eager
-// validation is worth a pass over every cell; the pipeline itself runs on
-// the lazy Source.
-func (a Axes) Expand() ([]Cell, error) {
-	src, err := a.Source()
-	if err != nil {
-		return nil, err
-	}
-	cells := make([]Cell, src.Len())
-	for i := range cells {
-		c := src.Cell(i)
-		if _, err := c.Params.Compile(); err != nil {
-			return nil, fmt.Errorf("matrix %q cell %d: %w", a.Name, i, err)
-		}
-		cells[i] = c
-	}
-	return cells, nil
 }
 
 // FromExperiments wraps the reproduction suite's experiments as matrix

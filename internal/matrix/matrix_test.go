@@ -20,19 +20,20 @@ func def(t testing.TB, s string) graph.Def {
 	return d
 }
 
-func TestExpand(t *testing.T) {
+func TestSourceCrossProduct(t *testing.T) {
 	a := Axes{
-		Name:   "expand",
+		Name:   "cross",
 		Graphs: []graph.Def{def(t, "fig1b"), def(t, "kosr:sink=5,nonsink=2,k=2")},
 		Modes:  []core.Mode{core.ModeKnownF},
 		Nets:   []scenario.NetParams{{Kind: scenario.NetSync}, {Kind: scenario.NetPartial}},
 		Byz:    []scenario.AutoByz{{}, {Kind: scenario.ByzSilent, Count: 1, Place: scenario.PlaceTail}},
 		Seeds:  Seeds(1, 3),
 	}
-	cells, err := a.Expand()
+	src, err := a.Source()
 	if err != nil {
 		t.Fatal(err)
 	}
+	cells := Materialize(src)
 	if want := 2 * 1 * 2 * 2 * 3; len(cells) != want {
 		t.Fatalf("expanded %d cells, want %d", len(cells), want)
 	}
@@ -46,19 +47,6 @@ func TestExpand(t *testing.T) {
 			t.Fatalf("duplicate cell id %q", id)
 		}
 		seen[id] = true
-	}
-}
-
-func TestExpandRejectsBadCells(t *testing.T) {
-	a := Axes{
-		Name:   "bad",
-		Graphs: []graph.Def{{Kind: graph.DefKOSR, Sink: 2, NonSink: 1, K: 3}}, // sink too small for k
-	}
-	if _, err := a.Expand(); err == nil {
-		t.Fatal("expected expansion error for impossible generator spec")
-	}
-	if _, err := (Axes{Name: "empty"}).Expand(); err == nil {
-		t.Fatal("expected error for missing graph axis")
 	}
 }
 
@@ -262,10 +250,11 @@ func TestHorizonPropagates(t *testing.T) {
 		F:       []int{1},
 		Horizon: 30 * sim.Second,
 	}
-	cells, err := a.Expand()
+	src, err := a.Source()
 	if err != nil {
 		t.Fatal(err)
 	}
+	cells := Materialize(src)
 	if len(cells) != 1 || cells[0].Params.Horizon != 30*sim.Second {
 		t.Fatalf("horizon lost: %+v", cells[0].Params)
 	}

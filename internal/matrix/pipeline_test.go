@@ -12,15 +12,17 @@ import (
 	"github.com/bftcup/bftcup/internal/core"
 	"github.com/bftcup/bftcup/internal/graph"
 	"github.com/bftcup/bftcup/internal/scenario"
+	"github.com/bftcup/bftcup/internal/sim"
 )
 
-// TestSourceMatchesExpand pins the lazy source to the eager expansion: the
-// mixed-radix arithmetic must produce exactly the cells the historical
-// nested loops produced, in the same order, and the shard view must select
-// exactly the cells whose index falls in the shard's residue class.
-func TestSourceMatchesExpand(t *testing.T) {
+// TestSourceMatchesNestedLoops pins the lazy source's order: the mixed-radix
+// arithmetic must produce exactly the cells the nested loops below produce
+// (graphs outermost, seeds innermost), the order every sweep fingerprint was
+// taken in, and the shard view must select exactly the cells whose index
+// falls in the shard's residue class.
+func TestSourceMatchesNestedLoops(t *testing.T) {
 	a := Axes{
-		Name:   "source-vs-expand",
+		Name:   "source-vs-loops",
 		Graphs: []graph.Def{def(t, "fig1b"), def(t, "kosr:sink=5,nonsink=2,k=2")},
 		Modes:  []core.Mode{core.ModeKnownF},
 		Nets:   []scenario.NetParams{{Kind: scenario.NetSync}, {Kind: scenario.NetPartial}},
@@ -28,16 +30,27 @@ func TestSourceMatchesExpand(t *testing.T) {
 		F:      []int{-1, 1},
 		Seeds:  Seeds(1, 3),
 	}
-	cells, err := a.Expand()
-	if err != nil {
-		t.Fatal(err)
+	var cells []Cell
+	for _, g := range a.Graphs {
+		for _, mode := range a.Modes {
+			for _, net := range a.Nets {
+				for _, b := range a.Byz {
+					for _, f := range a.F {
+						for _, seed := range a.Seeds {
+							p := scenario.Params{Graph: g, Mode: mode, F: f, Auto: b, Net: net, Horizon: 60 * sim.Second, Seed: seed}
+							cells = append(cells, Cell{Index: len(cells), Params: p})
+						}
+					}
+				}
+			}
+		}
 	}
 	src, err := a.Source()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if src.Len() != len(cells) {
-		t.Fatalf("source has %d cells, expand %d", src.Len(), len(cells))
+		t.Fatalf("source has %d cells, nested loops %d", src.Len(), len(cells))
 	}
 	for i := range cells {
 		got := src.Cell(i)
@@ -45,7 +58,7 @@ func TestSourceMatchesExpand(t *testing.T) {
 			t.Fatalf("cell %d: lazy index %d/%d", i, got.Index, src.Index(i))
 		}
 		if !reflect.DeepEqual(got.Params, cells[i].Params) {
-			t.Fatalf("cell %d diverges:\n  lazy:  %+v\n  eager: %+v", i, got.Params, cells[i].Params)
+			t.Fatalf("cell %d diverges:\n  lazy:  %+v\n  loops: %+v", i, got.Params, cells[i].Params)
 		}
 	}
 	for _, n := range []int{2, 3, 5} {
@@ -59,7 +72,7 @@ func TestSourceMatchesExpand(t *testing.T) {
 			}
 			got := slice(t, src, Task{Span: Span{Shard: sh}})
 			if got.Len() != len(want) {
-				t.Fatalf("shard %s: lazy %d cells, eager %d", sh, got.Len(), len(want))
+				t.Fatalf("shard %s: lazy %d cells, nested loops %d", sh, got.Len(), len(want))
 			}
 			for j := range want {
 				if got.Index(j) != want[j].Index || !reflect.DeepEqual(got.Cell(j).Params, want[j].Params) {
@@ -70,9 +83,9 @@ func TestSourceMatchesExpand(t *testing.T) {
 	}
 }
 
-// TestSourceValidatesEveryAxisValue asserts Axes.Source rejects malformed
-// values on any axis, not just the graph axis or the first value — the lazy
-// pipeline's replacement for Expand's per-cell eager validation.
+// TestSourceValidatesEveryAxisValue asserts Axes.Source rejects a missing
+// graph axis and malformed values on any axis, not just the graph axis or the
+// first value.
 func TestSourceValidatesEveryAxisValue(t *testing.T) {
 	base := Axes{
 		Name:   "probe",
@@ -83,6 +96,7 @@ func TestSourceValidatesEveryAxisValue(t *testing.T) {
 		t.Fatalf("valid axes rejected: %v", err)
 	}
 	bad := []Axes{
+		{Name: "empty"},
 		func() Axes {
 			a := base
 			a.Graphs = append([]graph.Def{a.Graphs[0]}, graph.Def{Kind: graph.DefKOSR})
@@ -97,7 +111,7 @@ func TestSourceValidatesEveryAxisValue(t *testing.T) {
 	}
 	for i, a := range bad {
 		if _, err := a.Source(); err == nil {
-			t.Errorf("case %d: Source accepted a malformed non-first axis value", i)
+			t.Errorf("case %d: Source accepted malformed axes", i)
 		}
 	}
 }

@@ -98,8 +98,7 @@ func pick(base CellSource, pos []int) CellSource {
 
 // crossProduct holds one sweep's axis values, defaults filled in; cell i of the
 // cross-product is computed by mixed-radix arithmetic — graphs outermost,
-// seeds innermost, exactly the nested-loop order Expand historically
-// produced, so fingerprints are byte-identical to eager expansion.
+// seeds innermost, the nested-loop order every sweep fingerprint was taken in.
 type crossProduct struct {
 	graphs  []graph.Def
 	modes   []core.Mode
@@ -114,8 +113,7 @@ type crossProduct struct {
 // Source builds the lazy cross-product source for the axes. Malformed graph
 // defs fail here, once per def — seed-dependent generation errors (a spec
 // the generator cannot satisfy for some seed) surface as per-cell Err
-// outcomes at run time instead; use Expand to pre-validate every cell of a
-// small sweep.
+// outcomes at run time instead.
 func (a Axes) Source() (CellSource, error) {
 	if len(a.Graphs) == 0 {
 		return nil, fmt.Errorf("matrix %q: no graph axis", a.Name)

@@ -127,11 +127,11 @@ func testCells(t *testing.T) []Cell {
 		Nets:   []scenario.NetParams{{Kind: scenario.NetSync}},
 		Seeds:  []int64{1, 2},
 	}
-	cells, err := a.Expand()
+	src, err := a.Source()
 	if err != nil {
 		t.Fatal(err)
 	}
-	return cells
+	return Materialize(src)
 }
 
 // shardStreams runs the sweep as n shards, each streamed to its own buffer.

@@ -151,11 +151,6 @@ func (s IDSet) SubsetOf(other IDSet) bool {
 	return true
 }
 
-// ProperSubsetOf reports whether s ⊂ other.
-func (s IDSet) ProperSubsetOf(other IDSet) bool {
-	return len(s) < len(other) && s.SubsetOf(other)
-}
-
 // Equal reports whether the two sets have the same members.
 func (s IDSet) Equal(other IDSet) bool {
 	return len(s) == len(other) && s.SubsetOf(other)

@@ -26,8 +26,6 @@ type ClusterConfig struct {
 	// Delay, when non-nil, is installed on every node as its outbound
 	// latency hook (see Config.Delay), closed over the sending node's ID.
 	Delay func(from, to model.ID, now rt.Time) rt.Time
-	// QueueLen forwards to each node's Config.
-	QueueLen int
 }
 
 // Cluster is a fully-connected in-process network of Nodes — the "multi-cupd
@@ -68,10 +66,9 @@ func NewCluster(ctx context.Context, ids []model.ID, mk func(id model.ID) rt.Rea
 	for _, id := range ids {
 		id := id
 		cfg := Config{
-			ID:       id,
-			Peers:    ids,
-			Seed:     cc.Seed + int64(id) + 1,
-			QueueLen: cc.QueueLen,
+			ID:    id,
+			Peers: ids,
+			Seed:  cc.Seed + int64(id) + 1,
 		}
 		if cc.Delay != nil {
 			delay := cc.Delay

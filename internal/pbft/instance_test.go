@@ -80,7 +80,7 @@ func (fx *fixture) newView(value model.Value, vcs map[model.ID]viewChangeMsg) []
 func (fx *fixture) installed(value model.Value) bool {
 	for _, p := range fx.ctx.sent {
 		if m, ok := decodeVote(p); ok && m.Kind == wire.KindPrepare && m.View == 1 {
-			return fx.inst.View() == 1 && m.Digest == DigestOf(value)
+			return fx.inst.view == 1 && m.Digest == DigestOf(value)
 		}
 	}
 	return false
@@ -133,7 +133,7 @@ func TestNewViewNeedsQuorumViewChanges(t *testing.T) {
 			}
 			fx.inst.Handle(fx.ctx, 2, fx.newView(model.Value("n"), vcs))
 			if got := fx.installed(model.Value("n")); got != c.install {
-				t.Fatalf("installed = %v (view %d), want %v", got, fx.inst.View(), c.install)
+				t.Fatalf("installed = %v (view %d), want %v", got, fx.inst.view, c.install)
 			}
 		})
 	}
@@ -167,7 +167,7 @@ func TestNewViewChecksBundledCerts(t *testing.T) {
 			}
 			fx.inst.Handle(fx.ctx, 2, fx.newView(c.value, vcs))
 			if got := fx.installed(c.value); got != c.install {
-				t.Fatalf("installed = %v (view %d), want %v", got, fx.inst.View(), c.install)
+				t.Fatalf("installed = %v (view %d), want %v", got, fx.inst.view, c.install)
 			}
 		})
 	}

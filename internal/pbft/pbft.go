@@ -148,9 +148,6 @@ func (i *Instance) at(view uint64) *viewState {
 	return vs
 }
 
-// View returns the current view (for tests and metrics).
-func (i *Instance) View() uint64 { return i.view }
-
 // Leader returns the leader of a view: round-robin over the sorted committee.
 func (i *Instance) Leader(view uint64) model.ID {
 	return i.members[int(view%uint64(len(i.members)))]

@@ -113,8 +113,8 @@ func TestHappyPath(t *testing.T) {
 		t.Fatalf("decided %q, want the view-0 leader's proposal", v)
 	}
 	for _, inst := range c.instances {
-		if inst.View() != 0 {
-			t.Fatalf("happy path should decide in view 0, got view %d", inst.View())
+		if inst.view != 0 {
+			t.Fatalf("happy path should decide in view 0, got view %d", inst.view)
 		}
 	}
 }

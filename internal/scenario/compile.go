@@ -110,6 +110,9 @@ func (p Params) CompileGraph(built graph.BuiltGraph) (*Compiled, error) {
 	if built.G == nil {
 		return nil, fmt.Errorf("params %q: no graph", p.nameOrID())
 	}
+	if err := p.checkScalars(); err != nil {
+		return nil, err
+	}
 	f := p.F
 	if f < 0 {
 		f = built.F
@@ -171,17 +174,14 @@ func checkProcessIDs(g *graph.Digraph, byz map[model.ID]ByzSpec, values map[mode
 	return nil
 }
 
-// applyFaults validates an active fault axis against the built graph and
-// Byzantine assignment and wraps the network model in the corresponding
-// injector. A disabled axis returns the model untouched (and skips every
-// check), keeping zero-fault compilation byte-identical to the pre-fault
-// pipeline.
+// applyFaults checks an active fault axis, already validated on its own,
+// against the built graph and Byzantine assignment and wraps the network
+// model in the corresponding injector. A disabled axis returns the model
+// untouched (and skips every check), keeping zero-fault compilation
+// byte-identical to the pre-fault pipeline.
 func applyFaults(f FaultParams, net sim.NetworkModel, g *graph.Digraph, byzMap map[model.ID]ByzSpec) (sim.NetworkModel, error) {
 	if !f.Enabled() {
 		return net, nil
-	}
-	if err := f.Validate(); err != nil {
-		return nil, err
 	}
 	nodes := model.NewIDSet(g.Nodes()...)
 	for _, ch := range f.Churn {

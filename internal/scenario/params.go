@@ -350,6 +350,12 @@ func (p Params) Validate() error {
 	if err := p.Graph.Validate(); err != nil {
 		return fmt.Errorf("params %q: %w", p.nameOrID(), err)
 	}
+	return p.checkScalars()
+}
+
+// checkScalars refuses scalar knobs out of range. Validate and CompileGraph
+// both run it, so a single run refuses what a sweep refuses.
+func (p Params) checkScalars() error {
 	if p.F < -1 {
 		return fmt.Errorf("params %q: fault threshold %d (want -1 for the family default, or ≥ 0)", p.nameOrID(), p.F)
 	}

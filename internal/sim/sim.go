@@ -75,9 +75,6 @@ type Metrics struct {
 	byKind [256]int64
 }
 
-// KindCount returns how many messages carried the given leading kind byte.
-func (m *Metrics) KindCount(k byte) int64 { return m.byKind[k] }
-
 // ByKind returns a snapshot of the per-kind message counts (only kinds with
 // at least one message appear).
 func (m *Metrics) ByKind() map[byte]int64 {

@@ -42,15 +42,6 @@ type SystemConfig struct {
 	ProposalFor func(id ID, block int) Value
 	// Latency optionally injects artificial per-link delay.
 	Latency func(from, to ID) time.Duration
-	// DiscoveryPeriod, ConsensusTimeout and PollPeriod tune the protocol
-	// timers (sane defaults when zero).
-	DiscoveryPeriod time.Duration
-	// ConsensusTimeout is the committee protocol's base view timeout.
-	ConsensusTimeout time.Duration
-	// PollPeriod is the non-member decided-value polling interval.
-	PollPeriod time.Duration
-	// KeySeed seeds deterministic key generation.
-	KeySeed int64
 }
 
 // Decision is one decided block at one process.
@@ -85,15 +76,6 @@ func NewSystem(cfg SystemConfig) (*System, error) {
 	if cfg.Blocks <= 0 {
 		cfg.Blocks = 1
 	}
-	if cfg.DiscoveryPeriod <= 0 {
-		cfg.DiscoveryPeriod = 10 * time.Millisecond
-	}
-	if cfg.ConsensusTimeout <= 0 {
-		cfg.ConsensusTimeout = 250 * time.Millisecond
-	}
-	if cfg.PollPeriod <= 0 {
-		cfg.PollPeriod = 20 * time.Millisecond
-	}
 	p, err := cfg.Protocol.params("system", cfg.F, cfg.Proposals)
 	if err != nil {
 		return nil, err
@@ -108,10 +90,11 @@ func NewSystem(cfg SystemConfig) (*System, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Live nodes at scale 1 run these durations as they are.
-	c.Discovery.Period = rt.Time(cfg.DiscoveryPeriod)
-	c.PBFTTimeout = rt.Time(cfg.ConsensusTimeout)
-	c.PollPeriod = rt.Time(cfg.PollPeriod)
+	// A System's timers: live nodes at scale 1 run these durations as they
+	// are.
+	c.Discovery.Period = 10 * rt.Millisecond
+	c.PBFTTimeout = 250 * rt.Millisecond
+	c.PollPeriod = 20 * rt.Millisecond
 
 	s := &System{
 		reactors:   make(map[ID]rt.Reactor),
@@ -135,7 +118,7 @@ func NewSystem(cfg SystemConfig) (*System, error) {
 			proposalFor = func(slot uint64) Value { return cfg.ProposalFor(id, int(slot)) }
 		}
 		var node *core.Node
-		node, err = c.LiveNode(keys, cfg.KeySeed, id, 1, uint64(cfg.Blocks), proposalFor, func(slot uint64, v Value) {
+		node, err = c.LiveNode(keys, 0, id, 1, uint64(cfg.Blocks), proposalFor, func(slot uint64, v Value) {
 			s.recordDecision(node, id, int(slot), v)
 		})
 		if err != nil {
