@@ -156,6 +156,24 @@ func TestGenExtendedKOSRStructure(t *testing.T) {
 	}
 }
 
+// TestPDMap checks the participant-detector map processes are handed,
+// PD(i) = OutSet(i).Clone(), as the scenario assembly builds it.
+func TestPDMap(t *testing.T) {
+	g := edgeList([2]model.ID{1, 2}, [2]model.ID{1, 3}, [2]model.ID{2, 3})
+	pd := make(map[model.ID]model.IDSet, g.NumNodes())
+	for _, u := range g.Nodes() {
+		pd[u] = g.OutSet(u).Clone()
+	}
+	if !pd[1].Equal(model.NewIDSet(2, 3)) || !pd[2].Equal(model.NewIDSet(3)) || pd[3].Len() != 0 {
+		t.Fatalf("PD map = %v", pd)
+	}
+	// Mutating the map must not affect the graph.
+	pd[1].Add(9)
+	if g.HasEdge(1, 9) {
+		t.Fatal("PD map shares sets with the graph")
+	}
+}
+
 // undirectedConnectedByMaps is Digraph.UndirectedConnected as it was before it
 // moved onto the snapshot's CSR: the undirected counterpart built as a map of
 // sets and walked.

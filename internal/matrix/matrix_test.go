@@ -20,9 +20,11 @@ func def(t testing.TB, s string) graph.Def {
 	return d
 }
 
-func TestSourceCrossProduct(t *testing.T) {
+// TestExpand checks that Source expands the axes into their full cross
+// product, every cell indexed by its position and named uniquely.
+func TestExpand(t *testing.T) {
 	a := Axes{
-		Name:   "cross",
+		Name:   "expand",
 		Graphs: []graph.Def{def(t, "fig1b"), def(t, "kosr:sink=5,nonsink=2,k=2")},
 		Modes:  []core.Mode{core.ModeKnownF},
 		Nets:   []scenario.NetParams{{Kind: scenario.NetSync}, {Kind: scenario.NetPartial}},
@@ -47,6 +49,23 @@ func TestSourceCrossProduct(t *testing.T) {
 			t.Fatalf("duplicate cell id %q", id)
 		}
 		seen[id] = true
+	}
+}
+
+// TestExpandRejectsBadCells checks that Source refuses axes whose cells could
+// not be built: a generator def with no sink, and a missing graph axis. A def
+// that validates but no graph satisfies (sink too small for k) is found when
+// its cell compiles, not here: Source probes values, it compiles no cell.
+func TestExpandRejectsBadCells(t *testing.T) {
+	a := Axes{
+		Name:   "bad",
+		Graphs: []graph.Def{{Kind: graph.DefKOSR}},
+	}
+	if _, err := a.Source(); err == nil {
+		t.Fatal("expected expansion error for a generator def with no sink")
+	}
+	if _, err := (Axes{Name: "empty"}).Source(); err == nil {
+		t.Fatal("expected error for missing graph axis")
 	}
 }
 

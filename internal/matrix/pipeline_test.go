@@ -15,12 +15,12 @@ import (
 	"github.com/bftcup/bftcup/internal/sim"
 )
 
-// TestSourceMatchesNestedLoops pins the lazy source's order: the mixed-radix
-// arithmetic must produce exactly the cells the nested loops below produce
-// (graphs outermost, seeds innermost), the order every sweep fingerprint was
-// taken in, and the shard view must select exactly the cells whose index
-// falls in the shard's residue class.
-func TestSourceMatchesNestedLoops(t *testing.T) {
+// TestSourceMatchesExpand pins the lazy source to the eager expansion: the
+// mixed-radix arithmetic must produce exactly the cells the nested loops below
+// produce (graphs outermost, seeds innermost), the order every sweep
+// fingerprint was taken in, and the shard view must select exactly the cells
+// whose index falls in the shard's residue class.
+func TestSourceMatchesExpand(t *testing.T) {
 	a := Axes{
 		Name:   "source-vs-loops",
 		Graphs: []graph.Def{def(t, "fig1b"), def(t, "kosr:sink=5,nonsink=2,k=2")},
@@ -83,9 +83,8 @@ func TestSourceMatchesNestedLoops(t *testing.T) {
 	}
 }
 
-// TestSourceValidatesEveryAxisValue asserts Axes.Source rejects a missing
-// graph axis and malformed values on any axis, not just the graph axis or the
-// first value.
+// TestSourceValidatesEveryAxisValue asserts Axes.Source rejects malformed
+// values on any axis, not just the graph axis or the first value.
 func TestSourceValidatesEveryAxisValue(t *testing.T) {
 	base := Axes{
 		Name:   "probe",
@@ -96,7 +95,6 @@ func TestSourceValidatesEveryAxisValue(t *testing.T) {
 		t.Fatalf("valid axes rejected: %v", err)
 	}
 	bad := []Axes{
-		{Name: "empty"},
 		func() Axes {
 			a := base
 			a.Graphs = append([]graph.Def{a.Graphs[0]}, graph.Def{Kind: graph.DefKOSR})
@@ -111,7 +109,7 @@ func TestSourceValidatesEveryAxisValue(t *testing.T) {
 	}
 	for i, a := range bad {
 		if _, err := a.Source(); err == nil {
-			t.Errorf("case %d: Source accepted malformed axes", i)
+			t.Errorf("case %d: Source accepted a malformed non-first axis value", i)
 		}
 	}
 }
