@@ -44,7 +44,7 @@ type config struct {
 	sshHosts, remoteCmd, sshArgs string
 	shards                       int
 	spoolDir                     string
-	heartbeat, retryWait         time.Duration
+	heartbeat                    time.Duration
 	cellRows, verbose            bool
 }
 
@@ -60,9 +60,8 @@ func bind(fs *flag.FlagSet) *config {
 	fs.IntVar(&c.shards, "shards", 0, "initial spans dealt to the fleet (0 = one per worker)")
 	fs.StringVar(&c.spoolDir, "spool", "", "spool directory for worker streams (empty = temp dir, removed on success)")
 	fs.DurationVar(&c.heartbeat, "heartbeat", 2*time.Minute, "declare a worker stalled after this long without stream progress (0 = off)")
-	fs.DurationVar(&c.retryWait, "retry-backoff", 0, "base delay before redispatching a failed task, doubling per attempt with jitter (0 = 50ms default, negative = immediate)")
 	fs.BoolVar(&c.cellRows, "cells", false, "keep per-cell outcomes in the merged report and list them in text output")
-	fs.BoolVar(&c.verbose, "v", false, "print recovery stats (redispatches, seals, steals, gap tasks, back-offs)")
+	fs.BoolVar(&c.verbose, "v", false, "print recovery stats (redispatches, seals, steals, gap tasks)")
 	return c
 }
 
@@ -147,7 +146,6 @@ func runCoordinator(name string, src matrix.CellSource, c *config) {
 		Shards:       c.shards,
 		SpoolDir:     c.spoolDir,
 		Heartbeat:    c.heartbeat,
-		RetryBackoff: c.retryWait,
 		KeepOutcomes: c.cellRows,
 	}
 	if !c.sweep.JSON {
@@ -182,8 +180,8 @@ func runCoordinator(name string, src matrix.CellSource, c *config) {
 	fmt.Fprintf(os.Stderr, "fabric: %d cells in %.2fs (%.2f cells/s) over %d workers, %d dispatches\n",
 		rep.Cells, wall.Seconds(), float64(rep.Cells)/wall.Seconds(), len(fleet), stats.Tasks)
 	if c.verbose || stats.Redispatches+stats.Seals+stats.Steals > 0 {
-		fmt.Fprintf(os.Stderr, "fabric: recovery — %d redispatched, %d sealed, %d steals (%d sub-shards), %d gap tasks, %d backed off\n",
-			stats.Redispatches, stats.Seals, stats.Steals, stats.SubShards, stats.GapTasks, stats.Backoffs)
+		fmt.Fprintf(os.Stderr, "fabric: recovery — %d redispatched, %d sealed, %d steals (%d sub-shards), %d gap tasks\n",
+			stats.Redispatches, stats.Seals, stats.Steals, stats.SubShards, stats.GapTasks)
 	}
 	fmt.Fprintf(os.Stderr, "fingerprint %s\n", rep.Fingerprint())
 	if c.sweep.JSON {

@@ -1,6 +1,7 @@
 package matrix
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"math/rand"
@@ -24,16 +25,6 @@ type FabricOptions struct {
 	// it is declared stalled and killed; its spool then recovers like any
 	// failed task's. 0 disables stall detection.
 	Heartbeat time.Duration
-	// MaxAttempts bounds one task lineage's dispatches (the original plus
-	// every recovery task descended from it) before the sweep aborts. 0
-	// means 5.
-	MaxAttempts int
-	// RetryBackoff is the base delay before a failed task's lineage is
-	// dispatched again; each attempt doubles it, with ±50% jitter, capped at
-	// 5s. Without it a worker that dies on startup burns the whole
-	// MaxAttempts budget in milliseconds. 0 means 50ms; negative disables
-	// the delay (recovery tasks redispatch immediately).
-	RetryBackoff time.Duration
 	// KeepOutcomes retains every cell outcome in the merged report.
 	KeepOutcomes bool
 	// Progress, when set, is called from the coordinator loop with the
@@ -62,10 +53,17 @@ type FabricStats struct {
 	SubShards int
 	// GapTasks counts explicit cell-list back-fill dispatches.
 	GapTasks int
-	// Backoffs counts recovery tasks whose dispatch was delayed by the
-	// retry backoff.
-	Backoffs int
 }
+
+// The retry policy: a task lineage (the original dispatch plus every
+// recovery task descended from it) gets maxAttempts dispatches before the
+// sweep aborts, and each redispatch waits a jittered backoff that doubles
+// from retryBase (see retryDelay). Without the backoff a worker that dies on
+// startup would burn the lineage's budget in milliseconds.
+const (
+	maxAttempts = 5
+	retryBase   = 50 * time.Millisecond
+)
 
 // live tracks one in-flight dispatch.
 type live struct {
@@ -113,14 +111,6 @@ func RunFabric(ctx context.Context, total int, workers []Transport, opts FabricO
 	if shards > total {
 		shards = total
 	}
-	maxAttempts := opts.MaxAttempts
-	if maxAttempts <= 0 {
-		maxAttempts = 5
-	}
-	retryBase := opts.RetryBackoff
-	if retryBase == 0 {
-		retryBase = 50 * time.Millisecond
-	}
 	// The jitter decorrelates retries across lineages; it is wall-clock
 	// scheduling only, invisible to sweep fingerprints, so a non-deterministic
 	// seed is fine.
@@ -165,7 +155,8 @@ func RunFabric(ctx context.Context, total int, workers []Transport, opts FabricO
 		// Derived from the caller's ctx: cancelling the sweep cancels every
 		// in-flight worker.
 		ctx, cancel := context.WithCancel(ctx)
-		lv := &live{task: task, slot: slot, spool: spool, cancel: cancel, w: newSpoolWriter(f), started: time.Now()}
+		lv := &live{task: task, slot: slot, spool: spool, cancel: cancel, started: time.Now(),
+			w: &spoolWriter{f: f, size: len(task.expected(total))}}
 		stats.Tasks++
 		go func() {
 			err := workers[slot].Run(ctx, task, lv.w)
@@ -205,11 +196,7 @@ func RunFabric(ctx context.Context, total int, workers []Transport, opts FabricO
 		}
 		// Every task this recovery enqueues waits out the lineage's jittered
 		// exponential backoff before redispatch.
-		var notBefore time.Time
-		if retryBase > 0 {
-			notBefore = time.Now().Add(retryDelay(retryBase, attempt, retryJitter))
-			stats.Backoffs++
-		}
+		notBefore := time.Now().Add(retryDelay(attempt, retryJitter))
 		enqueue := func(t Task) {
 			t.attempt, t.notBefore = attempt, notBefore
 			queue = append(queue, t)
@@ -410,11 +397,10 @@ func RunFabric(ctx context.Context, total int, workers []Transport, opts FabricO
 
 // retryDelay computes the jittered exponential backoff before attempt n of a
 // task lineage runs (n ≥ 1, counting the original dispatch as attempt 0):
-// base·2^(n−1) jittered uniformly over [½·, 1½·), capped at 5s so a deep
-// lineage under a generous MaxAttempts cannot park work for minutes.
-func retryDelay(base time.Duration, attempt int, rng *rand.Rand) time.Duration {
+// retryBase·2^(n−1), capped at 5s, jittered uniformly over [½·, 1½·).
+func retryDelay(attempt int, rng *rand.Rand) time.Duration {
 	const maxDelay = 5 * time.Second
-	d := base
+	d := retryBase
 	for i := 1; i < attempt && d < maxDelay; i++ {
 		d *= 2
 	}
@@ -448,51 +434,21 @@ func ownsAll(t Task, done map[int]bool) bool {
 }
 
 // spoolWriter copies a worker's stream to its spool file while tracking
-// liveness (for the heartbeat) and completed outcomes (for progress): it
-// counts newline-terminated lines that open with the outcome record prefix,
-// robust to writes splitting lines at any byte.
+// liveness (for the heartbeat) and progress: the complete lines after the
+// header, capped at the task's size so the trailer never counts. Which
+// record a line holds is the reader's business, checked when the worker
+// exits.
 type spoolWriter struct {
-	f        *os.File
-	last     atomic.Int64 // unix nanos of the latest write
-	outcomes atomic.Int64
-	// line-prefix matcher state: position within outcomePrefix, -1 once the
-	// current line cannot be an outcome record.
-	matchPos    int
-	matched     bool
-	atLineStart bool
-}
-
-const outcomePrefix = `{"type":"outcome"`
-
-func newSpoolWriter(f *os.File) *spoolWriter {
-	return &spoolWriter{f: f, atLineStart: true}
+	f     *os.File
+	size  int
+	last  atomic.Int64 // unix nanos of the latest write
+	lines atomic.Int64
 }
 
 // Write implements io.Writer.
 func (w *spoolWriter) Write(p []byte) (int, error) {
 	w.last.Store(time.Now().UnixNano())
-	for _, b := range p {
-		if w.atLineStart {
-			w.matchPos, w.matched, w.atLineStart = 0, false, false
-		}
-		if b == '\n' {
-			if w.matched {
-				w.outcomes.Add(1)
-			}
-			w.atLineStart = true
-			continue
-		}
-		if !w.matched && w.matchPos >= 0 {
-			if w.matchPos < len(outcomePrefix) && b == outcomePrefix[w.matchPos] {
-				w.matchPos++
-				if w.matchPos == len(outcomePrefix) {
-					w.matched = true
-				}
-			} else {
-				w.matchPos = -1
-			}
-		}
-	}
+	w.lines.Add(int64(bytes.Count(p, []byte{'\n'})))
 	return w.f.Write(p)
 }
 
@@ -504,4 +460,7 @@ func (w *spoolWriter) lastActivity() time.Time {
 	return time.Unix(0, ns)
 }
 
-func (w *spoolWriter) outcomeCount() int { return int(w.outcomes.Load()) }
+// outcomeCount is the task's in-flight progress.
+func (w *spoolWriter) outcomeCount() int {
+	return min(max(int(w.lines.Load())-1, 0), w.size)
+}

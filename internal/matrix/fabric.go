@@ -1,9 +1,7 @@
 package matrix
 
 import (
-	"bufio"
 	"context"
-	"encoding/json"
 	"fmt"
 	"io"
 	"os"
@@ -299,25 +297,18 @@ func sealStreamFile(path string) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	bw := bufio.NewWriter(dst)
-	enc := json.NewEncoder(bw)
+	sw := newStreamWriter(dst, scan.counts)
 	hdr := *scan.header
 	hdr.ShardCells = len(scan.done)
-	werr := enc.Encode(streamRecord{Type: "header", Header: &hdr})
+	werr := sw.header(hdr)
 	if werr == nil {
-		if _, err := src.Seek(scan.headerEnd, io.SeekStart); err != nil {
-			werr = err
-		}
+		_, werr = src.Seek(scan.headerEnd, io.SeekStart)
 	}
 	if werr == nil {
-		_, werr = io.Copy(bw, io.LimitReader(src, scan.offset-scan.headerEnd))
+		_, werr = io.Copy(sw.bw, io.LimitReader(src, scan.offset-scan.headerEnd))
 	}
 	if werr == nil {
-		tr := StreamTrailer{CellsRun: len(scan.done), Errors: scan.errors, Consensus: scan.consensus}
-		werr = enc.Encode(streamRecord{Type: "trailer", Trailer: &tr})
-	}
-	if werr == nil {
-		werr = bw.Flush()
+		_, werr = sw.trailer(0)
 	}
 	if cerr := dst.Close(); werr == nil {
 		werr = cerr

@@ -334,6 +334,70 @@ func TestFabricStallSteal(t *testing.T) {
 	}
 }
 
+// TestFabricProgress pins what FabricOptions.Progress reports: spooled plus
+// in-flight cells, never outside [0, total]. A clean run only counts up and
+// ends at (total, total); a killed worker's spool is sealed or dropped, so
+// the count may step back but must stay in range.
+func TestFabricProgress(t *testing.T) {
+	src, err := StandardSweep(Seeds(1, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	total := src.Len()
+	run := func(t *testing.T, fleet []Transport) [][2]int {
+		t.Helper()
+		var calls [][2]int
+		_, _, err := RunFabric(context.Background(), total, fleet, FabricOptions{
+			SpoolDir: t.TempDir(),
+			Progress: func(done, n int) { calls = append(calls, [2]int{done, n}) },
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, c := range calls {
+			if c[0] < 0 || c[0] > total || c[1] != total {
+				t.Fatalf("progress call %v outside [0, %d] (calls %v)", c, total, calls)
+			}
+		}
+		return calls
+	}
+	t.Run("clean", func(t *testing.T) {
+		// Each worker lingers after its trailer, as a process does while it
+		// exits, so the coordinator reports while finished streams are still
+		// in flight.
+		fleet := procFleet("standard", src, 4)
+		for i, w := range fleet {
+			fleet[i] = lingerTransport{w}
+		}
+		calls := run(t, fleet)
+		for i := 1; i < len(calls); i++ {
+			if calls[i][0] < calls[i-1][0] {
+				t.Fatalf("progress stepped back from %d to %d (calls %v)", calls[i-1][0], calls[i][0], calls)
+			}
+		}
+		if last := calls[len(calls)-1]; last != [2]int{total, total} {
+			t.Fatalf("last progress call %v, want [%d %d]", last, total, total)
+		}
+	})
+	t.Run("worker killed", func(t *testing.T) {
+		fleet, fired := faultFleet("standard", src, faultDie, 3)
+		run(t, fleet)
+		if fired.Load() != 1 {
+			t.Fatalf("%d faults injected, want 1", fired.Load())
+		}
+	})
+}
+
+// lingerTransport returns 100 ms after its worker's stream ends.
+type lingerTransport struct{ Transport }
+
+// Run implements Transport.
+func (l lingerTransport) Run(ctx context.Context, task Task, sink io.Writer) error {
+	err := l.Transport.Run(ctx, task, sink)
+	time.Sleep(100 * time.Millisecond)
+	return err
+}
+
 // TestFabricEmptyAndTinySweeps pins the edges: more workers than cells, a
 // single-cell sweep, and a worker count of one.
 func TestFabricEmptyAndTinySweeps(t *testing.T) {
@@ -468,11 +532,9 @@ func TestFabricCancelReapsWorkers(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
 	go func() {
-		// MaxAttempts is high so the only way out is the cancellation abort,
-		// not an attempts-exhausted failure racing it.
-		_, _, err := RunFabric(ctx, 8, fleet, FabricOptions{
-			SpoolDir: t.TempDir(), MaxAttempts: 100,
-		})
+		// A cancelled lineage reaches only attempt 1 of 5, so the way out is
+		// the cancellation abort, never an exhausted lineage.
+		_, _, err := RunFabric(ctx, 8, fleet, FabricOptions{SpoolDir: t.TempDir()})
 		done <- err
 	}()
 	select {

@@ -9,9 +9,10 @@
 // a deterministic fingerprint (serial, parallel, sharded-merged and resumed
 // execution provably agree) and JSON / text renderings. Shards stream
 // per-cell JSONL (RunStream), merge back into the monolithic report
-// (Merge), and resume after interruption (ResumeStreamFile); every stage is
-// streaming, so per-shard memory is O(axes + parallelism) regardless of
-// cell count.
+// (Merge), and resume after interruption (ResumeStreamFile); one writer
+// (streamWriter) encodes every stream record and one reader (recordReader)
+// decodes them. Every stage is streaming, so per-shard memory is
+// O(axes + parallelism) regardless of cell count.
 //
 // The paper's tables and figures are fixed points of this engine (see
 // FromExperiments); sweeps beyond the paper — more seeds, bigger random

@@ -106,6 +106,16 @@ func TestSourceValidatesEveryAxisValue(t *testing.T) {
 			a.Byz = []scenario.AutoByz{{}, {Kind: scenario.ByzSilent, Count: -1}}
 			return a
 		}(),
+		func() Axes {
+			a := base
+			a.Nets = []scenario.NetParams{{Kind: scenario.NetSync}, {Kind: scenario.NetSync, Delta: -sim.Millisecond}}
+			return a
+		}(),
+		func() Axes {
+			a := base
+			a.Faults = []scenario.FaultParams{{}, {Loss: 1.5}}
+			return a
+		}(),
 	}
 	for i, a := range bad {
 		if _, err := a.Source(); err == nil {

@@ -1,8 +1,6 @@
 package matrix
 
 import (
-	"bufio"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -24,12 +22,12 @@ import (
 // streamScan summarizes a (possibly truncated) shard stream file: its reader
 // (header, trailer — nil when the stream is truncated — and the offset just
 // past the last intact record, the truncation point for appending) plus the
-// global cell indices present and their graded summary counts.
+// global cell indices present and their trailer counts, which seed the
+// writer that appends to or seals the stream.
 type streamScan struct {
 	*recordReader
-	done      map[int]bool
-	errors    int
-	consensus int
+	done   map[int]bool
+	counts StreamTrailer
 }
 
 // scanStreamFile reads a stream file up to its trailer, stopping at the first
@@ -46,22 +44,16 @@ func scanStreamFile(path string) (*streamScan, error) {
 	scan.recordReader = newRecordReader(f, func(i int) bool { return scan.done[i] })
 	var torn tornError
 	for scan.trailer == nil {
-		rec, err := scan.next()
+		o, err := scan.next()
 		if err == io.EOF || errors.As(err, &torn) {
 			break
 		}
 		if err != nil {
 			return nil, fmt.Errorf("%s: %w", path, err)
 		}
-		if rec.Type == "outcome" {
-			o := rec.Outcome
+		if o != nil {
 			scan.done[o.Index] = true
-			if o.Err != "" {
-				scan.errors++
-			}
-			if o.Consensus {
-				scan.consensus++
-			}
+			scan.counts.count(o)
 		}
 	}
 	return scan, nil
@@ -133,21 +125,12 @@ func ResumeStreamFile(path string, src CellSource, opts Options, hdr StreamHeade
 		f.Close()
 		return nil, 0, err
 	}
-	bw := bufio.NewWriter(f)
-	enc := json.NewEncoder(bw)
-	tr := StreamTrailer{
-		CellsRun:  len(scan.done),
-		Errors:    scan.errors,
-		Consensus: scan.consensus,
-	}
+	sw := newStreamWriter(f, scan.counts)
 	start := time.Now()
-	err = streamCells(pick(src, missing), opts, enc, bw, &tr)
+	err = sw.cells(pick(src, missing), opts)
+	var tr *StreamTrailer
 	if err == nil {
-		tr.WallNS = time.Since(start).Nanoseconds()
-		err = enc.Encode(streamRecord{Type: "trailer", Trailer: &tr})
-	}
-	if err == nil {
-		err = bw.Flush()
+		tr, err = sw.trailer(time.Since(start).Nanoseconds())
 	}
 	if cerr := f.Close(); err == nil {
 		err = cerr
@@ -155,5 +138,5 @@ func ResumeStreamFile(path string, src CellSource, opts Options, hdr StreamHeade
 	if err != nil {
 		return nil, 0, err
 	}
-	return &tr, len(scan.done), nil
+	return tr, len(scan.done), nil
 }

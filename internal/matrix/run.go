@@ -260,30 +260,18 @@ func runPool(src CellSource, opts Options, sink func(pos int, o Outcome) error) 
 	return par, sinkErr
 }
 
-// fold runs the source's cells on the pool and folds every outcome through
-// an Aggregator in cell-position order, so the report (minus wall-clock
-// fields) is independent of parallelism and scheduling. each, when non-nil,
-// sees every outcome as it completes. Run is fold keeping the outcomes; a
-// stream (RunStream) is fold writing each outcome as a line and keeping none.
-func fold(src CellSource, opts Options, keep bool, each func(*Outcome) error) (*Report, error) {
-	agg := NewAggregator(keep)
-	par, err := runPool(src, opts, func(pos int, o Outcome) error {
-		if err := agg.Add(pos, o); err != nil || each == nil {
-			return err
-		}
-		return each(&o)
-	})
+// Run executes the source's cells into a report that retains every outcome;
+// stream a shard (RunStream) when a sweep is too large to hold its outcomes.
+// Outcomes fold through an Aggregator in cell-position order, so the report
+// (minus wall-clock fields) is independent of parallelism and scheduling.
+func Run(src CellSource, opts Options) (*Report, error) {
+	start := time.Now()
+	agg := NewAggregator(true)
+	par, err := runPool(src, opts, agg.Add)
 	if err != nil {
 		return nil, err
 	}
-	return agg.Report(par)
-}
-
-// Run executes the source's cells into a report that retains every outcome;
-// stream a shard (RunStream) when a sweep is too large to hold its outcomes.
-func Run(src CellSource, opts Options) (*Report, error) {
-	start := time.Now()
-	rep, err := fold(src, opts, true, nil)
+	rep, err := agg.Report(par)
 	if err != nil {
 		return nil, err
 	}

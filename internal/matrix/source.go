@@ -132,86 +132,68 @@ func (a Axes) Source() (CellSource, error) {
 		seeds:   orDefault(a.Seeds, 1),
 		horizon: horizon,
 	}
-	n := len(s.graphs) * len(s.modes) * len(s.nets) * len(s.byz) * len(s.fs) * len(s.faults) * len(s.seeds)
+	lens := s.lens()
+	n := len(s.seeds)
+	for _, l := range lens {
+		n *= l
+	}
 	// Probe one cell per value of every axis (the other axes pinned to
 	// their first value): O(Σ axis lengths) validations, not O(cells), and
 	// every malformed axis value fails here instead of surfacing as a
 	// stream of per-cell Err outcomes.
-	probe := func(axis string, i int, g graph.Def, mode core.Mode, net scenario.NetParams, b scenario.AutoByz, f int, fl scenario.FaultParams) error {
-		if err := s.cellParams(g, mode, net, b, f, fl, s.seeds[0]).Validate(); err != nil {
-			return fmt.Errorf("matrix %q %s axis value %d: %w", a.Name, axis, i, err)
-		}
-		return nil
-	}
-	for i, g := range s.graphs {
-		if err := probe("graph", i, g, s.modes[0], s.nets[0], s.byz[0], s.fs[0], s.faults[0]); err != nil {
-			return nil, err
-		}
-	}
-	for i, mode := range s.modes[1:] {
-		if err := probe("mode", i+1, s.graphs[0], mode, s.nets[0], s.byz[0], s.fs[0], s.faults[0]); err != nil {
-			return nil, err
-		}
-	}
-	for i, net := range s.nets[1:] {
-		if err := probe("net", i+1, s.graphs[0], s.modes[0], net, s.byz[0], s.fs[0], s.faults[0]); err != nil {
-			return nil, err
-		}
-	}
-	for i, b := range s.byz[1:] {
-		if err := probe("byz", i+1, s.graphs[0], s.modes[0], s.nets[0], b, s.fs[0], s.faults[0]); err != nil {
-			return nil, err
-		}
-	}
-	for i, f := range s.fs[1:] {
-		if err := probe("f", i+1, s.graphs[0], s.modes[0], s.nets[0], s.byz[0], f, s.faults[0]); err != nil {
-			return nil, err
-		}
-	}
-	for i, fl := range s.faults[1:] {
-		if err := probe("faults", i+1, s.graphs[0], s.modes[0], s.nets[0], s.byz[0], s.fs[0], fl); err != nil {
-			return nil, err
+	for k, name := range axisNames {
+		// Every axis's first value is in the graph axis's first probe.
+		for i := min(k, 1); i < lens[k]; i++ {
+			var pos [len(axisNames)]int
+			pos[k] = i
+			if err := s.params(pos, s.seeds[0]).Validate(); err != nil {
+				return nil, fmt.Errorf("matrix %q %s axis value %d: %w", a.Name, name, i, err)
+			}
 		}
 	}
 	return paramsMap{n: n, params: s.at}, nil
 }
 
-// at computes cell i's parameters.
-func (s *crossProduct) at(i int) scenario.Params {
-	rem := i
-	seed := s.seeds[rem%len(s.seeds)]
-	rem /= len(s.seeds)
-	// Faults sit between seed and f in the mixed radix; with the default
-	// single zero value the division is by one and every pre-fault sweep
-	// keeps its historical index↦cell mapping (and thus its fingerprint).
-	fl := s.faults[rem%len(s.faults)]
-	rem /= len(s.faults)
-	f := s.fs[rem%len(s.fs)]
-	rem /= len(s.fs)
-	b := s.byz[rem%len(s.byz)]
-	rem /= len(s.byz)
-	net := s.nets[rem%len(s.nets)]
-	rem /= len(s.nets)
-	mode := s.modes[rem%len(s.modes)]
-	rem /= len(s.modes)
-	return s.cellParams(s.graphs[rem], mode, net, b, f, fl, seed)
+// axisNames names the cross-product's axes other than the seed, outermost
+// first; a cell's position on them indexes crossProduct.params.
+var axisNames = [...]string{"graph", "mode", "net", "byz", "f", "faults"}
+
+// lens is the number of values on each axis, in axisNames order.
+func (s *crossProduct) lens() [len(axisNames)]int {
+	return [...]int{len(s.graphs), len(s.modes), len(s.nets), len(s.byz), len(s.fs), len(s.faults)}
 }
 
-// cellParams builds one cell's scenario parameters; shared by at and the
-// Source-time validation probe so they cannot diverge. Name is left empty —
-// the scenario layer derives the per-seed cell ID on demand (a stamped
-// seed-specific name would defeat the compile cache's key sharing and
-// freeze the first seed's name into cached runs).
-func (s *crossProduct) cellParams(g graph.Def, mode core.Mode, net scenario.NetParams, b scenario.AutoByz, f int, fl scenario.FaultParams, seed int64) scenario.Params {
+// at computes cell i's parameters: seeds innermost, then the axes from the
+// last to the first. Faults sit between seed and f in the mixed radix; with
+// the default single zero value the division is by one and every pre-fault
+// sweep keeps its historical index↦cell mapping (and thus its fingerprint).
+func (s *crossProduct) at(i int) scenario.Params {
+	seed := s.seeds[i%len(s.seeds)]
+	rem := i / len(s.seeds)
+	lens := s.lens()
+	var pos [len(axisNames)]int
+	for k := len(pos) - 1; k >= 0; k-- {
+		pos[k] = rem % lens[k]
+		rem /= lens[k]
+	}
+	return s.params(pos, seed)
+}
+
+// params builds the scenario at one position on every axis; shared by at and
+// the Source-time validation probe so they cannot diverge. Name is left
+// empty — the scenario layer derives the per-seed cell ID on demand (a
+// stamped seed-specific name would defeat the compile cache's key sharing
+// and freeze the first seed's name into cached runs).
+func (s *crossProduct) params(pos [len(axisNames)]int, seed int64) scenario.Params {
 	return scenario.Params{
-		Graph:   g,
-		Mode:    mode,
-		F:       f,
-		Auto:    b,
-		Net:     net,
+		Graph:   s.graphs[pos[0]],
+		Mode:    s.modes[pos[1]],
+		Net:     s.nets[pos[2]],
+		Auto:    s.byz[pos[3]],
+		F:       s.fs[pos[4]],
+		Faults:  s.faults[pos[5]],
 		Horizon: s.horizon,
 		Seed:    seed,
-		Faults:  fl,
 	}
 }
 

@@ -2,6 +2,7 @@ package matrix
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 )
@@ -43,6 +44,10 @@ func ParseSpan(s string) (Span, error) {
 		if err != nil || t < 0 {
 			return Span{}, fmt.Errorf("bad span %q (want i/n@t with t ≥ 0)", s)
 		}
+		// The tail's global start, i−1 + t·n, must be an int.
+		if t > (math.MaxInt-(sh.Index-1))/sh.Count {
+			return Span{}, fmt.Errorf("bad span %q (tail starts past the largest cell index)", s)
+		}
 		sp.From = t
 	}
 	return sp, nil
@@ -72,7 +77,7 @@ func (s Span) Owns(g int) bool {
 // Len is the number of cells the span holds in a sweep of total cells.
 func (s Span) Len(total int) int {
 	if first := s.start(); first < total {
-		return (total - first + s.Shard.Count - 1) / s.Shard.Count
+		return (total-first-1)/s.Shard.Count + 1
 	}
 	return 0
 }

@@ -31,9 +31,29 @@ func TestSpanParseRoundTrip(t *testing.T) {
 	if s := (Span{Shard: Shard{Index: 3, Count: 8}, From: 5}).String(); s != "3/8@5" {
 		t.Fatalf("tail span renders %q, want \"3/8@5\"", s)
 	}
-	for _, bad := range []string{"0/4", "5/4", "x/4", "3/8@", "3/8@-1", "3/8@x", "@2"} {
+	for _, bad := range []string{"0/4", "5/4", "x/4", "3/8@", "3/8@-1", "3/8@x", "@2",
+		// Tails whose global start, i−1 + t·n, overflows int.
+		"1/3@6148914691236517204", "1/3@3074457345618258603"} {
 		if _, err := ParseSpan(bad); err == nil {
 			t.Errorf("ParseSpan(%q) accepted", bad)
+		}
+	}
+}
+
+// TestSpanLenAtIntExtremes: a shard count or a tail near the largest int
+// still yields the cells it names, without overflowing.
+func TestSpanLenAtIntExtremes(t *testing.T) {
+	for spec, want := range map[string]int{
+		"1/9223372036854775807":   1,
+		"2/9223372036854775807":   1,
+		"1/3@3074457345618258602": 0,
+	} {
+		span, err := ParseSpan(spec)
+		if err != nil {
+			t.Fatalf("ParseSpan(%q): %v", spec, err)
+		}
+		if got := span.Len(10); got != want {
+			t.Errorf("span %s holds %d of 10 cells, want %d", spec, got, want)
 		}
 	}
 }

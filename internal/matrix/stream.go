@@ -23,10 +23,11 @@ import (
 // streams; its Fingerprint provably equals the monolithic run's because the
 // fingerprint is a pure function of the outcomes in cell-index order and
 // every cell runs on its own deterministic engine either way. Both ends are
-// streaming: RunStream folds its trailer counts through an incremental
-// Aggregator as cells complete, and Merge reads each cell from the streams
-// whose slice owns it into another Aggregator, so neither side ever holds
-// the sweep's cells or outcomes in memory.
+// streaming: one writer (streamWriter) encodes every record and keeps the
+// trailer's running counts as cells complete, and one reader (recordReader)
+// decodes them; Merge reads each cell from the streams whose slice owns it
+// into an Aggregator, so neither side ever holds the sweep's cells or
+// outcomes in memory.
 
 // StreamHeader opens a stream and identifies the slice of the sweep it
 // carries.
@@ -57,6 +58,17 @@ type StreamTrailer struct {
 	WallNS int64 `json:"wall_ns"`
 }
 
+// count adds one outcome to the trailer's counts.
+func (tr *StreamTrailer) count(o *Outcome) {
+	tr.CellsRun++
+	if o.Err != "" {
+		tr.Errors++
+	}
+	if o.Consensus {
+		tr.Consensus++
+	}
+}
+
 // streamRecord is one JSONL line.
 type streamRecord struct {
 	Type    string         `json:"type"`
@@ -65,31 +77,57 @@ type streamRecord struct {
 	Trailer *StreamTrailer `json:"trailer,omitempty"`
 }
 
-// streamCells runs the source's cells and appends one outcome record per
-// completed cell (completion order), folding the shard summary into tr
-// through an incremental Aggregator. Memory is O(axes + parallelism)
-// regardless of the source's size.
-func streamCells(src CellSource, opts Options, enc *json.Encoder, bw *bufio.Writer, tr *StreamTrailer) error {
+// streamWriter is the one encoder of stream records. It flushes every record
+// as its line completes, so a concurrent tail (or a crash post-mortem) sees
+// every completed cell, and it keeps the trailer's running counts. RunStream
+// writes a whole stream through it; ResumeStreamFile and sealStreamFile seed
+// its counts with their scan's.
+type streamWriter struct {
+	bw  *bufio.Writer
+	enc *json.Encoder
+	tr  StreamTrailer
+}
+
+func newStreamWriter(w io.Writer, counts StreamTrailer) *streamWriter {
+	bw := bufio.NewWriter(w)
+	return &streamWriter{bw: bw, enc: json.NewEncoder(bw), tr: counts}
+}
+
+func (w *streamWriter) write(rec streamRecord) error {
+	if err := w.enc.Encode(rec); err != nil {
+		return err
+	}
+	return w.bw.Flush()
+}
+
+func (w *streamWriter) header(hdr StreamHeader) error {
+	return w.write(streamRecord{Type: "header", Header: &hdr})
+}
+
+// cells runs the source's cells and writes one outcome record per completed
+// cell, in completion order. Memory is O(parallelism) regardless of the
+// source's size.
+func (w *streamWriter) cells(src CellSource, opts Options) error {
 	if src.Len() == 0 {
 		// An empty shard (more shards than cells) is legitimate: it
 		// contributes a valid header+trailer stream with zero outcomes.
 		return nil
 	}
-	rep, err := fold(src, opts, false, func(o *Outcome) error {
-		// Flushed per line so a concurrent tail (or a crash post-mortem)
-		// sees every completed cell.
-		if err := enc.Encode(streamRecord{Type: "outcome", Outcome: o}); err != nil {
-			return err
-		}
-		return bw.Flush()
+	_, err := runPool(src, opts, func(_ int, o Outcome) error {
+		w.tr.count(&o)
+		return w.write(streamRecord{Type: "outcome", Outcome: &o})
 	})
-	if err != nil {
-		return err
+	return err
+}
+
+// trailer closes the stream with the running counts and wallNS.
+func (w *streamWriter) trailer(wallNS int64) (*StreamTrailer, error) {
+	tr := w.tr
+	tr.WallNS = wallNS
+	if err := w.write(streamRecord{Type: "trailer", Trailer: &tr}); err != nil {
+		return nil, err
 	}
-	tr.CellsRun += rep.Cells
-	tr.Errors += rep.Errors
-	tr.Consensus += rep.Consensus
-	return nil
+	return &tr, nil
 }
 
 // RunStream executes the source's cells and writes every outcome to w as a
@@ -99,24 +137,15 @@ func streamCells(src CellSource, opts Options, enc *json.Encoder, bw *bufio.Writ
 // memory.
 func RunStream(src CellSource, opts Options, w io.Writer, hdr StreamHeader) (*StreamTrailer, error) {
 	hdr.ShardCells = src.Len()
-	bw := bufio.NewWriter(w)
-	enc := json.NewEncoder(bw)
-	if err := enc.Encode(streamRecord{Type: "header", Header: &hdr}); err != nil {
+	sw := newStreamWriter(w, StreamTrailer{})
+	if err := sw.header(hdr); err != nil {
 		return nil, err
 	}
-	var tr StreamTrailer
 	start := time.Now()
-	if err := streamCells(src, opts, enc, bw, &tr); err != nil {
+	if err := sw.cells(src, opts); err != nil {
 		return nil, err
 	}
-	tr.WallNS = time.Since(start).Nanoseconds()
-	if err := enc.Encode(streamRecord{Type: "trailer", Trailer: &tr}); err != nil {
-		return nil, err
-	}
-	if err := bw.Flush(); err != nil {
-		return nil, err
-	}
-	return &tr, nil
+	return sw.trailer(time.Since(start).Nanoseconds())
 }
 
 // RunStreamFile is RunStream writing to a file path; "-" streams to stdout.
@@ -172,17 +201,20 @@ func newRecordReader(r io.Reader, seen func(int) bool) *recordReader {
 	return &recordReader{br: bufio.NewReaderSize(r, 1<<16), seen: seen}
 }
 
-// next decodes one record; io.EOF ends a stream whose last line is intact.
-func (r *recordReader) next() (streamRecord, error) {
+// next decodes one record and returns its outcome, nil for a header or a
+// trailer record; io.EOF ends a stream whose last line is intact. It is the
+// only code that tests a record's type.
+func (r *recordReader) next() (*Outcome, error) {
 	var rec streamRecord
+	var out *Outcome
 	line, err := r.br.ReadBytes('\n')
 	switch {
 	case err == io.EOF && len(line) == 0:
-		return rec, io.EOF
+		return nil, io.EOF
 	case err == io.EOF:
-		return rec, tornError{"final line without its newline"}
+		return nil, tornError{"final line without its newline"}
 	case err != nil:
-		return rec, err
+		return nil, err
 	}
 	// Damage before the header means this is not a stream at all.
 	damaged := func(msg string) error {
@@ -192,47 +224,46 @@ func (r *recordReader) next() (streamRecord, error) {
 		return tornError{msg}
 	}
 	if jerr := json.Unmarshal(bytes.TrimSpace(line), &rec); jerr != nil {
-		return rec, damaged(jerr.Error())
+		return nil, damaged(jerr.Error())
 	}
 	switch rec.Type {
 	case "header":
 		switch {
 		case r.header != nil:
-			return rec, fmt.Errorf("stream: duplicate header")
+			return nil, fmt.Errorf("stream: duplicate header")
 		case rec.Header == nil:
-			return rec, damaged("empty header record")
+			return nil, damaged("empty header record")
 		}
 		r.header = rec.Header
+		r.headerEnd = r.offset + int64(len(line))
 	case "outcome":
 		switch {
 		case r.header == nil:
-			return rec, fmt.Errorf("stream: outcome before header")
+			return nil, fmt.Errorf("stream: outcome before header")
 		case r.trailer != nil:
-			return rec, fmt.Errorf("stream: outcome after trailer")
+			return nil, fmt.Errorf("stream: outcome after trailer")
 		case rec.Outcome == nil:
-			return rec, damaged("empty outcome record")
+			return nil, damaged("empty outcome record")
 		case r.seen(rec.Outcome.Index):
-			return rec, fmt.Errorf("stream: duplicate outcome for cell index %d", rec.Outcome.Index)
+			return nil, fmt.Errorf("stream: duplicate outcome for cell index %d", rec.Outcome.Index)
 		}
 		r.outcomes++
+		out = rec.Outcome
 	case "trailer":
 		switch {
 		case r.header == nil:
-			return rec, fmt.Errorf("stream: trailer before header")
+			return nil, fmt.Errorf("stream: trailer before header")
 		case r.trailer != nil:
-			return rec, fmt.Errorf("stream: duplicate trailer")
+			return nil, fmt.Errorf("stream: duplicate trailer")
 		case rec.Trailer == nil:
-			return rec, damaged("empty trailer record")
+			return nil, damaged("empty trailer record")
 		}
 		r.trailer = rec.Trailer
 	default:
-		return rec, damaged(fmt.Sprintf("unknown record type %q", rec.Type))
+		return nil, damaged(fmt.Sprintf("unknown record type %q", rec.Type))
 	}
 	r.offset += int64(len(line))
-	if rec.Type == "header" {
-		r.headerEnd = r.offset
-	}
-	return rec, nil
+	return out, nil
 }
 
 // streamCursor is one stream of a merge: its reader, the task its header
@@ -269,7 +300,7 @@ func (c *streamCursor) advance() (bool, error) {
 	if c.eof {
 		return false, nil
 	}
-	rec, err := c.next()
+	o, err := c.next()
 	if err == io.EOF {
 		c.eof = true
 		return false, nil
@@ -277,8 +308,8 @@ func (c *streamCursor) advance() (bool, error) {
 	if err != nil {
 		return false, err
 	}
-	if rec.Type == "outcome" {
-		c.pending[rec.Outcome.Index] = rec.Outcome
+	if o != nil {
+		c.pending[o.Index] = o
 	}
 	return true, nil
 }
