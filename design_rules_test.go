@@ -167,6 +167,10 @@ var designRules = []rule{
 		match: []match{names(`(^|\.)Skip(IDSet|BytesField)$`)}},
 	{name: "RecordDecoder", since: "e49ef2c", files: scope{in: []string{"internal/matrix/"}},
 		match: []match{ref("encoding/json", "Unmarshal")}, want: 1},
+	{name: "StreamRecordWriter", since: "01625b9", files: scope{in: []string{"internal/matrix/"}},
+		match: []match{ref("encoding/json", "NewEncoder")}, want: 1},
+	{name: "FabricKnobs", since: "01625b9", files: scope{tests: true, in: []string{"internal/", "cmd/"}},
+		match: []match{names(`outcomePrefix|MaxAttempts|RetryBackoff|Backoffs|retry-backoff`)}},
 	{name: "GraphDefSpelling", since: "4ccdf8d", files: scope{in: []string{"cmd/"}},
 		match: []match{ref(mod+"/internal/graph", "Def{}"), ref(mod+"/internal/graph", "DefKOSR"), ref(mod+"/internal/graph", "DefExtended")}},
 
@@ -269,6 +273,14 @@ var ruleCases = []ruleCase{
 		"package discovery\nimport \"github.com/bftcup/bftcup/internal/wire\"\nfunc skip(rd *wire.Reader) { rd.SkipIDSet(); rd.SkipBytesField() }", ""},
 	{"RecordDecoder", "a second json.Unmarshal", "internal/matrix/decode2.go",
 		"package matrix\nimport \"encoding/json\"\nvar _ = json.Unmarshal(nil, nil)", "encoding/json.Unmarshal"},
+	{"StreamRecordWriter", "a second json.NewEncoder", "internal/matrix/encode2.go",
+		"package matrix\nimport \"encoding/json\"\nvar _ = json.NewEncoder(nil)", "encoding/json.NewEncoder"},
+	{"StreamRecordWriter", "a test may encode", "internal/matrix/encode2_test.go",
+		"package matrix\nimport \"encoding/json\"\nvar _ = json.NewEncoder(nil)", ""},
+	{"FabricKnobs", "a retry-backoff flag in sweepd", "cmd/sweepd/retry.go",
+		"package main\nimport \"flag\"\nvar _ = flag.Duration(\"retry-backoff\", 0, \"\")", "retry-backoff"},
+	{"FabricKnobs", "the fixed policy's constants", "internal/matrix/retry.go",
+		"package matrix\nconst maxAttempts, retryBase = 5, 50", ""},
 	{"GraphDefSpelling", "graphgen's flag spelling of a kosr def", "cmd/graphgen/main.go",
 		"package main\nimport \"github.com/bftcup/bftcup/internal/graph\"\nfunc kosr(k int) graph.Def { return graph.Def{Kind: graph.DefKOSR, K: k} }", "internal/graph.Def{}"},
 	{"GraphDefSpelling", "a def parsed from its string", "cmd/graphgen/main.go",
