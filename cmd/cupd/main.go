@@ -141,7 +141,7 @@ func runNode(c *scenario.Compiled, seed int64, id model.ID, listen, peersFlag st
 	rn := netrt.NewNode(netrt.Config{
 		ID:    id,
 		Peers: c.Graph.Nodes(),
-		Seed:  seed + int64(id) + 1,
+		Seed:  seed,
 		Dial: func(dctx context.Context, peer model.ID) (net.Conn, error) {
 			addr, ok := addrs[peer]
 			if !ok {

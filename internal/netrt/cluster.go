@@ -21,7 +21,8 @@ type ClusterConfig struct {
 	// cupd-shaped path) or "pipe" (synchronous net.Pipe links, the unit-test
 	// harness). Empty means "tcp"; NewCluster refuses any other value.
 	Transport string
-	// Seed offsets every node's RNG seed; nodes use Seed + id + 1.
+	// Seed is the run's seed, passed to every node as Config.Seed (which
+	// seeds the node's RNG with Seed + ID + 1).
 	Seed int64
 	// Delay, when non-nil, is installed on every node as its outbound
 	// latency hook (see Config.Delay), closed over the sending node's ID.
@@ -68,7 +69,7 @@ func NewCluster(ctx context.Context, ids []model.ID, mk func(id model.ID) rt.Rea
 		cfg := Config{
 			ID:    id,
 			Peers: ids,
-			Seed:  cc.Seed + int64(id) + 1,
+			Seed:  cc.Seed,
 		}
 		if cc.Delay != nil {
 			delay := cc.Delay

@@ -192,9 +192,8 @@ func TestDelayLineStop(t *testing.T) {
 // peer's queue full is dropped and counted, as an undelayed one is.
 func TestDelayLineFullQueueDropsAreCounted(t *testing.T) {
 	n := NewNode(Config{
-		ID:       1,
-		Peers:    []model.ID{2},
-		QueueLen: 1,
+		ID:    1,
+		Peers: []model.ID{2},
 		Dial: func(dctx context.Context, _ model.ID) (net.Conn, error) {
 			<-dctx.Done() // the peer stalls until shutdown
 			return nil, dctx.Err()
@@ -204,12 +203,12 @@ func TestDelayLineFullQueueDropsAreCounted(t *testing.T) {
 	n.Start(context.Background())
 	defer n.Stop()
 	ctx := &nodeCtx{n: n}
-	for i := 0; i < 5; i++ {
+	for i := 0; i < queueLen+4; i++ {
 		ctx.Send(2, []byte("into the void"))
 	}
-	eventually(t, "the line to release all five", nil, func() bool { return n.Dropped() == 4 })
-	if n.Messages() != 5 {
-		t.Fatalf("%d messages, want 5", n.Messages())
+	eventually(t, "the line to release every send", nil, func() bool { return n.Dropped() == 4 })
+	if n.Messages() != queueLen+4 {
+		t.Fatalf("%d messages, want %d", n.Messages(), queueLen+4)
 	}
 }
 

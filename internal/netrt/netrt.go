@@ -12,13 +12,13 @@
 //   - The lower ID dials (Config.Dial) and sends a hello frame — its own ID —
 //     before anything else. It writes its queue to the connection it dialed and
 //     reads the peer's frames from the same connection. When the stream breaks
-//     (a write fails, or its reader sees the end), it waits RedialBackoff and
+//     (a write fails, or its reader sees the end), it waits redialBackoff and
 //     dials again; a dial that fails doubles the wait, up to 64x.
 //   - The higher ID never dials. Its acceptor (Serve/ServeConn) reads the
 //     hello, checks that the claimed ID is a configured peer below its own,
 //     hands the connection to its writer for that peer and keeps reading
 //     frames from it. While no stream is adopted the writer sleeps and sends
-//     pile up in the queue (at most QueueLen; the rest drop and are counted).
+//     pile up in the queue (at most queueLen; the rest drop and are counted).
 //     A second stream from the same peer replaces the first, which is closed:
 //     the peer redialed, so the old one is dead whether or not this side has
 //     noticed.
@@ -61,6 +61,7 @@ package netrt
 import (
 	"bufio"
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -140,8 +141,7 @@ func (m *mailbox) close() {
 // pair. gen numbers the connections the pair has had, so a reader or writer
 // that outlives its connection cannot take down the one that replaced it.
 type peer struct {
-	id    model.ID
-	limit int // Config.QueueLen
+	id model.ID
 
 	mu sync.Mutex
 	// wake is where the writer, its only waiter, sleeps: signalled on a
@@ -153,8 +153,8 @@ type peer struct {
 	closed bool
 }
 
-func newPeer(id model.ID, limit int) *peer {
-	p := &peer{id: id, limit: limit}
+func newPeer(id model.ID) *peer {
+	p := &peer{id: id}
 	p.wake.L = &p.mu
 	return p
 }
@@ -164,7 +164,7 @@ func newPeer(id model.ID, limit int) *peer {
 func (p *peer) offer(b []byte) bool {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if len(p.queue) >= p.limit {
+	if len(p.queue) >= queueLen {
 		return false
 	}
 	p.queue = append(p.queue, b)
@@ -233,12 +233,14 @@ func (p *peer) close() {
 	p.wake.Signal()
 }
 
-// timerRef pairs a SetTimer timer with a fired flag so compaction can drop
-// completed timers without racing their callbacks.
-type timerRef struct {
-	t    *time.Timer
-	done atomic.Bool
-}
+// queueLen bounds each peer's outbound queue; a full queue drops the message
+// (fire-and-forget, like the simulator's lossy links) and counts it in
+// Dropped.
+const queueLen = 1024
+
+// redialBackoff is the wait before redialing a broken stream, and the initial
+// wait after a failed dial, which doubles up to 64x.
+const redialBackoff = 5 * time.Millisecond
 
 // Config parameterizes one Node.
 type Config struct {
@@ -253,15 +255,9 @@ type Config struct {
 	// writer goroutine, for peers with a higher ID only, and re-called with
 	// backoff after any stream failure.
 	Dial func(ctx context.Context, peer model.ID) (net.Conn, error)
-	// Seed seeds the node-local RNG; 0 derives a per-ID default.
+	// Seed is the run's seed; the node-local RNG is seeded with Seed + ID + 1,
+	// so the nodes of one run draw different streams.
 	Seed int64
-	// QueueLen bounds each peer's outbound queue; a full queue drops the
-	// message (fire-and-forget, like the simulator's lossy links) and counts
-	// it in Dropped. 0 means 1024.
-	QueueLen int
-	// RedialBackoff is the wait before redialing a broken stream, and the
-	// initial wait after a failed dial, which doubles up to 64x. 0 means 5ms.
-	RedialBackoff time.Duration
 	// Delay, when non-nil, holds each outbound message back by the returned
 	// duration before it enters the peer's stream queue — an artificial
 	// latency hook that lets tests mirror the simulator's network models
@@ -287,10 +283,6 @@ type Node struct {
 	peers map[model.ID]*peer // read-only once NewNode returns
 	line  *delayLine         // built by Start when Config.Delay is set
 
-	timerMu sync.Mutex
-	timers  []*timerRef
-	dead    bool
-
 	messages atomic.Int64
 	bytes    atomic.Int64
 	dropped  atomic.Int64
@@ -307,27 +299,18 @@ func (n *Node) offer(p *peer, b []byte) {
 
 // NewNode creates a node; Start launches it.
 func NewNode(cfg Config, r rt.Reactor) *Node {
-	if cfg.Seed == 0 {
-		cfg.Seed = int64(cfg.ID) + 1
-	}
-	if cfg.QueueLen <= 0 {
-		cfg.QueueLen = 1024
-	}
-	if cfg.RedialBackoff <= 0 {
-		cfg.RedialBackoff = 5 * time.Millisecond
-	}
 	n := &Node{
 		cfg:     cfg,
 		reactor: r,
 		box:     newMailbox(),
-		rng:     rand.New(rand.NewSource(cfg.Seed)),
+		rng:     rand.New(rand.NewSource(cfg.Seed + int64(cfg.ID) + 1)),
 		peers:   make(map[model.ID]*peer, len(cfg.Peers)),
 	}
 	for _, p := range cfg.Peers {
 		if p == cfg.ID {
 			continue
 		}
-		n.peers[p] = newPeer(p, cfg.QueueLen)
+		n.peers[p] = newPeer(p)
 	}
 	return n
 }
@@ -384,17 +367,10 @@ func (n *Node) Stop() {
 	n.wg.Wait()
 }
 
-// shutdown stops timers and the delay line, wakes every writer and closes
-// the mailbox so the event loop drains out. Connections close themselves off
-// the context.
+// shutdown stops the delay line, wakes every writer and closes the mailbox so
+// the event loop drains out; a timer that fires later lands in the closed
+// mailbox and is dropped. Connections close themselves off the context.
 func (n *Node) shutdown() {
-	n.timerMu.Lock()
-	n.dead = true
-	for _, r := range n.timers {
-		r.t.Stop()
-	}
-	n.timers = nil
-	n.timerMu.Unlock()
 	if n.line != nil {
 		n.line.close()
 	}
@@ -411,11 +387,12 @@ func (n *Node) Messages() int64 { return n.messages.Load() }
 func (n *Node) Bytes() int64 { return n.bytes.Load() }
 
 // Dropped returns how many accepted sends were discarded so far because the
-// peer's outbound queue (Config.QueueLen) was full.
+// peer's outbound queue (queueLen frames) was full.
 func (n *Node) Dropped() int64 { return n.dropped.Load() }
 
 // Rejected returns how many streams this node has closed so far for what
-// they carried: a first frame that is not a hello, a hello claiming an ID
+// they carried: a first frame that is not a hello (one announcing more
+// bytes than a uvarint ID takes included), a hello claiming an ID
 // that may not dial this node (outside Config.Peers, its own, or one it
 // dials itself), or a length prefix that is malformed or over MaxFrame. A
 // stream that merely ends, even mid-frame, is a disconnect and not counted.
@@ -467,9 +444,10 @@ func (n *Node) ServeConn(c net.Conn) {
 
 // readHello reads an accepted stream's first frame and returns the peer it
 // names, or nil when the stream is to be refused: only a configured peer
-// with an ID below this node's own dials it.
+// with an ID below this node's own dials it. A hello is one uvarint ID, so a
+// longer one is refused at its length prefix, before any of it is buffered.
 func (n *Node) readHello(br *bufio.Reader) *peer {
-	hello, err := ReadFrame(br, nil, MaxFrame)
+	hello, err := ReadFrame(br, nil, binary.MaxVarintLen64)
 	if err != nil {
 		n.countViolation(err)
 		return nil
@@ -527,19 +505,19 @@ func (n *Node) writer(p *peer) {
 			conn.Close()
 		}
 	}
-	backoff := n.cfg.RedialBackoff
+	backoff := redialBackoff
 	for n.ctx.Err() == nil {
 		conn, err := n.cfg.Dial(n.ctx, p.id)
 		if err != nil || conn == nil {
 			if !n.sleep(backoff) {
 				return
 			}
-			if backoff < 64*n.cfg.RedialBackoff {
+			if backoff < 64*redialBackoff {
 				backoff *= 2
 			}
 			continue
 		}
-		backoff = n.cfg.RedialBackoff
+		backoff = redialBackoff
 		n.runDialed(p, conn)
 		// A peer that accepts and hangs up at once (it refused the hello)
 		// would otherwise be redialed at the speed of the loopback.
@@ -630,26 +608,6 @@ func (n *Node) loop() {
 	}
 }
 
-func (n *Node) trackTimer(ref *timerRef) {
-	n.timerMu.Lock()
-	defer n.timerMu.Unlock()
-	if n.dead {
-		ref.t.Stop()
-		return
-	}
-	n.timers = append(n.timers, ref)
-	// Compact occasionally so long runs do not accumulate fired timers.
-	if len(n.timers) > 1024 {
-		live := n.timers[:0]
-		for _, r := range n.timers {
-			if !r.done.Load() {
-				live = append(live, r)
-			}
-		}
-		n.timers = live
-	}
-}
-
 // nodeCtx implements rt.Context over the node's real clock, RNG and streams.
 type nodeCtx struct {
 	n *Node
@@ -687,11 +645,6 @@ func (c *nodeCtx) SetTimer(d rt.Time, tag uint64) {
 	if d < 0 {
 		d = 0
 	}
-	n := c.n
-	ref := &timerRef{}
-	ref.t = time.AfterFunc(time.Duration(d), func() {
-		ref.done.Store(true)
-		n.box.push(envelope{isTimer: true, tag: tag})
-	})
-	n.trackTimer(ref)
+	box := c.n.box
+	time.AfterFunc(time.Duration(d), func() { box.push(envelope{isTimer: true, tag: tag}) })
 }

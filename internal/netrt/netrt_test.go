@@ -113,6 +113,20 @@ func TestNodeTimerFires(t *testing.T) {
 	}
 }
 
+// TestTimerDueAfterStopNeverFires: a timer armed in Init that falls due after
+// Stop lands in the closed mailbox, and the reactor never sees it.
+func TestTimerDueAfterStopNeverFires(t *testing.T) {
+	r := &pingReactor{timers: make(chan uint64, 1), timer: 20 * rt.Millisecond}
+	n := NewNode(Config{ID: 1}, r)
+	n.Start(context.Background())
+	n.Stop() // joins the event loop, so Init has armed the timer
+	select {
+	case tag := <-r.timers:
+		t.Fatalf("Timer(%d) reached the reactor after Stop", tag)
+	case <-time.After(60 * time.Millisecond):
+	}
+}
+
 func TestClusterDelayHook(t *testing.T) {
 	// A per-message delay in the past of the protocol still delivers; this
 	// pins the AfterFunc path rather than measuring real latency.
@@ -253,7 +267,8 @@ func TestAdversarialInboundStreams(t *testing.T) {
 	refused("hello from an ID outside Peers", helloFrame(7))
 	refused("hello claiming the node's own ID", helloFrame(9))
 	refused("hello from a higher peer, which the node dials itself", helloFrame(12))
-	const wantRejected = 6
+	refused("hello announcing MaxFrame bytes", over[:binary.PutUvarint(over[:], MaxFrame)])
+	const wantRejected = 7
 	// Valid hello, then a frame that promises 1000 bytes and disconnects
 	// mid-payload; and a truncated hello prefix. Disconnects, not violations.
 	var hdr [binary.MaxVarintLen64]byte
@@ -378,7 +393,6 @@ func TestSenderReconnects(t *testing.T) {
 					}
 					return c, err
 				},
-				RedialBackoff: time.Millisecond,
 			}, r1)
 			n1.Start(context.Background())
 			defer n1.Stop()
@@ -418,15 +432,14 @@ func TestSenderReconnects(t *testing.T) {
 	}
 }
 
-// TestFullQueueDropsAreCounted: with room for one message per peer and a peer
-// whose stream never comes up, the first send waits in the queue and every
-// further one is dropped — fire-and-forget, but counted, per node and per
-// cluster. Sends count as messages either way.
+// TestFullQueueDropsAreCounted: toward a peer whose stream never comes up,
+// the first queueLen sends wait in the queue and every further one is
+// dropped — fire-and-forget, but counted, per node and per cluster. Sends
+// count as messages either way.
 func TestFullQueueDropsAreCounted(t *testing.T) {
 	n := NewNode(Config{
-		ID:       1,
-		Peers:    []model.ID{2},
-		QueueLen: 1,
+		ID:    1,
+		Peers: []model.ID{2},
 		Dial: func(dctx context.Context, _ model.ID) (net.Conn, error) {
 			<-dctx.Done() // the peer stalls until shutdown
 			return nil, dctx.Err()
@@ -435,13 +448,13 @@ func TestFullQueueDropsAreCounted(t *testing.T) {
 	n.Start(context.Background())
 	defer n.Stop()
 	ctx := &nodeCtx{n: n}
-	for i := 0; i < 5; i++ {
+	for i := 0; i < queueLen+4; i++ {
 		ctx.Send(2, []byte("into the void"))
 	}
 	ctx.Send(3, []byte("no such peer")) // not accepted: neither sent nor dropped
 	c := &Cluster{Nodes: map[model.ID]*Node{1: n}}
-	if n.Messages() != 5 || n.Dropped() != 4 || c.Dropped() != 4 {
-		t.Fatalf("%d messages, %d dropped (cluster: %d); want 5, 4, 4", n.Messages(), n.Dropped(), c.Dropped())
+	if n.Messages() != queueLen+4 || n.Dropped() != 4 || c.Dropped() != 4 {
+		t.Fatalf("%d messages, %d dropped (cluster: %d); want %d, 4, 4", n.Messages(), n.Dropped(), c.Dropped(), queueLen+4)
 	}
 }
 

@@ -104,7 +104,7 @@ func (f FaultParams) Validate() error {
 }
 
 // Label renders the canonical compact form ("" when no fault is active):
-// the serialization used in CompileKey, cell labels and the -faults CLI flag.
+// the serialization used in CompileKey and cell labels.
 func (f FaultParams) Label() string {
 	if !f.Enabled() {
 		return ""

@@ -37,8 +37,9 @@ import (
 
 // LiveOptions tunes RunLive.
 type LiveOptions struct {
-	// Transport selects the link type: "pipe" (net.Pipe, the unit-test
-	// harness, default) or "tcp" (localhost sockets, the cupd-shaped path).
+	// Transport selects the link type, as netrt.ClusterConfig.Transport
+	// does: "tcp" (localhost sockets, the cupd-shaped path; empty means
+	// "tcp") or "pipe" (net.Pipe, the unit-test harness).
 	Transport string
 	// Scale divides every virtual duration to get real time; 0 means 10
 	// (a compiled 60s horizon runs for at most 6 wall seconds).
@@ -124,10 +125,6 @@ func (c *Compiled) RunLive(seed int64, opts LiveOptions) (*Result, error) {
 	if scale <= 0 {
 		scale = 10
 	}
-	transport := opts.Transport
-	if transport == "" {
-		transport = "pipe"
-	}
 
 	st, err := c.liveStack(cryptox.NewKeys(), seed, scale)
 	if err != nil {
@@ -170,7 +167,7 @@ func (c *Compiled) RunLive(seed int64, opts LiveOptions) (*Result, error) {
 	defer cancel()
 	mu.Lock() // hold off decisions racing cluster start
 	cluster, err := netrt.NewCluster(ctx, c.ids, func(id model.ID) rt.Reactor { return reactors[id] }, netrt.ClusterConfig{
-		Transport: transport,
+		Transport: opts.Transport,
 		Seed:      seed,
 		Delay:     ln.delay,
 	})
