@@ -171,6 +171,8 @@ var designRules = []rule{
 		match: []match{ref("encoding/json", "NewEncoder")}, want: 1},
 	{name: "FabricKnobs", since: "01625b9", files: scope{tests: true, in: []string{"internal/", "cmd/"}},
 		match: []match{names(`outcomePrefix|MaxAttempts|RetryBackoff|Backoffs|retry-backoff`)}},
+	{name: "NetrtKnobs", since: "95ff158", files: scope{tests: true, in: []string{"internal/", "cmd/"}},
+		match: []match{names(`QueueLen|RedialBackoff|timerRef|trackTimer`)}},
 	{name: "GraphDefSpelling", since: "4ccdf8d", files: scope{in: []string{"cmd/"}},
 		match: []match{ref(mod+"/internal/graph", "Def{}"), ref(mod+"/internal/graph", "DefKOSR"), ref(mod+"/internal/graph", "DefExtended")}},
 
@@ -281,6 +283,10 @@ var ruleCases = []ruleCase{
 		"package main\nimport \"flag\"\nvar _ = flag.Duration(\"retry-backoff\", 0, \"\")", "retry-backoff"},
 	{"FabricKnobs", "the fixed policy's constants", "internal/matrix/retry.go",
 		"package matrix\nconst maxAttempts, retryBase = 5, 50", ""},
+	{"NetrtKnobs", "a QueueLen field in netrt's Config", "internal/netrt/config.go",
+		"package netrt\ntype Config struct{ QueueLen int }", "QueueLen"},
+	{"NetrtKnobs", "the queueLen constant", "internal/netrt/config.go",
+		"package netrt\nconst queueLen = 1024", ""},
 	{"GraphDefSpelling", "graphgen's flag spelling of a kosr def", "cmd/graphgen/main.go",
 		"package main\nimport \"github.com/bftcup/bftcup/internal/graph\"\nfunc kosr(k int) graph.Def { return graph.Def{Kind: graph.DefKOSR, K: k} }", "internal/graph.Def{}"},
 	{"GraphDefSpelling", "a def parsed from its string", "cmd/graphgen/main.go",
