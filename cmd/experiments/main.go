@@ -13,7 +13,7 @@
 //	experiments -matrix -compare                                 serial-vs-parallel: identical reports + speedup
 //	experiments -matrix -shard 2/3 -jsonl part2.jsonl            run one shard, streaming per-cell JSONL
 //	experiments -matrix -shard 2/3 -jsonl part2.jsonl -resume    complete an interrupted shard stream
-//	experiments -matrix -only 4,17,23 -jsonl gaps.jsonl          run explicit cells (the fabric's gap back-fill)
+//	experiments -matrix -only 4,17,23 -jsonl cells.jsonl         run explicit global cell indices
 //	experiments -merge part1.jsonl part2.jsonl part3.jsonl       reconstruct the aggregate report from shards
 //	experiments -merge -summary part*.jsonl                      constant-memory merge (aggregates only)
 //

@@ -1,9 +1,9 @@
 // Command sweepd is the distributed sweep coordinator: it deals a scenario
-// sweep to a fleet of workers as shard spans, spools their JSONL streams,
-// survives worker death, torn streams and stragglers (work-stealing re-specs
-// a stalled worker's unclaimed tail), and folds everything through the
-// streaming merge into the monolithic report — the fingerprint is
-// byte-identical to a single-process run of the same sweep.
+// sweep to a fleet of workers as shards, spools their JSONL streams, survives
+// worker death, torn streams and stalls (a failed shard reruns whole on the
+// next free worker), and folds everything through the streaming merge into
+// the monolithic report — the fingerprint is byte-identical to a
+// single-process run of the same sweep.
 //
 // The default fleet is local subprocesses of sweepd itself in -worker mode;
 // -ssh swaps in remote workers over ssh. The worker protocol is the shared
@@ -57,11 +57,11 @@ func bind(fs *flag.FlagSet) *config {
 	fs.StringVar(&c.sshHosts, "ssh", "", "comma-separated ssh destinations; replaces the local fleet")
 	fs.StringVar(&c.remoteCmd, "remote-cmd", "sweepd", "worker command on ssh hosts (binary plus flags)")
 	fs.StringVar(&c.sshArgs, "ssh-args", "", "extra ssh client flags, space-separated")
-	fs.IntVar(&c.shards, "shards", 0, "initial spans dealt to the fleet (0 = one per worker)")
+	fs.IntVar(&c.shards, "shards", 0, "shards dealt to the fleet, each the unit a failure reruns (0 = one per worker)")
 	fs.StringVar(&c.spoolDir, "spool", "", "spool directory for worker streams (empty = temp dir, removed on success)")
 	fs.DurationVar(&c.heartbeat, "heartbeat", 2*time.Minute, "declare a worker stalled after this long without stream progress (0 = off)")
 	fs.BoolVar(&c.cellRows, "cells", false, "keep per-cell outcomes in the merged report and list them in text output")
-	fs.BoolVar(&c.verbose, "v", false, "print recovery stats (redispatches, seals, steals, gap tasks)")
+	fs.BoolVar(&c.verbose, "v", false, "print recovery stats (failed shards redispatched)")
 	return c
 }
 
@@ -86,7 +86,7 @@ func fail(err error) {
 }
 
 // runWorker executes one fabric task: the coordinator side dispatches exactly
-// these flags, but the mode also works by hand for debugging a single span.
+// these flags, but the mode also works by hand for debugging a single shard.
 func runWorker(job matrix.StreamJob) {
 	tr, err := job.Run()
 	if err != nil {
@@ -179,9 +179,8 @@ func runCoordinator(name string, src matrix.CellSource, c *config) {
 	wall := time.Since(start)
 	fmt.Fprintf(os.Stderr, "fabric: %d cells in %.2fs (%.2f cells/s) over %d workers, %d dispatches\n",
 		rep.Cells, wall.Seconds(), float64(rep.Cells)/wall.Seconds(), len(fleet), stats.Tasks)
-	if c.verbose || stats.Redispatches+stats.Seals+stats.Steals > 0 {
-		fmt.Fprintf(os.Stderr, "fabric: recovery — %d redispatched, %d sealed, %d steals (%d sub-shards), %d gap tasks\n",
-			stats.Redispatches, stats.Seals, stats.Steals, stats.SubShards, stats.GapTasks)
+	if c.verbose || stats.Redispatches > 0 {
+		fmt.Fprintf(os.Stderr, "fabric: recovery — %d redispatched\n", stats.Redispatches)
 	}
 	fmt.Fprintf(os.Stderr, "fingerprint %s\n", rep.Fingerprint())
 	if c.sweep.JSON {

@@ -45,9 +45,9 @@ func TestWorkerArgvRoundTrip(t *testing.T) {
 		}
 		base := fleet[0].(matrix.ExecTransport).Argv[1:]
 		for _, task := range []matrix.Task{
-			{Span: matrix.Span{Shard: matrix.Shard{Index: 1, Count: 1}}},
-			{Span: matrix.Span{Shard: matrix.Shard{Index: 3, Count: 4}}},
-			{Span: matrix.Span{Shard: matrix.Shard{Index: 2, Count: 8}, From: 3}},
+			{Shard: matrix.Shard{Index: 1, Count: 1}},
+			{Shard: matrix.Shard{Index: 3, Count: 4}},
+			{Shard: matrix.Shard{Index: 2, Count: 8}},
 			{Cells: []int{0, 5, 11}},
 		} {
 			w := parse(t, append(append([]string{}, base...), task.WorkerArgs("-")...))

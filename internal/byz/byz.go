@@ -47,29 +47,23 @@ func (b *FakePD) Receive(ctx rt.Context, from model.ID, payload []byte) {
 // Timer implements rt.Reactor.
 func (b *FakePD) Timer(ctx rt.Context, tag uint64) { b.mod.HandleTimer(ctx, tag) }
 
-// PDEquivocator claims PD A to peers selected by ChooseAlt=false and PD B to
-// the others. Both records verify (the process signs both); the Sink/Core
+// PDEquivocator claims PD A to odd-numbered peers and PD B to even-numbered
+// ones. Both records verify (the process signs both); the Sink/Core
 // algorithms must tolerate the resulting inconsistent views. It relays every
 // verified record it has collected, like a correct process would.
 type PDEquivocator struct {
 	recA      discovery.SignedPD
 	recB      discovery.SignedPD
-	chooseAlt func(model.ID) bool
 	collector *discovery.Module // collects and verifies third-party records
 	recBuf    []discovery.SignedPD
 }
 
-// NewPDEquivocator creates the behavior. chooseAlt selects which peers get
-// the alternative record; nil means even-numbered IDs.
-func NewPDEquivocator(signer cryptox.Signer, verifier cryptox.Verifier, pdA, pdB model.IDSet, chooseAlt func(model.ID) bool, cfg discovery.Config) *PDEquivocator {
-	if chooseAlt == nil {
-		chooseAlt = func(id model.ID) bool { return uint64(id)%2 == 0 }
-	}
+// NewPDEquivocator creates the behavior.
+func NewPDEquivocator(signer cryptox.Signer, verifier cryptox.Verifier, pdA, pdB model.IDSet, cfg discovery.Config) *PDEquivocator {
 	recA := discovery.NewSignedPD(signer, pdA)
 	return &PDEquivocator{
 		recA:      recA,
 		recB:      discovery.NewSignedPD(signer, pdB),
-		chooseAlt: chooseAlt,
 		collector: discovery.New(recA, verifier, cfg, nil),
 	}
 }
@@ -99,7 +93,7 @@ func (b *PDEquivocator) Timer(ctx rt.Context, tag uint64) { b.collector.HandleTi
 // internal record map).
 func (b *PDEquivocator) reply(ctx rt.Context, to model.ID) {
 	own := b.recA
-	if b.chooseAlt(to) {
+	if uint64(to)%2 == 0 {
 		own = b.recB
 	}
 	recs := append(b.recBuf[:0], own)

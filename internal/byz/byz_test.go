@@ -1,6 +1,7 @@
 package byz
 
 import (
+	"bytes"
 	"testing"
 
 	"github.com/bftcup/bftcup/internal/cryptox"
@@ -8,6 +9,7 @@ import (
 	"github.com/bftcup/bftcup/internal/model"
 	"github.com/bftcup/bftcup/internal/rt"
 	"github.com/bftcup/bftcup/internal/sim"
+	"github.com/bftcup/bftcup/internal/wire"
 )
 
 // collector is a correct discovery participant used to observe what the
@@ -97,8 +99,8 @@ func TestPDEquivocatorSplitsViews(t *testing.T) {
 	}
 	pdA := model.NewIDSet(1)
 	pdB := model.NewIDSet(1, 3)
-	// Odd observers get A, even get B.
-	equiv := NewPDEquivocator(signers[2], reg, pdA, pdB, func(id model.ID) bool { return uint64(id)%2 == 1 }, discovery.DefaultConfig())
+	// Odd observers get A, even ones B: both observers here are odd.
+	equiv := NewPDEquivocator(signers[2], reg, pdA, pdB, discovery.DefaultConfig())
 	obs1 := &collector{mod: discovery.New(discovery.NewSignedPD(signers[1], model.NewIDSet(2)), reg, discovery.DefaultConfig(), nil)}
 	obs3 := &collector{mod: discovery.New(discovery.NewSignedPD(signers[3], model.NewIDSet(2)), reg, discovery.DefaultConfig(), nil)}
 	for id, r := range map[model.ID]rt.Reactor{1: obs1, 2: equiv, 3: obs3} {
@@ -112,22 +114,30 @@ func TestPDEquivocatorSplitsViews(t *testing.T) {
 	if !ok1 || !ok3 {
 		t.Fatalf("observers missing PD(2): %v %v", ok1, ok3)
 	}
-	if !got1.Equal(pdB) { // p1 chose alt
-		t.Fatalf("p1 sees %v, want record B %v", got1, pdB)
+	if !got1.Equal(pdA) {
+		t.Fatalf("p1 sees %v, want record A %v", got1, pdA)
 	}
-	if !got3.Equal(pdB) {
-		t.Fatalf("p3 sees %v, want record B %v", got3, pdB)
+	if !got3.Equal(pdA) {
+		t.Fatalf("p3 sees %v, want record A %v", got3, pdA)
 	}
 	// Both records verify — equivocation is signature-legal.
 }
 
+// TestPDEquivocatorDefaultChooser pins the equivocator's one rule: a GETPDS
+// from an even ID is answered with record B, one from an odd ID with A.
 func TestPDEquivocatorDefaultChooser(t *testing.T) {
 	signers, reg, err := cryptox.GenerateKeys(1, []model.ID{2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	e := NewPDEquivocator(signers[2], reg, model.NewIDSet(), model.NewIDSet(1), nil, discovery.DefaultConfig())
-	if e.chooseAlt(2) != true || e.chooseAlt(3) != false {
-		t.Fatal("default chooser should pick alt for even IDs")
+	pdA, pdB := model.NewIDSet(), model.NewIDSet(1)
+	e := NewPDEquivocator(signers[2], reg, pdA, pdB, discovery.DefaultConfig())
+	for to, pd := range map[model.ID]model.IDSet{2: pdB, 3: pdA, 4: pdB} {
+		var got []byte
+		e.Receive(captureCtx{onSend: func(_ model.ID, p []byte) { got = p }}, to, []byte{wire.KindGetPDs})
+		want := discovery.EncodeSetPDs([]discovery.SignedPD{discovery.NewSignedPD(signers[2], pd)})
+		if !bytes.Equal(got, want) {
+			t.Fatalf("reply to p%d is not the record naming %v: even IDs get record B, odd ones A", to, pd)
+		}
 	}
 }

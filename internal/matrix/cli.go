@@ -62,8 +62,8 @@ func BindSweepFlags(fs *flag.FlagSet, seeds string, parallel int) *SweepFlags {
 	fs.StringVar(&sf.Seeds, "seeds", seeds, "seed sweep, FROM:TO or a count N (= 1:N)")
 	fs.IntVar(&sf.Parallel, "parallel", parallel, "worker count of this process: 0 = GOMAXPROCS, 1 = serial")
 	fs.BoolVar(&sf.JSON, "json", false, "emit the sweep report as JSON")
-	fs.StringVar(&sf.Shard, "shard", "", "run only span i/n[@t] of the sweep (deterministic partition)")
-	fs.StringVar(&sf.Only, "only", "", "run only these global cell indices, comma-separated (the fabric's gap back-fill)")
+	fs.StringVar(&sf.Shard, "shard", "", "run only shard i/n of the sweep (deterministic round-robin partition)")
+	fs.StringVar(&sf.Only, "only", "", "run only these global cell indices, comma-separated")
 	fs.StringVar(&sf.JSONL, "jsonl", "", "stream per-cell outcomes as JSONL to this file ('-' = stdout) instead of buffering a report")
 	fs.BoolVar(&sf.Resume, "resume", false, "with -jsonl FILE: resume an interrupted stream, running only the cells the file is missing")
 	return sf
@@ -88,11 +88,11 @@ type StreamJob struct {
 	Name string
 	// Src is the whole sweep.
 	Src CellSource
-	// Shard is the -shard flag: a span spec "i/n[@t]", empty for the whole
+	// Shard is the -shard flag: a shard spec "i/n", empty for the whole
 	// sweep.
 	Shard string
-	// Only is the -only flag: explicit global cell indices, comma-separated
-	// (the fabric's gap back-fill dispatches). Mutually exclusive with Shard.
+	// Only is the -only flag: explicit global cell indices, comma-separated.
+	// Mutually exclusive with Shard.
 	Only string
 	// Path is the -jsonl flag: the stream destination, "-" for stdout.
 	Path string
@@ -109,8 +109,8 @@ type StreamJob struct {
 // inverse of Task.WorkerArgs.
 func (j StreamJob) Task() (Task, error) {
 	if j.Only == "" {
-		span, err := ParseSpan(j.Shard)
-		return Task{Span: span}, err
+		sh, err := ParseShard(j.Shard)
+		return Task{Shard: sh}, err
 	}
 	if j.Shard != "" {
 		return Task{}, fmt.Errorf("-shard and -only select different slices; pick one")

@@ -43,18 +43,18 @@ func TestSweepFlagsJobRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	total := src.Len()
-	span := func(i, n, from int) Task { return Task{Span: Span{Shard: Shard{Index: i, Count: n}, From: from}} }
+	shard := func(i, n int) Task { return Task{Shard: Shard{Index: i, Count: n}} }
 	for _, tc := range []struct {
 		argv  string
 		task  Task
 		spec  string
 		cells []int
 	}{
-		{"", span(1, 1, 0), "1/1", Span{Shard: Shard{Index: 1, Count: 1}}.Globals(total)},
-		{"-shard 2/3 -jsonl part.jsonl", span(2, 3, 0), "2/3", []int{1, 4, 7, 10, 13, 16, 19, 22}},
-		{"-shard 3/8@2 -jsonl - -parallel 4", span(3, 8, 2), "3/8@2", []int{18}},
-		{"-shard 1/2@0", span(1, 2, 0), "1/2", Span{Shard: Shard{Index: 1, Count: 2}}.Globals(total)},
-		{"-shard 5/5@9", span(5, 5, 9), "5/5@9", []int{}},
+		{"", shard(1, 1), "1/1", Shard{Index: 1, Count: 1}.Globals(total)},
+		{"-shard 2/3 -jsonl part.jsonl", shard(2, 3), "2/3", []int{1, 4, 7, 10, 13, 16, 19, 22}},
+		{"-shard 3/8 -jsonl - -parallel 4", shard(3, 8), "3/8", []int{2, 10, 18}},
+		{"-shard 1/2", shard(1, 2), "1/2", Shard{Index: 1, Count: 2}.Globals(total)},
+		{"-shard 30/30", shard(30, 30), "30/30", []int{}},
 		{"-only 17,3,9 -jsonl gaps.jsonl -resume", Task{Cells: []int{3, 9, 17}}, "cells:3,9,17", []int{3, 9, 17}},
 	} {
 		sf, err := parseSweepFlags(t, strings.Fields(tc.argv))
@@ -181,6 +181,9 @@ func TestSweepFlagsRefused(t *testing.T) {
 		"-shard 1/2 -only 3",
 		"-shard 0/2",
 		"-shard 2/2@-1",
+		"-shard 3/8@2",
+		"-shard 1/2@0",
+		"-shard 5/5@9",
 		"-only 3,3",
 		"-only 24",
 	} {
@@ -202,8 +205,8 @@ func TestSweepFlagsRefused(t *testing.T) {
 	}
 	// A slice of a slice is not a whole sweep: its global indices and its
 	// positions differ, so neither spans nor cell lists mean anything there.
-	part := slice(t, src, Task{Span: Span{Shard: Shard{Index: 2, Count: 3}}})
-	for _, task := range []Task{{Span: Span{Shard: Shard{Index: 1, Count: 2}}}, {Cells: []int{1}}} {
+	part := slice(t, src, Task{Shard: Shard{Index: 2, Count: 3}})
+	for _, task := range []Task{{Shard: Shard{Index: 1, Count: 2}}, {Cells: []int{1}}} {
 		if _, _, err := task.Slice(part); err == nil {
 			t.Errorf("task %+v sliced a shard", task)
 		}

@@ -13,8 +13,9 @@ import (
 
 // FabricOptions tunes the distributed sweep coordinator.
 type FabricOptions struct {
-	// Shards is the initial number of spans dealt to the fleet; 0 means one
-	// per worker. More shards than workers gives natural load balancing at
+	// Shards is the number of shards dealt to the fleet; 0 means one per
+	// worker. A shard is the unit of dispatch and of retry: more shards than
+	// workers balances load and makes a failure rerun less of the sweep, at
 	// the cost of more streams to merge.
 	Shards int
 	// SpoolDir receives one JSONL spool file per dispatched task. Empty
@@ -22,8 +23,8 @@ type FabricOptions struct {
 	// caller-provided directory is always left in place.
 	SpoolDir string
 	// Heartbeat is how long a worker may go without emitting a record before
-	// it is declared stalled and killed; its spool then recovers like any
-	// failed task's. 0 disables stall detection.
+	// it is declared stalled and killed; its task then reruns like any
+	// failed task. 0 disables stall detection.
 	Heartbeat time.Duration
 	// KeepOutcomes retains every cell outcome in the merged report.
 	KeepOutcomes bool
@@ -35,28 +36,19 @@ type FabricOptions struct {
 // FabricStats records the coordinator's recovery behavior (asserted by the
 // fault-injection tests, reported by sweepd -v).
 type FabricStats struct {
-	// Tasks counts dispatches, including every recovery dispatch.
+	// Tasks counts dispatches, including every redispatch.
 	Tasks int
-	// Redispatches counts failed tasks whose spool was discarded (no
-	// trusted outcome in it), so all their cells were dealt out again.
+	// Redispatches counts failed tasks whose spool was discarded and whose
+	// shard was queued again whole.
 	Redispatches int
-	// Resumes is always 0: the fabric no longer completes spools in place.
-	// It stays for callers that sum the recovery counters.
-	Resumes int
-	// Seals counts failed tasks whose intact prefix was sealed into the
-	// merge set.
-	Seals int
-	// Steals counts recoveries whose unclaimed tail was split over more
-	// than one worker.
-	Steals int
-	// SubShards counts the sub-spans those splits created.
-	SubShards int
-	// GapTasks counts explicit cell-list back-fill dispatches.
-	GapTasks int
+	// Resumes, Seals, Steals and GapTasks are always 0: a failed task is
+	// never completed in place, sealed, split or back-filled by cell list.
+	// They stay for callers that sum the recovery counters.
+	Resumes, Seals, Steals, GapTasks int
 }
 
-// The retry policy: a task lineage (the original dispatch plus every
-// recovery task descended from it) gets maxAttempts dispatches before the
+// The retry policy: a task lineage (the original dispatch plus every rerun
+// of it) gets maxAttempts dispatches before the
 // sweep aborts, and each redispatch waits a jittered backoff that doubles
 // from retryBase (see retryDelay). Without the backoff a worker that dies on
 // startup would burn the lineage's budget in milliseconds.
@@ -84,7 +76,7 @@ type exitEvent struct {
 // RunFabric executes a sweep of total cells across the fleet and merges the
 // workers' streams into the monolithic report: the fingerprint is
 // byte-identical to a single-process Run of the same sweep, including under
-// worker death, torn streams, and straggler-triggered shard splits. Memory
+// worker death, torn streams and stalls. Memory
 // on the coordinator is O(workers × parallelism + axes): each worker's
 // stream spools to disk as it arrives and the final fold is the cursor-based
 // streaming Merge. The stats describe the recovery work the run needed.
@@ -126,12 +118,9 @@ func RunFabric(ctx context.Context, total int, workers []Transport, opts FabricO
 		return nil, stats, err
 	}
 
-	queue := make([]Task, 0, shards)
-	for i := 1; i <= shards; i++ {
-		sp := Span{Shard: Shard{Index: i, Count: shards}}
-		if sp.Len(total) > 0 {
-			queue = append(queue, Task{Span: sp})
-		}
+	queue := make([]Task, shards)
+	for i := range queue {
+		queue[i].Shard = Shard{Index: i + 1, Count: shards}
 	}
 
 	idle := make([]int, len(workers))
@@ -180,85 +169,20 @@ func RunFabric(ctx context.Context, total int, workers []Transport, opts FabricO
 		}
 	}
 
-	// enqueueRecovery is the fabric's one recovery rule, for a dead worker,
-	// a corrupt stream and a stall alike. The spool's intact prefix is sealed
-	// into the merge set; a spool the reader refuses, without a header, or
-	// carrying cells outside its task is discarded instead. The holes below
-	// the last completed position go out as one cell-list task, and the
-	// unclaimed tail is split over the workers free at that moment. The
-	// worker pool claims positions within a bounded window, so the holes are
-	// few and the tail is most of what is missing.
-	enqueueRecovery := func(lv *live, scan *streamScan, runErr error) {
+	// retry is the fabric's one recovery rule, for a dead worker, a corrupt
+	// stream and a stall alike: the spool is discarded and the same shard is
+	// queued again whole, after the lineage's jittered exponential backoff.
+	retry := func(lv *live, runErr error) {
 		attempt := lv.task.attempt + 1
 		if attempt >= maxAttempts {
 			abort(fmt.Errorf("fabric: task %s failed %d times (last: %v)", lv.task.spec(), attempt, runErr))
 			return
 		}
-		// Every task this recovery enqueues waits out the lineage's jittered
-		// exponential backoff before redispatch.
-		notBefore := time.Now().Add(retryDelay(attempt, retryJitter))
-		enqueue := func(t Task) {
-			t.attempt, t.notBefore = attempt, notBefore
-			queue = append(queue, t)
-		}
-		var done map[int]bool
-		if scan != nil && scan.header != nil && scan.trailer == nil && len(scan.done) > 0 && ownsAll(lv.task, scan.done) {
-			if kept, err := sealStreamFile(lv.spool); err == nil {
-				completed = append(completed, lv.spool)
-				doneCells += kept
-				stats.Seals++
-				done = scan.done
-			}
-		}
-		if done == nil {
-			os.Remove(lv.spool)
-			stats.Redispatches++
-		}
-		if lv.task.Cells != nil {
-			var missing []int
-			for _, g := range lv.task.Cells {
-				if !done[g] {
-					missing = append(missing, g)
-				}
-			}
-			if len(missing) > 0 {
-				enqueue(Task{Cells: missing})
-				stats.GapTasks++
-			}
-			return
-		}
-		span := lv.task.Span
-		tail := span
-		for g := range done {
-			if p := g / span.Shard.Count; p >= tail.From {
-				tail.From = p + 1
-			}
-		}
-		var holes []int
-		for _, g := range span.Globals(total) {
-			if tail.Owns(g) {
-				break
-			}
-			if !done[g] {
-				holes = append(holes, g)
-			}
-		}
-		if len(holes) > 0 {
-			enqueue(Task{Cells: holes})
-			stats.GapTasks++
-		}
-		// idle includes the slot this exit freed and never outnumbers the
-		// fleet, so it caps the split at the fleet size.
-		m := min(len(idle), tail.Len(total))
-		if m > 1 {
-			stats.Steals++
-			stats.SubShards += m
-		}
-		for _, sub := range tail.Split(m) {
-			if sub.Len(total) > 0 {
-				enqueue(Task{Span: sub})
-			}
-		}
+		os.Remove(lv.spool)
+		stats.Redispatches++
+		t := lv.task
+		t.attempt, t.notBefore = attempt, time.Now().Add(retryDelay(attempt, retryJitter))
+		queue = append(queue, t)
 	}
 
 	handleExit := func(ev exitEvent) {
@@ -266,13 +190,11 @@ func RunFabric(ctx context.Context, total int, workers []Transport, opts FabricO
 		delete(running, lv.slot)
 		idle = append(idle, lv.slot)
 		scan, err := scanStreamFile(lv.spool)
-		if err != nil {
-			scan = nil
-		} else if scan.header != nil && scan.header.TotalCells != total {
+		if err == nil && scan.header != nil && scan.header.TotalCells != total {
 			abort(fmt.Errorf("fabric: worker stream claims %d total cells, sweep has %d (misconfigured fleet?)", scan.header.TotalCells, total))
 			return
 		}
-		if scan != nil && scan.header != nil && scan.trailer != nil && coversExactly(scan.done, lv.task.expected(total)) {
+		if err == nil && scan.header != nil && scan.trailer != nil && coversExactly(scan.done, lv.task.expected(total)) {
 			completed = append(completed, lv.spool)
 			doneCells += len(scan.done)
 			return
@@ -280,7 +202,7 @@ func RunFabric(ctx context.Context, total int, workers []Transport, opts FabricO
 		if ev.err == nil {
 			ev.err = fmt.Errorf("stream incomplete or corrupt")
 		}
-		enqueueRecovery(lv, scan, ev.err)
+		retry(lv, ev.err)
 	}
 
 	checkStalls := func(now time.Time) {
@@ -323,8 +245,8 @@ func RunFabric(ctx context.Context, total int, workers []Transport, opts FabricO
 
 	ctxDone := ctx.Done()
 	for len(queue) > 0 || len(running) > 0 {
-		// Dispatch every eligible task; recovery tasks still inside their
-		// backoff window stay queued (order otherwise preserved).
+		// Dispatch every eligible task; reruns still inside their backoff
+		// window stay queued (order otherwise preserved).
 		for len(idle) > 0 && abortErr == nil {
 			i := -1
 			now := time.Now()
@@ -417,16 +339,6 @@ func coversExactly(done map[int]bool, expected []int) bool {
 	}
 	for _, g := range expected {
 		if !done[g] {
-			return false
-		}
-	}
-	return true
-}
-
-// ownsAll reports whether every index in done belongs to the task's slice.
-func ownsAll(t Task, done map[int]bool) bool {
-	for g := range done {
-		if !t.owns(g) {
 			return false
 		}
 	}

@@ -8,15 +8,15 @@ import (
 	"testing"
 )
 
-// TestDamagedStreamContract feeds one table of broken streams to the three
-// consumers of the stream format — ResumeStreamFile, sealStreamFile and
-// Merge — and pins what each does with it. Damage that an interrupted write
-// can leave (a torn final line, garbage or an unknown record after the
-// header) is a truncation point: resume and seal keep the intact prefix and
-// go on from there. Damage to the record order (a second header, an outcome
-// before the header, a cell index twice) is refused, and the file is left as
-// it was. A trailer closes the stream for resume and seal, so what follows it
-// is never read there. Merge refuses every damaged stream and names it.
+// TestDamagedStreamContract feeds one table of broken streams to the two
+// consumers of the stream format — ResumeStreamFile and Merge — and pins
+// what each does with it. Damage that an interrupted write can leave (a torn
+// final line, garbage or an unknown record after the header) is a truncation
+// point: resume keeps the intact prefix and goes on from there. Damage to the
+// record order (a second header, an outcome before the header, a cell index
+// twice) is refused, and the file is left as it was. A trailer closes the
+// stream for resume, so what follows it is never read there. Merge refuses
+// every damaged stream and names it.
 //
 // The stream under test is shard 1/2 of the 8-cell test sweep (header, four
 // outcomes, trailer); Merge reads it beside the intact shard 2/2.
@@ -25,7 +25,7 @@ func TestDamagedStreamContract(t *testing.T) {
 	stream := func(spec string, sh Shard) []string {
 		t.Helper()
 		var buf bytes.Buffer
-		part := slice(t, CellList(cells), Task{Span: Span{Shard: sh}})
+		part := slice(t, CellList(cells), Task{Shard: sh})
 		if _, err := RunStream(part, Options{Parallelism: 1}, &buf, StreamHeader{
 			Name: "stream-test", TotalCells: len(cells), Shard: spec,
 		}); err != nil {
@@ -57,39 +57,39 @@ func TestDamagedStreamContract(t *testing.T) {
 		// specless: the stream's header names no slice.
 		specless bool
 		// resumed is how many cells resume finds complete and kept the
-		// intact prefix it cuts the stream to; sealed is how many outcomes
-		// seal keeps. refused: they refuse the stream.
-		resumed, sealed int
-		kept            string
+		// intact prefix it cuts the stream to. refused: it refuses the
+		// stream.
+		resumed int
+		kept    string
 		// closed: the stream already carries a trailer before its damage, so
-		// resume and seal return without writing.
+		// resume returns without writing.
 		closed bool
 		// mergeRefused: Merge refuses the damaged stream beside shard 2/2.
 		mergeRefused bool
 	}{
 		{name: "torn last line", stream: h + o[0] + o[1] + o[2] + o[3][:len(o[3])/2],
-			resumed: 3, sealed: 3, kept: h + o[0] + o[1] + o[2], mergeRefused: true},
+			resumed: 3, kept: h + o[0] + o[1] + o[2], mergeRefused: true},
 		{name: "garbage mid-stream", stream: h + o[0] + o[1] + "ca5cade, not JSON\n" + o[2] + o[3] + tr,
-			resumed: 2, sealed: 2, kept: h + o[0] + o[1], mergeRefused: true},
+			resumed: 2, kept: h + o[0] + o[1], mergeRefused: true},
 		{name: "duplicate header", stream: h + o[0] + h + o[1] + o[2] + o[3] + tr,
-			resumed: refused, sealed: refused, mergeRefused: true},
+			resumed: refused, mergeRefused: true},
 		{name: "outcome before header", stream: o[0] + h + o[1] + o[2] + o[3] + tr,
-			resumed: refused, sealed: refused, mergeRefused: true},
+			resumed: refused, mergeRefused: true},
 		{name: "duplicate cell index", stream: h + o[0] + o[1] + o[1] + o[2] + o[3] + tr,
-			resumed: refused, sealed: refused, mergeRefused: true},
+			resumed: refused, mergeRefused: true},
 		{name: "outcome after trailer", stream: h + o[0] + o[1] + o[2] + o[3] + tr + o[3],
-			resumed: 4, sealed: 4, closed: true, mergeRefused: true},
+			resumed: 4, closed: true, mergeRefused: true},
 		{name: "unknown record type", stream: h + o[0] + o[1] + `{"type":"checkpoint"}` + "\n" + o[2] + o[3] + tr,
-			resumed: 2, sealed: 2, kept: h + o[0] + o[1], mergeRefused: true},
+			resumed: 2, kept: h + o[0] + o[1], mergeRefused: true},
 		{name: "missing trailer", stream: h + o[0] + o[1] + o[2] + o[3],
-			resumed: 4, sealed: 4, kept: h + o[0] + o[1] + o[2] + o[3], mergeRefused: true},
-		// A header that names no slice is not damage to resume or seal (the
+			resumed: 4, kept: h + o[0] + o[1] + o[2] + o[3], mergeRefused: true},
+		// A header that names no slice is not damage to resume (the
 		// resumed header must only match). It is the one row whose verdict
 		// changed: the merge once scheduled such a stream by buffer pressure
 		// and merged it; it now routes every stream by the slice its header
 		// names and refuses one that names none.
 		{name: "header with no spec", stream: strings.Join(specless, ""), specless: true,
-			resumed: 4, sealed: 4, closed: true, mergeRefused: true},
+			resumed: 4, closed: true, mergeRefused: true},
 	} {
 		t.Run(row.name, func(t *testing.T) {
 			spec := one.String()
@@ -97,7 +97,7 @@ func TestDamagedStreamContract(t *testing.T) {
 				spec = ""
 			}
 			hdr := StreamHeader{Name: "stream-test", TotalCells: len(cells), Shard: spec}
-			part := slice(t, CellList(cells), Task{Span: Span{Shard: one}})
+			part := slice(t, CellList(cells), Task{Shard: one})
 			dir := t.TempDir()
 			write := func(name string) string {
 				path := filepath.Join(dir, name)
@@ -158,21 +158,6 @@ func TestDamagedStreamContract(t *testing.T) {
 				}
 			}
 
-			path = write("seal.jsonl")
-			kept, err := sealStreamFile(path)
-			switch {
-			case row.sealed == refused:
-				if err == nil {
-					t.Fatalf("seal accepted the stream (kept %d)", kept)
-				}
-				unchanged(path, "seal")
-			case err != nil:
-				t.Fatalf("seal refused: %v", err)
-			case kept != row.sealed:
-				t.Fatalf("seal kept %d outcomes, want %d", kept, row.sealed)
-			case row.closed:
-				unchanged(path, "seal")
-			}
 		})
 	}
 }

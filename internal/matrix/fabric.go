@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"os"
 	"os/exec"
 	"sort"
 	"strconv"
@@ -14,21 +13,20 @@ import (
 
 // The distributed sweep fabric runs one sweep across a fleet of workers.
 // The wire protocol is the JSONL stream format unchanged: the coordinator
-// dispatches Tasks (a Span of the sweep, or an explicit cell-index list when
-// back-filling a failure's gaps), each worker runs its slice with the same
-// RunStream every single-machine shard run uses, and the coordinator spools
+// dispatches Tasks (one shard of the sweep each), each worker runs its slice
+// with the same RunStream every single-machine shard run uses, and the
+// coordinator spools
 // the streams to disk and folds them through the cursor-based Merge — so the
 // distributed fingerprint is byte-identical to the monolithic run's by the
 // same argument that shard merges are.
 
-// Task is one unit of fabric work: a span of the sweep, or — after a worker
-// failure left scattered holes — an explicit list of global cell indices.
+// Task is one selection of the sweep: a shard, or an explicit list of global
+// cell indices (the -only flag). The fabric dispatches shards only.
 type Task struct {
-	// Span is the slice of the sweep to run (ignored when Cells is set).
-	Span Span
+	// Shard is the slice of the sweep to run (ignored when Cells is set).
+	Shard Shard
 	// Cells, when non-nil, lists the exact global cell indices to run
-	// (ascending). Gap back-fill after a partial worker failure; always a
-	// bounded set (the dead worker's claim window), never O(cells).
+	// (ascending).
 	Cells []int
 	// attempt counts how many dispatches this task's lineage has consumed;
 	// the coordinator aborts rather than retry forever.
@@ -40,14 +38,14 @@ type Task struct {
 	notBefore time.Time
 }
 
-// spec renders the header spec the task's stream will carry: the span spec,
-// or "cells:a,b,c" for explicit-index tasks. parseTask reads it back, and the
+// spec renders the header spec the task's stream will carry: the shard spec
+// "i/n", or "cells:a,b,c" for explicit-index tasks. parseTask reads it back, and the
 // merge routes each stream by the task it names.
 func (t Task) spec() string {
 	if t.Cells != nil {
 		return "cells:" + FormatCellList(t.Cells)
 	}
-	return t.Span.String()
+	return t.Shard.String()
 }
 
 // parseTask is the inverse of Task.spec: the task a stream header's spec
@@ -60,8 +58,8 @@ func parseTask(spec string) (Task, error) {
 	if spec == "" {
 		return Task{}, fmt.Errorf("empty shard spec")
 	}
-	span, err := ParseSpan(spec)
-	return Task{Span: span}, err
+	sh, err := ParseShard(spec)
+	return Task{Shard: sh}, err
 }
 
 // owns reports whether the task's slice contains global cell index g.
@@ -70,7 +68,7 @@ func (t Task) owns(g int) bool {
 		i := sort.SearchInts(t.Cells, g)
 		return i < len(t.Cells) && t.Cells[i] == g
 	}
-	return t.Span.Owns(g)
+	return t.Shard.Owns(g)
 }
 
 // expected lists the global cell indices the task's stream must supply,
@@ -79,7 +77,7 @@ func (t Task) expected(total int) []int {
 	if t.Cells != nil {
 		return t.Cells
 	}
-	return t.Span.Globals(total)
+	return t.Shard.Globals(total)
 }
 
 // WorkerArgs renders the CLI flags that make a worker run exactly this task:
@@ -90,8 +88,8 @@ func (t Task) WorkerArgs(jsonl string) []string {
 	var args []string
 	if t.Cells != nil {
 		args = append(args, "-only", FormatCellList(t.Cells))
-	} else if !t.Span.IsAll() {
-		args = append(args, "-shard", t.Span.String())
+	} else if !t.Shard.IsAll() {
+		args = append(args, "-shard", t.Shard.String())
 	}
 	return append(args, "-jsonl", jsonl)
 }
@@ -249,7 +247,7 @@ func (t ProcTransport) Run(ctx context.Context, task Task, sink io.Writer) error
 // Slice resolves the task against the whole sweep src: the lazy sub-source
 // to run and the spec its stream header carries. It is the one place a
 // selection meets a sweep — fabric workers, and the CLIs' stream and report
-// modes through StreamJob.Task. Spans deal by global index residue and cell
+// modes through StreamJob.Task. Shards deal by global index residue and cell
 // lists name global indices, so src must be a whole sweep (Index(i) == i).
 func (t Task) Slice(src CellSource) (CellSource, string, error) {
 	total := src.Len()
@@ -262,63 +260,9 @@ func (t Task) Slice(src CellSource) (CellSource, string, error) {
 			return nil, "", fmt.Errorf("matrix: cell index %d out of range (sweep has %d cells)", t.Cells[len(t.Cells)-1], total)
 		}
 		return pick(src, t.Cells), t.spec(), nil
-	case t.Span.IsAll():
+	case t.Shard.IsAll():
 		return src, t.spec(), nil
 	}
-	first, stride := t.Span.start(), t.Span.Shard.Count
-	return indexMap{base: src, n: t.Span.Len(total), at: func(i int) int { return first + i*stride }}, t.spec(), nil
-}
-
-// sealStreamFile turns a torn spool (header plus some outcomes, no trailer,
-// possibly a torn final line) into a valid partial stream: the torn tail is
-// dropped, the header's ShardCells is rewritten to the outcomes actually
-// present, and a trailer summarizing them is appended. The sealed stream
-// merges like any other shard file; the coordinator back-fills the cells it
-// no longer claims through gap and tail tasks. Returns the outcomes kept.
-func sealStreamFile(path string) (int, error) {
-	scan, err := scanStreamFile(path)
-	if err != nil {
-		return 0, err
-	}
-	if scan.header == nil {
-		return 0, fmt.Errorf("seal %s: no header", path)
-	}
-	if scan.trailer != nil {
-		// Already closed; nothing to seal.
-		return len(scan.done), nil
-	}
-	src, err := os.Open(path)
-	if err != nil {
-		return 0, err
-	}
-	defer src.Close()
-	tmp := path + ".seal"
-	dst, err := os.Create(tmp)
-	if err != nil {
-		return 0, err
-	}
-	sw := newStreamWriter(dst, scan.counts)
-	hdr := *scan.header
-	hdr.ShardCells = len(scan.done)
-	werr := sw.header(hdr)
-	if werr == nil {
-		_, werr = src.Seek(scan.headerEnd, io.SeekStart)
-	}
-	if werr == nil {
-		_, werr = io.Copy(sw.bw, io.LimitReader(src, scan.offset-scan.headerEnd))
-	}
-	if werr == nil {
-		_, werr = sw.trailer(0)
-	}
-	if cerr := dst.Close(); werr == nil {
-		werr = cerr
-	}
-	if werr != nil {
-		os.Remove(tmp)
-		return 0, fmt.Errorf("seal %s: %w", path, werr)
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		return 0, err
-	}
-	return len(scan.done), nil
+	first, stride := t.Shard.Index-1, t.Shard.Count
+	return indexMap{base: src, n: t.Shard.Len(total), at: func(i int) int { return first + i*stride }}, t.spec(), nil
 }

@@ -7,7 +7,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"os"
 	"path/filepath"
 	"sort"
 	"sync"
@@ -75,7 +74,7 @@ func TestFabricFingerprintIdentity(t *testing.T) {
 				t.Fatalf("fabric report %d/%d/%d diverges from mono %d/%d/%d",
 					rep.Cells, rep.Consensus, rep.Errors, mono.Cells, mono.Consensus, mono.Errors)
 			}
-			if stats.Tasks != 5 || stats.Redispatches+stats.Seals+stats.Steals != 0 {
+			if stats.Tasks != 5 || stats.Redispatches != 0 {
 				t.Fatalf("clean run dispatched %+v", stats)
 			}
 		})
@@ -90,12 +89,13 @@ const (
 	faultDie     faultMode = iota // exit non-zero mid-stream
 	faultCorrupt                  // write garbage mid-stream, exit zero
 	faultStall                    // stop emitting, hang until killed
+	faultTorn                     // cut the next outcome line in half, exit zero
 )
 
 // faultTransport wraps an in-process worker and injects a fault on chosen
 // dispatches: the worker's true stream is buffered, its header and `after`
-// outcomes are emitted, and then the transport dies, corrupts the stream, or
-// hangs until the coordinator kills it. The outcomes emitted leave out the
+// outcomes are emitted, and then the transport dies, corrupts the stream,
+// tears its last line, or hangs until the coordinator kills it. The outcomes emitted leave out the
 // task's first cell, so the spool has a hole below its last completed
 // position, as a worker pool finishing cells out of order leaves.
 type faultTransport struct {
@@ -125,8 +125,9 @@ func (f *faultTransport) Run(ctx context.Context, task Task, sink io.Writer) err
 	if len(outcomes) > 0 {
 		outcomes = outcomes[1:]
 	}
+	var next []byte
 	if len(outcomes) > f.after {
-		outcomes = outcomes[:f.after]
+		outcomes, next = outcomes[:f.after], outcomes[f.after]
 	}
 	for _, line := range append([][]byte{lines[0]}, outcomes...) {
 		if _, err := sink.Write(line); err != nil {
@@ -138,6 +139,9 @@ func (f *faultTransport) Run(ctx context.Context, task Task, sink io.Writer) err
 		return errors.New("injected worker death")
 	case faultCorrupt:
 		_, err := sink.Write([]byte("ca5cade of garbage bytes, not JSON\n{\"type\":\"outcome\",\"outc"))
+		return err
+	case faultTorn:
+		_, err := sink.Write(next[:len(next)/2])
 		return err
 	default: // faultStall
 		<-ctx.Done()
@@ -188,7 +192,9 @@ func checkFabricIdentity(t *testing.T, src CellSource, fleet []Transport, opts F
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts.SpoolDir = t.TempDir()
+	if opts.SpoolDir == "" {
+		opts.SpoolDir = t.TempDir()
+	}
 	rep, stats, err := RunFabric(context.Background(), src.Len(), fleet, opts)
 	if err != nil {
 		t.Fatalf("fabric: %v (stats %+v)", err, stats)
@@ -199,8 +205,8 @@ func checkFabricIdentity(t *testing.T, src CellSource, fleet []Transport, opts F
 	if rep.Cells != mono.Cells || rep.Consensus != mono.Consensus {
 		t.Fatalf("fabric %d cells / %d consensus, mono %d / %d", rep.Cells, rep.Consensus, mono.Cells, mono.Consensus)
 	}
-	if stats.Resumes != 0 {
-		t.Fatalf("fabric resumed a spool in place: %+v", stats)
+	if stats.Resumes+stats.Seals+stats.Steals+stats.GapTasks != 0 {
+		t.Fatalf("fabric kept part of a failed spool: %+v", stats)
 	}
 	return stats
 }
@@ -236,14 +242,15 @@ func (l ledgerTransport) Run(ctx context.Context, task Task, sink io.Writer) err
 	return err
 }
 
-// TestFabricWorkerDeathResume kills a worker mid-shard and checks that the
-// sweep resumes where the worker died: the cells whose outcomes it
-// delivered are never run again, and every other cell runs exactly once on
-// a surviving worker.
+// TestFabricWorkerDeathResume kills a worker mid-shard and checks how the
+// sweep resumes: the dead worker's shard reruns whole on a surviving worker,
+// so the cells it delivered before dying run exactly twice and every other
+// cell exactly once — a failure costs at most one shard of work.
 func TestFabricWorkerDeathResume(t *testing.T) {
 	for name, src := range fabricSweeps(t) {
 		t.Run(name, func(t *testing.T) {
-			faulty, fired := faultFleet(name, src, faultDie, 3)
+			const after = 3
+			faulty, fired := faultFleet(name, src, faultDie, after)
 			ledger := ledgerTransport{total: src.Len(), mu: &sync.Mutex{}, ran: map[int]int{}}
 			fleet := make([]Transport, len(faulty))
 			for i, tr := range faulty {
@@ -254,44 +261,127 @@ func TestFabricWorkerDeathResume(t *testing.T) {
 			if fired.Load() != 1 {
 				t.Fatalf("%d faults injected, want 1", fired.Load())
 			}
+			twice := 0
 			for g := 0; g < src.Len(); g++ {
-				if ledger.ran[g] != 1 {
-					t.Fatalf("cell %d delivered %d times, want once", g, ledger.ran[g])
+				switch ledger.ran[g] {
+				case 1:
+				case 2:
+					twice++
+				default:
+					t.Fatalf("cell %d delivered %d times, want once or, in the dead shard, twice", g, ledger.ran[g])
+				}
+			}
+			if twice != after {
+				t.Fatalf("%d cells delivered twice, want the %d the dead worker delivered", twice, after)
+			}
+		})
+	}
+}
+
+// specTransport records the spec of every task the fleet is dispatched.
+type specTransport struct {
+	Transport
+	mu    *sync.Mutex
+	specs *[]string
+}
+
+// Run implements Transport.
+func (s specTransport) Run(ctx context.Context, task Task, sink io.Writer) error {
+	s.mu.Lock()
+	*s.specs = append(*s.specs, task.spec())
+	s.mu.Unlock()
+	return s.Transport.Run(ctx, task, sink)
+}
+
+// TestFabricFailedTaskRerunsWhole pins the fabric's one recovery rule: a
+// worker that dies after streaming part of its shard, or whose stream ends
+// in a torn line, costs exactly one redispatch of the same i/n spec. Its
+// spool is discarded, so the streams the merge reads hold every cell exactly
+// once, and the fingerprint is the monolithic one.
+func TestFabricFailedTaskRerunsWhole(t *testing.T) {
+	src, err := StandardSweep(Seeds(1, 2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		mode faultMode
+	}{{"worker death", faultDie}, {"torn last line", faultTorn}} {
+		t.Run(tc.name, func(t *testing.T) {
+			faulty, fired := faultFleet("standard", src, tc.mode, 3)
+			var mu sync.Mutex
+			var specs []string
+			fleet := make([]Transport, len(faulty))
+			for i, tr := range faulty {
+				fleet[i] = specTransport{Transport: tr, mu: &mu, specs: &specs}
+			}
+			dir := t.TempDir()
+			stats := checkFabricIdentity(t, src, fleet, FabricOptions{Shards: 6, SpoolDir: dir})
+			if fired.Load() != 1 || stats.Redispatches != 1 || stats.Tasks != 7 {
+				t.Fatalf("%d faults injected, stats %+v; want 1 fault, 1 redispatch, 7 tasks", fired.Load(), stats)
+			}
+			// Seven dispatches of six distinct shards: one spec went out twice.
+			seen := map[string]bool{}
+			for _, spec := range specs {
+				seen[spec] = true
+			}
+			if len(specs) != 7 || len(seen) != 6 {
+				t.Fatalf("dispatched %v, want the 6 shards with one of them twice", specs)
+			}
+			inputs, err := filepath.Glob(filepath.Join(dir, "*.jsonl"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			in := map[int]int{}
+			for _, path := range inputs {
+				scan, err := scanStreamFile(path)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for g := range scan.done {
+					in[g]++
+				}
+			}
+			if len(inputs) != 6 || len(in) != src.Len() {
+				t.Fatalf("%d merge inputs hold %d cells, want 6 holding %d", len(inputs), len(in), src.Len())
+			}
+			for g, n := range in {
+				if n != 1 {
+					t.Fatalf("cell %d in %d merge inputs", g, n)
 				}
 			}
 		})
 	}
 }
 
-// TestFabricWorkerDeathSealSplit kills a worker mid-shard: its intact
-// prefix must be sealed into the merge set, the hole below it and the
-// unclaimed tail re-dispatched, and the merged fingerprint must not move.
-func TestFabricWorkerDeathSealSplit(t *testing.T) {
+// TestFabricWorkerDeathRedispatch kills a worker mid-shard: its spool must be
+// discarded, its shard dispatched once more, and the merged fingerprint must
+// not move.
+func TestFabricWorkerDeathRedispatch(t *testing.T) {
 	for name, src := range fabricSweeps(t) {
 		t.Run(name, func(t *testing.T) {
 			fleet, _ := faultFleet(name, src, faultDie, 3)
 			stats := checkFabricIdentity(t, src, fleet, FabricOptions{})
-			if stats.Seals < 1 || stats.GapTasks < 1 {
-				t.Fatalf("death recovered without sealing the prefix and back-filling its hole: %+v", stats)
+			if stats.Redispatches != 1 || stats.Tasks != 5 {
+				t.Fatalf("death recovered with %+v, want 1 redispatch of 4 shards", stats)
 			}
 		})
 	}
 }
 
-// TestFabricDoubleFaultLineage kills a worker mid-shard and then the first
-// recovery task dispatched for it: with as many shards as workers, dispatch
-// 5 is that recovery task. The lineage must recover twice and still
-// converge byte-identically.
+// TestFabricDoubleFaultLineage kills a worker mid-shard and then the rerun
+// dispatched for it: with as many shards as workers, dispatch 5 is that
+// rerun. The lineage must be redispatched twice and still converge
+// byte-identically.
 func TestFabricDoubleFaultLineage(t *testing.T) {
 	for name, src := range fabricSweeps(t) {
 		t.Run(name, func(t *testing.T) {
 			fleet, fired := faultFleet(name, src, faultDie, 3, 1, 5)
 			stats := checkFabricIdentity(t, src, fleet, FabricOptions{Shards: 4})
-			t.Logf("stats %+v", stats)
 			if fired.Load() != 2 {
 				t.Fatalf("%d faults injected, want 2 (stats %+v)", fired.Load(), stats)
 			}
-			if stats.Seals+stats.Redispatches != 2 || stats.Seals < 1 {
+			if stats.Redispatches != 2 || stats.Tasks != 6 {
 				t.Fatalf("two faults, recoveries %+v", stats)
 			}
 		})
@@ -300,23 +390,23 @@ func TestFabricDoubleFaultLineage(t *testing.T) {
 
 // TestFabricCorruptStream has a worker exit zero after writing garbage mid-
 // stream — the lying-worker case. The coordinator must detect the torn
-// stream, recover only the missing cells, and still converge.
+// stream, rerun the shard, and still converge.
 func TestFabricCorruptStream(t *testing.T) {
 	for name, src := range fabricSweeps(t) {
 		t.Run(name, func(t *testing.T) {
 			fleet, _ := faultFleet(name, src, faultCorrupt, 3)
 			stats := checkFabricIdentity(t, src, fleet, FabricOptions{})
-			if stats.Seals < 1 {
-				t.Fatalf("corrupt stream's intact prefix was not sealed: %+v", stats)
+			if stats.Redispatches != 1 {
+				t.Fatalf("corrupt stream recovered with %+v, want 1 redispatch", stats)
 			}
 		})
 	}
 }
 
-// TestFabricStallSteal stalls a worker holding half the sweep: the
-// heartbeat must kill it and re-spec the unclaimed tail as sub-shards dealt
-// to the idle workers (the work-stealing path), converging byte-identically.
-func TestFabricStallSteal(t *testing.T) {
+// TestFabricStallRedispatch stalls a worker holding half the sweep: the
+// heartbeat must kill it and its shard must rerun on a free worker,
+// converging byte-identically.
+func TestFabricStallRedispatch(t *testing.T) {
 	for name, src := range fabricSweeps(t) {
 		t.Run(name, func(t *testing.T) {
 			fleet, _ := faultFleet(name, src, faultStall, 3)
@@ -324,11 +414,8 @@ func TestFabricStallSteal(t *testing.T) {
 				Shards:    2,
 				Heartbeat: 150 * time.Millisecond,
 			})
-			if stats.Steals < 1 || stats.SubShards < 2 {
-				t.Fatalf("stall did not trigger a tail steal: %+v", stats)
-			}
-			if stats.Seals < 1 {
-				t.Fatalf("stalled worker's prefix was discarded, not sealed: %+v", stats)
+			if stats.Redispatches != 1 || stats.Tasks != 3 {
+				t.Fatalf("stall recovered with %+v, want 1 redispatch of 2 shards", stats)
 			}
 		})
 	}
@@ -336,8 +423,8 @@ func TestFabricStallSteal(t *testing.T) {
 
 // TestFabricProgress pins what FabricOptions.Progress reports: spooled plus
 // in-flight cells, never outside [0, total]. A clean run only counts up and
-// ends at (total, total); a killed worker's spool is sealed or dropped, so
-// the count may step back but must stay in range.
+// ends at (total, total); a killed worker's spool is dropped, so the count
+// may step back but must stay in range.
 func TestFabricProgress(t *testing.T) {
 	src, err := StandardSweep(Seeds(1, 1))
 	if err != nil {
@@ -436,69 +523,6 @@ type subsetCapSource struct {
 func (s *subsetCapSource) Len() int        { return s.n }
 func (s *subsetCapSource) Index(i int) int { return i }
 func (s *subsetCapSource) Cell(i int) Cell { return s.base.Cell(i) }
-
-// TestSealStreamFile pins the seal primitive: a torn spool (header, some
-// outcomes, torn final line) becomes a valid partial stream whose header
-// ShardCells matches the surviving outcomes, and merging it with a stream
-// of the missing cells reproduces the monolithic fingerprint.
-func TestSealStreamFile(t *testing.T) {
-	src, err := StandardSweep(Seeds(1, 1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	mono, err := Run(src, Options{Parallelism: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	dir := t.TempDir()
-	spool := filepath.Join(dir, "torn.jsonl")
-	span := Span{Shard: Shard{Index: 1, Count: 2}}
-	hdr := StreamHeader{Name: "seal", TotalCells: src.Len(), Shard: span.String()}
-	if _, err := RunStreamFile(spool, slice(t, src, Task{Span: span}), Options{Parallelism: 1}, hdr); err != nil {
-		t.Fatal(err)
-	}
-	truncateStream(t, spool, 4) // drop trailer + 3 outcomes
-	raw, err := os.ReadFile(spool)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Tear the final line too: seals must drop partial writes.
-	if err := os.WriteFile(spool, raw[:len(raw)-7], 0o644); err != nil {
-		t.Fatal(err)
-	}
-	kept, err := sealStreamFile(spool)
-	if err != nil {
-		t.Fatal(err)
-	}
-	scan, err := scanStreamFile(spool)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if scan.trailer == nil || scan.header.ShardCells != kept || scan.trailer.CellsRun != kept || len(scan.done) != kept {
-		t.Fatalf("sealed stream inconsistent: kept %d, header %d, trailer %v, done %d",
-			kept, scan.header.ShardCells, scan.trailer, len(scan.done))
-	}
-	// Complete the sweep with the cells the sealed stream no longer claims.
-	var missing []int
-	for g := 0; g < src.Len(); g++ {
-		if !scan.done[g] {
-			missing = append(missing, g)
-		}
-	}
-	rest := filepath.Join(dir, "rest.jsonl")
-	part := slice(t, src, Task{Cells: missing})
-	restHdr := StreamHeader{Name: "seal", TotalCells: src.Len(), Shard: "cells:" + FormatCellList(missing)}
-	if _, err := RunStreamFile(rest, part, Options{Parallelism: 1}, restHdr); err != nil {
-		t.Fatal(err)
-	}
-	merged, err := MergeFilesWith(MergeOptions{}, spool, rest)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if merged.Fingerprint() != mono.Fingerprint() {
-		t.Fatalf("sealed+gap merge fingerprint %s != mono %s", merged.Fingerprint(), mono.Fingerprint())
-	}
-}
 
 // blockingTransport parks its worker until the dispatch context is
 // cancelled, counting live workers — the stand-in for a hung fleet.

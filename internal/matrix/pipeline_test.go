@@ -70,7 +70,7 @@ func TestSourceMatchesExpand(t *testing.T) {
 					want = append(want, c)
 				}
 			}
-			got := slice(t, src, Task{Span: Span{Shard: sh}})
+			got := slice(t, src, Task{Shard: sh})
 			if got.Len() != len(want) {
 				t.Fatalf("shard %s: lazy %d cells, nested loops %d", sh, got.Len(), len(want))
 			}
@@ -187,7 +187,7 @@ func runAllModes(t *testing.T, name string, src CellSource) {
 	for i := 1; i <= 3; i++ {
 		sh := Shard{Index: i, Count: 3}
 		path := filepath.Join(dir, fmt.Sprintf("shard%d.jsonl", i))
-		if _, err := RunStreamFile(path, slice(t, src, Task{Span: Span{Shard: sh}}), Options{Parallelism: 2}, StreamHeader{
+		if _, err := RunStreamFile(path, slice(t, src, Task{Shard: sh}), Options{Parallelism: 2}, StreamHeader{
 			Name: name, TotalCells: src.Len(), Shard: sh.String(),
 		}); err != nil {
 			t.Fatal(err)
@@ -213,7 +213,7 @@ func runAllModes(t *testing.T, name string, src CellSource) {
 	// Resumed: truncate shard 1 (trailer plus one outcome) and complete it;
 	// the merge must still reproduce the monolithic fingerprint.
 	sh := Shard{Index: 1, Count: 3}
-	part := slice(t, src, Task{Span: Span{Shard: sh}})
+	part := slice(t, src, Task{Shard: sh})
 	truncateStream(t, paths[0], 2)
 	tr, skipped, err := ResumeStreamFile(paths[0], part, Options{Parallelism: 2}, StreamHeader{
 		Name: name, TotalCells: src.Len(), Shard: sh.String(),
@@ -270,7 +270,7 @@ func TestFingerprintIdentityExtendedKOSR(t *testing.T) {
 func TestResumeEdgeCases(t *testing.T) {
 	cells := testCells(t)
 	sh := Shard{Index: 1, Count: 2}
-	part := slice(t, CellList(cells), Task{Span: Span{Shard: sh}})
+	part := slice(t, CellList(cells), Task{Shard: sh})
 	hdr := StreamHeader{Name: "stream-test", TotalCells: len(cells), Shard: sh.String()}
 	path := filepath.Join(t.TempDir(), "shard.jsonl")
 

@@ -14,7 +14,7 @@ import (
 // crash mid-write). ResumeStreamFile re-derives the work left: it scans the
 // file, verifies the header matches the sweep being resumed, truncates any
 // torn tail, runs only the cell positions the stream is missing, appends
-// their outcomes, and seals the stream with a trailer covering old and new
+// their outcomes, and closes the stream with a trailer covering old and new
 // cells alike. The resumed file is indistinguishable from an uninterrupted
 // shard run to Merge — same records, same trailer invariants, same merged
 // fingerprint.
@@ -23,7 +23,7 @@ import (
 // (header, trailer — nil when the stream is truncated — and the offset just
 // past the last intact record, the truncation point for appending) plus the
 // global cell indices present and their trailer counts, which seed the
-// writer that appends to or seals the stream.
+// writer that appends to the stream.
 type streamScan struct {
 	*recordReader
 	done   map[int]bool

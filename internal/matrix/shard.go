@@ -11,7 +11,8 @@ import (
 // by global cell index, so shards are balanced regardless of which axes
 // expand, and the same (sweep, shard spec) always yields the same cells —
 // shards can run on different machines at different times and still merge
-// into the monolithic report.
+// into the monolithic report. A shard is also the fabric's unit of work:
+// each dispatch runs one, and a failed one runs again whole.
 type Shard struct {
 	// Index is the 1-based shard number.
 	Index int
@@ -42,3 +43,25 @@ func (s Shard) String() string { return fmt.Sprintf("%d/%d", s.Index, s.Count) }
 
 // IsAll reports whether the shard covers the whole sweep.
 func (s Shard) IsAll() bool { return s.Count <= 1 }
+
+// Owns reports whether global cell index g belongs to the shard.
+func (s Shard) Owns(g int) bool { return g%s.Count == s.Index-1 }
+
+// Len is the number of cells the shard holds in a sweep of total cells. It
+// never overflows, whatever the shard's count.
+func (s Shard) Len(total int) int {
+	if s.Index > total {
+		return 0
+	}
+	return (total-s.Index)/s.Count + 1
+}
+
+// Globals lists the shard's global cell indices in ascending order (the
+// coordinator's expected-coverage set).
+func (s Shard) Globals(total int) []int {
+	out := make([]int, s.Len(total))
+	for i := range out {
+		out[i] = s.Index - 1 + i*s.Count
+	}
+	return out
+}

@@ -74,7 +74,7 @@ func (m paramsMap) Index(i int) int { return i }
 func (m paramsMap) Cell(i int) Cell { return Cell{Index: i, Params: m.params(i)} }
 
 // indexMap is a slice of a base source: position i is base position at(i),
-// global index kept. A span, an -only list and a resume's missing positions
+// global index kept. A shard, an -only list and a resume's missing positions
 // are each one.
 type indexMap struct {
 	base CellSource

@@ -36,8 +36,8 @@ type StreamHeader struct {
 	Name string `json:"name"`
 	// TotalCells is the size of the whole sweep (not of this shard).
 	TotalCells int `json:"total_cells"`
-	// Shard names the slice this stream ran: a span "i/n[@t]" ("1/1" for the
-	// whole sweep) or the fabric's gap list "cells:a,b,c". Merge routes the
+	// Shard names the slice this stream ran: a shard "i/n" ("1/1" for the
+	// whole sweep) or an -only list "cells:a,b,c". Merge routes the
 	// stream by it and refuses a stream whose header names none.
 	Shard string `json:"shard"`
 	// ShardCells is how many cells this shard contains.
@@ -80,8 +80,8 @@ type streamRecord struct {
 // streamWriter is the one encoder of stream records. It flushes every record
 // as its line completes, so a concurrent tail (or a crash post-mortem) sees
 // every completed cell, and it keeps the trailer's running counts. RunStream
-// writes a whole stream through it; ResumeStreamFile and sealStreamFile seed
-// its counts with their scan's.
+// writes a whole stream through it; ResumeStreamFile seeds its counts with
+// its scan's.
 type streamWriter struct {
 	bw  *bufio.Writer
 	enc *json.Encoder
@@ -169,15 +169,15 @@ func RunStreamFile(path string, src CellSource, opts Options, hdr StreamHeader) 
 }
 
 // recordReader is the one decoder of stream records: the merge's cursors,
-// resume and seal (through scanStreamFile) and the fabric coordinator's
+// resume (through scanStreamFile) and the fabric coordinator's
 // coverage check all read through it. It reads line by line, tracks the byte
 // offset just past the last intact record, and enforces the record order: the
 // header first and once, no outcome after the trailer, no cell index twice.
 // Damage an interrupted write leaves behind an intact header — a final line
 // without its newline, an unparseable line, an unknown or empty record — comes
 // back as a tornError; anything else that breaks the format is malformed.
-// Resume and seal cut a torn stream at offset and refuse a malformed one; the
-// merge refuses both.
+// Resume cuts a torn stream at offset and refuses a malformed one; the merge
+// and the coordinator refuse both.
 type recordReader struct {
 	br      *bufio.Reader
 	header  *StreamHeader
@@ -185,9 +185,8 @@ type recordReader struct {
 	// seen reports whether the stream already carried a cell index: the
 	// scan's done set, or the merge cursor's pending buffer.
 	seen func(int) bool
-	// offset is the byte offset just past the last intact record, headerEnd
-	// the one just past the header.
-	offset, headerEnd int64
+	// offset is the byte offset just past the last intact record.
+	offset int64
 	// outcomes counts the outcome records read.
 	outcomes int
 }
@@ -235,7 +234,6 @@ func (r *recordReader) next() (*Outcome, error) {
 			return nil, damaged("empty header record")
 		}
 		r.header = rec.Header
-		r.headerEnd = r.offset + int64(len(line))
 	case "outcome":
 		switch {
 		case r.header == nil:
@@ -365,11 +363,11 @@ type mergeStats struct {
 //
 // The merge is incremental: cells are folded into an Aggregator in global
 // index order, and each cell is read only from the streams whose header names
-// a slice that owns it — a span "i/n[@t]" or the fabric's gap list
-// "cells:a,b,c". So beyond the merged report itself only each stream's
-// out-of-order window is buffered: O(streams × per-shard parallelism) for
-// everything RunStream writes, plus a resumed shard's appended-tail window. A
-// stream whose header names no slice is refused.
+// a slice that owns it — a shard "i/n" or an -only list "cells:a,b,c". So
+// beyond the merged report itself only each stream's out-of-order window is
+// buffered: O(streams × per-shard parallelism) for everything RunStream
+// writes, plus a resumed shard's appended-tail window. A stream whose header
+// names no slice is refused.
 func Merge(opts MergeOptions, readers ...io.Reader) (*Report, error) {
 	rep, _, err := merge(opts, readers...)
 	return rep, err

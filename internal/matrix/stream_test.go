@@ -97,7 +97,7 @@ func TestMergeShardRoutingBoundedBuffer(t *testing.T) {
 	for i := 1; i <= 3; i++ {
 		sh := Shard{Index: i, Count: 3}
 		path := filepath.Join(dir, fmt.Sprintf("shard%d.jsonl", i))
-		if _, err := RunStreamFile(path, slice(t, src, Task{Span: Span{Shard: sh}}), Options{Parallelism: 1}, StreamHeader{
+		if _, err := RunStreamFile(path, slice(t, src, Task{Shard: sh}), Options{Parallelism: 1}, StreamHeader{
 			Name: "routed", TotalCells: n, Shard: sh.String(),
 		}); err != nil {
 			t.Fatal(err)
@@ -141,7 +141,7 @@ func shardStreams(t *testing.T, cells []Cell, n int) []*bytes.Buffer {
 	for i := 1; i <= n; i++ {
 		sh := Shard{Index: i, Count: n}
 		buf := &bytes.Buffer{}
-		part := slice(t, CellList(cells), Task{Span: Span{Shard: sh}})
+		part := slice(t, CellList(cells), Task{Shard: sh})
 		tr, err := RunStream(part, Options{Parallelism: 2}, buf, StreamHeader{
 			Name:       "stream-test",
 			TotalCells: len(cells),
@@ -219,7 +219,7 @@ func TestShardPartition(t *testing.T) {
 	seen := make(map[int]string)
 	for i := 1; i <= 3; i++ {
 		sh := Shard{Index: i, Count: 3}
-		for _, c := range Materialize(slice(t, CellList(cells), Task{Span: Span{Shard: sh}})) {
+		for _, c := range Materialize(slice(t, CellList(cells), Task{Shard: sh})) {
 			if prev, dup := seen[c.Index]; dup {
 				t.Fatalf("cell %d in shards %s and %s", c.Index, prev, sh)
 			}

@@ -25,8 +25,8 @@
 //
 // An inbound stream that opens with anything else — no decodable hello, an ID
 // outside Config.Peers, this node's own ID, an ID that should be accepting
-// our dial instead — or that later announces a frame over the limit is closed
-// and counted in Rejected. The hello is not authenticated. What a forged one
+// our dial instead — whose hello does not arrive within helloTimeout, or that
+// later announces a frame over the limit is closed and counted in Rejected. The hello is not authenticated. What a forged one
 // buys is what a lossy link already could do: frames attributed to the
 // claimed ID (protocol messages are signed, so they fail upstream exactly as
 // they did when each direction had a stream of its own), and, new with the
@@ -66,6 +66,7 @@ import (
 	"fmt"
 	"math/rand"
 	"net"
+	"os"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -242,6 +243,11 @@ const queueLen = 1024
 // wait after a failed dial, which doubles up to 64x.
 const redialBackoff = 5 * time.Millisecond
 
+// helloTimeout is how long an accepted stream may take to deliver its hello.
+// A dialer that stays silent longer is closed and counted in Rejected, so it
+// cannot hold a reader goroutine and its buffer until shutdown.
+const helloTimeout = 3 * time.Second
+
 // Config parameterizes one Node.
 type Config struct {
 	// ID is this node's process identity (sent in the hello frame).
@@ -392,7 +398,8 @@ func (n *Node) Dropped() int64 { return n.dropped.Load() }
 
 // Rejected returns how many streams this node has closed so far for what
 // they carried: a first frame that is not a hello (one announcing more
-// bytes than a uvarint ID takes included), a hello claiming an ID
+// bytes than a uvarint ID takes included) or that does not arrive within
+// helloTimeout, a hello claiming an ID
 // that may not dial this node (outside Config.Peers, its own, or one it
 // dials itself), or a length prefix that is malformed or over MaxFrame. A
 // stream that merely ends, even mid-frame, is a disconnect and not counted.
@@ -418,9 +425,10 @@ func (n *Node) Serve(ln net.Listener) {
 
 // ServeConn adopts one inbound connection: it reads the hello frame to learn
 // which peer dialed, hands the connection to that peer's writer and feeds
-// every payload frame to the reactor. The connection is closed when the
-// stream errors, a later stream from the same peer displaces it, or the
-// node's context ends. Must be called after Start.
+// every payload frame to the reactor. The connection is closed when its
+// hello is refused or not read within helloTimeout, the stream errors, a
+// later stream from the same peer displaces it, or the node's context ends.
+// Must be called after Start.
 func (n *Node) ServeConn(c net.Conn) {
 	n.wg.Add(1)
 	go func() {
@@ -428,11 +436,13 @@ func (n *Node) ServeConn(c net.Conn) {
 		defer c.Close()
 		stop := context.AfterFunc(n.ctx, func() { c.Close() })
 		defer stop()
+		c.SetReadDeadline(time.Now().Add(helloTimeout))
 		br := bufio.NewReader(c)
 		p := n.readHello(br)
 		if p == nil {
 			return
 		}
+		c.SetReadDeadline(time.Time{})
 		gen, displaced := p.up(c)
 		if displaced != nil {
 			displaced.Close()
@@ -478,9 +488,10 @@ func (n *Node) readFrames(br *bufio.Reader, from model.ID) {
 }
 
 // countViolation counts a read error in Rejected when it is the peer's
-// bytes, not the connection, that were at fault.
+// bytes, not the connection, that were at fault: a hello that did not arrive
+// in time included (only the hello is read under a deadline).
 func (n *Node) countViolation(err error) {
-	if errors.Is(err, ErrFrameTooLarge) || errors.Is(err, errVarintOverflow) {
+	if errors.Is(err, ErrFrameTooLarge) || errors.Is(err, errVarintOverflow) || errors.Is(err, os.ErrDeadlineExceeded) {
 		n.rejected.Add(1)
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/binary"
+	"io"
 	"net"
 	"runtime"
 	"sync"
@@ -333,6 +334,70 @@ func TestAdversarialInboundStreams(t *testing.T) {
 	if n.Dropped() != 0 {
 		t.Fatalf("Dropped() = %d, want 0", n.Dropped())
 	}
+}
+
+// TestSilentDialerRejected opens streams that never send their hello: once
+// helloTimeout passes, each must be closed, counted in Rejected, and its
+// serving goroutines gone. A peer whose hello did arrive keeps its stream
+// past the timeout: the deadline covers the hello only.
+func TestSilentDialerRejected(t *testing.T) {
+	r := &pingReactor{got: make(chan recvd, 4)}
+	n := NewNode(Config{ID: 9, Peers: []model.ID{2, 9}}, r)
+	n.Start(context.Background())
+	defer n.Stop()
+
+	good, server := net.Pipe()
+	defer good.Close()
+	n.ServeConn(server)
+	var frame bytes.Buffer
+	WriteFrame(&frame, encodeHello(2))
+	if _, err := good.Write(frame.Bytes()); err != nil {
+		t.Fatal(err)
+	}
+	eventually(t, "the good stream to be adopted", nil, func() bool {
+		_, up := streamState(n.peers[2])
+		return up
+	})
+
+	base := runtime.NumGoroutine()
+	start := time.Now()
+	const silent = 8
+	closed := make(chan error, silent)
+	for i := 0; i < silent; i++ {
+		client, server := net.Pipe()
+		defer client.Close()
+		n.ServeConn(server)
+		go func() {
+			_, err := client.Read(make([]byte, 1))
+			closed <- err
+		}()
+	}
+	for i := 0; i < silent; i++ {
+		select {
+		case err := <-closed:
+			if err != io.EOF {
+				t.Fatalf("silent stream ended with %v, want the node to close it", err)
+			}
+		case <-time.After(helloTimeout + 10*time.Second):
+			t.Fatalf("%d silent streams still open %v after the hello timeout", silent-i, 10*time.Second)
+		}
+	}
+	if waited := time.Since(start); waited < helloTimeout {
+		t.Fatalf("silent streams closed after %v, before the %v hello timeout", waited, helloTimeout)
+	}
+	if got := n.Rejected(); got != silent {
+		t.Fatalf("Rejected() = %d, want %d", got, silent)
+	}
+	eventually(t, "the silent streams' goroutines to exit", nil, func() bool {
+		return runtime.NumGoroutine() <= base
+	})
+
+	frame.Reset()
+	WriteFrame(&frame, []byte("past the hello timeout"))
+	if _, err := good.Write(frame.Bytes()); err != nil {
+		t.Fatal(err)
+	}
+	waitRecv(t, r.got, recvd{2, "past the hello timeout"})
 }
 
 // TestSenderReconnects cuts a live stream, from the dialing node's end and

@@ -135,11 +135,7 @@ func (s *stack) zoo(id model.ID, bspec ByzSpec, colluder *byz.Colluder) rt.React
 		if alt == nil {
 			alt = model.NewIDSet()
 		}
-		var choose func(model.ID) bool
-		if bspec.AltRecipients != nil {
-			choose = bspec.AltRecipients.Has
-		}
-		return byz.NewPDEquivocator(signer, s.reg, resolveClaim(s.c, id, bspec), alt, choose, s.disc)
+		return byz.NewPDEquivocator(signer, s.reg, resolveClaim(s.c, id, bspec), alt, s.disc)
 	case ByzDelay:
 		return byz.NewDelayer(signer, s.reg, resolveClaim(s.c, id, bspec), s.disc, bspec.HoldRounds)
 	case ByzSelectiveSilent:

@@ -237,8 +237,8 @@ func (p Params) CompileKey() string {
 	}
 	for _, id := range sortedIDs(p.Byz) {
 		bs := p.Byz[id]
-		fmt.Fprintf(&sb, "|byz%d=%d;%s;%s;%s;%d;%s;%s", uint64(id), int(bs.Kind),
-			setKey(bs.ClaimedPD), setKey(bs.AltPD), setKey(bs.AltRecipients),
+		fmt.Fprintf(&sb, "|byz%d=%d;%s;%s;%d;%s;%s", uint64(id), int(bs.Kind),
+			setKey(bs.ClaimedPD), setKey(bs.AltPD),
 			bs.HoldRounds, setKey(bs.AnswerTo), setKey(bs.Withhold))
 	}
 	for _, id := range sortedIDs(p.Values) {

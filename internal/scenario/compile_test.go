@@ -212,7 +212,7 @@ func TestCompileRejectsStrayProcessIDs(t *testing.T) {
 		{name: "stray silent", byz: map[model.ID]ByzSpec{99: {Kind: ByzSilent}}, want: "byzantine process p99 not in graph"},
 		{name: "stray among nodes", byz: map[model.ID]ByzSpec{4: {Kind: ByzSilent}, 9: {Kind: ByzFakePD}}, want: "byzantine process p9 not in graph"},
 		{name: "stray owner of behaviour fields", byz: map[model.ID]ByzSpec{
-			12: {Kind: ByzSelectiveSilent, AnswerTo: model.NewIDSet(1, 2), Withhold: model.NewIDSet(3), AltRecipients: model.NewIDSet(4), ClaimedPD: model.NewIDSet(1)},
+			12: {Kind: ByzSelectiveSilent, AnswerTo: model.NewIDSet(1, 2), Withhold: model.NewIDSet(3), ClaimedPD: model.NewIDSet(1)},
 		}, want: "byzantine process p12 not in graph"},
 		{name: "stray as-correct", byz: map[model.ID]ByzSpec{0: {Kind: ByzAsCorrect}}, want: "byzantine process p0 not in graph"},
 		{name: "stray value", values: map[model.ID]model.Value{99: model.Value("x")}, want: "proposal of process p99 not in graph"},

@@ -66,11 +66,8 @@ type ByzSpec struct {
 	// content) and ForgedClaim for ByzFakePD / ByzEquivPD / ByzCollude
 	// (claiming the truth would make the "fake" PD a no-op).
 	ClaimedPD model.IDSet
-	// AltPD is record B for ByzEquivPD.
+	// AltPD is record B for ByzEquivPD, which even-numbered peers receive.
 	AltPD model.IDSet
-	// AltRecipients is the peer set that receives AltPD under ByzEquivPD
-	// (nil: the even-ID default).
-	AltRecipients model.IDSet
 	// HoldRounds is how many discovery periods ByzDelay holds each reply
 	// (values < 1 are floored to 1).
 	HoldRounds int

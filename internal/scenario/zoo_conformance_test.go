@@ -172,45 +172,6 @@ func TestFakePDNilClaimAdvertisesForgery(t *testing.T) {
 	}
 }
 
-// TestAltRecipientsInCompileKey is the regression test for the invisible-
-// chooser bug: two cells differing only in the equivocation recipient set
-// must not share a compile cache entry, while recipient-set order must not
-// split one. The behavioral half asserts the recipient set actually steers
-// the run (different sets, different traces).
-func TestAltRecipientsInCompileKey(t *testing.T) {
-	base := func(recipients []model.ID) Params {
-		return Params{
-			Graph: graph.Def{Kind: graph.DefFigure, Figure: "fig1b"},
-			Mode:  core.ModeKnownF,
-			F:     -1,
-			Byz: map[model.ID]ByzSpec{
-				4: {Kind: ByzEquivPD, ClaimedPD: model.NewIDSet(1, 2, 3), AltPD: model.NewIDSet(1, 2), AltRecipients: model.NewIDSet(recipients...)},
-			},
-			Net:     NetParams{Kind: NetSync},
-			Horizon: 10 * sim.Second,
-			Seed:    7,
-		}
-	}
-	a, b := base([]model.ID{1, 3}), base([]model.ID{2, 6})
-	if a.CompileKey() == b.CompileKey() {
-		t.Fatal("different AltRecipients share a CompileKey — the compile cache would replay the wrong equivocation")
-	}
-	if reordered := base([]model.ID{3, 1}); a.CompileKey() != reordered.CompileKey() {
-		t.Fatal("recipient-set order split the CompileKey")
-	}
-	run := func(t *testing.T, p Params) string {
-		t.Helper()
-		res, err := runTraced(p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res.TraceDigest
-	}
-	if run(t, a) == run(t, b) {
-		t.Fatal("different AltRecipients produced identical traces — the set is not reaching the equivocator")
-	}
-}
-
 // TestPlaceWorstMatchesSearch asserts the byz=worst axis value resolves to
 // exactly the subset the placement search reports, and that the resulting
 // cells carry the behavior on those processes.
