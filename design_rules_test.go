@@ -173,6 +173,8 @@ var designRules = []rule{
 		match: []match{names(`outcomePrefix|MaxAttempts|RetryBackoff|Backoffs|retry-backoff`)}},
 	{name: "NetrtKnobs", since: "95ff158", files: scope{tests: true, in: []string{"internal/", "cmd/"}},
 		match: []match{names(`QueueLen|RedialBackoff|timerRef|trackTimer`)}},
+	{name: "WholeTaskRecovery", since: "8ddedb2", files: scope{tests: true, in: []string{"internal/", "cmd/"}},
+		match: []match{names(`sealStreamFile|ParseSpan|SubShards|ownsAll`)}},
 	{name: "GraphDefSpelling", since: "4ccdf8d", files: scope{in: []string{"cmd/"}},
 		match: []match{ref(mod+"/internal/graph", "Def{}"), ref(mod+"/internal/graph", "DefKOSR"), ref(mod+"/internal/graph", "DefExtended")}},
 
@@ -287,6 +289,12 @@ var ruleCases = []ruleCase{
 		"package netrt\ntype Config struct{ QueueLen int }", "QueueLen"},
 	{"NetrtKnobs", "the queueLen constant", "internal/netrt/config.go",
 		"package netrt\nconst queueLen = 1024", ""},
+	{"WholeTaskRecovery", "a seal of a failed spool", "internal/matrix/seal.go",
+		"package matrix\nfunc sealStreamFile(path string) (int, error) { return 0, nil }", "sealStreamFile"},
+	{"WholeTaskRecovery", "sweepd printing split counts", "cmd/sweepd/stats.go",
+		"package main\nimport \"github.com/bftcup/bftcup/internal/matrix\"\nfunc subs(s matrix.FabricStats) int { return s.SubShards }", "SubShards"},
+	{"WholeTaskRecovery", "the retry rule and the kept counters", "internal/matrix/retry2.go",
+		"package matrix\nfunc rerun(s FabricStats, t Task) (Task, int) { return t, s.Seals + s.Steals + s.GapTasks }", ""},
 	{"GraphDefSpelling", "graphgen's flag spelling of a kosr def", "cmd/graphgen/main.go",
 		"package main\nimport \"github.com/bftcup/bftcup/internal/graph\"\nfunc kosr(k int) graph.Def { return graph.Def{Kind: graph.DefKOSR, K: k} }", "internal/graph.Def{}"},
 	{"GraphDefSpelling", "a def parsed from its string", "cmd/graphgen/main.go",

@@ -48,10 +48,10 @@ type FabricStats struct {
 }
 
 // The retry policy: a task lineage (the original dispatch plus every rerun
-// of it) gets maxAttempts dispatches before the
-// sweep aborts, and each redispatch waits a jittered backoff that doubles
-// from retryBase (see retryDelay). Without the backoff a worker that dies on
-// startup would burn the lineage's budget in milliseconds.
+// of it) gets maxAttempts dispatches before the sweep aborts, and each
+// redispatch waits a jittered backoff that doubles from retryBase (see
+// retryDelay). Without the backoff a worker that dies on startup would burn
+// the lineage's budget in milliseconds.
 const (
 	maxAttempts = 5
 	retryBase   = 50 * time.Millisecond
@@ -76,10 +76,9 @@ type exitEvent struct {
 // RunFabric executes a sweep of total cells across the fleet and merges the
 // workers' streams into the monolithic report: the fingerprint is
 // byte-identical to a single-process Run of the same sweep, including under
-// worker death, torn streams and stalls. Memory
-// on the coordinator is O(workers × parallelism + axes): each worker's
-// stream spools to disk as it arrives and the final fold is the cursor-based
-// streaming Merge. The stats describe the recovery work the run needed.
+// worker death, torn streams and stalls. Memory on the coordinator is
+// O(workers × parallelism + axes): each worker's stream spools to disk as it
+// arrives and the final fold is the cursor-based streaming Merge. The stats describe the recovery work the run needed.
 //
 // Cancelling ctx aborts the sweep: every in-flight dispatch context is
 // cancelled (transports must kill their worker and return), the queue is

@@ -26,14 +26,15 @@
 // An inbound stream that opens with anything else — no decodable hello, an ID
 // outside Config.Peers, this node's own ID, an ID that should be accepting
 // our dial instead — whose hello does not arrive within helloTimeout, or that
-// later announces a frame over the limit is closed and counted in Rejected. The hello is not authenticated. What a forged one
-// buys is what a lossy link already could do: frames attributed to the
-// claimed ID (protocol messages are signed, so they fail upstream exactly as
-// they did when each direction had a stream of its own), and, new with the
-// shared stream, this node's frames for that ID going to the forger until the
-// real peer — whose displaced connection was closed under it — redials and
-// displaces the forger in turn. That is message loss, which the
-// fire-and-forget contract already allows; it is not impersonation.
+// later announces a frame over the limit is closed and counted in Rejected.
+// The hello is not authenticated. What a forged one buys is what a lossy
+// link already could do: frames attributed to the claimed ID (protocol
+// messages are signed, so they fail upstream exactly as they did when each
+// direction had a stream of its own), and, new with the shared stream, this
+// node's frames for that ID going to the forger until the real peer — whose
+// displaced connection was closed under it — redials and displaces the
+// forger in turn. That is message loss, which the fire-and-forget contract
+// already allows; it is not impersonation.
 //
 // What netrt may and may not reorder: frames on one healthy stream arrive in
 // send order (TCP), but a reconnect drops whatever was in flight — so
