@@ -11,9 +11,7 @@
 //	experiments -matrix [-seeds 1:10] [-parallel N] [-json]      standard sweep (240 cells at 10 seeds)
 //	experiments -matrix -chaos [-seeds 1:3]                      chaos degradation sweep (loss × partition × churn × f)
 //	experiments -matrix -compare                                 serial-vs-parallel: identical reports + speedup
-//	experiments -matrix -shard 2/3 -jsonl part2.jsonl            run one shard, streaming per-cell JSONL
-//	experiments -matrix -shard 2/3 -jsonl part2.jsonl -resume    complete an interrupted shard stream
-//	experiments -matrix -only 4,17,23 -jsonl cells.jsonl         run explicit global cell indices
+//	experiments -matrix -shard 2/3 -jsonl part2.jsonl            run one shard, streaming per-cell JSONL (rerun it if it stops short)
 //	experiments -merge part1.jsonl part2.jsonl part3.jsonl       reconstruct the aggregate report from shards
 //	experiments -merge -summary part*.jsonl                      constant-memory merge (aggregates only)
 //
@@ -112,8 +110,8 @@ func runMerge(paths []string, jsonOut, cellRows, summary bool) {
 	}
 }
 
-// runMatrix executes a named sweep: whole, or the -shard/-only slice,
-// streamed to JSONL (fresh or resumed) with -jsonl, else into a report. The
+// runMatrix executes a named sweep: whole, or the -shard slice, streamed to
+// JSONL with -jsonl, else into a report. The
 // sweep is a lazy cell source end to end — nothing materializes the cell
 // list, so seed ranges in the millions are fine.
 func runMatrix(sf *matrix.SweepFlags, adversary, probabilistic, chaos, trace, cellRows, compare bool) {
@@ -128,8 +126,8 @@ func runMatrix(sf *matrix.SweepFlags, adversary, probabilistic, chaos, trace, ce
 	if picked > 1 {
 		fail(fmt.Errorf("-adversary, -probabilistic and -chaos select different sweeps; pick one"))
 	}
-	if compare && (sf.Shard != "" || sf.Only != "" || sf.JSONL != "" || sf.Resume) {
-		fail(fmt.Errorf("-compare runs the whole sweep twice; it cannot be combined with -shard, -only, -jsonl or -resume"))
+	if compare && (sf.Shard != "" || sf.JSONL != "") {
+		fail(fmt.Errorf("-compare runs the whole sweep twice; it cannot be combined with -shard or -jsonl"))
 	}
 	src, name, err := matrix.NamedSweep(sweepName, sf.Seeds)
 	if err != nil {

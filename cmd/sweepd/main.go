@@ -7,8 +7,8 @@
 //
 // The default fleet is local subprocesses of sweepd itself in -worker mode;
 // -ssh swaps in remote workers over ssh. The worker protocol is the shared
-// sweep flag set (matrix.BindSweepFlags: -shard/-only/-jsonl/-resume), so
-// experiments -matrix and cupsim sweeps speak it too.
+// sweep flag set (matrix.BindSweepFlags: -shard/-jsonl), so experiments
+// -matrix and cupsim sweeps speak it too.
 //
 // Usage:
 //

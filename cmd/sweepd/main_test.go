@@ -48,7 +48,6 @@ func TestWorkerArgvRoundTrip(t *testing.T) {
 			{Shard: matrix.Shard{Index: 1, Count: 1}},
 			{Shard: matrix.Shard{Index: 3, Count: 4}},
 			{Shard: matrix.Shard{Index: 2, Count: 8}},
-			{Cells: []int{0, 5, 11}},
 		} {
 			w := parse(t, append(append([]string{}, base...), task.WorkerArgs("-")...))
 			if !w.worker {
@@ -66,9 +65,9 @@ func TestWorkerArgvRoundTrip(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !reflect.DeepEqual(got, task) || job.Path != "-" || job.Resume || job.Opts.Parallelism != coord.sweep.Parallel {
-				t.Fatalf("%q: task %+v reaches the worker as %+v (jsonl %q, resume %t, parallel %d)",
-					argv, task, got, job.Path, job.Resume, job.Opts.Parallelism)
+			if !reflect.DeepEqual(got, task) || job.Path != "-" || job.Opts.Parallelism != coord.sweep.Parallel {
+				t.Fatalf("%q: task %+v reaches the worker as %+v (jsonl %q, parallel %d)",
+					argv, task, got, job.Path, job.Opts.Parallelism)
 			}
 		}
 	}

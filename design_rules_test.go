@@ -139,7 +139,7 @@ var designRules = []rule{
 	{name: "Dissemination", since: "86824fa", files: scope{tests: true, except: []string{"bench/"}},
 		match: []match{names(`rrbcast|KindRRB|sentTo|IDSlice|cfg\.Delta`)}},
 	{name: "ResumeInPlace", since: "d6250b4", files: scope{in: []string{"internal/", "cmd/"}},
-		match: []match{names(`SpoolResumer|ResumeSpool|resumeSpool|allResume|MaxSplit`)}},
+		match: []match{names(`SpoolResumer|ResumeSpool|resumeSpool|allResume|MaxSplit|ResumeStreamFile|ParseCellList|FormatCellList`)}},
 	{name: "ScenarioSpec", since: "c303e6e",
 		match: []match{ref(mod+"/internal/scenario", "Spec"), names(`Spec\.Compile$|Params\.Spec$|\.ChooseAlt$`), ref(mod+"/internal/scenario", "Run")}},
 	{name: "PayloadPool", since: "6b5680d",
@@ -237,6 +237,10 @@ var ruleCases = []ruleCase{
 		"package core\nvar modes = []string{\"rrbcast\"}", "rrbcast"},
 	{"ResumeInPlace", "MaxSplit", "internal/matrix/split.go",
 		"package matrix\nconst MaxSplit = 4", "MaxSplit"},
+	{"ResumeInPlace", "ParseCellList", "internal/matrix/cells.go",
+		"package matrix\nfunc ParseCellList(s string) ([]int, error) { return nil, nil }", "ParseCellList"},
+	{"ResumeInPlace", "a CLI resuming a stream", "cmd/experiments/resume.go",
+		"package main\nimport \"github.com/bftcup/bftcup/internal/matrix\"\nvar _ = matrix.ResumeStreamFile", "ResumeStreamFile"},
 	{"ScenarioSpec", "Params.Spec", "internal/scenario/spec.go",
 		"package scenario\nfunc (p Params) Spec() int { return 0 }", "Params.Spec"},
 	{"ScenarioSpec", "scenario.Run", "cmd/cupsim/run2.go",

@@ -48,24 +48,20 @@ type SweepFlags struct {
 	Parallel int
 	// JSON is -json: emit the report as JSON.
 	JSON bool
-	// Shard, Only, JSONL and Resume are -shard, -only, -jsonl and -resume;
-	// see StreamJob.
-	Shard, Only, JSONL string
-	Resume             bool
+	// Shard and JSONL are -shard and -jsonl; see StreamJob.
+	Shard, JSONL string
 }
 
-// BindSweepFlags declares -seeds, -parallel, -json, -shard, -only, -jsonl and
-// -resume on fs with the CLI's own -seeds and -parallel defaults. The values
-// are read once fs is parsed.
+// BindSweepFlags declares -seeds, -parallel, -json, -shard and -jsonl on fs
+// with the CLI's own -seeds and -parallel defaults. The values are read once
+// fs is parsed.
 func BindSweepFlags(fs *flag.FlagSet, seeds string, parallel int) *SweepFlags {
 	sf := &SweepFlags{}
 	fs.StringVar(&sf.Seeds, "seeds", seeds, "seed sweep, FROM:TO or a count N (= 1:N)")
 	fs.IntVar(&sf.Parallel, "parallel", parallel, "worker count of this process: 0 = GOMAXPROCS, 1 = serial")
 	fs.BoolVar(&sf.JSON, "json", false, "emit the sweep report as JSON")
 	fs.StringVar(&sf.Shard, "shard", "", "run only shard i/n of the sweep (deterministic round-robin partition)")
-	fs.StringVar(&sf.Only, "only", "", "run only these global cell indices, comma-separated")
 	fs.StringVar(&sf.JSONL, "jsonl", "", "stream per-cell outcomes as JSONL to this file ('-' = stdout) instead of buffering a report")
-	fs.BoolVar(&sf.Resume, "resume", false, "with -jsonl FILE: resume an interrupted stream, running only the cells the file is missing")
 	return sf
 }
 
@@ -73,15 +69,15 @@ func BindSweepFlags(fs *flag.FlagSet, seeds string, parallel int) *SweepFlags {
 func (sf *SweepFlags) Job(name string, src CellSource) StreamJob {
 	return StreamJob{
 		Name: name, Src: src,
-		Shard: sf.Shard, Only: sf.Only,
-		Path: sf.JSONL, Resume: sf.Resume,
+		Shard: sf.Shard, Path: sf.JSONL,
 		Opts: Options{Parallelism: sf.Parallel},
 	}
 }
 
 // StreamJob is one selection of a sweep, run the way every sweep CLI runs it:
-// streamed to JSONL (Run, fresh or resumed) or buffered into a report
-// (Report). The fabric drives any CLI built on it as a worker.
+// streamed to JSONL (Run) or buffered into a report (Report). The fabric
+// drives any CLI built on it as a worker. A stream that stops short is not
+// completed in place: its shard runs again.
 type StreamJob struct {
 	// Name labels the sweep in the stream header; every worker of one sweep
 	// must derive the same name.
@@ -91,13 +87,13 @@ type StreamJob struct {
 	// Shard is the -shard flag: a shard spec "i/n", empty for the whole
 	// sweep.
 	Shard string
-	// Only is the -only flag: explicit global cell indices, comma-separated.
-	// Mutually exclusive with Shard.
+	// Only was the -only flag's cell list. Run and Report refuse any value;
+	// it stays only because bench/ sets it, and ROADMAP item 1b deletes it.
 	Only string
 	// Path is the -jsonl flag: the stream destination, "-" for stdout.
 	Path string
-	// Resume is the -resume flag: complete an interrupted stream file,
-	// running only the cells it is missing.
+	// Resume was the -resume flag. Run and Report refuse true; it stays only
+	// because bench/ sets it, and ROADMAP item 1b deletes it.
 	Resume bool
 	// Opts are the run options (parallelism, tracing, progress).
 	Opts Options
@@ -105,18 +101,15 @@ type StreamJob struct {
 	Log io.Writer
 }
 
-// Task is the -shard/-only selection as the fabric task it names: the
-// inverse of Task.WorkerArgs.
+// Task is the -shard selection as the fabric task it names: the inverse of
+// Task.WorkerArgs. A cell list or a resume is refused: a shard is the only
+// part of a sweep a job runs.
 func (j StreamJob) Task() (Task, error) {
-	if j.Only == "" {
-		sh, err := ParseShard(j.Shard)
-		return Task{Shard: sh}, err
+	if j.Only != "" || j.Resume {
+		return Task{}, fmt.Errorf("cell lists and resumed streams are not supported: select part of the sweep with -shard i/n, and rerun a shard that stopped short")
 	}
-	if j.Shard != "" {
-		return Task{}, fmt.Errorf("-shard and -only select different slices; pick one")
-	}
-	cells, err := ParseCellList(j.Only)
-	return Task{Cells: cells}, err
+	sh, err := ParseShard(j.Shard)
+	return Task{Shard: sh}, err
 }
 
 // slice resolves the job's selection through Task.Slice.
@@ -128,38 +121,24 @@ func (j StreamJob) slice() (CellSource, string, error) {
 	return t.Slice(j.Src)
 }
 
-// Run executes the stream job: fresh or resumed, to a file or stdout. The
-// returned trailer summarizes the slice; the caller owns the exit policy
-// (experiments fails on errors, cupsim also on lost consensus).
+// Run executes the stream job, to a file or stdout. The returned trailer
+// summarizes the slice; the caller owns the exit policy (experiments fails on
+// errors, cupsim also on lost consensus).
 func (j StreamJob) Run() (*StreamTrailer, error) {
 	logw := j.Log
 	if logw == nil {
 		logw = io.Writer(os.Stderr)
 	}
-	if j.Path == "" {
-		return nil, fmt.Errorf("stream job needs -jsonl PATH ('-' = stdout)")
-	}
-	if j.Resume && j.Path == "-" {
-		return nil, fmt.Errorf("-resume needs -jsonl FILE (a stream on stdout cannot be resumed)")
-	}
 	part, spec, err := j.slice()
 	if err != nil {
 		return nil, err
 	}
-	hdr := StreamHeader{Name: j.Name, TotalCells: j.Src.Len(), Shard: spec}
-	var tr *StreamTrailer
-	skipped := 0
-	if j.Resume {
-		tr, skipped, err = ResumeStreamFile(j.Path, part, j.Opts, hdr)
-	} else {
-		tr, err = RunStreamFile(j.Path, part, j.Opts, hdr)
+	if j.Path == "" {
+		return nil, fmt.Errorf("stream job needs -jsonl PATH ('-' = stdout)")
 	}
+	tr, err := RunStreamFile(j.Path, part, j.Opts, StreamHeader{Name: j.Name, TotalCells: j.Src.Len(), Shard: spec})
 	if err != nil {
 		return nil, err
-	}
-	if skipped > 0 {
-		fmt.Fprintf(logw, "resumed %s: %d cells already complete, %d run now\n",
-			j.Path, skipped, tr.CellsRun-skipped)
 	}
 	fmt.Fprintf(logw, "shard %s: %d cells streamed, %d consensus, %d errors, %.2fs\n",
 		spec, tr.CellsRun, tr.Consensus, tr.Errors, float64(tr.WallNS)/1e9)
@@ -170,9 +149,6 @@ func (j StreamJob) Run() (*StreamTrailer, error) {
 // in-memory report named after the job, ", shard SPEC" appended when it is
 // not the whole sweep.
 func (j StreamJob) Report() (*Report, error) {
-	if j.Resume {
-		return nil, fmt.Errorf("-resume needs -jsonl FILE (a stream on stdout cannot be resumed)")
-	}
 	part, spec, err := j.slice()
 	if err != nil {
 		return nil, err

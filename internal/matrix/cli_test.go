@@ -3,6 +3,8 @@ package matrix
 import (
 	"flag"
 	"math"
+	"os"
+	"path/filepath"
 	"reflect"
 	"runtime"
 	"strings"
@@ -36,7 +38,7 @@ func parseSweepFlags(t *testing.T, argv []string) (*SweepFlags, error) {
 // TestSweepFlagsJobRoundTrip is the flag → job table: each command line
 // selects the task, header spec and global cells it names, and every task
 // rendered back through WorkerArgs — what the fabric hands a worker —
-// parses to the same task and destination, without -resume.
+// parses to the same task and destination.
 func TestSweepFlagsJobRoundTrip(t *testing.T) {
 	src, err := StandardSweep(Seeds(1, 1)) // 24 cells
 	if err != nil {
@@ -55,7 +57,6 @@ func TestSweepFlagsJobRoundTrip(t *testing.T) {
 		{"-shard 3/8 -jsonl - -parallel 4", shard(3, 8), "3/8", []int{2, 10, 18}},
 		{"-shard 1/2", shard(1, 2), "1/2", Shard{Index: 1, Count: 2}.Globals(total)},
 		{"-shard 30/30", shard(30, 30), "30/30", []int{}},
-		{"-only 17,3,9 -jsonl gaps.jsonl -resume", Task{Cells: []int{3, 9, 17}}, "cells:3,9,17", []int{3, 9, 17}},
 	} {
 		sf, err := parseSweepFlags(t, strings.Fields(tc.argv))
 		if err != nil {
@@ -86,7 +87,7 @@ func TestSweepFlagsJobRoundTrip(t *testing.T) {
 		if !reflect.DeepEqual(got, tc.cells) {
 			t.Fatalf("%q runs cells %v, want %v", tc.argv, got, tc.cells)
 		}
-		if job.Opts.Parallelism != sf.Parallel || job.Path != sf.JSONL || job.Resume != sf.Resume {
+		if job.Opts.Parallelism != sf.Parallel || job.Path != sf.JSONL {
 			t.Fatalf("%q: job %+v does not carry the flags %+v", tc.argv, job, sf)
 		}
 
@@ -99,9 +100,9 @@ func TestSweepFlagsJobRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%q WorkerArgs: %v", tc.argv, err)
 		}
-		if !reflect.DeepEqual(again, task) || back.JSONL != "spool.jsonl" || back.Resume {
-			t.Fatalf("%q: WorkerArgs %v parse back to %+v (jsonl %q, resume %t)",
-				tc.argv, task.WorkerArgs("spool.jsonl"), again, back.JSONL, back.Resume)
+		if !reflect.DeepEqual(again, task) || back.JSONL != "spool.jsonl" {
+			t.Fatalf("%q: WorkerArgs %v parse back to %+v (jsonl %q)",
+				tc.argv, task.WorkerArgs("spool.jsonl"), again, back.JSONL)
 		}
 	}
 }
@@ -178,14 +179,11 @@ func TestSweepFlagsRefused(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, argv := range []string{
-		"-shard 1/2 -only 3",
 		"-shard 0/2",
 		"-shard 2/2@-1",
 		"-shard 3/8@2",
 		"-shard 1/2@0",
 		"-shard 5/5@9",
-		"-only 3,3",
-		"-only 24",
 	} {
 		sf, err := parseSweepFlags(t, strings.Fields(argv))
 		if err != nil {
@@ -196,19 +194,39 @@ func TestSweepFlagsRefused(t *testing.T) {
 			t.Errorf("%q: Report accepted the selection", argv)
 		}
 	}
-	sf, err := parseSweepFlags(t, []string{"-resume"})
+	// A slice of a slice is not a whole sweep: its global indices and its
+	// positions differ, so a shard of it means nothing.
+	part := slice(t, src, Task{Shard: Shard{Index: 2, Count: 3}})
+	if _, _, err := (Task{Shard: Shard{Index: 1, Count: 2}}).Slice(part); err == nil {
+		t.Error("a shard of a shard was sliced")
+	}
+}
+
+// TestOnlyAndResumeRefused: a shard is the only part of a sweep a job runs.
+// The -only and -resume flags do not parse, and a job that still carries a
+// cell list or a resume is refused by Run and Report with an error that
+// names -shard.
+func TestOnlyAndResumeRefused(t *testing.T) {
+	for _, argv := range []string{"-only 3", "-resume", "-shard 1/2 -jsonl part.jsonl -resume"} {
+		if _, err := parseSweepFlags(t, strings.Fields(argv)); err == nil {
+			t.Errorf("%q parsed", argv)
+		}
+	}
+	src, err := StandardSweep(Seeds(1, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := sf.Job("resume", src).Report(); err == nil {
-		t.Error("a buffered report accepted -resume")
-	}
-	// A slice of a slice is not a whole sweep: its global indices and its
-	// positions differ, so neither spans nor cell lists mean anything there.
-	part := slice(t, src, Task{Shard: Shard{Index: 2, Count: 3}})
-	for _, task := range []Task{{Shard: Shard{Index: 1, Count: 2}}, {Cells: []int{1}}} {
-		if _, _, err := task.Slice(part); err == nil {
-			t.Errorf("task %+v sliced a shard", task)
+	path := filepath.Join(t.TempDir(), "refused.jsonl")
+	for _, job := range []StreamJob{{Only: "3"}, {Resume: true}, {Only: "3", Path: path}, {Resume: true, Path: path}} {
+		job.Name, job.Src = "refused", src
+		if _, err := job.Run(); err == nil || !strings.Contains(err.Error(), "-shard") {
+			t.Errorf("Run of %+v: %v, want a refusal naming -shard", job, err)
 		}
+		if _, err := job.Report(); err == nil || !strings.Contains(err.Error(), "-shard") {
+			t.Errorf("Report of %+v: %v, want a refusal naming -shard", job, err)
+		}
+	}
+	if _, err := os.Stat(path); !os.IsNotExist(err) {
+		t.Errorf("a refused job touched its stream file: %v", err)
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"io"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -144,7 +145,7 @@ func RunFabric(ctx context.Context, total int, workers []Transport, opts FabricO
 		// in-flight worker.
 		ctx, cancel := context.WithCancel(ctx)
 		lv := &live{task: task, slot: slot, spool: spool, cancel: cancel, started: time.Now(),
-			w: &spoolWriter{f: f, size: len(task.expected(total))}}
+			w: &spoolWriter{f: f, size: task.Shard.Len(total)}}
 		stats.Tasks++
 		go func() {
 			err := workers[slot].Run(ctx, task, lv.w)
@@ -174,7 +175,7 @@ func RunFabric(ctx context.Context, total int, workers []Transport, opts FabricO
 	retry := func(lv *live, runErr error) {
 		attempt := lv.task.attempt + 1
 		if attempt >= maxAttempts {
-			abort(fmt.Errorf("fabric: task %s failed %d times (last: %v)", lv.task.spec(), attempt, runErr))
+			abort(fmt.Errorf("fabric: task %s failed %d times (last: %v)", lv.task.Shard, attempt, runErr))
 			return
 		}
 		os.Remove(lv.spool)
@@ -193,7 +194,7 @@ func RunFabric(ctx context.Context, total int, workers []Transport, opts FabricO
 			abort(fmt.Errorf("fabric: worker stream claims %d total cells, sweep has %d (misconfigured fleet?)", scan.header.TotalCells, total))
 			return
 		}
-		if err == nil && scan.header != nil && scan.trailer != nil && coversExactly(scan.done, lv.task.expected(total)) {
+		if err == nil && scan.header != nil && scan.trailer != nil && coversExactly(scan.done, lv.task.Shard.Globals(total)) {
 			completed = append(completed, lv.spool)
 			doneCells += len(scan.done)
 			return
@@ -329,6 +330,39 @@ func retryDelay(attempt int, rng *rand.Rand) time.Duration {
 		d = maxDelay
 	}
 	return d/2 + time.Duration(rng.Int63n(int64(d)))
+}
+
+// streamScan is what the coverage check reads of a worker's spool: its
+// reader (header, and trailer — nil when the stream stops short) and the
+// global cell indices the stream carries.
+type streamScan struct {
+	*recordReader
+	done map[int]bool
+}
+
+// scanStreamFile reads a stream file up to its trailer or its end, and
+// refuses a damaged one.
+func scanStreamFile(path string) (*streamScan, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	scan := &streamScan{done: make(map[int]bool)}
+	scan.recordReader = newRecordReader(f, func(i int) bool { return scan.done[i] })
+	for scan.trailer == nil {
+		o, err := scan.next()
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			return nil, fmt.Errorf("%s: %w", path, err)
+		}
+		if o != nil {
+			scan.done[o.Index] = true
+		}
+	}
+	return scan, nil
 }
 
 // coversExactly reports whether done is exactly the expected index set.

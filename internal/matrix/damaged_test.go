@@ -2,24 +2,21 @@ package matrix
 
 import (
 	"bytes"
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 )
 
-// TestDamagedStreamContract feeds one table of broken streams to the two
-// consumers of the stream format — ResumeStreamFile and Merge — and pins
-// what each does with it. Damage that an interrupted write can leave (a torn
-// final line, garbage or an unknown record after the header) is a truncation
-// point: resume keeps the intact prefix and goes on from there. Damage to the
-// record order (a second header, an outcome before the header, a cell index
-// twice) is refused, and the file is left as it was. A trailer closes the
-// stream for resume, so what follows it is never read there. Merge refuses
-// every damaged stream and names it.
+// TestDamagedStreamContract feeds one table of broken streams to Merge and
+// pins its verdict: it refuses every damaged stream and names it. Damage an
+// interrupted write can leave (a torn final line, garbage or an unknown
+// record after the header, a missing trailer) and damage to the record order
+// (a second header, an outcome before the header or after the trailer, a
+// cell index twice) are refused alike: a stream that stops short is not
+// completed in place, its shard runs again.
 //
 // The stream under test is shard 1/2 of the 8-cell test sweep (header, four
-// outcomes, trailer); Merge reads it beside the intact shard 2/2.
+// outcomes, trailer); Merge reads it beside the intact shard 2/2, and the
+// intact pair merges to the monolithic fingerprint.
 func TestDamagedStreamContract(t *testing.T) {
 	cells := testCells(t)
 	stream := func(spec string, sh Shard) []string {
@@ -49,125 +46,35 @@ func TestDamagedStreamContract(t *testing.T) {
 		t.Fatal(err)
 	}
 	mono.Name = "stream-test"
+	intact, err := Merge(MergeOptions{}, strings.NewReader(strings.Join(l, "")), strings.NewReader(other))
+	if err != nil {
+		t.Fatalf("the intact shards do not merge: %v", err)
+	}
+	if intact.Fingerprint() != mono.Fingerprint() {
+		t.Fatal("the intact shards merge to another fingerprint")
+	}
 
-	const refused = -1
-	for _, row := range []struct {
-		name   string
-		stream string
-		// specless: the stream's header names no slice.
-		specless bool
-		// resumed is how many cells resume finds complete and kept the
-		// intact prefix it cuts the stream to. refused: it refuses the
-		// stream.
-		resumed int
-		kept    string
-		// closed: the stream already carries a trailer before its damage, so
-		// resume returns without writing.
-		closed bool
-		// mergeRefused: Merge refuses the damaged stream beside shard 2/2.
-		mergeRefused bool
-	}{
-		{name: "torn last line", stream: h + o[0] + o[1] + o[2] + o[3][:len(o[3])/2],
-			resumed: 3, kept: h + o[0] + o[1] + o[2], mergeRefused: true},
-		{name: "garbage mid-stream", stream: h + o[0] + o[1] + "ca5cade, not JSON\n" + o[2] + o[3] + tr,
-			resumed: 2, kept: h + o[0] + o[1], mergeRefused: true},
-		{name: "duplicate header", stream: h + o[0] + h + o[1] + o[2] + o[3] + tr,
-			resumed: refused, mergeRefused: true},
-		{name: "outcome before header", stream: o[0] + h + o[1] + o[2] + o[3] + tr,
-			resumed: refused, mergeRefused: true},
-		{name: "duplicate cell index", stream: h + o[0] + o[1] + o[1] + o[2] + o[3] + tr,
-			resumed: refused, mergeRefused: true},
-		{name: "outcome after trailer", stream: h + o[0] + o[1] + o[2] + o[3] + tr + o[3],
-			resumed: 4, closed: true, mergeRefused: true},
-		{name: "unknown record type", stream: h + o[0] + o[1] + `{"type":"checkpoint"}` + "\n" + o[2] + o[3] + tr,
-			resumed: 2, kept: h + o[0] + o[1], mergeRefused: true},
-		{name: "missing trailer", stream: h + o[0] + o[1] + o[2] + o[3],
-			resumed: 4, kept: h + o[0] + o[1] + o[2] + o[3], mergeRefused: true},
-		// A header that names no slice is not damage to resume (the
-		// resumed header must only match). It is the one row whose verdict
-		// changed: the merge once scheduled such a stream by buffer pressure
-		// and merged it; it now routes every stream by the slice its header
-		// names and refuses one that names none.
-		{name: "header with no spec", stream: strings.Join(specless, ""), specless: true,
-			resumed: 4, closed: true, mergeRefused: true},
+	for _, row := range []struct{ name, stream string }{
+		{"torn last line", h + o[0] + o[1] + o[2] + o[3][:len(o[3])/2]},
+		{"garbage mid-stream", h + o[0] + o[1] + "ca5cade, not JSON\n" + o[2] + o[3] + tr},
+		{"duplicate header", h + o[0] + h + o[1] + o[2] + o[3] + tr},
+		{"outcome before header", o[0] + h + o[1] + o[2] + o[3] + tr},
+		{"duplicate cell index", h + o[0] + o[1] + o[1] + o[2] + o[3] + tr},
+		{"outcome after trailer", h + o[0] + o[1] + o[2] + o[3] + tr + o[3]},
+		{"unknown record type", h + o[0] + o[1] + `{"type":"checkpoint"}` + "\n" + o[2] + o[3] + tr},
+		{"missing trailer", h + o[0] + o[1] + o[2] + o[3]},
+		// The merge routes every stream by the shard its header names and
+		// refuses one that names none.
+		{"header with no spec", strings.Join(specless, "")},
 	} {
 		t.Run(row.name, func(t *testing.T) {
-			spec := one.String()
-			if row.specless {
-				spec = ""
-			}
-			hdr := StreamHeader{Name: "stream-test", TotalCells: len(cells), Shard: spec}
-			part := slice(t, CellList(cells), Task{Shard: one})
-			dir := t.TempDir()
-			write := func(name string) string {
-				path := filepath.Join(dir, name)
-				if err := os.WriteFile(path, []byte(row.stream), 0o644); err != nil {
-					t.Fatal(err)
-				}
-				return path
-			}
-			unchanged := func(path, who string) {
-				raw, err := os.ReadFile(path)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if string(raw) != row.stream {
-					t.Errorf("%s rewrote a stream it refused or found closed", who)
-				}
-			}
-
 			_, err := Merge(MergeOptions{}, strings.NewReader(row.stream), strings.NewReader(other))
 			switch {
-			case row.mergeRefused && err == nil:
+			case err == nil:
 				t.Error("Merge accepted the damaged stream")
-			case row.mergeRefused && !strings.Contains(err.Error(), "stream 0"):
+			case !strings.Contains(err.Error(), "stream 0"):
 				t.Errorf("Merge refused without naming the stream: %v", err)
-			case !row.mergeRefused && err != nil:
-				t.Errorf("Merge refused: %v", err)
 			}
-
-			path := write("resume.jsonl")
-			tr, skipped, err := ResumeStreamFile(path, part, Options{Parallelism: 1}, hdr)
-			switch {
-			case row.resumed == refused:
-				if err == nil {
-					t.Fatalf("resume accepted the stream (skipped %d)", skipped)
-				}
-				unchanged(path, "resume")
-			case err != nil:
-				t.Fatalf("resume refused: %v", err)
-			case skipped != row.resumed:
-				t.Fatalf("resume found %d cells complete, want %d", skipped, row.resumed)
-			case row.closed:
-				unchanged(path, "resume")
-			default:
-				raw, err := os.ReadFile(path)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !strings.HasPrefix(string(raw), row.kept) || tr.CellsRun != part.Len() {
-					t.Fatalf("resume did not cut at the intact prefix (%d bytes) or left %d of %d cells",
-						len(row.kept), tr.CellsRun, part.Len())
-				}
-				merged, err := MergeFilesWith(MergeOptions{}, path, writeStream(t, dir, other))
-				if err != nil {
-					t.Fatalf("resumed stream does not merge: %v", err)
-				}
-				if merged.Fingerprint() != mono.Fingerprint() {
-					t.Fatal("resumed stream merges to another fingerprint")
-				}
-			}
-
 		})
 	}
-}
-
-// writeStream stores the intact shard 2/2 beside the damaged one.
-func writeStream(t *testing.T, dir, stream string) string {
-	t.Helper()
-	path := filepath.Join(dir, "other.jsonl")
-	if err := os.WriteFile(path, []byte(stream), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	return path
 }

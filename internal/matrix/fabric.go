@@ -5,8 +5,6 @@ import (
 	"fmt"
 	"io"
 	"os/exec"
-	"sort"
-	"strconv"
 	"strings"
 	"time"
 )
@@ -20,14 +18,11 @@ import (
 // distributed fingerprint is byte-identical to the monolithic run's by the
 // same argument that shard merges are.
 
-// Task is one selection of the sweep: a shard, or an explicit list of global
-// cell indices (the -only flag). The fabric dispatches shards only.
+// Task is one shard of the sweep as the fabric dispatches it, with its
+// lineage's retry state.
 type Task struct {
-	// Shard is the slice of the sweep to run (ignored when Cells is set).
+	// Shard is the slice of the sweep to run.
 	Shard Shard
-	// Cells, when non-nil, lists the exact global cell indices to run
-	// (ascending).
-	Cells []int
 	// attempt counts how many dispatches this task's lineage has consumed;
 	// the coordinator aborts rather than retry forever.
 	attempt int
@@ -38,94 +33,16 @@ type Task struct {
 	notBefore time.Time
 }
 
-// spec renders the header spec the task's stream will carry: the shard spec
-// "i/n", or "cells:a,b,c" for explicit-index tasks. parseTask reads it back, and the
-// merge routes each stream by the task it names.
-func (t Task) spec() string {
-	if t.Cells != nil {
-		return "cells:" + FormatCellList(t.Cells)
-	}
-	return t.Shard.String()
-}
-
-// parseTask is the inverse of Task.spec: the task a stream header's spec
-// names. An empty spec names no slice and is refused.
-func parseTask(spec string) (Task, error) {
-	if cells, ok := strings.CutPrefix(spec, "cells:"); ok {
-		list, err := ParseCellList(cells)
-		return Task{Cells: list}, err
-	}
-	if spec == "" {
-		return Task{}, fmt.Errorf("empty shard spec")
-	}
-	sh, err := ParseShard(spec)
-	return Task{Shard: sh}, err
-}
-
-// owns reports whether the task's slice contains global cell index g.
-func (t Task) owns(g int) bool {
-	if t.Cells != nil {
-		i := sort.SearchInts(t.Cells, g)
-		return i < len(t.Cells) && t.Cells[i] == g
-	}
-	return t.Shard.Owns(g)
-}
-
-// expected lists the global cell indices the task's stream must supply,
-// ascending.
-func (t Task) expected(total int) []int {
-	if t.Cells != nil {
-		return t.Cells
-	}
-	return t.Shard.Globals(total)
-}
-
 // WorkerArgs renders the CLI flags that make a worker run exactly this task:
 // the fabric's half of the worker protocol. Every worker-capable CLI
 // (sweepd -worker, experiments -matrix, cupsim sweeps) declares them through
 // BindSweepFlags, and StreamJob.Task parses them back into this task.
 func (t Task) WorkerArgs(jsonl string) []string {
 	var args []string
-	if t.Cells != nil {
-		args = append(args, "-only", FormatCellList(t.Cells))
-	} else if !t.Shard.IsAll() {
+	if !t.Shard.IsAll() {
 		args = append(args, "-shard", t.Shard.String())
 	}
 	return append(args, "-jsonl", jsonl)
-}
-
-// FormatCellList renders global cell indices as the comma-separated -only
-// flag value.
-func FormatCellList(cells []int) string {
-	var b strings.Builder
-	for i, c := range cells {
-		if i > 0 {
-			b.WriteByte(',')
-		}
-		b.WriteString(strconv.Itoa(c))
-	}
-	return b.String()
-}
-
-// ParseCellList parses the -only flag value: comma-separated global cell
-// indices, returned sorted ascending with duplicates rejected.
-func ParseCellList(s string) ([]int, error) {
-	parts := strings.Split(s, ",")
-	cells := make([]int, 0, len(parts))
-	for _, p := range parts {
-		n, err := strconv.Atoi(strings.TrimSpace(p))
-		if err != nil || n < 0 {
-			return nil, fmt.Errorf("bad cell list %q (want comma-separated indices ≥ 0)", s)
-		}
-		cells = append(cells, n)
-	}
-	sort.Ints(cells)
-	for i := 1; i < len(cells); i++ {
-		if cells[i] == cells[i-1] {
-			return nil, fmt.Errorf("bad cell list %q: duplicate index %d", s, cells[i])
-		}
-	}
-	return cells, nil
 }
 
 // Transport launches one worker per Run call. Implementations must stream
@@ -247,22 +164,16 @@ func (t ProcTransport) Run(ctx context.Context, task Task, sink io.Writer) error
 // Slice resolves the task against the whole sweep src: the lazy sub-source
 // to run and the spec its stream header carries. It is the one place a
 // selection meets a sweep — fabric workers, and the CLIs' stream and report
-// modes through StreamJob.Task. Shards deal by global index residue and cell
-// lists name global indices, so src must be a whole sweep (Index(i) == i).
+// modes through StreamJob.Task. Shards deal by global index residue, so src
+// must be a whole sweep (Index(i) == i).
 func (t Task) Slice(src CellSource) (CellSource, string, error) {
 	total := src.Len()
 	if total > 0 && (src.Index(0) != 0 || src.Index(total-1) != total-1) {
 		return nil, "", fmt.Errorf("matrix: slicing needs a whole-sweep source (Index(i) == i)")
 	}
-	switch {
-	case t.Cells != nil:
-		if len(t.Cells) > 0 && t.Cells[len(t.Cells)-1] >= total {
-			return nil, "", fmt.Errorf("matrix: cell index %d out of range (sweep has %d cells)", t.Cells[len(t.Cells)-1], total)
-		}
-		return pick(src, t.Cells), t.spec(), nil
-	case t.Shard.IsAll():
-		return src, t.spec(), nil
+	if t.Shard.IsAll() {
+		return src, t.Shard.String(), nil
 	}
 	first, stride := t.Shard.Index-1, t.Shard.Count
-	return indexMap{base: src, n: t.Shard.Len(total), at: func(i int) int { return first + i*stride }}, t.spec(), nil
+	return indexMap{base: src, n: t.Shard.Len(total), at: func(i int) int { return first + i*stride }}, t.Shard.String(), nil
 }

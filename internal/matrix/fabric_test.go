@@ -228,7 +228,7 @@ func (l ledgerTransport) Run(ctx context.Context, task Task, sink io.Writer) err
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if err == nil {
-		for _, g := range task.expected(l.total) {
+		for _, g := range task.Shard.Globals(l.total) {
 			l.ran[g]++
 		}
 		return nil
@@ -288,7 +288,7 @@ type specTransport struct {
 // Run implements Transport.
 func (s specTransport) Run(ctx context.Context, task Task, sink io.Writer) error {
 	s.mu.Lock()
-	*s.specs = append(*s.specs, task.spec())
+	*s.specs = append(*s.specs, task.Shard.String())
 	s.mu.Unlock()
 	return s.Transport.Run(ctx, task, sink)
 }

@@ -6,10 +6,11 @@
 // bounded by GOMAXPROCS. Every cell is graded against the four consensus
 // properties (Agreement, Validity, Integrity, Termination) and folded
 // through an incremental Aggregator into a Report with per-axis statistics,
-// a deterministic fingerprint (serial, parallel, sharded-merged and resumed
-// execution provably agree) and JSON / text renderings. Shards stream
-// per-cell JSONL (RunStream), merge back into the monolithic report
-// (Merge), and resume after interruption (ResumeStreamFile); one writer
+// a deterministic fingerprint (serial, parallel, sharded-merged and
+// distributed execution provably agree) and JSON / text renderings. A shard
+// (i/n) is the only part of a sweep that runs on its own: it streams
+// per-cell JSONL (RunStream) and merges back into the monolithic report
+// (Merge), and a shard whose stream stops short runs again. One writer
 // (streamWriter) encodes every stream record and one reader (recordReader)
 // decodes them. Every stage is streaming, so per-shard memory is
 // O(axes + parallelism) regardless of cell count.

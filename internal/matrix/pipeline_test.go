@@ -1,9 +1,7 @@
 package matrix
 
 import (
-	"bytes"
 	"fmt"
-	"os"
 	"path/filepath"
 	"reflect"
 	"runtime"
@@ -124,27 +122,10 @@ func TestSourceValidatesEveryAxisValue(t *testing.T) {
 	}
 }
 
-// truncateStream cuts the last n lines off a stream file (the trailer plus
-// n-1 outcome lines), simulating a crash mid-sweep.
-func truncateStream(t *testing.T, path string, n int) {
-	t.Helper()
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	end := len(raw)
-	for i := 0; i < n; i++ {
-		end = bytes.LastIndexByte(raw[:end-1], '\n') + 1
-	}
-	if err := os.WriteFile(path, raw[:end], 0o644); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // runAllModes executes the sweep behind src every way the pipeline offers
 // and asserts one fingerprint: monolithic Run, incremental Aggregator fed
-// in order and fully reversed, sharded RunStream files merged (outcome-
-// retaining and summary-only), and a shard resumed after truncation.
+// in order and fully reversed, and sharded RunStream files merged (outcome-
+// retaining and summary-only).
 func runAllModes(t *testing.T, name string, src CellSource) {
 	t.Helper()
 	mono, err := Run(src, Options{})
@@ -210,34 +191,10 @@ func runAllModes(t *testing.T, name string, src CellSource) {
 		}
 	}
 
-	// Resumed: truncate shard 1 (trailer plus one outcome) and complete it;
-	// the merge must still reproduce the monolithic fingerprint.
-	sh := Shard{Index: 1, Count: 3}
-	part := slice(t, src, Task{Shard: sh})
-	truncateStream(t, paths[0], 2)
-	tr, skipped, err := ResumeStreamFile(paths[0], part, Options{Parallelism: 2}, StreamHeader{
-		Name: name, TotalCells: src.Len(), Shard: sh.String(),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if wantSkip := part.Len() - 1; skipped != wantSkip {
-		t.Fatalf("resume skipped %d cells, want %d", skipped, wantSkip)
-	}
-	if tr.CellsRun != part.Len() {
-		t.Fatalf("resumed trailer covers %d cells, want %d", tr.CellsRun, part.Len())
-	}
-	merged, err := MergeFilesWith(MergeOptions{}, paths...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := merged.Fingerprint(); got != want {
-		t.Fatalf("resumed merge fingerprint %s, want %s", got[:16], want[:16])
-	}
 }
 
 // TestFingerprintIdentityStandardSweep asserts monolithic ≡ incremental ≡
-// sharded-then-merged ≡ resumed-after-truncation on the standard sweep.
+// sharded-then-merged on the standard sweep.
 func TestFingerprintIdentityStandardSweep(t *testing.T) {
 	src, err := StandardSweep(Seeds(1, 1))
 	if err != nil {
@@ -264,47 +221,6 @@ func TestFingerprintIdentityExtendedKOSR(t *testing.T) {
 	runAllModes(t, "extended-sweep", src)
 }
 
-// TestResumeEdgeCases covers the resume states outside the happy path: a
-// missing file (fresh run), an already-complete file (nothing to run), and
-// a stream from a different sweep (refused).
-func TestResumeEdgeCases(t *testing.T) {
-	cells := testCells(t)
-	sh := Shard{Index: 1, Count: 2}
-	part := slice(t, CellList(cells), Task{Shard: sh})
-	hdr := StreamHeader{Name: "stream-test", TotalCells: len(cells), Shard: sh.String()}
-	path := filepath.Join(t.TempDir(), "shard.jsonl")
-
-	// Missing file: resume degrades to a fresh run.
-	tr, skipped, err := ResumeStreamFile(path, part, Options{}, hdr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if skipped != 0 || tr.CellsRun != part.Len() {
-		t.Fatalf("fresh resume: skipped %d, ran %d, want 0/%d", skipped, tr.CellsRun, part.Len())
-	}
-
-	// Complete file: everything is skipped, nothing re-runs, and the
-	// trailer still describes the whole shard.
-	tr, skipped, err = ResumeStreamFile(path, part, Options{}, hdr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if skipped != part.Len() || tr.CellsRun != part.Len() {
-		t.Fatalf("complete resume: skipped %d, trailer %d, want %d/%d", skipped, tr.CellsRun, part.Len(), part.Len())
-	}
-
-	// A header from a different sweep must be refused, not overwritten.
-	other := hdr
-	other.Name = "some-other-sweep"
-	if _, _, err := ResumeStreamFile(path, part, Options{}, other); err == nil {
-		t.Fatal("resume accepted a stream from a different sweep")
-	}
-	// The refused file is untouched and still a complete, mergeable shard.
-	if _, _, err := ResumeStreamFile(path, part, Options{}, hdr); err != nil {
-		t.Fatalf("refusal damaged the stream: %v", err)
-	}
-}
-
 // errorSweep builds a lazy n-cell sweep whose cells all fail instantly at
 // graph construction (a k-OSR spec no seed can satisfy): the cheapest
 // possible real cells, used to exercise the pipeline at 10^5 cells without
@@ -327,12 +243,11 @@ func errorSweep(t *testing.T, n int) CellSource {
 	return src
 }
 
-// TestHugeSweepStreamsAndResumes is the scale acceptance test: a 10^5-cell
-// sweep runs through RunStream end to end — lazy source in, JSONL out, no
-// cell or outcome slice anywhere — its summary merge reproduces the
-// monolithic fingerprint, and resuming a truncated copy completes only the
-// missing cells.
-func TestHugeSweepStreamsAndResumes(t *testing.T) {
+// TestHugeSweepStreams is the scale acceptance test: a 10^5-cell sweep runs
+// through RunStream end to end — lazy source in, JSONL out, no cell or
+// outcome slice anywhere — and its summary merge reproduces the monolithic
+// fingerprint without materializing a single outcome.
+func TestHugeSweepStreams(t *testing.T) {
 	const n = 100_000
 	src := errorSweep(t, n)
 
@@ -366,26 +281,6 @@ func TestHugeSweepStreamsAndResumes(t *testing.T) {
 		t.Fatalf("summary merge materialized %d outcomes", len(merged.Outcomes))
 	}
 
-	// Crash at ~40% and resume: only the missing cells run, and the merged
-	// fingerprint is unchanged.
-	truncateStream(t, path, n/2)
-	tr, skipped, err := ResumeStreamFile(path, src, Options{}, hdr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if wantSkip := n - n/2 + 1; skipped != wantSkip { // n/2 lines cut = trailer + (n/2 - 1) outcomes
-		t.Fatalf("resume skipped %d cells, want %d", skipped, wantSkip)
-	}
-	if tr.CellsRun != n {
-		t.Fatalf("resumed trailer covers %d cells, want %d", tr.CellsRun, n)
-	}
-	merged, err = MergeFilesWith(MergeOptions{}, path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := merged.Fingerprint(); got != want {
-		t.Fatalf("resumed merge fingerprint %s, want %s", got[:16], want[:16])
-	}
 }
 
 // syntheticOutcome fabricates a distinct outcome without running anything —

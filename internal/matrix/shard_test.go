@@ -121,19 +121,3 @@ func TestSpanSourceMatchesGlobals(t *testing.T) {
 		}
 	}
 }
-
-// TestParseCellList pins the -only flag grammar.
-func TestParseCellList(t *testing.T) {
-	got, err := ParseCellList("41, 3,17")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if FormatCellList(got) != "3,17,41" {
-		t.Fatalf("cell list canonicalized to %q, want \"3,17,41\"", FormatCellList(got))
-	}
-	for _, bad := range []string{"", "1,,2", "1,-2", "x", "3,3"} {
-		if _, err := ParseCellList(bad); err == nil {
-			t.Errorf("ParseCellList(%q) accepted", bad)
-		}
-	}
-}

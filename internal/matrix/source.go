@@ -74,8 +74,7 @@ func (m paramsMap) Index(i int) int { return i }
 func (m paramsMap) Cell(i int) Cell { return Cell{Index: i, Params: m.params(i)} }
 
 // indexMap is a slice of a base source: position i is base position at(i),
-// global index kept. A shard, an -only list and a resume's missing positions
-// are each one.
+// global index kept. A shard is one.
 type indexMap struct {
 	base CellSource
 	n    int
@@ -90,11 +89,6 @@ func (m indexMap) Index(i int) int { return m.base.Index(m.at(i)) }
 
 // Cell implements CellSource.
 func (m indexMap) Cell(i int) Cell { return m.base.Cell(m.at(i)) }
-
-// pick is the slice of base at the listed positions.
-func pick(base CellSource, pos []int) CellSource {
-	return indexMap{base: base, n: len(pos), at: func(i int) int { return pos[i] }}
-}
 
 // crossProduct holds one sweep's axis values, defaults filled in; cell i of the
 // cross-product is computed by mixed-radix arithmetic — graphs outermost,

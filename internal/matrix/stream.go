@@ -36,9 +36,9 @@ type StreamHeader struct {
 	Name string `json:"name"`
 	// TotalCells is the size of the whole sweep (not of this shard).
 	TotalCells int `json:"total_cells"`
-	// Shard names the slice this stream ran: a shard "i/n" ("1/1" for the
-	// whole sweep) or an -only list "cells:a,b,c". Merge routes the
-	// stream by it and refuses a stream whose header names none.
+	// Shard names the shard this stream ran, "i/n" ("1/1" for the whole
+	// sweep). Merge routes the stream by it and refuses a stream whose
+	// header names none.
 	Shard string `json:"shard"`
 	// ShardCells is how many cells this shard contains.
 	ShardCells int `json:"shard_cells"`
@@ -80,17 +80,16 @@ type streamRecord struct {
 // streamWriter is the one encoder of stream records. It flushes every record
 // as its line completes, so a concurrent tail (or a crash post-mortem) sees
 // every completed cell, and it keeps the trailer's running counts. RunStream
-// writes a whole stream through it; ResumeStreamFile seeds its counts with
-// its scan's.
+// writes every stream through it.
 type streamWriter struct {
 	bw  *bufio.Writer
 	enc *json.Encoder
 	tr  StreamTrailer
 }
 
-func newStreamWriter(w io.Writer, counts StreamTrailer) *streamWriter {
+func newStreamWriter(w io.Writer) *streamWriter {
 	bw := bufio.NewWriter(w)
-	return &streamWriter{bw: bw, enc: json.NewEncoder(bw), tr: counts}
+	return &streamWriter{bw: bw, enc: json.NewEncoder(bw)}
 }
 
 func (w *streamWriter) write(rec streamRecord) error {
@@ -137,7 +136,7 @@ func (w *streamWriter) trailer(wallNS int64) (*StreamTrailer, error) {
 // memory.
 func RunStream(src CellSource, opts Options, w io.Writer, hdr StreamHeader) (*StreamTrailer, error) {
 	hdr.ShardCells = src.Len()
-	sw := newStreamWriter(w, StreamTrailer{})
+	sw := newStreamWriter(w)
 	if err := sw.header(hdr); err != nil {
 		return nil, err
 	}
@@ -168,16 +167,13 @@ func RunStreamFile(path string, src CellSource, opts Options, hdr StreamHeader) 
 	return tr, nil
 }
 
-// recordReader is the one decoder of stream records: the merge's cursors,
-// resume (through scanStreamFile) and the fabric coordinator's
-// coverage check all read through it. It reads line by line, tracks the byte
-// offset just past the last intact record, and enforces the record order: the
-// header first and once, no outcome after the trailer, no cell index twice.
-// Damage an interrupted write leaves behind an intact header — a final line
-// without its newline, an unparseable line, an unknown or empty record — comes
-// back as a tornError; anything else that breaks the format is malformed.
-// Resume cuts a torn stream at offset and refuses a malformed one; the merge
-// and the coordinator refuse both.
+// recordReader is the one decoder of stream records: the merge's cursors and
+// the fabric coordinator's coverage check (scanStreamFile) both read through
+// it. It reads line by line and enforces the record order: the header first
+// and once, no outcome after the trailer, no cell index twice. Any damage —
+// a final line without its newline, an unparseable line, an unknown or empty
+// record, a broken order — is an error: a stream is whole or its shard runs
+// again.
 type recordReader struct {
 	br      *bufio.Reader
 	header  *StreamHeader
@@ -185,16 +181,9 @@ type recordReader struct {
 	// seen reports whether the stream already carried a cell index: the
 	// scan's done set, or the merge cursor's pending buffer.
 	seen func(int) bool
-	// offset is the byte offset just past the last intact record.
-	offset int64
 	// outcomes counts the outcome records read.
 	outcomes int
 }
-
-// tornError marks the first record an interrupted write damaged.
-type tornError struct{ msg string }
-
-func (e tornError) Error() string { return "stream: torn: " + e.msg }
 
 func newRecordReader(r io.Reader, seen func(int) bool) *recordReader {
 	return &recordReader{br: bufio.NewReaderSize(r, 1<<16), seen: seen}
@@ -211,19 +200,12 @@ func (r *recordReader) next() (*Outcome, error) {
 	case err == io.EOF && len(line) == 0:
 		return nil, io.EOF
 	case err == io.EOF:
-		return nil, tornError{"final line without its newline"}
+		return nil, fmt.Errorf("stream: final line without its newline")
 	case err != nil:
 		return nil, err
 	}
-	// Damage before the header means this is not a stream at all.
-	damaged := func(msg string) error {
-		if r.header == nil {
-			return fmt.Errorf("stream: %s before the header", msg)
-		}
-		return tornError{msg}
-	}
 	if jerr := json.Unmarshal(bytes.TrimSpace(line), &rec); jerr != nil {
-		return nil, damaged(jerr.Error())
+		return nil, fmt.Errorf("stream: %w", jerr)
 	}
 	switch rec.Type {
 	case "header":
@@ -231,7 +213,7 @@ func (r *recordReader) next() (*Outcome, error) {
 		case r.header != nil:
 			return nil, fmt.Errorf("stream: duplicate header")
 		case rec.Header == nil:
-			return nil, damaged("empty header record")
+			return nil, fmt.Errorf("stream: empty header record")
 		}
 		r.header = rec.Header
 	case "outcome":
@@ -241,7 +223,7 @@ func (r *recordReader) next() (*Outcome, error) {
 		case r.trailer != nil:
 			return nil, fmt.Errorf("stream: outcome after trailer")
 		case rec.Outcome == nil:
-			return nil, damaged("empty outcome record")
+			return nil, fmt.Errorf("stream: empty outcome record")
 		case r.seen(rec.Outcome.Index):
 			return nil, fmt.Errorf("stream: duplicate outcome for cell index %d", rec.Outcome.Index)
 		}
@@ -254,28 +236,28 @@ func (r *recordReader) next() (*Outcome, error) {
 		case r.trailer != nil:
 			return nil, fmt.Errorf("stream: duplicate trailer")
 		case rec.Trailer == nil:
-			return nil, damaged("empty trailer record")
+			return nil, fmt.Errorf("stream: empty trailer record")
 		}
 		r.trailer = rec.Trailer
 	default:
-		return nil, damaged(fmt.Sprintf("unknown record type %q", rec.Type))
+		return nil, fmt.Errorf("stream: unknown record type %q", rec.Type)
 	}
-	r.offset += int64(len(line))
 	return out, nil
 }
 
-// streamCursor is one stream of a merge: its reader, the task its header
+// streamCursor is one stream of a merge: its reader, the shard its header
 // names, and the outcomes read ahead of the cell the merge waits for. For
 // streams RunStream writes the buffer stays O(that shard's parallelism) — the
 // pool claims cells in order, so completion order can only run that far ahead.
 type streamCursor struct {
 	*recordReader
-	task    Task
+	shard   Shard
 	pending map[int]*Outcome
 	eof     bool
 }
 
-// newStreamCursor opens a stream: its header, and the task its spec names.
+// newStreamCursor opens a stream: its header, and the shard its spec names.
+// An empty spec names no shard and is refused.
 func newStreamCursor(r io.Reader) (*streamCursor, error) {
 	c := &streamCursor{pending: make(map[int]*Outcome)}
 	c.recordReader = newRecordReader(r, func(i int) bool { _, ok := c.pending[i]; return ok })
@@ -284,11 +266,14 @@ func newStreamCursor(r io.Reader) (*streamCursor, error) {
 	} else if err != nil {
 		return nil, err
 	}
-	task, err := parseTask(c.header.Shard)
-	if err != nil {
-		return nil, fmt.Errorf("header names no slice of the sweep: %w", err)
+	if c.header.Shard == "" {
+		return nil, fmt.Errorf("header names no shard of the sweep")
 	}
-	c.task = task
+	sh, err := ParseShard(c.header.Shard)
+	if err != nil {
+		return nil, fmt.Errorf("header names no shard of the sweep: %w", err)
+	}
+	c.shard = sh
 	return c, nil
 }
 
@@ -363,11 +348,9 @@ type mergeStats struct {
 //
 // The merge is incremental: cells are folded into an Aggregator in global
 // index order, and each cell is read only from the streams whose header names
-// a slice that owns it — a shard "i/n" or an -only list "cells:a,b,c". So
-// beyond the merged report itself only each stream's out-of-order window is
-// buffered: O(streams × per-shard parallelism) for everything RunStream
-// writes, plus a resumed shard's appended-tail window. A stream whose header
-// names no slice is refused.
+// a shard "i/n" that owns it. So beyond the merged report itself only each
+// stream's out-of-order window is buffered: O(streams × per-shard
+// parallelism). A stream whose header names no shard is refused.
 func Merge(opts MergeOptions, readers ...io.Reader) (*Report, error) {
 	rep, _, err := merge(opts, readers...)
 	return rep, err
@@ -406,7 +389,7 @@ func merge(opts MergeOptions, readers ...io.Reader) (*Report, mergeStats, error)
 			}
 			read, pending := false, 0
 			for i, c := range cursors {
-				if c.task.owns(next) {
+				if c.shard.Owns(next) {
 					more, err := c.advance()
 					if err != nil {
 						return nil, fmt.Errorf("merge: stream %d: %w", i, err)

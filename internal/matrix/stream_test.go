@@ -37,11 +37,11 @@ func mergeFilesWithStats(t *testing.T, paths ...string) (*Report, mergeStats) {
 	return rep, stats
 }
 
-// TestMergeAdversarialSplitConstantMemory pins the merge's memory on the
-// split a round-robin reader handles worst: two streams carrying contiguous
-// index blocks (first half / second half), each header naming its block as a
-// "cells:" list. A reader that alternated between the streams would buffer
-// the entire second stream (O(cells)) while draining the first; routing every
+// TestMergeAdversarialSplitConstantMemory pins the merge's memory on a split
+// a round-robin reader handles badly: shards of different counts, 1/2 beside
+// 2/4 and 4/4. A reader that alternated between the streams would take one
+// record of each per round, so while the half-size stream reaches cell 2k the
+// quarter-size ones run ahead to 4k and it would buffer O(cells); routing every
 // index to the stream that owns it keeps the total out-of-order buffer at
 // O(streams).
 func TestMergeAdversarialSplitConstantMemory(t *testing.T) {
@@ -56,14 +56,10 @@ func TestMergeAdversarialSplitConstantMemory(t *testing.T) {
 
 	dir := t.TempDir()
 	var paths []string
-	for half := 0; half < 2; half++ {
-		pos := make([]int, 0, n/2)
-		for i := half * (n / 2); i < (half+1)*(n/2); i++ {
-			pos = append(pos, i)
-		}
-		path := filepath.Join(dir, fmt.Sprintf("block%d.jsonl", half))
-		if _, err := RunStreamFile(path, pick(src, pos), Options{Parallelism: 1}, StreamHeader{
-			Name: "adversarial-split", TotalCells: n, Shard: Task{Cells: pos}.spec(),
+	for _, sh := range []Shard{{Index: 1, Count: 2}, {Index: 2, Count: 4}, {Index: 4, Count: 4}} {
+		path := filepath.Join(dir, fmt.Sprintf("shard%d-%d.jsonl", sh.Index, sh.Count))
+		if _, err := RunStreamFile(path, slice(t, src, Task{Shard: sh}), Options{Parallelism: 1}, StreamHeader{
+			Name: "adversarial-split", TotalCells: n, Shard: sh.String(),
 		}); err != nil {
 			t.Fatal(err)
 		}
@@ -77,7 +73,7 @@ func TestMergeAdversarialSplitConstantMemory(t *testing.T) {
 	if rep.Cells != n {
 		t.Fatalf("merged %d cells, want %d", rep.Cells, n)
 	}
-	const maxBuffered = 8 // O(streams), with slack; a round-robin reader needs ~n/2
+	const maxBuffered = 8 // O(streams), with slack; a round-robin reader needs ~n/4
 	if stats.maxPending > maxBuffered {
 		t.Fatalf("adversarial split buffered %d outcomes (want ≤ %d): merge memory grows with cell count", stats.maxPending, maxBuffered)
 	}
