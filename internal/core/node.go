@@ -173,6 +173,20 @@ func (n *Node) Committee() (kosr.Candidate, bool) {
 	return *n.committee, true
 }
 
+// Discovery returns the node's discovery module (nil in ModePermissioned,
+// which runs none). Callers only read it.
+func (n *Node) Discovery() *discovery.Module { return n.disc }
+
+// Settled reports whether only discovery can still move the node: it has
+// no committee and buffers no committee message, or it has decided every
+// slot. A settled node's other timers are no-ops: once it has decided, a
+// view timer (pbft.Instance.HandleTimer) and a poll (poll) do nothing, and
+// a node without a committee sets neither. Without a committee, only new
+// knowledge runs its search again.
+func (n *Node) Settled() bool {
+	return n.committee == nil && n.pendingN == 0 || uint64(len(n.decidedSlots)) == n.cfg.Slots
+}
+
 // Init implements rt.Reactor.
 func (n *Node) Init(ctx rt.Context) {
 	n.ctx = ctx

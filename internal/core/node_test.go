@@ -567,3 +567,53 @@ func TestChainedSlotsOnFig4a(t *testing.T) {
 		}
 	}
 }
+
+// TestSettled pins what a settled node is: one with no committee and no
+// buffered committee message, or one that has decided every slot. A member
+// still running consensus is not settled, nor is a node without a committee
+// holding an early committee message.
+func TestSettled(t *testing.T) {
+	fig := graph.Fig1b()
+	nw := buildNet(t, fig.G, ModeKnownF, fig.F, fig.Byz, sim.Synchronous{Delta: 5 * sim.Millisecond}, 2)
+	running := 0
+	nw.engine.RunUntil(func() bool {
+		for id := range nw.correct {
+			_, adopted := nw.nodes[id].Committee()
+			if _, decided := nw.decisions[id]; adopted && !decided {
+				running++
+				if nw.nodes[id].Settled() {
+					t.Fatalf("%v runs consensus on its committee, yet reads settled", id)
+				}
+			}
+		}
+		return nw.allCorrectDecided()
+	}, 30*sim.Second)
+	if running == 0 {
+		t.Fatal("no node was seen running consensus")
+	}
+	for id := range nw.correct {
+		if !nw.nodes[id].Settled() {
+			t.Fatalf("%v has decided, yet reads unsettled", id)
+		}
+	}
+
+	signers, reg, err := cryptox.GenerateKeys(1, []model.ID{1, 2, 3, 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cand := mkCand(1, model.NewIDSet(1, 2, 3), model.NewIDSet(4))
+	leader, err := pbft.New(signers[1], reg, pbft.Config{Committee: cand.Members(), Quorum: cand.QuorumSize(), F: cand.G, BaseTimeout: DefaultPBFTTimeout}, model.Value("A"), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sent := newFakeCtx(1)
+	leader.Start(sent)
+	n := NewNode(signers[4], reg, Config{Mode: ModeUnknownF, PD: model.NewIDSet(1)}, nil)
+	if !n.Settled() {
+		t.Fatal("a node without a committee or a buffered message reads unsettled")
+	}
+	n.Receive(newFakeCtx(4), 1, sent.sends[4][0])
+	if n.Settled() {
+		t.Fatal("a node buffering an early committee message reads settled")
+	}
+}

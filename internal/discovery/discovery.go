@@ -3,6 +3,7 @@ package discovery
 import (
 	"bytes"
 	"fmt"
+	"slices"
 	"sort"
 
 	"github.com/bftcup/bftcup/internal/cryptox"
@@ -100,8 +101,8 @@ type Module struct {
 
 	// owners is records' key set, kept sorted; encoded is the cached
 	// full-set SETPDS payload (nil after a record arrives); recipients is
-	// the cached sorted view of S_known for the gossip round (nil after
-	// S_known grows).
+	// the cached sorted S_known but self, whom the gossip round polls (nil
+	// after S_known grows).
 	owners     []model.ID
 	encoded    []byte
 	recipients []model.ID
@@ -205,15 +206,45 @@ func (m *Module) Resume(ctx rt.Context) {
 var getPDsPayload = []byte{wire.KindGetPDs}
 
 func (m *Module) round(ctx rt.Context) {
-	if m.recipients == nil {
-		m.recipients = m.view.Known.Sorted()
-	}
-	for _, id := range m.recipients {
-		if id != m.self {
-			ctx.Send(id, getPDsPayload)
-		}
+	for _, id := range m.Polls() {
+		ctx.Send(id, getPDsPayload)
 	}
 	ctx.SetTimer(m.nextPeriod(ctx), TimerTag)
+}
+
+// The three questions below model a round without running one, for a caller
+// that counts the rounds of a run whose knowledge no longer changes instead
+// of simulating them (internal/scenario's counted tail): a round sends a
+// one-byte GETPDS to each of Polls, and a module answers each GETPDS with
+// one SETPDS of ReplyLen bytes; once the module Holds every peer it polls,
+// neither answer can change it.
+
+// Polls returns whom a round sends GETPDS to: S_known without the module's
+// owner, ascending. The slice is the module's cache; callers must not
+// modify or keep it.
+func (m *Module) Polls() []model.ID {
+	if m.recipients == nil {
+		m.recipients = slices.DeleteFunc(m.view.Known.Sorted(), func(id model.ID) bool { return id == m.self })
+	}
+	return m.recipients
+}
+
+// ReplyLen returns the length of the SETPDS a GETPDS is answered with now.
+func (m *Module) ReplyLen() int { return len(m.reply()) }
+
+// Holds reports whether the module holds a record of every owner peer holds
+// one of: then nothing peer sends, or has sent, as a SETPDS can add to it.
+func (m *Module) Holds(peer *Module) bool {
+	i := 0
+	for _, owner := range peer.owners { // both ascending: one merge walk
+		for i < len(m.owners) && m.owners[i] < owner {
+			i++
+		}
+		if i == len(m.owners) || m.owners[i] != owner {
+			return false
+		}
+	}
+	return true
 }
 
 // nextPeriod returns the delay before the next round: the configured Period,
@@ -265,7 +296,11 @@ func (m *Module) Handle(ctx rt.Context, from model.ID, payload []byte) bool {
 // The encoded payload is identical for every requester until a new record
 // arrives, so it is built once and the one slice sent to all of them; being
 // handed over, it is replaced then, never rebuilt in place.
-func (m *Module) sendRecords(ctx rt.Context, to model.ID) {
+func (m *Module) sendRecords(ctx rt.Context, to model.ID) { ctx.Send(to, m.reply()) }
+
+// reply returns the SETPDS payload that answers a GETPDS: encoded, built
+// from S_PD when a record arrived since it last was.
+func (m *Module) reply() []byte {
 	if m.encoded == nil {
 		recs := make([]SignedPD, 0, len(m.owners))
 		for _, owner := range m.owners {
@@ -273,7 +308,7 @@ func (m *Module) sendRecords(ctx rt.Context, to model.ID) {
 		}
 		m.encoded = EncodeSetPDs(recs)
 	}
-	ctx.Send(to, m.encoded)
+	return m.encoded
 }
 
 // EncodeSetPDs builds a ⟨SETPDS, records⟩ payload. Exported so Byzantine

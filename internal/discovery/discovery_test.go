@@ -573,3 +573,59 @@ func BenchmarkReceiveFresh(b *testing.B) {
 		}
 	}
 }
+
+// sendLog is an rt.Context that records what a module sends.
+type sendLog struct {
+	self model.ID
+	to   []model.ID
+	sent [][]byte
+}
+
+func (s *sendLog) ID() model.ID { return s.self }
+func (s *sendLog) Now() rt.Time { return 0 }
+func (s *sendLog) Send(to model.ID, payload []byte) {
+	s.to, s.sent = append(s.to, to), append(s.sent, payload)
+}
+func (s *sendLog) SetTimer(rt.Time, uint64) {}
+func (s *sendLog) Rand() *rand.Rand         { return rand.New(rand.NewSource(1)) }
+
+// TestRoundModel holds the three questions a round is modelled by to what a
+// round does: a round polls exactly Polls, a GETPDS is answered with ReplyLen
+// bytes, and on Fig 1b after convergence every correct process Holds each
+// correct process it polls, while a process that has learnt nothing holds
+// none of them.
+func TestRoundModel(t *testing.T) {
+	fig := graph.Fig1b()
+	nodes, engine := buildNetwork(t, fig.G, sim.Synchronous{Delta: 5 * sim.Millisecond}, fig.Byz)
+	engine.Run(2 * sim.Second)
+	for id, n := range nodes {
+		if fig.Byz.Has(id) {
+			continue
+		}
+		m := n.mod
+		round := &sendLog{self: id}
+		m.HandleTimer(round, TimerTag)
+		want := m.View().Known.Clone()
+		want.Remove(id)
+		if !slices.Equal(round.to, want.Sorted()) || !slices.Equal(m.Polls(), round.to) {
+			t.Fatalf("%v: a round polled %v, Polls says %v, S_known but self is %v", id, round.to, m.Polls(), want.Sorted())
+		}
+		reply := &sendLog{self: id}
+		m.Handle(reply, 1, []byte{wire.KindGetPDs})
+		if len(reply.sent) != 1 || len(reply.sent[0]) != m.ReplyLen() {
+			t.Fatalf("%v: answered a GETPDS with %d payloads, ReplyLen %d", id, len(reply.sent), m.ReplyLen())
+		}
+		for _, peer := range m.Polls() {
+			if fig.Byz.Has(peer) {
+				continue
+			}
+			if !m.Holds(nodes[peer].mod) {
+				t.Fatalf("%v polls %v but does not hold its records after convergence", id, peer)
+			}
+		}
+	}
+	fresh, _ := buildNetwork(t, fig.G, sim.Synchronous{Delta: 5 * sim.Millisecond}, fig.Byz)
+	if fresh[1].mod.Holds(nodes[2].mod) || !nodes[2].mod.Holds(fresh[1].mod) {
+		t.Fatal("a process that learnt nothing holds a converged one's records, or the converse fails")
+	}
+}

@@ -345,6 +345,8 @@ type Runner struct {
 	// to results.
 	searchers    []*kosr.Searcher
 	searcherNext int
+	// tail counts the quiescent rest of an untraced run (tail.go).
+	tail tail
 
 	// SearchFactory, when non-nil, overrides the pooled searchers with a
 	// per-node kosr.Search of its own choosing. The search transparency tests
@@ -388,7 +390,11 @@ func (r *Runner) reset(net sim.NetworkModel, seed int64) {
 // Run executes the compiled scenario under one seed on the simulator:
 // assemble the reactors onto the engine (keyrings come from the Runner's key
 // store), schedule the churn, drive the engine to decision or horizon, and
-// grade the outcome.
+// grade the outcome. An untraced run that reaches quiescence — only gossip
+// left, which can change nothing but the traffic counters — stops simulating
+// there and counts the traffic of its rest (tail.go); its Result reads as if
+// the engine had run to the end, and CountedFrom says where counting began.
+// A traced run simulates every event.
 func (r *Runner) Run(c *Compiled, seed int64, trace bool) (*Result, error) {
 	name := c.runName(seed)
 	r.reset(c.Net, seed)
@@ -437,11 +443,12 @@ func (r *Runner) Run(c *Compiled, seed int64, trace bool) (*Result, error) {
 		}
 	}
 
-	terminated := engine.RunUntil(log.allCorrectDecided, c.Horizon)
+	r.tail.arm(c, trace, log.nodes)
+	terminated := r.drive(log.allCorrectDecided, c.Horizon)
 	// Let in-flight decisions propagate a little further for reporting, but
 	// never past the horizon.
 	if terminated {
-		engine.RunUntil(func() bool { return false }, min(engine.Now()+sim.Second, c.Horizon))
+		r.drive(func() bool { return false }, min(engine.Now()+sim.Second, c.Horizon))
 	}
 
 	r.res = Result{Name: name, PerProcess: r.perProcess}
@@ -453,6 +460,9 @@ func (r *Runner) Run(c *Compiled, seed int64, trace bool) (*Result, error) {
 	m := engine.Metrics()
 	res.Messages, res.Bytes = m.Messages, m.Bytes
 	res.ByKind = m.ByKind()
+	if r.tail.from > 0 {
+		r.tail.credit(res)
+	}
 	return res, nil
 }
 

@@ -178,12 +178,17 @@ func (c *Compiled) RunLive(seed int64, opts LiveOptions) (*Result, error) {
 	start = time.Now()
 	mu.Unlock()
 
+	// A stopped timer, not time.After: under go 1.21's timer rules an unfired
+	// timer stays live until it fires, and a run that decides early would
+	// leave its horizon's timer behind for the rest of the horizon.
+	horizon := time.NewTimer(time.Duration(int64(c.Horizon) / scale))
 	select {
 	case <-done:
+		horizon.Stop()
 		// Let in-flight decisions propagate a little further for reporting —
 		// the Runner's one extra virtual second, scaled.
 		time.Sleep(time.Duration(int64(sim.Second) / scale))
-	case <-time.After(time.Duration(int64(c.Horizon) / scale)):
+	case <-horizon.C:
 	}
 	cluster.Stop()
 

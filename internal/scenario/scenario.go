@@ -117,6 +117,11 @@ type Result struct {
 	// over the canonical encoding of every delivered event and decision.
 	TraceDigest string
 	TraceEvents int64
+	// CountedFrom is the virtual time from which the simulator counted the
+	// run's quiescent tail instead of simulating it (tail.go); 0 when every
+	// event was simulated, as in every traced run. The counts above include
+	// the tail either way.
+	CountedFrom sim.Time
 }
 
 // Consensus reports whether all four consensus properties held.

@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/bits"
 	"math/rand"
+	"slices"
 	"testing"
 	"unsafe"
 
@@ -73,6 +74,12 @@ type queuePair struct {
 	e   *Engine
 	ref refHeap
 	now Time // at of the last pop: scripts push at now+d, as reactors do
+	// walkEvery > 0 has every walkEvery-th pop first hold WalkPending to
+	// the oracle's events; pops counts the pops, and tiers marks each tier
+	// a checked walk found occupied (bit 0 the open run, 1 the fine wheel,
+	// 2 the far wheel, 3 the heap).
+	walkEvery, pops int
+	tiers           uint8
 }
 
 func newQueuePair(t *testing.T) *queuePair {
@@ -91,6 +98,9 @@ func (q *queuePair) pending() int { return len(q.ref.h) }
 // engine's pop and the oracle's pop name the same (at, seq).
 func (q *queuePair) pop() {
 	q.t.Helper()
+	if q.pops++; q.walkEvery > 0 && q.pops%q.walkEvery == 0 {
+		q.checkWalk()
+	}
 	head, ok := q.e.peek()
 	if !ok {
 		q.t.Fatalf("queue empty with %d events pending in the oracle", q.pending())
@@ -299,59 +309,8 @@ func TestEventQueueMatchesHeap(t *testing.T) {
 		q.drain()
 	})
 
-	t.Run("gst-backlog-under-jitter", func(t *testing.T) {
-		// The standard sweep's partial regime: jittered-Δ traffic, while
-		// every eighth delivery before a GST 2 s out also parks a message
-		// until GST + Δ, in the far wheel. At GST the backlog lands in a
-		// 2.5 ms band of crowded buckets, and keeps its traffic going.
-		const gst = 2 * Second
-		q, rng := newQueuePair(t), rand.New(rand.NewSource(10))
-		for i := 0; i < 200; i++ {
-			q.push(jitter(5*Millisecond, rng))
-		}
-		for q.now < gst+20*Millisecond {
-			q.pop()
-			q.push(q.now + jitter(5*Millisecond, rng))
-			if q.now < gst && rng.Intn(8) == 0 {
-				q.push(gst + jitter(5*Millisecond, rng))
-			}
-		}
-		q.drain()
-	})
-
-	t.Run("coarse-period-edges", func(t *testing.T) {
-		// The first and last nanosecond of C+1 (the fine wheel's last
-		// period), C+2 (the far wheel's first), C+1+farBuckets (its last)
-		// and the period after it (the heap's first), from open buckets on
-		// both sides of a coarse boundary — reached directly, or by a jump
-		// into a far bucket.
-		const perCoarse = int64(1) << (coarseShift - bucketShift)
-		for _, startBucket := range []int64{0, perCoarse - 1, perCoarse, 5*perCoarse - 1, 5 * perCoarse, 5*perCoarse + 1} {
-			q := newQueuePair(t)
-			if startBucket > 0 {
-				q.advanceTo(Time(startBucket) * bucketWidth)
-			}
-			if q.e.cur != startBucket {
-				t.Fatalf("open bucket %d, want %d", q.e.cur, startBucket)
-			}
-			c := Time(coarseOf(startBucket))
-			for _, p := range []Time{c + 1, c + 2, c + 1 + farBuckets, c + 2 + farBuckets} {
-				q.push(p * coarseWidth)
-				q.push((p+1)*coarseWidth - 1)
-			}
-			fine, far := 0, 0
-			for _, w := range q.e.occ {
-				fine += bits.OnesCount64(w)
-			}
-			for _, w := range q.e.farOcc {
-				far += bits.OnesCount64(w)
-			}
-			if fine != 2 || far != 2 || len(q.e.over) != 2 {
-				t.Fatalf("open bucket %d: %d fine buckets, %d far buckets, %d heap keys; want 2, 2, 2", startBucket, fine, far, len(q.e.over))
-			}
-			q.drain()
-		}
-	})
+	t.Run("gst-backlog-under-jitter", func(t *testing.T) { lawGSTBacklog(newQueuePair(t)) })
+	t.Run("coarse-period-edges", func(t *testing.T) { lawCoarseEdges(t, newQueuePair) })
 
 	t.Run("idle-gap-into-far-bucket", func(t *testing.T) {
 		// Events only beyond the fine wheel: each time it runs dry the queue
@@ -375,29 +334,7 @@ func TestEventQueueMatchesHeap(t *testing.T) {
 		q.drain()
 	})
 
-	t.Run("idle-gap-into-heap", func(t *testing.T) {
-		// Events only beyond the far wheel: the jump goes to the heap
-		// minimum, and the keys behind it spread over all three tiers the
-		// new window has.
-		q, rng := newQueuePair(t), rand.New(rand.NewSource(12))
-		q.advanceTo(3 * Millisecond)
-		for round := 0; round < 20; round++ {
-			base := q.farWindow() + farSpan + Time(rng.Int63n(int64(farSpan)))
-			for _, d := range []Time{0, 0, 1, bucketWidth, coarseWidth - 1, coarseWidth, 2 * coarseWidth, farSpan - 1, farSpan, farSpan + coarseWidth, 3 * farSpan} {
-				q.push(base + d)
-			}
-			for i := 0; i < 30; i++ {
-				q.push(base + Time(rng.Int63n(int64(2*farSpan))))
-			}
-			for q.pending() > 0 {
-				q.pop()
-				if rng.Intn(4) == 0 {
-					q.push(q.now + jitter(5*Millisecond, rng))
-				}
-			}
-		}
-		q.drain()
-	})
+	t.Run("idle-gap-into-heap", func(t *testing.T) { lawIdleGapIntoHeap(newQueuePair(t)) })
 
 	t.Run("crowded-bucket-recycled-slots", func(t *testing.T) {
 		// Popping 200 events in slot order leaves the free list newest first,
@@ -543,5 +480,202 @@ func TestControlPrecedesInitAtTimeZero(t *testing.T) {
 func TestEventRecordFitsCacheLine(t *testing.T) {
 	if size := unsafe.Sizeof(event{}); size > 64 {
 		t.Fatalf("event record is %d bytes, want at most 64", size)
+	}
+}
+
+// lawGSTBacklog is the standard sweep's partial regime: jittered-Δ traffic,
+// while every eighth delivery before a GST 2 s out also parks a message until
+// GST + Δ, in the far wheel. At GST the backlog lands in a 2.5 ms band of
+// crowded buckets, and keeps its traffic going.
+func lawGSTBacklog(q *queuePair) {
+	const gst = 2 * Second
+	rng := rand.New(rand.NewSource(10))
+	for i := 0; i < 200; i++ {
+		q.push(jitter(5*Millisecond, rng))
+	}
+	for q.now < gst+20*Millisecond {
+		q.pop()
+		q.push(q.now + jitter(5*Millisecond, rng))
+		if q.now < gst && rng.Intn(8) == 0 {
+			q.push(gst + jitter(5*Millisecond, rng))
+		}
+	}
+	q.drain()
+}
+
+// lawCoarseEdges puts events on the first and last nanosecond of C+1 (the
+// fine wheel's last period), C+2 (the far wheel's first), C+1+farBuckets
+// (its last) and the period after it (the heap's first), from open buckets
+// on both sides of a coarse boundary — reached directly, or by a jump into a
+// far bucket. newPair makes each pair.
+func lawCoarseEdges(t *testing.T, newPair func(*testing.T) *queuePair) {
+	const perCoarse = int64(1) << (coarseShift - bucketShift)
+	for _, startBucket := range []int64{0, perCoarse - 1, perCoarse, 5*perCoarse - 1, 5 * perCoarse, 5*perCoarse + 1} {
+		q := newPair(t)
+		if startBucket > 0 {
+			q.advanceTo(Time(startBucket) * bucketWidth)
+		}
+		if q.e.cur != startBucket {
+			t.Fatalf("open bucket %d, want %d", q.e.cur, startBucket)
+		}
+		c := Time(coarseOf(startBucket))
+		for _, p := range []Time{c + 1, c + 2, c + 1 + farBuckets, c + 2 + farBuckets} {
+			q.push(p * coarseWidth)
+			q.push((p+1)*coarseWidth - 1)
+		}
+		fine, far := 0, 0
+		for _, w := range q.e.occ {
+			fine += bits.OnesCount64(w)
+		}
+		for _, w := range q.e.farOcc {
+			far += bits.OnesCount64(w)
+		}
+		if fine != 2 || far != 2 || len(q.e.over) != 2 {
+			t.Fatalf("open bucket %d: %d fine buckets, %d far buckets, %d heap keys; want 2, 2, 2", startBucket, fine, far, len(q.e.over))
+		}
+		q.drain()
+	}
+}
+
+// lawIdleGapIntoHeap queues events only beyond the far wheel: the jump goes
+// to the heap minimum, and the keys behind it spread over all three tiers the
+// new window has.
+func lawIdleGapIntoHeap(q *queuePair) {
+	rng := rand.New(rand.NewSource(12))
+	q.advanceTo(3 * Millisecond)
+	for round := 0; round < 20; round++ {
+		base := q.farWindow() + farSpan + Time(rng.Int63n(int64(farSpan)))
+		for _, d := range []Time{0, 0, 1, bucketWidth, coarseWidth - 1, coarseWidth, 2 * coarseWidth, farSpan - 1, farSpan, farSpan + coarseWidth, 3 * farSpan} {
+			q.push(base + d)
+		}
+		for i := 0; i < 30; i++ {
+			q.push(base + Time(rng.Int63n(int64(2*farSpan))))
+		}
+		for q.pending() > 0 {
+			q.pop()
+			if rng.Intn(4) == 0 {
+				q.push(q.now + jitter(5*Millisecond, rng))
+			}
+		}
+	}
+	q.drain()
+}
+
+// walkTarget is the process a walked pair's events are addressed to.
+const walkTarget model.ID = 7
+
+// newWalkedPair returns a pair whose every walkEvery-th pop first checks the
+// walk; its engine holds one process, so a walked event has a target to name.
+func newWalkedPair(t *testing.T, walkEvery int) *queuePair {
+	q := newQueuePair(t)
+	if err := q.e.AddProcess(walkTarget, &zeroTimer{}); err != nil {
+		t.Fatal(err)
+	}
+	q.walkEvery = walkEvery
+	return q
+}
+
+// checkWalk fails the test unless WalkPending visits each event the oracle
+// holds exactly once, as the timer it was pushed as, and nothing else.
+func (q *queuePair) checkWalk() {
+	q.t.Helper()
+	at := make(map[uint64]Time, q.pending())
+	for _, ev := range q.ref.h {
+		at[ev.src] = ev.at
+	}
+	for i, held := range []bool{q.e.runPos < len(q.e.run), slices.ContainsFunc(q.e.occ[:], nonZero),
+		slices.ContainsFunc(q.e.farOcc[:], nonZero), len(q.e.over) > 0} {
+		if held {
+			q.tiers |= 1 << i
+		}
+	}
+	visits := 0
+	done := q.e.WalkPending(func(p Pending) bool {
+		want, ok := at[p.Tag]
+		if !ok || p.At != want || p.Kind != PendingTimer || p.To != walkTarget {
+			q.t.Fatalf("walk visits %+v: not a pending event, or visited twice", p)
+		}
+		delete(at, p.Tag)
+		visits++
+		return true
+	})
+	if !done || len(at) > 0 {
+		q.t.Fatalf("walk visited %d events (complete %v); %d pending events unvisited", visits, done, len(at))
+	}
+}
+
+func nonZero(w uint64) bool { return w != 0 }
+
+// TestWalkPendingVisitsEachEventOnce holds the pending-event walk to the
+// heap oracle before every pop of three laws that fill all four tiers — the
+// open run, the fine wheel, the far wheel (the GST backlog) and the overflow
+// heap — and pins that a visitor returning false ends the walk.
+func TestWalkPendingVisitsEachEventOnce(t *testing.T) {
+	t.Run("gst-backlog-under-jitter", func(t *testing.T) {
+		q := newWalkedPair(t, 499)
+		lawGSTBacklog(q)
+		if q.tiers != 0b0111 {
+			t.Fatalf("checked walks found tiers %04b occupied, want the run and both wheels", q.tiers)
+		}
+	})
+	t.Run("coarse-period-edges", func(t *testing.T) {
+		const perCoarse = int64(1) << (coarseShift - bucketShift)
+		q := newWalkedPair(t, 1)
+		c := Time(coarseOf(perCoarse))
+		for _, p := range []Time{0, c + 1, c + 2, c + 1 + farBuckets, c + 2 + farBuckets} {
+			q.push(p * coarseWidth)
+			q.push((p+1)*coarseWidth - 1)
+		}
+		q.drain()
+		lawCoarseEdges(t, func(t *testing.T) *queuePair { return newWalkedPair(t, 1) })
+	})
+	t.Run("idle-gap-into-heap", func(t *testing.T) {
+		q := newWalkedPair(t, 1)
+		lawIdleGapIntoHeap(q)
+		if q.tiers != 0b1111 {
+			t.Fatalf("checked walks found tiers %04b occupied, want all four", q.tiers)
+		}
+	})
+	t.Run("stops-early", func(t *testing.T) {
+		q := newWalkedPair(t, 0)
+		for _, at := range []Time{Millisecond, 2 * Second, 1000 * Second} {
+			q.push(at)
+		}
+		visits := 0
+		if q.e.WalkPending(func(Pending) bool { visits++; return false }) || visits != 1 {
+			t.Fatalf("visitor returning false: walk complete or %d visits, want 1", visits)
+		}
+	})
+}
+
+// tagTimer sets one timer per tag at the virtual time the tag names and
+// records the tags that fire.
+type tagTimer struct{ fired []uint64 }
+
+func (r *tagTimer) Init(ctx rt.Context) {
+	for _, at := range []Time{Second, Second + 1} {
+		ctx.SetTimer(at, uint64(at))
+	}
+}
+func (r *tagTimer) Receive(rt.Context, model.ID, []byte) {}
+func (r *tagTimer) Timer(_ rt.Context, tag uint64)       { r.fired = append(r.fired, tag) }
+
+// TestRunUntilHorizonIsInclusive pins the end rule a paused run relies on:
+// RunUntil delivers an event due exactly at its horizon, and none due one
+// nanosecond later.
+func TestRunUntilHorizonIsInclusive(t *testing.T) {
+	e := NewEngine(Synchronous{Delta: Millisecond}, 1)
+	r := &tagTimer{}
+	if err := e.AddProcess(1, r); err != nil {
+		t.Fatal(err)
+	}
+	never := func() bool { return false }
+	e.RunUntil(never, Second)
+	if len(r.fired) != 1 || r.fired[0] != uint64(Second) {
+		t.Fatalf("RunUntil(horizon 1s) fired %v, want [%d]", r.fired, Second)
+	}
+	e.RunUntil(never, Second+1)
+	if len(r.fired) != 2 {
+		t.Fatalf("RunUntil(horizon 1s+1ns) fired %v, want both timers", r.fired)
 	}
 }

@@ -64,7 +64,10 @@ type NetworkModel interface {
 	Delay(from, to model.ID, now Time, rng *rand.Rand) Time
 }
 
-// Metrics accumulates network counters for the experiment tables.
+// Metrics accumulates network counters for the experiment tables. They
+// count the sends the engine simulated, and only those: where a caller stops
+// a run early and credits the traffic of its rest (internal/scenario's
+// counted tail), the credit goes to its own result, never into Metrics.
 type Metrics struct {
 	// Messages counts every accepted Send.
 	Messages int64
@@ -648,6 +651,79 @@ func (e *Engine) advance(b int64) {
 		k := e.popOver()
 		e.file(k.slot, bucketOf(k.at))
 	}
+}
+
+// PendingKind says what a queued event is.
+type PendingKind uint8
+
+// The kinds of queued event.
+const (
+	PendingMessage PendingKind = iota // a message to To carrying Payload
+	PendingTimer                      // a timer To set with Tag
+	PendingControl                    // a scheduled crash or restart of To
+)
+
+// Pending describes one queued event for WalkPending. Payload is the queued
+// slice itself: a visitor reads it and neither writes nor keeps it. A timer
+// set by an incarnation that has crashed since, or an event for a crashed
+// process, is reported as queued: delivery drops it.
+type Pending struct {
+	At      Time
+	Kind    PendingKind
+	To      model.ID
+	Tag     uint64
+	Payload []byte
+}
+
+// WalkPending calls visit on every queued event, each exactly once and in no
+// particular order, until visit returns false; it reports whether the walk
+// went through the whole queue. It reads the four tiers — the open run, the
+// fine wheel, the far wheel and the overflow heap — and changes nothing, so a
+// run paused between events (RunUntil) goes on exactly as it would have.
+func (e *Engine) WalkPending(visit func(Pending) bool) bool {
+	for _, k := range e.run[e.runPos:] {
+		if !visit(e.pending(k.slot)) {
+			return false
+		}
+	}
+	if !e.walkWheel(e.occ[:], e.heads[:], visit) || !e.walkWheel(e.farOcc[:], e.farHeads[:], visit) {
+		return false
+	}
+	for _, k := range e.over {
+		if !visit(e.pending(k.slot)) {
+			return false
+		}
+	}
+	return true
+}
+
+// walkWheel is WalkPending over one wheel: the list of each bucket occ marks.
+func (e *Engine) walkWheel(occ []uint64, heads []int32, visit func(Pending) bool) bool {
+	for w, word := range occ {
+		for ; word != 0; word &= word - 1 {
+			for slot := heads[w*64+bits.TrailingZeros64(word)]; slot != 0; slot = e.slab[slot].next {
+				if !visit(e.pending(slot)) {
+					return false
+				}
+			}
+		}
+	}
+	return true
+}
+
+// pending describes the queued event in slot.
+func (e *Engine) pending(slot int32) Pending {
+	ev := &e.slab[slot]
+	p := Pending{At: ev.at, To: e.procs[ev.tgt].id}
+	switch ev.kind {
+	case evMessage:
+		p.Kind, p.Payload = PendingMessage, ev.body
+	case evTimer:
+		p.Kind, p.Tag = PendingTimer, ev.src
+	default:
+		p.Kind = PendingControl
+	}
+	return p
 }
 
 // popOver removes and returns the overflow heap's minimum.
