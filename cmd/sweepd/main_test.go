@@ -23,9 +23,9 @@ func parse(t *testing.T, argv []string) *config {
 }
 
 // TestWorkerArgvRoundTrip follows a coordinator's command line through the
-// worker protocol: the argv its fleet execs, plus each task's WorkerArgs,
+// worker protocol: the argv its fleet execs, plus each shard's WorkerArgs,
 // parses in the worker into the same named sweep, the same per-worker
-// parallelism and exactly the task dispatched.
+// parallelism and exactly the shard dispatched.
 func TestWorkerArgvRoundTrip(t *testing.T) {
 	for _, argv := range []string{
 		"-sweep standard -seeds 1:2 -workers 2",
@@ -44,12 +44,12 @@ func TestWorkerArgvRoundTrip(t *testing.T) {
 			t.Fatalf("%q: %d transports, want %d", argv, len(fleet), coord.workers)
 		}
 		base := fleet[0].(matrix.ExecTransport).Argv[1:]
-		for _, task := range []matrix.Task{
-			{Shard: matrix.Shard{Index: 1, Count: 1}},
-			{Shard: matrix.Shard{Index: 3, Count: 4}},
-			{Shard: matrix.Shard{Index: 2, Count: 8}},
+		for _, shard := range []matrix.Shard{
+			{Index: 1, Count: 1},
+			{Index: 3, Count: 4},
+			{Index: 2, Count: 8},
 		} {
-			w := parse(t, append(append([]string{}, base...), task.WorkerArgs("-")...))
+			w := parse(t, append(append([]string{}, base...), shard.WorkerArgs("-")...))
 			if !w.worker {
 				t.Fatalf("%q: the fleet's argv does not start a worker", argv)
 			}
@@ -61,13 +61,13 @@ func TestWorkerArgvRoundTrip(t *testing.T) {
 				t.Fatalf("%q: worker runs %q (%d cells), coordinator %q (%d cells)", argv, name, src.Len(), wantName, wantSrc.Len())
 			}
 			job := w.sweep.Job(name, src)
-			got, err := job.Task()
+			got, err := job.Selection()
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !reflect.DeepEqual(got, task) || job.Path != "-" || job.Opts.Parallelism != coord.sweep.Parallel {
-				t.Fatalf("%q: task %+v reaches the worker as %+v (jsonl %q, parallel %d)",
-					argv, task, got, job.Path, job.Opts.Parallelism)
+			if !reflect.DeepEqual(got, shard) || job.Path != "-" || job.Opts.Parallelism != coord.sweep.Parallel {
+				t.Fatalf("%q: shard %+v reaches the worker as %+v (jsonl %q, parallel %d)",
+					argv, shard, got, job.Path, job.Opts.Parallelism)
 			}
 		}
 	}

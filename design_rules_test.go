@@ -174,7 +174,7 @@ var designRules = []rule{
 	{name: "NetrtKnobs", since: "95ff158", files: scope{tests: true, in: []string{"internal/", "cmd/"}},
 		match: []match{names(`QueueLen|RedialBackoff|timerRef|trackTimer`)}},
 	{name: "WholeTaskRecovery", since: "8ddedb2", files: scope{tests: true, in: []string{"internal/", "cmd/"}},
-		match: []match{names(`sealStreamFile|ParseSpan|SubShards|ownsAll`)}},
+		match: []match{names(`sealStreamFile|ParseSpan|SubShards|ownsAll|exitEvent|notBefore|^StreamJob\.Task$`), ref(mod+"/internal/matrix", "Task")}},
 	{name: "GraphDefSpelling", since: "4ccdf8d", files: scope{in: []string{"cmd/"}},
 		match: []match{ref(mod+"/internal/graph", "Def{}"), ref(mod+"/internal/graph", "DefKOSR"), ref(mod+"/internal/graph", "DefExtended")}},
 
@@ -298,7 +298,15 @@ var ruleCases = []ruleCase{
 	{"WholeTaskRecovery", "sweepd printing split counts", "cmd/sweepd/stats.go",
 		"package main\nimport \"github.com/bftcup/bftcup/internal/matrix\"\nfunc subs(s matrix.FabricStats) int { return s.SubShards }", "SubShards"},
 	{"WholeTaskRecovery", "the retry rule and the kept counters", "internal/matrix/retry2.go",
-		"package matrix\nfunc rerun(s FabricStats, t Task) (Task, int) { return t, s.Seals + s.Steals + s.GapTasks }", ""},
+		"package matrix\nfunc rerun(s FabricStats, sh Shard) (Shard, int) { return sh, s.Tasks + s.Seals + s.Steals + s.GapTasks }", ""},
+	{"WholeTaskRecovery", "the Task wrapper back in sweepd", "cmd/sweepd/task.go",
+		"package main\nimport \"github.com/bftcup/bftcup/internal/matrix\"\nvar _ = matrix.Task{Shard: matrix.Shard{}}", "internal/matrix.Task"},
+	{"WholeTaskRecovery", "an exit-event channel in the coordinator", "internal/matrix/events.go",
+		"package matrix\ntype exitEvent struct{ err error }\nvar events = make(chan exitEvent)", "exitEvent"},
+	{"WholeTaskRecovery", "backoff state carried by a queued shard", "internal/matrix/queue.go",
+		"package matrix\nimport \"time\"\ntype queued struct {\n\tsh        Shard\n\tnotBefore time.Time\n}", "notBefore"},
+	{"WholeTaskRecovery", "StreamJob.Task", "internal/matrix/cli2.go",
+		"package matrix\nfunc (j StreamJob) Task() (Shard, error) { return ParseShard(j.Shard) }", "StreamJob.Task"},
 	{"GraphDefSpelling", "graphgen's flag spelling of a kosr def", "cmd/graphgen/main.go",
 		"package main\nimport \"github.com/bftcup/bftcup/internal/graph\"\nfunc kosr(k int) graph.Def { return graph.Def{Kind: graph.DefKOSR, K: k} }", "internal/graph.Def{}"},
 	{"GraphDefSpelling", "a def parsed from its string", "cmd/graphgen/main.go",

@@ -44,11 +44,6 @@ func NewSignedPD(signer cryptox.Signer, pd model.IDSet) SignedPD {
 	return SignedPD{Owner: signer.ID(), PD: pd.Clone(), Sig: signer.Sign(Canonical(signer.ID(), pd))}
 }
 
-// Verify checks the record's signature against the registry.
-func (r SignedPD) Verify(v cryptox.Verifier) bool {
-	return v.Verify(r.Owner, Canonical(r.Owner, r.PD), r.Sig)
-}
-
 func (r SignedPD) marshal(w *wire.Writer) {
 	w.ID(r.Owner)
 	w.IDSet(r.PD)

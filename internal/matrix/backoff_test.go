@@ -33,7 +33,7 @@ func TestRetryDelay(t *testing.T) {
 type flapTransport struct{}
 
 // Run implements Transport.
-func (flapTransport) Run(context.Context, Task, io.Writer) error {
+func (flapTransport) Run(context.Context, Shard, io.Writer) error {
 	return errors.New("injected flap")
 }
 

@@ -40,7 +40,7 @@ func NamedSweep(name, seedsStr string) (CellSource, string, error) {
 // SweepFlags are the sweep flags experiments, cupsim and sweepd share. They
 // are declared once, by BindSweepFlags — the sweep-side mirror of
 // scenario.BindFlags — so the three CLIs and the fabric's worker protocol
-// (Task.WorkerArgs) cannot drift apart.
+// (Shard.WorkerArgs) cannot drift apart.
 type SweepFlags struct {
 	// Seeds is -seeds: FROM:TO or a count N (= 1:N).
 	Seeds string
@@ -76,8 +76,9 @@ func (sf *SweepFlags) Job(name string, src CellSource) StreamJob {
 
 // StreamJob is one selection of a sweep, run the way every sweep CLI runs it:
 // streamed to JSONL (Run) or buffered into a report (Report). The fabric
-// drives any CLI built on it as a worker. A stream that stops short is not
-// completed in place: its shard runs again.
+// drives any CLI built on it as a worker: the Shard it dispatches arrives as
+// -shard i/n (Shard.WorkerArgs) and Selection parses it back. A stream that
+// stops short is not completed in place: its shard runs again.
 type StreamJob struct {
 	// Name labels the sweep in the stream header; every worker of one sweep
 	// must derive the same name.
@@ -101,24 +102,23 @@ type StreamJob struct {
 	Log io.Writer
 }
 
-// Task is the -shard selection as the fabric task it names: the inverse of
-// Task.WorkerArgs. A cell list or a resume is refused: a shard is the only
+// Selection is the -shard flag as the Shard it names: the inverse of
+// Shard.WorkerArgs. A cell list or a resume is refused: a shard is the only
 // part of a sweep a job runs.
-func (j StreamJob) Task() (Task, error) {
+func (j StreamJob) Selection() (Shard, error) {
 	if j.Only != "" || j.Resume {
-		return Task{}, fmt.Errorf("cell lists and resumed streams are not supported: select part of the sweep with -shard i/n, and rerun a shard that stopped short")
+		return Shard{}, fmt.Errorf("cell lists and resumed streams are not supported: select part of the sweep with -shard i/n, and rerun a shard that stopped short")
 	}
-	sh, err := ParseShard(j.Shard)
-	return Task{Shard: sh}, err
+	return ParseShard(j.Shard)
 }
 
-// slice resolves the job's selection through Task.Slice.
+// slice resolves the job's selection through Shard.Slice.
 func (j StreamJob) slice() (CellSource, string, error) {
-	t, err := j.Task()
+	sh, err := j.Selection()
 	if err != nil {
 		return nil, "", err
 	}
-	return t.Slice(j.Src)
+	return sh.Slice(j.Src)
 }
 
 // Run executes the stream job, to a file or stdout. The returned trailer

@@ -15,10 +15,10 @@ import (
 	"github.com/bftcup/bftcup/internal/scenario"
 )
 
-// slice is Task.Slice failing the test on a refused selection.
-func slice(t *testing.T, src CellSource, task Task) CellSource {
+// slice is Shard.Slice failing the test on a refused selection.
+func slice(t *testing.T, src CellSource, sh Shard) CellSource {
 	t.Helper()
-	part, _, err := task.Slice(src)
+	part, _, err := sh.Slice(src)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -36,19 +36,19 @@ func parseSweepFlags(t *testing.T, argv []string) (*SweepFlags, error) {
 }
 
 // TestSweepFlagsJobRoundTrip is the flag → job table: each command line
-// selects the task, header spec and global cells it names, and every task
+// selects the shard, header spec and global cells it names, and every shard
 // rendered back through WorkerArgs — what the fabric hands a worker —
-// parses to the same task and destination.
+// parses to the same shard and destination.
 func TestSweepFlagsJobRoundTrip(t *testing.T) {
 	src, err := StandardSweep(Seeds(1, 1)) // 24 cells
 	if err != nil {
 		t.Fatal(err)
 	}
 	total := src.Len()
-	shard := func(i, n int) Task { return Task{Shard: Shard{Index: i, Count: n}} }
+	shard := func(i, n int) Shard { return Shard{Index: i, Count: n} }
 	for _, tc := range []struct {
 		argv  string
-		task  Task
+		sel   Shard
 		spec  string
 		cells []int
 	}{
@@ -63,14 +63,14 @@ func TestSweepFlagsJobRoundTrip(t *testing.T) {
 			t.Fatalf("%q: %v", tc.argv, err)
 		}
 		job := sf.Job("standard sweep, seeds 1:1", src)
-		task, err := job.Task()
+		sel, err := job.Selection()
 		if err != nil {
 			t.Fatalf("%q: %v", tc.argv, err)
 		}
-		if !reflect.DeepEqual(task, tc.task) {
-			t.Fatalf("%q selects %+v, want %+v", tc.argv, task, tc.task)
+		if !reflect.DeepEqual(sel, tc.sel) {
+			t.Fatalf("%q selects %+v, want %+v", tc.argv, sel, tc.sel)
 		}
-		part, spec, err := task.Slice(src)
+		part, spec, err := sel.Slice(src)
 		if err != nil {
 			t.Fatalf("%q: %v", tc.argv, err)
 		}
@@ -92,17 +92,17 @@ func TestSweepFlagsJobRoundTrip(t *testing.T) {
 		}
 
 		// Back through the worker protocol.
-		back, err := parseSweepFlags(t, task.WorkerArgs("spool.jsonl"))
+		back, err := parseSweepFlags(t, sel.WorkerArgs("spool.jsonl"))
 		if err != nil {
 			t.Fatalf("%q WorkerArgs: %v", tc.argv, err)
 		}
-		again, err := back.Job(job.Name, src).Task()
+		again, err := back.Job(job.Name, src).Selection()
 		if err != nil {
 			t.Fatalf("%q WorkerArgs: %v", tc.argv, err)
 		}
-		if !reflect.DeepEqual(again, task) || back.JSONL != "spool.jsonl" {
+		if !reflect.DeepEqual(again, sel) || back.JSONL != "spool.jsonl" {
 			t.Fatalf("%q: WorkerArgs %v parse back to %+v (jsonl %q)",
-				tc.argv, task.WorkerArgs("spool.jsonl"), again, back.JSONL)
+				tc.argv, sel.WorkerArgs("spool.jsonl"), again, back.JSONL)
 		}
 	}
 }
@@ -196,8 +196,8 @@ func TestSweepFlagsRefused(t *testing.T) {
 	}
 	// A slice of a slice is not a whole sweep: its global indices and its
 	// positions differ, so a shard of it means nothing.
-	part := slice(t, src, Task{Shard: Shard{Index: 2, Count: 3}})
-	if _, _, err := (Task{Shard: Shard{Index: 1, Count: 2}}).Slice(part); err == nil {
+	part := slice(t, src, Shard{Index: 2, Count: 3})
+	if _, _, err := (Shard{Index: 1, Count: 2}).Slice(part); err == nil {
 		t.Error("a shard of a shard was sliced")
 	}
 }

@@ -22,7 +22,7 @@ func TestDamagedStreamContract(t *testing.T) {
 	stream := func(spec string, sh Shard) []string {
 		t.Helper()
 		var buf bytes.Buffer
-		part := slice(t, CellList(cells), Task{Shard: sh})
+		part := slice(t, CellList(cells), sh)
 		if _, err := RunStream(part, Options{Parallelism: 1}, &buf, StreamHeader{
 			Name: "stream-test", TotalCells: len(cells), Shard: spec,
 		}); err != nil {

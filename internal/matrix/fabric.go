@@ -11,36 +11,20 @@ import (
 
 // The distributed sweep fabric runs one sweep across a fleet of workers.
 // The wire protocol is the JSONL stream format unchanged: the coordinator
-// dispatches Tasks (one shard of the sweep each), each worker runs its slice
-// with the same RunStream every single-machine shard run uses, and the
-// coordinator spools
+// dispatches shards of the sweep, each worker runs its slice with the same
+// RunStream every single-machine shard run uses, and the coordinator spools
 // the streams to disk and folds them through the cursor-based Merge — so the
 // distributed fingerprint is byte-identical to the monolithic run's by the
 // same argument that shard merges are.
 
-// Task is one shard of the sweep as the fabric dispatches it, with its
-// lineage's retry state.
-type Task struct {
-	// Shard is the slice of the sweep to run.
-	Shard Shard
-	// attempt counts how many dispatches this task's lineage has consumed;
-	// the coordinator aborts rather than retry forever.
-	attempt int
-	// notBefore delays the dispatch of a recovery task: the jittered
-	// exponential backoff that keeps a flapping worker from burning the
-	// lineage's attempt budget in milliseconds. Zero means immediately
-	// eligible.
-	notBefore time.Time
-}
-
-// WorkerArgs renders the CLI flags that make a worker run exactly this task:
+// WorkerArgs renders the CLI flags that make a worker run exactly this shard:
 // the fabric's half of the worker protocol. Every worker-capable CLI
 // (sweepd -worker, experiments -matrix, cupsim sweeps) declares them through
-// BindSweepFlags, and StreamJob.Task parses them back into this task.
-func (t Task) WorkerArgs(jsonl string) []string {
+// BindSweepFlags, and StreamJob.Selection parses them back into this shard.
+func (s Shard) WorkerArgs(jsonl string) []string {
 	var args []string
-	if !t.Shard.IsAll() {
-		args = append(args, "-shard", t.Shard.String())
+	if !s.IsAll() {
+		args = append(args, "-shard", s.String())
 	}
 	return append(args, "-jsonl", jsonl)
 }
@@ -51,28 +35,28 @@ func (t Task) WorkerArgs(jsonl string) []string {
 // and return only once the worker has exited and sink will see no further
 // writes.
 type Transport interface {
-	Run(ctx context.Context, task Task, sink io.Writer) error
+	Run(ctx context.Context, shard Shard, sink io.Writer) error
 }
 
 // ExecTransport runs workers as local subprocesses: the default, fully
 // testable fabric backend. Argv is the worker command prefix (binary plus
-// its sweep-selection flags); the task flags are appended per dispatch.
+// its sweep-selection flags); the shard flags are appended per dispatch.
 type ExecTransport struct {
 	// Argv is the worker command: Argv[0] is the binary, the rest its base
-	// flags (sweep selection, parallelism). Task flags are appended.
+	// flags (sweep selection, parallelism). Shard flags are appended.
 	Argv []string
 }
 
 // Run implements Transport.
-func (t ExecTransport) Run(ctx context.Context, task Task, sink io.Writer) error {
-	return t.exec(ctx, task.WorkerArgs("-"), sink)
+func (t ExecTransport) Run(ctx context.Context, shard Shard, sink io.Writer) error {
+	return t.exec(ctx, shard.WorkerArgs("-"), sink)
 }
 
-func (t ExecTransport) exec(ctx context.Context, taskArgs []string, sink io.Writer) error {
+func (t ExecTransport) exec(ctx context.Context, shardArgs []string, sink io.Writer) error {
 	if len(t.Argv) == 0 {
 		return fmt.Errorf("fabric: ExecTransport needs a worker command")
 	}
-	args := append(append([]string{}, t.Argv[1:]...), taskArgs...)
+	args := append(append([]string{}, t.Argv[1:]...), shardArgs...)
 	cmd := exec.CommandContext(ctx, t.Argv[0], args...)
 	cmd.Stdout = sink
 	stderr := &tailBuffer{limit: 2048}
@@ -117,12 +101,12 @@ type SSHTransport struct {
 }
 
 // Run implements Transport.
-func (t SSHTransport) Run(ctx context.Context, task Task, sink io.Writer) error {
+func (t SSHTransport) Run(ctx context.Context, shard Shard, sink io.Writer) error {
 	if t.Host == "" || len(t.Argv) == 0 {
 		return fmt.Errorf("fabric: SSHTransport needs a host and a worker command")
 	}
 	remote := make([]string, 0, len(t.Argv)+4)
-	for _, a := range append(append([]string{}, t.Argv...), task.WorkerArgs("-")...) {
+	for _, a := range append(append([]string{}, t.Argv...), shard.WorkerArgs("-")...) {
 		remote = append(remote, shellQuote(a))
 	}
 	args := append([]string{"-o", "BatchMode=yes"}, t.SSHArgs...)
@@ -134,46 +118,4 @@ func (t SSHTransport) Run(ctx context.Context, task Task, sink io.Writer) error 
 // shellQuote single-quotes one argument for the remote shell.
 func shellQuote(s string) string {
 	return "'" + strings.ReplaceAll(s, "'", `'\''`) + "'"
-}
-
-// ProcTransport runs workers in-process: the zero-overhead backend tests
-// and benchmarks use, and the reference Transport implementation. Run does
-// not observe ctx mid-sweep (cells are short; a kill takes effect at the
-// next dispatch), which is fine for the clean paths it serves — fault
-// injection wraps it.
-type ProcTransport struct {
-	// Name labels the sweep in stream headers (all workers must agree).
-	Name string
-	// Src is the whole sweep.
-	Src CellSource
-	// Opts are the per-worker run options.
-	Opts Options
-}
-
-// Run implements Transport.
-func (t ProcTransport) Run(ctx context.Context, task Task, sink io.Writer) error {
-	part, spec, err := task.Slice(t.Src)
-	if err != nil {
-		return err
-	}
-	hdr := StreamHeader{Name: t.Name, TotalCells: t.Src.Len(), Shard: spec}
-	_, err = RunStream(part, t.Opts, sink, hdr)
-	return err
-}
-
-// Slice resolves the task against the whole sweep src: the lazy sub-source
-// to run and the spec its stream header carries. It is the one place a
-// selection meets a sweep — fabric workers, and the CLIs' stream and report
-// modes through StreamJob.Task. Shards deal by global index residue, so src
-// must be a whole sweep (Index(i) == i).
-func (t Task) Slice(src CellSource) (CellSource, string, error) {
-	total := src.Len()
-	if total > 0 && (src.Index(0) != 0 || src.Index(total-1) != total-1) {
-		return nil, "", fmt.Errorf("matrix: slicing needs a whole-sweep source (Index(i) == i)")
-	}
-	if t.Shard.IsAll() {
-		return src, t.Shard.String(), nil
-	}
-	first, stride := t.Shard.Index-1, t.Shard.Count
-	return indexMap{base: src, n: t.Shard.Len(total), at: func(i int) int { return first + i*stride }}, t.Shard.String(), nil
 }

@@ -8,7 +8,9 @@ import (
 	"fmt"
 	"io"
 	"path/filepath"
+	"runtime"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -39,6 +41,31 @@ func fabricSweeps(t *testing.T) map[string]CellSource {
 		sweeps["probabilistic"] = prob
 	}
 	return sweeps
+}
+
+// ProcTransport runs workers in-process: the zero-overhead backend the
+// fabric tests use, and the reference Transport implementation. Run does
+// not observe ctx mid-sweep (cells are short; a kill takes effect at the
+// next dispatch), which is fine for the clean paths it serves — fault
+// injection wraps it.
+type ProcTransport struct {
+	// Name labels the sweep in stream headers (all workers must agree).
+	Name string
+	// Src is the whole sweep.
+	Src CellSource
+	// Opts are the per-worker run options.
+	Opts Options
+}
+
+// Run implements Transport.
+func (t ProcTransport) Run(ctx context.Context, shard Shard, sink io.Writer) error {
+	part, spec, err := shard.Slice(t.Src)
+	if err != nil {
+		return err
+	}
+	hdr := StreamHeader{Name: t.Name, TotalCells: t.Src.Len(), Shard: spec}
+	_, err = RunStream(part, t.Opts, sink, hdr)
+	return err
 }
 
 // procFleet builds n in-process workers over one sweep.
@@ -96,7 +123,7 @@ const (
 // dispatches: the worker's true stream is buffered, its header and `after`
 // outcomes are emitted, and then the transport dies, corrupts the stream,
 // tears its last line, or hangs until the coordinator kills it. The outcomes emitted leave out the
-// task's first cell, so the spool has a hole below its last completed
+// shard's first cell, so the spool has a hole below its last completed
 // position, as a worker pool finishing cells out of order leaves.
 type faultTransport struct {
 	proc  ProcTransport
@@ -108,16 +135,16 @@ type faultTransport struct {
 }
 
 // Run implements Transport.
-func (f *faultTransport) Run(ctx context.Context, task Task, sink io.Writer) error {
+func (f *faultTransport) Run(ctx context.Context, shard Shard, sink io.Writer) error {
 	if !f.on[int(f.seen.Add(1))] {
-		return f.proc.Run(ctx, task, sink)
+		return f.proc.Run(ctx, shard, sink)
 	}
 	f.fired.Add(1)
 	var buf bytes.Buffer
-	if err := f.proc.Run(ctx, task, &buf); err != nil {
+	if err := f.proc.Run(ctx, shard, &buf); err != nil {
 		return err
 	}
-	// The header, then the outcomes of the task's cells in index order from
+	// The header, then the outcomes of the shard's cells in index order from
 	// its second cell on.
 	lines := bytes.SplitAfter(buf.Bytes(), []byte("\n"))
 	outcomes := lines[1 : len(lines)-2] // drop the trailer and the empty tail
@@ -222,13 +249,13 @@ type ledgerTransport struct {
 }
 
 // Run implements Transport.
-func (l ledgerTransport) Run(ctx context.Context, task Task, sink io.Writer) error {
+func (l ledgerTransport) Run(ctx context.Context, shard Shard, sink io.Writer) error {
 	var tee bytes.Buffer
-	err := l.inner.Run(ctx, task, io.MultiWriter(sink, &tee))
+	err := l.inner.Run(ctx, shard, io.MultiWriter(sink, &tee))
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if err == nil {
-		for _, g := range task.Shard.Globals(l.total) {
+		for _, g := range shard.Globals(l.total) {
 			l.ran[g]++
 		}
 		return nil
@@ -278,7 +305,7 @@ func TestFabricWorkerDeathResume(t *testing.T) {
 	}
 }
 
-// specTransport records the spec of every task the fleet is dispatched.
+// specTransport records the spec of every shard the fleet is dispatched.
 type specTransport struct {
 	Transport
 	mu    *sync.Mutex
@@ -286,11 +313,11 @@ type specTransport struct {
 }
 
 // Run implements Transport.
-func (s specTransport) Run(ctx context.Context, task Task, sink io.Writer) error {
+func (s specTransport) Run(ctx context.Context, shard Shard, sink io.Writer) error {
 	s.mu.Lock()
-	*s.specs = append(*s.specs, task.Shard.String())
+	*s.specs = append(*s.specs, shard.String())
 	s.mu.Unlock()
-	return s.Transport.Run(ctx, task, sink)
+	return s.Transport.Run(ctx, shard, sink)
 }
 
 // TestFabricFailedTaskRerunsWhole pins the fabric's one recovery rule: a
@@ -386,6 +413,72 @@ func TestFabricDoubleFaultLineage(t *testing.T) {
 			}
 		})
 	}
+	// The budget boundary: the other three lineages finish on dispatches 2
+	// to 4, so dispatches 5 to 8 are the faulted lineage's reruns. Its 4th
+	// failure still leaves a dispatch; its 5th spends the budget.
+	src, err := StandardSweep(Seeds(1, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Run("4 failures recover", func(t *testing.T) {
+		faulty, fired := faultFleet("standard", src, faultDie, 3, 1, 5, 6, 7)
+		fleet, failed := failureLog(faulty)
+		stats := checkFabricIdentity(t, src, fleet, FabricOptions{Shards: 4})
+		if fired.Load() != 4 || stats.Redispatches != 4 || stats.Tasks != 8 {
+			t.Fatalf("%d faults injected, stats %+v; want 4 faults, 4 redispatches, 8 tasks", fired.Load(), stats)
+		}
+		if len(failed) != 1 {
+			t.Fatalf("failures spread over shards %v, want one lineage", failed)
+		}
+	})
+	t.Run("a 5th failure aborts", func(t *testing.T) {
+		faulty, _ := faultFleet("standard", src, faultDie, 3, 1, 5, 6, 7, 8)
+		fleet, failed := failureLog(faulty)
+		_, stats, err := RunFabric(context.Background(), src.Len(), fleet, FabricOptions{Shards: 4, SpoolDir: t.TempDir()})
+		if len(failed) != 1 {
+			t.Fatalf("failures spread over shards %v, want one lineage", failed)
+		}
+		for spec := range failed {
+			if err == nil || !strings.Contains(err.Error(), "shard "+spec+" failed 5 times") {
+				t.Fatalf("err = %v, want shard %s failed 5 times", err, spec)
+			}
+		}
+		if stats.Redispatches != 4 || stats.Tasks != 8 {
+			t.Fatalf("spent budget with %+v, want 4 redispatches, 8 tasks", stats)
+		}
+	})
+}
+
+// failureLog wraps each transport of fleet to count, per shard spec, the
+// dispatches that return an error. Read the map only after RunFabric
+// returns.
+func failureLog(fleet []Transport) ([]Transport, map[string]int) {
+	var mu sync.Mutex
+	failed := map[string]int{}
+	out := make([]Transport, len(fleet))
+	for i, tr := range fleet {
+		out[i] = failingTransport{tr, func(sh Shard) {
+			mu.Lock()
+			failed[sh.String()]++
+			mu.Unlock()
+		}}
+	}
+	return out, failed
+}
+
+// failingTransport reports every dispatch of its worker that fails.
+type failingTransport struct {
+	Transport
+	failed func(Shard)
+}
+
+// Run implements Transport.
+func (f failingTransport) Run(ctx context.Context, shard Shard, sink io.Writer) error {
+	err := f.Transport.Run(ctx, shard, sink)
+	if err != nil {
+		f.failed(shard)
+	}
+	return err
 }
 
 // TestFabricCorruptStream has a worker exit zero after writing garbage mid-
@@ -479,8 +572,8 @@ func TestFabricProgress(t *testing.T) {
 type lingerTransport struct{ Transport }
 
 // Run implements Transport.
-func (l lingerTransport) Run(ctx context.Context, task Task, sink io.Writer) error {
-	err := l.Transport.Run(ctx, task, sink)
+func (l lingerTransport) Run(ctx context.Context, shard Shard, sink io.Writer) error {
+	err := l.Transport.Run(ctx, shard, sink)
 	time.Sleep(100 * time.Millisecond)
 	return err
 }
@@ -531,7 +624,7 @@ type blockingTransport struct {
 	active  *atomic.Int32
 }
 
-func (t blockingTransport) Run(ctx context.Context, task Task, sink io.Writer) error {
+func (t blockingTransport) Run(ctx context.Context, shard Shard, sink io.Writer) error {
 	t.active.Add(1)
 	defer t.active.Add(-1)
 	select {
@@ -578,4 +671,50 @@ func TestFabricCancelReapsWorkers(t *testing.T) {
 	if n := active.Load(); n != 0 {
 		t.Fatalf("%d workers still live after RunFabric returned", n)
 	}
+}
+
+// TestFabricLeavesNoGoroutines: once RunFabric returns, no lineage or
+// watchdog goroutine of it is left, whether a spent budget aborted the
+// sweep or the caller cancelled it.
+func TestFabricLeavesNoGoroutines(t *testing.T) {
+	settle := func(t *testing.T, baseline int) {
+		t.Helper()
+		for deadline := time.Now().Add(time.Second); ; time.Sleep(10 * time.Millisecond) {
+			n := runtime.NumGoroutine()
+			if n <= baseline {
+				return
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("%d goroutines 1 s after RunFabric returned, %d before it ran", n, baseline)
+			}
+		}
+	}
+	t.Run("abort", func(t *testing.T) {
+		baseline := runtime.NumGoroutine()
+		fleet := []Transport{flapTransport{}, flapTransport{}, flapTransport{}}
+		if _, _, err := RunFabric(context.Background(), 5, fleet, FabricOptions{
+			SpoolDir: t.TempDir(), Heartbeat: time.Second,
+		}); err == nil || !strings.Contains(err.Error(), "failed 5 times") {
+			t.Fatalf("an always-failing fleet returned %v", err)
+		}
+		settle(t, baseline)
+	})
+	t.Run("cancel", func(t *testing.T) {
+		baseline := runtime.NumGoroutine()
+		var active atomic.Int32
+		started := make(chan struct{}, 4)
+		fleet := []Transport{blockingTransport{started, &active}, blockingTransport{started, &active}}
+		ctx, cancel := context.WithCancel(context.Background())
+		done := make(chan error, 1)
+		go func() {
+			_, _, err := RunFabric(ctx, 6, fleet, FabricOptions{SpoolDir: t.TempDir(), Heartbeat: time.Minute})
+			done <- err
+		}()
+		<-started
+		cancel()
+		if err := <-done; !errors.Is(err, context.Canceled) {
+			t.Fatalf("err = %v, want context.Canceled", err)
+		}
+		settle(t, baseline)
+	})
 }

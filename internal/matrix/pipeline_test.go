@@ -68,7 +68,7 @@ func TestSourceMatchesExpand(t *testing.T) {
 					want = append(want, c)
 				}
 			}
-			got := slice(t, src, Task{Shard: sh})
+			got := slice(t, src, sh)
 			if got.Len() != len(want) {
 				t.Fatalf("shard %s: lazy %d cells, nested loops %d", sh, got.Len(), len(want))
 			}
@@ -168,7 +168,7 @@ func runAllModes(t *testing.T, name string, src CellSource) {
 	for i := 1; i <= 3; i++ {
 		sh := Shard{Index: i, Count: 3}
 		path := filepath.Join(dir, fmt.Sprintf("shard%d.jsonl", i))
-		if _, err := RunStreamFile(path, slice(t, src, Task{Shard: sh}), Options{Parallelism: 2}, StreamHeader{
+		if _, err := RunStreamFile(path, slice(t, src, sh), Options{Parallelism: 2}, StreamHeader{
 			Name: name, TotalCells: src.Len(), Shard: sh.String(),
 		}); err != nil {
 			t.Fatal(err)

@@ -65,3 +65,20 @@ func (s Shard) Globals(total int) []int {
 	}
 	return out
 }
+
+// Slice resolves the shard against the whole sweep src: the lazy sub-source
+// to run and the spec its stream header carries. It is the one place a
+// selection meets a sweep — fabric workers, and the CLIs' stream and report
+// modes through StreamJob.Selection. Shards deal by global index residue, so
+// src must be a whole sweep (Index(i) == i).
+func (s Shard) Slice(src CellSource) (CellSource, string, error) {
+	total := src.Len()
+	if total > 0 && (src.Index(0) != 0 || src.Index(total-1) != total-1) {
+		return nil, "", fmt.Errorf("matrix: slicing needs a whole-sweep source (Index(i) == i)")
+	}
+	if s.IsAll() {
+		return src, s.String(), nil
+	}
+	first, stride := s.Index-1, s.Count
+	return indexMap{base: src, n: s.Len(total), at: func(i int) int { return first + i*stride }}, s.String(), nil
+}

@@ -94,7 +94,7 @@ func TestShardOwnsMatchesGlobals(t *testing.T) {
 }
 
 // TestSpanSourceMatchesGlobals pins the lazy shard view to the arithmetic:
-// Task.Slice enumerates exactly Globals, in order, with global indices
+// Shard.Slice enumerates exactly Globals, in order, with global indices
 // intact.
 func TestSpanSourceMatchesGlobals(t *testing.T) {
 	src, err := StandardSweep(Seeds(1, 2))
@@ -108,7 +108,7 @@ func TestSpanSourceMatchesGlobals(t *testing.T) {
 		{Index: 3, Count: 7},
 		{Index: 5, Count: total + 10},
 	} {
-		view := slice(t, src, Task{Shard: sh})
+		view := slice(t, src, sh)
 		globals := sh.Globals(total)
 		if view.Len() != len(globals) {
 			t.Fatalf("shard %s: Source len %d, Globals %d", sh, view.Len(), len(globals))

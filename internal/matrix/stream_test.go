@@ -58,7 +58,7 @@ func TestMergeAdversarialSplitConstantMemory(t *testing.T) {
 	var paths []string
 	for _, sh := range []Shard{{Index: 1, Count: 2}, {Index: 2, Count: 4}, {Index: 4, Count: 4}} {
 		path := filepath.Join(dir, fmt.Sprintf("shard%d-%d.jsonl", sh.Index, sh.Count))
-		if _, err := RunStreamFile(path, slice(t, src, Task{Shard: sh}), Options{Parallelism: 1}, StreamHeader{
+		if _, err := RunStreamFile(path, slice(t, src, sh), Options{Parallelism: 1}, StreamHeader{
 			Name: "adversarial-split", TotalCells: n, Shard: sh.String(),
 		}); err != nil {
 			t.Fatal(err)
@@ -93,7 +93,7 @@ func TestMergeShardRoutingBoundedBuffer(t *testing.T) {
 	for i := 1; i <= 3; i++ {
 		sh := Shard{Index: i, Count: 3}
 		path := filepath.Join(dir, fmt.Sprintf("shard%d.jsonl", i))
-		if _, err := RunStreamFile(path, slice(t, src, Task{Shard: sh}), Options{Parallelism: 1}, StreamHeader{
+		if _, err := RunStreamFile(path, slice(t, src, sh), Options{Parallelism: 1}, StreamHeader{
 			Name: "routed", TotalCells: n, Shard: sh.String(),
 		}); err != nil {
 			t.Fatal(err)
@@ -137,7 +137,7 @@ func shardStreams(t *testing.T, cells []Cell, n int) []*bytes.Buffer {
 	for i := 1; i <= n; i++ {
 		sh := Shard{Index: i, Count: n}
 		buf := &bytes.Buffer{}
-		part := slice(t, CellList(cells), Task{Shard: sh})
+		part := slice(t, CellList(cells), sh)
 		tr, err := RunStream(part, Options{Parallelism: 2}, buf, StreamHeader{
 			Name:       "stream-test",
 			TotalCells: len(cells),
@@ -215,7 +215,7 @@ func TestShardPartition(t *testing.T) {
 	seen := make(map[int]string)
 	for i := 1; i <= 3; i++ {
 		sh := Shard{Index: i, Count: 3}
-		for _, c := range Materialize(slice(t, CellList(cells), Task{Shard: sh})) {
+		for _, c := range Materialize(slice(t, CellList(cells), sh)) {
 			if prev, dup := seen[c.Index]; dup {
 				t.Fatalf("cell %d in shards %s and %s", c.Index, prev, sh)
 			}

@@ -29,9 +29,6 @@ func NewWriter() *Writer { return &Writer{} }
 // Bytes returns the encoded bytes.
 func (w *Writer) Bytes() []byte { return w.buf }
 
-// Len returns the current encoded length.
-func (w *Writer) Len() int { return len(w.buf) }
-
 // Uvarint appends an unsigned varint.
 func (w *Writer) Uvarint(x uint64) {
 	w.buf = binary.AppendUvarint(w.buf, x)
