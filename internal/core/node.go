@@ -260,6 +260,15 @@ func (n *Node) Receive(ctx rt.Context, from model.ID, payload []byte) {
 	}
 }
 
+// ReplayInert implements rt.ReplayInert: a SETPDS is inert on replay. Its
+// merge is idempotent (discovery's receiveRecords: every record in it is
+// held or fails again after one pass) and answers nothing, and without
+// discovery (permissioned) the node ignores it. No other kind is declared:
+// a GETPDS or GETDECIDEDVAL is answered every time it arrives.
+func (n *Node) ReplayInert(payload []byte) bool {
+	return len(payload) > 0 && payload[0] == wire.KindSetPDs
+}
+
 // Timer implements rt.Reactor.
 func (n *Node) Timer(ctx rt.Context, tag uint64) {
 	n.ctx = ctx

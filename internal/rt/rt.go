@@ -38,6 +38,10 @@
 // does not acknowledge — and the protocol layers are written to tolerate
 // loss (retransmission is the protocol's job, not the runtime's).
 //
+// Replays. A reactor may declare payloads that a second delivery of cannot
+// change (ReplayInert); a runtime may then skip such a replay. The
+// declaration is the reactor's, per payload, and costs nothing to ignore.
+//
 // Timers and crashes. SetTimer schedules a Timer callback after a relative
 // delay. Pending timers die with a crash: a runtime that supports
 // crash/restart (the simulator's churn schedule, a daemon being restarted)
@@ -124,4 +128,23 @@ type Context interface {
 // needs, because pending timers from before the crash are gone.
 type Restartable interface {
 	Restart(ctx Context)
+}
+
+// ReplayInert is an optional Reactor extension for processes to which some
+// payloads are inert on replay: once Receive has been handed a payload the
+// reactor declares inert, handing it the same slice from the same sender
+// again — at any later point, whatever was delivered in between — changes
+// nothing it holds or does (no state, no send, no timer). A merge that is
+// idempotent, as Algorithm 1's SETPDS is, qualifies; a request that is
+// answered, as GETPDS is, does not. The answer for a payload must not change
+// during a run.
+//
+// A runtime may use the declaration to drop such a replay instead of
+// delivering it: the simulator, when untraced and fault-free, does not queue
+// a send whose slice the same sender already has queued or delivered to the
+// same recipient no later (internal/sim, "Hot path"). Since a payload is
+// never written once sent, the same memory at the same length is the same
+// bytes.
+type ReplayInert interface {
+	ReplayInert(payload []byte) bool
 }

@@ -12,6 +12,7 @@ import (
 	"github.com/bftcup/bftcup/internal/graph"
 	"github.com/bftcup/bftcup/internal/kosr"
 	"github.com/bftcup/bftcup/internal/model"
+	"github.com/bftcup/bftcup/internal/rt"
 	"github.com/bftcup/bftcup/internal/sim"
 )
 
@@ -353,6 +354,10 @@ type Runner struct {
 	// inject a fresh kosr.Searcher per call through it to pin the pooled,
 	// memo-warm searchers to a memo-less run, trace digest for trace digest.
 	SearchFactory func() kosr.Search
+	// Wrap, when non-nil, stands between each reactor a run assembles (and a
+	// wiped restart's replacement) and the engine. The replay tests put a
+	// reactor behind it that receives every replay-inert payload twice.
+	Wrap func(rt.Reactor) rt.Reactor
 }
 
 // nextSearcher hands out the next pooled searcher, growing the pool on first
@@ -418,7 +423,11 @@ func (r *Runner) Run(c *Compiled, seed int64, trace bool) (*Result, error) {
 			tr.RecordDecision(id, engine.Now(), []byte(v))
 		}
 	}
-	if err := st.assemble(log, engine.AddProcess); err != nil {
+	add := engine.AddProcess
+	if r.Wrap != nil {
+		add = func(id model.ID, re rt.Reactor) error { return engine.AddProcess(id, r.Wrap(re)) }
+	}
+	if err := st.assemble(log, add); err != nil {
 		return nil, fmt.Errorf("scenario %q: %w", name, err)
 	}
 
@@ -437,7 +446,11 @@ func (r *Runner) Run(c *Compiled, seed int64, trace bool) (*Result, error) {
 			// deterministic.
 			repl := st.node(ch.ID, log.proposals[ch.ID])
 			log.nodes[ch.ID] = repl
-			engine.ScheduleRestart(ch.ID, ch.RestartAt, repl)
+			if r.Wrap != nil {
+				engine.ScheduleRestart(ch.ID, ch.RestartAt, r.Wrap(repl))
+			} else {
+				engine.ScheduleRestart(ch.ID, ch.RestartAt, repl)
+			}
 		default:
 			engine.ScheduleRestart(ch.ID, ch.RestartAt, nil)
 		}
@@ -460,6 +473,7 @@ func (r *Runner) Run(c *Compiled, seed int64, trace bool) (*Result, error) {
 	m := engine.Metrics()
 	res.Messages, res.Bytes = m.Messages, m.Bytes
 	res.ByKind = m.ByKind()
+	res.Coalesced = m.Coalesced
 	if r.tail.from > 0 {
 		r.tail.credit(res)
 	}

@@ -100,6 +100,9 @@ func (r *Result) WriteText(w io.Writer, mode core.Mode, runtime string) {
 	if r.Rejected != 0 {
 		fmt.Fprintf(w, "rejected  : %d inbound streams closed for what they carried\n", r.Rejected)
 	}
+	if r.Coalesced != 0 {
+		fmt.Fprintf(w, "coalesced : %d sends left unqueued as replays (counted above, not simulated)\n", r.Coalesced)
+	}
 	fmt.Fprintln(w)
 	fmt.Fprintln(w, "process  role       decision          committee")
 	for _, id := range sortedIDs(r.PerProcess) {

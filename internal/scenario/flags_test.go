@@ -171,4 +171,10 @@ p10      byzantine  ⊥                 {} (g=0)
 	if want := "scenario  : demo (mode=bft-cup, 2 processes)\nruntime   : live/tcp, scale=10, 5ms wall\n" + table; liveOut.String() != want {
 		t.Errorf("live report:\n%s\nwant:\n%s", liveOut.String(), want)
 	}
+	var coalescedOut bytes.Buffer
+	res.Coalesced = 5
+	res.WriteText(&coalescedOut, core.ModeKnownF, "")
+	if line := "elapsed   : 36ms virtual, 12 messages, 345 bytes\ncoalesced : 5 sends left unqueued as replays (counted above, not simulated)\n"; !strings.Contains(coalescedOut.String(), line) {
+		t.Errorf("simulator report with coalesced sends:\n%s\nwant the line after elapsed:\n%s", coalescedOut.String(), line)
+	}
 }

@@ -122,6 +122,11 @@ type Result struct {
 	// event was simulated, as in every traced run. The counts above include
 	// the tail either way.
 	CountedFrom sim.Time
+	// Coalesced counts the sends an untraced run left unqueued as replays
+	// (sim.Metrics.Coalesced): a measure of simulation skipped, like
+	// CountedFrom, and likewise in no outcome, stream or fingerprint. The
+	// counts above include these sends.
+	Coalesced int64
 }
 
 // Consensus reports whether all four consensus properties held.

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"github.com/bftcup/bftcup/internal/model"
+	"github.com/bftcup/bftcup/internal/rt"
 )
 
 // BenchmarkEngine measures the simulator hot path — event-queue churn, message
@@ -69,7 +70,43 @@ func BenchmarkEngineSend(b *testing.B) {
 		}
 		e.Run(Time(b.N) * 5 * Millisecond)
 	})
+	b.Run("setpds-1024-inert", func(b *testing.B) {
+		// The gossip shape: each of two processes re-sends its one 1 KiB
+		// slice to the other every millisecond, and the recipient declares it
+		// replay-inert, so all but the first few sends are coalesced.
+		b.ReportAllocs()
+		e := NewEngine(Synchronous{Delta: 5 * Millisecond}, 1)
+		for id := model.ID(1); id <= 2; id++ {
+			payload := make([]byte, 1024)
+			payload[0] = kindInert
+			if err := e.AddProcess(id, &regossip{to: 3 - id, payload: payload}); err != nil {
+				b.Fatal(err)
+			}
+		}
+		const warm = 100 * Millisecond // the replay table grows here
+		e.Run(warm)
+		b.ResetTimer()
+		e.Run(warm + Time(b.N)*Millisecond/2)
+		if m := e.Metrics(); 2*m.Coalesced < m.Messages {
+			b.Fatalf("%d of %d sends coalesced", m.Coalesced, m.Messages)
+		}
+	})
 }
+
+// regossip sends its payload to one peer every millisecond and declares
+// kindInert payloads replay-inert.
+type regossip struct {
+	to      model.ID
+	payload []byte
+}
+
+func (r *regossip) Init(ctx rt.Context)                  { ctx.SetTimer(0, 0) }
+func (r *regossip) Receive(rt.Context, model.ID, []byte) {}
+func (r *regossip) Timer(ctx rt.Context, tag uint64) {
+	ctx.Send(r.to, r.payload)
+	ctx.SetTimer(Millisecond, tag)
+}
+func (r *regossip) ReplayInert(payload []byte) bool { return payload[0] == kindInert }
 
 // BenchmarkEventQueue prices the queue alone with the classic hold model —
 // pop the earliest event, push one at now + d — at several pending-set sizes

@@ -310,6 +310,7 @@ func TestEventQueueMatchesHeap(t *testing.T) {
 	})
 
 	t.Run("gst-backlog-under-jitter", func(t *testing.T) { lawGSTBacklog(newQueuePair(t)) })
+	t.Run("gst-pile", func(t *testing.T) { lawGSTPile(newQueuePair(t)) })
 	t.Run("coarse-period-edges", func(t *testing.T) { lawCoarseEdges(t, newQueuePair) })
 
 	t.Run("idle-gap-into-far-bucket", func(t *testing.T) {
@@ -338,10 +339,11 @@ func TestEventQueueMatchesHeap(t *testing.T) {
 
 	t.Run("crowded-bucket-recycled-slots", func(t *testing.T) {
 		// Popping 200 events in slot order leaves the free list newest first,
-		// so the next pushes take descending slots while seq ascends. Groups
-		// of equal times in one crowded bucket then sort on packed keys in
+		// so the next pushes take descending slots while seq ascends: a sort
+		// that broke ties by slot (the packed-key sort before the radix sort
+		// did) would put groups of equal times in one crowded bucket in
 		// reverse seq order, and the tie fix-up — by insertion for the small
-		// group, by a full sort for the large ones — must restore FIFO.
+		// group, by a full sort for the large ones — must keep FIFO.
 		q := newQueuePair(t)
 		for i := 0; i < 200; i++ {
 			q.push(Millisecond + Time(i))
@@ -498,6 +500,47 @@ func lawGSTBacklog(q *queuePair) {
 		q.push(q.now + jitter(5*Millisecond, rng))
 		if q.now < gst && rng.Intn(8) == 0 {
 			q.push(gst + jitter(5*Millisecond, rng))
+		}
+	}
+	q.drain()
+}
+
+// lawGSTPile is the standard sweep's GST pile at full size: 3,000 events
+// land in one 2.5 ms band, on 256 ns steps, so ties are many. A third are
+// pushed while the band lies beyond the far wheel, in the overflow heap,
+// and refill the far list in (at, seq) order when the window reaches it; the
+// rest are appended to it afterwards, in seq order, two thirds of them
+// while jittered traffic runs. Every bucket of the band is crowded, and most
+// open unsorted.
+func lawGSTPile(q *queuePair) {
+	rng := rand.New(rand.NewSource(13))
+	q.advanceTo(Millisecond)
+	band := q.farWindow() + farSpan + 3*coarseWidth + 5*bucketWidth
+	pile := func(n int) {
+		for i := 0; i < n; i++ {
+			q.push(band + Time(rng.Int63n(int64(5*Millisecond/2)/256))*256)
+		}
+	}
+	pile(1000)
+	if len(q.e.over) != 1000 {
+		q.t.Fatalf("%d of the first pile's 1,000 events in the heap", len(q.e.over))
+	}
+	q.push(band - farSpan) // popping it moves the window onto the band
+	q.pop()
+	seqOrder := true
+	for slot, last := q.e.farHeads[uint(coarseOf(bucketOf(band)))%farBuckets], uint64(0); slot != 0; slot = q.e.slab[slot].next {
+		seqOrder = seqOrder && q.e.slab[slot].seq > last
+		last = q.e.slab[slot].seq
+	}
+	if len(q.e.over) != 0 || seqOrder {
+		q.t.Fatalf("%d heap keys left, far list in seq order %v: the heap did not refill it", len(q.e.over), seqOrder)
+	}
+	pile(1000)
+	for i := 0; i < 2000; i++ {
+		q.pop()
+		q.push(q.now + jitter(5*Millisecond, rng))
+		if i%2 == 0 {
+			pile(1)
 		}
 	}
 	q.drain()

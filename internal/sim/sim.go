@@ -17,13 +17,26 @@
 // wheel — a fine wheel of 32.8 µs buckets over the open 67 ms period and the
 // next, a far wheel of 67 ms buckets over the 137 s after that, a binary heap
 // for what lies beyond (see the queue constants) — and a crowded bucket is
-// sorted on packed integer keys, not through a comparator; a message is the
-// slice its sender passed to Send, carried in the event record — never
-// copied, compared or pooled — and processes are found through a dense
-// model.IDIndex, not a Go map. Delivery order is (at, seq) — virtual time,
-// then FIFO — and nothing else about the queue is observable. The RNG behind
-// Context.Rand and NetworkModel.Delay is a splitmix64 source wrapped in
-// math/rand, a few nanoseconds per draw with no per-engine table allocation.
+// sorted by a two-pass radix sort on its events' 15-bit offsets, not through
+// a comparator; a message is the slice its sender passed to Send, carried
+// in the event record — never copied or pooled — and processes are found
+// through a dense model.IDIndex, not a Go map. Delivery order is (at, seq) —
+// virtual time, then FIFO — and nothing else about the queue is observable.
+// The RNG behind Context.Rand and NetworkModel.Delay is a splitmix64 source
+// wrapped in math/rand, a few nanoseconds per draw with no per-engine table
+// allocation.
+//
+// An untraced run that injects no faults and schedules no crash or restart
+// coalesces replays: a send to a recipient that declares the payload
+// rt.ReplayInert is counted in Metrics, draws its delay and takes its seq,
+// but is not queued when the same sender has the same slice (memory and
+// length) queued or delivered to that recipient no later (Send, replayed).
+// Its delivery would have changed nothing, so every other event, count and
+// draw is as it was; Metrics.Coalesced counts these sends. Algorithm 1
+// re-sends one SETPDS slice per period until a record arrives, and the
+// partial-synchrony cells deliver all of them at GST, so this is about 40 %
+// of a standard sweep's SETPDS. A traced run queues everything: its digest
+// hashes every delivery, and it is the oracle the untraced one is held to.
 //
 // The zero-copy delivery contract (internal/rt, "Payload ownership"): Receive
 // gets the sender's backing array, shared with a broadcast's other recipients
@@ -73,6 +86,11 @@ type Metrics struct {
 	Messages int64
 	// Bytes totals the payload bytes of every accepted Send.
 	Bytes int64
+	// Coalesced counts the accepted sends the engine did not queue because
+	// the recipient had the same slice from the same sender due no later (see
+	// Send). They are in Messages, Bytes and the kind counts all the same;
+	// this says only how much simulation an untraced run skipped.
+	Coalesced int64
 	// byKind counts messages per leading payload byte (the wire kind).
 	// An array, not a map: the per-message increment is on the hot path.
 	byKind [256]int64
@@ -131,8 +149,8 @@ const (
 	coarseShift  = 26
 	wheelBuckets = 2 << (coarseShift - bucketShift) // two coarse periods: 4,096
 	farBuckets   = 2048
-	// crowded is the largest bucket sorted by insertion; a larger one is sorted
-	// on packed keys.
+	// crowded is the largest bucket sorted by insertion; a larger one is radix
+	// sorted (sortCrowded).
 	crowded = 24
 )
 
@@ -167,6 +185,14 @@ type Engine struct {
 	metrics  *Metrics
 	trace    *Trace
 	started  bool
+	// coalesce is set at start when replays may be left unqueued: the run is
+	// untraced, injects no faults and schedules no crash or restart. replays
+	// is then the open-addressed table of each (sender, recipient) pair's
+	// last queued replay-inert payload, len a power of two or zero, with
+	// replayN slots in use; it keeps its size across Reset.
+	coalesce bool
+	replays  []replay
+	replayN  int
 
 	// The pending events. Records live in slab (slot 0 is the nil slot, free
 	// heads the recycled ones) and wait in the tier their bucket b = at >>
@@ -179,12 +205,12 @@ type Engine struct {
 	// its last record (read only behind a non-zero head); later ones in over,
 	// a binary min-heap of keys. Every advance of C moves what each tier now
 	// covers down a tier, so the ranges stay disjoint and pops follow (at,
-	// seq). keys is the crowded-bucket sort's scratch.
+	// seq). spare is the crowded-bucket sort's scratch.
 	slab     []event
 	free     int32
 	run      []qkey
 	runPos   int
-	keys     []uint64
+	spare    []qkey
 	cur      int64
 	heads    [wheelBuckets]int32
 	occ      [wheelBuckets / 64]uint64
@@ -216,6 +242,8 @@ type proc struct {
 	id      model.ID
 	idx     int32 // position in Engine.procs
 	reactor rt.Reactor
+	// inert is reactor's rt.ReplayInert view, nil when it declares none.
+	inert   rt.ReplayInert
 	crashed bool
 	// gen is the incarnation number, bumped at every crash. Timer events
 	// carry the gen they were scheduled under and are dropped on mismatch:
@@ -262,6 +290,11 @@ func (e *Engine) Reset(net NetworkModel, seed int64) {
 	*e.metrics = Metrics{}
 	e.trace = nil
 	e.started = false
+	e.coalesce = false
+	if e.replayN > 0 {
+		clear(e.replays) // and let the payloads they name go
+		e.replayN = 0
+	}
 	e.preCrashed = nil
 	e.controls = e.controls[:0]
 }
@@ -281,6 +314,7 @@ func (e *Engine) AddProcess(id model.ID, r rt.Reactor) error {
 		return fmt.Errorf("sim: duplicate process %v", id)
 	}
 	p := &proc{engine: e, id: id, idx: int32(len(e.procs)), reactor: r}
+	p.inert, _ = r.(rt.ReplayInert)
 	if e.preCrashed.Has(id) {
 		p.crashed = true
 	}
@@ -330,6 +364,7 @@ func (e *Engine) start() {
 		return
 	}
 	e.started = true
+	e.coalesce = e.trace == nil && e.injector == nil && len(e.controls) == 0
 	// Control events go in first: at equal times a crash/restart precedes
 	// the messages and timers scheduled by Init (deterministic either way;
 	// this order is the documented one).
@@ -390,6 +425,7 @@ func (e *Engine) Step() bool {
 				p.crashed = false
 				if repl := e.controls[ev.src].replacement; repl != nil {
 					p.reactor = repl
+					p.inert, _ = repl.(rt.ReplayInert)
 					p.reactor.Init(p)
 				} else if r, ok := p.reactor.(rt.Restartable); ok {
 					r.Restart(p)
@@ -567,28 +603,54 @@ func (e *Engine) refill() bool {
 	return true
 }
 
-// sortCrowded sorts the run of a crowded bucket, the one starting at start,
-// on packed words (at − start)<<32 | slot: slices.Sort orders them without a
-// comparator call. Slots are recycled, so each group of equal times is then
-// put in seq order.
+// sortCrowded sorts the run of a crowded bucket, the one starting at start:
+// a stable radix sort on the 15-bit offset at − start, its low byte and then
+// its high bits, each pass a counting sort into the other buffer. Being
+// stable it keeps each group of equal times in the run's order, which is seq
+// order where the bucket's list was filled by pushes alone (newest first,
+// the run its reverse); a far list the overflow heap refilled is in (at,
+// seq) order instead, so each group of equal times is then put in seq order.
 func (e *Engine) sortCrowded(start Time) {
-	keys := e.keys[:0]
+	var lo [1 << 8]int32
+	var hi [1 << (bucketShift - 8)]int32
 	for _, k := range e.run {
-		keys = append(keys, uint64(k.at-start)<<32|uint64(k.slot))
+		off := uint32(k.at - start)
+		lo[off&0xff]++
+		hi[off>>8]++
 	}
-	slices.Sort(keys)
-	for i, k := range keys {
-		slot := int32(uint32(k))
-		e.run[i] = qkey{start + Time(k>>32), e.slab[slot].seq, slot}
+	prefixSums(lo[:])
+	prefixSums(hi[:])
+	n := len(e.run)
+	tmp := slices.Grow(e.spare[:0], n)[:n]
+	for _, k := range e.run {
+		b := uint32(k.at-start) & 0xff
+		tmp[lo[b]] = k
+		lo[b]++
 	}
-	e.keys = keys
-	for i := 0; i < len(e.run); {
+	for _, k := range tmp {
+		b := uint32(k.at-start) >> 8
+		e.run[hi[b]] = k
+		hi[b]++
+	}
+	e.spare = tmp
+	for i := 0; i < n; {
 		j := i + 1
-		for j < len(e.run) && e.run[j].at == e.run[i].at {
+		for j < n && e.run[j].at == e.run[i].at {
 			j++
 		}
-		sortKeys(e.run[i:j])
+		if j-i > 1 {
+			sortKeys(e.run[i:j])
+		}
 		i = j
+	}
+}
+
+// prefixSums turns counts into each bucket's first index.
+func prefixSums(counts []int32) {
+	var sum int32
+	for i, c := range counts {
+		counts[i] = sum
+		sum += c
 	}
 }
 
@@ -775,7 +837,11 @@ func (p *proc) Send(to model.ID, payload []byte) {
 		return
 	}
 	tgt, ok := e.index.Lookup(to)
-	if !ok || e.procs[tgt].crashed || to == p.id {
+	if !ok {
+		return
+	}
+	q := e.procs[tgt]
+	if q.crashed || to == p.id {
 		return
 	}
 	m := e.metrics
@@ -800,8 +866,88 @@ func (p *proc) Send(to model.ID, payload []byte) {
 		if d < 0 {
 			d = 0
 		}
+		if e.coalesce && q.inert != nil && len(payload) > 0 && q.inert.ReplayInert(payload) &&
+			e.replayed(p.idx, q.idx, payload, e.now+d) {
+			e.seq++ // the seq it would have had: every later one stays as it was
+			m.Coalesced++
+			continue
+		}
 		ev := e.push(e.now + d)
-		ev.kind, ev.src, ev.tgt, ev.body = evMessage, uint64(p.id), int32(tgt), payload
+		ev.kind, ev.src, ev.tgt, ev.body = evMessage, uint64(p.id), q.idx, payload
+	}
+}
+
+// replay is one (sender, recipient) pair's entry in Engine.replays: the
+// replay-inert slice last queued between them, and the earliest time a
+// queued copy of it is due.
+type replay struct {
+	pair  uint64 // 1<<63 | sender index<<32 | recipient index; 0: free slot
+	first *byte  // the slice's memory, held so that it is not reused in the run
+	n     int
+	due   Time
+}
+
+// replayed reports whether a send of payload from procs[src] to procs[tgt],
+// which declares it replay-inert, due at at may be left unqueued, and
+// otherwise notes it as queued. It may when the pair's entry names the same
+// slice — memory and length: rt forbids writing a payload once sent — due
+// no later than at. That copy is then delivered before this
+// one would be (delivery is by (at, seq), and it has the smaller seq), or
+// has been, and a crash cannot drop it (coalescing is off under controls),
+// so this one would reach a recipient that merged the slice already.
+//
+// The entry keeps one slice per pair: a sender alternating two slices
+// queues every copy, which costs time, never order.
+func (e *Engine) replayed(src, tgt int32, payload []byte, at Time) bool {
+	if 2*(e.replayN+1) > len(e.replays) {
+		e.growReplays()
+	}
+	pair := 1<<63 | uint64(src)<<32 | uint64(tgt)
+	mask := uint64(len(e.replays) - 1)
+	i := pairHash(pair) & mask
+	for e.replays[i].pair != pair && e.replays[i].pair != 0 {
+		i = (i + 1) & mask
+	}
+	en := &e.replays[i]
+	first := &payload[0]
+	if en.pair == pair && en.first == first && en.n == len(payload) {
+		if en.due <= at {
+			return true
+		}
+		en.due = at // this copy comes first: later ones are measured by it
+		return false
+	}
+	if en.pair == 0 {
+		en.pair = pair
+		e.replayN++
+	}
+	en.first, en.n, en.due = first, len(payload), at
+	return false
+}
+
+// pairHash spreads a pair over the table's index bits (Fibonacci hashing:
+// the product's high bits, folded down).
+func pairHash(pair uint64) uint64 {
+	h := pair * 0x9E3779B97F4A7C15
+	return h ^ h>>32
+}
+
+// growReplays doubles the replay table (16 slots at first) and re-files its
+// entries; a table at its run's size is never grown again, so the steady
+// state allocates nothing.
+func (e *Engine) growReplays() {
+	old := e.replays
+	e.replays = make([]replay, max(16, 2*len(old)))
+	mask := uint64(len(e.replays) - 1)
+	for _, en := range old {
+		if en.pair == 0 {
+			continue
+		}
+		i := pairHash(en.pair) & mask
+		for e.replays[i].pair != 0 {
+			i = (i + 1) & mask
+		}
+		e.replays[i] = en
 	}
 }
 

@@ -55,7 +55,9 @@ func (t *Trace) record(ev *event, to model.ID) {
 }
 
 // SetTrace attaches a trace recorder; every subsequently delivered event is
-// folded into it. Nil detaches.
+// folded into it. Nil detaches. Attach it before the run starts: whether a
+// run coalesces replays (see the package comment) is settled then, and a
+// traced run must deliver every send.
 func (e *Engine) SetTrace(t *Trace) { e.trace = t }
 
 // RecordDecision lets higher layers (the scenario runner) fold protocol-level
