@@ -312,20 +312,10 @@ func (sc *FlowScratch) IsKStronglyConnected(k int) bool { return sc.KappaAtLeast
 // borrows out(v_j)'s row, b in(v_j)'s column, so v_j → b is v_j's fan into
 // the earlier members.
 func (sc *FlowScratch) KappaAtLeast(set []uint64, k int) bool {
-	m := 0
-	for _, word := range set {
-		m += bits.OnesCount64(word)
-	}
-	if k <= 0 || m <= 1 {
-		return true
-	}
-	if m <= k {
-		return false
-	}
-	ex := degreeExits{sc.adj.rows, sc.adj.cols, sc.adj.words, &sc.skipped}
-	if holds, decided := ex.whole(set, m, k); decided {
+	if holds, decided := sc.KappaDecided(set, k); decided {
 		return holds
 	}
+	ex := degreeExits{sc.adj.rows, sc.adj.cols, sc.adj.words, &sc.skipped}
 	tmpl := sc.sub[:sc.split(sc.sub, set)]
 	earlier, j := sc.earlier, 0
 	clear(earlier)
@@ -360,6 +350,24 @@ func (sc *FlowScratch) KappaAtLeast(set []uint64, k int) bool {
 		}
 	}
 	return true
+}
+
+// KappaDecided is KappaAtLeast where it runs no flow: the set sizes that
+// settle the query and degree exit 1. decided is false where KappaAtLeast
+// would go on to Even's schedule.
+func (sc *FlowScratch) KappaDecided(set []uint64, k int) (holds, decided bool) {
+	m := 0
+	for _, word := range set {
+		m += bits.OnesCount64(word)
+	}
+	if k <= 0 || m <= 1 {
+		return true, true
+	}
+	if m <= k {
+		return false, true
+	}
+	ex := degreeExits{sc.adj.rows, sc.adj.cols, sc.adj.words, &sc.skipped}
+	return ex.whole(set, m, k)
 }
 
 // MaxNodeDisjointPaths is FlowScratch.MaxNodeDisjointPaths on a one-shot

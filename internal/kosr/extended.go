@@ -40,13 +40,13 @@ type levelSink struct {
 }
 
 // sweep is the g-sweep of gdi's full view that CheckExtendedKOSR and SinkSets
-// share: g descends from MaxG on one Searcher, whose κ and out-target memos
-// serve every level, and each level's distinct sink sets, in candidate order,
-// go to level until it returns false. It reports whether every level
-// searched was exhaustive.
-func sweep(gdi *graph.Digraph, level func(g int, sinks []levelSink) bool) (exact bool) {
+// share: g descends from MaxG on se, whose κ and out-target memos serve every
+// level, and each level's distinct sink sets, in candidate order, go to level
+// until it returns false. A candidate's P2 is settled only when its S1 ∪ S2
+// is not yet a sink of the level. It reports whether every level searched was
+// exhaustive.
+func sweep(se *Searcher, gdi *graph.Digraph, level func(g int, sinks []levelSink) bool) (exact bool) {
 	v := borrowedView(gdi)
-	se := NewSearcher()
 	exact = true
 	seen := make(map[string]bool)
 	var sinks []levelSink
@@ -60,7 +60,7 @@ func sweep(gdi *graph.Digraph, level func(g int, sinks []levelSink) bool) (exact
 		for _, c := range cands {
 			members = se.members(v, g, c, members[:0])
 			keyBuf = model.AppendKey(keyBuf[:0], members)
-			if seen[string(keyBuf)] {
+			if seen[string(keyBuf)] || !se.settle(c, g) {
 				continue
 			}
 			key := string(keyBuf)
@@ -85,7 +85,7 @@ func sweep(gdi *graph.Digraph, level func(g int, sinks []levelSink) bool) (exact
 func SinkSets(gdi *graph.Digraph) (sinks []SinkInfo, exact bool) {
 	byKey := make(map[string]SinkInfo)
 	var keys []string
-	exact = sweep(gdi, func(g int, level []levelSink) bool {
+	exact = sweep(NewSearcher(), gdi, func(g int, level []levelSink) bool {
 		for _, s := range level {
 			// g descends, so a set's first sighting carries its largest g.
 			if _, ok := byKey[s.key]; !ok {
@@ -107,6 +107,12 @@ func SinkSets(gdi *graph.Digraph) (sinks []SinkInfo, exact bool) {
 // maximum connectivity among all sinks (C1) — reachable from every non-core
 // node through k_Gdi(Vcore) node-disjoint paths (C2).
 func CheckExtendedKOSR(gdi *graph.Digraph, k int) ExtendedReport {
+	return checkExtendedKOSR(NewSearcher(), gdi, k)
+}
+
+// checkExtendedKOSR is CheckExtendedKOSR searching on se, whose flow count
+// the tests read.
+func checkExtendedKOSR(se *Searcher, gdi *graph.Digraph, k int) ExtendedReport {
 	r := ExtendedReport{K: k, Exact: true}
 	// One snapshot of gdi serves the base check and C2's probes.
 	var flow graph.FlowScratch
@@ -119,7 +125,7 @@ func CheckExtendedKOSR(gdi *graph.Digraph, k int) ExtendedReport {
 	// found there has f_G = g, and a set first found lower has a lower f_G.
 	var top []levelSink
 	best := -1
-	r.Exact = sweep(gdi, func(g int, sinks []levelSink) bool {
+	r.Exact = sweep(se, gdi, func(g int, sinks []levelSink) bool {
 		best, top = g, sinks
 		return len(sinks) == 0
 	})
@@ -176,6 +182,11 @@ type BFTCUPFTReport struct {
 // safe subgraph belongs to extended (f+1)-OSR PD and its core contains at
 // least 2f+1 processes.
 func CheckBFTCUPFT(gdi *graph.Digraph, byz model.IDSet, f int) BFTCUPFTReport {
+	return checkBFTCUPFT(NewSearcher(), gdi, byz, f)
+}
+
+// checkBFTCUPFT is CheckBFTCUPFT searching on se.
+func checkBFTCUPFT(se *Searcher, gdi *graph.Digraph, byz model.IDSet, f int) BFTCUPFTReport {
 	r := BFTCUPFTReport{F: f}
 	if byz.Len() > f {
 		r.Reason = fmt.Sprintf("%d Byzantine nodes exceed fault threshold f=%d", byz.Len(), f)
@@ -185,7 +196,7 @@ func CheckBFTCUPFT(gdi *graph.Digraph, byz model.IDSet, f int) BFTCUPFTReport {
 	if byz.Len() > 0 {
 		safe = gdi.Without(byz)
 	}
-	ext := CheckExtendedKOSR(safe, f+1)
+	ext := checkExtendedKOSR(se, safe, f+1)
 	if !ext.OK {
 		r.Reason = "safe subgraph not extended (f+1)-OSR: " + ext.Reason
 		return r

@@ -54,11 +54,17 @@ func pairsByFlow(g *graph.Digraph, targets model.IDSet, k int, reason string) st
 	return ""
 }
 
+// sinkLevel lists a view's sinks at g on a searcher, fully settled and sorted
+// by S1, and whether the list is exhaustive: (*Searcher).SinksAtGExact, or
+// testKappa's level, which settles P2 on the test side.
+type sinkLevel func(se *Searcher, v *View, g int) ([]Candidate, bool)
+
 // checkExtendedKOSRByPairs is CheckExtendedKOSR as it ran before its verdict
 // stopped at the core's level and C2 ran one fan per node: C1 over the sinks
-// of every g, taken straight off SinksAtGExact and keyed by S1 ∪ S2, and C2 as
-// one bare flow per (non-core node, core member) pair. Its Exact covers every g.
-func checkExtendedKOSRByPairs(gdi *graph.Digraph, k int) ExtendedReport {
+// of every g, taken straight off the fully settled levels and keyed by S1 ∪ S2,
+// and C2 as one bare flow per (non-core node, core member) pair. Its Exact
+// covers every g.
+func checkExtendedKOSRByPairs(gdi *graph.Digraph, k int, level sinkLevel) ExtendedReport {
 	r := ExtendedReport{K: k, Exact: true}
 	if reason := kosrReasonByPairs(gdi, k); reason != "" {
 		r.Reason = "not k-OSR: " + reason
@@ -69,7 +75,7 @@ func checkExtendedKOSRByPairs(gdi *graph.Digraph, k int) ExtendedReport {
 	fg := make(map[string]int)
 	members := make(map[string]model.IDSet)
 	for g := v.MaxG(); g >= 0; g-- {
-		cands, exact := se.SinksAtGExact(v, g)
+		cands, exact := level(se, v, g)
 		r.Exact = r.Exact && exact
 		for _, c := range cands {
 			set := c.S1.Union(c.S2)
@@ -115,13 +121,13 @@ func checkExtendedKOSRByPairs(gdi *graph.Digraph, k int) ExtendedReport {
 }
 
 // checkBFTCUPFTByPairs is CheckBFTCUPFT on checkExtendedKOSRByPairs.
-func checkBFTCUPFTByPairs(gdi *graph.Digraph, byz model.IDSet, f int) BFTCUPFTReport {
+func checkBFTCUPFTByPairs(gdi *graph.Digraph, byz model.IDSet, f int, level sinkLevel) BFTCUPFTReport {
 	r := BFTCUPFTReport{F: f}
 	if byz.Len() > f {
 		r.Reason = fmt.Sprintf("%d Byzantine nodes exceed fault threshold f=%d", byz.Len(), f)
 		return r
 	}
-	ext := checkExtendedKOSRByPairs(gdi.Without(byz), f+1)
+	ext := checkExtendedKOSRByPairs(gdi.Without(byz), f+1, level)
 	if !ext.OK {
 		r.Reason = "safe subgraph not extended (f+1)-OSR: " + ext.Reason
 		return r
@@ -156,7 +162,7 @@ var oracleDefs = append(slices.Clone(graphCheckDefs),
 func TestCheckExtendedKOSRMatchesPairOracle(t *testing.T) {
 	outcomes := map[string]int{}
 	ext := func(tag string, g *graph.Digraph, k int) {
-		got, want := CheckExtendedKOSR(g, k), checkExtendedKOSRByPairs(g, k)
+		got, want := CheckExtendedKOSR(g, k), checkExtendedKOSRByPairs(g, k, (*Searcher).SinksAtGExact)
 		if got.OK != want.OK || got.K != want.K || !got.Core.Equal(want.Core) || got.FG != want.FG ||
 			got.Reason != want.Reason || want.Exact && !got.Exact {
 			t.Fatalf("%s k=%d:\n  got:    %+v\n  oracle: %+v\n%s", tag, k, got, want, g)
@@ -169,7 +175,7 @@ func TestCheckExtendedKOSRMatchesPairOracle(t *testing.T) {
 		}
 	}
 	ft := func(tag string, g *graph.Digraph, byz model.IDSet, f int) {
-		got, want := CheckBFTCUPFT(g, byz, f), checkBFTCUPFTByPairs(g, byz, f)
+		got, want := CheckBFTCUPFT(g, byz, f), checkBFTCUPFTByPairs(g, byz, f, (*Searcher).SinksAtGExact)
 		if got.OK != want.OK || got.F != want.F || !got.Core.Equal(want.Core) || got.FG != want.FG || got.Reason != want.Reason {
 			t.Fatalf("%s byz=%v f=%d:\n  got:    %+v\n  oracle: %+v\n%s", tag, byz, f, got, want, g)
 		}
@@ -238,7 +244,7 @@ func s2ShortcutGraph() *graph.Digraph {
 // for p5, which has two node-disjoint paths to p1 and p4 but one to p2.
 func TestC2FanIntoS1(t *testing.T) {
 	g := s2ShortcutGraph()
-	r, want := CheckExtendedKOSR(g, 1), checkExtendedKOSRByPairs(g, 1)
+	r, want := CheckExtendedKOSR(g, 1), checkExtendedKOSRByPairs(g, 1, (*Searcher).SinksAtGExact)
 	const reason = "C2 fails: fewer than 2 node-disjoint paths from p5 to core node p2"
 	if r.OK || r.Reason != reason || !r.Core.Equal(ids(1, 2, 3, 4)) || r.FG != 1 || want.Reason != reason {
 		t.Fatalf("report %+v, oracle %+v; want C2 to fail with %q", r, want, reason)

@@ -29,6 +29,17 @@ import (
 //   - Per-S1 verdict facts (the |OutTargets| count and bounds on κ(G[S1]))
 //     are memoized across revisions and thresholds, so when a component does
 //     grow, only subsets involving the new members pay for max-flow probes.
+//   - P2, κ(G[S1]) ≥ g+1, is settled only for the candidates a caller reads.
+//     A component's entry holds every S1 that passes P1 and P3, in key order;
+//     the facts memo and degree exit 1 settle P2 where they can, and the
+//     entry runs κ flows in key order on the pool rows it enumerated on until
+//     one S1 passes. So each entry leads with its first passer and the rest
+//     stays open. Components are disjoint and each entry is sorted, so the
+//     smallest of the entries' first passers is the first candidate of the
+//     whole view: the find rules settle nothing more. A caller that reads
+//     further — SinksAtGExact, the extended-k-OSR sweep, the worst-placement
+//     witnesses — settles each candidate it needs through the facts memo,
+//     or, on a miss, with a flow schedule on S1's own rows.
 //
 // Inside the engine a set is never a Go map: every process met — record owner
 // or PD target — is interned to a dense index at first sight, a received PD
@@ -80,8 +91,9 @@ type Searcher struct {
 	subsets  map[string]*subsetFacts
 
 	enum poolEnum
-	flow graph.FlowScratch // κ of S1 candidates, loaded with one pool's rows
+	flow graph.FlowScratch // κ of S1 candidates, loaded with one pool's or one S1's rows
 	mask [1]uint64         // an enumerated subset, as flow's member set
+	rows []uint64          // settle's scratch: S1's own rows, then its member set
 
 	// Decomposition scratch: the received processes in ascending-ID order (ids
 	// their IDs, node their interned indices — a position indexes both), the
@@ -104,6 +116,17 @@ type Searcher struct {
 	s2Buf   []model.ID
 	keyBuf  []byte
 	pairBuf []cachedCand
+	entBuf  []*sccEntry
+
+	// A component search's candidates as record files them: their S1s back to
+	// back, their keys back to back, and where each ends in the two. The
+	// entry takes found and foundS1 over; scratch a searcher kept for them
+	// would hold a copy of its largest search's candidates for its lifetime,
+	// in each of a cell's searchers.
+	found    []cachedCand
+	foundS1  []int32
+	foundKey []byte
+	foundEnd []int32
 }
 
 // procRec is one interned process. pd, once its record is seen (nil before),
@@ -151,12 +174,15 @@ func (f *subsetFacts) learn(k int32, holds bool) {
 	}
 }
 
-// cachedCand is a passing S1 — its members' interned indices, ascending by
-// ID — with its canonical decimal key (IDSet.Key of the set), the
-// trace-visible order candidates are returned in.
+// cachedCand is an S1 that passes P1 and P3 — its members' interned
+// indices, ascending by ID — with its canonical decimal key (IDSet.Key of the
+// set), the trace-visible order candidates are returned in, and its verdict
+// facts, which hold P2's answer once it is settled. Every copy of a candidate
+// shares the facts, so a verdict settled through one reaches them all.
 type cachedCand struct {
-	s1  []int32
-	key string
+	s1    []int32
+	key   string
+	facts *subsetFacts
 }
 
 func sortCands(cs []cachedCand) {
@@ -164,8 +190,10 @@ func sortCands(cs []cachedCand) {
 }
 
 // sccEntry is the memoized outcome of searching one component at one g: the
-// S1 sets passing isSink's S1-side checks (P1, P3, κ), sorted by canonical
-// key, plus whether the enumeration was exhaustive.
+// S1 sets passing P1 and P3, sorted by canonical key, plus whether the
+// enumeration was exhaustive. Those whose P2 (κ) the search found failing are
+// left out up to the first that passes, which leads the list; past it, P2 is
+// settled where the facts or degree exit 1 decided it and open elsewhere.
 type sccEntry struct {
 	cands []cachedCand
 	exact bool
@@ -342,15 +370,15 @@ func (s *Searcher) decompose(v *View) {
 // It is exhaustive when every peeled SCC of the received graph has ≤
 // ExactLimit nodes: every valid S1 induces a strongly connected subgraph,
 // hence lies inside one SCC; and κ(G[S1]) ≥ g+1 implies S1 survives directed
-// (g+1)-core peeling, which is applied first as sound pruning.
+// (g+1)-core peeling, which is applied first as sound pruning. It settles
+// every candidate's P2.
 func (s *Searcher) SinksAtGExact(v *View, g int) ([]Candidate, bool) {
 	pairs, exact := s.collect(v, g)
-	if len(pairs) == 0 {
-		return nil, exact
-	}
-	out := make([]Candidate, 0, len(pairs))
+	var out []Candidate
 	for _, c := range pairs {
-		out = append(out, s.candidate(v, g, c))
+		if s.settle(c, g) {
+			out = append(out, s.candidate(v, g, c))
+		}
 	}
 	return out, exact
 }
@@ -413,15 +441,15 @@ func (s *Searcher) members(v *View, g int, c cachedCand, buf []model.ID) []model
 	return append(buf, s2...)
 }
 
-// collect gathers the passing S1 sets at g across all components, sorted by
-// canonical key, in the searcher's pair scratch (valid until the next call).
-func (s *Searcher) collect(v *View, g int) (pairs []cachedCand, exact bool) {
+// entries resolves the memoized search at g of every component P1 does not
+// rule out, in scratch valid until the next call, and reports whether all of
+// them were exhaustive.
+func (s *Searcher) entries(v *View, g int) (ents []*sccEntry, exact bool) {
+	ents, exact = s.entBuf[:0], true
 	if g < 0 {
-		return nil, true
+		return ents, true
 	}
 	s.refresh(v)
-	s.pairBuf = s.pairBuf[:0]
-	exact = true
 	for i := range s.comps {
 		if len(s.comps[i].idx) < 2*g+1 {
 			// P1 cannot hold inside it: nothing to find, nothing to memoize,
@@ -430,20 +458,87 @@ func (s *Searcher) collect(v *View, g int) (pairs []cachedCand, exact bool) {
 		}
 		ent := s.entryFor(v, g, &s.comps[i])
 		exact = exact && ent.exact
-		s.pairBuf = append(s.pairBuf, ent.cands...)
+		ents = append(ents, ent)
 	}
-	sortCands(s.pairBuf)
-	return s.pairBuf, exact
+	s.entBuf = ents
+	return ents, exact
 }
 
-// first returns SinksAtGExact(v, g)'s first candidate, materializing only
-// the winner.
+// collect gathers the candidates at g across all components, sorted by
+// canonical key, in the searcher's pair scratch (valid until the next call):
+// every S1 passing P1 and P3 whose P2 is not known to fail. Each component's
+// first passer is among them, settled; the others are as settled or as open
+// as earlier reads left them, and settle decides one. The list is empty
+// exactly when no candidate passes.
+func (s *Searcher) collect(v *View, g int) (pairs []cachedCand, exact bool) {
+	ents, exact := s.entries(v, g)
+	k := int32(g + 1)
+	pairs = s.pairBuf[:0]
+	for _, ent := range ents {
+		for _, c := range ent.cands {
+			if holds, known := c.facts.kappa(k); holds || !known {
+				pairs = append(pairs, c)
+			}
+		}
+	}
+	sortCands(pairs)
+	s.pairBuf = pairs
+	return pairs, exact
+}
+
+// first returns SinksAtGExact(v, g)'s first candidate, settling and
+// materializing nothing but it: the smallest of the components' first
+// passers.
 func (s *Searcher) first(v *View, g int) (Candidate, bool) {
-	pairs, _ := s.collect(v, g)
-	if len(pairs) == 0 {
+	ents, _ := s.entries(v, g)
+	var head *cachedCand
+	for _, ent := range ents {
+		if len(ent.cands) > 0 && (head == nil || ent.cands[0].key < head.key) {
+			head = &ent.cands[0]
+		}
+	}
+	if head == nil {
 		return Candidate{}, false
 	}
-	return s.candidate(v, g, pairs[0]), true
+	return s.candidate(v, g, *head), true
+}
+
+// settle decides P2, κ(G[S1]) ≥ g+1, for a candidate collect returned at g.
+func (s *Searcher) settle(c cachedCand, g int) bool { return s.settleSet(c.facts, c.s1, int32(g+1)) }
+
+// settleSet decides κ(G[S1]) ≥ k for the S1 with the given members (interned
+// indices, in any order) and facts: from the facts where they hold the
+// answer, else by a flow schedule on S1's own rows — the flow engine's pool
+// rows are stale by then.
+func (s *Searcher) settleSet(f *subsetFacts, s1 []int32, k int32) bool {
+	holds, known := f.kappa(k)
+	if known {
+		return holds
+	}
+	// S1's rows are its members' PD lists restricted to S1, each member
+	// marked with its position plus one.
+	n, w := len(s1), (len(s1)+63)/64
+	s.rows = slices.Grow(s.rows[:0], (n+1)*w)[:(n+1)*w]
+	clear(s.rows)
+	for p, m := range s1 {
+		s.procs[m].mark = int32(p + 1)
+	}
+	for p, m := range s1 {
+		for _, tgt := range s.procs[m].pd {
+			if q := s.procs[tgt].mark - 1; q >= 0 {
+				s.rows[p*w+int(q>>6)] |= 1 << (q & 63)
+			}
+		}
+	}
+	set := s.rows[n*w:]
+	for p, m := range s1 {
+		s.procs[m].mark = 0
+		set[p>>6] |= 1 << (p & 63)
+	}
+	s.flow.LoadRows(n, s.rows[:n*w])
+	holds = s.flow.KappaAtLeast(set, int(k))
+	f.learn(k, holds)
+	return holds
 }
 
 // entryFor resolves one component's memoized search at g.
@@ -466,30 +561,65 @@ func (s *Searcher) entryFor(v *View, g int, comp *sccComp) *sccEntry {
 
 // searchComp searches one component at g: (g+1)-core peel (sound for g ≥ 1
 // only: singletons have no degree requirement), then exact subset
-// enumeration up to ExactLimit, else structural candidates.
+// enumeration up to ExactLimit, else structural candidates, and P2 in key
+// order until a candidate passes.
 func (s *Searcher) searchComp(v *View, g int, comp *sccComp) *sccEntry {
 	e := &sccEntry{exact: true}
 	pool := s.peel(comp.idx, int32(g+1))
 	if len(pool) < 2*g+1 {
 		return e
 	}
+	s.foundKey, s.foundEnd = s.foundKey[:0], s.foundEnd[:0]
 	if len(pool) <= ExactLimit {
-		s.enumeratePool(v, g, pool, e)
+		s.enumeratePool(v, g, pool)
 	} else {
 		e.exact = false
-		s.structural(v, g, slices.Clone(pool), e) // its re-peels reuse pool's scratch
+		pool = slices.Clone(pool) // structural's re-peels reuse pool's scratch
+		s.structural(v, g, pool)
 	}
-	sortCands(e.cands)
+	cands := s.materialize()
+	sortCands(cands)
 	// Re-peels can meet: one candidate, one entry.
-	e.cands = slices.CompactFunc(e.cands, func(a, b cachedCand) bool { return a.key == b.key })
+	cands = slices.CompactFunc(cands, func(a, b cachedCand) bool { return a.key == b.key })
+	// The entry leads with its first passer; those that fail before it go.
+	if i := s.settleFirst(g, pool, cands); i >= 0 {
+		e.cands = cands[i:]
+	}
+	s.found, s.foundS1 = nil, nil // the entry's now
 	return e
+}
+
+// settleFirst runs P2's flows on the pool's rows, which flow still holds, in
+// key order until a candidate passes, and returns its position (-1: none
+// does). P2 stays open for the candidates after it until a caller settles it.
+func (s *Searcher) settleFirst(g int, pool []int32, cands []cachedCand) int {
+	k := int32(g + 1)
+	w := (len(pool) + 63) / 64
+	s.rows = slices.Grow(s.rows[:0], w)[:w]
+	set := s.rows
+	for i, c := range cands {
+		holds, known := c.facts.kappa(k)
+		if !known {
+			clear(set)
+			for _, m := range c.s1 {
+				q, _ := slices.BinarySearch(pool, s.procs[m].pos)
+				set[q>>6] |= 1 << (q & 63)
+			}
+			holds = s.flow.KappaAtLeast(set, int(k))
+			c.facts.learn(k, holds)
+		}
+		if holds {
+			return i
+		}
+	}
+	return -1
 }
 
 // structural tries the fallback's candidates on a pool larger than
 // ExactLimit: the pool itself and the pool minus each member, re-peeled to
 // its (g+1)-core, all on the decomposition's CSR. The κ engine is loaded once
-// with the pool's rows, and each candidate is its member set.
-func (s *Searcher) structural(v *View, g int, pool []int32, e *sccEntry) {
+// with the pool's rows, over which each candidate is its member set.
+func (s *Searcher) structural(v *View, g int, pool []int32) {
 	w := (len(pool) + 63) / 64
 	rows := make([]uint64, len(pool)*w)
 	for p, u := range pool {
@@ -518,8 +648,8 @@ func (s *Searcher) structural(v *View, g int, pool []int32, e *sccEntry) {
 			s1 = append(s1, s.node[u])
 		}
 		s.s1Buf = s1
-		if s.passes(v, g, s1, -1, set) {
-			s.record(e, s1)
+		if f := s.screen(v, g, s1, -1, set); f != nil {
+			s.record(s1, f)
 		}
 	}
 }
@@ -568,11 +698,11 @@ func (s *Searcher) peel(comp []int32, k int32) []int32 {
 // enumeratePool walks the subsets of the pool (≤ ExactLimit ≤ 64 positions,
 // ascending) through the dominated-subset-pruned bitset enumerator: poolEnum
 // cuts whole subtrees that cannot pass P1/P3/κ, the survivors resolve their
-// verdict facts by content key, and κ probes run on the flow engine loaded
-// once with the pool's rows — no per-subset graph materialization. The
-// enumerator's prunes are sound (see poolEnum), so the passing set is exactly
-// the plain mask walk's; a candidate is recorded only on pass.
-func (s *Searcher) enumeratePool(v *View, g int, pool []int32, e *sccEntry) {
+// verdict facts by content key, and the flow engine is loaded once with the
+// pool's rows for settleFirst's κ probes — no per-subset graph
+// materialization. The enumerator's prunes are sound (see poolEnum), so the
+// set recorded is exactly the plain mask walk's survivors of screen.
+func (s *Searcher) enumeratePool(v *View, g int, pool []int32) {
 	// The members' marks carry their pool position plus one, an external
 	// target's the negative of its number plus one, handed out at first sight.
 	var adj, ext [64]uint64
@@ -619,8 +749,8 @@ func (s *Searcher) enumeratePool(v *View, g int, pool []int32, e *sccEntry) {
 			// targets.
 			out = -1
 		}
-		if s.passes(v, g, s1, out, s.mask[:]) {
-			s.record(e, s1)
+		if f := s.screen(v, g, s1, out, s.mask[:]); f != nil {
+			s.record(s1, f)
 		}
 	})
 }
@@ -638,11 +768,14 @@ func (s *Searcher) factsFor(key []byte) *subsetFacts {
 	return f
 }
 
-// passes applies isSink's S1-side checks past P1 — P3's bound on out-targets
-// and P2's κ — to an S1 given as ascending interned indices and as its member
-// set over the rows flow holds, through the per-S1 verdict memo. out is the
-// enumerator's count of S1's out-targets, or -1 to count them on the view.
-func (s *Searcher) passes(v *View, g int, s1 []int32, out int, set []uint64) bool {
+// screen applies isSink's S1-side checks past P1 to an S1 given as ascending
+// interned indices and as its member set over the rows flow holds: P3's bound
+// on out-targets, and P2 — κ(G[S1]) ≥ g+1 — wherever the per-S1 verdict memo
+// or the flow-free checks of KappaDecided settle it. It returns S1's facts,
+// nil when S1 fails; facts that leave P2 open are settleFirst's to settle, or
+// a later caller's. out is the enumerator's count of S1's out-targets, or -1
+// to count them on the view.
+func (s *Searcher) screen(v *View, g int, s1 []int32, out int, set []uint64) *subsetFacts {
 	key := s.keyBuf[:0]
 	for _, m := range s1 {
 		key = setBit(key, 0, m)
@@ -656,31 +789,46 @@ func (s *Searcher) passes(v *View, g int, s1 []int32, out int, set []uint64) boo
 		f.out = int32(out)
 	}
 	if int(f.out) > g {
-		return false
-	}
-	if len(s1) <= 1 {
-		return true
+		return nil
 	}
 	k := int32(g + 1)
 	holds, known := f.kappa(k)
 	if !known {
-		holds = s.flow.KappaAtLeast(set, int(k))
-		f.learn(k, holds)
+		if holds, known = s.flow.KappaDecided(set, int(k)); known {
+			f.learn(k, holds)
+		}
 	}
-	return holds
+	if known && !holds {
+		return nil
+	}
+	return f
 }
 
-// record adds a passing S1 to e under its canonical decimal key.
-func (s *Searcher) record(e *sccEntry, s1 []int32) {
-	buf := s.keyBuf[:0]
+// record files an S1 that passed screen, with its canonical decimal key, in
+// the component search's scratch.
+func (s *Searcher) record(s1 []int32, f *subsetFacts) {
+	s.foundS1 = append(s.foundS1, s1...)
 	for i, m := range s1 {
 		if i > 0 {
-			buf = append(buf, ',')
+			s.foundKey = append(s.foundKey, ',')
 		}
-		buf = strconv.AppendUint(buf, uint64(s.procs[m].id), 10)
+		s.foundKey = strconv.AppendUint(s.foundKey, uint64(s.procs[m].id), 10)
 	}
-	s.keyBuf = buf
-	e.cands = append(e.cands, cachedCand{s1: slices.Clone(s1), key: string(buf)})
+	s.foundEnd = append(s.foundEnd, int32(len(s.foundS1)), int32(len(s.foundKey)))
+	s.found = append(s.found, cachedCand{facts: f})
+}
+
+// materialize hands the recorded candidates their S1s and keys, backed by one
+// slice and one string for the whole component search.
+func (s *Searcher) materialize() []cachedCand {
+	s1s, keys := s.foundS1, string(s.foundKey)
+	var at, keyAt int32
+	for i := range s.found {
+		end, keyEnd := s.foundEnd[2*i], s.foundEnd[2*i+1]
+		s.found[i].s1, s.found[i].key = s1s[at:end:end], keys[keyAt:keyEnd]
+		at, keyAt = end, keyEnd
+	}
+	return s.found
 }
 
 // FindSinkKnownF implements the decision step of Algorithm 2 (the Sink

@@ -295,10 +295,12 @@ func TestSearcherMemoKeysWellFormed(t *testing.T) {
 
 // TestCollectSizeSkipInvisible pins that collect loses nothing by not asking
 // the components P1 rules out: at every g, on every property graph and on one
-// whose sink searches structurally (exact = false), it returns the candidates
-// and the exact flag of the loop that asks every component. That the
-// candidates are the right ones is the all-subsets oracle's word
-// (TestSearcherMatchesBruteForce), not this loop's.
+// whose sink searches structurally (exact = false), its candidates, each
+// settled, pass exactly where those of the loop that asks every component do,
+// and the exact flags agree. Entries hold candidates whose P2 is still open,
+// so both sides settle theirs before comparing. That the candidates are the
+// right ones is the all-subsets oracle's word (TestSearcherMatchesBruteForce),
+// not this loop's.
 func TestCollectSizeSkipInvisible(t *testing.T) {
 	graphs := propertyGraphs(t, rand.New(rand.NewSource(9)))
 	graphs["kosr:sink=24"] = buildDef(t, "kosr:sink=24,nonsink=4,k=3", 1)
@@ -307,17 +309,27 @@ func TestCollectSizeSkipInvisible(t *testing.T) {
 		se, all := NewSearcher(), NewSearcher()
 		all.refresh(v)
 		for g := v.MaxG() + 1; g >= 0; g-- {
-			var want []cachedCand
+			var want []string
 			wantExact := true
 			for i := range all.comps {
 				ent := all.entryFor(v, g, &all.comps[i])
 				wantExact = wantExact && ent.exact
-				want = append(want, ent.cands...)
+				for _, c := range ent.cands {
+					if all.settle(c, g) {
+						want = append(want, c.key)
+					}
+				}
 			}
-			sortCands(want)
-			got, exact := se.collect(v, g)
-			if exact != wantExact || !slices.EqualFunc(got, want, func(a, b cachedCand) bool { return a.key == b.key }) {
-				t.Fatalf("%s g=%d: collect returned %d candidates, exact=%v; asking every component %d, exact=%v",
+			slices.Sort(want)
+			var got []string
+			cands, exact := se.collect(v, g)
+			for _, c := range cands {
+				if se.settle(c, g) {
+					got = append(got, c.key)
+				}
+			}
+			if exact != wantExact || !slices.Equal(got, want) {
+				t.Fatalf("%s g=%d: collect settled to %d candidates, exact=%v; asking every component %d, exact=%v",
 					name, g, len(got), exact, len(want), wantExact)
 			}
 		}

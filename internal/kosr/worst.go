@@ -2,6 +2,7 @@ package kosr
 
 import (
 	"fmt"
+	"math/bits"
 
 	"github.com/bftcup/bftcup/internal/graph"
 	"github.com/bftcup/bftcup/internal/model"
@@ -46,13 +47,13 @@ const WorstEnumLimit = 1 << 20
 // its candidate list and κ verdicts verbatim. And most subsets are never
 // searched at all: see witnesses.
 func WorstPlacement(g *graph.Digraph, f int) (Placement, error) {
-	p, _, err := worstPlacement(g, f)
+	p, _, err := worstPlacement(NewSearcher(), g, f)
 	return p, err
 }
 
-// worstPlacement is WorstPlacement plus the number of subsets it searched,
-// which the tests and the benchmark pin.
-func worstPlacement(g *graph.Digraph, f int) (best Placement, graded int, err error) {
+// worstPlacement is WorstPlacement searching on se, plus the number of
+// subsets it searched, which the tests and the benchmark pin.
+func worstPlacement(se *Searcher, g *graph.Digraph, f int) (best Placement, graded int, err error) {
 	nodes := g.Nodes()
 	n := len(nodes)
 	if f < 0 {
@@ -67,7 +68,6 @@ func worstPlacement(g *graph.Digraph, f int) (best Placement, graded int, err er
 	}
 
 	v := borrowedView(g)
-	se := NewSearcher()
 	byz := model.NewIDSet()
 	best.Margin = int(^uint(0) >> 1) // +Inf until the first grade
 	// Nothing is set up for the filter until a first subset has been graded
@@ -95,7 +95,7 @@ func worstPlacement(g *graph.Digraph, f int) (best Placement, graded int, err er
 			wit = newWitnesses(se, v, nodes)
 		}
 		if wit != nil {
-			wit.record(cands)
+			wit.record(m, cands)
 		}
 		return false
 	})
@@ -112,10 +112,25 @@ func worstPlacement(g *graph.Digraph, f int) (best Placement, graded int, err er
 // and so no lower than the best so far (the best is the minimum over those):
 // under the strict-< tie-break it can neither replace the best nor be the -1
 // early exit, and it is skipped unsearched.
+//
+// The margin's candidates are filed with P2 as the search left it, mostly
+// open; clears settles a witness only when it is disjoint from the subset
+// under test, that is when it is the one that would clear it. A witness whose
+// P2 fails clears nothing, so the subsets skipped are those the passing
+// candidates alone would skip.
 type witnesses struct {
-	index []int32  // nodes[i]'s interned index
-	byz   []uint64 // the subset under test; its length is every bitset's width
-	sets  []uint64 // the recorded S1s, back to back
+	se    *Searcher
+	index []int32   // nodes[i]'s interned index
+	byz   []uint64  // the subset under test; its length is every bitset's width
+	sets  []uint64  // the recorded S1s, back to back
+	filed []witness // what settles each, one per set
+}
+
+// witness is what settles one filed S1's P2: its verdict facts and the κ
+// its level asks for.
+type witness struct {
+	facts *subsetFacts
+	k     int32
 }
 
 // newWitnesses arms the filter, or returns nil where it would not be exact:
@@ -131,18 +146,21 @@ func newWitnesses(se *Searcher, v *View, nodes []model.ID) *witnesses {
 	if se.largestComponent(v) > ExactLimit {
 		return nil
 	}
-	w := &witnesses{index: make([]int32, len(nodes)), byz: make([]uint64, (len(se.procs)+63)/64)}
+	w := &witnesses{se: se, index: make([]int32, len(nodes)), byz: make([]uint64, (len(se.procs)+63)/64)}
 	for i, u := range nodes {
 		w.index[i] = se.internID(u)
 	}
 	return w
 }
 
-// record files the candidates a graded subset was left with at its margin.
+// record files the candidates a graded subset was left with at its margin g.
 // None is filed twice: each is disjoint from the subset just graded, which
-// would have been skipped had the candidate been a witness already.
-func (w *witnesses) record(cands []cachedCand) {
+// would have been skipped had the candidate been a passing witness already,
+// and one that clears found failing is known to fail, so collect leaves it
+// out.
+func (w *witnesses) record(g int, cands []cachedCand) {
 	for _, c := range cands {
+		w.filed = append(w.filed, witness{c.facts, int32(g + 1)})
 		at := len(w.sets)
 		w.sets = append(w.sets, make([]uint64, len(w.byz))...)
 		set := w.sets[at:]
@@ -152,8 +170,8 @@ func (w *witnesses) record(cands []cachedCand) {
 	}
 }
 
-// clears reports whether some witness survives the subset given as positions
-// in nodes.
+// clears reports whether some passing witness survives the subset given as
+// positions in nodes.
 func (w *witnesses) clears(idx []int) bool {
 	clear(w.byz)
 	for _, i := range idx {
@@ -161,21 +179,37 @@ func (w *witnesses) clears(idx []int) bool {
 		w.byz[m>>6] |= 1 << (m & 63)
 	}
 sets:
-	for at := 0; at < len(w.sets); at += len(w.byz) {
+	for i, at := 0, 0; at < len(w.sets); i, at = i+1, at+len(w.byz) {
 		for j, word := range w.byz {
 			if w.sets[at+j]&word != 0 {
 				continue sets
 			}
 		}
-		return true
+		if wit := w.filed[i]; w.se.settleSet(wit.facts, w.members(at), wit.k) {
+			return true
+		}
 	}
 	return false
+}
+
+// members lists, as interned indices in the searcher's scratch, the S1 whose
+// bitset starts at sets[at].
+func (w *witnesses) members(at int) []int32 {
+	s1 := w.se.s1Buf[:0]
+	for j, word := range w.sets[at : at+len(w.byz)] {
+		for ; word != 0; word &= word - 1 {
+			s1 = append(s1, int32(j<<6+bits.TrailingZeros64(word)))
+		}
+	}
+	w.se.s1Buf = s1
+	return s1
 }
 
 // placementMargin runs the Core search's g sweep on the shared searcher over
 // the correct-only view for one Byzantine subset, and returns with the margin
 // the candidates found at it (in the searcher's pair scratch: valid until its
-// next search). That view copies nothing: it is v, g's borrowed full view,
+// next search). The margin is the first g with a passing candidate; of the
+// others there, P2 is as the search left it. That view copies nothing: it is v, g's borrowed full view,
 // with the subset's records taken out for the length of the call. Known stays
 // whole — it is placement-independent: correct processes eventually hear of
 // every process, Byzantine ones included, because correct PDs point at them.

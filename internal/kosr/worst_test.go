@@ -138,7 +138,7 @@ func TestWorstPlacementGradedCount(t *testing.T) {
 		{"geo:n=16,r=0.5", 1, 3, 16},
 	} {
 		g := buildDef(t, tc.def, 1)
-		_, graded, err := worstPlacement(g, tc.f)
+		_, graded, err := worstPlacement(NewSearcher(), g, tc.f)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -230,7 +230,7 @@ func BenchmarkWorstPlacement(b *testing.B) {
 				var graded int
 				for i := 0; i < b.N; i++ {
 					var err error
-					if _, graded, err = worstPlacement(g, f); err != nil {
+					if _, graded, err = worstPlacement(NewSearcher(), g, f); err != nil {
 						b.Fatal(err)
 					}
 				}

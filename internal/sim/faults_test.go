@@ -298,3 +298,31 @@ func TestRestartSemantics(t *testing.T) {
 		t.Fatalf("replacement inits = %d, want 1", fresh.inits)
 	}
 }
+
+// TestDroppedEventStopsAtHorizon pins that an event dropped on arrival ends
+// its step: RunUntil checks its horizon before the next event. A message due
+// at 5 ms to a process crashed at 1 ms is dropped; the only event left is
+// p2's send at 1 s, past the 100 ms horizon, so it must not fire and the
+// clock must stop at the drop.
+func TestDroppedEventStopsAtHorizon(t *testing.T) {
+	engine := NewEngine(fixedNet{d: 5 * Millisecond}, 1)
+	for _, p := range []struct {
+		id model.ID
+		r  rt.Reactor
+	}{
+		{1, &scriptSender{sends: []scriptSend{{0, 3, "dropped"}}}},
+		{2, &scriptSender{sends: []scriptSend{{Second, 1, "late"}}}},
+		{3, &recorder{}},
+	} {
+		if err := engine.AddProcess(p.id, p.r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	engine.ScheduleCrash(3, Millisecond)
+	if engine.RunUntil(func() bool { return false }, 100*Millisecond) {
+		t.Fatal("RunUntil met a condition that never holds")
+	}
+	if now, sent := engine.Now(), engine.Metrics().Messages; now != 5*Millisecond || sent != 1 {
+		t.Fatalf("after RunUntil(never, 100ms): Now() = %v with %d sends, want 5ms with 1 (p2's 1 s timer fired past the horizon)", now, sent)
+	}
+}

@@ -391,51 +391,50 @@ func (e *Engine) start() {
 }
 
 // Step processes the next event. It returns false when the event queue is
-// empty.
+// empty. An event dropped on arrival ends the step too, so a caller's horizon
+// check runs before the next one.
 func (e *Engine) Step() bool {
 	e.start()
-	for {
-		if _, ok := e.peek(); !ok {
-			return false
-		}
-		ev := e.popEvent()
-		e.now = ev.at
-		p := e.procs[ev.tgt]
-		// A crashed process is delivered nothing, and a timer with a stale gen
-		// was set by a previous incarnation: pending timers die with a crash,
-		// even if the process restarts before they would have fired.
-		if (ev.kind == evMessage || ev.kind == evTimer) && p.crashed || ev.kind == evTimer && ev.gen != p.gen {
-			continue
-		}
-		if e.trace != nil {
-			e.trace.record(&ev, p.id)
-		}
-		switch ev.kind {
-		case evMessage:
-			p.reactor.Receive(p, model.ID(ev.src), ev.body)
-		case evTimer:
-			p.reactor.Timer(p, ev.src)
-		case evCrash:
-			if !p.crashed {
-				p.crashed = true
-				p.gen++
-			}
-		case evRestart:
-			if p.crashed {
-				p.crashed = false
-				if repl := e.controls[ev.src].replacement; repl != nil {
-					p.reactor = repl
-					p.inert, _ = repl.(rt.ReplayInert)
-					p.reactor.Init(p)
-				} else if r, ok := p.reactor.(rt.Restartable); ok {
-					r.Restart(p)
-				} else {
-					p.reactor.Init(p)
-				}
-			}
-		}
+	if _, ok := e.peek(); !ok {
+		return false
+	}
+	ev := e.popEvent()
+	e.now = ev.at
+	p := e.procs[ev.tgt]
+	// A crashed process is delivered nothing, and a timer with a stale gen
+	// was set by a previous incarnation: pending timers die with a crash,
+	// even if the process restarts before they would have fired.
+	if (ev.kind == evMessage || ev.kind == evTimer) && p.crashed || ev.kind == evTimer && ev.gen != p.gen {
 		return true
 	}
+	if e.trace != nil {
+		e.trace.record(&ev, p.id)
+	}
+	switch ev.kind {
+	case evMessage:
+		p.reactor.Receive(p, model.ID(ev.src), ev.body)
+	case evTimer:
+		p.reactor.Timer(p, ev.src)
+	case evCrash:
+		if !p.crashed {
+			p.crashed = true
+			p.gen++
+		}
+	case evRestart:
+		if p.crashed {
+			p.crashed = false
+			if repl := e.controls[ev.src].replacement; repl != nil {
+				p.reactor = repl
+				p.inert, _ = repl.(rt.ReplayInert)
+				p.reactor.Init(p)
+			} else if r, ok := p.reactor.(rt.Restartable); ok {
+				r.Restart(p)
+			} else {
+				p.reactor.Init(p)
+			}
+		}
+	}
+	return true
 }
 
 // RunUntil processes events until cond() holds (checked after every event),
