@@ -13,7 +13,7 @@ import (
 // report fingerprint online in O(1) memory — the totals are only known after
 // the last outcome, so they close the stream instead of opening it. Both
 // Report.Fingerprint and the Aggregator use this one implementation, which
-// is why monolithic, incremental, sharded-merged and resumed executions
+// is why monolithic, incremental, sharded-merged and distributed executions
 // cannot disagree.
 type fingerprint struct {
 	h hash.Hash
@@ -58,18 +58,15 @@ const axisOverflow = "(more)"
 
 // Aggregator folds outcomes into a Report incrementally: per-axis stats,
 // grade counts, traffic totals and the fingerprint are all maintained
-// online, so memory is O(min(distinct axis values, maxAxisValues)) plus the
-// reorder buffer — independent of the sweep's cell count. Outcomes may
-// arrive in any order; they are folded in position order (the worker pool
-// claims positions within a bounded window of its completion watermark, so
-// its reordering — and therefore the buffer — is O(parallelism) no matter
-// how skewed per-cell runtimes are).
+// online, so memory is O(min(distinct axis values, maxAxisValues)) —
+// independent of the sweep's cell count. Outcomes arrive in position order:
+// the worker pool hands them on so, and a merge takes them so from the
+// streams.
 type Aggregator struct {
 	keep    bool
 	rep     *Report
 	fp      fingerprint
 	next    int
-	pending map[int]*Outcome
 	axisIdx map[string]map[string]int // axis → value → index into rep.Axes[axis]
 	done    bool
 }
@@ -83,40 +80,24 @@ func NewAggregator(keepOutcomes bool) *Aggregator {
 		keep:    keepOutcomes,
 		rep:     &Report{Axes: make(map[string][]AxisStat)},
 		fp:      newFingerprint(),
-		pending: make(map[int]*Outcome),
 		axisIdx: make(map[string]map[string]int),
 	}
 }
 
-// Add feeds the outcome at position pos (0-based, dense). Positions may
-// arrive in any order but each exactly once; out-of-order outcomes are
-// buffered until their predecessors arrive.
+// Add folds the outcome at position pos (0-based, dense). Positions arrive
+// in order, each once: any position but the next is refused.
 func (a *Aggregator) Add(pos int, o Outcome) error {
 	if a.done {
 		return fmt.Errorf("aggregate: Add(%d) after Report", pos)
 	}
-	if pos < a.next {
-		return fmt.Errorf("aggregate: duplicate outcome for cell position %d", pos)
-	}
-	if _, dup := a.pending[pos]; dup {
-		return fmt.Errorf("aggregate: duplicate outcome for cell position %d", pos)
-	}
-	if pos > a.next {
-		a.pending[pos] = &o
-		return nil
+	if pos != a.next {
+		return fmt.Errorf("aggregate: outcome for cell position %d, want position %d", pos, a.next)
 	}
 	a.fold(&o)
-	for {
-		nxt, ok := a.pending[a.next]
-		if !ok {
-			return nil
-		}
-		delete(a.pending, a.next)
-		a.fold(nxt)
-	}
+	return nil
 }
 
-// fold integrates one outcome; only called with the next position in order.
+// fold integrates the outcome at the next position.
 func (a *Aggregator) fold(o *Outcome) {
 	a.next++
 	rep := a.rep
@@ -193,20 +174,13 @@ func (a *Aggregator) bump(axis, value string, o *Outcome) {
 	}
 }
 
-// Report finalizes the aggregation: it fails if any position is still
-// missing, seals the fingerprint, and returns the report. Further Adds are
-// rejected; repeated calls return the same report.
-func (a *Aggregator) Report(parallelism int) (*Report, error) {
-	if a.done {
-		a.rep.Parallelism = parallelism
-		return a.rep, nil
+// Report seals the fingerprint and returns the report. Further Adds are
+// refused; repeated calls return the same report.
+func (a *Aggregator) Report(parallelism int) *Report {
+	if !a.done {
+		a.done = true
+		a.rep.fingerprint = a.fp.finish(a.rep)
 	}
-	if len(a.pending) > 0 {
-		return nil, fmt.Errorf("aggregate: outcome for cell position %d missing (%d later outcomes buffered)",
-			a.next, len(a.pending))
-	}
-	a.done = true
 	a.rep.Parallelism = parallelism
-	a.rep.fingerprint = a.fp.finish(a.rep)
-	return a.rep, nil
+	return a.rep
 }

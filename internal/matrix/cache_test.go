@@ -77,10 +77,7 @@ func assertCacheTransparent(t *testing.T, name string, src CellSource) {
 			t.Fatal(err)
 		}
 	}
-	uncached, err := agg.Report(cached.Parallelism)
-	if err != nil {
-		t.Fatal(err)
-	}
+	uncached := agg.Report(cached.Parallelism)
 	uncached.Name = name
 
 	for i := range cached.Outcomes {

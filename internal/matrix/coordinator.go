@@ -128,8 +128,10 @@ func RunFabric(ctx context.Context, total int, workers []Transport, opts FabricO
 	)
 
 	// dispatch runs sh once on a free worker and returns its spool, with a
-	// nil error when the stream has a trailer and covers the shard exactly.
-	// A stream claiming another sweep size aborts the sweep.
+	// nil error when the stream has a trailer and covers the shard exactly:
+	// its header names sh and it carries sh's count of outcomes, which the
+	// reader holds to ascending cells of sh. A stream claiming another sweep
+	// size aborts the sweep.
 	dispatch := func(sh Shard) (string, error) {
 		var slot int
 		select {
@@ -159,16 +161,16 @@ func RunFabric(ctx context.Context, total int, workers []Transport, opts FabricO
 		if cerr := f.Close(); err == nil {
 			err = cerr
 		}
-		scan, serr := scanStreamFile(spool)
+		rd, serr := scanStreamFile(spool)
 		mu.Lock()
 		defer mu.Unlock()
 		delete(inFlight, w)
 		switch {
-		case serr == nil && scan.header != nil && scan.header.TotalCells != total:
-			err = fmt.Errorf("fabric: worker stream claims %d total cells, sweep has %d (misconfigured fleet?)", scan.header.TotalCells, total)
+		case serr == nil && rd.header != nil && rd.header.TotalCells != total:
+			err = fmt.Errorf("fabric: worker stream claims %d total cells, sweep has %d (misconfigured fleet?)", rd.header.TotalCells, total)
 			abort(err)
-		case serr == nil && scan.header != nil && scan.trailer != nil && coversExactly(scan.done, sh.Globals(total)):
-			doneCells += len(scan.done)
+		case serr == nil && rd.trailer != nil && rd.shard == sh && rd.outcomes == sh.Len(total):
+			doneCells += rd.outcomes
 			return spool, nil
 		case err == nil:
 			err = fmt.Errorf("stream incomplete or corrupt")
@@ -284,50 +286,24 @@ func retryDelay(attempt int, rng *rand.Rand) time.Duration {
 	return d/2 + time.Duration(rng.Int63n(int64(d)))
 }
 
-// streamScan is what the coverage check reads of a worker's spool: its
-// reader (header, and trailer — nil when the stream stops short) and the
-// global cell indices the stream carries.
-type streamScan struct {
-	*recordReader
-	done map[int]bool
-}
-
 // scanStreamFile reads a stream file up to its trailer or its end, and
-// refuses a damaged one.
-func scanStreamFile(path string) (*streamScan, error) {
+// refuses a damaged one. The reader it returns holds the header, the trailer
+// (nil when the stream stops short) and the outcome count.
+func scanStreamFile(path string) (*recordReader, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
 	defer f.Close()
-	scan := &streamScan{done: make(map[int]bool)}
-	scan.recordReader = newRecordReader(f, func(i int) bool { return scan.done[i] })
-	for scan.trailer == nil {
-		o, err := scan.next()
-		if err == io.EOF {
+	rd := newRecordReader(f)
+	for rd.trailer == nil {
+		if _, err := rd.next(); err == io.EOF {
 			break
-		}
-		if err != nil {
+		} else if err != nil {
 			return nil, fmt.Errorf("%s: %w", path, err)
 		}
-		if o != nil {
-			scan.done[o.Index] = true
-		}
 	}
-	return scan, nil
-}
-
-// coversExactly reports whether done is exactly the expected index set.
-func coversExactly(done map[int]bool, expected []int) bool {
-	if len(done) != len(expected) {
-		return false
-	}
-	for _, g := range expected {
-		if !done[g] {
-			return false
-		}
-	}
-	return true
+	return rd, nil
 }
 
 // spoolWriter copies a worker's stream to its spool file while tracking

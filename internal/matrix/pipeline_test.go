@@ -5,6 +5,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"runtime"
+	"strings"
 	"testing"
 
 	"github.com/bftcup/bftcup/internal/core"
@@ -124,8 +125,9 @@ func TestSourceValidatesEveryAxisValue(t *testing.T) {
 
 // runAllModes executes the sweep behind src every way the pipeline offers
 // and asserts one fingerprint: monolithic Run, incremental Aggregator fed
-// in order and fully reversed, and sharded RunStream files merged (outcome-
-// retaining and summary-only).
+// in order, and sharded RunStream files merged (outcome-retaining and
+// summary-only). An Aggregator fed out of order refuses the first outcome
+// that is not the next.
 func runAllModes(t *testing.T, name string, src CellSource) {
 	t.Helper()
 	mono, err := Run(src, Options{})
@@ -135,29 +137,27 @@ func runAllModes(t *testing.T, name string, src CellSource) {
 	mono.Name = name
 	want := mono.Fingerprint()
 
-	// Incremental aggregation over the monolithic outcomes, in order and in
-	// reverse (exercising the reorder buffer), must seal the same digest.
-	for _, reverse := range []bool{false, true} {
-		agg := NewAggregator(false)
-		for i := 0; i < len(mono.Outcomes); i++ {
-			pos := i
-			if reverse {
-				pos = len(mono.Outcomes) - 1 - i
-			}
-			if err := agg.Add(pos, mono.Outcomes[pos]); err != nil {
-				t.Fatal(err)
-			}
-		}
-		rep, err := agg.Report(0)
-		if err != nil {
+	// Incremental aggregation over the monolithic outcomes must seal the
+	// same digest.
+	agg := NewAggregator(false)
+	for i, o := range mono.Outcomes {
+		if err := agg.Add(i, o); err != nil {
 			t.Fatal(err)
 		}
-		if got := rep.Fingerprint(); got != want {
-			t.Fatalf("incremental aggregation (reverse=%t) fingerprint %s, want %s", reverse, got[:16], want[:16])
-		}
-		if rep.Cells != mono.Cells || rep.Consensus != mono.Consensus || rep.Errors != mono.Errors ||
-			rep.TotalMessages != mono.TotalMessages || rep.TotalBytes != mono.TotalBytes {
-			t.Fatalf("incremental aggregates diverge: %+v vs %+v", rep, mono)
+	}
+	rep := agg.Report(0)
+	if got := rep.Fingerprint(); got != want {
+		t.Fatalf("incremental aggregation fingerprint %s, want %s", got[:16], want[:16])
+	}
+	if rep.Cells != mono.Cells || rep.Consensus != mono.Consensus || rep.Errors != mono.Errors ||
+		rep.TotalMessages != mono.TotalMessages || rep.TotalBytes != mono.TotalBytes {
+		t.Fatalf("incremental aggregates diverge: %+v vs %+v", rep, mono)
+	}
+	// Fed in reverse, it refuses the first outcome, naming position 0.
+	if last := len(mono.Outcomes) - 1; last > 0 {
+		err := NewAggregator(false).Add(last, mono.Outcomes[last])
+		if err == nil || !strings.Contains(err.Error(), "want position 0") {
+			t.Fatalf("an Aggregator fed position %d first answered %v, want a refusal naming position 0", last, err)
 		}
 	}
 
@@ -330,8 +330,8 @@ func retainedHeap(t *testing.T, n int) (agg *Aggregator, heap uint64) {
 func TestAggregatorMemoryIndependentOfCellCount(t *testing.T) {
 	small, heapSmall := retainedHeap(t, 5_000)
 	large, heapLarge := retainedHeap(t, 200_000)
-	if rep, err := large.Report(0); err != nil || rep.Cells != 200_000 {
-		t.Fatalf("large aggregator: %v, cells %d", err, rep.Cells)
+	if rep := large.Report(0); rep.Cells != 200_000 {
+		t.Fatalf("large aggregator: cells %d", rep.Cells)
 	}
 	runtime.KeepAlive(small)
 	const limit = 4 << 20
@@ -341,11 +341,7 @@ func TestAggregatorMemoryIndependentOfCellCount(t *testing.T) {
 	}
 	// The seed axis must have hit the overflow bucket rather than growing
 	// one row per seed.
-	rep, err := small.Report(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := len(rep.Axes["seed"]); got != maxAxisValues+1 {
+	if got := len(small.Report(0).Axes["seed"]); got != maxAxisValues+1 {
 		t.Fatalf("seed axis tracks %d values, want %d capped + overflow", got, maxAxisValues+1)
 	}
 }

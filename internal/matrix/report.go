@@ -83,7 +83,7 @@ type Report struct {
 // Fingerprint hashes every deterministic field of the report — the full
 // outcome stream in cell order plus the aggregate counters — and excludes
 // wall-clock measurements and parallelism. Two runs of the same cells agree
-// on it no matter how they were scheduled, sharded, merged or resumed: the
+// on it no matter how they were scheduled, sharded, merged or dispatched: the
 // digest is folded outcome by outcome (see the fingerprint type), so the
 // incremental Aggregator seals the identical value a monolithic pass over
 // the outcomes computes.

@@ -19,8 +19,9 @@ type Options struct {
 	// Trace enables per-cell event/decision trace digests (costs one SHA-256
 	// stream per cell).
 	Trace bool
-	// Progress, when non-nil, is called after every finished cell with the
-	// number completed so far and the total. Calls are serialized.
+	// Progress, when non-nil, is called after every outcome the pool hands
+	// on, in position order, with the number handed on so far and the total.
+	// Calls are serialized.
 	Progress func(done, total int)
 }
 
@@ -169,26 +170,26 @@ func (w *cellRunner) runCell(c Cell) (out Outcome) {
 	return out
 }
 
-// claimWindowPerWorker bounds how far ahead of the completion watermark a
-// worker may claim a cell position, as a multiple of the pool's parallelism.
-// Without the bound, a racing worker streaming instant cells past one slow
-// in-flight cell claims positions arbitrarily far ahead, and every consumer
-// that folds outcomes in position order — the Aggregator's reorder buffer,
-// a shard merge's per-stream buffers — grows without bound. With it, at
-// most parallelism × claimWindowPerWorker outcomes can ever be buffered, so
-// downstream memory is O(parallelism) at any sweep size. The factor is
-// generous: a worker only ever waits when it is a full window ahead of the
-// slowest cell, which costs nothing in the uniform-cost common case.
+// claimWindowPerWorker bounds how far ahead of the next position to sink a
+// worker may claim a cell, as a multiple of the pool's parallelism. A worker
+// that finishes ahead of that position parks its outcome until the position
+// is sunk, so the window is also the pool's parking space: at most
+// parallelism × claimWindowPerWorker outcomes wait at any sweep size, however
+// skewed per-cell runtimes are. The factor is generous: a worker only ever
+// waits when it is a full window ahead of the slowest cell, which costs
+// nothing in the uniform-cost common case.
 const claimWindowPerWorker = 8
 
-// runPool executes the source's cells on a worker pool and feeds every
-// finished outcome to sink in completion order. Workers claim positions
-// sequentially within a sliding window of the completion watermark (see
-// claimWindowPerWorker) and materialize each cell on demand — nothing holds
-// a cell slice. Sink calls are serialized; pos is the cell's position within
-// the source (not its global Index). A sink error stops workers from
-// claiming further cells and is returned. The effective parallelism is
-// returned alongside.
+// runPool executes the source's cells on a worker pool and hands sink every
+// outcome in position order, so what a sink sees does not depend on the
+// parallelism. Workers claim positions sequentially within a sliding window
+// of the next position to sink (see claimWindowPerWorker) and materialize
+// each cell on demand — nothing holds a cell slice. An outcome finished ahead
+// of that position waits in the window's slot for it; whoever finishes the
+// next position sinks it and the run of parked outcomes behind it. Sink calls
+// are serialized; pos is the cell's position within the source (not its
+// global Index). A sink error stops workers from claiming further cells and
+// is returned. The effective parallelism is returned alongside.
 func runPool(src CellSource, opts Options, sink func(pos int, o Outcome) error) (int, error) {
 	n := src.Len()
 	if n == 0 {
@@ -206,14 +207,15 @@ func runPool(src CellSource, opts Options, sink func(pos int, o Outcome) error) 
 	var mu sync.Mutex
 	cond := sync.NewCond(&mu)
 	var (
-		next      int          // next unclaimed position
-		low       int          // completion watermark: every position < low is done
-		completed map[int]bool // done positions ≥ low (size ≤ window by construction)
-		stop      bool
-		sinkErr   error
-		done      int
+		next    int // next unclaimed position
+		low     int // next position to sink: every position < low is sunk
+		stop    bool
+		sinkErr error
+		// Position i's outcome waits in slot i % window until it is sunk;
+		// the claim window keeps every unsunk position in its own slot.
+		parked = make([]Outcome, window)
+		ready  = make([]bool, window)
 	)
-	completed = make(map[int]bool, window)
 	var wg sync.WaitGroup
 	for w := 0; w < par; w++ {
 		wg.Add(1)
@@ -236,20 +238,16 @@ func runPool(src CellSource, opts Options, sink func(pos int, o Outcome) error) 
 				o := cr.runCell(src.Cell(i))
 
 				mu.Lock()
-				if sinkErr == nil {
-					if err := sink(i, o); err != nil {
-						sinkErr = err
-						stop = true
+				parked[i%window], ready[i%window] = o, true
+				for s := low % window; !stop && ready[s]; s = low % window {
+					if err := sink(low, parked[s]); err != nil {
+						sinkErr, stop = err, true
 					}
-				}
-				completed[i] = true
-				for completed[low] {
-					delete(completed, low)
+					ready[s] = false
 					low++
-				}
-				done++
-				if opts.Progress != nil {
-					opts.Progress(done, n)
+					if opts.Progress != nil {
+						opts.Progress(low, n)
+					}
 				}
 				cond.Broadcast()
 				mu.Unlock()
@@ -262,7 +260,7 @@ func runPool(src CellSource, opts Options, sink func(pos int, o Outcome) error) 
 
 // Run executes the source's cells into a report that retains every outcome;
 // stream a shard (RunStream) when a sweep is too large to hold its outcomes.
-// Outcomes fold through an Aggregator in cell-position order, so the report
+// The pool hands outcomes to an Aggregator in position order, so the report
 // (minus wall-clock fields) is independent of parallelism and scheduling.
 func Run(src CellSource, opts Options) (*Report, error) {
 	start := time.Now()
@@ -271,10 +269,7 @@ func Run(src CellSource, opts Options) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	rep, err := agg.Report(par)
-	if err != nil {
-		return nil, err
-	}
+	rep := agg.Report(par)
 	rep.WallNS = time.Since(start).Nanoseconds()
 	return rep, nil
 }

@@ -56,16 +56,6 @@ func (s Shard) Len(total int) int {
 	return (total-s.Index)/s.Count + 1
 }
 
-// Globals lists the shard's global cell indices in ascending order (the
-// coordinator's expected-coverage set).
-func (s Shard) Globals(total int) []int {
-	out := make([]int, s.Len(total))
-	for i := range out {
-		out[i] = s.Index - 1 + i*s.Count
-	}
-	return out
-}
-
 // Slice resolves the shard against the whole sweep src: the lazy sub-source
 // to run and the spec its stream header carries. It is the one place a
 // selection meets a sweep — fabric workers, and the CLIs' stream and report

