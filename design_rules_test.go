@@ -175,6 +175,8 @@ var designRules = []rule{
 		match: []match{names(`QueueLen|RedialBackoff|timerRef|trackTimer`)}},
 	{name: "WholeTaskRecovery", since: "8ddedb2", files: scope{tests: true, in: []string{"internal/", "cmd/"}},
 		match: []match{names(`sealStreamFile|ParseSpan|SubShards|ownsAll|exitEvent|notBefore|^StreamJob\.Task$`), ref(mod+"/internal/matrix", "Task")}},
+	{name: "OutcomeOrder", since: "c08b3ec", files: scope{tests: true, in: []string{"internal/matrix/"}},
+		match: []match{names(`mergeStats|maxPending|streamScan|coversExactly`)}},
 	{name: "GraphDefSpelling", since: "4ccdf8d", files: scope{in: []string{"cmd/"}},
 		match: []match{ref(mod+"/internal/graph", "Def{}"), ref(mod+"/internal/graph", "DefKOSR"), ref(mod+"/internal/graph", "DefExtended")}},
 
@@ -307,6 +309,14 @@ var ruleCases = []ruleCase{
 		"package matrix\nimport \"time\"\ntype queued struct {\n\tsh        Shard\n\tnotBefore time.Time\n}", "notBefore"},
 	{"WholeTaskRecovery", "StreamJob.Task", "internal/matrix/cli2.go",
 		"package matrix\nfunc (j StreamJob) Task() (Shard, error) { return ParseShard(j.Shard) }", "StreamJob.Task"},
+	{"OutcomeOrder", "a gauge of the merge's reorder buffer", "internal/matrix/merge2.go",
+		"package matrix\ntype mergeStats struct{ maxPending int }", "mergeStats"},
+	{"OutcomeOrder", "an index set for the coverage check", "internal/matrix/scan.go",
+		"package matrix\nfunc coversExactly(done map[int]bool, want []int) bool { return len(done) == len(want) }", "coversExactly"},
+	{"OutcomeOrder", "a test reading a spool's done set", "internal/matrix/scan_test.go",
+		"package matrix\ntype streamScan struct{ done map[int]bool }", "streamScan"},
+	{"OutcomeOrder", "the committee's message buffer cap", "internal/core/node2.go",
+		"package core\nconst maxPending = 8192", ""},
 	{"GraphDefSpelling", "graphgen's flag spelling of a kosr def", "cmd/graphgen/main.go",
 		"package main\nimport \"github.com/bftcup/bftcup/internal/graph\"\nfunc kosr(k int) graph.Def { return graph.Def{Kind: graph.DefKOSR, K: k} }", "internal/graph.Def{}"},
 	{"GraphDefSpelling", "a def parsed from its string", "cmd/graphgen/main.go",
