@@ -93,12 +93,6 @@ func (a *Aggregator) Add(pos int, o Outcome) error {
 	if pos != a.next {
 		return fmt.Errorf("aggregate: outcome for cell position %d, want position %d", pos, a.next)
 	}
-	a.fold(&o)
-	return nil
-}
-
-// fold integrates the outcome at the next position.
-func (a *Aggregator) fold(o *Outcome) {
 	a.next++
 	rep := a.rep
 	rep.Cells++
@@ -119,15 +113,16 @@ func (a *Aggregator) fold(o *Outcome) {
 	if o.VirtualNS > rep.MaxVirtualNS {
 		rep.MaxVirtualNS = o.VirtualNS
 	}
-	a.bump("graph", o.Graph, o)
-	a.bump("mode", o.Mode, o)
-	a.bump("net", o.Net, o)
-	a.bump("byz", o.Byz, o)
-	a.bump("seed", fmt.Sprintf("%d", o.Seed), o)
-	a.fp.add(o)
+	a.bump("graph", o.Graph, &o)
+	a.bump("mode", o.Mode, &o)
+	a.bump("net", o.Net, &o)
+	a.bump("byz", o.Byz, &o)
+	a.bump("seed", fmt.Sprintf("%d", o.Seed), &o)
+	a.fp.add(&o)
 	if a.keep {
-		rep.Outcomes = append(rep.Outcomes, *o)
+		rep.Outcomes = append(rep.Outcomes, o)
 	}
+	return nil
 }
 
 // bump counts the outcome under one axis value, in first-seen order.

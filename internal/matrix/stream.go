@@ -23,12 +23,11 @@ import (
 // streams; its Fingerprint provably equals the monolithic run's because the
 // fingerprint is a pure function of the outcomes in cell-index order and
 // every cell runs on its own deterministic engine either way. Both ends are
-// streaming: one writer (streamWriter) encodes every record and keeps the
-// trailer's running counts, and one reader (recordReader) decodes them;
-// Merge holds one outcome per stream and folds cell after cell into an
-// Aggregator, so neither side ever holds the sweep's cells or outcomes in
-// memory. A stream's bytes, wall-clock fields aside, are a function of its
-// shard alone, whatever the parallelism that ran it.
+// streaming: one writer (streamWriter) encodes every record and one reader
+// (recordReader) decodes them; Merge holds one outcome per stream and folds
+// cell after cell into an Aggregator, so neither side ever holds the sweep's
+// cells or outcomes in memory. A stream's bytes, wall-clock fields aside, are
+// a function of its shard alone, whatever the parallelism that ran it.
 
 // StreamHeader opens a stream and identifies the slice of the sweep it
 // carries.
@@ -59,17 +58,6 @@ type StreamTrailer struct {
 	WallNS int64 `json:"wall_ns"`
 }
 
-// count adds one outcome to the trailer's counts.
-func (tr *StreamTrailer) count(o *Outcome) {
-	tr.CellsRun++
-	if o.Err != "" {
-		tr.Errors++
-	}
-	if o.Consensus {
-		tr.Consensus++
-	}
-}
-
 // streamRecord is one JSONL line.
 type streamRecord struct {
 	Type    string         `json:"type"`
@@ -80,12 +68,10 @@ type streamRecord struct {
 
 // streamWriter is the one encoder of stream records. It flushes every record
 // as its line completes, so a concurrent tail (or a crash post-mortem) sees
-// every completed cell, and it keeps the trailer's running counts. RunStream
-// writes every stream through it.
+// every completed cell. RunStream writes every stream through it.
 type streamWriter struct {
 	bw  *bufio.Writer
 	enc *json.Encoder
-	tr  StreamTrailer
 }
 
 func newStreamWriter(w io.Writer) *streamWriter {
@@ -100,52 +86,41 @@ func (w *streamWriter) write(rec streamRecord) error {
 	return w.bw.Flush()
 }
 
-func (w *streamWriter) header(hdr StreamHeader) error {
-	return w.write(streamRecord{Type: "header", Header: &hdr})
-}
-
-// cells runs the source's cells and writes one outcome record per cell, in
-// position order. Memory is O(parallelism) regardless of the source's size.
-func (w *streamWriter) cells(src CellSource, opts Options) error {
-	if src.Len() == 0 {
-		// An empty shard (more shards than cells) is legitimate: it
-		// contributes a valid header+trailer stream with zero outcomes.
-		return nil
-	}
-	_, err := runPool(src, opts, func(_ int, o Outcome) error {
-		w.tr.count(&o)
-		return w.write(streamRecord{Type: "outcome", Outcome: &o})
-	})
-	return err
-}
-
-// trailer closes the stream with the running counts and wallNS.
-func (w *streamWriter) trailer(wallNS int64) (*StreamTrailer, error) {
-	tr := w.tr
-	tr.WallNS = wallNS
-	if err := w.write(streamRecord{Type: "trailer", Trailer: &tr}); err != nil {
-		return nil, err
-	}
-	return &tr, nil
-}
-
 // RunStream executes the source's cells and writes every outcome to w as a
 // JSONL line, in position order: the moment its cell completes, or, when it
 // finished ahead of an earlier cell, the moment that one does. The returned
 // trailer summarizes the shard. Nothing beyond the running summary and the
 // pool's claim window is buffered: a million-cell shard streams in constant
-// memory.
+// memory. An empty shard (more shards than cells) is legitimate: its stream
+// is a header and a trailer.
 func RunStream(src CellSource, opts Options, w io.Writer, hdr StreamHeader) (*StreamTrailer, error) {
 	hdr.ShardCells = src.Len()
 	sw := newStreamWriter(w)
-	if err := sw.header(hdr); err != nil {
+	if err := sw.write(streamRecord{Type: "header", Header: &hdr}); err != nil {
 		return nil, err
 	}
 	start := time.Now()
-	if err := sw.cells(src, opts); err != nil {
+	var tr StreamTrailer
+	if src.Len() > 0 {
+		_, err := runPool(src, opts, func(_ int, o Outcome) error {
+			tr.CellsRun++
+			if o.Err != "" {
+				tr.Errors++
+			}
+			if o.Consensus {
+				tr.Consensus++
+			}
+			return sw.write(streamRecord{Type: "outcome", Outcome: &o})
+		})
+		if err != nil {
+			return nil, err
+		}
+	}
+	tr.WallNS = time.Since(start).Nanoseconds()
+	if err := sw.write(streamRecord{Type: "trailer", Trailer: &tr}); err != nil {
 		return nil, err
 	}
-	return sw.trailer(time.Since(start).Nanoseconds())
+	return &tr, nil
 }
 
 // RunStreamFile is RunStream writing to a file path; "-" streams to stdout.
