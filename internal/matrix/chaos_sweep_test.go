@@ -5,11 +5,11 @@ import (
 )
 
 // TestFingerprintIdentityChaosSweep asserts monolithic ≡ incremental ≡
-// sharded-then-merged ≡ resumed-after-truncation on the chaos sweep: every
-// cell injects loss, duplication, reorder, partitions and churn from the
-// engine's seeded RNG, so the identity holds only if injection is fully
-// deterministic per cell regardless of worker scheduling, which shard a
-// cell lands in, or whether its compile cache entry was shared.
+// sharded-then-merged on the chaos sweep: every cell injects loss,
+// duplication, reorder, partitions and churn from the engine's seeded RNG,
+// so the identity holds only if injection is fully deterministic per cell
+// regardless of worker scheduling, which shard a cell lands in, or whether
+// its compile cache entry was shared.
 func TestFingerprintIdentityChaosSweep(t *testing.T) {
 	src, err := ChaosSweep(Seeds(1, 1))
 	if err != nil {

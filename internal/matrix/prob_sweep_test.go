@@ -11,11 +11,11 @@ import (
 )
 
 // TestFingerprintIdentityProbabilisticSweep asserts monolithic ≡
-// incremental ≡ sharded-then-merged ≡ resumed-after-truncation on the
-// probabilistic sweep: every cell builds its graph from (family, n, density,
-// seed), so the identity holds only if generation, compile caching, and the
-// bitset search are all deterministic per cell regardless of worker
-// scheduling or which shard a cell lands in.
+// incremental ≡ sharded-then-merged on the probabilistic sweep: every cell
+// builds its graph from (family, n, density, seed), so the identity holds
+// only if generation, compile caching, and the bitset search are all
+// deterministic per cell regardless of worker scheduling or which shard a
+// cell lands in.
 func TestFingerprintIdentityProbabilisticSweep(t *testing.T) {
 	src, err := ProbabilisticSweep(Seeds(1, 1))
 	if err != nil {

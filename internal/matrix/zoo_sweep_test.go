@@ -10,10 +10,9 @@ import (
 )
 
 // TestFingerprintIdentityWorstPlacement asserts monolithic ≡ incremental ≡
-// sharded-then-merged ≡ resumed-after-truncation on a byz=worst sweep: the
-// worst-case placement search runs inside Compile, so every execution mode
-// and every worker must resolve the identical placement for the identical
-// graph. Worst-placed cells legitimately fail to terminate; the short horizon
+// sharded-then-merged on a byz=worst sweep: the worst-case placement search
+// runs inside Compile, so every execution mode and every worker must resolve
+// the identical placement for the identical graph. Worst-placed cells legitimately fail to terminate; the short horizon
 // bounds their event volume, not the assertion.
 func TestFingerprintIdentityWorstPlacement(t *testing.T) {
 	a := Axes{
